@@ -11,7 +11,7 @@
 //! cargo run --release -p bonsai-bench --bin chaos -- --particles 4000 --ranks 6 --steps 10
 //! ```
 
-use bonsai_bench::arg_usize;
+use bonsai_bench::{arg_usize, scratch_dir};
 use bonsai_ic::plummer_sphere;
 use bonsai_net::{FaultKind, FaultLog, FaultPlan, RecoveryAction};
 use bonsai_sim::{Cluster, ClusterConfig, RecoveryConfig};
@@ -37,6 +37,7 @@ fn run_once(
     recovery: Option<RecoveryConfig>,
 ) -> Outcome {
     let ic = plummer_sphere(n, seed);
+    let dir = recovery.as_ref().map(|r| r.dir.clone());
     let result = std::panic::catch_unwind(|| {
         let mut c = Cluster::with_faults(ic, ranks, ClusterConfig::default(), plan, recovery);
         let mut degraded = 0;
@@ -50,6 +51,9 @@ fn run_once(
         let finite = c.accelerations_by_id().values().all(|a| a.is_finite());
         (c.fault_log(), conserved, finite, degraded, retx)
     });
+    if let Some(dir) = dir {
+        let _ = std::fs::remove_dir_all(dir);
+    }
     match result {
         Ok((log, conserved, finite, degraded_lets, retransmit_bytes)) => Outcome {
             label,
@@ -86,8 +90,7 @@ fn main() {
         for kind in FaultKind::MESSAGE_KINDS {
             plan = plan.with_rate(kind, rate);
         }
-        let dir = std::env::temp_dir().join(format!("bonsai_chaos_bin_{seed}_{rate}"));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = scratch_dir("bonsai_chaos_bin");
         outcomes.push(run_once(
             format!("rate {rate:.2}"),
             n,
@@ -101,8 +104,7 @@ fn main() {
 
     // Crash drill: kill one rank mid-run and recover from checkpoint.
     let crash_epoch = (steps as u64 / 2).max(2);
-    let dir = std::env::temp_dir().join(format!("bonsai_chaos_bin_{seed}_crash"));
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = scratch_dir("bonsai_chaos_bin");
     outcomes.push(run_once(
         "crash drill".to_string(),
         n,

@@ -47,6 +47,16 @@ pub fn out_dir() -> std::path::PathBuf {
     p
 }
 
+/// A fresh checkpoint directory under the system temp dir, named
+/// `<tag>_<pid>_<n>`: no other run shares it, neither a test running in
+/// parallel in this process nor another process given the same seed. The
+/// caller removes it when done.
+pub fn scratch_dir(tag: &str) -> std::path::PathBuf {
+    static NEXT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+    let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    std::env::temp_dir().join(format!("{tag}_{}_{n}", std::process::id()))
+}
+
 /// A scaled Milky Way snapshot: the standard workload of the performance
 /// figures (the paper uses its MW model for all measurements, §VI-B).
 pub fn milky_way_snapshot(n: usize, seed: u64) -> Particles {

@@ -106,15 +106,14 @@ pub fn run(cfg: MembershipBenchConfig) -> MembershipResult {
     for kind in [FaultKind::Drop, FaultKind::Duplicate, FaultKind::Corrupt] {
         plan = plan.with_rate(kind, cfg.fault_rate);
     }
-    let dir = std::env::temp_dir().join(format!("bonsai_membership_bench_{}", cfg.seed));
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = crate::scratch_dir("bonsai_membership_bench");
     let mut cluster = Cluster::with_faults(
         ic,
         cfg.ranks,
         ccfg.clone(),
         plan,
         Some(RecoveryConfig {
-            dir,
+            dir: dir.clone(),
             every: cfg.churn_every as u64,
         }),
     );
@@ -161,6 +160,7 @@ pub fn run(cfg: MembershipBenchConfig) -> MembershipResult {
     } else {
         (None, false)
     };
+    let _ = std::fs::remove_dir_all(&dir);
     MembershipResult {
         time_gyr: units::internal_to_gyr(cluster.time()),
         energy_drift,

@@ -31,15 +31,12 @@ pub struct LetTree {
 }
 
 impl LetTree {
-    /// Borrow as a walkable view. LETs don't cache an SoA position copy
-    /// (they are small, short-lived, and cross the wire as AoS), so the walk
-    /// uses the scalar leaf kernel — bit-identical to the batched one.
+    /// Borrow as a walkable view.
     pub fn view(&self) -> TreeView<'_> {
         TreeView {
             nodes: &self.nodes,
             pos: &self.pos,
             mass: &self.mass,
-            soa: None,
         }
     }
 

@@ -14,7 +14,7 @@
 //! boundary trees as LETs and process remote LETs without merging.
 
 use crate::node::{Group, Node, NodeKind, TreeView};
-use crate::particles::{Particles, PosSoa};
+use crate::particles::Particles;
 use crate::NLEAF;
 use bonsai_sfc::{Curve, KeyMap, MAX_LEVEL};
 use bonsai_util::{Aabb, Sym3, Vec3};
@@ -58,10 +58,6 @@ pub struct Tree {
     pub origin: Vec<u32>,
     /// Walk groups tiling `0..n` in sorted order.
     pub groups: Vec<Group>,
-    /// SoA copy of the sorted positions for the batched leaf kernel. Kept
-    /// coherent with `particles.pos` by construction; `check_invariants`
-    /// verifies the two stay bitwise equal.
-    pub soa: PosSoa,
 }
 
 impl Tree {
@@ -140,7 +136,6 @@ impl Tree {
         // --- walk groups ----------------------------------------------------
         let groups = Self::compute_groups(&nodes, &particles, params.group_size);
 
-        let soa = PosSoa::from_pos(&particles.pos);
         Tree {
             params,
             keymap,
@@ -149,7 +144,6 @@ impl Tree {
             keys,
             origin: perm,
             groups,
-            soa,
         }
     }
 
@@ -306,7 +300,6 @@ impl Tree {
             nodes: &self.nodes,
             pos: &self.particles.pos,
             mass: &self.particles.mass,
-            soa: Some(&self.soa),
         }
     }
 
@@ -332,10 +325,6 @@ impl Tree {
         // keys sorted
         if !self.keys.windows(2).all(|w| w[0] <= w[1]) {
             return Err("keys not sorted".into());
-        }
-        // SoA cache coherent with the sorted positions
-        if !self.soa.matches(&self.particles.pos) {
-            return Err("SoA position cache out of sync with particles.pos".into());
         }
         // leaves tile 0..n exactly
         let mut leaves: Vec<(u32, u32)> = self

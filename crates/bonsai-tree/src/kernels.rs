@@ -18,6 +18,24 @@
 //! where `Q = Σ mⱼ dⱼ dⱼᵀ` is the *un-detraced* quadrupole about the cell's
 //! centre of mass (so the monopole term uses the cell mass and COM, and the
 //! dipole vanishes identically).
+//!
+//! Each kernel comes in the shapes its callers need:
+//!
+//! * scalar [`p_p`] and [`p_c`] — one target, one source: the definitions;
+//! * [`p_p_batch`] — one target, a run of sources, reduced in source order:
+//!   direct summation;
+//! * `p_p_lanes` and `p_c_lanes` — one *source* broadcast to a block of
+//!   target lanes, the tree walk's kernels. A lane is a target, as a thread
+//!   of a warp is in the paper's kernel (§III-A), so the loop over lanes
+//!   carries no dependence and vectorises, where a reduction over sources
+//!   into one `f64` sum cannot without reordering it.
+//!
+//! The shapes agree bit for bit: `p_c_lanes` evaluates [`p_c`] per lane, and
+//! `p_p_lanes` and [`p_p_batch`] share one masked term (which equals [`p_p`]
+//! wherever `p_p` is nonzero) and add the terms in the same source order.
+//! Every operation is a lane-wise IEEE-754 `f64` operation, and Rust neither
+//! fuses `a * b + c` nor reassociates, so a lane's bits do not depend on the
+//! vector width the loop was compiled for.
 
 use bonsai_util::{Sym3, Vec3};
 
@@ -66,14 +84,30 @@ pub fn p_c(tgt_pos: Vec3, com: Vec3, m: f64, q: &Sym3, eps2: f64) -> (f64, Vec3)
     (phi, acc)
 }
 
+/// The masked particle–particle term every batched and lane kernel shares:
+/// `(m/|r|, m/|r|³)` for separation `(dx, dy, dz)`, exactly zero for a
+/// coincident pair. Branchless — the self/coincident guard is a mask factor
+/// of zero instead of a skip — so a loop over it vectorises.
+#[inline(always)]
+fn p_p_masked(dx: f64, dy: f64, dz: f64, m: f64, eps2: f64) -> (f64, f64) {
+    let dr2 = dx * dx + dy * dy + dz * dz;
+    // Branchless self/coincident mask: exactly zero distance → 0 weight.
+    let mask = if dr2 > 0.0 { 1.0 } else { 0.0 };
+    let r2 = dr2 + eps2;
+    // max(r2, tiny) keeps the rsqrt finite when eps = 0 and dr = 0; the
+    // mask zeroes the contribution anyway.
+    let rinv = mask / r2.max(f64::MIN_POSITIVE).sqrt();
+    let rinv2 = rinv * rinv;
+    let mrinv = m * rinv;
+    (mrinv, mrinv * rinv2)
+}
+
 /// Batched particle-particle kernel: accumulate the forces of a contiguous
-/// SoA batch of sources on one target.
+/// SoA batch of sources on one target, in source order.
 ///
-/// The inner loop is written over plain slices with no early exits so the
-/// compiler can vectorize it — the CPU counterpart of evaluating a warp's
-/// shared interaction list on the GPU (§III-A). The self-interaction guard
-/// is branchless: coincident sources contribute through a mask factor of
-/// zero instead of a skip.
+/// This is the direct-summation kernel ([`crate::direct`]) and the
+/// per-target definition the walk's lane kernel reproduces: lane `l` of
+/// `p_p_lanes` computes exactly this sum for target `l`.
 #[inline]
 pub fn p_p_batch(
     tgt_pos: Vec3,
@@ -90,22 +124,115 @@ pub fn p_p_batch(
         let dx = src_x[j] - tgt_pos.x;
         let dy = src_y[j] - tgt_pos.y;
         let dz = src_z[j] - tgt_pos.z;
-        let dr2 = dx * dx + dy * dy + dz * dz;
-        // Branchless self/coincident mask: exactly zero distance → 0 weight.
-        let mask = if dr2 > 0.0 { 1.0 } else { 0.0 };
-        let r2 = dr2 + eps2;
-        // max(r2, tiny) keeps the rsqrt finite when eps = 0 and dr = 0; the
-        // mask zeroes the contribution anyway.
-        let rinv = mask / r2.max(f64::MIN_POSITIVE).sqrt();
-        let rinv2 = rinv * rinv;
-        let mrinv = src_m[j] * rinv;
-        let mrinv3 = mrinv * rinv2;
+        let (mrinv, mrinv3) = p_p_masked(dx, dy, dz, src_m[j], eps2);
         phi -= mrinv;
         ax += dx * mrinv3;
         ay += dy * mrinv3;
         az += dz * mrinv3;
     }
     (phi, Vec3::new(ax, ay, az))
+}
+
+/// Targets per register block of the lane kernels. Lane arrays handed to
+/// [`p_p_lanes`] / [`p_c_lanes`] are a whole number of blocks long.
+pub(crate) const LANES: usize = 8;
+
+/// One block of lane values.
+type Block = [f64; LANES];
+
+/// Borrow block `b` of a lane array.
+#[inline(always)]
+fn block(lanes: &[f64], b: usize) -> &Block {
+    lanes[b * LANES..(b + 1) * LANES].try_into().expect("a whole lane block")
+}
+
+/// Mutably borrow block `b` of a lane array.
+#[inline(always)]
+fn block_mut(lanes: &mut [f64], b: usize) -> &mut Block {
+    (&mut lanes[b * LANES..(b + 1) * LANES]).try_into().expect("a whole lane block")
+}
+
+/// Lane-parallel particle–particle kernel: add the forces of the sources
+/// `(src_pos, src_mass)` (one leaf) to every target lane.
+///
+/// Lane `l` holds target `(tx[l], ty[l], tz[l])` and accumulators
+/// `(phi[l], ax[l], ay[l], az[l])`. Each source is broadcast to all lanes —
+/// the warp mapping of §III-A — so the loop over lanes is a plain map with
+/// no cross-lane reduction. Per lane the arithmetic is [`p_p_batch`]'s: a
+/// partial sum over the sources in order, started from zero, then added to
+/// the accumulator.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn p_p_lanes(
+    tx: &[f64],
+    ty: &[f64],
+    tz: &[f64],
+    src_pos: &[Vec3],
+    src_mass: &[f64],
+    eps2: f64,
+    phi: &mut [f64],
+    ax: &mut [f64],
+    ay: &mut [f64],
+    az: &mut [f64],
+) {
+    debug_assert_eq!(src_pos.len(), src_mass.len());
+    debug_assert_eq!(tx.len() % LANES, 0);
+    for b in 0..tx.len() / LANES {
+        // One block at a time, so the partial sums of all its lanes stay in
+        // registers across the whole leaf.
+        let (tx, ty, tz) = (block(tx, b), block(ty, b), block(tz, b));
+        let [mut dphi, mut dax, mut day, mut daz] = [[0.0; LANES]; 4];
+        for (s, &m) in src_pos.iter().zip(src_mass) {
+            for l in 0..LANES {
+                let dx = s.x - tx[l];
+                let dy = s.y - ty[l];
+                let dz = s.z - tz[l];
+                let (mrinv, mrinv3) = p_p_masked(dx, dy, dz, m, eps2);
+                dphi[l] -= mrinv;
+                dax[l] += dx * mrinv3;
+                day[l] += dy * mrinv3;
+                daz[l] += dz * mrinv3;
+            }
+        }
+        let (phi, ax) = (block_mut(phi, b), block_mut(ax, b));
+        let (ay, az) = (block_mut(ay, b), block_mut(az, b));
+        for l in 0..LANES {
+            phi[l] += dphi[l];
+            ax[l] += dax[l];
+            ay[l] += day[l];
+            az[l] += daz[l];
+        }
+    }
+}
+
+/// Lane-parallel particle–cell kernel: add one cell's [`p_c`] contribution
+/// to every target lane (same lane layout as [`p_p_lanes`]). Each lane
+/// evaluates `p_c` itself, so its expression tree is the scalar kernel's.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn p_c_lanes(
+    tx: &[f64],
+    ty: &[f64],
+    tz: &[f64],
+    com: Vec3,
+    m: f64,
+    q: &Sym3,
+    eps2: f64,
+    phi: &mut [f64],
+    ax: &mut [f64],
+    ay: &mut [f64],
+    az: &mut [f64],
+) {
+    let n = tx.len();
+    let (ty, tz) = (&ty[..n], &tz[..n]);
+    let (phi, ax, ay, az) = (&mut phi[..n], &mut ax[..n], &mut ay[..n], &mut az[..n]);
+    for l in 0..n {
+        let (dphi, da) = p_c(Vec3::new(tx[l], ty[l], tz[l]), com, m, q, eps2);
+        phi[l] += dphi;
+        ax[l] += da.x;
+        ay[l] += da.y;
+        az[l] += da.z;
+    }
 }
 
 /// Split an AoS position slice into SoA component buffers (helper for

@@ -11,7 +11,6 @@
 //!   children nor particles were shipped, because the multipole acceptance
 //!   criterion guarantees the receiving domain will never open it.
 
-use crate::particles::PosSoa;
 use bonsai_util::{Aabb, Sym3, Vec3};
 
 /// What `first`/`count` of a [`Node`] refer to.
@@ -87,11 +86,6 @@ pub struct TreeView<'a> {
     pub pos: &'a [Vec3],
     /// Source particle masses.
     pub mass: &'a [f64],
-    /// Optional SoA copy of `pos` for the batched leaf kernel. When absent
-    /// (e.g. decoded LETs that don't cache one) the walk falls back to the
-    /// scalar kernel, which produces bit-identical results — the batch
-    /// kernel performs the same operations in the same order per source.
-    pub soa: Option<&'a PosSoa>,
 }
 
 impl<'a> TreeView<'a> {

@@ -8,56 +8,6 @@
 
 use bonsai_util::{Aabb, Vec3};
 
-/// Position components as three contiguous `f64` arrays — the layout the
-/// batched walk kernel ([`crate::kernels::p_p_batch`]) streams. Built once
-/// per tree from the sorted positions and cached alongside them.
-#[derive(Clone, Debug, Default)]
-pub struct PosSoa {
-    /// X components.
-    pub x: Vec<f64>,
-    /// Y components.
-    pub y: Vec<f64>,
-    /// Z components.
-    pub z: Vec<f64>,
-}
-
-impl PosSoa {
-    /// Split an AoS position slice into component arrays.
-    pub fn from_pos(pos: &[Vec3]) -> PosSoa {
-        let mut soa = PosSoa {
-            x: Vec::with_capacity(pos.len()),
-            y: Vec::with_capacity(pos.len()),
-            z: Vec::with_capacity(pos.len()),
-        };
-        for p in pos {
-            soa.x.push(p.x);
-            soa.y.push(p.y);
-            soa.z.push(p.z);
-        }
-        soa
-    }
-
-    /// Number of positions.
-    pub fn len(&self) -> usize {
-        self.x.len()
-    }
-
-    /// `true` if there are no positions.
-    pub fn is_empty(&self) -> bool {
-        self.x.is_empty()
-    }
-
-    /// `true` if this SoA is a bitwise copy of `pos` (coherence check).
-    pub fn matches(&self, pos: &[Vec3]) -> bool {
-        self.len() == pos.len()
-            && pos.iter().enumerate().all(|(i, p)| {
-                self.x[i].to_bits() == p.x.to_bits()
-                    && self.y[i].to_bits() == p.y.to_bits()
-                    && self.z[i].to_bits() == p.z.to_bits()
-            })
-    }
-}
-
 /// A set of particles in structure-of-arrays layout.
 #[derive(Clone, Debug, Default)]
 pub struct Particles {

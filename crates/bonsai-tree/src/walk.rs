@@ -1,26 +1,60 @@
-//! Group-based tree walk with on-the-fly force evaluation.
+//! Group-based tree walk with on-the-fly, lane-parallel force evaluation.
 //!
 //! This is the CPU analogue of Bonsai's fused tree-walk + force kernel
-//! (§III-A): interaction lists are never written to memory; each accepted
-//! cell or opened leaf is consumed immediately, and the only outputs are the
-//! accumulated `(φ, a)` per target plus the interaction counts that feed the
-//! performance model. Work fans out over target groups onto the `bonsai-par`
-//! work-stealing pool — the role the GPU's warps play in the paper — with
-//! each group owning a disjoint output window, so results are bit-identical
-//! at any thread count (see the `bonsai-par` crate docs for the
-//! deterministic-reduction contract the stats reduction relies on).
+//! (§III-A, Fig. 1): interaction lists are never written to memory; each
+//! accepted cell or opened leaf is consumed immediately, and the only outputs
+//! are the accumulated `(φ, a)` per target plus the interaction counts that
+//! feed the performance model.
 //!
-//! The walk takes *any* [`TreeView`] as the source: a rank's own local tree,
-//! or a received Local Essential Tree. Summing the resulting [`Forces`] over
-//! all sources reproduces the global gravitational field — the key
-//! correctness property the integration tests assert.
+//! **Lane = target.** On the GPU every thread of a warp owns one target
+//! particle of a group and each accepted cell or leaf particle is broadcast
+//! to all of them (`__shfl`). Here a SIMD lane plays the thread:
+//! [`walk_tree`] transposes the targets once per call into per-group
+//! structure-of-arrays lane blocks (x, y, z, padded to a whole number of
+//! 8-lane blocks by repeating the group's last target), keeps the
+//! accumulators (φ, ax, ay, az) in the same layout, and hands every
+//! interaction to a lane kernel ([`crate::kernels`]) whose loop over lanes
+//! is a plain map — one broadcast source, no reduction across lanes — which
+//! the compiler vectorises at whatever width the instruction set offers. The
+//! traversal itself (stack order, one MAC test per node against the group's
+//! bounding box) is scalar and shared by the whole group, as on the GPU.
+//!
+//! **Determinism contract.** Every lane performs exactly the scalar walk's
+//! operation sequence on its own target: `p_c`'s expression tree per cell,
+//! `p_p_batch`'s masked sum per leaf (started from zero, then added to the
+//! accumulator), in traversal order. All of it is lane-wise IEEE-754 `f64`
+//! arithmetic; Rust neither contracts `a * b + c` into a fused multiply-add
+//! nor reassociates, so a lane's result does not depend on how many lanes
+//! run beside it. Padding lanes compute ordinary values that are never read
+//! back and never counted. Forces are therefore `to_bits`-identical at every
+//! vector width (and, through the `bonsai-par` contract, every thread
+//! count); the lane-conformance test below holds both instantiations to the
+//! scalar reference walk.
+//!
+//! **Dispatch.** On x86_64 the one `#[inline(always)]` group-walk body is
+//! instantiated twice: at the build's baseline (SSE2) and under
+//! `#[target_feature(enable = "avx2")]`. [`walk_tree`] picks once per call
+//! with `is_x86_feature_detected!`; the AVX2 instantiation is entered only
+//! behind that test, which is what makes the one `unsafe` call sound. Other
+//! targets use the baseline instantiation. There is nothing to configure.
+//!
+//! Work fans out over target groups onto the `bonsai-par` work-stealing pool
+//! — the role the GPU's warps play in the paper — with each group owning a
+//! disjoint window of the lane buffer.
+//!
+//! The walk takes *any* [`TreeView`] as the source — a rank's own local tree,
+//! a received Local Essential Tree, or a boundary tree — down this one path.
+//! Summing the resulting [`Forces`] over all sources reproduces the global
+//! gravitational field — the key correctness property the integration tests
+//! assert.
 
 use crate::forces::{Forces, InteractionCounts};
-use crate::kernels::{p_c, p_p, p_p_batch};
+use crate::kernels::{p_c_lanes, p_p_lanes, LANES};
 use crate::mac::OpeningCriterion;
 use crate::node::{Group, NodeKind, TreeView};
 use bonsai_util::Vec3;
 use rayon::prelude::*;
+use std::cell::RefCell;
 
 /// Parameters of a force walk.
 #[derive(Clone, Copy, Debug)]
@@ -104,6 +138,40 @@ pub fn walk_tree(
     groups: &[Group],
     params: &WalkParams,
 ) -> (Forces, WalkStats) {
+    walk_tree_on(Isa::detect(), src, tgt_pos, groups, params)
+}
+
+/// Which instantiation of [`walk_group`] a call runs.
+#[derive(Clone, Copy, Debug)]
+enum Isa {
+    /// The build's baseline instruction set.
+    Plain,
+    /// AVX2. Constructed only by [`Isa::detect`], after the CPU reported the
+    /// feature — the call into `walk_group_avx2` relies on that.
+    #[cfg(target_arch = "x86_64")]
+    Avx2,
+}
+
+impl Isa {
+    /// The widest instantiation this CPU can run.
+    fn detect() -> Isa {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            return Isa::Avx2;
+        }
+        Isa::Plain
+    }
+}
+
+/// [`walk_tree`] on a given instantiation (one feature test per call, not
+/// per group).
+fn walk_tree_on(
+    isa: Isa,
+    src: &TreeView<'_>,
+    tgt_pos: &[Vec3],
+    groups: &[Group],
+    params: &WalkParams,
+) -> (Forces, WalkStats) {
     let n = tgt_pos.len();
     let mut forces = Forces::zeros(n);
     if src.is_empty() || n == 0 {
@@ -112,38 +180,67 @@ pub fn walk_tree(
     let mac = OpeningCriterion::new(params.theta);
     let eps2 = params.eps * params.eps;
 
-    // Split the output arrays at group boundaries so every group owns a
-    // disjoint mutable window (groups tile the target range).
-    let mut acc_chunks: Vec<&mut [Vec3]> = Vec::with_capacity(groups.len());
-    let mut pot_chunks: Vec<&mut [f64]> = Vec::with_capacity(groups.len());
-    {
-        let mut acc_rest: &mut [Vec3] = &mut forces.acc;
-        let mut pot_rest: &mut [f64] = &mut forces.pot;
-        let mut cursor = 0u32;
-        for g in groups {
-            assert_eq!(g.begin, cursor, "groups must tile the targets in order");
-            let len = g.len();
-            let (a, ar) = acc_rest.split_at_mut(len);
-            let (p, pr) = pot_rest.split_at_mut(len);
-            acc_chunks.push(a);
-            pot_chunks.push(p);
-            acc_rest = ar;
-            pot_rest = pr;
-            cursor = g.end;
+    // Transpose the targets into per-group lane blocks: group `g` owns one
+    // contiguous window of `LANE_ROWS` rows (x, y, z, φ, ax, ay, az), each
+    // `padded(g.len())` lanes long. Padding lanes repeat the group's last
+    // target so they compute ordinary finite values; they are never read
+    // back and never counted.
+    let mut cursor = 0u32;
+    let mut total = 0usize;
+    for g in groups {
+        assert_eq!(g.begin, cursor, "groups must tile the targets in order");
+        total += LANE_ROWS * padded(g.len());
+        cursor = g.end;
+    }
+    assert_eq!(cursor as usize, n, "groups must cover every target");
+    let mut lanes = vec![0.0f64; total];
+    let mut windows: Vec<&mut [f64]> = Vec::with_capacity(groups.len());
+    let mut rest: &mut [f64] = &mut lanes;
+    for g in groups {
+        let p = padded(g.len());
+        let (window, tail) = rest.split_at_mut(LANE_ROWS * p);
+        rest = tail;
+        let members = &tgt_pos[g.begin as usize..g.end as usize];
+        if let Some(last) = members.last() {
+            for l in 0..p {
+                let t = members.get(l).unwrap_or(last);
+                window[l] = t.x;
+                window[p + l] = t.y;
+                window[2 * p + l] = t.z;
+            }
         }
-        assert_eq!(cursor as usize, n, "groups must cover every target");
+        windows.push(window);
     }
 
+    let quad = params.use_quadrupole;
     let stats = groups
         .par_iter()
-        .zip(acc_chunks.into_par_iter().zip(pot_chunks.into_par_iter()))
-        .map(|(group, (acc, pot))| {
-            walk_group(src, tgt_pos, group, &mac, eps2, params.use_quadrupole, acc, pot)
+        .zip(windows.into_par_iter())
+        .map(|(group, window)| match isa {
+            Isa::Plain => walk_group(src, group, &mac, eps2, quad, window),
+            // SAFETY: `walk_group_avx2` requires only that the CPU supports
+            // AVX2, and `Isa::Avx2` exists only where `Isa::detect` saw
+            // `is_x86_feature_detected!("avx2")` succeed on this machine.
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx2 => unsafe { walk_group_avx2(src, group, &mac, eps2, quad, window) },
         })
         .reduce(WalkStats::default, |mut a, b| {
             a.merge(&b);
             a
         });
+
+    // Transpose the accumulators back, dropping the padding lanes.
+    let mut at = 0usize;
+    for g in groups {
+        let p = padded(g.len());
+        let acc = &lanes[at + 3 * p..at + LANE_ROWS * p];
+        for l in 0..g.len() {
+            let i = g.begin as usize + l;
+            forces.pot[i] = acc[l];
+            forces.acc[i] = Vec3::new(acc[p + l], acc[2 * p + l], acc[3 * p + l]);
+        }
+        at += LANE_ROWS * p;
+    }
 
     if params.g != 1.0 {
         forces.scale(params.g);
@@ -151,21 +248,63 @@ pub fn walk_tree(
     (forces, stats)
 }
 
-/// Walk a single group: iterative stack traversal, immediate evaluation.
-fn walk_group(
+/// Rows of a group's lane window: target x, y, z, then accumulated φ, ax,
+/// ay, az.
+const LANE_ROWS: usize = 7;
+
+/// Lane count of a group of `len` targets: `len` rounded up to whole blocks.
+fn padded(len: usize) -> usize {
+    len.div_ceil(LANES) * LANES
+}
+
+thread_local! {
+    /// Traversal stack, reused by every group a worker walks.
+    static STACK: RefCell<Vec<u32>> = const { RefCell::new(Vec::new()) };
+}
+
+/// [`walk_group`] compiled a second time with AVX2 enabled, so its lane loops
+/// use 256-bit vectors. Same source, same IEEE operations per lane, same bits.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn walk_group_avx2(
     src: &TreeView<'_>,
-    tgt_pos: &[Vec3],
     group: &Group,
     mac: &OpeningCriterion,
     eps2: f64,
     use_quadrupole: bool,
-    acc: &mut [Vec3],
-    pot: &mut [f64],
+    window: &mut [f64],
+) -> WalkStats {
+    walk_group(src, group, mac, eps2, use_quadrupole, window)
+}
+
+/// Walk a single group: iterative stack traversal against the group's
+/// bounding box, every accepted cell and opened leaf evaluated at once on
+/// all of the group's target lanes.
+#[inline(always)]
+fn walk_group(
+    src: &TreeView<'_>,
+    group: &Group,
+    mac: &OpeningCriterion,
+    eps2: f64,
+    use_quadrupole: bool,
+    window: &mut [f64],
 ) -> WalkStats {
     const ZERO_QUAD: bonsai_util::Sym3 = bonsai_util::Sym3 { m: [0.0; 6] };
     let mut stats = WalkStats::default();
-    let targets = &tgt_pos[group.begin as usize..group.end as usize];
-    let mut stack: Vec<u32> = vec![0];
+    let targets = group.len() as u64;
+    // Separate slices per row: the lane kernels need to know that targets
+    // and accumulators cannot alias.
+    let p = window.len() / LANE_ROWS;
+    let (tx, rest) = window.split_at_mut(p);
+    let (ty, rest) = rest.split_at_mut(p);
+    let (tz, rest) = rest.split_at_mut(p);
+    let (phi, rest) = rest.split_at_mut(p);
+    let (ax, rest) = rest.split_at_mut(p);
+    let (ay, az) = rest.split_at_mut(p);
+
+    let mut stack = STACK.take();
+    stack.clear();
+    stack.push(0);
     while let Some(ni) = stack.pop() {
         let node = &src.nodes[ni as usize];
         stats.nodes_visited += 1;
@@ -174,72 +313,28 @@ fn walk_group(
         }
         let open = mac.must_open(&group.bbox, node);
         match node.kind {
-            _ if !open => {
-                // Accepted: one particle-cell interaction per target.
-                let quad = if use_quadrupole { &node.quad } else { &ZERO_QUAD };
-                for (i, &t) in targets.iter().enumerate() {
-                    let (dphi, da) = p_c(t, node.com, node.mass, quad, eps2);
-                    pot[i] += dphi;
-                    acc[i] += da;
-                }
-                stats.counts.pc += targets.len() as u64;
-            }
-            NodeKind::Internal => {
+            NodeKind::Internal if open => {
                 for c in node.first..node.first + node.count {
                     stack.push(c);
                 }
             }
-            NodeKind::Leaf => {
+            NodeKind::Leaf if open => {
                 let (b, e) = (node.first as usize, (node.first + node.count) as usize);
-                match src.soa {
-                    // SoA source store: evaluate the whole leaf batch per
-                    // target with the vectorizable kernel. Same per-source
-                    // operations in the same order as the scalar loop, so
-                    // the accumulated values are bit-identical to it.
-                    Some(soa) => {
-                        let masses = &src.mass[b..e];
-                        for (i, &t) in targets.iter().enumerate() {
-                            let (dphi, da) = p_p_batch(
-                                t,
-                                &soa.x[b..e],
-                                &soa.y[b..e],
-                                &soa.z[b..e],
-                                masses,
-                                eps2,
-                            );
-                            pot[i] += dphi;
-                            acc[i] += da;
-                        }
-                    }
-                    None => {
-                        for (i, &t) in targets.iter().enumerate() {
-                            let (mut dphi, mut da) = (0.0, Vec3::zero());
-                            for j in b..e {
-                                let (p, a) = p_p(t, src.pos[j], src.mass[j], eps2);
-                                dphi += p;
-                                da += a;
-                            }
-                            pot[i] += dphi;
-                            acc[i] += da;
-                        }
-                    }
-                }
-                stats.counts.pp += (targets.len() * (e - b)) as u64;
+                p_p_lanes(tx, ty, tz, &src.pos[b..e], &src.mass[b..e], eps2, phi, ax, ay, az);
+                stats.counts.pp += targets * (e - b) as u64;
             }
-            NodeKind::Cut => {
-                // The LET promised this node would never be opened; honour
-                // the promise with a p-c but record the violation.
+            kind => {
+                // Accepted — or a `Cut` node the LET promised would never be
+                // opened: honour the promise with a p-c but record the
+                // violation. One particle-cell interaction per target.
                 let quad = if use_quadrupole { &node.quad } else { &ZERO_QUAD };
-                for (i, &t) in targets.iter().enumerate() {
-                    let (dphi, da) = p_c(t, node.com, node.mass, quad, eps2);
-                    pot[i] += dphi;
-                    acc[i] += da;
-                }
-                stats.counts.pc += targets.len() as u64;
-                stats.forced_cuts += 1;
+                p_c_lanes(tx, ty, tz, node.com, node.mass, quad, eps2, phi, ax, ay, az);
+                stats.counts.pc += targets;
+                stats.forced_cuts += u64::from(open && kind == NodeKind::Cut);
             }
         }
     }
+    STACK.set(stack);
     stats
 }
 
@@ -253,8 +348,245 @@ mod tests {
     use super::*;
     use crate::build::{Tree, TreeParams};
     use crate::direct::direct_self_forces;
+    use crate::kernels::{p_c, p_p};
+    use crate::node::Node;
     use crate::particles::Particles;
     use bonsai_util::rng::Xoshiro256;
+    use bonsai_util::Aabb;
+
+    /// The scalar reference: the group walk as it was before targets became
+    /// lanes — one target at a time, `p_c` per accepted cell, a `p_p` sum per
+    /// opened leaf started from zero. The lane walk must match it bit for bit.
+    fn reference_walk_group(
+        src: &TreeView<'_>,
+        tgt_pos: &[Vec3],
+        group: &Group,
+        mac: &OpeningCriterion,
+        eps2: f64,
+        use_quadrupole: bool,
+        acc: &mut [Vec3],
+        pot: &mut [f64],
+    ) -> WalkStats {
+        const ZERO_QUAD: bonsai_util::Sym3 = bonsai_util::Sym3 { m: [0.0; 6] };
+        let mut stats = WalkStats::default();
+        let targets = &tgt_pos[group.begin as usize..group.end as usize];
+        let mut stack: Vec<u32> = vec![0];
+        while let Some(ni) = stack.pop() {
+            let node = &src.nodes[ni as usize];
+            stats.nodes_visited += 1;
+            if node.mass == 0.0 {
+                continue;
+            }
+            let open = mac.must_open(&group.bbox, node);
+            match node.kind {
+                _ if !open => {
+                    let quad = if use_quadrupole { &node.quad } else { &ZERO_QUAD };
+                    for (i, &t) in targets.iter().enumerate() {
+                        let (dphi, da) = p_c(t, node.com, node.mass, quad, eps2);
+                        pot[i] += dphi;
+                        acc[i] += da;
+                    }
+                    stats.counts.pc += targets.len() as u64;
+                }
+                NodeKind::Internal => {
+                    for c in node.first..node.first + node.count {
+                        stack.push(c);
+                    }
+                }
+                NodeKind::Leaf => {
+                    let (b, e) = (node.first as usize, (node.first + node.count) as usize);
+                    for (i, &t) in targets.iter().enumerate() {
+                        let (mut dphi, mut da) = (0.0, Vec3::zero());
+                        for j in b..e {
+                            let (p, a) = p_p(t, src.pos[j], src.mass[j], eps2);
+                            dphi += p;
+                            da += a;
+                        }
+                        pot[i] += dphi;
+                        acc[i] += da;
+                    }
+                    stats.counts.pp += (targets.len() * (e - b)) as u64;
+                }
+                NodeKind::Cut => {
+                    let quad = if use_quadrupole { &node.quad } else { &ZERO_QUAD };
+                    for (i, &t) in targets.iter().enumerate() {
+                        let (dphi, da) = p_c(t, node.com, node.mass, quad, eps2);
+                        pot[i] += dphi;
+                        acc[i] += da;
+                    }
+                    stats.counts.pc += targets.len() as u64;
+                    stats.forced_cuts += 1;
+                }
+            }
+        }
+        stats
+    }
+
+    /// [`walk_tree`] over [`reference_walk_group`], sequentially.
+    fn reference_walk_tree(
+        src: &TreeView<'_>,
+        tgt_pos: &[Vec3],
+        groups: &[Group],
+        params: &WalkParams,
+    ) -> (Forces, WalkStats) {
+        let mut forces = Forces::zeros(tgt_pos.len());
+        let mut stats = WalkStats::default();
+        let mac = OpeningCriterion::new(params.theta);
+        for g in groups {
+            let (b, e) = (g.begin as usize, g.end as usize);
+            stats.merge(&reference_walk_group(
+                src,
+                tgt_pos,
+                g,
+                &mac,
+                params.eps * params.eps,
+                params.use_quadrupole,
+                &mut forces.acc[b..e],
+                &mut forces.pot[b..e],
+            ));
+        }
+        if params.g != 1.0 {
+            forces.scale(params.g);
+        }
+        (forces, stats)
+    }
+
+    /// A source tree as it arrives from another rank: nodes at `cut_level`
+    /// and deeper become multipole-only `Cut` nodes; leaves above it keep
+    /// their particles in a compacted payload (`ship_leaves`, a LET) or are
+    /// cut as well (a boundary tree).
+    struct Pruned {
+        nodes: Vec<Node>,
+        pos: Vec<Vec3>,
+        mass: Vec<f64>,
+    }
+
+    impl Pruned {
+        fn of(tree: &Tree, cut_level: u32, ship_leaves: bool) -> Pruned {
+            let mut out = Pruned {
+                nodes: vec![tree.nodes[0]],
+                pos: Vec::new(),
+                mass: Vec::new(),
+            };
+            let mut head = 0;
+            while head < out.nodes.len() {
+                let node = out.nodes[head];
+                let (b, e) = (node.first as usize, (node.first + node.count) as usize);
+                match node.kind {
+                    NodeKind::Internal if node.level < cut_level => {
+                        out.nodes[head].first = out.nodes.len() as u32;
+                        out.nodes.extend_from_slice(&tree.nodes[b..e]);
+                    }
+                    NodeKind::Leaf if ship_leaves => {
+                        out.nodes[head].first = out.pos.len() as u32;
+                        out.pos.extend_from_slice(&tree.particles.pos[b..e]);
+                        out.mass.extend_from_slice(&tree.particles.mass[b..e]);
+                    }
+                    _ => {
+                        out.nodes[head].kind = NodeKind::Cut;
+                        out.nodes[head].first = 0;
+                        out.nodes[head].count = 0;
+                    }
+                }
+                head += 1;
+            }
+            out
+        }
+
+        fn view(&self) -> TreeView<'_> {
+            TreeView {
+                nodes: &self.nodes,
+                pos: &self.pos,
+                mass: &self.mass,
+            }
+        }
+    }
+
+    /// Tile `pos` with groups of `len` targets (the last may be shorter).
+    fn groups_of_len(pos: &[Vec3], len: usize) -> Vec<Group> {
+        (0..pos.len())
+            .step_by(len)
+            .map(|b| {
+                let e = (b + len).min(pos.len());
+                Group {
+                    begin: b as u32,
+                    end: e as u32,
+                    bbox: Aabb::from_points(&pos[b..e]),
+                }
+            })
+            .collect()
+    }
+
+    fn assert_same_bits(what: &str, got: &(Forces, WalkStats), want: &(Forces, WalkStats)) {
+        let ((gf, gs), (wf, ws)) = (got, want);
+        assert_eq!(gf.len(), wf.len(), "{what}");
+        for i in 0..wf.len() {
+            assert!(wf.acc[i].is_finite() && wf.pot[i].is_finite(), "{what}: target {i}");
+            let g = [gf.pot[i], gf.acc[i].x, gf.acc[i].y, gf.acc[i].z].map(f64::to_bits);
+            let w = [wf.pot[i], wf.acc[i].x, wf.acc[i].y, wf.acc[i].z].map(f64::to_bits);
+            assert_eq!(g, w, "{what}: target {i}");
+        }
+        assert_eq!(gs.counts, ws.counts, "{what}");
+        assert_eq!(gs.nodes_visited, ws.nodes_visited, "{what}");
+        assert_eq!(gs.forced_cuts, ws.forced_cuts, "{what}");
+    }
+
+    #[test]
+    fn lane_walk_is_bit_identical_to_the_scalar_reference() {
+        let n = 300;
+        // `bonsai-ic` links its own copy of this crate, so its particles
+        // cross over field by field.
+        let mw = bonsai_ic::MilkyWayModel::paper().generate(n, 12);
+        let milky_way = Particles {
+            pos: mw.pos,
+            vel: mw.vel,
+            mass: mw.mass,
+            id: mw.id,
+        };
+        // Both instantiations, each called directly (twice the plain one
+        // where the CPU has no AVX2).
+        let isas = [Isa::Plain, Isa::detect()];
+        for (ic, particles) in [("clustered", plummer_like(n, 8)), ("milky-way", milky_way)] {
+            let tree = Tree::build(particles, TreeParams::default());
+            let targets = &tree.particles.pos;
+            let let_tree = Pruned::of(&tree, 3, true);
+            let boundary = Pruned::of(&tree, 2, false);
+            let sources = [
+                ("local", tree.view()),
+                ("let", let_tree.view()),
+                ("boundary", boundary.view()),
+            ];
+            for (source, view) in sources {
+                // Every target is also a source particle of the local tree
+                // and of the LET payload: at eps = 0 the coincident pair
+                // must be masked, not divided by zero. (A boundary tree has
+                // one-particle `Cut` cells, and p-c has no such mask.)
+                let softenings: &[f64] = if source == "boundary" { &[0.01] } else { &[0.0, 0.01] };
+                for &eps in softenings {
+                    for quad in [true, false] {
+                        let mut params = WalkParams::new(0.4, eps).with_galactic_g();
+                        params.use_quadrupole = quad;
+                        // Every lane remainder and every amount of padding.
+                        for len in 1..=48 {
+                            let groups = groups_of_len(targets, len);
+                            let want = reference_walk_tree(&view, targets, &groups, &params);
+                            if source != "local" {
+                                assert!(want.1.forced_cuts > 0, "{ic}/{source}: no Cut node forced");
+                            }
+                            if source != "boundary" {
+                                assert!(want.1.counts.pp > 0, "{ic}/{source}: no leaf opened");
+                            }
+                            for isa in isas {
+                                let got = walk_tree_on(isa, &view, targets, &groups, &params);
+                                let what = format!("{ic}/{source} eps={eps} quad={quad} len={len} {isa:?}");
+                                assert_same_bits(&what, &got, &want);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
 
     fn plummer_like(n: usize, seed: u64) -> Particles {
         let mut rng = Xoshiro256::seed_from(seed);

@@ -9,6 +9,13 @@ echo "== tier-1: build + full test suite =="
 cargo build --release
 cargo test -q
 
+echo "== shipped code generation: walk tests on the release profile =="
+# The dev profile is opt-level 1 and does not vectorise; the lane kernels
+# and their AVX2 instantiation only exist at the release profile, so the
+# lane-conformance and thread-sweep suites run there as well.
+cargo test -q --release -p bonsai-tree --lib
+cargo test -q --release -p bonsai-tree --test parallel_determinism
+
 echo "== tier-1.5: robustness gate =="
 cargo test -q -p bonsai-sim --test robustness
 
@@ -225,6 +232,11 @@ echo "== baseline sweep: obs_diff against every checked-in baseline =="
 for baseline in baselines/*.json; do
   cargo run -q --release -p bonsai-bench --bin obs_diff -- --against "$baseline"
 done
+
+echo "== artefact bytes: every regenerated BENCH_*.json and baseline is the checked-in one =="
+# A change to one bit of a force moves these; it must fail here, not be
+# re-blessed by committing the regenerated file.
+git diff --exit-code -- 'BENCH_*.json' baselines/
 
 echo "== report smoke: every emitted HTML report is self-contained =="
 cargo run -q --release -p bonsai-bench --bin check_reports
