@@ -15,7 +15,7 @@
 //! [`FlowLedger`](crate::flow::FlowLedger), which is what makes per-message
 //! causal tracing possible.
 //!
-//! Version-2 wire layout (little-endian):
+//! Wire layout (little-endian), version 2 — the only one:
 //!
 //! ```text
 //! offset  size  field
@@ -31,11 +31,6 @@
 //!     36     8  CRC-64/XZ over bytes [0, 36) ++ payload
 //!     44     …  payload
 //! ```
-//!
-//! Version-1 frames (the pre-flow layout: payload length at offset 20, CRC
-//! over bytes `[0, 24)` at offset 24, payload at 32) are still accepted by
-//! [`open`]; they surface with `flow = 0, seq = 0`, the reserved
-//! "no recorded flow" id.
 
 use crate::fabric::MsgKind;
 use bonsai_util::hash::Crc64;
@@ -45,12 +40,11 @@ use bytes::Bytes;
 pub const ENVELOPE_MAGIC: u32 = u32::from_le_bytes(*b"BNET");
 /// Current envelope wire version.
 pub const ENVELOPE_VERSION: u16 = 2;
-/// Fixed header size in bytes for the current (v2) layout.
+/// Fixed header size in bytes.
 pub const ENVELOPE_HEADER_LEN: usize = 44;
-/// Header size of the legacy v1 layout, still accepted by [`open`].
-pub const ENVELOPE_V1_HEADER_LEN: usize = 32;
-/// Flow id carried by frames sealed without a ledger (and by all v1
-/// frames): "no recorded flow".
+/// Offset of the stored CRC-64: it covers the header bytes before it.
+const CRC_AT: usize = 36;
+/// Flow id carried by frames sealed without a ledger: "no recorded flow".
 pub const NO_FLOW: u64 = 0;
 
 /// Why a received frame was rejected.
@@ -93,7 +87,7 @@ impl std::fmt::Display for EnvelopeError {
             }
             Self::BadMagic(m) => write!(f, "bad magic {m:#010x} (expected \"BNET\")"),
             Self::BadVersion(v) => {
-                write!(f, "unsupported envelope version {v} (expected 1 or {ENVELOPE_VERSION})")
+                write!(f, "unsupported envelope version {v} (expected {ENVELOPE_VERSION})")
             }
             Self::BadKind(k) => write!(f, "unknown message kind code {k}"),
             Self::LengthMismatch {
@@ -145,7 +139,7 @@ pub struct Envelope<'a> {
     pub from: usize,
     /// Sender's step epoch when the frame was sealed.
     pub epoch: u64,
-    /// Ledger flow id ([`NO_FLOW`] for v1 frames and untracked sends).
+    /// Ledger flow id ([`NO_FLOW`] for untracked sends).
     pub flow: u64,
     /// Attempt number of this frame within its flow (0 = original send).
     pub seq: u32,
@@ -153,8 +147,12 @@ pub struct Envelope<'a> {
     pub payload: &'a [u8],
 }
 
-/// Seal `payload` into a checksummed v2 frame carrying a flow id and an
+/// Seal `payload` into a checksummed frame carrying a flow id and an
 /// attempt sequence number.
+///
+/// # Panics
+/// If `from` or the payload length does not fit the header's 32-bit field:
+/// a truncated value would seal a frame whose CRC still verifies.
 pub fn seal_flow(
     kind: MsgKind,
     from: usize,
@@ -168,13 +166,16 @@ pub fn seal_flow(
     frame.extend_from_slice(&ENVELOPE_VERSION.to_le_bytes());
     frame.push(kind_code(kind));
     frame.push(0); // reserved
-    frame.extend_from_slice(&(from as u32).to_le_bytes());
+    let from = u32::try_from(from).expect("envelope `from` rank exceeds its u32 header field");
+    let len = u32::try_from(payload.len())
+        .expect("envelope payload length exceeds its u32 header field (4 GiB)");
+    frame.extend_from_slice(&from.to_le_bytes());
     frame.extend_from_slice(&epoch.to_le_bytes());
     frame.extend_from_slice(&flow.to_le_bytes());
     frame.extend_from_slice(&seq.to_le_bytes());
-    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    frame.extend_from_slice(&len.to_le_bytes());
     let mut crc = Crc64::new();
-    crc.update(&frame[..36]);
+    crc.update(&frame[..CRC_AT]);
     crc.update(payload);
     frame.extend_from_slice(&crc.finish().to_le_bytes());
     frame.extend_from_slice(payload);
@@ -187,33 +188,11 @@ pub fn seal(kind: MsgKind, from: usize, epoch: u64, payload: &[u8]) -> Bytes {
     seal_flow(kind, from, epoch, NO_FLOW, 0, payload)
 }
 
-/// Seal `payload` into a legacy v1 frame (32-byte header, no flow field).
-/// Kept for wire backward-compatibility tests and mixed-version fabrics.
-pub fn seal_v1(kind: MsgKind, from: usize, epoch: u64, payload: &[u8]) -> Bytes {
-    let mut frame = Vec::with_capacity(ENVELOPE_V1_HEADER_LEN + payload.len());
-    frame.extend_from_slice(&ENVELOPE_MAGIC.to_le_bytes());
-    frame.extend_from_slice(&1u16.to_le_bytes());
-    frame.push(kind_code(kind));
-    frame.push(0); // reserved
-    frame.extend_from_slice(&(from as u32).to_le_bytes());
-    frame.extend_from_slice(&epoch.to_le_bytes());
-    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    let mut crc = Crc64::new();
-    crc.update(&frame[..24]);
-    crc.update(payload);
-    frame.extend_from_slice(&crc.finish().to_le_bytes());
-    frame.extend_from_slice(payload);
-    Bytes::from(frame)
-}
-
-/// Open and strictly validate a frame. Accepts the current v2 layout and
-/// the legacy v1 layout (which opens with `flow = NO_FLOW, seq = 0`).
+/// Open and strictly validate a frame.
 pub fn open(frame: &[u8]) -> Result<Envelope<'_>, EnvelopeError> {
-    // The version field sits at the same offset in both layouts, but we
-    // need at least the short (v1) header to read it safely.
-    if frame.len() < ENVELOPE_V1_HEADER_LEN {
+    if frame.len() < ENVELOPE_HEADER_LEN {
         return Err(EnvelopeError::Truncated {
-            need: ENVELOPE_V1_HEADER_LEN,
+            need: ENVELOPE_HEADER_LEN,
             have: frame.len(),
         });
     }
@@ -222,31 +201,21 @@ pub fn open(frame: &[u8]) -> Result<Envelope<'_>, EnvelopeError> {
         return Err(EnvelopeError::BadMagic(magic));
     }
     let version = u16::from_le_bytes(frame[4..6].try_into().unwrap());
-    let (header_len, flow, seq, len_at, crc_at) = match version {
-        1 => (ENVELOPE_V1_HEADER_LEN, NO_FLOW, 0u32, 20usize, 24usize),
-        2 => {
-            if frame.len() < ENVELOPE_HEADER_LEN {
-                return Err(EnvelopeError::Truncated {
-                    need: ENVELOPE_HEADER_LEN,
-                    have: frame.len(),
-                });
-            }
-            let flow = u64::from_le_bytes(frame[20..28].try_into().unwrap());
-            let seq = u32::from_le_bytes(frame[28..32].try_into().unwrap());
-            (ENVELOPE_HEADER_LEN, flow, seq, 32usize, 36usize)
-        }
-        v => return Err(EnvelopeError::BadVersion(v)),
-    };
+    if version != ENVELOPE_VERSION {
+        return Err(EnvelopeError::BadVersion(version));
+    }
     let kind = kind_from_code(frame[6]).ok_or(EnvelopeError::BadKind(frame[6]))?;
     let from = u32::from_le_bytes(frame[8..12].try_into().unwrap()) as usize;
     let epoch = u64::from_le_bytes(frame[12..20].try_into().unwrap());
-    let declared = u32::from_le_bytes(frame[len_at..len_at + 4].try_into().unwrap()) as usize;
-    let available = frame.len() - header_len;
+    let flow = u64::from_le_bytes(frame[20..28].try_into().unwrap());
+    let seq = u32::from_le_bytes(frame[28..32].try_into().unwrap());
+    let declared = u32::from_le_bytes(frame[32..36].try_into().unwrap()) as usize;
+    let available = frame.len() - ENVELOPE_HEADER_LEN;
     if declared != available {
         // Distinguish a short (torn) frame from a trailing-garbage frame.
         if declared > available {
             return Err(EnvelopeError::Truncated {
-                need: header_len + declared,
+                need: ENVELOPE_HEADER_LEN + declared,
                 have: frame.len(),
             });
         }
@@ -255,10 +224,10 @@ pub fn open(frame: &[u8]) -> Result<Envelope<'_>, EnvelopeError> {
             available,
         });
     }
-    let payload = &frame[header_len..];
-    let stored = u64::from_le_bytes(frame[crc_at..crc_at + 8].try_into().unwrap());
+    let payload = &frame[ENVELOPE_HEADER_LEN..];
+    let stored = u64::from_le_bytes(frame[CRC_AT..ENVELOPE_HEADER_LEN].try_into().unwrap());
     let mut crc = Crc64::new();
-    crc.update(&frame[..crc_at]);
+    crc.update(&frame[..CRC_AT]);
     crc.update(payload);
     let computed = crc.finish();
     if stored != computed {
@@ -303,26 +272,8 @@ mod tests {
     }
 
     #[test]
-    fn v1_frames_still_open() {
-        // A legacy 32-byte-header frame opens fine and reports NO_FLOW —
-        // old checkpoints / mixed-version peers keep working.
-        let frame = seal_v1(MsgKind::Let, 7, 42, b"let tree bytes");
-        assert_eq!(u16::from_le_bytes([frame[4], frame[5]]), 1);
-        let env = open(&frame).unwrap();
-        assert_eq!(env.kind, MsgKind::Let);
-        assert_eq!(env.from, 7);
-        assert_eq!(env.epoch, 42);
-        assert_eq!(env.flow, NO_FLOW);
-        assert_eq!(env.seq, 0);
-        assert_eq!(env.payload, b"let tree bytes");
-    }
-
-    #[test]
     fn empty_payload_round_trips() {
         let frame = seal(MsgKind::Control, 0, 1, b"");
-        let env = open(&frame).unwrap();
-        assert_eq!(env.payload, b"");
-        let frame = seal_v1(MsgKind::Control, 0, 1, b"");
         let env = open(&frame).unwrap();
         assert_eq!(env.payload, b"");
     }
@@ -354,32 +305,16 @@ mod tests {
     }
 
     #[test]
-    fn v1_truncation_detected_at_every_cut() {
-        let frame = seal_v1(MsgKind::Boundary, 3, 9, &[0xAA; 100]);
-        for cut in [0, 1, 16, 31, 32, 80, frame.len() - 1] {
-            let err = open(&frame[..cut]).unwrap_err();
-            assert!(
-                matches!(err, EnvelopeError::Truncated { .. }),
-                "cut {cut}: got {err}"
-            );
-        }
-    }
-
-    #[test]
     fn every_bit_flip_detected() {
-        for frame in [
-            seal_flow(MsgKind::Particles, 2, 5, 77, 1, b"sixteen particles"),
-            seal_v1(MsgKind::Particles, 2, 5, b"sixteen particles"),
-        ] {
-            for i in 0..frame.len() {
-                for bit in 0..8 {
-                    let mut bad = frame.to_vec();
-                    bad[i] ^= 1 << bit;
-                    assert!(
-                        open(&bad).is_err(),
-                        "flip at byte {i} bit {bit} went undetected"
-                    );
-                }
+        let frame = seal_flow(MsgKind::Particles, 2, 5, 77, 1, b"sixteen particles");
+        for i in 0..frame.len() {
+            for bit in 0..8 {
+                let mut bad = frame.to_vec();
+                bad[i] ^= 1 << bit;
+                assert!(
+                    open(&bad).is_err(),
+                    "flip at byte {i} bit {bit} went undetected"
+                );
             }
         }
     }
@@ -409,6 +344,39 @@ mod tests {
         bad[4] = 9;
         bad[5] = 0;
         let msg = open(&bad).unwrap_err().to_string();
-        assert!(msg.contains("version 9"), "{msg}");
+        assert!(
+            msg.contains("version 9") && msg.contains("expected 2"),
+            "{msg}"
+        );
+    }
+
+    #[test]
+    fn header_shorter_than_44_bytes_needs_the_full_header() {
+        let frame = seal(MsgKind::Control, 0, 1, b"");
+        assert_eq!(frame.len(), ENVELOPE_HEADER_LEN);
+        for cut in [0, 31, 32, 43] {
+            assert_eq!(
+                open(&frame[..cut]).unwrap_err(),
+                EnvelopeError::Truncated {
+                    need: ENVELOPE_HEADER_LEN,
+                    have: cut
+                }
+            );
+        }
+    }
+
+    #[test]
+    fn version_1_is_rejected() {
+        let mut frame = seal(MsgKind::Let, 0, 0, b"x").to_vec();
+        frame[4] = 1;
+        assert_eq!(open(&frame).unwrap_err(), EnvelopeError::BadVersion(1));
+    }
+
+    #[cfg(target_pointer_width = "64")]
+    #[test]
+    #[should_panic(expected = "`from` rank exceeds its u32 header field")]
+    fn rank_beyond_u32_is_refused_not_truncated() {
+        // `as u32` used to seal rank 2^32 + 7 as rank 7 under a valid CRC.
+        seal(MsgKind::Control, (1usize << 32) + 7, 1, b"");
     }
 }

@@ -25,6 +25,7 @@ use crate::envelope::{kind_code, seal_flow};
 use crate::fabric::{Endpoint, Message, MsgKind};
 use crate::flow::SharedFlowLedger;
 use bonsai_util::hash::mix_many;
+use bonsai_util::sorted::equal_run;
 use bytes::Bytes;
 use std::sync::{Arc, Mutex};
 
@@ -429,8 +430,23 @@ impl FaultLog {
 }
 
 /// A [`FaultLog`] shared between endpoints and the recovery machinery.
+///
+/// Append-only and **epoch-ordered**, like the flow ledger: the driver's
+/// epoch never goes back, so both lists are appended in non-decreasing
+/// epoch order (asserted), one epoch's events are a contiguous run of each,
+/// and [`SharedFaultLog::for_epoch`] finds it without reading the history.
 #[derive(Clone, Default)]
 pub struct SharedFaultLog(Arc<Mutex<FaultLog>>);
+
+/// Panic unless `epoch` may follow an event stamped `last`.
+fn assert_epoch_ordered(last: Option<u64>, epoch: u64) {
+    if let Some(last) = last {
+        assert!(
+            last <= epoch,
+            "fault-log event at epoch {epoch} after epoch {last}: the log is epoch-ordered"
+        );
+    }
+}
 
 impl SharedFaultLog {
     /// Fresh empty log.
@@ -439,16 +455,38 @@ impl SharedFaultLog {
     }
 
     /// Record an injected fault.
+    ///
+    /// # Panics
+    /// If the event's epoch is older than the last recorded fault's.
     pub fn record_fault(&self, event: FaultEvent) {
-        self.0.lock().unwrap().injected.push(event);
+        let mut log = self.0.lock().unwrap();
+        assert_epoch_ordered(log.injected.last().map(|e| e.epoch), event.epoch);
+        log.injected.push(event);
     }
 
     /// Record a recovery action.
+    ///
+    /// # Panics
+    /// If the event's epoch is older than the last recorded recovery's.
     pub fn record_recovery(&self, event: RecoveryEvent) {
-        self.0.lock().unwrap().recoveries.push(event);
+        let mut log = self.0.lock().unwrap();
+        assert_epoch_ordered(log.recoveries.last().map(|e| e.epoch), event.epoch);
+        log.recoveries.push(event);
     }
 
-    /// Copy of the full log.
+    /// Copy of the events of one epoch — [`FaultLog::for_epoch`] of the
+    /// whole log, found by binary search instead of a scan and a copy of
+    /// every event since construction.
+    pub fn for_epoch(&self, epoch: u64) -> FaultLog {
+        let log = self.0.lock().unwrap();
+        FaultLog {
+            injected: log.injected[equal_run(&log.injected, epoch, |e| e.epoch)].to_vec(),
+            recoveries: log.recoveries[equal_run(&log.recoveries, epoch, |e| e.epoch)].to_vec(),
+        }
+    }
+
+    /// Copy of the full log (every event since construction): for
+    /// end-of-run accessors and tests, never for per-step work.
     pub fn snapshot(&self) -> FaultLog {
         self.0.lock().unwrap().clone()
     }
@@ -648,6 +686,37 @@ mod tests {
         assert_eq!(env.epoch, 5);
         assert_eq!(env.from, 0);
         assert!(log.snapshot().is_clean());
+    }
+
+    fn recovery(epoch: u64) -> RecoveryEvent {
+        RecoveryEvent {
+            epoch,
+            rank: 0,
+            peer: None,
+            kind: None,
+            action: RecoveryAction::DiscardStale,
+            detail: String::new(),
+        }
+    }
+
+    #[test]
+    fn shared_log_for_epoch_equals_the_filtered_log() {
+        let log = SharedFaultLog::new();
+        for epoch in [2, 2, 5, 9] {
+            log.record_recovery(recovery(epoch));
+        }
+        for epoch in 0..=10 {
+            assert_eq!(log.for_epoch(epoch), log.snapshot().for_epoch(epoch));
+        }
+        assert_eq!(log.for_epoch(2).recoveries.len(), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "the log is epoch-ordered")]
+    fn recording_an_older_epoch_panics() {
+        let log = SharedFaultLog::new();
+        log.record_recovery(recovery(5));
+        log.record_recovery(recovery(4));
     }
 
     #[test]

@@ -9,6 +9,15 @@
 //! order, so ids, record order and outcomes are byte-deterministic per
 //! seed — the property the `obs_flows` bench gate relies on.
 //!
+//! The ledger is append-only and **epoch-ordered**: the driver's epoch
+//! counter never goes back (a rollback restores particles, not the epoch),
+//! so [`FlowLedger::seal`] asserts that epochs arrive in non-decreasing
+//! order. One epoch's records are therefore a contiguous run that
+//! [`FlowLedger::for_epoch`] finds by binary search, and everything a step
+//! does with the ledger — retransmission matching, fallback and dead
+//! sweeps, the observability pass — touches that run only, never the
+//! history before it.
+//!
 //! The conservation invariant the chaos suites assert: at any epoch
 //! boundary, every sealed flow is **exactly one** of delivered /
 //! recovered-by-fallback / dead-by-crash (no flow left `Pending`).
@@ -16,6 +25,7 @@
 use crate::envelope::NO_FLOW;
 use crate::fabric::MsgKind;
 use crate::fault::FaultKind;
+use bonsai_util::sorted::equal_run;
 use std::sync::{Arc, Mutex};
 
 /// Terminal (or not-yet-terminal) state of one flow.
@@ -94,7 +104,8 @@ impl FlowConservation {
     }
 }
 
-/// The append-only flow ledger. See the module docs for the lifecycle.
+/// The append-only, epoch-ordered flow ledger. See the module docs for the
+/// lifecycle.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct FlowLedger {
     records: Vec<FlowRecord>,
@@ -121,8 +132,31 @@ impl FlowLedger {
         self.records.is_empty()
     }
 
+    /// Index range of the records sealed at `epoch` (contiguous, because
+    /// [`seal`](Self::seal) keeps the records epoch-ordered).
+    fn epoch_range(&self, epoch: u64) -> std::ops::Range<usize> {
+        equal_run(&self.records, epoch, |r| r.epoch)
+    }
+
+    /// The records sealed at `epoch`, in seal order, with their ledger ids:
+    /// `for_epoch(e)[i].id == for_epoch(e)[0].id + i`.
+    pub fn for_epoch(&self, epoch: u64) -> &[FlowRecord] {
+        &self.records[self.epoch_range(epoch)]
+    }
+
     /// Record a fresh flow; returns its id.
+    ///
+    /// # Panics
+    /// If `epoch` is older than the latest sealed flow's: the per-epoch
+    /// accessors rely on the records being epoch-ordered.
     pub fn seal(&mut self, epoch: u64, from: usize, to: usize, kind: MsgKind, bytes: usize) -> u64 {
+        if let Some(last) = self.records.last() {
+            assert!(
+                last.epoch <= epoch,
+                "flow sealed at epoch {epoch} after epoch {}: the ledger is epoch-ordered",
+                last.epoch
+            );
+        }
         let id = self.records.len() as u64 + 1;
         self.records.push(FlowRecord {
             id,
@@ -157,16 +191,12 @@ impl FlowLedger {
         kind: MsgKind,
         bytes: usize,
     ) -> u64 {
-        let found = self
-            .records
+        let range = self.epoch_range(epoch);
+        let found = self.records[range]
             .iter_mut()
             .rev()
             .find(|r| {
-                r.epoch == epoch
-                    && r.from == from
-                    && r.to == to
-                    && r.kind == kind
-                    && r.outcome == FlowOutcome::Pending
+                r.from == from && r.to == to && r.kind == kind && r.outcome == FlowOutcome::Pending
             })
             .map(|r| {
                 r.attempts += 1;
@@ -195,13 +225,9 @@ impl FlowLedger {
     /// Mark every still-pending flow on `(epoch, from → to, kind)` as
     /// recovered-by-fallback (the receiver substituted local data).
     pub fn fallback_pending(&mut self, epoch: u64, from: usize, to: usize, kind: MsgKind) {
-        for r in &mut self.records {
-            if r.epoch == epoch
-                && r.from == from
-                && r.to == to
-                && r.kind == kind
-                && r.outcome == FlowOutcome::Pending
-            {
+        let range = self.epoch_range(epoch);
+        for r in &mut self.records[range] {
+            if r.from == from && r.to == to && r.kind == kind && r.outcome == FlowOutcome::Pending {
                 r.outcome = FlowOutcome::Fallback;
             }
         }
@@ -211,8 +237,9 @@ impl FlowLedger {
     /// pending becomes dead-by-crash. Call before a rollback and after a
     /// completed epoch (where it sweeps flows to/from ranks that died).
     pub fn close_epoch_dead(&mut self, epoch: u64) {
-        for r in &mut self.records {
-            if r.epoch == epoch && r.outcome == FlowOutcome::Pending {
+        let range = self.epoch_range(epoch);
+        for r in &mut self.records[range] {
+            if r.outcome == FlowOutcome::Pending {
                 r.outcome = FlowOutcome::Dead;
             }
         }
@@ -290,7 +317,14 @@ impl SharedFlowLedger {
         self.0.lock().unwrap().close_epoch_dead(epoch);
     }
 
-    /// Copy of the full ledger.
+    /// Copy of the records sealed at `epoch` (see [`FlowLedger::for_epoch`]):
+    /// what a step reads, costing that step's flows however long the run.
+    pub fn for_epoch(&self, epoch: u64) -> Vec<FlowRecord> {
+        self.0.lock().unwrap().for_epoch(epoch).to_vec()
+    }
+
+    /// Copy of the full ledger (every flow since construction): for
+    /// end-of-run accessors and tests, never for per-step work.
     pub fn snapshot(&self) -> FlowLedger {
         self.0.lock().unwrap().clone()
     }
@@ -378,6 +412,50 @@ mod tests {
         let c = l.conservation();
         assert!(c.holds());
         assert_eq!((c.delivered, c.fallback, c.dead), (0, 1, 1));
+    }
+
+    #[test]
+    fn for_epoch_is_the_contiguous_run_with_ledger_ids() {
+        let mut l = FlowLedger::new();
+        l.seal(2, 0, 1, MsgKind::Control, 8);
+        l.seal(4, 0, 1, MsgKind::Let, 100);
+        l.seal(4, 1, 0, MsgKind::Let, 200);
+        l.seal(7, 0, 1, MsgKind::Control, 8);
+        assert!(l.for_epoch(1).is_empty());
+        assert!(l.for_epoch(3).is_empty());
+        assert!(l.for_epoch(8).is_empty());
+        let ids = |e: u64| l.for_epoch(e).iter().map(|r| r.id).collect::<Vec<_>>();
+        assert_eq!(ids(2), [1]);
+        assert_eq!(ids(4), [2, 3]);
+        assert_eq!(ids(7), [4]);
+        // The shared handle hands out the same run.
+        let shared = SharedFlowLedger(Arc::new(Mutex::new(l.clone())));
+        assert_eq!(shared.for_epoch(4), l.for_epoch(4));
+    }
+
+    #[test]
+    fn sweeps_leave_other_epochs_alone() {
+        let mut l = FlowLedger::new();
+        let old = l.seal(3, 0, 1, MsgKind::Let, 100);
+        let cur = l.seal(5, 0, 1, MsgKind::Let, 100);
+        l.fallback_pending(5, 0, 1, MsgKind::Let);
+        assert_eq!(l.records()[0].outcome, FlowOutcome::Pending);
+        assert_eq!(l.records()[1].outcome, FlowOutcome::Fallback);
+        // A retransmission at epoch 5 finds nothing open there and seals
+        // afresh rather than re-opening epoch 3's flow.
+        let re = l.retransmit_latest(5, 0, 1, MsgKind::Let, 100);
+        assert!(re != old && re != cur);
+        l.close_epoch_dead(3);
+        assert_eq!(l.records()[0].outcome, FlowOutcome::Dead);
+        assert_eq!(l.records()[2].outcome, FlowOutcome::Pending);
+    }
+
+    #[test]
+    #[should_panic(expected = "the ledger is epoch-ordered")]
+    fn sealing_an_older_epoch_panics() {
+        let mut l = FlowLedger::new();
+        l.seal(5, 0, 1, MsgKind::Control, 8);
+        l.seal(4, 0, 1, MsgKind::Control, 8);
     }
 
     #[test]

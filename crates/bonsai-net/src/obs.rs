@@ -5,7 +5,7 @@
 
 use crate::cost::NetworkModel;
 use crate::fault::{FaultLog, RecoveryAction};
-use crate::flow::{FlowLedger, FlowOutcome, FlowRecord};
+use crate::flow::{FlowOutcome, FlowRecord};
 use bonsai_obs::{Lane, MetricsRegistry, TraceStore};
 
 /// Models where a flow's frames sit on the trace clock.
@@ -69,9 +69,14 @@ impl<'a> FlowClock<'a> {
 /// Perfetto log order is causal. `at_for_rank(rank)` gives each rank's
 /// communication-window start on the global trace clock; events without a
 /// flow (crash handling, checkpoint restores, view changes) anchor there.
+///
+/// `flows` must hold, in ledger order, every flow of the epochs `log`
+/// covers: the per-step caller passes one epoch's events and
+/// [`for_epoch`](crate::flow::FlowLedger::for_epoch) of the same epoch,
+/// which writes what the whole ledger's `records()` would.
 pub fn record_fault_log(
     log: &FaultLog,
-    flows: &FlowLedger,
+    flows: &[FlowRecord],
     net: &NetworkModel,
     store: &mut TraceStore,
     step: u64,
@@ -82,19 +87,18 @@ pub fn record_fault_log(
     // driver order, so the k-th fault event on a coordinate matches the
     // k-th ledger injection there: walk each flow's injection list with a
     // per-flow cursor.
-    let mut cursor = vec![0usize; flows.records().len()];
+    let mut cursor = vec![0usize; flows.len()];
     for e in &log.injected {
-        let hit = flows.records().iter().find(|r| {
+        let hit = flows.iter().zip(&mut cursor).find(|(r, next)| {
             r.epoch == e.epoch
                 && r.from == e.from
                 && r.to == e.to
                 && r.kind == e.kind
-                && cursor[(r.id - 1) as usize] < r.injected.len()
-                && r.injected[cursor[(r.id - 1) as usize]] == (e.attempt, e.fault)
+                && r.injected.get(**next) == Some(&(e.attempt, e.fault))
         });
         let (at, flow_id) = match hit {
-            Some(r) => {
-                cursor[(r.id - 1) as usize] += 1;
+            Some((r, next)) => {
+                *next += 1;
                 (clock.send_at(r, e.attempt, at_for_rank(e.from)), r.id)
             }
             None => (at_for_rank(e.to), 0),
@@ -124,7 +128,6 @@ pub fn record_fault_log(
         let flow = e.peer.and_then(|peer| {
             e.kind.and_then(|kind| {
                 flows
-                    .records()
                     .iter()
                     .rev()
                     .find(|r| r.epoch == e.epoch && r.from == peer && r.to == e.rank && r.kind == kind)
@@ -200,6 +203,7 @@ impl NetworkModel {
 mod tests {
     use super::*;
     use crate::fabric::MsgKind;
+    use crate::flow::FlowLedger;
     use crate::fault::{FaultEvent, FaultKind, RecoveryAction, RecoveryEvent};
     use crate::machine::PIZ_DAINT;
 
@@ -239,7 +243,7 @@ mod tests {
         let mut store = TraceStore::new();
         record_fault_log(
             &sample_log(),
-            &sample_ledger(),
+            sample_ledger().records(),
             &net,
             &mut store,
             3,
@@ -299,7 +303,7 @@ mod tests {
             }],
         };
         let mut store = TraceStore::new();
-        record_fault_log(&log, &ledger, &net, &mut store, 4, &|_r| 0.25);
+        record_fault_log(&log, ledger.records(), &net, &mut store, 4, &|_r| 0.25);
         let inj = &store.instants()[0];
         let rec = &store.instants()[1];
         // The retransmit send sits exactly one RTO after the dropped send.
@@ -322,7 +326,7 @@ mod tests {
             }],
         };
         let mut store = TraceStore::new();
-        record_fault_log(&log, &FlowLedger::new(), &net, &mut store, 9, &|r| {
+        record_fault_log(&log, &[], &net, &mut store, 9, &|r| {
             r as f64
         });
         assert_eq!(store.instants()[0].at, 2.0);

@@ -1,10 +1,17 @@
-//! Property-based tests for the envelope wire format: v2 flow frames
-//! round-trip every field for arbitrary inputs, legacy v1 frames keep
-//! opening (with the reserved no-flow id), and `open` never panics and
-//! never accepts a corrupted frame — for any byte soup or bit flip.
+//! Property-based tests for the envelope wire format — flow frames
+//! round-trip every field for arbitrary inputs, and `open` never panics and
+//! never accepts a corrupted frame, for any byte soup or bit flip — and for
+//! the per-epoch views of the flow ledger and fault log: whatever the
+//! driver did, in epoch order, the view of an epoch is that epoch's records
+//! and nothing is lost by reading the view instead of the history.
 
-use bonsai_net::envelope::{open, seal_flow, seal_v1, EnvelopeError, NO_FLOW};
-use bonsai_net::MsgKind;
+use bonsai_net::envelope::{open, seal_flow, EnvelopeError};
+use bonsai_net::obs::record_fault_log;
+use bonsai_net::{
+    FaultEvent, FaultKind, MsgKind, NetworkModel, RecoveryAction, RecoveryEvent, SharedFaultLog,
+    SharedFlowLedger, PIZ_DAINT,
+};
+use bonsai_obs::TraceStore;
 use proptest::prelude::*;
 
 const KINDS: [MsgKind; 5] = [
@@ -19,7 +26,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn v2_flow_frames_round_trip_every_field(
+    fn flow_frames_round_trip_every_field(
         kind_ix in 0usize..5,
         from in 0usize..(u32::MAX as usize + 1),
         epoch in any::<u64>(),
@@ -38,26 +45,6 @@ proptest! {
     }
 
     #[test]
-    fn v1_frames_always_open_with_the_reserved_flow(
-        kind_ix in 0usize..5,
-        from in 0usize..(u32::MAX as usize + 1),
-        epoch in any::<u64>(),
-        payload in proptest::collection::vec(any::<u8>(), 0..512),
-    ) {
-        // Backward compatibility is unconditional: any payload sealed in
-        // the legacy 32-byte-header layout opens on a v2 fabric and
-        // surfaces as "no recorded flow", never as a decode error.
-        let frame = seal_v1(KINDS[kind_ix], from, epoch, &payload);
-        let env = open(&frame).unwrap();
-        prop_assert_eq!(env.kind, KINDS[kind_ix]);
-        prop_assert_eq!(env.from, from);
-        prop_assert_eq!(env.epoch, epoch);
-        prop_assert_eq!(env.flow, NO_FLOW);
-        prop_assert_eq!(env.seq, 0u32);
-        prop_assert_eq!(env.payload, &payload[..]);
-    }
-
-    #[test]
     fn open_never_panics_on_garbage(
         bytes in proptest::collection::vec(any::<u8>(), 0..600),
     ) {
@@ -72,13 +59,8 @@ proptest! {
         seq in any::<u32>(),
         payload in proptest::collection::vec(any::<u8>(), 1..256),
         flip in any::<u64>(),
-        legacy in any::<bool>(),
     ) {
-        let frame = if legacy {
-            seal_v1(MsgKind::Let, 3, 9, &payload)
-        } else {
-            seal_flow(MsgKind::Let, 3, 9, flow, seq, &payload)
-        };
+        let frame = seal_flow(MsgKind::Let, 3, 9, flow, seq, &payload);
         let mut bad = frame.to_vec();
         let i = (flip as usize) % bad.len();
         bad[i] ^= 1 << (flip % 8) as u8;
@@ -100,6 +82,90 @@ proptest! {
             }
             Err(e) => prop_assert!(false, "cut {}: unexpected error {}", cut, e),
             Ok(_) => prop_assert!(false, "cut {} opened successfully", cut),
+        }
+    }
+
+    #[test]
+    fn epoch_views_equal_the_filtered_history(
+        ops in proptest::collection::vec(
+            (0u8..8, 0u8..5, 0usize..3, 0usize..3, 0usize..5, any::<u64>()),
+            1..120,
+        ),
+    ) {
+        // Drive the shared ledger and log the way the cluster does: any mix
+        // of seal / retransmit / inject / deliver / fallback / close, the
+        // epoch only ever moving forward (sometimes skipping a number).
+        let flows = SharedFlowLedger::new();
+        let log = SharedFaultLog::new();
+        let mut epoch = 1u64;
+        for (op, gap, from, to, kind_ix, pick) in ops {
+            if gap == 0 {
+                epoch += 1 + pick % 2;
+            }
+            let kind = KINDS[kind_ix];
+            let recovery = |action| RecoveryEvent {
+                epoch,
+                rank: to,
+                peer: Some(from),
+                kind: Some(kind),
+                action,
+                detail: format!("pick {pick}"),
+            };
+            match op {
+                0..=2 => {
+                    flows.seal(epoch, from, to, kind, 64 + (pick % 4096) as usize);
+                }
+                3 => {
+                    flows.retransmit_latest(epoch, from, to, kind, 64);
+                    log.record_recovery(recovery(RecoveryAction::Retransmit));
+                }
+                4 => {
+                    // A fault on one of this epoch's flows, logged at the
+                    // flow's coordinate as `FaultyEndpoint` does.
+                    let open_now = flows.for_epoch(epoch);
+                    if !open_now.is_empty() {
+                        let r = &open_now[pick as usize % open_now.len()];
+                        let fault = FaultKind::MESSAGE_KINDS[(pick >> 8) as usize % 6];
+                        let attempt = r.attempts - 1;
+                        flows.inject(r.id, attempt, fault);
+                        log.record_fault(FaultEvent {
+                            epoch,
+                            from: r.from,
+                            to: r.to,
+                            kind: r.kind,
+                            fault,
+                            attempt,
+                        });
+                    }
+                }
+                5 => flows.deliver(1 + pick % (flows.len() as u64 + 1), (pick >> 8) as u32 % 3),
+                6 => {
+                    flows.fallback_pending(epoch, from, to, kind);
+                    log.record_recovery(recovery(RecoveryAction::BoundaryFallback));
+                }
+                _ => flows.close_epoch_dead(epoch - pick % 2),
+            }
+        }
+
+        let ledger = flows.snapshot();
+        let whole_log = log.snapshot();
+        let net = NetworkModel::new(PIZ_DAINT);
+        for e in 0..=epoch + 1 {
+            let want: Vec<_> = ledger.records().iter().filter(|r| r.epoch == e).cloned().collect();
+            let view = flows.for_epoch(e);
+            prop_assert_eq!(&view, &want, "flow view of epoch {}", e);
+            prop_assert_eq!(ledger.for_epoch(e), &want[..]);
+            let faults = log.for_epoch(e);
+            prop_assert_eq!(&faults, &whole_log.for_epoch(e), "fault view of epoch {}", e);
+
+            // The trace written from the view is the one written from the
+            // whole ledger: same instants, anchors, flow ids, order.
+            let write = |records: &[bonsai_net::FlowRecord]| {
+                let mut store = TraceStore::new();
+                record_fault_log(&faults, records, &net, &mut store, e, &|rank| rank as f64);
+                format!("{:?}", store.instants())
+            };
+            prop_assert_eq!(write(&view), write(ledger.records()));
         }
     }
 }

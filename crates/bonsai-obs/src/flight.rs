@@ -56,29 +56,17 @@ impl FlightRecorder {
     /// evicting the oldest frame when full. Span parents are remapped to
     /// frame-local indices; a parent outside the step becomes `None`.
     pub fn record_step(&mut self, trace: &TraceStore, step: u64) {
-        let mut remap: Vec<Option<usize>> = vec![None; trace.spans().len()];
-        let mut spans: Vec<Span> = Vec::new();
-        for (i, s) in trace.spans().iter().enumerate() {
-            if s.step == step {
-                remap[i] = Some(spans.len());
-                spans.push(s.clone());
-            }
-        }
+        let recs = trace.step_records(step);
+        let mut spans = recs.spans.to_vec();
         for s in &mut spans {
-            s.parent = s.parent.and_then(|p| remap[p.0]).map(SpanId);
+            s.parent = s
+                .parent
+                .and_then(|p| p.0.checked_sub(recs.first_span))
+                .filter(|&local| local < recs.spans.len())
+                .map(SpanId);
         }
-        let instants: Vec<Instant> = trace
-            .instants()
-            .iter()
-            .filter(|i| i.step == step)
-            .cloned()
-            .collect();
-        let flows: Vec<FlowPoint> = trace
-            .flow_points()
-            .iter()
-            .filter(|f| f.step == step)
-            .cloned()
-            .collect();
+        let instants = recs.instants.to_vec();
+        let flows = recs.flow_points.to_vec();
         self.frames.push_back(StepFrame {
             step,
             spans,

@@ -94,7 +94,7 @@ pub use profile::{
 };
 pub use span::{
     interval_union, overlap_with_union, ArgValue, FlowPhase, FlowPoint, Instant, Lane, Span,
-    SpanId, TraceStore,
+    SpanId, StepRecords, TraceStore,
 };
 pub use stream::{
     FrameKind, FrameValue, SubscriberConfig, SubscriberReport, TelemetryBus, TelemetryFrame,

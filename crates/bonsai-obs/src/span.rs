@@ -6,6 +6,8 @@
 //! global clock: the cluster advances a base offset per step so consecutive
 //! steps render side by side in Perfetto.
 
+use bonsai_util::sorted::equal_run;
+
 /// Execution lane inside one rank's track.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Lane {
@@ -130,6 +132,27 @@ pub struct TraceStore {
     spans: Vec<Span>,
     instants: Vec<Instant>,
     flows: Vec<FlowPoint>,
+    /// Latest span end recorded so far: [`TraceStore::makespan`] is asked
+    /// several times a step and must not fold over the run's history.
+    makespan: f64,
+}
+
+/// Everything a [`TraceStore`] holds for one step, borrowed.
+#[derive(Clone, Copy, Debug)]
+pub struct StepRecords<'a> {
+    /// Store-wide index of `spans[0]`: `parent` ids are store-wide, so a
+    /// parent inside the step is `spans[parent.0 - first_span]`.
+    pub first_span: usize,
+    /// The step's spans, in record order.
+    pub spans: &'a [Span],
+    /// The step's instant events, in record order.
+    pub instants: &'a [Instant],
+    /// The step's flow-arrow points, in record order.
+    pub flow_points: &'a [FlowPoint],
+}
+
+fn latest_end(spans: &[Span]) -> f64 {
+    spans.iter().map(|s| s.end).fold(0.0, f64::max)
 }
 
 impl TraceStore {
@@ -146,6 +169,7 @@ impl TraceStore {
             .iter()
             .all(|s| s.parent.map_or(true, |p| p.0 < spans.len())));
         Self {
+            makespan: latest_end(&spans),
             spans,
             instants,
             flows,
@@ -168,6 +192,7 @@ impl TraceStore {
         for s in &mut kept {
             s.parent = s.parent.and_then(|p| remap[p.0]).map(SpanId);
         }
+        self.makespan = latest_end(&kept);
         self.spans = kept;
         self.instants.retain(|i| i.step >= min_step);
         self.flows.retain(|f| f.step >= min_step);
@@ -184,6 +209,7 @@ impl TraceStore {
         end: f64,
     ) -> SpanId {
         debug_assert!(end >= start, "span must not end before it starts");
+        self.makespan = self.makespan.max(end);
         self.spans.push(Span {
             rank,
             step,
@@ -285,6 +311,21 @@ impl TraceStore {
         &self.flows
     }
 
+    /// Everything recorded for `step`, found by binary search: the cost is
+    /// that step's records, not the run's. Requires what every recorder in
+    /// the workspace does — records appended in non-decreasing step order
+    /// (the cluster stamps them with its epoch, which never goes back);
+    /// on a store filled out of order the slices are unspecified.
+    pub fn step_records(&self, step: u64) -> StepRecords<'_> {
+        let spans = equal_run(&self.spans, step, |s| s.step);
+        StepRecords {
+            first_span: spans.start,
+            spans: &self.spans[spans],
+            instants: &self.instants[equal_run(&self.instants, step, |i| i.step)],
+            flow_points: &self.flows[equal_run(&self.flows, step, |f| f.step)],
+        }
+    }
+
     /// Spans of one rank × step, in record order.
     pub fn spans_for(&self, rank: u32, step: u64) -> impl Iterator<Item = &Span> {
         self.spans
@@ -307,7 +348,7 @@ impl TraceStore {
 
     /// Latest span end across the whole store (0 when empty).
     pub fn makespan(&self) -> f64 {
-        self.spans.iter().map(|s| s.end).fold(0.0, f64::max)
+        self.makespan
     }
 
     /// Total spans + instants + flow points recorded.
@@ -406,6 +447,61 @@ mod tests {
         );
         assert_eq!(rebuilt.len(), t.len());
         assert_eq!(rebuilt.last_step(), Some(2));
+    }
+
+    #[test]
+    fn step_records_equal_the_filtered_store() {
+        let mut t = TraceStore::new();
+        for step in [1u64, 2, 2, 5] {
+            let at = step as f64;
+            let root = t.span(0, step, Lane::Gpu, "gravity", at, at + 0.5);
+            t.child_span(root, "local", at, at + 0.25);
+            t.instant(1, step, Lane::Comm, "fault:drop", at);
+            t.flow_point(step, 1, step, Lane::Comm, "flow:Let", at, FlowPhase::Start);
+        }
+        for step in 0..=6 {
+            let recs = t.step_records(step);
+            let starts = |spans: &[Span]| spans.iter().map(|s| s.start).collect::<Vec<_>>();
+            let want: Vec<Span> = t
+                .spans()
+                .iter()
+                .filter(|s| s.step == step)
+                .cloned()
+                .collect();
+            assert_eq!(starts(recs.spans), starts(&want), "step {step}");
+            assert!(recs.spans.iter().all(|s| s.step == step));
+            assert_eq!(
+                recs.instants.len(),
+                t.instants().iter().filter(|i| i.step == step).count()
+            );
+            assert_eq!(
+                recs.flow_points.len(),
+                t.flow_points().iter().filter(|f| f.step == step).count()
+            );
+            if let Some(first) = recs.spans.first() {
+                assert!(std::ptr::eq(first, &t.spans()[recs.first_span]));
+            }
+        }
+        assert_eq!(t.step_records(2).spans.len(), 4);
+        assert_eq!(t.step_records(2).first_span, 2);
+    }
+
+    #[test]
+    fn makespan_tracks_recording_pruning_and_rebuilding() {
+        let fold = |t: &TraceStore| t.spans().iter().map(|s| s.end).fold(0.0, f64::max);
+        let mut t = TraceStore::new();
+        assert_eq!(t.makespan(), 0.0);
+        let long = t.span(0, 1, Lane::Gpu, "long", 0.0, 9.0);
+        t.child_span(long, "child", 0.0, 1.0);
+        t.span(0, 2, Lane::Gpu, "short", 1.0, 2.0);
+        assert_eq!(t.makespan(), 9.0);
+        assert_eq!(t.makespan(), fold(&t));
+        // Pruning the step that held the latest end lowers the makespan.
+        t.retain_steps(2);
+        assert_eq!(t.makespan(), 2.0);
+        assert_eq!(t.makespan(), fold(&t));
+        let rebuilt = TraceStore::from_parts(t.spans().to_vec(), Vec::new(), Vec::new());
+        assert_eq!(rebuilt.makespan(), 2.0);
     }
 
     #[test]

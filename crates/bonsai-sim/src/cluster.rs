@@ -1696,7 +1696,7 @@ impl Cluster {
             self.weights[i] = flops / self.ranks[i].len().max(1) as f64;
         }
 
-        meas.faults = self.fault_log.snapshot().for_epoch(epoch);
+        meas.faults = self.fault_log.for_epoch(epoch);
         let breakdown = self.assemble_breakdown(&meas);
         self.record_observability(&meas, &breakdown);
         self.last_measurements = meas;
@@ -1814,7 +1814,7 @@ impl Cluster {
         // Perfetto arrow points (`s` on the sender's COMM lane, `t` per
         // retransmission, `f` at the receiver), and record the flow-level
         // metrics family.
-        let ledger = self.flows.snapshot();
+        let flows = self.flows.for_epoch(step);
         let clock = FlowClock::new(&self.net);
         let mut summaries: Vec<FlowSummary> = Vec::new();
         // Spread each sender's flows across its exchange window (seal order
@@ -1822,13 +1822,13 @@ impl Cluster {
         // flight, not stacked at the window's opening instant. Delivery
         // latency is anchor-invariant: send and resolve shift together.
         let mut flow_count = vec![0usize; p];
-        for r in ledger.records().iter().filter(|r| r.epoch == step) {
+        for r in &flows {
             if r.from < p {
                 flow_count[r.from] += 1;
             }
         }
         let mut flow_seq = vec![0usize; p];
-        for r in ledger.records().iter().filter(|r| r.epoch == step) {
+        for r in &flows {
             let slot = if r.from < p && flow_count[r.from] > 0 {
                 let i = flow_seq[r.from];
                 flow_seq[r.from] += 1;
@@ -1947,7 +1947,7 @@ impl Cluster {
                 .observe_link(&mut self.registry, "retransmit", 0, meas.retransmit_bytes as u64);
             makespan += breakdown.recovery;
         }
-        bonsai_net::obs::record_fault_log(&meas.faults, &ledger, &self.net, &mut self.trace, step, &|rank| {
+        bonsai_net::obs::record_fault_log(&meas.faults, &flows, &self.net, &mut self.trace, step, &|rank| {
             local_starts.get(rank).copied().unwrap_or(base)
         });
 

@@ -194,19 +194,10 @@ impl StreamTap {
         // observable op counts: the trace events the step recorded, the
         // gauges the registry carries, and (when long-run monitoring is
         // on) the rule evaluations and flight-window copies it performed.
-        let spans = cluster.trace().spans().iter().filter(|s| s.step == epoch).count() as u64;
-        let instants = cluster
-            .trace()
-            .instants()
-            .iter()
-            .filter(|i| i.step == epoch)
-            .count() as u64;
-        let flow_points = cluster
-            .trace()
-            .flow_points()
-            .iter()
-            .filter(|p| p.step == epoch)
-            .count() as u64;
+        let recs = cluster.trace().step_records(epoch);
+        let spans = recs.spans.len() as u64;
+        let instants = recs.instants.len() as u64;
+        let flow_points = recs.flow_points.len() as u64;
         self.meter.charge_ops("trace", spans, cost.span_record_s);
         self.meter
             .charge_ops("trace", instants, cost.instant_record_s);

@@ -68,7 +68,7 @@ pub fn step_timelines(cluster: &Cluster) -> Vec<RankTimeline> {
     let Some(step) = store.last_step() else {
         return Vec::new();
     };
-    let in_step: Vec<_> = store.spans().iter().filter(|s| s.step == step).collect();
+    let in_step = store.step_records(step).spans;
     let base = in_step.iter().map(|s| s.start).fold(f64::INFINITY, f64::min);
     let mut rank_ids: Vec<u32> = in_step.iter().map(|s| s.rank).collect();
     rank_ids.sort_unstable();
@@ -79,7 +79,7 @@ pub fn step_timelines(cluster: &Cluster) -> Vec<RankTimeline> {
             let mut gpu = Vec::new();
             let mut comm = Vec::new();
             let mut cpu = Vec::new();
-            for s in store.spans_for(r, step) {
+            for s in in_step.iter().filter(|s| s.rank == r) {
                 let item = (s.name.clone(), s.start - base, s.end - base);
                 match s.lane {
                     Lane::Gpu => gpu.push(item),

@@ -15,6 +15,8 @@
 //!   and snapshot integrity checks, plus the deterministic fault-injection
 //!   schedule.
 //! * [`kahan`] — compensated summation for energy diagnostics.
+//! * [`sorted`] — the run of one step or epoch in an append-only,
+//!   key-ordered list, by binary search.
 //! * [`stats`] — running statistics and 1D/2D histograms used by the analysis
 //!   and benchmark crates.
 //! * [`units`] — the galactic unit system (kpc, km/s, M☉) used to express the
@@ -29,6 +31,7 @@ pub mod hash;
 pub mod kahan;
 pub mod mat3;
 pub mod rng;
+pub mod sorted;
 pub mod stats;
 pub mod timer;
 pub mod units;

@@ -16,6 +16,15 @@ echo "== shipped code generation: walk tests on the release profile =="
 cargo test -q --release -p bonsai-tree --lib
 cargo test -q --release -p bonsai-tree --test parallel_determinism
 
+# The sliced CRC-64 loop is unrolled only at the release profile.
+cargo test -q --release -p bonsai-util --lib hash
+
+echo "== benchmark package: build + unit tests + 2-step smoke test =="
+# benchmark/ is its own workspace on path dependencies and may not be edited
+# by a PR that claims a gain, so a signature drift in bonsai-net / bonsai-obs
+# / bonsai-sim that would break its build has to fail here first.
+(cd benchmark && cargo test -q --release --offline)
+
 echo "== tier-1.5: robustness gate =="
 cargo test -q -p bonsai-sim --test robustness
 
