@@ -14,8 +14,9 @@
 //! | `time_to_solution` | §VI-C — days to 8 Gyr at full scale |
 //! | `ablation_*` | design-choice studies listed in DESIGN.md |
 //!
-//! Criterion micro-benchmarks (`cargo bench`) cover the hot CPU kernels:
-//! force kernels, tree construction and SFC key generation.
+//! Wall-clock rates of the hot CPU kernels (force kernels, tree construction,
+//! SFC key generation, cluster steps) are the repository benchmark's job:
+//! `benchmark/` at the root.
 //!
 //! This library hosts the shared workload builders and the paper-vs-measured
 //! report formatting used by all targets.

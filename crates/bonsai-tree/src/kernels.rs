@@ -1,9 +1,9 @@
 //! The two force kernels of the paper (§VI-A, Eq. 1–2).
 //!
-//! * [`p_p`] — particle–particle: softened monopole, 23 flops
-//!   (4 sub, 3 mul, 6 fma, 1 rsqrt counted as 4);
-//! * [`p_c`] — particle–cell with quadrupole corrections, 65 flops
-//!   (4 sub, 6 add, 17 mul, 17 fma, 1 rsqrt counted as 4).
+//! * [`p_p`] — particle–particle: softened monopole, 23 flops in the paper's
+//!   count (4 sub, 3 mul, 6 fma, 1 rsqrt counted as 4);
+//! * [`p_c`] — particle–cell with quadrupole corrections, 65 flops in the
+//!   paper's count (4 sub, 6 add, 17 mul, 17 fma, 1 rsqrt counted as 4).
 //!
 //! Both kernels accumulate `(φ, a)` *without* the gravitational constant —
 //! G is applied once per walk — and use Plummer softening `r² → r² + ε²`.
@@ -12,12 +12,26 @@
 //!
 //! ```text
 //! φ  += −m/|r| + ½ tr(Q)/|r|³ − (3/2) (rᵀQr)/|r|⁵
+//!     = (−m + (½ tr(Q) − (3/2) (rᵀQr)/|r|²)/|r|²) / |r|
 //! a  += m r/|r|³ − (3/2) tr(Q) r/|r|⁵ − 3 Q r/|r|⁵ + (15/2) (rᵀQr) r/|r|⁷
+//!     = r (m + (−(3/2) tr(Q) + (15/2) (rᵀQr)/|r|²)/|r|²) / |r|³ − Q r (3/|r|⁵)
 //! ```
 //!
 //! where `Q = Σ mⱼ dⱼ dⱼᵀ` is the *un-detraced* quadrupole about the cell's
 //! centre of mass (so the monopole term uses the cell mass and COM, and the
 //! dipole vanishes identically).
+//!
+//! **Instruction mix.** `p_c` is written in the paper's mix: every `a·b + c`
+//! is an explicit [`f64::mul_add`] and both sums are factored as on the second
+//! lines above, which makes it 3 sub, 2 add, 17 mul, 18 fma, one `sqrt` and
+//! one `div` per evaluation (the trace and the two multiples of it are per
+//! cell, not per lane). `1/sqrt` stays the hardware `sqrt` + `div` pair: at
+//! AVX2 width a division-free Newton iteration lands on the same two multiply
+//! ports and was measured slower (ROADMAP item 2). The p-p family ([`p_p`],
+//! `p_p_masked`, [`p_p_batch`], `p_p_lanes`) is deliberately *not* fused: it
+//! is bound by the divider, fusing it was measured neutral, and leaving it
+//! keeps direct summation and every θ = 0 walk bit-identical to what they
+//! have always produced (pinned by a digest test in `walk.rs`).
 //!
 //! Each kernel comes in the shapes its callers need:
 //!
@@ -30,12 +44,17 @@
 //!   carries no dependence and vectorises, where a reduction over sources
 //!   into one `f64` sum cannot without reordering it.
 //!
-//! The shapes agree bit for bit: `p_c_lanes` evaluates [`p_c`] per lane, and
-//! `p_p_lanes` and [`p_p_batch`] share one masked term (which equals [`p_p`]
-//! wherever `p_p` is nonzero) and add the terms in the same source order.
-//! Every operation is a lane-wise IEEE-754 `f64` operation, and Rust neither
-//! fuses `a * b + c` nor reassociates, so a lane's bits do not depend on the
-//! vector width the loop was compiled for.
+//! The shapes agree bit for bit: `p_c_lanes` evaluates [`p_c`]'s body per
+//! lane, and `p_p_lanes` and [`p_p_batch`] share one masked term (which equals
+//! [`p_p`] wherever `p_p` is nonzero) and add the terms in the same source
+//! order. Every operation is a lane-wise IEEE-754 `f64` operation —
+//! `mul_add` is fusedMultiplyAdd on every target, one instruction where the
+//! hardware has it and libm's `fma` otherwise — and Rust never contracts
+//! `a * b + c` on its own nor reassociates, so a lane's bits depend neither
+//! on the vector width the loop was compiled for nor on the machine. What
+//! does depend on the machine is speed: compiled without the `fma` target
+//! feature `p_c` makes 18 libm calls (≈ 20× slower), so on x86_64 it has a
+//! second, `avx2,fma` instantiation selected by `Isa`.
 
 use bonsai_util::{Sym3, Vec3};
 
@@ -59,28 +78,93 @@ pub fn p_p(tgt_pos: Vec3, src_pos: Vec3, src_mass: f64, eps2: f64) -> (f64, Vec3
     (-mrinv, dr * mrinv3)
 }
 
+/// Which instantiation of the fused code (the scalar [`p_c`] and the walk's
+/// group body) a call runs. One detection, shared by both.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Isa {
+    /// The build's baseline instruction set: portable and bit-identical, but
+    /// `mul_add` is a libm call unless the build itself enables `fma`.
+    Plain,
+    /// AVX2 and FMA. Constructed only by [`Isa::pick`] from what the CPU
+    /// reported — the calls into `#[target_feature(enable = "avx2,fma")]`
+    /// functions rely on that.
+    #[cfg(target_arch = "x86_64")]
+    Avx2Fma,
+}
+
+impl Isa {
+    /// The fastest instantiation this CPU can run (`std` caches the probe).
+    pub(crate) fn detect() -> Isa {
+        #[cfg(target_arch = "x86_64")]
+        {
+            use std::arch::is_x86_feature_detected as has;
+            Isa::pick(has!("avx2"), has!("fma"))
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        Isa::Plain
+    }
+
+    /// `Avx2Fma` needs both features: an AVX2 part without FMA stays `Plain`.
+    #[cfg(target_arch = "x86_64")]
+    fn pick(avx2: bool, fma: bool) -> Isa {
+        if avx2 && fma {
+            Isa::Avx2Fma
+        } else {
+            Isa::Plain
+        }
+    }
+}
+
 /// Particle–cell interaction: softened monopole plus quadrupole correction of
 /// a cell with mass `m`, centre of mass `com`, and un-detraced quadrupole `q`
 /// (about `com`), acting on a target at `tgt_pos`.
 ///
-/// Returns `(dφ, da)` (G **not** applied).
-#[inline(always)]
+/// Returns `(dφ, da)` (G **not** applied). Same bits from either instantiation.
 pub fn p_c(tgt_pos: Vec3, com: Vec3, m: f64, q: &Sym3, eps2: f64) -> (f64, Vec3) {
-    let dr = com - tgt_pos;
-    let r2 = dr.norm2() + eps2;
+    match Isa::detect() {
+        Isa::Plain => p_c_inline(tgt_pos, com, m, q, eps2),
+        // SAFETY: `p_c_avx2_fma` requires only that the CPU supports AVX2 and
+        // FMA, and `Isa::Avx2Fma` exists only where `Isa::detect` saw
+        // `is_x86_feature_detected!` report both on this machine.
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx2Fma => unsafe { p_c_avx2_fma(tgt_pos, com, m, q, eps2) },
+    }
+}
+
+/// [`p_c_inline`] compiled with FMA enabled, so `mul_add` is one instruction.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+fn p_c_avx2_fma(tgt_pos: Vec3, com: Vec3, m: f64, q: &Sym3, eps2: f64) -> (f64, Vec3) {
+    p_c_inline(tgt_pos, com, m, q, eps2)
+}
+
+/// The body of [`p_c`], inlined into whichever instantiation calls it (the
+/// two above, and `p_c_lanes` inside the walk's).
+#[inline(always)]
+fn p_c_inline(tgt_pos: Vec3, com: Vec3, m: f64, q: &Sym3, eps2: f64) -> (f64, Vec3) {
+    let Vec3 { x: dx, y: dy, z: dz } = com - tgt_pos;
+    let r2 = dx.mul_add(dx, dy.mul_add(dy, dz.mul_add(dz, eps2)));
     let rinv = 1.0 / r2.sqrt(); // rsqrt
     let rinv2 = rinv * rinv;
     let rinv3 = rinv * rinv2;
     let rinv5 = rinv3 * rinv2;
-    let rinv7 = rinv5 * rinv2;
 
+    let [qxx, qxy, qxz, qyy, qyz, qzz] = q.m;
     let tr_q = q.trace();
-    let qdr = q.mul_vec(dr);
-    let rqr = dr.dot(qdr);
+    let qx = qxz.mul_add(dz, qxy.mul_add(dy, qxx * dx));
+    let qy = qyz.mul_add(dz, qyy.mul_add(dy, qxy * dx));
+    let qz = qzz.mul_add(dz, qyz.mul_add(dy, qxz * dx));
+    let rqr = dz.mul_add(qz, dy.mul_add(qy, dx * qx));
 
-    let phi = -m * rinv + 0.5 * tr_q * rinv3 - 1.5 * rqr * rinv5;
-    let acc = dr * (m * rinv3) - dr * (1.5 * tr_q * rinv5) - qdr * (3.0 * rinv5)
-        + dr * (7.5 * rqr * rinv7);
+    // Both brackets of the header's formulas, by Horner's rule in 1/r².
+    let phi = rinv * (-1.5 * rqr).mul_add(rinv2, 0.5 * tr_q).mul_add(rinv2, -m);
+    let c = rinv3 * (7.5 * rqr).mul_add(rinv2, -1.5 * tr_q).mul_add(rinv2, m);
+    let k = 3.0 * rinv5;
+    let acc = Vec3::new(
+        (-qx).mul_add(k, dx * c),
+        (-qy).mul_add(k, dy * c),
+        (-qz).mul_add(k, dz * c),
+    );
     (phi, acc)
 }
 
@@ -207,7 +291,8 @@ pub(crate) fn p_p_lanes(
 
 /// Lane-parallel particle–cell kernel: add one cell's [`p_c`] contribution
 /// to every target lane (same lane layout as [`p_p_lanes`]). Each lane
-/// evaluates `p_c` itself, so its expression tree is the scalar kernel's.
+/// evaluates `p_c`'s body itself, so its expression tree is the scalar
+/// kernel's.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn p_c_lanes(
@@ -227,7 +312,7 @@ pub(crate) fn p_c_lanes(
     let (ty, tz) = (&ty[..n], &tz[..n]);
     let (phi, ax, ay, az) = (&mut phi[..n], &mut ax[..n], &mut ay[..n], &mut az[..n]);
     for l in 0..n {
-        let (dphi, da) = p_c(Vec3::new(tx[l], ty[l], tz[l]), com, m, q, eps2);
+        let (dphi, da) = p_c_inline(Vec3::new(tx[l], ty[l], tz[l]), com, m, q, eps2);
         phi[l] += dphi;
         ax[l] += da.x;
         ay[l] += da.y;
@@ -252,6 +337,15 @@ pub fn split_soa(pos: &[Vec3]) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    #[cfg(target_arch = "x86_64")]
+    fn fused_instantiation_needs_both_avx2_and_fma() {
+        assert_eq!(Isa::pick(true, true), Isa::Avx2Fma);
+        assert_eq!(Isa::pick(true, false), Isa::Plain);
+        assert_eq!(Isa::pick(false, true), Isa::Plain);
+        assert_eq!(Isa::pick(false, false), Isa::Plain);
+    }
 
     #[test]
     fn pp_matches_newton() {
@@ -334,6 +428,159 @@ mod tests {
         );
         let (_, acc) = p_c(tgt, com, m, &q, 0.0);
         assert!((acc + grad).norm() < 1e-6 * acc.norm().max(1.0), "a != -grad phi: {acc} vs {grad}");
+    }
+
+    /// `p_c` as it was before it was fused — separate multiplies and adds,
+    /// four acceleration terms — kept as the accuracy yardstick.
+    fn p_c_unfused(tgt_pos: Vec3, com: Vec3, m: f64, q: &Sym3, eps2: f64) -> (f64, Vec3) {
+        let dr = com - tgt_pos;
+        let r2 = dr.norm2() + eps2;
+        let rinv = 1.0 / r2.sqrt();
+        let rinv2 = rinv * rinv;
+        let rinv3 = rinv * rinv2;
+        let rinv5 = rinv3 * rinv2;
+        let rinv7 = rinv5 * rinv2;
+
+        let tr_q = q.trace();
+        let qdr = q.mul_vec(dr);
+        let rqr = dr.dot(qdr);
+
+        let phi = -m * rinv + 0.5 * tr_q * rinv3 - 1.5 * rqr * rinv5;
+        let acc = dr * (m * rinv3) - dr * (1.5 * tr_q * rinv5) - qdr * (3.0 * rinv5)
+            + dr * (7.5 * rqr * rinv7);
+        (phi, acc)
+    }
+
+    /// Double-double arithmetic (an unevaluated sum `hi + lo`, ≈ 106 bits):
+    /// just enough of it to evaluate `p_c` far beyond `f64` round-off.
+    #[derive(Clone, Copy)]
+    struct Dd(f64, f64);
+
+    impl Dd {
+        /// `a + b` exactly.
+        fn sum(a: f64, b: f64) -> Dd {
+            let s = a + b;
+            let bb = s - a;
+            Dd(s, (a - (s - bb)) + (b - bb))
+        }
+
+        /// `a · b` exactly.
+        fn prod(a: f64, b: f64) -> Dd {
+            let p = a * b;
+            Dd(p, a.mul_add(b, -p))
+        }
+
+        fn recip_sqrt(self) -> Dd {
+            // One Newton step on the f64 estimate doubles its precision.
+            let x = Dd(1.0 / self.0.sqrt(), 0.0);
+            x + x * (Dd(1.0, 0.0) - self * x * x) * Dd(0.5, 0.0)
+        }
+    }
+
+    impl std::ops::Add for Dd {
+        type Output = Dd;
+        fn add(self, o: Dd) -> Dd {
+            let s = Dd::sum(self.0, o.0);
+            Dd::sum(s.0, s.1 + self.1 + o.1)
+        }
+    }
+
+    impl std::ops::Sub for Dd {
+        type Output = Dd;
+        fn sub(self, o: Dd) -> Dd {
+            self + Dd(-o.0, -o.1)
+        }
+    }
+
+    impl std::ops::Mul for Dd {
+        type Output = Dd;
+        fn mul(self, o: Dd) -> Dd {
+            let p = Dd::prod(self.0, o.0);
+            Dd::sum(p.0, p.1 + (self.0 * o.1 + self.1 * o.0))
+        }
+    }
+
+    /// The textbook `p_c` expression in double-double: `(φ, [ax, ay, az])`.
+    fn p_c_dd(tgt_pos: Vec3, com: Vec3, m: f64, q: &Sym3, eps2: f64) -> (Dd, [Dd; 3]) {
+        let d = |x: f64| Dd(x, 0.0);
+        let dr = [
+            Dd::sum(com.x, -tgt_pos.x),
+            Dd::sum(com.y, -tgt_pos.y),
+            Dd::sum(com.z, -tgt_pos.z),
+        ];
+        let r2 = dr[0] * dr[0] + dr[1] * dr[1] + dr[2] * dr[2] + d(eps2);
+        let rinv = r2.recip_sqrt();
+        let rinv2 = rinv * rinv;
+        let rinv3 = rinv * rinv2;
+        let rinv5 = rinv3 * rinv2;
+        let rinv7 = rinv5 * rinv2;
+        let [qxx, qxy, qxz, qyy, qyz, qzz] = q.m.map(d);
+        let tr_q = qxx + qyy + qzz;
+        let qdr = [
+            qxx * dr[0] + qxy * dr[1] + qxz * dr[2],
+            qxy * dr[0] + qyy * dr[1] + qyz * dr[2],
+            qxz * dr[0] + qyz * dr[1] + qzz * dr[2],
+        ];
+        let rqr = dr[0] * qdr[0] + dr[1] * qdr[1] + dr[2] * qdr[2];
+        let phi = d(0.5) * tr_q * rinv3 - d(m) * rinv - d(1.5) * rqr * rinv5;
+        let c = d(m) * rinv3 - d(1.5) * tr_q * rinv5 + d(7.5) * rqr * rinv7;
+        let k = d(3.0) * rinv5;
+        (phi, [0, 1, 2].map(|i| dr[i] * c - qdr[i] * k))
+    }
+
+    #[test]
+    fn fused_pc_is_at_least_as_accurate_as_the_unfused_expression() {
+        // Relative error of (φ, a) against the double-double value, over
+        // random plausible cells: a few point masses within 0.4 of the
+        // target's distance from their centre of mass.
+        let mut rng = bonsai_util::rng::Xoshiro256::seed_from(2014);
+        let rel_err = |got: (f64, Vec3), want: &(Dd, [Dd; 3])| {
+            let (phi, acc) = want;
+            let dphi = (got.0 - phi.0) - phi.1;
+            let da = Vec3::new(
+                (got.1.x - acc[0].0) - acc[0].1,
+                (got.1.y - acc[1].0) - acc[1].1,
+                (got.1.z - acc[2].0) - acc[2].1,
+            );
+            let a = Vec3::new(acc[0].0, acc[1].0, acc[2].0);
+            (dphi.abs() / phi.0.abs()).max(da.norm() / a.norm())
+        };
+        let draws = 100_000;
+        let (mut max_fused, mut max_unfused) = (0.0f64, 0.0f64);
+        let (mut sum_fused, mut sum_unfused) = (0.0f64, 0.0f64);
+        for draw in 0..draws {
+            let tgt = rng.unit_sphere() * rng.uniform_in(0.0, 2.0);
+            let com = tgt + rng.unit_sphere() * rng.uniform_in(0.5, 20.0);
+            let size = 0.4 * (com - tgt).norm();
+            let (mut m, mut q) = (0.0, Sym3::zero());
+            for _ in 0..4 {
+                let mj = rng.uniform_in(0.01, 1.0);
+                m += mj;
+                q += Sym3::outer(rng.unit_sphere() * rng.uniform_in(0.0, size), mj);
+            }
+            let eps2 = if draw % 2 == 0 { 0.0 } else { 1e-4 };
+
+            let want = p_c_dd(tgt, com, m, &q, eps2);
+            let fused = p_c(tgt, com, m, &q, eps2);
+            // The dispatched instantiation and this build's baseline one
+            // (libm `fma` unless the build enables the feature): same bits.
+            let plain = p_c_inline(tgt, com, m, &q, eps2);
+            assert_eq!(
+                [fused.0, fused.1.x, fused.1.y, fused.1.z].map(f64::to_bits),
+                [plain.0, plain.1.x, plain.1.y, plain.1.z].map(f64::to_bits),
+                "draw {draw}"
+            );
+            let ef = rel_err(fused, &want);
+            let eu = rel_err(p_c_unfused(tgt, com, m, &q, eps2), &want);
+            max_fused = max_fused.max(ef);
+            max_unfused = max_unfused.max(eu);
+            sum_fused += ef;
+            sum_unfused += eu;
+        }
+        assert!(max_fused <= max_unfused, "max error {max_fused:e} > unfused {max_unfused:e}");
+        assert!(sum_fused <= sum_unfused, "summed error {sum_fused:e} > unfused {sum_unfused:e}");
+        // Both are round-off: the reference and the kernels are one formula.
+        assert!(max_unfused < 1e-14, "double-double reference vs old kernel: {max_unfused:e}");
     }
 
     #[test]

@@ -23,20 +23,28 @@
 //! operation sequence on its own target: `p_c`'s expression tree per cell,
 //! `p_p_batch`'s masked sum per leaf (started from zero, then added to the
 //! accumulator), in traversal order. All of it is lane-wise IEEE-754 `f64`
-//! arithmetic; Rust neither contracts `a * b + c` into a fused multiply-add
-//! nor reassociates, so a lane's result does not depend on how many lanes
-//! run beside it. Padding lanes compute ordinary values that are never read
-//! back and never counted. Forces are therefore `to_bits`-identical at every
-//! vector width (and, through the `bonsai-par` contract, every thread
-//! count); the lane-conformance test below holds both instantiations to the
-//! scalar reference walk.
+//! arithmetic: `p_c` fuses where it says `mul_add` — IEEE fusedMultiplyAdd,
+//! the same value from one `vfmadd` lane as from libm's `fma` — and nowhere
+//! else, because Rust neither contracts `a * b + c` on its own nor
+//! reassociates; so a lane's result does not depend on how many lanes run
+//! beside it or on which instantiation ran it. Padding lanes compute ordinary
+//! values that are never read back and never counted. Forces are therefore
+//! `to_bits`-identical at every vector width and on every machine (and,
+//! through the `bonsai-par` contract, every thread count); the
+//! lane-conformance test below holds both instantiations to the scalar
+//! reference walk.
 //!
 //! **Dispatch.** On x86_64 the one `#[inline(always)]` group-walk body is
 //! instantiated twice: at the build's baseline (SSE2) and under
-//! `#[target_feature(enable = "avx2")]`. [`walk_tree`] picks once per call
-//! with `is_x86_feature_detected!`; the AVX2 instantiation is entered only
-//! behind that test, which is what makes the one `unsafe` call sound. Other
-//! targets use the baseline instantiation. There is nothing to configure.
+//! `#[target_feature(enable = "avx2,fma")]`. [`walk_tree`] picks once per
+//! call with `Isa::detect` — the detection the scalar `p_c` shares — and
+//! the `avx2,fma` instantiation is entered only where the CPU reported both
+//! features, which is what makes the one `unsafe` call sound. The baseline
+//! instantiation is the portable conformance path, not a fast one: without
+//! the `fma` feature every `mul_add` in p-c is a libm call (≈ 20× slower
+//! there; p-p is unaffected). Other targets use the baseline instantiation,
+//! where `mul_add` is whatever the target's baseline offers. There is nothing
+//! to configure.
 //!
 //! Work fans out over target groups onto the `bonsai-par` work-stealing pool
 //! — the role the GPU's warps play in the paper — with each group owning a
@@ -49,7 +57,7 @@
 //! assert.
 
 use crate::forces::{Forces, InteractionCounts};
-use crate::kernels::{p_c_lanes, p_p_lanes, LANES};
+use crate::kernels::{p_c_lanes, p_p_lanes, Isa, LANES};
 use crate::mac::OpeningCriterion;
 use crate::node::{Group, NodeKind, TreeView};
 use bonsai_util::Vec3;
@@ -141,28 +149,6 @@ pub fn walk_tree(
     walk_tree_on(Isa::detect(), src, tgt_pos, groups, params)
 }
 
-/// Which instantiation of [`walk_group`] a call runs.
-#[derive(Clone, Copy, Debug)]
-enum Isa {
-    /// The build's baseline instruction set.
-    Plain,
-    /// AVX2. Constructed only by [`Isa::detect`], after the CPU reported the
-    /// feature — the call into `walk_group_avx2` relies on that.
-    #[cfg(target_arch = "x86_64")]
-    Avx2,
-}
-
-impl Isa {
-    /// The widest instantiation this CPU can run.
-    fn detect() -> Isa {
-        #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("avx2") {
-            return Isa::Avx2;
-        }
-        Isa::Plain
-    }
-}
-
 /// [`walk_tree`] on a given instantiation (one feature test per call, not
 /// per group).
 fn walk_tree_on(
@@ -218,11 +204,11 @@ fn walk_tree_on(
         .zip(windows.into_par_iter())
         .map(|(group, window)| match isa {
             Isa::Plain => walk_group(src, group, &mac, eps2, quad, window),
-            // SAFETY: `walk_group_avx2` requires only that the CPU supports
-            // AVX2, and `Isa::Avx2` exists only where `Isa::detect` saw
-            // `is_x86_feature_detected!("avx2")` succeed on this machine.
+            // SAFETY: `walk_group_avx2_fma` requires only that the CPU supports
+            // AVX2 and FMA, and `Isa::Avx2Fma` exists only where `Isa::detect`
+            // saw `is_x86_feature_detected!` report both on this machine.
             #[cfg(target_arch = "x86_64")]
-            Isa::Avx2 => unsafe { walk_group_avx2(src, group, &mac, eps2, quad, window) },
+            Isa::Avx2Fma => unsafe { walk_group_avx2_fma(src, group, &mac, eps2, quad, window) },
         })
         .reduce(WalkStats::default, |mut a, b| {
             a.merge(&b);
@@ -262,11 +248,12 @@ thread_local! {
     static STACK: RefCell<Vec<u32>> = const { RefCell::new(Vec::new()) };
 }
 
-/// [`walk_group`] compiled a second time with AVX2 enabled, so its lane loops
-/// use 256-bit vectors. Same source, same IEEE operations per lane, same bits.
+/// [`walk_group`] compiled a second time with AVX2 and FMA enabled, so its
+/// lane loops use 256-bit vectors and `p_c`'s `mul_add`s are single
+/// instructions. Same source, same IEEE operations per lane, same bits.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-fn walk_group_avx2(
+#[target_feature(enable = "avx2,fma")]
+fn walk_group_avx2_fma(
     src: &TreeView<'_>,
     group: &Group,
     mac: &OpeningCriterion,
@@ -355,8 +342,9 @@ mod tests {
     use bonsai_util::Aabb;
 
     /// The scalar reference: the group walk as it was before targets became
-    /// lanes — one target at a time, `p_c` per accepted cell, a `p_p` sum per
-    /// opened leaf started from zero. The lane walk must match it bit for bit.
+    /// lanes — one target at a time, the public scalar `p_c` per accepted
+    /// cell, a `p_p` sum per opened leaf started from zero. The lane walk
+    /// must match it bit for bit.
     fn reference_walk_group(
         src: &TreeView<'_>,
         tgt_pos: &[Vec3],
@@ -543,8 +531,10 @@ mod tests {
             mass: mw.mass,
             id: mw.id,
         };
-        // Both instantiations, each called directly (twice the plain one
-        // where the CPU has no AVX2).
+        // Both instantiations, each called directly: the baseline one, whose
+        // `mul_add`s are libm calls unless the build enables `fma`, and the
+        // `avx2,fma` one (the baseline twice where the CPU lacks either).
+        // The reference's scalar `p_c` dispatches like the walk does.
         let isas = [Isa::Plain, Isa::detect()];
         for (ic, particles) in [("clustered", plummer_like(n, 8)), ("milky-way", milky_way)] {
             let tree = Tree::build(particles, TreeParams::default());
@@ -627,6 +617,44 @@ mod tests {
         // direct summation (including self-pairs the kernel skips).
         assert_eq!(ws.counts.pc, 0);
         assert_eq!(ws.counts.pp, dc.pp + tree.len() as u64); // walk visits self too
+    }
+
+    /// CRC-64 over the bits of every `(φ, ax, ay, az)`, in target order.
+    fn force_digest(f: &Forces) -> u64 {
+        let mut crc = bonsai_util::hash::Crc64::new();
+        for i in 0..f.len() {
+            for v in [f.pot[i], f.acc[i].x, f.acc[i].y, f.acc[i].z] {
+                crc.update(&v.to_bits().to_le_bytes());
+            }
+        }
+        crc.finish()
+    }
+
+    #[test]
+    fn particle_particle_forces_have_not_moved_by_a_bit() {
+        // The p-p family is deliberately unfused (see `kernels`), so direct
+        // summation and a θ = 0 walk still produce the bits they produced
+        // before p-c was fused. These digests were taken at that commit; an
+        // edit that fuses or reorders p-p has to change them knowingly.
+        let ic = bonsai_ic::plummer_sphere(512, 2014);
+        let particles = Particles {
+            pos: ic.pos,
+            vel: ic.vel,
+            mass: ic.mass,
+            id: ic.id,
+        };
+        let tree = Tree::build(particles, TreeParams::default());
+        let digests = [0.0, 0.01].map(|eps| {
+            let (direct, _) = direct_self_forces(&tree.particles, eps, 1.0);
+            let (walk, ws) = self_gravity(&tree, &WalkParams::new(0.0, eps));
+            assert_eq!(ws.counts.pc, 0, "θ = 0 accepts no cell");
+            [force_digest(&direct), force_digest(&walk)]
+        });
+        let pinned = [
+            [0x02027b1d30f6edee_u64, 0xad26eb68ff640072],
+            [0x075e0a3dfb907ac0, 0x3c97b18fdf87f8b6],
+        ];
+        assert_eq!(digests, pinned, "[direct, θ = 0 walk] at ε = 0, 0.01: {digests:#018x?}");
     }
 
     #[test]

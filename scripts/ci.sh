@@ -5,6 +5,9 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+scratch="$(mktemp -d)"
+trap 'rm -rf "$scratch"' EXIT
+
 echo "== tier-1: build + full test suite =="
 cargo build --release
 cargo test -q
@@ -15,6 +18,14 @@ echo "== shipped code generation: walk tests on the release profile =="
 # lane-conformance and thread-sweep suites run there as well.
 cargo test -q --release -p bonsai-tree --lib
 cargo test -q --release -p bonsai-tree --test parallel_determinism
+# Once more with AVX2+FMA switched on for the whole build: there the baseline
+# instantiation inlines `vfmadd` instead of calling libm's `fma`, and the
+# conformance, accuracy and digest tests must see the same bits — force bits
+# do not depend on build flags either. (Needs a CPU that has both.)
+if grep -qw avx2 /proc/cpuinfo && grep -qw fma /proc/cpuinfo; then
+  RUSTFLAGS="-C target-feature=+avx2,+fma" CARGO_TARGET_DIR="$scratch/target-avx2-fma" \
+    cargo test -q --release -p bonsai-tree --lib -- kernels:: walk::
+fi
 
 # The sliced CRC-64 loop is unrolled only at the release profile.
 cargo test -q --release -p bonsai-util --lib hash
@@ -44,9 +55,6 @@ echo "== tier-1.5: accuracy conformance suite =="
 # runs can export CI_PROPTEST_CASES=256 for deeper coverage.
 CI_PROPTEST_CASES="${CI_PROPTEST_CASES:-32}" cargo test -q -p bonsai-tree --test proptests
 cargo test -q -p bonsai-verify
-
-scratch="$(mktemp -d)"
-trap 'rm -rf "$scratch"' EXIT
 
 echo "== determinism: obs_trace double run =="
 cargo run -q --release -p bonsai-bench --bin obs_trace >/dev/null
@@ -243,9 +251,16 @@ for baseline in baselines/*.json; do
 done
 
 echo "== artefact bytes: every regenerated BENCH_*.json and baseline is the checked-in one =="
-# A change to one bit of a force moves these; it must fail here, not be
-# re-blessed by committing the regenerated file.
+# A change to one bit of a force moves these; it must fail here. Nothing
+# below this line regenerates an artefact, so what every gate above left
+# behind is what is pinned. A kernel change that is *meant* to move force
+# bits is re-blessed by the recipe in DESIGN.md §6f (old-baseline accuracy
+# check first, one regeneration, baselines copied from the artefacts), which
+# leaves each baseline a byte copy of its artefact.
 git diff --exit-code -- 'BENCH_*.json' baselines/
+for baseline in baselines/*.json; do
+  cmp "$baseline" "BENCH_$(basename "$baseline")"
+done
 
 echo "== report smoke: every emitted HTML report is self-contained =="
 cargo run -q --release -p bonsai-bench --bin check_reports
