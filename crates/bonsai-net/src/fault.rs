@@ -169,16 +169,6 @@ impl FaultPlan {
         self
     }
 
-    /// The rank scheduled to crash at `epoch`, if any. When several ranks
-    /// crash in the same epoch this returns the first-scheduled one; use
-    /// [`FaultPlan::crashed_ranks`] to see them all.
-    pub fn crashed_rank(&self, epoch: u64) -> Option<usize> {
-        self.crashes
-            .iter()
-            .find(|&&(_, e)| e == epoch)
-            .map(|&(r, _)| r)
-    }
-
     /// Every rank scheduled to crash at `epoch`, in ascending rank order.
     /// A correlated failure (e.g. one node hosting several ranks dying)
     /// schedules multiple crashes in the same epoch; recovery must replace
@@ -853,8 +843,8 @@ mod tests {
     #[test]
     fn crash_and_stall_schedules() {
         let plan = FaultPlan::new(0).with_crash(2, 7).with_stall(1, 3);
-        assert_eq!(plan.crashed_rank(7), Some(2));
-        assert_eq!(plan.crashed_rank(6), None);
+        assert_eq!(plan.crashed_ranks(7), [2]);
+        assert!(plan.crashed_ranks(6).is_empty());
         assert!(plan.stalled(1, 3));
         assert!(!plan.stalled(1, 4));
         assert!(!plan.is_empty());

@@ -7,6 +7,10 @@
 //!   Xeon E5-2670) and Titan (Cray XK7, Gemini 3D torus, Opteron 6274),
 //!   including the host-CPU rates that make LET generation visibly slower on
 //!   Titan (§VI-B);
+//! * [`collective`] — the one validated exchange every inter-rank payload
+//!   and the membership gossip ride on: send, drain, validate, retransmit
+//!   the missing, with a fixed order of operations so logs and flow ids are
+//!   deterministic;
 //! * [`cost`] — the interconnect cost model: point-to-point and allgatherv
 //!   times from (latency, injection bandwidth, topology congestion), the
 //!   bytes→seconds half of the communication rows of Table II;
@@ -43,6 +47,7 @@
 
 #![deny(missing_docs)]
 
+pub mod collective;
 pub mod cost;
 pub mod envelope;
 pub mod fabric;

@@ -26,9 +26,9 @@
 //! frames from other epochs, so a stale gossip round can never resurrect a
 //! departed rank.
 
-use crate::envelope;
+use crate::collective::{self, Expect, Outbox, Reject, Round};
 use crate::fabric::MsgKind;
-use crate::fault::{FaultyEndpoint, RecoveryAction, RecoveryEvent, SharedFaultLog};
+use crate::fault::{FaultyEndpoint, SharedFaultLog};
 use bytes::Bytes;
 use std::collections::BTreeSet;
 
@@ -300,6 +300,18 @@ pub fn converge(
     let mut props: Vec<Proposal> = (0..p)
         .map(|r| Proposal::from_events(current, &events_at[r]))
         .collect();
+    // The flood rides the same validated collective as the physics payloads,
+    // among the living only; a proposal amending another view is stale.
+    let base = current.number;
+    let round = Round {
+        kind: MsgKind::View,
+        epoch,
+        max_retries,
+        stale_frame: "view frame",
+        during: "view gossip",
+        stranger: "view frame from non-member",
+        duplicate: "extra view copy discarded",
+    };
     let mut rounds = 0usize;
     if alive.len() > 1 {
         loop {
@@ -308,14 +320,31 @@ pub fn converge(
                 rounds <= p + 2,
                 "membership gossip failed to stabilize in {rounds} rounds"
             );
-            let got = exchange_proposals(endpoints, log, &alive, epoch, current.number, &props, max_retries)?;
-            let mut changed = false;
-            for (i, &to) in alive.iter().enumerate() {
-                let mut merged = props[to].clone();
-                for (j, _) in alive.iter().enumerate() {
-                    if let Some(theirs) = &got[i][j] {
-                        merged.absorb(theirs);
+            let outbox: Vec<Outbox> = (0..p)
+                .map(|r| {
+                    if live[r] {
+                        Outbox::Broadcast(Bytes::from(props[r].to_bytes()))
+                    } else {
+                        Outbox::Silent
                     }
+                })
+                .collect();
+            let parse = |b: &[u8]| match Proposal::from_bytes(b) {
+                Ok(prop) if prop.base == base => Ok(prop),
+                Ok(prop) => Err(Reject::Stale(format!(
+                    "proposal amends view {} (current {base})",
+                    prop.base
+                ))),
+                Err(why) => Err(Reject::Corrupt(why)),
+            };
+            let got =
+                collective::exchange(endpoints, log, &alive, &round, &outbox, Expect::AllPeers, parse)
+                    .complete()?;
+            let mut changed = false;
+            for &to in &alive {
+                let mut merged = props[to].clone();
+                for (_, theirs) in &got[to] {
+                    merged.absorb(theirs);
                 }
                 if merged != props[to] {
                     props[to] = merged;
@@ -342,138 +371,6 @@ pub fn converge(
         rounds,
         events: agreed.events(),
     })
-}
-
-/// One all-to-all proposal flood among `alive` ranks with validated
-/// receive and bounded retransmission. `got[i][j]` is what `alive[i]`
-/// accepted from `alive[j]` (`None` on the diagonal). `Err(rank)` when a
-/// sender stayed silent past the final retry.
-fn exchange_proposals(
-    endpoints: &mut [FaultyEndpoint],
-    log: &SharedFaultLog,
-    alive: &[usize],
-    epoch: u64,
-    base: u64,
-    props: &[Proposal],
-    max_retries: u32,
-) -> Result<Vec<Vec<Option<Proposal>>>, usize> {
-    let k = alive.len();
-    let payloads: Vec<Bytes> = alive
-        .iter()
-        .map(|&r| Bytes::from(props[r].to_bytes()))
-        .collect();
-    for (j, &from) in alive.iter().enumerate() {
-        for &to in alive {
-            if to != from {
-                endpoints[from].send_framed(to, MsgKind::View, epoch, 0, &payloads[j]);
-            }
-        }
-        endpoints[from].flush_reordered();
-    }
-    let index_of = |rank: usize| alive.iter().position(|&r| r == rank);
-    let mut got: Vec<Vec<Option<Proposal>>> = (0..k).map(|_| vec![None; k]).collect();
-    let mut attempt = 0u32;
-    loop {
-        for (i, &to) in alive.iter().enumerate() {
-            while let Some(msg) = endpoints[to].try_recv() {
-                let discard = |action: RecoveryAction, peer: Option<usize>, detail: String| {
-                    log.record_recovery(RecoveryEvent {
-                        epoch,
-                        rank: to,
-                        peer,
-                        kind: Some(MsgKind::View),
-                        action,
-                        detail,
-                    });
-                };
-                let env = match envelope::open(&msg.payload) {
-                    Ok(env) => env,
-                    Err(e) => {
-                        discard(RecoveryAction::DiscardCorrupt, Some(msg.from), e.to_string());
-                        continue;
-                    }
-                };
-                if env.epoch != epoch {
-                    discard(
-                        RecoveryAction::DiscardStale,
-                        Some(env.from),
-                        format!("view frame from epoch {}", env.epoch),
-                    );
-                    continue;
-                }
-                if env.kind != MsgKind::View {
-                    discard(
-                        RecoveryAction::DiscardStale,
-                        Some(env.from),
-                        format!("late {:?} frame during view gossip", env.kind),
-                    );
-                    continue;
-                }
-                let Some(j) = index_of(env.from) else {
-                    discard(
-                        RecoveryAction::DiscardStale,
-                        Some(env.from),
-                        "view frame from non-member".to_string(),
-                    );
-                    continue;
-                };
-                if env.from == to {
-                    continue;
-                }
-                if got[i][j].is_some() {
-                    discard(
-                        RecoveryAction::DiscardDuplicate,
-                        Some(env.from),
-                        "extra view copy discarded".to_string(),
-                    );
-                    continue;
-                }
-                match Proposal::from_bytes(env.payload) {
-                    Ok(prop) if prop.base == base => {
-                        endpoints[to].flows().deliver(env.flow, env.seq);
-                        got[i][j] = Some(prop);
-                    }
-                    Ok(prop) => discard(
-                        RecoveryAction::DiscardStale,
-                        Some(env.from),
-                        format!("proposal amends view {} (current {base})", prop.base),
-                    ),
-                    Err(why) => discard(RecoveryAction::DiscardCorrupt, Some(env.from), why),
-                }
-            }
-        }
-        let missing: Vec<(usize, usize)> = (0..k)
-            .flat_map(|i| {
-                (0..k)
-                    .filter(|&j| j != i && got[i][j].is_none())
-                    .map(move |j| (i, j))
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        if missing.is_empty() {
-            return Ok(got);
-        }
-        if attempt >= max_retries {
-            return Err(alive[missing[0].1]);
-        }
-        attempt += 1;
-        for &(i, j) in &missing {
-            log.record_recovery(RecoveryEvent {
-                epoch,
-                rank: alive[i],
-                peer: Some(alive[j]),
-                kind: Some(MsgKind::View),
-                action: RecoveryAction::Retransmit,
-                detail: format!("attempt {attempt}"),
-            });
-            let (to, from) = (alive[i], alive[j]);
-            let payload = payloads[j].clone();
-            endpoints[from].send_framed(to, MsgKind::View, epoch, attempt, &payload);
-        }
-        for &r in alive {
-            endpoints[r].flush_reordered();
-        }
-    }
 }
 
 /// One completed view change, as recorded in the [`MembershipLog`].

@@ -3,16 +3,22 @@
 //! never accepts a corrupted frame, for any byte soup or bit flip — and for
 //! the per-epoch views of the flow ledger and fault log: whatever the
 //! driver did, in epoch order, the view of an epoch is that epoch's records
-//! and nothing is lost by reading the view instead of the history.
+//! and nothing is lost by reading the view instead of the history — and for
+//! the validated collective: under any fault plan it hands back only what
+//! the fault-free exchange would, accounts for every flow, and logs the same
+//! text twice.
 
+use bonsai_net::collective::{exchange, received_from, Expect, Outbox, Round};
 use bonsai_net::envelope::{open, seal_flow, EnvelopeError};
 use bonsai_net::obs::record_fault_log;
 use bonsai_net::{
-    FaultEvent, FaultKind, MsgKind, NetworkModel, RecoveryAction, RecoveryEvent, SharedFaultLog,
-    SharedFlowLedger, PIZ_DAINT,
+    Fabric, FaultEvent, FaultKind, FaultPlan, FaultyEndpoint, MsgKind, NetworkModel,
+    RecoveryAction, RecoveryEvent, SharedFaultLog, SharedFlowLedger, PIZ_DAINT,
 };
 use bonsai_obs::TraceStore;
+use bytes::Bytes;
 use proptest::prelude::*;
+use std::sync::Arc;
 
 const KINDS: [MsgKind; 5] = [
     MsgKind::Boundary,
@@ -22,8 +28,118 @@ const KINDS: [MsgKind; 5] = [
     MsgKind::View,
 ];
 
+/// One collective's shape, drawn from the case's random bits.
+struct Shape {
+    members: Vec<usize>,
+    outbox: Vec<Outbox>,
+    /// `None`: every receiver waits for all its peers.
+    expected: Option<Vec<Vec<usize>>>,
+    retries: u32,
+}
+
+/// Everything a run of [`Shape`] under one plan leaves behind.
+#[derive(Debug, PartialEq)]
+struct Outcome {
+    received: Vec<Vec<(usize, Vec<u8>)>>,
+    missing: Vec<(usize, usize)>,
+    retransmit_bytes: usize,
+    log: String,
+    conserved: bool,
+}
+
+fn run_collective(p: usize, shape: &Shape, plan: FaultPlan) -> Outcome {
+    const EPOCH: u64 = 3;
+    let (log, flows, plan) = (SharedFaultLog::new(), SharedFlowLedger::new(), Arc::new(plan));
+    let mut eps: Vec<FaultyEndpoint> = Fabric::new(p)
+        .into_iter()
+        .map(|ep| FaultyEndpoint::new(ep, plan.clone(), log.clone(), flows.clone()))
+        .collect();
+    let round = Round {
+        kind: MsgKind::Particles,
+        epoch: EPOCH,
+        max_retries: shape.retries,
+        stale_frame: "frame",
+        during: "Particles phase",
+        stranger: "unexpected sender",
+        duplicate: "extra copy discarded",
+    };
+    let expect = shape.expected.as_deref().map_or(Expect::AllPeers, Expect::From);
+    let got = exchange(&mut eps, &log, &shape.members, &round, &shape.outbox, expect, |b| {
+        Ok(b.to_vec())
+    });
+    // What never arrived (and what nobody was waiting for) dies with the epoch.
+    flows.close_epoch_dead(EPOCH);
+    Outcome {
+        received: got.received,
+        missing: got.missing,
+        retransmit_bytes: got.retransmit_bytes,
+        log: log.snapshot().render(),
+        conserved: flows.conservation().holds(),
+    }
+}
+
+/// Every `(to, from)` pair an outcome accounts for, received or missing.
+fn pairs(o: &Outcome) -> Vec<(usize, usize)> {
+    let received = o.received.iter().enumerate();
+    let mut all: Vec<(usize, usize)> = received
+        .flat_map(|(to, list)| list.iter().map(move |(from, _)| (to, *from)))
+        .chain(o.missing.iter().copied())
+        .collect();
+    all.sort_unstable();
+    all
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn collective_returns_only_fault_free_values_under_any_plan(
+        seed in any::<u64>(),
+        p in 2usize..6,
+        rates in [0u32..12, 0u32..12, 0u32..12, 0u32..12, 0u32..12, 0u32..12],
+        bits in proptest::collection::vec(any::<u64>(), 16..17),
+        retries in 0u32..4,
+    ) {
+        let bit = |word: usize, i: usize| bits[word] >> (i % 64) & 1 == 1;
+        let mut members: Vec<usize> = (0..p).filter(|&r| bit(0, r)).collect();
+        if members.len() < 2 {
+            members = (0..p).collect();
+        }
+        let outbox = (0..p)
+            .map(|from| match bits[1] >> (2 * from) & 3 {
+                0 => Outbox::Silent,
+                1 => Outbox::Broadcast(Bytes::from(vec![from as u8; 1 + from * 7])),
+                _ => Outbox::To(
+                    members.iter().filter(|&&to| to != from && bit(2 + from, to))
+                        .map(|&to| (to, Bytes::from(vec![from as u8, to as u8, 42])))
+                        .collect(),
+                ),
+            })
+            .collect();
+        let expected = bit(0, 63).then(|| {
+            (0..p)
+                .map(|to| members.iter().copied().filter(|&f| f != to && bit(8 + to, f)).collect())
+                .collect()
+        });
+        let shape = Shape { members, outbox, expected, retries };
+        let plan = || {
+            FaultKind::MESSAGE_KINDS.into_iter().zip(rates).fold(FaultPlan::new(seed), |plan, (kind, pct)| {
+                plan.with_rate(kind, pct as f64 / 100.0)
+            })
+        };
+
+        let clean = run_collective(p, &shape, FaultPlan::new(seed));
+        let faulty = run_collective(p, &shape, plan());
+        prop_assert!(!clean.log.contains("inject"), "the reference run saw faults");
+        for (to, list) in faulty.received.iter().enumerate() {
+            for (from, value) in list {
+                prop_assert_eq!(received_from(&clean.received[to], *from), Some(value));
+            }
+        }
+        prop_assert_eq!(pairs(&faulty), pairs(&clean), "a pair was invented or forgotten");
+        prop_assert!(faulty.conserved && clean.conserved, "flows leaked");
+        prop_assert_eq!(&faulty, &run_collective(p, &shape, plan()), "same plan, different run");
+    }
 
     #[test]
     fn flow_frames_round_trip_every_field(

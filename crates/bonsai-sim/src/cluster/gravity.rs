@@ -1,0 +1,439 @@
+//! The gravity epoch: one function per row of the paper's step, in the
+//! paper's order, driven by [`Cluster::try_gravity_phase`].
+//!
+//! | phase | Table II row | paper | what crosses the fabric |
+//! |---|---|---|---|
+//! | [`bounds`](Cluster::bounds) | Domain update | §III-B1: global bounding box | `Control` allreduce, doubling as the heartbeat |
+//! | [`update_domains`](Cluster::update_domains) | Domain update | §III-B1: two-level sample sort, flop-weighted rates, 30 % cap | — (driver-side) |
+//! | [`migrate`](Cluster::migrate) | Domain update | §III-B1: particle exchange | `Particles`, every pair, possibly empty |
+//! | [`build`](Cluster::build) | Sorting, Tree-construction, Tree-properties | §III-A | — |
+//! | [`boundaries`](Cluster::boundaries) | Domain update | §III-B2: boundary trees, allgatherv | `Boundary` broadcast |
+//! | [`lets`](Cluster::lets) | (Non-hidden) LET comm | §III-B2: sufficiency check, dedicated LETs for near neighbours | `Let`, sparse; a lost one degrades to the boundary tree |
+//! | [`walk`](Cluster::walk) | Gravity local, Gravity LETs | §III-A, §III-B2 | — |
+//! | [`store`](Cluster::store) | Unbalance + other | §III-B1: flop weights for the next step's sampling | — |
+//!
+//! Every exchange is one call of [`bonsai_net::collective::exchange`] through
+//! [`Cluster::exchange`]. A phase whose exchange must complete returns
+//! `Err(rank)` for a peer silent through every retry; the driver hands that
+//! to recovery in one place.
+
+use super::{Cluster, StepMeasurements, MAX_RETRIES_HARD, MAX_RETRIES_LET};
+use crate::breakdown::StepBreakdown;
+use bonsai_domain::exchange::{particles_from_bytes, particles_to_bytes, ExchangePlan};
+use bonsai_domain::letbuild::{boundary_sufficient_for, build_let};
+use bonsai_domain::load::enforce_particle_cap;
+use bonsai_domain::sampling::parallel_cuts;
+use bonsai_domain::{boundary_tree, LetTree};
+use bonsai_net::collective::{self, Exchanged, Expect, Outbox, Reject, Round};
+use bonsai_net::fault::{RecoveryAction, RecoveryEvent};
+use bonsai_net::MsgKind;
+use bonsai_sfc::KeyMap;
+use bonsai_tree::build::Tree;
+use bonsai_tree::walk::{self, WalkParams};
+use bonsai_tree::{Forces, InteractionCounts, Particles};
+use bonsai_util::{Aabb, Vec3};
+use bytes::Bytes;
+use rayon::prelude::*;
+
+/// `held[to]`: rank `to`'s validated wire copies of its peers' boundary
+/// trees, as `(from, tree)` ascending by sender.
+type Held = Vec<Vec<(usize, LetTree)>>;
+
+/// What a target rank walks for one remote rank.
+enum RemoteSource<'a> {
+    /// The already-held boundary tree suffices (or serves as the fallback
+    /// for a lost dedicated LET).
+    Boundary(&'a LetTree),
+    /// A dedicated LET arrived and is walked.
+    Dedicated(LetTree),
+}
+
+/// One rank's walk results.
+struct RankForces {
+    forces: Forces,
+    local: InteractionCounts,
+    lets: InteractionCounts,
+    forced: u64,
+}
+
+impl Cluster {
+    /// The distributed force computation, with every inter-rank payload
+    /// crossing the (possibly faulty) fabric in validated envelopes.
+    /// Populates `self.acc` and returns the breakdown, or `Err(rank)` when a
+    /// rank stayed silent through every retry and must be treated as
+    /// crashed.
+    pub(super) fn try_gravity_phase(&mut self) -> Result<StepBreakdown, usize> {
+        let p = self.ranks.len();
+        let mut meas = StepMeasurements {
+            boundary_bytes: vec![0; p],
+            let_bytes_sent: vec![0; p],
+            let_neighbors: vec![0; p],
+            exchange_bytes: vec![0; p],
+            counts_local: vec![InteractionCounts::zero(); p],
+            counts_lets: vec![InteractionCounts::zero(); p],
+            sampled_keys: vec![0; p],
+            ..StepMeasurements::default()
+        };
+        let bounds = self.bounds(&mut meas)?;
+        let keymap = KeyMap::new(&bounds, self.cfg.tree.curve);
+        // A lone rank owns the whole key space: nothing to cut or ship.
+        if p > 1 {
+            self.update_domains(&keymap, &mut meas);
+            self.migrate(&keymap, &mut meas)?;
+        }
+        let trees = self.build(&keymap);
+        let (boundaries, held) = self.boundaries(&trees, &mut meas)?;
+        let sources = self.lets(&trees, &boundaries, &held, &mut meas);
+        let forces = self.walk(&trees, &sources);
+        Ok(self.store(trees, forces, meas))
+    }
+
+    /// One collective among all ranks in the current epoch, logged in the
+    /// physics phases' words. A payload that fails `parse` is corrupt.
+    pub(super) fn exchange<T>(
+        &mut self,
+        kind: MsgKind,
+        max_retries: u32,
+        outbox: &[Outbox],
+        expect: Expect<'_>,
+        parse: impl Fn(&[u8]) -> Result<T, String>,
+    ) -> Exchanged<T> {
+        let everyone: Vec<usize> = (0..self.endpoints.len()).collect();
+        let during = format!("{kind:?} phase");
+        let round = Round {
+            kind,
+            epoch: self.epoch,
+            max_retries,
+            stale_frame: "frame",
+            during: &during,
+            stranger: "unexpected sender",
+            duplicate: "extra copy discarded",
+        };
+        collective::exchange(
+            &mut self.endpoints,
+            &self.fault_log,
+            &everyone,
+            &round,
+            outbox,
+            expect,
+            |b| parse(b).map_err(Reject::Corrupt),
+        )
+    }
+
+    /// Heartbeat + global bounding box (an allreduce). Every alive rank
+    /// broadcasts its local bounds as a Control frame; this doubles as the
+    /// liveness probe: a rank missing from every retry round is reported
+    /// dead.
+    fn bounds(&mut self, meas: &mut StepMeasurements) -> Result<Aabb, usize> {
+        let local = |r: &Particles| if r.is_empty() { Aabb::empty() } else { r.bounds() };
+        let outbox: Vec<Outbox> = (self.ranks.iter().zip(&self.dead))
+            .map(|(r, &dead)| {
+                if dead {
+                    Outbox::Silent
+                } else {
+                    Outbox::Broadcast(Bytes::from(aabb_to_bytes(&local(r))))
+                }
+            })
+            .collect();
+        let got =
+            self.exchange(MsgKind::Control, MAX_RETRIES_HARD, &outbox, Expect::AllPeers, aabb_from_bytes);
+        meas.retransmit_bytes += got.retransmit_bytes;
+        let received = got.complete()?;
+        // Every rank derives the same global box; use rank 0's view.
+        let mut bounds = local(&self.ranks[0]);
+        for (_, b) in &received[0] {
+            bounds.merge(b);
+        }
+        Ok(bounds)
+    }
+
+    /// Domain update: two-level sample sort + cap.
+    fn update_domains(&mut self, keymap: &KeyMap, meas: &mut StepMeasurements) {
+        let p = self.ranks.len();
+        let cfg = &self.cfg;
+        let per_rank_sorted: Vec<Vec<u64>> = self
+            .ranks
+            .par_iter()
+            .map(|r| {
+                let mut ks = keymap.keys_of(&r.pos);
+                ks.sort_unstable();
+                ks
+            })
+            .collect();
+        // Sampling-rate correction ∝ previous flop weight (§III-B1).
+        let w_mean = self.weights.iter().sum::<f64>() / p as f64;
+        let weighted: Vec<Vec<u64>> = per_rank_sorted
+            .iter()
+            .zip(&self.weights)
+            .map(|(ks, &w)| {
+                let factor = (w / w_mean.max(1e-30)).clamp(0.25, 4.0);
+                let s = ((cfg.sample_s2 as f64 * factor) as usize).max(4);
+                bonsai_domain::sampling::systematic_sample(ks, s)
+            })
+            .collect();
+        for (r, ks) in weighted.iter().enumerate() {
+            meas.sampled_keys[r] = ks.len();
+        }
+        let (px, py) = factor_ranks(p);
+        let (domains, _stats) = parallel_cuts(&weighted, px, py, cfg.sample_s1, cfg.sample_s2);
+        // Enforce the 30% particle cap against the global key multiset.
+        let mut all_keys: Vec<u64> = per_rank_sorted.iter().flatten().copied().collect();
+        all_keys.sort_unstable();
+        self.domains = enforce_particle_cap(&domains, &all_keys, cfg.cap);
+    }
+
+    /// Particle exchange through the fabric. Every pair exchanges a
+    /// (possibly empty) migrant payload, so the receive side knows exactly
+    /// what to expect.
+    fn migrate(&mut self, keymap: &KeyMap, meas: &mut StepMeasurements) -> Result<(), usize> {
+        let mut outbox = Vec::with_capacity(self.ranks.len());
+        for (me, rank) in self.ranks.iter_mut().enumerate() {
+            let plan = ExchangePlan::plan(me, &keymap.keys_of(&rank.pos), &self.domains);
+            meas.exchange_bytes[me] = plan.wire_bytes();
+            let shipped = plan.apply(rank).into_iter().enumerate();
+            outbox.push(Outbox::To(
+                shipped
+                    .filter(|&(dest, _)| dest != me)
+                    .map(|(dest, pk)| (dest, particles_to_bytes(&pk)))
+                    .collect(),
+            ));
+        }
+        let got = self.exchange(
+            MsgKind::Particles,
+            MAX_RETRIES_HARD,
+            &outbox,
+            Expect::AllPeers,
+            particles_from_bytes,
+        );
+        meas.retransmit_bytes += got.retransmit_bytes;
+        self.absorb_migrants(got.complete()?);
+        Ok(())
+    }
+
+    /// Append every non-empty received packet to its receiver's shard.
+    pub(super) fn absorb_migrants(&mut self, received: Vec<Vec<(usize, Particles)>>) {
+        for (rank, packets) in self.ranks.iter_mut().zip(received) {
+            for (_, pk) in packets.iter().filter(|(_, pk)| !pk.is_empty()) {
+                rank.extend_from(pk);
+            }
+        }
+    }
+
+    /// Per-rank trees over the shared key map. The trees own the particles
+    /// until [`Cluster::store`] hands them back.
+    fn build(&mut self, keymap: &KeyMap) -> Vec<Tree> {
+        let tree_params = self.cfg.tree;
+        let rank_particles: Vec<Particles> = self.ranks.drain(..).collect();
+        rank_particles
+            .into_par_iter()
+            .map(|pr| Tree::build_with_keymap(pr, keymap.clone(), tree_params))
+            .collect()
+    }
+
+    /// Boundary allgather through the fabric: every rank's own boundary
+    /// tree, and what each rank holds of its peers'.
+    fn boundaries(
+        &mut self,
+        trees: &[Tree],
+        meas: &mut StepMeasurements,
+    ) -> Result<(Vec<LetTree>, Held), usize> {
+        let boundaries: Vec<LetTree> = trees
+            .par_iter()
+            .zip(self.domains.par_iter())
+            .map(|(t, d)| boundary_tree(t, d))
+            .collect();
+        for (i, b) in boundaries.iter().enumerate() {
+            meas.boundary_bytes[i] = b.wire_size();
+        }
+        let outbox: Vec<Outbox> = boundaries.iter().map(|b| Outbox::Broadcast(b.to_bytes())).collect();
+        let got = self.exchange(MsgKind::Boundary, MAX_RETRIES_HARD, &outbox, Expect::AllPeers, |b| {
+            parse_let_tree(b, "boundary")
+        });
+        meas.retransmit_bytes += got.retransmit_bytes;
+        Ok((boundaries, got.complete()?))
+    }
+
+    /// Sufficiency checks + dedicated LETs. Sender i decides from its
+    /// *received* copy of j's boundary; the receiver re-derives the same
+    /// decision from its own data, so both sides agree on which LETs are in
+    /// flight without extra messages. Returns what each rank walks for each
+    /// remote rank with a non-empty boundary, ascending by source.
+    fn lets<'h>(
+        &mut self,
+        trees: &[Tree],
+        boundaries: &[LetTree],
+        held: &'h Held,
+        meas: &mut StepMeasurements,
+    ) -> Vec<Vec<RemoteSource<'h>>> {
+        let theta = self.cfg.theta;
+        // Each rank's own frontier geometry (walk targets for senders).
+        let own_geoms: Vec<Vec<Aabb>> = boundaries.iter().map(LetTree::frontier_boxes).collect();
+        let let_builds: Vec<Vec<(usize, LetTree)>> = (0..trees.len())
+            .into_par_iter()
+            .map(|i| {
+                let mut out = Vec::new();
+                if boundaries[i].is_empty() {
+                    return out;
+                }
+                for (j, bj) in &held[i] {
+                    let geom_j = bj.frontier_boxes();
+                    if geom_j.is_empty() {
+                        continue;
+                    }
+                    if !boundary_sufficient_for(&boundaries[i], &geom_j, theta) {
+                        out.push((*j, build_let(&trees[i], &geom_j, theta)));
+                    }
+                }
+                out
+            })
+            .collect();
+        let mut outbox = Vec::with_capacity(let_builds.len());
+        for (i, builds) in let_builds.iter().enumerate() {
+            meas.let_bytes_sent[i] = builds.iter().map(|(_, lt)| lt.wire_size()).sum();
+            meas.let_neighbors[i] = builds.len();
+            outbox.push(Outbox::To(builds.iter().map(|(j, lt)| (*j, lt.to_bytes())).collect()));
+        }
+        let expected: Vec<Vec<usize>> = (held.iter().zip(&own_geoms))
+            .map(|(peers, own)| {
+                let needs_let = |bi: &LetTree| {
+                    !bi.is_empty() && !own.is_empty() && !boundary_sufficient_for(bi, own, theta)
+                };
+                peers.iter().filter(|(_, bi)| needs_let(bi)).map(|&(i, _)| i).collect()
+            })
+            .collect();
+        let got = self.exchange(MsgKind::Let, MAX_RETRIES_LET, &outbox, Expect::From(&expected), |b| {
+            parse_let_tree(b, "LET")
+        });
+        meas.retransmit_bytes += got.retransmit_bytes;
+        // A LET that never made it is not fatal: the receiver walks the
+        // sender's boundary tree it already holds. Coarser MAC acceptance
+        // shows up as forced cuts, which the step counts. The flow resolves
+        // as recovered-by-fallback, not dead.
+        for &(j, i) in &got.missing {
+            self.flows.fallback_pending(self.epoch, i, j, MsgKind::Let);
+            self.fault_log.record_recovery(RecoveryEvent {
+                epoch: self.epoch,
+                rank: j,
+                peer: Some(i),
+                kind: Some(MsgKind::Let),
+                action: RecoveryAction::BoundaryFallback,
+                detail: "dedicated LET lost; walking held boundary tree".to_string(),
+            });
+            meas.degraded_lets += 1;
+        }
+        (got.received.into_iter().zip(held))
+            .map(|(lets, peers)| {
+                let mut lets = lets.into_iter().peekable();
+                (peers.iter().filter(|(_, bi)| !bi.is_empty()))
+                    .map(|(i, bi)| match lets.next_if(|(from, _)| from == i) {
+                        Some((_, lt)) => RemoteSource::Dedicated(lt),
+                        None => RemoteSource::Boundary(bi),
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// Force walks: local tree + every remote source.
+    fn walk(&self, trees: &[Tree], sources: &[Vec<RemoteSource<'_>>]) -> Vec<RankForces> {
+        let params = WalkParams {
+            theta: self.cfg.theta,
+            eps: self.cfg.eps,
+            g: self.cfg.g,
+            use_quadrupole: true,
+        };
+        (trees.par_iter().zip(sources.par_iter()))
+            .map(|(tree, sources)| {
+                let (mut forces, st_local) = walk::self_gravity(tree, &params);
+                let mut lets = InteractionCounts::zero();
+                let mut forced = st_local.forced_cuts;
+                for src in sources {
+                    let view = match src {
+                        RemoteSource::Boundary(bt) => bt.view(),
+                        RemoteSource::Dedicated(lt) => lt.view(),
+                    };
+                    let (f, st) =
+                        walk::walk_tree(&view, &tree.particles.pos, &tree.groups, &params);
+                    forces.accumulate(&f);
+                    lets += st.counts;
+                    forced += st.forced_cuts;
+                }
+                RankForces {
+                    forces,
+                    local: st_local.counts,
+                    lets,
+                    forced,
+                }
+            })
+            .collect()
+    }
+
+    /// Store state back, update the flop weights, charge the measurements
+    /// to the machine models and record the epoch.
+    fn store(
+        &mut self,
+        trees: Vec<Tree>,
+        results: Vec<RankForces>,
+        mut meas: StepMeasurements,
+    ) -> StepBreakdown {
+        self.ranks = trees.into_iter().map(|t| t.particles).collect();
+        // Imbalance after the exchange.
+        let mean_n = self.total_particles() as f64 / self.ranks.len() as f64;
+        let max_n = self.ranks.iter().map(Particles::len).max().unwrap_or(0) as f64;
+        meas.imbalance = if mean_n > 0.0 { max_n / mean_n } else { 1.0 };
+        for (i, r) in results.iter().enumerate() {
+            meas.counts_local[i] = r.local;
+            meas.counts_lets[i] = r.lets;
+            meas.forced_cuts += r.forced;
+            let flops = (r.local + r.lets).flops() as f64;
+            self.weights[i] = flops / self.ranks[i].len().max(1) as f64;
+        }
+        (self.acc, self.pot) = results.into_iter().map(|r| (r.forces.acc, r.forces.pot)).unzip();
+
+        meas.faults = self.fault_log.for_epoch(self.epoch);
+        let breakdown = self.assemble_breakdown(&meas);
+        self.record_observability(&meas, &breakdown);
+        self.last_measurements = meas;
+        breakdown
+    }
+}
+
+fn aabb_to_bytes(b: &Aabb) -> Vec<u8> {
+    let mut v = Vec::with_capacity(48);
+    for f in [b.min.x, b.min.y, b.min.z, b.max.x, b.max.y, b.max.z] {
+        v.extend_from_slice(&f.to_le_bytes());
+    }
+    v
+}
+
+fn aabb_from_bytes(d: &[u8]) -> Result<Aabb, String> {
+    if d.len() != 48 {
+        return Err(format!("bounds payload is {} bytes, expected 48", d.len()));
+    }
+    let f = |i: usize| f64::from_le_bytes(d[i * 8..i * 8 + 8].try_into().unwrap());
+    for k in 0..6 {
+        if f(k).is_nan() {
+            return Err("bounds contain NaN".to_string());
+        }
+    }
+    Ok(Aabb {
+        min: Vec3::new(f(0), f(1), f(2)),
+        max: Vec3::new(f(3), f(4), f(5)),
+    })
+}
+
+fn parse_let_tree(b: &[u8], what: &str) -> Result<LetTree, String> {
+    let lt = LetTree::from_bytes(b).ok_or_else(|| format!("{what} wire decode failed"))?;
+    lt.check_invariants()
+        .map_err(|e| format!("{what} invariants: {e}"))?;
+    Ok(lt)
+}
+
+/// Factor `p = px·py` with `px ≈ √p` (the paper's DD-process grid).
+pub fn factor_ranks(p: usize) -> (usize, usize) {
+    let mut px = (p as f64).sqrt() as usize;
+    while px > 1 && p % px != 0 {
+        px -= 1;
+    }
+    (px.max(1), p / px.max(1))
+}

@@ -1,0 +1,649 @@
+//! The lock-step cluster simulator: the paper's full distributed step
+//! (§III-B) executed for real on logical ranks.
+//!
+//! Every phase manipulates real data — keys are sampled and cut, particles
+//! migrate, boundary trees and LETs are built, serialized and re-parsed, and
+//! per-rank force walks consume local trees plus remote LETs. What is
+//! *simulated* is only time: measured interaction counts and byte volumes
+//! are charged to the GPU model (`bonsai-gpu`) and network model
+//! (`bonsai-net`) of the configured machine, yielding a Table II style
+//! [`StepBreakdown`] per step.
+//!
+//! Every inter-rank payload crosses the real message fabric inside a
+//! checksummed envelope, through a [`FaultyEndpoint`] that can inject a
+//! seeded [`FaultPlan`]: drops, duplicates, reorders, delays, truncation,
+//! bit flips, rank stalls and hard crashes. The step survives them —
+//! invalid frames are discarded and retransmitted with bounded attempts,
+//! lost dedicated LETs degrade gracefully to walking the already-held
+//! boundary tree, and a crashed rank is detected via missing heartbeats and
+//! replaced by rolling the cluster back to its last checkpoint. Every
+//! injected fault and every recovery action lands in the [`FaultLog`], so
+//! a chaos run can be audited end to end.
+//!
+//! The result is provably faithful: tests assert the distributed forces
+//! agree with a direct-summation reference at the MAC-bounded error level,
+//! that ranks respect the 30% load cap, and that distant ranks reuse the
+//! broadcast boundary trees as LETs while only near neighbours receive
+//! dedicated ones — the communication-avoidance core of the paper.
+//!
+//! The module, by file:
+//!
+//! * this file — configuration, the [`Cluster`] state, constructors,
+//!   accessors, and the leapfrog [`Cluster::step`] around the gravity epoch;
+//! * `gravity` — the gravity epoch as the paper's step: `bounds` →
+//!   `update_domains` → `migrate` → `build` → `boundaries` → `lets` → `walk` →
+//!   `store`, one function per Table II row (§III-B1 domain update, §III-A
+//!   tree build and walk, §III-B2 boundary trees and LETs), every exchange
+//!   one call of [`bonsai_net::collective::exchange`];
+//! * `recovery` — epochs retried until one completes, scheduled crashes,
+//!   checkpoint rollback at a fixed world size or over the survivors
+//!   (§VI-C);
+//! * `membership` — online grow / shrink: gossip to an agreed view, re-split
+//!   the key space, migrate over the fabric;
+//! * `observe` — the completed epoch charged to the machine models and
+//!   recorded as spans, flow arrows and metrics.
+
+mod gravity;
+mod membership;
+mod observe;
+mod recovery;
+
+pub use gravity::factor_ranks;
+
+use crate::breakdown::StepBreakdown;
+use bonsai_gpu::{GpuModel, KernelVariant, K20X};
+use bonsai_net::fault::{FaultLog, FaultPlan, FaultyEndpoint, SharedFaultLog};
+use bonsai_net::flow::SharedFlowLedger;
+use bonsai_net::membership::{MembershipLog, View};
+use bonsai_net::{MachineSpec, NetworkModel, PIZ_DAINT};
+use bonsai_obs::analysis::waits::FlowSummary;
+use bonsai_obs::{MetricsRegistry, TraceStore};
+use bonsai_sfc::KeyRange;
+use bonsai_tree::build::TreeParams;
+use bonsai_tree::{InteractionCounts, Particles};
+use bonsai_util::Vec3;
+use recovery::{faulty_fabric, seed_decomposition};
+use std::path::PathBuf;
+use std::sync::Arc;
+
+/// Retransmission attempts for exchanges that must complete (heartbeat /
+/// bounds, particle migration, boundary allgather). A peer that stays
+/// silent through every attempt is declared dead.
+const MAX_RETRIES_HARD: u32 = 4;
+
+/// Retransmission attempts for dedicated LETs. Cheaper to give up early:
+/// the receiver already holds the sender's boundary tree and can walk that
+/// instead (graceful degradation, counted per step).
+const MAX_RETRIES_LET: u32 = 2;
+
+/// Configuration of a cluster run.
+#[derive(Clone, Debug)]
+pub struct ClusterConfig {
+    /// Opening angle θ.
+    pub theta: f64,
+    /// Plummer softening.
+    pub eps: f64,
+    /// Time step.
+    pub dt: f64,
+    /// Gravitational constant.
+    pub g: f64,
+    /// Tree parameters (NLEAF, curve, group size).
+    pub tree: TreeParams,
+    /// Machine whose GPU/network models are charged.
+    pub machine: MachineSpec,
+    /// Coarse sampling count per rank (rate R1 of §III-B1).
+    pub sample_s1: usize,
+    /// Fine sampling count per rank (rate R2).
+    pub sample_s2: usize,
+    /// Particle-count cap relative to mean (paper: 1.3).
+    pub cap: f64,
+    /// Execution lanes for the in-process thread pool the gravity phases
+    /// run on. `None` uses the process-global pool (sized by the
+    /// `BONSAI_THREADS` environment variable, falling back to the
+    /// machine's available parallelism). Results are bit-identical for
+    /// every setting — the pool's deterministic-reduction contract — so
+    /// this only trades wall-clock time.
+    pub threads: Option<usize>,
+}
+
+impl Default for ClusterConfig {
+    fn default() -> Self {
+        Self {
+            theta: 0.4,
+            eps: 0.01,
+            dt: 0.01,
+            g: 1.0,
+            tree: TreeParams::default(),
+            machine: PIZ_DAINT,
+            sample_s1: 16,
+            sample_s2: 64,
+            cap: 1.3,
+            threads: None,
+        }
+    }
+}
+
+/// Where (and how often) the cluster checkpoints itself so a crashed rank
+/// can be recovered by rollback.
+#[derive(Clone, Debug)]
+pub struct RecoveryConfig {
+    /// Directory checkpoints are written to (created if missing).
+    pub dir: PathBuf,
+    /// Checkpoint every `every` completed steps (0 = only the initial one).
+    pub every: u64,
+}
+
+/// Per-step measured quantities (what the real algorithm produced).
+#[derive(Clone, Debug, Default)]
+pub struct StepMeasurements {
+    /// Serialized boundary-tree bytes per rank.
+    pub boundary_bytes: Vec<usize>,
+    /// Dedicated-LET bytes sent per rank.
+    pub let_bytes_sent: Vec<usize>,
+    /// Number of dedicated LETs each rank had to send.
+    pub let_neighbors: Vec<usize>,
+    /// Particle-exchange bytes sent per rank.
+    pub exchange_bytes: Vec<usize>,
+    /// Local-tree interaction counts per rank.
+    pub counts_local: Vec<InteractionCounts>,
+    /// LET interaction counts per rank.
+    pub counts_lets: Vec<InteractionCounts>,
+    /// `Cut` nodes that failed the receiver MAC (should be ≈ 0).
+    pub forced_cuts: u64,
+    /// Max/mean particle imbalance after the exchange.
+    pub imbalance: f64,
+    /// Keys each rank contributed to the two-level sample sort (the
+    /// load-balance bookkeeping volume; 0 on single-rank runs).
+    pub sampled_keys: Vec<usize>,
+    /// Bytes retransmitted to recover lost or invalid frames.
+    pub retransmit_bytes: usize,
+    /// Dedicated LETs that never arrived and degraded to a boundary walk.
+    pub degraded_lets: usize,
+    /// Faults injected and recovery actions taken during the successful
+    /// gravity epoch (failed epochs live in [`Cluster::fault_log`]).
+    pub faults: FaultLog,
+}
+
+/// A cluster of logical ranks executing Bonsai's distributed step.
+pub struct Cluster {
+    /// Configuration.
+    pub cfg: ClusterConfig,
+    gpu: GpuModel,
+    net: NetworkModel,
+    /// Per-rank particles (SFC order after each step).
+    ranks: Vec<Particles>,
+    /// Per-rank accelerations aligned with `ranks`.
+    acc: Vec<Vec<Vec3>>,
+    /// Per-rank potentials aligned with `ranks`.
+    pot: Vec<Vec<f64>>,
+    /// Current domain partition.
+    domains: Vec<KeyRange>,
+    /// Per-rank flop weights from the previous gravity phase.
+    weights: Vec<f64>,
+    time: f64,
+    steps: u64,
+    /// One fabric endpoint per rank, with the fault plan applied on sends.
+    endpoints: Vec<FaultyEndpoint>,
+    plan: Arc<FaultPlan>,
+    fault_log: SharedFaultLog,
+    /// Shared flow ledger: the lifecycle of every envelope sealed on the
+    /// fabric (seal → inject → retransmit → deliver | fallback | dead),
+    /// appended in driver order so it is deterministic per plan.
+    flows: SharedFlowLedger,
+    /// Flow summaries (modeled times) of the most recent recorded epoch.
+    last_flows: Vec<FlowSummary>,
+    /// Monotonic gravity-phase counter. Never rewinds — a checkpoint
+    /// rollback keeps advancing it, which is what makes stale frames from
+    /// failed epochs detectable and scheduled crashes fire exactly once.
+    epoch: u64,
+    /// Ranks currently considered dead (crashed, awaiting recovery).
+    dead: Vec<bool>,
+    recovery: Option<RecoveryConfig>,
+    /// Measurements of the most recent gravity phase.
+    pub last_measurements: StepMeasurements,
+    /// Span/event trace of every completed gravity epoch.
+    trace: TraceStore,
+    /// Metrics registry: monotonic counters over the whole run plus the
+    /// most recent epoch's gauges.
+    registry: MetricsRegistry,
+    /// Global simulated clock base: completed epochs lay out sequentially.
+    trace_clock: f64,
+    /// Long-run monitor (time series + health rules + flight recorder),
+    /// enabled via [`Cluster::enable_longrun`].
+    longrun: Option<crate::longrun::LongRunMonitor>,
+    /// Current membership view; `view.members[rank]` is the stable node id
+    /// holding `rank`, so the view *is* the rank assignment.
+    view: View,
+    /// Audit log of every completed view change.
+    membership: MembershipLog,
+    /// When true, a crashed rank is *removed from the view* during
+    /// recovery (the survivors re-decompose the checkpoint among
+    /// themselves) instead of being resurrected at the same world size.
+    elastic: bool,
+    /// Health-driven scale-out/in policy, enabled via
+    /// [`Cluster::enable_autoscale`]; consulted after every step's
+    /// long-run observation.
+    autoscale: Option<crate::autoscale::AutoscalePolicy>,
+    /// In-run telemetry streaming tap, enabled via
+    /// [`Cluster::enable_streaming`]; publishes each step's frames and
+    /// self-meters the observability overhead.
+    stream: Option<crate::stream::StreamTap>,
+    /// Validation self-test hook: when true, view-change migrations
+    /// silently discard every outbound migrant instead of shipping it —
+    /// the sabotage the CI membership gate must catch through its particle
+    /// conservation check. Never set in real runs.
+    drop_migrants: bool,
+    /// Dedicated thread pool when `cfg.threads` is set; `None` defers to
+    /// the process-global pool. Shared via `Arc` so `step` can install it
+    /// while mutably borrowing the rest of the cluster.
+    pool: Option<Arc<rayon::ThreadPool>>,
+}
+
+impl Cluster {
+    /// Distribute `all` particles over `p` ranks and evaluate initial forces.
+    pub fn new(all: Particles, p: usize, cfg: ClusterConfig) -> Self {
+        Self::with_faults(all, p, cfg, FaultPlan::new(0), None)
+    }
+
+    /// Like [`Cluster::new`], but with a fault-injection plan and an
+    /// optional checkpoint-based recovery configuration. With an empty plan
+    /// the endpoints are transparent (framed) pass-throughs and the step is
+    /// byte-for-byte the fault-free algorithm.
+    ///
+    /// Crash faults require `recovery`: a rank death is survived by rolling
+    /// back to the last checkpoint, so without one the step panics when a
+    /// rank dies. Rank-level faults need `p > 1` to be observable.
+    pub fn with_faults(
+        all: Particles,
+        p: usize,
+        cfg: ClusterConfig,
+        plan: FaultPlan,
+        recovery: Option<RecoveryConfig>,
+    ) -> Self {
+        assert!(p > 0 && !all.is_empty());
+        let (ranks, domains) = seed_decomposition(&all, p, &cfg);
+        let mut cluster = Self::at_rest(ranks, domains, cfg, plan, recovery);
+        // Checkpoint the initial conditions *before* the first force
+        // computation: a rank can die (or be falsely declared dead under
+        // extreme fault rates) in the very first gravity epoch, and
+        // recovery needs something to roll back to.
+        cluster.write_recovery_checkpoint();
+        cluster.on_pool(Self::compute_forces_with_recovery);
+        cluster
+    }
+
+    /// A cluster holding `ranks` over `domains` at time zero with no forces
+    /// evaluated, unit load weights and a fresh fabric, log and ledger.
+    fn at_rest(
+        ranks: Vec<Particles>,
+        domains: Vec<KeyRange>,
+        cfg: ClusterConfig,
+        plan: FaultPlan,
+        recovery: Option<RecoveryConfig>,
+    ) -> Self {
+        let p = ranks.len();
+        let plan = Arc::new(plan);
+        let fault_log = SharedFaultLog::new();
+        let flows = SharedFlowLedger::new();
+        Self {
+            gpu: GpuModel::new(K20X, KernelVariant::TreeKeplerTuned),
+            net: NetworkModel::new(cfg.machine),
+            pool: cfg.threads.map(|t| Arc::new(rayon::ThreadPool::new(t))),
+            cfg,
+            acc: vec![Vec::new(); p],
+            pot: vec![Vec::new(); p],
+            ranks,
+            domains,
+            weights: vec![1.0; p],
+            time: 0.0,
+            steps: 0,
+            endpoints: faulty_fabric(p, &plan, &fault_log, &flows),
+            plan,
+            fault_log,
+            flows,
+            last_flows: Vec::new(),
+            epoch: 0,
+            dead: vec![false; p],
+            recovery,
+            last_measurements: StepMeasurements::default(),
+            trace: TraceStore::new(),
+            registry: MetricsRegistry::new(),
+            trace_clock: 0.0,
+            longrun: None,
+            view: View::initial(p),
+            membership: MembershipLog::new(),
+            elastic: false,
+            autoscale: None,
+            stream: None,
+            drop_migrants: false,
+        }
+    }
+
+    /// Reconstruct a cluster from exact-resume checkpoint state: per-rank
+    /// particles, accelerations, potentials, domains and load weights are
+    /// adopted verbatim, so no fresh decomposition or force phase runs and
+    /// the next [`Cluster::step`] continues bit-for-bit where the
+    /// checkpointed run would have. (Contrast with
+    /// [`restore_cluster`](crate::checkpoint::restore_cluster), which
+    /// re-decomposes and may change the rank count.)
+    pub(crate) fn from_exact_state(
+        ranks: Vec<Particles>,
+        acc: Vec<Vec<Vec3>>,
+        pot: Vec<Vec<f64>>,
+        domains: Vec<KeyRange>,
+        weights: Vec<f64>,
+        time: f64,
+        steps: u64,
+        cfg: ClusterConfig,
+    ) -> Self {
+        let p = ranks.len();
+        assert!(p > 0, "exact resume needs at least one rank");
+        assert!(acc.len() == p && pot.len() == p && domains.len() == p && weights.len() == p);
+        Self {
+            acc,
+            pot,
+            weights,
+            time,
+            steps,
+            ..Self::at_rest(ranks, domains, cfg, FaultPlan::new(0), None)
+        }
+    }
+
+    /// Re-distribute `all` particles over `p` ranks while *preserving* the
+    /// simulation clock — the elastic-resume constructor: a checkpoint
+    /// written at one world size continues at another without resetting
+    /// `time`/`steps` to zero (contrast with
+    /// [`restore_cluster`](crate::checkpoint::restore_cluster)).
+    pub(crate) fn from_redistributed(
+        all: Particles,
+        p: usize,
+        cfg: ClusterConfig,
+        time: f64,
+        steps: u64,
+    ) -> Self {
+        let mut c = Self::new(all, p, cfg);
+        c.time = time;
+        c.steps = steps;
+        c
+    }
+
+    /// Per-rank load weights (exact-resume checkpoint state).
+    pub(crate) fn weights(&self) -> &[f64] {
+        &self.weights
+    }
+
+    /// Rank `rank`'s accelerations (aligned with [`Cluster::rank_particles`]).
+    pub(crate) fn rank_acc(&self, rank: usize) -> &[Vec3] {
+        &self.acc[rank]
+    }
+
+    /// Rank `rank`'s potentials (aligned with [`Cluster::rank_particles`]).
+    pub(crate) fn rank_pot(&self, rank: usize) -> &[f64] {
+        &self.pot[rank]
+    }
+
+    /// Rank count.
+    pub fn rank_count(&self) -> usize {
+        self.ranks.len()
+    }
+
+    /// Total particles across ranks.
+    pub fn total_particles(&self) -> usize {
+        self.ranks.iter().map(Particles::len).sum()
+    }
+
+    /// Current domains.
+    pub fn domains(&self) -> &[KeyRange] {
+        &self.domains
+    }
+
+    /// Simulation time.
+    pub fn time(&self) -> f64 {
+        self.time
+    }
+
+    /// Completed steps.
+    pub fn step_count(&self) -> u64 {
+        self.steps
+    }
+
+    /// Gravity epochs executed so far (≥ `step_count() + 1`; recovery
+    /// rollbacks consume extra epochs).
+    pub fn current_epoch(&self) -> u64 {
+        self.epoch
+    }
+
+    /// Full audit log of injected faults and recovery actions since
+    /// construction.
+    pub fn fault_log(&self) -> FaultLog {
+        self.fault_log.snapshot()
+    }
+
+    /// The current membership view (the rank assignment).
+    pub fn view(&self) -> &View {
+        &self.view
+    }
+
+    /// Audit log of every view change the cluster went through.
+    pub fn membership_log(&self) -> &MembershipLog {
+        &self.membership
+    }
+
+    /// Make crash recovery *elastic*: a dead rank is agreed out of the
+    /// view by the survivors (gossip over the fabric) and the last
+    /// checkpoint is re-decomposed among the smaller world, instead of
+    /// resurrecting the rank at a fixed world size.
+    pub fn enable_elastic_recovery(&mut self) {
+        self.elastic = true;
+    }
+
+    /// Enable health-driven autoscaling. Requires long-run monitoring
+    /// ([`Cluster::enable_longrun`]) — the policy consumes the alerts its
+    /// rules fire. Each step may then admit or retire ranks per the policy.
+    pub fn enable_autoscale(&mut self, cfg: crate::autoscale::AutoscaleConfig) {
+        self.autoscale = Some(crate::autoscale::AutoscalePolicy::new(cfg));
+    }
+
+    /// The autoscaling policy, if enabled (decision audit log).
+    pub fn autoscale(&self) -> Option<&crate::autoscale::AutoscalePolicy> {
+        self.autoscale.as_ref()
+    }
+
+    /// Sabotage hook for the CI membership gate's self-test: when set,
+    /// every view-change migration silently discards its outbound migrants
+    /// (they are drained from the sender but never shipped), so the gate's
+    /// particle-conservation check must fail. Never set in real runs.
+    pub fn set_drop_migrants(&mut self, yes: bool) {
+        self.drop_migrants = yes;
+    }
+
+    /// Enable long-run monitoring: per-metric time series, health rules
+    /// and the flight recorder, evaluated inside every subsequent
+    /// [`Cluster::step`]. The current energy report becomes the drift
+    /// baseline. Re-enabling replaces the previous monitor.
+    pub fn enable_longrun(&mut self, cfg: crate::longrun::LongRunConfig) {
+        let baseline = self.energy_report();
+        self.longrun = Some(crate::longrun::LongRunMonitor::new(cfg, baseline));
+    }
+
+    /// The long-run monitor, if enabled.
+    pub fn longrun(&self) -> Option<&crate::longrun::LongRunMonitor> {
+        self.longrun.as_ref()
+    }
+
+    /// Detach and return the long-run monitor (export at end of run).
+    pub fn take_longrun(&mut self) -> Option<crate::longrun::LongRunMonitor> {
+        self.longrun.take()
+    }
+
+    /// Enable in-run telemetry streaming: each subsequent
+    /// [`Cluster::step`] publishes versioned frames (step header, phase
+    /// sample, gauges, flow digest, alerts, view changes) to the
+    /// configured subscribers and meters the observability overhead
+    /// against the 3% budget. Re-enabling replaces the previous tap.
+    pub fn enable_streaming(&mut self, cfg: crate::stream::StreamConfig) {
+        self.stream = Some(crate::stream::StreamTap::new(cfg));
+    }
+
+    /// The streaming tap, if enabled (bus accounting, overhead meter).
+    pub fn stream(&self) -> Option<&crate::stream::StreamTap> {
+        self.stream.as_ref()
+    }
+
+    /// Mutable tap access — subscribers poll their rings through this.
+    pub fn stream_mut(&mut self) -> Option<&mut crate::stream::StreamTap> {
+        self.stream.as_mut()
+    }
+
+    /// Detach and return the streaming tap (export at end of run).
+    pub fn take_stream(&mut self) -> Option<crate::stream::StreamTap> {
+        self.stream.take()
+    }
+
+    /// Mutable registry access for the long-run monitor's derived gauges.
+    pub(crate) fn registry_mut(&mut self) -> &mut MetricsRegistry {
+        &mut self.registry
+    }
+
+    /// Mutable trace access for alert instants and window pruning.
+    pub(crate) fn trace_mut(&mut self) -> &mut TraceStore {
+        &mut self.trace
+    }
+
+    /// Borrow one rank's particle shard (checkpointing, inspection).
+    pub fn rank_particles(&self, rank: usize) -> &Particles {
+        &self.ranks[rank]
+    }
+
+    /// Gather all particles (analysis only; order unspecified).
+    pub fn gather(&self) -> Particles {
+        let mut all = Particles::with_capacity(self.total_particles());
+        for r in &self.ranks {
+            all.extend_from(r);
+        }
+        all
+    }
+
+    /// Distributed energy/momentum diagnostics from the stored tree
+    /// potentials (no extra force evaluation) — the on-the-fly conservation
+    /// monitor of a production run.
+    pub fn energy_report(&self) -> bonsai_analysis::EnergyReport {
+        let mut kinetic = bonsai_util::KahanSum::new();
+        let mut potential = bonsai_util::KahanSum::new();
+        let mut momentum = Vec3::zero();
+        let mut l_z = bonsai_util::KahanSum::new();
+        for (rank, pot) in self.ranks.iter().zip(&self.pot) {
+            for i in 0..rank.len() {
+                let m = rank.mass[i];
+                kinetic.add(0.5 * m * rank.vel[i].norm2());
+                potential.add(0.5 * m * pot[i]);
+                momentum += rank.vel[i] * m;
+                l_z.add(m * rank.pos[i].cross(rank.vel[i]).z);
+            }
+        }
+        bonsai_analysis::EnergyReport {
+            kinetic: kinetic.value(),
+            potential: potential.value(),
+            l_z: l_z.value(),
+            momentum: momentum.norm(),
+        }
+    }
+
+    /// Accelerations of every particle keyed by id (analysis/validation).
+    pub fn accelerations_by_id(&self) -> std::collections::HashMap<u64, Vec3> {
+        let mut map = std::collections::HashMap::with_capacity(self.total_particles());
+        for (r, p) in self.ranks.iter().enumerate() {
+            for i in 0..p.len() {
+                map.insert(p.id[i], self.acc[r][i]);
+            }
+        }
+        map
+    }
+
+    /// One full kick–drift–(rebuild + force)–kick step. Returns the
+    /// Table II style breakdown with simulated times for the configured
+    /// machine.
+    ///
+    /// If a rank crashes mid-step the cluster rolls back to its last
+    /// checkpoint and the whole step is re-executed from the restored
+    /// state, so a returned breakdown always describes a completed step.
+    pub fn step(&mut self) -> StepBreakdown {
+        self.on_pool(Self::step_inner)
+    }
+
+    /// Run `f` with the cluster's dedicated pool installed as the current
+    /// thread pool (no-op indirection when `cfg.threads` is unset).
+    fn on_pool<R>(&mut self, f: impl FnOnce(&mut Self) -> R) -> R {
+        match self.pool.clone() {
+            Some(pool) => pool.install(|| f(self)),
+            None => f(self),
+        }
+    }
+
+    fn step_inner(&mut self) -> StepBreakdown {
+        let half = 0.5 * self.cfg.dt;
+        let dt = self.cfg.dt;
+        loop {
+            for (rank, acc) in self.ranks.iter_mut().zip(&self.acc) {
+                for i in 0..rank.len() {
+                    rank.vel[i] += acc[i] * half;
+                    let v = rank.vel[i];
+                    rank.pos[i] += v * dt;
+                }
+            }
+            let (breakdown, restored) = self.compute_forces_with_recovery();
+            if restored {
+                // The rollback landed us on a step boundary with fresh
+                // forces; redo the kick–drift from there.
+                continue;
+            }
+            for (rank, acc) in self.ranks.iter_mut().zip(&self.acc) {
+                for i in 0..rank.len() {
+                    rank.vel[i] += acc[i] * half;
+                }
+            }
+            self.time += dt;
+            self.steps += 1;
+            if let Some(rec) = &self.recovery {
+                if rec.every > 0 && self.steps % rec.every == 0 {
+                    self.write_recovery_checkpoint();
+                }
+            }
+            // Longitudinal bookkeeping (take/put-back so the monitor can
+            // borrow the cluster freely), then the scaling policy: health
+            // alerts opening this step may grow the world, sustained idle
+            // may shrink it.
+            let mut fired: Vec<bonsai_obs::health::AlertEvent> = Vec::new();
+            if let Some(mut lr) = self.longrun.take() {
+                fired = lr.observe(self, &breakdown);
+                self.longrun = Some(lr);
+                if let Some(mut policy) = self.autoscale.take() {
+                    let mean = self.total_particles() as f64 / self.rank_count() as f64;
+                    match policy.decide(self.steps, self.rank_count(), mean, &fired) {
+                        crate::autoscale::ScaleDecision::Grow(k) => {
+                            self.record_autoscale_decision("grow", k);
+                            self.admit_ranks(k)
+                        }
+                        crate::autoscale::ScaleDecision::Shrink(k) => {
+                            self.record_autoscale_decision("shrink", k);
+                            self.retire_ranks(k)
+                        }
+                        crate::autoscale::ScaleDecision::Hold => {}
+                    }
+                    self.autoscale = Some(policy);
+                }
+            }
+            // The streaming tap runs last (same take/put-back pattern) so
+            // its frames describe the step's final state, including any
+            // autoscale-driven view change published above.
+            if let Some(mut tap) = self.stream.take() {
+                tap.observe(self, &breakdown, &fired);
+                self.stream = Some(tap);
+            }
+            return breakdown;
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests;

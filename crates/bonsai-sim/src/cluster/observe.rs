@@ -1,0 +1,556 @@
+//! Observability of a completed gravity epoch: the measured quantities
+//! charged to the machine models ([`StepBreakdown`], Table II), the spans,
+//! flow arrows and metrics recorded from them, and the read-only views over
+//! trace, registry and flow ledger.
+
+use super::{Cluster, StepMeasurements};
+use crate::breakdown::StepBreakdown;
+use bonsai_gpu::{BUILD_COST, DOMAIN_COST, INTEGRATE_COST, PROPS_COST, SORT_COST};
+use bonsai_net::flow::{FlowConservation, FlowLedger};
+use bonsai_net::membership::ViewChange;
+use bonsai_net::obs::FlowClock;
+use bonsai_obs::analysis::waits::{self, FlowSummary};
+use bonsai_obs::{ArgValue, FlowPhase, Lane, MetricsRegistry, TraceStore};
+use bonsai_sfc::KeyMap;
+use bonsai_tree::stats::record_walk_counts;
+use bonsai_tree::{InteractionCounts, Particles};
+use bonsai_util::timer::PhaseTimes;
+use bonsai_util::Aabb;
+
+impl Cluster {
+    /// The unified observability trace: spans for every Table II phase of
+    /// every completed gravity epoch (keyed rank × epoch × phase), the LET
+    /// communication and recovery windows on the COMM lanes, and fault
+    /// instants. Failed epochs (rolled back by crash recovery) are not
+    /// recorded — a trace describes completed work only.
+    pub fn trace(&self) -> &TraceStore {
+        &self.trace
+    }
+
+    /// The unified metrics registry: walk-interaction and link-byte
+    /// counters accumulated over the run, per-kind latency histograms, and
+    /// the most recent epoch's per-phase gauges.
+    pub fn metrics(&self) -> &MetricsRegistry {
+        &self.registry
+    }
+
+    /// Rebuild the most recent epoch's [`StepBreakdown`] purely from the
+    /// metrics registry (the reduction view over the per-step gauge
+    /// family). Matches the value returned by [`Cluster::step`] exactly:
+    /// instrumentation changes observation, not physics or timing.
+    pub fn breakdown_from_metrics(&self) -> StepBreakdown {
+        let pt = PhaseTimes::from_pairs(crate::breakdown::PHASES.iter().map(|&ph| {
+            let v = self
+                .registry
+                .gauge("bonsai_step_phase_seconds", &[("phase", ph)])
+                .unwrap_or(0.0);
+            (ph, v)
+        }));
+        let g = |name| self.registry.gauge(name, &[]).unwrap_or(0.0);
+        StepBreakdown::from_phase_times(
+            g("bonsai_step_gpus") as u32,
+            g("bonsai_step_particles_per_gpu") as u64,
+            g("bonsai_step_pp_per_particle"),
+            g("bonsai_step_pc_per_particle"),
+            &pt,
+        )
+    }
+
+    /// The observability surface of a completed view change: an instant on
+    /// the coordinator's CPU lane (so membership epochs are visible next to
+    /// the phase spans in Perfetto), plus the membership/migration counters
+    /// the Prometheus exporter snapshots — epoch gauge, world-size gauge,
+    /// and monotonic view-change / migrated-particle / migrated-byte
+    /// totals.
+    pub(super) fn record_membership_change(&mut self, change: &ViewChange) {
+        let kind = if change.to_world >= change.from_world {
+            "grow"
+        } else {
+            "shrink"
+        };
+        let at = self.trace.makespan();
+        let inst = self.trace.instant(
+            0,
+            change.epoch,
+            Lane::Cpu,
+            format!("membership:view-change:{kind}"),
+            at,
+        );
+        inst.args.push(("from_world", ArgValue::U64(change.from_world as u64)));
+        inst.args.push(("to_world", ArgValue::U64(change.to_world as u64)));
+        inst.args.push(("to_view", ArgValue::U64(change.to_view)));
+        inst.args.push((
+            "migrated_particles",
+            ArgValue::U64(change.migrated_particles as u64),
+        ));
+        inst.args
+            .push(("migrated_bytes", ArgValue::U64(change.migrated_bytes as u64)));
+        self.registry
+            .gauge_set("bonsai_membership_epoch", &[], change.to_view as f64);
+        self.registry
+            .gauge_set("bonsai_membership_world", &[], change.to_world as f64);
+        self.registry
+            .counter_add("bonsai_membership_view_changes_total", &[], 1);
+        self.registry.counter_add(
+            "bonsai_membership_migrated_particles_total",
+            &[],
+            change.migrated_particles as u64,
+        );
+        self.registry.counter_add(
+            "bonsai_membership_migrated_bytes_total",
+            &[],
+            change.migrated_bytes as u64,
+        );
+        // View changes are must-deliver telemetry: every subscriber sees
+        // them even when it is dropping samples under backpressure.
+        if let Some(mut tap) = self.stream.take() {
+            tap.publish_view_change(self, change);
+            self.stream = Some(tap);
+        }
+    }
+
+    /// An autoscale decision's observability surface: an instant marking
+    /// the policy's order (distinct from the view change that executes it)
+    /// and a per-direction decision counter.
+    pub(super) fn record_autoscale_decision(&mut self, direction: &'static str, k: usize) {
+        let at = self.trace.makespan();
+        let inst = self.trace.instant(
+            0,
+            self.epoch,
+            Lane::Cpu,
+            format!("autoscale:{direction}"),
+            at,
+        );
+        inst.args.push(("ranks", ArgValue::U64(k as u64)));
+        self.registry.counter_add(
+            "bonsai_autoscale_decisions_total",
+            &[("decision", direction)],
+            1,
+        );
+    }
+
+    /// Record a completed gravity epoch into the unified observability
+    /// layer: per-rank spans for every Table II phase on the GPU lane
+    /// (including the attributed integration sub-phase), load-balance and
+    /// orchestration bookkeeping on the CPU lane, the LET exchange window
+    /// and retransmission recovery on the COMM lane, explicit cross-rank
+    /// `wait` spans for the barrier at the end of the epoch, fault
+    /// instants, walk/link metrics, and the per-step gauge family
+    /// [`Cluster::breakdown_from_metrics`] reduces over. The clock base
+    /// then advances by the epoch's makespan so consecutive epochs render
+    /// side by side in Perfetto.
+    pub(super) fn record_observability(&mut self, meas: &StepMeasurements, breakdown: &StepBreakdown) {
+        // Drop the previous epoch's step-scoped gauges first: a label set
+        // that existed only last epoch (a phase that didn't run, a derived
+        // long-run signal) must not leak into this epoch's sample.
+        self.registry.reset_step();
+        let p = self.ranks.len();
+        let step = self.epoch;
+        let base = self.trace_clock;
+        let gpu = self.gpu;
+        // Host-CPU key-classification rate of the *configured* machine
+        // (Titan's slower Opteron stretches this phase, §VI-B).
+        let classify_rate = 130.0e6 * self.cfg.machine.cpu_let_rate;
+        let orchestration = crate::breakdown::STEP_LAUNCHES * crate::breakdown::LAUNCH_LATENCY;
+        let mut local_starts = vec![0.0; p];
+        // Each rank's modeled LET-exchange window length; the flow anchors
+        // below spread a sender's flows across it.
+        let mut comm_durs = vec![0.0; p];
+        // Per-rank busy end (all lanes): where each rank hits the epoch's
+        // closing barrier and starts waiting for the straggler.
+        let mut rank_end = vec![base; p];
+        for r in 0..p {
+            let n = self.ranks[r].len() as u64;
+            let rank = r as u32;
+            let mut t = base;
+            for (name, dur, rate, cost) in [
+                ("sort", gpu.sort_time(n), gpu.sort_rate, SORT_COST),
+                ("domain", n as f64 / classify_rate, classify_rate, DOMAIN_COST),
+                ("build", gpu.build_time(n), gpu.build_rate, BUILD_COST),
+                ("props", gpu.props_time(n), gpu.props_rate, PROPS_COST),
+            ] {
+                let id = self.trace.span(rank, step, Lane::Gpu, name, t, t + dur);
+                gpu.annotate_stream_span(&mut self.trace, id, n, rate, cost);
+                t += dur;
+            }
+            let local_start = t;
+            local_starts[r] = local_start;
+            for (name, counts) in [("local", meas.counts_local[r]), ("lets", meas.counts_lets[r])]
+            {
+                let dur = gpu.gravity_time(counts);
+                let id = self.trace.span(rank, step, Lane::Gpu, name, t, t + dur);
+                gpu.annotate_gravity_span(&mut self.trace, id, counts);
+                t += dur;
+            }
+            // The attributed tail of the former "other" bucket: leapfrog
+            // integration on the device, then load-balance bookkeeping and
+            // host orchestration on the CPU lane.
+            let d_int = n as f64 / crate::breakdown::INTEGRATE_RATE;
+            let id = self.trace.span(rank, step, Lane::Gpu, "integrate", t, t + d_int);
+            gpu.annotate_stream_span(
+                &mut self.trace,
+                id,
+                n,
+                crate::breakdown::INTEGRATE_RATE,
+                INTEGRATE_COST,
+            );
+            t += d_int;
+            let d_bal = meas.sampled_keys[r] as f64 / classify_rate;
+            let id = self.trace.span(rank, step, Lane::Cpu, "balance", t, t + d_bal);
+            self.trace.arg_u64(id, "sampled_keys", meas.sampled_keys[r] as u64);
+            t += d_bal;
+            let id = self.trace.span(rank, step, Lane::Cpu, "orchestrate", t, t + orchestration);
+            self.trace
+                .arg_f64(id, "launches", crate::breakdown::STEP_LAUNCHES);
+            t += orchestration;
+            // COMM lane: the LET exchange runs concurrently with local
+            // gravity (the overlap story of §III-B2).
+            let nb = meas.let_neighbors[r] as u32;
+            let comm_dur = self.let_comm_time(meas.let_bytes_sent[r], meas.let_neighbors[r]);
+            comm_durs[r] = comm_dur;
+            let id = self.trace.span(
+                rank,
+                step,
+                Lane::Comm,
+                "let-comm",
+                local_start,
+                local_start + comm_dur,
+            );
+            self.trace.arg_u64(id, "bytes", meas.let_bytes_sent[r] as u64);
+            self.trace.arg_u64(id, "neighbors", nb as u64);
+            rank_end[r] = t.max(local_start + comm_dur);
+
+            record_walk_counts(&mut self.registry, "local", meas.counts_local[r]);
+            record_walk_counts(&mut self.registry, "lets", meas.counts_lets[r]);
+            for (kind, bytes) in [
+                ("boundary", meas.boundary_bytes[r]),
+                ("let", meas.let_bytes_sent[r]),
+                ("exchange", meas.exchange_bytes[r]),
+            ] {
+                self.net.observe_link(&mut self.registry, kind, r, bytes as u64);
+            }
+        }
+        // Flow lifecycles of this epoch: anchor every sealed envelope's
+        // modeled send/resolve instants inside the step window, emit the
+        // Perfetto arrow points (`s` on the sender's COMM lane, `t` per
+        // retransmission, `f` at the receiver), and record the flow-level
+        // metrics family.
+        let flows = self.flows.for_epoch(step);
+        let clock = FlowClock::new(&self.net);
+        let mut summaries: Vec<FlowSummary> = Vec::new();
+        // Spread each sender's flows across its exchange window (seal order
+        // = slot order) so the arrows land where the transfer would be in
+        // flight, not stacked at the window's opening instant. Delivery
+        // latency is anchor-invariant: send and resolve shift together.
+        let mut flow_count = vec![0usize; p];
+        for r in &flows {
+            if r.from < p {
+                flow_count[r.from] += 1;
+            }
+        }
+        let mut flow_seq = vec![0usize; p];
+        for r in &flows {
+            let slot = if r.from < p && flow_count[r.from] > 0 {
+                let i = flow_seq[r.from];
+                flow_seq[r.from] += 1;
+                comm_durs[r.from] * i as f64 / flow_count[r.from] as f64
+            } else {
+                0.0
+            };
+            // `local_starts` is absolute (accumulated from `base`): the
+            // exchange window of each rank opens at its local-gravity start.
+            let base_from = local_starts.get(r.from).copied().unwrap_or(base) + slot;
+            let base_to = local_starts.get(r.to).copied().unwrap_or(base);
+            let send_at = clock.send_at(r, 0, base_from);
+            let resolve_at = clock.resolve_at(r, base_from, base_to);
+            let name = format!("flow:{:?}", r.kind);
+            self.trace
+                .flow_point(r.id, r.from as u32, step, Lane::Comm, name.clone(), send_at, FlowPhase::Start);
+            for a in 1..r.attempts {
+                self.trace.flow_point(
+                    r.id,
+                    r.from as u32,
+                    step,
+                    Lane::Comm,
+                    name.clone(),
+                    clock.send_at(r, a, base_from),
+                    FlowPhase::Step,
+                );
+            }
+            if let Some(at) = resolve_at {
+                self.trace
+                    .flow_point(r.id, r.to as u32, step, Lane::Comm, name, at, FlowPhase::Finish);
+            }
+            let link = format!("{}->{}", r.from, r.to);
+            let outcome = r.outcome.label();
+            if r.attempts > 1 {
+                self.registry.counter_add(
+                    "bonsai_flow_retransmits_total",
+                    &[("link", link.as_str())],
+                    (r.attempts - 1) as u64,
+                );
+            }
+            if let Some(d) = clock.deliver_at(r, base_from) {
+                self.registry
+                    .histogram_observe("bonsai_flow_delivery_seconds", &[], d - send_at);
+            }
+            // Exposed flows: the ones whose cost the overlap window could
+            // not hide (a retransmission or a fallback reroute).
+            if r.attempts > 1 || outcome == "fallback" {
+                self.registry.counter_add(
+                    "bonsai_flow_exposed_total",
+                    &[("kind", &format!("{:?}", r.kind))],
+                    1,
+                );
+            }
+            summaries.push(FlowSummary {
+                id: r.id,
+                step,
+                epoch: r.epoch,
+                from: r.from,
+                to: r.to,
+                kind: format!("{:?}", r.kind),
+                bytes: r.bytes,
+                attempts: r.attempts,
+                faults: r.injected.iter().map(|(_, f)| f.to_string()).collect(),
+                outcome: outcome.to_string(),
+                send_at,
+                resolve_at,
+            });
+        }
+
+        // The epoch's closing barrier: every rank that finishes before the
+        // straggler records an explicit cross-rank wait span, so the
+        // critical-path analyzer sees slack instead of blank lanes. The
+        // span carries the wait's *cause*, classified from the flows that
+        // touched the straggler (fallback > stall > retransmission >
+        // late-sender), which is what the critical path harvests into its
+        // by-cause breakdown.
+        let mut straggler = 0usize;
+        for (r, &e) in rank_end.iter().enumerate() {
+            if e > rank_end[straggler] {
+                straggler = r;
+            }
+        }
+        let cause = waits::classify(
+            summaries
+                .iter()
+                .filter(|f| f.from == straggler || f.to == straggler),
+        )
+        .name();
+        let barrier = rank_end[straggler];
+        for (r, &e) in rank_end.iter().enumerate() {
+            if barrier - e > 1e-15 {
+                let id = self
+                    .trace
+                    .span(r as u32, step, Lane::Cpu, "wait", e, barrier);
+                self.trace.arg_u64(id, "waiting_on", straggler as u64);
+                self.trace.arg_str(id, "cause", cause);
+            }
+        }
+        self.last_flows = summaries;
+        let mut makespan = barrier - base;
+        // Recovery retransmissions happen after the normal windows close;
+        // the traffic is aggregate, so the span lands on rank 0's COMM lane.
+        if breakdown.recovery > 0.0 {
+            let start = base + makespan;
+            let id = self.trace.span(
+                0,
+                step,
+                Lane::Comm,
+                "recovery",
+                start,
+                start + breakdown.recovery,
+            );
+            self.trace
+                .arg_u64(id, "retransmit_bytes", meas.retransmit_bytes as u64);
+            self.net
+                .observe_link(&mut self.registry, "retransmit", 0, meas.retransmit_bytes as u64);
+            makespan += breakdown.recovery;
+        }
+        bonsai_net::obs::record_fault_log(&meas.faults, &flows, &self.net, &mut self.trace, step, &|rank| {
+            local_starts.get(rank).copied().unwrap_or(base)
+        });
+
+        for (phase, secs) in breakdown.phase_times().iter() {
+            self.registry
+                .step_gauge_set("bonsai_step_phase_seconds", &[("phase", phase)], secs);
+        }
+        self.registry
+            .step_gauge_set("bonsai_step_gpus", &[], breakdown.gpus as f64);
+        self.registry.step_gauge_set(
+            "bonsai_step_particles_per_gpu",
+            &[],
+            breakdown.particles_per_gpu as f64,
+        );
+        self.registry
+            .step_gauge_set("bonsai_step_pp_per_particle", &[], breakdown.pp_per_particle);
+        self.registry
+            .step_gauge_set("bonsai_step_pc_per_particle", &[], breakdown.pc_per_particle);
+        self.trace_clock = base + makespan;
+    }
+
+    /// Modeled time for one rank to inject `bytes` of dedicated LETs, split
+    /// evenly over `neighbors` messages.
+    fn let_comm_time(&self, bytes: usize, neighbors: usize) -> f64 {
+        let per = bytes.checked_div(neighbors).unwrap_or(0);
+        self.net.let_exchange_time(neighbors as u32, per as u64)
+    }
+
+    /// Charge the measured quantities to the machine models.
+    pub(super) fn assemble_breakdown(&self, meas: &StepMeasurements) -> StepBreakdown {
+        let p = self.ranks.len() as u32;
+        let n_max = self.ranks.iter().map(Particles::len).max().unwrap_or(0) as u64;
+        let n_mean = (self.total_particles() as f64 / p as f64) as u64;
+
+        let sort = self.gpu.sort_time(n_max);
+        let tree_construction = self.gpu.build_time(n_max);
+        let tree_properties = self.gpu.props_time(n_max);
+
+        // Domain update: CPU key classification + boundary allgather +
+        // exchange.
+        let classify = n_max as f64 / (130.0e6 * self.cfg.machine.cpu_let_rate);
+        let avg_boundary =
+            meas.boundary_bytes.iter().sum::<usize>() as u64 / p.max(1) as u64;
+        let allgather = self.net.allgatherv_time(p, avg_boundary);
+        let max_exchange = meas.exchange_bytes.iter().copied().max().unwrap_or(0) as u64;
+        let domain_update = if p <= 1 {
+            0.0
+        } else {
+            classify + allgather + self.net.particle_exchange_time(max_exchange, 6)
+        };
+
+        // Gravity (critical path = slowest rank per phase).
+        let gravity_local = meas
+            .counts_local
+            .iter()
+            .map(|&c| self.gpu.gravity_time(c))
+            .fold(0.0, f64::max);
+        let gravity_lets = meas
+            .counts_lets
+            .iter()
+            .map(|&c| self.gpu.gravity_time(c))
+            .fold(0.0, f64::max);
+
+        // LET communication (per-rank injection) vs the overlap window.
+        let let_comm: f64 = meas
+            .let_bytes_sent
+            .iter()
+            .zip(&meas.let_neighbors)
+            .map(|(&b, &nb)| self.let_comm_time(b, nb))
+            .fold(0.0, f64::max);
+        let non_hidden_comm = (let_comm - gravity_local).max(0.0);
+
+        // Recovery traffic: retransmissions are extra injection-bandwidth
+        // time that nothing overlaps (they happen after the phase's normal
+        // window has closed).
+        let recovery = if meas.retransmit_bytes > 0 {
+            self.net.let_exchange_time(1, meas.retransmit_bytes as u64)
+        } else {
+            0.0
+        };
+
+        // The former "Unbalance + Other" bucket, attributed to its real
+        // sub-phases: leapfrog integration (device, bandwidth-bound),
+        // load-balance bookkeeping (host processing of the sampled keys),
+        // host orchestration (kernel-launch / driver latency), and the
+        // cross-rank straggler gap in total gravity.
+        let totals: Vec<f64> = meas
+            .counts_local
+            .iter()
+            .zip(&meas.counts_lets)
+            .map(|(&a, &b)| self.gpu.gravity_time(a + b))
+            .collect();
+        let max_t = totals.iter().fold(0.0f64, |a, &b| a.max(b));
+        let mean_t = totals.iter().sum::<f64>() / totals.len() as f64;
+        let integration = n_max as f64 / crate::breakdown::INTEGRATE_RATE;
+        let load_balance = meas.sampled_keys.iter().copied().max().unwrap_or(0) as f64
+            / (130.0e6 * self.cfg.machine.cpu_let_rate);
+        let orchestration = crate::breakdown::STEP_LAUNCHES * crate::breakdown::LAUNCH_LATENCY;
+        let unbalance = max_t - mean_t;
+
+        let total_counts: InteractionCounts = meas
+            .counts_local
+            .iter()
+            .zip(&meas.counts_lets)
+            .map(|(&a, &b)| a + b)
+            .sum();
+        let n_total = self.total_particles();
+        let (pp_pp, pc_pp) = total_counts.per_particle(n_total);
+
+        StepBreakdown {
+            gpus: p,
+            particles_per_gpu: n_mean,
+            sort,
+            domain_update,
+            tree_construction,
+            tree_properties,
+            gravity_local,
+            gravity_lets,
+            non_hidden_comm,
+            recovery,
+            integration,
+            load_balance,
+            orchestration,
+            unbalance,
+            pp_per_particle: pp_pp,
+            pc_per_particle: pc_pp,
+        }
+    }
+
+    /// The key map over the bounding box of every particle held right now
+    /// (driver-side; the gravity epoch agrees its own through the fabric).
+    pub(super) fn global_keymap(&self) -> KeyMap {
+        let mut bounds = Aabb::empty();
+        for shard in self.ranks.iter().filter(|shard| !shard.is_empty()) {
+            bounds.merge(&shard.bounds());
+        }
+        KeyMap::new(&bounds, self.cfg.tree.curve)
+    }
+
+    /// The flop-balance residual the §III-B1 balancer could attain *right
+    /// now*: apply [`bonsai_domain::load::weighted_cuts`] to the global
+    /// (key, flop-weight) multiset built from the current particles and the
+    /// previous step's per-rank flop weights, and return the max/mean piece
+    /// weight of the resulting cuts. The cross-rank analysis layer compares
+    /// the *measured* per-rank flop shares against this attainable target —
+    /// a measured imbalance far above it means the balancer is lagging the
+    /// weight field, not that the field is unbalanceable.
+    pub fn rebalance_residual(&self) -> f64 {
+        let p = self.ranks.len();
+        if p <= 1 {
+            return 1.0;
+        }
+        let keymap = self.global_keymap();
+        let mut pairs: Vec<(u64, f64)> = Vec::with_capacity(self.total_particles());
+        for (r, shard) in self.ranks.iter().enumerate() {
+            let w = self.weights[r];
+            for &q in &shard.pos {
+                pairs.push((keymap.key_of(q), w));
+            }
+        }
+        pairs.sort_by(|a, b| a.0.cmp(&b.0));
+        let ranges = bonsai_domain::load::weighted_cuts(&pairs, p);
+        let shares = bonsai_domain::load::weight_shares(&pairs, &ranges);
+        bonsai_domain::load::share_imbalance(&shares)
+    }
+
+    /// Flow summaries (modeled times) of the most recent recorded epoch —
+    /// the per-step slice the wait-attribution analysis and the flow bench
+    /// consume.
+    pub fn last_flow_summaries(&self) -> &[FlowSummary] {
+        &self.last_flows
+    }
+
+    /// Snapshot of the whole run's flow ledger (every envelope sealed on
+    /// the fabric since construction).
+    pub fn flow_ledger(&self) -> FlowLedger {
+        self.flows.snapshot()
+    }
+
+    /// Conservation totals over every flow sealed so far: in a completed
+    /// run, sealed = delivered + fallback + dead with nothing pending.
+    pub fn flow_conservation(&self) -> FlowConservation {
+        self.flows.conservation()
+    }
+}

@@ -1,0 +1,119 @@
+//! Pinned digests of everything the exchange path decides: the fault log's
+//! rendered text (the only check on its detail strings — no `BENCH_*.json`
+//! carries them), the flow-ledger records and the force bits, for three
+//! seeded chaos runs. A refactor of the collective, the gravity phases,
+//! recovery or the view-change migration must leave all nine values alone;
+//! a change that means to move them re-pins them and says so in CHANGES.md.
+
+use bonsai_ic::plummer_sphere;
+use bonsai_net::{FaultKind, FaultPlan};
+use bonsai_sim::{Cluster, ClusterConfig, RecoveryConfig};
+use bonsai_util::hash::Crc64;
+
+fn digest_dir(name: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("bonsai_digest_{name}"));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+/// 2 % of every message-level fault kind.
+fn two_percent_plan(seed: u64) -> FaultPlan {
+    FaultKind::MESSAGE_KINDS
+        .into_iter()
+        .fold(FaultPlan::new(seed), |plan, kind| plan.with_rate(kind, 0.02))
+}
+
+/// `(fault-log text, flow-ledger records, force bits in id order)`.
+fn digests(c: &Cluster) -> (u64, u64, u64) {
+    let log = bonsai_util::hash::crc64(c.fault_log().render().as_bytes());
+    let mut flows = Crc64::new();
+    for record in c.flow_ledger().records() {
+        flows.update(format!("{record:?}\n").as_bytes());
+    }
+    let mut acc: Vec<_> = c.accelerations_by_id().into_iter().collect();
+    acc.sort_by_key(|&(id, _)| id);
+    let mut forces = Crc64::new();
+    for (id, a) in acc {
+        forces.update(&id.to_le_bytes());
+        for x in [a.x, a.y, a.z] {
+            forces.update(&x.to_bits().to_le_bytes());
+        }
+    }
+    (log, flows.finish(), forces.finish())
+}
+
+fn crash_and_rollback(name: &str, elastic: bool) -> (u64, u64, u64) {
+    let plan = two_percent_plan(2014).with_stall(1, 3).with_crash(2, 5);
+    let recovery = RecoveryConfig {
+        dir: digest_dir(name),
+        every: 2,
+    };
+    let mut c = Cluster::with_faults(
+        plummer_sphere(1200, 21),
+        6,
+        ClusterConfig::default(),
+        plan,
+        Some(recovery),
+    );
+    if elastic {
+        c.enable_elastic_recovery();
+    }
+    for _ in 0..8 {
+        c.step();
+    }
+    let log = c.fault_log();
+    assert!(log.injected_of(FaultKind::Crash) == 1, "the crash never fired");
+    assert_eq!(c.rank_count(), if elastic { 5 } else { 6 });
+    assert!(c.flow_conservation().holds());
+    digests(&c)
+}
+
+#[test]
+fn fixed_world_crash_and_rollback_digests_are_pinned() {
+    assert_eq!(
+        crash_and_rollback("fixed", false),
+        (0x8c9afef58fbab8b4, 0xeedac41008e6a779, 0x9df6d2871315632a),
+        "fault log / flow ledger / force bits moved"
+    );
+}
+
+#[test]
+fn elastic_crash_recovery_digests_are_pinned() {
+    assert_eq!(
+        crash_and_rollback("elastic", true),
+        (0x6a6a9e09f11e8669, 0x15695477f5ab374b, 0x7823d47b399e06df),
+        "fault log / flow ledger / force bits moved"
+    );
+}
+
+#[test]
+fn grow_and_shrink_churn_digests_are_pinned() {
+    let recovery = RecoveryConfig {
+        dir: digest_dir("churn"),
+        every: 2,
+    };
+    let mut c = Cluster::with_faults(
+        plummer_sphere(1200, 22),
+        4,
+        ClusterConfig::default(),
+        two_percent_plan(1412),
+        Some(recovery),
+    );
+    for step in 0..8 {
+        c.step();
+        match step {
+            2 => c.admit_ranks(2),
+            5 => c.retire_ranks(2),
+            _ => {}
+        }
+    }
+    assert_eq!(c.rank_count(), 4);
+    assert_eq!(c.membership_log().changes().len(), 2);
+    assert!(c.flow_conservation().holds());
+    assert_eq!(
+        digests(&c),
+        (0x31aada04c237d9b4, 0xb93a29af1820a611, 0x76c1b5cf37b8beca),
+        "fault log / flow ledger / force bits moved"
+    );
+}

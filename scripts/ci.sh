@@ -9,6 +9,10 @@ scratch="$(mktemp -d)"
 trap 'rm -rf "$scratch"' EXIT
 
 echo "== tier-1: build + full test suite =="
+# `default-members` in the root manifest makes these cover every crate and
+# shim, so the dev-profile suites of each package (robustness, membership,
+# exchange digests, bonsai-obs, bonsai-verify, bonsai-par, ...) run here
+# and are not repeated below.
 cargo build --release
 cargo test -q
 
@@ -36,16 +40,6 @@ echo "== benchmark package: build + unit tests + 2-step smoke test =="
 # / bonsai-sim that would break its build has to fail here first.
 (cd benchmark && cargo test -q --release --offline)
 
-echo "== tier-1.5: robustness gate =="
-cargo test -q -p bonsai-sim --test robustness
-
-echo "== tier-1.5: elastic membership gate =="
-cargo test -q -p bonsai-sim --test membership
-cargo test -q -p bonsai-domain --test proptests
-
-echo "== tier-1.5: observability gate =="
-cargo test -q -p bonsai-obs
-
 echo "== tier-1.5: message-flow tracing gate =="
 CI_PROPTEST_CASES="${CI_PROPTEST_CASES:-32}" cargo test -q -p bonsai-net --test proptests
 CI_PROPTEST_CASES="${CI_PROPTEST_CASES:-32}" cargo test -q -p bonsai-sim --test flow_proptests
@@ -54,7 +48,6 @@ echo "== tier-1.5: accuracy conformance suite =="
 # A modest case count keeps the proptest layer fast on PRs; scheduled
 # runs can export CI_PROPTEST_CASES=256 for deeper coverage.
 CI_PROPTEST_CASES="${CI_PROPTEST_CASES:-32}" cargo test -q -p bonsai-tree --test proptests
-cargo test -q -p bonsai-verify
 
 echo "== determinism: obs_trace double run =="
 cargo run -q --release -p bonsai-bench --bin obs_trace >/dev/null
@@ -203,8 +196,7 @@ cp BENCH_parallel.json "$scratch/BENCH_parallel.1.json"
 cargo run -q --release -p bonsai-bench --bin obs_parallel >/dev/null
 cmp BENCH_parallel.json "$scratch/BENCH_parallel.1.json"
 # Every lane count hashed to the same force bits, every pool fully staffed.
-# (out/parallel_timings.json carries the wall-clock curve and is machine-
-# dependent, so it is deliberately NOT byte-compared.)
+# (Wall clock is printed, not gated: that is benchmark/'s par.speedup_t2.)
 grep -q '"deterministic": true' BENCH_parallel.json
 grep -q '"workers_ok": true' BENCH_parallel.json
 
