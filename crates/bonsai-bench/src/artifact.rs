@@ -1,9 +1,9 @@
 //! Shared loader for the `BENCH_*.json` artifacts.
 //!
-//! Every bench binary emits a byte-deterministic JSON document whose first
-//! field is a `schema` string of the form `bonsai-<kind>-v<N>`. This module
-//! is the one place that contract is parsed and enforced: the diff tool,
-//! the CI gates and the tests all load artifacts through [`load_artifact`],
+//! Every gate emits a byte-deterministic JSON document whose first field
+//! is a `schema` string of the form `bonsai-<kind>-v<N>`. This module is
+//! the one place that contract is parsed and enforced: the diff explainer,
+//! the gate runner and the tests all load artifacts through this module,
 //! so a bench that forgets to self-identify (or bumps its schema without
 //! bumping the version) fails loudly instead of producing a silently
 //! meaningless comparison.
@@ -106,46 +106,31 @@ mod tests {
     }
 
     /// Every checked-in `BENCH_*.json` at the repo root parses and
-    /// self-identifies through the shared loader — the contract the diff
-    /// tool and the CI gates rely on.
+    /// self-identifies through the shared loader, and the set of them is
+    /// exactly the gate table's kinds.
     #[test]
     fn all_checked_in_artifacts_self_identify() {
-        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-            .join("../..")
-            .canonicalize()
-            .unwrap();
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
         let mut kinds = Vec::new();
         for entry in std::fs::read_dir(&root).unwrap() {
             let path = entry.unwrap().path();
             let name = path.file_name().unwrap().to_string_lossy().into_owned();
-            if !(name.starts_with("BENCH_") && name.ends_with(".json")) {
-                continue;
-            }
+            let stem = name
+                .strip_prefix("BENCH_")
+                .and_then(|n| n.strip_suffix(".json"));
+            let Some(stem) = stem else { continue };
             let a = load_artifact(&path).unwrap_or_else(|e| panic!("{e}"));
             // The file name and the embedded schema agree on the kind.
-            let stem = name
-                .trim_start_matches("BENCH_")
-                .trim_end_matches(".json")
-                .to_string();
             assert_eq!(a.kind, stem, "{name}: schema kind mismatch");
             assert!(a.version >= 1);
             kinds.push(a.kind);
         }
         kinds.sort();
-        assert_eq!(
-            kinds,
-            vec![
-                "accuracy",
-                "flows",
-                "longrun",
-                "membership",
-                "parallel",
-                "profile",
-                "scaling",
-                "step",
-                "stream"
-            ],
-            "expected the nine canonical bench artifacts at the repo root"
-        );
+        let gates = &crate::gates::GATES;
+        let mut listed: Vec<&str> = gates.iter().map(|g| g.kind).collect();
+        listed.sort_unstable();
+        assert_eq!(kinds, listed, "the tracked artifacts and GATES disagree");
+        listed.dedup();
+        assert_eq!(listed.len(), gates.len(), "a kind is listed twice");
     }
 }

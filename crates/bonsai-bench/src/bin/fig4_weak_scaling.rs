@@ -103,7 +103,7 @@ fn main() {
     println!("ship raw particles — at 13M/rank that contribution is negligible (pp flat).");
 
     // Machine-readable record: the model curves above plus a measured sweep
-    // produced by the same driver (and analysis reductions) as obs_scaling.
+    // produced by the same driver (and analysis reductions) as the scaling gate.
     let mut cfg = SweepConfig::default();
     cfg.weak_n_per_rank = n_per;
     cfg.strong_total = n_per * max_ranks;

@@ -1,8 +1,8 @@
 //! Structural + numeric diff of two same-schema bench artifacts, with
 //! ranked human-readable attribution.
 //!
-//! This is the engine behind the `obs_diff` binary: given two
-//! `BENCH_*.json` documents it walks both JSON trees in lockstep and
+//! This is the engine behind `gates diff` and the gate runner's byte pin:
+//! given two `BENCH_*.json` documents it walks both JSON trees in lockstep and
 //! reports every out-of-tolerance difference as a [`Delta`] whose path
 //! names the phase × rank × metric it belongs to. Array elements are
 //! matched by *identity keys* (`kernel`, `phase`, `term`, `rank`, …) when
@@ -43,6 +43,14 @@ impl Default for Tolerance {
 }
 
 impl Tolerance {
+    /// Below half an ulp of relative difference: any two different numbers
+    /// are a delta, and severity still ranks them by relative change. What
+    /// a byte pin is explained with.
+    pub const EXACT: Tolerance = Tolerance {
+        rel: 1e-16,
+        abs: 0.0,
+    };
+
     /// The allowed band for a pair of values.
     fn band(&self, a: f64, b: f64) -> f64 {
         self.abs + self.rel * a.abs().max(b.abs())

@@ -37,8 +37,8 @@ pub struct FlowsBenchConfig {
     /// IC + fault-plan seed.
     pub seed: u64,
     /// Sabotage hook: rewrite every flow to a clean first-attempt delivery
-    /// before the reduction. The CI self-test sets this to prove the diff
-    /// gate catches a masked ledger.
+    /// before the reduction. The gate's sabotage sets this and must see
+    /// the retransmit counts move.
     pub mask_retransmits: bool,
 }
 

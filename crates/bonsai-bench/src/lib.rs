@@ -13,6 +13,7 @@
 //! | `table2_breakdown` | Table II — per-phase time breakdown |
 //! | `time_to_solution` | §VI-C — days to 8 Gyr at full scale |
 //! | `ablation_*` | design-choice studies listed in DESIGN.md |
+//! | `gates` | the nine `BENCH_<kind>.json` artifact gates ([`gates`]) |
 //!
 //! Wall-clock rates of the hot CPU kernels (force kernels, tree construction,
 //! SFC key generation, cluster steps) are the repository benchmark's job:
@@ -26,12 +27,14 @@
 pub mod artifact;
 pub mod diff;
 pub mod flows;
+pub mod gates;
 pub mod longrun;
 pub mod membership;
 pub mod parallel;
 pub mod profile;
 pub mod report;
 pub mod scaling;
+pub mod step;
 pub mod stream;
 pub mod stream_dash;
 
@@ -64,46 +67,44 @@ pub fn milky_way_snapshot(n: usize, seed: u64) -> Particles {
     MilkyWayModel::paper().generate(n, seed)
 }
 
-/// Parse `--flag value` style integer arguments with a default.
+/// The value of `--flag value` in `args`: the default when the flag is
+/// absent, an error naming the flag when its value is missing or does not
+/// parse — a mistyped size must not silently run the default workload.
+fn parse_arg(args: &[String], name: &str, default: usize) -> Result<usize, String> {
+    match args.iter().position(|a| a == name) {
+        None => Ok(default),
+        Some(i) => {
+            let value = args.get(i + 1).map_or("", String::as_str);
+            value
+                .parse()
+                .map_err(|_| format!("{name}: cannot parse {value}"))
+        }
+    }
+}
+
+/// Parse a `--flag value` style integer argument of this process with a
+/// default; a present flag with a missing or unparseable value exits 2.
 pub fn arg_usize(name: &str, default: usize) -> usize {
     let args: Vec<String> = std::env::args().collect();
-    for i in 0..args.len() {
-        if args[i] == name {
-            if let Some(v) = args.get(i + 1).and_then(|s| s.parse().ok()) {
-                return v;
-            }
-        }
-    }
-    default
+    parse_arg(&args, name, default).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2)
+    })
 }
 
-/// Parse `--flag value` style float arguments with a default.
-pub fn arg_f64(name: &str, default: f64) -> f64 {
-    let args: Vec<String> = std::env::args().collect();
-    for i in 0..args.len() {
-        if args[i] == name {
-            if let Some(v) = args.get(i + 1).and_then(|s| s.parse().ok()) {
-                return v;
-            }
-        }
+/// Compact deterministic number for chart captions.
+pub(crate) fn short(v: f64) -> String {
+    if v == 0.0 {
+        return "0".into();
     }
-    default
-}
-
-/// Parse a `--flag value` string argument.
-pub fn arg_str(name: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    for i in 0..args.len() {
-        if args[i] == name {
-            return args.get(i + 1).cloned();
-        }
+    let a = v.abs();
+    if a >= 1e5 || a < 1e-3 {
+        format!("{v:.2e}")
+    } else if a >= 100.0 {
+        format!("{v:.0}")
+    } else {
+        format!("{v:.3}")
     }
-    None
-}
-
-/// Whether a bare `--flag` is present.
-pub fn has_flag(name: &str) -> bool {
-    std::env::args().any(|a| a == name)
 }
 
 /// One line of a paper-vs-reproduction comparison.
@@ -173,6 +174,21 @@ mod tests {
         assert!((c.deviation() - 0.1).abs() < 1e-12);
         let z = Compared::new("x", 0.0, 1.0, "s");
         assert_eq!(z.deviation(), 0.0);
+    }
+
+    #[test]
+    fn absent_flag_yields_the_default_and_a_bad_value_is_an_error() {
+        let args = |s: &str| -> Vec<String> { s.split(' ').map(String::from).collect() };
+        assert_eq!(parse_arg(&args("bin --steps 3"), "--n", 60_000), Ok(60_000));
+        assert_eq!(parse_arg(&args("bin --n 500"), "--n", 60_000), Ok(500));
+        assert_eq!(
+            parse_arg(&args("bin --n 6o000"), "--n", 60_000),
+            Err("--n: cannot parse 6o000".to_string())
+        );
+        assert_eq!(
+            parse_arg(&args("bin --n"), "--n", 60_000),
+            Err("--n: cannot parse ".to_string())
+        );
     }
 
     #[test]

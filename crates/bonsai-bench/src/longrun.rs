@@ -20,6 +20,8 @@ use bonsai_obs::timeseries::Series;
 use bonsai_sim::{Cluster, ClusterConfig, LongRunConfig, LongRunMonitor};
 use bonsai_util::units;
 
+use crate::short;
+
 /// The long-run bench configuration.
 #[derive(Clone, Debug)]
 pub struct LongRunBenchConfig {
@@ -384,21 +386,6 @@ fn sparkline(
     ));
     svg.push_str("</svg>\n");
     svg
-}
-
-/// Compact deterministic number for chart captions.
-fn short(v: f64) -> String {
-    if v == 0.0 {
-        return "0".into();
-    }
-    let a = v.abs();
-    if a >= 1e5 || a < 1e-3 {
-        format!("{v:.2e}")
-    } else if a >= 100.0 {
-        format!("{v:.0}")
-    } else {
-        format!("{v:.3}")
-    }
 }
 
 /// `out/longrun_report.html`: fully self-contained (no scripts, no

@@ -9,7 +9,8 @@
 //! The gate is self-testing: [`MembershipBenchConfig::drop_migrants`]
 //! flips the cluster's sabotage hook so every migration silently discards
 //! its outbound particles. A run under sabotage *must* fail the
-//! conservation check — CI runs it once to prove the gate has teeth.
+//! conservation verdict — the gate runner produces it in memory to prove
+//! the gate has teeth.
 
 use bonsai_ic::MilkyWayModel;
 use bonsai_net::fault::{FaultKind, FaultPlan};

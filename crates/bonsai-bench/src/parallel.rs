@@ -9,7 +9,7 @@
 //! force/tree digests, interaction counts and the two gate verdicts.
 //!
 //! The gate is about determinism and staffing only. Wall-clock per lane
-//! count is printed for the reader and judged nowhere here: on a shared
+//! count is kept in [`SweepPoint::wall_s`] and judged nowhere: on a shared
 //! 2-core host three runs of one binary gave a two-lane speed-up of 1.01×,
 //! 0.83× and 1.83×. The wall-clock number is `benchmark/`'s
 //! host-normalised `par.speedup_t2`.
@@ -34,8 +34,8 @@ pub struct ParallelBenchConfig {
     /// Lane counts to sweep.
     pub threads: Vec<usize>,
     /// Sabotage: build every pool with one lane regardless of the
-    /// requested width. The structural `workers_ok` gate must then fail —
-    /// this is the CI self-test proving the gate can fire.
+    /// requested width. The structural `workers_ok` verdict must then
+    /// fail — the gate's sabotage, proving the verdict can fire.
     pub pin_one_thread: bool,
 }
 

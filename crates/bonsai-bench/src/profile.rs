@@ -9,8 +9,8 @@
 //!
 //! The gate is self-testing: [`ProfileBenchConfig::sandbag`] multiplies
 //! the gravity kernels' seconds before the reduction, so a sandbagged run
-//! *must* diff against the honest baseline — CI runs it once to prove
-//! `obs_diff` has teeth.
+//! *must* move the roofline seconds and the gravity residuals against the
+//! honest one — the gate runner produces it in memory to prove that.
 
 use bonsai_obs::json::fmt_f64;
 use bonsai_obs::{
@@ -34,8 +34,8 @@ pub struct ProfileBenchConfig {
     pub steps: usize,
     /// IC seed.
     pub seed: u64,
-    /// Gravity-kernel slowdown factor (1.0 = honest run). The CI
-    /// self-test sets 1.5 to prove the diff gate fires.
+    /// Gravity-kernel slowdown factor (1.0 = honest run). The gate's
+    /// sabotage sets 1.5 and must see the roofline and residuals move.
     pub sandbag: f64,
 }
 

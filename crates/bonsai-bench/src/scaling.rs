@@ -1,4 +1,4 @@
-//! Scaling-sweep driver and regression gate (`obs_scaling`).
+//! Scaling-sweep driver (the `scaling` row of [`crate::gates::GATES`]).
 //!
 //! Runs the real distributed algorithm at a ladder of rank counts — weak
 //! (fixed particles/rank) and strong (fixed total particles) — and reduces
@@ -8,15 +8,12 @@
 //! `BENCH_scaling.json` and a self-contained zero-dependency HTML dashboard
 //! with the Fig. 4-style efficiency curves.
 //!
-//! The JSON doubles as a perf contract: [`check_scaling`] compares a fresh
-//! run against a checked-in baseline with per-metric tolerance bands
-//! (exact for configuration, absolute for efficiencies and fractions,
-//! relative for seconds), so CI fails when scaling regresses rather than
-//! when a cosmetic field moves.
+//! The JSON doubles as a perf contract: the gate runner pins it byte for
+//! byte and explains any drift through [`crate::diff`].
 
 use bonsai_ic::plummer_sphere;
 use bonsai_obs::analysis::{critical_path, flop_balance, phase_stats, step_wall_time};
-use bonsai_obs::json::{fmt_f64, Value};
+use bonsai_obs::json::fmt_f64;
 use bonsai_sim::trace::step_timelines;
 use bonsai_sim::{Cluster, ClusterConfig};
 use std::collections::BTreeMap;
@@ -35,8 +32,8 @@ pub struct SweepConfig {
     /// Strong sweep: total particles split across ranks.
     pub strong_total: usize,
     /// Synthetic wall-time multiplier applied to every rung except the
-    /// smallest (1.0 = honest run). Exists so the regression gate's
-    /// failure mode can be demonstrated in tests.
+    /// smallest (1.0 = honest run): the scaling gate's sabotage, which
+    /// must move `weak.efficiency` / `wall_seconds`.
     pub slowdown: f64,
 }
 
@@ -246,104 +243,6 @@ pub fn scaling_json(r: &SweepReport) -> String {
         pts(&r.strong),
         eff(&r.strong_eff)
     )
-}
-
-// ---------------------------------------------------------------------------
-// Regression gate
-// ---------------------------------------------------------------------------
-
-/// Tolerance band for one metric path.
-enum Tol {
-    /// Must match to the last bit (configuration, counts).
-    Exact,
-    /// |cur − base| ≤ bound (efficiencies, fractions — already normalized).
-    Abs(f64),
-    /// |cur − base| ≤ bound·max(|base|, floor) (seconds, residuals).
-    Rel(f64),
-}
-
-/// Per-metric tolerance bands, keyed on the leaf's key name. Rationale:
-/// efficiencies and fractions are already normalized to [0, 1]-ish scales,
-/// so an absolute band (2 points of efficiency) reads directly as "how much
-/// regression we accept"; raw seconds scale with the sweep size, so they
-/// get a relative band; configuration and attribution must match exactly or
-/// the comparison is meaningless.
-fn tolerance(key: &str) -> Tol {
-    if key == "p" || key == "n_per_rank" || key == "seed" || key == "ranks"
-        || key == "weak_n_per_rank" || key == "strong_total"
-    {
-        Tol::Exact
-    } else if key == "efficiency" || key == "hidden_comm_fraction" || key == "coverage" {
-        Tol::Abs(0.02)
-    } else if key.ends_with("residual") {
-        Tol::Rel(0.05)
-    } else {
-        // Seconds-valued leaves (wall, work, wait, per-phase maps).
-        Tol::Rel(0.05)
-    }
-}
-
-/// Attribution fields: reported, but not gated (a tie between equal ranks
-/// may break differently without being a regression).
-fn skip_key(key: &str) -> bool {
-    key == "worst_rank" || key == "schema"
-}
-
-fn compare(path: &str, key: &str, base: &Value, cur: &Value, out: &mut Vec<String>) {
-    if skip_key(key) {
-        return;
-    }
-    match (base, cur) {
-        (Value::Obj(b), Value::Obj(c)) => {
-            for (k, bv) in b {
-                match c.get(k) {
-                    Some(cv) => compare(&format!("{path}.{k}"), k, bv, cv, out),
-                    None => out.push(format!("{path}.{k}: missing from current run")),
-                }
-            }
-            for k in c.keys() {
-                if !b.contains_key(k) {
-                    out.push(format!("{path}.{k}: not in baseline (regenerate it)"));
-                }
-            }
-        }
-        (Value::Arr(b), Value::Arr(c)) => {
-            if b.len() != c.len() {
-                out.push(format!(
-                    "{path}: length {} in baseline vs {} current",
-                    b.len(),
-                    c.len()
-                ));
-                return;
-            }
-            for (i, (bv, cv)) in b.iter().zip(c).enumerate() {
-                compare(&format!("{path}[{i}]"), key, bv, cv, out);
-            }
-        }
-        (Value::Num(b), Value::Num(c)) => {
-            let ok = match tolerance(key) {
-                Tol::Exact => b == c,
-                Tol::Abs(t) => (b - c).abs() <= t,
-                Tol::Rel(t) => (b - c).abs() <= t * b.abs().max(1e-9),
-            };
-            if !ok {
-                out.push(format!("{path}: baseline {b} vs current {c} out of tolerance"));
-            }
-        }
-        (Value::Str(b), Value::Str(c)) if b == c => {}
-        (b, c) if b == c => {}
-        _ => out.push(format!("{path}: baseline {base:?} vs current {cur:?} differ in kind")),
-    }
-}
-
-/// Compare a fresh `BENCH_scaling.json` against the checked-in baseline.
-/// Returns the list of tolerance violations (empty = gate passes).
-pub fn check_scaling(baseline: &str, current: &str) -> Result<Vec<String>, String> {
-    let b = bonsai_obs::json::parse(baseline).map_err(|e| format!("baseline: {e}"))?;
-    let c = bonsai_obs::json::parse(current).map_err(|e| format!("current: {e}"))?;
-    let mut out = Vec::new();
-    compare("$", "", &b, &c, &mut out);
-    Ok(out)
 }
 
 // ---------------------------------------------------------------------------
@@ -560,29 +459,25 @@ mod tests {
 
     #[test]
     fn check_passes_against_itself_and_fails_on_slowdown() {
-        let r = run_sweep(&tiny_cfg());
-        let j = scaling_json(&r);
-        assert!(check_scaling(&j, &j).unwrap().is_empty());
+        use crate::diff::{diff_values, Tolerance};
+        let sweep = |cfg: &SweepConfig| {
+            bonsai_obs::json::parse(&scaling_json(&run_sweep(cfg))).expect("valid JSON")
+        };
+        let honest = sweep(&tiny_cfg());
+        assert!(diff_values(&honest, &honest, Tolerance::default()).is_empty());
 
-        let mut slow_cfg = tiny_cfg();
-        slow_cfg.slowdown = 1.5;
-        let slow = scaling_json(&run_sweep(&slow_cfg));
-        let viol = check_scaling(&j, &slow).unwrap();
-        assert!(!viol.is_empty(), "50% slowdown must trip the gate");
+        let slow = sweep(&SweepConfig {
+            slowdown: 1.5,
+            ..tiny_cfg()
+        });
+        let deltas = diff_values(&honest, &slow, Tolerance::default());
+        assert!(!deltas.is_empty(), "50% slowdown must move the artifact");
         assert!(
-            viol.iter().any(|v| v.contains("wall_seconds") || v.contains("efficiency")),
-            "violations should name the regressed metrics: {viol:?}"
+            deltas
+                .iter()
+                .all(|d| d.path.ends_with(".wall_seconds") || d.path.contains(".efficiency")),
+            "the slowdown should move wall time and efficiency only: {deltas:?}"
         );
-    }
-
-    #[test]
-    fn check_flags_structure_drift() {
-        let r = run_sweep(&tiny_cfg());
-        let j = scaling_json(&r);
-        let pruned = j.replace("\"hidden_comm_fraction\": ", "\"renamed_fraction\": ");
-        let viol = check_scaling(&j, &pruned).unwrap();
-        assert!(viol.iter().any(|v| v.contains("missing from current")));
-        assert!(check_scaling("not json", &j).is_err());
     }
 
     #[test]

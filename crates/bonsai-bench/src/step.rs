@@ -1,0 +1,82 @@
+//! The one-step observability exports: one step of the cluster simulator on
+//! a fixed-seed Plummer sphere, exported through every observability
+//! surface at once.
+//!
+//! * `trace_json` — Chrome trace-event JSON, loadable in
+//!   [Perfetto](https://ui.perfetto.dev) or `chrome://tracing`: one process
+//!   per rank with GPU and COMM lanes, spans for every Table II phase,
+//!   fault/recovery instants on the COMM track;
+//! * `folded` — folded stacks for flamegraph tooling;
+//! * `prom` — Prometheus text exposition of the registry;
+//! * `bench_json` — `BENCH_step.json`, schema `bonsai-step-v1`: per-phase
+//!   seconds, Gflops, hidden-comm fraction and bytes moved.
+//!
+//! Every output is deterministic: a fixed seed yields byte-identical text
+//! run over run, so the artefacts can be diffed across commits.
+
+use bonsai_ic::plummer_sphere;
+use bonsai_obs::json::fmt_f64;
+use bonsai_obs::{chrome, folded, prom};
+use bonsai_sim::trace::step_timelines;
+use bonsai_sim::{Cluster, ClusterConfig};
+
+/// Everything one traced step exports.
+pub struct StepExports {
+    /// `BENCH_step.json`.
+    pub bench_json: String,
+    /// `out/trace_step.json`.
+    pub trace_json: String,
+    /// `out/folded_step.txt`.
+    pub folded: String,
+    /// `out/metrics_step.prom`.
+    pub prom: String,
+    /// Whether the registry reduction reproduces the returned breakdown
+    /// exactly — instrumentation changes observation, not physics or timing.
+    pub registry_matches: bool,
+}
+
+/// Run one step of `n` Plummer particles over `ranks` ranks and export it.
+pub fn run(n: usize, ranks: usize, seed: u64) -> StepExports {
+    let mut cluster = Cluster::new(plummer_sphere(n, seed), ranks, ClusterConfig::default());
+    let b = cluster.step();
+    let registry_matches = cluster.breakdown_from_metrics().total() == b.total();
+
+    let timelines = step_timelines(&cluster);
+    let hidden = timelines
+        .iter()
+        .map(|t| t.hidden_comm_fraction())
+        .sum::<f64>()
+        / timelines.len().max(1) as f64;
+    let m = &cluster.last_measurements;
+    let boundary: usize = m.boundary_bytes.iter().sum();
+    let lets: usize = m.let_bytes_sent.iter().sum();
+    let exchange: usize = m.exchange_bytes.iter().sum();
+    let total_bytes = boundary + lets + exchange + m.retransmit_bytes;
+
+    let phases: Vec<String> = b
+        .phase_times()
+        .iter()
+        .map(|(name, secs)| format!("\"{name}\": {}", fmt_f64(secs)))
+        .collect();
+    let bench_json = format!(
+        "{{\n  \"schema\": \"bonsai-step-v1\",\n  \"config\": {{\"particles\": {n}, \"ranks\": {ranks}, \
+         \"seed\": {seed}}},\n  \"phase_seconds\": {{{}}},\n  \"total_seconds\": {},\n  \
+         \"gpu_gflops\": {},\n  \"application_gflops\": {},\n  \"hidden_comm_fraction\": {},\n  \
+         \"bytes_moved\": {{\"boundary\": {boundary}, \"let\": {lets}, \"exchange\": {exchange}, \
+         \"retransmit\": {}, \"total\": {total_bytes}}}\n}}\n",
+        phases.join(", "),
+        fmt_f64(b.total()),
+        fmt_f64(b.gpu_tflops() * 1e3),
+        fmt_f64(b.application_tflops() * 1e3),
+        fmt_f64(hidden),
+        m.retransmit_bytes
+    );
+
+    StepExports {
+        bench_json,
+        trace_json: chrome::chrome_trace_json(cluster.trace()),
+        folded: folded::folded_stacks(cluster.trace()),
+        prom: prom::prometheus_text(cluster.metrics()),
+        registry_matches,
+    }
+}

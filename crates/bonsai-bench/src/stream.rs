@@ -12,9 +12,9 @@
 //! * **the observability budget** — the self-metered overhead fraction
 //!   stays under 3% of modelled step time.
 //!
-//! `--block-on-full` is the sabotage self-test: the bus stalls the
-//! producer instead of dropping, the stall charges blow the overhead
-//! budget, and the gate must exit nonzero.
+//! [`StreamBenchConfig::block_on_full`] is the sabotage self-test: the bus
+//! stalls the producer instead of dropping, the stall charges blow the
+//! overhead budget, and the `overhead_ok` verdict must fail.
 
 use crate::stream_dash as dash;
 use bonsai_ic::MilkyWayModel;

@@ -5,6 +5,7 @@
 //! dashboard can show is exactly what the bus delivered, so a frame the
 //! backpressure policy dropped is visibly absent.
 
+use crate::short;
 use crate::stream::StreamBenchConfig;
 use bonsai_obs::overhead::OVERHEAD_BUDGET_FRACTION;
 use bonsai_obs::stream::{FrameKind, TelemetryFrame};
@@ -17,22 +18,6 @@ pub const DASH_GAUGES: [&str; 4] = [
     "bonsai_recovery_actions",
     "bonsai_energy_drift",
 ];
-
-/// Compact deterministic number for captions (mirrors the long-run
-/// dashboard's formatting).
-fn short(v: f64) -> String {
-    if v == 0.0 {
-        return "0".into();
-    }
-    let a = v.abs();
-    if a >= 1e5 || a < 1e-3 {
-        format!("{v:.2e}")
-    } else if a >= 100.0 {
-        format!("{v:.0}")
-    } else {
-        format!("{v:.3}")
-    }
-}
 
 /// One live sparkline over `(step, value)` points received so far.
 fn spark(name: &str, pts: &[(u64, f64)], steps: u64) -> String {

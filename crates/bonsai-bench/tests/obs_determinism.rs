@@ -1,37 +1,49 @@
 //! End-to-end determinism of the observability exports: two clusters built
 //! from the same seed must yield byte-identical trace and metrics artefacts
-//! (the property `obs_trace` relies on for diffable bench trajectories).
+//! (the property the `step` gate relies on for diffable bench trajectories).
 
-use bonsai_ic::plummer_sphere;
-use bonsai_obs::{chrome, folded, prom};
-use bonsai_sim::{Cluster, ClusterConfig};
+use bonsai_bench::step::{run, StepExports};
 
-fn one_run(seed: u64) -> (String, String, String) {
-    let mut c = Cluster::new(plummer_sphere(3000, seed), 3, ClusterConfig::default());
-    c.step();
-    (
-        chrome::chrome_trace_json(c.trace()),
-        folded::folded_stacks(c.trace()),
-        prom::prometheus_text(c.metrics()),
-    )
+fn one_run(seed: u64) -> StepExports {
+    run(3000, 3, seed)
 }
 
 #[test]
 fn step_exports_byte_identical_for_fixed_seed() {
     let a = one_run(7);
     let b = one_run(7);
-    assert_eq!(a.0, b.0, "chrome trace differs between identical runs");
-    assert_eq!(a.1, b.1, "folded stacks differ between identical runs");
-    assert_eq!(a.2, b.2, "prometheus text differs between identical runs");
+    assert_eq!(
+        a.trace_json, b.trace_json,
+        "chrome trace differs between identical runs"
+    );
+    assert_eq!(
+        a.folded, b.folded,
+        "folded stacks differ between identical runs"
+    );
+    assert_eq!(
+        a.prom, b.prom,
+        "prometheus text differs between identical runs"
+    );
+    assert_eq!(
+        a.bench_json, b.bench_json,
+        "BENCH_step.json differs between identical runs"
+    );
+    assert!(
+        a.registry_matches,
+        "registry reduction diverged from the step breakdown"
+    );
     // Sanity: the artefacts are non-trivial.
-    assert!(a.0.contains("\"GPU\"") && a.0.contains("\"COMM\""));
-    assert!(a.1.lines().count() > 10);
-    assert!(a.2.contains("bonsai_walk_pp_total"));
+    assert!(a.trace_json.contains("\"GPU\"") && a.trace_json.contains("\"COMM\""));
+    assert!(a.folded.lines().count() > 10);
+    assert!(a.prom.contains("bonsai_walk_pp_total"));
 }
 
 #[test]
 fn different_seeds_produce_different_traces() {
     let a = one_run(7);
     let b = one_run(8);
-    assert_ne!(a.0, b.0, "trace insensitive to the workload seed");
+    assert_ne!(
+        a.trace_json, b.trace_json,
+        "trace insensitive to the workload seed"
+    );
 }

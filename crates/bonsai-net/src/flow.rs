@@ -7,7 +7,7 @@
 //! [envelope](crate::envelope) so the receive side can close the loop
 //! exactly. All mutations happen on the simulation driver thread in rank
 //! order, so ids, record order and outcomes are byte-deterministic per
-//! seed — the property the `obs_flows` bench gate relies on.
+//! seed — the property the `flows` bench gate relies on.
 //!
 //! The ledger is append-only and **epoch-ordered**: the driver's epoch
 //! counter never goes back (a rollback restores particles, not the epoch),

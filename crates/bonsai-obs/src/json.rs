@@ -3,7 +3,7 @@
 //! The writer half is a handful of deterministic formatting helpers (string
 //! escaping, shortest-round-trip floats, fixed-precision timestamps); the
 //! reader half is a tiny recursive-descent parser used to round-trip-validate
-//! exported traces in tests and in the `obs_trace` bench. Neither aims to be
+//! exported traces in tests and in the bench gate runner. Neither aims to be
 //! a general JSON library — just enough for trace-event files and bench
 //! snapshots, with zero external crates (the workspace builds offline).
 

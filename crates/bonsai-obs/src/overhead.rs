@@ -11,9 +11,9 @@
 //!
 //! [`overhead_rule`] turns the fraction into a health rule: a run whose
 //! telemetry costs more than [`OVERHEAD_BUDGET_FRACTION`] of its modelled
-//! step time opens an `obs-overhead` alert, and the `obs_stream` bench
-//! gates on it — this is exactly the gate the `--block-on-full` sabotage
-//! (a bus that stalls the hot path) must trip.
+//! step time opens an `obs-overhead` alert, and the `stream` bench gate
+//! holds it as a verdict — this is exactly the verdict the `block_on_full`
+//! sabotage (a bus that stalls the hot path) must trip.
 
 use crate::health::{Condition, Rule, Severity};
 use std::collections::BTreeMap;

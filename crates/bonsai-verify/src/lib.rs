@@ -17,8 +17,8 @@
 //!   per particle id, with and without injected faults, proving LET
 //!   construction, boundary fallback and recovery physics-preserving.
 //! * [`report`] — the **accuracy baseline**: byte-deterministic
-//!   `bonsai-accuracy-v1` JSON plus the `--check` regression gate wired
-//!   into CI via the `verify_accuracy` bench bin.
+//!   `bonsai-accuracy-v1` JSON plus the `check_accuracy` oracle that the
+//!   bench gate runner (`gates`, row `accuracy`) holds in CI.
 
 #![deny(missing_docs)]
 

@@ -1,8 +1,8 @@
 //! The `bonsai-accuracy-v1` report: a byte-deterministic JSON record of
-//! the differential and distributed oracles, plus the `--check` gate that
-//! compares a fresh run against the committed baseline.
+//! the differential and distributed oracles, plus the [`check_accuracy`]
+//! oracle that judges a fresh run against the committed artifact.
 //!
-//! Gate semantics (mirroring `bonsai-bench::scaling::check_scaling`):
+//! Gate semantics:
 //!
 //! 1. **Absolute bands** — every differential entry of the *current* run
 //!    must sit inside its θ-dependent tolerance band, and every
@@ -34,8 +34,8 @@ pub struct RunConfig {
     pub dist_n: usize,
     /// Rank ladder of the distributed comparisons.
     pub dist_ranks: Vec<usize>,
-    /// Multiplier on the θ the walk uses (1.0 = honest; the CI loosening
-    /// hook passes > 1 to prove the gate trips).
+    /// Multiplier on the θ the walk uses (1.0 = honest; the accuracy gate's
+    /// sabotage passes 1.5 to prove the bands trip).
     pub theta_inflation: f64,
 }
 
