@@ -1,6 +1,6 @@
 //! Ablation: leaf capacity NLEAF.
 //!
-//! §I (citing the Bonsai paper [9]): octants are split until fewer than 16
+//! §I (citing the Bonsai paper \[9\]): octants are split until fewer than 16
 //! particles remain. Small leaves push work into expensive cell interactions
 //! and deepen the tree; large leaves degrade the walk toward O(N²) p-p work.
 //! This study sweeps NLEAF on a Milky Way snapshot and reports the p-p/p-c

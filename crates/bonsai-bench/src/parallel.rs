@@ -8,11 +8,10 @@
 //! deterministic** on every machine and at every thread count: per-lane
 //! force/tree digests, interaction counts and the two gate verdicts.
 //!
-//! The gate is about determinism and staffing only. Wall-clock per lane
-//! count is kept in [`SweepPoint::wall_s`] and judged nowhere: on a shared
-//! 2-core host three runs of one binary gave a two-lane speed-up of 1.01×,
-//! 0.83× and 1.83×. The wall-clock number is `benchmark/`'s
-//! host-normalised `par.speedup_t2`.
+//! The gate is about determinism and staffing only, and nothing here reads
+//! a clock: on a shared 2-core host three runs of one binary gave a
+//! two-lane speed-up of 1.01×, 0.83× and 1.83×. The wall-clock number is
+//! `benchmark/`'s host-normalised `par.speedup_t2`.
 
 use crate::milky_way_snapshot;
 use bonsai_tree::build::{Tree, TreeParams};
@@ -20,14 +19,14 @@ use bonsai_tree::direct::direct_self_forces;
 use bonsai_tree::walk::{self, WalkParams};
 use bonsai_tree::{Forces, Particles};
 use rayon::ThreadPool;
-use std::time::Instant;
 
 /// Sweep configuration.
 #[derive(Clone, Debug)]
 pub struct ParallelBenchConfig {
     /// Particle count of the Milky Way snapshot.
     pub n: usize,
-    /// Timed repetitions per lane count (best-of wall-clock is kept).
+    /// Repetitions per lane count; every one must reproduce the first's
+    /// digest and counts.
     pub reps: usize,
     /// IC seed.
     pub seed: u64,
@@ -51,8 +50,7 @@ impl Default for ParallelBenchConfig {
     }
 }
 
-/// One lane count's outcome, split into deterministic fields (digests,
-/// counts, worker census) and the machine-dependent wall-clock.
+/// One lane count's outcome: digest, counts and worker census.
 #[derive(Clone, Debug)]
 pub struct SweepPoint {
     /// Requested lane count.
@@ -67,8 +65,6 @@ pub struct SweepPoint {
     pub pc: u64,
     /// Traversal stack pops of the walk.
     pub nodes_visited: u64,
-    /// Best-of-`reps` wall-clock for the full pipeline (seconds).
-    pub wall_s: f64,
 }
 
 /// The sweep outcome plus the two gate verdicts.
@@ -76,11 +72,10 @@ pub struct SweepPoint {
 pub struct ParallelResult {
     /// One point per requested lane count, in sweep order.
     pub points: Vec<SweepPoint>,
-    /// `std::thread::available_parallelism()` at run time.
-    pub available_parallelism: usize,
     /// Number of distinct digests across the sweep (1 ⇔ deterministic).
     pub distinct_digests: usize,
-    /// Every lane count produced the 1-lane bit pattern and stats.
+    /// Every lane count, on every repetition, produced the 1-lane bit
+    /// pattern and stats.
     pub deterministic: bool,
     /// Every pool spawned exactly `threads − 1` workers.
     pub workers_ok: bool,
@@ -114,6 +109,7 @@ fn force_words(f: &Forces) -> impl Iterator<Item = u64> + '_ {
         .flat_map(|(a, &p)| [a.x.to_bits(), a.y.to_bits(), a.z.to_bits(), p.to_bits()])
 }
 
+#[derive(Clone, Copy, PartialEq, Eq)]
 struct PipelineOutcome {
     digest: u64,
     pp: u64,
@@ -121,8 +117,8 @@ struct PipelineOutcome {
     nodes_visited: u64,
 }
 
-/// The timed hot pipeline: build, walk, direct — exactly the three paths
-/// the pool was wired through.
+/// The hot pipeline: build, walk, direct — exactly the three paths the pool
+/// was wired through.
 fn pipeline(ic: &Particles) -> PipelineOutcome {
     let tree = Tree::build(ic.clone(), TreeParams::default());
     let (walk_forces, stats) = walk::self_gravity(&tree, &WalkParams::new(0.4, 0.01));
@@ -152,32 +148,30 @@ fn pipeline(ic: &Particles) -> PipelineOutcome {
 
 /// Run the sweep.
 pub fn run(cfg: ParallelBenchConfig) -> ParallelResult {
-    assert!(!cfg.threads.is_empty(), "sweep needs at least one lane count");
     let ic = milky_way_snapshot(cfg.n, cfg.seed);
-    let avail = std::thread::available_parallelism().map_or(1, |p| p.get());
+    sweep(cfg, || pipeline(&ic))
+}
 
+/// The sweep over `produce`, called `reps` times inside each lane count's
+/// pool.
+fn sweep(cfg: ParallelBenchConfig, mut produce: impl FnMut() -> PipelineOutcome) -> ParallelResult {
+    assert!(!cfg.threads.is_empty(), "sweep needs at least one lane count");
     let mut points = Vec::with_capacity(cfg.threads.len());
+    let mut repeatable = true;
     for &t in &cfg.threads {
         let lanes = if cfg.pin_one_thread { 1 } else { t };
         let pool = ThreadPool::new(lanes);
-        let workers = pool.workers();
-        let mut best = f64::INFINITY;
-        let mut outcome = None;
-        for _ in 0..cfg.reps.max(1) {
-            let t0 = Instant::now();
-            let o = pool.install(|| pipeline(&ic));
-            best = best.min(t0.elapsed().as_secs_f64());
-            outcome = Some(o);
+        let first = pool.install(&mut produce);
+        for _ in 1..cfg.reps {
+            repeatable &= pool.install(&mut produce) == first;
         }
-        let o = outcome.expect("at least one rep");
         points.push(SweepPoint {
             threads: t,
-            workers,
-            digest: o.digest,
-            pp: o.pp,
-            pc: o.pc,
-            nodes_visited: o.nodes_visited,
-            wall_s: best,
+            workers: pool.workers(),
+            digest: first.digest,
+            pp: first.pp,
+            pc: first.pc,
+            nodes_visited: first.nodes_visited,
         });
     }
 
@@ -185,7 +179,8 @@ pub fn run(cfg: ParallelBenchConfig) -> ParallelResult {
     let mut digests: Vec<u64> = points.iter().map(|p| p.digest).collect();
     digests.sort_unstable();
     digests.dedup();
-    let deterministic = digests.len() == 1
+    let deterministic = repeatable
+        && digests.len() == 1
         && points
             .iter()
             .all(|p| (p.pp, p.pc, p.nodes_visited) == (base.pp, base.pc, base.nodes_visited));
@@ -194,7 +189,6 @@ pub fn run(cfg: ParallelBenchConfig) -> ParallelResult {
     ParallelResult {
         distinct_digests: digests.len(),
         points,
-        available_parallelism: avail,
         deterministic,
         workers_ok,
         config: cfg,
@@ -258,6 +252,26 @@ mod tests {
             assert_eq!(p.workers, t - 1);
             assert!(p.pp > 0 && p.pc > 0);
         }
+    }
+
+    #[test]
+    fn a_repetition_that_differs_from_the_first_fails_deterministic() {
+        // Every call agrees except the second one overall — repetition 1 of
+        // the first lane count. Comparing lane counts alone would pass it.
+        let mut calls = 0;
+        let stub = || {
+            calls += 1;
+            PipelineOutcome {
+                digest: if calls == 2 { 0xbad } else { 0x600d },
+                pp: 1,
+                pc: 1,
+                nodes_visited: 1,
+            }
+        };
+        let r = sweep(ParallelBenchConfig { reps: 3, ..tiny() }, stub);
+        assert_eq!(r.distinct_digests, 1, "the first repetitions all agree");
+        assert!(!r.deterministic);
+        assert!(!r.passed());
     }
 
     #[test]

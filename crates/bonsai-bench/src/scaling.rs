@@ -118,7 +118,7 @@ fn measure_point(p: usize, n_per_rank: usize, seed: u64) -> SweepPoint {
     // The straggler is whoever owns the terminal work of the critical path.
     let worst_rank = cp.nodes.iter().rev().find(|n| !n.wait).map_or(0, |n| n.rank);
     let fb = flop_balance(store, step);
-    let timelines = step_timelines(&cluster);
+    let timelines = step_timelines(cluster.trace());
     let hidden = timelines
         .iter()
         .map(|t| t.hidden_comm_fraction())

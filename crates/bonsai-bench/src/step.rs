@@ -41,7 +41,7 @@ pub fn run(n: usize, ranks: usize, seed: u64) -> StepExports {
     let b = cluster.step();
     let registry_matches = cluster.breakdown_from_metrics().total() == b.total();
 
-    let timelines = step_timelines(&cluster);
+    let timelines = step_timelines(cluster.trace());
     let hidden = timelines
         .iter()
         .map(|t| t.hidden_comm_fraction())

@@ -152,7 +152,7 @@ impl Simulation {
     }
 
     /// Accelerations keyed by particle id — the serial reference the
-    /// distributed equivalence oracle compares a [`bonsai-sim`] cluster
+    /// distributed equivalence oracle compares a `bonsai-sim` cluster
     /// against (mirrors `Cluster::accelerations_by_id`).
     pub fn accelerations_by_id(&self) -> std::collections::HashMap<u64, Vec3> {
         self.particles

@@ -73,17 +73,6 @@ pub fn boundary_tree(tree: &Tree, domain: &KeyRange) -> LetTree {
     })
 }
 
-/// Convenience: per-rank boundary trees for a full partition. `trees[r]`
-/// must hold exactly the particles of `domains[r]`.
-pub fn all_boundaries(trees: &[&Tree], domains: &[KeyRange]) -> Vec<LetTree> {
-    assert_eq!(trees.len(), domains.len());
-    trees
-        .iter()
-        .zip(domains)
-        .map(|(t, d)| boundary_tree(t, d))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

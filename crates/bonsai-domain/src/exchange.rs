@@ -83,22 +83,30 @@ pub fn particles_from_bytes(b: &[u8]) -> Result<Particles, String> {
 #[derive(Clone, Debug)]
 pub struct ExchangePlan {
     /// `send[r]` = local indices destined for rank `r` (sorted ascending).
+    /// A particle whose owner is the rank it stays on appears in no bucket.
     pub send: Vec<Vec<usize>>,
-    /// This rank's id (its own bucket is always empty).
-    pub me: usize,
 }
 
 impl ExchangePlan {
-    /// Classify every local particle against the new `domains` partition.
+    /// Classify every local particle against the new `domains` partition;
+    /// rank `me`'s own bucket is always empty.
     pub fn plan(me: usize, keys: &[u64], domains: &[KeyRange]) -> Self {
+        Self::plan_onto(Some(me), keys, domains)
+    }
+
+    /// [`ExchangePlan::plan`] across a membership view change, where rank
+    /// indices mean different things before and after: `stay` is the rank
+    /// this node holds in the partition `domains` describes, or `None` for
+    /// a departing node, which ships its entire population.
+    pub fn plan_onto(stay: Option<usize>, keys: &[u64], domains: &[KeyRange]) -> Self {
         let mut send: Vec<Vec<usize>> = vec![Vec::new(); domains.len()];
         for (i, &k) in keys.iter().enumerate() {
             let owner = find_owner(domains, k);
-            if owner != me {
+            if Some(owner) != stay {
                 send[owner].push(i);
             }
         }
-        Self { send, me }
+        Self { send }
     }
 
     /// Number of particles leaving this rank.
@@ -111,13 +119,9 @@ impl ExchangePlan {
         self.emigrant_count() * PARTICLE_WIRE_SIZE
     }
 
-    /// Number of distinct destination ranks.
-    pub fn destination_count(&self) -> usize {
-        self.send.iter().filter(|v| !v.is_empty()).count()
-    }
-
     /// Drain the emigrants out of `particles`; returns one [`Particles`] per
-    /// destination rank (empty for ranks receiving nothing, including `me`).
+    /// destination rank (empty for ranks receiving nothing, including the
+    /// rank the node stays on). A departing node ends empty.
     ///
     /// `particles` must be the same set (same order) the plan was built from.
     pub fn apply(&self, particles: &mut Particles) -> Vec<Particles> {
@@ -166,7 +170,6 @@ mod tests {
         assert_eq!(plan.send[1], vec![1, 4]);
         assert_eq!(plan.send[2], vec![2]);
         assert_eq!(plan.emigrant_count(), 3);
-        assert_eq!(plan.destination_count(), 2);
         assert_eq!(plan.wire_bytes(), 3 * PARTICLE_WIRE_SIZE);
     }
 

@@ -82,7 +82,7 @@ impl LetTree {
             }
             match n.kind {
                 NodeKind::Internal => {
-                    let (b, e) = (n.first as usize, (n.first + n.count) as usize);
+                    let (b, e) = (n.first as usize, n.first as usize + n.count as usize);
                     if e > self.nodes.len() || b <= i {
                         return Err(format!("node {i}: bad child range {b}..{e}"));
                     }
@@ -95,7 +95,7 @@ impl LetTree {
                     }
                 }
                 NodeKind::Leaf => {
-                    let e = (n.first + n.count) as usize;
+                    let e = n.first as usize + n.count as usize;
                     if e > self.pos.len() {
                         return Err(format!("node {i}: leaf range beyond payload"));
                     }
@@ -126,7 +126,8 @@ impl LetTree {
         buf.freeze()
     }
 
-    /// Deserialize; returns `None` on malformed input.
+    /// Deserialize; returns `None` on malformed input, including a payload
+    /// longer or shorter than its header declares.
     pub fn from_bytes(mut b: &[u8]) -> Option<Self> {
         if b.remaining() < 16 {
             return None;
@@ -139,7 +140,7 @@ impl LetTree {
         let need = n_nodes
             .checked_mul(NODE_WIRE_SIZE)
             .and_then(|a| n_part.checked_mul(32).and_then(|p| a.checked_add(p)))?;
-        if b.remaining() < need {
+        if b.remaining() != need {
             return None;
         }
         let mut nodes = Vec::with_capacity(n_nodes);

@@ -53,4 +53,4 @@ pub use boundary::boundary_tree;
 pub use exchange::ExchangePlan;
 pub use letbuild::{boundary_sufficient_for, build_let};
 pub use lettree::LetTree;
-pub use remap::{replan, Migration};
+pub use remap::replan;

@@ -5,23 +5,21 @@
 //! view's owners to the new ones — while the galaxy keeps spinning. This is
 //! the domain-layer half of elastic membership: [`replan`] produces the new
 //! partition from the same flop-weighted balance the steady-state
-//! decomposition uses ([`weighted_cuts`](crate::load::weighted_cuts) +
-//! particle cap, validated with
-//! [`weight_shares`](crate::load::weight_shares)), and [`Migration`] maps
-//! every particle of every *old* rank to its *new* owner, including ranks
-//! that exist in only one of the two views: a departing rank ships its
-//! entire population, a joining rank starts empty and receives its domain
-//! from the old owners.
+//! decomposition uses ([`weighted_cuts`] + particle cap, validated with
+//! [`weight_shares`](crate::load::weight_shares)), and one
+//! [`ExchangePlan::plan_onto`](crate::exchange::ExchangePlan::plan_onto)
+//! per *old* rank maps each of its particles to its *new* owner, including
+//! ranks that exist in only one of the two views: a departing rank ships
+//! its entire population, a joining rank starts empty and receives its
+//! domain from the old owners.
 //!
 //! Rank indices mean different things before and after the change (a rank
-//! is an index into a view's sorted member list), so the plan is expressed
-//! against an explicit `new_rank` mapping: `new_rank[r]` is the rank that
-//! old-rank `r`'s node holds in the new view, or `None` if it departs.
+//! is an index into a view's sorted member list), so each old rank's plan is
+//! made against the rank its node holds in the new view, or `None` if it
+//! departs.
 
-use crate::exchange::PARTICLE_WIRE_SIZE;
 use crate::load::{enforce_particle_cap, weighted_cuts};
-use bonsai_sfc::range::{find_owner, KeyRange};
-use bonsai_tree::Particles;
+use bonsai_sfc::range::KeyRange;
 
 /// Re-split the key space for a new world size from the globally sorted
 /// `(key, weight)` sequence of the live particles, honouring the paper's
@@ -33,94 +31,12 @@ pub fn replan(sorted: &[(u64, f64)], new_p: usize, cap: f64) -> Vec<KeyRange> {
     enforce_particle_cap(&ranges, &keys, cap)
 }
 
-/// The full old-view → new-view particle migration plan.
-#[derive(Clone, Debug)]
-pub struct Migration {
-    /// `moves[r][d]` = old-rank `r`'s particle indices bound for new rank
-    /// `d` (ascending). A particle whose new owner is its own node's new
-    /// rank stays put and appears in no bucket.
-    pub moves: Vec<Vec<Vec<usize>>>,
-    /// `new_rank[r]` = the rank old-rank `r` holds in the new view
-    /// (`None` = departing).
-    pub new_rank: Vec<Option<usize>>,
-}
-
-impl Migration {
-    /// Classify every particle of every old rank against the new
-    /// partition. `keys[r]` are old-rank `r`'s particle keys (same order
-    /// as its particle store).
-    pub fn plan(keys: &[Vec<u64>], new_domains: &[KeyRange], new_rank: &[Option<usize>]) -> Self {
-        assert_eq!(keys.len(), new_rank.len());
-        let new_p = new_domains.len();
-        let moves = keys
-            .iter()
-            .zip(new_rank)
-            .map(|(ks, &stay)| {
-                let mut buckets: Vec<Vec<usize>> = vec![Vec::new(); new_p];
-                for (i, &k) in ks.iter().enumerate() {
-                    let owner = find_owner(new_domains, k);
-                    if Some(owner) != stay {
-                        buckets[owner].push(i);
-                    }
-                }
-                buckets
-            })
-            .collect();
-        Self {
-            moves,
-            new_rank: new_rank.to_vec(),
-        }
-    }
-
-    /// Total particles changing ranks.
-    pub fn migrant_count(&self) -> usize {
-        self.moves
-            .iter()
-            .flat_map(|b| b.iter().map(Vec::len))
-            .sum()
-    }
-
-    /// Wire bytes the migration puts on the fabric (payloads only).
-    pub fn wire_bytes(&self) -> usize {
-        self.migrant_count() * PARTICLE_WIRE_SIZE
-    }
-
-    /// Drain old-rank `r`'s emigrants; returns one [`Particles`] per *new*
-    /// rank (empty buckets included). `particles` must be the same set (in
-    /// the same order) the plan's `keys[r]` described. A departing rank
-    /// ends empty — every particle it held has a new owner.
-    pub fn apply(&self, r: usize, particles: &mut Particles) -> Vec<Particles> {
-        let buckets = &self.moves[r];
-        let mut dest: Vec<i32> = vec![-1; particles.len()];
-        for (d, idxs) in buckets.iter().enumerate() {
-            for &i in idxs {
-                dest[i] = d as i32;
-            }
-        }
-        let mut out: Vec<Particles> = (0..buckets.len()).map(|_| Particles::new()).collect();
-        let mut keep = Particles::new();
-        for i in 0..particles.len() {
-            let target = if dest[i] >= 0 {
-                &mut out[dest[i] as usize]
-            } else {
-                &mut keep
-            };
-            target.push(particles.pos[i], particles.vel[i], particles.mass[i], particles.id[i]);
-        }
-        debug_assert!(
-            self.new_rank[r].is_some() || keep.is_empty(),
-            "departing rank {r} kept {} particles",
-            keep.len()
-        );
-        *particles = keep;
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exchange::{ExchangePlan, PARTICLE_WIRE_SIZE};
     use bonsai_sfc::KEY_END;
+    use bonsai_tree::Particles;
     use bonsai_util::Vec3;
 
     fn particles_for(keys: &[u64], id0: u64) -> Particles {
@@ -129,6 +45,13 @@ mod tests {
             p.push(Vec3::splat(i as f64), Vec3::zero(), 1.0, id0 + i as u64);
         }
         p
+    }
+
+    /// One plan per old rank, as `Cluster::apply_view_change` makes them.
+    fn plans(keys: &[Vec<u64>], new_domains: &[KeyRange], new_rank: &[Option<usize>]) -> Vec<ExchangePlan> {
+        (keys.iter().zip(new_rank))
+            .map(|(ks, &stay)| ExchangePlan::plan_onto(stay, ks, new_domains))
+            .collect()
     }
 
     #[test]
@@ -155,29 +78,29 @@ mod tests {
             KeyRange::new(100, 200),
             KeyRange::new(200, KEY_END),
         ];
-        let m = Migration::plan(&keys, &new_domains, &[Some(0), Some(2)]);
+        let m = plans(&keys, &new_domains, &[Some(0), Some(2)]);
         // Old rank 0: key 10 stays, 150 -> new 1, 290 -> new 2.
-        assert_eq!(m.moves[0][1], vec![1]);
-        assert_eq!(m.moves[0][2], vec![2]);
+        assert_eq!(m[0].send[1], vec![1]);
+        assert_eq!(m[0].send[2], vec![2]);
         // Old rank 1 (now new rank 2): 110 -> new 1, 250 stays.
-        assert_eq!(m.moves[1][1], vec![0]);
-        assert!(m.moves[1][2].is_empty());
-        assert_eq!(m.migrant_count(), 3);
-        assert_eq!(m.wire_bytes(), 3 * PARTICLE_WIRE_SIZE);
+        assert_eq!(m[1].send[1], vec![0]);
+        assert!(m[1].send[2].is_empty());
+        assert_eq!(m.iter().map(ExchangePlan::emigrant_count).sum::<usize>(), 3);
+        assert_eq!(m.iter().map(ExchangePlan::wire_bytes).sum::<usize>(), 3 * PARTICLE_WIRE_SIZE);
     }
 
     #[test]
     fn departing_rank_ships_everything() {
         let keys = vec![vec![10, 20], vec![500, 600, 700]];
         let new_domains = vec![KeyRange::new(0, KEY_END)];
-        let m = Migration::plan(&keys, &new_domains, &[Some(0), None]);
+        let m = plans(&keys, &new_domains, &[Some(0), None]);
         let mut p1 = particles_for(&keys[1], 100);
-        let shipped = m.apply(1, &mut p1);
+        let shipped = m[1].apply(&mut p1);
         assert!(p1.is_empty(), "departing rank must end empty");
         assert_eq!(shipped[0].id, vec![100, 101, 102]);
         // The surviving rank keeps its own particles.
         let mut p0 = particles_for(&keys[0], 0);
-        let kept = m.apply(0, &mut p0);
+        let kept = m[0].apply(&mut p0);
         assert_eq!(p0.len(), 2);
         assert!(kept[0].is_empty());
     }
@@ -186,12 +109,12 @@ mod tests {
     fn migration_conserves_the_id_multiset() {
         let keys = vec![vec![5, 105, 205, 305], vec![55, 155, 255], vec![99, 199]];
         let new_domains = vec![KeyRange::new(0, 150), KeyRange::new(150, KEY_END)];
-        let m = Migration::plan(&keys, &new_domains, &[Some(1), None, Some(0)]);
+        let m = plans(&keys, &new_domains, &[Some(1), None, Some(0)]);
         let mut all_ids = Vec::new();
         for (r, ks) in keys.iter().enumerate() {
             let mut p = particles_for(ks, (r * 10) as u64);
             all_ids.extend(p.id.clone());
-            let shipped = m.apply(r, &mut p);
+            let shipped = m[r].apply(&mut p);
             let mut landed: Vec<u64> = p.id.clone();
             landed.extend(shipped.iter().flat_map(|s| s.id.iter().copied()));
             assert_eq!(landed.len(), ks.len());

@@ -6,7 +6,7 @@ use bonsai_domain::exchange::ExchangePlan;
 use bonsai_domain::letbuild::{boundary_sufficient_for, build_let};
 use bonsai_domain::load::{enforce_particle_cap, populations, weighted_cuts};
 use bonsai_domain::lettree::LetTree;
-use bonsai_domain::{boundary_tree, replan, sampling, Migration};
+use bonsai_domain::{boundary_tree, replan, sampling};
 use bonsai_sfc::range::{find_owner, ranges_from_cuts};
 use bonsai_sfc::{KeyMap, KeyRange, KEY_END};
 use bonsai_tree::build::{Tree, TreeParams};
@@ -166,7 +166,11 @@ proptest! {
         if !bytes.is_empty() {
             let idx = (flip as usize) % bytes.len();
             bytes[idx] ^= 1 << (flip % 8) as u8;
-            let _ = LetTree::from_bytes(&bytes); // decode or reject, no panic
+            // Decode or reject, no panic — and the receiver's second check
+            // must survive whatever decodes.
+            if let Some(damaged) = LetTree::from_bytes(&bytes) {
+                let _ = damaged.check_invariants();
+            }
         }
     }
 
@@ -228,7 +232,9 @@ proptest! {
             all.into_iter().map(|k| (k, 1.0)).collect()
         };
         let new_domains = replan(&sorted, new_p, 2.0);
-        let m = Migration::plan(&keys, &new_domains, &new_rank);
+        let m: Vec<ExchangePlan> = (keys.iter().zip(&new_rank))
+            .map(|(ks, &stay)| ExchangePlan::plan_onto(stay, ks, &new_domains))
+            .collect();
 
         // Drain every old rank and route the buckets like the cluster does.
         let mut landed: Vec<Particles> = (0..new_p).map(|_| Particles::new()).collect();
@@ -241,7 +247,7 @@ proptest! {
                 p.push(Vec3::splat(i as f64), Vec3::zero(), 1.0, (r * 1000 + i) as u64);
             }
             before.extend(p.id.iter().copied());
-            let buckets = m.apply(r, &mut p);
+            let buckets = m[r].apply(&mut p);
             shipped_total += buckets.iter().map(Particles::len).sum::<usize>();
             match new_rank[r] {
                 Some(d) => {
@@ -261,7 +267,7 @@ proptest! {
                 landed[d].extend_from(b);
             }
         }
-        prop_assert_eq!(shipped_total, m.migrant_count());
+        prop_assert_eq!(shipped_total, m.iter().map(ExchangePlan::emigrant_count).sum::<usize>());
 
         // Exact multiset conservation.
         let mut after: Vec<u64> = landed.iter().flat_map(|p| p.id.iter().copied()).collect();
@@ -293,4 +299,42 @@ proptest! {
         }
         prop_assert!(prev_ok, "far geometry must always be satisfied by the boundary");
     }
+}
+
+/// `lt` round-tripped through the wire with its first `kind` node's range
+/// patched to `first = u32::MAX, count = 2` — a sum that wraps in `u32`.
+fn with_wrapping_range(lt: LetTree, kind: NodeKind) -> LetTree {
+    let mut lt = LetTree::from_bytes(&lt.to_bytes()).unwrap();
+    lt.check_invariants().expect("round-tripped tree is valid");
+    let victim = lt.nodes.iter_mut().find(|n| n.kind == kind).expect("sample tree has the node kind");
+    (victim.first, victim.count) = (u32::MAX, 2);
+    LetTree::from_bytes(&lt.to_bytes()).expect("the patch keeps the frame well-formed")
+}
+
+/// A LET for a nearby receiver: internal nodes, cut nodes and leaves.
+fn near_let() -> LetTree {
+    let tree = Tree::build(blob(200, 7), TreeParams::default());
+    let lt = build_let(&tree, &[Aabb::cube(Vec3::new(1.2, 0.0, 0.0), 0.5)], 0.4);
+    assert!(lt.particle_count() > 1, "a near LET ships leaf particles");
+    lt
+}
+
+#[test]
+fn invariants_reject_an_internal_child_range_that_wraps_u32() {
+    // Used to panic inside the validator (`nodes[4294967295..1]`).
+    assert!(with_wrapping_range(near_let(), NodeKind::Internal).check_invariants().is_err());
+}
+
+#[test]
+fn invariants_reject_a_leaf_range_that_wraps_u32() {
+    // Used to be accepted: the wrapped end (1) is inside the payload.
+    assert!(with_wrapping_range(near_let(), NodeKind::Leaf).check_invariants().is_err());
+}
+
+#[test]
+fn from_bytes_rejects_trailing_bytes() {
+    let mut bytes = near_let().to_bytes().to_vec();
+    assert!(LetTree::from_bytes(&bytes).is_some());
+    bytes.extend_from_slice(&[0u8; 7]);
+    assert!(LetTree::from_bytes(&bytes).is_none());
 }

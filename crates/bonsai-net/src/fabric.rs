@@ -1,25 +1,14 @@
 //! In-process message fabric for logical ranks.
 //!
-//! The cluster simulator runs each logical rank on its own thread in "live"
-//! mode; ranks exchange real serialized bytes over crossbeam channels. The
-//! fabric provides the two primitives Bonsai uses (§III-B2): an
-//! `MPI_Allgatherv`-style collective for boundary trees, and tagged
-//! point-to-point sends for particle exchange and LETs. Channels are FIFO
-//! per (sender, receiver) pair, which — together with the deterministic
-//! per-step communication pattern — is all the ordering the algorithm needs.
-//!
-//! Ranks are *not* barrier-synchronized between phases: a fast rank may
-//! finish the boundary allgather and already be sending dedicated LETs
-//! while a slow rank is still collecting boundaries. Phased receives
-//! therefore defer messages of other kinds to a pending queue instead of
-//! treating them as protocol violations; the deferred frames are delivered
-//! by the next receive that asks for their kind, so no message is ever
-//! lost to phase skew.
+//! Ranks exchange real serialized bytes over crossbeam channels: tagged
+//! point-to-point sends, received in arrival order. Channels are FIFO per
+//! (sender, receiver) pair. Everything above that — which frames a phase
+//! expects, retransmission, stale and duplicate frames, the boundary
+//! allgather of §III-B2 — is [`collective::exchange`](crate::collective::exchange)'s
+//! business, driven in lock step by the cluster.
 
 use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use std::cell::RefCell;
-use std::collections::VecDeque;
 
 /// What a message carries (drives receive-side dispatch).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -55,10 +44,6 @@ pub struct Endpoint {
     pub world: usize,
     senders: Vec<Sender<Message>>,
     receiver: Receiver<Message>,
-    /// Messages that arrived ahead of their phase (e.g. a LET while this
-    /// rank was still collecting boundaries), kept for the receive that
-    /// asks for their kind.
-    pending: RefCell<VecDeque<Message>>,
 }
 
 /// Construct the fully connected fabric.
@@ -82,7 +67,6 @@ impl Fabric {
                 world: p,
                 senders: txs.clone(),
                 receiver,
-                pending: RefCell::new(VecDeque::new()),
             })
             .collect()
     }
@@ -99,73 +83,14 @@ impl Endpoint {
         self.senders[to].send(msg).expect("receiver dropped");
     }
 
-    /// Blocking receive of the next message (deferred frames first).
+    /// Blocking receive of the next message.
     pub fn recv(&self) -> Message {
-        if let Some(m) = self.pending.borrow_mut().pop_front() {
-            return m;
-        }
         self.receiver.recv().expect("fabric disconnected")
     }
 
-    /// Non-blocking receive: the next message if one is queued (deferred
-    /// frames first).
+    /// Non-blocking receive: the next message if one is queued.
     pub fn try_recv(&self) -> Option<Message> {
-        if let Some(m) = self.pending.borrow_mut().pop_front() {
-            return Some(m);
-        }
         self.receiver.try_recv().ok()
-    }
-
-    /// Blocking receive of the next message of `kind`. Messages of other
-    /// kinds were sent by ranks already past this phase; they are deferred
-    /// (in arrival order) for the receive that asks for them.
-    pub fn recv_of(&self, kind: MsgKind) -> Message {
-        let pos = self
-            .pending
-            .borrow()
-            .iter()
-            .position(|m| m.kind == kind);
-        if let Some(pos) = pos {
-            return self.pending.borrow_mut().remove(pos).expect("pending frame");
-        }
-        loop {
-            let m = self.receiver.recv().expect("fabric disconnected");
-            if m.kind == kind {
-                return m;
-            }
-            self.pending.borrow_mut().push_back(m);
-        }
-    }
-
-    /// Receive exactly `n` messages of `kind`, returning them indexed by
-    /// sender. Messages of other kinds are deferred, not dropped.
-    pub fn recv_n_of(&self, kind: MsgKind, n: usize) -> Vec<(usize, Bytes)> {
-        let mut out = Vec::with_capacity(n);
-        while out.len() < n {
-            let m = self.recv_of(kind);
-            out.push((m.from, m.payload));
-        }
-        out
-    }
-
-    /// Allgather: contribute `payload`, receive everyone's contribution
-    /// (own included), indexed by rank.
-    pub fn allgather(&self, kind: MsgKind, payload: Bytes) -> Vec<Bytes> {
-        for r in 0..self.world {
-            if r != self.rank {
-                self.send(r, kind, payload.clone());
-            }
-        }
-        let mut slots: Vec<Option<Bytes>> = vec![None; self.world];
-        slots[self.rank] = Some(payload);
-        let mut missing = self.world - 1;
-        while missing > 0 {
-            let m = self.recv_of(kind);
-            assert!(slots[m.from].is_none(), "duplicate allgather contribution");
-            slots[m.from] = Some(m.payload);
-            missing -= 1;
-        }
-        slots.into_iter().map(Option::unwrap).collect()
     }
 }
 
@@ -193,65 +118,5 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-    }
-
-    #[test]
-    fn allgather_collects_everyone() {
-        let eps = Fabric::new(6);
-        let handles: Vec<_> = eps
-            .into_iter()
-            .map(|ep| {
-                thread::spawn(move || {
-                    let mine = Bytes::from(format!("rank-{}", ep.rank));
-                    let all = ep.allgather(MsgKind::Boundary, mine);
-                    assert_eq!(all.len(), 6);
-                    for (r, b) in all.iter().enumerate() {
-                        assert_eq!(&b[..], format!("rank-{r}").as_bytes());
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-    }
-
-    #[test]
-    fn recv_n_of_indexes_by_sender() {
-        let mut eps = Fabric::new(3);
-        let e2 = eps.pop().unwrap();
-        let e1 = eps.pop().unwrap();
-        let e0 = eps.pop().unwrap();
-        e1.send(0, MsgKind::Let, Bytes::from_static(b"a"));
-        e2.send(0, MsgKind::Let, Bytes::from_static(b"b"));
-        let got = e0.recv_n_of(MsgKind::Let, 2);
-        let mut from: Vec<usize> = got.iter().map(|(f, _)| *f).collect();
-        from.sort_unstable();
-        assert_eq!(from, vec![1, 2]);
-    }
-
-    #[test]
-    fn early_next_phase_messages_are_deferred() {
-        let mut eps = Fabric::new(2);
-        let b = eps.pop().unwrap();
-        let a = eps.pop().unwrap();
-        // Rank 1 races ahead: its dedicated LET lands before its boundary.
-        b.send(0, MsgKind::Let, Bytes::from_static(b"early-let"));
-        b.send(0, MsgKind::Boundary, Bytes::from_static(b"boundary"));
-        let all = a.allgather(MsgKind::Boundary, Bytes::from_static(b"mine"));
-        assert_eq!(&all[1][..], b"boundary");
-        // The early LET was deferred, not lost.
-        let lets = a.recv_n_of(MsgKind::Let, 1);
-        assert_eq!(lets[0].0, 1);
-        assert_eq!(&lets[0].1[..], b"early-let");
-    }
-
-    #[test]
-    fn single_rank_allgather() {
-        let mut eps = Fabric::new(1);
-        let e = eps.pop().unwrap();
-        let all = e.allgather(MsgKind::Boundary, Bytes::from_static(b"x"));
-        assert_eq!(all.len(), 1);
-        assert_eq!(&all[0][..], b"x");
     }
 }

@@ -15,8 +15,8 @@
 //!   times from (latency, injection bandwidth, topology congestion), the
 //!   bytes→seconds half of the communication rows of Table II;
 //! * [`fabric`] — crossbeam-channel message passing between in-process
-//!   ranks, used by `bonsai-sim`'s live mode: real bytes flow, the network
-//!   model charges simulated time for them;
+//!   ranks, driven by `bonsai-sim`'s cluster through [`collective`]: real
+//!   bytes flow, the network model charges simulated time for them;
 //! * [`envelope`] — versioned, CRC-64-checksummed framing for every payload
 //!   that crosses the fabric, so corruption and truncation are detected
 //!   instead of deserialized;

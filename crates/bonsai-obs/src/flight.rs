@@ -80,7 +80,7 @@ impl FlightRecorder {
 
     /// Materialise the current ring as one self-contained [`TraceStore`]
     /// (frames concatenated oldest-first, parents re-offset).
-    pub fn window_trace(&self) -> TraceStore {
+    fn window_trace(&self) -> TraceStore {
         let mut spans: Vec<Span> = Vec::new();
         let mut instants: Vec<Instant> = Vec::new();
         let mut flows: Vec<FlowPoint> = Vec::new();

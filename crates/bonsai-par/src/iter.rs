@@ -4,9 +4,9 @@
 //! (`zip`, `enumerate`, `filter`) restructure that item list eagerly and
 //! sequentially, while the work-carrying stages — [`Par::map`] (via
 //! [`ParMap`]), [`Par::for_each`], [`Par::reduce`] — execute on the current
-//! [`pool`](crate::pool) through the chunked engine:
+//! [`pool`] through the chunked engine:
 //!
-//! * items are split at [`chunk_bounds`](crate::chunk_bounds), a pure
+//! * items are split at [`chunk_bounds`], a pure
 //!   function of the input length;
 //! * each chunk becomes one pool task whose result lands in the chunk's own
 //!   slot, so scheduling cannot reorder anything observable;

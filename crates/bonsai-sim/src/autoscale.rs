@@ -94,11 +94,6 @@ impl AutoscalePolicy {
         }
     }
 
-    /// The configuration the policy runs under.
-    pub fn config(&self) -> &AutoscaleConfig {
-        &self.cfg
-    }
-
     /// Every grow/shrink the policy ordered, in step order.
     pub fn decisions(&self) -> &[(u64, ScaleDecision)] {
         &self.decisions

@@ -1,6 +1,5 @@
 //! Per-step timing breakdowns in the shape of the paper's Table II.
 
-use bonsai_tree::InteractionCounts;
 use bonsai_util::timer::PhaseTimes;
 use serde::Serialize;
 
@@ -172,15 +171,6 @@ impl StepBreakdown {
             0.0
         } else {
             self.total_flops() / t / 1e12
-        }
-    }
-
-    /// Interaction counts aggregated over the machine.
-    pub fn machine_counts(&self) -> InteractionCounts {
-        let n = self.particles_per_gpu as f64 * self.gpus as f64;
-        InteractionCounts {
-            pp: (self.pp_per_particle * n) as u64,
-            pc: (self.pc_per_particle * n) as u64,
         }
     }
 

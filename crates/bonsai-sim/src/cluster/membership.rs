@@ -2,9 +2,9 @@
 //! re-split the key space and migrate particles between the old and the new
 //! rank set over the fabric.
 
+use super::observe::sorted_key_weights;
 use super::{Cluster, MAX_RETRIES_HARD};
-use bonsai_domain::exchange::{particles_from_bytes, particles_to_bytes};
-use bonsai_domain::Migration;
+use bonsai_domain::exchange::{particles_from_bytes, particles_to_bytes, ExchangePlan};
 use bonsai_net::collective::{Expect, Outbox};
 use bonsai_net::membership::{self, MembershipEvent};
 use bonsai_net::MsgKind;
@@ -122,25 +122,26 @@ impl Cluster {
         // decomposition, evaluated driver-side like the sample sort.
         let keymap = self.global_keymap();
         let keys: Vec<Vec<u64>> = self.ranks.iter().map(|r| keymap.keys_of(&r.pos)).collect();
-        let mut pairs: Vec<(u64, f64)> = Vec::with_capacity(self.total_particles());
-        for (r, ks) in keys.iter().enumerate() {
-            let w = self.weights[r].max(1e-30);
-            for &k in ks {
-                pairs.push((k, w));
-            }
-        }
-        pairs.sort_by(|a, b| a.0.cmp(&b.0));
+        let floored: Vec<f64> = self.weights.iter().map(|w| w.max(1e-30)).collect();
+        let pairs = sorted_key_weights(&keys, &floored);
         let new_domains = bonsai_domain::replan(&pairs, new_p, self.cfg.cap);
-        let migration = Migration::plan(&keys, &new_domains, &new_rank);
-        let migrated = (migration.migrant_count(), migration.wire_bytes());
+        // One plan per old rank, made against the rank its node holds in
+        // the new view; a departing rank ships its entire population.
+        let plans: Vec<ExchangePlan> = (keys.iter().zip(&new_rank))
+            .map(|(ks, &stay)| ExchangePlan::plan_onto(stay, ks, &new_domains))
+            .collect();
+        let migrated: (usize, usize) = (
+            plans.iter().map(ExchangePlan::emigrant_count).sum(),
+            plans.iter().map(ExchangePlan::wire_bytes).sum(),
+        );
 
         // Drain every old rank's emigrants into per-new-rank buckets. The
         // sabotage hook discards them here — drained but never shipped —
         // which retransmission cannot heal: exactly the loss the CI
         // conservation gate must catch.
         let mut buckets: Vec<Vec<Particles>> = Vec::with_capacity(old_p);
-        for r in 0..old_p {
-            let mut b = migration.apply(r, &mut self.ranks[r]);
+        for (plan, rank) in plans.iter().zip(&mut self.ranks) {
+            let mut b = plan.apply(rank);
             if self.drop_migrants {
                 for pk in &mut b {
                     *pk = Particles::new();

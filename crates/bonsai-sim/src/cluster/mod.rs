@@ -50,6 +50,7 @@ mod recovery;
 
 pub use gravity::factor_ranks;
 
+use crate::autoscale::ScaleDecision;
 use crate::breakdown::StepBreakdown;
 use bonsai_gpu::{GpuModel, KernelVariant, K20X};
 use bonsai_net::fault::{FaultLog, FaultPlan, FaultyEndpoint, SharedFaultLog};
@@ -162,6 +163,35 @@ pub struct StepMeasurements {
     /// Faults injected and recovery actions taken during the successful
     /// gravity epoch (failed epochs live in [`Cluster::fault_log`]).
     pub faults: FaultLog,
+}
+
+/// A finished step as a value: what the observers riding on
+/// [`Cluster::step`] are handed in place of the cluster, and what a test
+/// checks its invariants over ([`Cluster::step_facts`]). Plain data — no
+/// borrow of the cluster outlives its construction.
+#[derive(Clone, Debug, Default)]
+pub struct StepFacts {
+    /// Completed steps.
+    pub step: u64,
+    /// Gravity epochs executed so far.
+    pub epoch: u64,
+    /// Simulation time.
+    pub time: f64,
+    /// Rank count.
+    pub world: usize,
+    /// Total particles across ranks.
+    pub particles: usize,
+    /// Number of the current membership view.
+    pub view: u64,
+    /// Energy/momentum diagnostics; on the step path filled only for the
+    /// long-run monitor, which measures drift with it.
+    pub energy: Option<bonsai_analysis::EnergyReport>,
+    /// Flow-conservation totals over the whole run; on the step path
+    /// filled only for the streaming tap's digest frame.
+    pub flows: Option<bonsai_net::flow::FlowConservation>,
+    /// Health rules the long-run monitor evaluates per gauge each step
+    /// (`None` when no monitor is enabled); the streaming tap prices them.
+    pub longrun_rules: Option<usize>,
 }
 
 /// A cluster of logical ranks executing Bonsai's distributed step.
@@ -413,6 +443,29 @@ impl Cluster {
         self.epoch
     }
 
+    /// The last completed step as a value. The energy report (an O(N)
+    /// reduction) and the flow totals (a scan of the run's ledger) are
+    /// computed only for a caller that reads them.
+    fn facts(&self, energy: bool, flows: bool) -> StepFacts {
+        StepFacts {
+            step: self.steps,
+            epoch: self.epoch,
+            time: self.time,
+            world: self.ranks.len(),
+            particles: self.total_particles(),
+            view: self.view.number,
+            energy: energy.then(|| self.energy_report()),
+            flows: flows.then(|| self.flows.conservation()),
+            longrun_rules: self.longrun.as_ref().map(|lr| lr.config().rules.len()),
+        }
+    }
+
+    /// Snapshot of the cluster as of the last completed step, every field
+    /// filled: the one value a test's named invariants are checked over.
+    pub fn step_facts(&self) -> StepFacts {
+        self.facts(true, true)
+    }
+
     /// Full audit log of injected faults and recovery actions since
     /// construction.
     pub fn fault_log(&self) -> FaultLog {
@@ -498,16 +551,6 @@ impl Cluster {
     /// Detach and return the streaming tap (export at end of run).
     pub fn take_stream(&mut self) -> Option<crate::stream::StreamTap> {
         self.stream.take()
-    }
-
-    /// Mutable registry access for the long-run monitor's derived gauges.
-    pub(crate) fn registry_mut(&mut self) -> &mut MetricsRegistry {
-        &mut self.registry
-    }
-
-    /// Mutable trace access for alert instants and window pruning.
-    pub(crate) fn trace_mut(&mut self) -> &mut TraceStore {
-        &mut self.trace
     }
 
     /// Borrow one rank's particle shard (checkpointing, inspection).
@@ -609,36 +652,42 @@ impl Cluster {
                     self.write_recovery_checkpoint();
                 }
             }
-            // Longitudinal bookkeeping (take/put-back so the monitor can
-            // borrow the cluster freely), then the scaling policy: health
-            // alerts opening this step may grow the world, sustained idle
-            // may shrink it.
+            // The observers are a fixed chain over disjoint fields, each
+            // handed the finished step as a value: longitudinal bookkeeping,
+            // then the scaling policy (health alerts opening this step may
+            // grow the world, sustained idle may shrink it).
             let mut fired: Vec<bonsai_obs::health::AlertEvent> = Vec::new();
-            if let Some(mut lr) = self.longrun.take() {
-                fired = lr.observe(self, &breakdown);
-                self.longrun = Some(lr);
-                if let Some(mut policy) = self.autoscale.take() {
-                    let mean = self.total_particles() as f64 / self.rank_count() as f64;
-                    match policy.decide(self.steps, self.rank_count(), mean, &fired) {
-                        crate::autoscale::ScaleDecision::Grow(k) => {
-                            self.record_autoscale_decision("grow", k);
-                            self.admit_ranks(k)
-                        }
-                        crate::autoscale::ScaleDecision::Shrink(k) => {
-                            self.record_autoscale_decision("shrink", k);
-                            self.retire_ranks(k)
-                        }
-                        crate::autoscale::ScaleDecision::Hold => {}
+            let facts = self.longrun.is_some().then(|| self.facts(true, false));
+            if let (Some(lr), Some(facts)) = (self.longrun.as_mut(), &facts) {
+                fired = lr.observe(
+                    &mut self.trace,
+                    &mut self.registry,
+                    &self.last_measurements,
+                    &breakdown,
+                    facts,
+                );
+                let mean = facts.particles as f64 / facts.world as f64;
+                let decision = self.autoscale.as_mut().map_or(ScaleDecision::Hold, |policy| {
+                    policy.decide(facts.step, facts.world, mean, &fired)
+                });
+                match decision {
+                    ScaleDecision::Grow(k) => {
+                        self.record_autoscale_decision("grow", k);
+                        self.admit_ranks(k)
                     }
-                    self.autoscale = Some(policy);
+                    ScaleDecision::Shrink(k) => {
+                        self.record_autoscale_decision("shrink", k);
+                        self.retire_ranks(k)
+                    }
+                    ScaleDecision::Hold => {}
                 }
             }
-            // The streaming tap runs last (same take/put-back pattern) so
-            // its frames describe the step's final state, including any
-            // autoscale-driven view change published above.
-            if let Some(mut tap) = self.stream.take() {
-                tap.observe(self, &breakdown, &fired);
-                self.stream = Some(tap);
+            // The streaming tap runs last so its frames describe the step's
+            // final state, including any autoscale-driven view change
+            // published above.
+            let facts = self.stream.is_some().then(|| self.facts(false, true));
+            if let (Some(tap), Some(facts)) = (self.stream.as_mut(), &facts) {
+                tap.observe(&self.trace, &mut self.registry, &breakdown, facts, &fired);
             }
             return breakdown;
         }

@@ -17,7 +17,16 @@ use bonsai_tree::{InteractionCounts, Particles};
 use bonsai_util::timer::PhaseTimes;
 use bonsai_util::Aabb;
 
+/// Host orchestration per step: kernel-launch / driver latency.
+const ORCHESTRATION: f64 = crate::breakdown::STEP_LAUNCHES * crate::breakdown::LAUNCH_LATENCY;
+
 impl Cluster {
+    /// Host-CPU key-classification rate (keys/s) of the *configured* machine
+    /// (Titan's slower Opteron stretches the phases charged at it, §VI-B).
+    fn classify_rate(&self) -> f64 {
+        130.0e6 * self.cfg.machine.cpu_let_rate
+    }
+
     /// The unified observability trace: spans for every Table II phase of
     /// every completed gravity epoch (keyed rank × epoch × phase), the LET
     /// communication and recovery windows on the COMM lanes, and fault
@@ -103,9 +112,8 @@ impl Cluster {
         );
         // View changes are must-deliver telemetry: every subscriber sees
         // them even when it is dropping samples under backpressure.
-        if let Some(mut tap) = self.stream.take() {
-            tap.publish_view_change(self, change);
-            self.stream = Some(tap);
+        if let Some(tap) = self.stream.as_mut() {
+            tap.publish_view_change(self.steps, at, change);
         }
     }
 
@@ -148,10 +156,7 @@ impl Cluster {
         let step = self.epoch;
         let base = self.trace_clock;
         let gpu = self.gpu;
-        // Host-CPU key-classification rate of the *configured* machine
-        // (Titan's slower Opteron stretches this phase, §VI-B).
-        let classify_rate = 130.0e6 * self.cfg.machine.cpu_let_rate;
-        let orchestration = crate::breakdown::STEP_LAUNCHES * crate::breakdown::LAUNCH_LATENCY;
+        let classify_rate = self.classify_rate();
         let mut local_starts = vec![0.0; p];
         // Each rank's modeled LET-exchange window length; the flow anchors
         // below spread a sender's flows across it.
@@ -199,10 +204,10 @@ impl Cluster {
             let id = self.trace.span(rank, step, Lane::Cpu, "balance", t, t + d_bal);
             self.trace.arg_u64(id, "sampled_keys", meas.sampled_keys[r] as u64);
             t += d_bal;
-            let id = self.trace.span(rank, step, Lane::Cpu, "orchestrate", t, t + orchestration);
+            let id = self.trace.span(rank, step, Lane::Cpu, "orchestrate", t, t + ORCHESTRATION);
             self.trace
                 .arg_f64(id, "launches", crate::breakdown::STEP_LAUNCHES);
-            t += orchestration;
+            t += ORCHESTRATION;
             // COMM lane: the LET exchange runs concurrently with local
             // gravity (the overlap story of §III-B2).
             let nb = meas.let_neighbors[r] as u32;
@@ -409,7 +414,7 @@ impl Cluster {
 
         // Domain update: CPU key classification + boundary allgather +
         // exchange.
-        let classify = n_max as f64 / (130.0e6 * self.cfg.machine.cpu_let_rate);
+        let classify = n_max as f64 / self.classify_rate();
         let avg_boundary =
             meas.boundary_bytes.iter().sum::<usize>() as u64 / p.max(1) as u64;
         let allgather = self.net.allgatherv_time(p, avg_boundary);
@@ -464,9 +469,8 @@ impl Cluster {
         let max_t = totals.iter().fold(0.0f64, |a, &b| a.max(b));
         let mean_t = totals.iter().sum::<f64>() / totals.len() as f64;
         let integration = n_max as f64 / crate::breakdown::INTEGRATE_RATE;
-        let load_balance = meas.sampled_keys.iter().copied().max().unwrap_or(0) as f64
-            / (130.0e6 * self.cfg.machine.cpu_let_rate);
-        let orchestration = crate::breakdown::STEP_LAUNCHES * crate::breakdown::LAUNCH_LATENCY;
+        let load_balance =
+            meas.sampled_keys.iter().copied().max().unwrap_or(0) as f64 / self.classify_rate();
         let unbalance = max_t - mean_t;
 
         let total_counts: InteractionCounts = meas
@@ -491,7 +495,7 @@ impl Cluster {
             recovery,
             integration,
             load_balance,
-            orchestration,
+            orchestration: ORCHESTRATION,
             unbalance,
             pp_per_particle: pp_pp,
             pc_per_particle: pc_pp,
@@ -522,14 +526,8 @@ impl Cluster {
             return 1.0;
         }
         let keymap = self.global_keymap();
-        let mut pairs: Vec<(u64, f64)> = Vec::with_capacity(self.total_particles());
-        for (r, shard) in self.ranks.iter().enumerate() {
-            let w = self.weights[r];
-            for &q in &shard.pos {
-                pairs.push((keymap.key_of(q), w));
-            }
-        }
-        pairs.sort_by(|a, b| a.0.cmp(&b.0));
+        let keys: Vec<Vec<u64>> = self.ranks.iter().map(|r| keymap.keys_of(&r.pos)).collect();
+        let pairs = sorted_key_weights(&keys, &self.weights);
         let ranges = bonsai_domain::load::weighted_cuts(&pairs, p);
         let shares = bonsai_domain::load::weight_shares(&pairs, &ranges);
         bonsai_domain::load::share_imbalance(&shares)
@@ -553,4 +551,15 @@ impl Cluster {
     pub fn flow_conservation(&self) -> FlowConservation {
         self.flows.conservation()
     }
+}
+
+/// Every particle's `(key, its rank's flop weight)`, sorted by key: the
+/// global multiset the balancer cuts. `keys[r]` are rank `r`'s keys.
+pub(super) fn sorted_key_weights(keys: &[Vec<u64>], weights: &[f64]) -> Vec<(u64, f64)> {
+    let mut pairs: Vec<(u64, f64)> = Vec::with_capacity(keys.iter().map(Vec::len).sum());
+    for (ks, &w) in keys.iter().zip(weights) {
+        pairs.extend(ks.iter().map(|&k| (k, w)));
+    }
+    pairs.sort_by(|a, b| a.0.cmp(&b.0));
+    pairs
 }

@@ -5,27 +5,28 @@
 //! model that extrapolates the measured algorithm to the paper's 18600-GPU
 //! scale.
 //!
-//! Three layers:
+//! Two layers:
 //!
-//! * [`cluster`] — the lock-step cluster simulator. Every phase of the
-//!   paper's step runs for real: two-level sample-sort domain decomposition,
-//!   particle exchange, per-rank tree builds over a shared global key map,
-//!   boundary-tree "allgather", sender-side sufficiency checks, dedicated
-//!   LET construction for near neighbours, and per-rank force walks whose
-//!   results are *provably* equivalent to a single-process evaluation.
-//!   Byte volumes and interaction counts are measured, then charged to the
-//!   GPU/network models to produce simulated per-phase times (Table II
-//!   rows).
-//! * [`live`] — the same force computation with one OS thread per rank and
-//!   real serialized messages over `bonsai-net`'s crossbeam fabric: the
-//!   proof that the protocol works without a global orchestrator.
+//! * [`cluster`] — the lock-step cluster simulator, the one distributed
+//!   runtime. Every phase of the paper's step runs for real: two-level
+//!   sample-sort domain decomposition, particle exchange, per-rank tree
+//!   builds over a shared global key map, boundary-tree "allgather",
+//!   sender-side sufficiency checks, dedicated LET construction for near
+//!   neighbours, and per-rank force walks whose results are *provably*
+//!   equivalent to a single-process evaluation. Byte volumes and
+//!   interaction counts are measured, then charged to the GPU/network
+//!   models to produce simulated per-phase times (Table II rows).
 //!
-//! Every cluster payload crosses the fabric in checksummed envelopes, and
-//! [`Cluster::with_faults`] accepts a seeded `bonsai-net` fault plan: the
-//! step detects and recovers from dropped, duplicated, reordered, delayed,
-//! truncated and bit-flipped messages, degrades gracefully when dedicated
-//! LETs are lost, and rolls back to the last [`checkpoint`] when a rank
-//! crashes — with every event recorded in an auditable fault log.
+//!   Every cluster payload crosses `bonsai-net`'s fabric in checksummed
+//!   envelopes, and [`Cluster::with_faults`] accepts a seeded fault plan:
+//!   the step detects and recovers from dropped, duplicated, reordered,
+//!   delayed, truncated and bit-flipped messages, degrades gracefully when
+//!   dedicated LETs are lost, and rolls back to the last [`checkpoint`]
+//!   when a rank crashes — with every event recorded in an auditable fault
+//!   log. A finished step is a value ([`StepFacts`]): the long-run monitor
+//!   ([`longrun`]), the scaling policy ([`autoscale`]) and the telemetry
+//!   tap ([`stream`]) read it and the cluster's trace and metrics stores,
+//!   never the cluster.
 //! * [`model`] — the calibrated scaling model: given a machine, rank count
 //!   and particles/GPU, predict every row of Table II and every curve of
 //!   Fig. 4, including the 24.77 / 33.49 Pflops headline numbers.
@@ -46,7 +47,6 @@ pub mod autoscale;
 pub mod breakdown;
 pub mod checkpoint;
 pub mod cluster;
-pub mod live;
 pub mod longrun;
 pub mod model;
 pub mod profile;
@@ -56,7 +56,7 @@ pub mod trace;
 pub use autoscale::{AutoscaleConfig, AutoscalePolicy, ScaleDecision};
 pub use breakdown::StepBreakdown;
 pub use checkpoint::Checkpoint;
-pub use cluster::{Cluster, ClusterConfig, RecoveryConfig};
+pub use cluster::{Cluster, ClusterConfig, RecoveryConfig, StepFacts};
 pub use longrun::{LongRunConfig, LongRunMonitor};
 pub use model::ScalingModel;
 pub use profile::cost_model_attribution;

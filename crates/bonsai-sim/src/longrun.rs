@@ -5,24 +5,25 @@
 //! sustaining it means watching the run-level signals — energy drift,
 //! balancer residual, comm exposure, achieved Gflops, fault-recovery
 //! pressure — while the run is in flight. [`LongRunMonitor`] rides inside
-//! [`Cluster::step`]: each step it derives those signals from the step's
-//! measurements, writes them as step-scoped gauges, samples *every* gauge
-//! into a bounded [`SeriesStore`], evaluates the [`HealthMonitor`] rules,
-//! and keeps a [`FlightRecorder`] ring of full-fidelity spans so an alert
-//! can freeze a Perfetto-loadable incident window.
+//! the [cluster](crate::cluster)'s step: each step it derives those signals
+//! from the step's measurements, writes them as step-scoped gauges, samples
+//! *every* gauge into a bounded [`SeriesStore`], evaluates the
+//! [`HealthMonitor`] rules, and keeps a [`FlightRecorder`] ring of
+//! full-fidelity spans so an alert can freeze a Perfetto-loadable incident
+//! window. It works on the cluster's trace and metrics stores and on the
+//! finished step as plain data ([`StepFacts`]), never on the cluster.
 //!
-//! The monitor also prunes the live trace down to the flight window
-//! (opt-out via [`LongRunConfig::prune_trace`]) — without that, a 10k-step
-//! run's span store grows without bound.
+//! The monitor also prunes the live trace down to the flight window —
+//! without that, a 10k-step run's span store grows without bound.
 
 use crate::breakdown::StepBreakdown;
-use crate::cluster::Cluster;
+use crate::cluster::{StepFacts, StepMeasurements};
 use crate::trace::step_timelines;
 use bonsai_analysis::EnergyReport;
 use bonsai_obs::health::{default_rules, AlertEvent, AlertKind, HealthMonitor, Rule};
 use bonsai_obs::timeseries::{SeriesConfig, SeriesStore};
 use bonsai_obs::flight::{FlightRecorder, Incident};
-use bonsai_obs::Lane;
+use bonsai_obs::{Lane, MetricsRegistry, TraceStore};
 
 /// Configuration of the long-run monitor.
 #[derive(Clone, Debug)]
@@ -35,9 +36,6 @@ pub struct LongRunConfig {
     pub flight_window: usize,
     /// Incidents to freeze at most (each owns a copy of the window).
     pub max_incidents: usize,
-    /// Prune the live trace down to the flight window each step. Leave on
-    /// for long runs; turn off when the caller wants the full trace.
-    pub prune_trace: bool,
 }
 
 impl Default for LongRunConfig {
@@ -47,7 +45,6 @@ impl Default for LongRunConfig {
             rules: default_rules(),
             flight_window: 8,
             max_incidents: 4,
-            prune_trace: true,
         }
     }
 }
@@ -95,28 +92,29 @@ impl LongRunMonitor {
         &self.incidents
     }
 
-    /// The energy baseline drift is measured against.
-    pub fn baseline(&self) -> &EnergyReport {
-        &self.baseline
-    }
-
     /// The configuration the monitor was enabled with.
     pub fn config(&self) -> &LongRunConfig {
         &self.cfg
     }
 
-    /// One step's longitudinal bookkeeping; called by [`Cluster::step`]
-    /// after the step completes (monitor taken out of the cluster, so
-    /// `cluster` is freely borrowable). Returns the alert transitions the
-    /// step fired — the signal the autoscaling policy scales on.
-    pub(crate) fn observe(&mut self, cluster: &mut Cluster, b: &StepBreakdown) -> Vec<AlertEvent> {
-        let step = cluster.step_count();
-        let epoch = cluster.current_epoch();
+    /// One step's longitudinal bookkeeping over the cluster's `trace` and
+    /// `registry`, after the step completes (`facts.energy` must be
+    /// filled). Returns the alert transitions the step fired — the signal
+    /// the autoscaling policy scales on.
+    pub(crate) fn observe(
+        &mut self,
+        trace: &mut TraceStore,
+        registry: &mut MetricsRegistry,
+        meas: &StepMeasurements,
+        b: &StepBreakdown,
+        facts: &StepFacts,
+    ) -> Vec<AlertEvent> {
+        let (step, epoch) = (facts.step, facts.epoch);
 
         // Derived run-level signals for this step, written as step-scoped
         // gauges so they reset with everything else.
-        let drift = cluster.energy_report().drift_from(&self.baseline);
-        let meas = &cluster.last_measurements;
+        let energy = facts.energy.expect("long-run facts carry the energy report");
+        let drift = energy.drift_from(&self.baseline);
         let flops: Vec<f64> = meas
             .counts_local
             .iter()
@@ -132,7 +130,7 @@ impl LongRunMonitor {
                 1.0
             }
         };
-        let timelines = step_timelines(cluster);
+        let timelines = step_timelines(trace);
         let hidden = if timelines.is_empty() {
             1.0
         } else {
@@ -142,62 +140,51 @@ impl LongRunMonitor {
                 .sum::<f64>()
                 / timelines.len() as f64
         };
-        let recoveries = meas.faults.recoveries.len() as f64;
-        let degraded = meas.degraded_lets as f64;
-        let retransmit = meas.retransmit_bytes as f64;
-        let imbalance = meas.imbalance;
         let derived = [
             ("bonsai_energy_drift", drift),
             ("bonsai_flop_residual", residual),
             ("bonsai_hidden_comm_fraction", hidden),
             ("bonsai_gpu_gflops", b.gpu_tflops() * 1e3),
             ("bonsai_step_seconds", b.total()),
-            ("bonsai_recovery_actions", recoveries),
-            ("bonsai_degraded_lets", degraded),
-            ("bonsai_retransmit_bytes", retransmit),
-            ("bonsai_particle_imbalance", imbalance),
+            ("bonsai_recovery_actions", meas.faults.recoveries.len() as f64),
+            ("bonsai_degraded_lets", meas.degraded_lets as f64),
+            ("bonsai_retransmit_bytes", meas.retransmit_bytes as f64),
+            ("bonsai_particle_imbalance", meas.imbalance),
         ];
         for (name, v) in derived {
-            cluster.registry_mut().step_gauge_set(name, &[], v);
+            registry.step_gauge_set(name, &[], v);
         }
 
         // Sample every gauge of the step into the bounded series store and
         // feed the rule engine (rules filter by metric name).
         let mut fired: Vec<AlertEvent> = Vec::new();
-        let samples: Vec<(String, f64)> = cluster
-            .metrics()
-            .gauges()
-            .map(|(k, v)| (k.render(), v))
-            .collect();
-        for (name, v) in &samples {
-            self.series.record(name, step, *v);
-            fired.extend(self.health.observe(step, name, *v));
+        for (key, v) in registry.gauges() {
+            let name = key.render();
+            self.series.record(&name, step, v);
+            fired.extend(self.health.observe(step, &name, v));
         }
 
         // Alert transitions become instants on the trace (rank 0's CPU
         // lane, at the end of the completed epoch) *before* the flight
         // recorder copies the step, so incident windows carry them.
         if !fired.is_empty() {
-            let at = cluster.trace().makespan();
+            let at = trace.makespan();
             for ev in &fired {
                 let name = format!("alert:{}:{}", ev.kind.name(), ev.rule);
-                cluster
-                    .trace_mut()
+                trace
                     .instant(0, epoch, Lane::Cpu, name, at)
                     .args
                     .push(("detail", bonsai_obs::ArgValue::Str(ev.detail.clone())));
             }
         }
-        self.flight.record_step(cluster.trace(), epoch);
+        self.flight.record_step(trace, epoch);
         for ev in &fired {
             if ev.kind == AlertKind::Open && self.incidents.len() < self.cfg.max_incidents {
                 self.incidents.push(self.flight.freeze(self.incidents.len(), ev));
             }
         }
-        if self.cfg.prune_trace {
-            let min = epoch.saturating_sub(self.cfg.flight_window.max(1) as u64 - 1);
-            cluster.trace_mut().retain_steps(min);
-        }
+        let min = epoch.saturating_sub(self.cfg.flight_window.max(1) as u64 - 1);
+        trace.retain_steps(min);
         fired
     }
 }
@@ -205,8 +192,9 @@ impl LongRunMonitor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cluster::ClusterConfig;
+    use crate::cluster::{Cluster, ClusterConfig};
     use bonsai_ic::plummer_sphere;
+    use bonsai_obs::health::{Condition, Severity};
 
     fn small_cluster() -> Cluster {
         let ic = plummer_sphere(256, 42);
@@ -218,6 +206,59 @@ mod tests {
                 ..ClusterConfig::default()
             },
         )
+    }
+
+    #[test]
+    fn an_alert_opens_on_a_crafted_gauge_with_no_cluster() {
+        // Hand-built stores and facts: two recorded epochs, one gauge over
+        // its rule's limit.
+        let energy = EnergyReport {
+            kinetic: 1.0,
+            potential: -2.0,
+            l_z: 0.0,
+            momentum: 0.0,
+        };
+        let hot = Rule::new("hot", "crafted", Condition::Above(1.0), Severity::Warning, 1, 1);
+        let mut lr = LongRunMonitor::new(
+            LongRunConfig {
+                rules: vec![hot],
+                flight_window: 1,
+                ..LongRunConfig::default()
+            },
+            energy,
+        );
+        let mut trace = TraceStore::new();
+        trace.span(0, 1, Lane::Gpu, "local", 0.0, 1.0);
+        trace.span(0, 2, Lane::Gpu, "local", 1.0, 3.0);
+        let mut registry = MetricsRegistry::new();
+        registry.step_gauge_set("crafted", &[], 2.0);
+        let facts = StepFacts {
+            step: 1,
+            epoch: 2,
+            time: 0.01,
+            world: 1,
+            particles: 10,
+            energy: Some(energy),
+            ..StepFacts::default()
+        };
+        let fired = lr.observe(
+            &mut trace,
+            &mut registry,
+            &StepMeasurements::default(),
+            &StepBreakdown::default(),
+            &facts,
+        );
+        assert_eq!(fired.len(), 1);
+        assert_eq!((fired[0].rule.as_str(), fired[0].kind), ("hot", AlertKind::Open));
+        // The derived signals were written and sampled beside the crafted one.
+        assert_eq!(registry.gauge("bonsai_energy_drift", &[]), Some(0.0));
+        assert_eq!(lr.series().series("crafted").map(|s| s.count()), Some(1));
+        // The alert is an instant on the epoch, frozen into an incident, and
+        // the trace is pruned to the one-epoch flight window.
+        assert_eq!(trace.instants().len(), 1);
+        assert_eq!(trace.instants()[0].name, "alert:open:hot");
+        assert_eq!(lr.incidents().len(), 1);
+        assert!(trace.spans().iter().all(|s| s.step == 2));
     }
 
     #[test]

@@ -2,8 +2,9 @@
 //! `bonsai-obs`'s [`TelemetryBus`] each step and self-meters what the
 //! whole observability stack costs.
 //!
-//! [`StreamTap`] rides inside [`Cluster::step`] after the long-run
-//! monitor (take/put-back, like the monitor itself): each step it prices
+//! [`StreamTap`] rides inside the [cluster](crate::cluster)'s step after
+//! the long-run monitor, on the cluster's trace and metrics stores and the
+//! finished step as plain data ([`StepFacts`]): each step it prices
 //! the step's observability work (spans, gauges, rule evaluations, flight
 //! copies) through an [`OverheadMeter`], publishes the step's telemetry
 //! frames — step header, per-phase seconds, key gauges, flow-conservation
@@ -20,10 +21,11 @@
 //! fixed-seed run streams byte-identical frames.
 
 use crate::breakdown::StepBreakdown;
-use crate::cluster::Cluster;
+use crate::cluster::StepFacts;
 use bonsai_obs::health::{AlertEvent, HealthMonitor};
 use bonsai_obs::overhead::{overhead_rule, ObsCostModel, OverheadMeter, OVERHEAD_GAUGE};
 use bonsai_obs::stream::{FrameKind, FrameValue, SubscriberConfig, TelemetryBus};
+use bonsai_obs::{MetricsRegistry, TraceStore};
 
 /// Configuration of the streaming tap.
 #[derive(Clone, Debug)]
@@ -114,11 +116,6 @@ impl StreamTap {
         &self.health
     }
 
-    /// The configuration the tap was enabled with.
-    pub fn config(&self) -> &StreamConfig {
-        &self.cfg
-    }
-
     /// Publish one frame and charge its encoding + fan-out to the meter.
     fn publish(
         &mut self,
@@ -142,14 +139,15 @@ impl StreamTap {
     }
 
     /// A completed view change's telemetry surface: one must-deliver
-    /// `view-change` frame. Called by the cluster between steps (its
-    /// charges fold into the next step's overhead sample).
+    /// `view-change` frame stamped `at` (the trace makespan). Called by the
+    /// cluster between steps (its charges fold into the next step's
+    /// overhead sample).
     pub(crate) fn publish_view_change(
         &mut self,
-        cluster: &Cluster,
+        step: u64,
+        at: f64,
         change: &bonsai_net::membership::ViewChange,
     ) {
-        let at = cluster.trace().makespan();
         let fields = vec![
             (
                 "from_world".to_string(),
@@ -169,32 +167,31 @@ impl StreamTap {
                 FrameValue::U64(change.migrated_bytes as u64),
             ),
         ];
-        self.publish(cluster.step_count(), FrameKind::ViewChange, at, fields);
+        self.publish(step, FrameKind::ViewChange, at, fields);
     }
 
-    /// One step's streaming: price the step's observability work, publish
-    /// the step's frames, close the overhead sample, and run the budget
-    /// rule. `fired` is the alert transitions the long-run monitor raised
-    /// this step (published as must-deliver frames).
-    ///
-    /// Called by [`Cluster::step`] with the tap taken out of the cluster,
-    /// so `cluster` is freely borrowable.
+    /// One step's streaming over the cluster's `trace` and `registry`:
+    /// price the step's observability work, publish the step's frames,
+    /// close the overhead sample, and run the budget rule. `facts.flows`
+    /// must be filled; `fired` is the alert transitions the long-run
+    /// monitor raised this step (published as must-deliver frames).
     pub(crate) fn observe(
         &mut self,
-        cluster: &mut Cluster,
+        trace: &TraceStore,
+        registry: &mut MetricsRegistry,
         b: &StepBreakdown,
+        facts: &StepFacts,
         fired: &[AlertEvent],
     ) {
-        let step = cluster.step_count();
-        let epoch = cluster.current_epoch();
-        let at = cluster.trace().makespan();
+        let (step, epoch) = (facts.step, facts.epoch);
+        let at = trace.makespan();
         let cost = self.meter.cost().clone();
 
         // Price what the observability stack did this step, from the
         // observable op counts: the trace events the step recorded, the
         // gauges the registry carries, and (when long-run monitoring is
         // on) the rule evaluations and flight-window copies it performed.
-        let recs = cluster.trace().step_records(epoch);
+        let recs = trace.step_records(epoch);
         let spans = recs.spans.len() as u64;
         let instants = recs.instants.len() as u64;
         let flow_points = recs.flow_points.len() as u64;
@@ -203,33 +200,28 @@ impl StreamTap {
             .charge_ops("trace", instants, cost.instant_record_s);
         self.meter
             .charge_ops("trace", flow_points, cost.flow_point_s);
-        let gauges = cluster.metrics().gauges().count() as u64;
+        let gauges = registry.gauges().count() as u64;
         self.meter.charge_ops("metrics", gauges, cost.gauge_sample_s);
-        if let Some(lr) = cluster.longrun() {
-            let rules = lr.config().rules.len() as u64;
+        if let Some(rules) = facts.longrun_rules {
             self.meter
-                .charge_ops("health", rules * gauges, cost.rule_eval_s);
+                .charge_ops("health", rules as u64 * gauges, cost.rule_eval_s);
             self.meter.charge_ops("flight", spans, cost.flight_copy_s);
         }
 
         // The step's frames, in a fixed kind order.
-        let view = cluster.view().number;
         self.publish(
             step,
             FrameKind::StepHeader,
             at,
             vec![
                 ("epoch".to_string(), FrameValue::U64(epoch)),
-                (
-                    "world".to_string(),
-                    FrameValue::U64(cluster.rank_count() as u64),
-                ),
+                ("world".to_string(), FrameValue::U64(facts.world as u64)),
                 (
                     "particles".to_string(),
-                    FrameValue::U64(cluster.total_particles() as u64),
+                    FrameValue::U64(facts.particles as u64),
                 ),
-                ("view".to_string(), FrameValue::U64(view)),
-                ("time".to_string(), FrameValue::F64(cluster.time())),
+                ("view".to_string(), FrameValue::U64(facts.view)),
+                ("time".to_string(), FrameValue::F64(facts.time)),
             ],
         );
         let pt = b.phase_times();
@@ -245,14 +237,13 @@ impl StreamTap {
             .clone()
             .into_iter()
             .filter_map(|name| {
-                cluster
-                    .metrics()
+                registry
                     .gauge(&name, &[])
                     .map(|v| (name, FrameValue::F64(v)))
             })
             .collect();
         self.publish(step, FrameKind::Gauges, at, gauge_fields);
-        let cons = cluster.flow_conservation();
+        let cons = facts.flows.expect("stream facts carry the flow totals");
         self.publish(
             step,
             FrameKind::FlowDigest,
@@ -278,15 +269,9 @@ impl StreamTap {
         // it; budget transitions are themselves must-deliver frames (their
         // own encoding cost lands in the next step's sample).
         let sample = self.meter.end_step(step, b.total());
-        cluster
-            .registry_mut()
-            .step_gauge_set(OVERHEAD_GAUGE, &[], sample.fraction);
+        registry.step_gauge_set(OVERHEAD_GAUGE, &[], sample.fraction);
         for (cat, secs) in &sample.categories {
-            cluster.registry_mut().step_gauge_set(
-                "bonsai_obs_overhead_seconds",
-                &[("category", cat)],
-                *secs,
-            );
+            registry.step_gauge_set("bonsai_obs_overhead_seconds", &[("category", cat)], *secs);
         }
         let budget_fired = self.health.observe(step, OVERHEAD_GAUGE, sample.fraction);
         for ev in &budget_fired {
@@ -314,7 +299,7 @@ fn alert_fields(ev: &AlertEvent) -> Vec<(String, FrameValue)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cluster::ClusterConfig;
+    use crate::cluster::{Cluster, ClusterConfig};
     use bonsai_ic::plummer_sphere;
     use bonsai_obs::overhead::OVERHEAD_BUDGET_FRACTION;
 
@@ -335,6 +320,54 @@ mod tests {
             ..StreamConfig::default()
         });
         c
+    }
+
+    #[test]
+    fn frames_are_published_in_kind_order_with_no_cluster() {
+        // Hand-built stores and facts: one recorded epoch, one streamed gauge.
+        let mut tap = StreamTap::new(StreamConfig {
+            subscribers: vec![SubscriberConfig::new("watch", 16)],
+            ..StreamConfig::default()
+        });
+        let mut trace = TraceStore::new();
+        trace.span(0, 3, bonsai_obs::Lane::Gpu, "local", 0.0, 2.5);
+        let mut registry = MetricsRegistry::new();
+        registry.step_gauge_set("bonsai_step_seconds", &[], 2.5);
+        let facts = StepFacts {
+            step: 2,
+            epoch: 3,
+            time: 0.02,
+            world: 4,
+            particles: 100,
+            view: 1,
+            flows: Some(bonsai_net::flow::FlowConservation {
+                sealed: 7,
+                delivered: 6,
+                fallback: 1,
+                ..Default::default()
+            }),
+            ..StepFacts::default()
+        };
+        let b = StepBreakdown {
+            gravity_local: 2.5,
+            ..StepBreakdown::default()
+        };
+        tap.observe(&trace, &mut registry, &b, &facts, &[]);
+        let frames = tap.bus_mut().poll(0, usize::MAX);
+        let kinds: Vec<FrameKind> = frames.iter().map(|f| f.kind).collect();
+        assert_eq!(
+            kinds,
+            [FrameKind::StepHeader, FrameKind::PhaseSample, FrameKind::Gauges, FrameKind::FlowDigest]
+        );
+        assert!(frames.iter().all(|f| f.step == 2 && f.at == 2.5));
+        assert_eq!(frames[0].f64("world"), Some(4.0));
+        assert_eq!(frames[0].f64("view"), Some(1.0));
+        assert_eq!(frames[2].f64("bonsai_step_seconds"), Some(2.5));
+        assert_eq!(frames[3].f64("sealed"), Some(7.0));
+        assert_eq!(frames[3].f64("holds"), Some(1.0));
+        // The overhead sample closed against the step and landed as a gauge.
+        assert_eq!(tap.meter().steps(), 1);
+        assert!(registry.gauge(OVERHEAD_GAUGE, &[]).is_some());
     }
 
     #[test]

@@ -14,9 +14,7 @@
 //! (`S` sort, `D` domain update, `B` build, `P` properties, `L` local
 //! gravity, `R` remote/LET gravity, `m` LET communication, `.` idle.)
 
-use crate::cluster::{Cluster, StepMeasurements};
-use bonsai_net::{FaultKind, RecoveryAction};
-use bonsai_obs::{interval_union, overlap_with_union, Lane};
+use bonsai_obs::{interval_union, overlap_with_union, Lane, TraceStore};
 
 /// One rank's reconstructed schedule (seconds from step start).
 #[derive(Clone, Debug)]
@@ -59,12 +57,12 @@ impl RankTimeline {
     }
 }
 
-/// Per-rank timelines of the most recent recorded epoch: a view over the
-/// cluster's span store, re-based to step-relative seconds. The spans were
-/// recorded with the cluster's *configured* device and machine-rate models,
-/// so a Titan cluster's timeline shows Titan's slower host phases.
-pub fn step_timelines(cluster: &Cluster) -> Vec<RankTimeline> {
-    let store = cluster.trace();
+/// Per-rank timelines of the most recent recorded epoch: a view over a
+/// [cluster](crate::cluster)'s span store, re-based to step-relative
+/// seconds. The spans were recorded with the cluster's *configured* device
+/// and machine-rate models, so a Titan cluster's timeline shows Titan's
+/// slower host phases.
+pub fn step_timelines(store: &TraceStore) -> Vec<RankTimeline> {
     let Some(step) = store.last_step() else {
         return Vec::new();
     };
@@ -142,61 +140,10 @@ pub fn render_gantt(timelines: &[RankTimeline], width: usize) -> String {
     out
 }
 
-/// Summarize the fault activity of a step's measurements: headline counts,
-/// per-kind / per-action tallies, then the chronological event log from the
-/// step's [`bonsai_net::FaultLog`] slice.
-pub fn render_fault_summary(meas: &StepMeasurements) -> String {
-    let log = &meas.faults;
-    if log.is_clean() && meas.retransmit_bytes == 0 && meas.degraded_lets == 0 {
-        return "faults: clean step (nothing injected, nothing recovered)\n".to_string();
-    }
-    let mut out = format!(
-        "faults: {} injected, {} recovery actions, {} B retransmitted, {} degraded LET walks\n",
-        log.injected.len(),
-        log.recoveries.len(),
-        meas.retransmit_bytes,
-        meas.degraded_lets
-    );
-    const KINDS: [FaultKind; 8] = [
-        FaultKind::Drop,
-        FaultKind::Duplicate,
-        FaultKind::Reorder,
-        FaultKind::Delay,
-        FaultKind::Truncate,
-        FaultKind::Corrupt,
-        FaultKind::Stall,
-        FaultKind::Crash,
-    ];
-    for kind in KINDS {
-        let n = log.injected_of(kind);
-        if n > 0 {
-            out.push_str(&format!("  injected {kind:<10} × {n}\n"));
-        }
-    }
-    const ACTIONS: [RecoveryAction; 8] = [
-        RecoveryAction::Retransmit,
-        RecoveryAction::DiscardCorrupt,
-        RecoveryAction::DiscardDuplicate,
-        RecoveryAction::DiscardStale,
-        RecoveryAction::BoundaryFallback,
-        RecoveryAction::DeclareDead,
-        RecoveryAction::RestoreCheckpoint,
-        RecoveryAction::ViewChange,
-    ];
-    for action in ACTIONS {
-        let n = log.recoveries_of(action);
-        if n > 0 {
-            out.push_str(&format!("  recovery {action:<18} × {n}\n"));
-        }
-    }
-    out.push_str(&log.render());
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cluster::ClusterConfig;
+    use crate::cluster::{Cluster, ClusterConfig};
     use bonsai_ic::plummer_sphere;
 
     fn sample_cluster() -> Cluster {
@@ -206,7 +153,7 @@ mod tests {
     #[test]
     fn timelines_cover_every_rank_and_phase() {
         let c = sample_cluster();
-        let tls = step_timelines(&c);
+        let tls = step_timelines(c.trace());
         assert_eq!(tls.len(), 4);
         for tl in &tls {
             assert_eq!(tl.gpu.len(), 7);
@@ -224,7 +171,7 @@ mod tests {
     #[test]
     fn comm_is_mostly_hidden() {
         let c = sample_cluster();
-        let tls = step_timelines(&c);
+        let tls = step_timelines(c.trace());
         for tl in &tls {
             let f = tl.hidden_comm_fraction();
             assert!(
@@ -263,7 +210,7 @@ mod tests {
         cfg.machine = bonsai_net::TITAN;
         let titan = Cluster::new(ic, 2, cfg);
         let dur = |c: &Cluster, name: &str| {
-            step_timelines(c)[0]
+            step_timelines(c.trace())[0]
                 .gpu
                 .iter()
                 .find(|(l, _, _)| l == name)
@@ -280,42 +227,9 @@ mod tests {
     }
 
     #[test]
-    fn fault_summary_clean_step() {
-        let c = sample_cluster();
-        let s = render_fault_summary(&c.last_measurements);
-        assert!(s.contains("clean step"), "{s}");
-    }
-
-    #[test]
-    fn fault_summary_lists_injections_and_recoveries() {
-        use bonsai_net::{FaultPlan, Injection, MsgKind};
-        // Force one boundary-frame drop in the first stepped epoch; the
-        // receiver must retransmit-recover and the summary must say so.
-        let plan = FaultPlan::new(42).with_injection(Injection {
-            epoch: 2,
-            from: Some(0),
-            to: Some(1),
-            kind: Some(MsgKind::Boundary),
-            fault: FaultKind::Drop,
-        });
-        let mut c = Cluster::with_faults(
-            plummer_sphere(1200, 5),
-            3,
-            ClusterConfig::default(),
-            plan,
-            None,
-        );
-        c.step();
-        let s = render_fault_summary(&c.last_measurements);
-        assert!(s.contains("injected drop"), "{s}");
-        assert!(s.contains("recovery retransmit"), "{s}");
-        assert!(s.contains("inject"), "{s}");
-    }
-
-    #[test]
     fn gantt_renders_all_rows() {
         let c = sample_cluster();
-        let art = render_gantt(&step_timelines(&c), 60);
+        let art = render_gantt(&step_timelines(c.trace()), 60);
         let lines: Vec<&str> = art.lines().collect();
         assert_eq!(lines.len(), 4 * 3 + 1); // three lanes per rank + legend
         assert!(art.contains('L') && art.contains('R'));

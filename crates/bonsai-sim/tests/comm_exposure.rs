@@ -43,7 +43,7 @@ fn comm_heavy_cluster() -> Cluster {
 fn hidden_fraction_is_strictly_interior_when_comm_heavy() {
     let mut c = comm_heavy_cluster();
     c.step();
-    let tls = step_timelines(&c);
+    let tls = step_timelines(c.trace());
     assert_eq!(tls.len(), 4);
     for (r, tl) in tls.iter().enumerate() {
         let f = tl.hidden_comm_fraction();
@@ -75,7 +75,7 @@ fn default_config_still_hides_comm_completely() {
     let mut c = Cluster::new(plummer_sphere(8000, 21), 4, ClusterConfig::default());
     let b = c.step();
     assert_eq!(b.non_hidden_comm, 0.0);
-    for tl in step_timelines(&c) {
+    for tl in step_timelines(c.trace()) {
         assert!(tl.hidden_comm_fraction() > 0.9);
     }
 }

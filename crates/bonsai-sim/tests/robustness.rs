@@ -5,12 +5,11 @@
 
 use bonsai_domain::LetTree;
 use bonsai_ic::plummer_sphere;
-use bonsai_net::{Fabric, FaultKind, FaultPlan, Injection, MsgKind, RecoveryAction};
+use bonsai_net::{FaultKind, FaultPlan, Injection, RecoveryAction};
 use bonsai_sim::{Cluster, ClusterConfig, RecoveryConfig};
 use bonsai_tree::Particles;
 use bonsai_util::Vec3;
 use bonsai_verify::{acceleration_diff, equivalence_band, serial_reference};
-use bytes::Bytes;
 
 #[test]
 fn more_ranks_than_justified_by_particles() {
@@ -84,22 +83,6 @@ fn corrupted_node_kind_is_rejected() {
     let kind_offset = 16 + 160 + 8;
     bytes[kind_offset] = 0xFF;
     assert!(LetTree::from_bytes(&bytes).is_none(), "bad node kind accepted");
-}
-
-#[test]
-fn fabric_defers_out_of_phase_messages() {
-    // Ranks are not barrier-synchronized: a fast peer's LET can land while
-    // this rank is still collecting boundaries. The fabric must defer it —
-    // losing it would deadlock the receiver's LET phase.
-    let mut eps = Fabric::new(2);
-    let b = eps.pop().unwrap();
-    let a = eps.pop().unwrap();
-    b.send(0, MsgKind::Let, Bytes::from_static(b"early"));
-    b.send(0, MsgKind::Boundary, Bytes::from_static(b"bnd"));
-    let all = a.allgather(MsgKind::Boundary, Bytes::from_static(b"mine"));
-    assert_eq!(&all[1][..], b"bnd");
-    let lets = a.recv_n_of(MsgKind::Let, 1);
-    assert_eq!((lets[0].0, &lets[0].1[..]), (1, &b"early"[..]));
 }
 
 #[test]

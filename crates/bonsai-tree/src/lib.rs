@@ -57,7 +57,7 @@ pub use particles::Particles;
 pub use walk::{walk_tree, WalkParams};
 
 /// The paper's leaf capacity: octants are split until they hold fewer than
-/// this many particles (§I cites [9] for the choice of 16).
+/// this many particles (§I cites \[9\] for the choice of 16).
 pub const NLEAF: usize = 16;
 
 /// Flops charged per particle-particle interaction (§VI-A: 4 sub, 3 mul,

@@ -1,6 +1,6 @@
 //! The multipole acceptance criterion (MAC).
 //!
-//! The paper parameterizes acceptance by an opening angle θ (§I, citing [9]):
+//! The paper parameterizes acceptance by an opening angle θ (§I, citing \[9\]):
 //! a cell of side `l` at distance `d` from the target may be used as a single
 //! particle-cell interaction when
 //!

@@ -225,7 +225,7 @@ impl Histogram2d {
     }
 }
 
-/// Percentile of a *sorted* slice using linear interpolation; `q` in [0,1].
+/// Percentile of a *sorted* slice using linear interpolation; `q` in \[0,1\].
 pub fn percentile_sorted(sorted: &[f64], q: f64) -> f64 {
     assert!(!sorted.is_empty());
     let q = q.clamp(0.0, 1.0);

@@ -8,15 +8,12 @@
 //!
 //! Runs the full Bonsai step — Peano–Hilbert sample-sort decomposition,
 //! particle exchange, boundary-tree allgather, sufficiency checks, LET
-//! construction, per-rank force walks — twice: once in lock-step mode with
-//! the Table II breakdown, and once in *live* mode with one OS thread per
-//! rank exchanging real serialized messages over crossbeam channels.
+//! construction, per-rank force walks — on the lock-step cluster, every
+//! payload a real serialized message over the crossbeam fabric, and prints
+//! the Table II breakdown and the per-rank overlap schedule.
 
 use bonsai::ic::plummer_sphere;
-use bonsai::sim::live::{live_forces, split_for_ranks};
 use bonsai::sim::{Cluster, ClusterConfig};
-use bonsai::tree::build::TreeParams;
-use bonsai::tree::walk::WalkParams;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -25,7 +22,7 @@ fn main() {
 
     println!("=== lock-step cluster: {ranks} ranks, {n} particles ===\n");
     let ic = plummer_sphere(n, 99);
-    let mut cluster = Cluster::new(ic.clone(), ranks, ClusterConfig::default());
+    let mut cluster = Cluster::new(ic, ranks, ClusterConfig::default());
     let breakdown = cluster.step();
     print!("{}", breakdown.format_column("simulated Piz Daint timings"));
 
@@ -46,31 +43,11 @@ fn main() {
     println!("  load imbalance (max/mean): {:.3} (paper cap: 1.3)", m.imbalance);
 
     println!("\nper-rank schedule (the §III-B2 overlap, reconstructed):");
-    let timelines = bonsai::sim::trace::step_timelines(&cluster);
+    let timelines = bonsai::sim::trace::step_timelines(cluster.trace());
     print!("{}", bonsai::sim::trace::render_gantt(&timelines, 72));
     let hidden = timelines
         .iter()
         .map(|t| t.hidden_comm_fraction())
         .fold(f64::INFINITY, f64::min);
     println!("worst-case hidden-communication fraction: {:.0}%", hidden * 100.0);
-
-    println!("\n=== live mode: one OS thread per rank, real message passing ===\n");
-    let params = WalkParams::new(0.4, 0.01);
-    let tp = TreeParams::default();
-    let (per_rank, domains, keymap) = split_for_ranks(&ic, ranks, tp);
-    let results = live_forces(per_rank, domains, keymap, tp, params);
-    for (r, res) in results.iter().enumerate() {
-        println!(
-            "  rank {r}: {:>6} particles, sent {} dedicated LETs, received {}, {} MAC faults",
-            res.particles.len(),
-            res.lets_sent,
-            res.lets_received,
-            res.forced_cuts
-        );
-    }
-    let sent: usize = results.iter().map(|r| r.lets_sent).sum();
-    let recv: usize = results.iter().map(|r| r.lets_received).sum();
-    assert_eq!(sent, recv, "symmetric sufficiency checks must agree");
-    println!("\nOK: {sent} dedicated LETs routed; senders and receivers agreed on every");
-    println!("pair without any negotiation round-trips (the paper's double-check trick).");
 }

@@ -16,6 +16,10 @@ echo "== tier-1: build + full test suite =="
 cargo build --release
 cargo test -q
 
+echo "== docs: a broken intra-doc link fails the build =="
+# Deleted or renamed items stay out of module docs and DESIGN-quoted links.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline -q
+
 echo "== shipped code generation: walk tests on the release profile =="
 # The dev profile is opt-level 1 and does not vectorise; the lane kernels
 # and their AVX2 instantiation only exist at the release profile, so the
