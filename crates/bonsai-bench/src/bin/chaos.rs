@@ -49,7 +49,7 @@ fn run_once(
         }
         let conserved = c.total_particles() == n;
         let finite = c.accelerations_by_id().values().all(|a| a.is_finite());
-        (c.fault_log(), conserved, finite, degraded, retx)
+        (c.fault_log().clone(), conserved, finite, degraded, retx)
     });
     if let Some(dir) = dir {
         let _ = std::fs::remove_dir_all(dir);

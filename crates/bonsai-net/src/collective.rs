@@ -20,8 +20,8 @@
 //!
 //! The [`FaultPlan`](crate::fault::FaultPlan)'s decisions are a pure function
 //! of message coordinates, but flow ids are handed out in send order and the
-//! [`FaultLog`](crate::fault::FaultLog) is appended in drain order, so every
-//! byte-deterministic artifact hangs on the order of operations here:
+//! [`FaultLog`] is appended in drain order, so every byte-deterministic
+//! artifact hangs on the order of operations here:
 //!
 //! 1. first transmissions leave sender-ascending, receiver-ascending, with
 //!    the sender's reordered frames flushed after its burst;
@@ -29,14 +29,19 @@
 //! 3. retransmissions leave in `(to, from)` order — the order of
 //!    [`Exchanged::missing`] — followed by a flush of every member.
 //!
-//! It all runs on the caller's thread. Sealing per sender and draining per
-//! receiver are independent across ranks and could run as rank-level tasks
-//! into per-rank buffers merged in this order; until something does that,
-//! serial is what keeps log and ledger deterministic.
+//! It all runs on the caller's thread, over the one `&mut` [`Wire`] the
+//! driver owns: log and ledger are plain values, and this order is the only
+//! thing that makes them deterministic. Sealing per sender and draining per
+//! receiver are independent across ranks; running them as rank-level tasks
+//! means splitting `&mut Wire` into per-rank send halves (a rank's endpoint,
+//! its held-back queues, a flow buffer) and drain halves (its inbox, a
+//! recovery buffer), and merging the buffers into log and ledger in this
+//! order. Nothing stands between that split and the type any more — no lock,
+//! no shared handle.
 
 use crate::envelope;
 use crate::fabric::MsgKind;
-use crate::fault::{FaultyEndpoint, RecoveryAction, RecoveryEvent, SharedFaultLog};
+use crate::fault::{FaultLog, RecoveryAction, RecoveryEvent, Wire};
 use bytes::Bytes;
 
 /// What one rank owes its peers in a collective.
@@ -148,18 +153,17 @@ pub fn received_from<T>(list: &[(usize, T)], peer: usize) -> Option<&T> {
         .map(|i| &list[i].1)
 }
 
-/// Run one collective among `members` (ascending ranks; indices into
-/// `endpoints`) over the possibly faulty fabric.
+/// Run one collective among `members` (ascending ranks of `wire`) over the
+/// possibly faulty fabric.
 ///
 /// `outbox[from]` is what `from` owes; `expect` is whom each receiver waits
 /// for. A frame that fails envelope validation, carries another epoch or
 /// kind, comes from an unexpected sender, arrives twice, or is refused by
 /// `parse` is discarded and logged; missing payloads are re-requested up to
-/// `round.max_retries` times. Non-members' endpoints are never touched. See
-/// the module docs for the order contract.
+/// `round.max_retries` times. Non-members' endpoints and held-back queues
+/// are never touched. See the module docs for the order contract.
 pub fn exchange<T>(
-    endpoints: &mut [FaultyEndpoint],
-    log: &SharedFaultLog,
+    wire: &mut Wire,
     members: &[usize],
     round: &Round<'_>,
     outbox: &[Outbox],
@@ -173,23 +177,23 @@ pub fn exchange<T>(
             Outbox::Silent => {}
             Outbox::Broadcast(payload) => {
                 for &to in members.iter().filter(|&&to| to != from) {
-                    endpoints[from].send_framed(to, kind, epoch, 0, payload);
+                    wire.send_framed(from, to, kind, epoch, 0, payload);
                 }
             }
             Outbox::To(list) => {
                 for (to, payload) in list {
-                    endpoints[from].send_framed(*to, kind, epoch, 0, payload);
+                    wire.send_framed(from, *to, kind, epoch, 0, payload);
                 }
             }
         }
-        endpoints[from].flush_reordered();
+        wire.flush_reordered(from);
     }
     let mut out = Exchanged {
-        received: (0..endpoints.len()).map(|_| Vec::new()).collect(),
+        received: (0..wire.world()).map(|_| Vec::new()).collect(),
         missing: Vec::new(),
         retransmit_bytes: 0,
     };
-    let record = |rank: usize, peer: usize, action: RecoveryAction, detail: String| {
+    let record = |log: &mut FaultLog, rank, peer, action, detail| {
         log.record_recovery(RecoveryEvent {
             epoch,
             rank,
@@ -203,16 +207,19 @@ pub fn exchange<T>(
     loop {
         for &to in members {
             let got = &mut out.received[to];
-            while let Some(msg) = endpoints[to].try_recv() {
+            while let Some(msg) = wire.try_recv(to) {
                 let env = match envelope::open(&msg.payload) {
                     Ok(env) => env,
                     Err(e) => {
-                        record(to, msg.from, RecoveryAction::DiscardCorrupt, e.to_string());
+                        let why = e.to_string();
+                        record(&mut wire.log, to, msg.from, RecoveryAction::DiscardCorrupt, why);
                         continue;
                     }
                 };
                 let from = env.from;
-                let stale = |detail: String| record(to, from, RecoveryAction::DiscardStale, detail);
+                let mut stale = |detail: String| {
+                    record(&mut wire.log, to, from, RecoveryAction::DiscardStale, detail)
+                };
                 if env.epoch != epoch {
                     stale(format!("{} from epoch {}", round.stale_frame, env.epoch));
                 } else if env.kind != kind {
@@ -225,17 +232,17 @@ pub fn exchange<T>(
                             // Validated arrival closes the flow's lifecycle;
                             // the id rode inside the envelope, so reordered
                             // and delayed frames settle their own flow.
-                            endpoints[to].flows().deliver(env.flow, env.seq);
+                            wire.flows.deliver(env.flow, env.seq);
                             got.insert(at, (from, value));
                         }
                         Err(Reject::Stale(why)) => stale(why),
                         Err(Reject::Corrupt(why)) => {
-                            record(to, from, RecoveryAction::DiscardCorrupt, why)
+                            record(&mut wire.log, to, from, RecoveryAction::DiscardCorrupt, why)
                         }
                     }
                 } else {
                     let extra = round.duplicate.to_string();
-                    record(to, from, RecoveryAction::DiscardDuplicate, extra);
+                    record(&mut wire.log, to, from, RecoveryAction::DiscardDuplicate, extra);
                 }
             }
         }
@@ -254,18 +261,14 @@ pub fn exchange<T>(
         attempt += 1;
         for &(to, from) in &out.missing {
             if let Some(payload) = outbox[from].owed_to(to) {
-                record(
-                    to,
-                    from,
-                    RecoveryAction::Retransmit,
-                    format!("attempt {attempt}"),
-                );
+                let detail = format!("attempt {attempt}");
+                record(&mut wire.log, to, from, RecoveryAction::Retransmit, detail);
                 out.retransmit_bytes += payload.len();
-                endpoints[from].send_framed(to, kind, epoch, attempt, payload);
+                wire.send_framed(from, to, kind, epoch, attempt, payload);
             }
         }
         for &m in members {
-            endpoints[m].flush_reordered();
+            wire.flush_reordered(m);
         }
     }
 }
@@ -273,10 +276,7 @@ pub fn exchange<T>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fabric::Fabric;
     use crate::fault::{FaultKind, FaultPlan, Injection};
-    use crate::flow::SharedFlowLedger;
-    use std::sync::Arc;
 
     const EPOCH: u64 = 7;
 
@@ -301,19 +301,6 @@ mod tests {
         duplicate: "extra view copy discarded",
     };
 
-    fn world(p: usize, plan: FaultPlan) -> (Vec<FaultyEndpoint>, SharedFaultLog, SharedFlowLedger) {
-        let (log, flows, plan) = (
-            SharedFaultLog::new(),
-            SharedFlowLedger::new(),
-            Arc::new(plan),
-        );
-        let eps = Fabric::new(p)
-            .into_iter()
-            .map(|ep| FaultyEndpoint::new(ep, plan.clone(), log.clone(), flows.clone()))
-            .collect();
-        (eps, log, flows)
-    }
-
     fn forced(fault: FaultKind, from: usize, to: usize) -> FaultPlan {
         FaultPlan::new(1).with_injection(Injection {
             epoch: EPOCH,
@@ -336,20 +323,18 @@ mod tests {
     }
 
     /// `(action, rank, peer, detail)` of every recovery logged.
-    fn recoveries(log: &SharedFaultLog) -> Vec<(RecoveryAction, usize, usize, String)> {
-        let events = log.snapshot().recoveries;
+    fn recoveries(wire: &Wire) -> Vec<(RecoveryAction, usize, usize, String)> {
+        let events = wire.log.recoveries.iter();
         events
-            .into_iter()
-            .map(|e| (e.action, e.rank, e.peer.unwrap(), e.detail))
+            .map(|e| (e.action, e.rank, e.peer.unwrap(), e.detail.clone()))
             .collect()
     }
 
     #[test]
     fn fault_free_exchange_delivers_everything_sorted_by_sender() {
-        let (mut eps, log, flows) = world(4, FaultPlan::new(0));
+        let mut wire = Wire::new(4, FaultPlan::new(0));
         let got = exchange(
-            &mut eps,
-            &log,
+            &mut wire,
             &[0, 1, 2, 3],
             &PHASE,
             &hello(4),
@@ -363,7 +348,7 @@ mod tests {
         );
         assert_eq!(received_from(&got.received[2], 3), Some(&vec![3]));
         assert_eq!(received_from(&got.received[2], 2), None);
-        assert!(log.snapshot().is_clean() && flows.conservation().holds());
+        assert!(wire.log.is_clean() && wire.flows.conservation().holds());
         assert_eq!(got.complete().unwrap().len(), 4);
     }
 
@@ -381,12 +366,11 @@ mod tests {
                 "late Let frame during view gossip",
             ),
         ] {
-            let (mut eps, log, _) = world(2, FaultPlan::new(0));
-            eps[1].send_framed(0, round.kind, EPOCH - 1, 0, b"held back an epoch");
-            eps[1].send_framed(0, MsgKind::Let, EPOCH, 0, b"from a later phase");
+            let mut wire = Wire::new(2, FaultPlan::new(0));
+            wire.send_framed(1, 0, round.kind, EPOCH - 1, 0, b"held back an epoch");
+            wire.send_framed(1, 0, MsgKind::Let, EPOCH, 0, b"from a later phase");
             let got = exchange(
-                &mut eps,
-                &log,
+                &mut wire,
                 &[0, 1],
                 &round,
                 &hello(2),
@@ -395,7 +379,7 @@ mod tests {
             );
             assert!(got.missing.is_empty());
             assert_eq!(
-                recoveries(&log),
+                recoveries(&wire),
                 [
                     (RecoveryAction::DiscardStale, 0, 1, stale.to_string()),
                     (RecoveryAction::DiscardStale, 0, 1, late.to_string()),
@@ -407,11 +391,10 @@ mod tests {
     #[test]
     fn unexpected_and_non_member_senders_are_strangers() {
         // Rank 0 waits for rank 1 only; rank 2 sends to it anyway.
-        let (mut eps, log, _) = world(3, FaultPlan::new(0));
+        let mut wire = Wire::new(3, FaultPlan::new(0));
         let lists = vec![vec![1], vec![], vec![]];
         let got = exchange(
-            &mut eps,
-            &log,
+            &mut wire,
             &[0, 1, 2],
             &PHASE,
             &hello(3),
@@ -419,7 +402,7 @@ mod tests {
             bytes,
         );
         assert_eq!(got.received[0], vec![(1, vec![1])]);
-        let strangers: Vec<_> = recoveries(&log)
+        let strangers: Vec<_> = recoveries(&wire)
             .into_iter()
             .filter(|e| e.3 == PHASE.stranger)
             .collect();
@@ -437,12 +420,11 @@ mod tests {
         // Gossip among {0, 1}: rank 2 is dead to them. A frame it sent
         // before dying is a non-member's, and its own endpoint — inbox and
         // outbox — is never touched.
-        let (mut eps, log, _) = world(3, FaultPlan::new(0));
-        eps[2].send_framed(0, MsgKind::View, EPOCH, 0, b"from beyond");
-        eps[0].send_framed(2, MsgKind::View, EPOCH, 0, b"unread");
+        let mut wire = Wire::new(3, FaultPlan::new(0));
+        wire.send_framed(2, 0, MsgKind::View, EPOCH, 0, b"from beyond");
+        wire.send_framed(0, 2, MsgKind::View, EPOCH, 0, b"unread");
         let got = exchange(
-            &mut eps,
-            &log,
+            &mut wire,
             &[0, 1],
             &GOSSIP,
             &hello(3),
@@ -451,7 +433,7 @@ mod tests {
         );
         assert!(got.missing.is_empty() && got.received[2].is_empty());
         assert_eq!(
-            recoveries(&log),
+            recoveries(&wire),
             [(
                 RecoveryAction::DiscardStale,
                 0,
@@ -460,13 +442,39 @@ mod tests {
             )]
         );
         assert_eq!(
-            &eps[2].try_recv().expect("still queued").payload[44..],
+            &wire.try_recv(2).expect("still queued").payload[44..],
             b"unread"
         );
         assert!(
-            eps[2].try_recv().is_none(),
+            wire.try_recv(2).is_none(),
             "a member sent to the dead rank"
         );
+    }
+
+    #[test]
+    fn a_non_members_held_back_frames_stay_held() {
+        // Rank 2 has a reordered and a delayed frame in hand when {0, 1}
+        // run a collective without it: neither queue is flushed for it.
+        let held = |kind, fault| Injection {
+            epoch: EPOCH,
+            from: Some(2),
+            to: Some(0),
+            kind: Some(kind),
+            fault,
+        };
+        let plan = FaultPlan::new(1)
+            .with_injection(held(MsgKind::View, FaultKind::Reorder))
+            .with_injection(held(MsgKind::Let, FaultKind::Delay));
+        let mut wire = Wire::new(3, plan);
+        wire.send_framed(2, 0, MsgKind::View, EPOCH, 0, b"reordered");
+        wire.send_framed(2, 0, MsgKind::Let, EPOCH, 0, b"delayed");
+        let got = exchange(&mut wire, &[0, 1], &GOSSIP, &hello(3), Expect::AllPeers, bytes);
+        assert!(got.missing.is_empty() && recoveries(&wire).is_empty());
+        assert!(wire.try_recv(0).is_none() && wire.try_recv(2).is_none());
+        wire.flush_reordered(2);
+        assert_eq!(&wire.try_recv(0).expect("still held").payload[44..], b"reordered");
+        wire.flush_delayed();
+        assert_eq!(&wire.try_recv(0).expect("still held").payload[44..], b"delayed");
     }
 
     #[test]
@@ -475,10 +483,9 @@ mod tests {
             (PHASE, "extra copy discarded"),
             (GOSSIP, "extra view copy discarded"),
         ] {
-            let (mut eps, log, flows) = world(2, forced(FaultKind::Duplicate, 1, 0));
+            let mut wire = Wire::new(2, forced(FaultKind::Duplicate, 1, 0));
             let got = exchange(
-                &mut eps,
-                &log,
+                &mut wire,
                 &[0, 1],
                 &round,
                 &hello(2),
@@ -487,22 +494,21 @@ mod tests {
             );
             assert!(got.missing.is_empty() && got.retransmit_bytes == 0);
             assert_eq!(
-                recoveries(&log),
+                recoveries(&wire),
                 [(RecoveryAction::DiscardDuplicate, 0, 1, words.to_string())]
             );
-            assert!(flows.conservation().holds());
+            assert!(wire.flows.conservation().holds());
         }
     }
 
     #[test]
     fn crc_failure_is_corrupt_and_the_payload_is_sent_again() {
-        let (mut eps, log, flows) = world(3, forced(FaultKind::Corrupt, 2, 0));
+        let mut wire = Wire::new(3, forced(FaultKind::Corrupt, 2, 0));
         let outbox: Vec<Outbox> = (0..3)
             .map(|r| Outbox::Broadcast(Bytes::from(vec![r as u8; 100])))
             .collect();
         let got = exchange(
-            &mut eps,
-            &log,
+            &mut wire,
             &[0, 1, 2],
             &PHASE,
             &outbox,
@@ -512,7 +518,7 @@ mod tests {
         assert!(got.missing.is_empty());
         assert_eq!(got.retransmit_bytes, 100);
         assert_eq!(received_from(&got.received[0], 2), Some(&vec![2u8; 100]));
-        let events = recoveries(&log);
+        let events = recoveries(&wire);
         assert_eq!(events.len(), 2);
         assert_eq!(
             (events[0].0, events[0].1, events[0].2),
@@ -526,12 +532,12 @@ mod tests {
             events[1],
             (RecoveryAction::Retransmit, 0, 2, "attempt 1".to_string())
         );
-        assert!(flows.conservation().holds());
+        assert!(wire.flows.conservation().holds());
     }
 
     #[test]
     fn parse_rejects_as_stale_or_as_corrupt() {
-        let (mut eps, log, _) = world(3, FaultPlan::new(0));
+        let mut wire = Wire::new(3, FaultPlan::new(0));
         let parse = |b: &[u8]| match b[0] {
             1 => Err(Reject::Stale("amends an older view".to_string())),
             2 => Err(Reject::Corrupt("does not decode".to_string())),
@@ -542,8 +548,7 @@ mod tests {
             ..GOSSIP
         };
         let got = exchange(
-            &mut eps,
-            &log,
+            &mut wire,
             &[0, 1, 2],
             &round,
             &hello(3),
@@ -566,7 +571,7 @@ mod tests {
             2,
             "does not decode".to_string(),
         );
-        let events = recoveries(&log);
+        let events = recoveries(&wire);
         assert_eq!(events[..2], [stale.clone(), corrupt.clone()]);
         assert_eq!(events.iter().filter(|e| e.0 == stale.0).count(), 4);
         assert_eq!(events.iter().filter(|e| e.0 == corrupt.0).count(), 4);
@@ -592,7 +597,7 @@ mod tests {
                 fault: FaultKind::Drop,
             })
         });
-        let (mut eps, log, flows) = world(4, plan);
+        let mut wire = Wire::new(4, plan);
         let mut outbox = hello(4);
         outbox[1] = Outbox::To(vec![
             (0, Bytes::from(vec![9; 10])),
@@ -604,8 +609,7 @@ mod tests {
             ..PHASE
         };
         let got = exchange(
-            &mut eps,
-            &log,
+            &mut wire,
             &[0, 1, 2, 3],
             &round,
             &outbox,
@@ -617,7 +621,7 @@ mod tests {
             [(0, 1), (0, 3), (1, 3), (2, 1), (2, 3), (3, 1)]
         );
         assert_eq!(got.retransmit_bytes, 0);
-        assert!(recoveries(&log).is_empty());
+        assert!(recoveries(&wire).is_empty());
 
         // With retries, the forced drops (first attempts only) heal, and
         // only what was owed is sent again: nothing for the silent rank,
@@ -627,8 +631,7 @@ mod tests {
             ..PHASE
         };
         let got = exchange(
-            &mut eps,
-            &log,
+            &mut wire,
             &[0, 1, 2, 3],
             &round,
             &outbox,
@@ -639,9 +642,9 @@ mod tests {
         assert_eq!(got.retransmit_bytes, 10 + 30);
         assert_eq!(received_from(&got.received[2], 1), Some(&vec![9; 30]));
         let again = [0, 2].map(|to| (RecoveryAction::Retransmit, to, 1, "attempt 1".to_string()));
-        assert_eq!(recoveries(&log), again);
+        assert_eq!(recoveries(&wire), again);
         assert_eq!(got.complete().unwrap_err(), 3);
-        flows.close_epoch_dead(EPOCH);
-        assert!(flows.conservation().holds());
+        wire.flows.close_epoch_dead(EPOCH);
+        assert!(wire.flows.conservation().holds());
     }
 }

@@ -8,26 +8,29 @@
 //! produces the same faults — and therefore the same [`FaultLog`] — on
 //! every run, which is what makes chaos tests reproducible.
 //!
-//! [`FaultyEndpoint`] wraps a plain [`Endpoint`] and applies the plan on
-//! the send side. With an empty plan it is a transparent pass-through
-//! (modulo sealing payloads in [`envelope`](crate::envelope) frames), so
-//! `Cluster` and the live-mode driver run unmodified when no faults are
-//! scheduled.
+//! [`Wire`] is the one value the driver holds for all of it: the raw
+//! [`Endpoint`]s, the plan (applied on the send side by
+//! [`Wire::send_framed`]), the frames the plan is holding back, the
+//! [`FaultLog`] and the [`FlowLedger`]. With an empty plan a send is a
+//! transparent pass-through (modulo sealing the payload in an
+//! [`envelope`](crate::envelope) frame), so `Cluster` runs unmodified when no
+//! faults are scheduled. Nothing here is shared or locked: every collective
+//! runs on the caller's thread over `&mut Wire`.
 //!
 //! Injection lives here; *detection* is envelope validation on the receive
-//! side, and *recovery* (retransmit with bounded attempts, boundary-tree
-//! fallback for lost LETs, checkpoint restore for crashed ranks) is driven
-//! by `bonsai-sim`'s cluster. Both halves append to the shared [`FaultLog`]
-//! so a run can be audited: every injected fault is either recovered or
-//! explicitly surfaced.
+//! side ([`collective::exchange`](crate::collective::exchange)), and
+//! *recovery* (retransmit with bounded attempts, boundary-tree fallback for
+//! lost LETs, checkpoint restore for crashed ranks) is driven by
+//! `bonsai-sim`'s cluster. Both halves append to the wire's [`FaultLog`] so a
+//! run can be audited: every injected fault is either recovered or explicitly
+//! surfaced.
 
 use crate::envelope::{kind_code, seal_flow};
-use crate::fabric::{Endpoint, Message, MsgKind};
-use crate::flow::SharedFlowLedger;
+use crate::fabric::{Endpoint, Fabric, Message, MsgKind};
+use crate::flow::FlowLedger;
 use bonsai_util::hash::mix_many;
 use bonsai_util::sorted::equal_run;
 use bytes::Bytes;
-use std::sync::{Arc, Mutex};
 
 /// The kinds of fault the plan can inject.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -124,7 +127,7 @@ impl FaultPlan {
         self.seed
     }
 
-    /// True when no fault can ever fire (the fast path: endpoints become
+    /// True when no fault can ever fire (the fast path: sends become
     /// transparent pass-throughs).
     pub fn is_empty(&self) -> bool {
         self.rates.iter().all(|&(_, r)| r == 0.0)
@@ -350,6 +353,13 @@ pub struct RecoveryEvent {
 }
 
 /// Audit log of injected faults and the recovery actions taken.
+///
+/// Append-only and **epoch-ordered**, like the flow ledger: the driver's
+/// epoch never goes back, so both lists are appended in non-decreasing
+/// epoch order (asserted by [`record_fault`](Self::record_fault) and
+/// [`record_recovery`](Self::record_recovery)), one epoch's events are a
+/// contiguous run of each, and [`for_epoch`](Self::for_epoch) finds it
+/// without reading the history.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct FaultLog {
     /// Faults injected by the plan, in injection order.
@@ -358,7 +368,35 @@ pub struct FaultLog {
     pub recoveries: Vec<RecoveryEvent>,
 }
 
+/// Panic unless `epoch` may follow an event stamped `last`.
+fn assert_epoch_ordered(last: Option<u64>, epoch: u64) {
+    if let Some(last) = last {
+        assert!(
+            last <= epoch,
+            "fault-log event at epoch {epoch} after epoch {last}: the log is epoch-ordered"
+        );
+    }
+}
+
 impl FaultLog {
+    /// Record an injected fault.
+    ///
+    /// # Panics
+    /// If the event's epoch is older than the last recorded fault's.
+    pub fn record_fault(&mut self, event: FaultEvent) {
+        assert_epoch_ordered(self.injected.last().map(|e| e.epoch), event.epoch);
+        self.injected.push(event);
+    }
+
+    /// Record a recovery action.
+    ///
+    /// # Panics
+    /// If the event's epoch is older than the last recorded recovery's.
+    pub fn record_recovery(&mut self, event: RecoveryEvent) {
+        assert_epoch_ordered(self.recoveries.last().map(|e| e.epoch), event.epoch);
+        self.recoveries.push(event);
+    }
+
     /// Number of injected faults of `kind`.
     pub fn injected_of(&self, kind: FaultKind) -> usize {
         self.injected.iter().filter(|e| e.fault == kind).count()
@@ -369,22 +407,13 @@ impl FaultLog {
         self.recoveries.iter().filter(|e| e.action == action).count()
     }
 
-    /// Events restricted to one epoch (used to attach per-step slices to
-    /// step measurements).
+    /// Copy of the events of one epoch (what a step attaches to its
+    /// measurements), found by binary search: it costs that epoch's events
+    /// however long the run.
     pub fn for_epoch(&self, epoch: u64) -> FaultLog {
         FaultLog {
-            injected: self
-                .injected
-                .iter()
-                .filter(|e| e.epoch == epoch)
-                .cloned()
-                .collect(),
-            recoveries: self
-                .recoveries
-                .iter()
-                .filter(|e| e.epoch == epoch)
-                .cloned()
-                .collect(),
+            injected: self.injected[equal_run(&self.injected, epoch, |e| e.epoch)].to_vec(),
+            recoveries: self.recoveries[equal_run(&self.recoveries, epoch, |e| e.epoch)].to_vec(),
         }
     }
 
@@ -419,132 +448,67 @@ impl FaultLog {
     }
 }
 
-/// A [`FaultLog`] shared between endpoints and the recovery machinery.
-///
-/// Append-only and **epoch-ordered**, like the flow ledger: the driver's
-/// epoch never goes back, so both lists are appended in non-decreasing
-/// epoch order (asserted), one epoch's events are a contiguous run of each,
-/// and [`SharedFaultLog::for_epoch`] finds it without reading the history.
-#[derive(Clone, Default)]
-pub struct SharedFaultLog(Arc<Mutex<FaultLog>>);
-
-/// Panic unless `epoch` may follow an event stamped `last`.
-fn assert_epoch_ordered(last: Option<u64>, epoch: u64) {
-    if let Some(last) = last {
-        assert!(
-            last <= epoch,
-            "fault-log event at epoch {epoch} after epoch {last}: the log is epoch-ordered"
-        );
-    }
+/// The wire: the fabric's endpoints, the [`FaultPlan`] applied on the way
+/// out, the frames the plan is holding back, and the two audit records of
+/// what crossed — one value with one owner (the driver), so the log and the
+/// ledger are plain data appended in the order the driver acts.
+pub struct Wire {
+    endpoints: Vec<Endpoint>,
+    plan: FaultPlan,
+    /// Per sender: frames held back by `Reorder`, delivered at the end of
+    /// the send burst (i.e. after the sender's subsequent messages).
+    reordered: Vec<Vec<(usize, MsgKind, Bytes)>>,
+    /// Per sender: frames held back by `Delay`/`Stall`, delivered at the
+    /// start of the next epoch (where they arrive stale and are discarded).
+    delayed: Vec<Vec<(usize, MsgKind, Bytes)>>,
+    /// Every injected fault and recovery action, in the order taken.
+    pub log: FaultLog,
+    /// The lifecycle of every envelope sealed here; ids follow send order.
+    pub flows: FlowLedger,
 }
 
-impl SharedFaultLog {
-    /// Fresh empty log.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Record an injected fault.
-    ///
-    /// # Panics
-    /// If the event's epoch is older than the last recorded fault's.
-    pub fn record_fault(&self, event: FaultEvent) {
-        let mut log = self.0.lock().unwrap();
-        assert_epoch_ordered(log.injected.last().map(|e| e.epoch), event.epoch);
-        log.injected.push(event);
-    }
-
-    /// Record a recovery action.
-    ///
-    /// # Panics
-    /// If the event's epoch is older than the last recorded recovery's.
-    pub fn record_recovery(&self, event: RecoveryEvent) {
-        let mut log = self.0.lock().unwrap();
-        assert_epoch_ordered(log.recoveries.last().map(|e| e.epoch), event.epoch);
-        log.recoveries.push(event);
-    }
-
-    /// Copy of the events of one epoch — [`FaultLog::for_epoch`] of the
-    /// whole log, found by binary search instead of a scan and a copy of
-    /// every event since construction.
-    pub fn for_epoch(&self, epoch: u64) -> FaultLog {
-        let log = self.0.lock().unwrap();
-        FaultLog {
-            injected: log.injected[equal_run(&log.injected, epoch, |e| e.epoch)].to_vec(),
-            recoveries: log.recoveries[equal_run(&log.recoveries, epoch, |e| e.epoch)].to_vec(),
-        }
-    }
-
-    /// Copy of the full log (every event since construction): for
-    /// end-of-run accessors and tests, never for per-step work.
-    pub fn snapshot(&self) -> FaultLog {
-        self.0.lock().unwrap().clone()
-    }
-}
-
-/// An [`Endpoint`] that seals outgoing payloads in envelopes and applies a
-/// [`FaultPlan`] on the way out. With an empty plan the wrapper is a
-/// transparent framed pass-through.
-pub struct FaultyEndpoint {
-    ep: Endpoint,
-    plan: Arc<FaultPlan>,
-    log: SharedFaultLog,
-    flows: SharedFlowLedger,
-    /// Frames held back by `Reorder`, delivered at the end of the send
-    /// burst (i.e. after the sender's subsequent messages).
-    reordered: Vec<(usize, MsgKind, Bytes)>,
-    /// Frames held back by `Delay`/`Stall`, delivered at the start of the
-    /// next epoch (where they arrive stale and are discarded).
-    delayed: Vec<(usize, MsgKind, Bytes)>,
-}
-
-impl FaultyEndpoint {
-    /// Wrap `ep` with the given plan, shared log and shared flow ledger.
-    /// Every endpoint of one cluster shares a single ledger so flow ids are
-    /// assigned globally in driver-thread send order.
-    pub fn new(
-        ep: Endpoint,
-        plan: Arc<FaultPlan>,
-        log: SharedFaultLog,
-        flows: SharedFlowLedger,
-    ) -> Self {
+impl Wire {
+    /// A fresh fabric of `p` ranks under `plan`, with an empty log and
+    /// ledger. With an empty plan sends are framed pass-throughs.
+    pub fn new(p: usize, plan: FaultPlan) -> Self {
         Self {
-            ep,
+            endpoints: Fabric::new(p),
             plan,
-            log,
-            flows,
-            reordered: Vec::new(),
-            delayed: Vec::new(),
+            reordered: vec![Vec::new(); p],
+            delayed: vec![Vec::new(); p],
+            log: FaultLog::default(),
+            flows: FlowLedger::default(),
         }
     }
 
-    /// This rank's id.
-    pub fn rank(&self) -> usize {
-        self.ep.rank
+    /// Replace the fabric with a fresh one spanning `p` ranks. Frames still
+    /// queued or held back go with the old one; plan, log and ledger carry
+    /// over (fault decisions are pure functions of the monotone epoch, so
+    /// determinism survives the rebuild).
+    pub fn resize(&mut self, p: usize) {
+        self.endpoints = Fabric::new(p);
+        self.reordered = vec![Vec::new(); p];
+        self.delayed = vec![Vec::new(); p];
     }
 
-    /// Number of ranks.
+    /// Number of ranks the fabric spans.
     pub fn world(&self) -> usize {
-        self.ep.world
+        self.endpoints.len()
     }
 
-    /// The shared fault log.
-    pub fn log(&self) -> &SharedFaultLog {
-        &self.log
+    /// The fault plan in force.
+    pub fn plan(&self) -> &FaultPlan {
+        &self.plan
     }
 
-    /// The shared flow ledger.
-    pub fn flows(&self) -> &SharedFlowLedger {
-        &self.flows
-    }
-
-    /// Seal `payload` in an envelope and send it to `to`, applying the
-    /// fault plan. `attempt` is 0 for the original transmission and
+    /// Seal `payload` in an envelope and send it `from` → `to`, applying
+    /// the fault plan. `attempt` is 0 for the original transmission and
     /// increments on each retransmission. Returns the ledger flow id the
     /// frame carries: attempt 0 seals a fresh flow, retransmissions re-use
     /// the open flow on the same `(epoch, from, to, kind)` coordinate.
     pub fn send_framed(
         &mut self,
+        from: usize,
         to: usize,
         kind: MsgKind,
         epoch: u64,
@@ -552,101 +516,72 @@ impl FaultyEndpoint {
         payload: &[u8],
     ) -> u64 {
         let flow = if attempt == 0 {
-            self.flows.seal(epoch, self.ep.rank, to, kind, payload.len())
+            self.flows.seal(epoch, from, to, kind, payload.len())
         } else {
-            self.flows
-                .retransmit_latest(epoch, self.ep.rank, to, kind, payload.len())
+            self.flows.retransmit_latest(epoch, from, to, kind, payload.len())
         };
-        let frame = seal_flow(kind, self.ep.rank, epoch, flow, attempt, payload);
-        if self.plan.is_empty() {
-            self.ep.send(to, kind, frame);
+        let frame = seal_flow(kind, from, epoch, flow, attempt, payload);
+        let fault = if self.plan.is_empty() {
+            None
+        } else if kind == MsgKind::Let && self.plan.stalled(from, epoch) {
+            // A stalled rank's dedicated-LET sends hang until the next epoch.
+            Some(FaultKind::Stall)
+        } else {
+            self.plan.message_fault(from, to, kind, epoch, attempt)
+        };
+        let Some(fault) = fault else {
+            self.endpoints[from].send(to, kind, frame);
             return flow;
-        }
-
-        // A stalled rank's dedicated-LET sends hang until the next epoch.
-        if kind == MsgKind::Let && self.plan.stalled(self.ep.rank, epoch) {
-            self.record(to, kind, epoch, attempt, flow, FaultKind::Stall);
-            self.delayed.push((to, kind, frame));
-            return flow;
-        }
-
-        match self.plan.message_fault(self.ep.rank, to, kind, epoch, attempt) {
-            None => self.ep.send(to, kind, frame),
-            Some(FaultKind::Drop) => {
-                self.record(to, kind, epoch, attempt, flow, FaultKind::Drop);
+        };
+        self.log.record_fault(FaultEvent { epoch, from, to, kind, fault, attempt });
+        self.flows.inject(flow, attempt, fault);
+        let ep = &self.endpoints[from];
+        match fault {
+            FaultKind::Drop => {}
+            FaultKind::Duplicate => {
+                ep.send(to, kind, frame.clone());
+                ep.send(to, kind, frame);
             }
-            Some(FaultKind::Duplicate) => {
-                self.record(to, kind, epoch, attempt, flow, FaultKind::Duplicate);
-                self.ep.send(to, kind, frame.clone());
-                self.ep.send(to, kind, frame);
+            FaultKind::Reorder => self.reordered[from].push((to, kind, frame)),
+            FaultKind::Delay | FaultKind::Stall => self.delayed[from].push((to, kind, frame)),
+            FaultKind::Truncate => {
+                let cut = self.plan.truncate_len(from, to, kind, epoch, frame.len());
+                ep.send(to, kind, Bytes::copy_from_slice(&frame[..cut]));
             }
-            Some(FaultKind::Reorder) => {
-                self.record(to, kind, epoch, attempt, flow, FaultKind::Reorder);
-                self.reordered.push((to, kind, frame));
-            }
-            Some(FaultKind::Delay) => {
-                self.record(to, kind, epoch, attempt, flow, FaultKind::Delay);
-                self.delayed.push((to, kind, frame));
-            }
-            Some(FaultKind::Truncate) => {
-                self.record(to, kind, epoch, attempt, flow, FaultKind::Truncate);
-                let cut = self
-                    .plan
-                    .truncate_len(self.ep.rank, to, kind, epoch, frame.len());
-                self.ep
-                    .send(to, kind, Bytes::copy_from_slice(&frame[..cut]));
-            }
-            Some(FaultKind::Corrupt) => {
-                self.record(to, kind, epoch, attempt, flow, FaultKind::Corrupt);
-                let (byte, mask) = self
-                    .plan
-                    .corrupt_position(self.ep.rank, to, kind, epoch, frame.len());
+            FaultKind::Corrupt => {
+                let (byte, mask) = self.plan.corrupt_position(from, to, kind, epoch, frame.len());
                 let mut bad = frame.to_vec();
                 bad[byte] ^= mask;
-                self.ep.send(to, kind, Bytes::from(bad));
+                ep.send(to, kind, Bytes::from(bad));
             }
-            Some(rank_level) => unreachable!("{rank_level} cannot be a message fault"),
+            FaultKind::Crash => unreachable!("crash cannot be a message fault"),
         }
         flow
     }
 
-    fn record(&self, to: usize, kind: MsgKind, epoch: u64, attempt: u32, flow: u64, fault: FaultKind) {
-        self.log.record_fault(FaultEvent {
-            epoch,
-            from: self.ep.rank,
-            to,
-            kind,
-            fault,
-            attempt,
-        });
-        self.flows.inject(flow, attempt, fault);
-    }
-
-    /// Deliver frames held back by `Reorder`. Call at the end of a send
-    /// burst so they arrive after the sender's later messages.
-    pub fn flush_reordered(&mut self) {
-        for (to, kind, frame) in std::mem::take(&mut self.reordered) {
-            self.ep.send(to, kind, frame);
+    /// Deliver the frames of `from` held back by `Reorder`. Call at the end
+    /// of a send burst so they arrive after the sender's later messages.
+    pub fn flush_reordered(&mut self, from: usize) {
+        for (to, kind, frame) in self.reordered[from].drain(..) {
+            self.endpoints[from].send(to, kind, frame);
         }
     }
 
-    /// Deliver frames held back by `Delay`/`Stall`. Call at the start of a
-    /// new epoch; the frames carry their original (now stale) epoch and
-    /// are discarded by receive-side validation.
+    /// Deliver every rank's frames held back by `Delay`/`Stall`, sender
+    /// ascending. Call at the start of a new epoch; the frames carry their
+    /// original (now stale) epoch and are discarded by receive-side
+    /// validation.
     pub fn flush_delayed(&mut self) {
-        for (to, kind, frame) in std::mem::take(&mut self.delayed) {
-            self.ep.send(to, kind, frame);
+        for (ep, held) in self.endpoints.iter().zip(&mut self.delayed) {
+            for (to, kind, frame) in held.drain(..) {
+                ep.send(to, kind, frame);
+            }
         }
     }
 
-    /// Non-blocking receive of the next raw frame.
-    pub fn try_recv(&self) -> Option<Message> {
-        self.ep.try_recv()
-    }
-
-    /// Blocking receive of the next raw frame.
-    pub fn recv(&self) -> Message {
-        self.ep.recv()
+    /// Non-blocking receive of the next raw frame queued for `rank`.
+    pub fn try_recv(&self, rank: usize) -> Option<Message> {
+        self.endpoints[rank].try_recv()
     }
 }
 
@@ -654,28 +589,27 @@ impl FaultyEndpoint {
 mod tests {
     use super::*;
     use crate::envelope::open;
-    use crate::fabric::Fabric;
 
-    fn pair(plan: FaultPlan) -> (FaultyEndpoint, FaultyEndpoint, SharedFaultLog) {
-        let mut eps = Fabric::new(2);
-        let log = SharedFaultLog::new();
-        let flows = SharedFlowLedger::new();
-        let plan = Arc::new(plan);
-        let e1 = FaultyEndpoint::new(eps.pop().unwrap(), plan.clone(), log.clone(), flows.clone());
-        let e0 = FaultyEndpoint::new(eps.pop().unwrap(), plan, log.clone(), flows);
-        (e0, e1, log)
+    /// Ranks 0 and 1 under `plan`; every test sends 0 → 1.
+    fn pair(plan: FaultPlan) -> Wire {
+        Wire::new(2, plan)
+    }
+
+    /// The next frame queued for rank 1.
+    fn recv(w: &Wire) -> Bytes {
+        w.try_recv(1).expect("a frame is queued").payload
     }
 
     #[test]
     fn empty_plan_is_transparent() {
-        let (mut e0, e1, log) = pair(FaultPlan::new(1));
-        e0.send_framed(1, MsgKind::Control, 5, 0, b"payload");
-        let m = e1.recv();
-        let env = open(&m.payload).unwrap();
+        let mut w = pair(FaultPlan::new(1));
+        w.send_framed(0, 1, MsgKind::Control, 5, 0, b"payload");
+        let m = recv(&w);
+        let env = open(&m).unwrap();
         assert_eq!(env.payload, b"payload");
         assert_eq!(env.epoch, 5);
         assert_eq!(env.from, 0);
-        assert!(log.snapshot().is_clean());
+        assert!(w.log.is_clean());
     }
 
     fn recovery(epoch: u64) -> RecoveryEvent {
@@ -690,13 +624,26 @@ mod tests {
     }
 
     #[test]
-    fn shared_log_for_epoch_equals_the_filtered_log() {
-        let log = SharedFaultLog::new();
+    fn for_epoch_equals_the_filtered_log() {
+        let mut log = FaultLog::default();
         for epoch in [2, 2, 5, 9] {
             log.record_recovery(recovery(epoch));
+            log.record_fault(FaultEvent {
+                epoch,
+                from: 0,
+                to: 1,
+                kind: MsgKind::Let,
+                fault: FaultKind::Drop,
+                attempt: 0,
+            });
         }
         for epoch in 0..=10 {
-            assert_eq!(log.for_epoch(epoch), log.snapshot().for_epoch(epoch));
+            let of_epoch = |e: &u64| *e == epoch;
+            let want = FaultLog {
+                injected: log.injected.iter().filter(|e| of_epoch(&e.epoch)).cloned().collect(),
+                recoveries: log.recoveries.iter().filter(|e| of_epoch(&e.epoch)).cloned().collect(),
+            };
+            assert_eq!(log.for_epoch(epoch), want);
         }
         assert_eq!(log.for_epoch(2).recoveries.len(), 2);
     }
@@ -704,7 +651,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "the log is epoch-ordered")]
     fn recording_an_older_epoch_panics() {
-        let log = SharedFaultLog::new();
+        let mut log = FaultLog::default();
         log.record_recovery(recovery(5));
         log.record_recovery(recovery(4));
     }
@@ -718,14 +665,13 @@ mod tests {
             kind: None,
             fault: FaultKind::Drop,
         });
-        let (mut e0, e1, log) = pair(plan);
-        e0.send_framed(1, MsgKind::Let, 1, 0, b"x");
-        assert!(e1.try_recv().is_none());
+        let mut w = pair(plan);
+        w.send_framed(0, 1, MsgKind::Let, 1, 0, b"x");
+        assert!(w.try_recv(1).is_none());
         // Retransmission (attempt 1) bypasses the first-attempt injection.
-        e0.send_framed(1, MsgKind::Let, 1, 1, b"x");
-        assert!(e1.try_recv().is_some());
-        let snap = log.snapshot();
-        assert_eq!(snap.injected_of(FaultKind::Drop), 1);
+        w.send_framed(0, 1, MsgKind::Let, 1, 1, b"x");
+        assert!(w.try_recv(1).is_some());
+        assert_eq!(w.log.injected_of(FaultKind::Drop), 1);
     }
 
     #[test]
@@ -738,10 +684,9 @@ mod tests {
                 kind: None,
                 fault,
             });
-            let (mut e0, e1, _log) = pair(plan);
-            e0.send_framed(1, MsgKind::Boundary, 0, 0, &[7u8; 256]);
-            let m = e1.recv();
-            assert!(open(&m.payload).is_err(), "{fault} not detected");
+            let mut w = pair(plan);
+            w.send_framed(0, 1, MsgKind::Boundary, 0, 0, &[7u8; 256]);
+            assert!(open(&recv(&w)).is_err(), "{fault} not detected");
         }
     }
 
@@ -754,11 +699,11 @@ mod tests {
             kind: None,
             fault: FaultKind::Duplicate,
         });
-        let (mut e0, e1, _log) = pair(plan);
-        e0.send_framed(1, MsgKind::Particles, 0, 0, b"p");
-        assert!(e1.try_recv().is_some());
-        assert!(e1.try_recv().is_some());
-        assert!(e1.try_recv().is_none());
+        let mut w = pair(plan);
+        w.send_framed(0, 1, MsgKind::Particles, 0, 0, b"p");
+        assert!(w.try_recv(1).is_some());
+        assert!(w.try_recv(1).is_some());
+        assert!(w.try_recv(1).is_none());
     }
 
     #[test]
@@ -770,11 +715,11 @@ mod tests {
             kind: None,
             fault: FaultKind::Delay,
         });
-        let (mut e0, e1, _log) = pair(plan);
-        e0.send_framed(1, MsgKind::Control, 3, 0, b"late");
-        assert!(e1.try_recv().is_none());
-        e0.flush_delayed();
-        let m = e1.recv().payload;
+        let mut w = pair(plan);
+        w.send_framed(0, 1, MsgKind::Control, 3, 0, b"late");
+        assert!(w.try_recv(1).is_none());
+        w.flush_delayed();
+        let m = recv(&w);
         let env = open(&m).unwrap();
         assert_eq!(env.epoch, 3, "delayed frame keeps its original epoch");
     }
@@ -788,12 +733,12 @@ mod tests {
             kind: Some(MsgKind::Let),
             fault: FaultKind::Reorder,
         });
-        let (mut e0, e1, _log) = pair(plan);
-        e0.send_framed(1, MsgKind::Let, 0, 0, b"first");
-        e0.send_framed(1, MsgKind::Control, 0, 0, b"second");
-        e0.flush_reordered();
-        let a = open(&e1.recv().payload).unwrap().payload.to_vec();
-        let b = open(&e1.recv().payload).unwrap().payload.to_vec();
+        let mut w = pair(plan);
+        w.send_framed(0, 1, MsgKind::Let, 0, 0, b"first");
+        w.send_framed(0, 1, MsgKind::Control, 0, 0, b"second");
+        w.flush_reordered(0);
+        let a = open(&recv(&w)).unwrap().payload.to_vec();
+        let b = open(&recv(&w)).unwrap().payload.to_vec();
         assert_eq!(a, b"second");
         assert_eq!(b, b"first");
     }
@@ -801,13 +746,45 @@ mod tests {
     #[test]
     fn stall_holds_let_but_not_control() {
         let plan = FaultPlan::new(7).with_stall(0, 2);
-        let (mut e0, e1, log) = pair(plan);
-        e0.send_framed(1, MsgKind::Control, 2, 0, b"heartbeat");
-        e0.send_framed(1, MsgKind::Let, 2, 0, b"let");
-        let m = e1.recv();
-        assert_eq!(open(&m.payload).unwrap().payload, b"heartbeat");
-        assert!(e1.try_recv().is_none(), "LET send must hang while stalled");
-        assert_eq!(log.snapshot().injected_of(FaultKind::Stall), 1);
+        let mut w = pair(plan);
+        w.send_framed(0, 1, MsgKind::Control, 2, 0, b"heartbeat");
+        w.send_framed(0, 1, MsgKind::Let, 2, 0, b"let");
+        assert_eq!(open(&recv(&w)).unwrap().payload, b"heartbeat");
+        assert!(w.try_recv(1).is_none(), "LET send must hang while stalled");
+        assert_eq!(w.log.injected_of(FaultKind::Stall), 1);
+    }
+
+    #[test]
+    fn resize_drops_queued_and_held_back_frames_and_keeps_plan_log_and_ledger() {
+        let forced = |kind, fault| Injection {
+            epoch: 4,
+            from: Some(0),
+            to: Some(1),
+            kind: Some(kind),
+            fault,
+        };
+        let plan = FaultPlan::new(8)
+            .with_injection(forced(MsgKind::View, FaultKind::Delay))
+            .with_injection(forced(MsgKind::Particles, FaultKind::Reorder))
+            .with_stall(0, 4);
+        let mut w = pair(plan);
+        w.send_framed(0, 1, MsgKind::View, 4, 0, b"delayed");
+        w.send_framed(0, 1, MsgKind::Particles, 4, 0, b"reordered");
+        w.send_framed(0, 1, MsgKind::Let, 4, 0, b"stalled");
+        w.send_framed(0, 1, MsgKind::Control, 4, 0, b"queued");
+        let (log, flows) = (w.log.clone(), w.flows.clone());
+        assert_eq!((log.injected.len(), flows.len()), (3, 4));
+
+        w.resize(3);
+        assert_eq!(w.world(), 3);
+        w.flush_reordered(0);
+        w.flush_delayed();
+        assert!((0..3).all(|r| w.try_recv(r).is_none()), "a frame outlived its fabric");
+        assert_eq!((&w.log, &w.flows), (&log, &flows), "resize touched the books");
+        // The plan carried over, and flow ids carry on where they were.
+        assert!(w.plan().stalled(0, 4));
+        assert_eq!(w.send_framed(2, 0, MsgKind::Control, 5, 0, b"next"), 5);
+        assert_eq!(open(&w.try_recv(0).unwrap().payload).unwrap().from, 2);
     }
 
     #[test]

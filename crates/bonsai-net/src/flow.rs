@@ -5,9 +5,11 @@
 //! lifecycle: seal → inject(drop/dup/corrupt/…) → retransmit → deliver |
 //! fallback | dead, keyed by a dense flow id that also rides inside the
 //! [envelope](crate::envelope) so the receive side can close the loop
-//! exactly. All mutations happen on the simulation driver thread in rank
-//! order, so ids, record order and outcomes are byte-deterministic per
-//! seed — the property the `flows` bench gate relies on.
+//! exactly. The ledger is a plain value owned by the
+//! [`Wire`](crate::fault::Wire): all mutations happen on the simulation
+//! driver thread, through `&mut`, in the order the driver sends and drains,
+//! so ids, record order and outcomes are byte-deterministic per seed — the
+//! property the `flows` bench gate relies on.
 //!
 //! The ledger is append-only and **epoch-ordered**: the driver's epoch
 //! counter never goes back (a rollback restores particles, not the epoch),
@@ -26,7 +28,6 @@ use crate::envelope::NO_FLOW;
 use crate::fabric::MsgKind;
 use crate::fault::FaultKind;
 use bonsai_util::sorted::equal_run;
-use std::sync::{Arc, Mutex};
 
 /// Terminal (or not-yet-terminal) state of one flow.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -263,88 +264,6 @@ impl FlowLedger {
     }
 }
 
-/// A [`FlowLedger`] shared between all of a cluster's endpoints and its
-/// recovery machinery.
-#[derive(Clone, Default)]
-pub struct SharedFlowLedger(Arc<Mutex<FlowLedger>>);
-
-impl SharedFlowLedger {
-    /// Fresh empty shared ledger.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// See [`FlowLedger::seal`].
-    pub fn seal(&self, epoch: u64, from: usize, to: usize, kind: MsgKind, bytes: usize) -> u64 {
-        self.0.lock().unwrap().seal(epoch, from, to, kind, bytes)
-    }
-
-    /// See [`FlowLedger::retransmit_latest`].
-    pub fn retransmit_latest(
-        &self,
-        epoch: u64,
-        from: usize,
-        to: usize,
-        kind: MsgKind,
-        bytes: usize,
-    ) -> u64 {
-        self.0
-            .lock()
-            .unwrap()
-            .retransmit_latest(epoch, from, to, kind, bytes)
-    }
-
-    /// See [`FlowLedger::inject`].
-    pub fn inject(&self, flow: u64, attempt: u32, fault: FaultKind) {
-        self.0.lock().unwrap().inject(flow, attempt, fault);
-    }
-
-    /// See [`FlowLedger::deliver`].
-    pub fn deliver(&self, flow: u64, attempt: u32) {
-        self.0.lock().unwrap().deliver(flow, attempt);
-    }
-
-    /// See [`FlowLedger::fallback_pending`].
-    pub fn fallback_pending(&self, epoch: u64, from: usize, to: usize, kind: MsgKind) {
-        self.0
-            .lock()
-            .unwrap()
-            .fallback_pending(epoch, from, to, kind);
-    }
-
-    /// See [`FlowLedger::close_epoch_dead`].
-    pub fn close_epoch_dead(&self, epoch: u64) {
-        self.0.lock().unwrap().close_epoch_dead(epoch);
-    }
-
-    /// Copy of the records sealed at `epoch` (see [`FlowLedger::for_epoch`]):
-    /// what a step reads, costing that step's flows however long the run.
-    pub fn for_epoch(&self, epoch: u64) -> Vec<FlowRecord> {
-        self.0.lock().unwrap().for_epoch(epoch).to_vec()
-    }
-
-    /// Copy of the full ledger (every flow since construction): for
-    /// end-of-run accessors and tests, never for per-step work.
-    pub fn snapshot(&self) -> FlowLedger {
-        self.0.lock().unwrap().clone()
-    }
-
-    /// Number of flows sealed so far.
-    pub fn len(&self) -> usize {
-        self.0.lock().unwrap().len()
-    }
-
-    /// True when nothing has been sealed.
-    pub fn is_empty(&self) -> bool {
-        self.0.lock().unwrap().is_empty()
-    }
-
-    /// Conservation totals (see [`FlowLedger::conservation`]).
-    pub fn conservation(&self) -> FlowConservation {
-        self.0.lock().unwrap().conservation()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -428,9 +347,6 @@ mod tests {
         assert_eq!(ids(2), [1]);
         assert_eq!(ids(4), [2, 3]);
         assert_eq!(ids(7), [4]);
-        // The shared handle hands out the same run.
-        let shared = SharedFlowLedger(Arc::new(Mutex::new(l.clone())));
-        assert_eq!(shared.for_epoch(4), l.for_epoch(4));
     }
 
     #[test]

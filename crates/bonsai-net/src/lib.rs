@@ -9,8 +9,8 @@
 //!   Titan (§VI-B);
 //! * [`collective`] — the one validated exchange every inter-rank payload
 //!   and the membership gossip ride on: send, drain, validate, retransmit
-//!   the missing, with a fixed order of operations so logs and flow ids are
-//!   deterministic;
+//!   the missing, over the `&mut` [`Wire`] its caller owns, with a fixed
+//!   order of operations so logs and flow ids are deterministic;
 //! * [`cost`] — the interconnect cost model: point-to-point and allgatherv
 //!   times from (latency, injection bandwidth, topology congestion), the
 //!   bytes→seconds half of the communication rows of Table II;
@@ -20,12 +20,14 @@
 //! * [`envelope`] — versioned, CRC-64-checksummed framing for every payload
 //!   that crosses the fabric, so corruption and truncation are detected
 //!   instead of deserialized;
-//! * [`fault`] — deterministic, seeded fault injection ([`FaultPlan`]) and
-//!   the audit log of injected faults and recovery actions ([`FaultLog`]);
-//! * [`flow`] — the per-message flow ledger: every sealed envelope is one
-//!   flow whose lifecycle (seal → inject → retransmit → deliver | fallback
-//!   | dead) is recorded deterministically, with a conservation invariant
-//!   the chaos suites assert;
+//! * [`fault`] — deterministic, seeded fault injection ([`FaultPlan`]), the
+//!   audit log of injected faults and recovery actions ([`FaultLog`]), and
+//!   [`Wire`]: endpoints, plan, held-back frames, log and ledger as one
+//!   plain value with one owner — no lock, no shared handle;
+//! * [`flow`] — the per-message flow ledger ([`FlowLedger`], owned by the
+//!   wire): every sealed envelope is one flow whose lifecycle (seal → inject
+//!   → retransmit → deliver | fallback | dead) is recorded deterministically,
+//!   with a conservation invariant the chaos suites assert;
 //! * [`membership`] — coordinator-free epoch-based rank membership: views
 //!   as sorted stable node-id sets, join/leave/death proposals gossiped
 //!   over the faulty fabric until every live rank holds the same next
@@ -62,10 +64,9 @@ pub use cost::NetworkModel;
 pub use envelope::{Envelope, EnvelopeError};
 pub use fabric::{Endpoint, Fabric, Message, MsgKind};
 pub use fault::{
-    FaultEvent, FaultKind, FaultLog, FaultPlan, FaultyEndpoint, Injection, RecoveryAction,
-    RecoveryEvent, SharedFaultLog,
+    FaultEvent, FaultKind, FaultLog, FaultPlan, Injection, RecoveryAction, RecoveryEvent, Wire,
 };
-pub use flow::{FlowConservation, FlowLedger, FlowOutcome, FlowRecord, SharedFlowLedger};
+pub use flow::{FlowConservation, FlowLedger, FlowOutcome, FlowRecord};
 pub use machine::{MachineSpec, Topology, PIZ_DAINT, TITAN};
 pub use membership::{Convergence, MembershipEvent, MembershipLog, View, ViewChange};
 pub use placement::{Placement, PlacementStrategy};

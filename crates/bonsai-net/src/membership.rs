@@ -28,7 +28,7 @@
 
 use crate::collective::{self, Expect, Outbox, Reject, Round};
 use crate::fabric::MsgKind;
-use crate::fault::{FaultyEndpoint, SharedFaultLog};
+use crate::fault::Wire;
 use bytes::Bytes;
 use std::collections::BTreeSet;
 
@@ -283,15 +283,14 @@ pub struct Convergence {
 /// retransmission window — the caller should declare it dead and re-run
 /// with its `Death` added to the events.
 pub fn converge(
-    endpoints: &mut [FaultyEndpoint],
-    log: &SharedFaultLog,
+    wire: &mut Wire,
     live: &[bool],
     epoch: u64,
     current: &View,
     events_at: &[Vec<MembershipEvent>],
     max_retries: u32,
 ) -> Result<Convergence, usize> {
-    let p = endpoints.len();
+    let p = wire.world();
     assert_eq!(live.len(), p);
     assert_eq!(events_at.len(), p);
     let alive: Vec<usize> = (0..p).filter(|&r| live[r]).collect();
@@ -337,9 +336,8 @@ pub fn converge(
                 ))),
                 Err(why) => Err(Reject::Corrupt(why)),
             };
-            let got =
-                collective::exchange(endpoints, log, &alive, &round, &outbox, Expect::AllPeers, parse)
-                    .complete()?;
+            let got = collective::exchange(wire, &alive, &round, &outbox, Expect::AllPeers, parse)
+                .complete()?;
             let mut changed = false;
             for &to in &alive {
                 let mut merged = props[to].clone();
@@ -448,20 +446,7 @@ impl MembershipLog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fabric::Fabric;
     use crate::fault::{FaultKind, FaultPlan, Injection};
-    use std::sync::Arc;
-
-    fn faulty_world(p: usize, plan: FaultPlan) -> (Vec<FaultyEndpoint>, SharedFaultLog) {
-        let log = SharedFaultLog::new();
-        let flows = crate::flow::SharedFlowLedger::new();
-        let plan = Arc::new(plan);
-        let eps = Fabric::new(p)
-            .into_iter()
-            .map(|ep| FaultyEndpoint::new(ep, plan.clone(), log.clone(), flows.clone()))
-            .collect();
-        (eps, log)
-    }
 
     #[test]
     fn initial_view_assigns_ranks_by_id() {
@@ -509,13 +494,13 @@ mod tests {
     fn gossip_spreads_single_sponsor_knowledge() {
         // Only rank 0 knows about the join; only rank 2 knows about the
         // death. Everyone must converge to the same amended view.
-        let (mut eps, log) = faulty_world(4, FaultPlan::new(1));
+        let mut wire = Wire::new(4, FaultPlan::new(1));
         let v = View::initial(4);
         let mut events = vec![Vec::new(); 4];
         events[0].push(MembershipEvent::Join(4));
         events[2].push(MembershipEvent::Death(3));
         let live = vec![true, true, true, false];
-        let out = converge(&mut eps, &log, &live, 5, &v, &events, 2).unwrap();
+        let out = converge(&mut wire, &live, 5, &v, &events, 2).unwrap();
         assert_eq!(out.view.members, vec![0, 1, 2, 4]);
         assert_eq!(out.view.number, 1);
         assert_eq!(
@@ -538,15 +523,14 @@ mod tests {
                 kind: Some(MsgKind::View),
                 fault: FaultKind::Drop,
             });
-        let (mut eps, log) = faulty_world(5, plan);
+        let mut wire = Wire::new(5, plan);
         let v = View::initial(5);
         let mut events = vec![Vec::new(); 5];
         events[1].push(MembershipEvent::Leave(4));
         let live = vec![true; 5];
-        let out = converge(&mut eps, &log, &live, 3, &v, &events, 4).unwrap();
+        let out = converge(&mut wire, &live, 3, &v, &events, 4).unwrap();
         assert_eq!(out.view.members, vec![0, 1, 2, 3]);
-        let snap = log.snapshot();
-        assert!(!snap.injected.is_empty(), "plan must have fired");
+        assert!(!wire.log.injected.is_empty(), "plan must have fired");
     }
 
     #[test]
@@ -555,13 +539,13 @@ mod tests {
             let plan = FaultPlan::new(77)
                 .with_rate(FaultKind::Drop, 0.2)
                 .with_rate(FaultKind::Reorder, 0.1);
-            let (mut eps, log) = faulty_world(4, plan);
+            let mut wire = Wire::new(4, plan);
             let v = View::initial(4);
             let mut events = vec![Vec::new(); 4];
             events[3].push(MembershipEvent::Join(4));
             let live = vec![true; 4];
-            let out = converge(&mut eps, &log, &live, 2, &v, &events, 4).unwrap();
-            (out.view, log.snapshot().render())
+            let out = converge(&mut wire, &live, 2, &v, &events, 4).unwrap();
+            (out.view, wire.log.render())
         };
         let (va, la) = run();
         let (vb, lb) = run();
@@ -585,11 +569,11 @@ mod tests {
             // drive them via a saturating drop rate scoped by the hash —
             // instead just use max_retries = 0 for a deterministic miss.
             ;
-        let (mut eps, log) = faulty_world(3, plan);
+        let mut wire = Wire::new(3, plan);
         let v = View::initial(3);
         let events = vec![Vec::new(); 3];
         let live = vec![true; 3];
-        let err = converge(&mut eps, &log, &live, 1, &v, &events, 0).unwrap_err();
+        let err = converge(&mut wire, &live, 1, &v, &events, 0).unwrap_err();
         assert_eq!(err, 2);
     }
 

@@ -12,13 +12,12 @@ use bonsai_net::collective::{exchange, received_from, Expect, Outbox, Round};
 use bonsai_net::envelope::{open, seal_flow, EnvelopeError};
 use bonsai_net::obs::record_fault_log;
 use bonsai_net::{
-    Fabric, FaultEvent, FaultKind, FaultPlan, FaultyEndpoint, MsgKind, NetworkModel,
-    RecoveryAction, RecoveryEvent, SharedFaultLog, SharedFlowLedger, PIZ_DAINT,
+    FaultEvent, FaultKind, FaultLog, FaultPlan, FlowLedger, MsgKind, NetworkModel, RecoveryAction,
+    RecoveryEvent, Wire, PIZ_DAINT,
 };
 use bonsai_obs::TraceStore;
 use bytes::Bytes;
 use proptest::prelude::*;
-use std::sync::Arc;
 
 const KINDS: [MsgKind; 5] = [
     MsgKind::Boundary,
@@ -49,11 +48,7 @@ struct Outcome {
 
 fn run_collective(p: usize, shape: &Shape, plan: FaultPlan) -> Outcome {
     const EPOCH: u64 = 3;
-    let (log, flows, plan) = (SharedFaultLog::new(), SharedFlowLedger::new(), Arc::new(plan));
-    let mut eps: Vec<FaultyEndpoint> = Fabric::new(p)
-        .into_iter()
-        .map(|ep| FaultyEndpoint::new(ep, plan.clone(), log.clone(), flows.clone()))
-        .collect();
+    let mut wire = Wire::new(p, plan);
     let round = Round {
         kind: MsgKind::Particles,
         epoch: EPOCH,
@@ -64,17 +59,17 @@ fn run_collective(p: usize, shape: &Shape, plan: FaultPlan) -> Outcome {
         duplicate: "extra copy discarded",
     };
     let expect = shape.expected.as_deref().map_or(Expect::AllPeers, Expect::From);
-    let got = exchange(&mut eps, &log, &shape.members, &round, &shape.outbox, expect, |b| {
+    let got = exchange(&mut wire, &shape.members, &round, &shape.outbox, expect, |b| {
         Ok(b.to_vec())
     });
     // What never arrived (and what nobody was waiting for) dies with the epoch.
-    flows.close_epoch_dead(EPOCH);
+    wire.flows.close_epoch_dead(EPOCH);
     Outcome {
         received: got.received,
         missing: got.missing,
         retransmit_bytes: got.retransmit_bytes,
-        log: log.snapshot().render(),
-        conserved: flows.conservation().holds(),
+        log: wire.log.render(),
+        conserved: wire.flows.conservation().holds(),
     }
 }
 
@@ -208,11 +203,11 @@ proptest! {
             1..120,
         ),
     ) {
-        // Drive the shared ledger and log the way the cluster does: any mix
-        // of seal / retransmit / inject / deliver / fallback / close, the
+        // Drive the ledger and log the way the cluster does: any mix of
+        // seal / retransmit / inject / deliver / fallback / close, the
         // epoch only ever moving forward (sometimes skipping a number).
-        let flows = SharedFlowLedger::new();
-        let log = SharedFaultLog::new();
+        let mut flows = FlowLedger::new();
+        let mut log = FaultLog::default();
         let mut epoch = 1u64;
         for (op, gap, from, to, kind_ix, pick) in ops {
             if gap == 0 {
@@ -237,10 +232,10 @@ proptest! {
                 }
                 4 => {
                     // A fault on one of this epoch's flows, logged at the
-                    // flow's coordinate as `FaultyEndpoint` does.
+                    // flow's coordinate as `Wire::send_framed` does.
                     let open_now = flows.for_epoch(epoch);
                     if !open_now.is_empty() {
-                        let r = &open_now[pick as usize % open_now.len()];
+                        let r = open_now[pick as usize % open_now.len()].clone();
                         let fault = FaultKind::MESSAGE_KINDS[(pick >> 8) as usize % 6];
                         let attempt = r.attempts - 1;
                         flows.inject(r.id, attempt, fault);
@@ -263,16 +258,17 @@ proptest! {
             }
         }
 
-        let ledger = flows.snapshot();
-        let whole_log = log.snapshot();
         let net = NetworkModel::new(PIZ_DAINT);
         for e in 0..=epoch + 1 {
-            let want: Vec<_> = ledger.records().iter().filter(|r| r.epoch == e).cloned().collect();
+            let want: Vec<_> = flows.records().iter().filter(|r| r.epoch == e).cloned().collect();
             let view = flows.for_epoch(e);
-            prop_assert_eq!(&view, &want, "flow view of epoch {}", e);
-            prop_assert_eq!(ledger.for_epoch(e), &want[..]);
+            prop_assert_eq!(view, &want[..], "flow view of epoch {}", e);
             let faults = log.for_epoch(e);
-            prop_assert_eq!(&faults, &whole_log.for_epoch(e), "fault view of epoch {}", e);
+            let filtered = FaultLog {
+                injected: log.injected.iter().filter(|f| f.epoch == e).cloned().collect(),
+                recoveries: log.recoveries.iter().filter(|r| r.epoch == e).cloned().collect(),
+            };
+            prop_assert_eq!(&faults, &filtered, "fault view of epoch {}", e);
 
             // The trace written from the view is the one written from the
             // whole ledger: same instants, anchors, flow ids, order.
@@ -281,7 +277,7 @@ proptest! {
                 record_fault_log(&faults, records, &net, &mut store, e, &|rank| rank as f64);
                 format!("{:?}", store.instants())
             };
-            prop_assert_eq!(write(&view), write(ledger.records()));
+            prop_assert_eq!(write(view), write(flows.records()));
         }
     }
 }

@@ -366,11 +366,10 @@ fn worker_main(inner: Arc<Inner>, idx: usize) {
             task();
             continue;
         }
-        let mut g = inner.work_gen.lock().unwrap();
-        while *g == gen && !inner.shutdown.load(Ordering::SeqCst) {
-            let (ng, _) = inner.work_cv.wait_timeout(g, IDLE_PARK).unwrap();
-            g = ng;
-            break; // rescan queues after any wake-up or timeout
+        let g = inner.work_gen.lock().unwrap();
+        if *g == gen && !inner.shutdown.load(Ordering::SeqCst) {
+            // One wait; the queues are rescanned after any wake-up or timeout.
+            drop(inner.work_cv.wait_timeout(g, IDLE_PARK).unwrap());
         }
     }
 }

@@ -153,14 +153,21 @@ fn parse_field<T: std::str::FromStr>(line: Option<&str>, key: &str) -> io::Resul
         .map_err(|_| bad(format!("manifest field '{key}': invalid value '{v}'")))
 }
 
-/// Read and validate a sharded checkpoint.
-///
-/// Every shard's bytes are checked against the manifest's CRC-64 and
-/// particle count before the snapshot itself is parsed (which re-validates
-/// length and its own checksum), so torn or corrupted shards surface as
-/// descriptive errors rather than bad particle data.
-pub fn read_checkpoint_full(dir: &Path) -> io::Result<Checkpoint> {
-    let manifest = std::fs::read_to_string(dir.join("manifest.txt"))?;
+/// The base format, validated: every rank's shard kept apart, plus the
+/// manifest lines that follow the shard lines (the exact-resume extension).
+struct Shards<'m> {
+    per_rank: Vec<Particles>,
+    time: f64,
+    steps: u64,
+    rest: std::str::Lines<'m>,
+}
+
+/// The one reader of the manifest header and shard lines. Every shard's
+/// file name and bytes (CRC-64) are checked against the manifest before the
+/// snapshot itself is parsed (which re-validates length and its own
+/// checksum), and its particle count after, so torn or corrupted shards
+/// surface as descriptive errors rather than bad particle data.
+fn read_shards<'m>(dir: &Path, manifest: &'m str) -> io::Result<Shards<'m>> {
     let mut lines = manifest.lines();
     let header = lines.next().unwrap_or("");
     if header != MANIFEST_HEADER {
@@ -171,7 +178,7 @@ pub fn read_checkpoint_full(dir: &Path) -> io::Result<Checkpoint> {
     let ranks: usize = parse_field(lines.next(), "ranks")?;
     let time: f64 = parse_field(lines.next(), "time")?;
     let steps: u64 = parse_field(lines.next(), "steps")?;
-    let mut all = Particles::new();
+    let mut per_rank = Vec::with_capacity(ranks);
     for r in 0..ranks {
         let line = lines
             .next()
@@ -209,13 +216,21 @@ pub fn read_checkpoint_full(dir: &Path) -> io::Result<Checkpoint> {
                 shard.len()
             )));
         }
-        all.extend_from(&shard);
+        per_rank.push(shard);
     }
-    Ok(Checkpoint {
-        particles: all,
-        time,
-        steps,
-    })
+    Ok(Shards { per_rank, time, steps, rest: lines })
+}
+
+/// Read and validate a sharded checkpoint, the shards concatenated in rank
+/// order.
+pub fn read_checkpoint_full(dir: &Path) -> io::Result<Checkpoint> {
+    let manifest = std::fs::read_to_string(dir.join("manifest.txt"))?;
+    let shards = read_shards(dir, &manifest)?;
+    let mut particles = Particles::new();
+    for shard in &shards.per_rank {
+        particles.extend_from(shard);
+    }
+    Ok(Checkpoint { particles, time: shards.time, steps: shards.steps })
 }
 
 /// Read a sharded checkpoint back into `(particles, time)`.
@@ -261,37 +276,9 @@ pub fn resume_cluster_elastic(dir: &Path, ranks: usize, cfg: ClusterConfig) -> i
 /// through [`restore_cluster`], which rebalances from scratch.
 pub fn resume_cluster_exact(dir: &Path, cfg: ClusterConfig) -> io::Result<Cluster> {
     let manifest = std::fs::read_to_string(dir.join("manifest.txt"))?;
-    let mut lines = manifest.lines();
-    let header = lines.next().unwrap_or("");
-    if header != MANIFEST_HEADER {
-        return Err(bad(format!(
-            "bad manifest header '{header}' (expected '{MANIFEST_HEADER}')"
-        )));
-    }
-    let ranks: usize = parse_field(lines.next(), "ranks")?;
-    let time: f64 = parse_field(lines.next(), "time")?;
-    let steps: u64 = parse_field(lines.next(), "steps")?;
-
     // Per-rank particle shards (the base format, kept per rank this time).
-    let mut parts: Vec<Particles> = Vec::with_capacity(ranks);
-    for r in 0..ranks {
-        let line = lines
-            .next()
-            .ok_or_else(|| bad(format!("manifest truncated: missing shard line {r}")))?;
-        let mut f = line.split_whitespace();
-        let (name, _count, crc_hex) = match (f.next(), f.next(), f.next()) {
-            (Some(n), Some(c), Some(x)) => (n, c, x),
-            _ => return Err(bad(format!("manifest shard line {r} malformed: '{line}'"))),
-        };
-        let stated = u64::from_str_radix(crc_hex, 16)
-            .map_err(|_| bad(format!("shard {name}: invalid checksum '{crc_hex}'")))?;
-        let bytes = std::fs::read(shard_path(dir, r))?;
-        if crc64(&bytes) != stated {
-            return Err(bad(format!("shard {name}: checksum mismatch")));
-        }
-        let (shard, _t) = snapshot_from_bytes(&bytes).map_err(|e| bad(format!("shard {name}: {e}")))?;
-        parts.push(shard);
-    }
+    let Shards { per_rank: parts, time, steps, rest: lines } = read_shards(dir, &manifest)?;
+    let ranks = parts.len();
 
     // Exact-resume extension lines.
     let mut domains = vec![None; ranks];
@@ -561,6 +548,60 @@ mod tests {
             err.to_string().contains("forces_2.bin") && err.to_string().contains("checksum"),
             "{err}"
         );
+    }
+
+    /// Both readers must refuse `dir` with a message containing `want`.
+    fn both_readers_reject(dir: &Path, want: &str) {
+        let base = read_checkpoint_full(dir).map(|_| ()).unwrap_err().to_string();
+        assert!(base.contains(want), "base reader: {base}");
+        let exact = match resume_cluster_exact(dir, ClusterConfig::default()) {
+            Ok(_) => panic!("exact resume accepted a manifest the base reader rejects ({base})"),
+            Err(e) => e.to_string(),
+        };
+        assert_eq!(exact, base, "exact resume must reject with the base reader's message");
+    }
+
+    /// A one-step checkpoint of 3 ranks in `tmp(name)`, and its manifest
+    /// with shard line 0 rewritten by `edit(name, count, crc)`.
+    fn checkpoint_with_shard_line_0(
+        name: &str,
+        edit: impl Fn(&str, usize, &str) -> String,
+    ) -> PathBuf {
+        let mut c = Cluster::new(plummer_sphere(400, 14), 3, ClusterConfig::default());
+        c.step();
+        let dir = tmp(name);
+        write_checkpoint(&c, &dir).unwrap();
+        let manifest = std::fs::read_to_string(dir.join("manifest.txt")).unwrap();
+        let mut lines: Vec<String> = manifest.lines().map(String::from).collect();
+        let f: Vec<&str> = lines[4].split_whitespace().collect();
+        assert_eq!(f[0], "shard_0.bin");
+        lines[4] = edit(f[0], f[1].parse().unwrap(), f[2]);
+        std::fs::write(dir.join("manifest.txt"), lines.join("\n") + "\n").unwrap();
+        dir
+    }
+
+    #[test]
+    fn exact_resume_rejects_a_wrong_declared_particle_count() {
+        let dir = checkpoint_with_shard_line_0("exact_count", |name, count, crc| {
+            format!("{name} {} {crc}", count + 1)
+        });
+        both_readers_reject(&dir, "manifest declares");
+    }
+
+    #[test]
+    fn exact_resume_rejects_a_shard_line_naming_another_file() {
+        let dir = checkpoint_with_shard_line_0("exact_name", |_, count, crc| {
+            format!("shard_1.bin {count} {crc}")
+        });
+        both_readers_reject(&dir, "unexpected file 'shard_1.bin' (expected 'shard_0.bin')");
+    }
+
+    #[test]
+    fn exact_resume_rejects_trailing_fields_on_a_shard_line() {
+        let dir = checkpoint_with_shard_line_0("exact_trailing", |name, count, crc| {
+            format!("{name} {count} {crc} extra")
+        });
+        both_readers_reject(&dir, "manifest shard line 0 malformed");
     }
 
     #[test]

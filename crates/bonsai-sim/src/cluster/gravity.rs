@@ -98,7 +98,7 @@ impl Cluster {
         expect: Expect<'_>,
         parse: impl Fn(&[u8]) -> Result<T, String>,
     ) -> Exchanged<T> {
-        let everyone: Vec<usize> = (0..self.endpoints.len()).collect();
+        let everyone: Vec<usize> = (0..self.wire.world()).collect();
         let during = format!("{kind:?} phase");
         let round = Round {
             kind,
@@ -109,15 +109,9 @@ impl Cluster {
             stranger: "unexpected sender",
             duplicate: "extra copy discarded",
         };
-        collective::exchange(
-            &mut self.endpoints,
-            &self.fault_log,
-            &everyone,
-            &round,
-            outbox,
-            expect,
-            |b| parse(b).map_err(Reject::Corrupt),
-        )
+        collective::exchange(&mut self.wire, &everyone, &round, outbox, expect, |b| {
+            parse(b).map_err(Reject::Corrupt)
+        })
     }
 
     /// Heartbeat + global bounding box (an allreduce). Every alive rank
@@ -310,8 +304,8 @@ impl Cluster {
         // shows up as forced cuts, which the step counts. The flow resolves
         // as recovered-by-fallback, not dead.
         for &(j, i) in &got.missing {
-            self.flows.fallback_pending(self.epoch, i, j, MsgKind::Let);
-            self.fault_log.record_recovery(RecoveryEvent {
+            self.wire.flows.fallback_pending(self.epoch, i, j, MsgKind::Let);
+            self.wire.log.record_recovery(RecoveryEvent {
                 epoch: self.epoch,
                 rank: j,
                 peer: Some(i),
@@ -390,7 +384,7 @@ impl Cluster {
         }
         (self.acc, self.pot) = results.into_iter().map(|r| (r.forces.acc, r.forces.pot)).unzip();
 
-        meas.faults = self.fault_log.for_epoch(self.epoch);
+        meas.faults = self.wire.log.for_epoch(self.epoch);
         let breakdown = self.assemble_breakdown(&meas);
         self.record_observability(&meas, &breakdown);
         self.last_measurements = meas;

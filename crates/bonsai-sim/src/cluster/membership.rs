@@ -160,7 +160,7 @@ impl Cluster {
         let world = wide.world();
         if new_p > old_p {
             debug_assert!(new_rank.iter().enumerate().all(|(r, &s)| s == Some(r)));
-            self.rebuild_fabric(world);
+            self.wire.resize(world);
         }
         self.ranks.resize_with(world, Particles::new);
         self.weights.resize(world, 1.0);
@@ -207,7 +207,7 @@ impl Cluster {
         self.pot.truncate(new_p);
         self.dead.truncate(new_p);
         if new_p < old_p {
-            self.rebuild_fabric(new_p);
+            self.wire.resize(new_p);
         }
         self.domains = new_domains;
         self.view = new_view;

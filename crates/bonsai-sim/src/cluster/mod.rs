@@ -10,7 +10,7 @@
 //! [`StepBreakdown`] per step.
 //!
 //! Every inter-rank payload crosses the real message fabric inside a
-//! checksummed envelope, through a [`FaultyEndpoint`] that can inject a
+//! checksummed envelope, over the cluster's one [`Wire`], which can inject a
 //! seeded [`FaultPlan`]: drops, duplicates, reorders, delays, truncation,
 //! bit flips, rank stalls and hard crashes. The step survives them —
 //! invalid frames are discarded and retransmitted with bounded attempts,
@@ -53,8 +53,7 @@ pub use gravity::factor_ranks;
 use crate::autoscale::ScaleDecision;
 use crate::breakdown::StepBreakdown;
 use bonsai_gpu::{GpuModel, KernelVariant, K20X};
-use bonsai_net::fault::{FaultLog, FaultPlan, FaultyEndpoint, SharedFaultLog};
-use bonsai_net::flow::SharedFlowLedger;
+use bonsai_net::fault::{FaultLog, FaultPlan, Wire};
 use bonsai_net::membership::{MembershipLog, View};
 use bonsai_net::{MachineSpec, NetworkModel, PIZ_DAINT};
 use bonsai_obs::analysis::waits::FlowSummary;
@@ -63,7 +62,7 @@ use bonsai_sfc::KeyRange;
 use bonsai_tree::build::TreeParams;
 use bonsai_tree::{InteractionCounts, Particles};
 use bonsai_util::Vec3;
-use recovery::{faulty_fabric, seed_decomposition};
+use recovery::seed_decomposition;
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -212,14 +211,11 @@ pub struct Cluster {
     weights: Vec<f64>,
     time: f64,
     steps: u64,
-    /// One fabric endpoint per rank, with the fault plan applied on sends.
-    endpoints: Vec<FaultyEndpoint>,
-    plan: Arc<FaultPlan>,
-    fault_log: SharedFaultLog,
-    /// Shared flow ledger: the lifecycle of every envelope sealed on the
-    /// fabric (seal → inject → retransmit → deliver | fallback | dead),
-    /// appended in driver order so it is deterministic per plan.
-    flows: SharedFlowLedger,
+    /// The fabric (one endpoint per rank), the fault plan applied on sends,
+    /// the fault log and the flow ledger — the lifecycle of every envelope
+    /// sealed (seal → inject → retransmit → deliver | fallback | dead) —
+    /// both appended in driver order, so deterministic per plan.
+    wire: Wire,
     /// Flow summaries (modeled times) of the most recent recorded epoch.
     last_flows: Vec<FlowSummary>,
     /// Monotonic gravity-phase counter. Never rewinds — a checkpoint
@@ -277,7 +273,7 @@ impl Cluster {
 
     /// Like [`Cluster::new`], but with a fault-injection plan and an
     /// optional checkpoint-based recovery configuration. With an empty plan
-    /// the endpoints are transparent (framed) pass-throughs and the step is
+    /// the wire's sends are transparent (framed) pass-throughs and the step is
     /// byte-for-byte the fault-free algorithm.
     ///
     /// Crash faults require `recovery`: a rank death is survived by rolling
@@ -312,9 +308,6 @@ impl Cluster {
         recovery: Option<RecoveryConfig>,
     ) -> Self {
         let p = ranks.len();
-        let plan = Arc::new(plan);
-        let fault_log = SharedFaultLog::new();
-        let flows = SharedFlowLedger::new();
         Self {
             gpu: GpuModel::new(K20X, KernelVariant::TreeKeplerTuned),
             net: NetworkModel::new(cfg.machine),
@@ -327,10 +320,7 @@ impl Cluster {
             weights: vec![1.0; p],
             time: 0.0,
             steps: 0,
-            endpoints: faulty_fabric(p, &plan, &fault_log, &flows),
-            plan,
-            fault_log,
-            flows,
+            wire: Wire::new(p, plan),
             last_flows: Vec::new(),
             epoch: 0,
             dead: vec![false; p],
@@ -455,7 +445,7 @@ impl Cluster {
             particles: self.total_particles(),
             view: self.view.number,
             energy: energy.then(|| self.energy_report()),
-            flows: flows.then(|| self.flows.conservation()),
+            flows: flows.then(|| self.wire.flows.conservation()),
             longrun_rules: self.longrun.as_ref().map(|lr| lr.config().rules.len()),
         }
     }
@@ -468,8 +458,8 @@ impl Cluster {
 
     /// Full audit log of injected faults and recovery actions since
     /// construction.
-    pub fn fault_log(&self) -> FaultLog {
-        self.fault_log.snapshot()
+    pub fn fault_log(&self) -> &FaultLog {
+        &self.wire.log
     }
 
     /// The current membership view (the rank assignment).

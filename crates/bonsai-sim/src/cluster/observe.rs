@@ -240,7 +240,7 @@ impl Cluster {
         // Perfetto arrow points (`s` on the sender's COMM lane, `t` per
         // retransmission, `f` at the receiver), and record the flow-level
         // metrics family.
-        let flows = self.flows.for_epoch(step);
+        let flows = self.wire.flows.for_epoch(step);
         let clock = FlowClock::new(&self.net);
         let mut summaries: Vec<FlowSummary> = Vec::new();
         // Spread each sender's flows across its exchange window (seal order
@@ -248,13 +248,13 @@ impl Cluster {
         // flight, not stacked at the window's opening instant. Delivery
         // latency is anchor-invariant: send and resolve shift together.
         let mut flow_count = vec![0usize; p];
-        for r in &flows {
+        for r in flows {
             if r.from < p {
                 flow_count[r.from] += 1;
             }
         }
         let mut flow_seq = vec![0usize; p];
-        for r in &flows {
+        for r in flows {
             let slot = if r.from < p && flow_count[r.from] > 0 {
                 let i = flow_seq[r.from];
                 flow_seq[r.from] += 1;
@@ -373,7 +373,7 @@ impl Cluster {
                 .observe_link(&mut self.registry, "retransmit", 0, meas.retransmit_bytes as u64);
             makespan += breakdown.recovery;
         }
-        bonsai_net::obs::record_fault_log(&meas.faults, &flows, &self.net, &mut self.trace, step, &|rank| {
+        bonsai_net::obs::record_fault_log(&meas.faults, flows, &self.net, &mut self.trace, step, &|rank| {
             local_starts.get(rank).copied().unwrap_or(base)
         });
 
@@ -540,16 +540,16 @@ impl Cluster {
         &self.last_flows
     }
 
-    /// Snapshot of the whole run's flow ledger (every envelope sealed on
-    /// the fabric since construction).
-    pub fn flow_ledger(&self) -> FlowLedger {
-        self.flows.snapshot()
+    /// The whole run's flow ledger (every envelope sealed on the fabric
+    /// since construction).
+    pub fn flow_ledger(&self) -> &FlowLedger {
+        &self.wire.flows
     }
 
     /// Conservation totals over every flow sealed so far: in a completed
     /// run, sealed = delivered + fallback + dead with nothing pending.
     pub fn flow_conservation(&self) -> FlowConservation {
-        self.flows.conservation()
+        self.wire.flows.conservation()
     }
 }
 

@@ -6,15 +6,11 @@
 use super::{Cluster, ClusterConfig, MAX_RETRIES_HARD};
 use crate::breakdown::StepBreakdown;
 use crate::checkpoint::{self, Checkpoint};
-use bonsai_net::fault::{
-    FaultEvent, FaultKind, FaultPlan, FaultyEndpoint, RecoveryAction, RecoveryEvent, SharedFaultLog,
-};
-use bonsai_net::flow::SharedFlowLedger;
+use bonsai_net::fault::{FaultEvent, FaultKind, RecoveryAction, RecoveryEvent};
 use bonsai_net::membership::{self, MembershipEvent, View, ViewChange};
-use bonsai_net::{Fabric, MsgKind};
+use bonsai_net::MsgKind;
 use bonsai_sfc::{KeyMap, KeyRange};
 use bonsai_tree::Particles;
-use std::sync::Arc;
 
 impl Cluster {
     pub(super) fn write_recovery_checkpoint(&self) {
@@ -28,9 +24,7 @@ impl Cluster {
     /// stale.
     pub(super) fn begin_epoch(&mut self) {
         self.epoch += 1;
-        for ep in &mut self.endpoints {
-            ep.flush_delayed();
-        }
+        self.wire.flush_delayed();
     }
 
     /// Every rank the plan schedules to die this epoch dies — simultaneous
@@ -42,11 +36,11 @@ impl Cluster {
         if p == 1 {
             return;
         }
-        for r in self.plan.crashed_ranks(self.epoch) {
+        for r in self.wire.plan().crashed_ranks(self.epoch) {
             if r >= p || self.dead[r] {
                 continue;
             }
-            self.fault_log.record_fault(FaultEvent {
+            self.wire.log.record_fault(FaultEvent {
                 epoch: self.epoch,
                 from: r,
                 to: r,
@@ -110,8 +104,8 @@ impl Cluster {
     /// closed here so the flow-conservation invariant (every sealed flow is
     /// delivered, recovered by fallback, or dead) survives rollback.
     fn declare_dead(&mut self, rank: usize, kind: Option<MsgKind>, detail: String) {
-        self.flows.close_epoch_dead(self.epoch);
-        self.fault_log.record_recovery(RecoveryEvent {
+        self.wire.flows.close_epoch_dead(self.epoch);
+        self.wire.log.record_recovery(RecoveryEvent {
             epoch: self.epoch,
             rank,
             peer: None,
@@ -132,7 +126,7 @@ impl Cluster {
         self.time = ck.time;
         self.steps = ck.steps;
         self.dead = vec![false; p];
-        self.fault_log.record_recovery(RecoveryEvent {
+        self.wire.log.record_recovery(RecoveryEvent {
             epoch: self.epoch,
             rank: dead,
             peer: None,
@@ -153,8 +147,7 @@ impl Cluster {
         events_at[sponsor] = events;
         let live: Vec<bool> = self.dead.iter().map(|&d| !d).collect();
         membership::converge(
-            &mut self.endpoints,
-            &self.fault_log,
+            &mut self.wire,
             &live,
             self.epoch,
             &self.view,
@@ -188,7 +181,7 @@ impl Cluster {
         };
         let old_view = std::mem::replace(&mut self.view, conv.view.clone());
         let new_p = conv.view.world();
-        self.rebuild_fabric(new_p);
+        self.wire.resize(new_p);
         self.reseed_from_checkpoint(ck, new_p, first_dead, &format!(" over {new_p} survivors"));
         self.commit_view_change(first_dead, &old_view, conv.events, conv.rounds, None);
     }
@@ -207,7 +200,7 @@ impl Cluster {
     ) {
         let migrants = migrated.map_or(String::new(), |(n, _)| format!(", {n} migrants"));
         let (from_world, to_world) = (old.world(), self.view.world());
-        self.fault_log.record_recovery(RecoveryEvent {
+        self.wire.log.record_recovery(RecoveryEvent {
             epoch: self.epoch,
             rank,
             peer: None,
@@ -233,27 +226,6 @@ impl Cluster {
         self.record_membership_change(&change);
         self.membership.push(change);
     }
-
-    /// Replace the fabric with a fresh one spanning `p` ranks (fault plan
-    /// and log carry over; fault decisions are pure functions of the
-    /// monotone epoch, so determinism survives the rebuild).
-    pub(super) fn rebuild_fabric(&mut self, p: usize) {
-        self.endpoints = faulty_fabric(p, &self.plan, &self.fault_log, &self.flows);
-    }
-}
-
-/// A fabric of `p` endpoints with the fault plan applied on sends, all
-/// sharing one fault log and one flow ledger.
-pub(super) fn faulty_fabric(
-    p: usize,
-    plan: &Arc<FaultPlan>,
-    log: &SharedFaultLog,
-    flows: &SharedFlowLedger,
-) -> Vec<FaultyEndpoint> {
-    Fabric::new(p)
-        .into_iter()
-        .map(|ep| FaultyEndpoint::new(ep, plan.clone(), log.clone(), flows.clone()))
-        .collect()
 }
 
 /// Initial decomposition: even counts along the SFC (also used to

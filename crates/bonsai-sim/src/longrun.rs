@@ -25,6 +25,13 @@ use bonsai_obs::timeseries::{SeriesConfig, SeriesStore};
 use bonsai_obs::flight::{FlightRecorder, Incident};
 use bonsai_obs::{Lane, MetricsRegistry, TraceStore};
 
+/// Steps of full-fidelity spans the flight recorder keeps (and the live
+/// trace is pruned to).
+const FLIGHT_WINDOW: usize = 8;
+
+/// Incidents frozen at most (each owns a copy of the window).
+const MAX_INCIDENTS: usize = 4;
+
 /// Configuration of the long-run monitor.
 #[derive(Clone, Debug)]
 pub struct LongRunConfig {
@@ -32,10 +39,6 @@ pub struct LongRunConfig {
     pub max_bins: usize,
     /// Alert rules to evaluate each step.
     pub rules: Vec<Rule>,
-    /// Steps of full-fidelity spans the flight recorder keeps.
-    pub flight_window: usize,
-    /// Incidents to freeze at most (each owns a copy of the window).
-    pub max_incidents: usize,
 }
 
 impl Default for LongRunConfig {
@@ -43,8 +46,6 @@ impl Default for LongRunConfig {
         Self {
             max_bins: 512,
             rules: default_rules(),
-            flight_window: 8,
-            max_incidents: 4,
         }
     }
 }
@@ -70,7 +71,7 @@ impl LongRunMonitor {
                 max_bins: cfg.max_bins,
             }),
             health: HealthMonitor::new(cfg.rules.clone()),
-            flight: FlightRecorder::new(cfg.flight_window),
+            flight: FlightRecorder::new(FLIGHT_WINDOW),
             baseline,
             incidents: Vec::new(),
             cfg,
@@ -179,11 +180,11 @@ impl LongRunMonitor {
         }
         self.flight.record_step(trace, epoch);
         for ev in &fired {
-            if ev.kind == AlertKind::Open && self.incidents.len() < self.cfg.max_incidents {
+            if ev.kind == AlertKind::Open && self.incidents.len() < MAX_INCIDENTS {
                 self.incidents.push(self.flight.freeze(self.incidents.len(), ev));
             }
         }
-        let min = epoch.saturating_sub(self.cfg.flight_window.max(1) as u64 - 1);
+        let min = epoch.saturating_sub(FLIGHT_WINDOW as u64 - 1);
         trace.retain_steps(min);
         fired
     }
@@ -210,8 +211,8 @@ mod tests {
 
     #[test]
     fn an_alert_opens_on_a_crafted_gauge_with_no_cluster() {
-        // Hand-built stores and facts: two recorded epochs, one gauge over
-        // its rule's limit.
+        // Hand-built stores and facts: two recorded epochs — one of them
+        // older than the flight window — and one gauge over its rule's limit.
         let energy = EnergyReport {
             kinetic: 1.0,
             potential: -2.0,
@@ -222,19 +223,19 @@ mod tests {
         let mut lr = LongRunMonitor::new(
             LongRunConfig {
                 rules: vec![hot],
-                flight_window: 1,
                 ..LongRunConfig::default()
             },
             energy,
         );
         let mut trace = TraceStore::new();
+        let now = FLIGHT_WINDOW as u64 + 1;
         trace.span(0, 1, Lane::Gpu, "local", 0.0, 1.0);
-        trace.span(0, 2, Lane::Gpu, "local", 1.0, 3.0);
+        trace.span(0, now, Lane::Gpu, "local", 1.0, 3.0);
         let mut registry = MetricsRegistry::new();
         registry.step_gauge_set("crafted", &[], 2.0);
         let facts = StepFacts {
             step: 1,
-            epoch: 2,
+            epoch: now,
             time: 0.01,
             world: 1,
             particles: 10,
@@ -254,21 +255,18 @@ mod tests {
         assert_eq!(registry.gauge("bonsai_energy_drift", &[]), Some(0.0));
         assert_eq!(lr.series().series("crafted").map(|s| s.count()), Some(1));
         // The alert is an instant on the epoch, frozen into an incident, and
-        // the trace is pruned to the one-epoch flight window.
+        // the trace is pruned to the flight window, which epoch 1 just left.
         assert_eq!(trace.instants().len(), 1);
         assert_eq!(trace.instants()[0].name, "alert:open:hot");
         assert_eq!(lr.incidents().len(), 1);
-        assert!(trace.spans().iter().all(|s| s.step == 2));
+        assert!(trace.spans().iter().all(|s| s.step == now));
     }
 
     #[test]
     fn monitor_samples_every_step_and_prunes_the_trace() {
         let mut c = small_cluster();
-        c.enable_longrun(LongRunConfig {
-            flight_window: 3,
-            ..LongRunConfig::default()
-        });
-        for _ in 0..6 {
+        c.enable_longrun(LongRunConfig::default());
+        for _ in 0..10 {
             c.step();
         }
         let lr = c.longrun().expect("monitor enabled");
@@ -283,7 +281,7 @@ mod tests {
             let s = lr.series().series(name).unwrap_or_else(|| {
                 panic!("missing series {name}: have {:?}", lr.series().names())
             });
-            assert_eq!(s.count(), 6, "{name}");
+            assert_eq!(s.count(), 10, "{name}");
         }
         // Per-phase gauges are sampled too (rendered with labels).
         assert!(lr
@@ -291,14 +289,14 @@ mod tests {
             .names()
             .iter()
             .any(|n| n.starts_with("bonsai_step_phase_seconds{")));
-        // Trace pruned to the flight window: only the last 3 epochs remain.
+        // Trace pruned to the flight window: only the last 8 epochs remain.
         let steps: Vec<u64> = {
             let mut s: Vec<u64> = c.trace().spans().iter().map(|sp| sp.step).collect();
             s.sort_unstable();
             s.dedup();
             s
         };
-        assert_eq!(steps, vec![5, 6, 7], "epochs kept (initial eval = epoch 1)");
+        assert_eq!(steps, (4..=11).collect::<Vec<u64>>(), "epochs kept (initial eval = epoch 1)");
         // A clean Plummer run opens nothing.
         assert!(c.longrun().unwrap().health().events().is_empty());
         assert!(c.longrun().unwrap().incidents().is_empty());

@@ -17,18 +17,32 @@
 //! themselves published as must-deliver alert frames.
 //!
 //! Everything runs under the modelled clock: frame timestamps are the
-//! trace makespan and costs are op counts × [`ObsCostModel`] rates, so a
-//! fixed-seed run streams byte-identical frames.
+//! trace makespan and costs are op counts × the default
+//! [`ObsCostModel`](bonsai_obs::overhead::ObsCostModel) rates, so a fixed-seed
+//! run streams byte-identical frames.
 
 use crate::breakdown::StepBreakdown;
 use crate::cluster::StepFacts;
 use bonsai_obs::health::{AlertEvent, HealthMonitor};
-use bonsai_obs::overhead::{overhead_rule, ObsCostModel, OverheadMeter, OVERHEAD_GAUGE};
+use bonsai_obs::overhead::{overhead_rule, OverheadMeter, OVERHEAD_GAUGE};
 use bonsai_obs::stream::{FrameKind, FrameValue, SubscriberConfig, TelemetryBus};
 use bonsai_obs::{MetricsRegistry, TraceStore};
 
+/// Unlabelled gauges streamed in each step's `gauges` frame.
+const STREAMED_GAUGES: [&str; 9] = [
+    "bonsai_energy_drift",
+    "bonsai_flop_residual",
+    "bonsai_hidden_comm_fraction",
+    "bonsai_gpu_gflops",
+    "bonsai_step_seconds",
+    "bonsai_recovery_actions",
+    "bonsai_degraded_lets",
+    "bonsai_retransmit_bytes",
+    "bonsai_particle_imbalance",
+];
+
 /// Configuration of the streaming tap.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct StreamConfig {
     /// Subscribers to attach at enable time (name + ring capacity).
     pub subscribers: Vec<SubscriberConfig>,
@@ -36,41 +50,12 @@ pub struct StreamConfig {
     /// of dropping. Never set in honest runs — exists so the CI gate can
     /// prove the overhead budget catches a bus that blocks the hot path.
     pub block_on_full: bool,
-    /// Cost model pricing the observability ops.
-    pub cost: ObsCostModel,
-    /// Unlabelled gauges streamed in each step's `gauges` frame.
-    pub gauges: Vec<String>,
-}
-
-impl Default for StreamConfig {
-    fn default() -> Self {
-        Self {
-            subscribers: Vec::new(),
-            block_on_full: false,
-            cost: ObsCostModel::default(),
-            gauges: [
-                "bonsai_energy_drift",
-                "bonsai_flop_residual",
-                "bonsai_hidden_comm_fraction",
-                "bonsai_gpu_gflops",
-                "bonsai_step_seconds",
-                "bonsai_recovery_actions",
-                "bonsai_degraded_lets",
-                "bonsai_retransmit_bytes",
-                "bonsai_particle_imbalance",
-            ]
-            .into_iter()
-            .map(String::from)
-            .collect(),
-        }
-    }
 }
 
 /// The per-run streaming state: bus, overhead meter, and the tap's own
 /// health monitor enforcing the observability budget.
 #[derive(Clone, Debug)]
 pub struct StreamTap {
-    cfg: StreamConfig,
     bus: TelemetryBus,
     meter: OverheadMeter,
     health: HealthMonitor,
@@ -86,11 +71,9 @@ impl StreamTap {
             bus.add_subscriber(sub.clone());
         }
         bus.set_block_on_full(cfg.block_on_full);
-        let meter = OverheadMeter::new(cfg.cost.clone());
         Self {
-            cfg,
             bus,
-            meter,
+            meter: OverheadMeter::default(),
             health: HealthMonitor::new(vec![overhead_rule()]),
             prev_stalls: 0,
         }
@@ -231,15 +214,11 @@ impl StreamTap {
             .collect();
         phases.push(("total".to_string(), FrameValue::F64(b.total())));
         self.publish(step, FrameKind::PhaseSample, at, phases);
-        let gauge_fields: Vec<(String, FrameValue)> = self
-            .cfg
-            .gauges
-            .clone()
+        let gauge_fields: Vec<(String, FrameValue)> = STREAMED_GAUGES
             .into_iter()
             .filter_map(|name| {
-                registry
-                    .gauge(&name, &[])
-                    .map(|v| (name, FrameValue::F64(v)))
+                let v = registry.gauge(name, &[])?;
+                Some((name.to_string(), FrameValue::F64(v)))
             })
             .collect();
         self.publish(step, FrameKind::Gauges, at, gauge_fields);

@@ -6,7 +6,8 @@
 //! force field matches the serial oracle at the cluster's own positions.
 
 use bonsai_ic::plummer_sphere;
-use bonsai_net::{FaultKind, FaultPlan, RecoveryAction};
+use bonsai_net::fault::Injection;
+use bonsai_net::{FaultKind, FaultPlan, MsgKind, RecoveryAction};
 use bonsai_obs::health::{Condition, Rule, Severity};
 use bonsai_sim::{AutoscaleConfig, Cluster, ClusterConfig, LongRunConfig, RecoveryConfig};
 use bonsai_verify::{acceleration_diff, equivalence_band, serial_reference};
@@ -181,13 +182,106 @@ fn membership_churn_is_deterministic() {
             g.id.iter().copied().zip(g.pos.iter().copied()).collect()
         };
         pos.sort_by_key(|&(id, _)| id);
-        (c.fault_log(), c.membership_log().render(), pos)
+        (c.fault_log().clone(), c.membership_log().render(), pos)
     };
     let (fa, ma, pa) = run("det_a");
     let (fb, mb, pb) = run("det_b");
     assert_eq!(fa, fb, "fault logs diverged");
     assert_eq!(ma, mb, "membership logs diverged");
     assert_eq!(pa, pb, "trajectories diverged");
+}
+
+/// `Delay` on the first transmission of every `kind` frame 1 → 0 in `epoch`.
+fn delay_1_to_0(plan: FaultPlan, epoch: u64, kind: MsgKind) -> FaultPlan {
+    plan.with_injection(Injection {
+        epoch,
+        from: Some(1),
+        to: Some(0),
+        kind: Some(kind),
+        fault: FaultKind::Delay,
+    })
+}
+
+/// The books of a run whose plan held frames back: every one was sent
+/// again, every flow is settled, and `stale` discards were logged.
+fn assert_held_back_frames_settled(c: &Cluster, n: usize, stale: usize, what: &str) {
+    let log = c.fault_log();
+    let held = log.injected_of(FaultKind::Delay) + log.injected_of(FaultKind::Stall);
+    assert!(held >= 1, "{what}: the plan held nothing back");
+    assert!(log.recoveries_of(RecoveryAction::Retransmit) >= 1, "{what}: nothing was sent again");
+    assert_eq!(log.recoveries_of(RecoveryAction::DiscardStale), stale, "{what}:\n{}", log.render());
+    assert!(c.flow_conservation().holds(), "{what}: {:?}", c.flow_conservation());
+    assert_eq!(c.total_particles(), n, "{what}: lost particles");
+}
+
+#[test]
+fn frames_held_back_when_the_fabric_is_rebuilt_are_dropped_with_it() {
+    // A delayed frame normally surfaces at the next `begin_epoch` and is
+    // discarded as stale. One still held when a view change or an elastic
+    // rollback replaces the fabric goes with the old fabric instead: its
+    // flow was settled by the retransmission, and no stale discard for it
+    // is ever logged. The epoch after construction is 1, a step adds one,
+    // and the view-change gossip opens the next.
+    let cfg = ClusterConfig::default;
+
+    // Grow: the fabric is rebuilt between the gossip and the migration.
+    let plan = delay_1_to_0(FaultPlan::new(3), 3, MsgKind::View);
+    let mut c = Cluster::with_faults(plummer_sphere(900, 33), 3, cfg(), plan, None);
+    c.step();
+    c.admit_ranks(1);
+    assert_eq!((c.rank_count(), c.current_epoch()), (4, 4));
+    c.step();
+    assert_held_back_frames_settled(&c, 900, 0, "grow");
+
+    // Shrink: rebuilt after the migration, which is held back too.
+    let plan = delay_1_to_0(FaultPlan::new(3), 3, MsgKind::View);
+    let plan = delay_1_to_0(plan, 3, MsgKind::Particles);
+    let mut c = Cluster::with_faults(plummer_sphere(900, 33), 4, cfg(), plan, None);
+    c.step();
+    c.retire_ranks(1);
+    assert_eq!((c.rank_count(), c.current_epoch()), (3, 4));
+    c.step();
+    assert_eq!(c.fault_log().injected_of(FaultKind::Delay), 3, "two gossip rounds, one migration");
+    assert_held_back_frames_settled(&c, 900, 0, "shrink");
+
+    // Elastic rollback: rank 3 dies in epoch 3, the survivors gossip it out
+    // in epoch 4 and the fabric is rebuilt over them.
+    let plan = delay_1_to_0(FaultPlan::new(3).with_crash(3, 3), 4, MsgKind::View);
+    let recovery = RecoveryConfig { dir: elastic_dir("held_back"), every: 1 };
+    let mut c = Cluster::with_faults(plummer_sphere(900, 33), 4, cfg(), plan, Some(recovery));
+    c.enable_elastic_recovery();
+    c.step();
+    c.step();
+    c.step();
+    assert_eq!(c.rank_count(), 3);
+    assert_held_back_frames_settled(&c, 900, 0, "elastic rollback");
+}
+
+#[test]
+fn frames_held_back_in_the_epoch_before_a_view_change_surface_stale_in_its_gossip() {
+    // The contrast: what `Delay` and `Stall` hold back during the gravity
+    // epoch *before* a view change is released by the change's own
+    // `begin_epoch`, onto the old fabric, and discarded by the gossip's
+    // drain in the gossip's words — one discard per held frame, none lost.
+    let plan = delay_1_to_0(FaultPlan::new(3), 2, MsgKind::Control).with_stall(2, 2);
+    let cfg = ClusterConfig::default();
+    let mut c = Cluster::with_faults(plummer_sphere(900, 33), 3, cfg, plan, None);
+    c.step();
+    let held = {
+        let log = c.fault_log();
+        assert_eq!(log.recoveries_of(RecoveryAction::DiscardStale), 0);
+        assert!(log.injected_of(FaultKind::Stall) >= 1, "rank 2 owed no dedicated LET");
+        log.injected_of(FaultKind::Delay) + log.injected_of(FaultKind::Stall)
+    };
+    c.admit_ranks(1);
+    c.step();
+    assert_held_back_frames_settled(&c, 900, held, "epoch before a grow");
+    let log = c.fault_log();
+    let stale = log.recoveries.iter().filter(|e| e.action == RecoveryAction::DiscardStale);
+    for e in stale {
+        assert_eq!((e.epoch, e.kind), (3, Some(MsgKind::View)), "{e:?}");
+        assert_eq!(e.detail, "view frame from epoch 2");
+    }
 }
 
 #[test]

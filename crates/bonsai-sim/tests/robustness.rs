@@ -209,7 +209,7 @@ fn chaos_identical_seed_identical_log() {
         for _ in 0..10 {
             c.step();
         }
-        (c.fault_log(), c.flow_ledger(), c.gather())
+        (c.fault_log().clone(), c.flow_ledger().clone(), c.gather())
     };
     let (log_a, flows_a, pa) = run("det_a");
     let (log_b, flows_b, pb) = run("det_b");

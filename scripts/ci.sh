@@ -83,7 +83,10 @@ cp -r out "$scratch/out-default-threads"
 BONSAI_THREADS=3 cargo run -q --release -p bonsai-bench --bin gates
 diff -r "$scratch/out-default-threads" out
 # The runner wrote nothing to the tree. A kernel change that is *meant* to
-# move force bits is re-blessed with `gates --bless` (DESIGN.md 6f).
-git diff --exit-code -- 'BENCH_*.json'
+# move force bits is re-blessed with `gates --bless` (DESIGN.md 6f). Nor did
+# the benchmark stanza above: `benchmark/run.sh` and that `cargo test` build
+# without `--locked`, so a dependency line dropped anywhere in crates/ would
+# rewrite benchmark/Cargo.lock as a side effect, and this is what notices.
+git diff --exit-code -- 'BENCH_*.json' benchmark/
 
 echo "CI line green"
