@@ -29,20 +29,51 @@
 //! 3. retransmissions leave in `(to, from)` order — the order of
 //!    [`Exchanged::missing`] — followed by a flush of every member.
 //!
-//! It all runs on the caller's thread, over the one `&mut` [`Wire`] the
-//! driver owns: log and ledger are plain values, and this order is the only
-//! thing that makes them deterministic. Sealing per sender and draining per
-//! receiver are independent across ranks; running them as rank-level tasks
-//! means splitting `&mut Wire` into per-rank send halves (a rank's endpoint,
-//! its held-back queues, a flow buffer) and drain halves (its inbox, a
-//! recovery buffer), and merging the buffers into log and ledger in this
-//! order. Nothing stands between that split and the type any more — no lock,
-//! no shared handle.
+//! # Rank tasks and driver effects
+//!
+//! Log and ledger are plain values in the one `&mut` [`Wire`] the driver
+//! owns, and the order above is the only thing that makes them
+//! deterministic, so every step that touches the wire is a *driver effect*,
+//! applied on the caller's thread in that order. The byte-proportional work
+//! in between depends on one rank's data only and runs as *rank tasks*
+//! through the caller's [`Lanes`]:
+//!
+//! | rank task (pure; any thread, any order) | driver effect (serial, in contract order) |
+//! |---|---|
+//! | seal a sender's first transmissions, under flow ids handed out by a prefix sum of the senders' first-transmission counts (silent 0, broadcast `members − 1`, a `To` list its length) | the ledger's `seal`, asserting the pre-assigned id; the fault decision and its log record; channel sends; `flush_reordered` |
+//! | once every member's inbox is drained: `envelope::open`, the epoch / kind / sender checks and a speculative `parse` of each frame | the duplicate check against what the receiver already holds; `flows.deliver`; every log record |
+//! | — | retransmissions, sealed and sent on the driver |
+//!
+//! A task's result is a function of its inputs and the driver consumes the
+//! results in rank order, so the log, the ledger and the received lists are
+//! the same whichever order and however many lanes the tasks ran on. The
+//! only price of speculation is parsing a duplicate that is then discarded.
+//! [`Inline`] runs the tasks in order on the caller's thread; this crate
+//! depends on no thread pool, and `bonsai-sim` passes a pool-backed
+//! [`Lanes`].
 
-use crate::envelope;
-use crate::fabric::MsgKind;
+use crate::envelope::{self, seal_flow};
+use crate::fabric::{Message, MsgKind};
 use crate::fault::{FaultLog, RecoveryAction, RecoveryEvent, Wire};
 use bytes::Bytes;
+
+/// How a collective runs its rank tasks: `map` is
+/// `items.into_iter().map(f).collect()`, free to evaluate the items
+/// concurrently and in any order but returning the results in item order.
+pub trait Lanes {
+    /// Apply `f` to every item; results in item order.
+    fn map<T: Send, R: Send>(&self, items: Vec<T>, f: impl Fn(T) -> R + Sync) -> Vec<R>;
+}
+
+/// Every rank task on the calling thread, in rank order.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct Inline;
+
+impl Lanes for Inline {
+    fn map<T: Send, R: Send>(&self, items: Vec<T>, f: impl Fn(T) -> R + Sync) -> Vec<R> {
+        items.into_iter().map(f).collect()
+    }
+}
 
 /// What one rank owes its peers in a collective.
 #[derive(Clone, Debug)]
@@ -62,6 +93,18 @@ impl Outbox {
             Outbox::Silent => None,
             Outbox::Broadcast(payload) => Some(payload),
             Outbox::To(list) => received_from(list, to),
+        }
+    }
+
+    /// `(to, payload)` of every first transmission `from` makes among
+    /// `members`, in send order.
+    fn first_sends(&self, members: &[usize], from: usize) -> Vec<(usize, &Bytes)> {
+        match self {
+            Outbox::Silent => Vec::new(),
+            Outbox::Broadcast(payload) => {
+                members.iter().filter(|&&to| to != from).map(|&to| (to, payload)).collect()
+            }
+            Outbox::To(list) => list.iter().map(|(to, payload)| (*to, payload)).collect(),
         }
     }
 }
@@ -153,38 +196,93 @@ pub fn received_from<T>(list: &[(usize, T)], peer: usize) -> Option<&T> {
         .map(|i| &list[i].1)
 }
 
+/// A drained frame after the checks that need nothing but the frame and the
+/// round.
+enum Checked<T> {
+    /// Refused: logged against the peer as the action, with the detail.
+    Refused(usize, RecoveryAction, String),
+    /// A frame of this round from a sender the receiver expects, with
+    /// `parse`'s verdict — taken before it is known whether the receiver
+    /// already holds that sender's payload.
+    Expected {
+        from: usize,
+        flow: u64,
+        seq: u32,
+        parsed: Result<T, (RecoveryAction, String)>,
+    },
+}
+
+/// The rank-task half of receiving one frame addressed to `to`.
+fn check<T>(
+    round: &Round<'_>,
+    members: &[usize],
+    expect: Expect<'_>,
+    to: usize,
+    msg: &Message,
+    parse: &impl Fn(&[u8]) -> Result<T, Reject>,
+) -> Checked<T> {
+    let env = match envelope::open(&msg.payload) {
+        Ok(env) => env,
+        Err(e) => return Checked::Refused(msg.from, RecoveryAction::DiscardCorrupt, e.to_string()),
+    };
+    let stale = |detail| Checked::Refused(env.from, RecoveryAction::DiscardStale, detail);
+    if env.epoch != round.epoch {
+        stale(format!("{} from epoch {}", round.stale_frame, env.epoch))
+    } else if env.kind != round.kind {
+        stale(format!("late {:?} frame during {}", env.kind, round.during))
+    } else if !expect.includes(members, to, env.from) {
+        stale(round.stranger.to_string())
+    } else {
+        Checked::Expected {
+            from: env.from,
+            flow: env.flow,
+            seq: env.seq,
+            parsed: parse(env.payload).map_err(|reject| match reject {
+                Reject::Stale(why) => (RecoveryAction::DiscardStale, why),
+                Reject::Corrupt(why) => (RecoveryAction::DiscardCorrupt, why),
+            }),
+        }
+    }
+}
+
 /// Run one collective among `members` (ascending ranks of `wire`) over the
-/// possibly faulty fabric.
+/// possibly faulty fabric, its rank tasks on `lanes`.
 ///
 /// `outbox[from]` is what `from` owes; `expect` is whom each receiver waits
 /// for. A frame that fails envelope validation, carries another epoch or
 /// kind, comes from an unexpected sender, arrives twice, or is refused by
 /// `parse` is discarded and logged; missing payloads are re-requested up to
 /// `round.max_retries` times. Non-members' endpoints and held-back queues
-/// are never touched. See the module docs for the order contract.
-pub fn exchange<T>(
+/// are never touched. See the module docs for the order contract and for
+/// which parts run as rank tasks.
+pub fn exchange<T: Send>(
     wire: &mut Wire,
+    lanes: &impl Lanes,
     members: &[usize],
     round: &Round<'_>,
     outbox: &[Outbox],
     expect: Expect<'_>,
-    parse: impl Fn(&[u8]) -> Result<T, Reject>,
+    parse: impl Fn(&[u8]) -> Result<T, Reject> + Sync,
 ) -> Exchanged<T> {
     let Round { kind, epoch, .. } = *round;
     debug_assert!(members.windows(2).all(|w| w[0] < w[1]), "members ascending");
-    for &from in members {
-        match &outbox[from] {
-            Outbox::Silent => {}
-            Outbox::Broadcast(payload) => {
-                for &to in members.iter().filter(|&&to| to != from) {
-                    wire.send_framed(from, to, kind, epoch, 0, payload);
-                }
-            }
-            Outbox::To(list) => {
-                for (to, payload) in list {
-                    wire.send_framed(from, *to, kind, epoch, 0, payload);
-                }
-            }
+    let mut next_flow = wire.flows.next_id();
+    let bursts: Vec<_> = (members.iter())
+        .map(|&from| {
+            let sends = outbox[from].first_sends(members, from);
+            let first = next_flow;
+            next_flow += sends.len() as u64;
+            (from, first, sends)
+        })
+        .collect();
+    let sealed = lanes.map(bursts, |(from, first, sends)| {
+        (sends.into_iter().zip(first..))
+            .map(|((to, payload), flow)| (to, flow, seal_flow(kind, from, epoch, flow, 0, payload)))
+            .collect::<Vec<_>>()
+    });
+    for (&from, burst) in members.iter().zip(sealed) {
+        for (to, flow, frame) in burst {
+            wire.send_sealed(from, to, kind, epoch, flow, frame);
         }
         wire.flush_reordered(from);
     }
@@ -205,44 +303,37 @@ pub fn exchange<T>(
     };
     let mut attempt = 0u32;
     loop {
-        for &to in members {
+        let inboxes: Vec<(usize, Vec<Message>)> = (members.iter())
+            .map(|&to| (to, std::iter::from_fn(|| wire.try_recv(to)).collect()))
+            .collect();
+        let checked = lanes.map(inboxes, |(to, frames)| {
+            (frames.iter())
+                .map(|msg| check(round, members, expect, to, msg, &parse))
+                .collect::<Vec<_>>()
+        });
+        for (&to, frames) in members.iter().zip(checked) {
             let got = &mut out.received[to];
-            while let Some(msg) = wire.try_recv(to) {
-                let env = match envelope::open(&msg.payload) {
-                    Ok(env) => env,
-                    Err(e) => {
-                        let why = e.to_string();
-                        record(&mut wire.log, to, msg.from, RecoveryAction::DiscardCorrupt, why);
+            for frame in frames {
+                let (from, flow, seq, parsed) = match frame {
+                    Checked::Refused(peer, action, why) => {
+                        record(&mut wire.log, to, peer, action, why);
                         continue;
                     }
+                    Checked::Expected { from, flow, seq, parsed } => (from, flow, seq, parsed),
                 };
-                let from = env.from;
-                let mut stale = |detail: String| {
-                    record(&mut wire.log, to, from, RecoveryAction::DiscardStale, detail)
-                };
-                if env.epoch != epoch {
-                    stale(format!("{} from epoch {}", round.stale_frame, env.epoch));
-                } else if env.kind != kind {
-                    stale(format!("late {:?} frame during {}", env.kind, round.during));
-                } else if !expect.includes(members, to, from) {
-                    stale(round.stranger.to_string());
-                } else if let Err(at) = got.binary_search_by_key(&from, |e| e.0) {
-                    match parse(env.payload) {
-                        Ok(value) => {
-                            // Validated arrival closes the flow's lifecycle;
-                            // the id rode inside the envelope, so reordered
-                            // and delayed frames settle their own flow.
-                            wire.flows.deliver(env.flow, env.seq);
-                            got.insert(at, (from, value));
-                        }
-                        Err(Reject::Stale(why)) => stale(why),
-                        Err(Reject::Corrupt(why)) => {
-                            record(&mut wire.log, to, from, RecoveryAction::DiscardCorrupt, why)
-                        }
+                match (got.binary_search_by_key(&from, |e| e.0), parsed) {
+                    (Ok(_), _) => {
+                        let extra = round.duplicate.to_string();
+                        record(&mut wire.log, to, from, RecoveryAction::DiscardDuplicate, extra);
                     }
-                } else {
-                    let extra = round.duplicate.to_string();
-                    record(&mut wire.log, to, from, RecoveryAction::DiscardDuplicate, extra);
+                    (Err(at), Ok(value)) => {
+                        // Validated arrival closes the flow's lifecycle; the
+                        // id rode inside the envelope, so reordered and
+                        // delayed frames settle their own flow.
+                        wire.flows.deliver(flow, seq);
+                        got.insert(at, (from, value));
+                    }
+                    (Err(_), Err((action, why))) => record(&mut wire.log, to, from, action, why),
                 }
             }
         }
@@ -277,6 +368,7 @@ pub fn exchange<T>(
 mod tests {
     use super::*;
     use crate::fault::{FaultKind, FaultPlan, Injection};
+    use crate::flow::FlowRecord;
 
     const EPOCH: u64 = 7;
 
@@ -335,6 +427,7 @@ mod tests {
         let mut wire = Wire::new(4, FaultPlan::new(0));
         let got = exchange(
             &mut wire,
+            &Inline,
             &[0, 1, 2, 3],
             &PHASE,
             &hello(4),
@@ -371,6 +464,7 @@ mod tests {
             wire.send_framed(1, 0, MsgKind::Let, EPOCH, 0, b"from a later phase");
             let got = exchange(
                 &mut wire,
+                &Inline,
                 &[0, 1],
                 &round,
                 &hello(2),
@@ -395,6 +489,7 @@ mod tests {
         let lists = vec![vec![1], vec![], vec![]];
         let got = exchange(
             &mut wire,
+            &Inline,
             &[0, 1, 2],
             &PHASE,
             &hello(3),
@@ -425,6 +520,7 @@ mod tests {
         wire.send_framed(0, 2, MsgKind::View, EPOCH, 0, b"unread");
         let got = exchange(
             &mut wire,
+            &Inline,
             &[0, 1],
             &GOSSIP,
             &hello(3),
@@ -468,7 +564,7 @@ mod tests {
         let mut wire = Wire::new(3, plan);
         wire.send_framed(2, 0, MsgKind::View, EPOCH, 0, b"reordered");
         wire.send_framed(2, 0, MsgKind::Let, EPOCH, 0, b"delayed");
-        let got = exchange(&mut wire, &[0, 1], &GOSSIP, &hello(3), Expect::AllPeers, bytes);
+        let got = exchange(&mut wire, &Inline, &[0, 1], &GOSSIP, &hello(3), Expect::AllPeers, bytes);
         assert!(got.missing.is_empty() && recoveries(&wire).is_empty());
         assert!(wire.try_recv(0).is_none() && wire.try_recv(2).is_none());
         wire.flush_reordered(2);
@@ -486,6 +582,7 @@ mod tests {
             let mut wire = Wire::new(2, forced(FaultKind::Duplicate, 1, 0));
             let got = exchange(
                 &mut wire,
+                &Inline,
                 &[0, 1],
                 &round,
                 &hello(2),
@@ -509,6 +606,7 @@ mod tests {
             .collect();
         let got = exchange(
             &mut wire,
+            &Inline,
             &[0, 1, 2],
             &PHASE,
             &outbox,
@@ -549,6 +647,7 @@ mod tests {
         };
         let got = exchange(
             &mut wire,
+            &Inline,
             &[0, 1, 2],
             &round,
             &hello(3),
@@ -610,6 +709,7 @@ mod tests {
         };
         let got = exchange(
             &mut wire,
+            &Inline,
             &[0, 1, 2, 3],
             &round,
             &outbox,
@@ -632,6 +732,7 @@ mod tests {
         };
         let got = exchange(
             &mut wire,
+            &Inline,
             &[0, 1, 2, 3],
             &round,
             &outbox,
@@ -646,5 +747,83 @@ mod tests {
         assert_eq!(got.complete().unwrap_err(), 3);
         wire.flows.close_epoch_dead(EPOCH);
         assert!(wire.flows.conservation().holds());
+    }
+
+    /// Runs the rank tasks last rank first, results still in rank order.
+    struct Reversed;
+
+    impl Lanes for Reversed {
+        fn map<T: Send, R: Send>(&self, items: Vec<T>, f: impl Fn(T) -> R + Sync) -> Vec<R> {
+            let mut out: Vec<R> = items.into_iter().rev().map(f).collect();
+            out.reverse();
+            out
+        }
+    }
+
+    type Delivered = (Vec<Vec<(usize, Vec<u8>)>>, Vec<(usize, usize)>, usize);
+
+    /// Twelve epochs of a broadcast, an all-pairs and a sparse LET round
+    /// among six ranks under 2 % of every message fault and a stalled LET
+    /// sender, rank tasks on `lanes`: what each round delivered, the log and
+    /// the ledger.
+    fn chaos_rounds(lanes: &impl Lanes) -> (Vec<Delivered>, FaultLog, Vec<FlowRecord>) {
+        let plan = (FaultKind::MESSAGE_KINDS.into_iter())
+            .fold(FaultPlan::new(25).with_stall(2, 4), |plan, f| plan.with_rate(f, 0.02));
+        let members: Vec<usize> = (0..6).collect();
+        let mut wire = Wire::new(members.len(), plan);
+        let payload = |from: usize, to: usize, epoch: u64| {
+            let len = 16 + (epoch as usize * 13 + from * 5 + to) % 40;
+            Bytes::from(vec![(from * 8 + to) as u8; len])
+        };
+        let near = |from: usize, to: usize| from != to && (from + to) % 2 == 1;
+        let near_senders: Vec<Vec<usize>> = (members.iter())
+            .map(|&to| members.iter().copied().filter(|&from| near(from, to)).collect())
+            .collect();
+        let mut delivered = Vec::new();
+        for epoch in 1..=12 {
+            wire.flush_delayed();
+            for kind in [MsgKind::Control, MsgKind::Particles, MsgKind::Let] {
+                let owed = |from: usize, to: usize| match kind {
+                    MsgKind::Let => near(from, to),
+                    _ => from != to,
+                };
+                let outbox: Vec<Outbox> = (members.iter())
+                    .map(|&from| match kind {
+                        MsgKind::Control => Outbox::Broadcast(payload(from, from, epoch)),
+                        _ => Outbox::To(
+                            (members.iter().filter(|&&to| owed(from, to)))
+                                .map(|&to| (to, payload(from, to, epoch)))
+                                .collect(),
+                        ),
+                    })
+                    .collect();
+                let expect = match kind {
+                    MsgKind::Let => Expect::From(&near_senders),
+                    _ => Expect::AllPeers,
+                };
+                let round = Round { kind, epoch, ..PHASE };
+                let got = exchange(&mut wire, lanes, &members, &round, &outbox, expect, bytes);
+                delivered.push((got.received, got.missing, got.retransmit_bytes));
+            }
+            wire.flows.close_epoch_dead(epoch);
+        }
+        (delivered, wire.log, wire.flows.records().to_vec())
+    }
+
+    #[test]
+    fn rank_tasks_in_any_order_decide_nothing() {
+        let (delivered, log, flows) = chaos_rounds(&Inline);
+        let (delivered_rev, log_rev, flows_rev) = chaos_rounds(&Reversed);
+        assert_eq!(delivered, delivered_rev, "received / missing / retransmit bytes moved");
+        assert_eq!(log.render(), log_rev.render(), "fault log moved");
+        assert_eq!(flows, flows_rev, "ledger records moved");
+        // The schedule exercised every path: all six message faults, the
+        // stall, retransmissions and a missing pair that outlived them.
+        for fault in FaultKind::MESSAGE_KINDS.into_iter().chain([FaultKind::Stall]) {
+            assert!(log.injected_of(fault) > 0, "no {fault} fired");
+        }
+        assert!(log.recoveries_of(RecoveryAction::Retransmit) > 0);
+        assert!(log.recoveries_of(RecoveryAction::DiscardDuplicate) > 0);
+        assert!(delivered.iter().any(|d| !d.1.is_empty()), "nothing stayed missing");
     }
 }

@@ -14,8 +14,9 @@
 //! [`FaultLog`] and the [`FlowLedger`]. With an empty plan a send is a
 //! transparent pass-through (modulo sealing the payload in an
 //! [`envelope`](crate::envelope) frame), so `Cluster` runs unmodified when no
-//! faults are scheduled. Nothing here is shared or locked: every collective
-//! runs on the caller's thread over `&mut Wire`.
+//! faults are scheduled. Nothing here is shared or locked: a collective may
+//! seal and open frames on other threads, but everything it does to the
+//! `&mut Wire` happens on the caller's thread.
 //!
 //! Injection lives here; *detection* is envelope validation on the receive
 //! side ([`collective::exchange`](crate::collective::exchange)), and
@@ -25,7 +26,7 @@
 //! run can be audited: every injected fault is either recovered or explicitly
 //! surfaced.
 
-use crate::envelope::{kind_code, seal_flow};
+use crate::envelope::{kind_code, seal_flow, ENVELOPE_HEADER_LEN};
 use crate::fabric::{Endpoint, Fabric, Message, MsgKind};
 use crate::flow::FlowLedger;
 use bonsai_util::hash::mix_many;
@@ -515,12 +516,56 @@ impl Wire {
         attempt: u32,
         payload: &[u8],
     ) -> u64 {
-        let flow = if attempt == 0 {
-            self.flows.seal(epoch, from, to, kind, payload.len())
-        } else {
-            self.flows.retransmit_latest(epoch, from, to, kind, payload.len())
-        };
+        if attempt == 0 {
+            let flow = self.flows.next_id();
+            let frame = seal_flow(kind, from, epoch, flow, 0, payload);
+            self.send_sealed(from, to, kind, epoch, flow, frame);
+            return flow;
+        }
+        let flow = self.flows.retransmit_latest(epoch, from, to, kind, payload.len());
         let frame = seal_flow(kind, from, epoch, flow, attempt, payload);
+        if let Some(fault) = self.transmit(from, to, kind, epoch, attempt, frame) {
+            self.flows.inject(flow, attempt, fault);
+        }
+        flow
+    }
+
+    /// The effects of a first transmission whose frame was sealed elsewhere
+    /// (possibly on another thread) under `flow`: record the flow in the
+    /// ledger, then apply the plan and send, exactly as
+    /// [`send_framed`](Self::send_framed) does for attempt 0.
+    ///
+    /// # Panics
+    /// If `flow` is not the id the ledger hands out next: ids follow send
+    /// order, so the sealer must have been handed them in that order.
+    pub(crate) fn send_sealed(
+        &mut self,
+        from: usize,
+        to: usize,
+        kind: MsgKind,
+        epoch: u64,
+        flow: u64,
+        frame: Bytes,
+    ) {
+        let payload = frame.len() - ENVELOPE_HEADER_LEN;
+        let id = self.flows.seal(epoch, from, to, kind, payload);
+        assert_eq!(id, flow, "frame sealed under flow {flow}, sent as flow {id}");
+        if let Some(fault) = self.transmit(from, to, kind, epoch, 0, frame) {
+            self.flows.inject(flow, 0, fault);
+        }
+    }
+
+    /// Apply the plan to a sealed frame: put it on the wire, hold it back,
+    /// mangle or drop it. Returns the fault injected, already in the log.
+    fn transmit(
+        &mut self,
+        from: usize,
+        to: usize,
+        kind: MsgKind,
+        epoch: u64,
+        attempt: u32,
+        frame: Bytes,
+    ) -> Option<FaultKind> {
         let fault = if self.plan.is_empty() {
             None
         } else if kind == MsgKind::Let && self.plan.stalled(from, epoch) {
@@ -531,10 +576,9 @@ impl Wire {
         };
         let Some(fault) = fault else {
             self.endpoints[from].send(to, kind, frame);
-            return flow;
+            return None;
         };
         self.log.record_fault(FaultEvent { epoch, from, to, kind, fault, attempt });
-        self.flows.inject(flow, attempt, fault);
         let ep = &self.endpoints[from];
         match fault {
             FaultKind::Drop => {}
@@ -556,7 +600,7 @@ impl Wire {
             }
             FaultKind::Crash => unreachable!("crash cannot be a message fault"),
         }
-        flow
+        Some(fault)
     }
 
     /// Deliver the frames of `from` held back by `Reorder`. Call at the end

@@ -145,6 +145,12 @@ impl FlowLedger {
         &self.records[self.epoch_range(epoch)]
     }
 
+    /// The id the next [`seal`](Self::seal) returns: ids are dense, so a
+    /// sender that seals frames off the ledger can be handed a range.
+    pub fn next_id(&self) -> u64 {
+        self.records.len() as u64 + 1
+    }
+
     /// Record a fresh flow; returns its id.
     ///
     /// # Panics
@@ -158,7 +164,7 @@ impl FlowLedger {
                 last.epoch
             );
         }
-        let id = self.records.len() as u64 + 1;
+        let id = self.next_id();
         self.records.push(FlowRecord {
             id,
             epoch,

@@ -10,7 +10,9 @@
 //! * [`collective`] — the one validated exchange every inter-rank payload
 //!   and the membership gossip ride on: send, drain, validate, retransmit
 //!   the missing, over the `&mut` [`Wire`] its caller owns, with a fixed
-//!   order of operations so logs and flow ids are deterministic;
+//!   order of operations so logs and flow ids are deterministic — sealing
+//!   and opening run as rank tasks on the caller's
+//!   [`Lanes`](collective::Lanes), every wire effect on the caller's thread;
 //! * [`cost`] — the interconnect cost model: point-to-point and allgatherv
 //!   times from (latency, injection bandwidth, topology congestion), the
 //!   bytes→seconds half of the communication rows of Table II;

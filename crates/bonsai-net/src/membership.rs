@@ -26,7 +26,7 @@
 //! frames from other epochs, so a stale gossip round can never resurrect a
 //! departed rank.
 
-use crate::collective::{self, Expect, Outbox, Reject, Round};
+use crate::collective::{self, Expect, Inline, Outbox, Reject, Round};
 use crate::fabric::MsgKind;
 use crate::fault::Wire;
 use bytes::Bytes;
@@ -336,7 +336,8 @@ pub fn converge(
                 ))),
                 Err(why) => Err(Reject::Corrupt(why)),
             };
-            let got = collective::exchange(wire, &alive, &round, &outbox, Expect::AllPeers, parse)
+            let all = Expect::AllPeers;
+            let got = collective::exchange(wire, &Inline, &alive, &round, &outbox, all, parse)
                 .complete()?;
             let mut changed = false;
             for &to in &alive {

@@ -8,7 +8,7 @@
 //! the fault-free exchange would, accounts for every flow, and logs the same
 //! text twice.
 
-use bonsai_net::collective::{exchange, received_from, Expect, Outbox, Round};
+use bonsai_net::collective::{exchange, received_from, Expect, Inline, Outbox, Round};
 use bonsai_net::envelope::{open, seal_flow, EnvelopeError};
 use bonsai_net::obs::record_fault_log;
 use bonsai_net::{
@@ -59,7 +59,7 @@ fn run_collective(p: usize, shape: &Shape, plan: FaultPlan) -> Outcome {
         duplicate: "extra copy discarded",
     };
     let expect = shape.expected.as_deref().map_or(Expect::AllPeers, Expect::From);
-    let got = exchange(&mut wire, &shape.members, &round, &shape.outbox, expect, |b| {
+    let got = exchange(&mut wire, &Inline, &shape.members, &round, &shape.outbox, expect, |b| {
         Ok(b.to_vec())
     });
     // What never arrived (and what nobody was waiting for) dies with the epoch.

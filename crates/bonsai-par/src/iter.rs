@@ -18,10 +18,62 @@
 //! Closures therefore need `Fn + Sync` (they are shared by reference across
 //! worker threads) instead of the `FnMut` the old sequential stand-in
 //! accepted; items and results need `Send`.
+//!
+//! # Grain: where a nested fan-out runs
+//!
+//! A terminal reached from inside a chunk of an enclosing fan-out runs its
+//! own chunks inline, in order, on the calling thread when the enclosing
+//! fan-out still has at least `lanes − 1` chunks that no thread has started:
+//! those siblings already keep every other lane busy, and queueing more
+//! tasks behind them only costs scope bookkeeping and wake-ups. Otherwise —
+//! at the top level, under a short outer fan-out, or on the tail of a long
+//! one — it fans out as usual. A distributed step therefore fans out over
+//! ranks, while its last ranks and a one-rank run keep the inner fan-out.
+//! The decision moves only the *placement* of chunks: bounds and the
+//! combine tree are the same either way, so results are bit-identical.
 
 use crate::pool;
 use crate::{chunk_bounds, deterministic_chunks};
-use std::sync::Mutex;
+use std::cell::RefCell;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
+
+thread_local! {
+    /// Chunks not yet started of the fan-out whose chunk this thread is
+    /// executing; `None` outside any chunk task.
+    static UNSTARTED_SIBLINGS: RefCell<Option<Arc<AtomicUsize>>> = const { RefCell::new(None) };
+}
+
+/// Marks the current thread as executing one chunk of a fan-out for as long
+/// as it lives, and restores the previous marker when dropped — on unwind
+/// too, so a panicking chunk does not leave its fan-out's count behind.
+struct InChunk(Option<Arc<AtomicUsize>>);
+
+impl InChunk {
+    /// Start one chunk of the fan-out counting `unstarted`. The count
+    /// publishes no other data and only steers placement, hence `Relaxed`.
+    fn enter(unstarted: &Arc<AtomicUsize>) -> InChunk {
+        unstarted.fetch_sub(1, Ordering::Relaxed);
+        let prev = UNSTARTED_SIBLINGS.with(|s| s.replace(Some(Arc::clone(unstarted))));
+        InChunk(prev)
+    }
+}
+
+impl Drop for InChunk {
+    fn drop(&mut self) {
+        UNSTARTED_SIBLINGS.with(|s| *s.borrow_mut() = self.0.take());
+    }
+}
+
+/// The grain rule (module docs): true when this thread runs a chunk whose
+/// fan-out still has enough unstarted siblings to occupy the other lanes.
+fn siblings_fill(lanes: usize) -> bool {
+    UNSTARTED_SIBLINGS.with(|s| {
+        s.borrow()
+            .as_ref()
+            .is_some_and(|n| n.load(Ordering::Relaxed) >= lanes - 1)
+    })
+}
 
 /// A parallel iterator over an owned list of items.
 pub struct Par<T> {
@@ -51,7 +103,8 @@ fn split_chunks<T>(mut items: Vec<T>) -> Vec<Vec<T>> {
 
 /// Run `work` once per chunk on the current pool and return the per-chunk
 /// results in chunk order. The chunk shape is fixed by the input length;
-/// only the *placement* of chunks on threads varies.
+/// only the *placement* of chunks on threads varies — including whether
+/// they fan out at all (the grain rule in the module docs).
 fn run_chunks<T, R, W>(items: Vec<T>, work: W) -> Vec<R>
 where
     T: Send,
@@ -59,19 +112,23 @@ where
     W: Fn(Vec<T>) -> R + Sync,
 {
     let chunks = split_chunks(items);
-    if chunks.len() == 1 || pool::current_lanes() == 1 {
+    let lanes = pool::current_lanes();
+    if chunks.len() == 1 || lanes == 1 || siblings_fill(lanes) {
         // Same chunks, executed in order on the calling thread.
         return chunks.into_iter().map(work).collect();
     }
     let slots: Vec<Mutex<Option<R>>> = chunks.iter().map(|_| Mutex::new(None)).collect();
+    let unstarted = Arc::new(AtomicUsize::new(chunks.len()));
     {
         let work = &work;
         let slots = &slots;
+        let unstarted = &unstarted;
         let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = chunks
             .into_iter()
             .enumerate()
             .map(|(j, chunk)| {
                 Box::new(move || {
+                    let _in_chunk = InChunk::enter(unstarted);
                     let r = work(chunk);
                     *slots[j].lock().unwrap() = Some(r);
                 }) as Box<dyn FnOnce() + Send + '_>
@@ -323,6 +380,9 @@ where
 mod tests {
     use super::*;
     use crate::ThreadPool;
+    use std::sync::atomic::AtomicBool;
+    use std::thread::{self, ThreadId};
+    use std::time::{Duration, Instant};
 
     #[test]
     fn map_collect_matches_serial() {
@@ -382,6 +442,117 @@ mod tests {
         let v: Vec<f64> = Vec::new();
         let s = v.into_par_iter().reduce(|| 42.0, |a, b| a + b);
         assert_eq!(s, 42.0);
+    }
+
+    /// Spin until `done()` holds or five seconds pass; whether it held.
+    fn wait_for(done: impl Fn() -> bool) -> bool {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while !done() {
+            if Instant::now() > deadline {
+                return false;
+            }
+            thread::yield_now();
+        }
+        true
+    }
+
+    /// Arrive at a meeting of `n` and wait for the others: true only if all
+    /// `n` were running at once, i.e. on `n` threads.
+    fn meet(arrived: &AtomicUsize, n: usize) -> bool {
+        arrived.fetch_add(1, Ordering::SeqCst);
+        wait_for(|| arrived.load(Ordering::SeqCst) >= n)
+    }
+
+    /// A fan-out of two items that must run at the same time: true only if
+    /// it reached a second thread.
+    fn spreads() -> bool {
+        let arrived = AtomicUsize::new(0);
+        let met: Vec<bool> = (0..2).into_par_iter().map(|_| meet(&arrived, 2)).collect();
+        met == [true, true]
+    }
+
+    #[test]
+    fn nested_fan_out_inside_a_saturated_one_runs_on_the_callers_thread() {
+        // Outer chunk 1 holds the second lane until chunk 0 is done, so chunk
+        // 0's nested fan-out starts with 62 siblings unstarted and nothing
+        // else can take a ticket meanwhile.
+        let chunk0_done = AtomicBool::new(false);
+        let ticket = AtomicUsize::new(0);
+        let take = || (thread::current().id(), ticket.fetch_add(1, Ordering::SeqCst));
+        type Ticket = (ThreadId, usize);
+        let runs: Vec<(Ticket, Vec<Ticket>)> = ThreadPool::new(2).install(|| {
+            (0..64)
+                .into_par_iter()
+                .map(|i| {
+                    if i == 1 {
+                        wait_for(|| chunk0_done.load(Ordering::SeqCst));
+                    }
+                    let outer = take();
+                    let nested: Vec<_> = (0..8).into_par_iter().map(|_| take()).collect();
+                    chunk0_done.store(true, Ordering::SeqCst);
+                    (outer, nested)
+                })
+                .collect()
+        });
+        let ((caller, first), nested) = &runs[0];
+        let tickets: Vec<usize> = nested.iter().map(|&(_, t)| t).collect();
+        assert!(nested.iter().all(|(t, _)| t == caller), "a nested chunk left the caller's thread");
+        assert_eq!(tickets, (first + 1..first + 9).collect::<Vec<_>>(), "not inline, in order");
+    }
+
+    #[test]
+    fn nested_fan_out_under_a_short_one_still_spreads_across_threads() {
+        // Two outer chunks on four lanes leave lanes idle for the nested one.
+        let met: Vec<bool> = ThreadPool::new(4)
+            .install(|| (0..2).into_par_iter().map(|i| i == 1 || spreads()).collect());
+        assert_eq!(met, [true, true], "the nested fan-out ran inline");
+    }
+
+    #[test]
+    fn a_panicking_nested_chunk_leaves_no_marker_behind() {
+        // The two outer chunks meet, so the installing thread runs one of
+        // them; each one's nested fan-out panics.
+        let pool = ThreadPool::new(2);
+        let arrived = AtomicUsize::new(0);
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            pool.install(|| {
+                (0..2).into_par_iter().for_each(|_| {
+                    if meet(&arrived, 2) {
+                        (0..4).into_par_iter().for_each(|k| assert_ne!(k, 2, "nested boom"));
+                    }
+                })
+            })
+        }));
+        assert_eq!(arrived.load(Ordering::SeqCst), 2);
+        assert!(caught.is_err(), "the outer chunks never met");
+        assert!(
+            UNSTARTED_SIBLINGS.with(|s| s.borrow().is_none()),
+            "a chunk's marker outlived the chunk"
+        );
+        assert!(pool.install(spreads), "the next top-level fan-out ran inline");
+    }
+
+    #[test]
+    fn nested_map_reduce_is_bit_identical_across_lane_counts() {
+        let nested = || -> Vec<u64> {
+            (0..24u32)
+                .into_par_iter()
+                .map(|i| {
+                    (0..700u32)
+                        .into_par_iter()
+                        .map(|k| 1.0 / (f64::from(i * 700 + k) + 0.5))
+                        .reduce(|| 0.0, |a, b| a + b)
+                        .to_bits()
+                })
+                .collect()
+        };
+        let reference = ThreadPool::new(1).install(nested);
+        for lanes in [2, 3, 4] {
+            let pool = ThreadPool::new(lanes);
+            for _ in 0..3 {
+                assert_eq!(pool.install(nested), reference, "lanes={lanes}");
+            }
+        }
     }
 
     #[test]

@@ -40,11 +40,21 @@
 //! always helps execute while it waits. `t = 1` therefore runs strictly
 //! inline — no worker threads, no synchronization — which is what makes the
 //! 1-thread rung of the conformance sweep a true sequential baseline. Each
-//! worker owns a deque; idle workers steal from siblings (oldest-first) or
-//! from the shared injector, so an uneven walk group costs only the worker
-//! that drew it. Panics inside tasks are caught, forwarded, and re-thrown
-//! on the calling thread after the scope drains — a poisoned chunk never
-//! deadlocks the pool.
+//! spawned worker owns a deque; the calling thread of an `install` does not
+//! and queues its scopes' tasks on the shared injector. Idle workers steal
+//! from siblings (oldest-first) or from the injector, so an uneven walk
+//! group costs only the worker that drew it. Panics inside tasks are caught,
+//! forwarded, and re-thrown on the calling thread after the scope drains — a
+//! poisoned chunk never deadlocks the pool.
+//!
+//! **Grain.** A `par_*` terminal reached from inside a chunk of an enclosing
+//! fan-out runs its chunks inline, in order, while that fan-out still has at
+//! least `t − 1` chunks no thread has started — they already fill the other
+//! lanes — and fans out otherwise. So a distributed step's rank-level
+//! fan-out is the one that spreads, its tail ranks and a one-rank run keep
+//! the inner (walk-group) fan-out, and no knob chooses between them. Chunk
+//! bounds and the combine tree do not depend on it, so neither do results
+//! ([`iter`] module docs).
 //!
 //! The default global pool sizes itself from the `BONSAI_THREADS`
 //! environment variable (falling back to the machine's available
@@ -69,7 +79,7 @@ pub const MAX_CHUNKS: usize = 64;
 /// `n` (never of thread count or timing), as the determinism contract
 /// requires.
 pub fn deterministic_chunks(n: usize) -> usize {
-    n.min(MAX_CHUNKS).max(1)
+    n.clamp(1, MAX_CHUNKS)
 }
 
 /// Chunk boundaries for `n` items in `c` chunks: `c + 1` offsets starting

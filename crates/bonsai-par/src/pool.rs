@@ -9,6 +9,14 @@
 //! because the workspace is offline and the critical sections are a few
 //! pointer moves on coarse chunk-sized tasks.
 //!
+//! Only spawned workers own a deque. A thread that [`ThreadPool::install`]s
+//! the pool (or uses the global one from outside) has none: a scope it opens
+//! queues its tasks on the shared injector, *behind* whatever is already
+//! there, and between tasks it parks on the scope for up to 200 µs. A nested
+//! fan-out opened from there while the outer level's chunks are still queued
+//! therefore waits behind them and pays a scope for nothing; the iterator
+//! layer runs such a fan-out inline instead (the grain rule, [`crate::iter`]).
+//!
 //! Scheduling is free to vary run to run; determinism is the *iterator*
 //! layer's job (fixed chunks, indexed results, fixed-shape reductions — see
 //! the crate docs). The pool only guarantees: every task runs exactly once,
@@ -233,7 +241,7 @@ impl Inner {
         let state = Arc::new(ScopeState {
             remaining: AtomicUsize::new(tasks.len()),
             panic: Mutex::new(None),
-            done: Mutex::new(tasks.len() == 0),
+            done: Mutex::new(tasks.is_empty()),
             done_cv: Condvar::new(),
         });
 

@@ -24,7 +24,7 @@ use bonsai_domain::letbuild::{boundary_sufficient_for, build_let};
 use bonsai_domain::load::enforce_particle_cap;
 use bonsai_domain::sampling::parallel_cuts;
 use bonsai_domain::{boundary_tree, LetTree};
-use bonsai_net::collective::{self, Exchanged, Expect, Outbox, Reject, Round};
+use bonsai_net::collective::{self, Exchanged, Expect, Lanes, Outbox, Reject, Round};
 use bonsai_net::fault::{RecoveryAction, RecoveryEvent};
 use bonsai_net::MsgKind;
 use bonsai_sfc::KeyMap;
@@ -38,6 +38,16 @@ use rayon::prelude::*;
 /// `held[to]`: rank `to`'s validated wire copies of its peers' boundary
 /// trees, as `(from, tree)` ascending by sender.
 type Held = Vec<Vec<(usize, LetTree)>>;
+
+/// A collective's rank tasks on the current `bonsai-par` pool — the
+/// cluster's own inside [`Cluster::step`]. At one lane they run inline.
+struct PoolLanes;
+
+impl Lanes for PoolLanes {
+    fn map<T: Send, R: Send>(&self, items: Vec<T>, f: impl Fn(T) -> R + Sync) -> Vec<R> {
+        items.into_par_iter().map(f).collect()
+    }
+}
 
 /// What a target rank walks for one remote rank.
 enum RemoteSource<'a> {
@@ -65,7 +75,6 @@ impl Cluster {
     pub(super) fn try_gravity_phase(&mut self) -> Result<StepBreakdown, usize> {
         let p = self.ranks.len();
         let mut meas = StepMeasurements {
-            boundary_bytes: vec![0; p],
             let_bytes_sent: vec![0; p],
             let_neighbors: vec![0; p],
             exchange_bytes: vec![0; p],
@@ -89,14 +98,15 @@ impl Cluster {
     }
 
     /// One collective among all ranks in the current epoch, logged in the
-    /// physics phases' words. A payload that fails `parse` is corrupt.
-    pub(super) fn exchange<T>(
+    /// physics phases' words, its sealing and opening as rank tasks on the
+    /// pool. A payload that fails `parse` is corrupt.
+    pub(super) fn exchange<T: Send>(
         &mut self,
         kind: MsgKind,
         max_retries: u32,
         outbox: &[Outbox],
         expect: Expect<'_>,
-        parse: impl Fn(&[u8]) -> Result<T, String>,
+        parse: impl Fn(&[u8]) -> Result<T, String> + Sync,
     ) -> Exchanged<T> {
         let everyone: Vec<usize> = (0..self.wire.world()).collect();
         let during = format!("{kind:?} phase");
@@ -109,7 +119,7 @@ impl Cluster {
             stranger: "unexpected sender",
             duplicate: "extra copy discarded",
         };
-        collective::exchange(&mut self.wire, &everyone, &round, outbox, expect, |b| {
+        collective::exchange(&mut self.wire, &PoolLanes, &everyone, &round, outbox, expect, |b| {
             parse(b).map_err(Reject::Corrupt)
         })
     }
@@ -180,18 +190,19 @@ impl Cluster {
     /// (possibly empty) migrant payload, so the receive side knows exactly
     /// what to expect.
     fn migrate(&mut self, keymap: &KeyMap, meas: &mut StepMeasurements) -> Result<(), usize> {
-        let mut outbox = Vec::with_capacity(self.ranks.len());
-        for (me, rank) in self.ranks.iter_mut().enumerate() {
-            let plan = ExchangePlan::plan(me, &keymap.keys_of(&rank.pos), &self.domains);
-            meas.exchange_bytes[me] = plan.wire_bytes();
-            let shipped = plan.apply(rank).into_iter().enumerate();
-            outbox.push(Outbox::To(
-                shipped
-                    .filter(|&(dest, _)| dest != me)
-                    .map(|(dest, pk)| (dest, particles_to_bytes(&pk)))
-                    .collect(),
-            ));
-        }
+        let domains = &self.domains;
+        let (exchange_bytes, outbox): (Vec<usize>, Vec<Outbox>) = (self.ranks.par_iter_mut())
+            .enumerate()
+            .map(|(me, rank)| {
+                let plan = ExchangePlan::plan(me, &keymap.keys_of(&rank.pos), domains);
+                let wire_bytes = plan.wire_bytes();
+                let shipped = plan.apply(rank).into_iter().enumerate();
+                let owed = (shipped.filter(|&(dest, _)| dest != me))
+                    .map(|(dest, pk)| (dest, particles_to_bytes(&pk)));
+                (wire_bytes, Outbox::To(owed.collect()))
+            })
+            .collect();
+        meas.exchange_bytes = exchange_bytes;
         let got = self.exchange(
             MsgKind::Particles,
             MAX_RETRIES_HARD,
@@ -231,15 +242,16 @@ impl Cluster {
         trees: &[Tree],
         meas: &mut StepMeasurements,
     ) -> Result<(Vec<LetTree>, Held), usize> {
-        let boundaries: Vec<LetTree> = trees
-            .par_iter()
+        let (boundaries, encoded): (Vec<LetTree>, Vec<Bytes>) = (trees.par_iter())
             .zip(self.domains.par_iter())
-            .map(|(t, d)| boundary_tree(t, d))
+            .map(|(t, d)| {
+                let b = boundary_tree(t, d);
+                let bytes = b.to_bytes();
+                (b, bytes)
+            })
             .collect();
-        for (i, b) in boundaries.iter().enumerate() {
-            meas.boundary_bytes[i] = b.wire_size();
-        }
-        let outbox: Vec<Outbox> = boundaries.iter().map(|b| Outbox::Broadcast(b.to_bytes())).collect();
+        meas.boundary_bytes = encoded.iter().map(Bytes::len).collect();
+        let outbox: Vec<Outbox> = encoded.into_iter().map(Outbox::Broadcast).collect();
         let got = self.exchange(MsgKind::Boundary, MAX_RETRIES_HARD, &outbox, Expect::AllPeers, |b| {
             parse_let_tree(b, "boundary")
         });
@@ -262,7 +274,7 @@ impl Cluster {
         let theta = self.cfg.theta;
         // Each rank's own frontier geometry (walk targets for senders).
         let own_geoms: Vec<Vec<Aabb>> = boundaries.iter().map(LetTree::frontier_boxes).collect();
-        let let_builds: Vec<Vec<(usize, LetTree)>> = (0..trees.len())
+        let encoded: Vec<Vec<(usize, Bytes)>> = (0..trees.len())
             .into_par_iter()
             .map(|i| {
                 let mut out = Vec::new();
@@ -275,18 +287,17 @@ impl Cluster {
                         continue;
                     }
                     if !boundary_sufficient_for(&boundaries[i], &geom_j, theta) {
-                        out.push((*j, build_let(&trees[i], &geom_j, theta)));
+                        out.push((*j, build_let(&trees[i], &geom_j, theta).to_bytes()));
                     }
                 }
                 out
             })
             .collect();
-        let mut outbox = Vec::with_capacity(let_builds.len());
-        for (i, builds) in let_builds.iter().enumerate() {
-            meas.let_bytes_sent[i] = builds.iter().map(|(_, lt)| lt.wire_size()).sum();
-            meas.let_neighbors[i] = builds.len();
-            outbox.push(Outbox::To(builds.iter().map(|(j, lt)| (*j, lt.to_bytes())).collect()));
+        for (i, lets) in encoded.iter().enumerate() {
+            meas.let_bytes_sent[i] = lets.iter().map(|(_, bytes)| bytes.len()).sum();
+            meas.let_neighbors[i] = lets.len();
         }
+        let outbox: Vec<Outbox> = encoded.into_iter().map(Outbox::To).collect();
         let expected: Vec<Vec<usize>> = (held.iter().zip(&own_geoms))
             .map(|(peers, own)| {
                 let needs_let = |bi: &LetTree| {

@@ -1,20 +1,35 @@
 //! Pinned digests of everything the exchange path decides: the fault log's
 //! rendered text (the only check on its detail strings — no `BENCH_*.json`
 //! carries them), the flow-ledger records and the force bits, for three
-//! seeded chaos runs. A refactor of the collective, the gravity phases,
-//! recovery or the view-change migration must leave all nine values alone;
-//! a change that means to move them re-pins them and says so in CHANGES.md.
+//! seeded chaos runs, each at one, two and four lanes. A refactor of the
+//! collective, the gravity phases, recovery, the view-change migration or the
+//! thread pool must leave all nine values alone at every lane count; a change
+//! that means to move them re-pins them and says so in CHANGES.md.
 
 use bonsai_ic::plummer_sphere;
 use bonsai_net::{FaultKind, FaultPlan};
 use bonsai_sim::{Cluster, ClusterConfig, RecoveryConfig};
 use bonsai_util::hash::Crc64;
+use std::path::PathBuf;
 
-fn digest_dir(name: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("bonsai_digest_{name}"));
+/// Lane counts every digest is pinned at.
+const THREADS: [usize; 3] = [1, 2, 4];
+
+/// A fresh checkpoint directory for run `name` at `threads` lanes, private
+/// to this process so concurrent runs of the suite cannot collide.
+fn digest_dir(name: &str, threads: usize) -> PathBuf {
+    let pid = std::process::id();
+    let dir = std::env::temp_dir().join(format!("bonsai_digest_{pid}_{name}_t{threads}"));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     dir
+}
+
+fn config(threads: usize) -> ClusterConfig {
+    ClusterConfig {
+        threads: Some(threads),
+        ..ClusterConfig::default()
+    }
 }
 
 /// 2 % of every message-level fault kind.
@@ -43,16 +58,17 @@ fn digests(c: &Cluster) -> (u64, u64, u64) {
     (log, flows.finish(), forces.finish())
 }
 
-fn crash_and_rollback(name: &str, elastic: bool) -> (u64, u64, u64) {
+fn crash_and_rollback(name: &str, elastic: bool, threads: usize) -> (u64, u64, u64) {
     let plan = two_percent_plan(2014).with_stall(1, 3).with_crash(2, 5);
+    let dir = digest_dir(name, threads);
     let recovery = RecoveryConfig {
-        dir: digest_dir(name),
+        dir: dir.clone(),
         every: 2,
     };
     let mut c = Cluster::with_faults(
         plummer_sphere(1200, 21),
         6,
-        ClusterConfig::default(),
+        config(threads),
         plan,
         Some(recovery),
     );
@@ -66,37 +82,53 @@ fn crash_and_rollback(name: &str, elastic: bool) -> (u64, u64, u64) {
     assert!(log.injected_of(FaultKind::Crash) == 1, "the crash never fired");
     assert_eq!(c.rank_count(), if elastic { 5 } else { 6 });
     assert!(c.flow_conservation().holds());
+    let _ = std::fs::remove_dir_all(dir);
     digests(&c)
 }
 
 #[test]
 fn fixed_world_crash_and_rollback_digests_are_pinned() {
-    assert_eq!(
-        crash_and_rollback("fixed", false),
-        (0x8c9afef58fbab8b4, 0xeedac41008e6a779, 0x9df6d2871315632a),
-        "fault log / flow ledger / force bits moved"
-    );
+    for t in THREADS {
+        assert_eq!(
+            crash_and_rollback("fixed", false, t),
+            (0x8c9afef58fbab8b4, 0xeedac41008e6a779, 0x9df6d2871315632a),
+            "fault log / flow ledger / force bits moved at {t} threads"
+        );
+    }
 }
 
 #[test]
 fn elastic_crash_recovery_digests_are_pinned() {
-    assert_eq!(
-        crash_and_rollback("elastic", true),
-        (0x6a6a9e09f11e8669, 0x15695477f5ab374b, 0x7823d47b399e06df),
-        "fault log / flow ledger / force bits moved"
-    );
+    for t in THREADS {
+        assert_eq!(
+            crash_and_rollback("elastic", true, t),
+            (0x6a6a9e09f11e8669, 0x15695477f5ab374b, 0x7823d47b399e06df),
+            "fault log / flow ledger / force bits moved at {t} threads"
+        );
+    }
 }
 
 #[test]
 fn grow_and_shrink_churn_digests_are_pinned() {
+    for t in THREADS {
+        assert_eq!(
+            churn(t),
+            (0x31aada04c237d9b4, 0xb93a29af1820a611, 0x76c1b5cf37b8beca),
+            "fault log / flow ledger / force bits moved at {t} threads"
+        );
+    }
+}
+
+fn churn(threads: usize) -> (u64, u64, u64) {
+    let dir = digest_dir("churn", threads);
     let recovery = RecoveryConfig {
-        dir: digest_dir("churn"),
+        dir: dir.clone(),
         every: 2,
     };
     let mut c = Cluster::with_faults(
         plummer_sphere(1200, 22),
         4,
-        ClusterConfig::default(),
+        config(threads),
         two_percent_plan(1412),
         Some(recovery),
     );
@@ -111,9 +143,6 @@ fn grow_and_shrink_churn_digests_are_pinned() {
     assert_eq!(c.rank_count(), 4);
     assert_eq!(c.membership_log().changes().len(), 2);
     assert!(c.flow_conservation().holds());
-    assert_eq!(
-        digests(&c),
-        (0x31aada04c237d9b4, 0xb93a29af1820a611, 0x76c1b5cf37b8beca),
-        "fault log / flow ledger / force bits moved"
-    );
+    let _ = std::fs::remove_dir_all(dir);
+    digests(&c)
 }
