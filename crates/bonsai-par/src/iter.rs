@@ -377,7 +377,7 @@ where
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::ThreadPool;
     use std::sync::atomic::AtomicBool;
@@ -445,7 +445,7 @@ mod tests {
     }
 
     /// Spin until `done()` holds or five seconds pass; whether it held.
-    fn wait_for(done: impl Fn() -> bool) -> bool {
+    pub(crate) fn wait_for(done: impl Fn() -> bool) -> bool {
         let deadline = Instant::now() + Duration::from_secs(5);
         while !done() {
             if Instant::now() > deadline {
@@ -473,9 +473,10 @@ mod tests {
 
     #[test]
     fn nested_fan_out_inside_a_saturated_one_runs_on_the_callers_thread() {
-        // Outer chunk 1 holds the second lane until chunk 0 is done, so chunk
-        // 0's nested fan-out starts with 62 siblings unstarted and nothing
-        // else can take a ticket meanwhile.
+        // Every outer chunk but chunk 0 holds its lane until chunk 0 is done
+        // (a worker takes the oldest queued chunk, the installing thread the
+        // newest), so chunk 0's nested fan-out starts with 62 or 63 siblings
+        // unstarted and nothing else can take a ticket meanwhile.
         let chunk0_done = AtomicBool::new(false);
         let ticket = AtomicUsize::new(0);
         let take = || (thread::current().id(), ticket.fetch_add(1, Ordering::SeqCst));
@@ -484,7 +485,7 @@ mod tests {
             (0..64)
                 .into_par_iter()
                 .map(|i| {
-                    if i == 1 {
+                    if i != 0 {
                         wait_for(|| chunk0_done.load(Ordering::SeqCst));
                     }
                     let outer = take();

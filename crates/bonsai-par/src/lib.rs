@@ -1,8 +1,8 @@
 //! # bonsai-par
 //!
-//! A real work-stealing thread pool with **deterministic** parallel
-//! iterators — the in-tree replacement for the sequential `rayon` stand-in
-//! the workspace used to build against. The `shims/rayon` facade re-exports
+//! A real thread pool with **deterministic** parallel iterators — the
+//! in-tree replacement for the sequential `rayon` stand-in the workspace
+//! used to build against. The `shims/rayon` facade re-exports
 //! this crate, so every `par_iter` call site in the tree build, walk and
 //! direct-summation hot paths now executes on worker threads.
 //!
@@ -39,13 +39,14 @@
 //! execution lanes: `t − 1` spawned workers plus the calling thread, which
 //! always helps execute while it waits. `t = 1` therefore runs strictly
 //! inline — no worker threads, no synchronization — which is what makes the
-//! 1-thread rung of the conformance sweep a true sequential baseline. Each
-//! spawned worker owns a deque; the calling thread of an `install` does not
-//! and queues its scopes' tasks on the shared injector. Idle workers steal
-//! from siblings (oldest-first) or from the injector, so an uneven walk
-//! group costs only the worker that drew it. Panics inside tasks are caught,
-//! forwarded, and re-thrown on the calling thread after the scope drains — a
-//! poisoned chunk never deadlocks the pool.
+//! 1-thread rung of the conformance sweep a true sequential baseline. All
+//! queued chunks share one queue under one lock: workers take the oldest,
+//! a thread waiting for its own scope takes that scope's newest (else any
+//! newest), so an uneven walk group costs only the thread that drew it. Idle threads sleep on one of
+//! two condition variables with no timeout; the [`pool`] module docs say
+//! why no wake-up can be lost. Panics inside tasks are caught, forwarded,
+//! and re-thrown on the calling thread after the scope drains — a poisoned
+//! chunk never deadlocks the pool.
 //!
 //! **Grain.** A `par_*` terminal reached from inside a chunk of an enclosing
 //! fan-out runs its chunks inline, in order, while that fan-out still has at
@@ -66,9 +67,8 @@
 
 pub mod iter;
 pub mod pool;
-pub mod slice;
 
-pub use pool::{join, ThreadPool};
+pub use pool::ThreadPool;
 
 /// Upper bound on the number of chunks any single parallel call fans out
 /// into. Part of the deterministic-reduction contract: chunk boundaries
@@ -105,7 +105,6 @@ pub mod prelude {
     pub use crate::iter::{
         IntoParallelIterator, IntoParallelRefIterator, IntoParallelRefMutIterator, Par, ParMap,
     };
-    pub use crate::slice::{ParChunks, ParChunksMut};
 }
 
 #[cfg(test)]

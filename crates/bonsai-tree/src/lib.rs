@@ -5,7 +5,7 @@
 //! computation, and the fused tree-walk + force kernel — implemented as a
 //! multithreaded CPU library (key mapping, the multipole pass, the walk's
 //! group fan-out and direct summation all run on the `bonsai-par`
-//! work-stealing pool, with deterministic reductions keeping every result
+//! thread pool, with deterministic reductions keeping every result
 //! bit-identical at any thread count) with exact interaction accounting so
 //! the device-model crate (`bonsai-gpu`) can convert the same operation
 //! counts the paper reports into simulated device time.

@@ -46,7 +46,7 @@
 //! where `mul_add` is whatever the target's baseline offers. There is nothing
 //! to configure.
 //!
-//! Work fans out over target groups onto the `bonsai-par` work-stealing pool
+//! Work fans out over target groups onto the `bonsai-par` thread pool
 //! — the role the GPU's warps play in the paper — with each group owning a
 //! disjoint window of the lane buffer.
 //!

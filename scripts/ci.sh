@@ -58,19 +58,25 @@ echo "== tier-1.5: accuracy conformance suite =="
 # runs can export CI_PROPTEST_CASES=256 for deeper coverage.
 CI_PROPTEST_CASES="${CI_PROPTEST_CASES:-32}" cargo test -q -p bonsai-tree --test proptests
 
-echo "== race stress: thread-sweep conformance under load =="
+echo "== race stress: thread-sweep conformance and pool protocol under load =="
 # ThreadSanitizer needs nightly + rust-src (-Zbuild-std); offline images
 # without it fall back to a stress loop — the conformance sweep repeated
 # with the test harness's own threads left on, giving scheduling noise
-# many chances to surface a race as a bit difference.
+# many chances to surface a race as a bit difference. Either way the pool's
+# own tests (lost wake-up, early return, early panic) repeat their
+# schedules PAR_STRESS_ITERS times.
+stress_iters="${PAR_STRESS_ITERS:-200}"
 if cargo +nightly -V >/dev/null 2>&1 \
     && rustup component list --toolchain nightly 2>/dev/null | grep -q 'rust-src (installed)'; then
   RUSTFLAGS="-Zsanitizer=thread" RUSTDOCFLAGS="-Zsanitizer=thread" \
     cargo +nightly test -Zbuild-std --target x86_64-unknown-linux-gnu \
-    -q -p bonsai-par -p bonsai-tree --test parallel_determinism
+    -q -p bonsai-tree --test parallel_determinism
+  PAR_STRESS_ITERS="$stress_iters" RUSTFLAGS="-Zsanitizer=thread" RUSTDOCFLAGS="-Zsanitizer=thread" \
+    cargo +nightly test -Zbuild-std --target x86_64-unknown-linux-gnu \
+    -q --release -p bonsai-par --lib
 else
-  PAR_STRESS_ITERS="${PAR_STRESS_ITERS:-200}" \
-    cargo test -q -p bonsai-tree --test parallel_determinism
+  PAR_STRESS_ITERS="$stress_iters" cargo test -q -p bonsai-tree --test parallel_determinism
+  PAR_STRESS_ITERS="$stress_iters" cargo test -q --release -p bonsai-par --lib
 fi
 
 echo "== artifact gates: nine rows of one table, walked at two thread counts =="

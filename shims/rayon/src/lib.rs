@@ -1,13 +1,14 @@
 //! Offline shim for [rayon](https://crates.io/crates/rayon), backed by the
-//! in-tree [`bonsai_par`] work-stealing pool.
+//! in-tree [`bonsai_par`] thread pool.
 //!
 //! The build container has no access to crates.io, so this facade maps the
 //! rayon API subset the workspace uses onto `bonsai-par`: `par_iter` /
-//! `par_iter_mut` / `into_par_iter` / `par_chunks` with `map`, `zip`,
-//! `enumerate`, `filter`, `for_each`, `collect`, `reduce`, `sum`, plus
-//! `rayon::join` — all executing on worker threads of the current pool
-//! (sized by `BONSAI_THREADS`, overridable with
-//! [`bonsai_par::ThreadPool::install`]).
+//! `par_iter_mut` / `into_par_iter` with `map`, `zip`, `enumerate`,
+//! `filter`, `for_each`, `collect`, `reduce`, `sum`, and `ThreadPool` — all
+//! executing on worker threads of the current pool (sized by
+//! `BONSAI_THREADS`, overridable with [`bonsai_par::ThreadPool::install`]).
+//! There is no `par_chunks` and no `join`: nothing in the workspace calls
+//! them.
 //!
 //! Unlike upstream rayon, reductions here are **deterministic**: chunk
 //! boundaries derive from input length only and partials combine along a
@@ -18,8 +19,7 @@ pub use bonsai_par::iter::{
     IntoParallelIterator, IntoParallelRefIterator, IntoParallelRefMutIterator, Par, ParMap,
 };
 pub use bonsai_par::pool::{threads_from_env, ThreadPool};
-pub use bonsai_par::slice::{ParChunks, ParChunksMut};
-pub use bonsai_par::{join, MAX_CHUNKS};
+pub use bonsai_par::MAX_CHUNKS;
 
 /// The rayon prelude: traits that add the `par_*` methods.
 pub mod prelude {
@@ -53,11 +53,6 @@ mod tests {
             .enumerate()
             .for_each(|(i, (x, y))| *x = *y + i as i64);
         assert_eq!(a, vec![10, 21, 32]);
-    }
-
-    #[test]
-    fn join_returns_both() {
-        assert_eq!(super::join(|| 1, || "x"), (1, "x"));
     }
 
     #[test]
