@@ -8,7 +8,7 @@
 //! The storm is scheduled by *epoch* through the deterministic
 //! [`FaultPlan`]: every first-attempt message in the window is dropped, so
 //! retransmission recovery actions spike, the `recovery-storm` rule opens,
-//! the flight recorder freezes an incident window, and once the window
+//! the trace's last epochs are frozen into an incident, and once the window
 //! passes the rule closes — the full open → freeze → close lifecycle in
 //! one reproducible run.
 

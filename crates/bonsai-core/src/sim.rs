@@ -120,12 +120,6 @@ impl Simulation {
         &self.particles
     }
 
-    /// Mutable particle access (e.g. for recentring); forces are refreshed
-    /// by the next step.
-    pub fn particles_mut(&mut self) -> &mut Particles {
-        &mut self.particles
-    }
-
     /// Current simulation time.
     pub fn time(&self) -> f64 {
         self.time

@@ -1,127 +1,20 @@
-//! Ring-buffer flight recorder: last-K-steps of full-fidelity spans, frozen
-//! into an exportable incident window when an alert fires.
+//! Incidents: the trace window around an alert, frozen into an exportable
+//! copy when the alert fires.
 //!
 //! A multi-thousand-step run cannot keep its whole trace, and the
 //! interesting steps are precisely the ones *around* an alert — the storm
 //! of retransmissions before a recovery alert, the balancer wobble before a
-//! flop-residual alert. The [`FlightRecorder`] therefore copies each step's
-//! spans and instants out of the live [`TraceStore`] into a bounded ring;
-//! [`FlightRecorder::freeze`] snapshots the ring into an [`Incident`] — a
-//! self-contained [`TraceStore`] of the window (Perfetto-loadable via the
+//! flop-residual alert. The live [`TraceStore`] always holds at least the
+//! last [`TRACE_WINDOW`] epochs, so [`Incident::freeze`] copies that window
+//! out of it: a self-contained [`TraceStore`] (Perfetto-loadable via the
 //! chrome exporter) plus a deterministic structured report.
 
 use crate::chrome::chrome_trace_json;
 use crate::health::AlertEvent;
 use crate::json::fmt_f64;
-use crate::span::{FlowPoint, Instant, Span, SpanId, TraceStore};
-use std::collections::VecDeque;
+use crate::span::{shift_parent, Span, TraceStore, TRACE_WINDOW};
 
-/// One recorded step: its spans (parents remapped to window-local ids),
-/// instants, and flow points.
-#[derive(Clone, Debug)]
-struct StepFrame {
-    step: u64,
-    spans: Vec<Span>,
-    instants: Vec<Instant>,
-    flows: Vec<FlowPoint>,
-}
-
-/// Bounded ring of the last K steps of full-fidelity trace data.
-#[derive(Clone, Debug)]
-pub struct FlightRecorder {
-    window: usize,
-    frames: VecDeque<StepFrame>,
-}
-
-impl FlightRecorder {
-    /// Recorder keeping the last `window` steps (clamped to ≥ 1).
-    pub fn new(window: usize) -> Self {
-        Self {
-            window: window.max(1),
-            frames: VecDeque::new(),
-        }
-    }
-
-    /// Steps the ring holds at most.
-    pub fn window(&self) -> usize {
-        self.window
-    }
-
-    /// Steps currently held, oldest first.
-    pub fn steps(&self) -> Vec<u64> {
-        self.frames.iter().map(|f| f.step).collect()
-    }
-
-    /// Copy `step`'s spans and instants out of `trace` into the ring,
-    /// evicting the oldest frame when full. Span parents are remapped to
-    /// frame-local indices; a parent outside the step becomes `None`.
-    pub fn record_step(&mut self, trace: &TraceStore, step: u64) {
-        let recs = trace.step_records(step);
-        let mut spans = recs.spans.to_vec();
-        for s in &mut spans {
-            s.parent = s
-                .parent
-                .and_then(|p| p.0.checked_sub(recs.first_span))
-                .filter(|&local| local < recs.spans.len())
-                .map(SpanId);
-        }
-        let instants = recs.instants.to_vec();
-        let flows = recs.flow_points.to_vec();
-        self.frames.push_back(StepFrame {
-            step,
-            spans,
-            instants,
-            flows,
-        });
-        while self.frames.len() > self.window {
-            self.frames.pop_front();
-        }
-    }
-
-    /// Materialise the current ring as one self-contained [`TraceStore`]
-    /// (frames concatenated oldest-first, parents re-offset).
-    fn window_trace(&self) -> TraceStore {
-        let mut spans: Vec<Span> = Vec::new();
-        let mut instants: Vec<Instant> = Vec::new();
-        let mut flows: Vec<FlowPoint> = Vec::new();
-        for f in &self.frames {
-            let base = spans.len();
-            for s in &f.spans {
-                let mut s = s.clone();
-                s.parent = s.parent.map(|p| SpanId(p.0 + base));
-                spans.push(s);
-            }
-            instants.extend(f.instants.iter().cloned());
-            flows.extend(f.flows.iter().cloned());
-        }
-        TraceStore::from_parts(spans, instants, flows)
-    }
-
-    /// Freeze the ring into an [`Incident`] for the alert that fired at
-    /// `step`. The recorder keeps running afterwards; the incident owns an
-    /// independent copy of the window.
-    pub fn freeze(&self, id: usize, trigger: &AlertEvent) -> Incident {
-        let trace = self.window_trace();
-        let steps = self.steps();
-        let window = (
-            steps.first().copied().unwrap_or(trigger.step),
-            steps.last().copied().unwrap_or(trigger.step),
-        );
-        Incident {
-            id,
-            rule: trigger.rule.clone(),
-            metric: trigger.metric.clone(),
-            severity: trigger.severity,
-            value: trigger.value,
-            step: trigger.step,
-            window,
-            trace,
-        }
-    }
-}
-
-/// A frozen incident: the alert that fired plus the flight-recorder window
-/// around it.
+/// A frozen incident: the alert that fired plus the trace window around it.
 #[derive(Clone, Debug)]
 pub struct Incident {
     /// Incident number within the run (0-based, in firing order).
@@ -136,13 +29,52 @@ pub struct Incident {
     pub value: f64,
     /// Step the alert opened on.
     pub step: u64,
-    /// `(first, last)` step covered by the frozen window.
+    /// `(first, last)` epoch covered by the frozen window.
     pub window: (u64, u64),
     /// Full-fidelity spans and instants of the window.
     pub trace: TraceStore,
 }
 
+/// The suffix of step-ordered `items` whose step is `≥ from`.
+fn from_step<T>(items: &[T], from: u64, step: impl Fn(&T) -> u64) -> &[T] {
+    &items[items.partition_point(|x| step(x) < from)..]
+}
+
 impl Incident {
+    /// Freeze the records of the last [`TRACE_WINDOW`] epochs of `trace`,
+    /// up to `epoch`, for the alert `trigger`. The copy is independent of
+    /// the live store; parents recorded before the window become `None`.
+    pub fn freeze(id: usize, trace: &TraceStore, epoch: u64, trigger: &AlertEvent) -> Self {
+        let from = (epoch + 1).saturating_sub(TRACE_WINDOW);
+        let spans = from_step(trace.spans(), from, |s| s.step);
+        let instants = from_step(trace.instants(), from, |i| i.step);
+        let flows = from_step(trace.flow_points(), from, |f| f.step);
+        let cut = trace.spans().len() - spans.len();
+        let first = [
+            spans.first().map(|s| s.step),
+            instants.first().map(|i| i.step),
+            flows.first().map(|f| f.step),
+        ];
+        let window = (first.into_iter().flatten().min().unwrap_or(epoch), epoch);
+        let spans = spans
+            .iter()
+            .map(|s| Span {
+                parent: shift_parent(s.parent, cut),
+                ..s.clone()
+            })
+            .collect();
+        Incident {
+            id,
+            rule: trigger.rule.clone(),
+            metric: trigger.metric.clone(),
+            severity: trigger.severity,
+            value: trigger.value,
+            step: trigger.step,
+            window,
+            trace: TraceStore::from_parts(spans, instants.to_vec(), flows.to_vec()),
+        }
+    }
+
     /// Chrome-trace JSON of the incident window (Perfetto-loadable).
     pub fn trace_json(&self) -> String {
         chrome_trace_json(&self.trace)
@@ -220,21 +152,19 @@ mod tests {
     }
 
     #[test]
-    fn ring_keeps_only_the_window() {
-        let t = store_with_steps(10);
-        let mut fr = FlightRecorder::new(3);
-        for step in 1..=10 {
-            fr.record_step(&t, step);
-        }
-        assert_eq!(fr.steps(), vec![8, 9, 10]);
-        let w = fr.window_trace();
-        assert_eq!(w.spans().len(), 9); // 3 steps × 3 spans
-        assert_eq!(w.instants().len(), 3);
-        assert_eq!(w.flow_points().len(), 9); // 3 steps × 3 flow points
-        assert_eq!(w.last_step(), Some(10));
-        // Parent links survive the per-frame remap + concatenation.
+    fn parents_survive_the_cut() {
+        let t = store_with_steps(12);
+        let inc = Incident::freeze(0, &t, 12, &alert(11));
+        assert_eq!(inc.window, (5, 12));
+        let w = &inc.trace;
+        assert_eq!(w.spans().len(), 24); // 8 epochs × 3 spans
+        assert_eq!(w.instants().len(), 8);
+        assert_eq!(w.flow_points().len(), 24);
+        assert_eq!(w.last_step(), Some(12));
+        assert!(w.spans().iter().all(|s| s.step >= 5));
+        // Parent links survive the shift by the cut.
         let children: Vec<_> = w.spans().iter().filter(|s| s.parent.is_some()).collect();
-        assert_eq!(children.len(), 3);
+        assert_eq!(children.len(), 8);
         for c in &children {
             let p = &w.spans()[c.parent.unwrap().0];
             assert_eq!(p.name, "gravity");
@@ -245,12 +175,8 @@ mod tests {
     #[test]
     fn freeze_exports_a_loadable_window() {
         let t = store_with_steps(6);
-        let mut fr = FlightRecorder::new(4);
-        for step in 1..=6 {
-            fr.record_step(&t, step);
-        }
-        let inc = fr.freeze(0, &alert(6));
-        assert_eq!(inc.window, (3, 6));
+        let inc = Incident::freeze(0, &t, 6, &alert(5));
+        assert_eq!(inc.window, (1, 6), "a short run freezes all it has");
         assert_eq!(inc.rule, "recovery-storm");
         let json = inc.trace_json();
         // Chrome export of the window parses and contains the phases.
@@ -260,9 +186,9 @@ mod tests {
         assert!(json.contains("fault:drop"));
         let report = inc.report();
         assert!(report.contains("rule:     recovery-storm"));
-        assert!(report.contains("steps 3..=6"));
+        assert!(report.contains("steps 1..=6"));
         // Deterministic: freezing twice renders identically.
-        let again = fr.freeze(0, &alert(6));
+        let again = Incident::freeze(0, &t, 6, &alert(5));
         assert_eq!(inc.trace_json(), again.trace_json());
         assert_eq!(inc.report(), again.report());
     }
@@ -272,25 +198,20 @@ mod tests {
         // The regression this guards: an incident trace that drops its flow
         // points still loads in Perfetto but loses the causal arrows — the
         // exact thing one opens an incident to follow.
-        let t = store_with_steps(6);
-        let mut fr = FlightRecorder::new(4);
-        for step in 1..=6 {
-            fr.record_step(&t, step);
-        }
-        let inc = fr.freeze(0, &alert(6));
+        let t = store_with_steps(10);
+        let inc = Incident::freeze(0, &t, 10, &alert(9));
         let json = inc.trace_json();
         for ph in ["\"ph\":\"s\"", "\"ph\":\"t\"", "\"ph\":\"f\""] {
             assert!(json.contains(ph), "frozen trace lost {ph} events");
         }
-        // Only window steps 3..=6 survive: 4 steps × 3 points.
-        assert_eq!(inc.trace.flow_points().len(), 12);
-        assert!(inc.report().contains("12 flow points"));
+        // Only window epochs 3..=10 survive: 8 epochs × 3 points.
+        assert_eq!(inc.trace.flow_points().len(), 24);
+        assert!(inc.report().contains("24 flow points"));
     }
 
     #[test]
-    fn freeze_on_empty_ring_is_safe() {
-        let fr = FlightRecorder::new(2);
-        let inc = fr.freeze(1, &alert(5));
+    fn freeze_on_an_empty_store_is_safe() {
+        let inc = Incident::freeze(1, &TraceStore::new(), 5, &alert(4));
         assert_eq!(inc.window, (5, 5));
         assert!(inc.trace.is_empty());
         assert!(inc.report().contains("0 spans"));

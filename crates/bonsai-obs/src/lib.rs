@@ -24,9 +24,9 @@
 //! * [`health`] — declarative alert rules (threshold / relative-drift /
 //!   windowed-trend, with severities and open/close hysteresis) over the
 //!   per-step metric stream, logging a byte-deterministic incident log.
-//! * [`flight`] — a ring-buffer flight recorder keeping the last K steps of
-//!   full-fidelity spans; on alert firing it freezes the window into a
-//!   Perfetto-loadable incident trace plus a structured report.
+//! * [`flight`] — incidents: on alert firing, the live trace's last
+//!   [`TRACE_WINDOW`] epochs are frozen into a Perfetto-loadable incident
+//!   trace plus a structured report.
 //! * [`stream`] — the in-run telemetry bus: versioned frames (step header,
 //!   phase sample, gauges, flow digest, alerts, view changes) pushed through
 //!   bounded per-subscriber rings with an explicit backpressure policy
@@ -80,7 +80,7 @@ pub use analysis::{
     ExposedComm, FlopBalance, FlowSummary, LinkStats, PathNode, PhaseStats, ScalingPoint,
     WaitCause, UNATTRIBUTED,
 };
-pub use flight::{FlightRecorder, Incident};
+pub use flight::Incident;
 pub use health::{
     default_rules, AlertEvent, AlertKind, Condition, HealthMonitor, Rule, Severity,
 };
@@ -94,7 +94,7 @@ pub use profile::{
 };
 pub use span::{
     interval_union, overlap_with_union, ArgValue, FlowPhase, FlowPoint, Instant, Lane, Span,
-    SpanId, StepRecords, TraceStore,
+    SpanId, StepRecords, TraceStore, TRACE_WINDOW,
 };
 pub use stream::{
     FrameKind, FrameValue, SubscriberConfig, SubscriberReport, TelemetryBus, TelemetryFrame,

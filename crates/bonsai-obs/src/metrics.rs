@@ -228,11 +228,6 @@ impl MetricsRegistry {
         self.step_scoped = scoped;
     }
 
-    /// Gauge names currently declared step-scoped, in order.
-    pub fn step_scoped_names(&self) -> Vec<&str> {
-        self.step_scoped.iter().map(String::as_str).collect()
-    }
-
     /// Record one histogram observation.
     pub fn histogram_observe(&mut self, name: &str, labels: &[(&str, &str)], v: f64) {
         self.histograms
@@ -272,18 +267,6 @@ impl MetricsRegistry {
     /// All histograms in key order.
     pub fn histograms(&self) -> impl Iterator<Item = (&MetricKey, &LogHistogram)> {
         self.histograms.iter()
-    }
-
-    /// Gauges whose name is `name`, as `(labels, value)` in key order
-    /// (reductions over one metric family, e.g. per-phase seconds).
-    pub fn gauge_family<'a>(
-        &'a self,
-        name: &'a str,
-    ) -> impl Iterator<Item = (&'a [(String, String)], f64)> + 'a {
-        self.gauges
-            .iter()
-            .filter(move |(k, _)| k.name == name)
-            .map(|(k, &v)| (k.labels.as_slice(), v))
     }
 
     /// Sum of every counter named `name`, across label sets.
@@ -343,14 +326,18 @@ mod tests {
         r.step_gauge_set("bonsai_step_phase_seconds", &[("phase", "sort")], 0.1);
         r.step_gauge_set("bonsai_step_phase_seconds", &[("phase", "local")], 0.7);
         r.step_gauge_set("bonsai_step_phase_seconds", &[("phase", "let")], 0.2);
-        assert_eq!(r.gauge_family("bonsai_step_phase_seconds").count(), 3);
+        let phases = |r: &MetricsRegistry| {
+            r.gauges()
+                .filter(|(k, _)| k.name == "bonsai_step_phase_seconds")
+                .map(|(_, v)| v)
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(phases(&r).len(), 3);
 
         // step 2: only `local` runs
         r.reset_step();
         r.step_gauge_set("bonsai_step_phase_seconds", &[("phase", "local")], 0.9);
-        let fam: Vec<_> = r.gauge_family("bonsai_step_phase_seconds").collect();
-        assert_eq!(fam.len(), 1, "stale phase gauges leaked: {fam:?}");
-        assert_eq!(fam[0].1, 0.9);
+        assert_eq!(phases(&r), vec![0.9], "stale phase gauges leaked");
         assert_eq!(
             r.gauge("bonsai_step_phase_seconds", &[("phase", "sort")]),
             None
@@ -358,7 +345,6 @@ mod tests {
         // Run-scoped metrics are untouched.
         assert_eq!(r.gauge("bonsai_run_seed", &[]), Some(2014.0));
         assert_eq!(r.counter("bonsai_steps_total", &[]), 1);
-        assert_eq!(r.step_scoped_names(), vec!["bonsai_step_phase_seconds"]);
     }
 
     #[test]

@@ -44,8 +44,6 @@ pub struct ObsCostModel {
     pub gauge_sample_s: f64,
     /// Evaluating one health rule against one sample.
     pub rule_eval_s: f64,
-    /// Copying one span into the flight-recorder window.
-    pub flight_copy_s: f64,
     /// Encoding one byte of a telemetry frame.
     pub encode_byte_s: f64,
     /// Publishing one frame to one subscriber ring.
@@ -65,7 +63,6 @@ impl Default for ObsCostModel {
             flow_point_s: 3e-9,
             gauge_sample_s: 2e-9,
             rule_eval_s: 1e-9,
-            flight_copy_s: 1.5e-9,
             encode_byte_s: 0.08e-9,
             publish_s: 5e-9,
             stall_s: 2e-3,

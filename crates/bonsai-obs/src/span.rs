@@ -5,8 +5,16 @@
 //! byte volumes to calibrated device/network models), expressed on a single
 //! global clock: the cluster advances a base offset per step so consecutive
 //! steps render side by side in Perfetto.
+//!
+//! History is bounded: a run keeps the last [`TRACE_WINDOW`] epochs (the
+//! cluster evicts older ones with [`TraceStore::retain_steps`]), and an
+//! [`Incident`](crate::flight::Incident) freezes exactly that window.
 
 use bonsai_util::sorted::equal_run;
+
+/// Epochs of full-fidelity trace a run keeps. The cluster evicts in halves,
+/// so its store holds between one and two windows; an incident is one.
+pub const TRACE_WINDOW: u64 = 8;
 
 /// Execution lane inside one rank's track.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -155,6 +163,12 @@ fn latest_end(spans: &[Span]) -> f64 {
     spans.iter().map(|s| s.end).fold(0.0, f64::max)
 }
 
+/// `parent` after the first `cut` spans of its store are cut away: shifted
+/// down by `cut`, or `None` when it was among them.
+pub(crate) fn shift_parent(parent: Option<SpanId>, cut: usize) -> Option<SpanId> {
+    parent.and_then(|p| p.0.checked_sub(cut)).map(SpanId)
+}
+
 impl TraceStore {
     /// Empty store.
     pub fn new() -> Self {
@@ -162,12 +176,12 @@ impl TraceStore {
     }
 
     /// Rebuild a store from pre-assembled spans, instants and flow points
-    /// (the flight recorder uses this to materialise an incident window).
-    /// Any `parent` ids must index into `spans`.
+    /// (an incident materialises its window with this). Any `parent` ids
+    /// must index into `spans`.
     pub fn from_parts(spans: Vec<Span>, instants: Vec<Instant>, flows: Vec<FlowPoint>) -> Self {
         debug_assert!(spans
             .iter()
-            .all(|s| s.parent.map_or(true, |p| p.0 < spans.len())));
+            .all(|s| s.parent.is_none_or(|p| p.0 < spans.len())));
         Self {
             makespan: latest_end(&spans),
             spans,
@@ -176,26 +190,21 @@ impl TraceStore {
         }
     }
 
-    /// Drop every span, instant and flow point with `step < min_step`,
-    /// remapping parent ids (a parent outside the kept window becomes
-    /// `None`). Long runs use this to prune the trace down to the
-    /// flight-recorder window.
+    /// Drop every span, instant and flow point with `step < min_step`: one
+    /// prefix of each step-ordered array (see [`TraceStore::step_records`]).
+    /// Parent ids shift down by the dropped count; a parent that was dropped
+    /// becomes `None`. The cluster bounds its history with this.
     pub fn retain_steps(&mut self, min_step: u64) {
-        let mut remap: Vec<Option<usize>> = vec![None; self.spans.len()];
-        let mut kept: Vec<Span> = Vec::new();
-        for (i, s) in self.spans.iter().enumerate() {
-            if s.step >= min_step {
-                remap[i] = Some(kept.len());
-                kept.push(s.clone());
-            }
+        let cut = self.spans.partition_point(|s| s.step < min_step);
+        self.spans.drain(..cut);
+        for s in &mut self.spans {
+            s.parent = shift_parent(s.parent, cut);
         }
-        for s in &mut kept {
-            s.parent = s.parent.and_then(|p| remap[p.0]).map(SpanId);
-        }
-        self.makespan = latest_end(&kept);
-        self.spans = kept;
-        self.instants.retain(|i| i.step >= min_step);
-        self.flows.retain(|f| f.step >= min_step);
+        self.makespan = latest_end(&self.spans);
+        self.instants
+            .drain(..self.instants.partition_point(|i| i.step < min_step));
+        self.flows
+            .drain(..self.flows.partition_point(|f| f.step < min_step));
     }
 
     /// Record a root span; returns its id for annotation or parenting.

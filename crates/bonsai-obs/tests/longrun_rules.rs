@@ -1,12 +1,11 @@
 //! Satellite regression: a synthetic metric stream that dips, recovers and
 //! then drifts must produce *exactly* the expected alert open/close
 //! sequence, and the rendered incident log must be byte-deterministic.
-//! Also exercises the flight-recorder freeze path end-to-end against the
-//! rule engine (the integration the cluster performs each step).
+//! Also exercises the incident freeze path end-to-end against the rule
+//! engine (the integration the cluster performs each step).
 
 use bonsai_obs::{
-    default_rules, AlertKind, Condition, FlightRecorder, HealthMonitor, Lane, Rule, Severity,
-    TraceStore,
+    default_rules, AlertKind, Condition, HealthMonitor, Incident, Lane, Rule, Severity, TraceStore,
 };
 
 /// The synthetic Gflops stream: healthy, a dip below the floor, recovery,
@@ -112,38 +111,42 @@ fn incident_log_is_byte_deterministic() {
 
 #[test]
 fn alert_firing_freezes_a_flight_window() {
-    // Drive the default rule set with a recovery storm while a flight
-    // recorder shadows a synthetic trace — the coupling the cluster runs.
+    // Drive the default rule set with a recovery storm while a synthetic
+    // trace records every step — the coupling the cluster runs.
     let mut h = HealthMonitor::new(default_rules());
-    let mut fr = FlightRecorder::new(4);
     let mut trace = TraceStore::new();
     let mut incidents = Vec::new();
-    for step in 1..=12u64 {
+    for step in 1..=20u64 {
         let base = step as f64;
         trace.span(0, step, Lane::Gpu, "gravity", base, base + 0.8);
-        let storm = (6..=9).contains(&step);
+        let storm = (12..=15).contains(&step);
         if storm {
             trace.instant(0, step, Lane::Comm, "recovery:retransmit", base + 0.1);
         }
-        fr.record_step(&trace, step);
         let actions = if storm { 24.0 } else { 0.0 };
         for ev in h.observe(step, "bonsai_recovery_actions", actions) {
             if ev.kind == AlertKind::Open {
                 // Freeze twice at the trigger to check determinism.
-                incidents.push(fr.freeze(incidents.len() / 2, &ev));
-                incidents.push(fr.freeze(incidents.len() / 2, &ev));
+                incidents.push(Incident::freeze(incidents.len() / 2, &trace, step, &ev));
+                incidents.push(Incident::freeze(incidents.len() / 2, &trace, step, &ev));
             }
         }
     }
-    // for_steps = 2 ⇒ the storm (6..=9) opens at step 7; clear_steps = 2 ⇒
-    // closes at step 11.
+    // for_steps = 2 ⇒ the storm (12..=15) opens at step 13; clear_steps = 2
+    // ⇒ closes at step 17.
     let kinds: Vec<_> = h.events().iter().map(|e| (e.step, e.kind)).collect();
-    assert_eq!(kinds, vec![(7, AlertKind::Open), (11, AlertKind::Close)]);
+    assert_eq!(kinds, vec![(13, AlertKind::Open), (17, AlertKind::Close)]);
     assert_eq!(incidents.len(), 2);
     let inc = &incidents[0];
     assert_eq!(inc.rule, "recovery-storm");
-    assert_eq!(inc.step, 7);
-    assert_eq!(inc.window, (4, 7), "4-step ring ending at the trigger step");
+    assert_eq!(inc.step, 13);
+    assert_eq!(
+        inc.window,
+        (6, 13),
+        "the trace window ending at the trigger step"
+    );
+    assert_eq!(inc.trace.spans().len(), 8);
+    assert_eq!(inc.trace.instants().len(), 2, "the storm so far");
     // The frozen window is Perfetto-loadable and contains the storm.
     let json = inc.trace_json();
     let v = bonsai_obs::json::parse(&json).expect("valid JSON");

@@ -233,34 +233,15 @@ pub fn read_checkpoint_full(dir: &Path) -> io::Result<Checkpoint> {
     Ok(Checkpoint { particles, time: shards.time, steps: shards.steps })
 }
 
-/// Read a sharded checkpoint back into `(particles, time)`.
-pub fn read_checkpoint(dir: &Path) -> io::Result<(Particles, f64)> {
-    let ck = read_checkpoint_full(dir)?;
-    Ok((ck.particles, ck.time))
-}
-
 /// Restore a cluster from a checkpoint with a (possibly different) rank
-/// count.
+/// count: the particles are re-decomposed over `ranks` ranks and forces
+/// evaluated afresh, while `time` and `steps` continue from the manifest,
+/// so a run checkpointed at R = 4 carries straight on at R = 6. (Contrast
+/// with [`resume_cluster_exact`], which keeps the rank count and the
+/// checkpointed forces to the bit.)
 pub fn restore_cluster(dir: &Path, ranks: usize, cfg: ClusterConfig) -> io::Result<Cluster> {
-    let (particles, _time) = read_checkpoint(dir)?;
-    Ok(Cluster::new(particles, ranks, cfg))
-}
-
-/// Resume a checkpoint into a membership view of a *different* world size
-/// while preserving the simulation clock: the particle set is re-decomposed
-/// over `ranks` ranks and `time`/`steps` continue from the manifest, so a
-/// run checkpointed at R=4 carries straight on at R=6. (Contrast with
-/// [`restore_cluster`], which resets the clock to zero, and with
-/// [`resume_cluster_exact`], which requires the same rank count.)
-pub fn resume_cluster_elastic(dir: &Path, ranks: usize, cfg: ClusterConfig) -> io::Result<Cluster> {
     let ck = read_checkpoint_full(dir)?;
-    Ok(Cluster::from_redistributed(
-        ck.particles,
-        ranks,
-        cfg,
-        ck.time,
-        ck.steps,
-    ))
+    Ok(Cluster::from_checkpoint(ck, ranks, cfg))
 }
 
 /// Resume a cluster *exactly* from a checkpoint: same rank count, same
@@ -429,6 +410,8 @@ mod tests {
         let c2 = restore_cluster(&dir, 7, ClusterConfig::default()).unwrap();
         assert_eq!(c2.rank_count(), 7);
         assert_eq!(c2.total_particles(), 800);
+        assert_eq!(c2.step_count(), 1, "restore reset the step count");
+        assert_eq!(c2.time(), c.time(), "restore reset the clock");
     }
 
     #[test]
@@ -609,7 +592,7 @@ mod tests {
         let dir = tmp("bad");
         std::fs::create_dir_all(&dir).unwrap();
         std::fs::write(dir.join("manifest.txt"), "not a checkpoint").unwrap();
-        let err = read_checkpoint(&dir).unwrap_err();
+        let err = read_checkpoint_full(&dir).unwrap_err();
         assert!(err.to_string().contains("manifest header"), "{err}");
     }
 
@@ -625,7 +608,7 @@ mod tests {
         ];
         for (content, field) in cases {
             std::fs::write(dir.join("manifest.txt"), content).unwrap();
-            let err = read_checkpoint(&dir).unwrap_err();
+            let err = read_checkpoint_full(&dir).unwrap_err();
             assert!(
                 err.to_string().contains(field),
                 "manifest {content:?}: error '{err}' does not name '{field}'"
@@ -644,7 +627,7 @@ mod tests {
         let shard = dir.join("shard_1.bin");
         let bytes = std::fs::read(&shard).unwrap();
         std::fs::write(&shard, &bytes[..bytes.len() - 17]).unwrap();
-        let err = read_checkpoint(&dir).unwrap_err();
+        let err = read_checkpoint_full(&dir).unwrap_err();
         assert!(
             err.to_string().contains("shard_1.bin") && err.to_string().contains("checksum"),
             "{err}"
@@ -662,7 +645,7 @@ mod tests {
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x08;
         std::fs::write(&shard, bytes).unwrap();
-        let err = read_checkpoint(&dir).unwrap_err();
+        let err = read_checkpoint_full(&dir).unwrap_err();
         assert!(err.to_string().contains("shard_0.bin"), "{err}");
     }
 

@@ -227,14 +227,15 @@ pub struct Cluster {
     recovery: Option<RecoveryConfig>,
     /// Measurements of the most recent gravity phase.
     pub last_measurements: StepMeasurements,
-    /// Span/event trace of every completed gravity epoch.
+    /// Span/event trace of the recent completed gravity epochs (the last
+    /// [`bonsai_obs::TRACE_WINDOW`] to twice that).
     trace: TraceStore,
     /// Metrics registry: monotonic counters over the whole run plus the
     /// most recent epoch's gauges.
     registry: MetricsRegistry,
     /// Global simulated clock base: completed epochs lay out sequentially.
     trace_clock: f64,
-    /// Long-run monitor (time series + health rules + flight recorder),
+    /// Long-run monitor (time series + health rules + incidents),
     /// enabled via [`Cluster::enable_longrun`].
     longrun: Option<crate::longrun::LongRunMonitor>,
     /// Current membership view; `view.members[rank]` is the stable node id
@@ -369,21 +370,16 @@ impl Cluster {
         }
     }
 
-    /// Re-distribute `all` particles over `p` ranks while *preserving* the
-    /// simulation clock — the elastic-resume constructor: a checkpoint
-    /// written at one world size continues at another without resetting
-    /// `time`/`steps` to zero (contrast with
-    /// [`restore_cluster`](crate::checkpoint::restore_cluster)).
-    pub(crate) fn from_redistributed(
-        all: Particles,
+    /// Re-decompose checkpoint `ck` over `p` ranks and evaluate forces, the
+    /// simulation clock carrying on from the snapshot — the body of
+    /// [`restore_cluster`](crate::checkpoint::restore_cluster).
+    pub(crate) fn from_checkpoint(
+        ck: crate::checkpoint::Checkpoint,
         p: usize,
         cfg: ClusterConfig,
-        time: f64,
-        steps: u64,
     ) -> Self {
-        let mut c = Self::new(all, p, cfg);
-        c.time = time;
-        c.steps = steps;
+        let mut c = Self::new(ck.particles, p, cfg);
+        (c.time, c.steps) = (ck.time, ck.steps);
         c
     }
 
@@ -501,7 +497,7 @@ impl Cluster {
     }
 
     /// Enable long-run monitoring: per-metric time series, health rules
-    /// and the flight recorder, evaluated inside every subsequent
+    /// and incident freezing, evaluated inside every subsequent
     /// [`Cluster::step`]. The current energy report becomes the drift
     /// baseline. Re-enabling replaces the previous monitor.
     pub fn enable_longrun(&mut self, cfg: crate::longrun::LongRunConfig) {

@@ -10,7 +10,7 @@ use bonsai_net::flow::{FlowConservation, FlowLedger};
 use bonsai_net::membership::ViewChange;
 use bonsai_net::obs::FlowClock;
 use bonsai_obs::analysis::waits::{self, FlowSummary};
-use bonsai_obs::{ArgValue, FlowPhase, Lane, MetricsRegistry, TraceStore};
+use bonsai_obs::{ArgValue, FlowPhase, Lane, MetricsRegistry, TraceStore, TRACE_WINDOW};
 use bonsai_sfc::KeyMap;
 use bonsai_tree::stats::record_walk_counts;
 use bonsai_tree::{InteractionCounts, Particles};
@@ -28,10 +28,12 @@ impl Cluster {
     }
 
     /// The unified observability trace: spans for every Table II phase of
-    /// every completed gravity epoch (keyed rank × epoch × phase), the LET
-    /// communication and recovery windows on the COMM lanes, and fault
+    /// the recent completed gravity epochs (keyed rank × epoch × phase), the
+    /// LET communication and recovery windows on the COMM lanes, and fault
     /// instants. Failed epochs (rolled back by crash recovery) are not
-    /// recorded — a trace describes completed work only.
+    /// recorded — a trace describes completed work only. History is
+    /// bounded: the store always holds every record of the last
+    /// [`TRACE_WINDOW`] epochs, and never more than twice that many.
     pub fn trace(&self) -> &TraceStore {
         &self.trace
     }
@@ -148,12 +150,19 @@ impl Cluster {
     /// then advances by the epoch's makespan so consecutive epochs render
     /// side by side in Perfetto.
     pub(super) fn record_observability(&mut self, meas: &StepMeasurements, breakdown: &StepBreakdown) {
+        let step = self.epoch;
+        // Bounded history: once the oldest epoch held is two windows back,
+        // keep only the last TRACE_WINDOW − 1, so the store holds between
+        // one and two windows and pays one drain per window.
+        let oldest = self.trace.spans().first().map_or(step, |s| s.step);
+        if oldest + 2 * TRACE_WINDOW <= step {
+            self.trace.retain_steps(step + 1 - TRACE_WINDOW);
+        }
         // Drop the previous epoch's step-scoped gauges first: a label set
         // that existed only last epoch (a phase that didn't run, a derived
         // long-run signal) must not leak into this epoch's sample.
         self.registry.reset_step();
         let p = self.ranks.len();
-        let step = self.epoch;
         let base = self.trace_clock;
         let gpu = self.gpu;
         let classify_rate = self.classify_rate();

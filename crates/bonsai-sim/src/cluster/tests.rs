@@ -285,6 +285,29 @@ fn trace_records_every_phase_and_lays_steps_out_sequentially() {
 }
 
 #[test]
+fn trace_history_is_a_bounded_window() {
+    // No monitor: the cluster alone bounds its trace. After 40 steps (41
+    // epochs) it holds at most two windows, and every record of the last.
+    use bonsai_obs::TRACE_WINDOW;
+    let mut c = small_cluster(256, 2, 42);
+    let mut recorded = vec![c.trace().step_records(1).spans.len()];
+    for _ in 0..40 {
+        c.step();
+        recorded.push(c.trace().step_records(c.current_epoch()).spans.len());
+    }
+    let last = c.current_epoch();
+    assert_eq!(last, 41);
+    let first = c.trace().spans()[0].step;
+    assert!(last - first < 2 * TRACE_WINDOW, "holds {first}..={last}");
+    for e in last + 1 - TRACE_WINDOW..=last {
+        let held = c.trace().step_records(e).spans.len();
+        assert_eq!(held, recorded[(e - 1) as usize], "epoch {e}");
+    }
+    let fold = c.trace().spans().iter().map(|s| s.end).fold(0.0, f64::max);
+    assert_eq!(c.trace().makespan(), fold);
+}
+
+#[test]
 fn single_rank_cluster_equals_single_process() {
     let n = 1500;
     let ic = plummer_sphere(n, 8);

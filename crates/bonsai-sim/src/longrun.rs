@@ -1,5 +1,5 @@
 //! Long-run monitoring: the cluster-side wiring of `bonsai-obs`'s
-//! longitudinal layer (time series + health rules + flight recorder).
+//! longitudinal layer (time series + health rules + incidents).
 //!
 //! The paper's deliverable is a *sustained* multi-thousand-step run, and
 //! sustaining it means watching the run-level signals — energy drift,
@@ -8,13 +8,11 @@
 //! the [cluster](crate::cluster)'s step: each step it derives those signals
 //! from the step's measurements, writes them as step-scoped gauges, samples
 //! *every* gauge into a bounded [`SeriesStore`], evaluates the
-//! [`HealthMonitor`] rules, and keeps a [`FlightRecorder`] ring of
-//! full-fidelity spans so an alert can freeze a Perfetto-loadable incident
-//! window. It works on the cluster's trace and metrics stores and on the
-//! finished step as plain data ([`StepFacts`]), never on the cluster.
-//!
-//! The monitor also prunes the live trace down to the flight window —
-//! without that, a 10k-step run's span store grows without bound.
+//! [`HealthMonitor`] rules, and freezes a Perfetto-loadable [`Incident`]
+//! from the live trace's last epochs when an alert opens. It works on the
+//! cluster's trace and metrics stores and on the finished step as plain
+//! data ([`StepFacts`]), never on the cluster. The trace's history is
+//! bounded by the cluster itself, with or without a monitor.
 
 use crate::breakdown::StepBreakdown;
 use crate::cluster::{StepFacts, StepMeasurements};
@@ -22,12 +20,7 @@ use crate::trace::step_timelines;
 use bonsai_analysis::EnergyReport;
 use bonsai_obs::health::{default_rules, AlertEvent, AlertKind, HealthMonitor, Rule};
 use bonsai_obs::timeseries::{SeriesConfig, SeriesStore};
-use bonsai_obs::flight::{FlightRecorder, Incident};
-use bonsai_obs::{Lane, MetricsRegistry, TraceStore};
-
-/// Steps of full-fidelity spans the flight recorder keeps (and the live
-/// trace is pruned to).
-const FLIGHT_WINDOW: usize = 8;
+use bonsai_obs::{Incident, Lane, MetricsRegistry, TraceStore};
 
 /// Incidents frozen at most (each owns a copy of the window).
 const MAX_INCIDENTS: usize = 4;
@@ -50,14 +43,13 @@ impl Default for LongRunConfig {
     }
 }
 
-/// Per-run longitudinal state: series store, rule engine, flight recorder,
-/// frozen incidents, and the energy baseline drift is measured against.
+/// Per-run longitudinal state: series store, rule engine, frozen
+/// incidents, and the energy baseline drift is measured against.
 #[derive(Clone, Debug)]
 pub struct LongRunMonitor {
     cfg: LongRunConfig,
     series: SeriesStore,
     health: HealthMonitor,
-    flight: FlightRecorder,
     baseline: EnergyReport,
     incidents: Vec<Incident>,
 }
@@ -71,7 +63,6 @@ impl LongRunMonitor {
                 max_bins: cfg.max_bins,
             }),
             health: HealthMonitor::new(cfg.rules.clone()),
-            flight: FlightRecorder::new(FLIGHT_WINDOW),
             baseline,
             incidents: Vec::new(),
             cfg,
@@ -166,8 +157,8 @@ impl LongRunMonitor {
         }
 
         // Alert transitions become instants on the trace (rank 0's CPU
-        // lane, at the end of the completed epoch) *before* the flight
-        // recorder copies the step, so incident windows carry them.
+        // lane, at the end of the completed epoch) *before* an incident
+        // freezes the window, so incident windows carry them.
         if !fired.is_empty() {
             let at = trace.makespan();
             for ev in &fired {
@@ -178,14 +169,12 @@ impl LongRunMonitor {
                     .push(("detail", bonsai_obs::ArgValue::Str(ev.detail.clone())));
             }
         }
-        self.flight.record_step(trace, epoch);
         for ev in &fired {
             if ev.kind == AlertKind::Open && self.incidents.len() < MAX_INCIDENTS {
-                self.incidents.push(self.flight.freeze(self.incidents.len(), ev));
+                self.incidents
+                    .push(Incident::freeze(self.incidents.len(), trace, epoch, ev));
             }
         }
-        let min = epoch.saturating_sub(FLIGHT_WINDOW as u64 - 1);
-        trace.retain_steps(min);
         fired
     }
 }
@@ -196,6 +185,7 @@ mod tests {
     use crate::cluster::{Cluster, ClusterConfig};
     use bonsai_ic::plummer_sphere;
     use bonsai_obs::health::{Condition, Severity};
+    use bonsai_obs::TRACE_WINDOW;
 
     fn small_cluster() -> Cluster {
         let ic = plummer_sphere(256, 42);
@@ -212,7 +202,8 @@ mod tests {
     #[test]
     fn an_alert_opens_on_a_crafted_gauge_with_no_cluster() {
         // Hand-built stores and facts: two recorded epochs — one of them
-        // older than the flight window — and one gauge over its rule's limit.
+        // older than the incident window — and one gauge over its rule's
+        // limit.
         let energy = EnergyReport {
             kinetic: 1.0,
             potential: -2.0,
@@ -228,7 +219,7 @@ mod tests {
             energy,
         );
         let mut trace = TraceStore::new();
-        let now = FLIGHT_WINDOW as u64 + 1;
+        let now = TRACE_WINDOW + 1;
         trace.span(0, 1, Lane::Gpu, "local", 0.0, 1.0);
         trace.span(0, now, Lane::Gpu, "local", 1.0, 3.0);
         let mut registry = MetricsRegistry::new();
@@ -254,19 +245,23 @@ mod tests {
         // The derived signals were written and sampled beside the crafted one.
         assert_eq!(registry.gauge("bonsai_energy_drift", &[]), Some(0.0));
         assert_eq!(lr.series().series("crafted").map(|s| s.count()), Some(1));
-        // The alert is an instant on the epoch, frozen into an incident, and
-        // the trace is pruned to the flight window, which epoch 1 just left.
+        // The alert is an instant on the epoch, frozen into an incident
+        // whose window epoch 1 just left. The live trace is not pruned.
         assert_eq!(trace.instants().len(), 1);
         assert_eq!(trace.instants()[0].name, "alert:open:hot");
-        assert_eq!(lr.incidents().len(), 1);
-        assert!(trace.spans().iter().all(|s| s.step == now));
+        assert_eq!(trace.spans().len(), 2);
+        let inc = lr.incidents();
+        assert_eq!(inc.len(), 1);
+        assert_eq!(inc[0].window, (now, now));
+        assert!(inc[0].trace.spans().iter().all(|s| s.step == now));
+        assert_eq!(inc[0].trace.instants()[0].name, "alert:open:hot");
     }
 
     #[test]
     fn monitor_samples_every_step_and_prunes_the_trace() {
         let mut c = small_cluster();
         c.enable_longrun(LongRunConfig::default());
-        for _ in 0..10 {
+        for _ in 0..20 {
             c.step();
         }
         let lr = c.longrun().expect("monitor enabled");
@@ -281,7 +276,7 @@ mod tests {
             let s = lr.series().series(name).unwrap_or_else(|| {
                 panic!("missing series {name}: have {:?}", lr.series().names())
             });
-            assert_eq!(s.count(), 10, "{name}");
+            assert_eq!(s.count(), 20, "{name}");
         }
         // Per-phase gauges are sampled too (rendered with labels).
         assert!(lr
@@ -289,17 +284,50 @@ mod tests {
             .names()
             .iter()
             .any(|n| n.starts_with("bonsai_step_phase_seconds{")));
-        // Trace pruned to the flight window: only the last 8 epochs remain.
-        let steps: Vec<u64> = {
-            let mut s: Vec<u64> = c.trace().spans().iter().map(|sp| sp.step).collect();
-            s.sort_unstable();
-            s.dedup();
-            s
-        };
-        assert_eq!(steps, (4..=11).collect::<Vec<u64>>(), "epochs kept (initial eval = epoch 1)");
+        // The monitored run's trace is pruned like any other: epoch 17 cut
+        // it to 10..=17, and 21 epochs (initial eval = epoch 1) leave 10..=21.
+        assert_eq!(c.trace().spans()[0].step, 10);
+        assert_eq!(c.trace().last_step(), Some(21));
         // A clean Plummer run opens nothing.
         assert!(c.longrun().unwrap().health().events().is_empty());
         assert!(c.longrun().unwrap().incidents().is_empty());
+    }
+
+    #[test]
+    fn an_incident_is_the_step_records_of_its_window() {
+        // A rule that opens on the 20th step: by then the cluster has
+        // evicted once, and the frozen window is epochs 14..=21.
+        let mut c = small_cluster();
+        let late = Rule::new(
+            "late",
+            "bonsai_step_seconds",
+            Condition::Above(0.0),
+            Severity::Info,
+            20,
+            1,
+        );
+        c.enable_longrun(LongRunConfig {
+            rules: vec![late],
+            ..LongRunConfig::default()
+        });
+        for _ in 0..20 {
+            c.step();
+        }
+        let epoch = c.current_epoch();
+        let inc = &c.longrun().unwrap().incidents()[0];
+        assert_eq!(inc.window, (epoch + 1 - TRACE_WINDOW, epoch));
+        let (mut spans, mut instants, mut flows) = (0, 0, 0);
+        for e in inc.window.0..=inc.window.1 {
+            let recs = c.trace().step_records(e);
+            spans += recs.spans.len();
+            instants += recs.instants.len();
+            flows += recs.flow_points.len();
+        }
+        assert_eq!(inc.trace.spans().len(), spans);
+        assert_eq!(inc.trace.instants().len(), instants);
+        assert_eq!(inc.trace.flow_points().len(), flows);
+        let trigger = inc.trace.instants().iter().find(|i| i.step == epoch);
+        assert_eq!(trigger.map(|i| i.name.as_str()), Some("alert:open:late"));
     }
 
     #[test]

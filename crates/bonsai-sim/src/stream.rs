@@ -5,8 +5,8 @@
 //! [`StreamTap`] rides inside the [cluster](crate::cluster)'s step after
 //! the long-run monitor, on the cluster's trace and metrics stores and the
 //! finished step as plain data ([`StepFacts`]): each step it prices
-//! the step's observability work (spans, gauges, rule evaluations, flight
-//! copies) through an [`OverheadMeter`], publishes the step's telemetry
+//! the step's observability work (spans, gauges, rule evaluations) through
+//! an [`OverheadMeter`], publishes the step's telemetry
 //! frames — step header, per-phase seconds, key gauges, flow-conservation
 //! digest, and any alert transitions the health rules fired — and closes
 //! the meter against the step's modelled duration. The resulting overhead
@@ -173,7 +173,7 @@ impl StreamTap {
         // Price what the observability stack did this step, from the
         // observable op counts: the trace events the step recorded, the
         // gauges the registry carries, and (when long-run monitoring is
-        // on) the rule evaluations and flight-window copies it performed.
+        // on) the rule evaluations it performed.
         let recs = trace.step_records(epoch);
         let spans = recs.spans.len() as u64;
         let instants = recs.instants.len() as u64;
@@ -188,7 +188,6 @@ impl StreamTap {
         if let Some(rules) = facts.longrun_rules {
             self.meter
                 .charge_ops("health", rules as u64 * gauges, cost.rule_eval_s);
-            self.meter.charge_ops("flight", spans, cost.flight_copy_s);
         }
 
         // The step's frames, in a fixed kind order.

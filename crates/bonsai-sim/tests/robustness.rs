@@ -331,7 +331,7 @@ fn checkpoint_resumes_across_changed_world_size() {
     let dir = chaos_dir("elastic_resume");
     bonsai_sim::checkpoint::write_checkpoint(&a, &dir).unwrap();
 
-    let b = bonsai_sim::checkpoint::resume_cluster_elastic(&dir, 6, cfg.clone()).unwrap();
+    let b = bonsai_sim::checkpoint::restore_cluster(&dir, 6, cfg.clone()).unwrap();
     assert_eq!(b.rank_count(), 6);
     assert_eq!(b.step_count(), a.step_count(), "resume reset the step count");
     assert_eq!(b.time().to_bits(), a.time().to_bits(), "resume reset the clock");

@@ -51,21 +51,6 @@ pub struct Node {
 }
 
 impl Node {
-    /// Number of particles represented (for any kind).
-    pub fn particle_population(&self, nodes: &[Node]) -> u64 {
-        match self.kind {
-            NodeKind::Leaf => self.count as u64,
-            NodeKind::Cut => 0, // population unknown at the receiver
-            NodeKind::Internal => {
-                let mut n = 0;
-                for c in self.first..self.first + self.count {
-                    n += nodes[c as usize].particle_population(nodes);
-                }
-                n
-            }
-        }
-    }
-
     /// Full side length of the geometric cell.
     #[inline(always)]
     pub fn geo_side(&self) -> f64 {
@@ -97,15 +82,6 @@ impl<'a> TreeView<'a> {
     /// The root node; panics on an empty tree.
     pub fn root(&self) -> &Node {
         &self.nodes[0]
-    }
-
-    /// Sum of leaf particle counts (consistency checks).
-    pub fn leaf_particle_total(&self) -> u64 {
-        self.nodes
-            .iter()
-            .filter(|n| n.kind == NodeKind::Leaf)
-            .map(|n| n.count as u64)
-            .sum()
     }
 }
 

@@ -133,24 +133,6 @@ impl Particles {
         self.id = perm.iter().map(|&j| self.id[j as usize]).collect();
     }
 
-    /// Split off the particles at the given (sorted, unique) indices into a
-    /// new set, removing them from `self` while preserving the relative order
-    /// of the survivors.
-    pub fn drain_indices(&mut self, indices: &[usize]) -> Particles {
-        let mut take = vec![false; self.len()];
-        for &i in indices {
-            take[i] = true;
-        }
-        let mut out = Particles::with_capacity(indices.len());
-        let mut keep = Particles::with_capacity(self.len() - indices.len());
-        for i in 0..self.len() {
-            let dst = if take[i] { &mut out } else { &mut keep };
-            dst.push(self.pos[i], self.vel[i], self.mass[i], self.id[i]);
-        }
-        *self = keep;
-        out
-    }
-
     /// Structural validity: equal array lengths, finite values, positive mass.
     pub fn validate(&self) -> Result<(), String> {
         let n = self.len();
@@ -207,15 +189,6 @@ mod tests {
         assert_eq!(p.id, vec![12, 10, 11]);
         assert_eq!(p.pos[0], Vec3::new(0.0, 3.0, 0.0));
         p.validate().unwrap();
-    }
-
-    #[test]
-    fn drain_indices_splits() {
-        let mut p = sample();
-        let out = p.drain_indices(&[0, 2]);
-        assert_eq!(out.id, vec![10, 12]);
-        assert_eq!(p.id, vec![11]);
-        assert_eq!(out.len() + p.len(), 3);
     }
 
     #[test]

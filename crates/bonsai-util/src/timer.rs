@@ -77,35 +77,6 @@ impl PhaseTimes {
     pub fn iter(&self) -> impl Iterator<Item = (&'static str, f64)> + '_ {
         self.phases.iter().map(|(k, v)| (*k, *v))
     }
-
-    /// Element-wise maximum with another record (per-phase critical path).
-    pub fn max_with(&mut self, o: &PhaseTimes) {
-        for (k, v) in o.iter() {
-            let e = self.phases.entry(k).or_insert(0.0);
-            if v > *e {
-                *e = v;
-            }
-        }
-    }
-
-    /// Element-wise sum with another record.
-    pub fn add_all(&mut self, o: &PhaseTimes) {
-        for (k, v) in o.iter() {
-            self.add(k, v);
-        }
-    }
-
-    /// Scale every phase by `s` (e.g. to average over steps).
-    pub fn scale(&mut self, s: f64) {
-        for v in self.phases.values_mut() {
-            *v *= s;
-        }
-    }
-
-    /// Clear all phases.
-    pub fn clear(&mut self) {
-        self.phases.clear();
-    }
 }
 
 #[cfg(test)]
@@ -139,30 +110,5 @@ mod tests {
         assert_eq!(p.get("gravity"), 2.0);
         assert_eq!(p.get("missing"), 0.0);
         assert!((p.total() - 2.1).abs() < 1e-12);
-    }
-
-    #[test]
-    fn max_with_takes_critical_path() {
-        let mut a = PhaseTimes::new();
-        a.add("x", 1.0);
-        a.add("y", 3.0);
-        let mut b = PhaseTimes::new();
-        b.add("x", 2.0);
-        b.add("z", 0.5);
-        a.max_with(&b);
-        assert_eq!(a.get("x"), 2.0);
-        assert_eq!(a.get("y"), 3.0);
-        assert_eq!(a.get("z"), 0.5);
-    }
-
-    #[test]
-    fn add_all_and_scale() {
-        let mut a = PhaseTimes::new();
-        a.add("x", 1.0);
-        let mut b = PhaseTimes::new();
-        b.add("x", 3.0);
-        a.add_all(&b);
-        a.scale(0.5);
-        assert_eq!(a.get("x"), 2.0);
     }
 }
