@@ -9,10 +9,12 @@
 //! of the remote geometry can open a cell, the cell travels as a pruned
 //! `Cut` node.
 //!
-//! The sender-side *sufficiency check* mirrors the paper's first step: if the
+//! The *sufficiency check* mirrors the paper's first step: if the
 //! already-broadcast boundary tree would never be opened past its frontier by
 //! the remote domain, no dedicated LET need be sent at all — only the ~40
-//! nearest neighbours require one.
+//! nearest neighbours require one. It reads only two boundary trees, which
+//! every rank holds bit-identically after the allgather, so sender and
+//! receiver reach the same decision without a message about it.
 
 use crate::lettree::LetTree;
 use bonsai_tree::build::Tree;

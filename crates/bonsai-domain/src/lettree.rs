@@ -11,7 +11,9 @@
 //! The byte encoding is deliberately explicit (fixed-width little-endian
 //! fields via `bytes`): the cluster simulator charges the network model with
 //! `to_bytes().len()`, so the sizes driving the Table II communication rows
-//! are real serialized sizes, not estimates.
+//! are real serialized sizes, not estimates. It is an exact round trip
+//! (signed zeros and subnormals included), so a receiver that decoded and
+//! checked a boundary frame may drop its copy and walk the sender's tree.
 
 use bonsai_tree::node::{Node, NodeKind, TreeView};
 use bonsai_util::{Aabb, Sym3, Vec3};
@@ -284,11 +286,20 @@ mod tests {
 
     #[test]
     fn round_trip_serialization() {
-        let t = sample_tree();
+        let mut t = sample_tree();
+        // A third root child: a signed zero and a subnormal keep every bit.
+        let mut odd = t.nodes[2];
+        odd.com.x = -0.0;
+        odd.mass = f64::MIN_POSITIVE / 4.0;
+        t.nodes.push(odd);
+        t.nodes[0].count = 3;
         let bytes = t.to_bytes();
         assert_eq!(bytes.len(), t.wire_size());
         let u = LetTree::from_bytes(&bytes).expect("decode");
-        assert_eq!(u.nodes.len(), 3);
+        let bits = |n: &Node| [n.com.x, n.com.y, n.com.z, n.mass].map(f64::to_bits);
+        assert_eq!(bits(&u.nodes[3]), bits(&odd));
+        assert_eq!(u.to_bytes(), bytes);
+        assert_eq!(u.nodes.len(), 4);
         assert_eq!(u.pos.len(), 2);
         assert_eq!(u.nodes[0].mass, 5.0);
         assert_eq!(u.nodes[1].kind, NodeKind::Leaf);

@@ -114,6 +114,9 @@ proptest! {
         prop_assert_eq!(back.particle_count(), lt.particle_count());
         prop_assert!(back.check_invariants().is_ok());
         prop_assert!((back.total_mass() - tree.particles.total_mass()).abs() < 1e-9);
+        // A decoded frame is the sender's tree bit for bit: a receiver may
+        // validate its copy and walk the sender's.
+        prop_assert_eq!(back.to_bytes(), bytes);
     }
 
     #[test]
@@ -137,6 +140,8 @@ proptest! {
             let local_mass = mine.total_mass();
             let tree = Tree::build_with_keymap(mine, keymap.clone(), TreeParams::default());
             let b = boundary_tree(&tree, d);
+            let bytes = b.to_bytes();
+            prop_assert_eq!(LetTree::from_bytes(&bytes).unwrap().to_bytes(), bytes);
             let frontier: f64 = b
                 .nodes
                 .iter()

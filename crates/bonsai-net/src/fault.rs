@@ -220,9 +220,9 @@ impl FaultPlan {
         if attempt == 0 {
             for inj in &self.injections {
                 let hit = inj.epoch == epoch
-                    && inj.from.map_or(true, |f| f == from)
-                    && inj.to.map_or(true, |t| t == to)
-                    && inj.kind.map_or(true, |k| k == kind);
+                    && inj.from.is_none_or(|f| f == from)
+                    && inj.to.is_none_or(|t| t == to)
+                    && inj.kind.is_none_or(|k| k == kind);
                 if hit {
                     return Some(inj.fault);
                 }
@@ -307,7 +307,8 @@ pub enum RecoveryAction {
     /// A frame from a previous epoch arrived late and was discarded.
     DiscardStale,
     /// A dedicated LET never arrived; the receiver fell back to walking
-    /// the sender's already-held boundary tree (graceful degradation).
+    /// the sender's boundary tree, validated in the allgather (graceful
+    /// degradation).
     BoundaryFallback,
     /// A rank missed every heartbeat and retry window and was declared
     /// dead.
@@ -408,14 +409,14 @@ impl FaultLog {
         self.recoveries.iter().filter(|e| e.action == action).count()
     }
 
-    /// Copy of the events of one epoch (what a step attaches to its
-    /// measurements), found by binary search: it costs that epoch's events
-    /// however long the run.
-    pub fn for_epoch(&self, epoch: u64) -> FaultLog {
-        FaultLog {
-            injected: self.injected[equal_run(&self.injected, epoch, |e| e.epoch)].to_vec(),
-            recoveries: self.recoveries[equal_run(&self.recoveries, epoch, |e| e.epoch)].to_vec(),
-        }
+    /// The injected faults and recovery actions of one epoch, borrowed,
+    /// found by binary search: it costs that epoch's events however long
+    /// the run.
+    pub fn for_epoch(&self, epoch: u64) -> (&[FaultEvent], &[RecoveryEvent]) {
+        (
+            &self.injected[equal_run(&self.injected, epoch, |e| e.epoch)],
+            &self.recoveries[equal_run(&self.recoveries, epoch, |e| e.epoch)],
+        )
     }
 
     /// True when nothing was injected and nothing needed recovery.
@@ -682,14 +683,12 @@ mod tests {
             });
         }
         for epoch in 0..=10 {
-            let of_epoch = |e: &u64| *e == epoch;
-            let want = FaultLog {
-                injected: log.injected.iter().filter(|e| of_epoch(&e.epoch)).cloned().collect(),
-                recoveries: log.recoveries.iter().filter(|e| of_epoch(&e.epoch)).cloned().collect(),
-            };
-            assert_eq!(log.for_epoch(epoch), want);
+            let injected: Vec<_> = log.injected.iter().filter(|e| e.epoch == epoch).cloned().collect();
+            let recoveries: Vec<_> =
+                log.recoveries.iter().filter(|e| e.epoch == epoch).cloned().collect();
+            assert_eq!(log.for_epoch(epoch), (&injected[..], &recoveries[..]));
         }
-        assert_eq!(log.for_epoch(2).recoveries.len(), 2);
+        assert_eq!(log.for_epoch(2).1.len(), 2);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! lands in the metrics registry priced by the interconnect cost model.
 
 use crate::cost::NetworkModel;
-use crate::fault::{FaultLog, RecoveryAction};
+use crate::fault::{FaultEvent, RecoveryAction, RecoveryEvent};
 use crate::flow::{FlowOutcome, FlowRecord};
 use bonsai_obs::{Lane, MetricsRegistry, TraceStore};
 
@@ -62,20 +62,21 @@ impl<'a> FlowClock<'a> {
     }
 }
 
-/// Record every entry of `log` as instant events on the COMM lanes of the
-/// involved ranks, anchored at the modeled wire time of the flow each event
-/// belongs to (injection: the faulted attempt's send instant; recovery: the
-/// flow's resolution instant) and carrying the flow id as an arg, so
-/// Perfetto log order is causal. `at_for_rank(rank)` gives each rank's
-/// communication-window start on the global trace clock; events without a
-/// flow (crash handling, checkpoint restores, view changes) anchor there.
+/// Record every fault-log event, `injected` then `recoveries`, as instants
+/// on the COMM lanes of the involved ranks, anchored at the modeled wire
+/// time of the flow each event belongs to (injection: the faulted attempt's
+/// send instant; recovery: the flow's resolution instant) and carrying the
+/// flow id as an arg, so Perfetto log order is causal. `at_for_rank(rank)`
+/// gives each rank's communication-window start on the global trace clock;
+/// events without a flow (crash handling, restores, view changes) anchor there.
 ///
-/// `flows` must hold, in ledger order, every flow of the epochs `log`
-/// covers: the per-step caller passes one epoch's events and
-/// [`for_epoch`](crate::flow::FlowLedger::for_epoch) of the same epoch,
-/// which writes what the whole ledger's `records()` would.
+/// `flows` must hold, in ledger order, every flow of the events' epochs: the
+/// per-step caller passes `FaultLog::for_epoch` and
+/// [`FlowLedger::for_epoch`](crate::flow::FlowLedger::for_epoch) of one
+/// epoch, which writes what the whole log and ledger would.
 pub fn record_fault_log(
-    log: &FaultLog,
+    injected: &[FaultEvent],
+    recoveries: &[RecoveryEvent],
     flows: &[FlowRecord],
     net: &NetworkModel,
     store: &mut TraceStore,
@@ -88,7 +89,7 @@ pub fn record_fault_log(
     // k-th ledger injection there: walk each flow's injection list with a
     // per-flow cursor.
     let mut cursor = vec![0usize; flows.len()];
-    for e in &log.injected {
+    for e in injected {
         let hit = flows.iter().zip(&mut cursor).find(|(r, next)| {
             r.epoch == e.epoch
                 && r.from == e.from
@@ -124,7 +125,7 @@ pub fn record_fault_log(
     // k; other flow-bound recoveries anchor at the flow's resolution.
     let mut retries: std::collections::BTreeMap<(u64, usize, usize, u8), u32> =
         std::collections::BTreeMap::new();
-    for e in &log.recoveries {
+    for e in recoveries {
         let flow = e.peer.and_then(|peer| {
             e.kind.and_then(|kind| {
                 flows
@@ -204,7 +205,7 @@ mod tests {
     use super::*;
     use crate::fabric::MsgKind;
     use crate::flow::FlowLedger;
-    use crate::fault::{FaultEvent, FaultKind, RecoveryAction, RecoveryEvent};
+    use crate::fault::{FaultKind, FaultLog};
     use crate::machine::PIZ_DAINT;
 
     fn sample_log() -> FaultLog {
@@ -241,8 +242,10 @@ mod tests {
     fn fault_log_lands_on_comm_track_with_flow_ids() {
         let net = NetworkModel::new(PIZ_DAINT);
         let mut store = TraceStore::new();
+        let log = sample_log();
         record_fault_log(
-            &sample_log(),
+            &log.injected,
+            &log.recoveries,
             sample_ledger().records(),
             &net,
             &mut store,
@@ -303,7 +306,8 @@ mod tests {
             }],
         };
         let mut store = TraceStore::new();
-        record_fault_log(&log, ledger.records(), &net, &mut store, 4, &|_r| 0.25);
+        let records = ledger.records();
+        record_fault_log(&log.injected, &log.recoveries, records, &net, &mut store, 4, &|_r| 0.25);
         let inj = &store.instants()[0];
         let rec = &store.instants()[1];
         // The retransmit send sits exactly one RTO after the dropped send.
@@ -326,9 +330,7 @@ mod tests {
             }],
         };
         let mut store = TraceStore::new();
-        record_fault_log(&log, &[], &net, &mut store, 9, &|r| {
-            r as f64
-        });
+        record_fault_log(&log.injected, &log.recoveries, &[], &net, &mut store, 9, &|r| r as f64);
         assert_eq!(store.instants()[0].at, 2.0);
         assert!(!store.instants()[0].args.iter().any(|(k, _)| *k == "flow"));
     }

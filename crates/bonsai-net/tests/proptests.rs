@@ -263,18 +263,19 @@ proptest! {
             let want: Vec<_> = flows.records().iter().filter(|r| r.epoch == e).cloned().collect();
             let view = flows.for_epoch(e);
             prop_assert_eq!(view, &want[..], "flow view of epoch {}", e);
-            let faults = log.for_epoch(e);
-            let filtered = FaultLog {
-                injected: log.injected.iter().filter(|f| f.epoch == e).cloned().collect(),
-                recoveries: log.recoveries.iter().filter(|r| r.epoch == e).cloned().collect(),
-            };
-            prop_assert_eq!(&faults, &filtered, "fault view of epoch {}", e);
+            let (injected, recoveries) = log.for_epoch(e);
+            let want_injected: Vec<_> = log.injected.iter().filter(|f| f.epoch == e).cloned().collect();
+            let want_recoveries: Vec<_> =
+                log.recoveries.iter().filter(|r| r.epoch == e).cloned().collect();
+            prop_assert_eq!(injected, &want_injected[..], "injected view of epoch {}", e);
+            prop_assert_eq!(recoveries, &want_recoveries[..], "recovery view of epoch {}", e);
 
             // The trace written from the view is the one written from the
             // whole ledger: same instants, anchors, flow ids, order.
             let write = |records: &[bonsai_net::FlowRecord]| {
                 let mut store = TraceStore::new();
-                record_fault_log(&faults, records, &net, &mut store, e, &|rank| rank as f64);
+                let at = |rank: usize| rank as f64;
+                record_fault_log(injected, recoveries, records, &net, &mut store, e, &at);
                 format!("{:?}", store.instants())
             };
             prop_assert_eq!(write(view), write(flows.records()));

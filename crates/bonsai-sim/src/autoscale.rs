@@ -125,7 +125,7 @@ impl AutoscalePolicy {
             }
         }
         let wants_growth = alerts.iter().any(|a| {
-            a.kind == AlertKind::Open && self.cfg.grow_rules.iter().any(|r| *r == a.rule)
+            a.kind == AlertKind::Open && self.cfg.grow_rules.contains(&a.rule)
         });
         let decision = if wants_growth {
             let k = self.cfg.grow_by.min(self.cfg.max_ranks.saturating_sub(world));

@@ -7,9 +7,9 @@
 //! | [`update_domains`](Cluster::update_domains) | Domain update | §III-B1: two-level sample sort, flop-weighted rates, 30 % cap | — (driver-side) |
 //! | [`migrate`](Cluster::migrate) | Domain update | §III-B1: particle exchange | `Particles`, every pair, possibly empty |
 //! | [`build`](Cluster::build) | Sorting, Tree-construction, Tree-properties | §III-A | — |
-//! | [`boundaries`](Cluster::boundaries) | Domain update | §III-B2: boundary trees, allgatherv | `Boundary` broadcast |
-//! | [`lets`](Cluster::lets) | (Non-hidden) LET comm | §III-B2: sufficiency check, dedicated LETs for near neighbours | `Let`, sparse; a lost one degrades to the boundary tree |
-//! | [`walk`](Cluster::walk) | Gravity local, Gravity LETs | §III-A, §III-B2 | — |
+//! | [`boundaries`](Cluster::boundaries) | Domain update | §III-B2: boundary trees, allgatherv | `Boundary` broadcast; every receiver validates its copy and drops it |
+//! | [`lets`](Cluster::lets) | (Non-hidden) LET comm | §III-B2: sufficiency check — a pure function of two boundary trees every rank holds bit-identically, decided once per ordered pair — and dedicated LETs for near neighbours | `Let`, sparse; a lost one degrades to the boundary tree |
+//! | [`walk`](Cluster::walk) | Gravity local, Gravity LETs | §III-A, §III-B2: each peer's dedicated LET, else the sender's own boundary tree | — |
 //! | [`store`](Cluster::store) | Unbalance + other | §III-B1: flop weights for the next step's sampling | — |
 //!
 //! Every exchange is one call of [`bonsai_net::collective::exchange`] through
@@ -24,7 +24,7 @@ use bonsai_domain::letbuild::{boundary_sufficient_for, build_let};
 use bonsai_domain::load::enforce_particle_cap;
 use bonsai_domain::sampling::parallel_cuts;
 use bonsai_domain::{boundary_tree, LetTree};
-use bonsai_net::collective::{self, Exchanged, Expect, Lanes, Outbox, Reject, Round};
+use bonsai_net::collective::{self, received_from, Exchanged, Expect, Lanes, Outbox, Reject, Round};
 use bonsai_net::fault::{RecoveryAction, RecoveryEvent};
 use bonsai_net::MsgKind;
 use bonsai_sfc::KeyMap;
@@ -35,10 +35,6 @@ use bonsai_util::{Aabb, Vec3};
 use bytes::Bytes;
 use rayon::prelude::*;
 
-/// `held[to]`: rank `to`'s validated wire copies of its peers' boundary
-/// trees, as `(from, tree)` ascending by sender.
-type Held = Vec<Vec<(usize, LetTree)>>;
-
 /// A collective's rank tasks on the current `bonsai-par` pool — the
 /// cluster's own inside [`Cluster::step`]. At one lane they run inline.
 struct PoolLanes;
@@ -47,15 +43,6 @@ impl Lanes for PoolLanes {
     fn map<T: Send, R: Send>(&self, items: Vec<T>, f: impl Fn(T) -> R + Sync) -> Vec<R> {
         items.into_par_iter().map(f).collect()
     }
-}
-
-/// What a target rank walks for one remote rank.
-enum RemoteSource<'a> {
-    /// The already-held boundary tree suffices (or serves as the fallback
-    /// for a lost dedicated LET).
-    Boundary(&'a LetTree),
-    /// A dedicated LET arrived and is walked.
-    Dedicated(LetTree),
 }
 
 /// One rank's walk results.
@@ -91,9 +78,9 @@ impl Cluster {
             self.migrate(&keymap, &mut meas)?;
         }
         let trees = self.build(&keymap);
-        let (boundaries, held) = self.boundaries(&trees, &mut meas)?;
-        let sources = self.lets(&trees, &boundaries, &held, &mut meas);
-        let forces = self.walk(&trees, &sources);
+        let boundaries = self.boundaries(&trees, &mut meas)?;
+        let lets = self.lets(&trees, &boundaries, &mut meas);
+        let forces = self.walk(&trees, &boundaries, &lets);
         Ok(self.store(trees, forces, meas))
     }
 
@@ -236,84 +223,76 @@ impl Cluster {
     }
 
     /// Boundary allgather through the fabric: every rank's own boundary
-    /// tree, and what each rank holds of its peers'.
+    /// tree. Receivers validate each frame and drop their copy: a validated
+    /// frame is the sender's tree bit for bit, so later phases read that.
     fn boundaries(
         &mut self,
         trees: &[Tree],
         meas: &mut StepMeasurements,
-    ) -> Result<(Vec<LetTree>, Held), usize> {
-        let (boundaries, encoded): (Vec<LetTree>, Vec<Bytes>) = (trees.par_iter())
+    ) -> Result<Vec<LetTree>, usize> {
+        let (encoded, boundaries): (Vec<Bytes>, Vec<LetTree>) = (trees.par_iter())
             .zip(self.domains.par_iter())
             .map(|(t, d)| {
                 let b = boundary_tree(t, d);
-                let bytes = b.to_bytes();
-                (b, bytes)
+                (b.to_bytes(), b)
             })
             .collect();
         meas.boundary_bytes = encoded.iter().map(Bytes::len).collect();
         let outbox: Vec<Outbox> = encoded.into_iter().map(Outbox::Broadcast).collect();
         let got = self.exchange(MsgKind::Boundary, MAX_RETRIES_HARD, &outbox, Expect::AllPeers, |b| {
-            parse_let_tree(b, "boundary")
+            parse_let_tree(b, "boundary").map(drop)
         });
         meas.retransmit_bytes += got.retransmit_bytes;
-        Ok((boundaries, got.complete()?))
+        got.complete()?;
+        Ok(boundaries)
     }
 
-    /// Sufficiency checks + dedicated LETs. Sender i decides from its
-    /// *received* copy of j's boundary; the receiver re-derives the same
-    /// decision from its own data, so both sides agree on which LETs are in
-    /// flight without extra messages. Returns what each rank walks for each
-    /// remote rank with a non-empty boundary, ascending by source.
-    fn lets<'h>(
+    /// Sufficiency checks + dedicated LETs. Whether sender i owes receiver
+    /// j a LET is a pure function of two trees every rank holds
+    /// bit-identically, decided once per ordered pair: the outboxes and the
+    /// expect lists are the same pairs, so no message says which LETs are
+    /// in flight. Returns the LETs each rank received, ascending by sender.
+    fn lets(
         &mut self,
         trees: &[Tree],
         boundaries: &[LetTree],
-        held: &'h Held,
         meas: &mut StepMeasurements,
-    ) -> Vec<Vec<RemoteSource<'h>>> {
+    ) -> Vec<Vec<(usize, LetTree)>> {
         let theta = self.cfg.theta;
-        // Each rank's own frontier geometry (walk targets for senders).
-        let own_geoms: Vec<Vec<Aabb>> = boundaries.iter().map(LetTree::frontier_boxes).collect();
-        let encoded: Vec<Vec<(usize, Bytes)>> = (0..trees.len())
-            .into_par_iter()
-            .map(|i| {
-                let mut out = Vec::new();
-                if boundaries[i].is_empty() {
-                    return out;
+        // Each rank's frontier geometry, once: what its senders build for.
+        let geoms: Vec<Vec<Aabb>> = boundaries.par_iter().map(LetTree::frontier_boxes).collect();
+        let encoded: Vec<Vec<(usize, Bytes)>> = (trees.par_iter().zip(boundaries.par_iter()))
+            .enumerate()
+            .map(|(i, (tree, bi))| {
+                if bi.is_empty() {
+                    return Vec::new();
                 }
-                for (j, bj) in &held[i] {
-                    let geom_j = bj.frontier_boxes();
-                    if geom_j.is_empty() {
-                        continue;
-                    }
-                    if !boundary_sufficient_for(&boundaries[i], &geom_j, theta) {
-                        out.push((*j, build_let(&trees[i], &geom_j, theta).to_bytes()));
-                    }
-                }
-                out
+                (geoms.iter().enumerate())
+                    .filter(|&(j, geom_j)| j != i && !geom_j.is_empty())
+                    .filter(|(_, geom_j)| !boundary_sufficient_for(bi, geom_j, theta))
+                    .map(|(j, geom_j)| (j, build_let(tree, geom_j, theta).to_bytes()))
+                    .collect()
             })
             .collect();
+        // The receivers' lists are the same pairs transposed, ascending by
+        // sender because the senders are read in order.
+        let mut expected: Vec<Vec<usize>> = vec![Vec::new(); trees.len()];
         for (i, lets) in encoded.iter().enumerate() {
             meas.let_bytes_sent[i] = lets.iter().map(|(_, bytes)| bytes.len()).sum();
             meas.let_neighbors[i] = lets.len();
+            for &(j, _) in lets {
+                expected[j].push(i);
+            }
         }
         let outbox: Vec<Outbox> = encoded.into_iter().map(Outbox::To).collect();
-        let expected: Vec<Vec<usize>> = (held.iter().zip(&own_geoms))
-            .map(|(peers, own)| {
-                let needs_let = |bi: &LetTree| {
-                    !bi.is_empty() && !own.is_empty() && !boundary_sufficient_for(bi, own, theta)
-                };
-                peers.iter().filter(|(_, bi)| needs_let(bi)).map(|&(i, _)| i).collect()
-            })
-            .collect();
         let got = self.exchange(MsgKind::Let, MAX_RETRIES_LET, &outbox, Expect::From(&expected), |b| {
             parse_let_tree(b, "LET")
         });
         meas.retransmit_bytes += got.retransmit_bytes;
         // A LET that never made it is not fatal: the receiver walks the
-        // sender's boundary tree it already holds. Coarser MAC acceptance
-        // shows up as forced cuts, which the step counts. The flow resolves
-        // as recovered-by-fallback, not dead.
+        // sender's boundary tree, whose frame it validated in the allgather.
+        // Coarser MAC acceptance shows up as forced cuts, which the step
+        // counts. The flow resolves as recovered-by-fallback, not dead.
         for &(j, i) in &got.missing {
             self.wire.flows.fallback_pending(self.epoch, i, j, MsgKind::Let);
             self.wire.log.record_recovery(RecoveryEvent {
@@ -326,39 +305,34 @@ impl Cluster {
             });
             meas.degraded_lets += 1;
         }
-        (got.received.into_iter().zip(held))
-            .map(|(lets, peers)| {
-                let mut lets = lets.into_iter().peekable();
-                (peers.iter().filter(|(_, bi)| !bi.is_empty()))
-                    .map(|(i, bi)| match lets.next_if(|(from, _)| from == i) {
-                        Some((_, lt)) => RemoteSource::Dedicated(lt),
-                        None => RemoteSource::Boundary(bi),
-                    })
-                    .collect()
-            })
-            .collect()
+        got.received
     }
 
-    /// Force walks: local tree + every remote source.
-    fn walk(&self, trees: &[Tree], sources: &[Vec<RemoteSource<'_>>]) -> Vec<RankForces> {
+    /// Force walks: the local tree, then each peer with a non-empty boundary
+    /// in sender order — its dedicated LET if one arrived, else its boundary.
+    fn walk(
+        &self,
+        trees: &[Tree],
+        boundaries: &[LetTree],
+        received: &[Vec<(usize, LetTree)>],
+    ) -> Vec<RankForces> {
         let params = WalkParams {
             theta: self.cfg.theta,
             eps: self.cfg.eps,
             g: self.cfg.g,
             use_quadrupole: true,
         };
-        (trees.par_iter().zip(sources.par_iter()))
-            .map(|(tree, sources)| {
+        (trees.par_iter().zip(received.par_iter()))
+            .enumerate()
+            .map(|(me, (tree, dedicated))| {
                 let (mut forces, st_local) = walk::self_gravity(tree, &params);
                 let mut lets = InteractionCounts::zero();
                 let mut forced = st_local.forced_cuts;
-                for src in sources {
-                    let view = match src {
-                        RemoteSource::Boundary(bt) => bt.view(),
-                        RemoteSource::Dedicated(lt) => lt.view(),
-                    };
+                let peers = boundaries.iter().enumerate();
+                for (i, bi) in peers.filter(|&(i, bi)| i != me && !bi.is_empty()) {
+                    let src = received_from(dedicated, i).unwrap_or(bi);
                     let (f, st) =
-                        walk::walk_tree(&view, &tree.particles.pos, &tree.groups, &params);
+                        walk::walk_tree(&src.view(), &tree.particles.pos, &tree.groups, &params);
                     forces.accumulate(&f);
                     lets += st.counts;
                     forced += st.forced_cuts;
@@ -395,7 +369,7 @@ impl Cluster {
         }
         (self.acc, self.pot) = results.into_iter().map(|r| (r.forces.acc, r.forces.pot)).unzip();
 
-        meas.faults = self.wire.log.for_epoch(self.epoch);
+        meas.recovery_actions = self.wire.log.for_epoch(self.epoch).1.len();
         let breakdown = self.assemble_breakdown(&meas);
         self.record_observability(&meas, &breakdown);
         self.last_measurements = meas;
@@ -437,7 +411,7 @@ fn parse_let_tree(b: &[u8], what: &str) -> Result<LetTree, String> {
 /// Factor `p = px·py` with `px ≈ √p` (the paper's DD-process grid).
 pub fn factor_ranks(p: usize) -> (usize, usize) {
     let mut px = (p as f64).sqrt() as usize;
-    while px > 1 && p % px != 0 {
+    while px > 1 && !p.is_multiple_of(px) {
         px -= 1;
     }
     (px.max(1), p / px.max(1))

@@ -14,8 +14,8 @@
 //! seeded [`FaultPlan`]: drops, duplicates, reorders, delays, truncation,
 //! bit flips, rank stalls and hard crashes. The step survives them —
 //! invalid frames are discarded and retransmitted with bounded attempts,
-//! lost dedicated LETs degrade gracefully to walking the already-held
-//! boundary tree, and a crashed rank is detected via missing heartbeats and
+//! lost dedicated LETs degrade gracefully to walking the sender's boundary
+//! tree, and a crashed rank is detected via missing heartbeats and
 //! replaced by rolling the cluster back to its last checkpoint. Every
 //! injected fault and every recovery action lands in the [`FaultLog`], so
 //! a chaos run can be audited end to end.
@@ -159,9 +159,10 @@ pub struct StepMeasurements {
     pub retransmit_bytes: usize,
     /// Dedicated LETs that never arrived and degraded to a boundary walk.
     pub degraded_lets: usize,
-    /// Faults injected and recovery actions taken during the successful
-    /// gravity epoch (failed epochs live in [`Cluster::fault_log`]).
-    pub faults: FaultLog,
+    /// Recovery actions taken during the successful gravity epoch; the
+    /// events themselves, and those of failed epochs, are in
+    /// [`Cluster::fault_log`].
+    pub recovery_actions: usize,
 }
 
 /// A finished step as a value: what the observers riding on
@@ -347,6 +348,7 @@ impl Cluster {
     /// checkpointed run would have. (Contrast with
     /// [`restore_cluster`](crate::checkpoint::restore_cluster), which
     /// re-decomposes and may change the rank count.)
+    #[allow(clippy::too_many_arguments)] // one per exact-resume field; a struct adds more
     pub(crate) fn from_exact_state(
         ranks: Vec<Particles>,
         acc: Vec<Vec<Vec3>>,
@@ -562,12 +564,12 @@ impl Cluster {
         let mut momentum = Vec3::zero();
         let mut l_z = bonsai_util::KahanSum::new();
         for (rank, pot) in self.ranks.iter().zip(&self.pot) {
-            for i in 0..rank.len() {
-                let m = rank.mass[i];
-                kinetic.add(0.5 * m * rank.vel[i].norm2());
-                potential.add(0.5 * m * pot[i]);
-                momentum += rank.vel[i] * m;
-                l_z.add(m * rank.pos[i].cross(rank.vel[i]).z);
+            let bodies = rank.mass.iter().zip(&rank.pos).zip(&rank.vel).zip(pot);
+            for (((&m, &x), &v), &phi) in bodies {
+                kinetic.add(0.5 * m * v.norm2());
+                potential.add(0.5 * m * phi);
+                momentum += v * m;
+                l_z.add(m * x.cross(v).z);
             }
         }
         bonsai_analysis::EnergyReport {
@@ -614,10 +616,9 @@ impl Cluster {
         let dt = self.cfg.dt;
         loop {
             for (rank, acc) in self.ranks.iter_mut().zip(&self.acc) {
-                for i in 0..rank.len() {
-                    rank.vel[i] += acc[i] * half;
-                    let v = rank.vel[i];
-                    rank.pos[i] += v * dt;
+                for ((v, x), &a) in rank.vel.iter_mut().zip(&mut rank.pos).zip(acc) {
+                    *v += a * half;
+                    *x += *v * dt;
                 }
             }
             let (breakdown, restored) = self.compute_forces_with_recovery();
@@ -627,14 +628,14 @@ impl Cluster {
                 continue;
             }
             for (rank, acc) in self.ranks.iter_mut().zip(&self.acc) {
-                for i in 0..rank.len() {
-                    rank.vel[i] += acc[i] * half;
+                for (v, &a) in rank.vel.iter_mut().zip(acc) {
+                    *v += a * half;
                 }
             }
             self.time += dt;
             self.steps += 1;
             if let Some(rec) = &self.recovery {
-                if rec.every > 0 && self.steps % rec.every == 0 {
+                if rec.every > 0 && self.steps.is_multiple_of(rec.every) {
                     self.write_recovery_checkpoint();
                 }
             }

@@ -382,9 +382,9 @@ impl Cluster {
                 .observe_link(&mut self.registry, "retransmit", 0, meas.retransmit_bytes as u64);
             makespan += breakdown.recovery;
         }
-        bonsai_net::obs::record_fault_log(&meas.faults, flows, &self.net, &mut self.trace, step, &|rank| {
-            local_starts.get(rank).copied().unwrap_or(base)
-        });
+        let (injected, recoveries) = self.wire.log.for_epoch(step);
+        let at = |rank: usize| local_starts.get(rank).copied().unwrap_or(base);
+        bonsai_net::obs::record_fault_log(injected, recoveries, flows, &self.net, &mut self.trace, step, &at);
 
         for (phase, secs) in breakdown.phase_times().iter() {
             self.registry
@@ -569,6 +569,6 @@ pub(super) fn sorted_key_weights(keys: &[Vec<u64>], weights: &[f64]) -> Vec<(u64
     for (ks, &w) in keys.iter().zip(weights) {
         pairs.extend(ks.iter().map(|&k| (k, w)));
     }
-    pairs.sort_by(|a, b| a.0.cmp(&b.0));
+    pairs.sort_by_key(|&(k, _)| k);
     pairs
 }

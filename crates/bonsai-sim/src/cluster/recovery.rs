@@ -242,8 +242,8 @@ pub(super) fn seed_decomposition(
     let cuts: Vec<u64> = (1..p).map(|i| sorted[i * all.len() / p]).collect();
     let domains = bonsai_sfc::range::ranges_from_cuts(&cuts);
     let mut ranks: Vec<Particles> = (0..p).map(|_| Particles::new()).collect();
-    for i in 0..all.len() {
-        let r = bonsai_sfc::range::find_owner(&domains, keys[i]);
+    for (i, &key) in keys.iter().enumerate() {
+        let r = bonsai_sfc::range::find_owner(&domains, key);
         ranks[r].push(all.pos[i], all.vel[i], all.mass[i], all.id[i]);
     }
     (ranks, domains)

@@ -40,7 +40,7 @@ fn fault_free_runs_have_clean_logs() {
     assert!(c.fault_log().is_clean());
     assert_eq!(c.last_measurements.retransmit_bytes, 0);
     assert_eq!(c.last_measurements.degraded_lets, 0);
-    assert!(c.last_measurements.faults.is_clean());
+    assert_eq!(c.last_measurements.recovery_actions, 0);
 }
 
 #[test]

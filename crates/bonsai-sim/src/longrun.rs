@@ -138,7 +138,7 @@ impl LongRunMonitor {
             ("bonsai_hidden_comm_fraction", hidden),
             ("bonsai_gpu_gflops", b.gpu_tflops() * 1e3),
             ("bonsai_step_seconds", b.total()),
-            ("bonsai_recovery_actions", meas.faults.recoveries.len() as f64),
+            ("bonsai_recovery_actions", meas.recovery_actions as f64),
             ("bonsai_degraded_lets", meas.degraded_lets as f64),
             ("bonsai_retransmit_bytes", meas.retransmit_bytes as f64),
             ("bonsai_particle_imbalance", meas.imbalance),
