@@ -91,7 +91,7 @@ fn fixed_world_crash_and_rollback_digests_are_pinned() {
     for t in THREADS {
         assert_eq!(
             crash_and_rollback("fixed", false, t),
-            (0x8c9afef58fbab8b4, 0xeedac41008e6a779, 0x9df6d2871315632a),
+            (0x9642c4daba8dd03e, 0xeedac41008e6a779, 0x18c17030a68c50e5),
             "fault log / flow ledger / force bits moved at {t} threads"
         );
     }
@@ -102,7 +102,7 @@ fn elastic_crash_recovery_digests_are_pinned() {
     for t in THREADS {
         assert_eq!(
             crash_and_rollback("elastic", true, t),
-            (0x6a6a9e09f11e8669, 0x15695477f5ab374b, 0x7823d47b399e06df),
+            (0x9e989f259f0813ba, 0x15695477f5ab374b, 0xa40051d7f31c2cb0),
             "fault log / flow ledger / force bits moved at {t} threads"
         );
     }
@@ -113,7 +113,7 @@ fn grow_and_shrink_churn_digests_are_pinned() {
     for t in THREADS {
         assert_eq!(
             churn(t),
-            (0x31aada04c237d9b4, 0xb93a29af1820a611, 0x76c1b5cf37b8beca),
+            (0x3d34c99fbcc5a041, 0xb93a29af1820a611, 0x32778b0c54f39132),
             "fault log / flow ledger / force bits moved at {t} threads"
         );
     }

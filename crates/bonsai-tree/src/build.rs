@@ -227,18 +227,19 @@ impl Tree {
         let mut mass = 0.0;
         let mut com = Vec3::zero();
         let mut bbox = Aabb::empty();
-        for c in b..e {
-            mass += deeper[c].mass;
-            com += deeper[c].com * deeper[c].mass;
-            bbox.merge(&deeper[c].bbox);
+        let children = &deeper[b..e];
+        for child in children {
+            mass += child.mass;
+            com += child.com * child.mass;
+            bbox.merge(&child.bbox);
         }
         com /= mass.max(f64::MIN_POSITIVE);
         // Parallel axis theorem: shift each child quadrupole from the child
         // COM to this node's COM.
         let mut quad = Sym3::zero();
-        for c in b..e {
-            let d = deeper[c].com - com;
-            quad += deeper[c].quad + Sym3::outer(d, deeper[c].mass);
+        for child in children {
+            let d = child.com - com;
+            quad += child.quad + Sym3::outer(d, child.mass);
         }
         node.mass = mass;
         node.com = com;

@@ -1,21 +1,30 @@
 //! Direct O(N²) summation — the accuracy reference and the "direct N-body
 //! kernel" whose device performance appears alongside the tree kernel in the
 //! paper's Fig. 1.
+//!
+//! It runs the tree walk's lane kernel with every source as one leaf: the
+//! targets are transposed into `LANES`-wide blocks (the last one padded with
+//! the last target, as the walk pads a group), and each block is dispatched
+//! to the instantiation `Isa::detect` picks, as the walk's groups are. Lane
+//! `i` is therefore [`p_p_batch`](crate::kernels::p_p_batch)'s sum over all
+//! sources for target `i`, bit for bit, on every instruction set.
 
 use crate::forces::{Forces, InteractionCounts};
-use crate::kernels::{p_p_batch, split_soa};
+use crate::kernels::{p_p_lanes, Isa, LANES};
 use crate::particles::Particles;
 use bonsai_util::{KahanSum, Vec3};
 use rayon::prelude::*;
 
-/// Forces of `src` particles on `tgt` positions by direct summation, using
-/// the vectorizable batched kernel per target.
+/// One block of targets: rows x, y, z, then accumulated φ, ax, ay, az.
+type TargetBlock = [[f64; LANES]; 7];
+
+/// Forces of `src` particles on `tgt` positions by direct summation.
 ///
 /// If `skip_same_index` is true, pair `(i, i)` is skipped by *index* — use
-/// this when `tgt` and `src` are the same set in the same order. (The batch
-/// kernel masks zero-distance pairs, which covers the self term; a distinct
-/// source coincident with its target is also masked — physically a zero
-/// force anyway, see `kernels::p_p`.)
+/// this when `tgt` and `src` are the same set in the same order. (The kernel
+/// masks zero-distance pairs, which covers the self term; a distinct source
+/// coincident with its target is also masked — physically a zero force
+/// anyway, see `kernels::p_p`.) The flag only changes the returned count.
 pub fn direct_forces(
     tgt: &[Vec3],
     src_pos: &[Vec3],
@@ -26,27 +35,65 @@ pub fn direct_forces(
 ) -> (Forces, InteractionCounts) {
     assert_eq!(src_pos.len(), src_mass.len());
     let eps2 = eps * eps;
-    let (sx, sy, sz) = split_soa(src_pos);
+    let mut blocks: Vec<TargetBlock> = tgt
+        .chunks(LANES)
+        .map(|chunk| {
+            let target = |l: usize| chunk.get(l).unwrap_or(&chunk[chunk.len() - 1]);
+            let mut block = [[0.0; LANES]; 7];
+            block[0] = std::array::from_fn(|l| target(l).x);
+            block[1] = std::array::from_fn(|l| target(l).y);
+            block[2] = std::array::from_fn(|l| target(l).z);
+            block
+        })
+        .collect();
+    let isa = Isa::detect();
+    blocks.par_iter_mut().for_each(|block| match isa {
+        Isa::Plain => direct_block(block, src_pos, src_mass, eps2),
+        // SAFETY: `direct_block_avx2_fma` requires only that the CPU supports
+        // AVX2 and FMA, and `Isa::Avx2Fma` exists only where `Isa::detect`
+        // saw `is_x86_feature_detected!` report both on this machine.
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx2Fma => unsafe { direct_block_avx2_fma(block, src_pos, src_mass, eps2) },
+        // SAFETY: `direct_block_avx512` requires only that the CPU supports
+        // AVX-512 F and VL, AVX2 and FMA, and `Isa::Avx512` exists only where
+        // `Isa::detect` saw `is_x86_feature_detected!` report all four.
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx512 => unsafe { direct_block_avx512(block, src_pos, src_mass, eps2) },
+    });
+
+    // Transpose back, dropping the padding lanes.
     let mut forces = Forces::zeros(tgt.len());
-    forces
-        .acc
-        .par_iter_mut()
-        .zip(forces.pot.par_iter_mut())
-        .enumerate()
-        .for_each(|(i, (acc, pot))| {
-            let (p, a) = p_p_batch(tgt[i], &sx, &sy, &sz, src_mass, eps2);
-            // Softened self term: the mask removed pair (i,i) entirely, which
-            // is exactly the skip_same_index semantics; when the caller does
-            // NOT want index skipping (disjoint sets), a coincident source
-            // still contributes nothing — identical to the scalar kernel.
-            let _ = skip_same_index;
-            *acc = a * g;
-            *pot = p * g;
-        });
+    for (i, (acc, pot)) in forces.acc.iter_mut().zip(&mut forces.pot).enumerate() {
+        let [.., phi, ax, ay, az] = &blocks[i / LANES];
+        let l = i % LANES;
+        *acc = Vec3::new(ax[l], ay[l], az[l]) * g;
+        *pot = phi[l] * g;
+    }
     let n = tgt.len() as u64;
     let m = src_pos.len() as u64;
     let pp = if skip_same_index { n * m - n } else { n * m };
     (forces, InteractionCounts { pp, pc: 0 })
+}
+
+/// [`direct_block`] compiled with AVX2 and FMA enabled.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+fn direct_block_avx2_fma(block: &mut TargetBlock, src_pos: &[Vec3], src_mass: &[f64], eps2: f64) {
+    direct_block(block, src_pos, src_mass, eps2)
+}
+
+/// [`direct_block`] compiled with AVX-512 as well.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512vl,avx2,fma")]
+fn direct_block_avx512(block: &mut TargetBlock, src_pos: &[Vec3], src_mass: &[f64], eps2: f64) {
+    direct_block(block, src_pos, src_mass, eps2)
+}
+
+/// Every source on one block of targets, as one leaf.
+#[inline(always)]
+fn direct_block(block: &mut TargetBlock, src_pos: &[Vec3], src_mass: &[f64], eps2: f64) {
+    let [tx, ty, tz, phi, ax, ay, az] = block;
+    p_p_lanes(tx, ty, tz, src_pos, src_mass, eps2, phi, ax, ay, az);
 }
 
 /// Self-gravity of a particle set by direct summation.
@@ -72,6 +119,7 @@ pub fn total_energy(particles: &Particles, eps: f64, g: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernels::{p_p_batch, split_soa};
 
     fn two_body() -> Particles {
         let mut p = Particles::new();
@@ -88,6 +136,30 @@ mod tests {
         assert!((f.acc[1].x - 0.25).abs() < 1e-15);
         assert!((f.pot[0] + 0.5).abs() < 1e-15);
         assert_eq!(c.pp, 2);
+    }
+
+    #[test]
+    fn lane_blocks_sum_what_the_batch_kernel_sums() {
+        // 203 targets: twelve whole blocks and a padded one. The sources are
+        // the targets plus a copy of the first 40, so at ε = 0 some pairs
+        // are coincident without being the same index.
+        let mut rng = bonsai_util::rng::Xoshiro256::seed_from(29);
+        let tgt: Vec<Vec3> = (0..203)
+            .map(|_| rng.unit_sphere() * rng.uniform_in(0.05, 2.0))
+            .collect();
+        let src: Vec<Vec3> = tgt.iter().chain(&tgt[..40]).copied().collect();
+        let mass: Vec<f64> = (0..src.len()).map(|_| rng.uniform_in(0.1, 2.0)).collect();
+        let (sx, sy, sz) = split_soa(&src);
+        for eps in [0.0, 0.01] {
+            let (f, _) = direct_forces(&tgt, &src, &mass, eps, 1.0, false);
+            for (i, &t) in tgt.iter().enumerate() {
+                let (phi, acc) = p_p_batch(t, &sx, &sy, &sz, &mass, eps * eps);
+                let want = [phi, acc.x, acc.y, acc.z].map(f64::to_bits);
+                let got = [f.pot[i], f.acc[i].x, f.acc[i].y, f.acc[i].z];
+                assert_eq!(got.map(f64::to_bits), want, "eps {eps}, target {i}");
+                assert!(got.iter().all(|v| v.is_finite()), "eps {eps}, target {i}");
+            }
+        }
     }
 
     #[test]

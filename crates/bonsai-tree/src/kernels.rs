@@ -25,36 +25,44 @@
 //! is an explicit [`f64::mul_add`] and both sums are factored as on the second
 //! lines above, which makes it 3 sub, 2 add, 17 mul, 18 fma, one `sqrt` and
 //! one `div` per evaluation (the trace and the two multiples of it are per
-//! cell, not per lane). `1/sqrt` stays the hardware `sqrt` + `div` pair: at
-//! AVX2 width a division-free Newton iteration lands on the same two multiply
-//! ports and was measured slower (ROADMAP item 2). The p-p family ([`p_p`],
-//! `p_p_masked`, [`p_p_batch`], `p_p_lanes`) is deliberately *not* fused: it
-//! is bound by the divider, fusing it was measured neutral, and leaving it
-//! keeps direct summation and every θ = 0 walk bit-identical to what they
-//! have always produced (pinned by a digest test in `walk.rs`).
+//! cell, not per lane). Its `1/√r²` stays the hardware `sqrt` + `div` pair:
+//! there the divider runs beside the 18 multiply-adds, and a Newton step in
+//! its place was measured slower on AVX2 and on AVX-512 (ROADMAP item 8).
+//!
+//! The p-p family ([`p_p`], `p_p_masked`, [`p_p_batch`], `p_p_lanes`) has no
+//! such work to hide a divider behind, so its `1/√r²` is `rsqrt`: an integer
+//! seed and three third-order Newton corrections, six multiplies and nine
+//! fused multiply-adds with no divide, within one ulp of the exact value
+//! (the `sqrt` + `div` pair is within 1.5). Everything else in p-p stays unfused — `r²` and the
+//! accumulations are separate multiplies and adds, as the paper counts them.
+//! A digest test in `walk.rs` pins what direct summation and a θ = 0 walk
+//! produce, so a change to this arithmetic has to re-pin it knowingly.
 //!
 //! Each kernel comes in the shapes its callers need:
 //!
 //! * scalar [`p_p`] and [`p_c`] — one target, one source: the definitions;
 //! * [`p_p_batch`] — one target, a run of sources, reduced in source order:
-//!   direct summation;
+//!   what direct summation computes per target;
 //! * `p_p_lanes` and `p_c_lanes` — one *source* broadcast to a block of
-//!   target lanes, the tree walk's kernels. A lane is a target, as a thread
-//!   of a warp is in the paper's kernel (§III-A), so the loop over lanes
-//!   carries no dependence and vectorises, where a reduction over sources
-//!   into one `f64` sum cannot without reordering it.
+//!   target lanes, the tree walk's kernels (and, for p-p, direct
+//!   summation's). A lane is a target, as a thread of a warp is in the
+//!   paper's kernel (§III-A), so the loop over lanes carries no dependence
+//!   and vectorises, where a reduction over sources into one `f64` sum
+//!   cannot without reordering it.
 //!
 //! The shapes agree bit for bit: `p_c_lanes` evaluates [`p_c`]'s body per
-//! lane, and `p_p_lanes` and [`p_p_batch`] share one masked term (which equals
-//! [`p_p`] wherever `p_p` is nonzero) and add the terms in the same source
-//! order. Every operation is a lane-wise IEEE-754 `f64` operation —
+//! lane, and [`p_p`], [`p_p_batch`] and `p_p_lanes` share one masked term,
+//! the last two adding the terms in the same source order. Every operation
+//! is a lane-wise IEEE-754 `f64` operation —
 //! `mul_add` is fusedMultiplyAdd on every target, one instruction where the
 //! hardware has it and libm's `fma` otherwise — and Rust never contracts
 //! `a * b + c` on its own nor reassociates, so a lane's bits depend neither
 //! on the vector width the loop was compiled for nor on the machine. What
 //! does depend on the machine is speed: compiled without the `fma` target
-//! feature `p_c` makes 18 libm calls (≈ 20× slower), so on x86_64 it has a
-//! second, `avx2,fma` instantiation selected by `Isa`.
+//! feature every `mul_add` is a libm call (`p_c` makes 18, ≈ 20× slower), so
+//! on x86_64 the scalar kernels have a second, `avx2,fma` instantiation
+//! selected by `Isa`, and the lane kernels run inside the walk's and direct
+//! summation's `avx2,fma` and AVX-512 ones.
 
 use bonsai_util::{Sym3, Vec3};
 
@@ -64,23 +72,40 @@ use bonsai_util::{Sym3, Vec3};
 /// Returns `(dφ, da)` (G **not** applied). A zero separation (the target
 /// itself when walking its own leaf) contributes nothing — not even the
 /// softened self-potential, matching the `i != j` guard of a direct code.
-#[inline(always)]
+/// Same bits from every instantiation, and the same term a lane of the walk
+/// adds.
 pub fn p_p(tgt_pos: Vec3, src_pos: Vec3, src_mass: f64, eps2: f64) -> (f64, Vec3) {
-    let dr = src_pos - tgt_pos; // 3 sub (the 4th sub of the count is the mass reuse slot)
-    let r2 = dr.norm2() + eps2;
-    if dr.norm2() == 0.0 {
-        return (0.0, Vec3::zero());
+    match Isa::detect() {
+        Isa::Plain => p_p_inline(tgt_pos, src_pos, src_mass, eps2),
+        // SAFETY: `p_p_avx2_fma` requires only that the CPU supports AVX2 and
+        // FMA, and both variants exist only where `Isa::detect` saw
+        // `is_x86_feature_detected!` report both on this machine.
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx2Fma | Isa::Avx512 => unsafe { p_p_avx2_fma(tgt_pos, src_pos, src_mass, eps2) },
     }
-    let rinv = 1.0 / r2.sqrt(); // the kernel's rsqrt
-    let rinv2 = rinv * rinv;
-    let mrinv = src_mass * rinv;
-    let mrinv3 = mrinv * rinv2;
+}
+
+/// [`p_p_inline`] compiled with FMA enabled, so `rsqrt`'s `mul_add`s are
+/// single instructions.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+fn p_p_avx2_fma(tgt_pos: Vec3, src_pos: Vec3, src_mass: f64, eps2: f64) -> (f64, Vec3) {
+    p_p_inline(tgt_pos, src_pos, src_mass, eps2)
+}
+
+/// The body of [`p_p`]: the masked lane term, for one pair.
+#[inline(always)]
+fn p_p_inline(tgt_pos: Vec3, src_pos: Vec3, src_mass: f64, eps2: f64) -> (f64, Vec3) {
+    let dr = src_pos - tgt_pos; // 3 sub (the 4th sub of the count is the mass reuse slot)
+    let (mrinv, mrinv3) = p_p_masked(dr.x, dr.y, dr.z, src_mass, eps2);
     (-mrinv, dr * mrinv3)
 }
 
-/// Which instantiation of the fused code (the scalar [`p_c`] and the walk's
-/// group body) a call runs. One detection, shared by both.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// Which instantiation of the fused code (the scalar kernels, the walk's
+/// group body and direct summation's target blocks) a call runs. One
+/// detection, shared by all of them. Each variant needs every feature of the
+/// ones before it, so `a <= b` reads "`b` can run `a`".
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) enum Isa {
     /// The build's baseline instruction set: portable and bit-identical, but
     /// `mul_add` is a libm call unless the build itself enables `fma`.
@@ -90,6 +115,11 @@ pub(crate) enum Isa {
     /// functions rely on that.
     #[cfg(target_arch = "x86_64")]
     Avx2Fma,
+    /// AVX-512 F and VL on top of AVX2 and FMA: the lane loops at 512 bits.
+    /// Constructed only by [`Isa::pick`], like `Avx2Fma`; the scalar kernels
+    /// run their `avx2,fma` instantiation on it.
+    #[cfg(target_arch = "x86_64")]
+    Avx512,
 }
 
 impl Isa {
@@ -98,20 +128,32 @@ impl Isa {
         #[cfg(target_arch = "x86_64")]
         {
             use std::arch::is_x86_feature_detected as has;
-            Isa::pick(has!("avx2"), has!("fma"))
+            Isa::pick(has!("avx2"), has!("fma"), has!("avx512f"), has!("avx512vl"))
         }
         #[cfg(not(target_arch = "x86_64"))]
         Isa::Plain
     }
 
-    /// `Avx2Fma` needs both features: an AVX2 part without FMA stays `Plain`.
+    /// `Avx2Fma` needs both AVX2 and FMA, and `Avx512` needs those two and
+    /// AVX-512 F and VL: a part missing any of them gets the variant below.
     #[cfg(target_arch = "x86_64")]
-    fn pick(avx2: bool, fma: bool) -> Isa {
-        if avx2 && fma {
-            Isa::Avx2Fma
-        } else {
-            Isa::Plain
+    fn pick(avx2: bool, fma: bool, avx512f: bool, avx512vl: bool) -> Isa {
+        match (avx2 && fma, avx512f && avx512vl) {
+            (false, _) => Isa::Plain,
+            (true, false) => Isa::Avx2Fma,
+            (true, true) => Isa::Avx512,
         }
+    }
+
+    /// Every instantiation this CPU can run, the baseline first.
+    #[cfg(test)]
+    pub(crate) fn supported() -> Vec<Isa> {
+        #[cfg(target_arch = "x86_64")]
+        let all = [Isa::Plain, Isa::Avx2Fma, Isa::Avx512];
+        #[cfg(not(target_arch = "x86_64"))]
+        let all = [Isa::Plain];
+        let detected = Isa::detect();
+        all.into_iter().filter(|&isa| isa <= detected).collect()
     }
 }
 
@@ -119,15 +161,15 @@ impl Isa {
 /// a cell with mass `m`, centre of mass `com`, and un-detraced quadrupole `q`
 /// (about `com`), acting on a target at `tgt_pos`.
 ///
-/// Returns `(dφ, da)` (G **not** applied). Same bits from either instantiation.
+/// Returns `(dφ, da)` (G **not** applied). Same bits from every instantiation.
 pub fn p_c(tgt_pos: Vec3, com: Vec3, m: f64, q: &Sym3, eps2: f64) -> (f64, Vec3) {
     match Isa::detect() {
         Isa::Plain => p_c_inline(tgt_pos, com, m, q, eps2),
         // SAFETY: `p_c_avx2_fma` requires only that the CPU supports AVX2 and
-        // FMA, and `Isa::Avx2Fma` exists only where `Isa::detect` saw
+        // FMA, and both variants exist only where `Isa::detect` saw
         // `is_x86_feature_detected!` report both on this machine.
         #[cfg(target_arch = "x86_64")]
-        Isa::Avx2Fma => unsafe { p_c_avx2_fma(tgt_pos, com, m, q, eps2) },
+        Isa::Avx2Fma | Isa::Avx512 => unsafe { p_c_avx2_fma(tgt_pos, com, m, q, eps2) },
     }
 }
 
@@ -168,7 +210,26 @@ fn p_c_inline(tgt_pos: Vec3, com: Vec3, m: f64, q: &Sym3, eps2: f64) -> (f64, Ve
     (phi, acc)
 }
 
-/// The masked particle–particle term every batched and lane kernel shares:
+/// `1/√r2` for `r2 ≥ 0`, with no divide and no square root: within one ulp
+/// on `[2⁻¹⁰⁰⁰, 2¹⁰⁰⁰]`, and finite (not infinite) at `r2 = 0`, so a mask
+/// factor of zero still zeroes a coincident pair.
+///
+/// The seed halves the exponent bits and subtracts them from a constant
+/// (a few percent off everywhere), and each step `y ← y·(1 + e/2 + 3e²/8)`
+/// with `e = 1 − r2·y²` cubes the relative error; three steps reach the
+/// last bit. Every operation is an IEEE `f64` multiply or fused
+/// multiply-add, so the bits are those of every instantiation.
+#[inline(always)]
+fn rsqrt(r2: f64) -> f64 {
+    let mut y = f64::from_bits(0x5fe6_eb50_c7b5_37a9 - (r2.to_bits() >> 1));
+    for _ in 0..3 {
+        let e = (-r2 * y).mul_add(y, 1.0);
+        y = (y * e).mul_add(e.mul_add(0.375, 0.5), y);
+    }
+    y
+}
+
+/// The masked particle–particle term every p-p kernel shares:
 /// `(m/|r|, m/|r|³)` for separation `(dx, dy, dz)`, exactly zero for a
 /// coincident pair. Branchless — the self/coincident guard is a mask factor
 /// of zero instead of a skip — so a loop over it vectorises.
@@ -177,10 +238,7 @@ fn p_p_masked(dx: f64, dy: f64, dz: f64, m: f64, eps2: f64) -> (f64, f64) {
     let dr2 = dx * dx + dy * dy + dz * dz;
     // Branchless self/coincident mask: exactly zero distance → 0 weight.
     let mask = if dr2 > 0.0 { 1.0 } else { 0.0 };
-    let r2 = dr2 + eps2;
-    // max(r2, tiny) keeps the rsqrt finite when eps = 0 and dr = 0; the
-    // mask zeroes the contribution anyway.
-    let rinv = mask / r2.max(f64::MIN_POSITIVE).sqrt();
+    let rinv = mask * rsqrt(dr2 + eps2);
     let rinv2 = rinv * rinv;
     let mrinv = m * rinv;
     (mrinv, mrinv * rinv2)
@@ -189,11 +247,46 @@ fn p_p_masked(dx: f64, dy: f64, dz: f64, m: f64, eps2: f64) -> (f64, f64) {
 /// Batched particle-particle kernel: accumulate the forces of a contiguous
 /// SoA batch of sources on one target, in source order.
 ///
-/// This is the direct-summation kernel ([`crate::direct`]) and the
-/// per-target definition the walk's lane kernel reproduces: lane `l` of
-/// `p_p_lanes` computes exactly this sum for target `l`.
-#[inline]
+/// This is the per-target definition direct summation ([`crate::direct`])
+/// and the walk's lane kernel reproduce: lane `l` of `p_p_lanes` computes
+/// exactly this sum for target `l`. Same bits from every instantiation.
 pub fn p_p_batch(
+    tgt_pos: Vec3,
+    src_x: &[f64],
+    src_y: &[f64],
+    src_z: &[f64],
+    src_m: &[f64],
+    eps2: f64,
+) -> (f64, Vec3) {
+    match Isa::detect() {
+        Isa::Plain => p_p_batch_inline(tgt_pos, src_x, src_y, src_z, src_m, eps2),
+        // SAFETY: `p_p_batch_avx2_fma` requires only that the CPU supports
+        // AVX2 and FMA, and both variants exist only where `Isa::detect` saw
+        // `is_x86_feature_detected!` report both on this machine.
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx2Fma | Isa::Avx512 => unsafe {
+            p_p_batch_avx2_fma(tgt_pos, src_x, src_y, src_z, src_m, eps2)
+        },
+    }
+}
+
+/// [`p_p_batch_inline`] compiled with FMA enabled.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+fn p_p_batch_avx2_fma(
+    tgt_pos: Vec3,
+    src_x: &[f64],
+    src_y: &[f64],
+    src_z: &[f64],
+    src_m: &[f64],
+    eps2: f64,
+) -> (f64, Vec3) {
+    p_p_batch_inline(tgt_pos, src_x, src_y, src_z, src_m, eps2)
+}
+
+/// The body of [`p_p_batch`].
+#[inline(always)]
+fn p_p_batch_inline(
     tgt_pos: Vec3,
     src_x: &[f64],
     src_y: &[f64],
@@ -219,7 +312,11 @@ pub fn p_p_batch(
 
 /// Targets per register block of the lane kernels. Lane arrays handed to
 /// [`p_p_lanes`] / [`p_c_lanes`] are a whole number of blocks long.
-pub(crate) const LANES: usize = 8;
+///
+/// Sixteen on every instruction set: each broadcast source then feeds two
+/// independent 512-bit (or four 256-bit) chains through `rsqrt`'s
+/// multiply-adds, which is what keeps the ports busy at either width.
+pub(crate) const LANES: usize = 16;
 
 /// One block of lane values.
 type Block = [f64; LANES];
@@ -340,11 +437,40 @@ mod tests {
 
     #[test]
     #[cfg(target_arch = "x86_64")]
-    fn fused_instantiation_needs_both_avx2_and_fma() {
-        assert_eq!(Isa::pick(true, true), Isa::Avx2Fma);
-        assert_eq!(Isa::pick(true, false), Isa::Plain);
-        assert_eq!(Isa::pick(false, true), Isa::Plain);
-        assert_eq!(Isa::pick(false, false), Isa::Plain);
+    fn isa_pick_needs_every_feature_of_its_instantiation() {
+        // All sixteen combinations of (avx2, fma, avx512f, avx512vl).
+        for bits in 0..16u32 {
+            let [avx2, fma, avx512f, avx512vl] = [0, 1, 2, 3].map(|b| bits & (1 << b) != 0);
+            let want = if !(avx2 && fma) {
+                Isa::Plain
+            } else if !(avx512f && avx512vl) {
+                Isa::Avx2Fma
+            } else {
+                Isa::Avx512
+            };
+            assert_eq!(Isa::pick(avx2, fma, avx512f, avx512vl), want, "{bits:04b}");
+        }
+    }
+
+    #[test]
+    fn rsqrt_is_within_one_ulp() {
+        // Ulps of `rsqrt(r2)` from the double-double value of 1/√r2.
+        let ulps = |r2: f64| {
+            let want = Dd(r2, 0.0).recip_sqrt();
+            let got = rsqrt(r2);
+            // The power of two at or below `want.0`, times 2⁻⁵²: its ulp.
+            let ulp = f64::from_bits(want.0.to_bits() >> 52 << 52) * f64::EPSILON;
+            ((got - want.0) - want.1).abs() / ulp
+        };
+        let mut rng = bonsai_util::rng::Xoshiro256::seed_from(1412);
+        let mut worst = ulps(f64::MIN_POSITIVE).max(ulps(f64::MAX));
+        for _ in 0..200_000 {
+            worst = worst.max(ulps(rng.uniform_in(-1000.0, 1000.0).exp2()));
+        }
+        assert!(worst <= 1.0, "worst error {worst} ulp");
+        // Finite at zero, so the coincident mask's zero factor gives zero.
+        assert!(rsqrt(0.0).is_finite());
+        assert_eq!(0.0 * rsqrt(0.0), 0.0);
     }
 
     #[test]

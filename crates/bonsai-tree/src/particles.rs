@@ -149,7 +149,8 @@ impl Particles {
             if !self.pos[i].is_finite() || !self.vel[i].is_finite() {
                 return Err(format!("non-finite state at {i}"));
             }
-            if !(self.mass[i] > 0.0) {
+            // NaN fails every comparison, so it is rejected by name.
+            if self.mass[i].is_nan() || self.mass[i] <= 0.0 {
                 return Err(format!("non-positive mass at {i}"));
             }
         }

@@ -11,7 +11,7 @@
 //! to all of them (`__shfl`). Here a SIMD lane plays the thread:
 //! [`walk_tree`] transposes the targets once per call into per-group
 //! structure-of-arrays lane blocks (x, y, z, padded to a whole number of
-//! 8-lane blocks by repeating the group's last target), keeps the
+//! 16-lane blocks by repeating the group's last target), keeps the
 //! accumulators (φ, ax, ay, az) in the same layout, and hands every
 //! interaction to a lane kernel ([`crate::kernels`]) whose loop over lanes
 //! is a plain map — one broadcast source, no reduction across lanes — which
@@ -23,28 +23,29 @@
 //! operation sequence on its own target: `p_c`'s expression tree per cell,
 //! `p_p_batch`'s masked sum per leaf (started from zero, then added to the
 //! accumulator), in traversal order. All of it is lane-wise IEEE-754 `f64`
-//! arithmetic: `p_c` fuses where it says `mul_add` — IEEE fusedMultiplyAdd,
-//! the same value from one `vfmadd` lane as from libm's `fma` — and nowhere
-//! else, because Rust neither contracts `a * b + c` on its own nor
-//! reassociates; so a lane's result does not depend on how many lanes run
-//! beside it or on which instantiation ran it. Padding lanes compute ordinary
-//! values that are never read back and never counted. Forces are therefore
-//! `to_bits`-identical at every vector width and on every machine (and,
-//! through the `bonsai-par` contract, every thread count); the
-//! lane-conformance test below holds both instantiations to the scalar
-//! reference walk.
+//! arithmetic: the kernels fuse where they say `mul_add` — IEEE
+//! fusedMultiplyAdd, the same value from one `vfmadd` lane as from libm's
+//! `fma` — and nowhere else, because Rust neither contracts `a * b + c` on
+//! its own nor reassociates; so a lane's result does not depend on how many
+//! lanes run beside it or on which instantiation ran it. Padding lanes
+//! compute ordinary values that are never read back and never counted.
+//! Forces are therefore `to_bits`-identical at every vector width and on
+//! every machine (and, through the `bonsai-par` contract, every thread
+//! count); the lane-conformance test below holds every instantiation the
+//! CPU runs to the scalar reference walk.
 //!
 //! **Dispatch.** On x86_64 the one `#[inline(always)]` group-walk body is
-//! instantiated twice: at the build's baseline (SSE2) and under
-//! `#[target_feature(enable = "avx2,fma")]`. [`walk_tree`] picks once per
-//! call with `Isa::detect` — the detection the scalar `p_c` shares — and
-//! the `avx2,fma` instantiation is entered only where the CPU reported both
-//! features, which is what makes the one `unsafe` call sound. The baseline
-//! instantiation is the portable conformance path, not a fast one: without
-//! the `fma` feature every `mul_add` in p-c is a libm call (≈ 20× slower
-//! there; p-p is unaffected). Other targets use the baseline instantiation,
-//! where `mul_add` is whatever the target's baseline offers. There is nothing
-//! to configure.
+//! instantiated three times: at the build's baseline (SSE2), under
+//! `#[target_feature(enable = "avx2,fma")]`, and under
+//! `#[target_feature(enable = "avx512f,avx512vl,avx2,fma")]`. [`walk_tree`]
+//! picks once per call with `Isa::detect` — the detection the scalar
+//! kernels share — and each target-feature instantiation is entered only
+//! where the CPU reported every feature it enables, which is what makes its
+//! `unsafe` call sound. The baseline instantiation is the portable
+//! conformance path, not a fast one: without the `fma` feature every
+//! `mul_add` is a libm call (≈ 20× slower in p-c, and p-p's `rsqrt` makes
+//! nine). Other targets use the baseline instantiation, where `mul_add` is
+//! whatever the target's baseline offers. There is nothing to configure.
 //!
 //! Work fans out over target groups onto the `bonsai-par` thread pool
 //! — the role the GPU's warps play in the paper — with each group owning a
@@ -209,6 +210,11 @@ fn walk_tree_on(
             // saw `is_x86_feature_detected!` report both on this machine.
             #[cfg(target_arch = "x86_64")]
             Isa::Avx2Fma => unsafe { walk_group_avx2_fma(src, group, &mac, eps2, quad, window) },
+            // SAFETY: `walk_group_avx512` requires only that the CPU supports
+            // AVX-512 F and VL, AVX2 and FMA, and `Isa::Avx512` exists only
+            // where `Isa::detect` saw `is_x86_feature_detected!` report all four.
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx512 => unsafe { walk_group_avx512(src, group, &mac, eps2, quad, window) },
         })
         .reduce(WalkStats::default, |mut a, b| {
             a.merge(&b);
@@ -249,11 +255,26 @@ thread_local! {
 }
 
 /// [`walk_group`] compiled a second time with AVX2 and FMA enabled, so its
-/// lane loops use 256-bit vectors and `p_c`'s `mul_add`s are single
+/// lane loops use 256-bit vectors and the kernels' `mul_add`s are single
 /// instructions. Same source, same IEEE operations per lane, same bits.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
 fn walk_group_avx2_fma(
+    src: &TreeView<'_>,
+    group: &Group,
+    mac: &OpeningCriterion,
+    eps2: f64,
+    use_quadrupole: bool,
+    window: &mut [f64],
+) -> WalkStats {
+    walk_group(src, group, mac, eps2, use_quadrupole, window)
+}
+
+/// [`walk_group`] compiled a third time with AVX-512 as well, so a 16-lane
+/// block is two 512-bit vectors. Same source, same bits.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512vl,avx2,fma")]
+fn walk_group_avx512(
     src: &TreeView<'_>,
     group: &Group,
     mac: &OpeningCriterion,
@@ -531,11 +552,11 @@ mod tests {
             mass: mw.mass,
             id: mw.id,
         };
-        // Both instantiations, each called directly: the baseline one, whose
-        // `mul_add`s are libm calls unless the build enables `fma`, and the
-        // `avx2,fma` one (the baseline twice where the CPU lacks either).
-        // The reference's scalar `p_c` dispatches like the walk does.
-        let isas = [Isa::Plain, Isa::detect()];
+        // Every instantiation this CPU runs, each called directly: the
+        // baseline one, whose `mul_add`s are libm calls unless the build
+        // enables `fma`, then `avx2,fma` and AVX-512 where the CPU has them.
+        // The reference's scalar `p_c` and `p_p` dispatch like the walk does.
+        let isas = Isa::supported();
         for (ic, particles) in [("clustered", plummer_like(n, 8)), ("milky-way", milky_way)] {
             let tree = Tree::build(particles, TreeParams::default());
             let targets = &tree.particles.pos;
@@ -566,7 +587,7 @@ mod tests {
                             if source != "boundary" {
                                 assert!(want.1.counts.pp > 0, "{ic}/{source}: no leaf opened");
                             }
-                            for isa in isas {
+                            for &isa in &isas {
                                 let got = walk_tree_on(isa, &view, targets, &groups, &params);
                                 let what = format!("{ic}/{source} eps={eps} quad={quad} len={len} {isa:?}");
                                 assert_same_bits(&what, &got, &want);
@@ -631,11 +652,11 @@ mod tests {
     }
 
     #[test]
-    fn particle_particle_forces_have_not_moved_by_a_bit() {
-        // The p-p family is deliberately unfused (see `kernels`), so direct
-        // summation and a θ = 0 walk still produce the bits they produced
-        // before p-c was fused. These digests were taken at that commit; an
-        // edit that fuses or reorders p-p has to change them knowingly.
+    fn division_free_particle_particle_digests_are_pinned() {
+        // Direct summation and a θ = 0 walk run nothing but p-p, whose
+        // `1/√r²` is the division-free `rsqrt` (see `kernels`). These digests
+        // were taken when it replaced the `sqrt` + `div` pair; an edit that
+        // changes p-p's arithmetic or its order has to change them knowingly.
         let ic = bonsai_ic::plummer_sphere(512, 2014);
         let particles = Particles {
             pos: ic.pos,
@@ -651,8 +672,8 @@ mod tests {
             [force_digest(&direct), force_digest(&walk)]
         });
         let pinned = [
-            [0x02027b1d30f6edee_u64, 0xad26eb68ff640072],
-            [0x075e0a3dfb907ac0, 0x3c97b18fdf87f8b6],
+            [0xb2fff6c0c252ae34_u64, 0xf71cdacb64c11342],
+            [0x643360dde109cfd8, 0xbc2cbe95d2b6c25c],
         ];
         assert_eq!(digests, pinned, "[direct, θ = 0 walk] at ε = 0, 0.01: {digests:#018x?}");
     }

@@ -20,18 +20,18 @@ echo "== docs: a broken intra-doc link fails the build =="
 # Deleted or renamed items stay out of module docs and DESIGN-quoted links.
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline -q
 
-echo "== lint: the pool, observability, domain, wire and cluster crates stay clippy-clean =="
+echo "== lint: the pool, observability, tree, domain, wire and cluster crates stay clippy-clean =="
 # bonsai-par holds the workspace's one scope transmute and the grain marker
 # every nested fan-out consults; it carries no lint debt.
 cargo clippy --offline -q -p bonsai-par -- -D warnings
 # The rest alone (--no-deps): their dependency bonsai-util still has findings.
 cargo clippy --offline -q -p bonsai-obs --no-deps -- -D warnings
-cargo clippy --offline -q -p bonsai-domain -p bonsai-net -p bonsai-sim --no-deps -- -D warnings
+cargo clippy --offline -q -p bonsai-tree -p bonsai-domain -p bonsai-net -p bonsai-sim --no-deps -- -D warnings
 
 echo "== shipped code generation: walk tests on the release profile =="
 # The dev profile is opt-level 1 and does not vectorise; the lane kernels
-# and their AVX2 instantiation only exist at the release profile, so the
-# lane-conformance and thread-sweep suites run there as well.
+# and their AVX2 and AVX-512 instantiations only exist at the release
+# profile, so the lane-conformance and thread-sweep suites run there as well.
 cargo test -q --release -p bonsai-tree --lib
 cargo test -q --release -p bonsai-tree --test parallel_determinism
 # Once more with AVX2+FMA switched on for the whole build: there the baseline
@@ -40,7 +40,14 @@ cargo test -q --release -p bonsai-tree --test parallel_determinism
 # do not depend on build flags either. (Needs a CPU that has both.)
 if grep -qw avx2 /proc/cpuinfo && grep -qw fma /proc/cpuinfo; then
   RUSTFLAGS="-C target-feature=+avx2,+fma" CARGO_TARGET_DIR="$scratch/target-avx2-fma" \
-    cargo test -q --release -p bonsai-tree --lib -- kernels:: walk::
+    cargo test -q --release -p bonsai-tree --lib -- kernels:: walk:: direct::
+fi
+# And with AVX-512 on for the whole build, where even the baseline
+# instantiation runs 512-bit lane loops. (Needs a CPU with all four.)
+if grep -qw avx512f /proc/cpuinfo && grep -qw avx512vl /proc/cpuinfo \
+    && grep -qw avx2 /proc/cpuinfo && grep -qw fma /proc/cpuinfo; then
+  RUSTFLAGS="-C target-feature=+avx512f,+avx512vl,+avx2,+fma" CARGO_TARGET_DIR="$scratch/target-avx512" \
+    cargo test -q --release -p bonsai-tree --lib -- kernels:: walk:: direct::
 fi
 
 # The sliced CRC-64 loop is unrolled only at the release profile.
