@@ -22,9 +22,11 @@ fn main() {
     );
     for p in [4usize, 8, 16, 24] {
         let ic = milky_way_snapshot(n, 13);
-        let mut cfg = ClusterConfig::default();
-        cfg.eps = 0.05;
-        cfg.g = bonsai_util::units::G;
+        let cfg = ClusterConfig {
+            eps: 0.05,
+            g: bonsai_util::units::G,
+            ..ClusterConfig::default()
+        };
         let c = Cluster::new(ic, p, cfg);
         let m = &c.last_measurements;
         // Particle-export strategy: every rank ships its *whole* particle

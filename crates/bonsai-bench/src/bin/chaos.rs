@@ -119,8 +119,8 @@ fn main() {
     ));
 
     println!(
-        "{:<12} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>10}  {}",
-        "run", "injected", "retx", "discard", "fallbk", "restore", "retx-B", "recovery", "physics"
+        "{:<12} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>10}  physics",
+        "run", "injected", "retx", "discard", "fallbk", "restore", "retx-B", "recovery"
     );
     for o in &outcomes {
         let injected = o.log.injected.len();

@@ -104,17 +104,13 @@ fn main() {
 
     // Machine-readable record: the model curves above plus a measured sweep
     // produced by the same driver (and analysis reductions) as the scaling gate.
-    let mut cfg = SweepConfig::default();
-    cfg.weak_n_per_rank = n_per;
-    cfg.strong_total = n_per * max_ranks;
-    cfg.ranks = {
-        let mut r = Vec::new();
-        let mut p = 1usize;
-        while p <= max_ranks {
-            r.push(p);
-            p *= 2;
-        }
-        r
+    let cfg = SweepConfig {
+        weak_n_per_rank: n_per,
+        strong_total: n_per * max_ranks,
+        ranks: std::iter::successors(Some(1usize), |p| Some(p * 2))
+            .take_while(|&p| p <= max_ranks)
+            .collect(),
+        ..SweepConfig::default()
     };
     let measured = scaling_json(&run_sweep(&cfg));
     let json = format!(

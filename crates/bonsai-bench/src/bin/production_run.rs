@@ -9,11 +9,11 @@
 //! the end.
 
 use bonsai_analysis::bar::BarAnalysis;
-use bonsai_bench::{arg_usize, out_dir};
+use bonsai_bench::{arg_usize, milky_way_config, out_dir};
 use bonsai_ic::MilkyWayModel;
 use bonsai_obs::health::Severity;
 use bonsai_sim::checkpoint::{restore_cluster, write_checkpoint};
-use bonsai_sim::{Cluster, ClusterConfig, LongRunConfig};
+use bonsai_sim::{Cluster, LongRunConfig};
 use bonsai_util::units;
 
 fn main() {
@@ -28,10 +28,7 @@ fn main() {
     // the IC is generated once (slice-determinism is covered by tests).
     let ic = mw.generate(n, 2014);
 
-    let mut cfg = ClusterConfig::default();
-    cfg.g = units::G;
-    cfg.eps = 0.1 * (2.0e5_f64 / n as f64).powf(1.0 / 3.0);
-    cfg.dt = units::myr_to_internal(3.0);
+    let cfg = milky_way_config(n);
     let mut cluster = Cluster::new(ic, ranks, cfg.clone());
     // The rule engine replaces the old ad-hoc energy-drift print: the same
     // default rules the long-run bench evaluates, live inside every step.

@@ -10,20 +10,19 @@
 //! sparklines.
 //!
 //! The gate is self-testing: [`FlowsBenchConfig::mask_retransmits`]
-//! rewrites every flow summary to a clean single-attempt delivery before
+//! rewrites every flow record to a clean single-attempt delivery before
 //! the reduction — a masked run *must* diff against the honest baseline,
 //! which is how CI proves the flow gate has teeth.
 
 use bonsai_net::fault::{FaultKind, FaultPlan};
-use bonsai_net::flow::FlowConservation;
+use bonsai_net::flow::{FlowConservation, FlowOutcome, FlowRecord};
+use bonsai_net::obs::{exposed_comm, flow_times, link_ledger, LinkStats};
 use bonsai_obs::json::fmt_f64;
-use bonsai_obs::{
-    critical_path, exposed_comm, link_ledger, ArgValue, FlowSummary, LinkStats, WaitCause,
-};
-use bonsai_sim::{Cluster, ClusterConfig};
-use bonsai_util::units;
+use bonsai_obs::{critical_path, ArgValue, WaitCause};
+use bonsai_sim::Cluster;
+use std::collections::BTreeMap;
 
-use crate::milky_way_snapshot;
+use crate::{milky_way_config, milky_way_snapshot};
 
 /// The flows bench configuration.
 #[derive(Clone, Debug)]
@@ -100,8 +99,6 @@ pub struct StepFlows {
 pub struct FlowsResult {
     /// The configuration that produced it.
     pub config: FlowsBenchConfig,
-    /// Every flow summary of the run (post-mask when sabotaged).
-    pub flows: Vec<FlowSummary>,
     /// Per-directed-link ledger.
     pub links: Vec<LinkStats>,
     /// Whole-run conservation totals from the cluster's own ledger.
@@ -137,41 +134,35 @@ impl FlowsResult {
     }
 }
 
-/// Drive the faulty ladder and reduce its ledger + trace.
+/// Drive the faulty ladder and reduce each step's ledger records and trace
+/// as the step completes.
 pub fn run(cfg: FlowsBenchConfig) -> FlowsResult {
     let ic = milky_way_snapshot(cfg.n, cfg.seed);
-    let mut ccfg = ClusterConfig::default();
-    ccfg.g = units::G;
-    ccfg.eps = 0.1 * (2.0e5_f64 / cfg.n as f64).powf(1.0 / 3.0);
-    ccfg.dt = units::myr_to_internal(3.0);
     let plan = bench_fault_plan(cfg.seed, cfg.steps);
-    let mut cluster = Cluster::with_faults(ic, cfg.ranks, ccfg, plan, None);
+    let mut cluster = Cluster::with_faults(ic, cfg.ranks, milky_way_config(cfg.n), plan, None);
 
-    let mut flows: Vec<FlowSummary> = Vec::new();
+    let mut flows: Vec<FlowRecord> = Vec::new();
+    let mut times = BTreeMap::new();
+    let mut wait_by_cause: BTreeMap<String, f64> = BTreeMap::new();
+    let mut exposed_by_cause: BTreeMap<String, f64> = BTreeMap::new();
+    let mut steps = Vec::new();
     for _ in 0..cfg.steps {
         cluster.step();
-        flows.extend(cluster.last_flow_summaries().iter().cloned());
-    }
-    if cfg.mask_retransmits {
-        // The sabotage hook: pretend every flow was a clean first-attempt
-        // delivery. The link ledger and the step rows collapse, which the
-        // diff gate must flag against the honest baseline.
-        for f in &mut flows {
-            f.attempts = 1;
-            f.faults.clear();
+        // The step's recorded epoch: its flows are the ledger's records of
+        // that epoch and the trace's flow points of that step.
+        let step = cluster.current_epoch();
+        let mut step_flows = cluster.flow_ledger().for_epoch(step).to_vec();
+        if cfg.mask_retransmits {
+            // The sabotage hook: pretend every flow was a clean
+            // first-attempt delivery. The link ledger and the step rows
+            // collapse, which the diff gate must flag against the honest
+            // baseline.
+            for f in &mut step_flows {
+                f.attempts = 1;
+                f.injected.clear();
+            }
         }
-    }
-
-    let mut step_ids: Vec<u64> = flows.iter().map(|f| f.step).collect();
-    step_ids.sort_unstable();
-    step_ids.dedup();
-
-    let mut wait_by_cause: std::collections::BTreeMap<String, f64> = Default::default();
-    let mut exposed_by_cause: std::collections::BTreeMap<String, f64> = Default::default();
-    let mut steps = Vec::new();
-    for &step in &step_ids {
-        let step_flows: Vec<FlowSummary> =
-            flows.iter().filter(|f| f.step == step).cloned().collect();
+        times.extend(flow_times(cluster.trace(), step));
         let exposed = exposed_comm(cluster.trace(), step, &step_flows);
         for x in &exposed {
             *exposed_by_cause.entry(x.cause.name().to_string()).or_insert(0.0) += x.seconds();
@@ -212,20 +203,23 @@ pub fn run(cfg: FlowsBenchConfig) -> FlowsResult {
                 .iter()
                 .map(|f| f.attempts.saturating_sub(1) as u64)
                 .sum(),
-            fallbacks: step_flows.iter().filter(|f| f.fell_back()).count(),
+            fallbacks: step_flows
+                .iter()
+                .filter(|f| f.outcome == FlowOutcome::Fallback)
+                .count(),
             exposed_intervals: exposed.len(),
             exposed_s: exposed.iter().map(|x| x.seconds()).sum(),
             wait_s,
         });
+        flows.extend(step_flows);
     }
 
     FlowsResult {
-        links: link_ledger(&flows),
+        links: link_ledger(&flows, &times),
         conservation: cluster.flow_conservation(),
         wait_by_cause: wait_by_cause.into_iter().collect(),
         exposed_by_cause: exposed_by_cause.into_iter().collect(),
         steps,
-        flows,
         config: cfg,
     }
 }

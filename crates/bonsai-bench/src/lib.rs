@@ -39,7 +39,9 @@ pub mod stream;
 pub mod stream_dash;
 
 use bonsai_ic::MilkyWayModel;
+use bonsai_sim::ClusterConfig;
 use bonsai_tree::Particles;
+use bonsai_util::units;
 
 /// Default output directory for generated artifacts (PPM/CSV).
 pub const OUT_DIR: &str = "out";
@@ -65,6 +67,17 @@ pub fn scratch_dir(tag: &str) -> std::path::PathBuf {
 /// figures (the paper uses its MW model for all measurements, §VI-B).
 pub fn milky_way_snapshot(n: usize, seed: u64) -> Particles {
     MilkyWayModel::paper().generate(n, seed)
+}
+
+/// The cluster configuration an `n`-particle Milky Way snapshot runs at:
+/// physical units, softening `0.1·(2·10⁵/n)^⅓` and a 3 Myr step.
+pub fn milky_way_config(n: usize) -> ClusterConfig {
+    ClusterConfig {
+        g: units::G,
+        eps: 0.1 * (2.0e5_f64 / n as f64).powf(1.0 / 3.0),
+        dt: units::myr_to_internal(3.0),
+        ..ClusterConfig::default()
+    }
 }
 
 /// The value of `--flag value` in `args`: the default when the flag is
@@ -98,7 +111,7 @@ pub(crate) fn short(v: f64) -> String {
         return "0".into();
     }
     let a = v.abs();
-    if a >= 1e5 || a < 1e-3 {
+    if !(1e-3..1e5).contains(&a) {
         format!("{v:.2e}")
     } else if a >= 100.0 {
         format!("{v:.0}")

@@ -12,15 +12,14 @@
 //! passes the rule closes — the full open → freeze → close lifecycle in
 //! one reproducible run.
 
-use bonsai_ic::MilkyWayModel;
 use bonsai_net::fault::{FaultKind, FaultPlan, Injection};
 use bonsai_obs::health::{AlertKind, Severity};
 use bonsai_obs::json::fmt_f64;
 use bonsai_obs::timeseries::Series;
-use bonsai_sim::{Cluster, ClusterConfig, LongRunConfig, LongRunMonitor};
+use bonsai_sim::{Cluster, LongRunConfig, LongRunMonitor};
 use bonsai_util::units;
 
-use crate::short;
+use crate::{milky_way_config, milky_way_snapshot, short};
 
 /// The long-run bench configuration.
 #[derive(Clone, Debug)]
@@ -89,11 +88,8 @@ pub struct LongRunResult {
 /// Drive the run: scaled Milky Way over `ranks` ranks with the monitor
 /// enabled and the drop storm injected over `storm_epochs`.
 pub fn run(cfg: LongRunBenchConfig) -> LongRunResult {
-    let ic = MilkyWayModel::paper().generate(cfg.n, cfg.seed);
-    let mut ccfg = ClusterConfig::default();
-    ccfg.g = units::G;
-    ccfg.eps = 0.1 * (2.0e5_f64 / cfg.n as f64).powf(1.0 / 3.0);
-    ccfg.dt = units::myr_to_internal(3.0);
+    let ic = milky_way_snapshot(cfg.n, cfg.seed);
+    let ccfg = milky_way_config(cfg.n);
     let mut plan = FaultPlan::new(cfg.seed);
     for epoch in cfg.storm_epochs.0..cfg.storm_epochs.1 {
         plan = plan.with_injection(Injection {

@@ -12,15 +12,14 @@
 //! conservation verdict — the gate runner produces it in memory to prove
 //! the gate has teeth.
 
-use bonsai_ic::MilkyWayModel;
 use bonsai_net::fault::{FaultKind, FaultPlan};
 use bonsai_net::RecoveryAction;
 use bonsai_obs::json::fmt_f64;
-use bonsai_sim::{
-    AutoscaleConfig, Cluster, ClusterConfig, LongRunConfig, RecoveryConfig, ScaleDecision,
-};
+use bonsai_sim::{AutoscaleConfig, Cluster, LongRunConfig, RecoveryConfig, ScaleDecision};
 use bonsai_util::units;
 use bonsai_verify::{acceleration_diff, equivalence_band, serial_reference, ErrorPercentiles};
+
+use crate::{milky_way_config, milky_way_snapshot};
 
 /// The membership bench configuration.
 #[derive(Clone, Debug)]
@@ -98,11 +97,8 @@ impl MembershipResult {
 /// Drive the run: scripted churn every `churn_every` steps over a faulty
 /// fabric, then evaluate the gate invariants on the final state.
 pub fn run(cfg: MembershipBenchConfig) -> MembershipResult {
-    let ic = MilkyWayModel::paper().generate(cfg.n, cfg.seed);
-    let mut ccfg = ClusterConfig::default();
-    ccfg.g = units::G;
-    ccfg.eps = 0.1 * (2.0e5_f64 / cfg.n as f64).powf(1.0 / 3.0);
-    ccfg.dt = units::myr_to_internal(3.0);
+    let ic = milky_way_snapshot(cfg.n, cfg.seed);
+    let ccfg = milky_way_config(cfg.n);
     let mut plan = FaultPlan::new(cfg.seed);
     for kind in [FaultKind::Drop, FaultKind::Duplicate, FaultKind::Corrupt] {
         plan = plan.with_rate(kind, cfg.fault_rate);

@@ -17,10 +17,9 @@ use bonsai_obs::{
     folded_profile, roofline, telescoping_error, ProfileRow, RooflinePoint, TermResidual,
 };
 use bonsai_sim::profile::cost_model_attribution;
-use bonsai_sim::{Cluster, ClusterConfig, ScalingModel, StepBreakdown};
-use bonsai_util::units;
+use bonsai_sim::{Cluster, ScalingModel, StepBreakdown};
 
-use crate::milky_way_snapshot;
+use crate::{milky_way_config, milky_way_snapshot};
 
 /// The profile bench configuration.
 #[derive(Clone, Debug)]
@@ -70,10 +69,7 @@ pub struct ProfileResult {
 /// Drive the run and reduce its trace.
 pub fn run(cfg: ProfileBenchConfig) -> ProfileResult {
     let ic = milky_way_snapshot(cfg.n, cfg.seed);
-    let mut ccfg = ClusterConfig::default();
-    ccfg.g = units::G;
-    ccfg.eps = 0.1 * (2.0e5_f64 / cfg.n as f64).powf(1.0 / 3.0);
-    ccfg.dt = units::myr_to_internal(3.0);
+    let ccfg = milky_way_config(cfg.n);
     let mut cluster = Cluster::new(ic, cfg.ranks, ccfg.clone());
     let mut last = StepBreakdown::default();
     for _ in 0..cfg.steps {

@@ -17,12 +17,12 @@
 //! overhead budget, and the `overhead_ok` verdict must fail.
 
 use crate::stream_dash as dash;
-use bonsai_ic::MilkyWayModel;
+use crate::{milky_way_config, milky_way_snapshot};
 use bonsai_net::fault::{FaultKind, FaultPlan, Injection};
 use bonsai_obs::json::fmt_f64;
 use bonsai_obs::overhead::OVERHEAD_BUDGET_FRACTION;
 use bonsai_obs::stream::{FrameKind, SubscriberConfig, TelemetryFrame};
-use bonsai_sim::{Cluster, ClusterConfig, LongRunConfig, StreamConfig, StreamTap};
+use bonsai_sim::{Cluster, LongRunConfig, StreamConfig, StreamTap};
 use bonsai_util::units;
 use std::collections::BTreeMap;
 
@@ -129,11 +129,8 @@ impl StreamResult {
 /// monitoring and streaming enabled, the drop storm injected over
 /// `storm_epochs`, and scripted grow/shrink churn.
 pub fn run(cfg: StreamBenchConfig) -> StreamResult {
-    let ic = MilkyWayModel::paper().generate(cfg.n, cfg.seed);
-    let mut ccfg = ClusterConfig::default();
-    ccfg.g = units::G;
-    ccfg.eps = 0.1 * (2.0e5_f64 / cfg.n as f64).powf(1.0 / 3.0);
-    ccfg.dt = units::myr_to_internal(3.0);
+    let ic = milky_way_snapshot(cfg.n, cfg.seed);
+    let ccfg = milky_way_config(cfg.n);
     let mut plan = FaultPlan::new(cfg.seed);
     for epoch in cfg.storm_epochs.0..cfg.storm_epochs.1 {
         plan = plan.with_injection(Injection {
@@ -152,7 +149,6 @@ pub fn run(cfg: StreamBenchConfig) -> StreamResult {
             SubscriberConfig::new("slow", cfg.slow_capacity),
         ],
         block_on_full: cfg.block_on_full,
-        ..StreamConfig::default()
     });
 
     let mut fast_frames: Vec<TelemetryFrame> = Vec::new();

@@ -112,7 +112,7 @@ pub fn render_snapshot(
             "<table>\n<tr><th>phase (step {})</th><th>seconds</th></tr>\n",
             phase.step
         ));
-        for (name, _) in &phase.fields {
+        for name in phase.fields.keys() {
             if let Some(v) = phase.f64(name) {
                 s.push_str(&format!("<tr><td>{name}</td><td>{}</td></tr>\n", short(v)));
             }
@@ -220,7 +220,6 @@ pub fn render_snapshot(
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::stream::{run, StreamBenchConfig};
 
     #[test]

@@ -62,11 +62,10 @@ impl DeviceSpec {
     /// Achieved occupancy for a kernel using `shared_per_block` bytes of
     /// shared memory with `threads_per_block` threads.
     pub fn occupancy(&self, shared_per_block: u32, threads_per_block: u32) -> f64 {
-        let by_shared = if shared_per_block == 0 {
-            self.max_blocks_per_sm
-        } else {
-            self.shared_per_sm / shared_per_block
-        };
+        let by_shared = self
+            .shared_per_sm
+            .checked_div(shared_per_block)
+            .unwrap_or(self.max_blocks_per_sm);
         let by_threads = self.max_threads_per_sm / threads_per_block;
         let blocks = by_shared.min(by_threads).min(self.max_blocks_per_sm);
         (blocks * threads_per_block) as f64 / self.max_threads_per_sm as f64

@@ -11,20 +11,24 @@
 //! so ids, record order and outcomes are byte-deterministic per seed — the
 //! property the `flows` bench gate relies on.
 //!
-//! The ledger is append-only and **epoch-ordered**: the driver's epoch
-//! counter never goes back (a rollback restores particles, not the epoch),
-//! so [`FlowLedger::seal`] asserts that epochs arrive in non-decreasing
-//! order. One epoch's records are therefore a contiguous run that
+//! The ledger is **epoch-ordered**: the driver's epoch counter never goes
+//! back (a rollback restores particles, not the epoch), so
+//! [`FlowLedger::seal`] asserts that epochs arrive in non-decreasing order.
+//! One epoch's records are therefore a contiguous run that
 //! [`FlowLedger::for_epoch`] finds by binary search, and everything a step
 //! does with the ledger — retransmission matching, fallback and dead
 //! sweeps, the observability pass — touches that run only, never the
 //! history before it.
 //!
+//! The ledger is also **bounded**: [`FlowLedger::retain_epochs`] drops whole
+//! epochs from the front (the cluster evicts it with its trace) and folds
+//! their outcomes into run totals, so ids stay dense and global and
+//! [`FlowLedger::conservation`] still answers for the whole run.
+//!
 //! The conservation invariant the chaos suites assert: at any epoch
 //! boundary, every sealed flow is **exactly one** of delivered /
 //! recovered-by-fallback / dead-by-crash (no flow left `Pending`).
 
-use crate::envelope::NO_FLOW;
 use crate::fabric::MsgKind;
 use crate::fault::FaultKind;
 use bonsai_util::sorted::equal_run;
@@ -63,7 +67,7 @@ impl FlowOutcome {
 #[derive(Clone, Debug, PartialEq)]
 pub struct FlowRecord {
     /// Ledger-assigned id, dense and 1-based (0 is the reserved
-    /// [`NO_FLOW`]).
+    /// [`NO_FLOW`](crate::envelope::NO_FLOW)).
     pub id: u64,
     /// Sender's epoch at seal time.
     pub epoch: u64,
@@ -103,13 +107,30 @@ impl FlowConservation {
     pub fn holds(&self) -> bool {
         self.pending == 0 && self.sealed == self.delivered + self.fallback + self.dead
     }
+
+    /// Count `records` in.
+    fn add(&mut self, records: &[FlowRecord]) {
+        self.sealed += records.len() as u64;
+        for r in records {
+            match r.outcome {
+                FlowOutcome::Pending => self.pending += 1,
+                FlowOutcome::Delivered { .. } => self.delivered += 1,
+                FlowOutcome::Fallback => self.fallback += 1,
+                FlowOutcome::Dead => self.dead += 1,
+            }
+        }
+    }
 }
 
-/// The append-only, epoch-ordered flow ledger. See the module docs for the
+/// The epoch-ordered, bounded flow ledger. See the module docs for the
 /// lifecycle.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct FlowLedger {
+    /// The held epochs' records, in seal order.
     records: Vec<FlowRecord>,
+    /// Outcome totals of the evicted records; `evicted.sealed` ids precede
+    /// `records[0]`.
+    evicted: FlowConservation,
 }
 
 impl FlowLedger {
@@ -118,19 +139,28 @@ impl FlowLedger {
         Self::default()
     }
 
-    /// All records, in seal order.
+    /// The held records (every epoch not yet evicted), in seal order.
     pub fn records(&self) -> &[FlowRecord] {
         &self.records
     }
 
-    /// Number of flows sealed so far.
+    /// Number of records held.
     pub fn len(&self) -> usize {
         self.records.len()
     }
 
-    /// True when nothing has been sealed.
+    /// True when no record is held.
     pub fn is_empty(&self) -> bool {
         self.records.is_empty()
+    }
+
+    /// Drop every record sealed before `min_epoch`, counting its outcome
+    /// into the run totals [`conservation`](Self::conservation) reports.
+    /// Ids stay global: the next seal continues the sequence.
+    pub fn retain_epochs(&mut self, min_epoch: u64) {
+        let cut = self.records.partition_point(|r| r.epoch < min_epoch);
+        self.evicted.add(&self.records[..cut]);
+        self.records.drain(..cut);
     }
 
     /// Index range of the records sealed at `epoch` (contiguous, because
@@ -148,7 +178,7 @@ impl FlowLedger {
     /// The id the next [`seal`](Self::seal) returns: ids are dense, so a
     /// sender that seals frames off the ledger can be handed a range.
     pub fn next_id(&self) -> u64 {
-        self.records.len() as u64 + 1
+        self.evicted.sealed + self.records.len() as u64 + 1
     }
 
     /// Record a fresh flow; returns its id.
@@ -179,11 +209,12 @@ impl FlowLedger {
         id
     }
 
+    /// The held record of `id`; `None` for an evicted id and for
+    /// [`NO_FLOW`](crate::envelope::NO_FLOW).
     fn get_mut(&mut self, id: u64) -> Option<&mut FlowRecord> {
-        if id == NO_FLOW {
-            return None;
-        }
-        self.records.get_mut(id as usize - 1)
+        let first = self.evicted.sealed + 1;
+        let index = id.checked_sub(first)?;
+        self.records.get_mut(index as usize)
     }
 
     /// A retransmission re-uses the most recent still-pending flow on the
@@ -252,20 +283,11 @@ impl FlowLedger {
         }
     }
 
-    /// Conservation totals over the whole ledger.
+    /// Conservation totals over the whole run: the evicted records' counts
+    /// plus the held ones'.
     pub fn conservation(&self) -> FlowConservation {
-        let mut c = FlowConservation {
-            sealed: self.records.len() as u64,
-            ..Default::default()
-        };
-        for r in &self.records {
-            match r.outcome {
-                FlowOutcome::Pending => c.pending += 1,
-                FlowOutcome::Delivered { .. } => c.delivered += 1,
-                FlowOutcome::Fallback => c.fallback += 1,
-                FlowOutcome::Dead => c.dead += 1,
-            }
-        }
+        let mut c = self.evicted;
+        c.add(&self.records);
         c
     }
 }
@@ -273,6 +295,7 @@ impl FlowLedger {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::envelope::NO_FLOW;
 
     #[test]
     fn lifecycle_delivered_first_try() {
@@ -395,6 +418,84 @@ mod tests {
         l.deliver(NO_FLOW, 0);
         l.inject(NO_FLOW, 0, FaultKind::Drop);
         assert!(l.is_empty());
+    }
+
+    /// Epochs 2, 4, 4, 7: one delivered and one fallback flow evicted with
+    /// epoch 2..4, the rest held.
+    fn evicted_at_epoch_4() -> FlowLedger {
+        let mut l = FlowLedger::new();
+        let a = l.seal(2, 0, 1, MsgKind::Control, 8);
+        l.deliver(a, 0);
+        l.seal(3, 1, 0, MsgKind::Let, 50);
+        l.fallback_pending(3, 1, 0, MsgKind::Let);
+        l.seal(4, 0, 1, MsgKind::Let, 100);
+        l.seal(4, 1, 0, MsgKind::Let, 200);
+        l.seal(7, 0, 1, MsgKind::Control, 8);
+        l.retain_epochs(4);
+        l
+    }
+
+    #[test]
+    fn retain_epochs_keeps_later_ids_and_epoch_runs() {
+        let mut l = evicted_at_epoch_4();
+        assert_eq!(l.len(), 3);
+        assert!(l.for_epoch(2).is_empty() && l.for_epoch(3).is_empty());
+        let ids = |l: &FlowLedger, e: u64| l.for_epoch(e).iter().map(|r| r.id).collect::<Vec<_>>();
+        assert_eq!(ids(&l, 4), [3, 4]);
+        assert_eq!(ids(&l, 7), [5]);
+        // Ids continue the global sequence.
+        assert_eq!(l.next_id(), 6);
+        assert_eq!(l.seal(7, 1, 0, MsgKind::Control, 8), 6);
+        // Evicting again, or below what is held, is a no-op on held epochs.
+        l.retain_epochs(1);
+        assert_eq!(ids(&l, 4), [3, 4]);
+        l.retain_epochs(5);
+        assert_eq!(ids(&l, 7), [5, 6]);
+        assert_eq!(l.records()[0].id, 5);
+    }
+
+    #[test]
+    fn sweeps_work_on_held_epochs_after_an_eviction() {
+        let mut l = evicted_at_epoch_4();
+        // Epoch 4: deliver one after a retransmission, fall back the other.
+        let re = l.retransmit_latest(4, 0, 1, MsgKind::Let, 100);
+        assert_eq!(re, 3);
+        l.inject(re, 0, FaultKind::Drop);
+        l.deliver(re, 1);
+        l.fallback_pending(4, 1, 0, MsgKind::Let);
+        l.close_epoch_dead(7);
+        let held: Vec<_> = l.records().iter().map(|r| (r.id, r.attempts, r.outcome)).collect();
+        assert_eq!(
+            held,
+            [
+                (3, 2, FlowOutcome::Delivered { attempt: 1 }),
+                (4, 1, FlowOutcome::Fallback),
+                (5, 1, FlowOutcome::Dead),
+            ]
+        );
+        assert_eq!(l.records()[0].injected, [(0, FaultKind::Drop)]);
+        // An evicted id is inert: a late duplicate of flow 1 changes nothing.
+        let before = l.clone();
+        l.deliver(1, 3);
+        l.inject(2, 0, FaultKind::Corrupt);
+        assert_eq!(l, before);
+    }
+
+    #[test]
+    fn conservation_counts_evicted_epochs() {
+        let mut l = evicted_at_epoch_4();
+        let c = l.conservation();
+        assert_eq!(
+            (c.sealed, c.delivered, c.fallback, c.dead, c.pending),
+            (5, 1, 1, 0, 3)
+        );
+        l.close_epoch_dead(4);
+        l.close_epoch_dead(7);
+        l.retain_epochs(8);
+        assert!(l.is_empty());
+        let c = l.conservation();
+        assert_eq!((c.sealed, c.delivered, c.fallback, c.dead), (5, 1, 1, 3));
+        assert!(c.holds());
     }
 
     #[test]

@@ -1,12 +1,24 @@
 //! Bridges from the network layer into the unified observability model
 //! (`bonsai-obs`): fault-log entries become trace events on the COMM track
-//! anchored at their flow's modeled wire times, and measured link traffic
-//! lands in the metrics registry priced by the interconnect cost model.
+//! anchored at their flow's modeled wire times, measured link traffic
+//! lands in the metrics registry priced by the interconnect cost model, and
+//! the flow analysis joins ledger records with the trace.
+//!
+//! **Wait attribution.** The ledger knows *what happened to every sealed
+//! envelope* — delivered on attempt k, recovered by fallback, killed by a
+//! crash — and the trace knows *where the time went*, including each flow's
+//! modeled send and resolve instants (its `Start` / `Finish` flow points).
+//! [`classify`] reduces a causal flow set to a [`WaitCause`] by severity
+//! (fallback > stall > retransmission > late-sender); [`exposed_comm`]
+//! finds COMM time no GPU span hides and attributes it to the flows whose
+//! modeled lifetime overlaps it; [`link_ledger`] reduces flows to per-link
+//! reliability and delivery-latency statistics.
 
 use crate::cost::NetworkModel;
-use crate::fault::{FaultEvent, RecoveryAction, RecoveryEvent};
+use crate::fault::{FaultEvent, FaultKind, RecoveryAction, RecoveryEvent};
 use crate::flow::{FlowOutcome, FlowRecord};
-use bonsai_obs::{Lane, MetricsRegistry, TraceStore};
+use bonsai_obs::{interval_union, FlowPhase, Lane, MetricsRegistry, TraceStore, WaitCause};
+use std::collections::BTreeMap;
 
 /// Models where a flow's frames sit on the trace clock.
 ///
@@ -200,13 +212,416 @@ impl NetworkModel {
     }
 }
 
+/// Classify a causal flow set into the dominant [`WaitCause`].
+///
+/// Priority: fallback > stall > retransmission > late-sender. An empty set
+/// means the interval had no identifiable flow — [`WaitCause::Unattributed`].
+pub fn classify<'a>(flows: impl IntoIterator<Item = &'a FlowRecord>) -> WaitCause {
+    flows
+        .into_iter()
+        .map(|f| {
+            if f.outcome == FlowOutcome::Fallback {
+                WaitCause::Fallback
+            } else if f.injected.iter().any(|&(_, fault)| fault == FaultKind::Stall) {
+                WaitCause::Stall
+            } else if f.attempts > 1 {
+                WaitCause::Retransmission
+            } else {
+                WaitCause::LateSender
+            }
+        })
+        // WaitCause derives Ord in severity order (Fallback first).
+        .min()
+        .unwrap_or(WaitCause::Unattributed)
+}
+
+/// A flow's modeled instants as the trace drew them.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct FlowTimes {
+    /// When the first attempt left the sender (its `Start` point).
+    pub send_at: f64,
+    /// When the flow resolved, delivered or fallen back (its `Finish`
+    /// point); `None` while pending or dead.
+    pub resolve_at: Option<f64>,
+}
+
+/// The instants of every flow the trace drew in `step`, by flow id.
+pub fn flow_times(store: &TraceStore, step: u64) -> BTreeMap<u64, FlowTimes> {
+    let mut times = BTreeMap::new();
+    for p in store.step_records(step).flow_points {
+        match p.phase {
+            FlowPhase::Start => {
+                times.insert(p.id, FlowTimes { send_at: p.at, resolve_at: None });
+            }
+            FlowPhase::Finish => {
+                if let Some(t) = times.get_mut(&p.id) {
+                    t.resolve_at = Some(p.at);
+                }
+            }
+            FlowPhase::Step => {}
+        }
+    }
+    times
+}
+
+/// Per-link ledger: traffic, reliability, and delivery-latency percentiles.
+#[derive(Clone, Debug, PartialEq)]
+pub struct LinkStats {
+    /// Sender rank.
+    pub from: usize,
+    /// Receiver rank.
+    pub to: usize,
+    /// Flows sealed on the link.
+    pub flows: usize,
+    /// Total payload bytes sealed on the link.
+    pub bytes: u64,
+    /// Total send attempts (originals + retransmissions).
+    pub attempts: u64,
+    /// Retransmitted attempts (attempts beyond each flow's first).
+    pub retransmits: u64,
+    /// Flows that delivered.
+    pub delivered: usize,
+    /// Flows recovered by fallback.
+    pub fallback: usize,
+    /// Flows killed by a crash.
+    pub dead: usize,
+    /// Median modeled delivery latency (delivered flows; 0 if none).
+    pub latency_p50: f64,
+    /// 90th-percentile modeled delivery latency.
+    pub latency_p90: f64,
+    /// 99th-percentile modeled delivery latency — the tail a few
+    /// retransmitted or stalled flows drag out while p50/p90 look clean.
+    pub latency_p99: f64,
+    /// Worst modeled delivery latency.
+    pub latency_max: f64,
+}
+
+impl LinkStats {
+    /// Retransmitted fraction of all attempts on the link.
+    pub fn retransmit_ratio(&self) -> f64 {
+        if self.attempts == 0 {
+            0.0
+        } else {
+            self.retransmits as f64 / self.attempts as f64
+        }
+    }
+
+    /// `"from->to"` link label.
+    pub fn label(&self) -> String {
+        format!("{}->{}", self.from, self.to)
+    }
+}
+
+/// Nearest-rank percentile of an ascending-sorted slice (0 if empty).
+fn percentile(sorted: &[f64], q: f64) -> f64 {
+    if sorted.is_empty() {
+        return 0.0;
+    }
+    let idx = (q * (sorted.len() - 1) as f64).round() as usize;
+    sorted[idx.min(sorted.len() - 1)]
+}
+
+/// Aggregate flows into a per-link ledger, sorted by `(from, to)`. A
+/// delivered flow's latency is its resolve minus its send instant in
+/// `times` (see [`flow_times`]).
+pub fn link_ledger(flows: &[FlowRecord], times: &BTreeMap<u64, FlowTimes>) -> Vec<LinkStats> {
+    let mut by_link: BTreeMap<(usize, usize), Vec<&FlowRecord>> = BTreeMap::new();
+    for f in flows {
+        by_link.entry((f.from, f.to)).or_default().push(f);
+    }
+    let latency = |f: &FlowRecord| match (f.outcome, times.get(&f.id)) {
+        (FlowOutcome::Delivered { .. }, Some(t)) => t.resolve_at.map(|r| (r - t.send_at).max(0.0)),
+        _ => None,
+    };
+    by_link
+        .into_iter()
+        .map(|((from, to), fs)| {
+            let mut lat: Vec<f64> = fs.iter().filter_map(|f| latency(f)).collect();
+            lat.sort_by(|a, b| a.partial_cmp(b).unwrap());
+            let count = |o: fn(&FlowOutcome) -> bool| fs.iter().filter(|f| o(&f.outcome)).count();
+            LinkStats {
+                from,
+                to,
+                flows: fs.len(),
+                bytes: fs.iter().map(|f| f.bytes as u64).sum(),
+                attempts: fs.iter().map(|f| f.attempts as u64).sum(),
+                retransmits: fs.iter().map(|f| f.attempts.saturating_sub(1) as u64).sum(),
+                delivered: count(|o| matches!(o, FlowOutcome::Delivered { .. })),
+                fallback: count(|o| *o == FlowOutcome::Fallback),
+                dead: count(|o| *o == FlowOutcome::Dead),
+                latency_p50: percentile(&lat, 0.5),
+                latency_p90: percentile(&lat, 0.9),
+                latency_p99: percentile(&lat, 0.99),
+                latency_max: lat.last().copied().unwrap_or(0.0),
+            }
+        })
+        .collect()
+}
+
+/// One exposed-communication interval: COMM-lane time on a rank not hidden
+/// behind GPU work, with its causal flow set and classified cause.
+#[derive(Clone, Debug, PartialEq)]
+pub struct ExposedComm {
+    /// Rank the interval belongs to.
+    pub rank: usize,
+    /// Interval start (trace seconds).
+    pub start: f64,
+    /// Interval end (trace seconds).
+    pub end: f64,
+    /// Dominant cause classified from `flows`.
+    pub cause: WaitCause,
+    /// Ids of the flows whose modeled lifetime overlaps the interval and
+    /// touches this rank.
+    pub flows: Vec<u64>,
+}
+
+impl ExposedComm {
+    /// Interval length in seconds.
+    pub fn seconds(&self) -> f64 {
+        (self.end - self.start).max(0.0)
+    }
+}
+
+/// Subtract the union of `cover` from `[start, end)`, returning the exposed
+/// sub-intervals in order.
+fn subtract(start: f64, end: f64, cover: &[(f64, f64)]) -> Vec<(f64, f64)> {
+    let mut out = Vec::new();
+    let mut cursor = start;
+    for &(cs, ce) in cover {
+        if ce <= cursor {
+            continue;
+        }
+        if cs >= end {
+            break;
+        }
+        if cs > cursor {
+            out.push((cursor, cs.min(end)));
+        }
+        cursor = cursor.max(ce);
+        if cursor >= end {
+            break;
+        }
+    }
+    if cursor < end {
+        out.push((cursor, end));
+    }
+    out
+}
+
+/// Find each rank's exposed-communication intervals in `step` and attribute
+/// them to the causal flows among `flows` (the step's ledger records).
+///
+/// A COMM-lane span interval is *exposed* where no GPU-lane span of the same
+/// rank and step covers it. Each exposed interval is matched against the
+/// flows touching the rank whose modeled `[send_at, resolve_at]` window —
+/// read from the step's flow points — overlaps it, and classified with
+/// [`classify`]. Results are sorted by `(rank, start)`.
+pub fn exposed_comm(store: &TraceStore, step: u64, flows: &[FlowRecord]) -> Vec<ExposedComm> {
+    let spans = store.step_records(step).spans;
+    let times = flow_times(store, step);
+    let mut ranks: Vec<u32> = spans
+        .iter()
+        .filter(|s| s.lane == Lane::Comm)
+        .map(|s| s.rank)
+        .collect();
+    ranks.sort_unstable();
+    ranks.dedup();
+
+    let mut out = Vec::new();
+    for rank in ranks {
+        let lane = |lane: Lane| -> Vec<(f64, f64)> {
+            spans
+                .iter()
+                .filter(|s| s.rank == rank && s.lane == lane)
+                .map(|s| (s.start, s.end))
+                .collect()
+        };
+        let cover = interval_union(lane(Lane::Gpu));
+        let mut comm = lane(Lane::Comm);
+        comm.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        for (cs, ce) in comm {
+            for (xs, xe) in subtract(cs, ce, &cover) {
+                if xe - xs <= 0.0 {
+                    continue;
+                }
+                let causal: Vec<&FlowRecord> = flows
+                    .iter()
+                    .filter(|f| f.from == rank as usize || f.to == rank as usize)
+                    .filter(|f| {
+                        times.get(&f.id).is_some_and(|t| {
+                            t.send_at < xe && t.resolve_at.unwrap_or(t.send_at) > xs
+                        })
+                    })
+                    .collect();
+                out.push(ExposedComm {
+                    rank: rank as usize,
+                    start: xs,
+                    end: xe,
+                    cause: classify(causal.iter().copied()),
+                    flows: causal.iter().map(|f| f.id).collect(),
+                });
+            }
+        }
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::fabric::MsgKind;
     use crate::flow::FlowLedger;
-    use crate::fault::{FaultKind, FaultLog};
+    use crate::fault::FaultLog;
     use crate::machine::PIZ_DAINT;
+
+    /// A step-1 flow `from → to` with `attempts` sends and `outcome`.
+    fn flow(id: u64, from: usize, to: usize, attempts: u32, outcome: FlowOutcome) -> FlowRecord {
+        FlowRecord {
+            id,
+            epoch: 1,
+            from,
+            to,
+            kind: MsgKind::Let,
+            bytes: 1024,
+            attempts,
+            injected: Vec::new(),
+            outcome,
+        }
+    }
+
+    /// Draw `f` into `t` as the cluster does: a `Start` point at `send_at`,
+    /// a `Finish` point at `resolve_at` when it resolved.
+    fn draw(t: &mut TraceStore, f: &FlowRecord, send_at: f64, resolve_at: Option<f64>) {
+        t.flow_point(f.id, f.from as u32, f.epoch, Lane::Comm, "flow:Let", send_at, FlowPhase::Start);
+        if let Some(at) = resolve_at {
+            t.flow_point(f.id, f.to as u32, f.epoch, Lane::Comm, "flow:Let", at, FlowPhase::Finish);
+        }
+    }
+
+    const DELIVERED: FlowOutcome = FlowOutcome::Delivered { attempt: 0 };
+
+    #[test]
+    fn classify_takes_the_most_severe_cause() {
+        let clean = flow(1, 0, 1, 1, DELIVERED);
+        let retx = flow(2, 0, 1, 3, DELIVERED);
+        let mut stalled = flow(3, 0, 1, 2, DELIVERED);
+        stalled.injected.push((0, FaultKind::Stall));
+        let fell = flow(4, 0, 1, 4, FlowOutcome::Fallback);
+
+        assert_eq!(classify([]), WaitCause::Unattributed);
+        assert_eq!(classify([&clean]), WaitCause::LateSender);
+        assert_eq!(classify([&clean, &retx]), WaitCause::Retransmission);
+        assert_eq!(classify([&clean, &retx, &stalled]), WaitCause::Stall);
+        assert_eq!(classify([&clean, &retx, &stalled, &fell]), WaitCause::Fallback);
+    }
+
+    #[test]
+    fn flow_times_read_start_and_finish_points() {
+        let mut t = TraceStore::new();
+        draw(&mut t, &flow(1, 0, 1, 1, DELIVERED), 0.1, Some(0.3));
+        draw(&mut t, &flow(2, 1, 0, 1, FlowOutcome::Dead), 0.2, None);
+        t.flow_point(1, 0, 1, Lane::Comm, "flow:Let", 0.2, FlowPhase::Step);
+        let times = flow_times(&t, 1);
+        assert_eq!(times[&1], FlowTimes { send_at: 0.1, resolve_at: Some(0.3) });
+        assert_eq!(times[&2], FlowTimes { send_at: 0.2, resolve_at: None });
+        assert!(flow_times(&t, 2).is_empty());
+    }
+
+    #[test]
+    fn link_ledger_aggregates_per_directed_link() {
+        let flows = vec![
+            flow(1, 0, 1, 1, DELIVERED),
+            flow(2, 0, 1, 3, DELIVERED),
+            flow(3, 1, 0, 1, FlowOutcome::Fallback),
+            flow(4, 0, 1, 2, FlowOutcome::Dead),
+        ];
+        let mut t = TraceStore::new();
+        for f in &flows {
+            let resolved = matches!(f.outcome, FlowOutcome::Delivered { .. } | FlowOutcome::Fallback);
+            draw(&mut t, f, 0.1, resolved.then(|| 0.1 + 0.05 * f.attempts as f64));
+        }
+        let links = link_ledger(&flows, &flow_times(&t, 1));
+        assert_eq!(links.len(), 2);
+        let l01 = &links[0];
+        assert_eq!((l01.from, l01.to), (0, 1));
+        assert_eq!(l01.flows, 3);
+        assert_eq!(l01.bytes, 3 * 1024);
+        assert_eq!(l01.attempts, 6);
+        assert_eq!(l01.retransmits, 3);
+        assert_eq!(l01.delivered, 2);
+        assert_eq!(l01.dead, 1);
+        assert!((l01.retransmit_ratio() - 0.5).abs() < 1e-12);
+        assert_eq!(l01.label(), "0->1");
+        // Latencies of the two delivered flows: 0.05 and 0.15; nearest-rank
+        // p50 over two samples rounds up to the later one.
+        assert!((l01.latency_p50 - 0.15).abs() < 1e-12);
+        assert!((l01.latency_p99 - 0.15).abs() < 1e-12);
+        assert!((l01.latency_max - 0.15).abs() < 1e-12);
+        let l10 = &links[1];
+        assert_eq!((l10.from, l10.to), (1, 0));
+        assert_eq!(l10.fallback, 1);
+        assert_eq!(l10.latency_max, 0.0); // fallback has no delivery latency
+    }
+
+    #[test]
+    fn latency_percentiles_are_monotone() {
+        // 100 delivered flows with distinct latencies on one link: the
+        // percentile ladder must be ordered and p99 must sit in the tail.
+        let flows: Vec<FlowRecord> = (1..=100).map(|i| flow(i, 0, 1, 1, DELIVERED)).collect();
+        let mut t = TraceStore::new();
+        for f in &flows {
+            draw(&mut t, f, 0.0, Some(f.id as f64 * 1e-3));
+        }
+        let links = link_ledger(&flows, &flow_times(&t, 1));
+        assert_eq!(links.len(), 1);
+        let l = &links[0];
+        assert!(l.latency_p50 <= l.latency_p90);
+        assert!(l.latency_p90 <= l.latency_p99);
+        assert!(l.latency_p99 <= l.latency_max);
+        assert!((l.latency_p99 - 0.099).abs() < 1e-12);
+        assert!((l.latency_max - 0.100).abs() < 1e-12);
+    }
+
+    #[test]
+    fn exposed_comm_subtracts_gpu_cover_and_attributes_flows() {
+        let mut t = TraceStore::new();
+        // Rank 0: GPU covers [0, 0.4); COMM runs [0.2, 1.0) → exposed [0.4, 1.0).
+        t.span(0, 1, Lane::Gpu, "local", 0.0, 0.4);
+        t.span(0, 1, Lane::Comm, "let-comm", 0.2, 1.0);
+        // Rank 1: no GPU overlap at all → whole comm span exposed.
+        t.span(1, 1, Lane::Comm, "let-comm", 0.0, 0.5);
+        let flows = vec![flow(7, 1, 0, 3, DELIVERED)];
+        draw(&mut t, &flows[0], 0.5, Some(0.9));
+
+        let exposed = exposed_comm(&t, 1, &flows);
+        assert_eq!(exposed.len(), 2);
+        let r0 = &exposed[0];
+        assert_eq!(r0.rank, 0);
+        assert!((r0.start - 0.4).abs() < 1e-12 && (r0.end - 1.0).abs() < 1e-12);
+        assert_eq!(r0.cause, WaitCause::Retransmission);
+        assert_eq!(r0.flows, vec![7]);
+        assert!((r0.seconds() - 0.6).abs() < 1e-12);
+        // Rank 1's exposed window [0, 0.5) only grazes the flow's send at
+        // 0.5 (not < 0.5), so nothing is attributed.
+        let r1 = &exposed[1];
+        assert_eq!(r1.rank, 1);
+        assert_eq!(r1.cause, WaitCause::Unattributed);
+        assert!(r1.flows.is_empty());
+        // A flow the trace never drew is never causal.
+        let undrawn = vec![flow(8, 1, 0, 3, FlowOutcome::Fallback)];
+        assert!(exposed_comm(&t, 1, &undrawn).iter().all(|x| x.flows.is_empty()));
+    }
+
+    #[test]
+    fn interval_subtraction_handles_partial_and_full_cover() {
+        assert_eq!(subtract(0.0, 1.0, &[]), vec![(0.0, 1.0)]);
+        assert_eq!(subtract(0.0, 1.0, &[(0.0, 1.0)]), Vec::<(f64, f64)>::new());
+        assert_eq!(
+            subtract(0.0, 1.0, &[(0.2, 0.4), (0.6, 0.8)]),
+            vec![(0.0, 0.2), (0.4, 0.6), (0.8, 1.0)]
+        );
+        assert_eq!(subtract(0.0, 1.0, &[(-1.0, 0.5)]), vec![(0.5, 1.0)]);
+    }
 
     fn sample_log() -> FaultLog {
         FaultLog {

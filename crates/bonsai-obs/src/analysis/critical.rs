@@ -117,19 +117,6 @@ impl CriticalPath {
         }
         out
     }
-
-    /// Slack immediately preceding each phase on the path: the wait time a
-    /// phase spent blocked on another rank before it could start. Keys are
-    /// the phase names that waits feed into.
-    pub fn slack_before(&self) -> BTreeMap<String, f64> {
-        let mut out = BTreeMap::new();
-        for w in self.nodes.windows(2) {
-            if w[0].wait && !w[1].wait {
-                *out.entry(w[1].phase.clone()).or_insert(0.0) += w[0].duration();
-            }
-        }
-        out
-    }
 }
 
 /// Candidate ordering for the backward walk: latest end wins; ties prefer
@@ -336,9 +323,6 @@ mod tests {
         assert_eq!(cp.nodes[1].rank, 1, "wait charged to the waiting rank");
         assert!((cp.wait_seconds() - 0.4).abs() < 1e-12);
         assert!((cp.total() - cp.wall).abs() < 1e-12);
-        // And the slack is attributed to the phase it blocked.
-        let slack = cp.slack_before();
-        assert!((slack["lets"] - 0.4).abs() < 1e-12);
     }
 
     #[test]

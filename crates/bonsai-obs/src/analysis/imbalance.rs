@@ -1,10 +1,10 @@
 //! Imbalance and straggler metrics across ranks.
 //!
 //! §III-B1 balances *flops*, not particles: a step is only as fast as its
-//! slowest rank, so the interesting statistics are max-over-ranks relative
-//! to the mean (how much wall time imbalance costs) and to the median (how
-//! pathological the single straggler is), with the worst rank named so the
-//! regression report can say *who* was slow, not just that someone was.
+//! slowest rank, so the interesting statistic is max-over-ranks relative
+//! to the mean (how much wall time imbalance costs), with the worst rank
+//! named so the regression report can say *who* was slow, not just that
+//! someone was.
 
 use std::collections::BTreeMap;
 
@@ -19,8 +19,6 @@ pub struct PhaseStats {
     pub max: f64,
     /// Mean across ranks (ranks without the phase count as 0).
     pub mean: f64,
-    /// Median across ranks.
-    pub median: f64,
     /// Rank holding the maximum (lowest such rank on ties).
     pub worst_rank: u32,
 }
@@ -30,15 +28,6 @@ impl PhaseStats {
     pub fn max_over_mean(&self) -> f64 {
         if self.mean > 0.0 {
             self.max / self.mean
-        } else {
-            1.0
-        }
-    }
-
-    /// Straggler factor as max/median.
-    pub fn max_over_median(&self) -> f64 {
-        if self.median > 0.0 {
-            self.max / self.median
         } else {
             1.0
         }
@@ -92,19 +81,10 @@ pub fn phase_stats(store: &TraceStore, step: u64) -> Vec<PhaseStats> {
                     worst = i;
                 }
             }
-            let mean = durs.iter().sum::<f64>() / durs.len() as f64;
-            let mut sorted = durs.clone();
-            sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
-            let median = if sorted.len() % 2 == 1 {
-                sorted[sorted.len() / 2]
-            } else {
-                0.5 * (sorted[sorted.len() / 2 - 1] + sorted[sorted.len() / 2])
-            };
             PhaseStats {
                 phase,
                 max: durs[worst],
-                mean,
-                median,
+                mean: durs.iter().sum::<f64>() / durs.len() as f64,
                 worst_rank: ranks[worst],
             }
         })
@@ -177,9 +157,7 @@ mod tests {
         assert_eq!(local.worst_rank, 2);
         assert!((local.max - 2.0).abs() < 1e-12);
         assert!((local.mean - 1.25).abs() < 1e-12);
-        assert!((local.median - 1.0).abs() < 1e-12);
         assert!((local.max_over_mean() - 1.6).abs() < 1e-12);
-        assert!((local.max_over_median() - 2.0).abs() < 1e-12);
         // Sort is balanced.
         assert!((stats[1].max_over_mean() - 1.0).abs() < 1e-12);
     }

@@ -9,16 +9,16 @@
 //!
 //! * [`critical`] — extract the critical path of a step: the chain of spans
 //!   (plus cross-rank waits) whose durations sum exactly to the measured
-//!   step wall-time, with per-phase attribution and slack.
-//! * [`imbalance`] — per-phase max/mean and max/median across ranks, named
-//!   worst-rank attribution, and the flop-balance residual recomputed from
+//!   step wall-time, with per-phase attribution and waits by cause.
+//! * [`imbalance`] — per-phase max/mean across ranks, named worst-rank
+//!   attribution, and the flop-balance residual recomputed from
 //!   gravity-span `flops` annotations.
 //! * [`efficiency`] — weak- and strong-scaling parallel efficiency from a
 //!   series of measured step wall-times.
-//! * [`waits`] — attribute critical-path waits and exposed-communication
-//!   intervals to their causal message flows (late sender, retransmission,
-//!   stall, fabric fallback), with a per-link reliability ledger and a flow
-//!   conservation check.
+//! * [`waits`] — the causal taxonomy a wait is charged to (late sender,
+//!   retransmission, stall, fabric fallback). The flow analysis that
+//!   classifies into it reads the flow ledger, so it lives beside the
+//!   ledger, in `bonsai-net::obs`.
 
 pub mod critical;
 pub mod efficiency;
@@ -28,7 +28,4 @@ pub mod waits;
 pub use critical::{critical_path, CriticalPath, PathNode, UNATTRIBUTED};
 pub use efficiency::{strong_efficiency, weak_efficiency, ScalingPoint};
 pub use imbalance::{flop_balance, phase_stats, step_wall_time, FlopBalance, PhaseStats};
-pub use waits::{
-    classify, conservation, exposed_comm, link_ledger, ConservationReport, ExposedComm,
-    FlowSummary, LinkStats, WaitCause,
-};
+pub use waits::WaitCause;

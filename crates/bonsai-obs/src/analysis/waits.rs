@@ -1,12 +1,5 @@
-//! Wait attribution: tie critical-path waits and exposed-communication
-//! intervals back to the message flows that caused them.
-//!
-//! The flow ledger (kept by the network layer) knows *what happened to every
-//! sealed envelope* — delivered on attempt k, recovered by fallback, killed
-//! by a crash — and the trace knows *where the time went*. This module joins
-//! the two: each wait or exposed-comm interval is matched against the flows
-//! whose modeled lifetime overlaps it, and classified into a small causal
-//! taxonomy:
+//! The wait-attribution taxonomy: the causal classes a critical-path wait
+//! or an exposed-communication interval is charged to.
 //!
 //! | cause            | meaning                                              |
 //! |------------------|------------------------------------------------------|
@@ -19,13 +12,9 @@
 //! The priority order (fallback > stall > retransmission > late-sender)
 //! mirrors severity: a fallback costs a whole collective reroute, a stall a
 //! full timeout, a retransmission one RTO, a late sender only imbalance.
-//!
-//! The module is deliberately neutral — it speaks [`FlowSummary`], a plain
-//! value type the simulation layer fills from its ledger, so `bonsai-obs`
-//! keeps its single dependency on `bonsai-util`.
-
-use crate::span::{Lane, TraceStore};
-use std::collections::BTreeMap;
+//! The producer classifies the flows it owns (`bonsai-net::obs::classify`)
+//! and records the label as the `cause` arg of its barrier `wait` spans,
+//! which is what [`critical_path`](super::critical_path) harvests.
 
 /// Causal classification of a wait or exposed-comm interval.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -55,526 +44,17 @@ impl WaitCause {
     }
 }
 
-/// Crate-neutral summary of one flow's ledger record, with modeled times.
-///
-/// The simulation layer converts its ledger records into these (pricing the
-/// modeled send/resolve instants with its network model); analysis here
-/// never needs the ledger itself.
-#[derive(Clone, Debug, PartialEq)]
-pub struct FlowSummary {
-    /// Flow id (unique per run, dense from 1).
-    pub id: u64,
-    /// Step the flow was sealed in.
-    pub step: u64,
-    /// Protocol epoch the flow belongs to.
-    pub epoch: u64,
-    /// Sender rank.
-    pub from: usize,
-    /// Receiver rank.
-    pub to: usize,
-    /// Message kind label (e.g. `"Let"`, `"View"`).
-    pub kind: String,
-    /// Payload bytes of the sealed envelope.
-    pub bytes: usize,
-    /// Send attempts (1 = original only; ≥ 2 means retransmitted).
-    pub attempts: u32,
-    /// Fault labels injected into this flow, in injection order.
-    pub faults: Vec<String>,
-    /// Terminal outcome label: `"delivered"`, `"fallback"`, `"dead"`, or
-    /// `"pending"`.
-    pub outcome: String,
-    /// Modeled instant the first attempt left the sender.
-    pub send_at: f64,
-    /// Modeled instant the flow resolved (delivery or fallback); `None`
-    /// while pending or dead.
-    pub resolve_at: Option<f64>,
-}
-
-impl FlowSummary {
-    /// Did the flow need more than one attempt?
-    pub fn retransmitted(&self) -> bool {
-        self.attempts > 1
-    }
-
-    /// Was a stall injected into the flow?
-    pub fn stalled(&self) -> bool {
-        self.faults.iter().any(|f| f == "stall")
-    }
-
-    /// Was the flow recovered by the fabric fallback path?
-    pub fn fell_back(&self) -> bool {
-        self.outcome == "fallback"
-    }
-
-    /// Did the flow deliver?
-    pub fn delivered(&self) -> bool {
-        self.outcome == "delivered"
-    }
-
-    /// Modeled seal→delivery latency (delivered flows only).
-    pub fn latency(&self) -> Option<f64> {
-        if self.delivered() {
-            self.resolve_at.map(|r| (r - self.send_at).max(0.0))
-        } else {
-            None
-        }
-    }
-
-    /// `"from->to"` link label.
-    pub fn link(&self) -> String {
-        format!("{}->{}", self.from, self.to)
-    }
-}
-
-/// Classify a causal flow set into the dominant [`WaitCause`].
-///
-/// Priority: fallback > stall > retransmission > late-sender. An empty set
-/// means the interval had no identifiable flow — [`WaitCause::Unattributed`].
-pub fn classify<'a, I>(flows: I) -> WaitCause
-where
-    I: IntoIterator<Item = &'a FlowSummary>,
-{
-    let mut seen = false;
-    let mut cause = WaitCause::LateSender;
-    for f in flows {
-        seen = true;
-        let c = if f.fell_back() {
-            WaitCause::Fallback
-        } else if f.stalled() {
-            WaitCause::Stall
-        } else if f.retransmitted() {
-            WaitCause::Retransmission
-        } else {
-            WaitCause::LateSender
-        };
-        // WaitCause derives Ord in severity order (Fallback first).
-        if c < cause {
-            cause = c;
-        }
-    }
-    if seen {
-        cause
-    } else {
-        WaitCause::Unattributed
-    }
-}
-
-/// Per-link ledger: traffic, reliability, and delivery-latency percentiles.
-#[derive(Clone, Debug, PartialEq)]
-pub struct LinkStats {
-    /// Sender rank.
-    pub from: usize,
-    /// Receiver rank.
-    pub to: usize,
-    /// Flows sealed on the link.
-    pub flows: usize,
-    /// Total payload bytes sealed on the link.
-    pub bytes: u64,
-    /// Total send attempts (originals + retransmissions).
-    pub attempts: u64,
-    /// Retransmitted attempts (attempts beyond each flow's first).
-    pub retransmits: u64,
-    /// Flows that delivered.
-    pub delivered: usize,
-    /// Flows recovered by fallback.
-    pub fallback: usize,
-    /// Flows killed by a crash.
-    pub dead: usize,
-    /// Median modeled delivery latency (delivered flows; 0 if none).
-    pub latency_p50: f64,
-    /// 90th-percentile modeled delivery latency.
-    pub latency_p90: f64,
-    /// 99th-percentile modeled delivery latency — the tail a few
-    /// retransmitted or stalled flows drag out while p50/p90 look clean.
-    pub latency_p99: f64,
-    /// Worst modeled delivery latency.
-    pub latency_max: f64,
-}
-
-impl LinkStats {
-    /// Retransmitted fraction of all attempts on the link.
-    pub fn retransmit_ratio(&self) -> f64 {
-        if self.attempts == 0 {
-            0.0
-        } else {
-            self.retransmits as f64 / self.attempts as f64
-        }
-    }
-
-    /// `"from->to"` link label.
-    pub fn label(&self) -> String {
-        format!("{}->{}", self.from, self.to)
-    }
-}
-
-/// Nearest-rank percentile of an ascending-sorted slice (0 if empty).
-fn percentile(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = (q * (sorted.len() - 1) as f64).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
-}
-
-/// Aggregate flows into a per-link ledger, sorted by `(from, to)`.
-pub fn link_ledger(flows: &[FlowSummary]) -> Vec<LinkStats> {
-    let mut by_link: BTreeMap<(usize, usize), Vec<&FlowSummary>> = BTreeMap::new();
-    for f in flows {
-        by_link.entry((f.from, f.to)).or_default().push(f);
-    }
-    by_link
-        .into_iter()
-        .map(|((from, to), fs)| {
-            let mut lat: Vec<f64> = fs.iter().filter_map(|f| f.latency()).collect();
-            lat.sort_by(|a, b| a.partial_cmp(b).unwrap());
-            LinkStats {
-                from,
-                to,
-                flows: fs.len(),
-                bytes: fs.iter().map(|f| f.bytes as u64).sum(),
-                attempts: fs.iter().map(|f| f.attempts as u64).sum(),
-                retransmits: fs
-                    .iter()
-                    .map(|f| f.attempts.saturating_sub(1) as u64)
-                    .sum(),
-                delivered: fs.iter().filter(|f| f.delivered()).count(),
-                fallback: fs.iter().filter(|f| f.fell_back()).count(),
-                dead: fs.iter().filter(|f| f.outcome == "dead").count(),
-                latency_p50: percentile(&lat, 0.5),
-                latency_p90: percentile(&lat, 0.9),
-                latency_p99: percentile(&lat, 0.99),
-                latency_max: lat.last().copied().unwrap_or(0.0),
-            }
-        })
-        .collect()
-}
-
-/// Outcome bookkeeping over a flow set: every sealed flow must end up in
-/// exactly one terminal bucket.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ConservationReport {
-    /// Flows sealed.
-    pub sealed: usize,
-    /// Flows that delivered.
-    pub delivered: usize,
-    /// Flows recovered by fallback.
-    pub fallback: usize,
-    /// Flows killed by a crash.
-    pub dead: usize,
-    /// Flows still pending (a violation in any completed run).
-    pub pending: usize,
-}
-
-impl ConservationReport {
-    /// Conservation: sealed = delivered + fallback + dead, nothing pending.
-    pub fn holds(&self) -> bool {
-        self.pending == 0 && self.delivered + self.fallback + self.dead == self.sealed
-    }
-}
-
-/// Count flow outcomes into a [`ConservationReport`].
-pub fn conservation(flows: &[FlowSummary]) -> ConservationReport {
-    let mut r = ConservationReport {
-        sealed: flows.len(),
-        ..Default::default()
-    };
-    for f in flows {
-        match f.outcome.as_str() {
-            "delivered" => r.delivered += 1,
-            "fallback" => r.fallback += 1,
-            "dead" => r.dead += 1,
-            _ => r.pending += 1,
-        }
-    }
-    r
-}
-
-/// One exposed-communication interval: COMM-lane time on a rank not hidden
-/// behind GPU work, with its causal flow set and classified cause.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ExposedComm {
-    /// Rank the interval belongs to.
-    pub rank: usize,
-    /// Interval start (trace seconds).
-    pub start: f64,
-    /// Interval end (trace seconds).
-    pub end: f64,
-    /// Dominant cause classified from `flows`.
-    pub cause: WaitCause,
-    /// Ids of the flows whose modeled lifetime overlaps the interval and
-    /// touches this rank.
-    pub flows: Vec<u64>,
-}
-
-impl ExposedComm {
-    /// Interval length in seconds.
-    pub fn seconds(&self) -> f64 {
-        (self.end - self.start).max(0.0)
-    }
-}
-
-/// Subtract the union of `cover` from `[start, end)`, returning the exposed
-/// sub-intervals in order.
-fn subtract(start: f64, end: f64, cover: &[(f64, f64)]) -> Vec<(f64, f64)> {
-    let mut out = Vec::new();
-    let mut cursor = start;
-    for &(cs, ce) in cover {
-        if ce <= cursor {
-            continue;
-        }
-        if cs >= end {
-            break;
-        }
-        if cs > cursor {
-            out.push((cursor, cs.min(end)));
-        }
-        cursor = cursor.max(ce);
-        if cursor >= end {
-            break;
-        }
-    }
-    if cursor < end {
-        out.push((cursor, end));
-    }
-    out
-}
-
-/// Find each rank's exposed-communication intervals in `step` and attribute
-/// them to their causal flows.
-///
-/// A COMM-lane span interval is *exposed* where no GPU-lane span of the same
-/// rank and step covers it. Each exposed interval is matched against the
-/// flows touching the rank whose modeled `[send_at, resolve_at]` window
-/// overlaps it, and classified with [`classify`]. Results are sorted by
-/// `(rank, start)`.
-pub fn exposed_comm(store: &TraceStore, step: u64, flows: &[FlowSummary]) -> Vec<ExposedComm> {
-    let mut ranks: Vec<u32> = store
-        .spans()
-        .iter()
-        .filter(|s| s.step == step && s.lane == Lane::Comm)
-        .map(|s| s.rank)
-        .collect();
-    ranks.sort_unstable();
-    ranks.dedup();
-
-    let mut out = Vec::new();
-    for rank in ranks {
-        let mut gpu: Vec<(f64, f64)> = store
-            .spans()
-            .iter()
-            .filter(|s| s.step == step && s.rank == rank && s.lane == Lane::Gpu)
-            .map(|s| (s.start, s.end))
-            .collect();
-        gpu.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        // Merge overlapping GPU intervals so subtraction sees a clean union.
-        let mut cover: Vec<(f64, f64)> = Vec::new();
-        for (s, e) in gpu {
-            match cover.last_mut() {
-                Some(last) if s <= last.1 => last.1 = last.1.max(e),
-                _ => cover.push((s, e)),
-            }
-        }
-        let mut comm: Vec<(f64, f64)> = store
-            .spans()
-            .iter()
-            .filter(|s| s.step == step && s.rank == rank && s.lane == Lane::Comm)
-            .map(|s| (s.start, s.end))
-            .collect();
-        comm.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        for (cs, ce) in comm {
-            for (xs, xe) in subtract(cs, ce, &cover) {
-                if xe - xs <= 0.0 {
-                    continue;
-                }
-                let causal: Vec<&FlowSummary> = flows
-                    .iter()
-                    .filter(|f| {
-                        (f.from == rank as usize || f.to == rank as usize) && {
-                            let fe = f.resolve_at.unwrap_or(f.send_at);
-                            f.send_at < xe && fe > xs
-                        }
-                    })
-                    .collect();
-                out.push(ExposedComm {
-                    rank: rank as usize,
-                    start: xs,
-                    end: xe,
-                    cause: classify(causal.iter().copied()),
-                    flows: causal.iter().map(|f| f.id).collect(),
-                });
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::span::Lane;
-
-    fn flow(id: u64, from: usize, to: usize, attempts: u32, outcome: &str) -> FlowSummary {
-        FlowSummary {
-            id,
-            step: 1,
-            epoch: 1,
-            from,
-            to,
-            kind: "Let".into(),
-            bytes: 1024,
-            attempts,
-            faults: Vec::new(),
-            outcome: outcome.into(),
-            send_at: 0.1,
-            resolve_at: if outcome == "delivered" || outcome == "fallback" {
-                Some(0.1 + 0.05 * attempts as f64)
-            } else {
-                None
-            },
-        }
-    }
 
     #[test]
     fn classification_follows_severity_priority() {
-        let clean = flow(1, 0, 1, 1, "delivered");
-        let retx = flow(2, 0, 1, 3, "delivered");
-        let mut stalled = flow(3, 0, 1, 2, "delivered");
-        stalled.faults.push("stall".into());
-        let fell = flow(4, 0, 1, 4, "fallback");
-
-        assert_eq!(classify([].iter().copied()), WaitCause::Unattributed);
-        assert_eq!(classify([&clean].iter().copied()), WaitCause::LateSender);
-        assert_eq!(
-            classify([&clean, &retx].iter().copied()),
-            WaitCause::Retransmission
-        );
-        assert_eq!(
-            classify([&clean, &retx, &stalled].iter().copied()),
-            WaitCause::Stall
-        );
-        assert_eq!(
-            classify([&clean, &retx, &stalled, &fell].iter().copied()),
-            WaitCause::Fallback
-        );
+        assert!(WaitCause::Fallback < WaitCause::Stall);
+        assert!(WaitCause::Stall < WaitCause::Retransmission);
+        assert!(WaitCause::Retransmission < WaitCause::LateSender);
+        assert!(WaitCause::LateSender < WaitCause::Unattributed);
         assert_eq!(WaitCause::Fallback.name(), "fallback");
         assert_eq!(WaitCause::Unattributed.name(), "unattributed");
-    }
-
-    #[test]
-    fn link_ledger_aggregates_per_directed_link() {
-        let flows = vec![
-            flow(1, 0, 1, 1, "delivered"),
-            flow(2, 0, 1, 3, "delivered"),
-            flow(3, 1, 0, 1, "fallback"),
-            flow(4, 0, 1, 2, "dead"),
-        ];
-        let links = link_ledger(&flows);
-        assert_eq!(links.len(), 2);
-        let l01 = &links[0];
-        assert_eq!((l01.from, l01.to), (0, 1));
-        assert_eq!(l01.flows, 3);
-        assert_eq!(l01.bytes, 3 * 1024);
-        assert_eq!(l01.attempts, 6);
-        assert_eq!(l01.retransmits, 3);
-        assert_eq!(l01.delivered, 2);
-        assert_eq!(l01.dead, 1);
-        assert!((l01.retransmit_ratio() - 0.5).abs() < 1e-12);
-        assert_eq!(l01.label(), "0->1");
-        // Latencies of the two delivered flows: 0.05 and 0.15; nearest-rank
-        // p50 over two samples rounds up to the later one.
-        assert!((l01.latency_p50 - 0.15).abs() < 1e-12);
-        assert!((l01.latency_p99 - 0.15).abs() < 1e-12);
-        assert!((l01.latency_max - 0.15).abs() < 1e-12);
-        let l10 = &links[1];
-        assert_eq!((l10.from, l10.to), (1, 0));
-        assert_eq!(l10.fallback, 1);
-        assert_eq!(l10.latency_max, 0.0); // fallback has no delivery latency
-    }
-
-    #[test]
-    fn latency_percentiles_are_monotone() {
-        // 100 delivered flows with distinct latencies on one link: the
-        // percentile ladder must be ordered and p99 must sit in the tail.
-        let flows: Vec<FlowSummary> = (1..=100)
-            .map(|i| {
-                let mut f = flow(i, 0, 1, 1, "delivered");
-                f.send_at = 0.0;
-                f.resolve_at = Some(i as f64 * 1e-3);
-                f
-            })
-            .collect();
-        let links = link_ledger(&flows);
-        assert_eq!(links.len(), 1);
-        let l = &links[0];
-        assert!(l.latency_p50 <= l.latency_p90);
-        assert!(l.latency_p90 <= l.latency_p99);
-        assert!(l.latency_p99 <= l.latency_max);
-        assert!((l.latency_p99 - 0.099).abs() < 1e-12);
-        assert!((l.latency_max - 0.100).abs() < 1e-12);
-    }
-
-    #[test]
-    fn conservation_balances_terminal_outcomes() {
-        let flows = vec![
-            flow(1, 0, 1, 1, "delivered"),
-            flow(2, 1, 0, 2, "fallback"),
-            flow(3, 0, 1, 1, "dead"),
-        ];
-        let r = conservation(&flows);
-        assert_eq!(
-            r,
-            ConservationReport {
-                sealed: 3,
-                delivered: 1,
-                fallback: 1,
-                dead: 1,
-                pending: 0
-            }
-        );
-        assert!(r.holds());
-        let mut with_pending = flows;
-        with_pending.push(flow(4, 0, 1, 1, "pending"));
-        assert!(!conservation(&with_pending).holds());
-    }
-
-    #[test]
-    fn exposed_comm_subtracts_gpu_cover_and_attributes_flows() {
-        let mut t = TraceStore::new();
-        // Rank 0: GPU covers [0, 0.4); COMM runs [0.2, 1.0) → exposed [0.4, 1.0).
-        t.span(0, 1, Lane::Gpu, "local", 0.0, 0.4);
-        t.span(0, 1, Lane::Comm, "let-comm", 0.2, 1.0);
-        // Rank 1: no GPU overlap at all → whole comm span exposed.
-        t.span(1, 1, Lane::Comm, "let-comm", 0.0, 0.5);
-
-        let mut f = flow(7, 1, 0, 3, "delivered");
-        f.send_at = 0.5;
-        f.resolve_at = Some(0.9);
-        let flows = vec![f];
-
-        let exposed = exposed_comm(&t, 1, &flows);
-        assert_eq!(exposed.len(), 2);
-        let r0 = &exposed[0];
-        assert_eq!(r0.rank, 0);
-        assert!((r0.start - 0.4).abs() < 1e-12 && (r0.end - 1.0).abs() < 1e-12);
-        assert_eq!(r0.cause, WaitCause::Retransmission);
-        assert_eq!(r0.flows, vec![7]);
-        assert!((r0.seconds() - 0.6).abs() < 1e-12);
-        // Rank 1's exposed window [0, 0.5) only grazes the flow's send — it
-        // still overlaps (send_at 0.5 is not < 0.5), so no attribution.
-        let r1 = &exposed[1];
-        assert_eq!(r1.rank, 1);
-        assert_eq!(r1.cause, WaitCause::Unattributed);
-        assert!(r1.flows.is_empty());
-    }
-
-    #[test]
-    fn interval_subtraction_handles_partial_and_full_cover() {
-        assert_eq!(subtract(0.0, 1.0, &[]), vec![(0.0, 1.0)]);
-        assert_eq!(subtract(0.0, 1.0, &[(0.0, 1.0)]), Vec::<(f64, f64)>::new());
-        assert_eq!(
-            subtract(0.0, 1.0, &[(0.2, 0.4), (0.6, 0.8)]),
-            vec![(0.0, 0.2), (0.4, 0.6), (0.8, 1.0)]
-        );
-        assert_eq!(subtract(0.0, 1.0, &[(-1.0, 0.5)]), vec![(0.5, 1.0)]);
     }
 }

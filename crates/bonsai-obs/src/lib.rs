@@ -75,10 +75,8 @@ pub mod stream;
 pub mod timeseries;
 
 pub use analysis::{
-    classify, conservation, critical_path, exposed_comm, flop_balance, link_ledger, phase_stats,
-    step_wall_time, strong_efficiency, weak_efficiency, ConservationReport, CriticalPath,
-    ExposedComm, FlopBalance, FlowSummary, LinkStats, PathNode, PhaseStats, ScalingPoint,
-    WaitCause, UNATTRIBUTED,
+    critical_path, flop_balance, phase_stats, step_wall_time, strong_efficiency, weak_efficiency,
+    CriticalPath, FlopBalance, PathNode, PhaseStats, ScalingPoint, WaitCause, UNATTRIBUTED,
 };
 pub use flight::Incident;
 pub use health::{

@@ -56,7 +56,6 @@ use bonsai_gpu::{GpuModel, KernelVariant, K20X};
 use bonsai_net::fault::{FaultLog, FaultPlan, Wire};
 use bonsai_net::membership::{MembershipLog, View};
 use bonsai_net::{MachineSpec, NetworkModel, PIZ_DAINT};
-use bonsai_obs::analysis::waits::FlowSummary;
 use bonsai_obs::{MetricsRegistry, TraceStore};
 use bonsai_sfc::KeyRange;
 use bonsai_tree::build::TreeParams;
@@ -215,10 +214,9 @@ pub struct Cluster {
     /// The fabric (one endpoint per rank), the fault plan applied on sends,
     /// the fault log and the flow ledger — the lifecycle of every envelope
     /// sealed (seal → inject → retransmit → deliver | fallback | dead) —
-    /// both appended in driver order, so deterministic per plan.
+    /// both appended in driver order, so deterministic per plan. The
+    /// ledger holds the trace's window of epochs plus run totals.
     wire: Wire,
-    /// Flow summaries (modeled times) of the most recent recorded epoch.
-    last_flows: Vec<FlowSummary>,
     /// Monotonic gravity-phase counter. Never rewinds — a checkpoint
     /// rollback keeps advancing it, which is what makes stale frames from
     /// failed epochs detectable and scheduled crashes fire exactly once.
@@ -323,7 +321,6 @@ impl Cluster {
             time: 0.0,
             steps: 0,
             wire: Wire::new(p, plan),
-            last_flows: Vec::new(),
             epoch: 0,
             dead: vec![false; p],
             recovery,
@@ -432,7 +429,7 @@ impl Cluster {
     }
 
     /// The last completed step as a value. The energy report (an O(N)
-    /// reduction) and the flow totals (a scan of the run's ledger) are
+    /// reduction) and the flow totals (a scan of the ledger's window) are
     /// computed only for a caller that reads them.
     fn facts(&self, energy: bool, flows: bool) -> StepFacts {
         StepFacts {

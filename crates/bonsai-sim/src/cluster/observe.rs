@@ -6,10 +6,9 @@
 use super::{Cluster, StepMeasurements};
 use crate::breakdown::StepBreakdown;
 use bonsai_gpu::{BUILD_COST, DOMAIN_COST, INTEGRATE_COST, PROPS_COST, SORT_COST};
-use bonsai_net::flow::{FlowConservation, FlowLedger};
+use bonsai_net::flow::{FlowConservation, FlowLedger, FlowOutcome};
 use bonsai_net::membership::ViewChange;
-use bonsai_net::obs::FlowClock;
-use bonsai_obs::analysis::waits::{self, FlowSummary};
+use bonsai_net::obs::{classify, FlowClock};
 use bonsai_obs::{ArgValue, FlowPhase, Lane, MetricsRegistry, TraceStore, TRACE_WINDOW};
 use bonsai_sfc::KeyMap;
 use bonsai_tree::stats::record_walk_counts;
@@ -152,11 +151,12 @@ impl Cluster {
     pub(super) fn record_observability(&mut self, meas: &StepMeasurements, breakdown: &StepBreakdown) {
         let step = self.epoch;
         // Bounded history: once the oldest epoch held is two windows back,
-        // keep only the last TRACE_WINDOW − 1, so the store holds between
-        // one and two windows and pays one drain per window.
+        // trace and flow ledger keep only the last TRACE_WINDOW − 1, so they
+        // hold between one and two windows and pay one drain per window.
         let oldest = self.trace.spans().first().map_or(step, |s| s.step);
         if oldest + 2 * TRACE_WINDOW <= step {
             self.trace.retain_steps(step + 1 - TRACE_WINDOW);
+            self.wire.flows.retain_epochs(step + 1 - TRACE_WINDOW);
         }
         // Drop the previous epoch's step-scoped gauges first: a label set
         // that existed only last epoch (a phase that didn't run, a derived
@@ -251,7 +251,6 @@ impl Cluster {
         // metrics family.
         let flows = self.wire.flows.for_epoch(step);
         let clock = FlowClock::new(&self.net);
-        let mut summaries: Vec<FlowSummary> = Vec::new();
         // Spread each sender's flows across its exchange window (seal order
         // = slot order) so the arrows land where the transfer would be in
         // flight, not stacked at the window's opening instant. Delivery
@@ -296,7 +295,6 @@ impl Cluster {
                     .flow_point(r.id, r.to as u32, step, Lane::Comm, name, at, FlowPhase::Finish);
             }
             let link = format!("{}->{}", r.from, r.to);
-            let outcome = r.outcome.label();
             if r.attempts > 1 {
                 self.registry.counter_add(
                     "bonsai_flow_retransmits_total",
@@ -310,27 +308,13 @@ impl Cluster {
             }
             // Exposed flows: the ones whose cost the overlap window could
             // not hide (a retransmission or a fallback reroute).
-            if r.attempts > 1 || outcome == "fallback" {
+            if r.attempts > 1 || r.outcome == FlowOutcome::Fallback {
                 self.registry.counter_add(
                     "bonsai_flow_exposed_total",
                     &[("kind", &format!("{:?}", r.kind))],
                     1,
                 );
             }
-            summaries.push(FlowSummary {
-                id: r.id,
-                step,
-                epoch: r.epoch,
-                from: r.from,
-                to: r.to,
-                kind: format!("{:?}", r.kind),
-                bytes: r.bytes,
-                attempts: r.attempts,
-                faults: r.injected.iter().map(|(_, f)| f.to_string()).collect(),
-                outcome: outcome.to_string(),
-                send_at,
-                resolve_at,
-            });
         }
 
         // The epoch's closing barrier: every rank that finishes before the
@@ -346,12 +330,7 @@ impl Cluster {
                 straggler = r;
             }
         }
-        let cause = waits::classify(
-            summaries
-                .iter()
-                .filter(|f| f.from == straggler || f.to == straggler),
-        )
-        .name();
+        let cause = classify(flows.iter().filter(|f| f.from == straggler || f.to == straggler)).name();
         let barrier = rank_end[straggler];
         for (r, &e) in rank_end.iter().enumerate() {
             if barrier - e > 1e-15 {
@@ -362,7 +341,6 @@ impl Cluster {
                 self.trace.arg_str(id, "cause", cause);
             }
         }
-        self.last_flows = summaries;
         let mut makespan = barrier - base;
         // Recovery retransmissions happen after the normal windows close;
         // the traffic is aggregate, so the span lands on rank 0's COMM lane.
@@ -542,21 +520,16 @@ impl Cluster {
         bonsai_domain::load::share_imbalance(&shares)
     }
 
-    /// Flow summaries (modeled times) of the most recent recorded epoch —
-    /// the per-step slice the wait-attribution analysis and the flow bench
-    /// consume.
-    pub fn last_flow_summaries(&self) -> &[FlowSummary] {
-        &self.last_flows
-    }
-
-    /// The whole run's flow ledger (every envelope sealed on the fabric
-    /// since construction).
+    /// The flow ledger: every envelope sealed on the fabric in the epochs
+    /// the trace holds (its records of epoch `e` are `for_epoch(e)`, drawn
+    /// as the trace's flow points of step `e`), plus run totals.
     pub fn flow_ledger(&self) -> &FlowLedger {
         &self.wire.flows
     }
 
-    /// Conservation totals over every flow sealed so far: in a completed
-    /// run, sealed = delivered + fallback + dead with nothing pending.
+    /// Conservation totals over every flow sealed so far, evicted epochs
+    /// included: in a completed run, sealed = delivered + fallback + dead
+    /// with nothing pending.
     pub fn flow_conservation(&self) -> FlowConservation {
         self.wire.flows.conservation()
     }

@@ -308,6 +308,52 @@ fn trace_history_is_a_bounded_window() {
 }
 
 #[test]
+fn flow_history_is_a_bounded_window() {
+    // No monitor: the cluster evicts its flow ledger with its trace. Under
+    // light drops (so outcomes and attempts vary) 40 steps hold at most two
+    // windows of epochs, every record of the last, and run totals equal to
+    // the per-epoch counts taken as each epoch completed.
+    use bonsai_net::flow::{FlowConservation, FlowOutcome, FlowRecord};
+    use bonsai_net::FaultKind;
+    use bonsai_obs::TRACE_WINDOW;
+    let plan = FaultPlan::new(5).with_rate(FaultKind::Drop, 0.05);
+    let mut c = Cluster::with_faults(plummer_sphere(256, 42), 3, ClusterConfig::default(), plan, None);
+    let mut totals = FlowConservation::default();
+    let mut recorded: Vec<Vec<FlowRecord>> = vec![Vec::new()];
+    let mut count_epochs_up_to = |c: &Cluster, recorded: &mut Vec<Vec<FlowRecord>>| {
+        for e in recorded.len() as u64..=c.current_epoch() {
+            let records = c.flow_ledger().for_epoch(e);
+            totals.sealed += records.len() as u64;
+            for r in records {
+                match r.outcome {
+                    FlowOutcome::Pending => totals.pending += 1,
+                    FlowOutcome::Delivered { .. } => totals.delivered += 1,
+                    FlowOutcome::Fallback => totals.fallback += 1,
+                    FlowOutcome::Dead => totals.dead += 1,
+                }
+            }
+            recorded.push(records.to_vec());
+        }
+        let (now, held) = (c.current_epoch(), c.flow_ledger().records());
+        assert!(now - held[0].epoch < 2 * TRACE_WINDOW, "epoch {now} holds from {}", held[0].epoch);
+        assert_eq!(c.flow_conservation(), totals, "epoch {now}");
+    };
+    count_epochs_up_to(&c, &mut recorded);
+    for _ in 0..40 {
+        c.step();
+        count_epochs_up_to(&c, &mut recorded);
+    }
+    let last = c.current_epoch();
+    assert_eq!(last, 41);
+    assert!(totals.holds() && totals.sealed > c.flow_ledger().len() as u64);
+    for e in last + 1 - TRACE_WINDOW..=last {
+        assert_eq!(c.flow_ledger().for_epoch(e), recorded[e as usize], "epoch {e}");
+    }
+    let held = c.flow_ledger().records();
+    assert!(held.iter().any(|r| r.attempts > 1), "no retransmission held");
+}
+
+#[test]
 fn single_rank_cluster_equals_single_process() {
     let n = 1500;
     let ic = plummer_sphere(n, 8);

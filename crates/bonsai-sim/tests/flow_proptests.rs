@@ -69,11 +69,13 @@ proptest! {
         );
         prop_assert!(k.sealed > 0, "run sealed no flows");
 
-        // Per-record sanity: ids dense and 1-based, at least one attempt,
-        // no flow left pending after the run.
+        // Per-record sanity: ids dense from the first held id, which the
+        // evicted count precedes; at least one attempt; no flow left
+        // pending after the run.
         let ledger = c.flow_ledger();
+        let first = k.sealed - ledger.len() as u64 + 1;
         for (i, r) in ledger.records().iter().enumerate() {
-            prop_assert_eq!(r.id, i as u64 + 1, "flow ids must be dense");
+            prop_assert_eq!(r.id, first + i as u64, "flow ids must be dense");
             prop_assert!(r.attempts >= 1);
             prop_assert!(
                 !matches!(r.outcome, FlowOutcome::Pending),

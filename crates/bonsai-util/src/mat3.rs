@@ -124,8 +124,8 @@ impl Add for Sym3 {
     #[inline(always)]
     fn add(self, o: Self) -> Self {
         let mut m = self.m;
-        for i in 0..6 {
-            m[i] += o.m[i];
+        for (a, b) in m.iter_mut().zip(o.m) {
+            *a += b;
         }
         Self { m }
     }
@@ -145,8 +145,8 @@ impl Sub for Sym3 {
     #[inline(always)]
     fn sub(self, o: Self) -> Self {
         let mut m = self.m;
-        for i in 0..6 {
-            m[i] -= o.m[i];
+        for (a, b) in m.iter_mut().zip(o.m) {
+            *a -= b;
         }
         Self { m }
     }

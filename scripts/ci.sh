@@ -20,13 +20,8 @@ echo "== docs: a broken intra-doc link fails the build =="
 # Deleted or renamed items stay out of module docs and DESIGN-quoted links.
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline -q
 
-echo "== lint: the pool, observability, tree, domain, wire and cluster crates stay clippy-clean =="
-# bonsai-par holds the workspace's one scope transmute and the grain marker
-# every nested fan-out consults; it carries no lint debt.
-cargo clippy --offline -q -p bonsai-par -- -D warnings
-# The rest alone (--no-deps): their dependency bonsai-util still has findings.
-cargo clippy --offline -q -p bonsai-obs --no-deps -- -D warnings
-cargo clippy --offline -q -p bonsai-tree -p bonsai-domain -p bonsai-net -p bonsai-sim --no-deps -- -D warnings
+echo "== lint: the whole workspace stays clippy-clean =="
+cargo clippy --workspace --offline -q -- -D warnings
 
 echo "== shipped code generation: walk tests on the release profile =="
 # The dev profile is opt-level 1 and does not vectorise; the lane kernels

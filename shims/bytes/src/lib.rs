@@ -197,7 +197,7 @@ impl BufMut for BytesMut {
     }
 
     fn put_bytes(&mut self, val: u8, count: usize) {
-        self.data.extend(std::iter::repeat(val).take(count));
+        self.data.extend(std::iter::repeat_n(val, count));
     }
 
     fn put_u32_le(&mut self, v: u32) {
