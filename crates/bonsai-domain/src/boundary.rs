@@ -16,7 +16,7 @@
 //! then use it directly as their LET.
 
 use crate::letbuild::{extract_pruned, Action};
-use crate::lettree::LetTree;
+use crate::lettree::{LetTree, Role};
 use bonsai_sfc::{KeyRange, DIM_BITS};
 use bonsai_tree::build::Tree;
 use bonsai_tree::node::NodeKind;
@@ -55,11 +55,12 @@ fn leftmost_particle(tree: &Tree, mut idx: usize) -> usize {
 /// coarser there (still correct: frontier nodes carry exact multipoles of
 /// exactly the local particles below them).
 pub fn boundary_tree(tree: &Tree, domain: &KeyRange) -> LetTree {
+    let role = Role::Boundary;
     if tree.is_empty() {
-        return LetTree::default();
+        return LetTree { role, ..LetTree::default() };
     }
     let covering: HashSet<(u64, u32)> = domain.covering_cells().into_iter().collect();
-    extract_pruned(tree, |idx, node| {
+    let pruned = extract_pruned(tree, |idx, node| {
         let left_key = tree.keys[leftmost_particle(tree, idx)];
         let cell = (prefix_at(left_key, node.level), node.level);
         if covering.contains(&cell) {
@@ -70,7 +71,8 @@ pub fn boundary_tree(tree: &Tree, domain: &KeyRange) -> LetTree {
         } else {
             Action::Open
         }
-    })
+    });
+    LetTree { role, ..pruned }
 }
 
 #[cfg(test)]

@@ -9,27 +9,75 @@
 //! which is what lets the paper hide LET exchange behind GPU work.
 //!
 //! The byte encoding is deliberately explicit (fixed-width little-endian
-//! fields via `bytes`): the cluster simulator charges the network model with
-//! `to_bytes().len()`, so the sizes driving the Table II communication rows
-//! are real serialized sizes, not estimates. It is an exact round trip
-//! (signed zeros and subnormals included), so a receiver that decoded and
-//! checked a boundary frame may drop its copy and walk the sender's tree.
+//! fields, one fixed-stride record per node): the cluster simulator charges
+//! the network model with `to_bytes().len()`, so the sizes driving the
+//! Table II communication rows are real serialized sizes, not estimates.
+//! A node record ships what a receiver reads and nothing else. The walk
+//! reads `com`, `mass`, `quad`, `geo_center`, `geo_half`, `first`, `count`
+//! and `kind`; `level` ships as one byte. The tight `bbox` ships only on
+//! [`Role::Boundary`] records, because receivers build their LETs against a
+//! boundary's [`LetTree::frontier_boxes`] and nobody reads a LET's boxes. The
+//! round trip is exact in every shipped field (signed zeros and subnormals
+//! included), so walking a decoded frame gives the sender's forces bit for
+//! bit, and a receiver that decoded and checked a boundary frame may drop
+//! its copy and walk the sender's tree.
+//!
+//! ```text
+//! header   17 B  node count u64 · particle count u64 · role u8 (0 LET, 1 boundary)
+//! node    122 B  com 3×f64 · mass f64 · quad 6×f64 · geo_center 3×f64 · geo_half f64
+//!                · first u32 · count u32 · kind u8 · level u8
+//!          +48 B  bbox min 3×f64 · max 3×f64            (boundary records only)
+//! particle 32 B  pos 3×f64 · mass f64
+//! ```
 
+use bonsai_sfc::MAX_LEVEL;
 use bonsai_tree::node::{Node, NodeKind, TreeView};
 use bonsai_util::{Aabb, Sym3, Vec3};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::Bytes;
+
+/// What a tree is for, which picks its node record on the wire.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub enum Role {
+    /// A dedicated LET: its receiver only walks it.
+    #[default]
+    Let,
+    /// A boundary tree: receivers also read its frontier's tight boxes.
+    Boundary,
+}
+
+impl Role {
+    /// Bytes per node record of this role.
+    pub const fn record_size(self) -> usize {
+        match self {
+            Role::Let => LET_RECORD_SIZE,
+            Role::Boundary => BOUNDARY_RECORD_SIZE,
+        }
+    }
+}
+
+/// Bytes of the frame header: node count, particle count, role.
+pub const HEADER_SIZE: usize = 8 + 8 + 1;
+/// Bytes per node record of a LET.
+pub const LET_RECORD_SIZE: usize = 8 * (3 + 1 + 6 + 3 + 1) + 4 + 4 + 1 + 1;
+/// Bytes per node record of a boundary tree: a LET record plus the tight box.
+pub const BOUNDARY_RECORD_SIZE: usize = LET_RECORD_SIZE + 8 * 6;
+/// Bytes per shipped particle: position and mass.
+pub const PARTICLE_RECORD_SIZE: usize = 8 * 4;
 
 /// A self-contained pruned tree: nodes in BFS order plus the particle payload
 /// referenced by its leaf nodes.
 #[derive(Clone, Debug, Default)]
 pub struct LetTree {
     /// Nodes in BFS order, `nodes[0]` the root (empty if the sender owned
-    /// nothing).
+    /// nothing). A decoded LET carries no tight boxes: each node's `bbox` is
+    /// its octree cell.
     pub nodes: Vec<Node>,
     /// Positions of shipped leaf particles.
     pub pos: Vec<Vec3>,
     /// Masses of shipped leaf particles.
     pub mass: Vec<f64>,
+    /// LET or boundary tree: picks the node record on the wire.
+    pub role: Role,
 }
 
 impl LetTree {
@@ -52,8 +100,9 @@ impl LetTree {
         self.nodes.first().map_or(0.0, |n| n.mass)
     }
 
-    /// Tight bounding boxes of the `Cut` and `Leaf` frontier — the domain
-    /// geometry a receiver uses when it builds LETs *for* this sender.
+    /// Bounding boxes of the `Cut` and `Leaf` frontier — on a boundary tree,
+    /// the domain geometry a receiver uses when it builds LETs *for* this
+    /// sender.
     pub fn frontier_boxes(&self) -> Vec<Aabb> {
         self.nodes
             .iter()
@@ -68,23 +117,41 @@ impl LetTree {
     }
 
     /// Structural invariants: child ranges valid, leaf ranges inside payload,
-    /// internal mass equals the sum of child masses, every multipole and
-    /// particle value finite. Receivers run this on every tree that crosses
-    /// the wire, so a frame that passes the envelope checksum but carries
-    /// semantically broken data is still rejected.
+    /// internal mass equals the sum of child masses, every multipole, cell
+    /// and particle value finite, cells of positive size no deeper than
+    /// [`MAX_LEVEL`], and a boundary tree's boxes finite and not inverted.
+    /// Receivers run this on every tree that crosses the wire, so a frame
+    /// that passes the envelope checksum but carries semantically broken data
+    /// — anything the walk or the LET builder reads — is still rejected.
     pub fn check_invariants(&self) -> Result<(), String> {
         for (i, n) in self.nodes.iter().enumerate() {
-            let finite = n.mass.is_finite()
-                && n.com.x.is_finite()
-                && n.com.y.is_finite()
-                && n.com.z.is_finite()
-                && n.quad.m.iter().all(|q| q.is_finite());
+            let finite = n.mass.is_finite() && finite3(n.com) && n.quad.m.iter().all(|q| q.is_finite());
             if !finite {
                 return Err(format!("node {i}: non-finite multipole data"));
             }
+            if !finite3(n.geo_center) {
+                return Err(format!("node {i}: non-finite cell centre"));
+            }
+            if !(n.geo_half.is_finite() && n.geo_half > 0.0) {
+                let half = n.geo_half;
+                return Err(format!("node {i}: cell half-size {half} is not finite and positive"));
+            }
+            if n.level > MAX_LEVEL {
+                return Err(format!("node {i}: level {} deeper than MAX_LEVEL {MAX_LEVEL}", n.level));
+            }
+            if self.role == Role::Boundary {
+                let b = &n.bbox;
+                if !(finite3(b.min) && finite3(b.max)) {
+                    return Err(format!("node {i}: non-finite bounding box"));
+                }
+                if b.is_empty() {
+                    return Err(format!("node {i}: inverted bounding box"));
+                }
+            }
+            // Widened: `first + count` must not wrap in `u32`.
+            let (b, e) = (n.first as usize, n.first as usize + n.count as usize);
             match n.kind {
                 NodeKind::Internal => {
-                    let (b, e) = (n.first as usize, n.first as usize + n.count as usize);
                     if e > self.nodes.len() || b <= i {
                         return Err(format!("node {i}: bad child range {b}..{e}"));
                     }
@@ -97,7 +164,6 @@ impl LetTree {
                     }
                 }
                 NodeKind::Leaf => {
-                    let e = n.first as usize + n.count as usize;
                     if e > self.pos.len() {
                         return Err(format!("node {i}: leaf range beyond payload"));
                     }
@@ -106,133 +172,157 @@ impl LetTree {
             }
         }
         for (i, (p, &m)) in self.pos.iter().zip(&self.mass).enumerate() {
-            if !(p.x.is_finite() && p.y.is_finite() && p.z.is_finite() && m.is_finite()) {
+            if !(finite3(*p) && m.is_finite()) {
                 return Err(format!("particle {i}: non-finite payload data"));
             }
         }
         Ok(())
     }
 
-    /// Serialize to bytes (fixed-width little-endian).
+    /// Serialize to bytes: the header, one fixed-stride record per node, then
+    /// the particles (module docs). The buffer is sized once and adopted by
+    /// the returned [`Bytes`].
+    ///
+    /// # Panics
+    /// If a node's level does not fit its one-byte field.
     pub fn to_bytes(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(16 + self.nodes.len() * NODE_WIRE_SIZE + self.pos.len() * 32);
-        buf.put_u64_le(self.nodes.len() as u64);
-        buf.put_u64_le(self.pos.len() as u64);
+        let stride = self.role.record_size();
+        let mut buf = Vec::with_capacity(self.wire_size());
+        buf.extend_from_slice(&(self.nodes.len() as u64).to_le_bytes());
+        buf.extend_from_slice(&(self.pos.len() as u64).to_le_bytes());
+        buf.push(match self.role {
+            Role::Let => 0,
+            Role::Boundary => 1,
+        });
+        let mut rec = [0u8; BOUNDARY_RECORD_SIZE];
         for n in &self.nodes {
-            put_node(&mut buf, n);
+            encode_node(n, &mut rec);
+            buf.extend_from_slice(&rec[..stride]);
         }
         for (&p, &m) in self.pos.iter().zip(&self.mass) {
-            put_vec3(&mut buf, p);
-            buf.put_f64_le(m);
+            for f in [p.x, p.y, p.z, m] {
+                buf.extend_from_slice(&f.to_le_bytes());
+            }
         }
-        buf.freeze()
+        debug_assert_eq!(buf.len(), self.wire_size());
+        Bytes::from(buf)
     }
 
-    /// Deserialize; returns `None` on malformed input, including a payload
-    /// longer or shorter than its header declares.
-    pub fn from_bytes(mut b: &[u8]) -> Option<Self> {
-        if b.remaining() < 16 {
-            return None;
-        }
-        let n_nodes = b.get_u64_le() as usize;
-        let n_part = b.get_u64_le() as usize;
+    /// Deserialize; returns `None` on malformed input: an unknown role or
+    /// node kind, or a payload longer or shorter than its header declares
+    /// for that role.
+    pub fn from_bytes(b: &[u8]) -> Option<Self> {
+        let (header, body) = b.split_first_chunk::<HEADER_SIZE>()?;
+        let n_nodes = u64_at(header, 0) as usize;
+        let n_part = u64_at(header, 8) as usize;
+        let role = match header[16] {
+            0 => Role::Let,
+            1 => Role::Boundary,
+            _ => return None,
+        };
+        let stride = role.record_size();
         // Checked arithmetic: adversarial headers must not overflow (found
         // by the garbage-input fuzz test — debug builds panic on mul
         // overflow otherwise).
-        let need = n_nodes
-            .checked_mul(NODE_WIRE_SIZE)
-            .and_then(|a| n_part.checked_mul(32).and_then(|p| a.checked_add(p)))?;
-        if b.remaining() != need {
+        let node_bytes = n_nodes.checked_mul(stride)?;
+        let need = n_part
+            .checked_mul(PARTICLE_RECORD_SIZE)
+            .and_then(|p| p.checked_add(node_bytes))?;
+        if body.len() != need {
             return None;
         }
-        let mut nodes = Vec::with_capacity(n_nodes);
-        for _ in 0..n_nodes {
-            nodes.push(get_node(&mut b)?);
-        }
-        let mut pos = Vec::with_capacity(n_part);
-        let mut mass = Vec::with_capacity(n_part);
-        for _ in 0..n_part {
-            pos.push(get_vec3(&mut b));
-            mass.push(b.get_f64_le());
-        }
-        Some(Self { nodes, pos, mass })
+        let (node_part, particle_part) = body.split_at(node_bytes);
+        let nodes = node_part
+            .chunks_exact(stride)
+            .map(|rec| decode_node(rec, role))
+            .collect::<Option<Vec<Node>>>()?;
+        let (pos, mass) = particle_part
+            .chunks_exact(PARTICLE_RECORD_SIZE)
+            .map(|rec| (Vec3::new(f64_at(rec, 0), f64_at(rec, 8), f64_at(rec, 16)), f64_at(rec, 24)))
+            .unzip();
+        Some(Self { nodes, pos, mass, role })
     }
 
     /// Serialized size in bytes without materializing the buffer.
     pub fn wire_size(&self) -> usize {
-        16 + self.nodes.len() * NODE_WIRE_SIZE + self.pos.len() * 32
+        HEADER_SIZE + self.nodes.len() * self.role.record_size() + self.pos.len() * PARTICLE_RECORD_SIZE
     }
 }
 
-/// Bytes per node on the wire.
-pub const NODE_WIRE_SIZE: usize = 8 * (3 + 1 + 6 + 6 + 3 + 1) + 4 + 4 + 1 + 4 + 3;
-
-fn put_vec3(buf: &mut BytesMut, v: Vec3) {
-    buf.put_f64_le(v.x);
-    buf.put_f64_le(v.y);
-    buf.put_f64_le(v.z);
+fn finite3(v: Vec3) -> bool {
+    v.x.is_finite() && v.y.is_finite() && v.z.is_finite()
 }
 
-fn get_vec3(b: &mut &[u8]) -> Vec3 {
-    let x = b.get_f64_le();
-    let y = b.get_f64_le();
-    let z = b.get_f64_le();
-    Vec3::new(x, y, z)
+fn u64_at(b: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(b[at..at + 8].try_into().unwrap())
 }
 
-fn put_node(buf: &mut BytesMut, n: &Node) {
-    put_vec3(buf, n.com);
-    buf.put_f64_le(n.mass);
-    for &q in &n.quad.m {
-        buf.put_f64_le(q);
+fn f64_at(b: &[u8], at: usize) -> f64 {
+    f64::from_bits(u64_at(b, at))
+}
+
+fn vec3_at(b: &[u8], at: usize) -> Vec3 {
+    Vec3::new(f64_at(b, at), f64_at(b, at + 8), f64_at(b, at + 16))
+}
+
+fn put_f64s(rec: &mut [u8], at: usize, vals: &[f64]) {
+    for (k, v) in vals.iter().enumerate() {
+        rec[at + 8 * k..at + 8 * k + 8].copy_from_slice(&v.to_le_bytes());
     }
-    put_vec3(buf, n.bbox.min);
-    put_vec3(buf, n.bbox.max);
-    put_vec3(buf, n.geo_center);
-    buf.put_f64_le(n.geo_half);
-    buf.put_u32_le(n.first);
-    buf.put_u32_le(n.count);
-    buf.put_u8(match n.kind {
+}
+
+/// Write `n` as a boundary record; a LET record is its first
+/// [`LET_RECORD_SIZE`] bytes.
+fn encode_node(n: &Node, rec: &mut [u8; BOUNDARY_RECORD_SIZE]) {
+    let q = &n.quad.m;
+    put_f64s(rec, 0, &[n.com.x, n.com.y, n.com.z, n.mass]);
+    put_f64s(rec, 32, q);
+    put_f64s(rec, 80, &[n.geo_center.x, n.geo_center.y, n.geo_center.z, n.geo_half]);
+    rec[112..116].copy_from_slice(&n.first.to_le_bytes());
+    rec[116..120].copy_from_slice(&n.count.to_le_bytes());
+    rec[120] = match n.kind {
         NodeKind::Internal => 0,
         NodeKind::Leaf => 1,
         NodeKind::Cut => 2,
-    });
-    buf.put_u32_le(n.level);
-    buf.put_bytes(0, 3); // pad for alignment-stable size accounting
+    };
+    rec[121] = u8::try_from(n.level).expect("node level exceeds its u8 wire field");
+    let (lo, hi) = (n.bbox.min, n.bbox.max);
+    put_f64s(rec, LET_RECORD_SIZE, &[lo.x, lo.y, lo.z, hi.x, hi.y, hi.z]);
 }
 
-fn get_node(b: &mut &[u8]) -> Option<Node> {
-    let com = get_vec3(b);
-    let mass = b.get_f64_le();
+/// Read one record of `role`'s stride; `None` on an unknown node kind.
+fn decode_node(rec: &[u8], role: Role) -> Option<Node> {
+    let r: &[u8; LET_RECORD_SIZE] = rec[..LET_RECORD_SIZE].try_into().unwrap();
     let mut quad = Sym3::zero();
-    for q in &mut quad.m {
-        *q = b.get_f64_le();
+    for (k, q) in quad.m.iter_mut().enumerate() {
+        *q = f64_at(r, 32 + 8 * k);
     }
-    let bmin = get_vec3(b);
-    let bmax = get_vec3(b);
-    let geo_center = get_vec3(b);
-    let geo_half = b.get_f64_le();
-    let first = b.get_u32_le();
-    let count = b.get_u32_le();
-    let kind = match b.get_u8() {
+    let geo_center = vec3_at(r, 80);
+    let geo_half = f64_at(r, 104);
+    let kind = match r[120] {
         0 => NodeKind::Internal,
         1 => NodeKind::Leaf,
         2 => NodeKind::Cut,
         _ => return None,
     };
-    let level = b.get_u32_le();
-    b.advance(3);
+    let bbox = match role {
+        Role::Let => Aabb::cube(geo_center, geo_half),
+        Role::Boundary => Aabb {
+            min: vec3_at(rec, LET_RECORD_SIZE),
+            max: vec3_at(rec, LET_RECORD_SIZE + 24),
+        },
+    };
     Some(Node {
-        com,
-        mass,
+        com: vec3_at(r, 0),
+        mass: f64_at(r, 24),
         quad,
-        bbox: Aabb { min: bmin, max: bmax },
+        bbox,
         geo_center,
         geo_half,
-        first,
-        count,
+        first: u32::from_le_bytes(r[112..116].try_into().unwrap()),
+        count: u32::from_le_bytes(r[116..120].try_into().unwrap()),
         kind,
-        level,
+        level: u32::from(r[121]),
     })
 }
 
@@ -281,32 +371,61 @@ mod tests {
             nodes: vec![root, leaf, cut],
             pos: vec![Vec3::new(0.45, 0.5, 0.5), Vec3::new(0.55, 0.5, 0.5)],
             mass: vec![1.0, 1.0],
+            role: Role::Let,
+        }
+    }
+
+    fn sample_boundary() -> LetTree {
+        LetTree {
+            role: Role::Boundary,
+            ..sample_tree()
         }
     }
 
     #[test]
+    fn record_sizes() {
+        assert_eq!(LET_RECORD_SIZE, 122);
+        assert_eq!(BOUNDARY_RECORD_SIZE, 170);
+        let (t, b) = (sample_tree(), sample_boundary());
+        assert_eq!(t.wire_size(), HEADER_SIZE + 3 * 122 + 2 * 32);
+        assert_eq!(b.wire_size(), HEADER_SIZE + 3 * 170 + 2 * 32);
+    }
+
+    #[test]
     fn round_trip_serialization() {
-        let mut t = sample_tree();
-        // A third root child: a signed zero and a subnormal keep every bit.
-        let mut odd = t.nodes[2];
-        odd.com.x = -0.0;
-        odd.mass = f64::MIN_POSITIVE / 4.0;
-        t.nodes.push(odd);
-        t.nodes[0].count = 3;
-        let bytes = t.to_bytes();
-        assert_eq!(bytes.len(), t.wire_size());
-        let u = LetTree::from_bytes(&bytes).expect("decode");
-        let bits = |n: &Node| [n.com.x, n.com.y, n.com.z, n.mass].map(f64::to_bits);
-        assert_eq!(bits(&u.nodes[3]), bits(&odd));
-        assert_eq!(u.to_bytes(), bytes);
-        assert_eq!(u.nodes.len(), 4);
-        assert_eq!(u.pos.len(), 2);
-        assert_eq!(u.nodes[0].mass, 5.0);
-        assert_eq!(u.nodes[1].kind, NodeKind::Leaf);
-        assert_eq!(u.nodes[2].kind, NodeKind::Cut);
-        assert_eq!(u.pos[1], Vec3::new(0.55, 0.5, 0.5));
-        assert_eq!(u.nodes[1].quad.xx(), t.nodes[1].quad.xx());
-        u.check_invariants().unwrap();
+        for mut t in [sample_tree(), sample_boundary()] {
+            // A third root child: a signed zero and a subnormal keep every bit.
+            let mut odd = t.nodes[2];
+            odd.com.x = -0.0;
+            odd.mass = f64::MIN_POSITIVE / 4.0;
+            t.nodes.push(odd);
+            t.nodes[0].count = 3;
+            let bytes = t.to_bytes();
+            assert_eq!(bytes.len(), t.wire_size());
+            let u = LetTree::from_bytes(&bytes).expect("decode");
+            assert_eq!(u.role, t.role);
+            let bits = |n: &Node| [n.com.x, n.com.y, n.com.z, n.mass].map(f64::to_bits);
+            assert_eq!(bits(&u.nodes[3]), bits(&odd));
+            assert_eq!(u.to_bytes(), bytes);
+            assert_eq!(u.nodes.len(), 4);
+            assert_eq!(u.pos.len(), 2);
+            assert_eq!(u.nodes[0].mass, 5.0);
+            assert_eq!(u.nodes[1].kind, NodeKind::Leaf);
+            assert_eq!(u.nodes[2].kind, NodeKind::Cut);
+            assert_eq!(u.nodes[1].level, 1);
+            assert_eq!(u.pos[1], Vec3::new(0.55, 0.5, 0.5));
+            assert_eq!(u.nodes[1].quad.xx(), t.nodes[1].quad.xx());
+            u.check_invariants().unwrap();
+        }
+    }
+
+    #[test]
+    fn only_boundary_records_carry_the_tight_box() {
+        let b = LetTree::from_bytes(&sample_boundary().to_bytes()).unwrap();
+        assert_eq!(b.frontier_boxes(), sample_boundary().frontier_boxes());
+        // A LET record carries no box: decode gives the octree cell.
+        let t = LetTree::from_bytes(&sample_tree().to_bytes()).unwrap();
+        assert_eq!(t.nodes[2].bbox, Aabb::cube(Vec3::new(1.5, 0.5, 0.5), 0.25));
     }
 
     #[test]
@@ -324,6 +443,60 @@ mod tests {
     }
 
     #[test]
+    fn invariants_catch_a_non_finite_cell_centre() {
+        let mut t = sample_tree();
+        t.nodes[2].geo_center.y = f64::NAN;
+        assert!(t.check_invariants().unwrap_err().contains("cell centre"));
+    }
+
+    #[test]
+    fn invariants_catch_a_nan_cell_half_size() {
+        // `must_open` compares `d2 <= NaN`, false: the cell would be accepted
+        // as a p-c by every target.
+        let mut t = sample_tree();
+        t.nodes[1].geo_half = f64::NAN;
+        assert!(t.check_invariants().unwrap_err().contains("half-size"));
+    }
+
+    #[test]
+    fn invariants_catch_a_cell_half_size_that_is_not_positive() {
+        for half in [0.0, -0.25, f64::INFINITY] {
+            let mut t = sample_tree();
+            t.nodes[0].geo_half = half;
+            assert!(t.check_invariants().is_err(), "half-size {half} accepted");
+        }
+    }
+
+    #[test]
+    fn invariants_catch_a_level_deeper_than_max_level() {
+        let mut t = sample_tree();
+        t.nodes[1].level = MAX_LEVEL + 1;
+        assert!(t.check_invariants().unwrap_err().contains("level"));
+    }
+
+    #[test]
+    fn invariants_catch_a_non_finite_boundary_box() {
+        let mut b = sample_boundary();
+        b.nodes[2].bbox.max.z = f64::INFINITY;
+        assert!(b.check_invariants().unwrap_err().contains("non-finite bounding box"));
+    }
+
+    #[test]
+    fn invariants_catch_an_inverted_boundary_box() {
+        let mut b = sample_boundary();
+        b.nodes[2].bbox.min.x = b.nodes[2].bbox.max.x + 1.0;
+        assert!(b.check_invariants().unwrap_err().contains("inverted"));
+    }
+
+    #[test]
+    #[should_panic(expected = "u8 wire field")]
+    fn a_level_past_its_byte_refuses_to_encode() {
+        let mut t = sample_tree();
+        t.nodes[1].level = 256;
+        let _ = t.to_bytes();
+    }
+
+    #[test]
     fn frontier_boxes_cover_leaf_and_cut() {
         let t = sample_tree();
         assert_eq!(t.frontier_boxes().len(), 2);
@@ -331,17 +504,34 @@ mod tests {
 
     #[test]
     fn malformed_bytes_rejected() {
-        assert!(LetTree::from_bytes(&[0u8; 4]).is_none());
-        let t = sample_tree();
-        let b = t.to_bytes();
-        assert!(LetTree::from_bytes(&b[..b.len() - 1]).is_none());
+        for t in [sample_tree(), sample_boundary()] {
+            let b = t.to_bytes();
+            for cut in 0..b.len() {
+                let role = t.role;
+                assert!(LetTree::from_bytes(&b[..cut]).is_none(), "{role:?} prefix of {cut} bytes decoded");
+            }
+        }
+    }
+
+    #[test]
+    fn a_role_flag_that_disagrees_with_the_body_is_rejected() {
+        for (t, other) in [(sample_tree(), 1u8), (sample_boundary(), 0u8)] {
+            let mut b = t.to_bytes().to_vec();
+            b[HEADER_SIZE - 1] = other;
+            assert!(LetTree::from_bytes(&b).is_none(), "{:?} frame read as the other role", t.role);
+            b[HEADER_SIZE - 1] = 2;
+            assert!(LetTree::from_bytes(&b).is_none(), "unknown role accepted");
+        }
     }
 
     #[test]
     fn empty_tree_round_trips() {
-        let t = LetTree::default();
-        let u = LetTree::from_bytes(&t.to_bytes()).unwrap();
-        assert!(u.is_empty());
-        assert_eq!(u.total_mass(), 0.0);
+        for role in [Role::Let, Role::Boundary] {
+            let t = LetTree { role, ..LetTree::default() };
+            let u = LetTree::from_bytes(&t.to_bytes()).unwrap();
+            assert!(u.is_empty());
+            assert_eq!(u.role, role);
+            assert_eq!(u.total_mass(), 0.0);
+        }
     }
 }

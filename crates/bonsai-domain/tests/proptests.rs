@@ -11,7 +11,8 @@ use bonsai_sfc::range::{find_owner, ranges_from_cuts};
 use bonsai_sfc::{KeyMap, KeyRange, KEY_END};
 use bonsai_tree::build::{Tree, TreeParams};
 use bonsai_tree::node::NodeKind;
-use bonsai_tree::Particles;
+use bonsai_tree::walk::{walk_tree, WalkParams};
+use bonsai_tree::{Forces, Particles};
 use bonsai_util::rng::Xoshiro256;
 use bonsai_util::{Aabb, Vec3};
 use proptest::prelude::*;
@@ -114,9 +115,35 @@ proptest! {
         prop_assert_eq!(back.particle_count(), lt.particle_count());
         prop_assert!(back.check_invariants().is_ok());
         prop_assert!((back.total_mass() - tree.particles.total_mass()).abs() < 1e-9);
-        // A decoded frame is the sender's tree bit for bit: a receiver may
-        // validate its copy and walk the sender's.
         prop_assert_eq!(back.to_bytes(), bytes);
+    }
+
+    #[test]
+    fn walking_a_decoded_frame_gives_the_senders_forces(
+        n in 2usize..300, seed in any::<u64>(), theta in 0.2f64..1.0, boundary in any::<bool>()
+    ) {
+        // What a receiver reads survives the wire bit for bit: it may
+        // validate its copy of a boundary and walk the sender's tree.
+        let (sender, domain, receiver) = two_ranks(n, seed);
+        let lt = if boundary {
+            boundary_tree(&sender, &domain)
+        } else {
+            build_let(&sender, &[receiver.particles.bounds()], theta)
+        };
+        let back = LetTree::from_bytes(&lt.to_bytes()).unwrap();
+        prop_assert!(back.check_invariants().is_ok());
+        let params = WalkParams::new(theta, 0.01);
+        let targets = &receiver.particles.pos;
+        let walk = |t: &LetTree| walk_tree(&t.view(), targets, &receiver.groups, &params);
+        let ((fa, sa), (fb, sb)) = (walk(&lt), walk(&back));
+        let bits = |f: &Forces| -> Vec<u64> {
+            let acc = f.acc.iter().flat_map(|a| [a.x, a.y, a.z]);
+            acc.chain(f.pot.iter().copied()).map(f64::to_bits).collect()
+        };
+        prop_assert_eq!(bits(&fa), bits(&fb));
+        prop_assert_eq!(sa.counts, sb.counts);
+        prop_assert_eq!(sa.nodes_visited, sb.nodes_visited);
+        prop_assert_eq!(sa.forced_cuts, sb.forced_cuts);
     }
 
     #[test]
@@ -163,10 +190,15 @@ proptest! {
 
     #[test]
     fn from_bytes_never_panics_on_bitflipped_valid_trees(
-        n in 2usize..120, seed in any::<u64>(), flip in any::<u64>()
+        n in 2usize..120, seed in any::<u64>(), flip in any::<u64>(), shape in 0usize..3
     ) {
-        let tree = Tree::build(blob(n, seed), TreeParams::default());
-        let lt = boundary_tree(&tree, &KeyRange::everything());
+        // A boundary, or a LET of either reach: both record shapes.
+        let (tree, domain, _) = two_ranks(n, seed);
+        let lt = match shape {
+            0 => boundary_tree(&tree, &domain),
+            1 => build_let(&tree, &[Aabb::cube(Vec3::new(1.2, 0.0, 0.0), 0.5)], 0.4),
+            _ => build_let(&tree, &[Aabb::cube(Vec3::splat(50.0), 1.0)], 0.4),
+        };
         let mut bytes = lt.to_bytes().to_vec();
         if !bytes.is_empty() {
             let idx = (flip as usize) % bytes.len();
@@ -304,6 +336,23 @@ proptest! {
         }
         prop_assert!(prev_ok, "far geometry must always be satisfied by the boundary");
     }
+}
+
+/// Two ranks over one key map: `blob(n, seed)` split at its median key.
+/// Returns the first rank's tree and key range, and the second rank's tree.
+fn two_ranks(n: usize, seed: u64) -> (Tree, KeyRange, Tree) {
+    let all = blob(n, seed);
+    let keymap = KeyMap::new(&all.bounds(), bonsai_sfc::Curve::Hilbert);
+    let keys: Vec<u64> = all.pos.iter().map(|&q| keymap.key_of(q)).collect();
+    let mut sorted = keys.clone();
+    sorted.sort_unstable();
+    let domains = ranges_from_cuts(&[sorted[n / 2]]);
+    let mut halves = [Particles::new(), Particles::new()];
+    for (i, &k) in keys.iter().enumerate() {
+        halves[find_owner(&domains, k)].push(all.pos[i], all.vel[i], all.mass[i], all.id[i]);
+    }
+    let [a, b] = halves.map(|h| Tree::build_with_keymap(h, keymap.clone(), TreeParams::default()));
+    (a, domains[0], b)
 }
 
 /// `lt` round-tripped through the wire with its first `kind` node's range

@@ -78,9 +78,9 @@ fn corrupted_node_kind_is_rejected() {
     let tree = bonsai_tree::build::Tree::build(ic, bonsai_tree::build::TreeParams::default());
     let lt = bonsai_domain::boundary_tree(&tree, &bonsai_sfc::KeyRange::everything());
     let mut bytes = lt.to_bytes().to_vec();
-    // Find the first node's kind byte and clobber it with an invalid tag.
-    // Node layout: 16-byte header + node, kind at offset 16 + 160 + 8.
-    let kind_offset = 16 + 160 + 8;
+    // Find the first node's kind byte and clobber it with an invalid tag:
+    // the header, then the record's 14 f64s and two u32s.
+    let kind_offset = bonsai_domain::lettree::HEADER_SIZE + 8 * 14 + 4 + 4;
     bytes[kind_offset] = 0xFF;
     assert!(LetTree::from_bytes(&bytes).is_none(), "bad node kind accepted");
 }
