@@ -14,12 +14,23 @@
 //! in particular no particle data — is shipped. Every rank broadcasts its
 //! boundary tree with one `MPI_Allgatherv`-style collective; distant ranks
 //! then use it directly as their LET.
+//!
+//! A frontier node's `bbox` is not its own tight box but the union of the
+//! tight boxes of the rank's walk groups (`Tree::groups`) that share a
+//! particle with it. Peers build their LETs for this rank against these
+//! boxes ([`LetTree::frontier_boxes`]), while the rank walks with its groups,
+//! and a group may straddle two frontier cells: its box can sit nearer a
+//! cell's centre of mass than either cell's own box. With the grown boxes
+//! every group box lies inside a frontier box, and the box distance is
+//! monotone under containment, so any cell a group's MAC opens was opened
+//! by the sender too: no `Cut` node is ever forced.
 
 use crate::letbuild::{extract_pruned, Action};
 use crate::lettree::{LetTree, Role};
 use bonsai_sfc::{KeyRange, DIM_BITS};
 use bonsai_tree::build::Tree;
 use bonsai_tree::node::NodeKind;
+use bonsai_util::Aabb;
 use std::collections::HashSet;
 
 /// Mask `key` to the aligned prefix of `level`.
@@ -33,18 +44,35 @@ fn prefix_at(key: u64, level: u32) -> u64 {
     }
 }
 
-/// Index of the leftmost (lowest-key) particle under node `idx`.
-fn leftmost_particle(tree: &Tree, mut idx: usize) -> usize {
+/// Index of the leftmost (lowest-key) or rightmost particle under node
+/// `idx`, plus one for the rightmost.
+fn particle_edge(tree: &Tree, mut idx: usize, right: bool) -> usize {
     loop {
         let n = &tree.nodes[idx];
+        let last = (n.count as usize).saturating_sub(1);
         match n.kind {
+            NodeKind::Leaf if right => return (n.first + n.count) as usize,
             NodeKind::Leaf => return n.first as usize,
             // Children are pushed in ascending digit order, so the first
-            // child holds the lowest keys.
-            NodeKind::Internal => idx = n.first as usize,
+            // child holds the lowest keys and the last the highest.
+            NodeKind::Internal => idx = n.first as usize + if right { last } else { 0 },
             NodeKind::Cut => unreachable!("local trees have no Cut nodes"),
         }
     }
+}
+
+/// Union of the tight boxes of the walk groups sharing a particle with
+/// node `idx`.
+fn group_cover(tree: &Tree, idx: usize) -> Aabb {
+    let (lo, hi) = (particle_edge(tree, idx, false), particle_edge(tree, idx, true));
+    let groups = &tree.groups;
+    let first = groups.partition_point(|g| g.end as usize <= lo);
+    let end = groups.partition_point(|g| (g.begin as usize) < hi);
+    let mut cover = Aabb::empty();
+    for g in &groups[first..end] {
+        cover.merge(&g.bbox);
+    }
+    cover
 }
 
 /// Extract the boundary tree of `tree`, whose particles occupy the key range
@@ -53,25 +81,33 @@ fn leftmost_particle(tree: &Tree, mut idx: usize) -> usize {
 /// Frontier nodes are the covering cells of `domain` — or local *leaves*
 /// sitting above a covering cell, in which case the frontier is slightly
 /// coarser there (still correct: frontier nodes carry exact multipoles of
-/// exactly the local particles below them).
+/// exactly the local particles below them). Their boxes cover the walk
+/// groups they touch (module docs).
 pub fn boundary_tree(tree: &Tree, domain: &KeyRange) -> LetTree {
     let role = Role::Boundary;
     if tree.is_empty() {
         return LetTree { role, ..LetTree::default() };
     }
     let covering: HashSet<(u64, u32)> = domain.covering_cells().into_iter().collect();
-    let pruned = extract_pruned(tree, |idx, node| {
-        let left_key = tree.keys[leftmost_particle(tree, idx)];
+    // The local index of every node kept as a frontier node, in output order.
+    let mut frontier: Vec<Option<usize>> = Vec::new();
+    let mut pruned = extract_pruned(tree, |idx, node| {
+        let left_key = tree.keys[particle_edge(tree, idx, false)];
         let cell = (prefix_at(left_key, node.level), node.level);
-        if covering.contains(&cell) {
-            Action::Cut
-        } else if node.kind == NodeKind::Leaf {
-            // Leaf coarser than the covering cells below it.
+        // A covering cell, or a leaf coarser than the covering cells below it.
+        let cut = covering.contains(&cell) || node.kind == NodeKind::Leaf;
+        frontier.push(cut.then_some(idx));
+        if cut {
             Action::Cut
         } else {
             Action::Open
         }
     });
+    for (n, local) in pruned.nodes.iter_mut().zip(frontier) {
+        if let Some(idx) = local {
+            n.bbox = group_cover(tree, idx);
+        }
+    }
     LetTree { role, ..pruned }
 }
 
@@ -173,6 +209,24 @@ mod tests {
         let b = boundary_tree(&tree, &KeyRange::everything());
         assert_eq!(b.nodes.len(), 1);
         assert_eq!(b.nodes[0].kind, NodeKind::Cut);
+    }
+
+    #[test]
+    fn every_walk_group_sits_inside_a_frontier_box() {
+        let (trees, domains) = split_ranks(6000, 6, 6);
+        for (t, d) in trees.iter().zip(&domains) {
+            let b = boundary_tree(t, d);
+            b.check_invariants().unwrap();
+            let boxes = b.frontier_boxes();
+            for g in &t.groups {
+                assert!(
+                    boxes.iter().any(|bb| bb.contains_box(&g.bbox)),
+                    "group {}..{} lies inside no frontier box",
+                    g.begin,
+                    g.end
+                );
+            }
+        }
     }
 
     #[test]

@@ -44,8 +44,9 @@ pub enum Action {
 }
 
 /// Generic pruned-copy extraction: BFS over the local tree, applying
-/// `decide` to every visited node. Children of kept internal nodes stay
-/// contiguous, so the result is directly walkable.
+/// `decide` to every visited node — once per node of the result, in the
+/// result's order. Children of kept internal nodes stay contiguous, so the
+/// result is directly walkable.
 pub fn extract_pruned<F>(tree: &Tree, mut decide: F) -> LetTree
 where
     F: FnMut(usize, &Node) -> Action,

@@ -147,7 +147,8 @@ pub struct StepMeasurements {
     pub counts_local: Vec<InteractionCounts>,
     /// LET interaction counts per rank.
     pub counts_lets: Vec<InteractionCounts>,
-    /// `Cut` nodes that failed the receiver MAC (should be ≈ 0).
+    /// `Cut` nodes that failed the receiver MAC: zero unless a dedicated LET
+    /// was lost and its receiver walked the sender's boundary.
     pub forced_cuts: u64,
     /// Max/mean particle imbalance after the exchange.
     pub imbalance: f64,

@@ -91,7 +91,7 @@ fn fixed_world_crash_and_rollback_digests_are_pinned() {
     for t in THREADS {
         assert_eq!(
             crash_and_rollback("fixed", false, t),
-            (0xb15577675d842b02, 0xee0a8938e18368db, 0x18c17030a68c50e5),
+            (0x9afa09db71167150, 0xb62879d143db5435, 0x3cf15ca914a7d9d2),
             "fault log / flow ledger / force bits moved at {t} threads"
         );
     }
@@ -102,7 +102,7 @@ fn elastic_crash_recovery_digests_are_pinned() {
     for t in THREADS {
         assert_eq!(
             crash_and_rollback("elastic", true, t),
-            (0x961bf41b8cb0574b, 0x4fea4c9094a886d9, 0xa40051d7f31c2cb0),
+            (0x792a3ed46d164098, 0xc16b12991e897c1c, 0x5709c68693875f8a),
             "fault log / flow ledger / force bits moved at {t} threads"
         );
     }
@@ -113,7 +113,7 @@ fn grow_and_shrink_churn_digests_are_pinned() {
     for t in THREADS {
         assert_eq!(
             churn(t),
-            (0x6a233f09611e0373, 0xb4e32c003472e1f8, 0x32778b0c54f39132),
+            (0x52346781801e5c50, 0x2569bafdada9153d, 0xf5b205374caf653a),
             "fault log / flow ledger / force bits moved at {t} threads"
         );
     }

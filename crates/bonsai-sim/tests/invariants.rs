@@ -1,6 +1,6 @@
 //! Named invariants over consecutive [`StepFacts`] snapshots: whatever the
 //! cluster went through between two looks — message faults, a crash rolled
-//! back over the survivors, ranks admitted or retired — the same five
+//! back over the survivors, ranks admitted or retired — the same six
 //! statements must hold of the pair.
 
 use bonsai_ic::plummer_sphere;
@@ -41,6 +41,16 @@ fn time_advances_by_dt(prev: &StepFacts, now: &StepFacts, dt: f64) {
     assert!((advanced - steps * dt).abs() < 1e-12, "{steps} steps moved the clock by {advanced}");
 }
 
+/// The LET property: a walk forces a `Cut` node only where a dedicated LET
+/// was lost and its receiver walked the sender's boundary instead, so a
+/// fault-free step forces none.
+fn no_forced_cut_without_a_lost_let(c: &Cluster, epoch: u64) {
+    let m = &c.last_measurements;
+    if m.degraded_lets == 0 {
+        assert_eq!(m.forced_cuts, 0, "{} forced cuts with every LET delivered, epoch {epoch}", m.forced_cuts);
+    }
+}
+
 /// Let `act` loose on the cluster, then check every invariant between the
 /// snapshot before it and the one after.
 fn checked(c: &mut Cluster, prev: &mut StepFacts, act: impl FnOnce(&mut Cluster)) {
@@ -51,6 +61,7 @@ fn checked(c: &mut Cluster, prev: &mut StepFacts, act: impl FnOnce(&mut Cluster)
     epoch_strictly_increases(prev, &now);
     world_matches_view(prev, &now);
     time_advances_by_dt(prev, &now, c.cfg.dt);
+    no_forced_cut_without_a_lost_let(c, now.epoch);
     *prev = now;
 }
 

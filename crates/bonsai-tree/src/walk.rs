@@ -123,7 +123,8 @@ pub struct WalkStats {
     /// Nodes popped from traversal stacks.
     pub nodes_visited: u64,
     /// `Cut` LET nodes that *failed* the MAC and were force-used as p-c;
-    /// nonzero values indicate an insufficient LET (a bug upstream).
+    /// nonzero only where a receiver walks a tree that was not built for
+    /// its groups — the sender's boundary in place of a lost LET.
     pub forced_cuts: u64,
 }
 
