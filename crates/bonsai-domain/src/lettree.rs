@@ -232,14 +232,16 @@ impl LetTree {
             return None;
         }
         let (node_part, particle_part) = body.split_at(node_bytes);
-        let nodes = node_part
-            .chunks_exact(stride)
-            .map(|rec| decode_node(rec, role))
-            .collect::<Option<Vec<Node>>>()?;
-        let (pos, mass) = particle_part
-            .chunks_exact(PARTICLE_RECORD_SIZE)
-            .map(|rec| (Vec3::new(f64_at(rec, 0), f64_at(rec, 8), f64_at(rec, 16)), f64_at(rec, 24)))
-            .unzip();
+        let mut nodes = Vec::with_capacity(n_nodes);
+        for rec in node_part.chunks_exact(stride) {
+            nodes.push(decode_node(rec, role)?);
+        }
+        let mut pos = Vec::with_capacity(n_part);
+        let mut mass = Vec::with_capacity(n_part);
+        for rec in particle_part.chunks_exact(PARTICLE_RECORD_SIZE) {
+            pos.push(vec3_at(rec, 0));
+            mass.push(f64_at(rec, 24));
+        }
         Some(Self { nodes, pos, mass, role })
     }
 
