@@ -30,7 +30,8 @@ fn main() {
             // construction of ~40 dedicated LETs over the 13M-particle tree
             // (~1 s on the Xeon, slower on the Opteron; this is what the
             // compute threads of §III-B2 are busy with) plus the wire time
-            // of the LET exchange and the boundary allgather.
+            // of the LET exchange and the boundary allgather (`70 * 176`:
+            // the model's boundary size, not this code's wire record).
             let cpu_let_build = 1.0 / model.machine.cpu_let_rate;
             let let_comm = net.let_exchange_time(40.min(p - 1), 2_000_000)
                 + net.allgatherv_time(p, 70 * 176);

@@ -224,7 +224,8 @@ impl Cluster {
 
     /// Boundary allgather through the fabric: every rank's own boundary
     /// tree. Receivers validate each frame and drop their copy: a validated
-    /// frame is the sender's tree bit for bit, so later phases read that.
+    /// frame carries every field a receiver reads with the sender's bits,
+    /// so later phases read the sender's tree.
     fn boundaries(
         &mut self,
         trees: &[Tree],

@@ -31,7 +31,10 @@ use bonsai_tree::InteractionCounts;
 /// domain update; Titan's Opteron scales by `cpu_let_rate`.
 const XEON_KEY_RATE: f64 = 130.0e6;
 
-/// Serialized boundary-tree size (bytes): ~70 covering cells × 176 B/node.
+/// Serialized boundary-tree size (bytes) the model prices: ~70 covering
+/// cells × 176 B/node. These are the model's figures, not this code's wire
+/// record (`bonsai_domain::lettree` ships 170 B boundary nodes, 15–32 a
+/// rank where measured).
 const BOUNDARY_BYTES: u64 = 70 * 176;
 
 /// Fraction of single-GPU p-c interactions served by the local tree when

@@ -57,6 +57,8 @@ echo "== benchmark package: build + unit tests + 2-step smoke test =="
 echo "== tier-1.5: message-flow tracing gate =="
 CI_PROPTEST_CASES="${CI_PROPTEST_CASES:-32}" cargo test -q -p bonsai-net --test proptests
 CI_PROPTEST_CASES="${CI_PROPTEST_CASES:-32}" cargo test -q -p bonsai-sim --test flow_proptests
+# The boundary/LET wire decoder, fuzzed as deeply as the envelope.
+CI_PROPTEST_CASES="${CI_PROPTEST_CASES:-32}" cargo test -q -p bonsai-domain --test proptests
 
 echo "== tier-1.5: accuracy conformance suite =="
 # A modest case count keeps the proptest layer fast on PRs; scheduled
