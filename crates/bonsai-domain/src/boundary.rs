@@ -44,18 +44,28 @@ fn prefix_at(key: u64, level: u32) -> u64 {
     }
 }
 
-/// Index of the leftmost (lowest-key) or rightmost particle under node
-/// `idx`, plus one for the rightmost.
-fn particle_edge(tree: &Tree, mut idx: usize, right: bool) -> usize {
+/// Index of the leftmost (lowest-key) particle under node `idx`.
+fn leftmost_particle(tree: &Tree, mut idx: usize) -> usize {
     loop {
         let n = &tree.nodes[idx];
-        let last = (n.count as usize).saturating_sub(1);
         match n.kind {
-            NodeKind::Leaf if right => return (n.first + n.count) as usize,
             NodeKind::Leaf => return n.first as usize,
             // Children are pushed in ascending digit order, so the first
-            // child holds the lowest keys and the last the highest.
-            NodeKind::Internal => idx = n.first as usize + if right { last } else { 0 },
+            // child holds the lowest keys.
+            NodeKind::Internal => idx = n.first as usize,
+            NodeKind::Cut => unreachable!("local trees have no Cut nodes"),
+        }
+    }
+}
+
+/// One past the index of the rightmost (highest-key) particle under node
+/// `idx`: the last child holds the highest keys.
+fn particle_end(tree: &Tree, mut idx: usize) -> usize {
+    loop {
+        let n = &tree.nodes[idx];
+        match n.kind {
+            NodeKind::Leaf => return (n.first + n.count) as usize,
+            NodeKind::Internal => idx = (n.first + n.count - 1) as usize,
             NodeKind::Cut => unreachable!("local trees have no Cut nodes"),
         }
     }
@@ -64,7 +74,7 @@ fn particle_edge(tree: &Tree, mut idx: usize, right: bool) -> usize {
 /// Union of the tight boxes of the walk groups sharing a particle with
 /// node `idx`.
 fn group_cover(tree: &Tree, idx: usize) -> Aabb {
-    let (lo, hi) = (particle_edge(tree, idx, false), particle_edge(tree, idx, true));
+    let (lo, hi) = (leftmost_particle(tree, idx), particle_end(tree, idx));
     let groups = &tree.groups;
     let first = groups.partition_point(|g| g.end as usize <= lo);
     let end = groups.partition_point(|g| (g.begin as usize) < hi);
@@ -92,7 +102,7 @@ pub fn boundary_tree(tree: &Tree, domain: &KeyRange) -> LetTree {
     // The local index of every node kept as a frontier node, in output order.
     let mut frontier: Vec<Option<usize>> = Vec::new();
     let mut pruned = extract_pruned(tree, |idx, node| {
-        let left_key = tree.keys[particle_edge(tree, idx, false)];
+        let left_key = tree.keys[leftmost_particle(tree, idx)];
         let cell = (prefix_at(left_key, node.level), node.level);
         // A covering cell, or a leaf coarser than the covering cells below it.
         let cut = covering.contains(&cell) || node.kind == NodeKind::Leaf;

@@ -247,7 +247,8 @@ impl LetTree {
 
     /// Serialized size in bytes without materializing the buffer.
     pub fn wire_size(&self) -> usize {
-        HEADER_SIZE + self.nodes.len() * self.role.record_size() + self.pos.len() * PARTICLE_RECORD_SIZE
+        let nodes = self.nodes.len() * self.role.record_size();
+        HEADER_SIZE + nodes + self.pos.len() * PARTICLE_RECORD_SIZE
     }
 }
 
@@ -276,9 +277,8 @@ fn put_f64s(rec: &mut [u8], at: usize, vals: &[f64]) {
 /// Write `n` as a boundary record; a LET record is its first
 /// [`LET_RECORD_SIZE`] bytes.
 fn encode_node(n: &Node, rec: &mut [u8; BOUNDARY_RECORD_SIZE]) {
-    let q = &n.quad.m;
     put_f64s(rec, 0, &[n.com.x, n.com.y, n.com.z, n.mass]);
-    put_f64s(rec, 32, q);
+    put_f64s(rec, 32, &n.quad.m);
     put_f64s(rec, 80, &[n.geo_center.x, n.geo_center.y, n.geo_center.z, n.geo_half]);
     rec[112..116].copy_from_slice(&n.first.to_le_bytes());
     rec[116..120].copy_from_slice(&n.count.to_le_bytes());
@@ -510,7 +510,8 @@ mod tests {
             let b = t.to_bytes();
             for cut in 0..b.len() {
                 let role = t.role;
-                assert!(LetTree::from_bytes(&b[..cut]).is_none(), "{role:?} prefix of {cut} bytes decoded");
+                let decoded = LetTree::from_bytes(&b[..cut]);
+                assert!(decoded.is_none(), "{role:?} prefix of {cut} bytes decoded");
             }
         }
     }

@@ -47,7 +47,8 @@ fn time_advances_by_dt(prev: &StepFacts, now: &StepFacts, dt: f64) {
 fn no_forced_cut_without_a_lost_let(c: &Cluster, epoch: u64) {
     let m = &c.last_measurements;
     if m.degraded_lets == 0 {
-        assert_eq!(m.forced_cuts, 0, "{} forced cuts with every LET delivered, epoch {epoch}", m.forced_cuts);
+        let forced = m.forced_cuts;
+        assert_eq!(forced, 0, "{forced} forced cuts with every LET delivered, epoch {epoch}");
     }
 }
 
