@@ -292,29 +292,48 @@ mod tests {
         assert_eq!(kind_from_code(200), None);
     }
 
+    /// A frame whose payload is long enough that `seal_flow` and `open`
+    /// checksum it on the carry-less-multiply fold where the CPU has one.
+    fn kibibyte_frame() -> Bytes {
+        let payload: Vec<u8> = (0..1100u64)
+            .map(|i| (bonsai_util::mix64(i) >> 24) as u8)
+            .collect();
+        let frame = seal_flow(MsgKind::Let, 6, 11, 4242, 2, &payload);
+        assert_eq!(open(&frame).unwrap().payload, &payload[..]);
+        frame
+    }
+
     #[test]
     fn truncation_detected_at_every_cut() {
-        let frame = seal(MsgKind::Boundary, 3, 9, &[0xAA; 100]);
-        for cut in [0, 1, 16, 31, 32, 43, 44, 80, frame.len() - 1] {
-            let err = open(&frame[..cut]).unwrap_err();
-            assert!(
-                matches!(err, EnvelopeError::Truncated { .. }),
-                "cut {cut}: got {err}"
-            );
+        for frame in [
+            seal(MsgKind::Boundary, 3, 9, &[0xAA; 100]),
+            kibibyte_frame(),
+        ] {
+            for cut in 0..frame.len() {
+                let err = open(&frame[..cut]).unwrap_err();
+                assert!(
+                    matches!(err, EnvelopeError::Truncated { .. }),
+                    "cut {cut} of {}: got {err}",
+                    frame.len()
+                );
+            }
         }
     }
 
     #[test]
     fn every_bit_flip_detected() {
-        let frame = seal_flow(MsgKind::Particles, 2, 5, 77, 1, b"sixteen particles");
-        for i in 0..frame.len() {
-            for bit in 0..8 {
-                let mut bad = frame.to_vec();
-                bad[i] ^= 1 << bit;
-                assert!(
-                    open(&bad).is_err(),
-                    "flip at byte {i} bit {bit} went undetected"
-                );
+        let short = seal_flow(MsgKind::Particles, 2, 5, 77, 1, b"sixteen particles");
+        for frame in [short, kibibyte_frame()] {
+            for i in 0..frame.len() {
+                for bit in 0..8 {
+                    let mut bad = frame.to_vec();
+                    bad[i] ^= 1 << bit;
+                    assert!(
+                        open(&bad).is_err(),
+                        "flip at byte {i} bit {bit} of {} went undetected",
+                        frame.len()
+                    );
+                }
             }
         }
     }

@@ -342,9 +342,11 @@ impl TraceStore {
             .filter(move |s| s.rank == rank && s.step == step)
     }
 
-    /// The highest step number with any span (`None` when empty).
+    /// The highest step number with any span (`None` when empty): the last
+    /// span's, under the non-decreasing step order that
+    /// [`step_records`](Self::step_records) requires.
     pub fn last_step(&self) -> Option<u64> {
-        self.spans.iter().map(|s| s.step).max()
+        self.spans.last().map(|s| s.step)
     }
 
     /// Ranks present in the store, ascending.

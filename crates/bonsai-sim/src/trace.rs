@@ -14,10 +14,12 @@
 //! (`S` sort, `D` domain update, `B` build, `P` properties, `L` local
 //! gravity, `R` remote/LET gravity, `m` LET communication, `.` idle.)
 
+use std::collections::BTreeMap;
+
 use bonsai_obs::{interval_union, overlap_with_union, Lane, TraceStore};
 
 /// One rank's reconstructed schedule (seconds from step start).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct RankTimeline {
     /// `(label, start, end)` for every busy interval on the GPU lane.
     pub gpu: Vec<(String, f64, f64)>,
@@ -68,27 +70,24 @@ pub fn step_timelines(store: &TraceStore) -> Vec<RankTimeline> {
     };
     let in_step = store.step_records(step).spans;
     let base = in_step.iter().map(|s| s.start).fold(f64::INFINITY, f64::min);
-    let mut rank_ids: Vec<u32> = in_step.iter().map(|s| s.rank).collect();
-    rank_ids.sort_unstable();
-    rank_ids.dedup();
-    rank_ids
-        .into_iter()
-        .map(|r| {
-            let mut gpu = Vec::new();
-            let mut comm = Vec::new();
-            let mut cpu = Vec::new();
-            for s in in_step.iter().filter(|s| s.rank == r) {
-                let item = (s.name.clone(), s.start - base, s.end - base);
-                match s.lane {
-                    Lane::Gpu => gpu.push(item),
-                    Lane::Comm => comm.push(item),
-                    Lane::Cpu => cpu.push(item),
-                }
+    // One pass, bucketed by rank in record order; ranks come out ascending.
+    let mut by_rank: BTreeMap<u32, RankTimeline> = BTreeMap::new();
+    for s in in_step {
+        let t = by_rank.entry(s.rank).or_default();
+        let item = (s.name.clone(), s.start - base, s.end - base);
+        match s.lane {
+            Lane::Gpu => t.gpu.push(item),
+            Lane::Comm => t.comm.push(item),
+            Lane::Cpu => t.cpu.push(item),
+        }
+    }
+    by_rank
+        .into_values()
+        .map(|mut t| {
+            for lane in [&mut t.gpu, &mut t.comm, &mut t.cpu] {
+                lane.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap());
             }
-            gpu.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap());
-            comm.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap());
-            cpu.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap());
-            RankTimeline { gpu, comm, cpu }
+            t
         })
         .collect()
 }
@@ -166,6 +165,34 @@ mod tests {
             assert!(tl.cpu.iter().any(|(l, _, _)| l == "orchestrate"));
             assert!(tl.makespan() > 0.0);
         }
+    }
+
+    #[test]
+    fn timelines_bucket_interleaved_ranks_in_record_order() {
+        // Ranks recorded out of order and interleaved, ties on start time:
+        // ranks come out ascending, ties keep their record order, and
+        // earlier steps are ignored.
+        let mut t = TraceStore::new();
+        t.span(0, 1, Lane::Gpu, "old", 0.0, 9.0);
+        for (rank, lane, name, start) in [
+            (2, Lane::Gpu, "local", 2.0),
+            (0, Lane::Comm, "a", 3.0),
+            (2, Lane::Gpu, "build", 1.0),
+            (0, Lane::Comm, "b", 3.0),
+            (1, Lane::Cpu, "balance", 2.5),
+            (2, Lane::Gpu, "sort", 1.0),
+        ] {
+            t.span(rank, 2, lane, name, start, start + 0.5);
+        }
+        let tls = step_timelines(&t);
+        assert_eq!(tls.len(), 3);
+        let labels = |v: &[(String, f64, f64)]| -> Vec<String> {
+            v.iter().map(|(l, _, _)| l.clone()).collect()
+        };
+        assert_eq!(labels(&tls[0].comm), ["a", "b"]);
+        assert_eq!(labels(&tls[1].cpu), ["balance"]);
+        assert_eq!(labels(&tls[2].gpu), ["build", "sort", "local"]);
+        assert_eq!(tls[2].gpu[0].1, 0.0, "re-based to the step's first start");
     }
 
     #[test]

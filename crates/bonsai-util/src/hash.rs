@@ -6,6 +6,11 @@
 //! checkpoint formats append the same checksum so torn or bit-flipped files
 //! are rejected on restart. [`mix64`] is the SplitMix64 finalizer used to
 //! derive deterministic per-(rank, kind, step) fault decisions.
+//!
+//! The CRC has two instantiations with the same values: a portable
+//! slicing-by-16 table kernel, and on x86_64 CPUs with PCLMULQDQ and SSE4.1
+//! a carry-less-multiply fold that [`Crc64::update`] picks at run time for
+//! inputs of at least 128 bytes (`std` caches the probe).
 
 /// CRC-64/XZ polynomial (ECMA-182), reflected.
 const CRC64_POLY_REFLECTED: u64 = 0xC96C_5795_D787_0F42;
@@ -50,6 +55,171 @@ const fn build_crc64_tables() -> [[u64; 256]; SLICES] {
 
 static CRC64_TABLES: [[u64; 256]; SLICES] = build_crc64_tables();
 
+/// The portable kernel: slicing-by-16 over whole 16-byte blocks, bytewise
+/// over the remainder. `crc` is the running (inverted) register.
+fn update_sliced(mut crc: u64, data: &[u8]) -> u64 {
+    let t = &CRC64_TABLES;
+    let mut blocks = data.chunks_exact(SLICES);
+    for block in &mut blocks {
+        let block: &[u8; SLICES] = block.try_into().expect("chunks_exact yields SLICES bytes");
+        // The running CRC only reaches the first eight bytes; the
+        // last byte of the block has no zero bytes after it.
+        let lo = crc ^ u64::from_le_bytes(block[..8].try_into().expect("eight bytes"));
+        let lo = lo.to_le_bytes();
+        let mut next = 0u64;
+        let mut i = 0;
+        while i < 8 {
+            next ^= t[15 - i][lo[i] as usize] ^ t[7 - i][block[8 + i] as usize];
+            i += 1;
+        }
+        crc = next;
+    }
+    for &b in blocks.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ b as u64) & 0xFF) as usize];
+    }
+    crc
+}
+
+/// The carry-less-multiply kernel (x86_64, PCLMULQDQ + SSE4.1).
+///
+/// A 16-byte block loaded little-endian into an `xmm` register is a
+/// bit-reflected polynomial of degree < 128: its low qword `L` holds the
+/// coefficients of x¹²⁷…x⁶⁴, its high qword `H` those of x⁶³…x⁰. Moving a
+/// block `D` bits further down the message multiplies it by x^D, and modulo
+/// `P` that is `L·(x^(D+64) mod P) + H·(x^D mod P)`: two 64 × 64-bit
+/// carry-less products, each of degree < 127, so the fold never needs
+/// reducing. A product of two reflected operands comes out one bit short
+/// of its reflected 128-bit place, which the constants absorb by being
+/// x^(n−1) rather than x^n.
+///
+/// Eight accumulators fold 128 bytes an iteration; they are then folded
+/// into the last one, whole 16-byte blocks after that into it in turn, and
+/// the remaining 16 bytes plus the tail are an ordinary message for the
+/// sliced kernel, started from a zero register (the running CRC was XORed
+/// into the first block). No Barrett reduction is needed.
+#[cfg(target_arch = "x86_64")]
+mod clmul {
+    use super::{update_sliced, CRC64_POLY_REFLECTED};
+    use std::arch::x86_64::{
+        __m128i, _mm_clmulepi64_si128, _mm_cvtsi128_si64, _mm_extract_epi64, _mm_set_epi64x,
+        _mm_setzero_si128, _mm_xor_si128,
+    };
+
+    /// Accumulators, each a 16-byte block.
+    const LANES: usize = 8;
+
+    /// Inputs shorter than this take the sliced kernel even where the CPU
+    /// can fold: the fold starts from one whole line of `LANES` blocks. At
+    /// this length it already runs 3× the sliced kernel (7.6 against
+    /// 2.4 GB/s on a 2-vCPU Xeon with AVX-512), 8.5× at 1 KiB and 11× from
+    /// 64 KiB (18 GB/s).
+    pub(super) const MIN_LEN: usize = 16 * LANES;
+
+    /// x^(n−1) mod P, bit-reflected (bit `i` is the coefficient of
+    /// x^(63−i)): the multiplier that moves a reflected qword `n` bits on.
+    const fn multiplier(n: u32) -> u64 {
+        let mut r = 1u64 << 63; // x⁰
+        let mut i = 1;
+        while i < n {
+            // Multiply by x; an x⁶⁴ carried out of bit 0 is P's lower terms.
+            r = if r & 1 != 0 {
+                (r >> 1) ^ CRC64_POLY_REFLECTED
+            } else {
+                r >> 1
+            };
+            i += 1;
+        }
+        r
+    }
+
+    /// The (low, high) qword multipliers that fold a block `bits` further on.
+    const fn fold_by(bits: u32) -> [u64; 2] {
+        [multiplier(bits + 64), multiplier(bits)]
+    }
+
+    /// Fold distance of the main loop: 128 bytes.
+    const FOLD_LANES: [u64; 2] = fold_by(128 * LANES as u32);
+
+    /// Fold distance of one block: 16 bytes.
+    const FOLD_BLOCK: [u64; 2] = fold_by(128);
+
+    /// Accumulator `i` sits `7 − i` blocks before the last one.
+    const REDUCE: [[u64; 2]; LANES - 1] = {
+        let mut k = [[0u64; 2]; LANES - 1];
+        let mut i = 0;
+        while i < LANES - 1 {
+            k[i] = fold_by(128 * (LANES - 1 - i) as u32);
+            i += 1;
+        }
+        k
+    };
+
+    /// True when this CPU has what [`update`] needs.
+    pub(super) fn detected() -> bool {
+        std::arch::is_x86_feature_detected!("pclmulqdq")
+            && std::arch::is_x86_feature_detected!("sse4.1")
+    }
+
+    #[inline]
+    #[target_feature(enable = "pclmulqdq,sse4.1")]
+    fn load(block: &[u8]) -> __m128i {
+        let lo = u64::from_le_bytes(block[..8].try_into().expect("eight bytes"));
+        let hi = u64::from_le_bytes(block[8..16].try_into().expect("eight bytes"));
+        _mm_set_epi64x(hi as i64, lo as i64)
+    }
+
+    #[inline]
+    #[target_feature(enable = "pclmulqdq,sse4.1")]
+    fn constants(k: [u64; 2]) -> __m128i {
+        _mm_set_epi64x(k[1] as i64, k[0] as i64)
+    }
+
+    /// `x` moved on by the distance `k` was made for.
+    #[inline]
+    #[target_feature(enable = "pclmulqdq,sse4.1")]
+    fn fold(x: __m128i, k: __m128i) -> __m128i {
+        _mm_xor_si128(
+            _mm_clmulepi64_si128::<0x00>(x, k),
+            _mm_clmulepi64_si128::<0x11>(x, k),
+        )
+    }
+
+    /// [`update_sliced`]'s value for `crc` and `data`, for inputs of at
+    /// least [`MIN_LEN`] bytes.
+    #[target_feature(enable = "pclmulqdq,sse4.1")]
+    pub(super) fn update(crc: u64, data: &[u8]) -> u64 {
+        let (head, rest) = data.split_at(MIN_LEN);
+        let mut x = [_mm_setzero_si128(); LANES];
+        for (xi, block) in x.iter_mut().zip(head.chunks_exact(16)) {
+            *xi = load(block);
+        }
+        x[0] = _mm_xor_si128(x[0], _mm_set_epi64x(0, crc as i64));
+
+        let k = constants(FOLD_LANES);
+        let mut lines = rest.chunks_exact(MIN_LEN);
+        for line in &mut lines {
+            for (xi, block) in x.iter_mut().zip(line.chunks_exact(16)) {
+                *xi = _mm_xor_si128(fold(*xi, k), load(block));
+            }
+        }
+
+        let mut acc = x[LANES - 1];
+        for (&xi, &k) in x.iter().zip(&REDUCE) {
+            acc = _mm_xor_si128(acc, fold(xi, constants(k)));
+        }
+        let k = constants(FOLD_BLOCK);
+        let mut blocks = lines.remainder().chunks_exact(16);
+        for block in &mut blocks {
+            acc = _mm_xor_si128(fold(acc, k), load(block));
+        }
+
+        let mut last = [0u8; 16];
+        last[..8].copy_from_slice(&_mm_cvtsi128_si64(acc).to_le_bytes());
+        last[8..].copy_from_slice(&_mm_extract_epi64::<1>(acc).to_le_bytes());
+        update_sliced(update_sliced(0, &last), blocks.remainder())
+    }
+}
+
 /// Streaming CRC-64/XZ state, for checksumming non-contiguous data
 /// (e.g. an envelope header followed by its payload) without copying.
 pub struct Crc64 {
@@ -63,31 +233,20 @@ impl Crc64 {
         Self { state: !0u64 }
     }
 
-    /// Fold `data` into the checksum: slicing-by-16 over whole 16-byte
-    /// blocks, bytewise over the remainder. The value is that of the plain
-    /// bytewise loop for every length and every split of the input.
+    /// Fold `data` into the checksum. The value is that of the plain
+    /// bytewise loop for every length and every split of the input,
+    /// whichever instantiation runs.
     pub fn update(&mut self, data: &[u8]) {
-        let t = &CRC64_TABLES;
-        let mut crc = self.state;
-        let mut blocks = data.chunks_exact(SLICES);
-        for block in &mut blocks {
-            let block: &[u8; SLICES] = block.try_into().expect("chunks_exact yields SLICES bytes");
-            // The running CRC only reaches the first eight bytes; the
-            // last byte of the block has no zero bytes after it.
-            let lo = crc ^ u64::from_le_bytes(block[..8].try_into().expect("eight bytes"));
-            let lo = lo.to_le_bytes();
-            let mut next = 0u64;
-            let mut i = 0;
-            while i < 8 {
-                next ^= t[15 - i][lo[i] as usize] ^ t[7 - i][block[8 + i] as usize];
-                i += 1;
-            }
-            crc = next;
+        #[cfg(target_arch = "x86_64")]
+        if data.len() >= clmul::MIN_LEN && clmul::detected() {
+            // SAFETY: `clmul::update` requires only that the CPU supports
+            // PCLMULQDQ and SSE4.1, and this branch runs only where
+            // `clmul::detected` saw `is_x86_feature_detected!` report both
+            // on this machine.
+            self.state = unsafe { clmul::update(self.state, data) };
+            return;
         }
-        for &b in blocks.remainder() {
-            crc = (crc >> 8) ^ t[0][((crc ^ b as u64) & 0xFF) as usize];
-        }
-        self.state = crc;
+        self.state = update_sliced(self.state, data);
     }
 
     /// Final checksum value.
@@ -126,7 +285,7 @@ mod tests {
     use super::*;
 
     /// The byte-at-a-time table loop `Crc64::update` used to be: the
-    /// reference the sliced kernel must equal bit for bit.
+    /// reference both instantiations must equal bit for bit.
     fn crc64_bytewise(data: &[u8]) -> u64 {
         let mut crc = !0u64;
         for &b in data {
@@ -142,12 +301,13 @@ mod tests {
 
     #[test]
     fn sliced_equals_bytewise_at_every_length_and_alignment() {
-        // 0..=272 covers the empty input, a pure tail, exactly one block,
-        // and 17 blocks plus every tail length; the offsets move the slice
-        // start across a 16-byte line.
-        let buf = noise(272 + 16);
+        // 0..=1100 covers the empty input, a pure tail, exactly one block,
+        // the fold threshold, several 128-byte lines, and every tail length
+        // after each; the offsets move the slice start across a 16-byte line.
+        // Then one long buffer with a ragged tail.
+        let buf = noise(1100 + 16);
         for offset in [0, 1, 3, 7, 8, 9, 15] {
-            for len in 0..=272 {
+            for len in 0..=1100 {
                 let data = &buf[offset..offset + len];
                 assert_eq!(
                     crc64(data),
@@ -156,11 +316,13 @@ mod tests {
                 );
             }
         }
+        let big = noise((1 << 20) + 13);
+        assert_eq!(crc64(&big), crc64_bytewise(&big));
     }
 
     #[test]
     fn streaming_equals_bytewise_at_every_split() {
-        let data = noise(272);
+        let data = noise(1100);
         let want = crc64_bytewise(&data);
         for split in 0..=data.len() {
             let mut c = Crc64::new();
@@ -181,6 +343,46 @@ mod tests {
         // CRC-64/XZ("123456789") = 0x995DC9BBDF1939FA (standard check value).
         assert_eq!(crc64(b"123456789"), 0x995D_C9BB_DF19_39FA);
         assert_eq!(crc64_bytewise(b"123456789"), 0x995D_C9BB_DF19_39FA);
+        assert_eq!(!update_sliced(!0, b"123456789"), 0x995D_C9BB_DF19_39FA);
+        // The check string is too short to fold; repeated, it is not.
+        let long = b"123456789".repeat(40);
+        assert_eq!(!update_sliced(!0, &long), crc64_bytewise(&long));
+        #[cfg(target_arch = "x86_64")]
+        if clmul::detected() {
+            // SAFETY: the CPU reported PCLMULQDQ and SSE4.1 just above.
+            assert_eq!(!unsafe { clmul::update(!0, &long) }, crc64_bytewise(&long));
+        }
+    }
+
+    /// Both instantiations called directly, at every length up to 1100 the
+    /// fold accepts and from a different start register at each, so the
+    /// comparison does not depend on `MIN_LEN` or on which one `update`
+    /// picks. Runs where the CPU has the features, like the walk kernels'
+    /// conformance tests.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn clmul_equals_sliced_where_the_cpu_has_it() {
+        if !clmul::detected() {
+            eprintln!("no PCLMULQDQ + SSE4.1 here: only the sliced kernel runs");
+            return;
+        }
+        let buf = noise(1100 + 16);
+        for offset in [0, 1, 3, 7, 8, 9, 15] {
+            for len in 128..=1100 {
+                let data = &buf[offset..offset + len];
+                let crc = mix64((offset * 1200 + len) as u64);
+                // SAFETY: the CPU reported PCLMULQDQ and SSE4.1 above.
+                let folded = unsafe { clmul::update(crc, data) };
+                assert_eq!(
+                    folded,
+                    update_sliced(crc, data),
+                    "offset {offset}, length {len}"
+                );
+            }
+        }
+        let big = noise((1 << 20) + 13);
+        // SAFETY: as above.
+        assert_eq!(unsafe { clmul::update(!0, &big) }, update_sliced(!0, &big));
     }
 
     #[test]

@@ -45,8 +45,12 @@ if grep -qw avx512f /proc/cpuinfo && grep -qw avx512vl /proc/cpuinfo \
     cargo test -q --release -p bonsai-tree --lib -- kernels:: walk:: direct::
 fi
 
-# The sliced CRC-64 loop is unrolled only at the release profile.
+# The sliced CRC-64 loop is unrolled only at the release profile. Both CRC
+# instantiations (sliced, and the carry-less-multiply fold where the CPU has
+# PCLMULQDQ and SSE4.1) are compared there, and the envelope's bit-flip and
+# truncation sweeps run over a frame long enough to take the fold.
 cargo test -q --release -p bonsai-util --lib hash
+cargo test -q --release -p bonsai-net --lib envelope
 
 echo "== benchmark package: build + unit tests + 2-step smoke test =="
 # benchmark/ is its own workspace on path dependencies and may not be edited
