@@ -1,9 +1,5 @@
-//! Minimal dependency-free image/table writers, so every figure of the paper
+//! Minimal dependency-free image/table encoders, so every figure of the paper
 //! can be regenerated as an actual artifact from the benches.
-
-use std::fs::File;
-use std::io::{self, BufWriter, Write};
-use std::path::Path;
 
 /// An "inferno"-like colour map: dark blue/black → purple → orange → yellow.
 fn heat_color(v: f64) -> [u8; 3] {
@@ -14,30 +10,29 @@ fn heat_color(v: f64) -> [u8; 3] {
     [r, g, b]
 }
 
-/// Write a row-major brightness grid (`values` in `[0,1]`, `n × n`) to a
+/// Encode a row-major brightness grid (`values` in `[0,1]`, `n × n`) as a
 /// binary PPM with the heat colour map. Row 0 is rendered at the *bottom*
 /// (mathematical orientation).
-pub fn write_heatmap<P: AsRef<Path>>(path: P, values: &[f64], n: usize) -> io::Result<()> {
+pub fn heatmap(values: &[f64], n: usize) -> Vec<u8> {
     assert_eq!(values.len(), n * n);
-    let mut w = BufWriter::new(File::create(path)?);
-    write!(w, "P6\n{n} {n}\n255\n")?;
+    let mut out = format!("P6\n{n} {n}\n255\n").into_bytes();
     for row in (0..n).rev() {
         for col in 0..n {
-            w.write_all(&heat_color(values[row * n + col]))?;
+            out.extend_from_slice(&heat_color(values[row * n + col]));
         }
     }
-    w.flush()
+    out
 }
 
-/// Write `(x, columns…)` series as CSV with a header line.
-pub fn write_csv<P: AsRef<Path>>(path: P, header: &str, rows: &[Vec<f64>]) -> io::Result<()> {
-    let mut w = BufWriter::new(File::create(path)?);
-    writeln!(w, "{header}")?;
+/// Render `(x, columns…)` series as CSV with a header line.
+pub fn csv(header: &str, rows: &[Vec<f64>]) -> String {
+    let mut out = format!("{header}\n");
     for row in rows {
         let line: Vec<String> = row.iter().map(|v| format!("{v:.6e}")).collect();
-        writeln!(w, "{}", line.join(","))?;
+        out.push_str(&line.join(","));
+        out.push('\n');
     }
-    w.flush()
+    out
 }
 
 /// Render a brightness grid as coarse ASCII art (for terminal output in the
@@ -76,24 +71,16 @@ mod tests {
 
     #[test]
     fn ppm_file_has_correct_header_and_size() {
-        let dir = std::env::temp_dir().join("bonsai_ppm_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("t.ppm");
         let n = 16;
         let vals: Vec<f64> = (0..n * n).map(|i| i as f64 / (n * n) as f64).collect();
-        write_heatmap(&path, &vals, n).unwrap();
-        let data = std::fs::read(&path).unwrap();
+        let data = heatmap(&vals, n);
         assert!(data.starts_with(b"P6\n16 16\n255\n"));
         assert_eq!(data.len(), 13 + 3 * n * n);
     }
 
     #[test]
     fn csv_round_trip_shape() {
-        let dir = std::env::temp_dir().join("bonsai_csv_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("t.csv");
-        write_csv(&path, "x,y", &[vec![1.0, 2.0], vec![3.0, 4.0]]).unwrap();
-        let s = std::fs::read_to_string(&path).unwrap();
+        let s = csv("x,y", &[vec![1.0, 2.0], vec![3.0, 4.0]]);
         let lines: Vec<&str> = s.trim().lines().collect();
         assert_eq!(lines.len(), 3);
         assert_eq!(lines[0], "x,y");

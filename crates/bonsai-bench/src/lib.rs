@@ -1,26 +1,35 @@
 //! # bonsai-bench
 //!
 //! The benchmark harness that regenerates **every table and figure** of the
-//! SC'14 paper. Each target is a standalone binary:
+//! SC'14 paper. Four binaries:
 //!
-//! | target | paper artefact |
+//! | binary | what it runs |
 //! |---|---|
-//! | `table1_hardware` | Table I — machine descriptions |
-//! | `fig1_force_kernel` | Fig. 1 — force-kernel Gflops bars |
-//! | `fig2_decomposition` | Fig. 2 — PH-SFC domain decomposition image |
-//! | `fig3_galaxy` | Fig. 3 — Milky Way surface density + velocity structure |
-//! | `fig4_weak_scaling` | Fig. 4 — weak scaling on Piz Daint and Titan |
-//! | `table2_breakdown` | Table II — per-phase time breakdown |
-//! | `time_to_solution` | §VI-C — days to 8 Gyr at full scale |
-//! | `ablation_*` | design-choice studies listed in DESIGN.md |
+//! | `paper` | the paper's evaluation: one row per figure, table and ablation ([`paper`]) |
 //! | `gates` | the nine `BENCH_<kind>.json` artifact gates ([`gates`]) |
+//! | `chaos` | seeded fault sweep and crash drill over the distributed step |
+//! | `production_run` | §VI-C's production run in miniature, with a restart check |
+//!
+//! The rows of `paper <row>`:
+//!
+//! | row | paper artefact |
+//! |---|---|
+//! | `table1` | Table I — machine descriptions |
+//! | `fig1` | Fig. 1 — force-kernel Gflops bars |
+//! | `fig2` | Fig. 2 — PH-SFC domain decomposition image |
+//! | `fig3` | Fig. 3 — Milky Way surface density + velocity structure (runs only when named) |
+//! | `fig4` | Fig. 4 — weak scaling on Piz Daint and Titan |
+//! | `table2` | Table II — per-phase time breakdown |
+//! | `time_to_solution` | §VI-C — days to 8 Gyr at full scale |
+//! | `power` | §II — energy efficiency |
+//! | `theta` … `placement` | the design-choice ablations listed in DESIGN.md §5 |
 //!
 //! Wall-clock rates of the hot CPU kernels (force kernels, tree construction,
 //! SFC key generation, cluster steps) are the repository benchmark's job:
 //! `benchmark/` at the root.
 //!
-//! This library hosts the shared workload builders and the paper-vs-measured
-//! report formatting used by all targets.
+//! This library hosts the rows, the gates, the shared workload builders and
+//! the paper-vs-measured claim formatting.
 
 #![deny(missing_docs)]
 
@@ -30,6 +39,7 @@ pub mod flows;
 pub mod gates;
 pub mod longrun;
 pub mod membership;
+pub mod paper;
 pub mod parallel;
 pub mod profile;
 pub mod report;
@@ -37,6 +47,8 @@ pub mod scaling;
 pub mod step;
 pub mod stream;
 pub mod stream_dash;
+
+use std::ops::RangeInclusive;
 
 use bonsai_ic::MilkyWayModel;
 use bonsai_sim::ClusterConfig;
@@ -120,27 +132,54 @@ pub(crate) fn short(v: f64) -> String {
     }
 }
 
-/// One line of a paper-vs-reproduction comparison.
+/// One claim of the reproduction: the paper's value, ours, and the band
+/// ours must fall in.
 pub struct Compared {
     /// What is being compared.
     pub label: String,
-    /// The paper's value.
+    /// The paper's value; NaN where the paper states the claim without one.
     pub paper: f64,
     /// Our value.
     pub ours: f64,
     /// Unit suffix.
     pub unit: &'static str,
+    /// The interval our value must fall in for the claim to hold.
+    pub band: RangeInclusive<f64>,
 }
 
 impl Compared {
-    /// Build a row.
-    pub fn new(label: impl Into<String>, paper: f64, ours: f64, unit: &'static str) -> Self {
+    /// A claim that `ours` falls in `band`.
+    pub fn new(
+        label: impl Into<String>,
+        paper: f64,
+        ours: f64,
+        unit: &'static str,
+        band: RangeInclusive<f64>,
+    ) -> Self {
         Self {
             label: label.into(),
             paper,
             ours,
             unit,
+            band,
         }
+    }
+
+    /// A claim that `ours` lies within the relative tolerance `tol` of the
+    /// paper's value.
+    pub fn near(label: impl Into<String>, paper: f64, ours: f64, unit: &'static str, tol: f64) -> Self {
+        let (a, b) = (paper * (1.0 - tol), paper * (1.0 + tol));
+        Self::new(label, paper, ours, unit, a.min(b)..=a.max(b))
+    }
+
+    /// A claim the paper states without a figure: `ours` is at least `lo`.
+    pub fn at_least(label: impl Into<String>, ours: f64, unit: &'static str, lo: f64) -> Self {
+        Self::new(label, f64::NAN, ours, unit, lo..=f64::INFINITY)
+    }
+
+    /// Whether our value falls in the band.
+    pub fn holds(&self) -> bool {
+        self.band.contains(&self.ours)
     }
 
     /// Relative deviation from the paper value.
@@ -153,21 +192,27 @@ impl Compared {
     }
 }
 
-/// Print a formatted paper-vs-ours table.
-pub fn print_comparison(title: &str, rows: &[Compared]) {
-    println!("\n── {title} ──");
-    println!("{:<42} {:>12} {:>12} {:>8}", "quantity", "paper", "ours", "dev");
+/// Format claims as a paper-vs-ours table with each band and verdict.
+pub fn comparison_table(rows: &[Compared]) -> String {
+    let mut table = format!(
+        "{:<48} {:>9} {:>9} {:<3} {:>7}  band\n",
+        "claim", "paper", "ours", "", "dev"
+    );
     for r in rows {
-        println!(
-            "{:<42} {:>9.3} {:<2} {:>9.3} {:<2} {:>7.1}%",
+        let (paper, dev) = match r.paper {
+            p if p.is_nan() => ("—".to_string(), String::new()),
+            p => (short(p), format!("{:+.1}%", 100.0 * r.deviation())),
+        };
+        let band = format!("[{}, {}]", short(*r.band.start()), short(*r.band.end()));
+        let verdict = if r.holds() { "ok" } else { "FAIL" };
+        table.push_str(&format!(
+            "{:<48} {paper:>9} {:>9} {:<3} {dev:>7}  {band:<20} {verdict}\n",
             r.label,
-            r.paper,
-            r.unit,
-            r.ours,
-            r.unit,
-            100.0 * r.deviation()
-        );
+            short(r.ours),
+            r.unit
+        ));
     }
+    table
 }
 
 #[cfg(test)]
@@ -183,10 +228,17 @@ mod tests {
 
     #[test]
     fn comparison_math() {
-        let c = Compared::new("x", 2.0, 2.2, "s");
+        let c = Compared::new("x", 2.0, 2.2, "s", 2.1..=2.3);
         assert!((c.deviation() - 0.1).abs() < 1e-12);
-        let z = Compared::new("x", 0.0, 1.0, "s");
+        assert!(c.holds());
+        let z = Compared::new("x", 0.0, 1.0, "s", 0.0..=0.5);
         assert_eq!(z.deviation(), 0.0);
+        assert!(!z.holds());
+        let near = Compared::near("x", -2.0, -2.1, "s", 0.10);
+        assert!(near.holds() && near.band.start() < near.band.end());
+        let table = comparison_table(&[c, z, Compared::at_least("y", 3.0, "x", 1.0)]);
+        let verdicts: Vec<&str> = table.lines().skip(1).map(|l| l.rsplit(' ').next().unwrap()).collect();
+        assert_eq!(verdicts, ["ok", "FAIL", "ok"]);
     }
 
     #[test]

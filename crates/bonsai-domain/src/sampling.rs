@@ -15,9 +15,10 @@
 //!   gathers more than `O(total_samples / px)` keys.
 //!
 //! Both return [`SamplingStats`] whose `max_dd_gather` is the quantity the
-//! `ablation_sampling` bench plots against rank count.
+//! `paper sampling` row of `bonsai-bench` tabulates against rank count.
 
 use bonsai_sfc::range::{ranges_from_cuts, KeyRange};
+use bonsai_util::rng::Xoshiro256;
 
 /// Cost accounting of a decomposition round.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -161,29 +162,32 @@ pub fn partition_imbalance(per_rank_keys: &[Vec<u64>], ranges: &[KeyRange]) -> f
     counts.iter().map(|&c| c as f64).fold(0.0f64, f64::max) / mean
 }
 
+/// Clustered synthetic key sets, one sorted run per rank: each rank draws
+/// `per_rank` keys within `spread` of its own random centre, mimicking
+/// spatially clustered particles after an exchange.
+pub fn clustered_keys(ranks: usize, per_rank: usize, spread: u64, seed: u64) -> Vec<Vec<u64>> {
+    let mut rng = Xoshiro256::seed_from(seed);
+    (0..ranks)
+        .map(|_| {
+            let center = rng.next_u64() >> 1;
+            let mut keys: Vec<u64> = (0..per_rank)
+                .map(|_| {
+                    let off = (rng.uniform() * spread as f64) as u64;
+                    center.saturating_sub(spread / 2).saturating_add(off) & (bonsai_sfc::KEY_END - 1)
+                })
+                .collect();
+            keys.sort_unstable();
+            keys
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bonsai_util::rng::Xoshiro256;
 
-    /// Clustered synthetic key sets: each rank draws keys around a random
-    /// centre (mimicking spatially clustered particles after an exchange).
     fn clustered_keys(ranks: usize, per_rank: usize, seed: u64) -> Vec<Vec<u64>> {
-        let mut rng = Xoshiro256::seed_from(seed);
-        (0..ranks)
-            .map(|_| {
-                let center = rng.next_u64() >> 1;
-                let spread = 1u64 << 55;
-                let mut keys: Vec<u64> = (0..per_rank)
-                    .map(|_| {
-                        let off = (rng.uniform() * spread as f64) as u64;
-                        (center.saturating_sub(spread / 2)).saturating_add(off) & (bonsai_sfc::KEY_END - 1)
-                    })
-                    .collect();
-                keys.sort_unstable();
-                keys
-            })
-            .collect()
+        super::clustered_keys(ranks, per_rank, 1 << 55, seed)
     }
 
     #[test]

@@ -129,6 +129,17 @@ impl GpuModel {
         self.kernel.time_for(counts)
     }
 
+    /// Simulated seconds the walk spends traversing: every node a group
+    /// visits costs one warp-level MAC evaluation plus stack operation,
+    /// ~20 cycles of a warp-instruction slot. Flop counting ignores this
+    /// cost; it is why tiny leaves and tiny groups lose on a real GPU despite
+    /// their lower flop totals.
+    pub fn traversal_time(&self, nodes_visited: u64) -> f64 {
+        const WARP: f64 = 32.0;
+        const MAC_CYCLES: f64 = 20.0;
+        nodes_visited as f64 * MAC_CYCLES / (self.device.lane_rate() / WARP)
+    }
+
     /// Time to move `bytes` across the PCIe link (LET staging to/from host).
     pub fn pcie_time(&self, bytes: u64) -> f64 {
         bytes as f64 / (self.device.pcie_gbs * 1e9)
@@ -337,5 +348,13 @@ mod tests {
                 assert!(attained <= bw_roof * (1.0 + 1e-12), "{name} attained {attained} roof {bw_roof}");
             }
         }
+    }
+
+    #[test]
+    fn traversal_charges_twenty_cycles_of_a_warp_slot_per_visit() {
+        // 14 SMX × 192 cores × 0.732 GHz / 32 lanes = 6.1e9 warp slots/s.
+        let t = GpuModel::k20x_tuned().traversal_time(1_000_000);
+        let expected = 1e6 * 20.0 / (14.0 * 192.0 * 0.732e9 / 32.0);
+        assert!((t - expected).abs() < 1e-15, "{t} vs {expected}");
     }
 }

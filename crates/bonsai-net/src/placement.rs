@@ -11,7 +11,7 @@
 //! (row-major over the torus) puts SFC neighbours many hops apart; walking
 //! the torus itself along a 3D Hilbert curve keeps them physically adjacent.
 //! This module implements both placements and the hop-count metric the
-//! `ablation_placement` bench reports.
+//! `paper placement` row of `bonsai-bench` reports.
 
 use crate::machine::Topology;
 

@@ -8,7 +8,7 @@
 //!   (exactly 1.0 for Hilbert; > 1 for Morton);
 //! * [`range_surface_cells`] — for an equal split of a point set into `p`
 //!   key ranges, the number of lattice-surface cells of each piece, i.e. the
-//!   communication proxy used in `ablation_sfc`.
+//!   communication proxy the `paper sfc` row of `bonsai-bench` reports.
 
 use crate::keymap::{Curve, KeyMap};
 use crate::range::{find_owner, KeyRange};

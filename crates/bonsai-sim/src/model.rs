@@ -35,7 +35,7 @@ const XEON_KEY_RATE: f64 = 130.0e6;
 /// cells × 176 B/node. These are the model's figures, not this code's wire
 /// record (`bonsai_domain::lettree` ships 170 B boundary nodes, 15–32 a
 /// rank where measured).
-const BOUNDARY_BYTES: u64 = 70 * 176;
+pub const BOUNDARY_BYTES: u64 = 70 * 176;
 
 /// Fraction of single-GPU p-c interactions served by the local tree when
 /// running multi-GPU (calibrated to the 1.45 s / 2.45 s split of Table II).
@@ -63,6 +63,68 @@ fn other_coeff(machine: &MachineSpec) -> f64 {
         0.0119
     }
 }
+
+/// One column of the paper's Table II as published: the per-step phase
+/// times (s), interactions per particle, and GPU / application Tflops.
+#[derive(Clone, Copy, Debug)]
+pub struct PaperColumn {
+    /// The machine the column ran on (the single-GPU column is Titan's).
+    pub machine: MachineSpec,
+    /// GPUs.
+    pub gpus: u32,
+    /// Particles per GPU.
+    pub n_per: u64,
+    /// Sorting SFC.
+    pub sort: f64,
+    /// Domain Update.
+    pub domain: f64,
+    /// Tree-construction.
+    pub tree: f64,
+    /// Tree-properties.
+    pub props: f64,
+    /// Compute gravity, local tree.
+    pub grav_local: f64,
+    /// Compute gravity, LETs.
+    pub grav_lets: f64,
+    /// Non-hidden LET communication.
+    pub non_hidden: f64,
+    /// Unbalance + Other.
+    pub other: f64,
+    /// Total step time.
+    pub total: f64,
+    /// Particle-particle interactions per particle.
+    pub pp: f64,
+    /// Particle-cell interactions per particle.
+    pub pc: f64,
+    /// GPU performance, Tflops.
+    pub gpu_tflops: f64,
+    /// Application performance, Tflops.
+    pub app_tflops: f64,
+}
+
+impl PaperColumn {
+    /// The model's prediction of this column.
+    pub fn predict(&self) -> StepBreakdown {
+        ScalingModel::new(self.machine).predict(self.gpus, self.n_per)
+    }
+}
+
+/// Table II of the paper, every column: the one place its numbers are
+/// written. The single-GPU column, Titan's weak scaling at 13M particles a
+/// GPU, Titan's strong-scaling column at 6.5M, then Piz Daint's.
+#[rustfmt::skip]
+pub const TABLE_II: [PaperColumn; 10] = [
+    PaperColumn { machine: TITAN, gpus: 1, n_per: 13_000_000, sort: 0.10, domain: 0.0, tree: 0.11, props: 0.03, grav_local: 2.45, grav_lets: 0.0, non_hidden: 0.0, other: 0.10, total: 2.79, pp: 1745.0, pc: 4529.0, gpu_tflops: 1.77, app_tflops: 1.55 },
+    PaperColumn { machine: TITAN, gpus: 1024, n_per: 13_000_000, sort: 0.10, domain: 0.20, tree: 0.10, props: 0.03, grav_local: 1.45, grav_lets: 1.78, non_hidden: 0.09, other: 0.27, total: 4.02, pp: 1715.0, pc: 6287.0, gpu_tflops: 1844.6, app_tflops: 1484.6 },
+    PaperColumn { machine: TITAN, gpus: 2048, n_per: 13_000_000, sort: 0.10, domain: 0.20, tree: 0.10, props: 0.03, grav_local: 1.45, grav_lets: 1.89, non_hidden: 0.10, other: 0.28, total: 4.15, pp: 1716.0, pc: 6527.0, gpu_tflops: 3693.7, app_tflops: 2971.8 },
+    PaperColumn { machine: TITAN, gpus: 4096, n_per: 13_000_000, sort: 0.10, domain: 0.20, tree: 0.10, props: 0.036, grav_local: 1.45, grav_lets: 2.00, non_hidden: 0.14, other: 0.40, total: 4.41, pp: 1718.0, pc: 6765.0, gpu_tflops: 7396.8, app_tflops: 5784.9 },
+    PaperColumn { machine: TITAN, gpus: 18600, n_per: 13_000_000, sort: 0.13, domain: 0.30, tree: 0.10, props: 0.03, grav_local: 1.45, grav_lets: 2.09, non_hidden: 0.22, other: 0.45, total: 4.77, pp: 1716.0, pc: 6920.0, gpu_tflops: 33490.0, app_tflops: 24773.0 },
+    PaperColumn { machine: TITAN, gpus: 8192, n_per: 6_500_000, sort: 0.06, domain: 0.10, tree: 0.05, props: 0.016, grav_local: 0.68, grav_lets: 1.13, non_hidden: 0.25, other: 0.31, total: 2.65, pp: 1716.0, pc: 7096.0, gpu_tflops: 14714.0, app_tflops: 10051.0 },
+    PaperColumn { machine: PIZ_DAINT, gpus: 1024, n_per: 13_000_000, sort: 0.10, domain: 0.10, tree: 0.10, props: 0.03, grav_local: 1.45, grav_lets: 1.79, non_hidden: 0.09, other: 0.22, total: 3.84, pp: 1716.0, pc: 6290.0, gpu_tflops: 1844.7, app_tflops: 1551.9 },
+    PaperColumn { machine: PIZ_DAINT, gpus: 2048, n_per: 13_000_000, sort: 0.10, domain: 0.10, tree: 0.10, props: 0.03, grav_local: 1.45, grav_lets: 1.89, non_hidden: 0.06, other: 0.21, total: 3.94, pp: 1716.0, pc: 6515.0, gpu_tflops: 3693.9, app_tflops: 3129.9 },
+    PaperColumn { machine: PIZ_DAINT, gpus: 4096, n_per: 13_000_000, sort: 0.10, domain: 0.10, tree: 0.10, props: 0.03, grav_local: 1.45, grav_lets: 2.02, non_hidden: 0.07, other: 0.28, total: 4.15, pp: 1718.0, pc: 6810.0, gpu_tflops: 7396.9, app_tflops: 6180.7 },
+    PaperColumn { machine: PIZ_DAINT, gpus: 4096, n_per: 6_500_000, sort: 0.05, domain: 0.07, tree: 0.05, props: 0.016, grav_local: 0.68, grav_lets: 1.01, non_hidden: 0.07, other: 0.15, total: 2.10, pp: 1714.0, pc: 6616.0, gpu_tflops: 7383.5, app_tflops: 5947.9 },
+];
 
 /// The calibrated machine-scale model.
 #[derive(Clone, Debug)]
@@ -223,71 +285,80 @@ mod tests {
         (a - b).abs() / b
     }
 
+    /// The Table II columns on `machine` at `n_per` particles a GPU, past
+    /// the single-GPU column.
+    fn columns(machine: &str, n_per: u64) -> impl Iterator<Item = &'static PaperColumn> + '_ {
+        TABLE_II[1..]
+            .iter()
+            .filter(move |c| c.machine.name == machine && c.n_per == n_per)
+    }
+
     #[test]
     fn single_gpu_column() {
-        let m = ScalingModel::titan();
-        let b = m.predict(1, M13);
-        assert!(rel(b.total(), 2.79) < 0.05, "single GPU total {}", b.total());
-        assert!(rel(b.gravity_local, 2.45) < 0.05);
-        assert!(rel(b.pc_per_particle, 4529.0) < 0.03, "pc {}", b.pc_per_particle);
+        let col = &TABLE_II[0];
+        let b = col.predict();
+        assert!(rel(b.total(), col.total) < 0.05, "single GPU total {}", b.total());
+        assert!(rel(b.gravity_local, col.grav_local) < 0.05);
+        assert!(rel(b.pc_per_particle, col.pc) < 0.03, "pc {}", b.pc_per_particle);
     }
 
     #[test]
     fn titan_weak_scaling_columns() {
-        let m = ScalingModel::titan();
-        // (gpus, paper total, paper gravity-LETs)
-        for (p, total, lets) in [
-            (1024u32, 4.02, 1.78),
-            (2048, 4.15, 1.89),
-            (4096, 4.41, 2.0),
-            (18600, 4.77, 2.09),
-        ] {
-            let b = m.predict(p, M13);
+        let mut checked = 0;
+        for col in columns("Titan", M13) {
+            let (p, b) = (col.gpus, col.predict());
             assert!(
-                rel(b.total(), total) < 0.10,
-                "Titan {p}: total {} vs paper {total}",
-                b.total()
+                rel(b.total(), col.total) < 0.10,
+                "Titan {p}: total {} vs paper {}",
+                b.total(),
+                col.total
             );
             assert!(
-                rel(b.gravity_lets, lets) < 0.10,
-                "Titan {p}: LETs {} vs paper {lets}",
-                b.gravity_lets
+                rel(b.gravity_lets, col.grav_lets) < 0.10,
+                "Titan {p}: LETs {} vs paper {}",
+                b.gravity_lets,
+                col.grav_lets
             );
+            checked += 1;
         }
+        assert_eq!(checked, 4);
     }
 
     #[test]
     fn piz_daint_weak_scaling_columns() {
-        let m = ScalingModel::piz_daint();
-        for (p, total) in [(1024u32, 3.84), (2048, 3.94), (4096, 4.15)] {
-            let b = m.predict(p, M13);
+        let mut checked = 0;
+        for col in columns("Piz Daint", M13) {
+            let (p, b) = (col.gpus, col.predict());
             assert!(
-                rel(b.total(), total) < 0.10,
-                "Piz Daint {p}: total {} vs paper {total}",
-                b.total()
+                rel(b.total(), col.total) < 0.10,
+                "Piz Daint {p}: total {} vs paper {}",
+                b.total(),
+                col.total
             );
+            checked += 1;
         }
+        assert_eq!(checked, 3);
     }
 
     #[test]
     fn strong_scaling_columns() {
         // Titan 8192 GPUs × 6.5M: 2.65 s; Piz Daint 4096 × 6.5M: 2.1 s.
-        let t = ScalingModel::titan().predict(8192, 6_500_000);
-        assert!(rel(t.total(), 2.65) < 0.10, "Titan strong total {}", t.total());
-        let d = ScalingModel::piz_daint().predict(4096, 6_500_000);
-        assert!(rel(d.total(), 2.1) < 0.12, "Piz Daint strong total {}", d.total());
+        for (machine, tol) in [("Titan", 0.10), ("Piz Daint", 0.12)] {
+            let col = columns(machine, 6_500_000).next().expect("strong column");
+            let total = col.predict().total();
+            assert!(rel(total, col.total) < tol, "{machine} strong total {total}");
+        }
     }
 
     #[test]
     fn headline_pflops() {
         // §VI-D: 24.77 Pflops application, 33.49 Pflops GPU at 18600 GPUs.
-        let b = ScalingModel::titan().predict(18600, M13);
-        let app_pflops = b.application_tflops() * b.gpus as f64 / 1e3 / b.gpus as f64;
-        let _ = app_pflops;
+        let col = columns("Titan", M13).find(|c| c.gpus == 18600).unwrap();
+        let b = col.predict();
         let total_app = b.total_flops() / b.total() / 1e15;
         let total_gpu = b.total_flops() / (b.gravity_local + b.gravity_lets) / 1e15;
-        assert!(rel(total_app, 24.77) < 0.05, "application {total_app} Pflops");
-        assert!(rel(total_gpu, 33.49) < 0.05, "GPU {total_gpu} Pflops");
+        assert!(rel(total_app, col.app_tflops / 1e3) < 0.05, "application {total_app} Pflops");
+        assert!(rel(total_gpu, col.gpu_tflops / 1e3) < 0.05, "GPU {total_gpu} Pflops");
         // 46% / 34% of theoretical peak (73.2 Pflops).
         let peak = 18600.0 * 3.935e12 / 1e15;
         assert!(rel(total_gpu / peak, 0.46) < 0.07);
@@ -332,9 +403,9 @@ mod tests {
 
     #[test]
     fn interaction_counts_track_table2() {
-        for (p, pc) in [(1024u32, 6287.0), (2048, 6527.0), (4096, 6765.0), (18600, 6920.0)] {
-            let got = ScalingModel::pc_total(p, M13);
-            assert!(rel(got, pc) < 0.05, "pc at {p}: {got} vs {pc}");
+        for col in columns("Titan", M13) {
+            let got = ScalingModel::pc_total(col.gpus, M13);
+            assert!(rel(got, col.pc) < 0.05, "pc at {}: {got} vs {}", col.gpus, col.pc);
         }
     }
 

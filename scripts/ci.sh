@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Full CI line, runnable locally: tier-1, the release-profile and property
-# suites, and the nine artifact gates. .github/workflows/ci.yml runs exactly
-# this script, so a green local run predicts a green CI run.
+# suites, the nine artifact gates and the paper's evaluation.
+# .github/workflows/ci.yml runs exactly this script, so a green local run
+# predicts a green CI run.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -104,11 +105,20 @@ cargo run -q --release -p bonsai-bench --bin gates
 cp -r out "$scratch/out-default-threads"
 BONSAI_THREADS=3 cargo run -q --release -p bonsai-bench --bin gates
 diff -r "$scratch/out-default-threads" out
-# The runner wrote nothing to the tree. A kernel change that is *meant* to
-# move force bits is re-blessed with `gates --bless` (DESIGN.md 6f). Nor did
-# the benchmark stanza above: `benchmark/run.sh` and that `cargo test` build
-# without `--locked`, so a dependency line dropped anywhere in crates/ would
-# rewrite benchmark/Cargo.lock as a side effect, and this is what notices.
-git diff --exit-code -- 'BENCH_*.json' benchmark/
+
+echo "== the paper's evaluation: every row but the fig3 science run =="
+# `paper` (crates/bonsai-bench/src/paper.rs) regenerates each figure, table
+# and ablation at its pinned size and exits 1 when a claim falls outside its
+# band. The tier-1 test runs the same rows at the dev profile; this is the
+# shipped code generation. It rewrites the tracked out/fig2_decomposition.ppm.
+cargo run -q --release -p bonsai-bench --bin paper
+
+# The gate runner wrote nothing to the tree. A kernel change that is *meant*
+# to move force bits is re-blessed with `gates --bless` (DESIGN.md 6f). Nor
+# did the benchmark stanza above: `benchmark/run.sh` and that `cargo test`
+# build without `--locked`, so a dependency line dropped anywhere in crates/
+# would rewrite benchmark/Cargo.lock as a side effect, and this is what
+# notices. The paper runner's one tracked render must come out byte-identical.
+git diff --exit-code -- 'BENCH_*.json' benchmark/ out/fig2_decomposition.ppm
 
 echo "CI line green"
