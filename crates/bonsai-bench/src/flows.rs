@@ -159,7 +159,7 @@ pub fn run(cfg: FlowsBenchConfig) -> FlowsResult {
             // baseline.
             for f in &mut step_flows {
                 f.attempts = 1;
-                f.injected.clear();
+                f.clear_injected();
             }
         }
         times.extend(flow_times(cluster.trace(), step));

@@ -280,13 +280,8 @@ mod tests {
 
     #[test]
     fn kind_codes_round_trip() {
-        for kind in [
-            MsgKind::Boundary,
-            MsgKind::Particles,
-            MsgKind::Let,
-            MsgKind::Control,
-            MsgKind::View,
-        ] {
+        for (code, kind) in MsgKind::ALL.into_iter().enumerate() {
+            assert_eq!(kind_code(kind), code as u8, "ALL is in wire-code order");
             assert_eq!(kind_from_code(kind_code(kind)), Some(kind));
         }
         assert_eq!(kind_from_code(200), None);

@@ -25,6 +25,41 @@ pub enum MsgKind {
     View,
 }
 
+impl MsgKind {
+    /// Every kind, in wire-code order.
+    pub const ALL: [MsgKind; 5] = [
+        MsgKind::Boundary,
+        MsgKind::Particles,
+        MsgKind::Let,
+        MsgKind::Control,
+        MsgKind::View,
+    ];
+
+    /// Stable name, spelled as `Debug` spells it (`"Let"`, …): the `kind`
+    /// label of the flow metrics.
+    pub fn name(self) -> &'static str {
+        match self {
+            MsgKind::Boundary => "Boundary",
+            MsgKind::Particles => "Particles",
+            MsgKind::Let => "Let",
+            MsgKind::Control => "Control",
+            MsgKind::View => "View",
+        }
+    }
+
+    /// Trace name of a flow of this kind (`"flow:Let"`, …): the name of
+    /// every flow-arrow point the cluster draws for it.
+    pub fn flow_name(self) -> &'static str {
+        match self {
+            MsgKind::Boundary => "flow:Boundary",
+            MsgKind::Particles => "flow:Particles",
+            MsgKind::Let => "flow:Let",
+            MsgKind::Control => "flow:Control",
+            MsgKind::View => "flow:View",
+        }
+    }
+}
+
 /// A tagged message between ranks.
 #[derive(Clone, Debug)]
 pub struct Message {
@@ -100,6 +135,14 @@ impl Endpoint {
 mod tests {
     use super::*;
     use std::thread;
+
+    #[test]
+    fn kind_names_are_the_debug_spelling() {
+        for kind in MsgKind::ALL {
+            assert_eq!(kind.name(), format!("{kind:?}"));
+            assert_eq!(kind.flow_name(), format!("flow:{kind:?}"));
+        }
+    }
 
     #[test]
     fn ring_pass() {

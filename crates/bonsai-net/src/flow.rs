@@ -64,7 +64,12 @@ impl FlowOutcome {
 }
 
 /// One logical message and its recorded lifecycle.
-#[derive(Clone, Debug, PartialEq)]
+///
+/// The ledger keeps one record per sealed message for the whole history
+/// window, so a record is fixed-size (64 B): the injection list, empty on
+/// almost every flow, sits behind one pointer that is `None` until a fault
+/// is injected.
+#[derive(Clone, PartialEq)]
 pub struct FlowRecord {
     /// Ledger-assigned id, dense and 1-based (0 is the reserved
     /// [`NO_FLOW`](crate::envelope::NO_FLOW)).
@@ -81,10 +86,65 @@ pub struct FlowRecord {
     pub bytes: usize,
     /// Transmissions attempted so far (1 = original only).
     pub attempts: u32,
-    /// Faults injected on this flow, as `(attempt, fault)` pairs.
-    pub injected: Vec<(u32, FaultKind)>,
+    /// Faults injected on this flow; `None` when there are none, never an
+    /// empty list. Read through [`FlowRecord::injected`].
+    // The box is the point: one thin pointer, where a bare `Vec` is three
+    // words on every record and a boxed slice two.
+    #[allow(clippy::box_collection)]
+    injected: Option<Box<Vec<(u32, FaultKind)>>>,
     /// Lifecycle state.
     pub outcome: FlowOutcome,
+}
+
+impl FlowRecord {
+    /// A freshly sealed flow: one attempt, nothing injected, pending.
+    pub fn new(id: u64, epoch: u64, from: usize, to: usize, kind: MsgKind, bytes: usize) -> Self {
+        Self {
+            id,
+            epoch,
+            from,
+            to,
+            kind,
+            bytes,
+            attempts: 1,
+            injected: None,
+            outcome: FlowOutcome::Pending,
+        }
+    }
+
+    /// Faults injected on this flow, as `(attempt, fault)` pairs in
+    /// injection order.
+    pub fn injected(&self) -> &[(u32, FaultKind)] {
+        self.injected.as_deref().map_or(&[], Vec::as_slice)
+    }
+
+    /// Record a fault injected at transmission `attempt`.
+    pub fn push_injected(&mut self, attempt: u32, fault: FaultKind) {
+        self.injected.get_or_insert_default().push((attempt, fault));
+    }
+
+    /// Forget every injection.
+    pub fn clear_injected(&mut self) {
+        self.injected = None;
+    }
+}
+
+/// Renders as `#[derive(Debug)]` would with `injected` a plain list: the
+/// exchange digests hash this text.
+impl std::fmt::Debug for FlowRecord {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("FlowRecord")
+            .field("id", &self.id)
+            .field("epoch", &self.epoch)
+            .field("from", &self.from)
+            .field("to", &self.to)
+            .field("kind", &self.kind)
+            .field("bytes", &self.bytes)
+            .field("attempts", &self.attempts)
+            .field("injected", &self.injected())
+            .field("outcome", &self.outcome)
+            .finish()
+    }
 }
 
 /// Totals for the conservation check.
@@ -195,17 +255,7 @@ impl FlowLedger {
             );
         }
         let id = self.next_id();
-        self.records.push(FlowRecord {
-            id,
-            epoch,
-            from,
-            to,
-            kind,
-            bytes,
-            attempts: 1,
-            injected: Vec::new(),
-            outcome: FlowOutcome::Pending,
-        });
+        self.records.push(FlowRecord::new(id, epoch, from, to, kind, bytes));
         id
     }
 
@@ -246,7 +296,7 @@ impl FlowLedger {
     /// Record a fault injected on `flow` at transmission `attempt`.
     pub fn inject(&mut self, flow: u64, attempt: u32, fault: FaultKind) {
         if let Some(r) = self.get_mut(flow) {
-            r.injected.push((attempt, fault));
+            r.push_injected(attempt, fault);
         }
     }
 
@@ -473,7 +523,7 @@ mod tests {
                 (5, 1, FlowOutcome::Dead),
             ]
         );
-        assert_eq!(l.records()[0].injected, [(0, FaultKind::Drop)]);
+        assert_eq!(l.records()[0].injected(), [(0, FaultKind::Drop)]);
         // An evicted id is inert: a late duplicate of flow 1 changes nothing.
         let before = l.clone();
         l.deliver(1, 3);
@@ -496,6 +546,46 @@ mod tests {
         let c = l.conservation();
         assert_eq!((c.sealed, c.delivered, c.fallback, c.dead), (5, 1, 1, 3));
         assert!(c.holds());
+    }
+
+    #[test]
+    fn a_record_is_fixed_size() {
+        assert!(std::mem::size_of::<FlowRecord>() <= 64);
+    }
+
+    #[test]
+    fn debug_renders_as_the_derived_impl_did() {
+        let mut l = FlowLedger::new();
+        let clean = l.seal(3, 0, 1, MsgKind::Let, 100);
+        let hit = l.seal(3, 2, 1, MsgKind::Control, 16);
+        l.inject(hit, 0, FaultKind::Drop);
+        l.retransmit_latest(3, 2, 1, MsgKind::Control, 16);
+        l.inject(hit, 1, FaultKind::Stall);
+        l.deliver(clean, 0);
+        l.fallback_pending(3, 2, 1, MsgKind::Control);
+        assert_eq!(
+            format!("{:?}", l.records()[0]),
+            "FlowRecord { id: 1, epoch: 3, from: 0, to: 1, kind: Let, bytes: 100, attempts: 1, \
+             injected: [], outcome: Delivered { attempt: 0 } }"
+        );
+        assert_eq!(
+            format!("{:?}", l.records()[1]),
+            "FlowRecord { id: 2, epoch: 3, from: 2, to: 1, kind: Control, bytes: 16, attempts: 2, \
+             injected: [(0, Drop), (1, Stall)], outcome: Fallback }"
+        );
+    }
+
+    #[test]
+    fn cleared_injections_compare_equal_to_none() {
+        let mut l = FlowLedger::new();
+        let id = l.seal(1, 0, 1, MsgKind::Let, 8);
+        let clean = l.records()[0].clone();
+        l.inject(id, 0, FaultKind::Corrupt);
+        let mut r = l.records()[0].clone();
+        assert_ne!(r, clean);
+        r.clear_injected();
+        assert!(r.injected().is_empty());
+        assert_eq!(r, clean);
     }
 
     #[test]

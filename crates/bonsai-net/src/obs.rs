@@ -15,9 +15,12 @@
 //! reliability and delivery-latency statistics.
 
 use crate::cost::NetworkModel;
+use crate::fabric::MsgKind;
 use crate::fault::{FaultEvent, FaultKind, RecoveryAction, RecoveryEvent};
 use crate::flow::{FlowOutcome, FlowRecord};
-use bonsai_obs::{interval_union, FlowPhase, Lane, MetricsRegistry, TraceStore, WaitCause};
+use bonsai_obs::{
+    interval_union, ArgValue, FlowPhase, Lane, MetricsRegistry, TraceStore, WaitCause,
+};
 use std::collections::BTreeMap;
 
 /// Models where a flow's frames sit on the trace clock.
@@ -74,6 +77,36 @@ impl<'a> FlowClock<'a> {
     }
 }
 
+/// One epoch's ledger records grouped by coordinate `(epoch, from, to,
+/// kind)`: the indices of each coordinate's records, in ledger order, found
+/// by binary search.
+struct Coordinates<'a> {
+    flows: &'a [FlowRecord],
+    order: Vec<usize>,
+}
+
+impl<'a> Coordinates<'a> {
+    fn key(r: &FlowRecord) -> (u64, usize, usize, u8) {
+        (r.epoch, r.from, r.to, crate::envelope::kind_code(r.kind))
+    }
+
+    fn new(flows: &'a [FlowRecord]) -> Self {
+        let mut order: Vec<usize> = (0..flows.len()).collect();
+        // Stable: a coordinate's records stay in ledger order.
+        order.sort_by_key(|&i| Self::key(&flows[i]));
+        Self { flows, order }
+    }
+
+    /// Indices into `flows` of the records on one coordinate, in ledger order.
+    fn of(&self, epoch: u64, from: usize, to: usize, kind: MsgKind) -> &[usize] {
+        let key = (epoch, from, to, crate::envelope::kind_code(kind));
+        let key_at = |&i: &usize| Self::key(&self.flows[i]);
+        let start = self.order.partition_point(|i| key_at(i) < key);
+        let len = self.order[start..].partition_point(|i| key_at(i) == key);
+        &self.order[start..start + len]
+    }
+}
+
 /// Record every fault-log event, `injected` then `recoveries`, as instants
 /// on the COMM lanes of the involved ranks, anchored at the modeled wire
 /// time of the flow each event belongs to (injection: the faulted attempt's
@@ -85,7 +118,9 @@ impl<'a> FlowClock<'a> {
 /// `flows` must hold, in ledger order, every flow of the events' epochs: the
 /// per-step caller passes `FaultLog::for_epoch` and
 /// [`FlowLedger::for_epoch`](crate::flow::FlowLedger::for_epoch) of one
-/// epoch, which writes what the whole log and ledger would.
+/// epoch, which writes what the whole log and ledger would. The records are
+/// indexed by coordinate once, so the cost is the events plus the records,
+/// not their product.
 pub fn record_fault_log(
     injected: &[FaultEvent],
     recoveries: &[RecoveryEvent],
@@ -95,23 +130,25 @@ pub fn record_fault_log(
     step: u64,
     at_for_rank: &dyn Fn(usize) -> f64,
 ) {
+    if injected.is_empty() && recoveries.is_empty() {
+        return;
+    }
     let clock = FlowClock::new(net);
+    let coordinates = Coordinates::new(flows);
     // Injections and ledger `injected` entries were appended in the same
     // driver order, so the k-th fault event on a coordinate matches the
     // k-th ledger injection there: walk each flow's injection list with a
     // per-flow cursor.
     let mut cursor = vec![0usize; flows.len()];
     for e in injected {
-        let hit = flows.iter().zip(&mut cursor).find(|(r, next)| {
-            r.epoch == e.epoch
-                && r.from == e.from
-                && r.to == e.to
-                && r.kind == e.kind
-                && r.injected.get(**next) == Some(&(e.attempt, e.fault))
-        });
+        let hit = coordinates
+            .of(e.epoch, e.from, e.to, e.kind)
+            .iter()
+            .find(|&&i| flows[i].injected().get(cursor[i]) == Some(&(e.attempt, e.fault)));
         let (at, flow_id) = match hit {
-            Some((r, next)) => {
-                *next += 1;
+            Some(&i) => {
+                cursor[i] += 1;
+                let r = &flows[i];
                 (clock.send_at(r, e.attempt, at_for_rank(e.from)), r.id)
             }
             None => (at_for_rank(e.to), 0),
@@ -123,41 +160,35 @@ pub fn record_fault_log(
             format!("inject:{}", e.fault),
             at,
         );
-        ev.args.push(("from", bonsai_obs::ArgValue::U64(e.from as u64)));
-        ev.args.push(("to", bonsai_obs::ArgValue::U64(e.to as u64)));
-        ev.args
-            .push(("kind", bonsai_obs::ArgValue::Str(format!("{:?}", e.kind))));
-        ev.args
-            .push(("attempt", bonsai_obs::ArgValue::U64(e.attempt as u64)));
+        ev.args.push(("from", ArgValue::U64(e.from as u64)));
+        ev.args.push(("to", ArgValue::U64(e.to as u64)));
+        ev.args.push(("kind", ArgValue::Str(e.kind.name().into())));
+        ev.args.push(("attempt", ArgValue::U64(e.attempt as u64)));
         if flow_id != 0 {
-            ev.args.push(("flow", bonsai_obs::ArgValue::U64(flow_id)));
+            ev.args.push(("flow", ArgValue::U64(flow_id)));
         }
     }
-    // The k-th Retransmit recovery on a coordinate is the send of attempt
-    // k; other flow-bound recoveries anchor at the flow's resolution.
-    let mut retries: std::collections::BTreeMap<(u64, usize, usize, u8), u32> =
-        std::collections::BTreeMap::new();
+    // A flow-bound recovery belongs to the latest record on its coordinate.
+    // The k-th Retransmit recovery there is the send of attempt k; other
+    // recoveries anchor at the flow's resolution.
+    let mut retries = vec![0u32; flows.len()];
     for e in recoveries {
-        let flow = e.peer.and_then(|peer| {
-            e.kind.and_then(|kind| {
-                flows
-                    .iter()
-                    .rev()
-                    .find(|r| r.epoch == e.epoch && r.from == peer && r.to == e.rank && r.kind == kind)
-            })
+        let flow = e.peer.zip(e.kind).and_then(|(peer, kind)| {
+            coordinates.of(e.epoch, peer, e.rank, kind).last().copied()
         });
         let at = match flow {
-            Some(r) => match e.action {
-                RecoveryAction::Retransmit => {
-                    let key = (e.epoch, r.from, r.to, crate::envelope::kind_code(r.kind));
-                    let k = retries.entry(key).or_insert(0);
-                    *k += 1;
-                    clock.send_at(r, *k, at_for_rank(r.from))
+            Some(i) => {
+                let r = &flows[i];
+                match e.action {
+                    RecoveryAction::Retransmit => {
+                        retries[i] += 1;
+                        clock.send_at(r, retries[i], at_for_rank(r.from))
+                    }
+                    _ => clock
+                        .resolve_at(r, at_for_rank(r.from), at_for_rank(r.to))
+                        .unwrap_or_else(|| at_for_rank(e.rank)),
                 }
-                _ => clock
-                    .resolve_at(r, at_for_rank(r.from), at_for_rank(r.to))
-                    .unwrap_or_else(|| at_for_rank(e.rank)),
-            },
+            }
             None => at_for_rank(e.rank),
         };
         let ev = store.instant(
@@ -168,17 +199,15 @@ pub fn record_fault_log(
             at,
         );
         if let Some(p) = e.peer {
-            ev.args.push(("peer", bonsai_obs::ArgValue::U64(p as u64)));
+            ev.args.push(("peer", ArgValue::U64(p as u64)));
         }
         if let Some(k) = e.kind {
-            ev.args
-                .push(("kind", bonsai_obs::ArgValue::Str(format!("{k:?}"))));
+            ev.args.push(("kind", ArgValue::Str(k.name().into())));
         }
-        if let Some(r) = flow {
-            ev.args.push(("flow", bonsai_obs::ArgValue::U64(r.id)));
+        if let Some(i) = flow {
+            ev.args.push(("flow", ArgValue::U64(flows[i].id)));
         }
-        ev.args
-            .push(("detail", bonsai_obs::ArgValue::Str(e.detail.clone())));
+        ev.args.push(("detail", ArgValue::Str(e.detail.clone())));
     }
 }
 
@@ -222,7 +251,7 @@ pub fn classify<'a>(flows: impl IntoIterator<Item = &'a FlowRecord>) -> WaitCaus
         .map(|f| {
             if f.outcome == FlowOutcome::Fallback {
                 WaitCause::Fallback
-            } else if f.injected.iter().any(|&(_, fault)| fault == FaultKind::Stall) {
+            } else if f.injected().iter().any(|&(_, fault)| fault == FaultKind::Stall) {
                 WaitCause::Stall
             } else if f.attempts > 1 {
                 WaitCause::Retransmission
@@ -469,24 +498,16 @@ pub fn exposed_comm(store: &TraceStore, step: u64, flows: &[FlowRecord]) -> Vec<
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fabric::MsgKind;
     use crate::flow::FlowLedger;
     use crate::fault::FaultLog;
     use crate::machine::PIZ_DAINT;
 
     /// A step-1 flow `from → to` with `attempts` sends and `outcome`.
     fn flow(id: u64, from: usize, to: usize, attempts: u32, outcome: FlowOutcome) -> FlowRecord {
-        FlowRecord {
-            id,
-            epoch: 1,
-            from,
-            to,
-            kind: MsgKind::Let,
-            bytes: 1024,
-            attempts,
-            injected: Vec::new(),
-            outcome,
-        }
+        let mut r = FlowRecord::new(id, 1, from, to, MsgKind::Let, 1024);
+        r.attempts = attempts;
+        r.outcome = outcome;
+        r
     }
 
     /// Draw `f` into `t` as the cluster does: a `Start` point at `send_at`,
@@ -505,7 +526,7 @@ mod tests {
         let clean = flow(1, 0, 1, 1, DELIVERED);
         let retx = flow(2, 0, 1, 3, DELIVERED);
         let mut stalled = flow(3, 0, 1, 2, DELIVERED);
-        stalled.injected.push((0, FaultKind::Stall));
+        stalled.push_injected(0, FaultKind::Stall);
         let fell = flow(4, 0, 1, 4, FlowOutcome::Fallback);
 
         assert_eq!(classify([]), WaitCause::Unattributed);
@@ -513,6 +534,30 @@ mod tests {
         assert_eq!(classify([&clean, &retx]), WaitCause::Retransmission);
         assert_eq!(classify([&clean, &retx, &stalled]), WaitCause::Stall);
         assert_eq!(classify([&clean, &retx, &stalled, &fell]), WaitCause::Fallback);
+    }
+
+    #[test]
+    fn chrome_export_names_flows_of_every_kind() {
+        let mut t = TraceStore::new();
+        for (i, kind) in MsgKind::ALL.into_iter().enumerate() {
+            let (id, at) = (i as u64 + 1, 0.1 * (i + 1) as f64);
+            t.flow_point(id, 0, 1, Lane::Comm, kind.flow_name(), at, FlowPhase::Start);
+            t.flow_point(id, 1, 1, Lane::Comm, kind.flow_name(), at + 0.05, FlowPhase::Finish);
+        }
+        let doc = bonsai_obs::chrome::chrome_trace_json(&t);
+        for (i, name) in ["flow:Boundary", "flow:Particles", "flow:Let", "flow:Control", "flow:View"]
+            .into_iter()
+            .enumerate()
+        {
+            let id = i + 1;
+            let start = format!(
+                "{{\"ph\":\"s\",\"id\":{id},\"bp\":\"e\",\"name\":\"{name}\",\"cat\":\"step1\",\
+                 \"pid\":0,\"tid\":1,\"ts\":{}.000}}",
+                id * 100_000
+            );
+            assert!(doc.contains(&start), "{start} missing from\n{doc}");
+            assert_eq!(doc.matches(&format!("\"name\":\"{name}\"")).count(), 2, "{name}");
+        }
     }
 
     #[test]
@@ -677,7 +722,7 @@ mod tests {
         assert!(
             inj.args
                 .iter()
-                .any(|(k, v)| *k == "flow" && *v == bonsai_obs::ArgValue::U64(1)),
+                .any(|(k, v)| *k == "flow" && *v == ArgValue::U64(1)),
             "injection carries its flow id"
         );
         let rec = &store.instants()[1];
@@ -691,7 +736,41 @@ mod tests {
         assert!(rec
             .args
             .iter()
-            .any(|(k, v)| *k == "flow" && *v == bonsai_obs::ArgValue::U64(1)));
+            .any(|(k, v)| *k == "flow" && *v == ArgValue::U64(1)));
+    }
+
+    #[test]
+    fn two_faults_on_one_coordinate_find_their_own_flows() {
+        // Two flows on one coordinate, each dropped once, then the first
+        // retransmitted and dropped again: each event finds the flow whose
+        // next unmatched injection it is, in ledger order.
+        let net = NetworkModel::new(PIZ_DAINT);
+        let mut ledger = FlowLedger::new();
+        let a = ledger.seal(2, 1, 0, MsgKind::Let, 64);
+        let b = ledger.seal(2, 1, 0, MsgKind::Let, 4096);
+        let fault = |attempt| FaultEvent {
+            epoch: 2,
+            from: 1,
+            to: 0,
+            kind: MsgKind::Let,
+            fault: FaultKind::Drop,
+            attempt,
+        };
+        ledger.inject(a, 0, FaultKind::Drop);
+        ledger.inject(b, 0, FaultKind::Drop);
+        ledger.inject(a, 1, FaultKind::Drop);
+        let injected = [fault(0), fault(0), fault(1)];
+        let mut store = TraceStore::new();
+        record_fault_log(&injected, &[], ledger.records(), &net, &mut store, 2, &|_r| 0.0);
+        let flow_of = |i: usize| {
+            store.instants()[i].args.iter().find_map(|(k, v)| match (k, v) {
+                (&"flow", ArgValue::U64(id)) => Some(*id),
+                _ => None,
+            })
+        };
+        assert_eq!([flow_of(0), flow_of(1), flow_of(2)], [Some(a), Some(b), Some(a)]);
+        let clock = FlowClock::new(&net);
+        assert_eq!(store.instants()[2].at, clock.rto(64));
     }
 
     #[test]

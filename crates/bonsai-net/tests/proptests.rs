@@ -6,26 +6,20 @@
 //! and nothing is lost by reading the view instead of the history — and for
 //! the validated collective: under any fault plan it hands back only what
 //! the fault-free exchange would, accounts for every flow, and logs the same
-//! text twice.
+//! text twice — and for the fault log's trace instants, which equal what a
+//! scan of every record per event draws.
 
 use bonsai_net::collective::{exchange, received_from, Expect, Inline, Outbox, Round};
 use bonsai_net::envelope::{open, seal_flow, EnvelopeError};
-use bonsai_net::obs::record_fault_log;
+use bonsai_net::envelope::kind_code;
+use bonsai_net::obs::{record_fault_log, FlowClock};
 use bonsai_net::{
-    FaultEvent, FaultKind, FaultLog, FaultPlan, FlowLedger, MsgKind, NetworkModel, RecoveryAction,
-    RecoveryEvent, Wire, PIZ_DAINT,
+    FaultEvent, FaultKind, FaultLog, FaultPlan, FlowLedger, FlowRecord, MsgKind, NetworkModel,
+    RecoveryAction, RecoveryEvent, Wire, PIZ_DAINT,
 };
-use bonsai_obs::TraceStore;
+use bonsai_obs::{ArgValue, Lane, TraceStore};
 use bytes::Bytes;
 use proptest::prelude::*;
-
-const KINDS: [MsgKind; 5] = [
-    MsgKind::Boundary,
-    MsgKind::Particles,
-    MsgKind::Let,
-    MsgKind::Control,
-    MsgKind::View,
-];
 
 /// One collective's shape, drawn from the case's random bits.
 struct Shape {
@@ -71,6 +65,81 @@ fn run_collective(p: usize, shape: &Shape, plan: FaultPlan) -> Outcome {
         log: wire.log.render(),
         conserved: wire.flows.conservation().holds(),
     }
+}
+
+/// The fault log's instants as a scan of every record per event draws them:
+/// the reference [`record_fault_log`] must reproduce, instant for instant.
+fn scanned_fault_log(
+    injected: &[FaultEvent],
+    recoveries: &[RecoveryEvent],
+    flows: &[FlowRecord],
+    net: &NetworkModel,
+    step: u64,
+    at_for_rank: &dyn Fn(usize) -> f64,
+) -> TraceStore {
+    let mut store = TraceStore::new();
+    let clock = FlowClock::new(net);
+    let mut cursor = vec![0usize; flows.len()];
+    for e in injected {
+        let hit = flows.iter().zip(&mut cursor).find(|(r, next)| {
+            r.epoch == e.epoch
+                && r.from == e.from
+                && r.to == e.to
+                && r.kind == e.kind
+                && r.injected().get(**next) == Some(&(e.attempt, e.fault))
+        });
+        let (at, flow_id) = match hit {
+            Some((r, next)) => {
+                *next += 1;
+                (clock.send_at(r, e.attempt, at_for_rank(e.from)), r.id)
+            }
+            None => (at_for_rank(e.to), 0),
+        };
+        let ev = store.instant(e.to as u32, step, Lane::Comm, format!("inject:{}", e.fault), at);
+        ev.args.push(("from", ArgValue::U64(e.from as u64)));
+        ev.args.push(("to", ArgValue::U64(e.to as u64)));
+        ev.args.push(("kind", ArgValue::Str(format!("{:?}", e.kind))));
+        ev.args.push(("attempt", ArgValue::U64(e.attempt as u64)));
+        if flow_id != 0 {
+            ev.args.push(("flow", ArgValue::U64(flow_id)));
+        }
+    }
+    let mut retries = std::collections::BTreeMap::new();
+    for e in recoveries {
+        let flow = e.peer.and_then(|peer| {
+            e.kind.and_then(|kind| {
+                flows
+                    .iter()
+                    .rev()
+                    .find(|r| r.epoch == e.epoch && r.from == peer && r.to == e.rank && r.kind == kind)
+            })
+        });
+        let at = match flow {
+            Some(r) => match e.action {
+                RecoveryAction::Retransmit => {
+                    let k = retries.entry((e.epoch, r.from, r.to, kind_code(r.kind))).or_insert(0);
+                    *k += 1;
+                    clock.send_at(r, *k, at_for_rank(r.from))
+                }
+                _ => clock
+                    .resolve_at(r, at_for_rank(r.from), at_for_rank(r.to))
+                    .unwrap_or_else(|| at_for_rank(e.rank)),
+            },
+            None => at_for_rank(e.rank),
+        };
+        let ev = store.instant(e.rank as u32, step, Lane::Comm, format!("recover:{}", e.action), at);
+        if let Some(p) = e.peer {
+            ev.args.push(("peer", ArgValue::U64(p as u64)));
+        }
+        if let Some(k) = e.kind {
+            ev.args.push(("kind", ArgValue::Str(format!("{k:?}"))));
+        }
+        if let Some(r) = flow {
+            ev.args.push(("flow", ArgValue::U64(r.id)));
+        }
+        ev.args.push(("detail", ArgValue::Str(e.detail.clone())));
+    }
+    store
 }
 
 /// Every `(to, from)` pair an outcome accounts for, received or missing.
@@ -145,9 +214,9 @@ proptest! {
         seq in any::<u32>(),
         payload in proptest::collection::vec(any::<u8>(), 0..512),
     ) {
-        let frame = seal_flow(KINDS[kind_ix], from, epoch, flow, seq, &payload);
+        let frame = seal_flow(MsgKind::ALL[kind_ix], from, epoch, flow, seq, &payload);
         let env = open(&frame).unwrap();
-        prop_assert_eq!(env.kind, KINDS[kind_ix]);
+        prop_assert_eq!(env.kind, MsgKind::ALL[kind_ix]);
         prop_assert_eq!(env.from, from);
         prop_assert_eq!(env.epoch, epoch);
         prop_assert_eq!(env.flow, flow);
@@ -213,7 +282,7 @@ proptest! {
             if gap == 0 {
                 epoch += 1 + pick % 2;
             }
-            let kind = KINDS[kind_ix];
+            let kind = MsgKind::ALL[kind_ix];
             let recovery = |action| RecoveryEvent {
                 epoch,
                 rank: to,
@@ -280,5 +349,95 @@ proptest! {
             };
             prop_assert_eq!(write(view), write(flows.records()));
         }
+    }
+
+    #[test]
+    fn fault_instants_equal_the_scanning_reference(
+        ops in proptest::collection::vec(
+            (0u8..7, 0u8..6, 0usize..2, 0usize..2, 0usize..2, any::<u64>()),
+            0..80,
+        ),
+    ) {
+        // Few coordinates (two epochs, two senders, two receivers, two
+        // kinds), so faults, retransmissions and reseals pile up on the
+        // same one. Every case starts with two faults on one coordinate:
+        // one on each of two flows sealed there.
+        let mut flows = FlowLedger::new();
+        let mut log = FaultLog::default();
+        let fault_on = |flows: &mut FlowLedger, log: &mut FaultLog, r: FlowRecord, fault| {
+            let attempt = r.attempts - 1;
+            flows.inject(r.id, attempt, fault);
+            log.record_fault(FaultEvent { epoch: r.epoch, from: r.from, to: r.to, kind: r.kind, fault, attempt });
+        };
+        let first = flows.seal(1, 0, 1, MsgKind::Let, 512);
+        let second = flows.seal(1, 0, 1, MsgKind::Let, 256);
+        let r = flows.records()[(first - 1) as usize].clone();
+        fault_on(&mut flows, &mut log, r, FaultKind::Drop);
+        let r = flows.records()[(second - 1) as usize].clone();
+        fault_on(&mut flows, &mut log, r, FaultKind::Corrupt);
+        let mut epoch = 1u64;
+        for (op, gap, from, to, kind_ix, pick) in ops {
+            if gap == 0 && epoch == 1 {
+                epoch = 2;
+            }
+            let kind = [MsgKind::Let, MsgKind::Control][kind_ix];
+            let recovery = |action| RecoveryEvent {
+                epoch,
+                rank: to,
+                peer: Some(from),
+                kind: Some(kind),
+                action,
+                detail: format!("pick {pick}"),
+            };
+            match op {
+                0 | 1 => {
+                    flows.seal(epoch, from, to, kind, 64 + (pick % 4096) as usize);
+                }
+                2 => {
+                    flows.retransmit_latest(epoch, from, to, kind, 64);
+                    log.record_recovery(recovery(RecoveryAction::Retransmit));
+                }
+                3 => {
+                    let open_now = flows.for_epoch(epoch);
+                    if !open_now.is_empty() {
+                        let r = open_now[pick as usize % open_now.len()].clone();
+                        let fault = FaultKind::MESSAGE_KINDS[(pick >> 8) as usize % 6];
+                        fault_on(&mut flows, &mut log, r, fault);
+                    }
+                }
+                // A fault the ledger never saw: it anchors at the receiver.
+                4 => log.record_fault(FaultEvent { epoch, from, to, kind, fault: FaultKind::Delay, attempt: 0 }),
+                5 => flows.deliver(1 + pick % (flows.len() as u64 + 1), (pick >> 8) as u32 % 3),
+                _ => {
+                    flows.fallback_pending(epoch, from, to, kind);
+                    log.record_recovery(recovery(RecoveryAction::BoundaryFallback));
+                }
+            }
+        }
+
+        let net = NetworkModel::new(PIZ_DAINT);
+        let at = |rank: usize| 0.5 + rank as f64;
+        for e in 1..=2 {
+            let (injected, recoveries) = log.for_epoch(e);
+            let view = flows.for_epoch(e);
+            let mut store = TraceStore::new();
+            record_fault_log(injected, recoveries, view, &net, &mut store, e, &at);
+            let want = scanned_fault_log(injected, recoveries, view, &net, e, &at);
+            prop_assert_eq!(
+                format!("{:?}", store.instants()),
+                format!("{:?}", want.instants()),
+                "epoch {}", e
+            );
+        }
+        // The opening pair both found their flow: the first fault the
+        // first flow, the second whichever flow's next injection it is.
+        let (injected, recoveries) = log.for_epoch(1);
+        let mut store = TraceStore::new();
+        record_fault_log(injected, recoveries, flows.for_epoch(1), &net, &mut store, 1, &at);
+        let flow_arg = |i: usize| {
+            store.instants()[i].args.iter().find(|(k, _)| *k == "flow").map(|(_, v)| v.clone())
+        };
+        prop_assert_eq!(flow_arg(0), Some(ArgValue::U64(first)));
+        prop_assert!(flow_arg(1).is_some());
     }
 }

@@ -137,7 +137,7 @@ pub fn chrome_trace_json(store: &TraceStore) -> String {
             "{{\"ph\":\"{ph}\",\"id\":{},\"bp\":\"e\",\"name\":{},\"cat\":{},\
              \"pid\":{},\"tid\":{},\"ts\":{}}}",
             f.id,
-            escape(&f.name),
+            escape(f.name),
             escape(&format!("step{}", f.step)),
             f.rank,
             f.lane.tid(),

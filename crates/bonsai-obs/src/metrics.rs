@@ -230,10 +230,15 @@ impl MetricsRegistry {
 
     /// Record one histogram observation.
     pub fn histogram_observe(&mut self, name: &str, labels: &[(&str, &str)], v: f64) {
+        self.histogram_entry(name, labels).observe(v);
+    }
+
+    /// The histogram under `name` and `labels`, created empty if absent: a
+    /// caller observing many values into one histogram looks it up once.
+    pub fn histogram_entry(&mut self, name: &str, labels: &[(&str, &str)]) -> &mut LogHistogram {
         self.histograms
             .entry(MetricKey::new(name, labels))
             .or_default()
-            .observe(v);
     }
 
     /// Counter value (0 when absent).

@@ -116,6 +116,10 @@ pub enum FlowPhase {
 /// Points sharing an `id` are joined by Perfetto into an arrow from the
 /// `Start` point to the `Finish` point, binding to whatever span encloses
 /// each point on its track.
+///
+/// A run draws one or more points per sealed message and keeps them for the
+/// whole history window, so a point is fixed-size (48 B) and owns nothing
+/// on the heap: its name is a static string.
 #[derive(Clone, Debug)]
 pub struct FlowPoint {
     /// Flow id shared by all points of one arrow (the ledger flow id).
@@ -127,7 +131,7 @@ pub struct FlowPoint {
     /// Lane this end is drawn on.
     pub lane: Lane,
     /// Arrow name (e.g. `"flow:Let"`).
-    pub name: String,
+    pub name: &'static str,
     /// Timestamp, seconds on the global simulated clock.
     pub at: f64,
     /// Which end of the arrow this point is.
@@ -290,7 +294,7 @@ impl TraceStore {
         rank: u32,
         step: u64,
         lane: Lane,
-        name: impl Into<String>,
+        name: &'static str,
         at: f64,
         phase: FlowPhase,
     ) {
@@ -299,7 +303,7 @@ impl TraceStore {
             rank,
             step,
             lane,
-            name: name.into(),
+            name,
             at,
             phase,
         });
@@ -413,6 +417,11 @@ mod tests {
         assert_eq!(t.last_step(), Some(1));
         assert_eq!(t.ranks(), vec![0]);
         assert!((t.makespan() - 2.0).abs() < 1e-15);
+    }
+
+    #[test]
+    fn a_flow_point_is_fixed_size() {
+        assert!(std::mem::size_of::<FlowPoint>() <= 48);
     }
 
     #[test]

@@ -31,6 +31,7 @@ use bonsai_sfc::KeyMap;
 use bonsai_tree::build::Tree;
 use bonsai_tree::walk::{self, WalkParams};
 use bonsai_tree::{Forces, InteractionCounts, Particles};
+use bonsai_util::sorted::merge_sorted_runs;
 use bonsai_util::{Aabb, Vec3};
 use bytes::Bytes;
 use rayon::prelude::*;
@@ -167,9 +168,9 @@ impl Cluster {
         }
         let (px, py) = factor_ranks(p);
         let (domains, _stats) = parallel_cuts(&weighted, px, py, cfg.sample_s1, cfg.sample_s2);
-        // Enforce the 30% particle cap against the global key multiset.
-        let mut all_keys: Vec<u64> = per_rank_sorted.iter().flatten().copied().collect();
-        all_keys.sort_unstable();
+        // Enforce the 30% particle cap against the global key multiset:
+        // the merge of the ranks' sorted runs.
+        let all_keys = merge_sorted_runs(&per_rank_sorted);
         self.domains = enforce_particle_cap(&domains, &all_keys, cfg.cap);
     }
 

@@ -262,6 +262,12 @@ impl Cluster {
             }
         }
         let mut flow_seq = vec![0usize; p];
+        // Looked up once per epoch, and only when a flow delivered: an
+        // epoch that delivers nothing does not create the histogram.
+        let mut delivery = flows
+            .iter()
+            .any(|r| matches!(r.outcome, FlowOutcome::Delivered { .. }))
+            .then(|| self.registry.histogram_entry("bonsai_flow_delivery_seconds", &[]));
         for r in flows {
             let slot = if r.from < p && flow_count[r.from] > 0 {
                 let i = flow_seq[r.from];
@@ -276,16 +282,16 @@ impl Cluster {
             let base_to = local_starts.get(r.to).copied().unwrap_or(base);
             let send_at = clock.send_at(r, 0, base_from);
             let resolve_at = clock.resolve_at(r, base_from, base_to);
-            let name = format!("flow:{:?}", r.kind);
+            let name = r.kind.flow_name();
             self.trace
-                .flow_point(r.id, r.from as u32, step, Lane::Comm, name.clone(), send_at, FlowPhase::Start);
+                .flow_point(r.id, r.from as u32, step, Lane::Comm, name, send_at, FlowPhase::Start);
             for a in 1..r.attempts {
                 self.trace.flow_point(
                     r.id,
                     r.from as u32,
                     step,
                     Lane::Comm,
-                    name.clone(),
+                    name,
                     clock.send_at(r, a, base_from),
                     FlowPhase::Step,
                 );
@@ -294,26 +300,24 @@ impl Cluster {
                 self.trace
                     .flow_point(r.id, r.to as u32, step, Lane::Comm, name, at, FlowPhase::Finish);
             }
-            let link = format!("{}->{}", r.from, r.to);
+            if let (Some(h), Some(d)) = (delivery.as_deref_mut(), clock.deliver_at(r, base_from)) {
+                h.observe(d - send_at);
+            }
+        }
+        // Exposed flows: the ones whose cost the overlap window could not
+        // hide (a retransmission or a fallback reroute). Only they are
+        // labelled, so only they pay for a metric key.
+        for r in flows {
             if r.attempts > 1 {
                 self.registry.counter_add(
                     "bonsai_flow_retransmits_total",
-                    &[("link", link.as_str())],
+                    &[("link", &format!("{}->{}", r.from, r.to))],
                     (r.attempts - 1) as u64,
                 );
             }
-            if let Some(d) = clock.deliver_at(r, base_from) {
-                self.registry
-                    .histogram_observe("bonsai_flow_delivery_seconds", &[], d - send_at);
-            }
-            // Exposed flows: the ones whose cost the overlap window could
-            // not hide (a retransmission or a fallback reroute).
             if r.attempts > 1 || r.outcome == FlowOutcome::Fallback {
-                self.registry.counter_add(
-                    "bonsai_flow_exposed_total",
-                    &[("kind", &format!("{:?}", r.kind))],
-                    1,
-                );
+                self.registry
+                    .counter_add("bonsai_flow_exposed_total", &[("kind", r.kind.name())], 1);
             }
         }
 

@@ -376,3 +376,28 @@ fn single_rank_cluster_equals_single_process() {
         );
     }
 }
+
+#[test]
+fn delivery_histogram_exists_only_once_a_flow_delivered() {
+    use bonsai_net::flow::FlowOutcome;
+    const DELIVERY: &str = "bonsai_flow_delivery_seconds";
+    // One rank seals nothing, so none of its epochs delivers a flow: the
+    // histogram is never created and the exposition does not name it.
+    let mut c = small_cluster(500, 1, 3);
+    c.step();
+    assert!(c.flow_ledger().is_empty());
+    assert!(c.metrics().histogram(DELIVERY, &[]).is_none());
+    assert!(!bonsai_obs::prom::prometheus_text(c.metrics()).contains(DELIVERY));
+    // Two ranks deliver: one observation per delivered flow.
+    let mut c = small_cluster(500, 2, 3);
+    c.step();
+    let delivered = c
+        .flow_ledger()
+        .records()
+        .iter()
+        .filter(|r| matches!(r.outcome, FlowOutcome::Delivered { .. }))
+        .count();
+    assert!(delivered > 0);
+    let h = c.metrics().histogram(DELIVERY, &[]).expect("a flow delivered");
+    assert_eq!(h.count(), delivered as u64);
+}

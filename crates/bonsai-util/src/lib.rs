@@ -16,7 +16,7 @@
 //!   schedule.
 //! * [`kahan`] — compensated summation for energy diagnostics.
 //! * [`sorted`] — the run of one step or epoch in an append-only,
-//!   key-ordered list, by binary search.
+//!   key-ordered list, by binary search; the merge of sorted runs.
 //! * [`stats`] — running statistics and 1D/2D histograms used by the analysis
 //!   and benchmark crates.
 //! * [`units`] — the galactic unit system (kpc, km/s, M☉) used to express the

@@ -52,6 +52,9 @@ fi
 # truncation sweeps run over a frame long enough to take the fold.
 cargo test -q --release -p bonsai-util --lib hash
 cargo test -q --release -p bonsai-net --lib envelope
+# The pinned fault-log, flow-ledger and force digests, on the code
+# generation the benchmark and the gates run.
+cargo test -q --release -p bonsai-sim --test exchange_digests
 
 echo "== benchmark package: build + unit tests + 2-step smoke test =="
 # benchmark/ is its own workspace on path dependencies and may not be edited
