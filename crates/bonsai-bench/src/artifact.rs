@@ -105,9 +105,10 @@ mod tests {
         assert_eq!(a.value.get("x").and_then(Value::as_f64), Some(1.0));
     }
 
-    /// Every checked-in `BENCH_*.json` at the repo root parses and
-    /// self-identifies through the shared loader, and the set of them is
-    /// exactly the gate table's kinds.
+    /// Every checked-in `BENCH_*.json` at the repo root parses,
+    /// self-identifies through the shared loader and is in the writer's
+    /// canonical layout, and the set of them is exactly the gate table's
+    /// kinds.
     #[test]
     fn all_checked_in_artifacts_self_identify() {
         let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
@@ -120,6 +121,11 @@ mod tests {
                 .and_then(|n| n.strip_suffix(".json"));
             let Some(stem) = stem else { continue };
             let a = load_artifact(&path).unwrap_or_else(|e| panic!("{e}"));
+            let text = std::fs::read_to_string(&path).unwrap();
+            assert!(
+                json::write(&a.value) == text,
+                "{name} is not in canonical layout (`gates --bless` rewrites it)"
+            );
             // The file name and the embedded schema agree on the kind.
             assert_eq!(a.kind, stem, "{name}: schema kind mismatch");
             assert!(a.version >= 1);

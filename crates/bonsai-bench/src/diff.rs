@@ -7,11 +7,13 @@
 //! names the phase × rank × metric it belongs to. Array elements are
 //! matched by *identity keys* (`kernel`, `phase`, `term`, `rank`, …) when
 //! present, so a reordered or grown array attributes changes to the right
-//! row instead of smearing them across indices.
+//! row instead of smearing them across indices. Objects are walked in the
+//! base's key order, then the keys only the current document has; an
+//! integer and a float compare by value.
 
 use std::collections::BTreeMap;
 
-use bonsai_obs::json::{fmt_f64, Value};
+use bonsai_obs::json::{escape, fmt_f64, Value};
 
 /// Keys that identify an array element (checked in order; the first ones
 /// present form the element's label). These are the dimension columns of
@@ -100,8 +102,9 @@ fn render(v: &Value) -> String {
     match v {
         Value::Null => "null".into(),
         Value::Bool(b) => b.to_string(),
+        Value::Int(i) => i.to_string(),
         Value::Num(x) => fmt_f64(*x),
-        Value::Str(s) => format!("\"{s}\""),
+        Value::Str(s) => escape(s),
         Value::Arr(a) => format!("[…{} items]", a.len()),
         Value::Obj(m) => format!("{{…{} keys}}", m.len()),
     }
@@ -110,18 +113,12 @@ fn render(v: &Value) -> String {
 /// The identity label of an array element, if it carries any identity keys
 /// (e.g. `kernel=local,rank=2`).
 fn identity(v: &Value) -> Option<String> {
-    let Value::Obj(m) = v else { return None };
     let parts: Vec<String> = IDENTITY_KEYS
         .iter()
         .filter_map(|&k| {
-            m.get(k).and_then(|x| match x {
+            v.get(k).and_then(|x| match x {
                 Value::Str(s) => Some(format!("{k}={s}")),
-                // Integer-valued dimensions (rank, step, epoch) label as
-                // integers, matching how the artifacts print them.
-                Value::Num(n) if n.fract() == 0.0 && n.is_finite() => {
-                    Some(format!("{k}={}", *n as i64))
-                }
-                Value::Num(n) => Some(format!("{k}={}", fmt_f64(*n))),
+                Value::Int(_) | Value::Num(_) => Some(format!("{k}={}", render(x))),
                 _ => None,
             })
         })
@@ -142,38 +139,39 @@ pub fn diff_values(base: &Value, current: &Value, tol: Tolerance) -> Vec<Delta> 
 }
 
 fn walk(path: &str, a: &Value, b: &Value, tol: Tolerance, out: &mut Vec<Delta>) {
-    match (a, b) {
-        (Value::Num(x), Value::Num(y)) => {
-            let band = tol.band(*x, *y);
-            let d = (x - y).abs();
-            if d > band && !(x.is_nan() && y.is_nan()) {
-                out.push(Delta {
-                    path: path.to_string(),
-                    base: fmt_f64(*x),
-                    current: fmt_f64(*y),
-                    severity: if band > 0.0 { d / band } else { f64::INFINITY },
-                    kind: DeltaKind::Numeric,
-                });
-            }
+    if let (Some(x), Some(y)) = (a.as_f64(), b.as_f64()) {
+        let band = tol.band(x, y);
+        let d = (x - y).abs();
+        if d > band && !(x.is_nan() && y.is_nan()) {
+            out.push(Delta {
+                path: path.to_string(),
+                base: render(a),
+                current: render(b),
+                severity: if band > 0.0 { d / band } else { f64::INFINITY },
+                kind: DeltaKind::Numeric,
+            });
         }
+        return;
+    }
+    match (a, b) {
         (Value::Obj(ma), Value::Obj(mb)) => {
-            let keys: std::collections::BTreeSet<&String> = ma.keys().chain(mb.keys()).collect();
-            for k in keys {
+            // The base's keys in its order, then the keys only the current
+            // document has, in its order.
+            let only_current = mb.iter().filter(|(k, _)| a.get(k).is_none());
+            for (k, _) in ma.iter().chain(only_current) {
                 let sub = if path.is_empty() {
                     k.clone()
                 } else {
                     format!("{path}.{k}")
                 };
-                match (ma.get(k), mb.get(k)) {
+                match (a.get(k), b.get(k)) {
                     (Some(x), Some(y)) => walk(&sub, x, y, tol, out),
                     (x, y) => out.push(Delta::structural(&sub, x, y)),
                 }
             }
         }
         (Value::Arr(xs), Value::Arr(ys)) => diff_arrays(path, xs, ys, tol, out),
-        (Value::Str(s), Value::Str(t)) if s == t => {}
-        (Value::Bool(s), Value::Bool(t)) if s == t => {}
-        (Value::Null, Value::Null) => {}
+        _ if a == b => {}
         _ => out.push(Delta::structural(path, Some(a), Some(b))),
     }
 }
@@ -201,8 +199,8 @@ fn diff_arrays(path: &str, xs: &[Value], ys: &[Value], tol: Tolerance, out: &mut
     if xs.len() != ys.len() {
         out.push(Delta::structural(
             &format!("{path}.length"),
-            Some(&Value::Num(xs.len() as f64)),
-            Some(&Value::Num(ys.len() as f64)),
+            Some(&Value::from(xs.len())),
+            Some(&Value::from(ys.len())),
         ));
     }
     for (i, (x, y)) in xs.iter().zip(ys).enumerate() {

@@ -17,11 +17,12 @@
 use bonsai_net::fault::{FaultKind, FaultPlan};
 use bonsai_net::flow::{FlowConservation, FlowOutcome, FlowRecord};
 use bonsai_net::obs::{exposed_comm, flow_times, link_ledger, LinkStats};
-use bonsai_obs::json::fmt_f64;
-use bonsai_obs::{critical_path, ArgValue, WaitCause};
+use bonsai_obs::json::{self, Value};
+use bonsai_obs::{critical_path, obj, ArgValue, WaitCause};
 use bonsai_sim::Cluster;
 use std::collections::BTreeMap;
 
+use crate::report::page;
 use crate::{milky_way_config, milky_way_snapshot};
 
 /// The flows bench configuration.
@@ -224,105 +225,63 @@ pub fn run(cfg: FlowsBenchConfig) -> FlowsResult {
     }
 }
 
-/// Render a row list as a JSON array (`[]` when empty, one row per line
-/// otherwise).
-fn json_rows(rows: &[String]) -> String {
-    if rows.is_empty() {
-        "[]".to_string()
-    } else {
-        format!("[\n{}\n  ]", rows.join(",\n"))
-    }
-}
-
 /// `BENCH_flows.json`: schema `bonsai-flows-v1`, byte-deterministic per
 /// seed.
 pub fn flows_json(r: &FlowsResult) -> String {
     let c = &r.config;
     let total_wait = r.wait_total_s();
-    let waits: Vec<String> = r
+    let share = |secs: f64| {
+        if total_wait > 0.0 {
+            secs / total_wait
+        } else {
+            0.0
+        }
+    };
+    let waits: Vec<Value> = r
         .wait_by_cause
         .iter()
-        .map(|(cause, secs)| {
-            format!(
-                "    {{\"cause\": \"{}\", \"seconds\": {}, \"share\": {}}}",
-                cause,
-                fmt_f64(*secs),
-                fmt_f64(if total_wait > 0.0 { secs / total_wait } else { 0.0 })
-            )
-        })
+        .map(|(cause, secs)| obj!("cause": cause.as_str(), "seconds": *secs, "share": share(*secs)))
         .collect();
-    let exposed: Vec<String> = r
+    let exposed: Vec<Value> = r
         .exposed_by_cause
         .iter()
-        .map(|(cause, secs)| {
-            format!(
-                "    {{\"cause\": \"{}\", \"seconds\": {}}}",
-                cause,
-                fmt_f64(*secs)
-            )
-        })
+        .map(|(cause, secs)| obj!("cause": cause.as_str(), "seconds": *secs))
         .collect();
-    let links: Vec<String> = r
+    let links: Vec<Value> = r
         .links
         .iter()
         .map(|l| {
-            format!(
-                "    {{\"link\": \"{}\", \"from\": {}, \"to\": {}, \"flows\": {}, \"bytes\": {}, \"attempts\": {}, \"retransmits\": {}, \"retransmit_ratio\": {}, \"delivered\": {}, \"fallback\": {}, \"dead\": {}, \"latency_p50\": {}, \"latency_p90\": {}, \"latency_p99\": {}, \"latency_max\": {}}}",
-                l.label(),
-                l.from,
-                l.to,
-                l.flows,
-                l.bytes,
-                l.attempts,
-                l.retransmits,
-                fmt_f64(l.retransmit_ratio()),
-                l.delivered,
-                l.fallback,
-                l.dead,
-                fmt_f64(l.latency_p50),
-                fmt_f64(l.latency_p90),
-                fmt_f64(l.latency_p99),
-                fmt_f64(l.latency_max)
-            )
+            obj!("link": l.label(), "from": l.from, "to": l.to, "flows": l.flows,
+                "bytes": l.bytes, "attempts": l.attempts, "retransmits": l.retransmits,
+                "retransmit_ratio": l.retransmit_ratio(), "delivered": l.delivered,
+                "fallback": l.fallback, "dead": l.dead, "latency_p50": l.latency_p50,
+                "latency_p90": l.latency_p90, "latency_p99": l.latency_p99,
+                "latency_max": l.latency_max)
         })
         .collect();
-    let steps: Vec<String> = r
+    let steps: Vec<Value> = r
         .steps
         .iter()
         .map(|s| {
-            format!(
-                "    {{\"step\": {}, \"flows\": {}, \"retransmits\": {}, \"fallbacks\": {}, \"exposed_intervals\": {}, \"exposed_s\": {}, \"wait_s\": {}}}",
-                s.step,
-                s.flows,
-                s.retransmits,
-                s.fallbacks,
-                s.exposed_intervals,
-                fmt_f64(s.exposed_s),
-                fmt_f64(s.wait_s)
-            )
+            obj!("step": s.step, "flows": s.flows, "retransmits": s.retransmits,
+                "fallbacks": s.fallbacks, "exposed_intervals": s.exposed_intervals,
+                "exposed_s": s.exposed_s, "wait_s": s.wait_s)
         })
         .collect();
     let k = &r.conservation;
-    format!(
-        "{{\n  \"schema\": \"bonsai-flows-v1\",\n  \"config\": {{\"n\": {}, \"ranks\": {}, \"steps\": {}, \"seed\": {}, \"mask_retransmits\": {}}},\n  \"conservation\": {{\"sealed\": {}, \"delivered\": {}, \"fallback\": {}, \"dead\": {}, \"pending\": {}, \"holds\": {}}},\n  \"wait_total_s\": {},\n  \"unattributed_fraction\": {},\n  \"wait_attribution\": {},\n  \"exposed\": {},\n  \"links\": {},\n  \"steps\": {}\n}}\n",
-        c.n,
-        c.ranks,
-        c.steps,
-        c.seed,
-        c.mask_retransmits,
-        k.sealed,
-        k.delivered,
-        k.fallback,
-        k.dead,
-        k.pending,
-        k.holds(),
-        fmt_f64(total_wait),
-        fmt_f64(r.unattributed_fraction()),
-        json_rows(&waits),
-        json_rows(&exposed),
-        json_rows(&links),
-        json_rows(&steps)
-    )
+    json::write(&obj!(
+        "schema": "bonsai-flows-v1",
+        "config": obj!("n": c.n, "ranks": c.ranks, "steps": c.steps, "seed": c.seed,
+            "mask_retransmits": c.mask_retransmits),
+        "conservation": obj!("sealed": k.sealed, "delivered": k.delivered,
+            "fallback": k.fallback, "dead": k.dead, "pending": k.pending, "holds": k.holds()),
+        "wait_total_s": total_wait,
+        "unattributed_fraction": r.unattributed_fraction(),
+        "wait_attribution": waits,
+        "exposed": exposed,
+        "links": links,
+        "steps": steps,
+    ))
 }
 
 /// Cell shade for the link matrix: white (clean) → red (high retransmit
@@ -360,16 +319,7 @@ fn latency_sparkline(l: &LinkStats, lat_max: f64) -> String {
 /// `out/flows_report.html`: self-contained, zero JavaScript.
 pub fn render_html(r: &FlowsResult) -> String {
     let c = &r.config;
-    let mut s = String::from(
-        "<!DOCTYPE html>\n<html lang=\"en\">\n<head>\n<meta charset=\"utf-8\">\n\
-         <title>bonsai message-flow report</title>\n<style>\n\
-         body { font: 14px/1.5 system-ui, sans-serif; color: #18181b; margin: 2rem auto; max-width: 72rem; padding: 0 1rem; }\n\
-         table { border-collapse: collapse; margin: 0.75rem 0 1.5rem; }\n\
-         th, td { border: 1px solid #d4d4d8; padding: 0.25rem 0.6rem; text-align: right; }\n\
-         th { background: #f4f4f5; } td.l, th.l { text-align: left; }\n\
-         .ok { color: #16a34a; } .bad { color: #dc2626; }\n\
-         </style>\n</head>\n<body>\n",
-    );
+    let mut s = String::new();
     let k = &r.conservation;
     s.push_str(&format!(
         "<h1>Message-flow trace</h1>\n<p>{} particles × {} ranks × {} steps under the seeded \
@@ -499,8 +449,8 @@ pub fn render_html(r: &FlowsResult) -> String {
             st.wait_s * 1e3
         ));
     }
-    s.push_str("</table>\n</body>\n</html>\n");
-    s
+    s.push_str("</table>\n");
+    page("bonsai message-flow report", &s)
 }
 
 #[cfg(test)]

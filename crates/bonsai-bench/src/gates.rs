@@ -14,7 +14,7 @@
 use std::path::Path;
 
 use bonsai_obs::health::AlertKind;
-use bonsai_obs::json::{fmt_f64, Value};
+use bonsai_obs::json::{self, fmt_f64, Value};
 
 use crate::artifact::{load_artifact, parse_artifact};
 use crate::diff::{diff_values, rank, render_report, Tolerance};
@@ -443,12 +443,18 @@ pub fn run_gate(gate: &Gate, root: &Path, bless: bool) -> Result<String, Failure
         Some(text) if !bless => {
             let base = parse_artifact(text).map_err(unusable)?;
             let deltas = rank(diff_values(&base.value, &current.value, Tolerance::EXACT));
+            let why = if deltas.is_empty() && json::write(&base.value) == honest.artifact {
+                "the values are identical: the checked-in file is not in canonical layout \
+                 (`gates --bless` rewrites it)\n"
+                    .to_string()
+            } else {
+                render_report(&deltas, Tolerance::EXACT)
+            };
             return Err(failure(
                 1,
                 format!(
-                    "{}: regenerated bytes differ from the checked-in file\n{}",
-                    path.display(),
-                    render_report(&deltas, Tolerance::EXACT)
+                    "{}: regenerated bytes differ from the checked-in file\n{why}",
+                    path.display()
                 ),
             ));
         }
@@ -728,6 +734,21 @@ mod tests {
             ["BENCH_fake.json"],
             "a failed gate wrote files"
         );
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    fn canonical(_: bool) -> Produced {
+        produced(json::write(&json::parse(&doc(1.0, 2.0)).unwrap()), true)
+    }
+
+    #[test]
+    fn a_layout_only_mismatch_says_so_and_names_the_bless() {
+        let root = tree(Some(&doc(1.0, 2.0)));
+        let f = run_gate(&fake(canonical, None), &root, false).unwrap_err();
+        assert_eq!(f.code, 1);
+        for says in ["bytes differ", "identical", "canonical layout", "--bless"] {
+            assert!(f.report.contains(says), "{}", f.report);
+        }
         std::fs::remove_dir_all(&root).unwrap();
     }
 

@@ -51,6 +51,10 @@ pub mod stream_dash;
 use std::ops::RangeInclusive;
 
 use bonsai_ic::MilkyWayModel;
+use bonsai_net::ViewChange;
+use bonsai_obs::health::AlertEvent;
+use bonsai_obs::json::Value;
+use bonsai_obs::obj;
 use bonsai_sim::ClusterConfig;
 use bonsai_tree::Particles;
 use bonsai_util::units;
@@ -73,6 +77,21 @@ pub fn scratch_dir(tag: &str) -> std::path::PathBuf {
     static NEXT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
     let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
     std::env::temp_dir().join(format!("{tag}_{}_{n}", std::process::id()))
+}
+
+/// One alert-log row of an artifact (`BENCH_longrun.json`,
+/// `BENCH_stream.json`).
+pub(crate) fn alert_row(e: &AlertEvent) -> Value {
+    obj!("step": e.step, "rule": e.rule.as_str(), "metric": e.metric.as_str(),
+        "severity": e.severity.name(), "kind": e.kind.name(), "value": e.value)
+}
+
+/// One view-change row of an artifact (`BENCH_longrun.json`,
+/// `BENCH_membership.json`).
+pub(crate) fn view_change_row(ch: &ViewChange) -> Value {
+    obj!("epoch": ch.epoch, "from_view": ch.from_view, "to_view": ch.to_view,
+        "from_world": ch.from_world, "to_world": ch.to_world, "rounds": ch.rounds,
+        "migrated_particles": ch.migrated_particles, "migrated_bytes": ch.migrated_bytes)
 }
 
 /// A scaled Milky Way snapshot: the standard workload of the performance

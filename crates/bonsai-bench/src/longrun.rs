@@ -14,12 +14,14 @@
 
 use bonsai_net::fault::{FaultKind, FaultPlan, Injection};
 use bonsai_obs::health::{AlertKind, Severity};
-use bonsai_obs::json::fmt_f64;
+use bonsai_obs::json::{self, Value};
+use bonsai_obs::obj;
 use bonsai_obs::timeseries::Series;
 use bonsai_sim::{Cluster, LongRunConfig, LongRunMonitor};
 use bonsai_util::units;
 
-use crate::{milky_way_config, milky_way_snapshot, short};
+use crate::report::page;
+use crate::{alert_row, milky_way_config, milky_way_snapshot, short, view_change_row};
 
 /// The long-run bench configuration.
 #[derive(Clone, Debug)]
@@ -130,116 +132,53 @@ pub fn run(cfg: LongRunBenchConfig) -> LongRunResult {
     }
 }
 
-fn series_json(s: &Series) -> String {
-    let sum = s.summary().expect("non-empty series");
-    let bins: Vec<String> = s
-        .bins()
-        .iter()
-        .map(|b| {
-            format!(
-                "[{}, {}, {}, {}, {}, {}, {}]",
-                b.step_lo,
-                b.step_hi,
-                b.count,
-                fmt_f64(b.min),
-                fmt_f64(b.max),
-                fmt_f64(b.mean()),
-                fmt_f64(b.last)
-            )
-        })
-        .collect();
-    format!(
-        "{{\"stride\": {}, \"count\": {}, \"summary\": {{\"min\": {}, \"max\": {}, \"mean\": {}, \"last\": {}}}, \"bins\": [{}]}}",
-        s.stride(),
-        s.count(),
-        fmt_f64(sum.min),
-        fmt_f64(sum.max),
-        fmt_f64(sum.mean()),
-        fmt_f64(sum.last),
-        bins.join(", ")
-    )
-}
-
 /// `BENCH_longrun.json`: schema `bonsai-longrun-v1`, byte-deterministic.
 pub fn longrun_json(r: &LongRunResult) -> String {
     let c = &r.config;
-    let mut series: Vec<String> = Vec::new();
-    for name in HEADLINE {
-        if let Some(s) = r.monitor.series().series(name) {
-            series.push(format!("    \"{name}\": {}", series_json(s)));
-        }
-    }
-    let alerts: Vec<String> = r
-        .monitor
-        .health()
-        .events()
+    let series: Value = HEADLINE
         .iter()
-        .map(|e| {
-            format!(
-                "    {{\"step\": {}, \"rule\": \"{}\", \"metric\": \"{}\", \"severity\": \"{}\", \"kind\": \"{}\", \"value\": {}}}",
-                e.step,
-                e.rule,
-                e.metric,
-                e.severity.name(),
-                e.kind.name(),
-                fmt_f64(e.value)
+        .filter_map(|&name| Some((name, r.monitor.series().series(name)?)))
+        .map(|(name, s)| {
+            let sum = s.summary().expect("non-empty series");
+            let bins: Vec<Value> = s
+                .bins()
+                .iter()
+                .map(|b| {
+                    let ints = [b.step_lo, b.step_hi, b.count].map(Value::from);
+                    let nums = [b.min, b.max, b.mean(), b.last].map(Value::from);
+                    Value::Arr(ints.into_iter().chain(nums).collect())
+                })
+                .collect();
+            let summary =
+                obj!("min": sum.min, "max": sum.max, "mean": sum.mean(), "last": sum.last);
+            (
+                name,
+                obj!("stride": s.stride(), "count": s.count(), "summary": summary, "bins": bins),
             )
         })
         .collect();
-    let incidents: Vec<String> = r
+    let incidents: Vec<Value> = r
         .monitor
         .incidents()
         .iter()
         .map(|i| {
-            format!(
-                "    {{\"id\": {}, \"rule\": \"{}\", \"severity\": \"{}\", \"step\": {}, \"window\": [{}, {}], \"spans\": {}, \"instants\": {}, \"flows\": {}}}",
-                i.id,
-                i.rule,
-                i.severity.name(),
-                i.step,
-                i.window.0,
-                i.window.1,
-                i.trace.spans().len(),
-                i.trace.instants().len(),
-                i.trace.flow_points().len()
-            )
+            obj!("id": i.id, "rule": i.rule.as_str(), "severity": i.severity.name(),
+                "step": i.step, "window": vec![i.window.0, i.window.1],
+                "spans": i.trace.spans().len(), "instants": i.trace.instants().len(),
+                "flows": i.trace.flow_points().len())
         })
         .collect();
-    let changes: Vec<String> = r
-        .view_changes
-        .iter()
-        .map(|ch| {
-            format!(
-                "    {{\"epoch\": {}, \"from_view\": {}, \"to_view\": {}, \"from_world\": {}, \"to_world\": {}, \"rounds\": {}, \"migrated_particles\": {}, \"migrated_bytes\": {}}}",
-                ch.epoch,
-                ch.from_view,
-                ch.to_view,
-                ch.from_world,
-                ch.to_world,
-                ch.rounds,
-                ch.migrated_particles,
-                ch.migrated_bytes
-            )
-        })
-        .collect();
-    format!(
-        "{{\n  \"schema\": \"bonsai-longrun-v1\",\n  \"config\": {{\"n\": {}, \"ranks\": {}, \"steps\": {}, \"seed\": {}, \"max_bins\": {}, \"storm_epochs\": [{}, {}], \"grow_at\": {}, \"shrink_at\": {}}},\n  \"final\": {{\"time_gyr\": {}, \"energy_drift\": {}}},\n  \"series\": {{\n{}\n  }},\n  \"alerts\": [\n{}\n  ],\n  \"incidents\": [\n{}\n  ],\n  \"view_changes\": [\n{}\n  ]\n}}\n",
-        c.n,
-        c.ranks,
-        c.steps,
-        c.seed,
-        c.max_bins,
-        c.storm_epochs.0,
-        c.storm_epochs.1,
-        c.grow_at,
-        c.shrink_at,
-        fmt_f64(r.time_gyr),
-        fmt_f64(r.energy_drift),
-        series.join(",\n"),
-        alerts.join(",\n"),
-        incidents.join(",\n"),
-        changes.join(",\n")
-    )
+    json::write(&obj!(
+        "schema": "bonsai-longrun-v1",
+        "config": obj!("n": c.n, "ranks": c.ranks, "steps": c.steps, "seed": c.seed,
+            "max_bins": c.max_bins, "storm_epochs": vec![c.storm_epochs.0, c.storm_epochs.1],
+            "grow_at": c.grow_at, "shrink_at": c.shrink_at),
+        "final": obj!("time_gyr": r.time_gyr, "energy_drift": r.energy_drift),
+        "series": series,
+        "alerts": r.monitor.health().events().iter().map(alert_row).collect::<Vec<_>>(),
+        "incidents": incidents,
+        "view_changes": r.view_changes.iter().map(view_change_row).collect::<Vec<_>>(),
+    ))
 }
 
 /// `(open_step, close_step_or_end, severity)` intervals per metric, from
@@ -389,28 +328,14 @@ fn sparkline(
 pub fn render_html(r: &LongRunResult) -> String {
     let c = &r.config;
     let steps = c.steps as u64;
-    let mut s = String::from(
-        "<!DOCTYPE html>\n<html lang=\"en\">\n<head>\n<meta charset=\"utf-8\">\n\
-         <title>bonsai long-run report</title>\n<style>\n\
-         body{font:14px/1.5 system-ui,sans-serif;margin:2rem auto;max-width:960px;color:#1a1a2e}\n\
-         h1{font-size:1.4rem} h2{font-size:1.1rem;margin-top:2rem}\n\
-         table{border-collapse:collapse;margin:0.5rem 0;font-size:13px}\n\
-         td,th{border:1px solid #cbd5e1;padding:4px 10px;text-align:right}\n\
-         td:first-child,th:first-child{text-align:left}\n\
-         th{background:#eef2f7} .t{font:600 13px system-ui;fill:#1a1a2e}\n\
-         .a{font:11px system-ui;fill:#556}\n\
-         .charts{display:flex;gap:1rem;flex-wrap:wrap}\n\
-         .sev{display:inline-block;width:10px;height:10px;border-radius:2px;vertical-align:-1px;margin-right:4px}\n\
-         code{background:#eef2f7;padding:0 3px;border-radius:3px}\n</style>\n</head>\n<body>\n\
-         <h1>Long-run monitor — sustained Milky Way run</h1>\n",
-    );
+    let mut s = String::from("<h1>Long-run monitor — sustained Milky Way run</h1>\n");
     s.push_str(&format!(
         "<p>{} particles over {} ranks, {} steps to t = {} Gyr (seed {}). Final relative \
          energy drift {}. Shaded spans mark steps where a health rule was open \
-         (<span class=\"sev\" style=\"background:#d97706\"></span>warning, \
-         <span class=\"sev\" style=\"background:#dc2626\"></span>critical); dashed vertical \
-         lines mark membership view changes (<span class=\"sev\" style=\"background:#16a34a\">\
-         </span>grow, <span class=\"sev\" style=\"background:#d97706\"></span>shrink); the band \
+         (<span class=\"swatch\" style=\"background:#d97706\"></span>warning, \
+         <span class=\"swatch\" style=\"background:#dc2626\"></span>critical); dashed vertical \
+         lines mark membership view changes (<span class=\"swatch\" style=\"background:#16a34a\">\
+         </span>grow, <span class=\"swatch\" style=\"background:#d97706\"></span>shrink); the band \
          is the per-bin min–max envelope, the line the bin mean.</p>\n",
         c.n,
         c.ranks,
@@ -465,7 +390,7 @@ pub fn render_html(r: &LongRunResult) -> String {
         );
         for i in r.monitor.incidents() {
             s.push_str(&format!(
-                "<tr><td>{}</td><td>{}</td><td><span class=\"sev\" style=\"background:{}\"></span>{}</td><td>{}</td><td>{}–{}</td><td>{}</td><td>{}</td><td>{}</td></tr>\n",
+                "<tr><td>{}</td><td>{}</td><td><span class=\"swatch\" style=\"background:{}\"></span>{}</td><td>{}</td><td>{}–{}</td><td>{}</td><td>{}</td><td>{}</td></tr>\n",
                 i.id,
                 i.rule,
                 sev_color(i.severity),
@@ -497,7 +422,7 @@ pub fn render_html(r: &LongRunResult) -> String {
         );
         for e in r.monitor.health().events() {
             s.push_str(&format!(
-                "<tr><td>{}</td><td>{}</td><td>{}</td><td><span class=\"sev\" style=\"background:{}\"></span>{}</td><td>{}</td><td>{}</td></tr>\n",
+                "<tr><td>{}</td><td>{}</td><td>{}</td><td><span class=\"swatch\" style=\"background:{}\"></span>{}</td><td>{}</td><td>{}</td></tr>\n",
                 e.step,
                 e.kind.name(),
                 e.rule,
@@ -526,8 +451,8 @@ pub fn render_html(r: &LongRunResult) -> String {
             ));
         }
     }
-    s.push_str("</table>\n</body>\n</html>\n");
-    s
+    s.push_str("</table>\n");
+    page("bonsai long-run report", &s)
 }
 
 #[cfg(test)]

@@ -14,12 +14,13 @@
 
 use bonsai_net::fault::{FaultKind, FaultPlan};
 use bonsai_net::RecoveryAction;
-use bonsai_obs::json::fmt_f64;
+use bonsai_obs::json::{self, Value};
+use bonsai_obs::obj;
 use bonsai_sim::{AutoscaleConfig, Cluster, LongRunConfig, RecoveryConfig, ScaleDecision};
 use bonsai_util::units;
 use bonsai_verify::{acceleration_diff, equivalence_band, serial_reference, ErrorPercentiles};
 
-use crate::{milky_way_config, milky_way_snapshot};
+use crate::{milky_way_config, milky_way_snapshot, view_change_row};
 
 /// The membership bench configuration.
 #[derive(Clone, Debug)]
@@ -183,60 +184,31 @@ pub fn run(cfg: MembershipBenchConfig) -> MembershipResult {
 /// deterministic per seed.
 pub fn membership_json(r: &MembershipResult) -> String {
     let c = &r.config;
-    let changes: Vec<String> = r
-        .view_changes
-        .iter()
-        .map(|ch| {
-            format!(
-                "    {{\"epoch\": {}, \"from_view\": {}, \"to_view\": {}, \"from_world\": {}, \"to_world\": {}, \"rounds\": {}, \"migrated_particles\": {}, \"migrated_bytes\": {}}}",
-                ch.epoch,
-                ch.from_view,
-                ch.to_view,
-                ch.from_world,
-                ch.to_world,
-                ch.rounds,
-                ch.migrated_particles,
-                ch.migrated_bytes
-            )
-        })
-        .collect();
-    let decisions: Vec<String> = r
+    let decisions: Vec<Value> = r
         .decisions
         .iter()
-        .map(|(step, d)| format!("    {{\"step\": {step}, \"decision\": \"{d}\"}}"))
+        .map(|(step, d)| obj!("step": *step, "decision": d.to_string()))
         .collect();
-    let equivalence = match &r.equivalence {
-        Some(d) => format!(
-            "{{\"median\": {}, \"p95\": {}, \"max\": {}}}",
-            fmt_f64(d.median),
-            fmt_f64(d.p95),
-            fmt_f64(d.max)
-        ),
-        None => "null".to_string(),
-    };
-    format!(
-        "{{\n  \"schema\": \"bonsai-membership-v1\",\n  \"config\": {{\"n\": {}, \"ranks\": {}, \"steps\": {}, \"seed\": {}, \"churn_every\": {}, \"fault_rate\": {}, \"drop_migrants\": {}}},\n  \"final\": {{\"time_gyr\": {}, \"energy_drift\": {}, \"ranks\": {}, \"lost_particles\": {}, \"ids_intact\": {}}},\n  \"view_changes\": [\n{}\n  ],\n  \"autoscale_decisions\": [\n{}\n  ],\n  \"view_change_recoveries\": {},\n  \"equivalence\": {},\n  \"gate\": {{\"conserved\": {}, \"drift_ok\": {}, \"equivalence_ok\": {}, \"passed\": {}}}\n}}\n",
-        c.n,
-        c.ranks,
-        c.steps,
-        c.seed,
-        c.churn_every,
-        fmt_f64(c.fault_rate),
-        c.drop_migrants,
-        fmt_f64(r.time_gyr),
-        fmt_f64(r.energy_drift),
-        r.ranks_final,
-        r.lost_particles,
-        r.ids_intact,
-        changes.join(",\n"),
-        decisions.join(",\n"),
-        r.view_change_recoveries,
-        equivalence,
-        r.lost_particles == 0 && r.ids_intact,
-        r.drift_ok,
-        r.equivalence_ok,
-        r.passed()
-    )
+    let equivalence = r
+        .equivalence
+        .as_ref()
+        .map(|d| obj!("median": d.median, "p95": d.p95, "max": d.max));
+    json::write(&obj!(
+        "schema": "bonsai-membership-v1",
+        "config": obj!("n": c.n, "ranks": c.ranks, "steps": c.steps, "seed": c.seed,
+            "churn_every": c.churn_every, "fault_rate": c.fault_rate,
+            "drop_migrants": c.drop_migrants),
+        "final": obj!("time_gyr": r.time_gyr, "energy_drift": r.energy_drift,
+            "ranks": r.ranks_final, "lost_particles": r.lost_particles,
+            "ids_intact": r.ids_intact),
+        "view_changes": r.view_changes.iter().map(view_change_row).collect::<Vec<_>>(),
+        "autoscale_decisions": decisions,
+        "view_change_recoveries": r.view_change_recoveries,
+        "equivalence": equivalence,
+        "gate": obj!("conserved": r.lost_particles == 0 && r.ids_intact,
+            "drift_ok": r.drift_ok, "equivalence_ok": r.equivalence_ok,
+            "passed": r.passed()),
+    ))
 }
 
 #[cfg(test)]

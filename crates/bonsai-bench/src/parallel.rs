@@ -14,6 +14,8 @@
 //! `benchmark/`'s host-normalised `par.speedup_t2`.
 
 use crate::milky_way_snapshot;
+use bonsai_obs::json::{self, Value};
+use bonsai_obs::obj;
 use bonsai_tree::build::{Tree, TreeParams};
 use bonsai_tree::direct::direct_self_forces;
 use bonsai_tree::walk::{self, WalkParams};
@@ -200,30 +202,24 @@ fn sweep(cfg: ParallelBenchConfig, mut produce: impl FnMut() -> PipelineOutcome)
 /// across runs, machines and thread counts.
 pub fn parallel_json(r: &ParallelResult) -> String {
     let c = &r.config;
-    let threads: Vec<String> = c.threads.iter().map(|t| t.to_string()).collect();
-    let sweep: Vec<String> = r
+    let sweep: Vec<Value> = r
         .points
         .iter()
         .map(|p| {
-            format!(
-                "    {{\"threads\": {}, \"workers\": {}, \"force_digest\": \"{:016x}\", \"pp\": {}, \"pc\": {}, \"nodes_visited\": {}}}",
-                p.threads, p.workers, p.digest, p.pp, p.pc, p.nodes_visited
-            )
+            obj!("threads": p.threads, "workers": p.workers,
+                "force_digest": format!("{:016x}", p.digest),
+                "pp": p.pp, "pc": p.pc, "nodes_visited": p.nodes_visited)
         })
         .collect();
-    format!(
-        "{{\n  \"schema\": \"bonsai-parallel-v1\",\n  \"config\": {{\"n\": {}, \"reps\": {}, \"seed\": {}, \"threads\": [{}], \"pin_one_thread\": {}}},\n  \"sweep\": [\n{}\n  ],\n  \"distinct_digests\": {},\n  \"gate\": {{\"deterministic\": {}, \"workers_ok\": {}, \"passed\": {}}}\n}}\n",
-        c.n,
-        c.reps,
-        c.seed,
-        threads.join(", "),
-        c.pin_one_thread,
-        sweep.join(",\n"),
-        r.distinct_digests,
-        r.deterministic,
-        r.workers_ok,
-        r.passed()
-    )
+    json::write(&obj!(
+        "schema": "bonsai-parallel-v1",
+        "config": obj!("n": c.n, "reps": c.reps, "seed": c.seed,
+            "threads": c.threads.clone(), "pin_one_thread": c.pin_one_thread),
+        "sweep": sweep,
+        "distinct_digests": r.distinct_digests,
+        "gate": obj!("deterministic": r.deterministic, "workers_ok": r.workers_ok,
+            "passed": r.passed()),
+    ))
 }
 
 #[cfg(test)]

@@ -12,13 +12,14 @@
 //! *must* move the roofline seconds and the gravity residuals against the
 //! honest one — the gate runner produces it in memory to prove that.
 
-use bonsai_obs::json::fmt_f64;
+use bonsai_obs::json::{self, fmt_f64, Value};
 use bonsai_obs::{
-    folded_profile, roofline, telescoping_error, ProfileRow, RooflinePoint, TermResidual,
+    folded_profile, obj, roofline, telescoping_error, ProfileRow, RooflinePoint, TermResidual,
 };
 use bonsai_sim::profile::cost_model_attribution;
 use bonsai_sim::{Cluster, ScalingModel, StepBreakdown};
 
+use crate::report::page;
 use crate::{milky_way_config, milky_way_snapshot};
 
 /// The profile bench configuration.
@@ -103,70 +104,46 @@ pub fn run(cfg: ProfileBenchConfig) -> ProfileResult {
 /// per seed.
 pub fn profile_json(r: &ProfileResult) -> String {
     let c = &r.config;
-    let roofline: Vec<String> = r
+    let roofline: Vec<Value> = r
         .roofline
         .iter()
         .map(|p| {
-            format!(
-                "    {{\"kernel\": \"{}\", \"rank\": {}, \"count\": {}, \"seconds\": {}, \"flops\": {}, \"bytes\": {}, \"occupancy\": {}, \"intensity\": {}, \"attained_gflops\": {}, \"compute_ceiling_gflops\": {}, \"bandwidth_ceiling_gflops\": {}, \"binding_ceiling\": \"{}\", \"attained_fraction\": {}}}",
-                p.kernel,
-                p.rank,
-                p.count,
-                fmt_f64(p.seconds),
-                fmt_f64(p.flops),
-                fmt_f64(p.bytes),
-                fmt_f64(p.occupancy),
-                fmt_f64(p.intensity()),
-                fmt_f64(p.attained_gflops()),
-                fmt_f64(p.compute_ceiling_gflops),
-                fmt_f64(p.bandwidth_ceiling_gflops()),
-                p.binding_ceiling(),
-                fmt_f64(p.attained_fraction())
-            )
+            obj!("kernel": p.kernel.as_str(), "rank": p.rank, "count": p.count,
+                "seconds": p.seconds, "flops": p.flops, "bytes": p.bytes,
+                "occupancy": p.occupancy, "intensity": p.intensity(),
+                "attained_gflops": p.attained_gflops(),
+                "compute_ceiling_gflops": p.compute_ceiling_gflops,
+                "bandwidth_ceiling_gflops": p.bandwidth_ceiling_gflops(),
+                "binding_ceiling": p.binding_ceiling(),
+                "attained_fraction": p.attained_fraction())
         })
         .collect();
-    let residuals: Vec<String> = r
+    let residuals: Vec<Value> = r
         .residuals
         .iter()
         .map(|t| {
-            format!(
-                "    {{\"term\": \"{}\", \"measured_s\": {}, \"modelled_s\": {}, \"residual_s\": {}, \"relative\": {}}}",
-                t.term,
-                fmt_f64(t.measured_s),
-                fmt_f64(t.modelled_s),
-                fmt_f64(t.residual_s()),
-                fmt_f64(t.relative())
-            )
+            obj!("term": t.term.as_str(), "measured_s": t.measured_s, "modelled_s": t.modelled_s,
+                "residual_s": t.residual_s(), "relative": t.relative())
         })
         .collect();
-    let profile: Vec<String> = r
+    let profile: Vec<Value> = r
         .profile
         .iter()
         .map(|row| {
-            format!(
-                "    {{\"rank\": {}, \"lane\": \"{}\", \"name\": \"{}\", \"count\": {}, \"total_s\": {}, \"self_s\": {}}}",
-                row.rank,
-                row.lane.name(),
-                row.name,
-                row.count,
-                fmt_f64(row.total_s),
-                fmt_f64(row.self_s)
-            )
+            obj!("rank": row.rank, "lane": row.lane.name(), "name": row.name.as_str(),
+                "count": row.count, "total_s": row.total_s, "self_s": row.self_s)
         })
         .collect();
-    format!(
-        "{{\n  \"schema\": \"bonsai-profile-v1\",\n  \"config\": {{\"n\": {}, \"ranks\": {}, \"steps\": {}, \"seed\": {}, \"sandbag\": {}}},\n  \"telescoping_error_s\": {},\n  \"step_total_s\": {},\n  \"roofline\": [\n{}\n  ],\n  \"residuals\": [\n{}\n  ],\n  \"profile\": [\n{}\n  ]\n}}\n",
-        c.n,
-        c.ranks,
-        c.steps,
-        c.seed,
-        fmt_f64(c.sandbag),
-        fmt_f64(r.telescoping_error_s),
-        fmt_f64(r.breakdown.total()),
-        roofline.join(",\n"),
-        residuals.join(",\n"),
-        profile.join(",\n")
-    )
+    json::write(&obj!(
+        "schema": "bonsai-profile-v1",
+        "config": obj!("n": c.n, "ranks": c.ranks, "steps": c.steps, "seed": c.seed,
+            "sandbag": c.sandbag),
+        "telescoping_error_s": r.telescoping_error_s,
+        "step_total_s": r.breakdown.total(),
+        "roofline": roofline,
+        "residuals": residuals,
+        "profile": profile,
+    ))
 }
 
 /// Colors of the two binding regimes (shared with the report legend).
@@ -287,17 +264,7 @@ fn roofline_svg(points: &[RooflinePoint]) -> String {
 /// `out/profile_report.html`: self-contained, zero JavaScript.
 pub fn render_html(r: &ProfileResult) -> String {
     let c = &r.config;
-    let mut s = String::from(
-        "<!DOCTYPE html>\n<html lang=\"en\">\n<head>\n<meta charset=\"utf-8\">\n\
-         <title>bonsai profile report</title>\n<style>\n\
-         body { font: 14px/1.5 system-ui, sans-serif; color: #18181b; margin: 2rem auto; max-width: 72rem; padding: 0 1rem; }\n\
-         table { border-collapse: collapse; margin: 0.75rem 0 1.5rem; }\n\
-         th, td { border: 1px solid #d4d4d8; padding: 0.25rem 0.6rem; text-align: right; }\n\
-         th { background: #f4f4f5; } td.l, th.l { text-align: left; }\n\
-         .pos { color: #dc2626; } .neg { color: #16a34a; }\n\
-         .chip { display: inline-block; width: 0.7em; height: 0.7em; border-radius: 50%; margin-right: 0.3em; }\n\
-         </style>\n</head>\n<body>\n",
-    );
+    let mut s = String::new();
     s.push_str(&format!(
         "<h1>Roofline profile</h1>\n<p>{} particles × {} ranks × {} steps (seed {}), \
          step total {:.4} ms, telescoping error {:.3} ns{}</p>\n",
@@ -315,8 +282,8 @@ pub fn render_html(r: &ProfileResult) -> String {
     ));
     s.push_str("<h2>Roofline</h2>\n");
     s.push_str(&format!(
-        "<p><span class=\"chip\" style=\"background:{}\"></span>compute-bound \
-         <span class=\"chip\" style=\"background:{}\"></span>bandwidth-bound</p>\n",
+        "<p><span class=\"swatch\" style=\"background:{}\"></span>compute-bound \
+         <span class=\"swatch\" style=\"background:{}\"></span>bandwidth-bound</p>\n",
         regime_color("compute"),
         regime_color("bandwidth")
     ));
@@ -329,7 +296,7 @@ pub fn render_html(r: &ProfileResult) -> String {
     for p in &r.roofline {
         s.push_str(&format!(
             "<tr><td class=\"l\">{}</td><td>{}</td><td>{}</td><td>{:.3e}</td><td>{:.1}</td>\
-             <td class=\"l\"><span class=\"chip\" style=\"background:{}\"></span>{}</td>\
+             <td class=\"l\"><span class=\"swatch\" style=\"background:{}\"></span>{}</td>\
              <td>{:.1}</td><td>{:.1}%</td></tr>\n",
             p.kernel,
             p.rank,
@@ -382,8 +349,8 @@ pub fn render_html(r: &ProfileResult) -> String {
             row.self_s * 1e3
         ));
     }
-    s.push_str("</table>\n</body>\n</html>\n");
-    s
+    s.push_str("</table>\n");
+    page("bonsai profile report", &s)
 }
 
 #[cfg(test)]

@@ -1,4 +1,5 @@
-//! Structural checks for the zero-dependency HTML reports.
+//! The zero-dependency HTML reports: one page skeleton with one
+//! stylesheet (`page`) and the structural checks every report passes.
 //!
 //! Every gate that renders an `out/*.html` dashboard promises it is fully
 //! self-contained (no scripts, stylesheets, images, or external references
@@ -9,6 +10,31 @@
 //! [`check_html`] rules plus the per-report markers each row of
 //! [`crate::gates::GATES`] lists close that gap; the gate runner applies
 //! them to every HTML file a row renders.
+
+/// The one stylesheet of every report.
+const STYLE: &str = "\
+body{font:14px/1.5 system-ui,sans-serif;margin:2rem auto;max-width:72rem;padding:0 1rem;color:#1a1a2e}
+h1{font-size:1.4rem} h2{font-size:1.1rem;margin-top:2rem} h3{font-size:1rem}
+table{border-collapse:collapse;margin:0.5rem 0 1.5rem;font-size:13px}
+td,th{border:1px solid #cbd5e1;padding:4px 10px;text-align:right}
+th{background:#eef2f7} td:first-child,th:first-child,td.l,th.l{text-align:left}
+code{background:#eef2f7;padding:0 3px;border-radius:3px}
+.ok,.neg{color:#16a34a} .bad,.pos{color:#dc2626} .ok,.bad{font-weight:600}
+.charts{display:flex;gap:1rem;flex-wrap:wrap}
+.t{font:600 13px system-ui;fill:#1a1a2e} .a{font:11px system-ui;fill:#556}
+.g{stroke:#e2e8f0} .ideal{stroke:#94a3b8;stroke-dasharray:4 3}
+.legend span{display:inline-block;margin-right:1.2rem}
+.swatch{display:inline-block;width:10px;height:10px;border-radius:2px;vertical-align:-1px;margin-right:4px}
+";
+
+/// A self-contained report page: the HTML5 prologue, `title`, the shared
+/// stylesheet, then `body`, which brings its own `<h1>`.
+pub(crate) fn page(title: &str, body: &str) -> String {
+    format!(
+        "<!DOCTYPE html>\n<html lang=\"en\">\n<head>\n<meta charset=\"utf-8\">\n\
+         <title>{title}</title>\n<style>\n{STYLE}</style>\n</head>\n<body>\n{body}</body>\n</html>\n"
+    )
+}
 
 /// One report's contract: file name under `out/` and the section markers
 /// it must contain.
@@ -84,6 +110,15 @@ mod tests {
             let doc = format!("<!DOCTYPE html>\n<html>{bad}</html>");
             assert!(!check_html(&doc).is_empty(), "{bad} must be rejected");
         }
+    }
+
+    #[test]
+    fn a_page_is_a_clean_document() {
+        let html = page("t", "<h1>T</h1>\n");
+        assert!(check_html(&html).is_empty(), "{:?}", check_html(&html));
+        assert!(
+            html.contains("<title>t</title>") && html.ends_with("<h1>T</h1>\n</body>\n</html>\n")
+        );
     }
 
     #[test]

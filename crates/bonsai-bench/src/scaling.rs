@@ -13,10 +13,13 @@
 
 use bonsai_ic::plummer_sphere;
 use bonsai_obs::analysis::{critical_path, flop_balance, phase_stats, step_wall_time};
-use bonsai_obs::json::fmt_f64;
+use bonsai_obs::json::{self, Value};
+use bonsai_obs::obj;
 use bonsai_sim::trace::step_timelines;
 use bonsai_sim::{Cluster, ClusterConfig};
 use std::collections::BTreeMap;
+
+use crate::report::page;
 
 /// Sweep configuration. The defaults are the checked-in baseline's shape:
 /// small enough for CI, large enough that every rank count exercises the
@@ -189,60 +192,32 @@ pub fn run_sweep(cfg: &SweepConfig) -> SweepReport {
     }
 }
 
-fn json_map(m: &BTreeMap<String, f64>) -> String {
-    let rows: Vec<String> = m
-        .iter()
-        .map(|(k, v)| format!("\"{k}\": {}", fmt_f64(*v)))
-        .collect();
-    format!("{{{}}}", rows.join(", "))
-}
-
-fn json_point(pt: &SweepPoint) -> String {
-    format!(
-        "    {{\n      \"p\": {}, \"n_per_rank\": {},\n      \"wall_seconds\": {},\n      \
-         \"critical\": {{\"coverage\": {}, \"work_seconds\": {}, \"wait_seconds\": {}, \
-         \"phase_seconds\": {}}},\n      \"imbalance\": {{\"flop_residual\": {}, \
-         \"rebalance_residual\": {}, \"worst_rank\": {}, \"phase_max_over_mean\": {}}},\n      \
-         \"hidden_comm_fraction\": {}\n    }}",
-        pt.p,
-        pt.n_per_rank,
-        fmt_f64(pt.wall),
-        fmt_f64(pt.coverage),
-        fmt_f64(pt.work_seconds),
-        fmt_f64(pt.wait_seconds),
-        json_map(&pt.critical_phases),
-        fmt_f64(pt.flop_residual),
-        fmt_f64(pt.rebalance_residual),
-        pt.worst_rank,
-        json_map(&pt.phase_max_over_mean),
-        fmt_f64(pt.hidden_comm)
-    )
+/// One rung of `BENCH_scaling.json`.
+fn point_value(pt: &SweepPoint) -> Value {
+    let map =
+        |m: &BTreeMap<String, f64>| m.iter().map(|(k, v)| (k.as_str(), *v)).collect::<Value>();
+    obj!("p": pt.p, "n_per_rank": pt.n_per_rank, "wall_seconds": pt.wall,
+        "critical": obj!("coverage": pt.coverage, "work_seconds": pt.work_seconds,
+            "wait_seconds": pt.wait_seconds, "phase_seconds": map(&pt.critical_phases)),
+        "imbalance": obj!("flop_residual": pt.flop_residual,
+            "rebalance_residual": pt.rebalance_residual, "worst_rank": pt.worst_rank,
+            "phase_max_over_mean": map(&pt.phase_max_over_mean)),
+        "hidden_comm_fraction": pt.hidden_comm)
 }
 
 /// Serialize a report to the byte-deterministic `BENCH_scaling.json` form.
 pub fn scaling_json(r: &SweepReport) -> String {
-    let eff = |v: &[f64]| -> String {
-        let rows: Vec<String> = v.iter().map(|e| fmt_f64(*e)).collect();
-        format!("[{}]", rows.join(", "))
+    let ladder = |pts: &[SweepPoint], eff: &[f64]| {
+        let points: Vec<Value> = pts.iter().map(point_value).collect();
+        obj!("points": points, "efficiency": eff.to_vec())
     };
-    let pts = |pts: &[SweepPoint]| -> String {
-        let rows: Vec<String> = pts.iter().map(json_point).collect();
-        format!("[\n{}\n  ]", rows.join(",\n"))
-    };
-    let ranks: Vec<String> = r.config.ranks.iter().map(|p| p.to_string()).collect();
-    format!(
-        "{{\n  \"schema\": \"bonsai-scaling-v1\",\n  \"config\": {{\"seed\": {}, \"ranks\": [{}], \
-         \"weak_n_per_rank\": {}, \"strong_total\": {}}},\n  \"weak\": {{\n    \"points\": {},\n    \
-         \"efficiency\": {}\n  }},\n  \"strong\": {{\n    \"points\": {},\n    \"efficiency\": {}\n  }}\n}}\n",
-        r.config.seed,
-        ranks.join(", "),
-        r.config.weak_n_per_rank,
-        r.config.strong_total,
-        pts(&r.weak),
-        eff(&r.weak_eff),
-        pts(&r.strong),
-        eff(&r.strong_eff)
-    )
+    json::write(&obj!(
+        "schema": "bonsai-scaling-v1",
+        "config": obj!("seed": r.config.seed, "ranks": r.config.ranks.clone(),
+            "weak_n_per_rank": r.config.weak_n_per_rank, "strong_total": r.config.strong_total),
+        "weak": ladder(&r.weak, &r.weak_eff),
+        "strong": ladder(&r.strong, &r.strong_eff),
+    ))
 }
 
 // ---------------------------------------------------------------------------
@@ -370,22 +345,8 @@ fn point_table(title: &str, pts: &[SweepPoint]) -> String {
 
 /// Render the self-contained HTML dashboard (no external assets, no JS).
 pub fn render_html(r: &SweepReport) -> String {
-    let mut s = String::from(
-        "<!DOCTYPE html>\n<html lang=\"en\">\n<head>\n<meta charset=\"utf-8\">\n\
-         <title>bonsai scaling report</title>\n<style>\n\
-         body{font:14px/1.5 system-ui,sans-serif;margin:2rem auto;max-width:960px;color:#1a1a2e}\n\
-         h1{font-size:1.4rem} h2{font-size:1.1rem;margin-top:2rem} h3{font-size:1rem}\n\
-         table{border-collapse:collapse;margin:0.5rem 0}\n\
-         td,th{border:1px solid #cbd5e1;padding:4px 10px;text-align:right}\n\
-         th{background:#eef2f7} .t{font:600 13px system-ui;fill:#1a1a2e}\n\
-         .a{font:11px system-ui;fill:#556} .g{stroke:#e2e8f0}\n\
-         .ideal{stroke:#94a3b8;stroke-dasharray:4 3}\n\
-         .charts{display:flex;gap:1rem;flex-wrap:wrap}\n\
-         .legend span{display:inline-block;margin-right:1.2rem}\n\
-         .swatch{display:inline-block;width:12px;height:12px;border-radius:2px;\
-         vertical-align:-1px;margin-right:4px}\n</style>\n</head>\n<body>\n\
-         <h1>Scaling sweep — parallel efficiency &amp; cross-rank imbalance</h1>\n",
-    );
+    let mut s =
+        String::from("<h1>Scaling sweep — parallel efficiency &amp; cross-rank imbalance</h1>\n");
     s.push_str(&format!(
         "<p>seed {}, ranks {:?}, weak {} particles/rank, strong {} total. Efficiency is \
          measured from step wall-times reduced out of the span store (Fig. 4 methodology); \
@@ -409,9 +370,9 @@ pub fn render_html(r: &SweepReport) -> String {
     s.push_str(
         "<p>Critical-path coverage (node durations over measured wall time) is 1.000 by \
          construction on every rung; see <code>BENCH_scaling.json</code> for the full \
-         per-phase decomposition and tolerance-gated fields.</p>\n</body>\n</html>\n",
+         per-phase decomposition and tolerance-gated fields.</p>\n",
     );
-    s
+    page("bonsai scaling report", &s)
 }
 
 #[cfg(test)]

@@ -15,8 +15,8 @@
 //! run over run, so the artefacts can be diffed across commits.
 
 use bonsai_ic::plummer_sphere;
-use bonsai_obs::json::fmt_f64;
-use bonsai_obs::{chrome, folded, prom};
+use bonsai_obs::json::{self, Value};
+use bonsai_obs::{chrome, folded, obj, prom};
 use bonsai_sim::trace::step_timelines;
 use bonsai_sim::{Cluster, ClusterConfig};
 
@@ -53,24 +53,17 @@ pub fn run(n: usize, ranks: usize, seed: u64) -> StepExports {
     let exchange: usize = m.exchange_bytes.iter().sum();
     let total_bytes = boundary + lets + exchange + m.retransmit_bytes;
 
-    let phases: Vec<String> = b
-        .phase_times()
-        .iter()
-        .map(|(name, secs)| format!("\"{name}\": {}", fmt_f64(secs)))
-        .collect();
-    let bench_json = format!(
-        "{{\n  \"schema\": \"bonsai-step-v1\",\n  \"config\": {{\"particles\": {n}, \"ranks\": {ranks}, \
-         \"seed\": {seed}}},\n  \"phase_seconds\": {{{}}},\n  \"total_seconds\": {},\n  \
-         \"gpu_gflops\": {},\n  \"application_gflops\": {},\n  \"hidden_comm_fraction\": {},\n  \
-         \"bytes_moved\": {{\"boundary\": {boundary}, \"let\": {lets}, \"exchange\": {exchange}, \
-         \"retransmit\": {}, \"total\": {total_bytes}}}\n}}\n",
-        phases.join(", "),
-        fmt_f64(b.total()),
-        fmt_f64(b.gpu_tflops() * 1e3),
-        fmt_f64(b.application_tflops() * 1e3),
-        fmt_f64(hidden),
-        m.retransmit_bytes
-    );
+    let bench_json = json::write(&obj!(
+        "schema": "bonsai-step-v1",
+        "config": obj!("particles": n, "ranks": ranks, "seed": seed),
+        "phase_seconds": b.phase_times().iter().collect::<Value>(),
+        "total_seconds": b.total(),
+        "gpu_gflops": b.gpu_tflops() * 1e3,
+        "application_gflops": b.application_tflops() * 1e3,
+        "hidden_comm_fraction": hidden,
+        "bytes_moved": obj!("boundary": boundary, "let": lets, "exchange": exchange,
+            "retransmit": m.retransmit_bytes, "total": total_bytes),
+    ));
 
     StepExports {
         bench_json,

@@ -17,9 +17,10 @@
 //! overhead budget, and the `overhead_ok` verdict must fail.
 
 use crate::stream_dash as dash;
-use crate::{milky_way_config, milky_way_snapshot};
+use crate::{alert_row, milky_way_config, milky_way_snapshot};
 use bonsai_net::fault::{FaultKind, FaultPlan, Injection};
-use bonsai_obs::json::fmt_f64;
+use bonsai_obs::json::{self, Value};
+use bonsai_obs::obj;
 use bonsai_obs::overhead::OVERHEAD_BUDGET_FRACTION;
 use bonsai_obs::stream::{FrameKind, SubscriberConfig, TelemetryFrame};
 use bonsai_sim::{Cluster, LongRunConfig, StreamConfig, StreamTap};
@@ -201,93 +202,48 @@ pub fn run(cfg: StreamBenchConfig) -> StreamResult {
     }
 }
 
-fn kind_counts_json(m: &BTreeMap<&'static str, u64>) -> String {
-    let fields: Vec<String> = FrameKind::ALL
-        .iter()
-        .map(|k| format!("\"{}\": {}", k.name(), m.get(k.name()).copied().unwrap_or(0)))
-        .collect();
-    format!("{{{}}}", fields.join(", "))
-}
-
 /// `BENCH_stream.json`: schema `bonsai-stream-v1`, byte-deterministic.
 pub fn stream_json(r: &StreamResult) -> String {
     let c = &r.config;
-    let bus = r.tap.bus();
-    let subscribers: Vec<String> = bus
+    let (bus, meter) = (r.tap.bus(), r.tap.meter());
+    let by_kind = |m: &BTreeMap<&'static str, u64>| {
+        let count = |k: &FrameKind| m.get(k.name()).copied().unwrap_or(0);
+        FrameKind::ALL
+            .iter()
+            .map(|k| (k.name(), count(k)))
+            .collect::<Value>()
+    };
+    let subscribers: Vec<Value> = bus
         .reports()
         .iter()
         .map(|s| {
-            format!(
-                "    {{\"name\": \"{}\", \"capacity\": {}, \"delivered\": {}, \"dropped\": {}, \"evicted\": {}, \"overflow\": {}, \"in_ring\": {}, \"max_lag\": {}, \"must_deliver_lost\": {}}}",
-                s.name,
-                s.capacity,
-                s.delivered,
-                kind_counts_json(&s.dropped),
-                kind_counts_json(&s.evicted),
-                s.overflow,
-                s.in_ring,
-                s.max_lag,
-                s.must_deliver_lost()
-            )
+            obj!("name": s.name.as_str(), "capacity": s.capacity, "delivered": s.delivered,
+                "dropped": by_kind(&s.dropped), "evicted": by_kind(&s.evicted),
+                "overflow": s.overflow, "in_ring": s.in_ring, "max_lag": s.max_lag,
+                "must_deliver_lost": s.must_deliver_lost())
         })
         .collect();
-    let categories: Vec<String> = r
-        .tap
-        .meter()
-        .totals()
-        .iter()
-        .map(|(k, v)| format!("\"{k}\": {}", fmt_f64(*v)))
-        .collect();
-    let alerts: Vec<String> = r
-        .tap
-        .health()
-        .events()
-        .iter()
-        .map(|e| {
-            format!(
-                "    {{\"step\": {}, \"rule\": \"{}\", \"metric\": \"{}\", \"severity\": \"{}\", \"kind\": \"{}\", \"value\": {}}}",
-                e.step,
-                e.rule,
-                e.metric,
-                e.severity.name(),
-                e.kind.name(),
-                fmt_f64(e.value)
-            )
-        })
-        .collect();
-    format!(
-        "{{\n  \"schema\": \"bonsai-stream-v1\",\n  \"config\": {{\"n\": {}, \"ranks\": {}, \"steps\": {}, \"seed\": {}, \"storm_epochs\": [{}, {}], \"grow_at\": {}, \"shrink_at\": {}, \"fast_capacity\": {}, \"slow_capacity\": {}, \"slow_drain_every\": {}, \"block_on_full\": {}}},\n  \"final\": {{\"time_gyr\": {}, \"fast_frames\": {}, \"snapshots\": {}}},\n  \"bus\": {{\"published\": {}, \"published_total\": {}, \"bytes_encoded\": {}, \"stalls\": {}}},\n  \"subscribers\": [\n{}\n  ],\n  \"overhead\": {{\"categories\": {{{}}}, \"total_s\": {}, \"mean_fraction\": {}, \"max_fraction\": {}, \"budget_fraction\": {}}},\n  \"alerts\": [\n{}\n  ],\n  \"gate\": {{\"lossless_ok\": {}, \"accounting_ok\": {}, \"overhead_ok\": {}, \"passed\": {}}}\n}}\n",
-        c.n,
-        c.ranks,
-        c.steps,
-        c.seed,
-        c.storm_epochs.0,
-        c.storm_epochs.1,
-        c.grow_at,
-        c.shrink_at,
-        c.fast_capacity,
-        c.slow_capacity,
-        c.slow_drain_every,
-        c.block_on_full,
-        fmt_f64(r.time_gyr),
-        r.fast_frames.len(),
-        r.snapshots.len(),
-        kind_counts_json(bus.published()),
-        bus.published_total(),
-        bus.bytes_encoded(),
-        bus.stalls(),
-        subscribers.join(",\n"),
-        categories.join(", "),
-        fmt_f64(r.tap.meter().total_s()),
-        fmt_f64(r.tap.meter().mean_fraction()),
-        fmt_f64(r.tap.meter().max_fraction()),
-        fmt_f64(OVERHEAD_BUDGET_FRACTION),
-        alerts.join(",\n"),
-        r.lossless_ok(),
-        r.accounting_ok(),
-        r.overhead_ok(),
-        r.passed()
-    )
+    let categories: Value = meter.totals().iter().map(|(k, v)| (*k, *v)).collect();
+    json::write(&obj!(
+        "schema": "bonsai-stream-v1",
+        "config": obj!("n": c.n, "ranks": c.ranks, "steps": c.steps, "seed": c.seed,
+            "storm_epochs": vec![c.storm_epochs.0, c.storm_epochs.1], "grow_at": c.grow_at,
+            "shrink_at": c.shrink_at, "fast_capacity": c.fast_capacity,
+            "slow_capacity": c.slow_capacity, "slow_drain_every": c.slow_drain_every,
+            "block_on_full": c.block_on_full),
+        "final": obj!("time_gyr": r.time_gyr, "fast_frames": r.fast_frames.len(),
+            "snapshots": r.snapshots.len()),
+        "bus": obj!("published": by_kind(bus.published()),
+            "published_total": bus.published_total(), "bytes_encoded": bus.bytes_encoded(),
+            "stalls": bus.stalls()),
+        "subscribers": subscribers,
+        "overhead": obj!("categories": categories, "total_s": meter.total_s(),
+            "mean_fraction": meter.mean_fraction(), "max_fraction": meter.max_fraction(),
+            "budget_fraction": OVERHEAD_BUDGET_FRACTION),
+        "alerts": r.tap.health().events().iter().map(alert_row).collect::<Vec<_>>(),
+        "gate": obj!("lossless_ok": r.lossless_ok(), "accounting_ok": r.accounting_ok(),
+            "overhead_ok": r.overhead_ok(), "passed": r.passed()),
+    ))
 }
 
 #[cfg(test)]
@@ -349,6 +305,26 @@ mod tests {
         assert!(!r.overhead_ok(), "stall charges must blow the budget");
         assert!(!r.passed());
         assert!(stream_json(&r).contains("\"passed\": false"));
+    }
+
+    #[test]
+    fn a_quoted_subscriber_name_survives_the_artifact() {
+        let name = "a\"b\\c";
+        let tap = StreamTap::new(StreamConfig {
+            subscribers: vec![SubscriberConfig::new(name, 4)],
+            block_on_full: false,
+        });
+        let r = StreamResult {
+            config: tiny(),
+            tap,
+            fast_frames: Vec::new(),
+            slow_received: BTreeMap::new(),
+            snapshots: Vec::new(),
+            time_gyr: 0.0,
+        };
+        let v = bonsai_obs::json::parse(&stream_json(&r)).expect("valid JSON");
+        let subscribers = v.get("subscribers").unwrap().as_arr().unwrap();
+        assert_eq!(subscribers[0].get("name").unwrap().as_str(), Some(name));
     }
 
     #[test]

@@ -5,6 +5,7 @@
 //! dashboard can show is exactly what the bus delivered, so a frame the
 //! backpressure policy dropped is visibly absent.
 
+use crate::report::page;
 use crate::short;
 use crate::stream::StreamBenchConfig;
 use bonsai_obs::overhead::OVERHEAD_BUDGET_FRACTION;
@@ -61,21 +62,7 @@ pub fn render_snapshot(
     received: &[TelemetryFrame],
     tap: &StreamTap,
 ) -> String {
-    let mut s = String::from(
-        "<!DOCTYPE html>\n<html lang=\"en\">\n<head>\n<meta charset=\"utf-8\">\n\
-         <title>bonsai live telemetry</title>\n<style>\n\
-         body{font:14px/1.5 system-ui,sans-serif;margin:2rem auto;max-width:960px;color:#1a1a2e}\n\
-         h1{font-size:1.4rem} h2{font-size:1.1rem;margin-top:2rem}\n\
-         table{border-collapse:collapse;margin:0.5rem 0;font-size:13px}\n\
-         td,th{border:1px solid #cbd5e1;padding:4px 10px;text-align:right}\n\
-         td:first-child,th:first-child{text-align:left}\n\
-         th{background:#eef2f7} .t{font:600 13px system-ui;fill:#1a1a2e}\n\
-         .a{font:11px system-ui;fill:#556}\n\
-         .charts{display:flex;gap:1rem;flex-wrap:wrap}\n\
-         .bad{color:#dc2626;font-weight:600} .ok{color:#16a34a;font-weight:600}\n\
-         code{background:#eef2f7;padding:0 3px;border-radius:3px}\n</style>\n</head>\n<body>\n\
-         <h1>Live telemetry — streamed Milky Way run</h1>\n",
-    );
+    let mut s = String::from("<h1>Live telemetry — streamed Milky Way run</h1>\n");
     s.push_str(&format!(
         "<p>Snapshot at step {step} of {} ({} particles over {} ranks, seed {}). Rendered \
          entirely from the {} telemetry frames the <code>fast</code> subscriber received — \
@@ -214,8 +201,7 @@ pub fn render_snapshot(
         }
         s.push_str("</table>\n");
     }
-    s.push_str("</body>\n</html>\n");
-    s
+    page("bonsai live telemetry", &s)
 }
 
 #[cfg(test)]

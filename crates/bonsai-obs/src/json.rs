@@ -1,13 +1,12 @@
 //! Minimal, dependency-free JSON support shared by the exporters.
 //!
-//! The writer half is a handful of deterministic formatting helpers (string
-//! escaping, shortest-round-trip floats, fixed-precision timestamps); the
-//! reader half is a tiny recursive-descent parser used to round-trip-validate
-//! exported traces in tests and in the bench gate runner. Neither aims to be
-//! a general JSON library — just enough for trace-event files and bench
+//! One document model, [`Value`], with one writer, [`write()`], that every
+//! `BENCH_*.json` artifact goes through, plus the formatting helpers the
+//! streaming exporters use directly (string escaping, shortest-round-trip
+//! floats). The reader, [`parse`], is a small recursive-descent parser
+//! that validates exported traces and loads artifacts. None of it aims to
+//! be a general JSON library — just enough for trace-event files and bench
 //! snapshots, with zero external crates (the workspace builds offline).
-
-use std::collections::BTreeMap;
 
 /// Escape a string for inclusion in a JSON document (adds the quotes).
 pub fn escape(s: &str) -> String {
@@ -39,28 +38,32 @@ pub fn fmt_f64(x: f64) -> String {
     }
 }
 
-/// A parsed JSON value.
+/// A JSON document. Objects keep their keys in insertion order, so a
+/// document built field by field is written in that order, and integers
+/// keep their spelling apart from floats (`4000` vs `1.0`).
 #[derive(Clone, Debug, PartialEq)]
 pub enum Value {
     /// `null`
     Null,
     /// `true` / `false`
     Bool(bool),
-    /// Any JSON number (parsed as `f64`).
+    /// An integer, written without a fraction.
+    Int(i128),
+    /// Any other number, written through [`fmt_f64`].
     Num(f64),
     /// String.
     Str(String),
     /// Array.
     Arr(Vec<Value>),
-    /// Object (keys sorted by `BTreeMap`).
-    Obj(BTreeMap<String, Value>),
+    /// Object, keys in insertion order (unique when parsed).
+    Obj(Vec<(String, Value)>),
 }
 
 impl Value {
     /// Object field access (`None` for non-objects / missing keys).
     pub fn get(&self, key: &str) -> Option<&Value> {
         match self {
-            Value::Obj(m) => m.get(key),
+            Value::Obj(m) => m.iter().find(|(k, _)| k == key).map(|(_, v)| v),
             _ => None,
         }
     }
@@ -73,9 +76,10 @@ impl Value {
         }
     }
 
-    /// Number value (`None` for non-numbers).
+    /// Number value, integer or not (`None` for non-numbers).
     pub fn as_f64(&self) -> Option<f64> {
         match self {
+            Value::Int(i) => Some(*i as f64),
             Value::Num(x) => Some(*x),
             _ => None,
         }
@@ -90,10 +94,128 @@ impl Value {
     }
 }
 
-/// Parse a JSON document. Errors carry the byte offset of the problem.
+macro_rules! from {
+    ($($t:ty => $variant:ident),*) => {$(
+        impl From<$t> for Value {
+            fn from(x: $t) -> Self {
+                Value::$variant(x.into())
+            }
+        }
+    )*};
+}
+from!(i32 => Int, u32 => Int, u64 => Int, f64 => Num, bool => Bool, &str => Str, String => Str);
+
+impl From<usize> for Value {
+    fn from(n: usize) -> Self {
+        Value::Int(n as i128)
+    }
+}
+
+impl<T: Into<Value>> From<Vec<T>> for Value {
+    fn from(items: Vec<T>) -> Self {
+        Value::Arr(items.into_iter().map(Into::into).collect())
+    }
+}
+
+impl<T: Into<Value>> From<Option<T>> for Value {
+    fn from(v: Option<T>) -> Self {
+        v.map_or(Value::Null, Into::into)
+    }
+}
+
+impl<K: Into<String>, V: Into<Value>> FromIterator<(K, V)> for Value {
+    /// An object of the pairs, in iteration order.
+    fn from_iter<I: IntoIterator<Item = (K, V)>>(pairs: I) -> Self {
+        Value::Obj(
+            pairs
+                .into_iter()
+                .map(|(k, v)| (k.into(), v.into()))
+                .collect(),
+        )
+    }
+}
+
+/// An object literal, fields in the order written:
+/// `obj!("n": 4000, "theta": 0.4, "ok": true)`. Each value goes through
+/// `Value::from`.
+#[macro_export]
+macro_rules! obj {
+    ($($k:literal: $v:expr),* $(,)?) => {
+        $crate::json::Value::Obj(vec![
+            $((String::from($k), $crate::json::Value::from($v))),*
+        ])
+    };
+}
+
+/// Write a document in the one canonical layout, ending in a newline.
+///
+/// The root, and any non-empty container directly inside a broken one
+/// whose children are all containers, is broken one child per line, two
+/// spaces per level. Every other container goes on one line with `", "`
+/// and `": "` separators. Empty containers are `[]` and `{}`. Floats go
+/// through [`fmt_f64`], strings (keys too) through [`escape`].
+pub fn write(v: &Value) -> String {
+    let mut out = String::new();
+    put(&mut out, v, 0, true);
+    out.push('\n');
+    out
+}
+
+fn put(out: &mut String, v: &Value, level: usize, broken: bool) {
+    let (items, close): (Vec<(Option<&str>, &Value)>, char) = match v {
+        Value::Null => return out.push_str("null"),
+        Value::Bool(b) => return out.push_str(if *b { "true" } else { "false" }),
+        Value::Int(i) => return out.push_str(&i.to_string()),
+        Value::Num(x) => return out.push_str(&fmt_f64(*x)),
+        Value::Str(s) => return out.push_str(&escape(s)),
+        Value::Arr(a) => (a.iter().map(|x| (None, x)).collect(), ']'),
+        Value::Obj(m) => (m.iter().map(|(k, x)| (Some(k.as_str()), x)).collect(), '}'),
+    };
+    out.push(if close == ']' { '[' } else { '{' });
+    let broken = broken && !items.is_empty();
+    for (i, (key, x)) in items.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        if broken {
+            out.push('\n');
+            out.push_str(&"  ".repeat(level + 1));
+        } else if i > 0 {
+            out.push(' ');
+        }
+        if let Some(k) = key {
+            out.push_str(&escape(k));
+            out.push_str(": ");
+        }
+        put(out, x, level + 1, broken && holds_only_containers(x));
+    }
+    if broken {
+        out.push('\n');
+        out.push_str(&"  ".repeat(level));
+    }
+    out.push(close);
+}
+
+/// A container whose children are all containers.
+fn holds_only_containers(v: &Value) -> bool {
+    let container = |x: &Value| matches!(x, Value::Arr(_) | Value::Obj(_));
+    match v {
+        Value::Arr(a) => a.iter().all(container),
+        Value::Obj(m) => m.iter().all(|(_, x)| container(x)),
+        _ => false,
+    }
+}
+
+/// Deepest container nesting [`parse`] accepts: it recurses once per level,
+/// and reads files named on the command line.
+pub const MAX_DEPTH: usize = 128;
+
+/// Parse a JSON document. Errors carry the byte offset of the problem; a
+/// key repeated within one object and nesting deeper than [`MAX_DEPTH`]
+/// are errors.
 pub fn parse(input: &str) -> Result<Value, String> {
     let b = input.as_bytes();
-    let mut p = Parser { b, i: 0 };
+    let mut p = Parser { b, i: 0, depth: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -106,6 +228,7 @@ pub fn parse(input: &str) -> Result<Value, String> {
 struct Parser<'a> {
     b: &'a [u8],
     i: usize,
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -136,8 +259,7 @@ impl<'a> Parser<'a> {
     fn value(&mut self) -> Result<Value, String> {
         self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') => self.container(),
             Some(b'"') => Ok(Value::Str(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -156,53 +278,57 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn object(&mut self) -> Result<Value, String> {
-        self.expect(b'{')?;
-        let mut m = BTreeMap::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.i += 1;
-            return Ok(Value::Obj(m));
+    /// An object or array: one loop, keys read (and checked unique) only
+    /// for an object.
+    fn container(&mut self) -> Result<Value, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.i
+            ));
         }
-        loop {
-            self.skip_ws();
-            let k = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            let v = self.value()?;
-            m.insert(k, v);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.i += 1,
-                Some(b'}') => {
-                    self.i += 1;
-                    return Ok(Value::Obj(m));
+        let close = if self.peek() == Some(b'{') {
+            b'}'
+        } else {
+            b']'
+        };
+        self.i += 1;
+        self.depth += 1;
+        let (mut keys, mut items) = (Vec::new(), Vec::new());
+        self.skip_ws();
+        if self.peek() == Some(close) {
+            self.i += 1;
+        } else {
+            loop {
+                if close == b'}' {
+                    self.skip_ws();
+                    let at = self.i;
+                    let k = self.string()?;
+                    if keys.contains(&k) {
+                        return Err(format!("duplicate key {} at byte {at}", escape(&k)));
+                    }
+                    keys.push(k);
+                    self.skip_ws();
+                    self.expect(b':')?;
                 }
-                _ => return Err(format!("expected ',' or '}}' at byte {}", self.i)),
+                items.push(self.value()?);
+                self.skip_ws();
+                match self.peek() {
+                    Some(b',') => self.i += 1,
+                    Some(c) if c == close => break self.i += 1,
+                    _ => {
+                        let close = close as char;
+                        return Err(format!("expected ',' or '{close}' at byte {}", self.i));
+                    }
+                }
             }
         }
-    }
-
-    fn array(&mut self) -> Result<Value, String> {
-        self.expect(b'[')?;
-        let mut a = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.i += 1;
-            return Ok(Value::Arr(a));
-        }
-        loop {
-            a.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.i += 1,
-                Some(b']') => {
-                    self.i += 1;
-                    return Ok(Value::Arr(a));
-                }
-                _ => return Err(format!("expected ',' or ']' at byte {}", self.i)),
-            }
-        }
+        self.depth -= 1;
+        Ok(if close == b'}' {
+            Value::Obj(keys.into_iter().zip(items).collect())
+        } else {
+            Value::Arr(items)
+        })
     }
 
     fn string(&mut self) -> Result<String, String> {
@@ -271,9 +397,14 @@ impl<'a> Parser<'a> {
             self.i += 1;
         }
         let txt = std::str::from_utf8(&self.b[start..self.i]).unwrap();
-        txt.parse::<f64>()
-            .map(Value::Num)
-            .map_err(|_| format!("bad number '{txt}' at byte {start}"))
+        let int = !txt.contains(['.', 'e', 'E']);
+        match txt.parse::<i128>() {
+            Ok(i) if int => Ok(Value::Int(i)),
+            _ => txt
+                .parse::<f64>()
+                .map(Value::Num)
+                .map_err(|_| format!("bad number '{txt}' at byte {start}")),
+        }
     }
 }
 
@@ -300,6 +431,8 @@ mod tests {
     fn parse_round_trip() {
         let doc = r#"{"a": [1, 2.5, -3e2], "b": {"nested": "x\ny"}, "t": true, "n": null}"#;
         let v = parse(doc).unwrap();
+        assert_eq!(v.get("a").unwrap().as_arr().unwrap()[0], Value::Int(1));
+        assert_eq!(v.get("a").unwrap().as_arr().unwrap()[0].as_f64(), Some(1.0));
         assert_eq!(v.get("a").unwrap().as_arr().unwrap()[2].as_f64(), Some(-300.0));
         assert_eq!(
             v.get("b").unwrap().get("nested").unwrap().as_str(),
@@ -315,6 +448,46 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse("{\"a\": 1} extra").is_err());
         assert!(parse("nul").is_err());
+    }
+
+    #[test]
+    fn write_breaks_only_containers_of_containers_and_escapes() {
+        let v = obj!(
+            "schema": "x",
+            "config": obj!("n": 4000, "theta": 1.0, "ranks": vec![1, 2]),
+            "rows": vec![obj!("a": 1), obj!("a": 2, "b": Value::Null)],
+            "inline": obj!("bins": vec![vec![1, 2]], "none": Vec::<Value>::new(), "k": 0),
+            "empty": Vec::<Value>::new(),
+            "map": obj!(),
+            "a\"b": "c\\d\n",
+        );
+        let text = write(&v);
+        assert_eq!(
+            text,
+            "{\n  \"schema\": \"x\",\n  \"config\": {\"n\": 4000, \"theta\": 1.0, \"ranks\": [1, 2]},\n  \
+             \"rows\": [\n    {\"a\": 1},\n    {\"a\": 2, \"b\": null}\n  ],\n  \
+             \"inline\": {\"bins\": [[1, 2]], \"none\": [], \"k\": 0},\n  \
+             \"empty\": [],\n  \"map\": {},\n  \"a\\\"b\": \"c\\\\d\\n\"\n}\n"
+        );
+        assert_eq!(parse(&text).unwrap(), v, "layout and key order round-trip");
+        assert_eq!(write(&obj!()), "{}\n");
+    }
+
+    #[test]
+    fn duplicate_keys_are_rejected_with_their_offset() {
+        let e = parse(r#"{"a": 1, "b": {"a": 2}, "a": 3}"#).unwrap_err();
+        assert!(e.contains("duplicate key \"a\" at byte 24"), "{e}");
+        assert!(parse(r#"[{"a": 1}, {"a": 2}]"#).is_ok(), "per object");
+    }
+
+    #[test]
+    fn nesting_is_bounded_without_overflowing_the_stack() {
+        let e = parse(&"[".repeat(1 << 20)).unwrap_err();
+        assert!(e.contains("nesting deeper than 128 at byte 128"), "{e}");
+        let deepest = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&deepest).is_ok());
+        let objects = "{\"k\": ".repeat(MAX_DEPTH + 1) + &"}".repeat(MAX_DEPTH + 1);
+        assert!(parse(&objects).unwrap_err().contains("nesting deeper"));
     }
 
     #[test]

@@ -20,7 +20,8 @@ use crate::ic::{Family, FAMILIES};
 use crate::oracle::{measure, tolerance_band, ErrorPercentiles, THETA_SWEEP};
 use bonsai_net::fault::FaultKind;
 use bonsai_net::FaultPlan;
-use bonsai_obs::json::{fmt_f64, parse, Value};
+use bonsai_obs::json::{self, parse, Value};
+use bonsai_obs::obj;
 use bonsai_sim::ClusterConfig;
 
 /// Configuration of a conformance run.
@@ -157,82 +158,55 @@ pub fn run(cfg: &RunConfig) -> AccuracyReport {
     }
 }
 
-fn pcts_json(p: &ErrorPercentiles) -> String {
-    format!(
-        "\"median\": {}, \"p95\": {}, \"max\": {}",
-        fmt_f64(p.median),
-        fmt_f64(p.p95),
-        fmt_f64(p.max)
-    )
-}
-
 /// Render the report as byte-deterministic `bonsai-accuracy-v1` JSON.
 pub fn accuracy_json(r: &AccuracyReport) -> String {
-    let ranks: Vec<String> = r.config.dist_ranks.iter().map(|p| p.to_string()).collect();
-    let thetas: Vec<String> = THETA_SWEEP.iter().map(|t| fmt_f64(*t)).collect();
-    let diff_rows: Vec<String> = r
+    let c = &r.config;
+    let differential: Vec<Value> = r
         .differential
         .iter()
         .map(|row| {
-            let band = tolerance_band(row.theta, row.quadrupole);
-            format!(
-                "    {{\"family\": \"{}\", \"theta\": {}, \"kernel\": \"{}\", {}, \
-                 \"band_median\": {}, \"band_p95\": {}, \"band_max\": {}}}",
-                row.family.name(),
-                fmt_f64(row.theta),
-                if row.quadrupole { "quadrupole" } else { "monopole" },
-                pcts_json(&row.pcts),
-                fmt_f64(band.median),
-                fmt_f64(band.p95),
-                fmt_f64(band.max)
-            )
+            let (p, band) = (&row.pcts, tolerance_band(row.theta, row.quadrupole));
+            let kernel = if row.quadrupole {
+                "quadrupole"
+            } else {
+                "monopole"
+            };
+            obj!("family": row.family.name(), "theta": row.theta, "kernel": kernel,
+                "median": p.median, "p95": p.p95, "max": p.max,
+                "band_median": band.median, "band_p95": band.p95, "band_max": band.max)
         })
         .collect();
-    let dist_rows: Vec<String> = r
+    let distributed: Vec<Value> = r
         .distributed
         .iter()
         .map(|row| {
-            let band = equivalence_band(r.dist_theta, row.report.ranks);
-            format!(
-                "    {{\"ranks\": {}, \"faulty\": {}, {}, \"forced_cuts\": {}, \
-                 \"degraded_lets\": {}, \"faults_injected\": {}, \
-                 \"band_median\": {}, \"band_p95\": {}, \"band_max\": {}}}",
-                row.report.ranks,
-                row.faulty,
-                pcts_json(&row.report.diff),
-                row.report.forced_cuts,
-                row.report.degraded_lets,
-                row.report.faults_injected,
-                fmt_f64(band.median),
-                fmt_f64(band.p95),
-                fmt_f64(band.max)
-            )
+            let (rep, band) = (
+                &row.report,
+                equivalence_band(r.dist_theta, row.report.ranks),
+            );
+            obj!("ranks": rep.ranks, "faulty": row.faulty,
+                "median": rep.diff.median, "p95": rep.diff.p95, "max": rep.diff.max,
+                "forced_cuts": rep.forced_cuts, "degraded_lets": rep.degraded_lets,
+                "faults_injected": rep.faults_injected,
+                "band_median": band.median, "band_p95": band.p95, "band_max": band.max)
         })
         .collect();
-    format!(
-        "{{\n  \"schema\": \"bonsai-accuracy-v1\",\n  \"config\": {{\"n\": {}, \"seed\": {}, \
-         \"dist_n\": {}, \"dist_ranks\": [{}], \"dist_theta\": {}, \"thetas\": [{}], \
-         \"theta_inflation\": {}}},\n  \"differential\": [\n{}\n  ],\n  \"distributed\": [\n{}\n  ]\n}}\n",
-        r.config.n,
-        r.config.seed,
-        r.config.dist_n,
-        ranks.join(", "),
-        fmt_f64(r.dist_theta),
-        thetas.join(", "),
-        fmt_f64(r.config.theta_inflation),
-        diff_rows.join(",\n"),
-        dist_rows.join(",\n")
-    )
+    json::write(&obj!(
+        "schema": "bonsai-accuracy-v1",
+        "config": obj!("n": c.n, "seed": c.seed, "dist_n": c.dist_n,
+            "dist_ranks": c.dist_ranks.clone(), "dist_theta": r.dist_theta,
+            "thetas": THETA_SWEEP.to_vec(), "theta_inflation": c.theta_inflation),
+        "differential": differential,
+        "distributed": distributed,
+    ))
 }
 
 fn num(v: &Value, key: &str, path: &str, out: &mut Vec<String>) -> Option<f64> {
-    match v.get(key) {
-        Some(Value::Num(x)) => Some(*x),
-        _ => {
-            out.push(format!("{path}.{key}: missing or non-numeric"));
-            None
-        }
+    let x = v.get(key).and_then(Value::as_f64);
+    if x.is_none() {
+        out.push(format!("{path}.{key}: missing or non-numeric"));
     }
+    x
 }
 
 fn str_of(v: &Value, key: &str) -> String {
@@ -352,18 +326,24 @@ fn drift_ok(key: &str, base: f64, cur: f64) -> bool {
 }
 
 fn compare(path: &str, key: &str, base: &Value, cur: &Value, out: &mut Vec<String>) {
+    if let (Some(b), Some(c)) = (base.as_f64(), cur.as_f64()) {
+        if !drift_ok(key, b, c) {
+            out.push(format!(
+                "{path}: baseline {b} vs current {c} out of tolerance"
+            ));
+        }
+        return;
+    }
     match (base, cur) {
         (Value::Obj(b), Value::Obj(c)) => {
             for (k, bv) in b {
-                match c.get(k) {
+                match cur.get(k) {
                     Some(cv) => compare(&format!("{path}.{k}"), k, bv, cv, out),
                     None => out.push(format!("{path}.{k}: missing from current run")),
                 }
             }
-            for k in c.keys() {
-                if !b.contains_key(k) {
-                    out.push(format!("{path}.{k}: not in baseline (regenerate it)"));
-                }
+            for (k, _) in c.iter().filter(|(k, _)| base.get(k).is_none()) {
+                out.push(format!("{path}.{k}: not in baseline (regenerate it)"));
             }
         }
         (Value::Arr(b), Value::Arr(c)) => {
@@ -377,11 +357,6 @@ fn compare(path: &str, key: &str, base: &Value, cur: &Value, out: &mut Vec<Strin
             }
             for (i, (bv, cv)) in b.iter().zip(c).enumerate() {
                 compare(&format!("{path}[{i}]"), key, bv, cv, out);
-            }
-        }
-        (Value::Num(b), Value::Num(c)) => {
-            if !drift_ok(key, *b, *c) {
-                out.push(format!("{path}: baseline {b} vs current {c} out of tolerance"));
             }
         }
         (b, c) if b == c => {}
