@@ -1,10 +1,12 @@
 //! Pinned digests of everything the exchange path decides: the fault log's
 //! rendered text (the only check on its detail strings — no `BENCH_*.json`
 //! carries them), the flow-ledger records and the force bits, for three
-//! seeded chaos runs, each at one, two and four lanes. A refactor of the
-//! collective, the gravity phases, recovery, the view-change migration or the
-//! thread pool must leave all nine values alone at every lane count; a change
-//! that means to move them re-pins them and says so in CHANGES.md.
+//! seeded chaos runs, each at one, two and four lanes, and for one fault-free
+//! thin run whose ranks each walk dozens of remote sources, at one to four
+//! lanes. A refactor of the collective, the gravity phases, the force walk,
+//! recovery, the view-change migration or the thread pool must leave all
+//! twelve values alone at every lane count; a change that means to move them
+//! re-pins them and says so in CHANGES.md.
 
 use bonsai_ic::plummer_sphere;
 use bonsai_net::{FaultKind, FaultPlan};
@@ -114,6 +116,30 @@ fn grow_and_shrink_churn_digests_are_pinned() {
         assert_eq!(
             churn(t),
             (0x52346781801e5c50, 0x2569bafdada9153d, 0xf5b205374caf653a),
+            "fault log / flow ledger / force bits moved at {t} threads"
+        );
+    }
+}
+
+/// Thin ranks, no faults: 64 particles a rank, so every rank walks its own
+/// tree and up to 31 remote sources (dedicated LETs or boundary trees) a
+/// step — the many-source fold the small chaos runs above never reach.
+fn thin(threads: usize) -> (u64, u64, u64) {
+    let mut c = Cluster::new(plummer_sphere(2048, 36), 32, config(threads));
+    for _ in 0..3 {
+        c.step();
+    }
+    assert!(c.fault_log().is_clean(), "a fault-free run injected or recovered something");
+    assert!(c.flow_conservation().holds());
+    digests(&c)
+}
+
+#[test]
+fn thin_many_source_digests_are_pinned() {
+    for t in [1, 2, 3, 4] {
+        assert_eq!(
+            thin(t),
+            (0, 0x6c0104eeefaca20c, 0x70df41cdf0996994),
             "fault log / flow ledger / force bits moved at {t} threads"
         );
     }
