@@ -9,7 +9,7 @@
 //! | [`build`](Cluster::build) | Sorting, Tree-construction, Tree-properties | §III-A | — |
 //! | [`boundaries`](Cluster::boundaries) | Domain update | §III-B2: boundary trees, allgatherv | `Boundary` broadcast; every receiver validates its copy and drops it |
 //! | [`lets`](Cluster::lets) | (Non-hidden) LET comm | §III-B2: sufficiency check — a pure function of two boundary trees every rank holds bit-identically, decided once per ordered pair — and dedicated LETs for near neighbours | `Let`, sparse; a lost one degrades to the boundary tree |
-//! | [`walk`](Cluster::walk) | Gravity local, Gravity LETs | §III-A, §III-B2: each peer's dedicated LET, else the sender's own boundary tree | — |
+//! | [`walk`](Cluster::walk) | Gravity local, Gravity LETs | §III-A, §III-B2: one walk per rank over the local tree and, per peer, its dedicated LET, else the sender's own boundary tree | — |
 //! | [`store`](Cluster::store) | Unbalance + other | §III-B1: flop weights for the next step's sampling | — |
 //!
 //! Every exchange is one call of [`bonsai_net::collective::exchange`] through
@@ -30,7 +30,7 @@ use bonsai_net::MsgKind;
 use bonsai_sfc::KeyMap;
 use bonsai_tree::build::Tree;
 use bonsai_tree::walk::{self, WalkParams};
-use bonsai_tree::{Forces, InteractionCounts, Particles};
+use bonsai_tree::{Forces, InteractionCounts, Particles, TreeView};
 use bonsai_util::sorted::merge_sorted_runs;
 use bonsai_util::{Aabb, Vec3};
 use bytes::Bytes;
@@ -310,8 +310,10 @@ impl Cluster {
         got.received
     }
 
-    /// Force walks: the local tree, then each peer with a non-empty boundary
-    /// in sender order — its dedicated LET if one arrived, else its boundary.
+    /// Force walks, one [`walk::walk_sources`] call per rank over its
+    /// sources in order: the local tree, then each peer with a non-empty
+    /// boundary in sender order — its dedicated LET if one arrived, else its
+    /// boundary.
     fn walk(
         &self,
         trees: &[Tree],
@@ -327,23 +329,17 @@ impl Cluster {
         (trees.par_iter().zip(received.par_iter()))
             .enumerate()
             .map(|(me, (tree, dedicated))| {
-                let (mut forces, st_local) = walk::self_gravity(tree, &params);
-                let mut lets = InteractionCounts::zero();
-                let mut forced = st_local.forced_cuts;
                 let peers = boundaries.iter().enumerate();
-                for (i, bi) in peers.filter(|&(i, bi)| i != me && !bi.is_empty()) {
-                    let src = received_from(dedicated, i).unwrap_or(bi);
-                    let (f, st) =
-                        walk::walk_tree(&src.view(), &tree.particles.pos, &tree.groups, &params);
-                    forces.accumulate(&f);
-                    lets += st.counts;
-                    forced += st.forced_cuts;
-                }
+                let remote = (peers.filter(|&(i, bi)| i != me && !bi.is_empty()))
+                    .map(|(i, bi)| received_from(dedicated, i).unwrap_or(bi).view());
+                let sources: Vec<TreeView> = std::iter::once(tree.view()).chain(remote).collect();
+                let (forces, stats) =
+                    walk::walk_sources(&sources, &tree.particles.pos, &tree.groups, &params);
                 RankForces {
                     forces,
-                    local: st_local.counts,
-                    lets,
-                    forced,
+                    local: stats[0].counts,
+                    lets: stats[1..].iter().map(|st| st.counts).sum(),
+                    forced: stats.iter().map(|st| st.forced_cuts).sum(),
                 }
             })
             .collect()

@@ -139,7 +139,7 @@ impl WalkStats {
 
 /// Compute forces exerted by `src` on the targets `tgt_pos`, walking one
 /// interaction list per `group`. Returns per-target forces (G applied) and
-/// walk statistics.
+/// walk statistics. The one-source case of [`walk_sources`].
 ///
 /// `groups` must tile `0..tgt_pos.len()` contiguously and in order.
 pub fn walk_tree(
@@ -148,45 +148,69 @@ pub fn walk_tree(
     groups: &[Group],
     params: &WalkParams,
 ) -> (Forces, WalkStats) {
-    walk_tree_on(Isa::detect(), src, tgt_pos, groups, params)
+    let (forces, stats) = walk_sources(std::slice::from_ref(src), tgt_pos, groups, params);
+    (forces, stats[0])
 }
 
-/// [`walk_tree`] on a given instantiation (one feature test per call, not
-/// per group).
-fn walk_tree_on(
-    isa: Isa,
-    src: &TreeView<'_>,
+/// Compute the summed forces of every source in `srcs` on the targets
+/// `tgt_pos`, in one pass: the targets are transposed once, and each group
+/// walks every source in order. Returns the forces (G applied) and one
+/// [`WalkStats`] per source.
+///
+/// The forces are `to_bits`-equal to [`walk_tree`] per source followed by
+/// [`Forces::accumulate`] in source order: each source's partial sum starts
+/// from zero as it would in its own call, and is folded into the running sum
+/// as `partial × G` (see [`fold`]).
+///
+/// `groups` must tile `0..tgt_pos.len()` contiguously and in order.
+pub fn walk_sources(
+    srcs: &[TreeView<'_>],
     tgt_pos: &[Vec3],
     groups: &[Group],
     params: &WalkParams,
-) -> (Forces, WalkStats) {
-    let n = tgt_pos.len();
-    let mut forces = Forces::zeros(n);
-    if src.is_empty() || n == 0 {
-        return (forces, WalkStats::default());
-    }
-    let mac = OpeningCriterion::new(params.theta);
-    let eps2 = params.eps * params.eps;
+) -> (Forces, Vec<WalkStats>) {
+    walk_sources_on(Isa::detect(), srcs, tgt_pos, groups, params)
+}
 
-    // Transpose the targets into per-group lane blocks: group `g` owns one
-    // contiguous window of `LANE_ROWS` rows (x, y, z, φ, ax, ay, az), each
-    // `padded(g.len())` lanes long. Padding lanes repeat the group's last
-    // target so they compute ordinary finite values; they are never read
-    // back and never counted.
+/// [`walk_sources`] on a given instantiation (one feature test per call,
+/// not per group).
+fn walk_sources_on(
+    isa: Isa,
+    srcs: &[TreeView<'_>],
+    tgt_pos: &[Vec3],
+    groups: &[Group],
+    params: &WalkParams,
+) -> (Forces, Vec<WalkStats>) {
+    let n = tgt_pos.len();
     let mut cursor = 0u32;
-    let mut total = 0usize;
     for g in groups {
         assert_eq!(g.begin, cursor, "groups must tile the targets in order");
-        total += LANE_ROWS * padded(g.len());
         cursor = g.end;
     }
     assert_eq!(cursor as usize, n, "groups must cover every target");
+    let mut forces = Forces::zeros(n);
+    let mut stats = vec![WalkStats::default(); srcs.len()];
+    if n == 0 || srcs.iter().all(TreeView::is_empty) {
+        return (forces, stats);
+    }
+    let mac = OpeningCriterion::new(params.theta);
+    let eps2 = params.eps * params.eps;
+    let g = params.g;
+
+    // Transpose the targets into per-group lane blocks: group `g` owns one
+    // contiguous window of `rows` rows, each `padded(g.len())` lanes long —
+    // target x, y, z, then the walk's φ, ax, ay, az, then (for more than one
+    // source) the running sums of φ, ax, ay, az. The last four rows are read
+    // back. Padding lanes repeat the group's last target so they compute
+    // ordinary finite values; they are never read back and never counted.
+    let rows = if srcs.len() == 1 { LANE_ROWS } else { LANE_ROWS + 4 };
+    let total: usize = groups.iter().map(|g| rows * padded(g.len())).sum();
     let mut lanes = vec![0.0f64; total];
     let mut windows: Vec<&mut [f64]> = Vec::with_capacity(groups.len());
     let mut rest: &mut [f64] = &mut lanes;
     for g in groups {
         let p = padded(g.len());
-        let (window, tail) = rest.split_at_mut(LANE_ROWS * p);
+        let (window, tail) = rest.split_at_mut(rows * p);
         rest = tail;
         let members = &tgt_pos[g.begin as usize..g.end as usize];
         if let Some(last) = members.last() {
@@ -200,54 +224,105 @@ fn walk_tree_on(
         windows.push(window);
     }
 
+    // One fan-out over the groups; each group walks every source in order
+    // and records one stats entry per source.
     let quad = params.use_quadrupole;
-    let stats = groups
+    let mut group_stats = vec![WalkStats::default(); groups.len() * srcs.len()];
+    groups
         .par_iter()
         .zip(windows.into_par_iter())
-        .map(|(group, window)| match isa {
-            Isa::Plain => walk_group(src, group, &mac, eps2, quad, window),
-            // SAFETY: `walk_group_avx2_fma` requires only that the CPU supports
-            // AVX2 and FMA, and `Isa::Avx2Fma` exists only where `Isa::detect`
-            // saw `is_x86_feature_detected!` report both on this machine.
-            #[cfg(target_arch = "x86_64")]
-            Isa::Avx2Fma => unsafe { walk_group_avx2_fma(src, group, &mac, eps2, quad, window) },
-            // SAFETY: `walk_group_avx512` requires only that the CPU supports
-            // AVX-512 F and VL, AVX2 and FMA, and `Isa::Avx512` exists only
-            // where `Isa::detect` saw `is_x86_feature_detected!` report all four.
-            #[cfg(target_arch = "x86_64")]
-            Isa::Avx512 => unsafe { walk_group_avx512(src, group, &mac, eps2, quad, window) },
-        })
-        .reduce(WalkStats::default, |mut a, b| {
-            a.merge(&b);
-            a
+        .zip(group_stats.chunks_mut(srcs.len()).collect::<Vec<_>>().into_par_iter())
+        .for_each(|((group, window), per_source)| {
+            let p = padded(group.len());
+            let (walked, sum) = window.split_at_mut(LANE_ROWS * p);
+            for (k, (src, st)) in srcs.iter().zip(per_source).enumerate() {
+                if k > 0 {
+                    walked[3 * p..].fill(0.0);
+                }
+                if !src.is_empty() {
+                    *st = walk_group_on(isa, src, group, &mac, eps2, quad, walked);
+                }
+                let partial = &mut walked[3 * p..];
+                if sum.is_empty() {
+                    // One source: its rows are the ones read back.
+                    if g != 1.0 {
+                        partial.iter_mut().for_each(|v| *v *= g);
+                    }
+                } else {
+                    fold(sum, partial, g, k == 0);
+                }
+            }
         });
+    for per_source in group_stats.chunks(srcs.len()) {
+        for (total, st) in stats.iter_mut().zip(per_source) {
+            total.merge(st);
+        }
+    }
 
-    // Transpose the accumulators back, dropping the padding lanes.
+    // Transpose the results back, dropping the padding lanes.
     let mut at = 0usize;
     for g in groups {
         let p = padded(g.len());
-        let acc = &lanes[at + 3 * p..at + LANE_ROWS * p];
+        let out = &lanes[at + (rows - 4) * p..at + rows * p];
         for l in 0..g.len() {
             let i = g.begin as usize + l;
-            forces.pot[i] = acc[l];
-            forces.acc[i] = Vec3::new(acc[p + l], acc[2 * p + l], acc[3 * p + l]);
+            forces.pot[i] = out[l];
+            forces.acc[i] = Vec3::new(out[p + l], out[2 * p + l], out[3 * p + l]);
         }
-        at += LANE_ROWS * p;
-    }
-
-    if params.g != 1.0 {
-        forces.scale(params.g);
+        at += rows * p;
     }
     (forces, stats)
 }
 
-/// Rows of a group's lane window: target x, y, z, then accumulated φ, ax,
+/// Fold one source's partial (φ, ax, ay, az) rows into the running sum, as
+/// `partial × G` — the value [`walk_tree`] would have returned for that
+/// source — with G applied only when it is not 1. The first source is
+/// assigned, not added to +0.0, so a −0.0 partial keeps its sign, exactly as
+/// when its `Forces` started the sum; later sources are added in order, as
+/// [`Forces::accumulate`] adds them.
+fn fold(sum: &mut [f64], partial: &[f64], g: f64, first: bool) {
+    let terms = sum.iter_mut().zip(partial);
+    match (first, g != 1.0) {
+        (true, false) => terms.for_each(|(s, &x)| *s = x),
+        (true, true) => terms.for_each(|(s, &x)| *s = x * g),
+        (false, false) => terms.for_each(|(s, &x)| *s += x),
+        (false, true) => terms.for_each(|(s, &x)| *s += x * g),
+    }
+}
+
+/// Rows of a group's walk window: target x, y, z, then accumulated φ, ax,
 /// ay, az.
 const LANE_ROWS: usize = 7;
 
 /// Lane count of a group of `len` targets: `len` rounded up to whole blocks.
 fn padded(len: usize) -> usize {
     len.div_ceil(LANES) * LANES
+}
+
+/// [`walk_group`] on instantiation `isa`; `window` holds exactly the group's
+/// `LANE_ROWS` rows.
+fn walk_group_on(
+    isa: Isa,
+    src: &TreeView<'_>,
+    group: &Group,
+    mac: &OpeningCriterion,
+    eps2: f64,
+    quad: bool,
+    window: &mut [f64],
+) -> WalkStats {
+    match isa {
+        Isa::Plain => walk_group(src, group, mac, eps2, quad, window),
+        // SAFETY: `walk_group_avx2_fma` requires only that the CPU supports
+        // AVX2 and FMA, and `Isa::Avx2Fma` exists only where `Isa::detect`
+        // saw `is_x86_feature_detected!` report both on this machine.
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx2Fma => unsafe { walk_group_avx2_fma(src, group, mac, eps2, quad, window) },
+        // SAFETY: `walk_group_avx512` requires only that the CPU supports
+        // AVX-512 F and VL, AVX2 and FMA, and `Isa::Avx512` exists only
+        // where `Isa::detect` saw `is_x86_feature_detected!` report all four.
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx512 => unsafe { walk_group_avx512(src, group, mac, eps2, quad, window) },
+    }
 }
 
 thread_local! {
@@ -432,7 +507,8 @@ mod tests {
         stats
     }
 
-    /// [`walk_tree`] over [`reference_walk_group`], sequentially.
+    /// [`walk_tree`] over [`reference_walk_group`], sequentially. An empty
+    /// source exerts no force.
     fn reference_walk_tree(
         src: &TreeView<'_>,
         tgt_pos: &[Vec3],
@@ -441,6 +517,9 @@ mod tests {
     ) -> (Forces, WalkStats) {
         let mut forces = Forces::zeros(tgt_pos.len());
         let mut stats = WalkStats::default();
+        if src.is_empty() {
+            return (forces, stats);
+        }
         let mac = OpeningCriterion::new(params.theta);
         for g in groups {
             let (b, e) = (g.begin as usize, g.end as usize);
@@ -527,18 +606,20 @@ mod tests {
             .collect()
     }
 
-    fn assert_same_bits(what: &str, got: &(Forces, WalkStats), want: &(Forces, WalkStats)) {
-        let ((gf, gs), (wf, ws)) = (got, want);
-        assert_eq!(gf.len(), wf.len(), "{what}");
-        for i in 0..wf.len() {
-            assert!(wf.acc[i].is_finite() && wf.pot[i].is_finite(), "{what}: target {i}");
-            let g = [gf.pot[i], gf.acc[i].x, gf.acc[i].y, gf.acc[i].z].map(f64::to_bits);
-            let w = [wf.pot[i], wf.acc[i].x, wf.acc[i].y, wf.acc[i].z].map(f64::to_bits);
+    fn assert_same_bits(what: &str, got: &Forces, want: &Forces) {
+        assert_eq!(got.len(), want.len(), "{what}");
+        for i in 0..want.len() {
+            assert!(want.acc[i].is_finite() && want.pot[i].is_finite(), "{what}: target {i}");
+            let g = [got.pot[i], got.acc[i].x, got.acc[i].y, got.acc[i].z].map(f64::to_bits);
+            let w = [want.pot[i], want.acc[i].x, want.acc[i].y, want.acc[i].z].map(f64::to_bits);
             assert_eq!(g, w, "{what}: target {i}");
         }
-        assert_eq!(gs.counts, ws.counts, "{what}");
-        assert_eq!(gs.nodes_visited, ws.nodes_visited, "{what}");
-        assert_eq!(gs.forced_cuts, ws.forced_cuts, "{what}");
+    }
+
+    fn assert_same_stats(what: &str, got: &WalkStats, want: &WalkStats) {
+        assert_eq!(got.counts, want.counts, "{what}");
+        assert_eq!(got.nodes_visited, want.nodes_visited, "{what}");
+        assert_eq!(got.forced_cuts, want.forced_cuts, "{what}");
     }
 
     #[test]
@@ -589,14 +670,74 @@ mod tests {
                                 assert!(want.1.counts.pp > 0, "{ic}/{source}: no leaf opened");
                             }
                             for &isa in &isas {
-                                let got = walk_tree_on(isa, &view, targets, &groups, &params);
+                                let (f, st) = walk_sources_on(isa, &[view], targets, &groups, &params);
                                 let what = format!("{ic}/{source} eps={eps} quad={quad} len={len} {isa:?}");
-                                assert_same_bits(&what, &got, &want);
+                                assert_same_bits(&what, &f, &want.0);
+                                assert_same_stats(&what, &st[0], &want.1);
                             }
                         }
                     }
                 }
             }
+        }
+    }
+
+    #[test]
+    fn multi_source_walk_is_bit_identical_to_per_source_walks_folded() {
+        let n = 300;
+        let isas = Isa::supported();
+        let tree = Tree::build(plummer_like(n, 8), TreeParams::default());
+        let targets = &tree.particles.pos;
+        let let_tree = Pruned::of(&tree, 3, true);
+        let boundary = Pruned::of(&tree, 2, false);
+        let empty = TreeView {
+            nodes: &[],
+            pos: &[],
+            mass: &[],
+        };
+        let forward = [tree.view(), let_tree.view(), boundary.view(), empty];
+        let mut backward = forward;
+        backward.reverse();
+        // A boundary tree has one-particle `Cut` cells, and p-c has no mask
+        // for a coincident pair: soften.
+        for params in [WalkParams::new(0.4, 0.01), WalkParams::new(0.4, 0.01).with_galactic_g()] {
+            for len in 1..=48 {
+                let groups = groups_of_len(targets, len);
+                for srcs in [&forward, &backward] {
+                    // Today's cluster path: one walk per source, each result
+                    // added to the first in source order.
+                    let per_source: Vec<(Forces, WalkStats)> =
+                        (srcs.iter()).map(|s| reference_walk_tree(s, targets, &groups, &params)).collect();
+                    let mut want = per_source[0].0.clone();
+                    for (f, _) in &per_source[1..] {
+                        want.accumulate(f);
+                    }
+                    for &isa in &isas {
+                        let (got, stats) = walk_sources_on(isa, srcs, targets, &groups, &params);
+                        let what = format!("g={} len={len} {isa:?}", params.g);
+                        assert_same_bits(&what, &got, &want);
+                        assert_eq!(stats.len(), srcs.len(), "{what}");
+                        for (k, (st, (_, want_st))) in stats.iter().zip(&per_source).enumerate() {
+                            assert_same_stats(&format!("{what} source {k}"), st, want_st);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_negative_zero_first_partial_keeps_its_sign() {
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for g in [1.0, bonsai_util::units::G] {
+            // The first source is assigned, as its `Forces` started the sum:
+            // added to +0.0 instead, −0.0 would come out +0.0.
+            let mut sum = [7.0; 4];
+            fold(&mut sum, &[-0.0; 4], g, true);
+            assert_eq!(bits(&sum), bits(&[-0.0; 4]), "g = {g}");
+            // A later source is added, as `Forces::accumulate` adds it.
+            fold(&mut sum, &[0.0; 4], g, false);
+            assert_eq!(bits(&sum), bits(&[0.0; 4]), "g = {g}");
         }
     }
 

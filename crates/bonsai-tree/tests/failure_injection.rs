@@ -89,20 +89,28 @@ fn particle_validator_catches_all_corruption_modes() {
 #[test]
 fn group_walk_rejects_non_tiling_groups() {
     // The walk asserts that groups tile the target range — a mis-specified
-    // group set must panic, not compute garbage.
+    // group set must panic, not compute garbage, whatever the source.
     let t = healthy_tree(100, 8);
     let bad_groups = vec![bonsai_tree::node::Group {
         begin: 10, // gap: does not start at 0
         end: 100,
         bbox: bonsai_util::Aabb::cube(Vec3::zero(), 5.0),
     }];
-    let result = std::panic::catch_unwind(|| {
-        bonsai_tree::walk::walk_tree(
-            &t.view(),
-            &t.particles.pos,
-            &bad_groups,
-            &bonsai_tree::walk::WalkParams::new(0.4, 0.01),
-        )
-    });
-    assert!(result.is_err(), "non-tiling groups must be rejected");
+    // An empty source exerts no force, but the group set is still checked.
+    let empty = bonsai_tree::TreeView {
+        nodes: &[],
+        pos: &[],
+        mass: &[],
+    };
+    for (what, src) in [("tree", t.view()), ("empty source", empty)] {
+        let result = std::panic::catch_unwind(|| {
+            bonsai_tree::walk::walk_tree(
+                &src,
+                &t.particles.pos,
+                &bad_groups,
+                &bonsai_tree::walk::WalkParams::new(0.4, 0.01),
+            )
+        });
+        assert!(result.is_err(), "{what}: non-tiling groups must be rejected");
+    }
 }
