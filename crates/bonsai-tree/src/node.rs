@@ -61,8 +61,9 @@ impl Node {
 /// A borrowed, walkable tree: nodes plus the particle fields the kernels read.
 ///
 /// Both a rank's local tree and every received LET expose this view, so the
-/// force walk is a single code path (§III-B2: LETs are "processed separately
-/// as soon as they arrive" rather than merged).
+/// force walk is a single code path. LETs are not merged: each is walked as a
+/// source of its own (§III-B2: LETs are "processed separately as soon as they
+/// arrive"), though a rank walks all of its sources in one call.
 #[derive(Clone, Copy, Debug)]
 pub struct TreeView<'a> {
     /// Nodes in BFS order; `nodes[0]` is the root (if non-empty).

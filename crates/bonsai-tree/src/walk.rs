@@ -9,7 +9,7 @@
 //! **Lane = target.** On the GPU every thread of a warp owns one target
 //! particle of a group and each accepted cell or leaf particle is broadcast
 //! to all of them (`__shfl`). Here a SIMD lane plays the thread:
-//! [`walk_tree`] transposes the targets once per call into per-group
+//! [`walk_sources`] transposes the targets once per call into per-group
 //! structure-of-arrays lane blocks (x, y, z, padded to a whole number of
 //! 16-lane blocks by repeating the group's last target), keeps the
 //! accumulators (φ, ax, ay, az) in the same layout, and hands every
@@ -37,7 +37,7 @@
 //! **Dispatch.** On x86_64 the one `#[inline(always)]` group-walk body is
 //! instantiated three times: at the build's baseline (SSE2), under
 //! `#[target_feature(enable = "avx2,fma")]`, and under
-//! `#[target_feature(enable = "avx512f,avx512vl,avx2,fma")]`. [`walk_tree`]
+//! `#[target_feature(enable = "avx512f,avx512vl,avx2,fma")]`. [`walk_sources`]
 //! picks once per call with `Isa::detect` — the detection the scalar
 //! kernels share — and each target-feature instantiation is entered only
 //! where the CPU reported every feature it enables, which is what makes its
@@ -51,11 +51,17 @@
 //! — the role the GPU's warps play in the paper — with each group owning a
 //! disjoint window of the lane buffer.
 //!
-//! The walk takes *any* [`TreeView`] as the source — a rank's own local tree,
-//! a received Local Essential Tree, or a boundary tree — down this one path.
-//! Summing the resulting [`Forces`] over all sources reproduces the global
-//! gravitational field — the key correctness property the integration tests
-//! assert.
+//! The walk takes *any* [`TreeView`] as a source — a rank's own local tree,
+//! a received Local Essential Tree, or a boundary tree — down this one path,
+//! and [`walk_sources`] takes a list of them: a rank's local tree and every
+//! remote source, walked in one call against targets transposed once. Each
+//! source is still walked on its own, as the paper processes each LET
+//! separately (§III-B2): per group, its partial sum starts from zero, and
+//! `partial × G` is folded into the group's running sum in source order, so
+//! the result is `to_bits`-equal to one [`walk_tree`] per source added up
+//! with [`Forces::accumulate`]. [`walk_tree`] is the one-source case. Summed
+//! over all sources, the forces reproduce the global gravitational field —
+//! the key correctness property the integration tests assert.
 
 use crate::forces::{Forces, InteractionCounts};
 use crate::kernels::{p_c_lanes, p_p_lanes, Isa, LANES};
@@ -159,8 +165,9 @@ pub fn walk_tree(
 ///
 /// The forces are `to_bits`-equal to [`walk_tree`] per source followed by
 /// [`Forces::accumulate`] in source order: each source's partial sum starts
-/// from zero as it would in its own call, and is folded into the running sum
-/// as `partial × G` (see [`fold`]).
+/// from zero as it would in its own call, and `partial × G` is then
+/// assigned to the running sum (first source) or added to it (every later
+/// one).
 ///
 /// `groups` must tile `0..tgt_pos.len()` contiguously and in order.
 pub fn walk_sources(
@@ -195,9 +202,8 @@ fn walk_sources_on(
     }
     let mac = OpeningCriterion::new(params.theta);
     let eps2 = params.eps * params.eps;
-    let g = params.g;
 
-    // Transpose the targets into per-group lane blocks: group `g` owns one
+    // Transpose the targets into per-group lane blocks: each group owns one
     // contiguous window of `rows` rows, each `padded(g.len())` lanes long —
     // target x, y, z, then the walk's φ, ax, ay, az, then (for more than one
     // source) the running sums of φ, ax, ay, az. The last four rows are read
@@ -245,11 +251,11 @@ fn walk_sources_on(
                 let partial = &mut walked[3 * p..];
                 if sum.is_empty() {
                     // One source: its rows are the ones read back.
-                    if g != 1.0 {
-                        partial.iter_mut().for_each(|v| *v *= g);
+                    if params.g != 1.0 {
+                        partial.iter_mut().for_each(|v| *v *= params.g);
                     }
                 } else {
-                    fold(sum, partial, g, k == 0);
+                    fold(sum, partial, params.g, k == 0);
                 }
             }
         });

@@ -33,10 +33,15 @@ cargo test -q --release -p bonsai-tree --test parallel_determinism
 # Once more with AVX2+FMA switched on for the whole build: there the baseline
 # instantiation inlines `vfmadd` instead of calling libm's `fma`, and the
 # conformance, accuracy and digest tests must see the same bits — force bits
-# do not depend on build flags either. (Needs a CPU that has both.)
+# do not depend on build flags either. The pinned exchange digests run there
+# too, so the cluster's many-source walk is held bit for bit on every code
+# generation, not only through the walk's own tests. (Needs a CPU that has
+# both.)
 if grep -qw avx2 /proc/cpuinfo && grep -qw fma /proc/cpuinfo; then
   RUSTFLAGS="-C target-feature=+avx2,+fma" CARGO_TARGET_DIR="$scratch/target-avx2-fma" \
     cargo test -q --release -p bonsai-tree --lib -- kernels:: walk:: direct::
+  RUSTFLAGS="-C target-feature=+avx2,+fma" CARGO_TARGET_DIR="$scratch/target-avx2-fma" \
+    cargo test -q --release -p bonsai-sim --test exchange_digests
 fi
 # And with AVX-512 on for the whole build, where even the baseline
 # instantiation runs 512-bit lane loops. (Needs a CPU with all four.)
@@ -44,6 +49,8 @@ if grep -qw avx512f /proc/cpuinfo && grep -qw avx512vl /proc/cpuinfo \
     && grep -qw avx2 /proc/cpuinfo && grep -qw fma /proc/cpuinfo; then
   RUSTFLAGS="-C target-feature=+avx512f,+avx512vl,+avx2,+fma" CARGO_TARGET_DIR="$scratch/target-avx512" \
     cargo test -q --release -p bonsai-tree --lib -- kernels:: walk:: direct::
+  RUSTFLAGS="-C target-feature=+avx512f,+avx512vl,+avx2,+fma" CARGO_TARGET_DIR="$scratch/target-avx512" \
+    cargo test -q --release -p bonsai-sim --test exchange_digests
 fi
 
 # The sliced CRC-64 loop is unrolled only at the release profile. Both CRC
