@@ -7,7 +7,7 @@
 //!
 //! Run from the repo root. Each row prints its table and its claims, each
 //! claim with the band its value must fall in; the files a row renders are
-//! written under `out/`, the only thing written.
+//! written under `out/`, the only thing written in the tree.
 //!
 //! Exit codes: `0` every claim holds, `1` a claim fell outside its band, `2`
 //! unknown row name.

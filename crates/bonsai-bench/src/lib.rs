@@ -1,14 +1,12 @@
 //! # bonsai-bench
 //!
 //! The benchmark harness that regenerates **every table and figure** of the
-//! SC'14 paper. Four binaries:
+//! SC'14 paper. Two binaries, each with one contract:
 //!
 //! | binary | what it runs |
 //! |---|---|
-//! | `paper` | the paper's evaluation: one row per figure, table and ablation ([`paper`]) |
-//! | `gates` | the nine `BENCH_<kind>.json` artifact gates ([`gates`]) |
-//! | `chaos` | seeded fault sweep and crash drill over the distributed step |
-//! | `production_run` | §VI-C's production run in miniature, with a restart check |
+//! | `paper` | the paper's evaluation, one row per figure, table, ablation or run; each row's claims must fall in their bands ([`paper`]) |
+//! | `gates` | the nine `BENCH_<kind>.json` artifact gates; each artifact must equal its checked-in file byte for byte ([`gates`]) |
 //!
 //! The rows of `paper <row>`:
 //!
@@ -21,6 +19,8 @@
 //! | `fig4` | Fig. 4 — weak scaling on Piz Daint and Titan |
 //! | `table2` | Table II — per-phase time breakdown |
 //! | `time_to_solution` | §VI-C — days to 8 Gyr at full scale |
+//! | `production` | §VI-C — the production run in miniature: monitor, on-the-fly analysis, restart check |
+//! | `chaos` | §VI-C restart — seeded fault sweep and crash drill over the distributed step |
 //! | `power` | §II — energy efficiency |
 //! | `theta` … `placement` | the design-choice ablations listed in DESIGN.md §5 |
 //!
@@ -51,6 +51,7 @@ pub mod stream_dash;
 use std::ops::RangeInclusive;
 
 use bonsai_ic::MilkyWayModel;
+use bonsai_net::fault::{FaultKind, FaultPlan, Injection};
 use bonsai_net::ViewChange;
 use bonsai_obs::health::AlertEvent;
 use bonsai_obs::json::Value;
@@ -62,13 +63,6 @@ use bonsai_util::units;
 /// Default output directory for generated artifacts (PPM/CSV).
 pub const OUT_DIR: &str = "out";
 
-/// Ensure the artifact directory exists and return its path.
-pub fn out_dir() -> std::path::PathBuf {
-    let p = std::path::PathBuf::from(OUT_DIR);
-    let _ = std::fs::create_dir_all(&p);
-    p
-}
-
 /// A fresh checkpoint directory under the system temp dir, named
 /// `<tag>_<pid>_<n>`: no other run shares it, neither a test running in
 /// parallel in this process nor another process given the same seed. The
@@ -77,6 +71,14 @@ pub fn scratch_dir(tag: &str) -> std::path::PathBuf {
     static NEXT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
     let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
     std::env::temp_dir().join(format!("{tag}_{}_{n}", std::process::id()))
+}
+
+/// The plan of a drop storm: every first-attempt message of the epochs
+/// `from..to` is dropped, so each one is retransmitted.
+pub(crate) fn drop_storm(seed: u64, (from, to): (u64, u64)) -> FaultPlan {
+    (from..to).fold(FaultPlan::new(seed), |plan, epoch| {
+        plan.with_injection(Injection { epoch, from: None, to: None, kind: None, fault: FaultKind::Drop })
+    })
 }
 
 /// One alert-log row of an artifact (`BENCH_longrun.json`,
@@ -273,11 +275,5 @@ mod tests {
             parse_arg(&args("bin --n"), "--n", 60_000),
             Err("--n: cannot parse ".to_string())
         );
-    }
-
-    #[test]
-    fn out_dir_created() {
-        let d = out_dir();
-        assert!(d.exists());
     }
 }

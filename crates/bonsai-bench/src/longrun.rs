@@ -6,13 +6,12 @@
 //! rollup tables).
 //!
 //! The storm is scheduled by *epoch* through the deterministic
-//! [`FaultPlan`]: every first-attempt message in the window is dropped, so
-//! retransmission recovery actions spike, the `recovery-storm` rule opens,
-//! the trace's last epochs are frozen into an incident, and once the window
-//! passes the rule closes — the full open → freeze → close lifecycle in
-//! one reproducible run.
+//! [`FaultPlan`](bonsai_net::fault::FaultPlan): every first-attempt message
+//! in the window is dropped, so retransmission recovery actions spike, the
+//! `recovery-storm` rule opens, the trace's last epochs are frozen into an
+//! incident, and once the window passes the rule closes — the full open →
+//! freeze → close lifecycle in one reproducible run.
 
-use bonsai_net::fault::{FaultKind, FaultPlan, Injection};
 use bonsai_obs::health::{AlertKind, Severity};
 use bonsai_obs::json::{self, Value};
 use bonsai_obs::obj;
@@ -21,7 +20,7 @@ use bonsai_sim::{Cluster, LongRunConfig, LongRunMonitor};
 use bonsai_util::units;
 
 use crate::report::page;
-use crate::{alert_row, milky_way_config, milky_way_snapshot, short, view_change_row};
+use crate::{alert_row, drop_storm, milky_way_config, milky_way_snapshot, short, view_change_row};
 
 /// The long-run bench configuration.
 #[derive(Clone, Debug)]
@@ -92,16 +91,7 @@ pub struct LongRunResult {
 pub fn run(cfg: LongRunBenchConfig) -> LongRunResult {
     let ic = milky_way_snapshot(cfg.n, cfg.seed);
     let ccfg = milky_way_config(cfg.n);
-    let mut plan = FaultPlan::new(cfg.seed);
-    for epoch in cfg.storm_epochs.0..cfg.storm_epochs.1 {
-        plan = plan.with_injection(Injection {
-            epoch,
-            from: None,
-            to: None,
-            kind: None,
-            fault: FaultKind::Drop,
-        });
-    }
+    let plan = drop_storm(cfg.seed, cfg.storm_epochs);
     let mut cluster = Cluster::with_faults(ic, cfg.ranks, ccfg, plan, None);
     let baseline = cluster.energy_report();
     cluster.enable_longrun(LongRunConfig {

@@ -4,7 +4,9 @@
 //! at one pinned size and returns an [`Outcome`], all in memory: the table it
 //! prints, its claims — each a [`Compared`] whose value must fall in its
 //! band — and the files it renders under `out/`. [`run`] is the runner,
-//! written once; the `paper` binary calls it, and it alone writes files.
+//! written once; the `paper` binary calls it, and it alone writes under
+//! `out/` (the `production` and `chaos` rows checkpoint into temp
+//! directories they remove).
 //! Model rows price the paper's machines with the calibrated models of
 //! `bonsai-gpu` and `bonsai-sim`; measured rows run the real tree walk,
 //! decomposition or cluster.
@@ -25,23 +27,29 @@ use bonsai_gpu::kernel::paper_mix;
 use bonsai_gpu::power::{K20X_NODE, K_COMPUTER, PIZ_DAINT_EFF, TITAN_EFF};
 use bonsai_gpu::{GpuModel, KernelModel, KernelVariant, C2075, K20X};
 use bonsai_ic::{plummer_sphere, MilkyWayModel};
+use bonsai_net::{FaultKind, FaultPlan, RecoveryAction};
 use bonsai_net::{NetworkModel, Placement, PlacementStrategy, PIZ_DAINT, TITAN};
+use bonsai_obs::health::Severity;
 use bonsai_sfc::locality::{mean_step, range_surface_cells};
 use bonsai_sfc::range::{find_owner, ranges_from_cuts};
 use bonsai_sfc::{Curve, KeyMap, MAX_LEVEL};
+use bonsai_sim::breakdown::PHASES;
+use bonsai_sim::checkpoint::{restore_cluster, write_checkpoint};
 use bonsai_sim::cluster::factor_ranks;
 use bonsai_sim::model::{BOUNDARY_BYTES, TABLE_II};
-use bonsai_sim::{Cluster, ClusterConfig, ScalingModel};
+use bonsai_sim::{Cluster, ClusterConfig, LongRunConfig, RecoveryConfig, ScalingModel, StepBreakdown};
 use bonsai_tree::build::{Tree, TreeParams};
 use bonsai_tree::direct::direct_self_forces;
 use bonsai_tree::walk::{self, WalkParams, WalkStats};
 use bonsai_tree::{InteractionCounts, Particles};
 use bonsai_util::rng::Xoshiro256;
 use bonsai_util::stats::Histogram2d;
+use bonsai_util::timer::PhaseTimes;
 use bonsai_util::{units, Aabb, Vec3};
 
 use crate::scaling::{run_sweep, SweepConfig};
-use crate::{arg_usize, comparison_table, milky_way_config, milky_way_snapshot, short, Compared, OUT_DIR};
+use crate::{arg_usize, comparison_table, drop_storm, milky_way_config, milky_way_snapshot, scratch_dir, short};
+use crate::{Compared, OUT_DIR};
 
 /// What one row yields, all in memory.
 pub struct Outcome {
@@ -67,7 +75,7 @@ pub struct Row {
 pub const NAMED_ONLY: &str = "fig3";
 
 /// Every row, in the paper's order, then the design-choice ablations.
-pub static ROWS: [Row; 16] = [
+pub static ROWS: [Row; 18] = [
     Row { name: "table1", section: "Table I", run: table1 },
     Row { name: "fig1", section: "Fig. 1", run: fig1 },
     Row { name: "fig2", section: "Fig. 2, §III-B1", run: fig2 },
@@ -75,6 +83,8 @@ pub static ROWS: [Row; 16] = [
     Row { name: "fig4", section: "Fig. 4", run: fig4 },
     Row { name: "table2", section: "Table II, §VI-D", run: table2 },
     Row { name: "time_to_solution", section: "§VI-C", run: time_to_solution },
+    Row { name: "production", section: "§VI-C", run: production },
+    Row { name: "chaos", section: "§VI-C restart, DESIGN §6b", run: chaos },
     Row { name: "power", section: "§II", run: power },
     Row { name: "theta", section: "§IV, §VI-A", run: theta },
     Row { name: "nleaf", section: "§I", run: nleaf },
@@ -439,6 +449,169 @@ fn time_to_solution() -> Outcome {
         Compared::near("106G on 8192 GPUs: step", 5.1, step_s(&titan, 8192, M13), "s", 0.05),
         Compared::new("106G, 8 Gyr wall-clock", 6.2, days(8192), "d", 6.0..=7.0),
         Compared::near("51G on 4096 Piz Daint GPUs: step", 4.6, step_s(&daint, 4096, n51), "s", 0.05),
+    ];
+    outcome(t, claims)
+}
+
+/// §VI-C in miniature: the production run decomposed over ranks, watched by
+/// the long-run monitor, analysed on the fly, riding out a drop storm, and
+/// checkpointed "for the dual purpose of restarting and detailed analysis".
+fn production() -> Outcome {
+    const N: usize = 6_000;
+    const RANKS: usize = 4;
+    const STEPS: usize = 20;
+    // Retransmitting the storm's sends makes the `recovery` phase non-zero,
+    // so the averaged breakdown is checked on every phase.
+    const STORM: (u64, u64) = (11, 13);
+    let mw = MilkyWayModel::paper();
+    let (nb, nd, _) = mw.component_counts(N);
+    let stellar = Some((0, (nb + nd) as u64));
+    let cfg = milky_way_config(N);
+    let plan = drop_storm(2014, STORM);
+    let mut cluster = Cluster::with_faults(mw.generate(N, 2014), RANKS, cfg.clone(), plan, None);
+    cluster.enable_longrun(LongRunConfig::default());
+    let mut t = String::new();
+    let (a, b) = STORM;
+    out!(t, "{N}-particle Milky Way, {RANKS} ranks, {STEPS} steps; first sends of epochs {a}..{b} dropped");
+    let (mut sum, mut mean_total) = (PhaseTimes::new(), 0.0);
+    for s in 1..=STEPS {
+        let step = cluster.step();
+        mean_total += step.total() / STEPS as f64;
+        for (phase, secs) in step.phase_times().iter() {
+            sum.add(phase, secs);
+        }
+        if s % 10 == 0 {
+            // On-the-fly analysis, as the production run did.
+            let a2 = BarAnalysis::measure(&cluster.gather(), 4.0, stellar).a2;
+            let (gyr, m) = (units::internal_to_gyr(cluster.time()), &cluster.last_measurements);
+            let migrated: usize = m.exchange_bytes.iter().sum();
+            let state = format!("t = {gyr:.3} Gyr  A2 = {a2:.3}  imbalance {:.3}", m.imbalance);
+            out!(t, "  step {s:>3}  {state}  migrated {migrated} B");
+        }
+    }
+    let mean = PhaseTimes::from_pairs(sum.iter().map(|(phase, secs)| (phase, secs / STEPS as f64)));
+    let avg = StepBreakdown::from_phase_times(RANKS as u32, (N / RANKS) as u64, 0.0, 0.0, &mean);
+    let lr = cluster.take_longrun().expect("the long-run monitor is on");
+    let drift = lr.series().series("bonsai_energy_drift").and_then(|s| s.last()).unwrap_or(f64::NAN);
+    out!(t, "alert log of the long-run monitor's {} rules:", lr.health().rules().len());
+    t.push_str(&lr.health().render_log());
+    out!(t, "mean phase times, simulated on {}:", cfg.machine.name);
+    for phase in PHASES {
+        out!(t, "  {phase:<18} {:>8.4} ms", 1e3 * mean.get(phase));
+    }
+    out!(t, "  {:<18} {:>8.4} ms", "total", 1e3 * avg.total());
+    out!(t, "paper: 51G particles on 4096 Piz Daint GPUs, 4.6 s a step at T = 3.8 Gyr");
+
+    // Restart check: the checkpoint reads back every particle id it wrote.
+    let ids = |c: &Cluster| {
+        let mut ids = c.gather().id;
+        ids.sort_unstable();
+        ids
+    };
+    let dir = scratch_dir("bonsai_paper_production");
+    let read = write_checkpoint(&cluster, &dir).and_then(|()| restore_cluster(&dir, RANKS, cfg));
+    let _ = std::fs::remove_dir_all(&dir);
+    let written = ids(&cluster);
+    let read = match read {
+        Ok(restored) => ids(&restored),
+        Err(e) => {
+            out!(t, "checkpoint: {e}");
+            Vec::new()
+        }
+    };
+    let held = written.iter().filter(|id| read.binary_search(id).is_ok()).count();
+    let held = held as f64 / written.len().max(read.len()) as f64;
+    let critical = lr.health().opened_count(Severity::Critical) as f64;
+    let deviation = (mean_total / avg.total() - 1.0).abs();
+    let claims = vec![
+        Compared::new("critical alerts opened", f64::NAN, critical, "", 0.0..=0.0),
+        Compared::new("|energy drift| over the run", f64::NAN, 100.0 * drift.abs(), "%", 0.12..=0.2),
+        Compared::new("ids read back / written by the checkpoint", f64::NAN, held, "", 1.0..=1.0),
+        Compared::new("|mean step total / averaged total - 1|", f64::NAN, deviation, "", 0.0..=1e-12),
+    ];
+    outcome(t, claims)
+}
+
+/// The fault sweep: every message fault kind at once at rising rates, then a
+/// crash drill, each run checkpointing every two steps. A run that panics is
+/// caught and counts as died: a failed claim, not a crashed runner.
+fn chaos() -> Outcome {
+    use RecoveryAction::{BoundaryFallback, DiscardCorrupt, DiscardDuplicate, DiscardStale};
+    use RecoveryAction::{RestoreCheckpoint, Retransmit};
+    const N: usize = 2_000;
+    const RANKS: usize = 4;
+    const STEPS: usize = 6;
+    const SEED: u64 = 1994;
+    const RATES: [f64; 5] = [0.0, 0.01, 0.02, 0.05, 0.10];
+    // One run: its fault log, whether every particle came out with a finite
+    // force, its degraded LET walks and retransmitted bytes; `None` if it died.
+    let run = |plan: FaultPlan, drill: bool| {
+        let dir = scratch_dir("bonsai_paper_chaos");
+        let recovery = Some(RecoveryConfig { dir: dir.clone(), every: 2 });
+        let ran = std::panic::catch_unwind(|| {
+            let ic = plummer_sphere(N, SEED);
+            let mut c = Cluster::with_faults(ic, RANKS, ClusterConfig::default(), plan, recovery);
+            if drill {
+                c.enable_elastic_recovery();
+            }
+            let (mut degraded, mut retx_bytes) = (0, 0);
+            for _ in 0..STEPS {
+                c.step();
+                degraded += c.last_measurements.degraded_lets;
+                retx_bytes += c.last_measurements.retransmit_bytes;
+                // A lost node is replaced: part of every domain migrates onto it.
+                if c.rank_count() < RANKS {
+                    c.admit_ranks(RANKS - c.rank_count());
+                }
+            }
+            let finite = c.accelerations_by_id().values().all(|a| a.is_finite());
+            let whole = c.total_particles() == N && finite;
+            (c.fault_log().clone(), whole, degraded, retx_bytes)
+        });
+        let _ = std::fs::remove_dir_all(dir);
+        ran.ok()
+    };
+    let mut runs = Vec::new();
+    for rate in RATES {
+        let plan = FaultKind::MESSAGE_KINDS.iter().fold(FaultPlan::new(SEED), |p, &k| p.with_rate(k, rate));
+        runs.push((format!("rate {rate:.2}"), run(plan, false)));
+    }
+    let crash = STEPS as u64 / 2;
+    let drill = FaultPlan::new(SEED).with_rate(FaultKind::Drop, 0.02).with_stall(1, crash);
+    runs.push(("crash drill".to_string(), run(drill.with_crash(RANKS - 1, crash + 2), true)));
+
+    let mut t = String::new();
+    out!(t, "{N}-particle Plummer sphere over {RANKS} ranks, {STEPS} steps, seed {SEED}, checkpoints every 2");
+    out!(t, "the crash drill stalls rank 1 in epoch {crash}, kills rank {} in epoch {},", RANKS - 1, crash + 2);
+    out!(t, "rolls the survivors back to the last checkpoint and admits a replacement node");
+    out!(t, "{:<12} {:>8} {:>6} {:>8} {:>7} {:>8} {:>8} {:>9}  physics",
+        "run", "injected", "retx", "discard", "fallbk", "restore", "degraded", "retx-B");
+    let mut recovered = 0;
+    for (label, ran) in &runs {
+        let Some((log, whole, degraded, retx_bytes)) = ran else {
+            out!(t, "{label:<12} DIED");
+            continue;
+        };
+        let of = |action| log.recoveries_of(action);
+        let (injected, retx, fallback) = (log.injected.len(), of(Retransmit), of(BoundaryFallback));
+        let discard = of(DiscardCorrupt) + of(DiscardDuplicate) + of(DiscardStale);
+        let restore = of(RestoreCheckpoint);
+        let physics = if *whole { "conserved, finite" } else { "CORRUPTED" };
+        let actions = format!("{retx:>6} {discard:>8} {fallback:>7} {restore:>8}");
+        out!(t, "{label:<12} {injected:>8} {actions} {degraded:>8} {retx_bytes:>9}  {physics}");
+        recovered += usize::from(*whole);
+    }
+    let log_of = |i: usize| runs[i].1.as_ref().map(|(log, ..)| log);
+    let heaviest = log_of(RATES.len() - 1);
+    let per_kind = FaultKind::MESSAGE_KINDS.map(|k| (k, heaviest.map_or(0, |log| log.injected_of(k))));
+    let kinds: Vec<String> = per_kind.iter().map(|(k, n)| format!("{k} {n}")).collect();
+    out!(t, "injected at rate 0.10: {}", kinds.join(", "));
+    let fewest = per_kind.iter().map(|&(_, n)| n).min().unwrap_or(0);
+    let restores = log_of(RATES.len()).map_or(0, |log| log.recoveries_of(RestoreCheckpoint));
+    let claims = vec![
+        Compared::new("recovered runs / runs", f64::NAN, recovered as f64 / runs.len() as f64, "", 1.0..=1.0),
+        Compared::at_least("fewest injections of one kind at rate 0.10", fewest as f64, "", 1.0),
+        Compared::at_least("checkpoint restores in the crash drill", restores as f64, "", 1.0),
     ];
     outcome(t, claims)
 }

@@ -17,8 +17,7 @@
 //! overhead budget, and the `overhead_ok` verdict must fail.
 
 use crate::stream_dash as dash;
-use crate::{alert_row, milky_way_config, milky_way_snapshot};
-use bonsai_net::fault::{FaultKind, FaultPlan, Injection};
+use crate::{alert_row, drop_storm, milky_way_config, milky_way_snapshot};
 use bonsai_obs::json::{self, Value};
 use bonsai_obs::obj;
 use bonsai_obs::overhead::OVERHEAD_BUDGET_FRACTION;
@@ -132,16 +131,7 @@ impl StreamResult {
 pub fn run(cfg: StreamBenchConfig) -> StreamResult {
     let ic = milky_way_snapshot(cfg.n, cfg.seed);
     let ccfg = milky_way_config(cfg.n);
-    let mut plan = FaultPlan::new(cfg.seed);
-    for epoch in cfg.storm_epochs.0..cfg.storm_epochs.1 {
-        plan = plan.with_injection(Injection {
-            epoch,
-            from: None,
-            to: None,
-            kind: None,
-            fault: FaultKind::Drop,
-        });
-    }
+    let plan = drop_storm(cfg.seed, cfg.storm_epochs);
     let mut cluster = Cluster::with_faults(ic, cfg.ranks, ccfg, plan, None);
     cluster.enable_longrun(LongRunConfig::default());
     cluster.enable_streaming(StreamConfig {

@@ -19,8 +19,8 @@ use std::path::Path;
 const MAGIC: &[u8; 8] = b"BONSAI02";
 /// magic(8) + time(8) + count(8).
 const HEADER_LEN: usize = 24;
-/// pos + vel + mass + id.
-const RECORD_LEN: usize = 64;
+/// Bytes of one particle record: pos + vel + mass + id.
+pub const RECORD_LEN: usize = 64;
 /// Trailing CRC-64.
 const TRAILER_LEN: usize = 8;
 

@@ -16,7 +16,7 @@
 //! time with an error naming the exact file and field.
 
 use crate::cluster::{Cluster, ClusterConfig};
-use bonsai_core::snapshot::{snapshot_from_bytes, snapshot_to_bytes};
+use bonsai_core::snapshot::{snapshot_from_bytes, snapshot_to_bytes, RECORD_LEN};
 use bonsai_tree::Particles;
 use bonsai_util::crc64;
 use std::io;
@@ -358,7 +358,7 @@ pub fn io_overhead_fraction(
     steps_per_snapshot: u64,
     fs_bandwidth_per_node: f64,
 ) -> f64 {
-    let bytes = particles_per_rank as f64 * 64.0; // snapshot record size
+    let bytes = particles_per_rank as f64 * RECORD_LEN as f64;
     let write_time = bytes / fs_bandwidth_per_node;
     write_time / (step_seconds * steps_per_snapshot as f64)
 }
