@@ -246,6 +246,61 @@ mod tests {
     }
 
     #[test]
+    fn format_column_renders_the_sample_exactly() {
+        let expected = "=== test: 2 GPUs × 0.00M particles ===
+Sorting SFC                     0.100 s
+Domain Update                   0.200 s
+Tree-construction               0.100 s
+Tree-properties                 0.030 s
+Compute gravity Local-tree      1.450 s
+Compute gravity LETs            2.000 s
+Non-hidden LET comm             0.100 s
+Unbalance + Other               0.300 s
+  · integration                 0.040 s
+  · load balance                0.030 s
+  · orchestration               0.130 s
+  · unbalance                   0.100 s
+Total                           4.280 s
+Particle-Particle /particle      1716
+Particle-Cell /particle          6765
+GPU                               0.0 Tflops
+Application                       0.0 Tflops
+";
+        assert_eq!(sample().format_column("test"), expected);
+    }
+
+    #[test]
+    fn format_column_prints_the_recovery_row_only_when_positive() {
+        let b = StepBreakdown {
+            gpus: 18600,
+            particles_per_gpu: 13_000_000,
+            recovery: 0.25,
+            ..sample()
+        };
+        let expected = "=== faulty: 18600 GPUs × 13.00M particles ===
+Sorting SFC                     0.100 s
+Domain Update                   0.200 s
+Tree-construction               0.100 s
+Tree-properties                 0.030 s
+Compute gravity Local-tree      1.450 s
+Compute gravity LETs            2.000 s
+Non-hidden LET comm             0.100 s
+Recovery                        0.250 s
+Unbalance + Other               0.300 s
+  · integration                 0.040 s
+  · load balance                0.030 s
+  · orchestration               0.130 s
+  · unbalance                   0.100 s
+Total                           4.530 s
+Particle-Particle /particle      1716
+Particle-Cell /particle          6765
+GPU                           33585.2 Tflops
+Application                   25578.1 Tflops
+";
+        assert_eq!(b.format_column("faulty"), expected);
+    }
+
+    #[test]
     fn format_contains_all_rows() {
         let s = sample().format_column("test");
         for key in [
