@@ -34,10 +34,9 @@ pub struct Simulation {
     /// lives in `particles.id`).
     particles: Particles,
     config: SimulationConfig,
-    /// Accelerations matching `particles` (same order), with G applied.
-    acc: Vec<Vec3>,
-    /// Potentials matching `particles`.
-    pot: Vec<f64>,
+    /// Accelerations and potentials matching `particles` (same order), with
+    /// G applied: the last walk's result, kept as it returned.
+    forces: Forces,
     time: f64,
     step: u64,
     last_counts: InteractionCounts,
@@ -51,8 +50,7 @@ impl Simulation {
         let mut sim = Self {
             particles,
             config,
-            acc: Vec::new(),
-            pot: Vec::new(),
+            forces: Forces::default(),
             time: 0.0,
             step: 0,
             last_counts: InteractionCounts::zero(),
@@ -70,9 +68,7 @@ impl Simulation {
         let (forces, stats) = walk::self_gravity(&tree, &self.config.walk_params());
         self.last_counts = stats.counts;
         self.last_nodes = tree.nodes.len();
-        let Forces { acc, pot } = forces;
-        self.acc = acc;
-        self.pot = pot;
+        self.forces = forces;
         self.particles = tree.particles;
         stats
     }
@@ -83,7 +79,7 @@ impl Simulation {
         let half = 0.5 * dt;
         // Kick (half) + drift (full) with current accelerations.
         for i in 0..self.particles.len() {
-            self.particles.vel[i] += self.acc[i] * half;
+            self.particles.vel[i] += self.forces.acc[i] * half;
             let v = self.particles.vel[i];
             self.particles.pos[i] += v * dt;
         }
@@ -93,7 +89,7 @@ impl Simulation {
         let force_seconds = sw.elapsed().as_secs_f64();
         // Kick (half) with the new accelerations.
         for i in 0..self.particles.len() {
-            self.particles.vel[i] += self.acc[i] * half;
+            self.particles.vel[i] += self.forces.acc[i] * half;
         }
         self.time += dt;
         self.step += 1;
@@ -137,7 +133,7 @@ impl Simulation {
 
     /// Accelerations of the current state (matching `particles()` order).
     pub fn accelerations(&self) -> &[Vec3] {
-        &self.acc
+        &self.forces.acc
     }
 
     /// Interaction counts of the most recent force evaluation.
@@ -153,18 +149,14 @@ impl Simulation {
             .id
             .iter()
             .copied()
-            .zip(self.acc.iter().copied())
+            .zip(self.forces.acc.iter().copied())
             .collect()
     }
 
     /// Energy/momentum diagnostics from the tree potentials of the current
     /// state (no extra force evaluation).
     pub fn energy_report(&self) -> EnergyReport {
-        let forces = Forces {
-            acc: self.acc.clone(),
-            pot: self.pot.clone(),
-        };
-        EnergyReport::from_forces(&self.particles, &forces)
+        EnergyReport::from_forces(&self.particles, &self.forces)
     }
 }
 
