@@ -33,7 +33,7 @@ use bonsai_obs::health::Severity;
 use bonsai_sfc::locality::{mean_step, range_surface_cells};
 use bonsai_sfc::range::{find_owner, ranges_from_cuts};
 use bonsai_sfc::{Curve, KeyMap, MAX_LEVEL};
-use bonsai_sim::breakdown::PHASES;
+use bonsai_sim::breakdown::Phase;
 use bonsai_sim::checkpoint::{restore_cluster, write_checkpoint};
 use bonsai_sim::cluster::factor_ranks;
 use bonsai_sim::model::{BOUNDARY_BYTES, TABLE_II};
@@ -44,7 +44,6 @@ use bonsai_tree::walk::{self, WalkParams, WalkStats};
 use bonsai_tree::{InteractionCounts, Particles};
 use bonsai_util::rng::Xoshiro256;
 use bonsai_util::stats::Histogram2d;
-use bonsai_util::timer::PhaseTimes;
 use bonsai_util::{units, Aabb, Vec3};
 
 use crate::scaling::{run_sweep, SweepConfig};
@@ -359,7 +358,7 @@ fn fig4() -> Outcome {
         let series = model.weak_scaling(gpus, M13);
         let single = series[0].0.application_tflops();
         for (b, eff) in &series {
-            let gravity_tf = b.total_flops() / (b.gravity_local + b.gravity_lets + b.non_hidden_comm) / 1e12;
+            let gravity_tf = b.total_flops() / (b[Phase::GravityLocal] + b[Phase::GravityLets] + b[Phase::NonHiddenComm]) / 1e12;
             let linear = b.gpus as f64 * single;
             let (gpu_tf, app_tf) = (b.gpu_tflops(), b.application_tflops());
             let (p, eff) = (b.gpus, 100.0 * eff);
@@ -402,15 +401,15 @@ fn table2() -> Outcome {
         let at_13m = |tol: f64| (col.n_per == M13).then_some(tol);
         let mut line = format!("  {name:<21}");
         for (label, paper, ours, unit, tol) in [
-            ("sort", col.sort, b.sort, "s", None),
-            ("domain", col.domain, b.domain_update, "s", None),
-            ("tree", col.tree, b.tree_construction, "s", None),
-            ("props", col.props, b.tree_properties, "s", None),
-            ("non-hidden", col.non_hidden, b.non_hidden_comm, "s", None),
+            ("sort", col.sort, b[Phase::Sort], "s", None),
+            ("domain", col.domain, b[Phase::DomainUpdate], "s", None),
+            ("tree", col.tree, b[Phase::TreeConstruction], "s", None),
+            ("props", col.props, b[Phase::TreeProperties], "s", None),
+            ("non-hidden", col.non_hidden, b[Phase::NonHiddenComm], "s", None),
             ("other", col.other, b.other(), "s", None),
             ("total", col.total, b.total(), "s", Some(0.10)),
-            ("gravity local tree", col.grav_local, b.gravity_local, "s", Some(0.10)),
-            ("gravity LETs", col.grav_lets, b.gravity_lets, "s", at_13m(0.10)),
+            ("gravity local tree", col.grav_local, b[Phase::GravityLocal], "s", Some(0.10)),
+            ("gravity LETs", col.grav_lets, b[Phase::GravityLets], "s", at_13m(0.10)),
             ("p-p per particle", col.pp, b.pp_per_particle, "", Some(0.01)),
             ("p-c per particle", col.pc, b.pc_per_particle, "", at_13m(0.05)),
             ("GPU performance", col.gpu_tflops, b.gpu_tflops(), "TF", Some(0.05)),
@@ -473,12 +472,12 @@ fn production() -> Outcome {
     let mut t = String::new();
     let (a, b) = STORM;
     out!(t, "{N}-particle Milky Way, {RANKS} ranks, {STEPS} steps; first sends of epochs {a}..{b} dropped");
-    let (mut sum, mut mean_total) = (PhaseTimes::new(), 0.0);
+    let (mut sum, mut mean_total) = (StepBreakdown::default(), 0.0);
     for s in 1..=STEPS {
         let step = cluster.step();
         mean_total += step.total() / STEPS as f64;
-        for (phase, secs) in step.phase_times().iter() {
-            sum.add(phase, secs);
+        for phase in Phase::ALL {
+            sum[phase] += step[phase];
         }
         if s % 10 == 0 {
             // On-the-fly analysis, as the production run did.
@@ -489,15 +488,14 @@ fn production() -> Outcome {
             out!(t, "  step {s:>3}  {state}  migrated {migrated} B");
         }
     }
-    let mean = PhaseTimes::from_pairs(sum.iter().map(|(phase, secs)| (phase, secs / STEPS as f64)));
-    let avg = StepBreakdown::from_phase_times(RANKS as u32, (N / RANKS) as u64, 0.0, 0.0, &mean);
+    let avg = StepBreakdown::from_phases(RANKS as u32, (N / RANKS) as u64, 0.0, 0.0, |phase| sum[phase] / STEPS as f64);
     let lr = cluster.take_longrun().expect("the long-run monitor is on");
     let drift = lr.series().series("bonsai_energy_drift").and_then(|s| s.last()).unwrap_or(f64::NAN);
     out!(t, "alert log of the long-run monitor's {} rules:", lr.health().rules().len());
     t.push_str(&lr.health().render_log());
     out!(t, "mean phase times, simulated on {}:", cfg.machine.name);
-    for phase in PHASES {
-        out!(t, "  {phase:<18} {:>8.4} ms", 1e3 * mean.get(phase));
+    for phase in Phase::ALL {
+        out!(t, "  {:<18} {:>8.4} ms", phase.name(), 1e3 * avg[phase]);
     }
     out!(t, "  {:<18} {:>8.4} ms", "total", 1e3 * avg.total());
     out!(t, "paper: 51G particles on 4096 Piz Daint GPUs, 4.6 s a step at T = 3.8 Gyr");
@@ -625,7 +623,7 @@ fn power() -> Outcome {
     let b = ScalingModel::titan().predict(18600, M13);
     let pflops = b.total_flops() / b.total() / 1e15;
     let per_node_gflops = pflops * 1e6 / 18600.0;
-    let duty = (b.gravity_local + b.gravity_lets) / b.total();
+    let duty = (b[Phase::GravityLocal] + b[Phase::GravityLets]) / b.total();
     let node_w = K20X_NODE.node_watts(duty);
     out!(t, "record run (242G particles, 18600 GPUs):");
     out!(t, "  per-node application rate: {per_node_gflops:.0} Gflops");
@@ -845,7 +843,7 @@ fn overlap() -> Outcome {
             let cpu_let_build = 1.0 / model.machine.cpu_let_rate;
             let let_comm =
                 net.let_exchange_time(40.min(p - 1), 2_000_000) + net.allgatherv_time(p, BOUNDARY_BYTES);
-            let without = with_overlap - b.non_hidden_comm + cpu_let_build + let_comm;
+            let without = with_overlap - b[Phase::NonHiddenComm] + cpu_let_build + let_comm;
             loss = 1.0 - with_overlap / without;
             let (slowdown, lost) = (100.0 * (without / with_overlap - 1.0), 100.0 * loss);
             out!(t, "{p:>7} {with_overlap:>14.2} {without:>14.2} {slowdown:>13.1}% {lost:>9.1}%");

@@ -17,6 +17,7 @@ use bonsai_obs::{
     folded_profile, obj, roofline, telescoping_error, ProfileRow, RooflinePoint, TermResidual,
 };
 use bonsai_sim::profile::cost_model_attribution;
+use bonsai_sim::breakdown::Phase;
 use bonsai_sim::{Cluster, ScalingModel, StepBreakdown};
 
 use crate::report::page;
@@ -86,8 +87,8 @@ pub fn run(cfg: ProfileBenchConfig) -> ProfileResult {
             p.seconds *= cfg.sandbag;
         }
     }
-    last.gravity_local *= cfg.sandbag;
-    last.gravity_lets *= cfg.sandbag;
+    last[Phase::GravityLocal] *= cfg.sandbag;
+    last[Phase::GravityLets] *= cfg.sandbag;
 
     let model = ScalingModel::new(ccfg.machine);
     ProfileResult {

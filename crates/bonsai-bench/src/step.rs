@@ -17,6 +17,7 @@
 use bonsai_ic::plummer_sphere;
 use bonsai_obs::json::{self, Value};
 use bonsai_obs::{chrome, folded, obj, prom};
+use bonsai_sim::breakdown::Phase;
 use bonsai_sim::trace::step_timelines;
 use bonsai_sim::{Cluster, ClusterConfig};
 
@@ -39,7 +40,7 @@ pub struct StepExports {
 pub fn run(n: usize, ranks: usize, seed: u64) -> StepExports {
     let mut cluster = Cluster::new(plummer_sphere(n, seed), ranks, ClusterConfig::default());
     let b = cluster.step();
-    let registry_matches = cluster.breakdown_from_metrics().total() == b.total();
+    let registry_matches = cluster.breakdown_from_metrics() == b;
 
     let timelines = step_timelines(cluster.trace());
     let hidden = timelines
@@ -52,11 +53,13 @@ pub fn run(n: usize, ranks: usize, seed: u64) -> StepExports {
     let lets: usize = m.let_bytes_sent.iter().sum();
     let exchange: usize = m.exchange_bytes.iter().sum();
     let total_bytes = boundary + lets + exchange + m.retransmit_bytes;
+    let mut phases = Phase::ALL.map(|phase| (phase.name(), b[phase]));
+    phases.sort_by_key(|&(name, _)| name);
 
     let bench_json = json::write(&obj!(
         "schema": "bonsai-step-v1",
         "config": obj!("particles": n, "ranks": ranks, "seed": seed),
-        "phase_seconds": b.phase_times().iter().collect::<Value>(),
+        "phase_seconds": phases.into_iter().collect::<Value>(),
         "total_seconds": b.total(),
         "gpu_gflops": b.gpu_tflops() * 1e3,
         "application_gflops": b.application_tflops() * 1e3,

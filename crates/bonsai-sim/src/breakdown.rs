@@ -1,31 +1,95 @@
 //! Per-step timing breakdowns in the shape of the paper's Table II.
+//!
+//! [`Phase`] declares the twelve phases once; a [`StepBreakdown`] holds one
+//! second count per phase, indexed by it. Everything that walks the phases
+//! — the total, the printed column, the per-step gauge family, the streamed
+//! phase sample, the cost-model residuals — loops over [`Phase::ALL`], and
+//! both pricings (the cluster's and the scaling model's) fill a column
+//! through one exhaustive `match`, so a new phase does not compile until it
+//! is priced.
 
-use bonsai_util::timer::PhaseTimes;
 use serde::Serialize;
+use std::ops::{Index, IndexMut};
 
-/// The Table II phase names, in presentation order. Each maps 1:1 onto a
-/// field of [`StepBreakdown`]; the observability layer uses them as the
-/// `phase` label of the per-step seconds gauge family.
-///
-/// The paper's single "Unbalance + Other" row is kept only for
-/// presentation ([`StepBreakdown::other`]); internally it is attributed to
-/// four real sub-phases — leapfrog integration, load-balance bookkeeping,
-/// host orchestration and the cross-rank straggler gap — so the
-/// critical-path analyzer never sees an opaque bucket.
-pub const PHASES: [&str; 12] = [
-    "sort",
-    "domain_update",
-    "tree_construction",
-    "tree_properties",
-    "gravity_local",
-    "gravity_lets",
-    "non_hidden_comm",
-    "recovery",
-    "integration",
-    "load_balance",
-    "orchestration",
-    "unbalance",
-];
+/// One Table II phase. The paper's single "Unbalance + Other" row is kept
+/// only for presentation ([`StepBreakdown::other`]); internally it is
+/// attributed to four real sub-phases — leapfrog integration, load-balance
+/// bookkeeping, host orchestration and the cross-rank straggler gap — so
+/// the critical-path analyzer never sees an opaque bucket.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Phase {
+    /// "Sorting SFC" row (GPU).
+    Sort,
+    /// "Domain Update" row (CPU + network).
+    DomainUpdate,
+    /// "Tree-construction" row (GPU).
+    TreeConstruction,
+    /// "Tree-properties" row (GPU).
+    TreeProperties,
+    /// "Compute gravity Local-tree" row (GPU).
+    GravityLocal,
+    /// "Compute gravity LETs" row (GPU, overlapped with CPU LET builds).
+    GravityLets,
+    /// "Non-hidden LET comm" row.
+    NonHiddenComm,
+    /// "Recovery" row: retransmissions and fault handling (0 in clean runs).
+    Recovery,
+    /// Leapfrog kick–drift integration (device, bandwidth-bound).
+    Integration,
+    /// Load-balance bookkeeping: key sampling and flop-weight updates (host).
+    LoadBalance,
+    /// Host orchestration: kernel launches, queue management, driver sync.
+    Orchestration,
+    /// Cross-rank straggler gap in total gravity (max − mean rank time).
+    Unbalance,
+}
+
+impl Phase {
+    /// Every phase, in presentation order; the sub-phases of "Unbalance +
+    /// Other" come last, from [`Phase::Integration`] on.
+    pub const ALL: [Phase; 12] = [
+        Phase::Sort,
+        Phase::DomainUpdate,
+        Phase::TreeConstruction,
+        Phase::TreeProperties,
+        Phase::GravityLocal,
+        Phase::GravityLets,
+        Phase::NonHiddenComm,
+        Phase::Recovery,
+        Phase::Integration,
+        Phase::LoadBalance,
+        Phase::Orchestration,
+        Phase::Unbalance,
+    ];
+
+    /// The `phase` label of the per-step seconds gauge family, and the
+    /// phase's key in streamed and exported records.
+    pub fn name(self) -> &'static str {
+        self.labels().0
+    }
+
+    /// The phase's name, and the row label [`StepBreakdown::format_column`]
+    /// prints.
+    fn labels(self) -> (&'static str, &'static str) {
+        match self {
+            Phase::Sort => ("sort", "Sorting SFC"),
+            Phase::DomainUpdate => ("domain_update", "Domain Update"),
+            Phase::TreeConstruction => ("tree_construction", "Tree-construction"),
+            Phase::TreeProperties => ("tree_properties", "Tree-properties"),
+            Phase::GravityLocal => ("gravity_local", "Compute gravity Local-tree"),
+            Phase::GravityLets => ("gravity_lets", "Compute gravity LETs"),
+            Phase::NonHiddenComm => ("non_hidden_comm", "Non-hidden LET comm"),
+            Phase::Recovery => ("recovery", "Recovery"),
+            Phase::Integration => ("integration", "  · integration"),
+            Phase::LoadBalance => ("load_balance", "  · load balance"),
+            Phase::Orchestration => ("orchestration", "  · orchestration"),
+            Phase::Unbalance => ("unbalance", "  · unbalance"),
+        }
+    }
+}
+
+/// Where the sub-phases of "Unbalance + Other" start in [`Phase::ALL`].
+const OTHER: usize = Phase::Integration as usize;
 
 /// Leapfrog kick–drift throughput of the device (particles/s): a handful of
 /// fused multiply-adds per particle, fully bandwidth-bound on a K20X.
@@ -38,110 +102,63 @@ pub const LAUNCH_LATENCY: f64 = 5.0e-6;
 /// already priced (sort passes, build levels, gravity blocks bookkeeping).
 pub const STEP_LAUNCHES: f64 = 32.0;
 
-/// One Table II column: per-phase simulated seconds plus the derived
-/// performance numbers.
-#[derive(Clone, Copy, Debug, Default, Serialize)]
+/// One Table II column: simulated seconds per [`Phase`] (read and written
+/// as `b[phase]`) plus the derived performance numbers.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize)]
 pub struct StepBreakdown {
     /// Ranks (GPUs) in the run.
     pub gpus: u32,
     /// Particles per GPU.
     pub particles_per_gpu: u64,
-    /// "Sorting SFC" row (GPU).
-    pub sort: f64,
-    /// "Domain Update" row (CPU + network).
-    pub domain_update: f64,
-    /// "Tree-construction" row (GPU).
-    pub tree_construction: f64,
-    /// "Tree-properties" row (GPU).
-    pub tree_properties: f64,
-    /// "Compute gravity Local-tree" row (GPU).
-    pub gravity_local: f64,
-    /// "Compute gravity LETs" row (GPU, overlapped with CPU LET builds).
-    pub gravity_lets: f64,
-    /// "Non-hidden LET comm" row.
-    pub non_hidden_comm: f64,
-    /// "Recovery" row: retransmissions and fault handling (0 in clean runs).
-    pub recovery: f64,
-    /// Leapfrog kick–drift integration (device, bandwidth-bound).
-    pub integration: f64,
-    /// Load-balance bookkeeping: key sampling and flop-weight updates (host).
-    pub load_balance: f64,
-    /// Host orchestration: kernel launches, queue management, driver sync.
-    pub orchestration: f64,
-    /// Cross-rank straggler gap in total gravity (max − mean rank time).
-    pub unbalance: f64,
     /// Mean particle-particle interactions per particle.
     pub pp_per_particle: f64,
     /// Mean particle-cell interactions per particle.
     pub pc_per_particle: f64,
+    seconds: [f64; 12],
+}
+
+impl Index<Phase> for StepBreakdown {
+    type Output = f64;
+    fn index(&self, phase: Phase) -> &f64 {
+        &self.seconds[phase as usize]
+    }
+}
+
+impl IndexMut<Phase> for StepBreakdown {
+    fn index_mut(&mut self, phase: Phase) -> &mut f64 {
+        &mut self.seconds[phase as usize]
+    }
 }
 
 impl StepBreakdown {
-    /// Flatten the timing rows into a named phase record (the interchange
-    /// with the metrics registry: one gauge per [`PHASES`] entry).
-    pub fn phase_times(&self) -> PhaseTimes {
-        PhaseTimes::from_pairs([
-            ("sort", self.sort),
-            ("domain_update", self.domain_update),
-            ("tree_construction", self.tree_construction),
-            ("tree_properties", self.tree_properties),
-            ("gravity_local", self.gravity_local),
-            ("gravity_lets", self.gravity_lets),
-            ("non_hidden_comm", self.non_hidden_comm),
-            ("recovery", self.recovery),
-            ("integration", self.integration),
-            ("load_balance", self.load_balance),
-            ("orchestration", self.orchestration),
-            ("unbalance", self.unbalance),
-        ])
-    }
-
-    /// Rebuild the timing rows from a phase record plus the scalar context
-    /// (inverse of [`StepBreakdown::phase_times`]).
-    pub fn from_phase_times(
+    /// A column whose phase seconds are `seconds(phase)`, asked once per
+    /// phase in [`Phase::ALL`] order.
+    pub fn from_phases(
         gpus: u32,
         particles_per_gpu: u64,
         pp_per_particle: f64,
         pc_per_particle: f64,
-        pt: &PhaseTimes,
+        seconds: impl FnMut(Phase) -> f64,
     ) -> Self {
         Self {
             gpus,
             particles_per_gpu,
-            sort: pt.get("sort"),
-            domain_update: pt.get("domain_update"),
-            tree_construction: pt.get("tree_construction"),
-            tree_properties: pt.get("tree_properties"),
-            gravity_local: pt.get("gravity_local"),
-            gravity_lets: pt.get("gravity_lets"),
-            non_hidden_comm: pt.get("non_hidden_comm"),
-            recovery: pt.get("recovery"),
-            integration: pt.get("integration"),
-            load_balance: pt.get("load_balance"),
-            orchestration: pt.get("orchestration"),
-            unbalance: pt.get("unbalance"),
             pp_per_particle,
             pc_per_particle,
+            seconds: Phase::ALL.map(seconds),
         }
     }
 
     /// The paper's "Unbalance + Other" presentation row: the four
-    /// attributed sub-phases summed back into one bucket.
+    /// attributed sub-phases summed back into one bucket, left to right.
     pub fn other(&self) -> f64 {
-        self.integration + self.load_balance + self.orchestration + self.unbalance
+        sum(&self.seconds[OTHER..])
     }
 
-    /// Total wall-clock of the step (sum of the rows, as in Table II).
+    /// Total wall-clock of the step (sum of the rows, as in Table II): the
+    /// rows above "Unbalance + Other" left to right, then that row.
     pub fn total(&self) -> f64 {
-        self.sort
-            + self.domain_update
-            + self.tree_construction
-            + self.tree_properties
-            + self.gravity_local
-            + self.gravity_lets
-            + self.non_hidden_comm
-            + self.recovery
-            + self.other()
+        sum(&self.seconds[..OTHER]) + self.other()
     }
 
     /// Counted flops per particle at the §VI-A rates.
@@ -156,7 +173,7 @@ impl StepBreakdown {
 
     /// "GPU" performance row: flops over time spent in the force kernels.
     pub fn gpu_tflops(&self) -> f64 {
-        let t = self.gravity_local + self.gravity_lets;
+        let t = self[Phase::GravityLocal] + self[Phase::GravityLets];
         if t <= 0.0 {
             0.0
         } else {
@@ -174,26 +191,21 @@ impl StepBreakdown {
         }
     }
 
-    /// Render as a Table II style column.
+    /// Render as a Table II style column. The "Recovery" row prints only
+    /// when it is positive.
     pub fn format_column(&self, label: &str) -> String {
         let mut s = String::new();
         s.push_str(&format!("=== {label}: {} GPUs × {:.2}M particles ===\n", self.gpus, self.particles_per_gpu as f64 / 1e6));
-        s.push_str(&format!("{:<28} {:>8.3} s\n", "Sorting SFC", self.sort));
-        s.push_str(&format!("{:<28} {:>8.3} s\n", "Domain Update", self.domain_update));
-        s.push_str(&format!("{:<28} {:>8.3} s\n", "Tree-construction", self.tree_construction));
-        s.push_str(&format!("{:<28} {:>8.3} s\n", "Tree-properties", self.tree_properties));
-        s.push_str(&format!("{:<28} {:>8.3} s\n", "Compute gravity Local-tree", self.gravity_local));
-        s.push_str(&format!("{:<28} {:>8.3} s\n", "Compute gravity LETs", self.gravity_lets));
-        s.push_str(&format!("{:<28} {:>8.3} s\n", "Non-hidden LET comm", self.non_hidden_comm));
-        if self.recovery > 0.0 {
-            s.push_str(&format!("{:<28} {:>8.3} s\n", "Recovery", self.recovery));
+        let mut row = |name: &str, secs: f64| s.push_str(&format!("{name:<28} {secs:>8.3} s\n"));
+        for phase in Phase::ALL {
+            if phase == Phase::Integration {
+                row("Unbalance + Other", self.other());
+            }
+            if phase != Phase::Recovery || self[phase] > 0.0 {
+                row(phase.labels().1, self[phase]);
+            }
         }
-        s.push_str(&format!("{:<28} {:>8.3} s\n", "Unbalance + Other", self.other()));
-        s.push_str(&format!("{:<28} {:>8.3} s\n", "  · integration", self.integration));
-        s.push_str(&format!("{:<28} {:>8.3} s\n", "  · load balance", self.load_balance));
-        s.push_str(&format!("{:<28} {:>8.3} s\n", "  · orchestration", self.orchestration));
-        s.push_str(&format!("{:<28} {:>8.3} s\n", "  · unbalance", self.unbalance));
-        s.push_str(&format!("{:<28} {:>8.3} s\n", "Total", self.total()));
+        row("Total", self.total());
         s.push_str(&format!("{:<28} {:>8.0}\n", "Particle-Particle /particle", self.pp_per_particle));
         s.push_str(&format!("{:<28} {:>8.0}\n", "Particle-Cell /particle", self.pc_per_particle));
         s.push_str(&format!("{:<28} {:>8.1} Tflops\n", "GPU", self.gpu_tflops()));
@@ -202,29 +214,18 @@ impl StepBreakdown {
     }
 }
 
+/// Left-to-right sum: `a + b + c + …`, bit for bit as written out.
+fn sum(seconds: &[f64]) -> f64 {
+    seconds.iter().copied().reduce(|a, b| a + b).unwrap_or(0.0)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn sample() -> StepBreakdown {
-        StepBreakdown {
-            gpus: 2,
-            particles_per_gpu: 1000,
-            sort: 0.1,
-            domain_update: 0.2,
-            tree_construction: 0.1,
-            tree_properties: 0.03,
-            gravity_local: 1.45,
-            gravity_lets: 2.0,
-            non_hidden_comm: 0.1,
-            recovery: 0.0,
-            integration: 0.04,
-            load_balance: 0.03,
-            orchestration: 0.13,
-            unbalance: 0.1,
-            pp_per_particle: 1716.0,
-            pc_per_particle: 6765.0,
-        }
+        let seconds = [0.1, 0.2, 0.1, 0.03, 1.45, 2.0, 0.1, 0.0, 0.04, 0.03, 0.13, 0.1];
+        StepBreakdown::from_phases(2, 1000, 1716.0, 6765.0, |phase| seconds[phase as usize])
     }
 
     #[test]
@@ -242,7 +243,8 @@ mod tests {
         let gpu = b.gpu_tflops();
         let app = b.application_tflops();
         assert!(gpu > app, "kernel rate must exceed application rate");
-        assert!((gpu / app - b.total() / (b.gravity_local + b.gravity_lets)).abs() < 1e-9);
+        let gravity = b[Phase::GravityLocal] + b[Phase::GravityLets];
+        assert!((gpu / app - b.total() / gravity).abs() < 1e-9);
     }
 
     #[test]
@@ -271,12 +273,9 @@ Application                       0.0 Tflops
 
     #[test]
     fn format_column_prints_the_recovery_row_only_when_positive() {
-        let b = StepBreakdown {
-            gpus: 18600,
-            particles_per_gpu: 13_000_000,
-            recovery: 0.25,
-            ..sample()
-        };
+        let mut b = sample();
+        (b.gpus, b.particles_per_gpu) = (18600, 13_000_000);
+        b[Phase::Recovery] = 0.25;
         let expected = "=== faulty: 18600 GPUs × 13.00M particles ===
 Sorting SFC                     0.100 s
 Domain Update                   0.200 s
@@ -321,52 +320,36 @@ Application                   25578.1 Tflops
     }
 
     #[test]
-    fn phase_times_round_trip() {
-        let b = sample();
-        let pt = b.phase_times();
-        // Every declared phase name is present in the record…
-        for name in PHASES {
-            assert_eq!(pt.get(name), {
-                let r = StepBreakdown::from_phase_times(1, 1, 0.0, 0.0, &pt);
-                match name {
-                    "sort" => r.sort,
-                    "domain_update" => r.domain_update,
-                    "tree_construction" => r.tree_construction,
-                    "tree_properties" => r.tree_properties,
-                    "gravity_local" => r.gravity_local,
-                    "gravity_lets" => r.gravity_lets,
-                    "non_hidden_comm" => r.non_hidden_comm,
-                    "recovery" => r.recovery,
-                    "integration" => r.integration,
-                    "load_balance" => r.load_balance,
-                    "orchestration" => r.orchestration,
-                    "unbalance" => r.unbalance,
-                    _ => unreachable!(),
-                }
-            });
-        }
-        // …and the full record survives the round trip.
-        let r = StepBreakdown::from_phase_times(
-            b.gpus,
-            b.particles_per_gpu,
-            b.pp_per_particle,
-            b.pc_per_particle,
-            &pt,
+    fn phase_index_round_trip() {
+        // Each phase owns its own slot, and its name is the gauge label.
+        let names: Vec<&str> = Phase::ALL.iter().map(|p| p.name()).collect();
+        assert_eq!(
+            names,
+            [
+                "sort", "domain_update", "tree_construction", "tree_properties",
+                "gravity_local", "gravity_lets", "non_hidden_comm", "recovery",
+                "integration", "load_balance", "orchestration", "unbalance",
+            ]
         );
-        assert_eq!(r.total(), b.total());
-        assert_eq!(r.gravity_local, b.gravity_local);
-        assert_eq!(r.gpus, b.gpus);
-        assert!((pt.total() - b.total()).abs() < 1e-12);
+        let b = sample();
+        let r = StepBreakdown::from_phases(b.gpus, b.particles_per_gpu, 1716.0, 6765.0, |p| b[p]);
+        assert_eq!(r, b);
+        for phase in Phase::ALL {
+            let mut c = b;
+            c[phase] += 1.0;
+            assert_ne!(c, b, "{phase:?}");
+            assert!((c.total() - b.total() - 1.0).abs() < 1e-12, "{phase:?}");
+        }
     }
 
     #[test]
     fn other_is_the_sum_of_its_attributed_sub_phases() {
         let b = sample();
         assert!((b.other() - 0.3).abs() < 1e-12);
-        assert!((b.total() - (b.sort + b.domain_update + b.tree_construction
-            + b.tree_properties + b.gravity_local + b.gravity_lets
-            + b.non_hidden_comm + b.recovery + b.integration + b.load_balance
-            + b.orchestration + b.unbalance)).abs() < 1e-12);
+        let all = Phase::ALL.iter().fold(0.0, |s, &p| s + b[p]);
+        assert!((b.total() - all).abs() < 1e-12);
+        let sub = [Phase::Integration, Phase::LoadBalance, Phase::Orchestration, Phase::Unbalance];
+        assert_eq!(b.other(), sub.iter().fold(0.0, |s, &p| s + b[p]));
     }
 
     #[test]

@@ -368,8 +368,9 @@ impl Cluster {
         (self.acc, self.pot) = results.into_iter().map(|r| (r.forces.acc, r.forces.pot)).unzip();
 
         meas.recovery_actions = self.wire.log.for_epoch(self.epoch).1.len();
-        let breakdown = self.assemble_breakdown(&meas);
-        self.record_observability(&meas, &breakdown);
+        let costs = self.price_ranks(&meas);
+        let breakdown = self.assemble_breakdown(&meas, &costs);
+        self.record_observability(&meas, &costs, &breakdown);
         self.last_measurements = meas;
         breakdown
     }

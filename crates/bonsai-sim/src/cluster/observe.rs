@@ -4,7 +4,7 @@
 //! trace, registry and flow ledger.
 
 use super::{Cluster, StepMeasurements};
-use crate::breakdown::StepBreakdown;
+use crate::breakdown::{Phase, StepBreakdown, INTEGRATE_RATE, STEP_LAUNCHES};
 use bonsai_gpu::{BUILD_COST, DOMAIN_COST, INTEGRATE_COST, PROPS_COST, SORT_COST};
 use bonsai_net::flow::{FlowConservation, FlowLedger, FlowOutcome};
 use bonsai_net::membership::ViewChange;
@@ -12,12 +12,28 @@ use bonsai_net::obs::{classify, FlowClock};
 use bonsai_obs::{ArgValue, FlowPhase, Lane, MetricsRegistry, TraceStore, TRACE_WINDOW};
 use bonsai_sfc::KeyMap;
 use bonsai_tree::stats::record_walk_counts;
-use bonsai_tree::{InteractionCounts, Particles};
-use bonsai_util::timer::PhaseTimes;
+use bonsai_tree::InteractionCounts;
 use bonsai_util::Aabb;
 
 /// Host orchestration per step: kernel-launch / driver latency.
-const ORCHESTRATION: f64 = crate::breakdown::STEP_LAUNCHES * crate::breakdown::LAUNCH_LATENCY;
+const ORCHESTRATION: f64 = STEP_LAUNCHES * crate::breakdown::LAUNCH_LATENCY;
+
+/// One rank's share of a gravity epoch, charged to the machine models once:
+/// the span lengths [`Cluster::record_observability`] draws for the rank,
+/// and the per-rank seconds [`Cluster::assemble_breakdown`] takes the
+/// slowest rank's of.
+#[derive(Clone, Copy)]
+pub(super) struct RankCost {
+    sort: f64,
+    classify: f64,
+    build: f64,
+    props: f64,
+    local: f64,
+    lets: f64,
+    integrate: f64,
+    balance: f64,
+    let_comm: f64,
+}
 
 impl Cluster {
     /// Host-CPU key-classification rate (keys/s) of the *configured* machine
@@ -49,20 +65,13 @@ impl Cluster {
     /// family). Matches the value returned by [`Cluster::step`] exactly:
     /// instrumentation changes observation, not physics or timing.
     pub fn breakdown_from_metrics(&self) -> StepBreakdown {
-        let pt = PhaseTimes::from_pairs(crate::breakdown::PHASES.iter().map(|&ph| {
-            let v = self
-                .registry
-                .gauge("bonsai_step_phase_seconds", &[("phase", ph)])
-                .unwrap_or(0.0);
-            (ph, v)
-        }));
-        let g = |name| self.registry.gauge(name, &[]).unwrap_or(0.0);
-        StepBreakdown::from_phase_times(
-            g("bonsai_step_gpus") as u32,
-            g("bonsai_step_particles_per_gpu") as u64,
-            g("bonsai_step_pp_per_particle"),
-            g("bonsai_step_pc_per_particle"),
-            &pt,
+        let gauge = |name, labels: &[_]| self.registry.gauge(name, labels).unwrap_or(0.0);
+        StepBreakdown::from_phases(
+            gauge("bonsai_step_gpus", &[]) as u32,
+            gauge("bonsai_step_particles_per_gpu", &[]) as u64,
+            gauge("bonsai_step_pp_per_particle", &[]),
+            gauge("bonsai_step_pc_per_particle", &[]),
+            |phase| gauge("bonsai_step_phase_seconds", &[("phase", phase.name())]),
         )
     }
 
@@ -148,7 +157,12 @@ impl Cluster {
     /// [`Cluster::breakdown_from_metrics`] reduces over. The clock base
     /// then advances by the epoch's makespan so consecutive epochs render
     /// side by side in Perfetto.
-    pub(super) fn record_observability(&mut self, meas: &StepMeasurements, breakdown: &StepBreakdown) {
+    pub(super) fn record_observability(
+        &mut self,
+        meas: &StepMeasurements,
+        costs: &[RankCost],
+        breakdown: &StepBreakdown,
+    ) {
         let step = self.epoch;
         // Bounded history: once the oldest epoch held is two windows back,
         // trace and flow ledger keep only the last TRACE_WINDOW − 1, so they
@@ -167,21 +181,18 @@ impl Cluster {
         let gpu = self.gpu;
         let classify_rate = self.classify_rate();
         let mut local_starts = vec![0.0; p];
-        // Each rank's modeled LET-exchange window length; the flow anchors
-        // below spread a sender's flows across it.
-        let mut comm_durs = vec![0.0; p];
         // Per-rank busy end (all lanes): where each rank hits the epoch's
         // closing barrier and starts waiting for the straggler.
         let mut rank_end = vec![base; p];
-        for r in 0..p {
+        for (r, c) in costs.iter().enumerate() {
             let n = self.ranks[r].len() as u64;
             let rank = r as u32;
             let mut t = base;
             for (name, dur, rate, cost) in [
-                ("sort", gpu.sort_time(n), gpu.sort_rate, SORT_COST),
-                ("domain", n as f64 / classify_rate, classify_rate, DOMAIN_COST),
-                ("build", gpu.build_time(n), gpu.build_rate, BUILD_COST),
-                ("props", gpu.props_time(n), gpu.props_rate, PROPS_COST),
+                ("sort", c.sort, gpu.sort_rate, SORT_COST),
+                ("domain", c.classify, classify_rate, DOMAIN_COST),
+                ("build", c.build, gpu.build_rate, BUILD_COST),
+                ("props", c.props, gpu.props_rate, PROPS_COST),
             ] {
                 let id = self.trace.span(rank, step, Lane::Gpu, name, t, t + dur);
                 gpu.annotate_stream_span(&mut self.trace, id, n, rate, cost);
@@ -189,9 +200,10 @@ impl Cluster {
             }
             let local_start = t;
             local_starts[r] = local_start;
-            for (name, counts) in [("local", meas.counts_local[r]), ("lets", meas.counts_lets[r])]
-            {
-                let dur = gpu.gravity_time(counts);
+            for (name, dur, counts) in [
+                ("local", c.local, meas.counts_local[r]),
+                ("lets", c.lets, meas.counts_lets[r]),
+            ] {
                 let id = self.trace.span(rank, step, Lane::Gpu, name, t, t + dur);
                 gpu.annotate_gravity_span(&mut self.trace, id, counts);
                 t += dur;
@@ -199,40 +211,22 @@ impl Cluster {
             // The attributed tail of the former "other" bucket: leapfrog
             // integration on the device, then load-balance bookkeeping and
             // host orchestration on the CPU lane.
-            let d_int = n as f64 / crate::breakdown::INTEGRATE_RATE;
-            let id = self.trace.span(rank, step, Lane::Gpu, "integrate", t, t + d_int);
-            gpu.annotate_stream_span(
-                &mut self.trace,
-                id,
-                n,
-                crate::breakdown::INTEGRATE_RATE,
-                INTEGRATE_COST,
-            );
-            t += d_int;
-            let d_bal = meas.sampled_keys[r] as f64 / classify_rate;
-            let id = self.trace.span(rank, step, Lane::Cpu, "balance", t, t + d_bal);
+            let id = self.trace.span(rank, step, Lane::Gpu, "integrate", t, t + c.integrate);
+            gpu.annotate_stream_span(&mut self.trace, id, n, INTEGRATE_RATE, INTEGRATE_COST);
+            t += c.integrate;
+            let id = self.trace.span(rank, step, Lane::Cpu, "balance", t, t + c.balance);
             self.trace.arg_u64(id, "sampled_keys", meas.sampled_keys[r] as u64);
-            t += d_bal;
+            t += c.balance;
             let id = self.trace.span(rank, step, Lane::Cpu, "orchestrate", t, t + ORCHESTRATION);
-            self.trace
-                .arg_f64(id, "launches", crate::breakdown::STEP_LAUNCHES);
+            self.trace.arg_f64(id, "launches", STEP_LAUNCHES);
             t += ORCHESTRATION;
             // COMM lane: the LET exchange runs concurrently with local
             // gravity (the overlap story of §III-B2).
-            let nb = meas.let_neighbors[r] as u32;
-            let comm_dur = self.let_comm_time(meas.let_bytes_sent[r], meas.let_neighbors[r]);
-            comm_durs[r] = comm_dur;
-            let id = self.trace.span(
-                rank,
-                step,
-                Lane::Comm,
-                "let-comm",
-                local_start,
-                local_start + comm_dur,
-            );
+            let comm_end = local_start + c.let_comm;
+            let id = self.trace.span(rank, step, Lane::Comm, "let-comm", local_start, comm_end);
             self.trace.arg_u64(id, "bytes", meas.let_bytes_sent[r] as u64);
-            self.trace.arg_u64(id, "neighbors", nb as u64);
-            rank_end[r] = t.max(local_start + comm_dur);
+            self.trace.arg_u64(id, "neighbors", meas.let_neighbors[r] as u64);
+            rank_end[r] = t.max(comm_end);
 
             record_walk_counts(&mut self.registry, "local", meas.counts_local[r]);
             record_walk_counts(&mut self.registry, "lets", meas.counts_lets[r]);
@@ -251,9 +245,9 @@ impl Cluster {
         // metrics family.
         let flows = self.wire.flows.for_epoch(step);
         let clock = FlowClock::new(&self.net);
-        // Spread each sender's flows across its exchange window (seal order
-        // = slot order) so the arrows land where the transfer would be in
-        // flight, not stacked at the window's opening instant. Delivery
+        // Spread each sender's flows across its LET-exchange window (seal
+        // order = slot order) so the arrows land where the transfer would be
+        // in flight, not stacked at the window's opening instant. Delivery
         // latency is anchor-invariant: send and resolve shift together.
         let mut flow_count = vec![0usize; p];
         for r in flows {
@@ -272,7 +266,7 @@ impl Cluster {
             let slot = if r.from < p && flow_count[r.from] > 0 {
                 let i = flow_seq[r.from];
                 flow_seq[r.from] += 1;
-                comm_durs[r.from] * i as f64 / flow_count[r.from] as f64
+                costs[r.from].let_comm * i as f64 / flow_count[r.from] as f64
             } else {
                 0.0
             };
@@ -348,7 +342,8 @@ impl Cluster {
         let mut makespan = barrier - base;
         // Recovery retransmissions happen after the normal windows close;
         // the traffic is aggregate, so the span lands on rank 0's COMM lane.
-        if breakdown.recovery > 0.0 {
+        let recovery = breakdown[Phase::Recovery];
+        if recovery > 0.0 {
             let start = base + makespan;
             let id = self.trace.span(
                 0,
@@ -356,21 +351,22 @@ impl Cluster {
                 Lane::Comm,
                 "recovery",
                 start,
-                start + breakdown.recovery,
+                start + recovery,
             );
             self.trace
                 .arg_u64(id, "retransmit_bytes", meas.retransmit_bytes as u64);
             self.net
                 .observe_link(&mut self.registry, "retransmit", 0, meas.retransmit_bytes as u64);
-            makespan += breakdown.recovery;
+            makespan += recovery;
         }
         let (injected, recoveries) = self.wire.log.for_epoch(step);
         let at = |rank: usize| local_starts.get(rank).copied().unwrap_or(base);
         bonsai_net::obs::record_fault_log(injected, recoveries, flows, &self.net, &mut self.trace, step, &at);
 
-        for (phase, secs) in breakdown.phase_times().iter() {
+        for phase in Phase::ALL {
+            let labels = [("phase", phase.name())];
             self.registry
-                .step_gauge_set("bonsai_step_phase_seconds", &[("phase", phase)], secs);
+                .step_gauge_set("bonsai_step_phase_seconds", &labels, breakdown[phase]);
         }
         self.registry
             .step_gauge_set("bonsai_step_gpus", &[], breakdown.gpus as f64);
@@ -393,49 +389,47 @@ impl Cluster {
         self.net.let_exchange_time(neighbors as u32, per as u64)
     }
 
-    /// Charge the measured quantities to the machine models.
-    pub(super) fn assemble_breakdown(&self, meas: &StepMeasurements) -> StepBreakdown {
-        let p = self.ranks.len() as u32;
-        let n_max = self.ranks.iter().map(Particles::len).max().unwrap_or(0) as u64;
-        let n_mean = (self.total_particles() as f64 / p as f64) as u64;
+    /// Charge each rank's share of the epoch to the machine models.
+    pub(super) fn price_ranks(&self, meas: &StepMeasurements) -> Vec<RankCost> {
+        let (gpu, classify_rate) = (self.gpu, self.classify_rate());
+        (0..self.ranks.len())
+            .map(|r| {
+                let n = self.ranks[r].len() as u64;
+                RankCost {
+                    sort: gpu.sort_time(n),
+                    classify: n as f64 / classify_rate,
+                    build: gpu.build_time(n),
+                    props: gpu.props_time(n),
+                    local: gpu.gravity_time(meas.counts_local[r]),
+                    lets: gpu.gravity_time(meas.counts_lets[r]),
+                    integrate: n as f64 / INTEGRATE_RATE,
+                    balance: meas.sampled_keys[r] as f64 / classify_rate,
+                    let_comm: self.let_comm_time(meas.let_bytes_sent[r], meas.let_neighbors[r]),
+                }
+            })
+            .collect()
+    }
 
-        let sort = self.gpu.sort_time(n_max);
-        let tree_construction = self.gpu.build_time(n_max);
-        let tree_properties = self.gpu.props_time(n_max);
+    /// The epoch's Table II column from the priced ranks and the
+    /// machine-wide measurements.
+    pub(super) fn assemble_breakdown(&self, meas: &StepMeasurements, costs: &[RankCost]) -> StepBreakdown {
+        let p = self.ranks.len() as u32;
+        let n_mean = (self.total_particles() as f64 / p as f64) as u64;
+        // Critical path = the slowest rank per phase. Each rank's cost is
+        // monotone in what it prices, so the slowest sort is the largest
+        // shard's.
+        let slowest = |cost: fn(&RankCost) -> f64| costs.iter().map(cost).fold(0.0, f64::max);
 
         // Domain update: CPU key classification + boundary allgather +
         // exchange.
-        let classify = n_max as f64 / self.classify_rate();
-        let avg_boundary =
-            meas.boundary_bytes.iter().sum::<usize>() as u64 / p.max(1) as u64;
-        let allgather = self.net.allgatherv_time(p, avg_boundary);
-        let max_exchange = meas.exchange_bytes.iter().copied().max().unwrap_or(0) as u64;
         let domain_update = if p <= 1 {
             0.0
         } else {
-            classify + allgather + self.net.particle_exchange_time(max_exchange, 6)
+            let avg_boundary = meas.boundary_bytes.iter().sum::<usize>() as u64 / p as u64;
+            let allgather = self.net.allgatherv_time(p, avg_boundary);
+            let max_exchange = meas.exchange_bytes.iter().copied().max().unwrap_or(0) as u64;
+            slowest(|c| c.classify) + allgather + self.net.particle_exchange_time(max_exchange, 6)
         };
-
-        // Gravity (critical path = slowest rank per phase).
-        let gravity_local = meas
-            .counts_local
-            .iter()
-            .map(|&c| self.gpu.gravity_time(c))
-            .fold(0.0, f64::max);
-        let gravity_lets = meas
-            .counts_lets
-            .iter()
-            .map(|&c| self.gpu.gravity_time(c))
-            .fold(0.0, f64::max);
-
-        // LET communication (per-rank injection) vs the overlap window.
-        let let_comm: f64 = meas
-            .let_bytes_sent
-            .iter()
-            .zip(&meas.let_neighbors)
-            .map(|(&b, &nb)| self.let_comm_time(b, nb))
-            .fold(0.0, f64::max);
-        let non_hidden_comm = (let_comm - gravity_local).max(0.0);
 
         // Recovery traffic: retransmissions are extra injection-bandwidth
         // time that nothing overlaps (they happen after the phase's normal
@@ -459,10 +453,6 @@ impl Cluster {
             .collect();
         let max_t = totals.iter().fold(0.0f64, |a, &b| a.max(b));
         let mean_t = totals.iter().sum::<f64>() / totals.len() as f64;
-        let integration = n_max as f64 / crate::breakdown::INTEGRATE_RATE;
-        let load_balance =
-            meas.sampled_keys.iter().copied().max().unwrap_or(0) as f64 / self.classify_rate();
-        let unbalance = max_t - mean_t;
 
         let total_counts: InteractionCounts = meas
             .counts_local
@@ -470,27 +460,24 @@ impl Cluster {
             .zip(&meas.counts_lets)
             .map(|(&a, &b)| a + b)
             .sum();
-        let n_total = self.total_particles();
-        let (pp_pp, pc_pp) = total_counts.per_particle(n_total);
+        let (pp_pp, pc_pp) = total_counts.per_particle(self.total_particles());
 
-        StepBreakdown {
-            gpus: p,
-            particles_per_gpu: n_mean,
-            sort,
-            domain_update,
-            tree_construction,
-            tree_properties,
-            gravity_local,
-            gravity_lets,
-            non_hidden_comm,
-            recovery,
-            integration,
-            load_balance,
-            orchestration: ORCHESTRATION,
-            unbalance,
-            pp_per_particle: pp_pp,
-            pc_per_particle: pc_pp,
-        }
+        let gravity_local = slowest(|c| c.local);
+        StepBreakdown::from_phases(p, n_mean, pp_pp, pc_pp, |phase| match phase {
+            Phase::Sort => slowest(|c| c.sort),
+            Phase::DomainUpdate => domain_update,
+            Phase::TreeConstruction => slowest(|c| c.build),
+            Phase::TreeProperties => slowest(|c| c.props),
+            Phase::GravityLocal => gravity_local,
+            Phase::GravityLets => slowest(|c| c.lets),
+            // LET communication (per-rank injection) vs the overlap window.
+            Phase::NonHiddenComm => (slowest(|c| c.let_comm) - gravity_local).max(0.0),
+            Phase::Recovery => recovery,
+            Phase::Integration => slowest(|c| c.integrate),
+            Phase::LoadBalance => slowest(|c| c.balance),
+            Phase::Orchestration => ORCHESTRATION,
+            Phase::Unbalance => max_t - mean_t,
+        })
     }
 
     /// The key map over the bounding box of every particle held right now

@@ -1,4 +1,5 @@
 use super::*;
+use crate::breakdown::Phase;
 use bonsai_tree::build::Tree;
 use bonsai_tree::walk::{self, WalkParams};
 use bonsai_tree::Forces;
@@ -183,39 +184,28 @@ fn breakdown_is_populated_and_gravity_dominates() {
     let mut c = small_cluster(8000, 4, 7);
     let b = c.step();
     assert_eq!(b.gpus, 4);
-    assert!(b.gravity_local > 0.0);
-    assert!(b.gravity_lets > 0.0);
+    assert!(b[Phase::GravityLocal] > 0.0);
+    assert!(b[Phase::GravityLets] > 0.0);
     assert!(b.pp_per_particle > 0.0 && b.pc_per_particle > 0.0);
     assert!(b.total() > 0.0);
-    assert_eq!(b.recovery, 0.0, "no recovery cost without faults");
+    assert_eq!(b[Phase::Recovery], 0.0, "no recovery cost without faults");
     // At small N the GPU model still makes gravity the dominant phase
     // relative to tree build.
-    assert!(b.gravity_local + b.gravity_lets > b.tree_construction);
+    assert!(b[Phase::GravityLocal] + b[Phase::GravityLets] > b[Phase::TreeConstruction]);
 }
 
 #[test]
 fn breakdown_reduces_from_registry() {
-    // The registry view must reproduce the returned breakdown exactly:
-    // instrumentation changes observation, not physics or timing.
-    let mut c = small_cluster(3000, 4, 12);
-    let b = c.step();
-    let r = c.breakdown_from_metrics();
-    assert_eq!(r.gpus, b.gpus);
-    assert_eq!(r.particles_per_gpu, b.particles_per_gpu);
-    assert_eq!(r.sort, b.sort);
-    assert_eq!(r.domain_update, b.domain_update);
-    assert_eq!(r.gravity_local, b.gravity_local);
-    assert_eq!(r.gravity_lets, b.gravity_lets);
-    assert_eq!(r.non_hidden_comm, b.non_hidden_comm);
-    assert_eq!(r.recovery, b.recovery);
-    assert_eq!(r.integration, b.integration);
-    assert_eq!(r.load_balance, b.load_balance);
-    assert_eq!(r.orchestration, b.orchestration);
-    assert_eq!(r.unbalance, b.unbalance);
-    assert_eq!(r.other(), b.other());
-    assert_eq!(r.pp_per_particle, b.pp_per_particle);
-    assert_eq!(r.pc_per_particle, b.pc_per_particle);
-    assert_eq!(r.total(), b.total());
+    // The registry view must reproduce the returned breakdown exactly, every
+    // phase included: instrumentation changes observation, not physics or
+    // timing. The second cluster drops sends, so `recovery` is priced too.
+    let plan = FaultPlan::new(12).with_rate(bonsai_net::FaultKind::Drop, 0.2);
+    let faulty = Cluster::with_faults(plummer_sphere(3000, 12), 4, ClusterConfig::default(), plan, None);
+    for (mut c, recovers) in [(small_cluster(3000, 4, 12), false), (faulty, true)] {
+        let b = c.step();
+        assert_eq!(b[Phase::Recovery] > 0.0, recovers);
+        assert_eq!(c.breakdown_from_metrics(), b);
+    }
 }
 
 #[test]

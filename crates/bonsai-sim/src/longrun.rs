@@ -337,8 +337,7 @@ mod tests {
         let mut c = small_cluster();
         c.enable_longrun(LongRunConfig::default());
         let b = c.step();
-        let rebuilt = c.breakdown_from_metrics();
-        assert!((b.total() - rebuilt.total()).abs() < 1e-12);
+        assert_eq!(c.breakdown_from_metrics(), b);
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //! application / 33.49 Pflops GPU performance, ≥95% weak-scaling efficiency
 //! on Piz Daint, and the strong-scaling columns.
 
-use crate::breakdown::StepBreakdown;
+use crate::breakdown::{Phase, StepBreakdown};
 use bonsai_gpu::{GpuModel, KernelVariant, K20X};
 use bonsai_net::{MachineSpec, NetworkModel, PIZ_DAINT, TITAN};
 use bonsai_tree::InteractionCounts;
@@ -186,68 +186,47 @@ impl ScalingModel {
             pc: (pcx * n as f64) as u64,
         };
 
-        // GPU phases.
-        let sort = self.gpu.sort_time(n);
-        let tree_construction = self.gpu.build_time(n);
-        let tree_properties = self.gpu.props_time(n);
-        let gravity_local = self.gpu.gravity_time(counts(pp, pc_local));
-        let gravity_lets = if p <= 1 {
-            0.0
-        } else {
-            self.gpu.gravity_time(counts(0.0, pc_lets))
-        };
-
+        // Phases that only a parallel run has.
+        let parallel = |secs: f64| if p <= 1 { 0.0 } else { secs };
         // Domain update: CPU key classification + boundary allgather +
         // particle exchange (~2% of particles migrate per step).
+        let key_rate = XEON_KEY_RATE * self.machine.cpu_let_rate;
         let domain_update = if p <= 1 {
             0.0
         } else {
-            let classify = n as f64 / (XEON_KEY_RATE * self.machine.cpu_let_rate);
             let allgather = self.net.allgatherv_time(p, BOUNDARY_BYTES);
             let exchange = self
                 .net
                 .particle_exchange_time((n as f64 * 0.02 * 56.0) as u64, 6);
-            classify + allgather + exchange
+            n as f64 / key_rate + allgather + exchange
         };
 
-        // Non-hidden LET communication and straggler terms (machine-diameter
-        // scaling).
-        let p3 = (p as f64).powf(1.0 / 3.0);
-        let non_hidden_comm = if p <= 1 { 0.0 } else { non_hidden_coeff(&self.machine) * p3 };
         // The former opaque "other" bucket, attributed: the calibrated total
         // `0.1 + c₂_m·p^(1/3)` is preserved exactly (tests pin the 4.77 s
         // step), but split into leapfrog integration, load-balance
-        // bookkeeping on the host, residual host orchestration, and the
-        // diameter-scaling straggler term.
+        // bookkeeping on the host (two-level sample sort: ~64 sampled keys
+        // from each of p ranks, classified at the host key rate), residual
+        // host orchestration, and the diameter-scaling straggler term.
         let integration = n as f64 / crate::breakdown::INTEGRATE_RATE;
-        let load_balance = if p <= 1 {
-            0.0
-        } else {
-            // Two-level sample sort: ~64 sampled keys from each of p ranks,
-            // classified at the host key rate.
-            64.0 * p as f64 / (XEON_KEY_RATE * self.machine.cpu_let_rate)
-        };
-        let orchestration = (0.1 - integration - load_balance).max(0.0);
-        let unbalance = if p <= 1 { 0.0 } else { other_coeff(&self.machine) * p3 };
+        let load_balance = parallel(64.0 * p as f64 / key_rate);
+        // Non-hidden LET communication and the straggler term scale with the
+        // machine diameter.
+        let p3 = (p as f64).powf(1.0 / 3.0);
 
-        StepBreakdown {
-            gpus: p,
-            particles_per_gpu: n,
-            sort,
-            domain_update,
-            tree_construction,
-            tree_properties,
-            gravity_local,
-            gravity_lets,
-            non_hidden_comm,
-            recovery: 0.0,
-            integration,
-            load_balance,
-            orchestration,
-            unbalance,
-            pp_per_particle: pp,
-            pc_per_particle: pc_tot,
-        }
+        StepBreakdown::from_phases(p, n, pp, pc_tot, |phase| match phase {
+            Phase::Sort => self.gpu.sort_time(n),
+            Phase::DomainUpdate => domain_update,
+            Phase::TreeConstruction => self.gpu.build_time(n),
+            Phase::TreeProperties => self.gpu.props_time(n),
+            Phase::GravityLocal => self.gpu.gravity_time(counts(pp, pc_local)),
+            Phase::GravityLets => parallel(self.gpu.gravity_time(counts(0.0, pc_lets))),
+            Phase::NonHiddenComm => parallel(non_hidden_coeff(&self.machine) * p3),
+            Phase::Recovery => 0.0,
+            Phase::Integration => integration,
+            Phase::LoadBalance => load_balance,
+            Phase::Orchestration => (0.1 - integration - load_balance).max(0.0),
+            Phase::Unbalance => parallel(other_coeff(&self.machine) * p3),
+        })
     }
 
     /// Weak-scaling series at `n_per_gpu` for a list of GPU counts, returning
@@ -298,7 +277,7 @@ mod tests {
         let col = &TABLE_II[0];
         let b = col.predict();
         assert!(rel(b.total(), col.total) < 0.05, "single GPU total {}", b.total());
-        assert!(rel(b.gravity_local, col.grav_local) < 0.05);
+        assert!(rel(b[Phase::GravityLocal], col.grav_local) < 0.05);
         assert!(rel(b.pc_per_particle, col.pc) < 0.03, "pc {}", b.pc_per_particle);
     }
 
@@ -314,9 +293,9 @@ mod tests {
                 col.total
             );
             assert!(
-                rel(b.gravity_lets, col.grav_lets) < 0.10,
+                rel(b[Phase::GravityLets], col.grav_lets) < 0.10,
                 "Titan {p}: LETs {} vs paper {}",
-                b.gravity_lets,
+                b[Phase::GravityLets],
                 col.grav_lets
             );
             checked += 1;
@@ -356,7 +335,7 @@ mod tests {
         let col = columns("Titan", M13).find(|c| c.gpus == 18600).unwrap();
         let b = col.predict();
         let total_app = b.total_flops() / b.total() / 1e15;
-        let total_gpu = b.total_flops() / (b.gravity_local + b.gravity_lets) / 1e15;
+        let total_gpu = b.total_flops() / (b[Phase::GravityLocal] + b[Phase::GravityLets]) / 1e15;
         assert!(rel(total_app, col.app_tflops / 1e3) < 0.05, "application {total_app} Pflops");
         assert!(rel(total_gpu, col.gpu_tflops / 1e3) < 0.05, "GPU {total_gpu} Pflops");
         // 46% / 34% of theoretical peak (73.2 Pflops).
@@ -383,7 +362,7 @@ mod tests {
         // "1.8 Tflops per GPU and 1.33 Tflops overall application
         // performance per node."
         let b = ScalingModel::titan().predict(18600, M13);
-        let per_node_gpu = b.total_flops() / (b.gravity_local + b.gravity_lets) / 18600.0 / 1e12;
+        let per_node_gpu = b.total_flops() / (b[Phase::GravityLocal] + b[Phase::GravityLets]) / 18600.0 / 1e12;
         let per_node_app = b.total_flops() / b.total() / 18600.0 / 1e12;
         assert!(rel(per_node_gpu, 1.8) < 0.05, "per-node GPU {per_node_gpu}");
         assert!(rel(per_node_app, 1.33) < 0.05, "per-node app {per_node_app}");

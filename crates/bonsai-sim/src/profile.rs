@@ -15,12 +15,12 @@
 
 use bonsai_obs::TermResidual;
 
-use crate::breakdown::{StepBreakdown, PHASES};
+use crate::breakdown::{Phase, StepBreakdown};
 use crate::model::ScalingModel;
 
 /// Fit a measured breakdown against the analytic model evaluated at the
 /// same (ranks, particles/GPU) point, returning one signed residual per
-/// Table II phase, in [`PHASES`] presentation order.
+/// Table II phase, in [`Phase::ALL`] presentation order.
 ///
 /// Residuals on a breakdown the model itself produced are exactly zero —
 /// a property the tests pin — so every nonzero entry on a real run is
@@ -30,14 +30,12 @@ pub fn cost_model_attribution(
     model: &ScalingModel,
 ) -> Vec<TermResidual> {
     let modelled = model.predict(measured.gpus, measured.particles_per_gpu);
-    let m = measured.phase_times();
-    let f = modelled.phase_times();
-    PHASES
+    Phase::ALL
         .iter()
         .map(|&ph| TermResidual {
-            term: ph.to_string(),
-            measured_s: m.get(ph),
-            modelled_s: f.get(ph),
+            term: ph.name().to_string(),
+            measured_s: measured[ph],
+            modelled_s: modelled[ph],
         })
         .collect()
 }
@@ -54,7 +52,7 @@ mod tests {
         let model = ScalingModel::piz_daint();
         let b = model.predict(256, 500_000);
         let res = cost_model_attribution(&b, &model);
-        assert_eq!(res.len(), PHASES.len());
+        assert_eq!(res.len(), Phase::ALL.len());
         for r in &res {
             assert_eq!(
                 r.residual_s(),
@@ -65,15 +63,15 @@ mod tests {
         }
         // Order is the Table II presentation order.
         let names: Vec<&str> = res.iter().map(|r| r.term.as_str()).collect();
-        assert_eq!(names, PHASES.to_vec());
+        assert_eq!(names, Phase::ALL.map(Phase::name));
     }
 
     #[test]
     fn residuals_are_signed_measured_minus_modelled() {
         let model = ScalingModel::titan();
         let mut b = model.predict(64, 200_000);
-        b.gravity_local *= 1.5; // a sandbagged kernel runs slow...
-        b.sort *= 0.5; // ...and a miracle sort runs fast.
+        b[Phase::GravityLocal] *= 1.5; // a sandbagged kernel runs slow...
+        b[Phase::Sort] *= 0.5; // ...and a miracle sort runs fast.
         let res = cost_model_attribution(&b, &model);
         let by_name = |n: &str| res.iter().find(|r| r.term == n).unwrap();
         assert!(by_name("gravity_local").residual_s() > 0.0);

@@ -21,7 +21,7 @@
 //! [`ObsCostModel`](bonsai_obs::overhead::ObsCostModel) rates, so a fixed-seed
 //! run streams byte-identical frames.
 
-use crate::breakdown::StepBreakdown;
+use crate::breakdown::{Phase, StepBreakdown};
 use crate::cluster::StepFacts;
 use bonsai_obs::health::{AlertEvent, HealthMonitor};
 use bonsai_obs::overhead::{overhead_rule, OverheadMeter, OVERHEAD_GAUGE};
@@ -206,10 +206,9 @@ impl StreamTap {
                 ("time".to_string(), FrameValue::F64(facts.time)),
             ],
         );
-        let pt = b.phase_times();
-        let mut phases: Vec<(String, FrameValue)> = crate::breakdown::PHASES
+        let mut phases: Vec<(String, FrameValue)> = Phase::ALL
             .iter()
-            .map(|&ph| (ph.to_string(), FrameValue::F64(pt.get(ph))))
+            .map(|&ph| (ph.name().to_string(), FrameValue::F64(b[ph])))
             .collect();
         phases.push(("total".to_string(), FrameValue::F64(b.total())));
         self.publish(step, FrameKind::PhaseSample, at, phases);
@@ -326,10 +325,8 @@ mod tests {
             }),
             ..StepFacts::default()
         };
-        let b = StepBreakdown {
-            gravity_local: 2.5,
-            ..StepBreakdown::default()
-        };
+        let mut b = StepBreakdown::default();
+        b[Phase::GravityLocal] = 2.5;
         tap.observe(&trace, &mut registry, &b, &facts, &[]);
         let frames = tap.bus_mut().poll(0, usize::MAX);
         let kinds: Vec<FrameKind> = frames.iter().map(|f| f.kind).collect();

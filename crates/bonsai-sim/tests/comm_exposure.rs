@@ -11,6 +11,7 @@
 
 use bonsai_ic::plummer_sphere;
 use bonsai_net::{MachineSpec, Topology};
+use bonsai_sim::breakdown::Phase;
 use bonsai_sim::trace::step_timelines;
 use bonsai_sim::{Cluster, ClusterConfig};
 
@@ -59,13 +60,13 @@ fn breakdown_charges_exposed_comm_when_comm_heavy() {
     let mut c = comm_heavy_cluster();
     let b = c.step();
     assert!(
-        b.non_hidden_comm > 0.0,
+        b[Phase::NonHiddenComm] > 0.0,
         "slow network must leave exposed communication, got {}",
-        b.non_hidden_comm
+        b[Phase::NonHiddenComm]
     );
     // The exposure can't exceed the full exchange window: sanity-bound it
     // by the total step time.
-    assert!(b.non_hidden_comm < b.total());
+    assert!(b[Phase::NonHiddenComm] < b.total());
 }
 
 #[test]
@@ -74,7 +75,7 @@ fn default_config_still_hides_comm_completely() {
     // the contrast that makes the comm-heavy readings meaningful.
     let mut c = Cluster::new(plummer_sphere(8000, 21), 4, ClusterConfig::default());
     let b = c.step();
-    assert_eq!(b.non_hidden_comm, 0.0);
+    assert_eq!(b[Phase::NonHiddenComm], 0.0);
     for tl in step_timelines(c.trace()) {
         assert!(tl.hidden_comm_fraction() > 0.9);
     }

@@ -21,8 +21,6 @@
 //!   and benchmark crates.
 //! * [`units`] — the galactic unit system (kpc, km/s, M☉) used to express the
 //!   paper's Milky Way model.
-//! * [`timer`] — wall-clock timers and named timing accumulators used to build
-//!   per-step breakdowns (Table II of the paper).
 
 #![deny(missing_docs)]
 
@@ -33,7 +31,6 @@ pub mod mat3;
 pub mod rng;
 pub mod sorted;
 pub mod stats;
-pub mod timer;
 pub mod units;
 pub mod vec3;
 

@@ -124,6 +124,12 @@ echo "== the paper's evaluation: every row but the fig3 science run =="
 # the production and chaos rows checkpoint into temp directories they remove.
 cargo run -q --release -p bonsai-bench --bin paper
 
+echo "== the two programs that print a Table II column =="
+# The CLI's distributed run and the cluster demo end on
+# StepBreakdown::format_column; each must exit 0.
+cargo run -q --release --bin bonsai -- run cluster --n 4000 --ranks 4 --steps 2
+cargo run -q --release --example cluster_demo -- 4 4000
+
 # The gate runner wrote nothing to the tree. A kernel change that is *meant*
 # to move force bits is re-blessed with `gates --bless` (DESIGN.md 6f). Nor
 # did the benchmark stanza above: `benchmark/run.sh` and that `cargo test`
