@@ -16,8 +16,8 @@ use bonsai_obs::json::{self, fmt_f64, Value};
 use bonsai_obs::{
     folded_profile, obj, roofline, telescoping_error, ProfileRow, RooflinePoint, TermResidual,
 };
-use bonsai_sim::profile::cost_model_attribution;
 use bonsai_sim::breakdown::Phase;
+use bonsai_sim::profile::cost_model_attribution;
 use bonsai_sim::{Cluster, ScalingModel, StepBreakdown};
 
 use crate::report::page;
