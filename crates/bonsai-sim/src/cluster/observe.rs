@@ -22,7 +22,6 @@ const ORCHESTRATION: f64 = STEP_LAUNCHES * crate::breakdown::LAUNCH_LATENCY;
 /// the span lengths [`Cluster::record_observability`] draws for the rank,
 /// and the per-rank seconds [`Cluster::assemble_breakdown`] takes the
 /// slowest rank's of.
-#[derive(Clone, Copy)]
 pub(super) struct RankCost {
     sort: f64,
     classify: f64,
