@@ -281,6 +281,34 @@ mod tests {
         assert_eq!(s.direct_pp, 0);
     }
 
+    /// The hybrid's accelerations and energy report.
+    fn forces_and_energy(h: &HybridSimulation) -> (Vec<Vec3>, bonsai_analysis::EnergyReport) {
+        let forces = bonsai_tree::Forces { acc: h.acc.clone(), pot: h.pot.clone() };
+        (h.acc.clone(), bonsai_analysis::EnergyReport::from_forces(&h.particles, &forces))
+    }
+
+    #[test]
+    fn without_black_holes_the_hybrid_is_the_tree_code_bit_for_bit() {
+        let base = SimulationConfig::nbody_units(0.4, 0.02, 0.01);
+        let hcfg = HybridConfig { base, bh_mass_threshold: 1e9, direct_radius: 0.1, direct_eps: 0.0 };
+        let mut hybrid = HybridSimulation::new(plummer_sphere(600, 23), hcfg);
+        let mut tree = crate::Simulation::new(plummer_sphere(600, 23), base);
+        for _ in 0..5 {
+            hybrid.step();
+            tree.step();
+        }
+        let bits = |v: &[Vec3]| {
+            v.iter().flat_map(|a| [a.x, a.y, a.z]).map(f64::to_bits).collect::<Vec<_>>()
+        };
+        let (h, t) = (hybrid.particles(), tree.particles());
+        assert_eq!(h.id, t.id);
+        assert_eq!(bits(&h.pos), bits(&t.pos));
+        assert_eq!(bits(&h.vel), bits(&t.vel));
+        let (acc, energy) = forces_and_energy(&hybrid);
+        assert_eq!(bits(&acc), bits(tree.accelerations()));
+        assert_eq!(energy.total().to_bits(), tree.energy_report().total().to_bits());
+    }
+
     #[test]
     fn energy_roughly_conserved_with_direct_core() {
         let mut sim = HybridSimulation::new(binary_in_cluster(200), cfg(0.02));

@@ -228,6 +228,20 @@ mod tests {
     }
 
     #[test]
+    fn energy_report_fields_are_the_per_field_reductions() {
+        let cfg = SimulationConfig::nbody_units(0.4, 0.02, 0.01);
+        let mut sim = Simulation::new(plummer_sphere(700, 11), cfg);
+        sim.run(3);
+        let p = sim.particles();
+        let halves = p.mass.iter().zip(&sim.forces.pot).map(|(&m, &phi)| 0.5 * m * phi);
+        let potential = bonsai_util::KahanSum::sum_iter(halves);
+        let e = sim.energy_report();
+        assert_eq!(e.kinetic.to_bits(), p.kinetic_energy().to_bits());
+        assert_eq!(e.potential.to_bits(), potential.to_bits());
+        assert_eq!(e.momentum.to_bits(), p.momentum().norm().to_bits());
+    }
+
+    #[test]
     fn time_and_step_advance() {
         let ic = plummer_sphere(100, 3);
         let mut sim = Simulation::new(ic, SimulationConfig::nbody_units(0.5, 0.05, 0.01));
