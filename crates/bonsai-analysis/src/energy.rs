@@ -18,18 +18,36 @@ pub struct EnergyReport {
 
 impl EnergyReport {
     /// Build from particles and the potentials of a completed force
-    /// evaluation (tree or direct; must include G).
+    /// evaluation (tree or direct; must include G): the one-shard case of
+    /// [`EnergyReport::from_shards`].
     pub fn from_forces(particles: &Particles, forces: &Forces) -> Self {
-        assert_eq!(particles.len(), forces.len());
-        let mut pot = KahanSum::new();
-        for i in 0..particles.len() {
-            pot.add(0.5 * particles.mass[i] * forces.pot[i]);
+        Self::from_shards([(particles, forces)])
+    }
+
+    /// The reduction over a decomposition's shards, each shard's particles
+    /// with its forces: every sum runs across all the shards in order, the
+    /// compensated ones carrying their compensation from shard to shard.
+    pub fn from_shards<'a, I>(shards: I) -> Self
+    where
+        I: IntoIterator<Item = (&'a Particles, &'a Forces)>,
+    {
+        let [mut kinetic, mut potential, mut l_z] = [KahanSum::new(); 3];
+        let mut momentum = Vec3::zero();
+        for (particles, forces) in shards {
+            assert_eq!(particles.len(), forces.len());
+            let bodies = particles.mass.iter().zip(&particles.pos).zip(&particles.vel);
+            for (((&m, &x), &v), &phi) in bodies.zip(&forces.pot) {
+                kinetic.add(0.5 * m * v.norm2());
+                potential.add(0.5 * m * phi);
+                momentum += v * m;
+                l_z.add(m * x.cross(v).z);
+            }
         }
         Self {
-            kinetic: particles.kinetic_energy(),
-            potential: pot.value(),
-            l_z: particles.angular_momentum().z,
-            momentum: particles.momentum().norm(),
+            kinetic: kinetic.value(),
+            potential: potential.value(),
+            l_z: l_z.value(),
+            momentum: momentum.norm(),
         }
     }
 

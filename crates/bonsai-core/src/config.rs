@@ -1,6 +1,5 @@
 //! Simulation configuration.
 
-use bonsai_sfc::Curve;
 use bonsai_tree::build::TreeParams;
 use bonsai_tree::walk::WalkParams;
 use serde::{Deserialize, Serialize};
@@ -16,12 +15,8 @@ pub struct SimulationConfig {
     pub dt: f64,
     /// Gravitational constant (1 for N-body units, `units::G` for galactic).
     pub g: f64,
-    /// Leaf capacity (paper: 16).
-    pub nleaf: usize,
-    /// Walk group size.
-    pub group_size: usize,
-    /// Space-filling curve for the sort.
-    pub use_hilbert: bool,
+    /// Tree parameters (NLEAF = 16, Hilbert curve, group size 32).
+    pub tree: TreeParams,
 }
 
 impl SimulationConfig {
@@ -32,9 +27,7 @@ impl SimulationConfig {
             eps,
             dt,
             g: 1.0,
-            nleaf: bonsai_tree::NLEAF,
-            group_size: 2 * bonsai_tree::NLEAF,
-            use_hilbert: true,
+            tree: TreeParams::default(),
         }
     }
 
@@ -45,23 +38,13 @@ impl SimulationConfig {
             eps: eps_kpc,
             dt: dt_internal,
             g: bonsai_util::units::G,
-            nleaf: bonsai_tree::NLEAF,
-            group_size: 2 * bonsai_tree::NLEAF,
-            use_hilbert: true,
+            tree: TreeParams::default(),
         }
     }
 
     /// Tree-construction parameters implied by this config.
     pub fn tree_params(&self) -> TreeParams {
-        TreeParams {
-            nleaf: self.nleaf,
-            curve: if self.use_hilbert {
-                Curve::Hilbert
-            } else {
-                Curve::Morton
-            },
-            group_size: self.group_size,
-        }
+        self.tree
     }
 
     /// Walk parameters implied by this config.
@@ -78,6 +61,7 @@ impl SimulationConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bonsai_sfc::Curve;
 
     #[test]
     fn constructors_set_units() {
@@ -91,7 +75,7 @@ mod tests {
     #[test]
     fn params_propagate() {
         let mut c = SimulationConfig::nbody_units(0.5, 0.01, 0.001);
-        c.use_hilbert = false;
+        c.tree.curve = Curve::Morton;
         assert_eq!(c.tree_params().curve, Curve::Morton);
         assert_eq!(c.walk_params().theta, 0.5);
         assert_eq!(c.tree_params().nleaf, 16);

@@ -13,10 +13,9 @@
 //! vehicle for this extension.
 
 use crate::config::SimulationConfig;
-use bonsai_tree::build::Tree;
+use crate::sim::Simulation;
 use bonsai_tree::kernels::p_p;
-use bonsai_tree::walk::{self};
-use bonsai_tree::{InteractionCounts, Particles};
+use bonsai_tree::{Forces, InteractionCounts, Particles};
 use bonsai_util::Vec3;
 use rayon::prelude::*;
 
@@ -34,6 +33,45 @@ pub struct HybridConfig {
     pub direct_eps: f64,
 }
 
+impl HybridConfig {
+    /// The direct core (CPU side): replace the tree forces of the black
+    /// holes and of every star within `direct_radius` of one by exact sums
+    /// over all particles. Returns the black-hole and direct-set counts.
+    fn correct(&self, particles: &Particles, forces: &mut Forces) -> (usize, usize) {
+        let (pos, mass) = (&particles.pos, &particles.mass);
+        let bhs: Vec<usize> =
+            (0..pos.len()).filter(|&i| mass[i] >= self.bh_mass_threshold).collect();
+        if bhs.is_empty() {
+            return (0, 0);
+        }
+        let r2 = self.direct_radius * self.direct_radius;
+        let direct: Vec<usize> = (0..pos.len())
+            .filter(|&i| bhs.iter().any(|&b| pos[i].distance2(pos[b]) <= r2))
+            .collect();
+        let g = self.base.g;
+        let eps2 = self.direct_eps * self.direct_eps;
+        let exact: Vec<(usize, Vec3, f64)> = direct
+            .par_iter()
+            .map(|&i| {
+                let t = pos[i];
+                let mut a = Vec3::zero();
+                let mut p = 0.0;
+                for j in (0..pos.len()).filter(|&j| j != i) {
+                    let (dp, da) = p_p(t, pos[j], mass[j], eps2);
+                    p += dp;
+                    a += da;
+                }
+                (i, a * g, p * g)
+            })
+            .collect();
+        for (i, a, p) in exact {
+            forces.acc[i] = a;
+            forces.pot[i] = p;
+        }
+        (bhs.len(), direct.len())
+    }
+}
+
 /// Per-step diagnostics of the hybrid integrator.
 #[derive(Clone, Copy, Debug)]
 pub struct HybridStepStats {
@@ -47,116 +85,42 @@ pub struct HybridStepStats {
     pub direct_pp: u64,
 }
 
-/// A simulation with an embedded direct-summation region around black holes.
+impl HybridStepStats {
+    /// The stats of `sim`'s last force evaluation, whose direct core found
+    /// `black_holes` and a direct set of `direct_set`.
+    fn of(sim: &Simulation, (black_holes, direct_set): (usize, usize)) -> Self {
+        Self {
+            direct_set,
+            black_holes,
+            tree_counts: sim.last_counts(),
+            direct_pp: direct_set as u64 * (sim.particles().len() as u64 - 1),
+        }
+    }
+}
+
+/// A simulation with an embedded direct-summation region around black
+/// holes: the tree-code [`Simulation`] (GPU side: tree forces for
+/// everyone), its forces corrected by the direct core after every tree
+/// evaluation and before the closing kick.
 pub struct HybridSimulation {
-    particles: Particles,
+    sim: Simulation,
     cfg: HybridConfig,
-    acc: Vec<Vec3>,
-    pot: Vec<f64>,
-    time: f64,
-    step: u64,
     last: HybridStepStats,
 }
 
 impl HybridSimulation {
     /// Create and evaluate initial forces.
     pub fn new(particles: Particles, cfg: HybridConfig) -> Self {
-        particles.validate().expect("invalid initial conditions");
-        let mut sim = Self {
-            particles,
-            cfg,
-            acc: Vec::new(),
-            pot: Vec::new(),
-            time: 0.0,
-            step: 0,
-            last: HybridStepStats {
-                direct_set: 0,
-                black_holes: 0,
-                tree_counts: InteractionCounts::zero(),
-                direct_pp: 0,
-            },
-        };
-        sim.refresh_forces();
-        sim
-    }
-
-    /// Indices (in current storage order) of black holes and the direct set.
-    fn classify(&self) -> (Vec<usize>, Vec<usize>) {
-        let bhs: Vec<usize> = (0..self.particles.len())
-            .filter(|&i| self.particles.mass[i] >= self.cfg.bh_mass_threshold)
-            .collect();
-        if bhs.is_empty() {
-            return (bhs, Vec::new());
-        }
-        let r2 = self.cfg.direct_radius * self.cfg.direct_radius;
-        let direct: Vec<usize> = (0..self.particles.len())
-            .filter(|&i| {
-                bhs.iter()
-                    .any(|&b| self.particles.pos[i].distance2(self.particles.pos[b]) <= r2)
-            })
-            .collect();
-        (bhs, direct)
-    }
-
-    fn refresh_forces(&mut self) {
-        // GPU side: full tree forces for everyone.
-        let particles = std::mem::take(&mut self.particles);
-        let tree = Tree::build(particles, self.cfg.base.tree_params());
-        let (forces, stats) = walk::self_gravity(&tree, &self.cfg.base.walk_params());
-        self.acc = forces.acc;
-        self.pot = forces.pot;
-        self.particles = tree.particles;
-
-        // CPU side: exact forces for the direct set, replacing tree values.
-        let (bhs, direct) = self.classify();
-        let g = self.cfg.base.g;
-        let eps2 = self.cfg.direct_eps * self.cfg.direct_eps;
-        let pos = &self.particles.pos;
-        let mass = &self.particles.mass;
-        let exact: Vec<(usize, Vec3, f64)> = direct
-            .par_iter()
-            .map(|&i| {
-                let t = pos[i];
-                let mut a = Vec3::zero();
-                let mut p = 0.0;
-                for j in 0..pos.len() {
-                    if j == i {
-                        continue;
-                    }
-                    let (dp, da) = p_p(t, pos[j], mass[j], eps2);
-                    p += dp;
-                    a += da;
-                }
-                (i, a * g, p * g)
-            })
-            .collect();
-        for (i, a, p) in exact {
-            self.acc[i] = a;
-            self.pot[i] = p;
-        }
-        self.last = HybridStepStats {
-            direct_set: direct.len(),
-            black_holes: bhs.len(),
-            tree_counts: stats.counts,
-            direct_pp: direct.len() as u64 * (self.particles.len() as u64 - 1),
-        };
+        let (sim, core) = Simulation::new_with(particles, cfg.base, |p, f| cfg.correct(p, f));
+        let last = HybridStepStats::of(&sim, core);
+        Self { sim, cfg, last }
     }
 
     /// Advance one kick–drift–kick step.
     pub fn step(&mut self) -> HybridStepStats {
-        let dt = self.cfg.base.dt;
-        let half = 0.5 * dt;
-        for i in 0..self.particles.len() {
-            self.particles.vel[i] += self.acc[i] * half;
-            let v = self.particles.vel[i];
-            self.particles.pos[i] += v * dt;
-        }
-        self.refresh_forces();
-        for i in 0..self.particles.len() {
-            self.particles.vel[i] += self.acc[i] * half;
-        }
-        self.time += dt;
-        self.step += 1;
+        let cfg = self.cfg;
+        let (_, core) = self.sim.step_with(|p, f| cfg.correct(p, f));
+        self.last = HybridStepStats::of(&self.sim, core);
         self.last
     }
 
@@ -169,12 +133,12 @@ impl HybridSimulation {
 
     /// Current particles (SFC order).
     pub fn particles(&self) -> &Particles {
-        &self.particles
+        self.sim.particles()
     }
 
     /// Current time.
     pub fn time(&self) -> f64 {
-        self.time
+        self.sim.time()
     }
 
     /// Diagnostics of the last force evaluation.
@@ -283,8 +247,7 @@ mod tests {
 
     /// The hybrid's accelerations and energy report.
     fn forces_and_energy(h: &HybridSimulation) -> (Vec<Vec3>, bonsai_analysis::EnergyReport) {
-        let forces = bonsai_tree::Forces { acc: h.acc.clone(), pot: h.pot.clone() };
-        (h.acc.clone(), bonsai_analysis::EnergyReport::from_forces(&h.particles, &forces))
+        (h.sim.accelerations().to_vec(), h.sim.energy_report())
     }
 
     #[test]

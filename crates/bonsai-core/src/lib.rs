@@ -24,6 +24,7 @@
 
 pub mod config;
 pub mod hybrid;
+pub mod leapfrog;
 pub mod sim;
 pub mod snapshot;
 

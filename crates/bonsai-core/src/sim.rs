@@ -7,9 +7,10 @@
 //! rebuilt from scratch every step, exactly as Bonsai does on the GPU.
 
 use crate::config::SimulationConfig;
+use crate::leapfrog;
 use bonsai_analysis::EnergyReport;
 use bonsai_tree::build::Tree;
-use bonsai_tree::walk::{self, WalkStats};
+use bonsai_tree::walk;
 use bonsai_tree::{Forces, InteractionCounts, Particles};
 use bonsai_util::Vec3;
 
@@ -46,6 +47,16 @@ pub struct Simulation {
 impl Simulation {
     /// Create a simulation and evaluate initial forces.
     pub fn new(particles: Particles, config: SimulationConfig) -> Self {
+        Self::new_with(particles, config, |_, _| ()).0
+    }
+
+    /// [`Simulation::new`] with `correct` applied to the initial forces, as
+    /// [`Simulation::step_with`] applies it to each step's.
+    pub(crate) fn new_with<R>(
+        particles: Particles,
+        config: SimulationConfig,
+        correct: impl FnOnce(&Particles, &mut Forces) -> R,
+    ) -> (Self, R) {
         particles.validate().expect("invalid initial conditions");
         let mut sim = Self {
             particles,
@@ -57,12 +68,13 @@ impl Simulation {
             last_nodes: 0,
         };
         sim.refresh_forces();
-        sim
+        let corrected = correct(&sim.particles, &mut sim.forces);
+        (sim, corrected)
     }
 
     /// Rebuild the tree and recompute forces for the current positions.
     /// Particle order becomes SFC order as a side effect (as on the GPU).
-    fn refresh_forces(&mut self) -> WalkStats {
+    fn refresh_forces(&mut self) {
         let particles = std::mem::take(&mut self.particles);
         let tree = Tree::build(particles, self.config.tree_params());
         let (forces, stats) = walk::self_gravity(&tree, &self.config.walk_params());
@@ -70,36 +82,37 @@ impl Simulation {
         self.last_nodes = tree.nodes.len();
         self.forces = forces;
         self.particles = tree.particles;
-        stats
     }
 
     /// Advance one kick–drift–kick leap-frog step of `config.dt`.
     pub fn step(&mut self) -> StepStats {
+        self.step_with(|_, _| ()).0
+    }
+
+    /// One leap-frog step whose new tree forces `correct` amends before the
+    /// closing kick (the hybrid's direct core); `force_seconds` times the
+    /// tree build and walk only.
+    pub(crate) fn step_with<R>(
+        &mut self,
+        correct: impl FnOnce(&Particles, &mut Forces) -> R,
+    ) -> (StepStats, R) {
         let dt = self.config.dt;
-        let half = 0.5 * dt;
-        // Kick (half) + drift (full) with current accelerations.
-        for i in 0..self.particles.len() {
-            self.particles.vel[i] += self.forces.acc[i] * half;
-            let v = self.particles.vel[i];
-            self.particles.pos[i] += v * dt;
-        }
-        // New forces at the drifted positions.
+        leapfrog::kick_drift(&mut self.particles, &self.forces, dt);
         let sw = std::time::Instant::now();
         self.refresh_forces();
         let force_seconds = sw.elapsed().as_secs_f64();
-        // Kick (half) with the new accelerations.
-        for i in 0..self.particles.len() {
-            self.particles.vel[i] += self.forces.acc[i] * half;
-        }
+        let corrected = correct(&self.particles, &mut self.forces);
+        leapfrog::kick(&mut self.particles, &self.forces, dt);
         self.time += dt;
         self.step += 1;
-        StepStats {
+        let stats = StepStats {
             time: self.time,
             step: self.step,
             counts: self.last_counts,
             tree_nodes: self.last_nodes,
             force_seconds,
-        }
+        };
+        (stats, corrected)
     }
 
     /// Run `n` steps, returning the last step's stats.
@@ -145,12 +158,8 @@ impl Simulation {
     /// distributed equivalence oracle compares a `bonsai-sim` cluster
     /// against (mirrors `Cluster::accelerations_by_id`).
     pub fn accelerations_by_id(&self) -> std::collections::HashMap<u64, Vec3> {
-        self.particles
-            .id
-            .iter()
-            .copied()
-            .zip(self.forces.acc.iter().copied())
-            .collect()
+        let ids = self.particles.id.iter().copied();
+        ids.zip(self.forces.acc.iter().copied()).collect()
     }
 
     /// Energy/momentum diagnostics from the tree potentials of the current

@@ -103,12 +103,18 @@ pub fn snapshot_from_bytes(data: &[u8]) -> io::Result<(Particles, f64)> {
     Ok((p, time))
 }
 
-/// Write a snapshot of `particles` at simulation `time`, atomically: the
-/// bytes land in a sibling temp file which is then renamed over `path`.
+/// Write a snapshot of `particles` at simulation `time`, atomically (see
+/// [`write_atomic`]).
 pub fn write_snapshot<P: AsRef<Path>>(path: P, particles: &Particles, time: f64) -> io::Result<()> {
-    let path = path.as_ref();
+    write_atomic(path.as_ref(), &snapshot_to_bytes(particles, time))
+}
+
+/// Write `bytes` to `path` atomically: they land in a sibling temp file
+/// (`<name>.tmp`) which is then renamed over `path`, so a torn write never
+/// leaves a half-written file under the final name.
+pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
     let tmp = tmp_path(path);
-    std::fs::write(&tmp, snapshot_to_bytes(particles, time))?;
+    std::fs::write(&tmp, bytes)?;
     std::fs::rename(&tmp, path)
 }
 

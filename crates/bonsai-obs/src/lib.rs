@@ -84,7 +84,7 @@ pub use health::{
 };
 pub use metrics::{LogHistogram, MetricsRegistry, EXPORT_QUANTILES};
 pub use overhead::{
-    overhead_rule, ObsCostModel, OverheadMeter, OverheadSample, OVERHEAD_BUDGET_FRACTION,
+    overhead_rule, OverheadMeter, OverheadSample, OVERHEAD_BUDGET_FRACTION,
     OVERHEAD_GAUGE,
 };
 pub use profile::{

@@ -5,8 +5,8 @@
 //! precisely because the instrumentation was cheap enough to leave on;
 //! an observability layer that cannot state its own cost cannot make that
 //! claim. Everything here runs under the *modelled* clock — op counts
-//! (spans recorded, gauges sampled, frames encoded…) are priced by
-//! [`ObsCostModel`] rates, never wall-clock, so the overhead fraction is
+//! (spans recorded, gauges sampled, frames encoded…) are priced by fixed
+//! per-op rates ([`SPAN_RECORD_S`] and its siblings), never wall-clock, so the overhead fraction is
 //! byte-deterministic like every other exported number.
 //!
 //! [`overhead_rule`] turns the fraction into a health rule: a run whose
@@ -25,50 +25,32 @@ pub const OVERHEAD_BUDGET_FRACTION: f64 = 0.03;
 /// Gauge name carrying the per-step overhead fraction.
 pub const OVERHEAD_GAUGE: &str = "bonsai_obs_overhead_fraction";
 
-/// Modelled cost rates (seconds per operation) for every observability
-/// primitive. Rates are fixed constants of the cost model — think of them
-/// as the modelled host's instrumentation microbenchmarks, amortized over
-/// batched lock-free recording — so charged totals depend only on op
-/// counts. They are sized so a fully-instrumented honest step at bench
-/// scale stays well under [`OVERHEAD_BUDGET_FRACTION`] while one producer
-/// stall exceeds a whole modelled step.
-#[derive(Clone, Debug)]
-pub struct ObsCostModel {
-    /// Recording one span (two timestamps + args).
-    pub span_record_s: f64,
-    /// Recording one instant event.
-    pub instant_record_s: f64,
-    /// Recording one flow point.
-    pub flow_point_s: f64,
-    /// Sampling one gauge into a time series.
-    pub gauge_sample_s: f64,
-    /// Evaluating one health rule against one sample.
-    pub rule_eval_s: f64,
-    /// Encoding one byte of a telemetry frame.
-    pub encode_byte_s: f64,
-    /// Publishing one frame to one subscriber ring.
-    pub publish_s: f64,
-    /// One producer stall when a saboteur makes the bus block on a full
-    /// ring. Deliberately enormous next to the honest rates: a single
-    /// stall costs as much as ~10⁵ span records, so stalls blow the
-    /// overhead budget immediately.
-    pub stall_s: f64,
-}
+// Modelled cost rates (seconds per operation) of every observability
+// primitive: the modelled host's instrumentation microbenchmarks, amortized
+// over batched lock-free recording, so charged totals depend only on op
+// counts. They are sized so a fully-instrumented honest step at bench scale
+// stays well under `OVERHEAD_BUDGET_FRACTION` while one producer stall
+// exceeds a whole modelled step.
 
-impl Default for ObsCostModel {
-    fn default() -> Self {
-        Self {
-            span_record_s: 4e-9,
-            instant_record_s: 2.5e-9,
-            flow_point_s: 3e-9,
-            gauge_sample_s: 2e-9,
-            rule_eval_s: 1e-9,
-            encode_byte_s: 0.08e-9,
-            publish_s: 5e-9,
-            stall_s: 2e-3,
-        }
-    }
-}
+/// Recording one span (two timestamps + args).
+pub const SPAN_RECORD_S: f64 = 4e-9;
+/// Recording one instant event.
+pub const INSTANT_RECORD_S: f64 = 2.5e-9;
+/// Recording one flow point.
+pub const FLOW_POINT_S: f64 = 3e-9;
+/// Sampling one gauge into a time series.
+pub const GAUGE_SAMPLE_S: f64 = 2e-9;
+/// Evaluating one health rule against one sample.
+pub const RULE_EVAL_S: f64 = 1e-9;
+/// Encoding one byte of a telemetry frame.
+pub const ENCODE_BYTE_S: f64 = 0.08e-9;
+/// Publishing one frame to one subscriber ring.
+pub const PUBLISH_S: f64 = 5e-9;
+/// One producer stall when a saboteur makes the bus block on a full ring.
+/// Deliberately enormous next to the honest rates: a single stall costs as
+/// much as ~10⁵ span records, so stalls blow the overhead budget
+/// immediately.
+pub const STALL_S: f64 = 2e-3;
 
 /// One step's metered overhead: per-category modelled seconds, their
 /// total, and the fraction of the step's modelled time they represent.
@@ -86,9 +68,8 @@ pub struct OverheadSample {
 
 /// Accumulates modelled observability charges within a step and reduces
 /// them to per-step [`OverheadSample`]s plus run-level totals.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct OverheadMeter {
-    cost: ObsCostModel,
     pending: BTreeMap<&'static str, f64>,
     totals: BTreeMap<&'static str, f64>,
     steps: u64,
@@ -98,24 +79,6 @@ pub struct OverheadMeter {
 }
 
 impl OverheadMeter {
-    /// A meter pricing ops with `cost`.
-    pub fn new(cost: ObsCostModel) -> Self {
-        Self {
-            cost,
-            pending: BTreeMap::new(),
-            totals: BTreeMap::new(),
-            steps: 0,
-            sum_fraction: 0.0,
-            max_fraction: 0.0,
-            total_s: 0.0,
-        }
-    }
-
-    /// The cost model in force.
-    pub fn cost(&self) -> &ObsCostModel {
-        &self.cost
-    }
-
     /// Charge `seconds` of modelled time to `category` for the current step.
     pub fn charge(&mut self, category: &'static str, seconds: f64) {
         if seconds > 0.0 {
@@ -179,12 +142,6 @@ impl OverheadMeter {
     }
 }
 
-impl Default for OverheadMeter {
-    fn default() -> Self {
-        Self::new(ObsCostModel::default())
-    }
-}
-
 /// The health rule enforcing the observability budget: warn when the
 /// per-step overhead fraction sits above [`OVERHEAD_BUDGET_FRACTION`]
 /// for 3 consecutive steps (3 clean steps to clear).
@@ -206,8 +163,8 @@ mod tests {
     #[test]
     fn charges_reduce_to_fraction_of_step_time() {
         let mut m = OverheadMeter::default();
-        let expected = 1000.0 * m.cost().span_record_s + 10e-6;
-        m.charge_ops("trace", 1000, m.cost().span_record_s);
+        let expected = 1000.0 * SPAN_RECORD_S + 10e-6;
+        m.charge_ops("trace", 1000, SPAN_RECORD_S);
         m.charge("metrics", 10e-6);
         let s = m.end_step(1, 1.0e-2);
         assert_eq!(s.step, 1);
@@ -244,14 +201,13 @@ mod tests {
 
     #[test]
     fn honest_rates_stay_inside_budget_stalls_do_not() {
-        let cost = ObsCostModel::default();
         // A modest step: 5 ms modelled, a generous honest op mix.
-        let mut m = OverheadMeter::new(cost.clone());
-        m.charge_ops("trace", 200, cost.span_record_s);
-        m.charge_ops("trace", 100, cost.instant_record_s);
-        m.charge_ops("metrics", 400, cost.gauge_sample_s);
-        m.charge_ops("encode", 4000, cost.encode_byte_s);
-        m.charge_ops("publish", 20, cost.publish_s);
+        let mut m = OverheadMeter::default();
+        m.charge_ops("trace", 200, SPAN_RECORD_S);
+        m.charge_ops("trace", 100, INSTANT_RECORD_S);
+        m.charge_ops("metrics", 400, GAUGE_SAMPLE_S);
+        m.charge_ops("encode", 4000, ENCODE_BYTE_S);
+        m.charge_ops("publish", 20, PUBLISH_S);
         let honest = m.end_step(1, 5e-3);
         assert!(
             honest.fraction < OVERHEAD_BUDGET_FRACTION,
@@ -259,7 +215,7 @@ mod tests {
             honest.fraction
         );
         // One stall alone blows the same budget.
-        m.charge_ops("stall", 1, cost.stall_s);
+        m.charge_ops("stall", 1, STALL_S);
         let stalled = m.end_step(2, 5e-3);
         assert!(stalled.fraction > OVERHEAD_BUDGET_FRACTION);
     }

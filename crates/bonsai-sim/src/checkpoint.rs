@@ -16,8 +16,8 @@
 //! time with an error naming the exact file and field.
 
 use crate::cluster::{Cluster, ClusterConfig};
-use bonsai_core::snapshot::{snapshot_from_bytes, snapshot_to_bytes, RECORD_LEN};
-use bonsai_tree::Particles;
+use bonsai_core::snapshot::{snapshot_from_bytes, snapshot_to_bytes, write_atomic, RECORD_LEN};
+use bonsai_tree::{Forces, Particles};
 use bonsai_util::crc64;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -51,11 +51,11 @@ fn forces_name(rank: usize) -> String {
     format!("forces_{rank}.bin")
 }
 
-/// Serialize one rank's `(acc, pot)` as 32 bytes per particle (little
-/// endian: acc.x, acc.y, acc.z, pot).
-fn forces_to_bytes(acc: &[bonsai_util::Vec3], pot: &[f64]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(acc.len() * 32);
-    for (a, &phi) in acc.iter().zip(pot) {
+/// Serialize one rank's forces as 32 bytes per particle (little endian:
+/// acc.x, acc.y, acc.z, pot).
+fn forces_to_bytes(forces: &Forces) -> Vec<u8> {
+    let mut out = Vec::with_capacity(forces.len() * 32);
+    for (a, &phi) in forces.acc.iter().zip(&forces.pot) {
         for v in [a.x, a.y, a.z, phi] {
             out.extend_from_slice(&v.to_le_bytes());
         }
@@ -63,7 +63,7 @@ fn forces_to_bytes(acc: &[bonsai_util::Vec3], pot: &[f64]) -> Vec<u8> {
     out
 }
 
-fn forces_from_bytes(bytes: &[u8], count: usize) -> io::Result<(Vec<bonsai_util::Vec3>, Vec<f64>)> {
+fn forces_from_bytes(bytes: &[u8], count: usize) -> io::Result<Forces> {
     if bytes.len() != count * 32 {
         return Err(bad(format!(
             "forces shard: {} bytes, expected {} for {count} particles",
@@ -72,22 +72,12 @@ fn forces_from_bytes(bytes: &[u8], count: usize) -> io::Result<(Vec<bonsai_util:
         )));
     }
     let f = |i: usize| f64::from_le_bytes(bytes[i * 8..i * 8 + 8].try_into().unwrap());
-    let mut acc = Vec::with_capacity(count);
-    let mut pot = Vec::with_capacity(count);
+    let mut forces = Forces::default();
     for i in 0..count {
-        acc.push(bonsai_util::Vec3::new(f(4 * i), f(4 * i + 1), f(4 * i + 2)));
-        pot.push(f(4 * i + 3));
+        forces.acc.push(bonsai_util::Vec3::new(f(4 * i), f(4 * i + 1), f(4 * i + 2)));
+        forces.pot.push(f(4 * i + 3));
     }
-    Ok((acc, pot))
-}
-
-/// Write `bytes` to `path` atomically (temp file + rename).
-fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
-    let mut name = path.file_name().map(|n| n.to_os_string()).unwrap_or_default();
-    name.push(".tmp");
-    let tmp = path.with_file_name(name);
-    std::fs::write(&tmp, bytes)?;
-    std::fs::rename(&tmp, path)
+    Ok(forces)
 }
 
 /// Write a per-rank sharded checkpoint under `dir`.
@@ -128,10 +118,11 @@ pub fn write_checkpoint(cluster: &Cluster, dir: &Path) -> io::Result<()> {
     for (r, w) in cluster.weights().iter().enumerate() {
         manifest.push_str(&format!("weight {r} {w:?}\n"));
     }
-    let forces_ready = (0..p).all(|r| cluster.rank_acc(r).len() == cluster.rank_particles(r).len());
+    let forces_ready =
+        (0..p).all(|r| cluster.rank_forces(r).len() == cluster.rank_particles(r).len());
     if forces_ready {
         for r in 0..p {
-            let bytes = forces_to_bytes(cluster.rank_acc(r), cluster.rank_pot(r));
+            let bytes = forces_to_bytes(cluster.rank_forces(r));
             let crc = crc64(&bytes);
             write_atomic(&dir.join(forces_name(r)), &bytes)?;
             manifest.push_str(&format!("forces {r} {} {crc:016x}\n", forces_name(r)));
@@ -264,8 +255,7 @@ pub fn resume_cluster_exact(dir: &Path, cfg: ClusterConfig) -> io::Result<Cluste
     // Exact-resume extension lines.
     let mut domains = vec![None; ranks];
     let mut weights = vec![None; ranks];
-    let mut forces: Vec<Option<(Vec<bonsai_util::Vec3>, Vec<f64>)>> =
-        (0..ranks).map(|_| None).collect();
+    let mut forces: Vec<Option<Forces>> = vec![None; ranks];
     for line in lines {
         let mut f = line.split_whitespace();
         match f.next() {
@@ -297,30 +287,21 @@ pub fn resume_cluster_exact(dir: &Path, cfg: ClusterConfig) -> io::Result<Cluste
             _ => {} // Unknown trailing lines: future extensions.
         }
     }
-    let missing = |what: &str| {
+    let domains = every_rank(domains, "domain")?;
+    let weights = every_rank(weights, "weight")?;
+    let forces = every_rank(forces, "forces")?;
+    Ok(Cluster::from_exact_state(parts, forces, domains, weights, time, steps, cfg))
+}
+
+/// One exact-resume field per rank, or the error naming the lines missing.
+fn every_rank<T>(per_rank: Vec<Option<T>>, what: &str) -> io::Result<Vec<T>> {
+    per_rank.into_iter().collect::<Option<_>>().ok_or_else(|| {
         bad(format!(
             "checkpoint lacks exact-resume {what} lines (written before the first force \
              evaluation, or by an older version); use restore_cluster to restart with a \
              fresh decomposition"
         ))
-    };
-    let domains: Vec<_> = domains
-        .into_iter()
-        .collect::<Option<_>>()
-        .ok_or_else(|| missing("domain"))?;
-    let weights: Vec<_> = weights
-        .into_iter()
-        .collect::<Option<_>>()
-        .ok_or_else(|| missing("weight"))?;
-    let (acc, pot): (Vec<_>, Vec<_>) = forces
-        .into_iter()
-        .collect::<Option<Vec<_>>>()
-        .ok_or_else(|| missing("forces"))?
-        .into_iter()
-        .unzip();
-    Ok(Cluster::from_exact_state(
-        parts, acc, pot, domains, weights, time, steps, cfg,
-    ))
+    })
 }
 
 fn parse_tok<T: std::str::FromStr>(tok: Option<&str>, line: &str, what: &str) -> io::Result<T> {

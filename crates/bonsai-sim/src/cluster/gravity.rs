@@ -57,7 +57,7 @@ struct RankForces {
 impl Cluster {
     /// The distributed force computation, with every inter-rank payload
     /// crossing the (possibly faulty) fabric in validated envelopes.
-    /// Populates `self.acc` and returns the breakdown, or `Err(rank)` when a
+    /// Populates `self.forces` and returns the breakdown, or `Err(rank)` when a
     /// rank stayed silent through every retry and must be treated as
     /// crashed.
     pub(super) fn try_gravity_phase(&mut self) -> Result<StepBreakdown, usize> {
@@ -365,7 +365,7 @@ impl Cluster {
             let flops = (r.local + r.lets).flops() as f64;
             self.weights[i] = flops / self.ranks[i].len().max(1) as f64;
         }
-        (self.acc, self.pot) = results.into_iter().map(|r| (r.forces.acc, r.forces.pot)).unzip();
+        self.forces = results.into_iter().map(|r| r.forces).collect();
 
         meas.recovery_actions = self.wire.log.for_epoch(self.epoch).1.len();
         let costs = self.price_ranks(&meas);

@@ -8,7 +8,7 @@ use bonsai_domain::exchange::{particles_from_bytes, particles_to_bytes, Exchange
 use bonsai_net::collective::{Expect, Outbox};
 use bonsai_net::membership::{self, MembershipEvent};
 use bonsai_net::MsgKind;
-use bonsai_tree::Particles;
+use bonsai_tree::{Forces, Particles};
 
 impl Cluster {
     /// Grow the cluster online: admit `k` fresh ranks. Every member
@@ -164,8 +164,7 @@ impl Cluster {
         }
         self.ranks.resize_with(world, Particles::new);
         self.weights.resize(world, 1.0);
-        self.acc = vec![Vec::new(); world];
-        self.pot = vec![Vec::new(); world];
+        self.forces = vec![Forces::default(); world];
         self.dead = vec![false; world];
         self.view = wide.clone();
         // Every pair exchanges a (possibly empty) payload so receivers know
@@ -203,8 +202,7 @@ impl Cluster {
             .map(|o| std::mem::replace(&mut self.ranks[o], Particles::new()))
             .collect();
         self.weights = new_view.members.iter().map(|n| self.weights[kept(n)]).collect();
-        self.acc.truncate(new_p);
-        self.pot.truncate(new_p);
+        self.forces.truncate(new_p);
         self.dead.truncate(new_p);
         if new_p < old_p {
             self.wire.resize(new_p);

@@ -59,7 +59,8 @@ use bonsai_net::{MachineSpec, NetworkModel, PIZ_DAINT};
 use bonsai_obs::{MetricsRegistry, TraceStore};
 use bonsai_sfc::KeyRange;
 use bonsai_tree::build::TreeParams;
-use bonsai_tree::{InteractionCounts, Particles};
+use bonsai_core::leapfrog;
+use bonsai_tree::{Forces, InteractionCounts, Particles};
 use bonsai_util::Vec3;
 use recovery::seed_decomposition;
 use std::path::PathBuf;
@@ -202,10 +203,8 @@ pub struct Cluster {
     net: NetworkModel,
     /// Per-rank particles (SFC order after each step).
     ranks: Vec<Particles>,
-    /// Per-rank accelerations aligned with `ranks`.
-    acc: Vec<Vec<Vec3>>,
-    /// Per-rank potentials aligned with `ranks`.
-    pot: Vec<Vec<f64>>,
+    /// Per-rank accelerations and potentials aligned with `ranks`.
+    forces: Vec<Forces>,
     /// Current domain partition.
     domains: Vec<KeyRange>,
     /// Per-rank flop weights from the previous gravity phase.
@@ -314,8 +313,7 @@ impl Cluster {
             net: NetworkModel::new(cfg.machine),
             pool: cfg.threads.map(|t| Arc::new(rayon::ThreadPool::new(t))),
             cfg,
-            acc: vec![Vec::new(); p],
-            pot: vec![Vec::new(); p],
+            forces: vec![Forces::default(); p],
             ranks,
             domains,
             weights: vec![1.0; p],
@@ -346,11 +344,9 @@ impl Cluster {
     /// checkpointed run would have. (Contrast with
     /// [`restore_cluster`](crate::checkpoint::restore_cluster), which
     /// re-decomposes and may change the rank count.)
-    #[allow(clippy::too_many_arguments)] // one per exact-resume field; a struct adds more
     pub(crate) fn from_exact_state(
         ranks: Vec<Particles>,
-        acc: Vec<Vec<Vec3>>,
-        pot: Vec<Vec<f64>>,
+        forces: Vec<Forces>,
         domains: Vec<KeyRange>,
         weights: Vec<f64>,
         time: f64,
@@ -359,10 +355,9 @@ impl Cluster {
     ) -> Self {
         let p = ranks.len();
         assert!(p > 0, "exact resume needs at least one rank");
-        assert!(acc.len() == p && pot.len() == p && domains.len() == p && weights.len() == p);
+        assert!(forces.len() == p && domains.len() == p && weights.len() == p);
         Self {
-            acc,
-            pot,
+            forces,
             weights,
             time,
             steps,
@@ -388,14 +383,10 @@ impl Cluster {
         &self.weights
     }
 
-    /// Rank `rank`'s accelerations (aligned with [`Cluster::rank_particles`]).
-    pub(crate) fn rank_acc(&self, rank: usize) -> &[Vec3] {
-        &self.acc[rank]
-    }
-
-    /// Rank `rank`'s potentials (aligned with [`Cluster::rank_particles`]).
-    pub(crate) fn rank_pot(&self, rank: usize) -> &[f64] {
-        &self.pot[rank]
+    /// Rank `rank`'s accelerations and potentials (aligned with
+    /// [`Cluster::rank_particles`]).
+    pub(crate) fn rank_forces(&self, rank: usize) -> &Forces {
+        &self.forces[rank]
     }
 
     /// Rank count.
@@ -557,34 +548,14 @@ impl Cluster {
     /// potentials (no extra force evaluation) — the on-the-fly conservation
     /// monitor of a production run.
     pub fn energy_report(&self) -> bonsai_analysis::EnergyReport {
-        let mut kinetic = bonsai_util::KahanSum::new();
-        let mut potential = bonsai_util::KahanSum::new();
-        let mut momentum = Vec3::zero();
-        let mut l_z = bonsai_util::KahanSum::new();
-        for (rank, pot) in self.ranks.iter().zip(&self.pot) {
-            let bodies = rank.mass.iter().zip(&rank.pos).zip(&rank.vel).zip(pot);
-            for (((&m, &x), &v), &phi) in bodies {
-                kinetic.add(0.5 * m * v.norm2());
-                potential.add(0.5 * m * phi);
-                momentum += v * m;
-                l_z.add(m * x.cross(v).z);
-            }
-        }
-        bonsai_analysis::EnergyReport {
-            kinetic: kinetic.value(),
-            potential: potential.value(),
-            l_z: l_z.value(),
-            momentum: momentum.norm(),
-        }
+        bonsai_analysis::EnergyReport::from_shards(self.ranks.iter().zip(&self.forces))
     }
 
     /// Accelerations of every particle keyed by id (analysis/validation).
     pub fn accelerations_by_id(&self) -> std::collections::HashMap<u64, Vec3> {
         let mut map = std::collections::HashMap::with_capacity(self.total_particles());
-        for (r, p) in self.ranks.iter().enumerate() {
-            for i in 0..p.len() {
-                map.insert(p.id[i], self.acc[r][i]);
-            }
+        for (p, f) in self.ranks.iter().zip(&self.forces) {
+            map.extend(p.id.iter().copied().zip(f.acc.iter().copied()));
         }
         map
     }
@@ -610,14 +581,10 @@ impl Cluster {
     }
 
     fn step_inner(&mut self) -> StepBreakdown {
-        let half = 0.5 * self.cfg.dt;
         let dt = self.cfg.dt;
         loop {
-            for (rank, acc) in self.ranks.iter_mut().zip(&self.acc) {
-                for ((v, x), &a) in rank.vel.iter_mut().zip(&mut rank.pos).zip(acc) {
-                    *v += a * half;
-                    *x += *v * dt;
-                }
+            for (rank, forces) in self.ranks.iter_mut().zip(&self.forces) {
+                leapfrog::kick_drift(rank, forces, dt);
             }
             let (breakdown, restored) = self.compute_forces_with_recovery();
             if restored {
@@ -625,10 +592,8 @@ impl Cluster {
                 // forces; redo the kick–drift from there.
                 continue;
             }
-            for (rank, acc) in self.ranks.iter_mut().zip(&self.acc) {
-                for (v, &a) in rank.vel.iter_mut().zip(acc) {
-                    *v += a * half;
-                }
+            for (rank, forces) in self.ranks.iter_mut().zip(&self.forces) {
+                leapfrog::kick(rank, forces, dt);
             }
             self.time += dt;
             self.steps += 1;

@@ -38,7 +38,7 @@ impl Cluster {
     /// Host-CPU key-classification rate (keys/s) of the *configured* machine
     /// (Titan's slower Opteron stretches the phases charged at it, §VI-B).
     fn classify_rate(&self) -> f64 {
-        130.0e6 * self.cfg.machine.cpu_let_rate
+        crate::model::XEON_KEY_RATE * self.cfg.machine.cpu_let_rate
     }
 
     /// The unified observability trace: spans for every Table II phase of

@@ -10,7 +10,7 @@ use bonsai_net::fault::{FaultEvent, FaultKind, RecoveryAction, RecoveryEvent};
 use bonsai_net::membership::{self, MembershipEvent, View, ViewChange};
 use bonsai_net::MsgKind;
 use bonsai_sfc::{KeyMap, KeyRange};
-use bonsai_tree::Particles;
+use bonsai_tree::{Forces, Particles};
 
 impl Cluster {
     pub(super) fn write_recovery_checkpoint(&self) {
@@ -50,8 +50,7 @@ impl Cluster {
             });
             self.dead[r] = true;
             self.ranks[r] = Particles::new();
-            self.acc[r].clear();
-            self.pot[r].clear();
+            self.forces[r] = Forces::default();
         }
     }
 
@@ -120,8 +119,7 @@ impl Cluster {
     /// simulation clock back to the snapshot, and log it against `dead`.
     fn reseed_from_checkpoint(&mut self, ck: &Checkpoint, p: usize, dead: usize, over: &str) {
         (self.ranks, self.domains) = seed_decomposition(&ck.particles, p, &self.cfg);
-        self.acc = vec![Vec::new(); p];
-        self.pot = vec![Vec::new(); p];
+        self.forces = vec![Forces::default(); p];
         self.weights = vec![1.0; p];
         self.time = ck.time;
         self.steps = ck.steps;

@@ -28,8 +28,9 @@ use bonsai_net::{MachineSpec, NetworkModel, PIZ_DAINT, TITAN};
 use bonsai_tree::InteractionCounts;
 
 /// Host-CPU key-classification rate of the Xeon E5-2670 (keys/s) used in the
-/// domain update; Titan's Opteron scales by `cpu_let_rate`.
-const XEON_KEY_RATE: f64 = 130.0e6;
+/// domain update; Titan's Opteron scales by `cpu_let_rate`. The cluster's
+/// per-rank pricing reads it too.
+pub(crate) const XEON_KEY_RATE: f64 = 130.0e6;
 
 /// Serialized boundary-tree size (bytes) the model prices: ~70 covering
 /// cells × 176 B/node. These are the model's figures, not this code's wire

@@ -17,14 +17,14 @@
 //! themselves published as must-deliver alert frames.
 //!
 //! Everything runs under the modelled clock: frame timestamps are the
-//! trace makespan and costs are op counts × the default
-//! [`ObsCostModel`](bonsai_obs::overhead::ObsCostModel) rates, so a fixed-seed
-//! run streams byte-identical frames.
+//! trace makespan and costs are op counts × the fixed
+//! [`bonsai_obs::overhead`] rates, so a fixed-seed run streams
+//! byte-identical frames.
 
 use crate::breakdown::{Phase, StepBreakdown};
 use crate::cluster::StepFacts;
 use bonsai_obs::health::{AlertEvent, HealthMonitor};
-use bonsai_obs::overhead::{overhead_rule, OverheadMeter, OVERHEAD_GAUGE};
+use bonsai_obs::overhead::{self, overhead_rule, OverheadMeter, OVERHEAD_GAUGE};
 use bonsai_obs::stream::{FrameKind, FrameValue, SubscriberConfig, TelemetryBus};
 use bonsai_obs::{MetricsRegistry, TraceStore};
 
@@ -108,16 +108,11 @@ impl StreamTap {
         fields: Vec<(String, FrameValue)>,
     ) {
         let bytes = self.bus.publish(step, kind, at, fields);
-        let cost = self.meter.cost().clone();
-        self.meter.charge_ops("encode", bytes as u64, cost.encode_byte_s);
-        self.meter.charge_ops(
-            "publish",
-            self.bus.subscriber_count() as u64,
-            cost.publish_s,
-        );
+        self.meter.charge_ops("encode", bytes as u64, overhead::ENCODE_BYTE_S);
+        let subscribers = self.bus.subscriber_count() as u64;
+        self.meter.charge_ops("publish", subscribers, overhead::PUBLISH_S);
         let stalls = self.bus.stalls();
-        self.meter
-            .charge_ops("stall", stalls - self.prev_stalls, cost.stall_s);
+        self.meter.charge_ops("stall", stalls - self.prev_stalls, overhead::STALL_S);
         self.prev_stalls = stalls;
     }
 
@@ -168,7 +163,6 @@ impl StreamTap {
     ) {
         let (step, epoch) = (facts.step, facts.epoch);
         let at = trace.makespan();
-        let cost = self.meter.cost().clone();
 
         // Price what the observability stack did this step, from the
         // observable op counts: the trace events the step recorded, the
@@ -178,16 +172,13 @@ impl StreamTap {
         let spans = recs.spans.len() as u64;
         let instants = recs.instants.len() as u64;
         let flow_points = recs.flow_points.len() as u64;
-        self.meter.charge_ops("trace", spans, cost.span_record_s);
-        self.meter
-            .charge_ops("trace", instants, cost.instant_record_s);
-        self.meter
-            .charge_ops("trace", flow_points, cost.flow_point_s);
+        self.meter.charge_ops("trace", spans, overhead::SPAN_RECORD_S);
+        self.meter.charge_ops("trace", instants, overhead::INSTANT_RECORD_S);
+        self.meter.charge_ops("trace", flow_points, overhead::FLOW_POINT_S);
         let gauges = registry.gauges().count() as u64;
-        self.meter.charge_ops("metrics", gauges, cost.gauge_sample_s);
+        self.meter.charge_ops("metrics", gauges, overhead::GAUGE_SAMPLE_S);
         if let Some(rules) = facts.longrun_rules {
-            self.meter
-                .charge_ops("health", rules as u64 * gauges, cost.rule_eval_s);
+            self.meter.charge_ops("health", rules as u64 * gauges, overhead::RULE_EVAL_S);
         }
 
         // The step's frames, in a fixed kind order.

@@ -41,9 +41,7 @@ pub fn serial_reference(ic: &Particles, cfg: &ClusterConfig) -> HashMap<u64, Vec
         eps: cfg.eps,
         dt: cfg.dt,
         g: cfg.g,
-        nleaf: cfg.tree.nleaf,
-        group_size: cfg.tree.group_size,
-        use_hilbert: cfg.tree.curve == bonsai_sfc::Curve::Hilbert,
+        tree: cfg.tree,
     };
     Simulation::new(ic.clone(), scfg).accelerations_by_id()
 }

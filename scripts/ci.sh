@@ -130,6 +130,15 @@ echo "== the two programs that print a Table II column =="
 cargo run -q --release --bin bonsai -- run cluster --n 4000 --ranks 4 --steps 2
 cargo run -q --release --example cluster_demo -- 4 4000
 
+echo "== the hybrid engine, and a malformed CLI flag =="
+# black_hole is the one program that runs HybridSimulation (the tree code
+# plus the direct core around black holes, §VII). A flag value that does not
+# parse must exit 2, not quietly run the default.
+cargo run -q --release --example black_hole
+status=0
+cargo run -q --release --bin bonsai -- run plummer --n 6o000 || status=$?
+test "$status" -eq 2
+
 # The gate runner wrote nothing to the tree. A kernel change that is *meant*
 # to move force bits is re-blessed with `gates --bless` (DESIGN.md 6f). Nor
 # did the benchmark stanza above: `benchmark/run.sh` and that `cargo test`

@@ -24,9 +24,13 @@ struct Args {
 
 impl Args {
     fn parse() -> Self {
+        Self::from_args(std::env::args().skip(1))
+    }
+
+    fn from_args(args: impl IntoIterator<Item = String>) -> Self {
         let mut positional = Vec::new();
         let mut flags = Vec::new();
-        let mut it = std::env::args().skip(1).peekable();
+        let mut it = args.into_iter();
         while let Some(a) = it.next() {
             if let Some(key) = a.strip_prefix("--") {
                 let value = it.next().unwrap_or_default();
@@ -38,13 +42,21 @@ impl Args {
         Self { positional, flags }
     }
 
+    /// The value of `--key`, or `default` when the flag is absent; a present
+    /// flag whose value is missing or does not parse is an error naming both.
+    fn value<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
+        match self.get_str(key) {
+            None => Ok(default),
+            Some(v) => v.parse().map_err(|_| format!("--{key}: cannot parse {v}")),
+        }
+    }
+
+    /// [`Args::value`], exiting with status 2 on a malformed value.
     fn get<T: std::str::FromStr>(&self, key: &str, default: T) -> T {
-        self.flags
-            .iter()
-            .rev()
-            .find(|(k, _)| k == key)
-            .and_then(|(_, v)| v.parse().ok())
-            .unwrap_or(default)
+        self.value(key, default).unwrap_or_else(|e| {
+            eprintln!("{e}");
+            std::process::exit(2)
+        })
     }
 
     fn get_str(&self, key: &str) -> Option<&str> {
@@ -67,7 +79,8 @@ USAGE:
   bonsai resume FILE   [--steps S] [--theta T] [--eps E] [--dt DT]
   bonsai info
 
-Figures/tables of the paper: see `cargo run -p bonsai-bench --bin <target>`."
+Paper rows:     `cargo run --release -p bonsai-bench --bin paper [ROW..]`
+Artifact gates: `cargo run --release -p bonsai-bench --bin gates [KIND..]`"
     );
     ExitCode::FAILURE
 }
@@ -233,4 +246,28 @@ fn info() -> ExitCode {
         b.total_flops() / b.total() / 1e15
     );
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::Args;
+
+    fn args(line: &str) -> Args {
+        Args::from_args(line.split_whitespace().map(String::from))
+    }
+
+    #[test]
+    fn a_malformed_flag_value_is_an_error_not_the_default() {
+        assert_eq!(args("run plummer --steps 3").value("n", 10_000usize), Ok(10_000));
+        assert_eq!(args("run plummer --n 500").value("n", 10_000usize), Ok(500));
+        assert_eq!(
+            args("run plummer --n 6o000").value("n", 10_000usize),
+            Err("--n: cannot parse 6o000".to_string())
+        );
+        assert_eq!(
+            args("run plummer --steps").value("steps", 100usize),
+            Err("--steps: cannot parse ".to_string())
+        );
+        assert_eq!(args("run plummer --theta 0.5").value("theta", 0.4), Ok(0.5));
+    }
 }
