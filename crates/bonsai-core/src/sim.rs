@@ -158,8 +158,12 @@ impl Simulation {
     /// distributed equivalence oracle compares a `bonsai-sim` cluster
     /// against (mirrors `Cluster::accelerations_by_id`).
     pub fn accelerations_by_id(&self) -> std::collections::HashMap<u64, Vec3> {
-        let ids = self.particles.id.iter().copied();
-        ids.zip(self.forces.acc.iter().copied()).collect()
+        self.particles
+            .id
+            .iter()
+            .copied()
+            .zip(self.forces.acc.iter().copied())
+            .collect()
     }
 
     /// Energy/momentum diagnostics from the tree potentials of the current
