@@ -6,8 +6,9 @@
 //! an observability layer that cannot state its own cost cannot make that
 //! claim. Everything here runs under the *modelled* clock — op counts
 //! (spans recorded, gauges sampled, frames encoded…) are priced by fixed
-//! per-op rates ([`SPAN_RECORD_S`] and its siblings), never wall-clock, so the overhead fraction is
-//! byte-deterministic like every other exported number.
+//! per-op rates ([`SPAN_RECORD_S`] and its siblings), never wall-clock, so
+//! the overhead fraction is byte-deterministic like every other exported
+//! number.
 //!
 //! [`overhead_rule`] turns the fraction into a health rule: a run whose
 //! telemetry costs more than [`OVERHEAD_BUDGET_FRACTION`] of its modelled

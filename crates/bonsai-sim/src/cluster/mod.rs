@@ -52,6 +52,7 @@ pub use gravity::factor_ranks;
 
 use crate::autoscale::ScaleDecision;
 use crate::breakdown::StepBreakdown;
+use bonsai_core::leapfrog;
 use bonsai_gpu::{GpuModel, KernelVariant, K20X};
 use bonsai_net::fault::{FaultLog, FaultPlan, Wire};
 use bonsai_net::membership::{MembershipLog, View};
@@ -59,7 +60,6 @@ use bonsai_net::{MachineSpec, NetworkModel, PIZ_DAINT};
 use bonsai_obs::{MetricsRegistry, TraceStore};
 use bonsai_sfc::KeyRange;
 use bonsai_tree::build::TreeParams;
-use bonsai_core::leapfrog;
 use bonsai_tree::{Forces, InteractionCounts, Particles};
 use bonsai_util::Vec3;
 use recovery::seed_decomposition;
