@@ -72,7 +72,7 @@ fn forces_from_bytes(bytes: &[u8], count: usize) -> io::Result<Forces> {
         )));
     }
     let f = |i: usize| f64::from_le_bytes(bytes[i * 8..i * 8 + 8].try_into().unwrap());
-    let mut forces = Forces::default();
+    let mut forces = Forces { acc: Vec::with_capacity(count), pot: Vec::with_capacity(count) };
     for i in 0..count {
         forces.acc.push(bonsai_util::Vec3::new(f(4 * i), f(4 * i + 1), f(4 * i + 2)));
         forces.pot.push(f(4 * i + 3));
