@@ -8,12 +8,14 @@
 //! * [`bar`] — m = 2 Fourier bar strength `A₂`, bar phase, and pattern-speed
 //!   estimation from phase drift (how we detect that "a barred spiral galaxy
 //!   similar to the Milky Way has formed");
+//! * [`spiral`] — azimuthal mode spectra `A_m(R)` and the pitch angle of
+//!   the m-armed spiral (the arms of Fig. 3);
 //! * [`velocity`] — the solar-neighbourhood (v_r, v_φ) velocity-structure
 //!   histogram (Fig. 3 bottom-left, the moving-groups panel);
 //! * [`energy`] — kinetic/potential/total energy, angular momentum and
-//!   virial diagnostics used by the integrator tests;
+//!   virial ratio (every engine's energy report), and the density centre;
 //! * [`ppm`] — tiny dependency-free PPM/CSV writers so every figure can be
-//!   regenerated as an actual image/table from the benches.
+//!   regenerated as an actual image/table.
 //!
 //! ```
 //! use bonsai_analysis::bar::BarAnalysis;
@@ -31,7 +33,6 @@ pub mod bar;
 pub mod density;
 pub mod energy;
 pub mod ppm;
-pub mod rotation;
 pub mod spiral;
 pub mod velocity;
 

@@ -15,7 +15,7 @@ use bonsai_ic::plummer_sphere;
 use bonsai_obs::analysis::{critical_path, flop_balance, phase_stats, step_wall_time};
 use bonsai_obs::json::{self, Value};
 use bonsai_obs::obj;
-use bonsai_sim::trace::step_timelines;
+use bonsai_sim::trace::mean_hidden_comm_fraction;
 use bonsai_sim::{Cluster, ClusterConfig};
 use std::collections::BTreeMap;
 
@@ -121,12 +121,7 @@ fn measure_point(p: usize, n_per_rank: usize, seed: u64) -> SweepPoint {
     // The straggler is whoever owns the terminal work of the critical path.
     let worst_rank = cp.nodes.iter().rev().find(|n| !n.wait).map_or(0, |n| n.rank);
     let fb = flop_balance(store, step);
-    let timelines = step_timelines(cluster.trace());
-    let hidden = timelines
-        .iter()
-        .map(|t| t.hidden_comm_fraction())
-        .sum::<f64>()
-        / timelines.len().max(1) as f64;
+    let hidden = mean_hidden_comm_fraction(cluster.trace());
 
     SweepPoint {
         p,

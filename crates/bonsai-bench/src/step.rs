@@ -18,7 +18,7 @@ use bonsai_ic::plummer_sphere;
 use bonsai_obs::json::{self, Value};
 use bonsai_obs::{chrome, folded, obj, prom};
 use bonsai_sim::breakdown::Phase;
-use bonsai_sim::trace::step_timelines;
+use bonsai_sim::trace::mean_hidden_comm_fraction;
 use bonsai_sim::{Cluster, ClusterConfig};
 
 /// Everything one traced step exports.
@@ -42,12 +42,7 @@ pub fn run(n: usize, ranks: usize, seed: u64) -> StepExports {
     let b = cluster.step();
     let registry_matches = cluster.breakdown_from_metrics() == b;
 
-    let timelines = step_timelines(cluster.trace());
-    let hidden = timelines
-        .iter()
-        .map(|t| t.hidden_comm_fraction())
-        .sum::<f64>()
-        / timelines.len().max(1) as f64;
+    let hidden = mean_hidden_comm_fraction(cluster.trace());
     let m = &cluster.last_measurements;
     let boundary: usize = m.boundary_bytes.iter().sum();
     let lets: usize = m.let_bytes_sent.iter().sum();

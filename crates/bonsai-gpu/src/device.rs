@@ -38,8 +38,6 @@ pub struct DeviceSpec {
     pub mem_gb: f64,
     /// Device memory bandwidth, GB/s.
     pub mem_bw_gbs: f64,
-    /// PCIe host link bandwidth, GB/s (gen2 x16 effective).
-    pub pcie_gbs: f64,
 }
 
 impl DeviceSpec {
@@ -94,7 +92,6 @@ pub const K20X: DeviceSpec = DeviceSpec {
     max_blocks_per_sm: 16,
     mem_gb: 5.4,
     mem_bw_gbs: 250.0,
-    pcie_gbs: 6.0,
 };
 
 /// NVIDIA Tesla C2075 (Fermi GF110), the comparison GPU of Fig. 1.
@@ -110,7 +107,6 @@ pub const C2075: DeviceSpec = DeviceSpec {
     max_blocks_per_sm: 8,
     mem_gb: 5.4,
     mem_bw_gbs: 144.0,
-    pcie_gbs: 6.0,
 };
 
 #[cfg(test)]

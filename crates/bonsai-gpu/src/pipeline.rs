@@ -140,11 +140,6 @@ impl GpuModel {
         nodes_visited as f64 * MAC_CYCLES / (self.device.lane_rate() / WARP)
     }
 
-    /// Time to move `bytes` across the PCIe link (LET staging to/from host).
-    pub fn pcie_time(&self, bytes: u64) -> f64 {
-        bytes as f64 / (self.device.pcie_gbs * 1e9)
-    }
-
     /// Annotate a gravity span with the device model's view of the batch:
     /// modelled occupancy, achieved Gflops, the interaction counts that
     /// were charged, and the roofline coordinates (flops, bytes moved, the
@@ -247,12 +242,6 @@ mod tests {
         let grav = m.gravity_time(paper_mix(n));
         let rest = m.sort_time(n) + m.build_time(n) + m.props_time(n);
         assert!(grav > 5.0 * rest);
-    }
-
-    #[test]
-    fn pcie_transfer_time() {
-        let m = GpuModel::k20x_tuned();
-        assert!((m.pcie_time(6_000_000_000) - 1.0).abs() < 1e-9);
     }
 
     #[test]

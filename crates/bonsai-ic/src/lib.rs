@@ -42,6 +42,6 @@ pub mod plummer;
 pub mod profile;
 
 pub use merger::{make_merger, MergerOrbit};
-pub use milkyway::{Component, MilkyWayModel};
+pub use milkyway::MilkyWayModel;
 pub use plummer::plummer_sphere;
 pub use profile::{Hernquist, Nfw, Plummer, Profile};

@@ -25,17 +25,6 @@ use bonsai_util::rng::Xoshiro256;
 use bonsai_util::units::G;
 use bonsai_util::Vec3;
 
-/// Which structural component a particle belongs to.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Component {
-    /// Hernquist bulge.
-    Bulge,
-    /// Exponential disk.
-    Disk,
-    /// NFW dark halo.
-    Halo,
-}
-
 /// The composite Milky Way model.
 #[derive(Clone, Debug)]
 pub struct MilkyWayModel {
@@ -73,19 +62,6 @@ impl MilkyWayModel {
         let nb = nb.max(1).min(n_total.saturating_sub(2));
         let nd = nd.max(1).min(n_total - nb - 1);
         (nb, nd, n_total - nb - nd)
-    }
-
-    /// Component of the particle with index `i` out of `n_total` (bulge
-    /// first, then disk, then halo — mirroring the paper's §IV ordering).
-    pub fn component_of_index(&self, i: usize, n_total: usize) -> Component {
-        let (nb, nd, _) = self.component_counts(n_total);
-        if i < nb {
-            Component::Bulge
-        } else if i < nb + nd {
-            Component::Disk
-        } else {
-            Component::Halo
-        }
     }
 
     /// Total enclosed mass at spherical radius `r` (disk folded in via its
@@ -278,6 +254,42 @@ mod tests {
     }
 
     #[test]
+    fn disk_rotation_matches_the_model_in_each_annulus() {
+        // Mean streaming velocity ⟨v_φ⟩ of the disk particles in 2 kpc
+        // annuli against the composite model's circular velocity at the
+        // annulus centre, wherever an annulus outside the bulge holds more
+        // than 200 particles.
+        const ANNULI: usize = 8;
+        const R_MAX: f64 = 16.0;
+        let mw = MilkyWayModel::paper();
+        let n = 40_000;
+        let (nb, nd, _) = mw.component_counts(n);
+        let p = mw.generate_range(n, nb, nb + nd, 3);
+        let mut vphi_sum = [0.0f64; ANNULI];
+        let mut count = [0usize; ANNULI];
+        for (pos, vel) in p.pos.iter().zip(&p.vel) {
+            let r = pos.cyl_radius();
+            if r > 0.0 && r < R_MAX {
+                let b = ((r / R_MAX * ANNULI as f64) as usize).min(ANNULI - 1);
+                vphi_sum[b] += vel.dot(Vec3::new(-pos.y / r, pos.x / r, 0.0));
+                count[b] += 1;
+            }
+        }
+        let mut checked = 0;
+        for b in 0..ANNULI {
+            let r = (b as f64 + 0.5) * R_MAX / ANNULI as f64;
+            if count[b] <= 200 || r <= 4.0 {
+                continue;
+            }
+            let vphi = vphi_sum[b] / count[b] as f64;
+            let vc = mw.circular_velocity(r);
+            assert!((vphi / vc - 1.0).abs() < 0.25, "r {r}: measured {vphi} vs model {vc}");
+            checked += 1;
+        }
+        assert!(checked >= 3, "only {checked} annuli measured");
+    }
+
+    #[test]
     fn halo_particles_are_extended_and_pressure_supported() {
         let mw = MilkyWayModel::paper();
         let n = 20_000;
@@ -301,16 +313,5 @@ mod tests {
         let p = mw.generate(30_000, 5);
         let com = p.center_of_mass();
         assert!(com.norm() < 5.0, "COM {com} kpc"); // statistical, halo-dominated
-    }
-
-    #[test]
-    fn component_of_index_respects_boundaries() {
-        let mw = MilkyWayModel::paper();
-        let n = 10_000;
-        let (nb, nd, _) = mw.component_counts(n);
-        assert_eq!(mw.component_of_index(0, n), Component::Bulge);
-        assert_eq!(mw.component_of_index(nb, n), Component::Disk);
-        assert_eq!(mw.component_of_index(nb + nd, n), Component::Halo);
-        assert_eq!(mw.component_of_index(n - 1, n), Component::Halo);
     }
 }

@@ -4,7 +4,7 @@
 //! least significant axis, matching the octant convention of
 //! `bonsai_util::aabb::Aabb::octant` (bit 0 → x-high).
 
-use crate::{DIM_BITS, DIM_CELLS};
+use crate::DIM_CELLS;
 
 /// Spread the low 21 bits of `v` so bit `k` moves to bit `3k`.
 #[inline]
@@ -41,13 +41,6 @@ pub fn encode(c: [u32; 3]) -> u64 {
 #[inline]
 pub fn decode(key: u64) -> [u32; 3] {
     [compact(key), compact(key >> 1), compact(key >> 2)]
-}
-
-/// The octant digit (0–7) of `key` at tree `level` (level 1 = root children).
-#[inline]
-pub fn octant_at_level(key: u64, level: u32) -> u8 {
-    debug_assert!((1..=DIM_BITS).contains(&level));
-    ((key >> (3 * (DIM_BITS - level))) & 0x7) as u8
 }
 
 #[cfg(test)]
@@ -100,18 +93,6 @@ mod tests {
             let k = encode([x, 0, 0]);
             assert!(k > prev);
             prev = k;
-        }
-    }
-
-    #[test]
-    fn octant_digits() {
-        let key = encode([0x1F_FFFF, 0, 0]); // all x bits set
-        for level in 1..=DIM_BITS {
-            assert_eq!(octant_at_level(key, level), 1);
-        }
-        let key = encode([0, 0x1F_FFFF, 0x1F_FFFF]);
-        for level in 1..=DIM_BITS {
-            assert_eq!(octant_at_level(key, level), 6);
         }
     }
 }

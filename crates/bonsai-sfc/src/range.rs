@@ -47,11 +47,6 @@ impl KeyRange {
         key >= self.start && key < self.end
     }
 
-    /// `true` if the ranges overlap.
-    pub fn overlaps(&self, o: &KeyRange) -> bool {
-        self.start < o.end && o.start < self.end
-    }
-
     /// Cut the range into `n` near-equal contiguous pieces (sizes differ by
     /// at most 1 key).
     pub fn split_even(&self, n: usize) -> Vec<KeyRange> {
@@ -203,10 +198,10 @@ mod tests {
     fn contains_and_overlaps() {
         let a = KeyRange::new(10, 20);
         let b = KeyRange::new(20, 30);
-        let c = KeyRange::new(15, 25);
         assert!(a.contains(10) && !a.contains(20));
-        assert!(!a.overlaps(&b));
-        assert!(a.overlaps(&c) && b.overlaps(&c));
+        // Adjacent half-open ranges do not overlap: the cut key is the
+        // second one's alone.
+        assert!(b.contains(20) && !b.contains(19));
         assert!(KeyRange::new(5, 5).is_empty());
     }
 

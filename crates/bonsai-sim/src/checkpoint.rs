@@ -169,7 +169,9 @@ fn read_shards<'m>(dir: &Path, manifest: &'m str) -> io::Result<Shards<'m>> {
     let ranks: usize = parse_field(lines.next(), "ranks")?;
     let time: f64 = parse_field(lines.next(), "time")?;
     let steps: u64 = parse_field(lines.next(), "steps")?;
-    let mut per_rank = Vec::with_capacity(ranks);
+    // Grown shard by shard: `ranks` is not trusted until every shard line
+    // it promises has been read.
+    let mut per_rank = Vec::new();
     for r in 0..ranks {
         let line = lines
             .next()
@@ -566,6 +568,21 @@ mod tests {
             format!("{name} {count} {crc} extra")
         });
         both_readers_reject(&dir, "manifest shard line 0 malformed");
+    }
+
+    #[test]
+    fn a_huge_declared_rank_count_is_an_error() {
+        // Three shard lines follow, then the exact-resume extension lines:
+        // the reader must run out of shard lines, not size anything from
+        // the count first.
+        let mut c = Cluster::new(plummer_sphere(400, 14), 3, ClusterConfig::default());
+        c.step();
+        let dir = tmp("huge_ranks");
+        write_checkpoint(&c, &dir).unwrap();
+        let manifest = std::fs::read_to_string(dir.join("manifest.txt")).unwrap();
+        let manifest = manifest.replacen("ranks 3\n", &format!("ranks {}\n", usize::MAX), 1);
+        std::fs::write(dir.join("manifest.txt"), manifest).unwrap();
+        both_readers_reject(&dir, "manifest shard line 3 malformed");
     }
 
     #[test]

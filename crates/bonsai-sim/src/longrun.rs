@@ -16,7 +16,7 @@
 
 use crate::breakdown::StepBreakdown;
 use crate::cluster::{StepFacts, StepMeasurements};
-use crate::trace::step_timelines;
+use crate::trace::mean_hidden_comm_fraction;
 use bonsai_analysis::EnergyReport;
 use bonsai_obs::health::{default_rules, AlertEvent, AlertKind, HealthMonitor, Rule};
 use bonsai_obs::timeseries::{SeriesConfig, SeriesStore};
@@ -24,6 +24,21 @@ use bonsai_obs::{Incident, Lane, MetricsRegistry, TraceStore};
 
 /// Incidents frozen at most (each owns a copy of the window).
 const MAX_INCIDENTS: usize = 4;
+
+/// The run-level signals [`LongRunMonitor::observe`] writes each step as
+/// unlabelled step gauges, in the order it derives them; the stream tap
+/// publishes them in this order too.
+pub(crate) const RUN_SIGNALS: [&str; 9] = [
+    "bonsai_energy_drift",
+    "bonsai_flop_residual",
+    "bonsai_hidden_comm_fraction",
+    "bonsai_gpu_gflops",
+    "bonsai_step_seconds",
+    "bonsai_recovery_actions",
+    "bonsai_degraded_lets",
+    "bonsai_retransmit_bytes",
+    "bonsai_particle_imbalance",
+];
 
 /// Configuration of the long-run monitor.
 #[derive(Clone, Debug)]
@@ -122,28 +137,19 @@ impl LongRunMonitor {
                 1.0
             }
         };
-        let timelines = step_timelines(trace);
-        let hidden = if timelines.is_empty() {
-            1.0
-        } else {
-            timelines
-                .iter()
-                .map(|t| t.hidden_comm_fraction())
-                .sum::<f64>()
-                / timelines.len() as f64
-        };
+        let hidden = mean_hidden_comm_fraction(trace);
         let derived = [
-            ("bonsai_energy_drift", drift),
-            ("bonsai_flop_residual", residual),
-            ("bonsai_hidden_comm_fraction", hidden),
-            ("bonsai_gpu_gflops", b.gpu_tflops() * 1e3),
-            ("bonsai_step_seconds", b.total()),
-            ("bonsai_recovery_actions", meas.recovery_actions as f64),
-            ("bonsai_degraded_lets", meas.degraded_lets as f64),
-            ("bonsai_retransmit_bytes", meas.retransmit_bytes as f64),
-            ("bonsai_particle_imbalance", meas.imbalance),
+            drift,
+            residual,
+            hidden,
+            b.gpu_tflops() * 1e3,
+            b.total(),
+            meas.recovery_actions as f64,
+            meas.degraded_lets as f64,
+            meas.retransmit_bytes as f64,
+            meas.imbalance,
         ];
-        for (name, v) in derived {
+        for (name, v) in RUN_SIGNALS.into_iter().zip(derived) {
             registry.step_gauge_set(name, &[], v);
         }
 

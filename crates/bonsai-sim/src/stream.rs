@@ -23,23 +23,11 @@
 
 use crate::breakdown::{Phase, StepBreakdown};
 use crate::cluster::StepFacts;
+use crate::longrun::RUN_SIGNALS;
 use bonsai_obs::health::{AlertEvent, HealthMonitor};
 use bonsai_obs::overhead::{self, overhead_rule, OverheadMeter, OVERHEAD_GAUGE};
 use bonsai_obs::stream::{FrameKind, FrameValue, SubscriberConfig, TelemetryBus};
 use bonsai_obs::{MetricsRegistry, TraceStore};
-
-/// Unlabelled gauges streamed in each step's `gauges` frame.
-const STREAMED_GAUGES: [&str; 9] = [
-    "bonsai_energy_drift",
-    "bonsai_flop_residual",
-    "bonsai_hidden_comm_fraction",
-    "bonsai_gpu_gflops",
-    "bonsai_step_seconds",
-    "bonsai_recovery_actions",
-    "bonsai_degraded_lets",
-    "bonsai_retransmit_bytes",
-    "bonsai_particle_imbalance",
-];
 
 /// Configuration of the streaming tap.
 #[derive(Clone, Debug, Default)]
@@ -203,7 +191,7 @@ impl StreamTap {
             .collect();
         phases.push(("total".to_string(), FrameValue::F64(b.total())));
         self.publish(step, FrameKind::PhaseSample, at, phases);
-        let gauge_fields: Vec<(String, FrameValue)> = STREAMED_GAUGES
+        let gauge_fields: Vec<(String, FrameValue)> = RUN_SIGNALS
             .into_iter()
             .filter_map(|name| {
                 let v = registry.gauge(name, &[])?;

@@ -92,6 +92,17 @@ pub fn step_timelines(store: &TraceStore) -> Vec<RankTimeline> {
         .collect()
 }
 
+/// Mean over ranks of [`RankTimeline::hidden_comm_fraction`] in the most
+/// recent recorded epoch of `store`. A store with no recorded step has no
+/// communication to expose and reads 1.0, as a rank without comm does.
+pub fn mean_hidden_comm_fraction(store: &TraceStore) -> f64 {
+    let timelines = step_timelines(store);
+    if timelines.is_empty() {
+        return 1.0;
+    }
+    timelines.iter().map(RankTimeline::hidden_comm_fraction).sum::<f64>() / timelines.len() as f64
+}
+
 /// Render timelines as an ASCII Gantt chart, `width` characters across.
 pub fn render_gantt(timelines: &[RankTimeline], width: usize) -> String {
     let makespan = timelines
@@ -206,6 +217,9 @@ mod tests {
                 "LET comm should be mostly hidden behind gravity, got {f}"
             );
         }
+        let mean = tls.iter().map(RankTimeline::hidden_comm_fraction).sum::<f64>() / tls.len() as f64;
+        assert_eq!(mean_hidden_comm_fraction(c.trace()), mean);
+        assert_eq!(mean_hidden_comm_fraction(&TraceStore::new()), 1.0, "no step recorded");
     }
 
     #[test]

@@ -100,15 +100,6 @@ impl Particles {
         p
     }
 
-    /// Total angular momentum `Σ m r × v` about the origin.
-    pub fn angular_momentum(&self) -> Vec3 {
-        let mut l = Vec3::zero();
-        for i in 0..self.len() {
-            l += self.pos[i].cross(self.vel[i]) * self.mass[i];
-        }
-        l
-    }
-
     /// Total kinetic energy `Σ ½ m v²`.
     pub fn kinetic_energy(&self) -> f64 {
         let mut k = bonsai_util::KahanSum::new();
@@ -178,8 +169,6 @@ mod tests {
         // COM: (2*1 - 2*1 + 0, 3*1, 0)/5
         assert_eq!(p.center_of_mass(), Vec3::new(0.0, 0.6, 0.0));
         assert_eq!(p.momentum(), Vec3::zero());
-        // L = 2*(x̂ × ŷ) + 2*(-x̂ × -ŷ) = 4 ẑ
-        assert_eq!(p.angular_momentum(), Vec3::new(0.0, 0.0, 4.0));
         assert_eq!(p.kinetic_energy(), 2.0);
     }
 

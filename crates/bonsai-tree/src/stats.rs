@@ -1,9 +1,10 @@
-//! Tree-structure statistics: depth, occupancy, memory footprint.
+//! Tree-structure statistics, and the walk's interaction-count metrics.
 //!
-//! Used by the benches to report what the builder produced (the paper's
-//! device-memory budget — 13M particles in 5.4 GB — depends on node counts
-//! and per-node size), and by tests as an independent cross-check on the
-//! builder.
+//! [`tree_stats`] measures depth, occupancy and memory footprint of a built
+//! tree; its tests use it as an independent cross-check on the builder and
+//! on the paper's device-memory budget (13M particles in 5.4 GB depends on
+//! node counts and per-node size). [`record_walk_counts`] is what the
+//! cluster records per rank after each walk.
 
 use crate::build::Tree;
 use crate::forces::InteractionCounts;

@@ -97,12 +97,6 @@ impl WalkParams {
         }
     }
 
-    /// Use galactic units (G in kpc (km/s)²/M☉).
-    pub fn with_galactic_g(mut self) -> Self {
-        self.g = bonsai_util::units::G;
-        self
-    }
-
     /// Disable quadrupole corrections (monopole-only cells).
     pub fn monopole_only(mut self) -> Self {
         self.use_quadrupole = false;
@@ -663,8 +657,11 @@ mod tests {
                 let softenings: &[f64] = if source == "boundary" { &[0.01] } else { &[0.0, 0.01] };
                 for &eps in softenings {
                     for quad in [true, false] {
-                        let mut params = WalkParams::new(0.4, eps).with_galactic_g();
-                        params.use_quadrupole = quad;
+                        let params = WalkParams {
+                            g: bonsai_util::units::G,
+                            use_quadrupole: quad,
+                            ..WalkParams::new(0.4, eps)
+                        };
                         // Every lane remainder and every amount of padding.
                         for len in 1..=48 {
                             let groups = groups_of_len(targets, len);
@@ -706,7 +703,8 @@ mod tests {
         backward.reverse();
         // A boundary tree has one-particle `Cut` cells, and p-c has no mask
         // for a coincident pair: soften.
-        for params in [WalkParams::new(0.4, 0.01), WalkParams::new(0.4, 0.01).with_galactic_g()] {
+        let galactic = WalkParams { g: bonsai_util::units::G, ..WalkParams::new(0.4, 0.01) };
+        for params in [WalkParams::new(0.4, 0.01), galactic] {
             for len in 1..=48 {
                 let groups = groups_of_len(targets, len);
                 for srcs in [&forward, &backward] {

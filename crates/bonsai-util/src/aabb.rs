@@ -112,16 +112,6 @@ impl Aabb {
         self.contains(o.min) && self.contains(o.max)
     }
 
-    /// `true` if the boxes overlap (inclusive).
-    pub fn intersects(&self, o: &Aabb) -> bool {
-        self.min.x <= o.max.x
-            && self.max.x >= o.min.x
-            && self.min.y <= o.max.y
-            && self.max.y >= o.min.y
-            && self.min.z <= o.max.z
-            && self.max.z >= o.min.z
-    }
-
     /// Squared minimum distance from a point to the box (0 inside).
     #[inline]
     pub fn min_dist2_point(&self, p: Vec3) -> f64 {
@@ -218,8 +208,6 @@ mod tests {
         assert!((b.min_dist2_box(&a) - 3.0).abs() < 1e-15);
         let c = Aabb::new(Vec3::splat(0.5), Vec3::splat(1.5));
         assert_eq!(a.min_dist2_box(&c), 0.0);
-        assert!(a.intersects(&c));
-        assert!(!a.intersects(&b));
     }
 
     #[test]

@@ -17,8 +17,8 @@
 //! * [`kahan`] — compensated summation for energy diagnostics.
 //! * [`sorted`] — the run of one step or epoch in an append-only,
 //!   key-ordered list, by binary search; the merge of sorted runs.
-//! * [`stats`] — running statistics and 1D/2D histograms used by the analysis
-//!   and benchmark crates.
+//! * [`stats`] — the 2D histogram of the velocity-structure analysis and
+//!   the interpolated percentile of the accuracy oracle and the benchmark.
 //! * [`units`] — the galactic unit system (kpc, km/s, M☉) used to express the
 //!   paper's Milky Way model.
 

@@ -82,17 +82,6 @@ impl Vec3 {
         self.norm2().sqrt()
     }
 
-    /// Unit vector in the same direction. Returns zero for the zero vector.
-    #[inline]
-    pub fn normalized(self) -> Self {
-        let n = self.norm();
-        if n > 0.0 {
-            self / n
-        } else {
-            ZERO
-        }
-    }
-
     /// Component-wise minimum.
     #[inline(always)]
     pub fn min(self, o: Self) -> Self {
@@ -115,12 +104,6 @@ impl Vec3 {
     #[inline(always)]
     pub fn max_component(self) -> f64 {
         self.x.max(self.y).max(self.z)
-    }
-
-    /// Smallest component.
-    #[inline(always)]
-    pub fn min_component(self) -> f64 {
-        self.x.min(self.y).min(self.z)
     }
 
     /// Euclidean distance to another point.
@@ -316,8 +299,6 @@ mod tests {
         let v = Vec3::new(3.0, 4.0, 12.0);
         assert_eq!(v.norm2(), 169.0);
         assert_eq!(v.norm(), 13.0);
-        assert!((v.normalized().norm() - 1.0).abs() < 1e-15);
-        assert_eq!(Vec3::zero().normalized(), Vec3::zero());
     }
 
     #[test]
@@ -328,7 +309,6 @@ mod tests {
         assert_eq!(a.max(b), Vec3::new(2.0, 5.0, 0.0));
         assert_eq!(a.abs(), Vec3::new(1.0, 5.0, 3.0));
         assert_eq!(a.max_component(), 5.0);
-        assert_eq!(a.min_component(), -3.0);
     }
 
     #[test]
