@@ -1,5 +1,5 @@
 //! The long-run monitoring bench: a scaled-down Milky Way production run
-//! driven for hundreds of steps with the [`bonsai_sim::LongRunMonitor`]
+//! driven for hundreds of steps with the [`bonsai_sim::RunMonitor`]
 //! enabled and a seeded mid-run fault storm, exported as a byte-
 //! deterministic JSON record plus a self-contained zero-dependency HTML
 //! dashboard (inline-SVG sparklines with alert annotations, incident and
@@ -16,7 +16,7 @@ use bonsai_obs::health::{AlertKind, Severity};
 use bonsai_obs::json::{self, Value};
 use bonsai_obs::obj;
 use bonsai_obs::timeseries::Series;
-use bonsai_sim::{Cluster, LongRunConfig, LongRunMonitor};
+use bonsai_sim::{Cluster, LongRunConfig, RunMonitor};
 use bonsai_util::units;
 
 use crate::report::page;
@@ -76,7 +76,7 @@ pub struct LongRunResult {
     /// The configuration that produced it.
     pub config: LongRunBenchConfig,
     /// The detached monitor (series, alert log, incidents).
-    pub monitor: LongRunMonitor,
+    pub monitor: RunMonitor,
     /// Final simulated time in Gyr.
     pub time_gyr: f64,
     /// Final relative energy drift.
@@ -112,7 +112,7 @@ pub fn run(cfg: LongRunBenchConfig) -> LongRunResult {
     let energy_drift = cluster.energy_report().drift_from(&baseline);
     let time_gyr = units::internal_to_gyr(cluster.time());
     let view_changes = cluster.membership_log().changes().to_vec();
-    let monitor = cluster.take_longrun().expect("monitor was enabled");
+    let monitor = cluster.take_monitor().expect("monitor was enabled");
     LongRunResult {
         config: cfg,
         monitor,

@@ -167,7 +167,8 @@ pub fn run(cfg: MembershipBenchConfig) -> MembershipResult {
         ids_intact,
         view_changes: cluster.membership_log().changes().to_vec(),
         decisions: cluster
-            .autoscale()
+            .monitor()
+            .and_then(|m| m.autoscale())
             .map(|p| p.decisions().to_vec())
             .unwrap_or_default(),
         view_change_recoveries: cluster

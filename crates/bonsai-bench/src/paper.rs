@@ -489,7 +489,7 @@ fn production() -> Outcome {
         }
     }
     let avg = StepBreakdown::from_phases(RANKS as u32, (N / RANKS) as u64, 0.0, 0.0, |phase| sum[phase] / STEPS as f64);
-    let lr = cluster.take_longrun().expect("the long-run monitor is on");
+    let lr = cluster.take_monitor().expect("the run monitor is on");
     let drift = lr.series().series("bonsai_energy_drift").and_then(|s| s.last()).unwrap_or(f64::NAN);
     out!(t, "alert log of the long-run monitor's {} rules:", lr.health().rules().len());
     t.push_str(&lr.health().render_log());

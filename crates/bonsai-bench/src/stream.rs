@@ -20,9 +20,9 @@ use crate::stream_dash as dash;
 use crate::{alert_row, drop_storm, milky_way_config, milky_way_snapshot};
 use bonsai_obs::json::{self, Value};
 use bonsai_obs::obj;
-use bonsai_obs::overhead::OVERHEAD_BUDGET_FRACTION;
+use bonsai_obs::overhead::{overhead_rule, OVERHEAD_BUDGET_FRACTION};
 use bonsai_obs::stream::{FrameKind, SubscriberConfig, TelemetryFrame};
-use bonsai_sim::{Cluster, LongRunConfig, StreamConfig, StreamTap};
+use bonsai_sim::{Cluster, LongRunConfig, RunMonitor, StreamConfig, StreamTap};
 use bonsai_util::units;
 use std::collections::BTreeMap;
 
@@ -82,8 +82,9 @@ impl Default for StreamBenchConfig {
 pub struct StreamResult {
     /// The configuration that produced it.
     pub config: StreamBenchConfig,
-    /// The detached tap (bus accounting, overhead meter, budget health).
-    pub tap: StreamTap,
+    /// The detached run monitor: its tap (bus accounting, overhead meter)
+    /// and its one rule engine, the budget rule among the long-run ones.
+    pub monitor: RunMonitor,
     /// Every frame the fast subscriber received, in delivery order.
     pub fast_frames: Vec<TelemetryFrame>,
     /// Frames the slow subscriber received, by kind name.
@@ -95,28 +96,33 @@ pub struct StreamResult {
 }
 
 impl StreamResult {
+    /// The monitor's telemetry tap.
+    pub fn tap(&self) -> &StreamTap {
+        self.monitor.stream().expect("the streamed run has a tap")
+    }
+
     /// Losslessness gate: no subscriber lost a must-deliver frame, the
     /// fast subscriber lost nothing at all, and the slow subscriber
     /// received every published alert and view change.
     pub fn lossless_ok(&self) -> bool {
-        let reports = self.tap.bus().reports();
+        let reports = self.tap().bus().reports();
         let fast_clean = reports[0].lost_total() == 0;
         let no_md_loss = reports.iter().all(|r| r.must_deliver_lost() == 0);
         let slow_got_all = FrameKind::ALL.iter().filter(|k| !k.droppable()).all(|k| {
             self.slow_received.get(k.name()).copied().unwrap_or(0)
-                == self.tap.bus().published().get(k.name()).copied().unwrap_or(0)
+                == self.tap().bus().published().get(k.name()).copied().unwrap_or(0)
         });
         fast_clean && no_md_loss && slow_got_all
     }
 
     /// Accounting gate: every subscriber's ledger balances exactly.
     pub fn accounting_ok(&self) -> bool {
-        self.tap.bus().accounting_violation().is_none()
+        self.tap().bus().accounting_violation().is_none()
     }
 
     /// Overhead gate: worst per-step observability fraction under budget.
     pub fn overhead_ok(&self) -> bool {
-        self.tap.meter().max_fraction() < OVERHEAD_BUDGET_FRACTION
+        self.tap().meter().max_fraction() < OVERHEAD_BUDGET_FRACTION
     }
 
     /// The whole gate.
@@ -178,13 +184,13 @@ pub fn run(cfg: StreamBenchConfig) -> StreamResult {
     }
     // Final drain: both rings empty, so the accounting identity reduces to
     // published == delivered + lost for every subscriber.
-    let mut tap = cluster.take_stream().expect("streaming enabled");
+    let tap = cluster.stream_mut().expect("streaming enabled");
     fast_frames.extend(tap.bus_mut().poll(0, usize::MAX));
     let drained = tap.bus_mut().poll(1, usize::MAX);
     tally_slow(&drained, &mut slow_received);
     StreamResult {
         config: cfg,
-        tap,
+        monitor: cluster.take_monitor().expect("monitor enabled"),
         fast_frames,
         slow_received,
         snapshots,
@@ -195,7 +201,7 @@ pub fn run(cfg: StreamBenchConfig) -> StreamResult {
 /// `BENCH_stream.json`: schema `bonsai-stream-v1`, byte-deterministic.
 pub fn stream_json(r: &StreamResult) -> String {
     let c = &r.config;
-    let (bus, meter) = (r.tap.bus(), r.tap.meter());
+    let (bus, meter) = (r.tap().bus(), r.tap().meter());
     let by_kind = |m: &BTreeMap<&'static str, u64>| {
         let count = |k: &FrameKind| m.get(k.name()).copied().unwrap_or(0);
         FrameKind::ALL
@@ -214,6 +220,11 @@ pub fn stream_json(r: &StreamResult) -> String {
         })
         .collect();
     let categories: Value = meter.totals().iter().map(|(k, v)| (*k, *v)).collect();
+    // The budget rule's transitions; the long-run rules' are the longrun
+    // artifact's business.
+    let budget = overhead_rule().name;
+    let alerts = r.monitor.health().events().iter().filter(|e| e.rule == budget);
+    let alerts: Vec<Value> = alerts.map(alert_row).collect();
     json::write(&obj!(
         "schema": "bonsai-stream-v1",
         "config": obj!("n": c.n, "ranks": c.ranks, "steps": c.steps, "seed": c.seed,
@@ -230,7 +241,7 @@ pub fn stream_json(r: &StreamResult) -> String {
         "overhead": obj!("categories": categories, "total_s": meter.total_s(),
             "mean_fraction": meter.mean_fraction(), "max_fraction": meter.max_fraction(),
             "budget_fraction": OVERHEAD_BUDGET_FRACTION),
-        "alerts": r.tap.health().events().iter().map(alert_row).collect::<Vec<_>>(),
+        "alerts": alerts,
         "gate": obj!("lossless_ok": r.lossless_ok(), "accounting_ok": r.accounting_ok(),
             "overhead_ok": r.overhead_ok(), "passed": r.passed()),
     ))
@@ -260,13 +271,13 @@ mod tests {
     #[test]
     fn slow_subscriber_loses_only_droppable_frames() {
         let r = run(tiny());
-        let reports = r.tap.bus().reports();
+        let reports = r.tap().bus().reports();
         let slow = &reports[1];
         assert!(slow.lost_total() > 0, "the tiny ring must shed samples");
         assert_eq!(slow.must_deliver_lost(), 0);
         // The storm fired alerts and the churn produced view changes, so
         // the lossless check is exercised, not vacuous.
-        let p = r.tap.bus().published();
+        let p = r.tap().bus().published();
         assert!(p.get("alert").copied().unwrap_or(0) > 0, "{p:?}");
         assert!(p.get("view-change").copied().unwrap_or(0) >= 2, "{p:?}");
         assert!(r.lossless_ok());
@@ -277,8 +288,8 @@ mod tests {
     fn honest_run_passes_the_gate_and_meters_overhead() {
         let r = run(tiny());
         assert!(r.passed());
-        assert!(r.tap.meter().max_fraction() > 0.0);
-        assert!(r.tap.meter().max_fraction() < OVERHEAD_BUDGET_FRACTION);
+        assert!(r.tap().meter().max_fraction() > 0.0);
+        assert!(r.tap().meter().max_fraction() < OVERHEAD_BUDGET_FRACTION);
         // The fast subscriber saw the full frame set.
         assert!(r.fast_frames.iter().any(|f| f.kind == FrameKind::StepHeader));
         assert!(r.fast_frames.iter().any(|f| f.kind == FrameKind::Alert));
@@ -291,7 +302,7 @@ mod tests {
             block_on_full: true,
             ..tiny()
         });
-        assert!(r.tap.bus().stalls() > 0);
+        assert!(r.tap().bus().stalls() > 0);
         assert!(!r.overhead_ok(), "stall charges must blow the budget");
         assert!(!r.passed());
         assert!(stream_json(&r).contains("\"passed\": false"));
@@ -300,13 +311,16 @@ mod tests {
     #[test]
     fn a_quoted_subscriber_name_survives_the_artifact() {
         let name = "a\"b\\c";
-        let tap = StreamTap::new(StreamConfig {
+        let n = 200;
+        let mut cluster = Cluster::new(milky_way_snapshot(n, 1), 1, milky_way_config(n));
+        cluster.enable_longrun(LongRunConfig::default());
+        cluster.enable_streaming(StreamConfig {
             subscribers: vec![SubscriberConfig::new(name, 4)],
             block_on_full: false,
         });
         let r = StreamResult {
             config: tiny(),
-            tap,
+            monitor: cluster.take_monitor().expect("monitor enabled"),
             fast_frames: Vec::new(),
             slow_received: BTreeMap::new(),
             snapshots: Vec::new(),

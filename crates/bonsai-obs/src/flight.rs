@@ -100,7 +100,9 @@ impl Incident {
             "makespan: {} s\n",
             fmt_f64(self.trace.makespan())
         ));
-        if let Some(cp) = crate::analysis::critical_path(&self.trace, self.step) {
+        // Spans are keyed by gravity epoch, which runs ahead of the alert's
+        // step: analyse the trigger epoch, the window's last.
+        if let Some(cp) = crate::analysis::critical_path(&self.trace, self.window.1) {
             let by_cause = cp.wait_seconds_by_cause();
             if !by_cause.is_empty() {
                 s.push_str("waits:    ");
@@ -207,6 +209,19 @@ mod tests {
         // Only window epochs 3..=10 survive: 8 epochs × 3 points.
         assert_eq!(inc.trace.flow_points().len(), 24);
         assert!(inc.report().contains("24 flow points"));
+    }
+
+    #[test]
+    fn the_report_analyses_the_trigger_epoch() {
+        // An alert at step 3 fired in epoch 5 (a rollback consumed epochs):
+        // rank 1 idles 0.4 s after rank 0's last span, and the report's
+        // critical path must see that wait.
+        let mut t = TraceStore::new();
+        t.span(0, 5, Lane::Gpu, "local", 0.0, 1.0);
+        t.span(1, 5, Lane::Gpu, "lets", 1.4, 2.0);
+        let inc = Incident::freeze(0, &t, 5, &alert(3));
+        assert_eq!((inc.step, inc.window), (3, (5, 5)));
+        assert!(inc.report().contains("waits:"), "{}", inc.report());
     }
 
     #[test]

@@ -286,6 +286,12 @@ impl HealthMonitor {
         }
     }
 
+    /// Evaluate `rule` too, from the next observation on.
+    pub fn add_rule(&mut self, rule: Rule) {
+        self.rules.push(rule);
+        self.states.push(RuleState::default());
+    }
+
     /// The rules being evaluated.
     pub fn rules(&self) -> &[Rule] {
         &self.rules

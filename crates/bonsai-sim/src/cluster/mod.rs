@@ -50,8 +50,8 @@ mod recovery;
 
 pub use gravity::factor_ranks;
 
-use crate::autoscale::ScaleDecision;
 use crate::breakdown::StepBreakdown;
+use crate::longrun::RunMonitor;
 use bonsai_core::leapfrog;
 use bonsai_gpu::{GpuModel, KernelVariant, K20X};
 use bonsai_net::fault::{FaultLog, FaultPlan, Wire};
@@ -185,14 +185,11 @@ pub struct StepFacts {
     /// Number of the current membership view.
     pub view: u64,
     /// Energy/momentum diagnostics; on the step path filled only for the
-    /// long-run monitor, which measures drift with it.
+    /// run monitor, which measures drift with it.
     pub energy: Option<bonsai_analysis::EnergyReport>,
     /// Flow-conservation totals over the whole run; on the step path
     /// filled only for the streaming tap's digest frame.
     pub flows: Option<bonsai_net::flow::FlowConservation>,
-    /// Health rules the long-run monitor evaluates per gauge each step
-    /// (`None` when no monitor is enabled); the streaming tap prices them.
-    pub longrun_rules: Option<usize>,
 }
 
 /// A cluster of logical ranks executing Bonsai's distributed step.
@@ -234,9 +231,10 @@ pub struct Cluster {
     registry: MetricsRegistry,
     /// Global simulated clock base: completed epochs lay out sequentially.
     trace_clock: f64,
-    /// Long-run monitor (time series + health rules + incidents),
-    /// enabled via [`Cluster::enable_longrun`].
-    longrun: Option<crate::longrun::LongRunMonitor>,
+    /// The run monitor (time series, health rules, incidents, and the
+    /// telemetry tap and autoscaling policy when attached), enabled via
+    /// [`Cluster::enable_longrun`].
+    monitor: Option<RunMonitor>,
     /// Current membership view; `view.members[rank]` is the stable node id
     /// holding `rank`, so the view *is* the rank assignment.
     view: View,
@@ -246,14 +244,6 @@ pub struct Cluster {
     /// recovery (the survivors re-decompose the checkpoint among
     /// themselves) instead of being resurrected at the same world size.
     elastic: bool,
-    /// Health-driven scale-out/in policy, enabled via
-    /// [`Cluster::enable_autoscale`]; consulted after every step's
-    /// long-run observation.
-    autoscale: Option<crate::autoscale::AutoscalePolicy>,
-    /// In-run telemetry streaming tap, enabled via
-    /// [`Cluster::enable_streaming`]; publishes each step's frames and
-    /// self-meters the observability overhead.
-    stream: Option<crate::stream::StreamTap>,
     /// Validation self-test hook: when true, view-change migrations
     /// silently discard every outbound migrant instead of shipping it —
     /// the sabotage the CI membership gate must catch through its particle
@@ -327,12 +317,10 @@ impl Cluster {
             trace: TraceStore::new(),
             registry: MetricsRegistry::new(),
             trace_clock: 0.0,
-            longrun: None,
+            monitor: None,
             view: View::initial(p),
             membership: MembershipLog::new(),
             elastic: false,
-            autoscale: None,
-            stream: None,
             drop_migrants: false,
         }
     }
@@ -433,7 +421,6 @@ impl Cluster {
             view: self.view.number,
             energy: energy.then(|| self.energy_report()),
             flows: flows.then(|| self.wire.flows.conservation()),
-            longrun_rules: self.longrun.as_ref().map(|lr| lr.config().rules.len()),
         }
     }
 
@@ -467,18 +454,6 @@ impl Cluster {
         self.elastic = true;
     }
 
-    /// Enable health-driven autoscaling. Requires long-run monitoring
-    /// ([`Cluster::enable_longrun`]) — the policy consumes the alerts its
-    /// rules fire. Each step may then admit or retire ranks per the policy.
-    pub fn enable_autoscale(&mut self, cfg: crate::autoscale::AutoscaleConfig) {
-        self.autoscale = Some(crate::autoscale::AutoscalePolicy::new(cfg));
-    }
-
-    /// The autoscaling policy, if enabled (decision audit log).
-    pub fn autoscale(&self) -> Option<&crate::autoscale::AutoscalePolicy> {
-        self.autoscale.as_ref()
-    }
-
     /// Sabotage hook for the CI membership gate's self-test: when set,
     /// every view-change migration silently discards its outbound migrants
     /// (they are drained from the sender but never shipped), so the gate's
@@ -487,47 +462,59 @@ impl Cluster {
         self.drop_migrants = yes;
     }
 
-    /// Enable long-run monitoring: per-metric time series, health rules
-    /// and incident freezing, evaluated inside every subsequent
+    /// Enable run monitoring: per-metric time series, health rules and
+    /// incident freezing, evaluated inside every subsequent
     /// [`Cluster::step`]. The current energy report becomes the drift
-    /// baseline. Re-enabling replaces the previous monitor.
+    /// baseline. Re-enabling replaces the monitor, its add-ons included.
     pub fn enable_longrun(&mut self, cfg: crate::longrun::LongRunConfig) {
-        let baseline = self.energy_report();
-        self.longrun = Some(crate::longrun::LongRunMonitor::new(cfg, baseline));
+        self.monitor = Some(RunMonitor::new(cfg, self.energy_report()));
     }
 
-    /// The long-run monitor, if enabled.
-    pub fn longrun(&self) -> Option<&crate::longrun::LongRunMonitor> {
-        self.longrun.as_ref()
-    }
-
-    /// Detach and return the long-run monitor (export at end of run).
-    pub fn take_longrun(&mut self) -> Option<crate::longrun::LongRunMonitor> {
-        self.longrun.take()
-    }
-
-    /// Enable in-run telemetry streaming: each subsequent
-    /// [`Cluster::step`] publishes versioned frames (step header, phase
-    /// sample, gauges, flow digest, alerts, view changes) to the
-    /// configured subscribers and meters the observability overhead
-    /// against the 3% budget. Re-enabling replaces the previous tap.
+    /// Enable in-run telemetry streaming on the run monitor: each
+    /// subsequent [`Cluster::step`] publishes versioned frames (step
+    /// header, phase sample, gauges, flow digest, alerts, view changes) to
+    /// the configured subscribers and meters the observability overhead
+    /// against the 3% budget, a rule of the monitor's engine.
+    ///
+    /// Panics without a monitor ([`Cluster::enable_longrun`] first).
     pub fn enable_streaming(&mut self, cfg: crate::stream::StreamConfig) {
-        self.stream = Some(crate::stream::StreamTap::new(cfg));
+        self.monitor_mut("streaming").enable_streaming(cfg);
     }
 
-    /// The streaming tap, if enabled (bus accounting, overhead meter).
+    /// Enable health-driven autoscaling on the run monitor: the policy
+    /// consumes the alerts its rules fire, and each step may then admit or
+    /// retire ranks.
+    ///
+    /// Panics without a monitor ([`Cluster::enable_longrun`] first).
+    pub fn enable_autoscale(&mut self, cfg: crate::autoscale::AutoscaleConfig) {
+        self.monitor_mut("autoscaling").enable_autoscale(cfg);
+    }
+
+    fn monitor_mut(&mut self, addon: &str) -> &mut RunMonitor {
+        self.monitor.as_mut().unwrap_or_else(|| {
+            panic!("{addon} rides on the run monitor; call Cluster::enable_longrun first")
+        })
+    }
+
+    /// The run monitor, if enabled.
+    pub fn monitor(&self) -> Option<&RunMonitor> {
+        self.monitor.as_ref()
+    }
+
+    /// Detach and return the run monitor (export at end of run).
+    pub fn take_monitor(&mut self) -> Option<RunMonitor> {
+        self.monitor.take()
+    }
+
+    /// The run monitor's streaming tap, if enabled (bus accounting,
+    /// overhead meter).
     pub fn stream(&self) -> Option<&crate::stream::StreamTap> {
-        self.stream.as_ref()
+        self.monitor.as_ref()?.stream()
     }
 
     /// Mutable tap access — subscribers poll their rings through this.
     pub fn stream_mut(&mut self) -> Option<&mut crate::stream::StreamTap> {
-        self.stream.as_mut()
-    }
-
-    /// Detach and return the streaming tap (export at end of run).
-    pub fn take_stream(&mut self) -> Option<crate::stream::StreamTap> {
-        self.stream.take()
+        self.monitor.as_mut()?.stream_mut()
     }
 
     /// Borrow one rank's particle shard (checkpointing, inspection).
@@ -602,43 +589,7 @@ impl Cluster {
                     self.write_recovery_checkpoint();
                 }
             }
-            // The observers are a fixed chain over disjoint fields, each
-            // handed the finished step as a value: longitudinal bookkeeping,
-            // then the scaling policy (health alerts opening this step may
-            // grow the world, sustained idle may shrink it).
-            let mut fired: Vec<bonsai_obs::health::AlertEvent> = Vec::new();
-            let facts = self.longrun.is_some().then(|| self.facts(true, false));
-            if let (Some(lr), Some(facts)) = (self.longrun.as_mut(), &facts) {
-                fired = lr.observe(
-                    &mut self.trace,
-                    &mut self.registry,
-                    &self.last_measurements,
-                    &breakdown,
-                    facts,
-                );
-                let mean = facts.particles as f64 / facts.world as f64;
-                let decision = self.autoscale.as_mut().map_or(ScaleDecision::Hold, |policy| {
-                    policy.decide(facts.step, facts.world, mean, &fired)
-                });
-                match decision {
-                    ScaleDecision::Grow(k) => {
-                        self.record_autoscale_decision("grow", k);
-                        self.admit_ranks(k)
-                    }
-                    ScaleDecision::Shrink(k) => {
-                        self.record_autoscale_decision("shrink", k);
-                        self.retire_ranks(k)
-                    }
-                    ScaleDecision::Hold => {}
-                }
-            }
-            // The streaming tap runs last so its frames describe the step's
-            // final state, including any autoscale-driven view change
-            // published above.
-            let facts = self.stream.is_some().then(|| self.facts(false, true));
-            if let (Some(tap), Some(facts)) = (self.stream.as_mut(), &facts) {
-                tap.observe(&self.trace, &mut self.registry, &breakdown, facts, &fired);
-            }
+            self.monitor_step(&breakdown);
             return breakdown;
         }
     }

@@ -4,11 +4,13 @@
 //! trace, registry and flow ledger.
 
 use super::{Cluster, StepMeasurements};
+use crate::autoscale::ScaleDecision;
 use crate::breakdown::{Phase, StepBreakdown, INTEGRATE_RATE, STEP_LAUNCHES};
 use bonsai_gpu::{BUILD_COST, DOMAIN_COST, INTEGRATE_COST, PROPS_COST, SORT_COST};
 use bonsai_net::flow::{FlowConservation, FlowLedger, FlowOutcome};
 use bonsai_net::membership::ViewChange;
 use bonsai_net::obs::{classify, FlowClock};
+use bonsai_obs::stream::{FrameKind, FrameValue};
 use bonsai_obs::{ArgValue, FlowPhase, Lane, MetricsRegistry, TraceStore, TRACE_WINDOW};
 use bonsai_sfc::KeyMap;
 use bonsai_tree::stats::record_walk_counts;
@@ -79,71 +81,83 @@ impl Cluster {
     /// the phase spans in Perfetto), plus the membership/migration counters
     /// the Prometheus exporter snapshots — epoch gauge, world-size gauge,
     /// and monotonic view-change / migrated-particle / migrated-byte
-    /// totals.
+    /// totals — and, when streaming, a `view-change` frame with the
+    /// instant's fields.
     pub(super) fn record_membership_change(&mut self, change: &ViewChange) {
         let kind = if change.to_world >= change.from_world {
             "grow"
         } else {
             "shrink"
         };
+        let fields = [
+            ("from_world", change.from_world as u64),
+            ("to_world", change.to_world as u64),
+            ("to_view", change.to_view),
+            ("migrated_particles", change.migrated_particles as u64),
+            ("migrated_bytes", change.migrated_bytes as u64),
+        ];
         let at = self.trace.makespan();
-        let inst = self.trace.instant(
-            0,
-            change.epoch,
-            Lane::Cpu,
-            format!("membership:view-change:{kind}"),
-            at,
-        );
-        inst.args.push(("from_world", ArgValue::U64(change.from_world as u64)));
-        inst.args.push(("to_world", ArgValue::U64(change.to_world as u64)));
-        inst.args.push(("to_view", ArgValue::U64(change.to_view)));
-        inst.args.push((
-            "migrated_particles",
-            ArgValue::U64(change.migrated_particles as u64),
-        ));
-        inst.args
-            .push(("migrated_bytes", ArgValue::U64(change.migrated_bytes as u64)));
-        self.registry
-            .gauge_set("bonsai_membership_epoch", &[], change.to_view as f64);
-        self.registry
-            .gauge_set("bonsai_membership_world", &[], change.to_world as f64);
-        self.registry
-            .counter_add("bonsai_membership_view_changes_total", &[], 1);
-        self.registry.counter_add(
-            "bonsai_membership_migrated_particles_total",
-            &[],
-            change.migrated_particles as u64,
-        );
-        self.registry.counter_add(
-            "bonsai_membership_migrated_bytes_total",
-            &[],
-            change.migrated_bytes as u64,
-        );
+        let name = format!("membership:view-change:{kind}");
+        let inst = self.trace.instant(0, change.epoch, Lane::Cpu, name, at);
+        inst.args.extend(fields.map(|(k, v)| (k, ArgValue::U64(v))));
+        let reg = &mut self.registry;
+        reg.gauge_set("bonsai_membership_epoch", &[], change.to_view as f64);
+        reg.gauge_set("bonsai_membership_world", &[], change.to_world as f64);
+        reg.counter_add("bonsai_membership_view_changes_total", &[], 1);
+        let (particles, bytes) = (change.migrated_particles as u64, change.migrated_bytes as u64);
+        reg.counter_add("bonsai_membership_migrated_particles_total", &[], particles);
+        reg.counter_add("bonsai_membership_migrated_bytes_total", &[], bytes);
         // View changes are must-deliver telemetry: every subscriber sees
-        // them even when it is dropping samples under backpressure.
-        if let Some(tap) = self.stream.as_mut() {
-            tap.publish_view_change(self.steps, at, change);
+        // them even when it is dropping samples under backpressure. Between
+        // steps, its charges fold into the next step's overhead sample.
+        let step = self.steps;
+        if let Some(tap) = self.stream_mut() {
+            let frame = fields.map(|(k, v)| (k, FrameValue::U64(v)));
+            tap.publish(step, FrameKind::ViewChange, at, frame);
         }
     }
 
-    /// An autoscale decision's observability surface: an instant marking
-    /// the policy's order (distinct from the view change that executes it)
-    /// and a per-direction decision counter.
-    pub(super) fn record_autoscale_decision(&mut self, direction: &'static str, k: usize) {
-        let at = self.trace.makespan();
-        let inst = self.trace.instant(
-            0,
-            self.epoch,
-            Lane::Cpu,
-            format!("autoscale:{direction}"),
-            at,
-        );
-        inst.args.push(("ranks", ArgValue::U64(k as u64)));
-        self.registry.counter_add(
-            "bonsai_autoscale_decisions_total",
-            &[("decision", direction)],
-            1,
-        );
+    /// The run monitor's share of a finished step, handed the step as a
+    /// value: observe (signals, rules, incidents) and let the policy
+    /// decide; apply any grow or shrink, marked by an instant and a
+    /// per-direction counter distinct from the view change that executes
+    /// it; then stream the step's frames from facts taken after that
+    /// change, so they describe the step's final state (the view-change
+    /// frame precedes the step header).
+    pub(super) fn monitor_step(&mut self, breakdown: &StepBreakdown) {
+        if self.monitor.is_none() {
+            return;
+        }
+        let facts = self.facts(true, false);
+        let Some(monitor) = self.monitor.as_mut() else {
+            return;
+        };
+        let (trace, registry, meas) = (&mut self.trace, &mut self.registry, &self.last_measurements);
+        let (fired, decision) = monitor.observe(trace, registry, meas, breakdown, &facts);
+        let order = match decision {
+            ScaleDecision::Grow(k) => Some(("grow", k)),
+            ScaleDecision::Shrink(k) => Some(("shrink", k)),
+            ScaleDecision::Hold => None,
+        };
+        if let Some((direction, k)) = order {
+            let (name, at) = (format!("autoscale:{direction}"), self.trace.makespan());
+            let inst = self.trace.instant(0, self.epoch, Lane::Cpu, name, at);
+            inst.args.push(("ranks", ArgValue::U64(k as u64)));
+            let labels = [("decision", direction)];
+            self.registry.counter_add("bonsai_autoscale_decisions_total", &labels, 1);
+            if direction == "grow" {
+                self.admit_ranks(k)
+            } else {
+                self.retire_ranks(k)
+            }
+        }
+        if self.stream().is_none() {
+            return;
+        }
+        let facts = self.facts(false, true);
+        if let Some(monitor) = self.monitor.as_mut() {
+            monitor.publish(&self.trace, &mut self.registry, breakdown, &facts, &fired);
+        }
     }
 
     /// Record a completed gravity epoch into the unified observability

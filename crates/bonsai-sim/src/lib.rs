@@ -23,10 +23,10 @@
 //!   delayed, truncated and bit-flipped messages, degrades gracefully when
 //!   dedicated LETs are lost, and rolls back to the last [`checkpoint`]
 //!   when a rank crashes — with every event recorded in an auditable fault
-//!   log. A finished step is a value ([`StepFacts`]): the long-run monitor
-//!   ([`longrun`]), the scaling policy ([`autoscale`]) and the telemetry
-//!   tap ([`stream`]) read it and the cluster's trace and metrics stores,
-//!   never the cluster.
+//!   log. A finished step is a value ([`StepFacts`]): the one run monitor
+//!   ([`longrun`]), with its optional scaling policy ([`autoscale`]) and
+//!   telemetry tap ([`stream`]), reads it and the cluster's trace and
+//!   metrics stores, never the cluster.
 //! * [`model`] — the calibrated scaling model: given a machine, rank count
 //!   and particles/GPU, predict every row of Table II and every curve of
 //!   Fig. 4, including the 24.77 / 33.49 Pflops headline numbers.
@@ -57,7 +57,7 @@ pub use autoscale::{AutoscaleConfig, AutoscalePolicy, ScaleDecision};
 pub use breakdown::StepBreakdown;
 pub use checkpoint::Checkpoint;
 pub use cluster::{Cluster, ClusterConfig, RecoveryConfig, StepFacts};
-pub use longrun::{LongRunConfig, LongRunMonitor};
+pub use longrun::{LongRunConfig, RunMonitor};
 pub use model::ScalingModel;
 pub use profile::cost_model_attribution;
 pub use stream::{StreamConfig, StreamTap};

@@ -1,33 +1,40 @@
-//! Long-run monitoring: the cluster-side wiring of `bonsai-obs`'s
-//! longitudinal layer (time series + health rules + incidents).
+//! Run monitoring: the cluster-side wiring of `bonsai-obs`'s longitudinal
+//! layer (time series + health rules + incidents), and the owner of the
+//! add-ons that ride on it — the telemetry tap and the autoscaling policy.
 //!
 //! The paper's deliverable is a *sustained* multi-thousand-step run, and
 //! sustaining it means watching the run-level signals — energy drift,
 //! balancer residual, comm exposure, achieved Gflops, fault-recovery
-//! pressure — while the run is in flight. [`LongRunMonitor`] rides inside
-//! the [cluster](crate::cluster)'s step: each step it derives those signals
+//! pressure — while the run is in flight. [`RunMonitor`] rides inside the
+//! [cluster](crate::cluster)'s step: each step it derives those signals
 //! from the step's measurements, writes them as step-scoped gauges, samples
-//! *every* gauge into a bounded [`SeriesStore`], evaluates the
-//! [`HealthMonitor`] rules, and freezes a Perfetto-loadable [`Incident`]
-//! from the live trace's last epochs when an alert opens. It works on the
-//! cluster's trace and metrics stores and on the finished step as plain
-//! data ([`StepFacts`]), never on the cluster. The trace's history is
-//! bounded by the cluster itself, with or without a monitor.
+//! *every* gauge into a bounded [`SeriesStore`], evaluates its one
+//! [`HealthMonitor`], and freezes a Perfetto-loadable [`Incident`] from the
+//! live trace's last epochs when an alert opens. The alert transitions are
+//! what the [`AutoscalePolicy`] scales on and what the [`StreamTap`]
+//! publishes; the tap's observability budget ([`overhead_rule`]) is one
+//! more rule of the same engine, fed once the step's frames are priced. It
+//! works on the cluster's trace and metrics stores and on the finished
+//! step as plain data ([`StepFacts`]), never on the cluster. The trace's
+//! history is bounded by the cluster itself, with or without a monitor.
 
+use crate::autoscale::{AutoscaleConfig, AutoscalePolicy, ScaleDecision};
 use crate::breakdown::StepBreakdown;
 use crate::cluster::{StepFacts, StepMeasurements};
+use crate::stream::{StreamConfig, StreamTap};
 use crate::trace::mean_hidden_comm_fraction;
 use bonsai_analysis::EnergyReport;
 use bonsai_obs::health::{default_rules, AlertEvent, AlertKind, HealthMonitor, Rule};
+use bonsai_obs::overhead::{overhead_rule, OVERHEAD_GAUGE};
 use bonsai_obs::timeseries::{SeriesConfig, SeriesStore};
 use bonsai_obs::{Incident, Lane, MetricsRegistry, TraceStore};
 
 /// Incidents frozen at most (each owns a copy of the window).
 const MAX_INCIDENTS: usize = 4;
 
-/// The run-level signals [`LongRunMonitor::observe`] writes each step as
-/// unlabelled step gauges, in the order it derives them; the stream tap
-/// publishes them in this order too.
+/// The run-level signals [`RunMonitor`] writes each step as unlabelled
+/// step gauges, in the order it derives them; the stream tap publishes
+/// them in this order too.
 pub(crate) const RUN_SIGNALS: [&str; 9] = [
     "bonsai_energy_drift",
     "bonsai_flop_residual",
@@ -58,29 +65,36 @@ impl Default for LongRunConfig {
     }
 }
 
-/// Per-run longitudinal state: series store, rule engine, frozen
-/// incidents, and the energy baseline drift is measured against.
+/// Per-run monitoring state: series store, rule engine, frozen incidents,
+/// the energy baseline drift is measured against, and the optional
+/// telemetry tap and autoscaling policy.
 #[derive(Clone, Debug)]
-pub struct LongRunMonitor {
-    cfg: LongRunConfig,
+pub struct RunMonitor {
     series: SeriesStore,
     health: HealthMonitor,
+    /// Rules the configuration brought, each evaluated against every gauge
+    /// (what the tap prices; the budget rule sees one gauge).
+    rules: usize,
     baseline: EnergyReport,
     incidents: Vec<Incident>,
+    stream: Option<StreamTap>,
+    autoscale: Option<AutoscalePolicy>,
 }
 
-impl LongRunMonitor {
+impl RunMonitor {
     /// Monitor with `baseline` as the energy-conservation reference
     /// (normally the cluster's energy at enable time).
-    pub fn new(cfg: LongRunConfig, baseline: EnergyReport) -> Self {
+    pub(crate) fn new(cfg: LongRunConfig, baseline: EnergyReport) -> Self {
         Self {
             series: SeriesStore::new(SeriesConfig {
                 max_bins: cfg.max_bins,
             }),
-            health: HealthMonitor::new(cfg.rules.clone()),
+            rules: cfg.rules.len(),
+            health: HealthMonitor::new(cfg.rules),
             baseline,
             incidents: Vec::new(),
-            cfg,
+            stream: None,
+            autoscale: None,
         }
     }
 
@@ -89,7 +103,8 @@ impl LongRunMonitor {
         &self.series
     }
 
-    /// The rule engine (alert log, open rules, worst severity).
+    /// The rule engine (alert log, open rules, worst severity), the
+    /// budget rule included when streaming.
     pub fn health(&self) -> &HealthMonitor {
         &self.health
     }
@@ -99,15 +114,38 @@ impl LongRunMonitor {
         &self.incidents
     }
 
-    /// The configuration the monitor was enabled with.
-    pub fn config(&self) -> &LongRunConfig {
-        &self.cfg
+    /// The telemetry tap, if streaming (bus accounting, overhead meter).
+    pub fn stream(&self) -> Option<&StreamTap> {
+        self.stream.as_ref()
+    }
+
+    /// Mutable tap access — subscribers poll their rings through this.
+    pub fn stream_mut(&mut self) -> Option<&mut StreamTap> {
+        self.stream.as_mut()
+    }
+
+    /// The autoscaling policy, if enabled (decision audit log).
+    pub fn autoscale(&self) -> Option<&AutoscalePolicy> {
+        self.autoscale.as_ref()
+    }
+
+    /// Attach a telemetry tap and arm the budget rule on the one engine
+    /// (once: a second tap replaces the first's bus and meter).
+    pub(crate) fn enable_streaming(&mut self, cfg: StreamConfig) {
+        if self.stream.replace(StreamTap::new(cfg)).is_none() {
+            self.health.add_rule(overhead_rule());
+        }
+    }
+
+    /// Attach the autoscaling policy, consulted after every observation.
+    pub(crate) fn enable_autoscale(&mut self, cfg: AutoscaleConfig) {
+        self.autoscale = Some(AutoscalePolicy::new(cfg));
     }
 
     /// One step's longitudinal bookkeeping over the cluster's `trace` and
     /// `registry`, after the step completes (`facts.energy` must be
-    /// filled). Returns the alert transitions the step fired — the signal
-    /// the autoscaling policy scales on.
+    /// filled). Returns the alert transitions the step fired and what the
+    /// autoscaling policy, if any, decided from them.
     pub(crate) fn observe(
         &mut self,
         trace: &mut TraceStore,
@@ -115,9 +153,8 @@ impl LongRunMonitor {
         meas: &StepMeasurements,
         b: &StepBreakdown,
         facts: &StepFacts,
-    ) -> Vec<AlertEvent> {
+    ) -> (Vec<AlertEvent>, ScaleDecision) {
         let (step, epoch) = (facts.step, facts.epoch);
-
         // Derived run-level signals for this step, written as step-scoped
         // gauges so they reset with everything else.
         let energy = facts.energy.expect("long-run facts carry the energy report");
@@ -181,7 +218,32 @@ impl LongRunMonitor {
                     .push(Incident::freeze(self.incidents.len(), trace, epoch, ev));
             }
         }
-        fired
+        let mean = facts.particles as f64 / facts.world as f64;
+        let decision = self.autoscale.as_mut().map_or(ScaleDecision::Hold, |policy| {
+            policy.decide(step, facts.world, mean, &fired)
+        });
+        (fired, decision)
+    }
+
+    /// One step's streaming, after any scaling the step's alerts ordered:
+    /// publish the step's frames (`fired` among them) from `facts`, which
+    /// must carry the flow totals, then close the overhead sample and feed
+    /// it to the budget rule, whose transitions are published too. A no-op
+    /// without a tap.
+    pub(crate) fn publish(
+        &mut self,
+        trace: &TraceStore,
+        registry: &mut MetricsRegistry,
+        b: &StepBreakdown,
+        facts: &StepFacts,
+        fired: &[AlertEvent],
+    ) {
+        let Some(tap) = self.stream.as_mut() else {
+            return;
+        };
+        let fraction = tap.observe(trace, registry, b, facts, self.rules, fired);
+        let budget = self.health.observe(facts.step, OVERHEAD_GAUGE, fraction);
+        tap.publish_alerts(facts.step, trace.makespan(), &budget);
     }
 }
 
@@ -217,7 +279,7 @@ mod tests {
             momentum: 0.0,
         };
         let hot = Rule::new("hot", "crafted", Condition::Above(1.0), Severity::Warning, 1, 1);
-        let mut lr = LongRunMonitor::new(
+        let mut lr = RunMonitor::new(
             LongRunConfig {
                 rules: vec![hot],
                 ..LongRunConfig::default()
@@ -239,13 +301,14 @@ mod tests {
             energy: Some(energy),
             ..StepFacts::default()
         };
-        let fired = lr.observe(
+        let (fired, decision) = lr.observe(
             &mut trace,
             &mut registry,
             &StepMeasurements::default(),
             &StepBreakdown::default(),
             &facts,
         );
+        assert_eq!(decision, ScaleDecision::Hold, "no policy, no scaling");
         assert_eq!(fired.len(), 1);
         assert_eq!((fired[0].rule.as_str(), fired[0].kind), ("hot", AlertKind::Open));
         // The derived signals were written and sampled beside the crafted one.
@@ -270,7 +333,7 @@ mod tests {
         for _ in 0..20 {
             c.step();
         }
-        let lr = c.longrun().expect("monitor enabled");
+        let lr = c.monitor().expect("monitor enabled");
         // Every derived signal has one sample per step.
         for name in [
             "bonsai_energy_drift",
@@ -295,8 +358,8 @@ mod tests {
         assert_eq!(c.trace().spans()[0].step, 10);
         assert_eq!(c.trace().last_step(), Some(21));
         // A clean Plummer run opens nothing.
-        assert!(c.longrun().unwrap().health().events().is_empty());
-        assert!(c.longrun().unwrap().incidents().is_empty());
+        assert!(c.monitor().unwrap().health().events().is_empty());
+        assert!(c.monitor().unwrap().incidents().is_empty());
     }
 
     #[test]
@@ -320,7 +383,7 @@ mod tests {
             c.step();
         }
         let epoch = c.current_epoch();
-        let inc = &c.longrun().unwrap().incidents()[0];
+        let inc = &c.monitor().unwrap().incidents()[0];
         assert_eq!(inc.window, (epoch + 1 - TRACE_WINDOW, epoch));
         let (mut spans, mut instants, mut flows) = (0, 0, 0);
         for e in inc.window.0..=inc.window.1 {
@@ -354,7 +417,7 @@ mod tests {
             for _ in 0..4 {
                 c.step();
             }
-            let lr = c.take_longrun().unwrap();
+            let lr = c.take_monitor().unwrap();
             let mut dump = String::new();
             for (name, s) in lr.series().iter() {
                 dump.push_str(&format!("{name} {:?}\n", s.bins()));

@@ -2,19 +2,18 @@
 //! `bonsai-obs`'s [`TelemetryBus`] each step and self-meters what the
 //! whole observability stack costs.
 //!
-//! [`StreamTap`] rides inside the [cluster](crate::cluster)'s step after
-//! the long-run monitor, on the cluster's trace and metrics stores and the
-//! finished step as plain data ([`StepFacts`]): each step it prices
-//! the step's observability work (spans, gauges, rule evaluations) through
-//! an [`OverheadMeter`], publishes the step's telemetry
-//! frames — step header, per-phase seconds, key gauges, flow-conservation
-//! digest, and any alert transitions the health rules fired — and closes
-//! the meter against the step's modelled duration. The resulting overhead
-//! fraction is written as the `bonsai_obs_overhead_fraction` gauge and fed
-//! to the tap's *own* health monitor carrying [`overhead_rule`] (the
-//! long-run monitor samples gauges *before* the tap runs, so the budget
-//! rule must live here to see the fraction), whose transitions are
-//! themselves published as must-deliver alert frames.
+//! [`StreamTap`] is an add-on of the [run monitor](crate::longrun), fed
+//! after the monitor's observation and any scaling it ordered, on the
+//! cluster's trace and metrics stores and the finished step as plain data
+//! ([`StepFacts`]): each step it prices the step's observability work
+//! (spans, gauges, rule evaluations) through an [`OverheadMeter`],
+//! publishes the step's telemetry frames — step header, per-phase seconds,
+//! key gauges, flow-conservation digest, and any alert transitions the
+//! health rules fired — and closes the meter against the step's modelled
+//! duration. The resulting overhead fraction is written as the
+//! `bonsai_obs_overhead_fraction` gauge and handed back to the monitor,
+//! whose engine carries the budget rule; the budget's transitions are
+//! published as must-deliver alert frames too.
 //!
 //! Everything runs under the modelled clock: frame timestamps are the
 //! trace makespan and costs are op counts × the fixed
@@ -24,9 +23,10 @@
 use crate::breakdown::{Phase, StepBreakdown};
 use crate::cluster::StepFacts;
 use crate::longrun::RUN_SIGNALS;
-use bonsai_obs::health::{AlertEvent, HealthMonitor};
-use bonsai_obs::overhead::{self, overhead_rule, OverheadMeter, OVERHEAD_GAUGE};
-use bonsai_obs::stream::{FrameKind, FrameValue, SubscriberConfig, TelemetryBus};
+use bonsai_obs::health::AlertEvent;
+use bonsai_obs::overhead::{self, OverheadMeter, OVERHEAD_GAUGE};
+use bonsai_obs::stream::FrameValue::{self, Str, F64, U64};
+use bonsai_obs::stream::{FrameKind, SubscriberConfig, TelemetryBus};
 use bonsai_obs::{MetricsRegistry, TraceStore};
 
 /// Configuration of the streaming tap.
@@ -40,20 +40,17 @@ pub struct StreamConfig {
     pub block_on_full: bool,
 }
 
-/// The per-run streaming state: bus, overhead meter, and the tap's own
-/// health monitor enforcing the observability budget.
+/// The per-run streaming state: bus and overhead meter.
 #[derive(Clone, Debug)]
 pub struct StreamTap {
     bus: TelemetryBus,
     meter: OverheadMeter,
-    health: HealthMonitor,
     prev_stalls: u64,
 }
 
 impl StreamTap {
-    /// Build a tap: attaches every configured subscriber and arms the
-    /// overhead budget rule.
-    pub fn new(cfg: StreamConfig) -> Self {
+    /// Build a tap with every configured subscriber attached.
+    pub(crate) fn new(cfg: StreamConfig) -> Self {
         let mut bus = TelemetryBus::new();
         for sub in &cfg.subscribers {
             bus.add_subscriber(sub.clone());
@@ -62,7 +59,6 @@ impl StreamTap {
         Self {
             bus,
             meter: OverheadMeter::default(),
-            health: HealthMonitor::new(vec![overhead_rule()]),
             prev_stalls: 0,
         }
     }
@@ -82,19 +78,15 @@ impl StreamTap {
         &self.meter
     }
 
-    /// The tap's own health monitor (the `obs-overhead` budget rule).
-    pub fn health(&self) -> &HealthMonitor {
-        &self.health
-    }
-
     /// Publish one frame and charge its encoding + fan-out to the meter.
-    fn publish(
+    pub(crate) fn publish<'a>(
         &mut self,
         step: u64,
         kind: FrameKind,
         at: f64,
-        fields: Vec<(String, FrameValue)>,
+        fields: impl IntoIterator<Item = (&'a str, FrameValue)>,
     ) {
+        let fields = fields.into_iter().map(|(k, v)| (k.to_string(), v));
         let bytes = self.bus.publish(step, kind, at, fields);
         self.meter.charge_ops("encode", bytes as u64, overhead::ENCODE_BYTE_S);
         let subscribers = self.bus.subscriber_count() as u64;
@@ -104,58 +96,35 @@ impl StreamTap {
         self.prev_stalls = stalls;
     }
 
-    /// A completed view change's telemetry surface: one must-deliver
-    /// `view-change` frame stamped `at` (the trace makespan). Called by the
-    /// cluster between steps (its charges fold into the next step's
-    /// overhead sample).
-    pub(crate) fn publish_view_change(
-        &mut self,
-        step: u64,
-        at: f64,
-        change: &bonsai_net::membership::ViewChange,
-    ) {
-        let fields = vec![
-            (
-                "from_world".to_string(),
-                FrameValue::U64(change.from_world as u64),
-            ),
-            (
-                "to_world".to_string(),
-                FrameValue::U64(change.to_world as u64),
-            ),
-            ("to_view".to_string(), FrameValue::U64(change.to_view)),
-            (
-                "migrated_particles".to_string(),
-                FrameValue::U64(change.migrated_particles as u64),
-            ),
-            (
-                "migrated_bytes".to_string(),
-                FrameValue::U64(change.migrated_bytes as u64),
-            ),
-        ];
-        self.publish(step, FrameKind::ViewChange, at, fields);
+    /// Publish one must-deliver alert frame per event, stamped `at`.
+    pub(crate) fn publish_alerts(&mut self, step: u64, at: f64, events: &[AlertEvent]) {
+        for ev in events {
+            self.publish(step, FrameKind::Alert, at, alert_fields(ev));
+        }
     }
 
     /// One step's streaming over the cluster's `trace` and `registry`:
-    /// price the step's observability work, publish the step's frames,
-    /// close the overhead sample, and run the budget rule. `facts.flows`
-    /// must be filled; `fired` is the alert transitions the long-run
-    /// monitor raised this step (published as must-deliver frames).
+    /// price the step's observability work (`rules` health rules evaluated
+    /// against every gauge), publish the step's frames, and close the
+    /// overhead sample. `facts.flows` must be filled; `fired` is the alert
+    /// transitions the monitor raised this step (published as must-deliver
+    /// frames). Returns the step's overhead fraction for the budget rule.
     pub(crate) fn observe(
         &mut self,
         trace: &TraceStore,
         registry: &mut MetricsRegistry,
         b: &StepBreakdown,
         facts: &StepFacts,
+        rules: usize,
         fired: &[AlertEvent],
-    ) {
+    ) -> f64 {
         let (step, epoch) = (facts.step, facts.epoch);
         let at = trace.makespan();
 
         // Price what the observability stack did this step, from the
         // observable op counts: the trace events the step recorded, the
-        // gauges the registry carries, and (when long-run monitoring is
-        // on) the rule evaluations it performed.
+        // gauges the registry carries, and the rule evaluations the
+        // monitor performed.
         let recs = trace.step_records(epoch);
         let spans = recs.spans.len() as u64;
         let instants = recs.instants.len() as u64;
@@ -165,90 +134,57 @@ impl StreamTap {
         self.meter.charge_ops("trace", flow_points, overhead::FLOW_POINT_S);
         let gauges = registry.gauges().count() as u64;
         self.meter.charge_ops("metrics", gauges, overhead::GAUGE_SAMPLE_S);
-        if let Some(rules) = facts.longrun_rules {
-            self.meter.charge_ops("health", rules as u64 * gauges, overhead::RULE_EVAL_S);
-        }
+        self.meter.charge_ops("health", rules as u64 * gauges, overhead::RULE_EVAL_S);
 
         // The step's frames, in a fixed kind order.
-        self.publish(
-            step,
-            FrameKind::StepHeader,
-            at,
-            vec![
-                ("epoch".to_string(), FrameValue::U64(epoch)),
-                ("world".to_string(), FrameValue::U64(facts.world as u64)),
-                (
-                    "particles".to_string(),
-                    FrameValue::U64(facts.particles as u64),
-                ),
-                ("view".to_string(), FrameValue::U64(facts.view)),
-                ("time".to_string(), FrameValue::F64(facts.time)),
-            ],
-        );
-        let mut phases: Vec<(String, FrameValue)> = Phase::ALL
-            .iter()
-            .map(|&ph| (ph.name().to_string(), FrameValue::F64(b[ph])))
-            .collect();
-        phases.push(("total".to_string(), FrameValue::F64(b.total())));
+        let header = [
+            ("epoch", U64(epoch)),
+            ("world", U64(facts.world as u64)),
+            ("particles", U64(facts.particles as u64)),
+            ("view", U64(facts.view)),
+            ("time", F64(facts.time)),
+        ];
+        self.publish(step, FrameKind::StepHeader, at, header);
+        let phases = Phase::ALL.iter().map(|&ph| (ph.name(), F64(b[ph])));
+        let phases: Vec<_> = phases.chain([("total", F64(b.total()))]).collect();
         self.publish(step, FrameKind::PhaseSample, at, phases);
-        let gauge_fields: Vec<(String, FrameValue)> = RUN_SIGNALS
+        let gauges: Vec<_> = RUN_SIGNALS
             .into_iter()
-            .filter_map(|name| {
-                let v = registry.gauge(name, &[])?;
-                Some((name.to_string(), FrameValue::F64(v)))
-            })
+            .filter_map(|name| Some((name, F64(registry.gauge(name, &[])?))))
             .collect();
-        self.publish(step, FrameKind::Gauges, at, gauge_fields);
+        self.publish(step, FrameKind::Gauges, at, gauges);
         let cons = facts.flows.expect("stream facts carry the flow totals");
-        self.publish(
-            step,
-            FrameKind::FlowDigest,
-            at,
-            vec![
-                ("sealed".to_string(), FrameValue::U64(cons.sealed)),
-                ("delivered".to_string(), FrameValue::U64(cons.delivered)),
-                ("fallback".to_string(), FrameValue::U64(cons.fallback)),
-                ("dead".to_string(), FrameValue::U64(cons.dead)),
-                ("pending".to_string(), FrameValue::U64(cons.pending)),
-                (
-                    "holds".to_string(),
-                    FrameValue::U64(u64::from(cons.holds())),
-                ),
-            ],
-        );
-        for ev in fired {
-            self.publish(step, FrameKind::Alert, at, alert_fields(ev));
-        }
+        let digest = [
+            ("sealed", U64(cons.sealed)),
+            ("delivered", U64(cons.delivered)),
+            ("fallback", U64(cons.fallback)),
+            ("dead", U64(cons.dead)),
+            ("pending", U64(cons.pending)),
+            ("holds", U64(u64::from(cons.holds()))),
+        ];
+        self.publish(step, FrameKind::FlowDigest, at, digest);
+        self.publish_alerts(step, at, fired);
 
-        // Close the step's overhead sample and run the budget rule. The
-        // fraction lands as a step gauge so exporters and dashboards see
-        // it; budget transitions are themselves must-deliver frames (their
-        // own encoding cost lands in the next step's sample).
+        // Close the step's overhead sample. The fraction lands as a step
+        // gauge so exporters and dashboards see it; the budget rule's
+        // transitions are published by the caller (their own encoding cost
+        // lands in the next step's sample).
         let sample = self.meter.end_step(step, b.total());
         registry.step_gauge_set(OVERHEAD_GAUGE, &[], sample.fraction);
         for (cat, secs) in &sample.categories {
             registry.step_gauge_set("bonsai_obs_overhead_seconds", &[("category", cat)], *secs);
         }
-        let budget_fired = self.health.observe(step, OVERHEAD_GAUGE, sample.fraction);
-        for ev in &budget_fired {
-            self.publish(step, FrameKind::Alert, at, alert_fields(ev));
-        }
+        sample.fraction
     }
 }
 
-fn alert_fields(ev: &AlertEvent) -> Vec<(String, FrameValue)> {
-    vec![
-        ("rule".to_string(), FrameValue::Str(ev.rule.clone())),
-        ("metric".to_string(), FrameValue::Str(ev.metric.clone())),
-        (
-            "kind".to_string(),
-            FrameValue::Str(ev.kind.name().to_string()),
-        ),
-        (
-            "severity".to_string(),
-            FrameValue::Str(ev.severity.name().to_string()),
-        ),
-        ("value".to_string(), FrameValue::F64(ev.value)),
+fn alert_fields(ev: &AlertEvent) -> [(&str, FrameValue); 5] {
+    [
+        ("rule", Str(ev.rule.clone())),
+        ("metric", Str(ev.metric.clone())),
+        ("kind", Str(ev.kind.name().to_string())),
+        ("severity", Str(ev.severity.name().to_string())),
+        ("value", F64(ev.value)),
     ]
 }
 
@@ -306,7 +242,7 @@ mod tests {
         };
         let mut b = StepBreakdown::default();
         b[Phase::GravityLocal] = 2.5;
-        tap.observe(&trace, &mut registry, &b, &facts, &[]);
+        let fraction = tap.observe(&trace, &mut registry, &b, &facts, 0, &[]);
         let frames = tap.bus_mut().poll(0, usize::MAX);
         let kinds: Vec<FrameKind> = frames.iter().map(|f| f.kind).collect();
         assert_eq!(
@@ -321,7 +257,7 @@ mod tests {
         assert_eq!(frames[3].f64("holds"), Some(1.0));
         // The overhead sample closed against the step and landed as a gauge.
         assert_eq!(tap.meter().steps(), 1);
-        assert!(registry.gauge(OVERHEAD_GAUGE, &[]).is_some());
+        assert_eq!(registry.gauge(OVERHEAD_GAUGE, &[]), Some(fraction));
     }
 
     #[test]
@@ -358,14 +294,18 @@ mod tests {
         for _ in 0..5 {
             c.step();
         }
-        let tap = c.take_stream().expect("streaming enabled");
+        let monitor = c.take_monitor().expect("monitor enabled");
+        let tap = monitor.stream().expect("streaming enabled");
         assert!(tap.meter().steps() == 5);
         assert!(
             tap.meter().max_fraction() < OVERHEAD_BUDGET_FRACTION,
             "honest streaming must fit the budget, got {}",
             tap.meter().max_fraction()
         );
-        assert!(tap.health().events().is_empty());
+        assert!(monitor.health().events().is_empty());
+        // One engine: the budget rule joined the long-run rules.
+        let rules = bonsai_obs::health::default_rules().len() + 1;
+        assert_eq!(monitor.health().rules().len(), rules);
     }
 
     #[test]
@@ -377,11 +317,13 @@ mod tests {
         for _ in 0..5 {
             c.step();
         }
-        let tap = c.take_stream().unwrap();
+        let monitor = c.take_monitor().unwrap();
+        let tap = monitor.stream().unwrap();
         assert!(tap.bus().stalls() > 0);
         assert!(tap.meter().max_fraction() > OVERHEAD_BUDGET_FRACTION);
         assert!(
-            tap.health()
+            monitor
+                .health()
                 .events()
                 .iter()
                 .any(|e| e.rule == "obs-overhead"),
@@ -412,7 +354,7 @@ mod tests {
                 c.step();
             }
             let e = c.energy_report();
-            let frames = c.take_stream().map(|mut t| {
+            let frames = c.stream_mut().map(|t| {
                 t.bus_mut()
                     .poll(0, usize::MAX)
                     .iter()

@@ -9,7 +9,10 @@ use bonsai_ic::plummer_sphere;
 use bonsai_net::fault::Injection;
 use bonsai_net::{FaultKind, FaultPlan, MsgKind, RecoveryAction};
 use bonsai_obs::health::{Condition, Rule, Severity};
-use bonsai_sim::{AutoscaleConfig, Cluster, ClusterConfig, LongRunConfig, RecoveryConfig};
+use bonsai_obs::stream::{FrameKind, SubscriberConfig};
+use bonsai_sim::{
+    AutoscaleConfig, Cluster, ClusterConfig, LongRunConfig, RecoveryConfig, StreamConfig,
+};
 use bonsai_verify::{acceleration_diff, equivalence_band, serial_reference};
 
 /// A fresh, unique checkpoint directory for an elastic run.
@@ -359,7 +362,8 @@ fn autoscale_shrinks_an_idle_cluster_to_the_floor() {
     }
     assert_eq!(c.rank_count(), 4, "idle cluster did not shrink to the floor");
     assert_eq!(c.total_particles(), 640);
-    let decisions = c.autoscale().expect("policy enabled").decisions();
+    let monitor = c.monitor().expect("monitor enabled");
+    let decisions = monitor.autoscale().expect("policy enabled").decisions();
     assert!(decisions.len() >= 2, "decisions: {decisions:?}");
     assert!(!c.membership_log().is_empty());
 }
@@ -368,7 +372,8 @@ fn autoscale_shrinks_an_idle_cluster_to_the_floor() {
 fn autoscale_grows_when_a_grow_rule_opens() {
     // A rule that opens immediately (step seconds are always positive)
     // stands in for sustained step-time creep; its open transition must
-    // drive an admit through the same membership path as a manual grow.
+    // drive an admit through the same membership path as a manual grow,
+    // and the step's frames must be published after the admit.
     let mut cfg = LongRunConfig::default();
     cfg.rules.push(Rule::new(
         "always-hot",
@@ -387,14 +392,36 @@ fn autoscale_grows_when_a_grow_rule_opens() {
         idle_particles_per_rank: 0.0,
         ..AutoscaleConfig::default()
     });
+    c.enable_streaming(StreamConfig {
+        subscribers: vec![SubscriberConfig::new("watch", 64)],
+        ..StreamConfig::default()
+    });
     for _ in 0..3 {
         c.step();
     }
     assert_eq!(c.rank_count(), 6, "open grow-rule did not admit ranks");
+    // The rule opens on step 1, so step 1 grows: its view-change frame
+    // leaves before its step header, and the header describes the grown
+    // world.
+    let frames = c.stream_mut().expect("streaming enabled").bus_mut().poll(0, usize::MAX);
+    let first: Vec<_> = frames.iter().filter(|f| f.step == 1).collect();
+    let at = |kind| first.iter().position(|f| f.kind == kind);
+    let (view, header) = (at(FrameKind::ViewChange), at(FrameKind::StepHeader));
+    assert!(view.is_some() && view < header, "step 1 frames: {first:?}");
+    assert_eq!(first[header.unwrap()].f64("world"), Some(6.0));
     assert_eq!(c.total_particles(), 800);
     let ch = c.membership_log().changes().last().expect("grow logged");
     assert_eq!((ch.from_world, ch.to_world), (4, 6));
     assert_eq!(sorted_ids(&c), (0..800).collect::<Vec<u64>>());
+}
+
+#[test]
+#[should_panic(expected = "enable_longrun")]
+fn autoscaling_without_a_monitor_is_refused() {
+    // The policy scales on the monitor's alerts; without one it would
+    // never be consulted, so enabling it alone must fail loudly.
+    let mut c = Cluster::new(plummer_sphere(400, 73), 2, ClusterConfig::default());
+    c.enable_autoscale(AutoscaleConfig::default());
 }
 
 #[test]

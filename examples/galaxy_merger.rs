@@ -5,16 +5,23 @@
 //! between domains every few steps.
 //!
 //! ```sh
-//! cargo run --release --example galaxy_merger
+//! cargo run --release --example galaxy_merger -- 4000 150
 //! ```
+//!
+//! (arguments: particles per progenitor, steps per epoch; defaults
+//! 4000 × 150).
 
 use bonsai::analysis::energy::density_center;
 use bonsai::core::{Simulation, SimulationConfig};
 use bonsai::ic::{make_merger, plummer_sphere, MergerOrbit};
 
 fn main() {
-    let primary = plummer_sphere(4_000, 1);
-    let secondary = plummer_sphere(4_000, 2);
+    let args: Vec<String> = std::env::args().collect();
+    let n: usize = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(4_000);
+    let steps: usize = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(150);
+
+    let primary = plummer_sphere(n, 1);
+    let secondary = plummer_sphere(n, 2);
     let orbit = MergerOrbit {
         separation: 6.0,
         impact_parameter: 1.0,
@@ -34,7 +41,7 @@ fn main() {
     let e0 = sim.energy_report();
 
     for epoch in 1..=8 {
-        sim.run(150);
+        sim.run(steps);
         let p = sim.particles();
         // centres of the two progenitors
         let mut prim = bonsai::tree::Particles::new();

@@ -141,11 +141,11 @@ test "$status" -eq 2
 
 echo "== the other examples, at small sizes =="
 # An item whose only caller is an example is kept for that example, so every
-# example must still run. galaxy_merger (the one caller of density_center) is
-# not run here: it takes no size argument and needs ~30 s on a 2-core host.
+# example must still run. galaxy_merger is the one caller of density_center.
 cargo run -q --release --example quickstart
 cargo run -q --release --example accuracy_sweep -- 4000
 cargo run -q --release --example milky_way -- 4000 20
+cargo run -q --release --example galaxy_merger -- 1000 20
 
 # The gate runner wrote nothing to the tree. A kernel change that is *meant*
 # to move force bits is re-blessed with `gates --bless` (DESIGN.md 6f). Nor
