@@ -93,7 +93,7 @@ fn fixed_world_crash_and_rollback_digests_are_pinned() {
     for t in THREADS {
         assert_eq!(
             crash_and_rollback("fixed", false, t),
-            (0x9afa09db71167150, 0xb62879d143db5435, 0x3cf15ca914a7d9d2),
+            (0xcb70296392a8016f, 0xb62879d143db5435, 0xcbf533d4ccd4fa2e),
             "fault log / flow ledger / force bits moved at {t} threads"
         );
     }
@@ -104,7 +104,7 @@ fn elastic_crash_recovery_digests_are_pinned() {
     for t in THREADS {
         assert_eq!(
             crash_and_rollback("elastic", true, t),
-            (0x792a3ed46d164098, 0xc16b12991e897c1c, 0x5709c68693875f8a),
+            (0x3a1561e0481cd426, 0xc16b12991e897c1c, 0xa8c8ba7b7f4193a8),
             "fault log / flow ledger / force bits moved at {t} threads"
         );
     }
@@ -115,7 +115,7 @@ fn grow_and_shrink_churn_digests_are_pinned() {
     for t in THREADS {
         assert_eq!(
             churn(t),
-            (0x52346781801e5c50, 0x2569bafdada9153d, 0xf5b205374caf653a),
+            (0x84f624a65495b178, 0x2569bafdada9153d, 0x4b21ea620278a500),
             "fault log / flow ledger / force bits moved at {t} threads"
         );
     }
@@ -139,7 +139,7 @@ fn thin_many_source_digests_are_pinned() {
     for t in [1, 2, 3, 4] {
         assert_eq!(
             thin(t),
-            (0, 0x6c0104eeefaca20c, 0x70df41cdf0996994),
+            (0, 0x6c0104eeefaca20c, 0x7c7c2db6fd59bb4a),
             "fault log / flow ledger / force bits moved at {t} threads"
         );
     }

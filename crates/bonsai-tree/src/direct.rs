@@ -2,11 +2,13 @@
 //! kernel" whose device performance appears alongside the tree kernel in the
 //! paper's Fig. 1.
 //!
-//! It runs the tree walk's lane kernel with every source as one leaf: the
-//! targets are transposed into `LANES`-wide blocks (the last one padded with
-//! the last target, as the walk pads a group), and each block is dispatched
-//! to the instantiation `Isa::detect` picks, as the walk's groups are. Lane
-//! `i` is therefore [`p_p_batch`](crate::kernels::p_p_batch)'s sum over all
+//! It stays in `f64` where the tree walk's kernels are `f32`: it is the
+//! reference the walk's accuracy is measured against. It runs the `f64` p-p
+//! lane kernel with every source as one leaf: the targets are transposed
+//! into `LANES`-wide blocks (the last one padded with the last target, as
+//! the walk pads a group), and each block is dispatched to the
+//! instantiation `Isa::detect` picks, as the walk's groups are. Lane `i` is
+//! therefore [`p_p_batch`](crate::kernels::p_p_batch)'s sum over all
 //! sources for target `i`, bit for bit, on every instruction set.
 
 use crate::forces::{Forces, InteractionCounts};

@@ -21,45 +21,57 @@
 //! centre of mass (so the monopole term uses the cell mass and COM, and the
 //! dipole vanishes identically).
 //!
-//! **Instruction mix.** `p_c` is written in the paper's mix: every `a·b + c`
-//! is an explicit [`f64::mul_add`] and both sums are factored as on the second
-//! lines above, which makes it 3 sub, 2 add, 17 mul, 18 fma, one `sqrt` and
-//! one `div` per evaluation (the trace and the two multiples of it are per
-//! cell, not per lane). Its `1/√r²` stays the hardware `sqrt` + `div` pair:
-//! there the divider runs beside the 18 multiply-adds, and a Newton step in
-//! its place was measured slower on AVX2 and on AVX-512 (ROADMAP item 8).
+//! **Two precisions.** The tree walk's kernels, `p_p_lanes32` and
+//! `p_c_lanes32`, do the paper's arithmetic in single precision, as
+//! Bonsai's GPU kernels do: each lane takes its separation `s − t` in `f64`
+//! and rounds it once to `f32`, and everything after that is `f32` — `r²`,
+//! `1/√r²`, the p-p and p-c terms and the walk's sums. The separation stays
+//! `f64` because positions do not fit `f32` at the resolution a close pair
+//! needs: `f32` offsets from the centre of a group 0.1 wide are a few 1e-9
+//! off, as large as the closest pairs' separation. A cell's mass and
+//! quadrupole are rounded once per cell (`Cell32`), a leaf's masses once
+//! per source. Direct summation, the accuracy oracle's reference, stays
+//! `f64` (`p_p_lanes`), as do the scalar [`p_p`], [`p_c`] and [`p_p_batch`].
 //!
-//! The p-p family ([`p_p`], `p_p_masked`, [`p_p_batch`], `p_p_lanes`) has no
-//! such work to hide a divider behind, so its `1/√r²` is `rsqrt`: an integer
-//! seed and three third-order Newton corrections, six multiplies and nine
-//! fused multiply-adds with no divide, within one ulp of the exact value
-//! (the `sqrt` + `div` pair is within 1.5). Everything else in p-p stays unfused — `r²` and the
-//! accumulations are separate multiplies and adds, as the paper counts them.
-//! A digest test in `walk.rs` pins what direct summation and a θ = 0 walk
-//! produce, so a change to this arithmetic has to re-pin it knowingly.
+//! **Instruction mix.** Every `a·b + c` is an explicit `mul_add` and both
+//! sums of `p_c` are factored as on the second lines above. No kernel
+//! divides: `1/√r²` is an integer seed and third-order Newton corrections —
+//! `rsqrt`, three of them in `f64` (six multiplies, nine fused
+//! multiply-adds, within one ulp; the `sqrt` + `div` pair is within 1.5),
+//! and `rsqrt32`, two of them in `f32` (within one `f32` ulp over the
+//! normal range). Per lane and interaction the walk's p-c is then 3 `f64`
+//! sub and 3 conversions, 15 mul and 28 fma in `f32`; its p-p is the same
+//! separation, 9 mul, 11 fma, one add, one sub and a mask select. The `f64`
+//! p-p keeps `r²` and the accumulations unfused — separate multiplies and
+//! adds, as the paper counts them — and scalar `p_c` keeps the `sqrt` +
+//! `div` pair, for the calibration kernels that time them. A digest test in
+//! `walk.rs` pins what direct summation and a θ = 0 walk produce, so a change
+//! to either arithmetic has to re-pin it knowingly.
 //!
 //! Each kernel comes in the shapes its callers need:
 //!
 //! * scalar [`p_p`] and [`p_c`] — one target, one source: the definitions;
 //! * [`p_p_batch`] — one target, a run of sources, reduced in source order:
 //!   what direct summation computes per target;
-//! * `p_p_lanes` and `p_c_lanes` — one *source* broadcast to a block of
-//!   target lanes, the tree walk's kernels (and, for p-p, direct
-//!   summation's). A lane is a target, as a thread of a warp is in the
-//!   paper's kernel (§III-A), so the loop over lanes carries no dependence
-//!   and vectorises, where a reduction over sources into one `f64` sum
+//! * `p_p_lanes` (`f64`, direct summation's) and `p_p_lanes32` /
+//!   `p_c_lanes32` (`f32`, the tree walk's) — one *source* broadcast to a
+//!   block of 16 target lanes. A lane is a target, as a thread of a warp is
+//!   in the paper's kernel (§III-A), so the loop over lanes carries no
+//!   dependence and vectorises, where a reduction over sources into one sum
 //!   cannot without reordering it.
 //!
-//! The shapes agree bit for bit: `p_c_lanes` evaluates [`p_c`]'s body per
-//! lane, and [`p_p`], [`p_p_batch`] and `p_p_lanes` share one masked term,
-//! the last two adding the terms in the same source order. Every operation
-//! is a lane-wise IEEE-754 `f64` operation —
-//! `mul_add` is fusedMultiplyAdd on every target, one instruction where the
-//! hardware has it and libm's `fma` otherwise — and Rust never contracts
-//! `a * b + c` on its own nor reassociates, so a lane's bits depend neither
-//! on the vector width the loop was compiled for nor on the machine. What
-//! does depend on the machine is speed: compiled without the `fma` target
-//! feature every `mul_add` is a libm call (`p_c` makes 18, ≈ 20× slower), so
+//! [`p_p`], [`p_p_batch`] and `p_p_lanes` agree bit for bit: they share one
+//! masked term, the last two adding the terms in the same source order. The
+//! `f32` kernels evaluate `p_p_add32` and `p_c_add32` per lane, which is
+//! what the walk's scalar reference calls. Every operation is a lane-wise
+//! IEEE-754 operation — `mul_add` is fusedMultiplyAdd on every target
+//! (`vfmadd…pd` / `vfmadd…ps` where the hardware has it, libm's `fma` /
+//! `fmaf` otherwise), the `f64` → `f32` conversion rounds to nearest, and no
+//! hardware reciprocal-square-root estimate is used — and Rust never
+//! contracts `a * b + c` on its own nor reassociates, so a lane's bits
+//! depend neither on the vector width the loop was compiled for nor on the
+//! machine. What does depend on the machine is speed: compiled without the
+//! `fma` target feature every `mul_add` is a libm call (≈ 20× slower), so
 //! on x86_64 the scalar kernels have a second, `avx2,fma` instantiation
 //! selected by `Isa`, and the lane kernels run inside the walk's and direct
 //! summation's `avx2,fma` and AVX-512 ones.
@@ -180,8 +192,7 @@ fn p_c_avx2_fma(tgt_pos: Vec3, com: Vec3, m: f64, q: &Sym3, eps2: f64) -> (f64, 
     p_c_inline(tgt_pos, com, m, q, eps2)
 }
 
-/// The body of [`p_c`], inlined into whichever instantiation calls it (the
-/// two above, and `p_c_lanes` inside the walk's).
+/// The body of [`p_c`], inlined into the two instantiations above.
 #[inline(always)]
 fn p_c_inline(tgt_pos: Vec3, com: Vec3, m: f64, q: &Sym3, eps2: f64) -> (f64, Vec3) {
     let Vec3 { x: dx, y: dy, z: dz } = com - tgt_pos;
@@ -248,8 +259,8 @@ fn p_p_masked(dx: f64, dy: f64, dz: f64, m: f64, eps2: f64) -> (f64, f64) {
 /// SoA batch of sources on one target, in source order.
 ///
 /// This is the per-target definition direct summation ([`crate::direct`])
-/// and the walk's lane kernel reproduce: lane `l` of `p_p_lanes` computes
-/// exactly this sum for target `l`. Same bits from every instantiation.
+/// reproduces: lane `l` of `p_p_lanes` computes exactly this sum for target
+/// `l`. Same bits from every instantiation.
 pub fn p_p_batch(
     tgt_pos: Vec3,
     src_x: &[f64],
@@ -311,14 +322,17 @@ fn p_p_batch_inline(
 }
 
 /// Targets per register block of the lane kernels. Lane arrays handed to
-/// [`p_p_lanes`] / [`p_c_lanes`] are a whole number of blocks long.
+/// [`p_p_lanes`], [`p_p_lanes32`] and [`p_c_lanes32`] are a whole number of
+/// blocks long.
 ///
-/// Sixteen on every instruction set: each broadcast source then feeds two
-/// independent 512-bit (or four 256-bit) chains through `rsqrt`'s
-/// multiply-adds, which is what keeps the ports busy at either width.
+/// Sixteen on every instruction set: in `f64` each broadcast source then
+/// feeds two independent 512-bit (or four 256-bit) chains through `rsqrt`'s
+/// multiply-adds, and in `f32` one 512-bit vector (or two 256-bit ones) —
+/// a loop over lanes without whole blocks vectorised at 8 lanes with scalar
+/// tails and ran slower than `f64`.
 pub(crate) const LANES: usize = 16;
 
-/// One block of lane values.
+/// One block of `f64` lane values.
 type Block = [f64; LANES];
 
 /// Borrow block `b` of a lane array.
@@ -333,8 +347,8 @@ fn block_mut(lanes: &mut [f64], b: usize) -> &mut Block {
     (&mut lanes[b * LANES..(b + 1) * LANES]).try_into().expect("a whole lane block")
 }
 
-/// Lane-parallel particle–particle kernel: add the forces of the sources
-/// `(src_pos, src_mass)` (one leaf) to every target lane.
+/// Lane-parallel particle–particle kernel in `f64`, direct summation's: add
+/// the forces of the sources `(src_pos, src_mass)` to every target lane.
 ///
 /// Lane `l` holds target `(tx[l], ty[l], tz[l])` and accumulators
 /// `(phi[l], ax[l], ay[l], az[l])`. Each source is broadcast to all lanes —
@@ -386,34 +400,187 @@ pub(crate) fn p_p_lanes(
     }
 }
 
-/// Lane-parallel particle–cell kernel: add one cell's [`p_c`] contribution
-/// to every target lane (same lane layout as [`p_p_lanes`]). Each lane
-/// evaluates `p_c`'s body itself, so its expression tree is the scalar
-/// kernel's.
+/// `1/√r2` in `f32` for `r2 ≥ 0`: [`rsqrt`]'s seed-and-correct scheme at
+/// single precision. The integer seed is a few percent off everywhere and
+/// each third-order correction cubes the relative error, so two of them
+/// reach the last bit over the normal `f32` range. Every operation is an
+/// IEEE `f32` multiply or fused multiply-add — never the hardware estimate
+/// (`vrsqrt14ps`, `vrsqrtps`), whose bits differ between instruction sets —
+/// so the bits are those of every instantiation. Finite at `r2 = 0`.
+#[inline(always)]
+pub(crate) fn rsqrt32(r2: f32) -> f32 {
+    let mut y = f32::from_bits(0x5f37_5a86 - (r2.to_bits() >> 1));
+    for _ in 0..2 {
+        let e = (-r2 * y).mul_add(y, 1.0);
+        y = (y * e).mul_add(e.mul_add(0.375, 0.5), y);
+    }
+    y
+}
+
+/// The separation `s − t` of one source from a block of target lanes, per
+/// component: taken in `f64`, then rounded once to `f32`. Everything after
+/// it is `f32` arithmetic.
+#[inline(always)]
+fn separation(s: Vec3, tx: &Block, ty: &Block, tz: &Block) -> [Block32; 3] {
+    [
+        std::array::from_fn(|l| (s.x - tx[l]) as f32),
+        std::array::from_fn(|l| (s.y - ty[l]) as f32),
+        std::array::from_fn(|l| (s.z - tz[l]) as f32),
+    ]
+}
+
+/// One source particle's p-p term added to a lane's partial sums
+/// `(φ, ax, ay, az)`, in `f32` from the rounded separation `d`: `r²` and the
+/// accumulation fused, the coincident pair masked to exactly zero as in
+/// [`p_p_masked`].
+#[inline(always)]
+pub(crate) fn p_p_add32([dx, dy, dz]: [f32; 3], m: f32, eps2: f32, [phi, ax, ay, az]: [f32; 4]) -> [f32; 4] {
+    let dr2 = dx.mul_add(dx, dy.mul_add(dy, dz * dz));
+    let mask = if dr2 > 0.0 { 1.0 } else { 0.0 };
+    let rinv = mask * rsqrt32(dr2 + eps2);
+    let mrinv = m * rinv;
+    let mrinv3 = mrinv * (rinv * rinv);
+    [phi - mrinv, dx.mul_add(mrinv3, ax), dy.mul_add(mrinv3, ay), dz.mul_add(mrinv3, az)]
+}
+
+/// A cell's multipoles rounded once to `f32` for [`p_c_lanes32`]: the mass,
+/// the six quadrupole entries, and the two multiples of the trace that the
+/// brackets of the header's formulas use.
+pub(crate) struct Cell32 {
+    m: f32,
+    q: [f32; 6],
+    half_tr: f32,
+    minus_three_half_tr: f32,
+}
+
+impl Cell32 {
+    /// Round a cell of mass `m` and un-detraced quadrupole `q`.
+    #[inline(always)]
+    pub(crate) fn new(m: f64, q: &Sym3) -> Cell32 {
+        let tr = q.trace();
+        Cell32 {
+            m: m as f32,
+            q: q.m.map(|v| v as f32),
+            half_tr: (0.5 * tr) as f32,
+            minus_three_half_tr: (-1.5 * tr) as f32,
+        }
+    }
+}
+
+/// One cell's p-c term added to a lane's sums `(φ, ax, ay, az)`, in `f32`
+/// from the rounded separation `d`: [`p_c`]'s expression tree, with `1/√r²`
+/// from [`rsqrt32`] and the accumulation fused.
+#[inline(always)]
+pub(crate) fn p_c_add32([dx, dy, dz]: [f32; 3], c: &Cell32, eps2: f32, [phi, ax, ay, az]: [f32; 4]) -> [f32; 4] {
+    let r2 = dx.mul_add(dx, dy.mul_add(dy, dz.mul_add(dz, eps2)));
+    let rinv = rsqrt32(r2);
+    let rinv2 = rinv * rinv;
+    let rinv3 = rinv * rinv2;
+    let rinv5 = rinv3 * rinv2;
+
+    let [qxx, qxy, qxz, qyy, qyz, qzz] = c.q;
+    let qx = qxz.mul_add(dz, qxy.mul_add(dy, qxx * dx));
+    let qy = qyz.mul_add(dz, qyy.mul_add(dy, qxy * dx));
+    let qz = qzz.mul_add(dz, qyz.mul_add(dy, qxz * dx));
+    let rqr = dz.mul_add(qz, dy.mul_add(qy, dx * qx));
+
+    let bphi = (-1.5 * rqr).mul_add(rinv2, c.half_tr).mul_add(rinv2, -c.m);
+    let k = rinv3 * (7.5 * rqr).mul_add(rinv2, c.minus_three_half_tr).mul_add(rinv2, c.m);
+    let kq = 3.0 * rinv5;
+    [
+        rinv.mul_add(bphi, phi),
+        (-qx).mul_add(kq, dx.mul_add(k, ax)),
+        (-qy).mul_add(kq, dy.mul_add(k, ay)),
+        (-qz).mul_add(kq, dz.mul_add(k, az)),
+    ]
+}
+
+/// One block of `f32` lane values.
+type Block32 = [f32; LANES];
+
+/// Mutably borrow block `b` of an `f32` lane array.
+#[inline(always)]
+fn block32_mut(lanes: &mut [f32], b: usize) -> &mut Block32 {
+    (&mut lanes[b * LANES..(b + 1) * LANES]).try_into().expect("a whole lane block")
+}
+
+/// The walk's particle–particle kernel: add the forces of the sources
+/// `(src_pos, src_mass)` (one leaf) to every target lane, in `f32`.
+///
+/// Same lane layout as [`p_p_lanes`], with `f32` accumulators. Per lane and
+/// per source, the separation is taken in `f64` and rounded once
+/// ([`separation`]), the mass is rounded once, and [`p_p_add32`] adds the
+/// term to a partial sum started from zero; the leaf's partial is then added
+/// to the accumulator.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn p_c_lanes(
+pub(crate) fn p_p_lanes32(
+    tx: &[f64],
+    ty: &[f64],
+    tz: &[f64],
+    src_pos: &[Vec3],
+    src_mass: &[f64],
+    eps2: f32,
+    phi: &mut [f32],
+    ax: &mut [f32],
+    ay: &mut [f32],
+    az: &mut [f32],
+) {
+    debug_assert_eq!(src_pos.len(), src_mass.len());
+    debug_assert_eq!(tx.len() % LANES, 0);
+    for b in 0..tx.len() / LANES {
+        // One block at a time, so the partial sums of all its lanes stay in
+        // registers across the whole leaf.
+        let (tx, ty, tz) = (block(tx, b), block(ty, b), block(tz, b));
+        let [mut dphi, mut dax, mut day, mut daz] = [[0.0f32; LANES]; 4];
+        for (&s, &m) in src_pos.iter().zip(src_mass) {
+            let m = m as f32;
+            let [dx, dy, dz] = separation(s, tx, ty, tz);
+            for l in 0..LANES {
+                let sums = [dphi[l], dax[l], day[l], daz[l]];
+                [dphi[l], dax[l], day[l], daz[l]] = p_p_add32([dx[l], dy[l], dz[l]], m, eps2, sums);
+            }
+        }
+        let (phi, ax) = (block32_mut(phi, b), block32_mut(ax, b));
+        let (ay, az) = (block32_mut(ay, b), block32_mut(az, b));
+        for l in 0..LANES {
+            phi[l] += dphi[l];
+            ax[l] += dax[l];
+            ay[l] += day[l];
+            az[l] += daz[l];
+        }
+    }
+}
+
+/// The walk's particle–cell kernel: add one cell's contribution to every
+/// target lane, in `f32` (same lane layout as [`p_p_lanes32`]). The cell is
+/// rounded once ([`Cell32::new`]); each lane takes its separation in `f64`,
+/// rounds it once, and evaluates [`p_c_add32`].
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn p_c_lanes32(
     tx: &[f64],
     ty: &[f64],
     tz: &[f64],
     com: Vec3,
     m: f64,
     q: &Sym3,
-    eps2: f64,
-    phi: &mut [f64],
-    ax: &mut [f64],
-    ay: &mut [f64],
-    az: &mut [f64],
+    eps2: f32,
+    phi: &mut [f32],
+    ax: &mut [f32],
+    ay: &mut [f32],
+    az: &mut [f32],
 ) {
-    let n = tx.len();
-    let (ty, tz) = (&ty[..n], &tz[..n]);
-    let (phi, ax, ay, az) = (&mut phi[..n], &mut ax[..n], &mut ay[..n], &mut az[..n]);
-    for l in 0..n {
-        let (dphi, da) = p_c_inline(Vec3::new(tx[l], ty[l], tz[l]), com, m, q, eps2);
-        phi[l] += dphi;
-        ax[l] += da.x;
-        ay[l] += da.y;
-        az[l] += da.z;
+    debug_assert_eq!(tx.len() % LANES, 0);
+    let cell = Cell32::new(m, q);
+    for b in 0..tx.len() / LANES {
+        let [dx, dy, dz] = separation(com, block(tx, b), block(ty, b), block(tz, b));
+        let (phi, ax) = (block32_mut(phi, b), block32_mut(ax, b));
+        let (ay, az) = (block32_mut(ay, b), block32_mut(az, b));
+        for l in 0..LANES {
+            let sums = [phi[l], ax[l], ay[l], az[l]];
+            [phi[l], ax[l], ay[l], az[l]] = p_c_add32([dx[l], dy[l], dz[l]], &cell, eps2, sums);
+        }
     }
 }
 
@@ -471,6 +638,27 @@ mod tests {
         // Finite at zero, so the coincident mask's zero factor gives zero.
         assert!(rsqrt(0.0).is_finite());
         assert_eq!(0.0 * rsqrt(0.0), 0.0);
+    }
+
+    #[test]
+    fn rsqrt32_is_within_one_ulp_over_the_normal_range() {
+        // Ulps of `rsqrt32(r2)` from 1/√r2 in `f64`, which is exact far
+        // below an `f32` ulp.
+        let ulps = |r2: f32| {
+            let want = 1.0 / f64::from(r2).sqrt();
+            // The power of two at or below `want`, times 2⁻²³: its `f32` ulp.
+            let ulp = f64::from_bits(want.to_bits() >> 52 << 52) * f64::from(f32::EPSILON);
+            (f64::from(rsqrt32(r2)) - want).abs() / ulp
+        };
+        let mut rng = bonsai_util::rng::Xoshiro256::seed_from(1412);
+        let mut worst = ulps(f32::MIN_POSITIVE).max(ulps(f32::MAX));
+        for _ in 0..200_000 {
+            worst = worst.max(ulps(rng.uniform_in(-126.0, 127.0).exp2() as f32));
+        }
+        assert!(worst <= 1.0, "worst error {worst} ulp");
+        // Finite at zero, so the coincident mask's zero factor gives zero.
+        assert!(rsqrt32(0.0).is_finite());
+        assert_eq!(0.0 * rsqrt32(0.0), 0.0);
     }
 
     #[test]

@@ -8,31 +8,40 @@
 //!
 //! **Lane = target.** On the GPU every thread of a warp owns one target
 //! particle of a group and each accepted cell or leaf particle is broadcast
-//! to all of them (`__shfl`). Here a SIMD lane plays the thread:
-//! [`walk_sources`] transposes the targets once per call into per-group
-//! structure-of-arrays lane blocks (x, y, z, padded to a whole number of
-//! 16-lane blocks by repeating the group's last target), keeps the
-//! accumulators (φ, ax, ay, az) in the same layout, and hands every
-//! interaction to a lane kernel ([`crate::kernels`]) whose loop over lanes
-//! is a plain map — one broadcast source, no reduction across lanes — which
-//! the compiler vectorises at whatever width the instruction set offers. The
-//! traversal itself (stack order, one MAC test per node against the group's
-//! bounding box) is scalar and shared by the whole group, as on the GPU.
+//! to all of them (`__shfl`). Here a SIMD lane plays the thread: each group
+//! transposes its targets into structure-of-arrays lane rows (x, y, z in
+//! `f64`, padded to a whole number of 16-lane blocks by repeating the
+//! group's last target), keeps its sums (φ, ax, ay, az) in `f32` rows of
+//! the same layout, and hands every interaction to a lane kernel
+//! ([`crate::kernels`]) whose loop over lanes is a plain map — one
+//! broadcast source, no reduction across lanes — which the compiler
+//! vectorises at whatever width the instruction set offers. The kernels do
+//! the paper's single-precision arithmetic: each lane takes its separation
+//! from the source in `f64`, rounds it once to `f32`, and evaluates the p-p
+//! or p-c term in `f32`. One walk of one source sums in `f32`; the sums are
+//! widened to `f64` once, at the end of it, and G is applied there. The
+//! traversal itself (stack order, one MAC test per node against the
+//! group's bounding box) is scalar and shared by the whole group, as on the
+//! GPU.
 //!
 //! **Determinism contract.** Every lane performs exactly the scalar walk's
-//! operation sequence on its own target: `p_c`'s expression tree per cell,
-//! `p_p_batch`'s masked sum per leaf (started from zero, then added to the
-//! accumulator), in traversal order. All of it is lane-wise IEEE-754 `f64`
-//! arithmetic: the kernels fuse where they say `mul_add` — IEEE
-//! fusedMultiplyAdd, the same value from one `vfmadd` lane as from libm's
-//! `fma` — and nowhere else, because Rust neither contracts `a * b + c` on
-//! its own nor reassociates; so a lane's result does not depend on how many
-//! lanes run beside it or on which instantiation ran it. Padding lanes
-//! compute ordinary values that are never read back and never counted.
-//! Forces are therefore `to_bits`-identical at every vector width and on
-//! every machine (and, through the `bonsai-par` contract, every thread
-//! count); the lane-conformance test below holds every instantiation the
-//! CPU runs to the scalar reference walk.
+//! operation sequence on its own target: the rounded separation, then
+//! `p_c_add32` per accepted cell, and per opened leaf a `p_p_add32` sum
+//! started from zero and then added to the lane's sum, in traversal order.
+//! All of it is lane-wise IEEE-754 arithmetic — the `f64` subtraction, its
+//! rounding to the nearest `f32`, and `f32` multiplies, adds and
+//! `mul_add`s, which are IEEE fusedMultiplyAdd, the same value from one
+//! `vfmadd…ps` lane as from libm's `fmaf`. The kernels fuse where they say
+//! `mul_add` and nowhere else, because Rust neither contracts `a * b + c` on
+//! its own nor reassociates, and `1/√r²` is the software `rsqrt32`, never
+//! a hardware estimate whose bits differ between instruction sets; so a
+//! lane's result does not depend on how many lanes run beside it or on
+//! which instantiation ran it. Padding lanes compute ordinary values that
+//! are never read back and never counted. Forces are therefore
+//! `to_bits`-identical at every vector width and on every machine (and,
+//! through the `bonsai-par` contract, every thread count); the
+//! lane-conformance test below holds every instantiation the CPU runs to a
+//! scalar `f32` reference walk.
 //!
 //! **Dispatch.** On x86_64 the one `#[inline(always)]` group-walk body is
 //! instantiated three times: at the build's baseline (SSE2), under
@@ -43,9 +52,10 @@
 //! where the CPU reported every feature it enables, which is what makes its
 //! `unsafe` call sound. The baseline instantiation is the portable
 //! conformance path, not a fast one: without the `fma` feature every
-//! `mul_add` is a libm call (≈ 20× slower in p-c, and p-p's `rsqrt` makes
-//! nine). Other targets use the baseline instantiation, where `mul_add` is
-//! whatever the target's baseline offers. There is nothing to configure.
+//! `mul_add` is a libm call (28 in p-c, and p-p's `rsqrt32` makes six).
+//! Other targets use the baseline instantiation, where `mul_add` is
+//! whatever the target's baseline offers. There is nothing to configure:
+//! no precision switch either — the walk is `f32`, direct summation `f64`.
 //!
 //! Work fans out over target groups onto the `bonsai-par` thread pool
 //! — the role the GPU's warps play in the paper — with each group owning a
@@ -56,15 +66,15 @@
 //! and [`walk_sources`] takes a list of them: a rank's local tree and every
 //! remote source, walked in one call against targets transposed once. Each
 //! source is still walked on its own, as the paper processes each LET
-//! separately (§III-B2): per group, its partial sum starts from zero, and
-//! `partial × G` is folded into the group's running sum in source order, so
+//! separately (§III-B2): per group, its `f32` sum starts from zero, and
+//! `sum × G` in `f64` is folded into the group's running sum in source order, so
 //! the result is `to_bits`-equal to one [`walk_tree`] per source added up
 //! with [`Forces::accumulate`]. [`walk_tree`] is the one-source case. Summed
 //! over all sources, the forces reproduce the global gravitational field —
 //! the key correctness property the integration tests assert.
 
 use crate::forces::{Forces, InteractionCounts};
-use crate::kernels::{p_c_lanes, p_p_lanes, Isa, LANES};
+use crate::kernels::{p_c_lanes32, p_p_lanes32, Isa, LANES};
 use crate::mac::OpeningCriterion;
 use crate::node::{Group, NodeKind, TreeView};
 use bonsai_util::Vec3;
@@ -153,15 +163,15 @@ pub fn walk_tree(
 }
 
 /// Compute the summed forces of every source in `srcs` on the targets
-/// `tgt_pos`, in one pass: the targets are transposed once, and each group
+/// `tgt_pos`, in one pass: each group transposes its targets once and
 /// walks every source in order. Returns the forces (G applied) and one
 /// [`WalkStats`] per source.
 ///
 /// The forces are `to_bits`-equal to [`walk_tree`] per source followed by
-/// [`Forces::accumulate`] in source order: each source's partial sum starts
-/// from zero as it would in its own call, and `partial × G` is then
-/// assigned to the running sum (first source) or added to it (every later
-/// one).
+/// [`Forces::accumulate`] in source order: each source's `f32` sum starts
+/// from zero as it would in its own call, and `sum × G`, widened to `f64`,
+/// is then assigned to the running sum (first source) or added to it
+/// (every later one).
 ///
 /// `groups` must tile `0..tgt_pos.len()` contiguously and in order.
 pub fn walk_sources(
@@ -195,133 +205,104 @@ fn walk_sources_on(
         return (forces, stats);
     }
     let mac = OpeningCriterion::new(params.theta);
-    let eps2 = params.eps * params.eps;
+    let eps2 = (params.eps * params.eps) as f32;
 
-    // Transpose the targets into per-group lane blocks: each group owns one
-    // contiguous window of `rows` rows, each `padded(g.len())` lanes long —
-    // target x, y, z, then the walk's φ, ax, ay, az, then (for more than one
-    // source) the running sums of φ, ax, ay, az. The last four rows are read
-    // back. Padding lanes repeat the group's last target so they compute
-    // ordinary finite values; they are never read back and never counted.
-    let rows = if srcs.len() == 1 { LANE_ROWS } else { LANE_ROWS + 4 };
-    let total: usize = groups.iter().map(|g| rows * padded(g.len())).sum();
-    let mut lanes = vec![0.0f64; total];
-    let mut windows: Vec<&mut [f64]> = Vec::with_capacity(groups.len());
-    let mut rest: &mut [f64] = &mut lanes;
+    // Each group owns its slice of the output and, while it walks, one
+    // window of lane rows `padded(g.len())` lanes long: target x, y, z in
+    // `f64`, and the `f32` sums φ, ax, ay, az of the source being walked.
+    // Padding lanes repeat the group's last target so they compute ordinary
+    // finite values; they are never read back and never counted.
+    let mut group_stats = vec![WalkStats::default(); groups.len() * srcs.len()];
+    let mut work = Vec::with_capacity(groups.len());
+    let (mut pot_rest, mut acc_rest) = (&mut forces.pot[..], &mut forces.acc[..]);
+    let mut st_rest = &mut group_stats[..];
     for g in groups {
-        let p = padded(g.len());
-        let (window, tail) = rest.split_at_mut(rows * p);
-        rest = tail;
-        let members = &tgt_pos[g.begin as usize..g.end as usize];
-        if let Some(last) = members.last() {
-            for l in 0..p {
-                let t = members.get(l).unwrap_or(last);
-                window[l] = t.x;
-                window[p + l] = t.y;
-                window[2 * p + l] = t.z;
-            }
-        }
-        windows.push(window);
+        let (pot, tail) = pot_rest.split_at_mut(g.len());
+        pot_rest = tail;
+        let (acc, tail) = acc_rest.split_at_mut(g.len());
+        acc_rest = tail;
+        let (st, tail) = st_rest.split_at_mut(srcs.len());
+        st_rest = tail;
+        work.push((g, pot, acc, st));
     }
 
     // One fan-out over the groups; each group walks every source in order
     // and records one stats entry per source.
     let quad = params.use_quadrupole;
-    let mut group_stats = vec![WalkStats::default(); groups.len() * srcs.len()];
-    groups
-        .par_iter()
-        .zip(windows.into_par_iter())
-        .zip(group_stats.chunks_mut(srcs.len()).collect::<Vec<_>>().into_par_iter())
-        .for_each(|((group, window), per_source)| {
-            let p = padded(group.len());
-            let (walked, sum) = window.split_at_mut(LANE_ROWS * p);
-            for (k, (src, st)) in srcs.iter().zip(per_source).enumerate() {
-                if k > 0 {
-                    walked[3 * p..].fill(0.0);
-                }
-                if !src.is_empty() {
-                    *st = walk_group_on(isa, src, group, &mac, eps2, quad, walked);
-                }
-                let partial = &mut walked[3 * p..];
-                if sum.is_empty() {
-                    // One source: its rows are the ones read back.
-                    if params.g != 1.0 {
-                        partial.iter_mut().for_each(|v| *v *= params.g);
-                    }
-                } else {
-                    fold(sum, partial, params.g, k == 0);
-                }
+    work.into_par_iter().for_each(|(group, pot, acc, per_source)| {
+        let p = padded(group.len());
+        let members = &tgt_pos[group.begin as usize..group.end as usize];
+        let mut t = vec![0.0f64; 3 * p];
+        for l in 0..p {
+            let m = members.get(l).unwrap_or(&members[members.len() - 1]);
+            [t[l], t[p + l], t[2 * p + l]] = [m.x, m.y, m.z];
+        }
+        let mut s = vec![0.0f32; 4 * p];
+        for (k, (src, st)) in srcs.iter().zip(per_source).enumerate() {
+            s.fill(0.0);
+            if !src.is_empty() {
+                *st = walk_group_on(isa, src, group, &mac, eps2, quad, &t, &mut s);
             }
-        });
+            for (l, (pot, acc)) in pot.iter_mut().zip(acc.iter_mut()).enumerate() {
+                let [phi, ax, ay, az] = [0, 1, 2, 3].map(|r| f64::from(s[r * p + l]) * params.g);
+                fold(pot, phi, k == 0);
+                fold(&mut acc.x, ax, k == 0);
+                fold(&mut acc.y, ay, k == 0);
+                fold(&mut acc.z, az, k == 0);
+            }
+        }
+    });
     for per_source in group_stats.chunks(srcs.len()) {
         for (total, st) in stats.iter_mut().zip(per_source) {
             total.merge(st);
         }
     }
-
-    // Transpose the results back, dropping the padding lanes.
-    let mut at = 0usize;
-    for g in groups {
-        let p = padded(g.len());
-        let out = &lanes[at + (rows - 4) * p..at + rows * p];
-        for l in 0..g.len() {
-            let i = g.begin as usize + l;
-            forces.pot[i] = out[l];
-            forces.acc[i] = Vec3::new(out[p + l], out[2 * p + l], out[3 * p + l]);
-        }
-        at += rows * p;
-    }
     (forces, stats)
 }
 
-/// Fold one source's partial (φ, ax, ay, az) rows into the running sum, as
-/// `partial × G` — the value [`walk_tree`] would have returned for that
-/// source — with G applied only when it is not 1. The first source is
-/// assigned, not added to +0.0, so a −0.0 partial keeps its sign, exactly as
-/// when its `Forces` started the sum; later sources are added in order, as
-/// [`Forces::accumulate`] adds them.
-fn fold(sum: &mut [f64], partial: &[f64], g: f64, first: bool) {
-    let terms = sum.iter_mut().zip(partial);
-    match (first, g != 1.0) {
-        (true, false) => terms.for_each(|(s, &x)| *s = x),
-        (true, true) => terms.for_each(|(s, &x)| *s = x * g),
-        (false, false) => terms.for_each(|(s, &x)| *s += x),
-        (false, true) => terms.for_each(|(s, &x)| *s += x * g),
+/// Fold one source's term `x` — its `f32` sum widened and multiplied by G,
+/// the value [`walk_tree`] would have returned for that source — into the
+/// running sum. The first source is assigned, not added to +0.0, so a −0.0
+/// term keeps its sign, exactly as when its `Forces` started the sum; later
+/// sources are added in order, as [`Forces::accumulate`] adds them.
+fn fold(sum: &mut f64, x: f64, first: bool) {
+    if first {
+        *sum = x;
+    } else {
+        *sum += x;
     }
 }
-
-/// Rows of a group's walk window: target x, y, z, then accumulated φ, ax,
-/// ay, az.
-const LANE_ROWS: usize = 7;
 
 /// Lane count of a group of `len` targets: `len` rounded up to whole blocks.
 fn padded(len: usize) -> usize {
     len.div_ceil(LANES) * LANES
 }
 
-/// [`walk_group`] on instantiation `isa`; `window` holds exactly the group's
-/// `LANE_ROWS` rows.
+/// [`walk_group`] on instantiation `isa`; `targets` holds the group's three
+/// target rows and `sums` its four `f32` sum rows.
+#[allow(clippy::too_many_arguments)]
 fn walk_group_on(
     isa: Isa,
     src: &TreeView<'_>,
     group: &Group,
     mac: &OpeningCriterion,
-    eps2: f64,
+    eps2: f32,
     quad: bool,
-    window: &mut [f64],
+    targets: &[f64],
+    sums: &mut [f32],
 ) -> WalkStats {
     match isa {
-        Isa::Plain => walk_group(src, group, mac, eps2, quad, window),
+        Isa::Plain => walk_group(src, group, mac, eps2, quad, targets, sums),
         // SAFETY: `walk_group_avx2_fma` requires only that the CPU supports
         // AVX2 and FMA, and `Isa::Avx2Fma` exists only where `Isa::detect`
         // saw `is_x86_feature_detected!` report both on this machine.
         #[cfg(target_arch = "x86_64")]
-        Isa::Avx2Fma => unsafe { walk_group_avx2_fma(src, group, mac, eps2, quad, window) },
+        Isa::Avx2Fma => unsafe { walk_group_avx2_fma(src, group, mac, eps2, quad, targets, sums) },
         // SAFETY: `walk_group_avx512` requires only that the CPU supports
         // AVX-512 F and VL, AVX2 and FMA, and `Isa::Avx512` exists only
         // where `Isa::detect` saw `is_x86_feature_detected!` report all four.
         #[cfg(target_arch = "x86_64")]
-        Isa::Avx512 => unsafe { walk_group_avx512(src, group, mac, eps2, quad, window) },
+        Isa::Avx512 => unsafe { walk_group_avx512(src, group, mac, eps2, quad, targets, sums) },
     }
 }
 
@@ -339,50 +320,53 @@ fn walk_group_avx2_fma(
     src: &TreeView<'_>,
     group: &Group,
     mac: &OpeningCriterion,
-    eps2: f64,
+    eps2: f32,
     use_quadrupole: bool,
-    window: &mut [f64],
+    targets: &[f64],
+    sums: &mut [f32],
 ) -> WalkStats {
-    walk_group(src, group, mac, eps2, use_quadrupole, window)
+    walk_group(src, group, mac, eps2, use_quadrupole, targets, sums)
 }
 
 /// [`walk_group`] compiled a third time with AVX-512 as well, so a 16-lane
-/// block is two 512-bit vectors. Same source, same bits.
+/// block is one 512-bit vector of `f32` (two of `f64` targets). Same
+/// source, same bits.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,avx512vl,avx2,fma")]
 fn walk_group_avx512(
     src: &TreeView<'_>,
     group: &Group,
     mac: &OpeningCriterion,
-    eps2: f64,
+    eps2: f32,
     use_quadrupole: bool,
-    window: &mut [f64],
+    targets: &[f64],
+    sums: &mut [f32],
 ) -> WalkStats {
-    walk_group(src, group, mac, eps2, use_quadrupole, window)
+    walk_group(src, group, mac, eps2, use_quadrupole, targets, sums)
 }
 
 /// Walk a single group: iterative stack traversal against the group's
 /// bounding box, every accepted cell and opened leaf evaluated at once on
-/// all of the group's target lanes.
+/// all of the group's target lanes, summed into `sums` in `f32`.
 #[inline(always)]
 fn walk_group(
     src: &TreeView<'_>,
     group: &Group,
     mac: &OpeningCriterion,
-    eps2: f64,
+    eps2: f32,
     use_quadrupole: bool,
-    window: &mut [f64],
+    targets: &[f64],
+    sums: &mut [f32],
 ) -> WalkStats {
     const ZERO_QUAD: bonsai_util::Sym3 = bonsai_util::Sym3 { m: [0.0; 6] };
     let mut stats = WalkStats::default();
-    let targets = group.len() as u64;
+    let count = group.len() as u64;
     // Separate slices per row: the lane kernels need to know that targets
-    // and accumulators cannot alias.
-    let p = window.len() / LANE_ROWS;
-    let (tx, rest) = window.split_at_mut(p);
-    let (ty, rest) = rest.split_at_mut(p);
-    let (tz, rest) = rest.split_at_mut(p);
-    let (phi, rest) = rest.split_at_mut(p);
+    // and sums cannot alias.
+    let p = targets.len() / 3;
+    let (tx, rest) = targets.split_at(p);
+    let (ty, tz) = rest.split_at(p);
+    let (phi, rest) = sums.split_at_mut(p);
     let (ax, rest) = rest.split_at_mut(p);
     let (ay, az) = rest.split_at_mut(p);
 
@@ -404,16 +388,16 @@ fn walk_group(
             }
             NodeKind::Leaf if open => {
                 let (b, e) = (node.first as usize, (node.first + node.count) as usize);
-                p_p_lanes(tx, ty, tz, &src.pos[b..e], &src.mass[b..e], eps2, phi, ax, ay, az);
-                stats.counts.pp += targets * (e - b) as u64;
+                p_p_lanes32(tx, ty, tz, &src.pos[b..e], &src.mass[b..e], eps2, phi, ax, ay, az);
+                stats.counts.pp += count * (e - b) as u64;
             }
             kind => {
                 // Accepted — or a `Cut` node the LET promised would never be
                 // opened: honour the promise with a p-c but record the
                 // violation. One particle-cell interaction per target.
                 let quad = if use_quadrupole { &node.quad } else { &ZERO_QUAD };
-                p_c_lanes(tx, ty, tz, node.com, node.mass, quad, eps2, phi, ax, ay, az);
-                stats.counts.pc += targets;
+                p_c_lanes32(tx, ty, tz, node.com, node.mass, quad, eps2, phi, ax, ay, az);
+                stats.counts.pc += count;
                 stats.forced_cuts += u64::from(open && kind == NodeKind::Cut);
             }
         }
@@ -432,27 +416,29 @@ mod tests {
     use super::*;
     use crate::build::{Tree, TreeParams};
     use crate::direct::direct_self_forces;
-    use crate::kernels::{p_c, p_p};
+    use crate::kernels::{p_c_add32, p_p, p_p_add32, Cell32};
     use crate::node::Node;
     use crate::particles::Particles;
     use bonsai_util::rng::Xoshiro256;
     use bonsai_util::Aabb;
 
-    /// The scalar reference: the group walk as it was before targets became
-    /// lanes — one target at a time, the public scalar `p_c` per accepted
-    /// cell, a `p_p` sum per opened leaf started from zero. The lane walk
-    /// must match it bit for bit.
+    /// The scalar reference: the group walk one target at a time, with the
+    /// lane kernels' per-lane `f32` operations — the separation taken in
+    /// `f64` and rounded once, [`p_c_add32`] per accepted cell, a
+    /// [`p_p_add32`] sum per opened leaf started from zero and then added —
+    /// into one `f32` sum per target. The lane walk must match it bit for
+    /// bit.
     fn reference_walk_group(
         src: &TreeView<'_>,
         tgt_pos: &[Vec3],
         group: &Group,
         mac: &OpeningCriterion,
-        eps2: f64,
+        eps2: f32,
         use_quadrupole: bool,
-        acc: &mut [Vec3],
-        pot: &mut [f64],
+        sums: &mut [[f32; 4]],
     ) -> WalkStats {
         const ZERO_QUAD: bonsai_util::Sym3 = bonsai_util::Sym3 { m: [0.0; 6] };
+        let d = |s: Vec3, t: Vec3| [(s.x - t.x) as f32, (s.y - t.y) as f32, (s.z - t.z) as f32];
         let mut stats = WalkStats::default();
         let targets = &tgt_pos[group.begin as usize..group.end as usize];
         let mut stack: Vec<u32> = vec![0];
@@ -463,13 +449,11 @@ mod tests {
                 continue;
             }
             let open = mac.must_open(&group.bbox, node);
+            let cell = Cell32::new(node.mass, if use_quadrupole { &node.quad } else { &ZERO_QUAD });
             match node.kind {
                 _ if !open => {
-                    let quad = if use_quadrupole { &node.quad } else { &ZERO_QUAD };
-                    for (i, &t) in targets.iter().enumerate() {
-                        let (dphi, da) = p_c(t, node.com, node.mass, quad, eps2);
-                        pot[i] += dphi;
-                        acc[i] += da;
+                    for (s, &t) in sums.iter_mut().zip(targets) {
+                        *s = p_c_add32(d(node.com, t), &cell, eps2, *s);
                     }
                     stats.counts.pc += targets.len() as u64;
                 }
@@ -480,24 +464,18 @@ mod tests {
                 }
                 NodeKind::Leaf => {
                     let (b, e) = (node.first as usize, (node.first + node.count) as usize);
-                    for (i, &t) in targets.iter().enumerate() {
-                        let (mut dphi, mut da) = (0.0, Vec3::zero());
+                    for (s, &t) in sums.iter_mut().zip(targets) {
+                        let mut part = [0.0f32; 4];
                         for j in b..e {
-                            let (p, a) = p_p(t, src.pos[j], src.mass[j], eps2);
-                            dphi += p;
-                            da += a;
+                            part = p_p_add32(d(src.pos[j], t), src.mass[j] as f32, eps2, part);
                         }
-                        pot[i] += dphi;
-                        acc[i] += da;
+                        *s = [0, 1, 2, 3].map(|r| s[r] + part[r]);
                     }
                     stats.counts.pp += (targets.len() * (e - b)) as u64;
                 }
                 NodeKind::Cut => {
-                    let quad = if use_quadrupole { &node.quad } else { &ZERO_QUAD };
-                    for (i, &t) in targets.iter().enumerate() {
-                        let (dphi, da) = p_c(t, node.com, node.mass, quad, eps2);
-                        pot[i] += dphi;
-                        acc[i] += da;
+                    for (s, &t) in sums.iter_mut().zip(targets) {
+                        *s = p_c_add32(d(node.com, t), &cell, eps2, *s);
                     }
                     stats.counts.pc += targets.len() as u64;
                     stats.forced_cuts += 1;
@@ -507,8 +485,9 @@ mod tests {
         stats
     }
 
-    /// [`walk_tree`] over [`reference_walk_group`], sequentially. An empty
-    /// source exerts no force.
+    /// [`walk_tree`] over [`reference_walk_group`], sequentially: each
+    /// target's `f32` sums widened, then G applied. An empty source exerts
+    /// no force.
     fn reference_walk_tree(
         src: &TreeView<'_>,
         tgt_pos: &[Vec3],
@@ -521,18 +500,15 @@ mod tests {
             return (forces, stats);
         }
         let mac = OpeningCriterion::new(params.theta);
+        let mut sums = vec![[0.0f32; 4]; tgt_pos.len()];
         for g in groups {
             let (b, e) = (g.begin as usize, g.end as usize);
-            stats.merge(&reference_walk_group(
-                src,
-                tgt_pos,
-                g,
-                &mac,
-                params.eps * params.eps,
-                params.use_quadrupole,
-                &mut forces.acc[b..e],
-                &mut forces.pot[b..e],
-            ));
+            let eps2 = (params.eps * params.eps) as f32;
+            stats.merge(&reference_walk_group(src, tgt_pos, g, &mac, eps2, params.use_quadrupole, &mut sums[b..e]));
+        }
+        for (i, [phi, ax, ay, az]) in sums.into_iter().enumerate() {
+            forces.pot[i] = f64::from(phi);
+            forces.acc[i] = Vec3::new(f64::from(ax), f64::from(ay), f64::from(az));
         }
         if params.g != 1.0 {
             forces.scale(params.g);
@@ -732,17 +708,14 @@ mod tests {
 
     #[test]
     fn a_negative_zero_first_partial_keeps_its_sign() {
-        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        for g in [1.0, bonsai_util::units::G] {
-            // The first source is assigned, as its `Forces` started the sum:
-            // added to +0.0 instead, −0.0 would come out +0.0.
-            let mut sum = [7.0; 4];
-            fold(&mut sum, &[-0.0; 4], g, true);
-            assert_eq!(bits(&sum), bits(&[-0.0; 4]), "g = {g}");
-            // A later source is added, as `Forces::accumulate` adds it.
-            fold(&mut sum, &[0.0; 4], g, false);
-            assert_eq!(bits(&sum), bits(&[0.0; 4]), "g = {g}");
-        }
+        // The first source is assigned, as its `Forces` started the sum:
+        // added to +0.0 instead, −0.0 would come out +0.0.
+        let mut sum = 7.0;
+        fold(&mut sum, -0.0, true);
+        assert_eq!(sum.to_bits(), (-0.0f64).to_bits());
+        // A later source is added, as `Forces::accumulate` adds it.
+        fold(&mut sum, 0.0, false);
+        assert_eq!(sum.to_bits(), 0.0f64.to_bits());
     }
 
     fn plummer_like(n: usize, seed: u64) -> Particles {
@@ -779,12 +752,59 @@ mod tests {
         let tree = Tree::build(plummer_like(200, 2), TreeParams::default());
         let (direct, dc) = direct_self_forces(&tree.particles, 0.05, 1.0);
         let (forces, ws) = self_gravity(&tree, &WalkParams::new(0.0, 0.05));
-        assert!(forces.max_rel_acc_error(&direct) < 1e-12);
+        // The walk's p-p terms are `f32`: about eight roundings of 2⁻²⁴ each
+        // (separation, r², rsqrt, three products, the fused add), and a
+        // further 8× for cancellation in a 200-term sum.
+        let err = forces.max_rel_acc_error(&direct);
+        assert!(err < 64.0 * F32_ROUNDOFF, "max relative error {err:e}");
         // All interactions degenerate to p-p and the counts agree with
         // direct summation (including self-pairs the kernel skips).
         assert_eq!(ws.counts.pc, 0);
         assert_eq!(ws.counts.pp, dc.pp + tree.len() as u64); // walk visits self too
     }
+
+    #[test]
+    fn the_separation_is_taken_in_f64() {
+        // Three pairs 1e-7, 1e-8 and 1e-9 apart inside a group 0.1 wide
+        // about 1 from the origin, among a background that gives the walk
+        // cells to accept. At ε = 0 each pair's mutual force dominates its
+        // members' field, so their walk force is as exact as the pair term:
+        // a separation rounded once from `f64` holds it to a few `f32`
+        // ulps, where `f32` positions relative to any point of the group
+        // (a few 1e-9 off) would lose most of a 1e-9 separation.
+        let mut rng = Xoshiro256::seed_from(43);
+        let centre = Vec3::new(0.6, 0.7, 0.3);
+        let mut p = Particles::new();
+        for i in 0..400 {
+            p.push(rng.unit_sphere() * rng.uniform_in(0.3, 3.0), Vec3::zero(), 1.0 / 512.0, i);
+        }
+        let mut targets: Vec<Vec3> = (0..40).map(|_| centre + rng.unit_sphere() * 0.05).collect();
+        for sep in [1e-7, 1e-8, 1e-9] {
+            let a = centre + rng.unit_sphere() * 0.04;
+            targets.extend([a, a + rng.unit_sphere() * sep]);
+        }
+        for (i, &t) in targets.iter().enumerate() {
+            p.push(t, Vec3::zero(), 1.0 / 512.0, 400 + i as u64);
+        }
+        let tree = Tree::build(p, TreeParams::default());
+        let groups = [Group {
+            begin: 0,
+            end: targets.len() as u32,
+            bbox: Aabb::from_points(&targets),
+        }];
+        let (walk, stats) = walk_tree(&tree.view(), &targets, &groups, &WalkParams::new(0.4, 0.0));
+        assert!(stats.counts.pc > 0, "no cell accepted");
+        let (direct, _) =
+            crate::direct::direct_forces(&targets, &tree.particles.pos, &tree.particles.mass, 0.0, 1.0, false);
+        for i in 40..targets.len() {
+            let err = (walk.acc[i] - direct.acc[i]).norm() / direct.acc[i].norm();
+            assert!(err < 1e-5, "pair member {i}: relative error {err:e}");
+        }
+    }
+
+    /// The unit round-off of `f32` arithmetic, 2⁻²⁴: the scale of the walk's
+    /// error against `f64` direct summation at θ = 0.
+    const F32_ROUNDOFF: f64 = f32::EPSILON as f64 / 2.0;
 
     /// CRC-64 over the bits of every `(φ, ax, ay, az)`, in target order.
     fn force_digest(f: &Forces) -> u64 {
@@ -800,9 +820,11 @@ mod tests {
     #[test]
     fn division_free_particle_particle_digests_are_pinned() {
         // Direct summation and a θ = 0 walk run nothing but p-p, whose
-        // `1/√r²` is the division-free `rsqrt` (see `kernels`). These digests
-        // were taken when it replaced the `sqrt` + `div` pair; an edit that
-        // changes p-p's arithmetic or its order has to change them knowingly.
+        // `1/√r²` is the division-free `rsqrt` (see `kernels`): `f64` for
+        // direct summation, `rsqrt32` in the walk's `f32` kernel. The direct
+        // digests were taken when `rsqrt` replaced the `sqrt` + `div` pair,
+        // the walk's when its kernels became `f32`; an edit that changes
+        // either arithmetic or its order has to change them knowingly.
         let ic = bonsai_ic::plummer_sphere(512, 2014);
         let particles = Particles {
             pos: ic.pos,
@@ -818,8 +840,8 @@ mod tests {
             [force_digest(&direct), force_digest(&walk)]
         });
         let pinned = [
-            [0xb2fff6c0c252ae34_u64, 0xf71cdacb64c11342],
-            [0x643360dde109cfd8, 0xbc2cbe95d2b6c25c],
+            [0xb2fff6c0c252ae34_u64, 0xdb3d9f8b6f6f2580],
+            [0x643360dde109cfd8, 0xe9dbaeaaae0c470d],
         ];
         assert_eq!(digests, pinned, "[direct, θ = 0 walk] at ε = 0, 0.01: {digests:#018x?}");
     }
@@ -837,8 +859,10 @@ mod tests {
 
     #[test]
     fn forces_are_finite_and_sum_to_zero() {
-        // Momentum conservation: Σ m a ≈ 0 for self-gravity at θ=0 (exact
-        // pairwise antisymmetry); small at finite θ.
+        // Momentum conservation: Σ m a ≈ 0 for self-gravity at θ=0. The
+        // pair terms cancel exactly (the rounded separation is odd in s − t
+        // and the masses are equal), so what is left is each target's `f32`
+        // summation round-off: a few units of 2⁻²⁴ of the scale.
         let tree = Tree::build(plummer_like(500, 4), TreeParams::default());
         let (forces, _) = self_gravity(&tree, &WalkParams::new(0.0, 0.02));
         let mut net = Vec3::zero();
@@ -848,7 +872,7 @@ mod tests {
             net += forces.acc[i] * tree.particles.mass[i];
             scale += (forces.acc[i] * tree.particles.mass[i]).norm();
         }
-        assert!(net.norm() < 1e-12 * scale, "net force {net} vs scale {scale}");
+        assert!(net.norm() < 8.0 * F32_ROUNDOFF * scale, "net force {net} vs scale {scale}");
     }
 
     #[test]

@@ -39,7 +39,9 @@ proptest! {
     #[test]
     fn morton_and_hilbert_trees_carry_identical_physics(n in 2usize..300, seed in any::<u64>()) {
         // Different curves give different topologies but the same root
-        // moments and the same forces (at θ=0 exactly).
+        // moments and, at θ=0, the same forces up to the order of the walk's
+        // `f32` sums: each walk is within 64 units of 2⁻²⁴ of the exact
+        // forces (`zero_theta_walk_equals_direct`), so two differ by ≤ 128.
         let p = make_particles(n, seed, true);
         let th = Tree::build(p.clone(), TreeParams { curve: Curve::Hilbert, ..Default::default() });
         let tm = Tree::build(p, TreeParams { curve: Curve::Morton, ..Default::default() });
@@ -51,7 +53,8 @@ proptest! {
         for i in 0..th.len() {
             let id = th.particles.id[i];
             let j = tm.particles.id.iter().position(|&x| x == id).unwrap();
-            prop_assert!((fh.acc[i] - fm.acc[j]).norm() <= 1e-9 * fh.acc[i].norm().max(1e-20));
+            let bound = 128.0 * f64::from(f32::EPSILON) / 2.0;
+            prop_assert!((fh.acc[i] - fm.acc[j]).norm() <= bound * fh.acc[i].norm().max(1e-20));
         }
     }
 

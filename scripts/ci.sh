@@ -31,24 +31,36 @@ echo "== shipped code generation: walk tests on the release profile =="
 cargo test -q --release -p bonsai-tree --lib
 cargo test -q --release -p bonsai-tree --test parallel_determinism
 # Once more with AVX2+FMA switched on for the whole build: there the baseline
-# instantiation inlines `vfmadd` instead of calling libm's `fma`, and the
-# conformance, accuracy and digest tests must see the same bits — force bits
-# do not depend on build flags either. The pinned exchange digests run there
-# too, so the cluster's many-source walk is held bit for bit on every code
-# generation, not only through the walk's own tests. (Needs a CPU that has
+# instantiation inlines `vfmadd…pd` / `vfmadd…ps` instead of calling libm's
+# `fma` / `fmaf` — the direct sum's `f64` and the walk's `f32` `mul_add`s —
+# and the conformance, accuracy and digest tests must see the same bits:
+# force bits do not depend on build flags either. The pinned exchange digests
+# run there too, so the cluster's many-source walk is held bit for bit on
+# every code generation, not only through the walk's own tests; so do the
+# tree proptests and the oracle's tests, whose θ = 0 bounds hold the `f32`
+# walk's round-off against `f64` direct summation. (Needs a CPU that has
 # both.)
 if grep -qw avx2 /proc/cpuinfo && grep -qw fma /proc/cpuinfo; then
   RUSTFLAGS="-C target-feature=+avx2,+fma" CARGO_TARGET_DIR="$scratch/target-avx2-fma" \
     cargo test -q --release -p bonsai-tree --lib -- kernels:: walk:: direct::
   RUSTFLAGS="-C target-feature=+avx2,+fma" CARGO_TARGET_DIR="$scratch/target-avx2-fma" \
+    cargo test -q --release -p bonsai-tree --test proptests
+  RUSTFLAGS="-C target-feature=+avx2,+fma" CARGO_TARGET_DIR="$scratch/target-avx2-fma" \
+    cargo test -q --release -p bonsai-verify --lib oracle::
+  RUSTFLAGS="-C target-feature=+avx2,+fma" CARGO_TARGET_DIR="$scratch/target-avx2-fma" \
     cargo test -q --release -p bonsai-sim --test exchange_digests
 fi
 # And with AVX-512 on for the whole build, where even the baseline
-# instantiation runs 512-bit lane loops. (Needs a CPU with all four.)
+# instantiation runs 512-bit lane loops of `f64` and `f32` `vfmadd`s.
+# (Needs a CPU with all four.)
 if grep -qw avx512f /proc/cpuinfo && grep -qw avx512vl /proc/cpuinfo \
     && grep -qw avx2 /proc/cpuinfo && grep -qw fma /proc/cpuinfo; then
   RUSTFLAGS="-C target-feature=+avx512f,+avx512vl,+avx2,+fma" CARGO_TARGET_DIR="$scratch/target-avx512" \
     cargo test -q --release -p bonsai-tree --lib -- kernels:: walk:: direct::
+  RUSTFLAGS="-C target-feature=+avx512f,+avx512vl,+avx2,+fma" CARGO_TARGET_DIR="$scratch/target-avx512" \
+    cargo test -q --release -p bonsai-tree --test proptests
+  RUSTFLAGS="-C target-feature=+avx512f,+avx512vl,+avx2,+fma" CARGO_TARGET_DIR="$scratch/target-avx512" \
+    cargo test -q --release -p bonsai-verify --lib oracle::
   RUSTFLAGS="-C target-feature=+avx512f,+avx512vl,+avx2,+fma" CARGO_TARGET_DIR="$scratch/target-avx512" \
     cargo test -q --release -p bonsai-sim --test exchange_digests
 fi
