@@ -3,10 +3,12 @@
 //! "…there was a few percent I/O-related overhead related to storing
 //! intermediate simulation snapshots (for the dual purpose of restarting
 //! and detailed analysis)." Each rank writes its own shard (as the real
-//! code does: 18600 files, no serial gather), plus a small manifest. On
-//! restart the shards are read back and the cluster rebuilt — rank count
-//! may even *change* between runs, since the first decomposition rebalances
-//! everything anyway.
+//! code does: 18600 files, no serial gather), plus a small manifest that
+//! also records every rank's domain, load weight and, once forces have been
+//! evaluated, its forces. A restart over the rank count that wrote the
+//! checkpoint adopts that state verbatim and continues bit for bit; over
+//! another count the particles are re-split along the curve and forces
+//! evaluated afresh.
 //!
 //! The format is built to survive faults: every file is written to a temp
 //! name and atomically renamed (a torn write never corrupts an existing
@@ -17,6 +19,7 @@
 
 use crate::cluster::{Cluster, ClusterConfig};
 use bonsai_core::snapshot::{snapshot_from_bytes, snapshot_to_bytes, write_atomic, RECORD_LEN};
+use bonsai_sfc::KeyRange;
 use bonsai_tree::{Forces, Particles};
 use bonsai_util::crc64;
 use std::io;
@@ -24,15 +27,24 @@ use std::path::{Path, PathBuf};
 
 const MANIFEST_HEADER: &str = "bonsai-checkpoint v2";
 
-/// Everything a checkpoint restores.
+/// Everything a checkpoint restores, per rank as it was written.
 #[derive(Clone, Debug)]
 pub struct Checkpoint {
-    /// All particles, concatenated across shards.
+    /// All particles, the rank shards concatenated in rank order.
     pub particles: Particles,
     /// Simulation time at the checkpoint.
     pub time: f64,
     /// Completed steps at the checkpoint.
     pub steps: u64,
+    /// Each writing rank's particles, in the order it held them.
+    pub(crate) shards: Vec<Particles>,
+    /// Each writing rank's domain.
+    pub(crate) domains: Vec<KeyRange>,
+    /// Each writing rank's load weight.
+    pub(crate) weights: Vec<f64>,
+    /// Each writing rank's forces; `None` when the checkpoint was taken
+    /// before the first force evaluation.
+    pub(crate) forces: Option<Vec<Forces>>,
 }
 
 fn bad(msg: String) -> io::Error {
@@ -86,13 +98,11 @@ fn forces_from_bytes(bytes: &[u8], count: usize) -> io::Result<Forces> {
 /// the manifest last; each manifest shard line carries the particle count
 /// and CRC-64 of the shard's bytes.
 ///
-/// After the shard lines the manifest carries *exact-resume* state as
-/// trailing `domain` / `weight` / `forces` lines (readers of the base
-/// format stop after the shard lines, so the extension is backward
-/// compatible). Force shards are written only when the cluster holds
-/// accelerations for every rank — a pre-force initial checkpoint omits
-/// them, and [`resume_cluster_exact`] reports that a rebalancing restart
-/// via [`restore_cluster`] is needed instead.
+/// After the shard lines the manifest carries every rank's `domain` and
+/// `weight`, and `forces` lines naming CRC-checked `forces_<rank>.bin`
+/// shards. Force shards are written only when the cluster holds
+/// accelerations for every rank: a pre-force initial checkpoint omits them,
+/// and a restore from it evaluates forces once before it returns.
 pub fn write_checkpoint(cluster: &Cluster, dir: &Path) -> io::Result<()> {
     std::fs::create_dir_all(dir)?;
     let p = cluster.rank_count();
@@ -144,21 +154,15 @@ fn parse_field<T: std::str::FromStr>(line: Option<&str>, key: &str) -> io::Resul
         .map_err(|_| bad(format!("manifest field '{key}': invalid value '{v}'")))
 }
 
-/// The base format, validated: every rank's shard kept apart, plus the
-/// manifest lines that follow the shard lines (the exact-resume extension).
-struct Shards<'m> {
-    per_rank: Vec<Particles>,
-    time: f64,
-    steps: u64,
-    rest: std::str::Lines<'m>,
-}
-
-/// The one reader of the manifest header and shard lines. Every shard's
-/// file name and bytes (CRC-64) are checked against the manifest before the
-/// snapshot itself is parsed (which re-validates length and its own
-/// checksum), and its particle count after, so torn or corrupted shards
-/// surface as descriptive errors rather than bad particle data.
-fn read_shards<'m>(dir: &Path, manifest: &'m str) -> io::Result<Shards<'m>> {
+/// Read and validate a sharded checkpoint: the one reader of a checkpoint,
+/// for every restore. Every shard's file name and bytes (CRC-64) are checked
+/// against the manifest before the snapshot itself is parsed (which
+/// re-validates length and its own checksum), and its particle count after,
+/// so torn or corrupted shards surface as descriptive errors rather than
+/// bad particle data; the `domain`, `weight` and `forces` lines that follow
+/// are range- and CRC-checked the same way.
+pub fn read_checkpoint_full(dir: &Path) -> io::Result<Checkpoint> {
+    let manifest = std::fs::read_to_string(dir.join("manifest.txt"))?;
     let mut lines = manifest.lines();
     let header = lines.next().unwrap_or("");
     if header != MANIFEST_HEADER {
@@ -171,7 +175,8 @@ fn read_shards<'m>(dir: &Path, manifest: &'m str) -> io::Result<Shards<'m>> {
     let steps: u64 = parse_field(lines.next(), "steps")?;
     // Grown shard by shard: `ranks` is not trusted until every shard line
     // it promises has been read.
-    let mut per_rank = Vec::new();
+    let mut shards = Vec::new();
+    let mut particles = Particles::new();
     for r in 0..ranks {
         let line = lines
             .next()
@@ -209,52 +214,10 @@ fn read_shards<'m>(dir: &Path, manifest: &'m str) -> io::Result<Shards<'m>> {
                 shard.len()
             )));
         }
-        per_rank.push(shard);
+        particles.extend_from(&shard);
+        shards.push(shard);
     }
-    Ok(Shards { per_rank, time, steps, rest: lines })
-}
 
-/// Read and validate a sharded checkpoint, the shards concatenated in rank
-/// order.
-pub fn read_checkpoint_full(dir: &Path) -> io::Result<Checkpoint> {
-    let manifest = std::fs::read_to_string(dir.join("manifest.txt"))?;
-    let shards = read_shards(dir, &manifest)?;
-    let mut particles = Particles::new();
-    for shard in &shards.per_rank {
-        particles.extend_from(shard);
-    }
-    Ok(Checkpoint { particles, time: shards.time, steps: shards.steps })
-}
-
-/// Restore a cluster from a checkpoint with a (possibly different) rank
-/// count: the particles are re-decomposed over `ranks` ranks and forces
-/// evaluated afresh, while `time` and `steps` continue from the manifest,
-/// so a run checkpointed at R = 4 carries straight on at R = 6. (Contrast
-/// with [`resume_cluster_exact`], which keeps the rank count and the
-/// checkpointed forces to the bit.)
-pub fn restore_cluster(dir: &Path, ranks: usize, cfg: ClusterConfig) -> io::Result<Cluster> {
-    let ck = read_checkpoint_full(dir)?;
-    Ok(Cluster::from_checkpoint(ck, ranks, cfg))
-}
-
-/// Resume a cluster *exactly* from a checkpoint: same rank count, same
-/// per-rank particle assignment, and the checkpointed domains, load
-/// weights, accelerations and potentials adopted verbatim. No fresh
-/// decomposition or force phase runs, so every subsequent [`Cluster::step`]
-/// is bit-for-bit identical to the run that wrote the checkpoint — the
-/// property the force-accuracy conformance suite gates on (DESIGN.md §6f).
-///
-/// Requires the exact-resume manifest extension (`domain`/`weight`/`forces`
-/// lines); checkpoints written before the first force evaluation lack the
-/// force shards and are rejected with a descriptive error — restart those
-/// through [`restore_cluster`], which rebalances from scratch.
-pub fn resume_cluster_exact(dir: &Path, cfg: ClusterConfig) -> io::Result<Cluster> {
-    let manifest = std::fs::read_to_string(dir.join("manifest.txt"))?;
-    // Per-rank particle shards (the base format, kept per rank this time).
-    let Shards { per_rank: parts, time, steps, rest: lines } = read_shards(dir, &manifest)?;
-    let ranks = parts.len();
-
-    // Exact-resume extension lines.
     let mut domains = vec![None; ranks];
     let mut weights = vec![None; ranks];
     let mut forces: Vec<Option<Forces>> = vec![None; ranks];
@@ -262,18 +225,16 @@ pub fn resume_cluster_exact(dir: &Path, cfg: ClusterConfig) -> io::Result<Cluste
         let mut f = line.split_whitespace();
         match f.next() {
             Some("domain") => {
-                let (r, start, end) = parse3(&mut f, line, "domain")?;
-                let r = in_range(r as usize, ranks, line)?;
-                domains[r] = Some(bonsai_sfc::KeyRange::new(start, end));
+                let r = in_range(parse_tok(f.next(), line, "domain")?, ranks, line)?;
+                let start = parse_tok(f.next(), line, "domain")?;
+                domains[r] = Some(KeyRange::new(start, parse_tok(f.next(), line, "domain")?));
             }
             Some("weight") => {
-                let r: usize = parse_tok(f.next(), line, "weight rank")?;
-                let r = in_range(r, ranks, line)?;
+                let r = in_range(parse_tok(f.next(), line, "weight rank")?, ranks, line)?;
                 weights[r] = Some(parse_tok::<f64>(f.next(), line, "weight value")?);
             }
             Some("forces") => {
-                let r: usize = parse_tok(f.next(), line, "forces rank")?;
-                let r = in_range(r, ranks, line)?;
+                let r = in_range(parse_tok(f.next(), line, "forces rank")?, ranks, line)?;
                 let name: String = parse_tok(f.next(), line, "forces file")?;
                 let crc_hex: String = parse_tok(f.next(), line, "forces checksum")?;
                 let stated = u64::from_str_radix(&crc_hex, 16)
@@ -284,43 +245,33 @@ pub fn resume_cluster_exact(dir: &Path, cfg: ClusterConfig) -> io::Result<Cluste
                         "forces {name}: checksum mismatch — torn or corrupted write"
                     )));
                 }
-                forces[r] = Some(forces_from_bytes(&bytes, parts[r].len())?);
+                forces[r] = Some(forces_from_bytes(&bytes, shards[r].len())?);
             }
             _ => {} // Unknown trailing lines: future extensions.
         }
     }
-    let domains = every_rank(domains, "domain")?;
-    let weights = every_rank(weights, "weight")?;
-    let forces = every_rank(forces, "forces")?;
-    Ok(Cluster::from_exact_state(parts, forces, domains, weights, time, steps, cfg))
+    // A checkpoint taken before the first force evaluation has no forces
+    // lines at all; one that has some must have them for every rank.
+    let forces = if forces.iter().all(Option::is_none) {
+        None
+    } else {
+        Some(every_rank(forces, "forces")?)
+    };
+    let (domains, weights) = (every_rank(domains, "domain")?, every_rank(weights, "weight")?);
+    Ok(Checkpoint { particles, time, steps, shards, domains, weights, forces })
 }
 
-/// One exact-resume field per rank, or the error naming the lines missing.
+/// One field per rank, or the error naming the lines missing.
 fn every_rank<T>(per_rank: Vec<Option<T>>, what: &str) -> io::Result<Vec<T>> {
-    per_rank.into_iter().collect::<Option<_>>().ok_or_else(|| {
-        bad(format!(
-            "checkpoint lacks exact-resume {what} lines (written before the first force \
-             evaluation, or by an older version); use restore_cluster to restart with a \
-             fresh decomposition"
-        ))
-    })
+    per_rank
+        .into_iter()
+        .collect::<Option<_>>()
+        .ok_or_else(|| bad(format!("checkpoint lacks {what} lines for some ranks")))
 }
 
 fn parse_tok<T: std::str::FromStr>(tok: Option<&str>, line: &str, what: &str) -> io::Result<T> {
     tok.and_then(|t| t.parse().ok())
         .ok_or_else(|| bad(format!("manifest line '{line}': bad {what}")))
-}
-
-fn parse3<'a>(
-    f: &mut impl Iterator<Item = &'a str>,
-    line: &str,
-    what: &str,
-) -> io::Result<(u64, u64, u64)> {
-    Ok((
-        parse_tok(f.next(), line, what)?,
-        parse_tok(f.next(), line, what)?,
-        parse_tok(f.next(), line, what)?,
-    ))
 }
 
 fn in_range(r: usize, ranks: usize, line: &str) -> io::Result<usize> {
@@ -329,6 +280,39 @@ fn in_range(r: usize, ranks: usize, line: &str) -> io::Result<usize> {
     } else {
         Err(bad(format!("manifest line '{line}': rank {r} out of range")))
     }
+}
+
+/// Restore a cluster over `ranks` ranks from a checkpoint, the simulation
+/// clock carrying on from the manifest. Over the rank count that wrote it,
+/// the checkpoint's particles, domains, load weights and forces are adopted
+/// verbatim; over another count the particles are re-split and forces
+/// evaluated afresh, so a run checkpointed at R = 4 carries straight on at
+/// R = 6.
+pub fn restore_cluster(dir: &Path, ranks: usize, cfg: ClusterConfig) -> io::Result<Cluster> {
+    Ok(Cluster::from_checkpoint(read_checkpoint_full(dir)?, ranks, cfg))
+}
+
+/// Resume a cluster *exactly* from a checkpoint: same rank count, same
+/// per-rank particle assignment, and the checkpointed domains, load
+/// weights, accelerations and potentials adopted verbatim. No fresh
+/// decomposition or force phase runs, so every subsequent [`Cluster::step`]
+/// is bit-for-bit identical to the run that wrote the checkpoint — the
+/// property the force-accuracy conformance suite gates on (DESIGN.md §6f).
+///
+/// A checkpoint written before the first force evaluation has no forces to
+/// adopt and is rejected with a descriptive error; [`restore_cluster`]
+/// restarts from it, evaluating them.
+pub fn resume_cluster_exact(dir: &Path, cfg: ClusterConfig) -> io::Result<Cluster> {
+    let ck = read_checkpoint_full(dir)?;
+    if ck.forces.is_none() {
+        return Err(bad(
+            "checkpoint lacks forces lines (written before the first force evaluation); \
+             use restore_cluster, which evaluates them"
+                .to_string(),
+        ));
+    }
+    let ranks = ck.shards.len();
+    Ok(Cluster::from_checkpoint(ck, ranks, cfg))
 }
 
 /// I/O-overhead model: the paper reports a "few percent" of step time for
@@ -417,8 +401,9 @@ mod tests {
         b2.step();
         b2.step();
 
-        // Compare by id. Restart re-runs the decomposition on the same
-        // state; positions should agree to tight tolerance.
+        // Compare by id. Restored at the rank count that wrote it, the
+        // checkpoint is adopted verbatim; positions must agree to tight
+        // tolerance (exact_resume_trajectory_is_bit_identical pins the bits).
         let mut pa: Vec<(u64, bonsai_util::Vec3)> = {
             let g = a.gather();
             g.id.iter().copied().zip(g.pos.iter().copied()).collect()
@@ -429,10 +414,8 @@ mod tests {
         };
         pa.sort_by_key(|(i, _)| *i);
         pb.sort_by_key(|(i, _)| *i);
-        // The restored cluster re-decomposes from fresh load weights, so
-        // force summation *order* differs at the 1e-15 level; two steps of
-        // N-body dynamics amplify that slightly. Positions must still agree
-        // to far better than any physical scale (softening is 1e-2).
+        // Positions must agree to far better than any physical scale
+        // (softening is 1e-2).
         for ((ia, xa), (ib, xb)) in pa.iter().zip(&pb) {
             assert_eq!(ia, ib);
             assert!(

@@ -52,8 +52,9 @@ impl Cluster {
 
     /// Agree `events` through membership gossip and apply the resulting
     /// view change. A rank that dies before or during the gossip is
-    /// recovered first (checkpoint rollback, elastic or fixed) and the
-    /// change retried against the recovered cluster.
+    /// recovered first (checkpoint rollback, elastic or fixed, which leaves
+    /// forces for every particle) and the change retried against the
+    /// recovered cluster, or dropped when the recovery made it moot.
     fn change_view(&mut self, events: Vec<MembershipEvent>) {
         loop {
             self.begin_epoch();

@@ -268,7 +268,10 @@ impl Cluster {
     ///
     /// Crash faults require `recovery`: a rank death is survived by rolling
     /// back to the last checkpoint, so without one the step panics when a
-    /// rank dies. Rank-level faults need `p > 1` to be observable.
+    /// rank dies. At a fixed world size the rollback adopts the checkpoint's
+    /// domains, load weights and forces verbatim, so the replay repeats the
+    /// run that wrote it bit for bit. Rank-level faults need `p > 1` to be
+    /// observable.
     pub fn with_faults(
         all: Particles,
         p: usize,
@@ -277,8 +280,8 @@ impl Cluster {
         recovery: Option<RecoveryConfig>,
     ) -> Self {
         assert!(p > 0 && !all.is_empty());
-        let (ranks, domains) = seed_decomposition(&all, p, &cfg);
-        let mut cluster = Self::at_rest(ranks, domains, cfg, plan, recovery);
+        let mut cluster = Self::at_rest(p, cfg, plan, recovery);
+        (cluster.ranks, cluster.domains) = seed_decomposition(&all, p, &cluster.cfg);
         // Checkpoint the initial conditions *before* the first force
         // computation: a rank can die (or be falsely declared dead under
         // extreme fault rates) in the very first gravity epoch, and
@@ -288,24 +291,17 @@ impl Cluster {
         cluster
     }
 
-    /// A cluster holding `ranks` over `domains` at time zero with no forces
-    /// evaluated, unit load weights and a fresh fabric, log and ledger.
-    fn at_rest(
-        ranks: Vec<Particles>,
-        domains: Vec<KeyRange>,
-        cfg: ClusterConfig,
-        plan: FaultPlan,
-        recovery: Option<RecoveryConfig>,
-    ) -> Self {
-        let p = ranks.len();
+    /// A cluster of `p` empty ranks at time zero with no domains or forces,
+    /// unit load weights and a fresh fabric, log and ledger.
+    fn at_rest(p: usize, cfg: ClusterConfig, plan: FaultPlan, recovery: Option<RecoveryConfig>) -> Self {
         Self {
             gpu: GpuModel::new(K20X, KernelVariant::TreeKeplerTuned),
             net: NetworkModel::new(cfg.machine),
             pool: cfg.threads.map(|t| Arc::new(rayon::ThreadPool::new(t))),
             cfg,
             forces: vec![Forces::default(); p],
-            ranks,
-            domains,
+            ranks: vec![Particles::new(); p],
+            domains: Vec::new(),
             weights: vec![1.0; p],
             time: 0.0,
             steps: 0,
@@ -325,48 +321,19 @@ impl Cluster {
         }
     }
 
-    /// Reconstruct a cluster from exact-resume checkpoint state: per-rank
-    /// particles, accelerations, potentials, domains and load weights are
-    /// adopted verbatim, so no fresh decomposition or force phase runs and
-    /// the next [`Cluster::step`] continues bit-for-bit where the
-    /// checkpointed run would have. (Contrast with
-    /// [`restore_cluster`](crate::checkpoint::restore_cluster), which
-    /// re-decomposes and may change the rank count.)
-    pub(crate) fn from_exact_state(
-        ranks: Vec<Particles>,
-        forces: Vec<Forces>,
-        domains: Vec<KeyRange>,
-        weights: Vec<f64>,
-        time: f64,
-        steps: u64,
-        cfg: ClusterConfig,
-    ) -> Self {
-        let p = ranks.len();
-        assert!(p > 0, "exact resume needs at least one rank");
-        assert!(forces.len() == p && domains.len() == p && weights.len() == p);
-        Self {
-            forces,
-            weights,
-            time,
-            steps,
-            ..Self::at_rest(ranks, domains, cfg, FaultPlan::new(0), None)
+    /// A cluster of `p` ranks restored from `ck` (no fault plan, no
+    /// recovery checkpoints), the clock carrying on from the snapshot: the
+    /// body of [`restore_cluster`](crate::checkpoint::restore_cluster) and
+    /// [`resume_cluster_exact`](crate::checkpoint::resume_cluster_exact).
+    pub(crate) fn from_checkpoint(ck: crate::checkpoint::Checkpoint, p: usize, cfg: ClusterConfig) -> Self {
+        let mut c = Self::at_rest(p, cfg, FaultPlan::new(0), None);
+        if !c.adopt(ck, p) {
+            c.on_pool(Self::compute_forces_with_recovery);
         }
-    }
-
-    /// Re-decompose checkpoint `ck` over `p` ranks and evaluate forces, the
-    /// simulation clock carrying on from the snapshot — the body of
-    /// [`restore_cluster`](crate::checkpoint::restore_cluster).
-    pub(crate) fn from_checkpoint(
-        ck: crate::checkpoint::Checkpoint,
-        p: usize,
-        cfg: ClusterConfig,
-    ) -> Self {
-        let mut c = Self::new(ck.particles, p, cfg);
-        (c.time, c.steps) = (ck.time, ck.steps);
         c
     }
 
-    /// Per-rank load weights (exact-resume checkpoint state).
+    /// Per-rank load weights (checkpoint state).
     pub(crate) fn weights(&self) -> &[f64] {
         &self.weights
     }
@@ -552,8 +519,9 @@ impl Cluster {
     /// machine.
     ///
     /// If a rank crashes mid-step the cluster rolls back to its last
-    /// checkpoint and the whole step is re-executed from the restored
-    /// state, so a returned breakdown always describes a completed step.
+    /// checkpoint, forces included, and the whole step is re-executed from
+    /// the restored state, so a returned breakdown always describes a
+    /// completed step.
     pub fn step(&mut self) -> StepBreakdown {
         self.on_pool(Self::step_inner)
     }
@@ -573,12 +541,11 @@ impl Cluster {
             for (rank, forces) in self.ranks.iter_mut().zip(&self.forces) {
                 leapfrog::kick_drift(rank, forces, dt);
             }
-            let (breakdown, restored) = self.compute_forces_with_recovery();
-            if restored {
-                // The rollback landed us on a step boundary with fresh
-                // forces; redo the kick–drift from there.
+            let Some(breakdown) = self.compute_forces_with_recovery() else {
+                // The rollback landed us on a step boundary with its forces;
+                // redo the kick–drift from there.
                 continue;
-            }
+            };
             for (rank, forces) in self.ranks.iter_mut().zip(&self.forces) {
                 leapfrog::kick(rank, forces, dt);
             }

@@ -54,32 +54,36 @@ impl Cluster {
         }
     }
 
-    /// Run gravity epochs until one completes, rolling back to the last
-    /// checkpoint when a rank dies. Returns the successful breakdown and
-    /// whether any rollback happened (the caller must then redo its step).
-    pub(super) fn compute_forces_with_recovery(&mut self) -> (StepBreakdown, bool) {
-        let mut restored = false;
-        loop {
-            self.begin_epoch();
-            self.fire_scheduled_crashes(MsgKind::Control);
-            match self.try_gravity_phase() {
-                Ok(breakdown) => return (breakdown, restored),
-                Err(dead) => {
-                    self.restore_from_checkpoint(dead);
-                    restored = true;
-                }
+    /// One gravity epoch. `None`: a rank died, and the cluster was rolled
+    /// back to the last checkpoint, forces included (the caller must then
+    /// redo its step).
+    pub(super) fn compute_forces_with_recovery(&mut self) -> Option<StepBreakdown> {
+        self.begin_epoch();
+        self.fire_scheduled_crashes(MsgKind::Control);
+        match self.try_gravity_phase() {
+            Ok(breakdown) => Some(breakdown),
+            Err(dead) => {
+                self.restore_from_checkpoint(dead);
+                None
             }
         }
     }
 
     /// Declare `dead` dead and roll the whole cluster back to the last
     /// checkpoint (the paper-scale recovery path: restart from the most
-    /// recent snapshot, §VI-C). The epoch keeps advancing.
+    /// recent snapshot, §VI-C): the one rollback, for every crash. The
+    /// epoch keeps advancing.
     ///
-    /// With [`Cluster::enable_elastic_recovery`] the dead node is instead
-    /// agreed *out of the view* by the survivors, and the checkpoint is
-    /// re-decomposed over the shrunken world — the run continues with one
-    /// rank fewer rather than pretending the node came back.
+    /// At a fixed world size the checkpoint's particles, domains, load
+    /// weights and forces are adopted verbatim, so the replay repeats the
+    /// run that wrote it bit for bit. With
+    /// [`Cluster::enable_elastic_recovery`] the dead node is instead agreed
+    /// *out of the view* by the survivors, and the checkpoint is re-split
+    /// over the shrunken world, as it is when a crash lands mid-migration,
+    /// where the world no longer has the checkpoint's rank count. Either
+    /// way the cluster returns at a step boundary with forces for every
+    /// particle: a gravity epoch runs only when the adopted state has none
+    /// (the initial checkpoint, or a re-split).
     pub(super) fn restore_from_checkpoint(&mut self, dead: usize) {
         self.declare_dead(dead, None, format!("rank {dead} missed every retry window"));
         let rec = self.recovery.clone().unwrap_or_else(|| {
@@ -92,11 +96,49 @@ impl Cluster {
         });
         let ck = checkpoint::read_checkpoint_full(&rec.dir)
             .expect("checkpoint unreadable during crash recovery");
+        let mut detail = format!("rolled back to step {} (t = {})", ck.steps, ck.time);
+        let mut change = None;
         if self.elastic && self.dead.iter().any(|&d| !d) && self.dead.len() > 1 {
-            self.restore_elastic(&ck, dead);
-            return;
+            let conv = self.agree_on_deaths();
+            change = Some((std::mem::replace(&mut self.view, conv.view.clone()), conv));
+            self.wire.resize(self.view.world());
+            detail += &format!(" over {} survivors", self.view.world());
         }
-        self.reseed_from_checkpoint(&ck, self.dead.len(), dead, "");
+        let held = self.adopt(ck, self.view.world());
+        self.wire.log.record_recovery(RecoveryEvent {
+            epoch: self.epoch,
+            rank: dead,
+            peer: None,
+            kind: None,
+            action: RecoveryAction::RestoreCheckpoint,
+            detail,
+        });
+        if let Some((old_view, conv)) = change {
+            self.commit_view_change(dead, &old_view, conv.events, conv.rounds, None);
+        }
+        if !held {
+            self.compute_forces_with_recovery();
+        }
+    }
+
+    /// Take checkpoint `ck` as the state of `p` live ranks, the simulation
+    /// clock rolled back to the snapshot: verbatim when `p` ranks wrote it,
+    /// else re-split along the curve with unit load weights and no forces.
+    /// True when the adopted state holds forces.
+    pub(super) fn adopt(&mut self, ck: Checkpoint, p: usize) -> bool {
+        let exact = ck.shards.len() == p;
+        (self.time, self.steps) = (ck.time, ck.steps);
+        self.dead = vec![false; p];
+        if exact {
+            (self.ranks, self.domains, self.weights) = (ck.shards, ck.domains, ck.weights);
+        } else {
+            (self.ranks, self.domains) = seed_decomposition(&ck.particles, p, &self.cfg);
+            self.weights = vec![1.0; p];
+        }
+        let forces = ck.forces.filter(|_| exact);
+        let held = forces.is_some();
+        self.forces = forces.unwrap_or_else(|| vec![Forces::default(); p]);
+        held
     }
 
     /// The aborted epoch's unresolved flows die with the rank: they are
@@ -113,25 +155,6 @@ impl Cluster {
             detail,
         });
         self.dead[rank] = true;
-    }
-
-    /// Re-scatter the checkpoint over a world of `p` live ranks, roll the
-    /// simulation clock back to the snapshot, and log it against `dead`.
-    fn reseed_from_checkpoint(&mut self, ck: &Checkpoint, p: usize, dead: usize, over: &str) {
-        (self.ranks, self.domains) = seed_decomposition(&ck.particles, p, &self.cfg);
-        self.forces = vec![Forces::default(); p];
-        self.weights = vec![1.0; p];
-        self.time = ck.time;
-        self.steps = ck.steps;
-        self.dead = vec![false; p];
-        self.wire.log.record_recovery(RecoveryEvent {
-            epoch: self.epoch,
-            rank: dead,
-            peer: None,
-            kind: None,
-            action: RecoveryAction::RestoreCheckpoint,
-            detail: format!("rolled back to step {} (t = {}){over}", ck.steps, ck.time),
-        });
     }
 
     /// One membership gossip among the living, with `events` known to
@@ -154,13 +177,11 @@ impl Cluster {
         )
     }
 
-    /// Elastic crash recovery: the survivors gossip the death(s) to
-    /// agreement, the dead node(s) leave the view, and the checkpoint is
-    /// re-decomposed over the smaller world with the simulation clock
-    /// rolled back to the snapshot. A rank that goes silent *during* the
-    /// death gossip is added to the casualty list and the round restarts.
-    fn restore_elastic(&mut self, ck: &Checkpoint, first_dead: usize) {
-        let conv = loop {
+    /// The survivors gossip the death(s) to agreement, in a view without
+    /// the dead node(s). A rank that goes silent *during* the death gossip
+    /// is added to the casualty list and the round restarts.
+    fn agree_on_deaths(&mut self) -> membership::Convergence {
+        loop {
             self.begin_epoch();
             let p = self.ranks.len();
             let deaths: Vec<MembershipEvent> = (0..p)
@@ -171,17 +192,12 @@ impl Cluster {
                 .find(|&r| !self.dead[r])
                 .expect("no live rank left to recover the cluster");
             match self.gossip(sponsor, deaths) {
-                Ok(c) => break c,
+                Ok(c) => return c,
                 Err(also) => {
                     self.declare_dead(also, Some(MsgKind::View), "silent during death gossip".to_string())
                 }
             }
-        };
-        let old_view = std::mem::replace(&mut self.view, conv.view.clone());
-        let new_p = conv.view.world();
-        self.wire.resize(new_p);
-        self.reseed_from_checkpoint(ck, new_p, first_dead, &format!(" over {new_p} survivors"));
-        self.commit_view_change(first_dead, &old_view, conv.events, conv.rounds, None);
+        }
     }
 
     /// Log, record and publish the change from `old` to the current view,
@@ -227,7 +243,7 @@ impl Cluster {
 }
 
 /// Initial decomposition: even counts along the SFC (also used to
-/// re-scatter a checkpoint during crash recovery).
+/// re-split a checkpoint over a world of another size).
 pub(super) fn seed_decomposition(
     all: &Particles,
     p: usize,

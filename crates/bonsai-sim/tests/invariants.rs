@@ -4,8 +4,11 @@
 //! statements must hold of the pair.
 
 use bonsai_ic::plummer_sphere;
-use bonsai_net::{FaultKind, FaultPlan};
+use bonsai_net::{FaultKind, FaultPlan, Injection, MsgKind};
 use bonsai_sim::{Cluster, ClusterConfig, RecoveryConfig, StepFacts};
+
+mod common;
+use common::state_bits;
 
 fn particles_conserved(prev: &StepFacts, now: &StepFacts) {
     assert_eq!(now.particles, prev.particles, "particles lost or made at epoch {}", now.epoch);
@@ -112,4 +115,64 @@ fn invariants_hold_across_admit_and_retire() {
         checked(&mut c, &mut prev, act);
     }
     assert_eq!((prev.step, prev.world, prev.view), (4, 4, 2));
+}
+
+/// Every single message fault over a three-step run at R = 4: each fault
+/// kind on each physics message kind, from each sender, in each of the four
+/// epochs (the constructor's and three steps'). 6 × 4 × 4 × 4 = 384.
+fn single_faults() -> Vec<Injection> {
+    let kinds = [MsgKind::Boundary, MsgKind::Particles, MsgKind::Let, MsgKind::Control];
+    let mut all = Vec::new();
+    for fault in FaultKind::MESSAGE_KINDS {
+        for kind in kinds {
+            for epoch in 1..=4 {
+                for from in 0..4 {
+                    let (kind, from) = (Some(kind), Some(from));
+                    all.push(Injection { epoch, from, to: None, kind, fault });
+                }
+            }
+        }
+    }
+    all
+}
+
+/// Run each of `faults` alone and require the fault to fire, the six
+/// invariants to hold after every step, and the run to end on the
+/// fault-free run's bits.
+fn each_single_fault_recovers_to_the_fault_free_bits(faults: &[Injection]) {
+    let cfg = ClusterConfig {
+        threads: Some(1),
+        ..ClusterConfig::default()
+    };
+    let ic = plummer_sphere(1200, 21);
+    let mut clean = Cluster::new(ic.clone(), 4, cfg.clone());
+    for _ in 0..3 {
+        clean.step();
+    }
+    let want = state_bits(&clean);
+    for inj in faults {
+        let plan = FaultPlan::new(0).with_injection(inj.clone());
+        let mut c = Cluster::with_faults(ic.clone(), 4, cfg.clone(), plan, None);
+        let mut prev = c.step_facts();
+        for _ in 0..3 {
+            checked(&mut c, &mut prev, step);
+        }
+        assert!(!c.fault_log().injected.is_empty(), "{inj:?} never fired");
+        assert!(state_bits(&c) == want, "{inj:?} recovered to other bits than the fault-free run");
+    }
+}
+
+#[test]
+fn a_stratified_sample_of_single_message_faults_recovers_to_the_fault_free_bits() {
+    // Every 7th schedule: 7 is prime to the 16 (epoch, sender) pairs of a
+    // (fault, message kind) stratum, so 55 runs cover every stratum at
+    // least twice and every epoch and sender in turn.
+    let sample: Vec<Injection> = single_faults().into_iter().step_by(7).collect();
+    each_single_fault_recovers_to_the_fault_free_bits(&sample);
+}
+
+#[test]
+#[ignore = "all 384 schedules, ≈ 37 s at the dev profile; scripts/ci.sh runs it in release"]
+fn every_single_message_fault_recovers_to_the_fault_free_bits() {
+    each_single_fault_recovers_to_the_fault_free_bits(&single_faults());
 }

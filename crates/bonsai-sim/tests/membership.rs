@@ -344,6 +344,45 @@ fn fixed_world_recovery_still_works_when_elastic_is_off() {
 }
 
 #[test]
+fn an_elastic_rollback_inside_a_view_change_leaves_forces() {
+    // The retire target dies in the gossip epoch of its own leave: the
+    // survivors roll back over four ranks, the `Leave` is moot, and the
+    // view change returns. The restore must leave a force for every
+    // particle, or the next kick–drift zips over an empty set and moves
+    // nothing.
+    let dir = elastic_dir("crash_in_view_change");
+    let plan = FaultPlan::new(7).with_crash(4, 4);
+    let mut c = Cluster::with_faults(
+        plummer_sphere(1500, 51),
+        5,
+        ClusterConfig::default(),
+        plan,
+        Some(RecoveryConfig { dir, every: 1 }),
+    );
+    c.enable_elastic_recovery();
+    c.step();
+    c.step();
+    c.retire_ranks(1);
+
+    assert_eq!(c.fault_log().injected_of(FaultKind::Crash), 1, "the crash never fired");
+    assert_eq!(c.rank_count(), 4);
+    assert!(!c.view().contains(4), "the dead retire target is still in the view");
+    let acc = c.accelerations_by_id();
+    assert_eq!(acc.len(), 1500, "the rollback left particles without forces");
+    assert!(acc.values().all(|a| a.is_finite()));
+
+    let before: std::collections::HashMap<u64, _> = {
+        let g = c.gather();
+        g.id.iter().copied().zip(g.pos.iter().copied()).collect()
+    };
+    c.step();
+    let after = c.gather();
+    let moved = (after.id.iter().zip(&after.pos)).filter(|(id, x)| before[id] != **x).count();
+    assert_eq!(moved, 1500, "the step after the rollback left particles in place");
+    assert_eq!(sorted_ids(&c), (0..1500).collect::<Vec<u64>>());
+}
+
+#[test]
 fn autoscale_shrinks_an_idle_cluster_to_the_floor() {
     // 8 ranks over 640 particles is far below the idle threshold: the
     // policy retires ranks every cooldown window until the floor.

@@ -11,6 +11,9 @@ use bonsai_tree::Particles;
 use bonsai_util::Vec3;
 use bonsai_verify::{acceleration_diff, equivalence_band, serial_reference};
 
+mod common;
+use common::state_bits;
+
 #[test]
 fn more_ranks_than_justified_by_particles() {
     // 60 particles over 12 ranks: several domains end up nearly or totally
@@ -387,8 +390,8 @@ fn exact_resume_trajectory_is_bit_identical() {
     // The conformance-suite contract (DESIGN.md §6f): restoring from an
     // exact-resume v2 checkpoint mid-run and stepping on must reproduce the
     // uninterrupted run's accelerations and positions to the bit — not
-    // within a tolerance. (Contrast with restore_cluster, which rebalances
-    // from scratch and only agrees to ~1e-6 after a few steps.)
+    // within a tolerance. (Contrast with restore_cluster over another rank
+    // count, which re-splits and evaluates forces afresh.)
     let ic = plummer_sphere(800, 11);
     let cfg = ClusterConfig::default();
     let mut a = Cluster::new(ic.clone(), 4, cfg.clone());
@@ -425,4 +428,39 @@ fn exact_resume_trajectory_is_bit_identical() {
     pa.sort_by_key(|(i, _)| *i);
     pb.sort_by_key(|(i, _)| *i);
     assert_eq!(pa, pb, "positions diverged after exact resume");
+}
+
+#[test]
+fn a_fixed_world_crash_replays_to_the_fault_free_bits() {
+    // A crash of every rank in every epoch of a four-step run that
+    // checkpoints every step. The rollback adopts the checkpoint's domains,
+    // load weights and forces, so the replay is the fault-free run to the
+    // bit: epoch 1 rolls back to the pre-force initial checkpoint, later
+    // epochs to a checkpoint whose weights are no longer the unit ones.
+    let cfg = ClusterConfig {
+        threads: Some(1),
+        ..ClusterConfig::default()
+    };
+    let ic = plummer_sphere(1200, 21);
+    let mut clean = Cluster::new(ic.clone(), 4, cfg.clone());
+    for _ in 0..4 {
+        clean.step();
+    }
+    let want = state_bits(&clean);
+    for (rank, epoch) in (0..4).flat_map(|r| (1..=4).map(move |e| (r, e))) {
+        let dir = chaos_dir(&format!("grid_r{rank}_e{epoch}"));
+        let plan = FaultPlan::new(0).with_crash(rank, epoch);
+        let recovery = Some(RecoveryConfig { dir: dir.clone(), every: 1 });
+        let mut c = Cluster::with_faults(ic.clone(), 4, cfg.clone(), plan, recovery);
+        for _ in 0..4 {
+            c.step();
+        }
+        let _ = std::fs::remove_dir_all(dir);
+        let log = c.fault_log();
+        let what = format!("crash of rank {rank} in epoch {epoch}");
+        assert_eq!(log.injected_of(FaultKind::Crash), 1, "{what} never fired");
+        assert_eq!(log.recoveries_of(RecoveryAction::RestoreCheckpoint), 1, "{what}");
+        assert_eq!((c.rank_count(), c.step_count()), (4, 4), "{what}");
+        assert!(state_bits(&c) == want, "{what} replayed to other bits than the fault-free run");
+    }
 }

@@ -74,6 +74,12 @@ cargo test -q --release -p bonsai-net --lib envelope
 # The pinned fault-log, flow-ledger and force digests, on the code
 # generation the benchmark and the gates run.
 cargo test -q --release -p bonsai-sim --test exchange_digests
+# Every single message fault at R = 4 (6 kinds x 4 message kinds x 4 epochs
+# x 4 senders = 384 schedules, each recovered to the fault-free run's bits
+# with the named invariants held after every step). Tier-1 runs a stratified
+# 55 of them; the whole set takes about 7 s here and about 37 s at the dev
+# profile.
+cargo test -q --release -p bonsai-sim --test invariants -- --ignored
 
 echo "== benchmark package: build + unit tests + 2-step smoke test =="
 # benchmark/ is its own workspace on path dependencies and may not be edited
