@@ -93,7 +93,7 @@ fn fixed_world_crash_and_rollback_digests_are_pinned() {
     for t in THREADS {
         assert_eq!(
             crash_and_rollback("fixed", false, t),
-            (0xcb70296392a8016f, 0xb62879d143db5435, 0xcbf533d4ccd4fa2e),
+            (0x2a06df18a0815d3e, 0xab245ce55b6b5188, 0xeeaf74e71d448b79),
             "fault log / flow ledger / force bits moved at {t} threads"
         );
     }
