@@ -293,7 +293,12 @@ impl Cluster {
 
     /// A cluster of `p` empty ranks at time zero with no domains or forces,
     /// unit load weights and a fresh fabric, log and ledger.
-    fn at_rest(p: usize, cfg: ClusterConfig, plan: FaultPlan, recovery: Option<RecoveryConfig>) -> Self {
+    fn at_rest(
+        p: usize,
+        cfg: ClusterConfig,
+        plan: FaultPlan,
+        recovery: Option<RecoveryConfig>,
+    ) -> Self {
         Self {
             gpu: GpuModel::new(K20X, KernelVariant::TreeKeplerTuned),
             net: NetworkModel::new(cfg.machine),
@@ -325,7 +330,11 @@ impl Cluster {
     /// recovery checkpoints), the clock carrying on from the snapshot: the
     /// body of [`restore_cluster`](crate::checkpoint::restore_cluster) and
     /// [`resume_cluster_exact`](crate::checkpoint::resume_cluster_exact).
-    pub(crate) fn from_checkpoint(ck: crate::checkpoint::Checkpoint, p: usize, cfg: ClusterConfig) -> Self {
+    pub(crate) fn from_checkpoint(
+        ck: crate::checkpoint::Checkpoint,
+        p: usize,
+        cfg: ClusterConfig,
+    ) -> Self {
         let mut c = Self::at_rest(p, cfg, FaultPlan::new(0), None);
         if !c.adopt(ck, p) {
             c.on_pool(Self::compute_forces_with_recovery);
