@@ -77,7 +77,7 @@ pub fn scratch_dir(tag: &str) -> std::path::PathBuf {
 /// `from..to` is dropped, so each one is retransmitted.
 pub(crate) fn drop_storm(seed: u64, (from, to): (u64, u64)) -> FaultPlan {
     (from..to).fold(FaultPlan::new(seed), |plan, epoch| {
-        plan.with_injection(Injection { epoch, from: None, to: None, kind: None, fault: FaultKind::Drop })
+        plan.with_injection(Injection { epoch, from: None, to: None, kind: None, fault: FaultKind::Drop, attempts: 0..1 })
     })
 }
 

@@ -119,6 +119,21 @@ impl ExchangePlan {
         self.emigrant_count() * PARTICLE_WIRE_SIZE
     }
 
+    /// Drop the emigrants' entries from `values`, a per-particle array
+    /// parallel to the set the plan was built from, keeping the stayers in
+    /// the order [`ExchangePlan::apply`] keeps their particles.
+    pub fn retain_stayers<T>(&self, values: &mut Vec<T>) {
+        let mut stays = vec![true; values.len()];
+        for &i in self.send.iter().flatten() {
+            stays[i] = false;
+        }
+        let mut i = 0;
+        values.retain(|_| {
+            i += 1;
+            stays[i - 1]
+        });
+    }
+
     /// Drain the emigrants out of `particles`; returns one [`Particles`] per
     /// destination rank (empty for ranks receiving nothing, including the
     /// rank the node stays on). A departing node ends empty.
@@ -186,6 +201,17 @@ mod tests {
         assert!(shipped[0].is_empty());
         let total: usize = shipped.iter().map(|s| s.len()).sum::<usize>() + p.len();
         assert_eq!(total, 5);
+    }
+
+    #[test]
+    fn retained_keys_stay_parallel_to_the_stayers() {
+        let domains = ranges_from_cuts(&[100, 200]);
+        let (mut p, mut keys) = particles_with_keys(&[50, 150, 250, 99, 100, 7]);
+        let plan = ExchangePlan::plan(0, &keys, &domains);
+        plan.apply(&mut p);
+        plan.retain_stayers(&mut keys);
+        assert_eq!(p.id, vec![0, 3, 5]);
+        assert_eq!(keys, vec![50, 99, 7]);
     }
 
     #[test]

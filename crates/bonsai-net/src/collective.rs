@@ -400,6 +400,7 @@ mod tests {
             to: Some(to),
             kind: None,
             fault,
+            attempts: 0..1,
         })
     }
 
@@ -557,6 +558,7 @@ mod tests {
             to: Some(0),
             kind: Some(kind),
             fault,
+            attempts: 0..1,
         };
         let plan = FaultPlan::new(1)
             .with_injection(held(MsgKind::View, FaultKind::Reorder))
@@ -694,6 +696,7 @@ mod tests {
                 to: Some(to),
                 kind: None,
                 fault: FaultKind::Drop,
+                attempts: 0..1,
             })
         });
         let mut wire = Wire::new(4, plan);

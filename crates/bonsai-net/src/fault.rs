@@ -87,8 +87,9 @@ impl std::fmt::Display for FaultKind {
 
 /// A forced fault pinned to exact message coordinates (used by tests to
 /// guarantee coverage of every fault kind regardless of rates). `None`
-/// fields match any value. Forced faults fire on first-attempt sends only,
-/// so retransmissions can succeed.
+/// fields match any value. A forced fault fires on the send attempts in
+/// `attempts` (0 is the first send): `0..1` lets the retransmissions
+/// succeed, a range through an exchange's retry budget exhausts it.
 #[derive(Clone, Debug)]
 pub struct Injection {
     /// Epoch the fault fires in.
@@ -101,6 +102,8 @@ pub struct Injection {
     pub kind: Option<MsgKind>,
     /// The fault to inject (message-level kinds only).
     pub fault: FaultKind,
+    /// The attempts it fires on.
+    pub attempts: std::ops::Range<u32>,
 }
 
 /// A seeded, deterministic schedule of faults.
@@ -207,8 +210,9 @@ impl FaultPlan {
 
     /// The fault (if any) to inject into this send. Pure: the same
     /// coordinates always yield the same answer. At most one fault fires
-    /// per (message, attempt); forced injections take precedence on first
-    /// attempts, then the rate table is consulted via the decision hash.
+    /// per (message, attempt); forced injections take precedence on the
+    /// attempts they name, then the rate table is consulted via the
+    /// decision hash.
     pub fn message_fault(
         &self,
         from: usize,
@@ -217,15 +221,14 @@ impl FaultPlan {
         epoch: u64,
         attempt: u32,
     ) -> Option<FaultKind> {
-        if attempt == 0 {
-            for inj in &self.injections {
-                let hit = inj.epoch == epoch
-                    && inj.from.is_none_or(|f| f == from)
-                    && inj.to.is_none_or(|t| t == to)
-                    && inj.kind.is_none_or(|k| k == kind);
-                if hit {
-                    return Some(inj.fault);
-                }
+        for inj in &self.injections {
+            let hit = inj.epoch == epoch
+                && inj.attempts.contains(&attempt)
+                && inj.from.is_none_or(|f| f == from)
+                && inj.to.is_none_or(|t| t == to)
+                && inj.kind.is_none_or(|k| k == kind);
+            if hit {
+                return Some(inj.fault);
             }
         }
         if self.rates.is_empty() {
@@ -707,6 +710,7 @@ mod tests {
             to: Some(1),
             kind: None,
             fault: FaultKind::Drop,
+            attempts: 0..1,
         });
         let mut w = pair(plan);
         w.send_framed(0, 1, MsgKind::Let, 1, 0, b"x");
@@ -726,6 +730,7 @@ mod tests {
                 to: None,
                 kind: None,
                 fault,
+                attempts: 0..1,
             });
             let mut w = pair(plan);
             w.send_framed(0, 1, MsgKind::Boundary, 0, 0, &[7u8; 256]);
@@ -741,6 +746,7 @@ mod tests {
             to: None,
             kind: None,
             fault: FaultKind::Duplicate,
+            attempts: 0..1,
         });
         let mut w = pair(plan);
         w.send_framed(0, 1, MsgKind::Particles, 0, 0, b"p");
@@ -757,6 +763,7 @@ mod tests {
             to: None,
             kind: None,
             fault: FaultKind::Delay,
+            attempts: 0..1,
         });
         let mut w = pair(plan);
         w.send_framed(0, 1, MsgKind::Control, 3, 0, b"late");
@@ -775,6 +782,7 @@ mod tests {
             to: None,
             kind: Some(MsgKind::Let),
             fault: FaultKind::Reorder,
+            attempts: 0..1,
         });
         let mut w = pair(plan);
         w.send_framed(0, 1, MsgKind::Let, 0, 0, b"first");
@@ -805,6 +813,7 @@ mod tests {
             to: Some(1),
             kind: Some(kind),
             fault,
+            attempts: 0..1,
         };
         let plan = FaultPlan::new(8)
             .with_injection(forced(MsgKind::View, FaultKind::Delay))

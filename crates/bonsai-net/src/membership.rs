@@ -523,6 +523,7 @@ mod tests {
                 to: Some(0),
                 kind: Some(MsgKind::View),
                 fault: FaultKind::Drop,
+                attempts: 0..1,
             });
         let mut wire = Wire::new(5, plan);
         let v = View::initial(5);
@@ -565,6 +566,7 @@ mod tests {
                 to: None,
                 kind: Some(MsgKind::View),
                 fault: FaultKind::Drop,
+                attempts: 0..1,
             })
             // Retransmissions drop too: attempt > 0 faults need rates, so
             // drive them via a saturating drop rate scoped by the hash —

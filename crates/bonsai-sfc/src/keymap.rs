@@ -112,16 +112,15 @@ impl KeyMap {
     ///
     /// Level 0 is the root cube; each level halves the side. Works for both
     /// curves because a 3·level-bit key prefix always stays inside a single
-    /// geometric octant at that level.
+    /// geometric octant at that level, so only those `level` digits are
+    /// decoded.
     pub fn cell_aabb(&self, key: u64, level: u32) -> Aabb {
         assert!(level <= MAX_LEVEL);
-        let c = match self.curve {
-            Curve::Morton => morton::decode(key),
-            Curve::Hilbert => hilbert::decode(key),
-        };
         let shift = DIM_BITS - level;
-        let mask = if shift == 32 { 0 } else { !((1u32 << shift) - 1) };
-        let lo = [c[0] & mask, c[1] & mask, c[2] & mask];
+        let lo = match self.curve {
+            Curve::Morton => morton::decode(key >> (3 * shift) << (3 * shift)),
+            Curve::Hilbert => hilbert::cell_corner(key, level),
+        };
         let cells = 1u64 << shift;
         // Both corners are computed from integer lattice coordinates through
         // the same monotone map, so cells at finer levels nest *exactly*
@@ -195,6 +194,27 @@ mod tests {
                 assert!(cur.contains(p), "level {level} lost the point ({curve:?})");
                 assert!((cur.size().x - prev.size().x / 2.0).abs() < 1e-12);
                 prev = cur;
+            }
+        }
+    }
+
+    #[test]
+    fn cell_aabb_is_the_skilling_decoded_cell_at_every_level() {
+        let km = unit_map(Curve::Hilbert);
+        let mut rng = bonsai_util::rng::Xoshiro256::seed_from(21);
+        for _ in 0..500 {
+            let key = rng.next_u64() >> 1;
+            let c = crate::hilbert::skilling::decode(key, DIM_BITS);
+            for level in 0..=MAX_LEVEL {
+                let side = 1u64 << (DIM_BITS - level);
+                let lo = c.map(|v| v as u64 / side * side);
+                let corner = |d: u64| {
+                    let v = lo.map(|l| (l + d) as f64 * km.cell_size());
+                    km.root().min + Vec3::new(v[0], v[1], v[2])
+                };
+                let want = Aabb::new(corner(0), corner(side));
+                let got = km.cell_aabb(key, level);
+                assert_eq!((got.min, got.max), (want.min, want.max), "{key:#x} at level {level}");
             }
         }
     }

@@ -9,9 +9,10 @@
 //!
 //! * [`morton`] — Morton (Z-order) encode/decode, the simpler baseline curve
 //!   used for tree construction and in the SFC ablation study;
-//! * [`hilbert`] — 3D Hilbert encode/decode (Skilling's transpose algorithm),
-//!   the production curve whose superior locality shrinks domain surfaces and
-//!   therefore communication volume;
+//! * [`hilbert`] — 3D Hilbert encode/decode by a finite-state table (two
+//!   levels a lookup, built at compile time from Skilling's per-level
+//!   rule), the production curve whose superior locality shrinks domain
+//!   surfaces and therefore communication volume;
 //! * [`keymap`] — quantization of physical coordinates in a root cube to
 //!   integer lattice coordinates and keys, and cell-geometry recovery;
 //! * [`range`] — half-open key ranges as domain descriptors, plus the minimal

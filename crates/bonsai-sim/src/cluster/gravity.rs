@@ -4,13 +4,18 @@
 //! | phase | Table II row | paper | what crosses the fabric |
 //! |---|---|---|---|
 //! | [`bounds`](Cluster::bounds) | Domain update | §III-B1: global bounding box | `Control` allreduce, doubling as the heartbeat |
-//! | [`update_domains`](Cluster::update_domains) | Domain update | §III-B1: two-level sample sort, flop-weighted rates, 30 % cap | — (driver-side) |
-//! | [`migrate`](Cluster::migrate) | Domain update | §III-B1: particle exchange | `Particles`, every pair, possibly empty |
-//! | [`build`](Cluster::build) | Sorting, Tree-construction, Tree-properties | §III-A | — |
+//! | [`update_domains`](Cluster::update_domains) | Domain update | §III-B1: every particle's PH key, once; two-level sample sort, flop-weighted rates, 30 % cap | — (driver-side) |
+//! | [`migrate`](Cluster::migrate) | Domain update | §III-B1: particle exchange; the stayers keep their keys, received migrants are keyed | `Particles`, every pair, possibly empty |
+//! | [`build`](Cluster::build) | Sorting, Tree-construction, Tree-properties | §III-A: sorts the carried keys | — |
 //! | [`boundaries`](Cluster::boundaries) | Domain update | §III-B2: boundary trees, allgatherv | `Boundary` broadcast; every receiver validates its copy and drops it |
 //! | [`lets`](Cluster::lets) | (Non-hidden) LET comm | §III-B2: sufficiency check — a pure function of two boundary trees every rank holds bit-identically, decided once per ordered pair — and dedicated LETs for near neighbours | `Let`, sparse; a lost one degrades to the boundary tree |
 //! | [`walk`](Cluster::walk) | Gravity local, Gravity LETs | §III-A, §III-B2: one walk per rank over the local tree and, per peer, its dedicated LET, else the sender's own boundary tree | — |
 //! | [`store`](Cluster::store) | Unbalance + other | §III-B1: flop weights for the next step's sampling | — |
+//!
+//! A particle's key is computed once an epoch, where the domains are
+//! updated (or where a migrant arrives), and carried to the tree build; at
+//! one rank, where nothing is cut or shipped, the build's caller keys the
+//! rank.
 //!
 //! Every exchange is one call of [`bonsai_net::collective::exchange`] through
 //! [`Cluster::exchange`]. A phase whose exchange must complete returns
@@ -74,11 +79,13 @@ impl Cluster {
         let bounds = self.bounds(&mut meas)?;
         let keymap = KeyMap::new(&bounds, self.cfg.tree.curve);
         // A lone rank owns the whole key space: nothing to cut or ship.
-        if p > 1 {
-            self.update_domains(&keymap, &mut meas);
-            self.migrate(&keymap, &mut meas)?;
-        }
-        let trees = self.build(&keymap);
+        let keys = if p > 1 {
+            let keys = self.update_domains(&keymap, &mut meas);
+            self.migrate(&keymap, keys, &mut meas)?
+        } else {
+            self.rank_keys(&keymap)
+        };
+        let trees = self.build(&keymap, keys);
         let boundaries = self.boundaries(&trees, &mut meas)?;
         let lets = self.lets(&trees, &boundaries, &mut meas);
         let forces = self.walk(&trees, &boundaries, &lets);
@@ -139,15 +146,20 @@ impl Cluster {
         Ok(bounds)
     }
 
-    /// Domain update: two-level sample sort + cap.
-    fn update_domains(&mut self, keymap: &KeyMap, meas: &mut StepMeasurements) {
+    /// Every rank's keys, parallel to its particles.
+    fn rank_keys(&self, keymap: &KeyMap) -> Vec<Vec<u64>> {
+        self.ranks.par_iter().map(|r| keymap.keys_of(&r.pos)).collect()
+    }
+
+    /// Domain update: two-level sample sort + cap. Returns every rank's
+    /// keys, parallel to its particles, for the exchange and the build.
+    fn update_domains(&mut self, keymap: &KeyMap, meas: &mut StepMeasurements) -> Vec<Vec<u64>> {
         let p = self.ranks.len();
+        let keys = self.rank_keys(keymap);
         let cfg = &self.cfg;
-        let per_rank_sorted: Vec<Vec<u64>> = self
-            .ranks
-            .par_iter()
-            .map(|r| {
-                let mut ks = keymap.keys_of(&r.pos);
+        let per_rank_sorted: Vec<Vec<u64>> = (keys.par_iter())
+            .map(|ks| {
+                let mut ks = ks.clone();
                 ks.sort_unstable();
                 ks
             })
@@ -172,17 +184,27 @@ impl Cluster {
         // the merge of the ranks' sorted runs.
         let all_keys = merge_sorted_runs(&per_rank_sorted);
         self.domains = enforce_particle_cap(&domains, &all_keys, cfg.cap);
+        keys
     }
 
     /// Particle exchange through the fabric. Every pair exchanges a
     /// (possibly empty) migrant payload, so the receive side knows exactly
-    /// what to expect.
-    fn migrate(&mut self, keymap: &KeyMap, meas: &mut StepMeasurements) -> Result<(), usize> {
+    /// what to expect. Takes every rank's keys and returns them for the
+    /// ranks' new populations: the stayers' carried, the migrants' computed
+    /// as they are absorbed.
+    fn migrate(
+        &mut self,
+        keymap: &KeyMap,
+        mut keys: Vec<Vec<u64>>,
+        meas: &mut StepMeasurements,
+    ) -> Result<Vec<Vec<u64>>, usize> {
         let domains = &self.domains;
         let (exchange_bytes, outbox): (Vec<usize>, Vec<Outbox>) = (self.ranks.par_iter_mut())
+            .zip(keys.par_iter_mut())
             .enumerate()
-            .map(|(me, rank)| {
-                let plan = ExchangePlan::plan(me, &keymap.keys_of(&rank.pos), domains);
+            .map(|(me, (rank, keys))| {
+                let plan = ExchangePlan::plan(me, keys, domains);
+                plan.retain_stayers(keys);
                 let wire_bytes = plan.wire_bytes();
                 let shipped = plan.apply(rank).into_iter().enumerate();
                 let owed = (shipped.filter(|&(dest, _)| dest != me))
@@ -199,8 +221,15 @@ impl Cluster {
             particles_from_bytes,
         );
         meas.retransmit_bytes += got.retransmit_bytes;
-        self.absorb_migrants(got.complete()?);
-        Ok(())
+        let received = got.complete()?;
+        // In the order `absorb_migrants` appends the particles.
+        (keys.par_iter_mut().zip(received.par_iter())).for_each(|(keys, packets)| {
+            for (_, pk) in packets {
+                keys.extend(keymap.keys_of(&pk.pos));
+            }
+        });
+        self.absorb_migrants(received);
+        Ok(keys)
     }
 
     /// Append every non-empty received packet to its receiver's shard.
@@ -212,14 +241,14 @@ impl Cluster {
         }
     }
 
-    /// Per-rank trees over the shared key map. The trees own the particles
-    /// until [`Cluster::store`] hands them back.
-    fn build(&mut self, keymap: &KeyMap) -> Vec<Tree> {
+    /// Per-rank trees over the shared key map, from each rank's carried
+    /// keys. The trees own the particles until [`Cluster::store`] hands
+    /// them back.
+    fn build(&mut self, keymap: &KeyMap, keys: Vec<Vec<u64>>) -> Vec<Tree> {
         let tree_params = self.cfg.tree;
         let rank_particles: Vec<Particles> = self.ranks.drain(..).collect();
-        rank_particles
-            .into_par_iter()
-            .map(|pr| Tree::build_with_keymap(pr, keymap.clone(), tree_params))
+        (rank_particles.into_par_iter().zip(keys.into_par_iter()))
+            .map(|(pr, ks)| Tree::build_with_keys(pr, ks, keymap.clone(), tree_params))
             .collect()
     }
 

@@ -74,7 +74,7 @@ const MAX_RETRIES_HARD: u32 = 4;
 /// Retransmission attempts for dedicated LETs. Cheaper to give up early:
 /// the receiver already holds the sender's boundary tree and can walk that
 /// instead (graceful degradation, counted per step).
-const MAX_RETRIES_LET: u32 = 2;
+pub const MAX_RETRIES_LET: u32 = 2;
 
 /// Configuration of a cluster run.
 #[derive(Clone, Debug)]

@@ -38,6 +38,7 @@ proptest! {
             to: None,
             kind: None,
             fault: FaultKind::MESSAGE_KINDS[inj_kind],
+            attempts: 0..1,
         });
         if crash && ranks > 1 {
             plan = plan.with_crash(1 + (seed as usize) % (ranks - 1), crash_epoch);

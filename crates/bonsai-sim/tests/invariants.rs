@@ -128,7 +128,7 @@ fn single_faults() -> Vec<Injection> {
             for epoch in 1..=4 {
                 for from in 0..4 {
                     let (kind, from) = (Some(kind), Some(from));
-                    all.push(Injection { epoch, from, to: None, kind, fault });
+                    all.push(Injection { epoch, from, to: None, kind, fault, attempts: 0..1 });
                 }
             }
         }

@@ -202,6 +202,7 @@ fn delay_1_to_0(plan: FaultPlan, epoch: u64, kind: MsgKind) -> FaultPlan {
         to: Some(0),
         kind: Some(kind),
         fault: FaultKind::Delay,
+        attempts: 0..1,
     })
 }
 

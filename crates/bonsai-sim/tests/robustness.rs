@@ -5,11 +5,14 @@
 
 use bonsai_domain::LetTree;
 use bonsai_ic::plummer_sphere;
-use bonsai_net::{FaultKind, FaultPlan, Injection, RecoveryAction};
+use bonsai_net::{FaultKind, FaultPlan, Injection, MsgKind, RecoveryAction};
+use bonsai_sim::cluster::MAX_RETRIES_LET;
 use bonsai_sim::{Cluster, ClusterConfig, RecoveryConfig};
+use bonsai_tree::direct::direct_forces;
 use bonsai_tree::Particles;
 use bonsai_util::Vec3;
 use bonsai_verify::{acceleration_diff, equivalence_band, serial_reference};
+use std::collections::{HashMap, HashSet};
 
 mod common;
 use common::state_bits;
@@ -120,6 +123,7 @@ fn chaos_plan(seed: u64) -> FaultPlan {
             to: None,
             kind: None,
             fault: kind,
+            attempts: 0..1,
         });
     }
     plan.with_stall(1, 8).with_stall(1, 9).with_crash(2, 12)
@@ -463,4 +467,89 @@ fn a_fixed_world_crash_replays_to_the_fault_free_bits() {
         assert_eq!((c.rank_count(), c.step_count()), (4, 4), "{what}");
         assert!(state_bits(&c) == want, "{what} replayed to other bits than the fault-free run");
     }
+}
+
+/// A fault-free cluster and the coordinates of a dedicated LET it sent in
+/// its first gravity epoch.
+fn first_dedicated_let(ic: &Particles, cfg: &ClusterConfig) -> (Cluster, Injection) {
+    let clean = Cluster::new(ic.clone(), 4, cfg.clone());
+    let flow = (clean.flow_ledger().records().iter())
+        .find(|f| f.kind == MsgKind::Let)
+        .expect("the fault-free run sent no dedicated LET")
+        .clone();
+    let drop = Injection {
+        epoch: flow.epoch,
+        from: Some(flow.from),
+        to: Some(flow.to),
+        kind: Some(MsgKind::Let),
+        fault: FaultKind::Drop,
+        attempts: 0..1,
+    };
+    (clean, drop)
+}
+
+#[test]
+fn a_let_dropped_through_the_retry_budget_degrades_to_the_boundary() {
+    // Every attempt the LET budget allows is dropped: the receiver walks the
+    // sender's boundary tree instead, with forced cuts, and every other
+    // rank's forces keep the fault-free run's bits. The receiver's forces
+    // are coarse: against direct summation they stay finite and bounded,
+    // but not inside the distributed band (at this R = 4 Plummer sphere
+    // about four in five of its particles are off by more than 1 %).
+    let cfg = ClusterConfig {
+        threads: Some(1),
+        ..ClusterConfig::default()
+    };
+    let ic = plummer_sphere(1200, 21);
+    let (clean, drop) = first_dedicated_let(&ic, &cfg);
+    let receiver = drop.to.unwrap();
+    let drop = Injection {
+        attempts: 0..MAX_RETRIES_LET + 1,
+        ..drop
+    };
+    let c = Cluster::with_faults(ic, 4, cfg.clone(), FaultPlan::new(0).with_injection(drop), None);
+    let log = c.fault_log();
+    assert_eq!(log.injected_of(FaultKind::Drop), MAX_RETRIES_LET as usize + 1);
+    assert_eq!(c.last_measurements.degraded_lets, 1);
+    assert_eq!(log.recoveries_of(RecoveryAction::BoundaryFallback), 1);
+    assert!(c.last_measurements.forced_cuts > 0, "the boundary walk forced no cut");
+
+    let (acc, want) = (c.accelerations_by_id(), clean.accelerations_by_id());
+    let received: HashSet<u64> = c.rank_particles(receiver).id.iter().copied().collect();
+    let bits = |a: &Vec3| [a.x, a.y, a.z].map(f64::to_bits);
+    for (id, a) in &acc {
+        assert!(a.is_finite(), "particle {id}: non-finite fallback force");
+        if !received.contains(id) {
+            assert_eq!(bits(a), bits(&want[id]), "particle {id} is not on the receiver");
+        }
+    }
+    let g = c.gather();
+    let (direct, _) = direct_forces(&g.pos, &g.pos, &g.mass, cfg.eps, cfg.g, true);
+    let direct: HashMap<u64, Vec3> = g.id.iter().copied().zip(direct.acc).collect();
+    let diff = acceleration_diff(&acc, &direct);
+    let band = equivalence_band(cfg.theta, 4);
+    assert!(diff.median <= band.median, "fallback forces {diff:?} against direct, band {band:?}");
+}
+
+#[test]
+fn a_let_dropped_one_attempt_short_of_the_budget_is_the_fault_free_run() {
+    let cfg = ClusterConfig {
+        threads: Some(1),
+        ..ClusterConfig::default()
+    };
+    let ic = plummer_sphere(1200, 21);
+    let (mut clean, drop) = first_dedicated_let(&ic, &cfg);
+    let drop = Injection {
+        attempts: 0..MAX_RETRIES_LET,
+        ..drop
+    };
+    let mut c = Cluster::with_faults(ic, 4, cfg, FaultPlan::new(0).with_injection(drop), None);
+    for _ in 0..2 {
+        clean.step();
+        c.step();
+    }
+    let log = c.fault_log();
+    assert_eq!(log.injected_of(FaultKind::Drop), MAX_RETRIES_LET as usize);
+    assert_eq!(log.recoveries_of(RecoveryAction::BoundaryFallback), 0);
+    assert!(state_bits(&c) == state_bits(&clean), "a retransmitted LET moved the bits");
 }

@@ -74,12 +74,30 @@ impl Tree {
     }
 
     /// Build with an externally supplied (e.g. globally agreed) key map.
-    pub fn build_with_keymap(mut particles: Particles, keymap: KeyMap, params: TreeParams) -> Tree {
+    pub fn build_with_keymap(particles: Particles, keymap: KeyMap, params: TreeParams) -> Tree {
+        let keys: Vec<u64> = particles.pos.par_iter().map(|&p| keymap.key_of(p)).collect();
+        Self::build_with_keys(particles, keys, keymap, params)
+    }
+
+    /// Build from the particles' keys under `keymap`, computed by the
+    /// caller (`keys[i]` is `keymap.key_of(particles.pos[i])`, which debug
+    /// builds check): a distributed step keys each particle once, when it
+    /// updates the domains, and carries the keys to the build.
+    pub fn build_with_keys(
+        mut particles: Particles,
+        raw_keys: Vec<u64>,
+        keymap: KeyMap,
+        params: TreeParams,
+    ) -> Tree {
         assert!(params.nleaf > 0);
         let n = particles.len();
+        assert_eq!(raw_keys.len(), n, "one key per particle");
+        debug_assert!(
+            (raw_keys.iter().zip(&particles.pos)).all(|(&k, &p)| k == keymap.key_of(p)),
+            "a supplied key is not its particle's key under the key map"
+        );
 
         // --- SFC sort -----------------------------------------------------
-        let raw_keys: Vec<u64> = particles.pos.par_iter().map(|&p| keymap.key_of(p)).collect();
         let mut perm: Vec<u32> = (0..n as u32).collect();
         perm.sort_unstable_by_key(|&i| raw_keys[i as usize]);
         particles.permute(&perm);

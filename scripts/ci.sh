@@ -74,6 +74,10 @@ cargo test -q --release -p bonsai-net --lib envelope
 # The pinned fault-log, flow-ledger and force digests, on the code
 # generation the benchmark and the gates run.
 cargo test -q --release -p bonsai-sim --test exchange_digests
+# The Hilbert state table against Skilling's loops on 10^7 random 21-bit
+# triples, both directions (tier-1 runs 10^5 and every cell of the lattices
+# up to 64^3); about 3 s here.
+cargo test -q --release -p bonsai-sfc --lib -- --ignored the_table_equals_skilling
 # Every single message fault at R = 4 (6 kinds x 4 message kinds x 4 epochs
 # x 4 senders = 384 schedules, each recovered to the fault-free run's bits
 # with the named invariants held after every step). Tier-1 runs a stratified
