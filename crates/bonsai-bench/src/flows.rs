@@ -1,6 +1,6 @@
 //! The message-flow bench: a seeded faulty Milky Way step ladder whose
 //! flow ledger is reduced to (a) conservation totals (every sealed envelope
-//! delivered, recovered by fallback, or dead — nothing pending), (b) a
+//! delivered or dead — nothing pending), (b) a
 //! per-directed-link ledger (traffic, retransmit ratio, delivery-latency
 //! percentiles), (c) the critical-path wait attribution by causal class,
 //! and (d) per-step exposed-communication intervals tied to their causal
@@ -15,7 +15,7 @@
 //! which is how CI proves the flow gate has teeth.
 
 use bonsai_net::fault::{FaultKind, FaultPlan};
-use bonsai_net::flow::{FlowConservation, FlowOutcome, FlowRecord};
+use bonsai_net::flow::{FlowConservation, FlowRecord};
 use bonsai_net::obs::{exposed_comm, flow_times, link_ledger, LinkStats};
 use bonsai_obs::json::{self, Value};
 use bonsai_obs::{critical_path, obj, ArgValue, WaitCause};
@@ -55,26 +55,16 @@ impl Default for FlowsBenchConfig {
 }
 
 /// The seeded fault plan the bench drives: every message-level fault kind
-/// at a rate high enough that retransmissions are common, plus two LET
-/// stalls that force the fabric fallback path. No crashes — the ladder
-/// must complete without rollback so the artifact stays byte-stable.
-pub fn bench_fault_plan(seed: u64, steps: usize) -> FaultPlan {
-    let mut plan = FaultPlan::new(seed)
+/// at a rate high enough that retransmissions are common. No crash and no
+/// stall: either is a rollback, and the ladder has no checkpoint.
+pub fn bench_fault_plan(seed: u64) -> FaultPlan {
+    FaultPlan::new(seed)
         .with_rate(FaultKind::Drop, 0.08)
         .with_rate(FaultKind::Corrupt, 0.05)
         .with_rate(FaultKind::Duplicate, 0.04)
         .with_rate(FaultKind::Delay, 0.04)
         .with_rate(FaultKind::Reorder, 0.04)
-        .with_rate(FaultKind::Truncate, 0.03);
-    // Stall the dedicated-LET sends of two ranks mid-ladder: the stalled
-    // boundaries exhaust their retry budget and resolve by fallback.
-    if steps >= 3 {
-        plan = plan.with_stall(1, 3);
-    }
-    if steps >= 6 {
-        plan = plan.with_stall(2, 6);
-    }
-    plan
+        .with_rate(FaultKind::Truncate, 0.03)
 }
 
 /// Per-step flow digest (one artifact row per driven step).
@@ -86,8 +76,6 @@ pub struct StepFlows {
     pub flows: usize,
     /// Retransmitted attempts beyond each flow's first.
     pub retransmits: u64,
-    /// Flows resolved by the fabric fallback.
-    pub fallbacks: usize,
     /// Exposed-communication intervals found in the step.
     pub exposed_intervals: usize,
     /// Total exposed-communication seconds in the step.
@@ -139,7 +127,7 @@ impl FlowsResult {
 /// as the step completes.
 pub fn run(cfg: FlowsBenchConfig) -> FlowsResult {
     let ic = milky_way_snapshot(cfg.n, cfg.seed);
-    let plan = bench_fault_plan(cfg.seed, cfg.steps);
+    let plan = bench_fault_plan(cfg.seed);
     let mut cluster = Cluster::with_faults(ic, cfg.ranks, milky_way_config(cfg.n), plan, None);
 
     let mut flows: Vec<FlowRecord> = Vec::new();
@@ -204,10 +192,6 @@ pub fn run(cfg: FlowsBenchConfig) -> FlowsResult {
                 .iter()
                 .map(|f| f.attempts.saturating_sub(1) as u64)
                 .sum(),
-            fallbacks: step_flows
-                .iter()
-                .filter(|f| f.outcome == FlowOutcome::Fallback)
-                .count(),
             exposed_intervals: exposed.len(),
             exposed_s: exposed.iter().map(|x| x.seconds()).sum(),
             wait_s,
@@ -254,7 +238,7 @@ pub fn flows_json(r: &FlowsResult) -> String {
             obj!("link": l.label(), "from": l.from, "to": l.to, "flows": l.flows,
                 "bytes": l.bytes, "attempts": l.attempts, "retransmits": l.retransmits,
                 "retransmit_ratio": l.retransmit_ratio(), "delivered": l.delivered,
-                "fallback": l.fallback, "dead": l.dead, "latency_p50": l.latency_p50,
+                "dead": l.dead, "latency_p50": l.latency_p50,
                 "latency_p90": l.latency_p90, "latency_p99": l.latency_p99,
                 "latency_max": l.latency_max)
         })
@@ -264,7 +248,7 @@ pub fn flows_json(r: &FlowsResult) -> String {
         .iter()
         .map(|s| {
             obj!("step": s.step, "flows": s.flows, "retransmits": s.retransmits,
-                "fallbacks": s.fallbacks, "exposed_intervals": s.exposed_intervals,
+                "exposed_intervals": s.exposed_intervals,
                 "exposed_s": s.exposed_s, "wait_s": s.wait_s)
         })
         .collect();
@@ -274,7 +258,7 @@ pub fn flows_json(r: &FlowsResult) -> String {
         "config": obj!("n": c.n, "ranks": c.ranks, "steps": c.steps, "seed": c.seed,
             "mask_retransmits": c.mask_retransmits),
         "conservation": obj!("sealed": k.sealed, "delivered": k.delivered,
-            "fallback": k.fallback, "dead": k.dead, "pending": k.pending, "holds": k.holds()),
+            "dead": k.dead, "pending": k.pending, "holds": k.holds()),
         "wait_total_s": total_wait,
         "unattributed_fraction": r.unattributed_fraction(),
         "wait_attribution": waits,
@@ -335,12 +319,11 @@ pub fn render_html(r: &FlowsResult) -> String {
         }
     ));
     s.push_str(&format!(
-        "<h2>Conservation</h2>\n<p class=\"{}\">{} sealed = {} delivered + {} fallback + {} dead \
+        "<h2>Conservation</h2>\n<p class=\"{}\">{} sealed = {} delivered + {} dead \
          (+ {} pending) — {}</p>\n",
         if k.holds() { "ok" } else { "bad" },
         k.sealed,
         k.delivered,
-        k.fallback,
         k.dead,
         k.pending,
         if k.holds() { "holds" } else { "VIOLATED" }
@@ -407,13 +390,13 @@ pub fn render_html(r: &FlowsResult) -> String {
     let lat_max = r.links.iter().map(|l| l.latency_max).fold(0.0_f64, f64::max);
     s.push_str(
         "<h2>Link ledger</h2>\n<table>\n<tr><th class=\"l\">link</th><th>flows</th>\
-         <th>bytes</th><th>attempts</th><th>retx</th><th>delivered</th><th>fallback</th>\
+         <th>bytes</th><th>attempts</th><th>retx</th><th>delivered</th>\
          <th>dead</th><th>p50 ms</th><th>p90 ms</th><th>p99 ms</th><th>max ms</th><th class=\"l\">latency</th></tr>\n",
     );
     for l in &r.links {
         s.push_str(&format!(
             "<tr><td class=\"l\">{}</td><td>{}</td><td>{}</td><td>{}</td><td>{}</td>\
-             <td>{}</td><td>{}</td><td>{}</td><td>{:.3}</td><td>{:.3}</td><td>{:.3}</td>\
+             <td>{}</td><td>{}</td><td>{:.3}</td><td>{:.3}</td><td>{:.3}</td>\
              <td>{:.3}</td><td class=\"l\">{}</td></tr>\n",
             l.label(),
             l.flows,
@@ -421,7 +404,6 @@ pub fn render_html(r: &FlowsResult) -> String {
             l.attempts,
             l.retransmits,
             l.delivered,
-            l.fallback,
             l.dead,
             l.latency_p50 * 1e3,
             l.latency_p90 * 1e3,
@@ -435,15 +417,14 @@ pub fn render_html(r: &FlowsResult) -> String {
     // Per-step digest.
     s.push_str(
         "<h2>Per-step digest</h2>\n<table>\n<tr><th>step</th><th>flows</th><th>retx</th>\
-         <th>fallbacks</th><th>exposed intervals</th><th>exposed ms</th><th>wait ms</th></tr>\n",
+         <th>exposed intervals</th><th>exposed ms</th><th>wait ms</th></tr>\n",
     );
     for st in &r.steps {
         s.push_str(&format!(
-            "<tr><td>{}</td><td>{}</td><td>{}</td><td>{}</td><td>{}</td><td>{:.4}</td><td>{:.4}</td></tr>\n",
+            "<tr><td>{}</td><td>{}</td><td>{}</td><td>{}</td><td>{:.4}</td><td>{:.4}</td></tr>\n",
             st.step,
             st.flows,
             st.retransmits,
-            st.fallbacks,
             st.exposed_intervals,
             st.exposed_s * 1e3,
             st.wait_s * 1e3

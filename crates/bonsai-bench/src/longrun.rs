@@ -59,13 +59,12 @@ impl Default for LongRunBenchConfig {
 }
 
 /// The headline derived metrics charted by the dashboard, in display order.
-pub const HEADLINE: [&str; 9] = [
+pub const HEADLINE: [&str; 8] = [
     "bonsai_energy_drift",
     "bonsai_gpu_gflops",
     "bonsai_step_seconds",
     "bonsai_recovery_actions",
     "bonsai_retransmit_bytes",
-    "bonsai_degraded_lets",
     "bonsai_flop_residual",
     "bonsai_hidden_comm_fraction",
     "bonsai_particle_imbalance",

@@ -534,7 +534,7 @@ fn production() -> Outcome {
 /// crash drill, each run checkpointing every two steps. A run that panics is
 /// caught and counts as died: a failed claim, not a crashed runner.
 fn chaos() -> Outcome {
-    use RecoveryAction::{BoundaryFallback, DiscardCorrupt, DiscardDuplicate, DiscardStale};
+    use RecoveryAction::{DiscardCorrupt, DiscardDuplicate, DiscardStale};
     use RecoveryAction::{RestoreCheckpoint, Retransmit};
     const N: usize = 2_000;
     const RANKS: usize = 4;
@@ -542,7 +542,7 @@ fn chaos() -> Outcome {
     const SEED: u64 = 1994;
     const RATES: [f64; 5] = [0.0, 0.01, 0.02, 0.05, 0.10];
     // One run: its fault log, whether every particle came out with a finite
-    // force, its degraded LET walks and retransmitted bytes; `None` if it died.
+    // force, and its retransmitted bytes; `None` if it died.
     let run = |plan: FaultPlan, drill: bool| {
         let dir = scratch_dir("bonsai_paper_chaos");
         let recovery = Some(RecoveryConfig { dir: dir.clone(), every: 2 });
@@ -552,10 +552,9 @@ fn chaos() -> Outcome {
             if drill {
                 c.enable_elastic_recovery();
             }
-            let (mut degraded, mut retx_bytes) = (0, 0);
+            let mut retx_bytes = 0;
             for _ in 0..STEPS {
                 c.step();
-                degraded += c.last_measurements.degraded_lets;
                 retx_bytes += c.last_measurements.retransmit_bytes;
                 // A lost node is replaced: part of every domain migrates onto it.
                 if c.rank_count() < RANKS {
@@ -564,7 +563,7 @@ fn chaos() -> Outcome {
             }
             let finite = c.accelerations_by_id().values().all(|a| a.is_finite());
             let whole = c.total_particles() == N && finite;
-            (c.fault_log().clone(), whole, degraded, retx_bytes)
+            (c.fault_log().clone(), whole, retx_bytes)
         });
         let _ = std::fs::remove_dir_all(dir);
         ran.ok()
@@ -576,27 +575,28 @@ fn chaos() -> Outcome {
     }
     let crash = STEPS as u64 / 2;
     let drill = FaultPlan::new(SEED).with_rate(FaultKind::Drop, 0.02).with_stall(1, crash);
-    runs.push(("crash drill".to_string(), run(drill.with_crash(RANKS - 1, crash + 2), true)));
+    // The stall retires rank 1, so the crash takes the last of the three
+    // survivors.
+    runs.push(("crash drill".to_string(), run(drill.with_crash(RANKS - 2, crash + 2), true)));
 
     let mut t = String::new();
     out!(t, "{N}-particle Plummer sphere over {RANKS} ranks, {STEPS} steps, seed {SEED}, checkpoints every 2");
-    out!(t, "the crash drill stalls rank 1 in epoch {crash}, kills rank {} in epoch {},", RANKS - 1, crash + 2);
-    out!(t, "rolls the survivors back to the last checkpoint and admits a replacement node");
-    out!(t, "{:<12} {:>8} {:>6} {:>8} {:>7} {:>8} {:>8} {:>9}  physics",
-        "run", "injected", "retx", "discard", "fallbk", "restore", "degraded", "retx-B");
+    out!(t, "the crash drill stalls rank 1 in epoch {crash} and kills rank {} in epoch {}; each", RANKS - 2, crash + 2);
+    out!(t, "silent rank rolls the survivors back to the last checkpoint, and replacement nodes are admitted");
+    out!(t, "{:<12} {:>8} {:>6} {:>8} {:>8} {:>9}  physics",
+        "run", "injected", "retx", "discard", "restore", "retx-B");
     let mut recovered = 0;
     for (label, ran) in &runs {
-        let Some((log, whole, degraded, retx_bytes)) = ran else {
+        let Some((log, whole, retx_bytes)) = ran else {
             out!(t, "{label:<12} DIED");
             continue;
         };
         let of = |action| log.recoveries_of(action);
-        let (injected, retx, fallback) = (log.injected.len(), of(Retransmit), of(BoundaryFallback));
+        let (injected, retx) = (log.injected.len(), of(Retransmit));
         let discard = of(DiscardCorrupt) + of(DiscardDuplicate) + of(DiscardStale);
         let restore = of(RestoreCheckpoint);
         let physics = if *whole { "conserved, finite" } else { "CORRUPTED" };
-        let actions = format!("{retx:>6} {discard:>8} {fallback:>7} {restore:>8}");
-        out!(t, "{label:<12} {injected:>8} {actions} {degraded:>8} {retx_bytes:>9}  {physics}");
+        out!(t, "{label:<12} {injected:>8} {retx:>6} {discard:>8} {restore:>8} {retx_bytes:>9}  {physics}");
         recovered += usize::from(*whole);
     }
     let log_of = |i: usize| runs[i].1.as_ref().map(|(log, ..)| log);
@@ -609,7 +609,7 @@ fn chaos() -> Outcome {
     let claims = vec![
         Compared::new("recovered runs / runs", f64::NAN, recovered as f64 / runs.len() as f64, "", 1.0..=1.0),
         Compared::at_least("fewest injections of one kind at rate 0.10", fewest as f64, "", 1.0),
-        Compared::at_least("checkpoint restores in the crash drill", restores as f64, "", 1.0),
+        Compared::at_least("checkpoint restores in the crash drill", restores as f64, "", 2.0),
     ];
     outcome(t, claims)
 }

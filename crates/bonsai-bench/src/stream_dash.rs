@@ -118,12 +118,11 @@ pub fn render_snapshot(
     {
         let holds = d.f64("holds") == Some(1.0);
         s.push_str(&format!(
-            "<p>Flows at step {}: sealed {} = delivered {} + fallback {} + dead {} \
+            "<p>Flows at step {}: sealed {} = delivered {} + dead {} \
              (pending {}) — conservation <span class=\"{}\">{}</span>.</p>\n",
             d.step,
             d.f64("sealed").unwrap_or(0.0) as u64,
             d.f64("delivered").unwrap_or(0.0) as u64,
-            d.f64("fallback").unwrap_or(0.0) as u64,
             d.f64("dead").unwrap_or(0.0) as u64,
             d.f64("pending").unwrap_or(0.0) as u64,
             if holds { "ok" } else { "bad" },

@@ -8,8 +8,8 @@
 //! member drains its endpoint and validates each frame (envelope, epoch,
 //! kind, sender, duplicate, semantic `parse`), and whatever is still missing
 //! is re-requested a bounded number of times. What a caller does about a
-//! peer that stays silent — degrade, or declare it dead — is its own
-//! business; [`exchange`] only reports the pairs.
+//! peer that stays silent (the cluster declares it dead and rolls back) is
+//! its own business; [`exchange`] only reports the pairs.
 //!
 //! Both sides are sparse. The sender side is an [`Outbox`] per rank: one
 //! payload for everybody, or a short list of `(to, payload)`. The receiver

@@ -9,8 +9,8 @@
 //! deserialized into garbage, and stale-epoch duplicates can be discarded by
 //! comparing [`Envelope::epoch`] against the current step. This is the
 //! detection half of the fault-tolerance story; recovery (retransmission,
-//! boundary-tree fallback, checkpoint restore) is driven by the cluster on
-//! top of these errors. The flow id ties every frame — original or
+//! and a checkpoint rollback once a peer stays silent through the retry
+//! budget) is driven by the cluster on top of these errors. The flow id ties every frame — original or
 //! retransmission — back to one logical message in the
 //! [`FlowLedger`](crate::flow::FlowLedger), which is what makes per-message
 //! causal tracing possible.

@@ -20,11 +20,12 @@
 //!
 //! Injection lives here; *detection* is envelope validation on the receive
 //! side ([`collective::exchange`](crate::collective::exchange)), and
-//! *recovery* (retransmit with bounded attempts, boundary-tree fallback for
-//! lost LETs, checkpoint restore for crashed ranks) is driven by
-//! `bonsai-sim`'s cluster. Both halves append to the wire's [`FaultLog`] so a
-//! run can be audited: every injected fault is either recovered or explicitly
-//! surfaced.
+//! *recovery* is driven by `bonsai-sim`'s cluster: a lost or invalid frame
+//! is retransmitted within one bounded budget, and a peer silent through
+//! that budget (crashed, stalled, or with every copy of one frame lost) is
+//! declared dead and the cluster rolls back to its last checkpoint. Both
+//! halves append to the wire's [`FaultLog`] so a run can be audited: every
+//! injected fault is either recovered or explicitly surfaced.
 
 use crate::envelope::{kind_code, seal_flow, ENVELOPE_HEADER_LEN};
 use crate::fabric::{Endpoint, Fabric, Message, MsgKind};
@@ -309,10 +310,6 @@ pub enum RecoveryAction {
     DiscardDuplicate,
     /// A frame from a previous epoch arrived late and was discarded.
     DiscardStale,
-    /// A dedicated LET never arrived; the receiver fell back to walking
-    /// the sender's boundary tree, validated in the allgather (graceful
-    /// degradation).
-    BoundaryFallback,
     /// A rank missed every heartbeat and retry window and was declared
     /// dead.
     DeclareDead,
@@ -331,7 +328,6 @@ impl std::fmt::Display for RecoveryAction {
             RecoveryAction::DiscardCorrupt => "discard-corrupt",
             RecoveryAction::DiscardDuplicate => "discard-duplicate",
             RecoveryAction::DiscardStale => "discard-stale",
-            RecoveryAction::BoundaryFallback => "boundary-fallback",
             RecoveryAction::DeclareDead => "declare-dead",
             RecoveryAction::RestoreCheckpoint => "restore-checkpoint",
             RecoveryAction::ViewChange => "view-change",

@@ -3,7 +3,7 @@
 //! Every logical message sealed on the fabric — original transmission plus
 //! all its retransmissions — is one **flow**. The ledger records the full
 //! lifecycle: seal → inject(drop/dup/corrupt/…) → retransmit → deliver |
-//! fallback | dead, keyed by a dense flow id that also rides inside the
+//! dead, keyed by a dense flow id that also rides inside the
 //! [envelope](crate::envelope) so the receive side can close the loop
 //! exactly. The ledger is a plain value owned by the
 //! [`Wire`](crate::fault::Wire): all mutations happen on the simulation
@@ -16,8 +16,8 @@
 //! [`FlowLedger::seal`] asserts that epochs arrive in non-decreasing order.
 //! One epoch's records are therefore a contiguous run that
 //! [`FlowLedger::for_epoch`] finds by binary search, and everything a step
-//! does with the ledger — retransmission matching, fallback and dead
-//! sweeps, the observability pass — touches that run only, never the
+//! does with the ledger — retransmission matching, the dead sweep, the
+//! observability pass — touches that run only, never the
 //! history before it.
 //!
 //! The ledger is also **bounded**: [`FlowLedger::retain_epochs`] drops whole
@@ -26,8 +26,8 @@
 //! [`FlowLedger::conservation`] still answers for the whole run.
 //!
 //! The conservation invariant the chaos suites assert: at any epoch
-//! boundary, every sealed flow is **exactly one** of delivered /
-//! recovered-by-fallback / dead-by-crash (no flow left `Pending`).
+//! boundary, every sealed flow is **exactly one** of delivered or dead (its
+//! epoch abandoned by a rollback), with no flow left `Pending`.
 
 use crate::fabric::MsgKind;
 use crate::fault::FaultKind;
@@ -43,21 +43,17 @@ pub enum FlowOutcome {
         /// Attempt number of the frame that got through (0 = original).
         attempt: u32,
     },
-    /// Never delivered; the receiver recovered through a fabric fallback
-    /// (e.g. boundary-tree LET substitution).
-    Fallback,
-    /// Never delivered and no fallback: the epoch was abandoned (crash,
-    /// rollback, or a peer declared dead).
+    /// Never delivered: the epoch was abandoned (a peer silent through the
+    /// retry budget, declared dead, and the cluster rolled back).
     Dead,
 }
 
 impl FlowOutcome {
-    /// Stable lower-case label (`pending`/`delivered`/`fallback`/`dead`).
+    /// Stable lower-case label (`pending`/`delivered`/`dead`).
     pub fn label(&self) -> &'static str {
         match self {
             Self::Pending => "pending",
             Self::Delivered { .. } => "delivered",
-            Self::Fallback => "fallback",
             Self::Dead => "dead",
         }
     }
@@ -118,11 +114,6 @@ impl FlowRecord {
         self.injected.as_deref().map_or(&[], Vec::as_slice)
     }
 
-    /// Record a fault injected at transmission `attempt`.
-    pub fn push_injected(&mut self, attempt: u32, fault: FaultKind) {
-        self.injected.get_or_insert_default().push((attempt, fault));
-    }
-
     /// Forget every injection.
     pub fn clear_injected(&mut self) {
         self.injected = None;
@@ -154,8 +145,6 @@ pub struct FlowConservation {
     pub sealed: u64,
     /// Flows delivered.
     pub delivered: u64,
-    /// Flows resolved by a fabric fallback.
-    pub fallback: u64,
     /// Flows dead by crash/abort.
     pub dead: u64,
     /// Flows still pending (must be 0 at epoch boundaries).
@@ -165,7 +154,7 @@ pub struct FlowConservation {
 impl FlowConservation {
     /// True iff every sealed flow has exactly one terminal outcome.
     pub fn holds(&self) -> bool {
-        self.pending == 0 && self.sealed == self.delivered + self.fallback + self.dead
+        self.pending == 0 && self.sealed == self.delivered + self.dead
     }
 
     /// Count `records` in.
@@ -175,7 +164,6 @@ impl FlowConservation {
             match r.outcome {
                 FlowOutcome::Pending => self.pending += 1,
                 FlowOutcome::Delivered { .. } => self.delivered += 1,
-                FlowOutcome::Fallback => self.fallback += 1,
                 FlowOutcome::Dead => self.dead += 1,
             }
         }
@@ -296,7 +284,7 @@ impl FlowLedger {
     /// Record a fault injected on `flow` at transmission `attempt`.
     pub fn inject(&mut self, flow: u64, attempt: u32, fault: FaultKind) {
         if let Some(r) = self.get_mut(flow) {
-            r.push_injected(attempt, fault);
+            r.injected.get_or_insert_default().push((attempt, fault));
         }
     }
 
@@ -306,17 +294,6 @@ impl FlowLedger {
         if let Some(r) = self.get_mut(flow) {
             if r.outcome == FlowOutcome::Pending {
                 r.outcome = FlowOutcome::Delivered { attempt };
-            }
-        }
-    }
-
-    /// Mark every still-pending flow on `(epoch, from → to, kind)` as
-    /// recovered-by-fallback (the receiver substituted local data).
-    pub fn fallback_pending(&mut self, epoch: u64, from: usize, to: usize, kind: MsgKind) {
-        let range = self.epoch_range(epoch);
-        for r in &mut self.records[range] {
-            if r.from == from && r.to == to && r.kind == kind && r.outcome == FlowOutcome::Pending {
-                r.outcome = FlowOutcome::Fallback;
             }
         }
     }
@@ -397,19 +374,21 @@ mod tests {
     }
 
     #[test]
-    fn fallback_and_dead_close_the_books() {
+    fn an_abandoned_epoch_closes_the_books_dead() {
         let mut l = FlowLedger::new();
         let stalled = l.seal(7, 1, 2, MsgKind::Let, 500);
         l.inject(stalled, 0, FaultKind::Stall);
-        let doomed = l.seal(7, 3, 2, MsgKind::Control, 8);
-        l.fallback_pending(7, 1, 2, MsgKind::Let);
+        let delivered = l.seal(7, 3, 2, MsgKind::Control, 8);
+        l.deliver(delivered, 0);
+        l.seal(7, 3, 1, MsgKind::Control, 8);
+        assert!(!l.conservation().holds());
         l.close_epoch_dead(7);
-        assert_eq!(l.records()[0].outcome, FlowOutcome::Fallback);
-        assert_eq!(l.records()[1].outcome, FlowOutcome::Dead);
-        let _ = doomed;
+        let outcomes: Vec<_> = l.records().iter().map(|r| r.outcome).collect();
+        let dead = FlowOutcome::Dead;
+        assert_eq!(outcomes, [dead, FlowOutcome::Delivered { attempt: 0 }, dead]);
         let c = l.conservation();
         assert!(c.holds());
-        assert_eq!((c.delivered, c.fallback, c.dead), (0, 1, 1));
+        assert_eq!((c.delivered, c.dead), (1, 2));
     }
 
     #[test]
@@ -433,9 +412,8 @@ mod tests {
         let mut l = FlowLedger::new();
         let old = l.seal(3, 0, 1, MsgKind::Let, 100);
         let cur = l.seal(5, 0, 1, MsgKind::Let, 100);
-        l.fallback_pending(5, 0, 1, MsgKind::Let);
+        l.deliver(cur, 0);
         assert_eq!(l.records()[0].outcome, FlowOutcome::Pending);
-        assert_eq!(l.records()[1].outcome, FlowOutcome::Fallback);
         // A retransmission at epoch 5 finds nothing open there and seals
         // afresh rather than re-opening epoch 3's flow.
         let re = l.retransmit_latest(5, 0, 1, MsgKind::Let, 100);
@@ -470,14 +448,14 @@ mod tests {
         assert!(l.is_empty());
     }
 
-    /// Epochs 2, 4, 4, 7: one delivered and one fallback flow evicted with
-    /// epoch 2..4, the rest held.
+    /// Epochs 2, 3, 4, 4, 7: one delivered and one dead flow evicted with
+    /// epochs 2..4, the rest held.
     fn evicted_at_epoch_4() -> FlowLedger {
         let mut l = FlowLedger::new();
         let a = l.seal(2, 0, 1, MsgKind::Control, 8);
         l.deliver(a, 0);
         l.seal(3, 1, 0, MsgKind::Let, 50);
-        l.fallback_pending(3, 1, 0, MsgKind::Let);
+        l.close_epoch_dead(3);
         l.seal(4, 0, 1, MsgKind::Let, 100);
         l.seal(4, 1, 0, MsgKind::Let, 200);
         l.seal(7, 0, 1, MsgKind::Control, 8);
@@ -507,19 +485,19 @@ mod tests {
     #[test]
     fn sweeps_work_on_held_epochs_after_an_eviction() {
         let mut l = evicted_at_epoch_4();
-        // Epoch 4: deliver one after a retransmission, fall back the other.
+        // Epoch 4: deliver one after a retransmission, leave the other
+        // pending.
         let re = l.retransmit_latest(4, 0, 1, MsgKind::Let, 100);
         assert_eq!(re, 3);
         l.inject(re, 0, FaultKind::Drop);
         l.deliver(re, 1);
-        l.fallback_pending(4, 1, 0, MsgKind::Let);
         l.close_epoch_dead(7);
         let held: Vec<_> = l.records().iter().map(|r| (r.id, r.attempts, r.outcome)).collect();
         assert_eq!(
             held,
             [
                 (3, 2, FlowOutcome::Delivered { attempt: 1 }),
-                (4, 1, FlowOutcome::Fallback),
+                (4, 1, FlowOutcome::Pending),
                 (5, 1, FlowOutcome::Dead),
             ]
         );
@@ -536,15 +514,15 @@ mod tests {
         let mut l = evicted_at_epoch_4();
         let c = l.conservation();
         assert_eq!(
-            (c.sealed, c.delivered, c.fallback, c.dead, c.pending),
-            (5, 1, 1, 0, 3)
+            (c.sealed, c.delivered, c.dead, c.pending),
+            (5, 1, 1, 3)
         );
         l.close_epoch_dead(4);
         l.close_epoch_dead(7);
         l.retain_epochs(8);
         assert!(l.is_empty());
         let c = l.conservation();
-        assert_eq!((c.sealed, c.delivered, c.fallback, c.dead), (5, 1, 1, 3));
+        assert_eq!((c.sealed, c.delivered, c.dead), (5, 1, 4));
         assert!(c.holds());
     }
 
@@ -562,7 +540,7 @@ mod tests {
         l.retransmit_latest(3, 2, 1, MsgKind::Control, 16);
         l.inject(hit, 1, FaultKind::Stall);
         l.deliver(clean, 0);
-        l.fallback_pending(3, 2, 1, MsgKind::Control);
+        l.close_epoch_dead(3);
         assert_eq!(
             format!("{:?}", l.records()[0]),
             "FlowRecord { id: 1, epoch: 3, from: 0, to: 1, kind: Let, bytes: 100, attempts: 1, \
@@ -571,7 +549,7 @@ mod tests {
         assert_eq!(
             format!("{:?}", l.records()[1]),
             "FlowRecord { id: 2, epoch: 3, from: 2, to: 1, kind: Control, bytes: 16, attempts: 2, \
-             injected: [(0, Drop), (1, Stall)], outcome: Fallback }"
+             injected: [(0, Drop), (1, Stall)], outcome: Dead }"
         );
     }
 
@@ -592,7 +570,6 @@ mod tests {
     fn outcome_labels_are_stable() {
         assert_eq!(FlowOutcome::Pending.label(), "pending");
         assert_eq!(FlowOutcome::Delivered { attempt: 2 }.label(), "delivered");
-        assert_eq!(FlowOutcome::Fallback.label(), "fallback");
         assert_eq!(FlowOutcome::Dead.label(), "dead");
     }
 }

@@ -28,7 +28,7 @@
 //!   plain value with one owner — no lock, no shared handle;
 //! * [`flow`] — the per-message flow ledger ([`FlowLedger`], owned by the
 //!   wire): every sealed envelope is one flow whose lifecycle (seal → inject
-//!   → retransmit → deliver | fallback | dead) is recorded deterministically,
+//!   → retransmit → deliver | dead) is recorded deterministically,
 //!   with a conservation invariant the chaos suites assert;
 //! * [`membership`] — coordinator-free epoch-based rank membership: views
 //!   as sorted stable node-id sets, join/leave/death proposals gossiped

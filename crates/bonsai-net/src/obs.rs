@@ -5,18 +5,18 @@
 //! the flow analysis joins ledger records with the trace.
 //!
 //! **Wait attribution.** The ledger knows *what happened to every sealed
-//! envelope* — delivered on attempt k, recovered by fallback, killed by a
-//! crash — and the trace knows *where the time went*, including each flow's
+//! envelope* — delivered on attempt k, or dead with an epoch a rollback
+//! abandoned — and the trace knows *where the time went*, including each flow's
 //! modeled send and resolve instants (its `Start` / `Finish` flow points).
 //! [`classify`] reduces a causal flow set to a [`WaitCause`] by severity
-//! (fallback > stall > retransmission > late-sender); [`exposed_comm`]
+//! (retransmission > late-sender); [`exposed_comm`]
 //! finds COMM time no GPU span hides and attributes it to the flows whose
 //! modeled lifetime overlaps it; [`link_ledger`] reduces flows to per-link
 //! reliability and delivery-latency statistics.
 
 use crate::cost::NetworkModel;
 use crate::fabric::MsgKind;
-use crate::fault::{FaultEvent, FaultKind, RecoveryAction, RecoveryEvent};
+use crate::fault::{FaultEvent, RecoveryAction, RecoveryEvent};
 use crate::flow::{FlowOutcome, FlowRecord};
 use bonsai_obs::{
     interval_union, ArgValue, FlowPhase, Lane, MetricsRegistry, TraceStore, WaitCause,
@@ -62,19 +62,6 @@ impl<'a> FlowClock<'a> {
         }
     }
 
-    /// When `r` was resolved — delivery time, or for fallback flows the
-    /// moment the receiver gave up waiting (after every attempt's timeout).
-    pub fn resolve_at(&self, r: &FlowRecord, base_from: f64, base_to: f64) -> Option<f64> {
-        match r.outcome {
-            FlowOutcome::Delivered { .. } => self.deliver_at(r, base_from),
-            FlowOutcome::Fallback => Some(
-                base_from.max(base_to)
-                    + r.attempts as f64 * self.rto(r.bytes)
-                    + self.net.p2p_time(r.bytes as u64),
-            ),
-            _ => None,
-        }
-    }
 }
 
 /// One epoch's ledger records grouped by coordinate `(epoch, from, to,
@@ -170,7 +157,7 @@ pub fn record_fault_log(
     }
     // A flow-bound recovery belongs to the latest record on its coordinate.
     // The k-th Retransmit recovery there is the send of attempt k; other
-    // recoveries anchor at the flow's resolution.
+    // recoveries anchor at the flow's delivery.
     let mut retries = vec![0u32; flows.len()];
     for e in recoveries {
         let flow = e.peer.zip(e.kind).and_then(|(peer, kind)| {
@@ -185,7 +172,7 @@ pub fn record_fault_log(
                         clock.send_at(r, retries[i], at_for_rank(r.from))
                     }
                     _ => clock
-                        .resolve_at(r, at_for_rank(r.from), at_for_rank(r.to))
+                        .deliver_at(r, at_for_rank(r.from))
                         .unwrap_or_else(|| at_for_rank(e.rank)),
                 }
             }
@@ -243,25 +230,13 @@ impl NetworkModel {
 
 /// Classify a causal flow set into the dominant [`WaitCause`].
 ///
-/// Priority: fallback > stall > retransmission > late-sender. An empty set
-/// means the interval had no identifiable flow — [`WaitCause::Unattributed`].
+/// Priority: retransmission > late-sender. An empty set means the interval
+/// had no identifiable flow — [`WaitCause::Unattributed`].
 pub fn classify<'a>(flows: impl IntoIterator<Item = &'a FlowRecord>) -> WaitCause {
-    flows
-        .into_iter()
-        .map(|f| {
-            if f.outcome == FlowOutcome::Fallback {
-                WaitCause::Fallback
-            } else if f.injected().iter().any(|&(_, fault)| fault == FaultKind::Stall) {
-                WaitCause::Stall
-            } else if f.attempts > 1 {
-                WaitCause::Retransmission
-            } else {
-                WaitCause::LateSender
-            }
-        })
-        // WaitCause derives Ord in severity order (Fallback first).
-        .min()
-        .unwrap_or(WaitCause::Unattributed)
+    let retried = |f: &FlowRecord| f.attempts > 1;
+    let cause = |f| if retried(f) { WaitCause::Retransmission } else { WaitCause::LateSender };
+    // WaitCause derives Ord in severity order (Retransmission first).
+    flows.into_iter().map(cause).min().unwrap_or(WaitCause::Unattributed)
 }
 
 /// A flow's modeled instants as the trace drew them.
@@ -269,8 +244,8 @@ pub fn classify<'a>(flows: impl IntoIterator<Item = &'a FlowRecord>) -> WaitCaus
 pub struct FlowTimes {
     /// When the first attempt left the sender (its `Start` point).
     pub send_at: f64,
-    /// When the flow resolved, delivered or fallen back (its `Finish`
-    /// point); `None` while pending or dead.
+    /// When the flow was delivered (its `Finish` point); `None` while
+    /// pending or dead.
     pub resolve_at: Option<f64>,
 }
 
@@ -310,8 +285,6 @@ pub struct LinkStats {
     pub retransmits: u64,
     /// Flows that delivered.
     pub delivered: usize,
-    /// Flows recovered by fallback.
-    pub fallback: usize,
     /// Flows killed by a crash.
     pub dead: usize,
     /// Median modeled delivery latency (delivered flows; 0 if none).
@@ -319,7 +292,7 @@ pub struct LinkStats {
     /// 90th-percentile modeled delivery latency.
     pub latency_p90: f64,
     /// 99th-percentile modeled delivery latency — the tail a few
-    /// retransmitted or stalled flows drag out while p50/p90 look clean.
+    /// retransmitted flows drag out while p50/p90 look clean.
     pub latency_p99: f64,
     /// Worst modeled delivery latency.
     pub latency_max: f64,
@@ -376,7 +349,6 @@ pub fn link_ledger(flows: &[FlowRecord], times: &BTreeMap<u64, FlowTimes>) -> Ve
                 attempts: fs.iter().map(|f| f.attempts as u64).sum(),
                 retransmits: fs.iter().map(|f| f.attempts.saturating_sub(1) as u64).sum(),
                 delivered: count(|o| matches!(o, FlowOutcome::Delivered { .. })),
-                fallback: count(|o| *o == FlowOutcome::Fallback),
                 dead: count(|o| *o == FlowOutcome::Dead),
                 latency_p50: percentile(&lat, 0.5),
                 latency_p90: percentile(&lat, 0.9),
@@ -499,7 +471,7 @@ pub fn exposed_comm(store: &TraceStore, step: u64, flows: &[FlowRecord]) -> Vec<
 mod tests {
     use super::*;
     use crate::flow::FlowLedger;
-    use crate::fault::FaultLog;
+    use crate::fault::{FaultKind, FaultLog};
     use crate::machine::PIZ_DAINT;
 
     /// A step-1 flow `from → to` with `attempts` sends and `outcome`.
@@ -525,15 +497,11 @@ mod tests {
     fn classify_takes_the_most_severe_cause() {
         let clean = flow(1, 0, 1, 1, DELIVERED);
         let retx = flow(2, 0, 1, 3, DELIVERED);
-        let mut stalled = flow(3, 0, 1, 2, DELIVERED);
-        stalled.push_injected(0, FaultKind::Stall);
-        let fell = flow(4, 0, 1, 4, FlowOutcome::Fallback);
 
         assert_eq!(classify([]), WaitCause::Unattributed);
         assert_eq!(classify([&clean]), WaitCause::LateSender);
         assert_eq!(classify([&clean, &retx]), WaitCause::Retransmission);
-        assert_eq!(classify([&clean, &retx, &stalled]), WaitCause::Stall);
-        assert_eq!(classify([&clean, &retx, &stalled, &fell]), WaitCause::Fallback);
+        assert_eq!(classify([&retx, &clean]), WaitCause::Retransmission);
     }
 
     #[test]
@@ -577,13 +545,13 @@ mod tests {
         let flows = vec![
             flow(1, 0, 1, 1, DELIVERED),
             flow(2, 0, 1, 3, DELIVERED),
-            flow(3, 1, 0, 1, FlowOutcome::Fallback),
+            flow(3, 1, 0, 1, FlowOutcome::Dead),
             flow(4, 0, 1, 2, FlowOutcome::Dead),
         ];
         let mut t = TraceStore::new();
         for f in &flows {
-            let resolved = matches!(f.outcome, FlowOutcome::Delivered { .. } | FlowOutcome::Fallback);
-            draw(&mut t, f, 0.1, resolved.then(|| 0.1 + 0.05 * f.attempts as f64));
+            let delivered = matches!(f.outcome, FlowOutcome::Delivered { .. });
+            draw(&mut t, f, 0.1, delivered.then(|| 0.1 + 0.05 * f.attempts as f64));
         }
         let links = link_ledger(&flows, &flow_times(&t, 1));
         assert_eq!(links.len(), 2);
@@ -604,8 +572,8 @@ mod tests {
         assert!((l01.latency_max - 0.15).abs() < 1e-12);
         let l10 = &links[1];
         assert_eq!((l10.from, l10.to), (1, 0));
-        assert_eq!(l10.fallback, 1);
-        assert_eq!(l10.latency_max, 0.0); // fallback has no delivery latency
+        assert_eq!((l10.delivered, l10.dead), (0, 1));
+        assert_eq!(l10.latency_max, 0.0); // a dead flow has no delivery latency
     }
 
     #[test]
@@ -653,7 +621,7 @@ mod tests {
         assert_eq!(r1.cause, WaitCause::Unattributed);
         assert!(r1.flows.is_empty());
         // A flow the trace never drew is never causal.
-        let undrawn = vec![flow(8, 1, 0, 3, FlowOutcome::Fallback)];
+        let undrawn = vec![flow(8, 1, 0, 3, FlowOutcome::Dead)];
         assert!(exposed_comm(&t, 1, &undrawn).iter().all(|x| x.flows.is_empty()));
     }
 
@@ -675,7 +643,7 @@ mod tests {
                 from: 0,
                 to: 1,
                 kind: MsgKind::Let,
-                fault: FaultKind::Drop,
+                fault: FaultKind::Corrupt,
                 attempt: 0,
             }],
             recoveries: vec![RecoveryEvent {
@@ -683,8 +651,8 @@ mod tests {
                 rank: 1,
                 peer: Some(0),
                 kind: Some(MsgKind::Let),
-                action: RecoveryAction::BoundaryFallback,
-                detail: "dedicated LET lost".to_string(),
+                action: RecoveryAction::DiscardCorrupt,
+                detail: "checksum mismatch".to_string(),
             }],
         }
     }
@@ -692,9 +660,9 @@ mod tests {
     fn sample_ledger() -> FlowLedger {
         let mut l = FlowLedger::new();
         let id = l.seal(3, 0, 1, MsgKind::Let, 2048);
-        l.inject(id, 0, FaultKind::Drop);
+        l.inject(id, 0, FaultKind::Corrupt);
         l.retransmit_latest(3, 0, 1, MsgKind::Let, 2048);
-        l.fallback_pending(3, 0, 1, MsgKind::Let);
+        l.deliver(id, 1);
         l
     }
 
@@ -716,7 +684,7 @@ mod tests {
         let inj = &store.instants()[0];
         assert_eq!(inj.rank, 1);
         assert_eq!(inj.lane, Lane::Comm);
-        assert_eq!(inj.name, "inject:drop");
+        assert_eq!(inj.name, "inject:corrupt");
         // Attempt 0 leaves right at the sender's window start.
         assert_eq!(inj.at, 1.5);
         assert!(
@@ -726,10 +694,10 @@ mod tests {
             "injection carries its flow id"
         );
         let rec = &store.instants()[1];
-        assert_eq!(rec.name, "recover:boundary-fallback");
+        assert_eq!(rec.name, "recover:discard-corrupt");
         assert!(
             rec.at > inj.at,
-            "fallback resolves after the faulted send: {} vs {}",
+            "the discard anchors at the delivery, after the faulted send: {} vs {}",
             rec.at,
             inj.at
         );

@@ -121,9 +121,7 @@ fn scanned_fault_log(
                     *k += 1;
                     clock.send_at(r, *k, at_for_rank(r.from))
                 }
-                _ => clock
-                    .resolve_at(r, at_for_rank(r.from), at_for_rank(r.to))
-                    .unwrap_or_else(|| at_for_rank(e.rank)),
+                _ => clock.deliver_at(r, at_for_rank(r.from)).unwrap_or_else(|| at_for_rank(e.rank)),
             },
             None => at_for_rank(e.rank),
         };
@@ -273,7 +271,7 @@ proptest! {
         ),
     ) {
         // Drive the ledger and log the way the cluster does: any mix of
-        // seal / retransmit / inject / deliver / fallback / close, the
+        // seal / retransmit / inject / deliver / discard / close, the
         // epoch only ever moving forward (sometimes skipping a number).
         let mut flows = FlowLedger::new();
         let mut log = FaultLog::default();
@@ -319,10 +317,8 @@ proptest! {
                     }
                 }
                 5 => flows.deliver(1 + pick % (flows.len() as u64 + 1), (pick >> 8) as u32 % 3),
-                6 => {
-                    flows.fallback_pending(epoch, from, to, kind);
-                    log.record_recovery(recovery(RecoveryAction::BoundaryFallback));
-                }
+                // A discarded frame, anchored at its flow's delivery.
+                6 => log.record_recovery(recovery(RecoveryAction::DiscardCorrupt)),
                 _ => flows.close_epoch_dead(epoch - pick % 2),
             }
         }
@@ -408,10 +404,7 @@ proptest! {
                 // A fault the ledger never saw: it anchors at the receiver.
                 4 => log.record_fault(FaultEvent { epoch, from, to, kind, fault: FaultKind::Delay, attempt: 0 }),
                 5 => flows.deliver(1 + pick % (flows.len() as u64 + 1), (pick >> 8) as u32 % 3),
-                _ => {
-                    flows.fallback_pending(epoch, from, to, kind);
-                    log.record_recovery(recovery(RecoveryAction::BoundaryFallback));
-                }
+                _ => log.record_recovery(recovery(RecoveryAction::DiscardDuplicate)),
             }
         }
 

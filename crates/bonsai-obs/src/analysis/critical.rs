@@ -38,7 +38,7 @@ pub struct PathNode {
     pub wait: bool,
     /// Causal attribution. Work nodes carry the empty string; wait nodes
     /// carry the wait-attribution taxonomy label (`"late-sender"`,
-    /// `"retransmission"`, `"stall"`, `"fallback"`) harvested from the
+    /// `"retransmission"`) harvested from the
     /// `cause` arg of the producer's overlapping explicit `"wait"` span,
     /// or [`UNATTRIBUTED`] when no recorded barrier explains the gap.
     pub cause: String,

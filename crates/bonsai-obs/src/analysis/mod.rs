@@ -16,7 +16,7 @@
 //! * [`efficiency`] — weak- and strong-scaling parallel efficiency from a
 //!   series of measured step wall-times.
 //! * [`waits`] — the causal taxonomy a wait is charged to (late sender,
-//!   retransmission, stall, fabric fallback). The flow analysis that
+//!   retransmission). The flow analysis that
 //!   classifies into it reads the flow ledger, so it lives beside the
 //!   ledger, in `bonsai-net::obs`.
 

@@ -8,8 +8,8 @@
 //! | [`migrate`](Cluster::migrate) | Domain update | §III-B1: particle exchange; the stayers keep their keys, received migrants are keyed | `Particles`, every pair, possibly empty |
 //! | [`build`](Cluster::build) | Sorting, Tree-construction, Tree-properties | §III-A: sorts the carried keys | — |
 //! | [`boundaries`](Cluster::boundaries) | Domain update | §III-B2: boundary trees, allgatherv | `Boundary` broadcast; every receiver validates its copy and drops it |
-//! | [`lets`](Cluster::lets) | (Non-hidden) LET comm | §III-B2: sufficiency check — a pure function of two boundary trees every rank holds bit-identically, decided once per ordered pair — and dedicated LETs for near neighbours | `Let`, sparse; a lost one degrades to the boundary tree |
-//! | [`walk`](Cluster::walk) | Gravity local, Gravity LETs | §III-A, §III-B2: one walk per rank over the local tree and, per peer, its dedicated LET, else the sender's own boundary tree | — |
+//! | [`lets`](Cluster::lets) | (Non-hidden) LET comm | §III-B2: sufficiency check — a pure function of two boundary trees every rank holds bit-identically, decided once per ordered pair — and dedicated LETs for near neighbours | `Let`, sparse |
+//! | [`walk`](Cluster::walk) | Gravity local, Gravity LETs | §III-A, §III-B2: one walk per rank over the local tree and, per peer, its dedicated LET, else (the boundary sufficed) the sender's own boundary tree | — |
 //! | [`store`](Cluster::store) | Unbalance + other | §III-B1: flop weights for the next step's sampling | — |
 //!
 //! A particle's key is computed once an epoch, where the domains are
@@ -18,11 +18,12 @@
 //! rank.
 //!
 //! Every exchange is one call of [`bonsai_net::collective::exchange`] through
-//! [`Cluster::exchange`]. A phase whose exchange must complete returns
-//! `Err(rank)` for a peer silent through every retry; the driver hands that
-//! to recovery in one place.
+//! [`Cluster::exchange`], under the one retry budget, and must complete: a
+//! phase returns `Err(rank)` for a peer silent through every retry (a
+//! missing dedicated LET included), and the driver hands that to recovery
+//! in one place.
 
-use super::{Cluster, StepMeasurements, MAX_RETRIES_HARD, MAX_RETRIES_LET};
+use super::{Cluster, StepMeasurements, MAX_RETRIES};
 use crate::breakdown::StepBreakdown;
 use bonsai_domain::exchange::{particles_from_bytes, particles_to_bytes, ExchangePlan};
 use bonsai_domain::letbuild::{boundary_sufficient_for, build_let};
@@ -30,7 +31,6 @@ use bonsai_domain::load::enforce_particle_cap;
 use bonsai_domain::sampling::parallel_cuts;
 use bonsai_domain::{boundary_tree, LetTree};
 use bonsai_net::collective::{self, received_from, Exchanged, Expect, Lanes, Outbox, Reject, Round};
-use bonsai_net::fault::{RecoveryAction, RecoveryEvent};
 use bonsai_net::MsgKind;
 use bonsai_sfc::KeyMap;
 use bonsai_tree::build::Tree;
@@ -56,7 +56,6 @@ struct RankForces {
     forces: Forces,
     local: InteractionCounts,
     lets: InteractionCounts,
-    forced: u64,
 }
 
 impl Cluster {
@@ -87,7 +86,7 @@ impl Cluster {
         };
         let trees = self.build(&keymap, keys);
         let boundaries = self.boundaries(&trees, &mut meas)?;
-        let lets = self.lets(&trees, &boundaries, &mut meas);
+        let lets = self.lets(&trees, &boundaries, &mut meas)?;
         let forces = self.walk(&trees, &boundaries, &lets);
         Ok(self.store(trees, forces, meas))
     }
@@ -98,7 +97,6 @@ impl Cluster {
     pub(super) fn exchange<T: Send>(
         &mut self,
         kind: MsgKind,
-        max_retries: u32,
         outbox: &[Outbox],
         expect: Expect<'_>,
         parse: impl Fn(&[u8]) -> Result<T, String> + Sync,
@@ -108,7 +106,7 @@ impl Cluster {
         let round = Round {
             kind,
             epoch: self.epoch,
-            max_retries,
+            max_retries: MAX_RETRIES,
             stale_frame: "frame",
             during: &during,
             stranger: "unexpected sender",
@@ -134,8 +132,7 @@ impl Cluster {
                 }
             })
             .collect();
-        let got =
-            self.exchange(MsgKind::Control, MAX_RETRIES_HARD, &outbox, Expect::AllPeers, aabb_from_bytes);
+        let got = self.exchange(MsgKind::Control, &outbox, Expect::AllPeers, aabb_from_bytes);
         meas.retransmit_bytes += got.retransmit_bytes;
         let received = got.complete()?;
         // Every rank derives the same global box; use rank 0's view.
@@ -213,13 +210,7 @@ impl Cluster {
             })
             .collect();
         meas.exchange_bytes = exchange_bytes;
-        let got = self.exchange(
-            MsgKind::Particles,
-            MAX_RETRIES_HARD,
-            &outbox,
-            Expect::AllPeers,
-            particles_from_bytes,
-        );
+        let got = self.exchange(MsgKind::Particles, &outbox, Expect::AllPeers, particles_from_bytes);
         meas.retransmit_bytes += got.retransmit_bytes;
         let received = got.complete()?;
         // In the order `absorb_migrants` appends the particles.
@@ -270,7 +261,7 @@ impl Cluster {
             .collect();
         meas.boundary_bytes = encoded.iter().map(Bytes::len).collect();
         let outbox: Vec<Outbox> = encoded.into_iter().map(Outbox::Broadcast).collect();
-        let got = self.exchange(MsgKind::Boundary, MAX_RETRIES_HARD, &outbox, Expect::AllPeers, |b| {
+        let got = self.exchange(MsgKind::Boundary, &outbox, Expect::AllPeers, |b| {
             parse_let_tree(b, "boundary").map(drop)
         });
         meas.retransmit_bytes += got.retransmit_bytes;
@@ -282,13 +273,15 @@ impl Cluster {
     /// j a LET is a pure function of two trees every rank holds
     /// bit-identically, decided once per ordered pair: the outboxes and the
     /// expect lists are the same pairs, so no message says which LETs are
-    /// in flight. Returns the LETs each rank received, ascending by sender.
+    /// in flight. Returns the LETs each rank received, ascending by sender,
+    /// or `Err(sender)` for a sender whose LET stayed missing through the
+    /// retry budget: the same event as a peer silent on the heartbeat.
     fn lets(
         &mut self,
         trees: &[Tree],
         boundaries: &[LetTree],
         meas: &mut StepMeasurements,
-    ) -> Vec<Vec<(usize, LetTree)>> {
+    ) -> Result<Vec<Vec<(usize, LetTree)>>, usize> {
         let theta = self.cfg.theta;
         // Each rank's frontier geometry, once: what its senders build for.
         let geoms: Vec<Vec<Aabb>> = boundaries.par_iter().map(LetTree::frontier_boxes).collect();
@@ -316,33 +309,19 @@ impl Cluster {
             }
         }
         let outbox: Vec<Outbox> = encoded.into_iter().map(Outbox::To).collect();
-        let got = self.exchange(MsgKind::Let, MAX_RETRIES_LET, &outbox, Expect::From(&expected), |b| {
+        let got = self.exchange(MsgKind::Let, &outbox, Expect::From(&expected), |b| {
             parse_let_tree(b, "LET")
         });
         meas.retransmit_bytes += got.retransmit_bytes;
-        // A LET that never made it is not fatal: the receiver walks the
-        // sender's boundary tree, whose frame it validated in the allgather.
-        // Coarser MAC acceptance shows up as forced cuts, which the step
-        // counts. The flow resolves as recovered-by-fallback, not dead.
-        for &(j, i) in &got.missing {
-            self.wire.flows.fallback_pending(self.epoch, i, j, MsgKind::Let);
-            self.wire.log.record_recovery(RecoveryEvent {
-                epoch: self.epoch,
-                rank: j,
-                peer: Some(i),
-                kind: Some(MsgKind::Let),
-                action: RecoveryAction::BoundaryFallback,
-                detail: "dedicated LET lost; walking held boundary tree".to_string(),
-            });
-            meas.degraded_lets += 1;
-        }
-        got.received
+        got.complete()
     }
 
     /// Force walks, one [`walk::walk_sources`] call per rank over its
     /// sources in order: the local tree, then each peer with a non-empty
-    /// boundary in sender order — its dedicated LET if one arrived, else its
-    /// boundary.
+    /// boundary in sender order — its dedicated LET if it owed one, else
+    /// its boundary, which sufficed. No walk opens a `Cut` node: a boundary
+    /// is walked only where it sufficed, and a dedicated LET was built for
+    /// the receiver's frontier (checked in debug builds).
     fn walk(
         &self,
         trees: &[Tree],
@@ -364,11 +343,11 @@ impl Cluster {
                 let sources: Vec<TreeView> = std::iter::once(tree.view()).chain(remote).collect();
                 let (forces, stats) =
                     walk::walk_sources(&sources, &tree.particles.pos, &tree.groups, &params);
+                debug_assert!(stats.iter().all(|st| st.forced_cuts == 0), "rank {me} forced a cut");
                 RankForces {
                     forces,
                     local: stats[0].counts,
                     lets: stats[1..].iter().map(|st| st.counts).sum(),
-                    forced: stats.iter().map(|st| st.forced_cuts).sum(),
                 }
             })
             .collect()
@@ -390,7 +369,6 @@ impl Cluster {
         for (i, r) in results.iter().enumerate() {
             meas.counts_local[i] = r.local;
             meas.counts_lets[i] = r.lets;
-            meas.forced_cuts += r.forced;
             let flops = (r.local + r.lets).flops() as f64;
             self.weights[i] = flops / self.ranks[i].len().max(1) as f64;
         }

@@ -3,7 +3,7 @@
 //! rank set over the fabric.
 
 use super::observe::sorted_key_weights;
-use super::{Cluster, MAX_RETRIES_HARD};
+use super::Cluster;
 use bonsai_domain::exchange::{particles_from_bytes, particles_to_bytes, ExchangePlan};
 use bonsai_net::collective::{Expect, Outbox};
 use bonsai_net::membership::{self, MembershipEvent};
@@ -52,10 +52,13 @@ impl Cluster {
 
     /// Agree `events` through membership gossip and apply the resulting
     /// view change. A rank that dies before or during the gossip is
-    /// recovered first (checkpoint rollback, elastic or fixed, which leaves
-    /// forces for every particle) and the change retried against the
-    /// recovered cluster, or dropped when the recovery made it moot.
+    /// recovered first (checkpoint rollback, elastic or fixed, and forces
+    /// for the adopted state) and the change retried against the recovered
+    /// cluster, or dropped when the recovery made it moot. A rank silent
+    /// through the migration is recovered the same way, and the change is
+    /// not retried.
     fn change_view(&mut self, events: Vec<MembershipEvent>) {
+        let mut rollbacks = 0;
         loop {
             self.begin_epoch();
             // Crashes the plan schedules for this epoch fire during the
@@ -66,7 +69,7 @@ impl Cluster {
                 // A member is down: its particles are gone, so recover
                 // before changing the view — the change must not launder a
                 // particle loss.
-                self.restore_from_checkpoint(first);
+                self.recover(first, &mut rollbacks);
                 continue;
             }
             // Events the (possibly recovered) current view makes moot are
@@ -86,22 +89,30 @@ impl Cluster {
             }
             match self.gossip(0, evs) {
                 Ok(conv) => {
-                    self.apply_view_change(conv);
+                    if let Err(silent) = self.apply_view_change(conv) {
+                        self.recover(silent, &mut rollbacks);
+                    }
                     return;
                 }
-                Err(silent) => {
-                    // Gossip silence is a missed heartbeat: recover, retry.
-                    self.restore_from_checkpoint(silent);
-                }
+                // Gossip silence is a missed heartbeat: recover, retry.
+                Err(silent) => self.recover(silent, &mut rollbacks),
             }
+        }
+    }
+
+    /// Roll back for `silent` and give the adopted state its forces.
+    fn recover(&mut self, silent: usize, rollbacks: &mut u32) {
+        if !self.restore_from_checkpoint(silent, rollbacks) {
+            self.gravity_with_recovery(false);
         }
     }
 
     /// Apply an agreed view change: re-split the key space for the new
     /// world ([`bonsai_domain::replan`]), migrate particles between the
     /// old and new rank sets over the fabric, compact or extend per-rank
-    /// state, and re-evaluate forces on the new decomposition.
-    fn apply_view_change(&mut self, conv: membership::Convergence) {
+    /// state, and re-evaluate forces on the new decomposition. `Err(rank)`
+    /// for a rank silent through the migration.
+    fn apply_view_change(&mut self, conv: membership::Convergence) -> Result<(), usize> {
         let new_view = conv.view;
         let old_view = self.view.clone();
         let (old_p, new_p) = (old_view.world(), new_view.world());
@@ -186,17 +197,8 @@ impl Cluster {
             .collect();
         // `migrated_bytes` is the planned volume; bytes sent again are in
         // the fault log's `Retransmit` events, not in the `ViewChange`.
-        let got = self.exchange(
-            MsgKind::Particles,
-            MAX_RETRIES_HARD,
-            &outbox,
-            Expect::AllPeers,
-            particles_from_bytes,
-        );
-        match got.complete() {
-            Ok(received) => self.absorb_migrants(received),
-            Err(silent) => return self.restore_from_checkpoint(silent),
-        }
+        let got = self.exchange(MsgKind::Particles, &outbox, Expect::AllPeers, particles_from_bytes);
+        self.absorb_migrants(got.complete()?);
         // Compact state to the new view's members, in new-view order.
         let kept = |n: &u64| wide.rank_of(*n).expect("new member is in the wide world");
         self.ranks = (new_view.members.iter().map(kept))
@@ -215,7 +217,8 @@ impl Cluster {
         // so this is an observation change, not a physics change. Also
         // checkpoints the post-change state so a later crash does not roll
         // back across the membership boundary.
-        self.compute_forces_with_recovery();
+        self.gravity_with_recovery(false);
         self.write_recovery_checkpoint();
+        Ok(())
     }
 }

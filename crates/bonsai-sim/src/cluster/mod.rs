@@ -13,10 +13,11 @@
 //! checksummed envelope, over the cluster's one [`Wire`], which can inject a
 //! seeded [`FaultPlan`]: drops, duplicates, reorders, delays, truncation,
 //! bit flips, rank stalls and hard crashes. The step survives them —
-//! invalid frames are discarded and retransmitted with bounded attempts,
-//! lost dedicated LETs degrade gracefully to walking the sender's boundary
-//! tree, and a crashed rank is detected via missing heartbeats and
-//! replaced by rolling the cluster back to its last checkpoint. Every
+//! invalid frames are discarded and retransmitted within one bounded
+//! budget, and a rank silent through it (crashed, stalled, or with every
+//! copy of one frame lost) is declared dead and replaced by rolling the
+//! cluster back to its last checkpoint: a fixed world replays to the
+//! fault-free bits, an elastic one goes on without the rank. Every
 //! injected fault and every recovery action lands in the [`FaultLog`], so
 //! a chaos run can be audited end to end.
 //!
@@ -66,15 +67,12 @@ use recovery::seed_decomposition;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-/// Retransmission attempts for exchanges that must complete (heartbeat /
-/// bounds, particle migration, boundary allgather). A peer that stays
-/// silent through every attempt is declared dead.
-const MAX_RETRIES_HARD: u32 = 4;
-
-/// Retransmission attempts for dedicated LETs. Cheaper to give up early:
-/// the receiver already holds the sender's boundary tree and can walk that
-/// instead (graceful degradation, counted per step).
-pub const MAX_RETRIES_LET: u32 = 2;
+/// The one retry budget. Every exchange retransmits a missing frame this
+/// many times; a peer silent through all of them is declared dead and the
+/// cluster rolls back to its last checkpoint. A step, a construction or a
+/// view change that would need more consecutive rollbacks than this
+/// panics instead of looping.
+pub const MAX_RETRIES: u32 = 4;
 
 /// Configuration of a cluster run.
 #[derive(Clone, Debug)]
@@ -148,9 +146,6 @@ pub struct StepMeasurements {
     pub counts_local: Vec<InteractionCounts>,
     /// LET interaction counts per rank.
     pub counts_lets: Vec<InteractionCounts>,
-    /// `Cut` nodes that failed the receiver MAC: zero unless a dedicated LET
-    /// was lost and its receiver walked the sender's boundary.
-    pub forced_cuts: u64,
     /// Max/mean particle imbalance after the exchange.
     pub imbalance: f64,
     /// Keys each rank contributed to the two-level sample sort (the
@@ -158,7 +153,9 @@ pub struct StepMeasurements {
     pub sampled_keys: Vec<usize>,
     /// Bytes retransmitted to recover lost or invalid frames.
     pub retransmit_bytes: usize,
-    /// Dedicated LETs that never arrived and degraded to a boundary walk.
+    /// Always 0: a dedicated LET lost through the retry budget rolls the
+    /// cluster back, so a completed epoch has received every one. Kept only
+    /// for the benchmark, which still reads it.
     pub degraded_lets: usize,
     /// Recovery actions taken during the successful gravity epoch; the
     /// events themselves, and those of failed epochs, are in
@@ -210,7 +207,7 @@ pub struct Cluster {
     steps: u64,
     /// The fabric (one endpoint per rank), the fault plan applied on sends,
     /// the fault log and the flow ledger — the lifecycle of every envelope
-    /// sealed (seal → inject → retransmit → deliver | fallback | dead) —
+    /// sealed (seal → inject → retransmit → deliver | dead) —
     /// both appended in driver order, so deterministic per plan. The
     /// ledger holds the trace's window of epochs plus run totals.
     wire: Wire,
@@ -287,7 +284,7 @@ impl Cluster {
         // extreme fault rates) in the very first gravity epoch, and
         // recovery needs something to roll back to.
         cluster.write_recovery_checkpoint();
-        cluster.on_pool(Self::compute_forces_with_recovery);
+        cluster.on_pool(|c| c.gravity_with_recovery(false));
         cluster
     }
 
@@ -337,7 +334,7 @@ impl Cluster {
     ) -> Self {
         let mut c = Self::at_rest(p, cfg, FaultPlan::new(0), None);
         if !c.adopt(ck, p) {
-            c.on_pool(Self::compute_forces_with_recovery);
+            c.on_pool(|c| c.gravity_with_recovery(false));
         }
         c
     }
@@ -527,7 +524,7 @@ impl Cluster {
     /// Table II style breakdown with simulated times for the configured
     /// machine.
     ///
-    /// If a rank crashes mid-step the cluster rolls back to its last
+    /// If a rank stays silent mid-step the cluster rolls back to its last
     /// checkpoint, forces included, and the whole step is re-executed from
     /// the restored state, so a returned breakdown always describes a
     /// completed step.
@@ -545,29 +542,20 @@ impl Cluster {
     }
 
     fn step_inner(&mut self) -> StepBreakdown {
+        let breakdown = self.gravity_with_recovery(true);
         let dt = self.cfg.dt;
-        loop {
-            for (rank, forces) in self.ranks.iter_mut().zip(&self.forces) {
-                leapfrog::kick_drift(rank, forces, dt);
-            }
-            let Some(breakdown) = self.compute_forces_with_recovery() else {
-                // The rollback landed us on a step boundary with its forces;
-                // redo the kick–drift from there.
-                continue;
-            };
-            for (rank, forces) in self.ranks.iter_mut().zip(&self.forces) {
-                leapfrog::kick(rank, forces, dt);
-            }
-            self.time += dt;
-            self.steps += 1;
-            if let Some(rec) = &self.recovery {
-                if rec.every > 0 && self.steps.is_multiple_of(rec.every) {
-                    self.write_recovery_checkpoint();
-                }
-            }
-            self.monitor_step(&breakdown);
-            return breakdown;
+        for (rank, forces) in self.ranks.iter_mut().zip(&self.forces) {
+            leapfrog::kick(rank, forces, dt);
         }
+        self.time += dt;
+        self.steps += 1;
+        if let Some(rec) = &self.recovery {
+            if rec.every > 0 && self.steps.is_multiple_of(rec.every) {
+                self.write_recovery_checkpoint();
+            }
+        }
+        self.monitor_step(&breakdown);
+        breakdown
     }
 }
 

@@ -286,9 +286,8 @@ impl Cluster {
             // `local_starts` is absolute (accumulated from `base`): the
             // exchange window of each rank opens at its local-gravity start.
             let base_from = local_starts.get(r.from).copied().unwrap_or(base) + slot;
-            let base_to = local_starts.get(r.to).copied().unwrap_or(base);
             let send_at = clock.send_at(r, 0, base_from);
-            let resolve_at = clock.resolve_at(r, base_from, base_to);
+            let deliver_at = clock.deliver_at(r, base_from);
             let name = r.kind.flow_name();
             self.trace
                 .flow_point(r.id, r.from as u32, step, Lane::Comm, name, send_at, FlowPhase::Start);
@@ -303,37 +302,32 @@ impl Cluster {
                     FlowPhase::Step,
                 );
             }
-            if let Some(at) = resolve_at {
+            if let Some(at) = deliver_at {
                 self.trace
                     .flow_point(r.id, r.to as u32, step, Lane::Comm, name, at, FlowPhase::Finish);
             }
-            if let (Some(h), Some(d)) = (delivery.as_deref_mut(), clock.deliver_at(r, base_from)) {
+            if let (Some(h), Some(d)) = (delivery.as_deref_mut(), deliver_at) {
                 h.observe(d - send_at);
             }
         }
         // Exposed flows: the ones whose cost the overlap window could not
-        // hide (a retransmission or a fallback reroute). Only they are
-        // labelled, so only they pay for a metric key.
-        for r in flows {
-            if r.attempts > 1 {
-                self.registry.counter_add(
-                    "bonsai_flow_retransmits_total",
-                    &[("link", &format!("{}->{}", r.from, r.to))],
-                    (r.attempts - 1) as u64,
-                );
-            }
-            if r.attempts > 1 || r.outcome == FlowOutcome::Fallback {
-                self.registry
-                    .counter_add("bonsai_flow_exposed_total", &[("kind", r.kind.name())], 1);
-            }
+        // hide (a retransmission). Only they are labelled, so only they pay
+        // for a metric key.
+        for r in flows.iter().filter(|r| r.attempts > 1) {
+            self.registry.counter_add(
+                "bonsai_flow_retransmits_total",
+                &[("link", &format!("{}->{}", r.from, r.to))],
+                (r.attempts - 1) as u64,
+            );
+            self.registry
+                .counter_add("bonsai_flow_exposed_total", &[("kind", r.kind.name())], 1);
         }
 
         // The epoch's closing barrier: every rank that finishes before the
         // straggler records an explicit cross-rank wait span, so the
         // critical-path analyzer sees slack instead of blank lanes. The
         // span carries the wait's *cause*, classified from the flows that
-        // touched the straggler (fallback > stall > retransmission >
-        // late-sender), which is what the critical path harvests into its
+        // touched the straggler (retransmission > late-sender), which is what the critical path harvests into its
         // by-cause breakdown.
         let mut straggler = 0usize;
         for (r, &e) in rank_end.iter().enumerate() {
@@ -532,8 +526,8 @@ impl Cluster {
     }
 
     /// Conservation totals over every flow sealed so far, evicted epochs
-    /// included: in a completed run, sealed = delivered + fallback + dead
-    /// with nothing pending.
+    /// included: in a completed run, sealed = delivered + dead with nothing
+    /// pending.
     pub fn flow_conservation(&self) -> FlowConservation {
         self.wire.flows.conservation()
     }

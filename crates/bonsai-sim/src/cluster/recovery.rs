@@ -1,10 +1,13 @@
-//! Crash recovery: epochs that retry until one completes, scheduled
-//! crashes, and the rollback to the last checkpoint — at a fixed world size
-//! or, elastically, over the survivors (§VI-C: restart from the most recent
-//! snapshot).
+//! Recovery: epochs that retry until one completes, scheduled crashes, and
+//! the rollback to the last checkpoint — at a fixed world size or,
+//! elastically, over the survivors (§VI-C: restart from the most recent
+//! snapshot). Every fault the retry budget does not absorb ends here: a
+//! crash, a stall, and a frame lost on every attempt are all one silent
+//! rank.
 
-use super::{Cluster, ClusterConfig, MAX_RETRIES_HARD};
+use super::{Cluster, ClusterConfig, MAX_RETRIES};
 use crate::breakdown::StepBreakdown;
+use bonsai_core::leapfrog;
 use crate::checkpoint::{self, Checkpoint};
 use bonsai_net::fault::{FaultEvent, FaultKind, RecoveryAction, RecoveryEvent};
 use bonsai_net::membership::{self, MembershipEvent, View, ViewChange};
@@ -54,25 +57,40 @@ impl Cluster {
         }
     }
 
-    /// One gravity epoch. `None`: a rank died, and the cluster was rolled
-    /// back to the last checkpoint, forces included (the caller must then
-    /// redo its step).
-    pub(super) fn compute_forces_with_recovery(&mut self) -> Option<StepBreakdown> {
-        self.begin_epoch();
-        self.fire_scheduled_crashes(MsgKind::Control);
-        match self.try_gravity_phase() {
-            Ok(breakdown) => Some(breakdown),
-            Err(dead) => {
-                self.restore_from_checkpoint(dead);
-                None
+    /// The one recovery loop: gravity epochs until one completes a step
+    /// (`step`: a kick–drift from the current forces, then the epoch) or,
+    /// without `step`, the current state's forces. A rank silent through
+    /// the retry budget rolls the cluster back, and the loop goes on from
+    /// the adopted state: at the kick–drift if it holds forces, else at an
+    /// epoch that gives it forces first. Panics as
+    /// [`Cluster::restore_from_checkpoint`] does.
+    pub(super) fn gravity_with_recovery(&mut self, step: bool) -> StepBreakdown {
+        let mut drift = step;
+        let mut rollbacks = 0;
+        loop {
+            if drift {
+                let dt = self.cfg.dt;
+                for (rank, forces) in self.ranks.iter_mut().zip(&self.forces) {
+                    leapfrog::kick_drift(rank, forces, dt);
+                }
+            }
+            self.begin_epoch();
+            self.fire_scheduled_crashes(MsgKind::Control);
+            match self.try_gravity_phase() {
+                Ok(breakdown) if drift == step => return breakdown,
+                // The adopted state has its forces now; the step starts over.
+                Ok(_) => drift = true,
+                Err(silent) => drift = self.restore_from_checkpoint(silent, &mut rollbacks) && step,
             }
         }
     }
 
     /// Declare `dead` dead and roll the whole cluster back to the last
     /// checkpoint (the paper-scale recovery path: restart from the most
-    /// recent snapshot, §VI-C): the one rollback, for every crash. The
-    /// epoch keeps advancing.
+    /// recent snapshot, §VI-C): the one rollback, for every rank silent
+    /// through the retry budget. The epoch keeps advancing. True when the
+    /// adopted state holds forces. `rollbacks` counts the caller's
+    /// consecutive rollbacks.
     ///
     /// At a fixed world size the checkpoint's particles, domains, load
     /// weights and forces are adopted verbatim, so the replay repeats the
@@ -81,10 +99,20 @@ impl Cluster {
     /// *out of the view* by the survivors, and the checkpoint is re-split
     /// over the shrunken world, as it is when a crash lands mid-migration,
     /// where the world no longer has the checkpoint's rank count. Either
-    /// way the cluster returns at a step boundary with forces for every
-    /// particle: a gravity epoch runs only when the adopted state has none
-    /// (the initial checkpoint, or a re-split).
-    pub(super) fn restore_from_checkpoint(&mut self, dead: usize) {
+    /// way the cluster returns at a step boundary, with the checkpoint's
+    /// forces or, from the initial checkpoint or a re-split, none.
+    ///
+    /// # Panics
+    /// Without a recovery checkpoint, and, naming the rank and the epoch,
+    /// when `rollbacks` already holds [`MAX_RETRIES`].
+    pub(super) fn restore_from_checkpoint(&mut self, dead: usize, rollbacks: &mut u32) -> bool {
+        assert!(
+            *rollbacks < MAX_RETRIES,
+            "rank {dead} silent through the retry budget at epoch {}, after {MAX_RETRIES} \
+             consecutive rollbacks",
+            self.epoch
+        );
+        *rollbacks += 1;
         self.declare_dead(dead, None, format!("rank {dead} missed every retry window"));
         let rec = self.recovery.clone().unwrap_or_else(|| {
             panic!(
@@ -116,9 +144,7 @@ impl Cluster {
         if let Some((old_view, conv)) = change {
             self.commit_view_change(dead, &old_view, conv.events, conv.rounds, None);
         }
-        if !held {
-            self.compute_forces_with_recovery();
-        }
+        held
     }
 
     /// Take checkpoint `ck` as the state of `p` live ranks, the simulation
@@ -143,7 +169,7 @@ impl Cluster {
 
     /// The aborted epoch's unresolved flows die with the rank: they are
     /// closed here so the flow-conservation invariant (every sealed flow is
-    /// delivered, recovered by fallback, or dead) survives rollback.
+    /// delivered or dead) survives rollback.
     fn declare_dead(&mut self, rank: usize, kind: Option<MsgKind>, detail: String) {
         self.wire.flows.close_epoch_dead(self.epoch);
         self.wire.log.record_recovery(RecoveryEvent {
@@ -164,7 +190,7 @@ impl Cluster {
         sponsor: usize,
         events: Vec<MembershipEvent>,
     ) -> Result<membership::Convergence, usize> {
-        let mut events_at = vec![Vec::new(); self.ranks.len()];
+        let mut events_at = vec![Vec::new(); self.dead.len()];
         events_at[sponsor] = events;
         let live: Vec<bool> = self.dead.iter().map(|&d| !d).collect();
         membership::converge(
@@ -173,17 +199,19 @@ impl Cluster {
             self.epoch,
             &self.view,
             &events_at,
-            MAX_RETRIES_HARD,
+            MAX_RETRIES,
         )
     }
 
     /// The survivors gossip the death(s) to agreement, in a view without
     /// the dead node(s). A rank that goes silent *during* the death gossip
-    /// is added to the casualty list and the round restarts.
+    /// is added to the casualty list and the round restarts. The world is
+    /// counted by liveness flags, not shards: an epoch that failed after
+    /// its tree build leaves the shards with the dropped trees.
     fn agree_on_deaths(&mut self) -> membership::Convergence {
         loop {
             self.begin_epoch();
-            let p = self.ranks.len();
+            let p = self.dead.len();
             let deaths: Vec<MembershipEvent> = (0..p)
                 .filter(|&r| self.dead[r])
                 .map(|r| MembershipEvent::Death(self.view.members[r]))

@@ -40,7 +40,6 @@ fn fault_free_runs_have_clean_logs() {
     }
     assert!(c.fault_log().is_clean());
     assert_eq!(c.last_measurements.retransmit_bytes, 0);
-    assert_eq!(c.last_measurements.degraded_lets, 0);
     assert_eq!(c.last_measurements.recovery_actions, 0);
 }
 
@@ -68,8 +67,6 @@ fn distributed_forces_match_direct_reference() {
     }
     let rms = (rms / n as f64).sqrt();
     assert!(rms < 3e-3, "distributed vs direct rms error {rms}");
-    // Every LET sufficed: no walk group opened past a sender's frontier.
-    assert_eq!(c.last_measurements.forced_cuts, 0);
 }
 
 #[test]
@@ -316,7 +313,6 @@ fn flow_history_is_a_bounded_window() {
                 match r.outcome {
                     FlowOutcome::Pending => totals.pending += 1,
                     FlowOutcome::Delivered { .. } => totals.delivered += 1,
-                    FlowOutcome::Fallback => totals.fallback += 1,
                     FlowOutcome::Dead => totals.dead += 1,
                 }
             }

@@ -20,10 +20,10 @@
 //!   Every cluster payload crosses `bonsai-net`'s fabric in checksummed
 //!   envelopes, and [`Cluster::with_faults`] accepts a seeded fault plan:
 //!   the step detects and recovers from dropped, duplicated, reordered,
-//!   delayed, truncated and bit-flipped messages, degrades gracefully when
-//!   dedicated LETs are lost, and rolls back to the last [`checkpoint`]
-//!   when a rank crashes — with every event recorded in an auditable fault
-//!   log. A finished step is a value ([`StepFacts`]): the one run monitor
+//!   delayed, truncated and bit-flipped messages, and rolls back to the
+//!   last [`checkpoint`] when a rank stays silent through the retry budget
+//!   (a crash, a stall, or a frame lost on every attempt) — with every
+//!   event recorded in an auditable fault log. A finished step is a value ([`StepFacts`]): the one run monitor
 //!   ([`longrun`]), with its optional scaling policy ([`autoscale`]) and
 //!   telemetry tap ([`stream`]), reads it and the cluster's trace and
 //!   metrics stores, never the cluster.

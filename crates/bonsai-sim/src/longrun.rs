@@ -35,14 +35,13 @@ const MAX_INCIDENTS: usize = 4;
 /// The run-level signals [`RunMonitor`] writes each step as unlabelled
 /// step gauges, in the order it derives them; the stream tap publishes
 /// them in this order too.
-pub(crate) const RUN_SIGNALS: [&str; 9] = [
+pub(crate) const RUN_SIGNALS: [&str; 8] = [
     "bonsai_energy_drift",
     "bonsai_flop_residual",
     "bonsai_hidden_comm_fraction",
     "bonsai_gpu_gflops",
     "bonsai_step_seconds",
     "bonsai_recovery_actions",
-    "bonsai_degraded_lets",
     "bonsai_retransmit_bytes",
     "bonsai_particle_imbalance",
 ];
@@ -182,7 +181,6 @@ impl RunMonitor {
             b.gpu_tflops() * 1e3,
             b.total(),
             meas.recovery_actions as f64,
-            meas.degraded_lets as f64,
             meas.retransmit_bytes as f64,
             meas.imbalance,
         ];

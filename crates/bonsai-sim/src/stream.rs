@@ -157,7 +157,6 @@ impl StreamTap {
         let digest = [
             ("sealed", U64(cons.sealed)),
             ("delivered", U64(cons.delivered)),
-            ("fallback", U64(cons.fallback)),
             ("dead", U64(cons.dead)),
             ("pending", U64(cons.pending)),
             ("holds", U64(u64::from(cons.holds()))),
@@ -235,7 +234,7 @@ mod tests {
             flows: Some(bonsai_net::flow::FlowConservation {
                 sealed: 7,
                 delivered: 6,
-                fallback: 1,
+                dead: 1,
                 ..Default::default()
             }),
             ..StepFacts::default()

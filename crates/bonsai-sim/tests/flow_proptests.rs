@@ -64,9 +64,8 @@ proptest! {
         let k = c.flow_conservation();
         prop_assert!(
             k.holds(),
-            "ledger does not conserve: {} sealed vs {} delivered + {} fallback \
-             + {} dead (+{} pending)",
-            k.sealed, k.delivered, k.fallback, k.dead, k.pending
+            "ledger does not conserve: {} sealed vs {} delivered + {} dead (+{} pending)",
+            k.sealed, k.delivered, k.dead, k.pending
         );
         prop_assert!(k.sealed > 0, "run sealed no flows");
 

@@ -1,77 +1,21 @@
 //! Named invariants over consecutive [`StepFacts`] snapshots: whatever the
-//! cluster went through between two looks — message faults, a crash rolled
-//! back over the survivors, ranks admitted or retired — the same six
-//! statements must hold of the pair.
+//! cluster went through between two looks — message faults, a rank silent
+//! through the retry budget and rolled back, ranks admitted or retired —
+//! the same six statements must hold of the pair.
+//!
+//! Then the enumerations: each fault schedule of a family, run alone, with
+//! the invariants checked after every step, must end on the fault-free
+//! run's bits. Tier-1 runs a stratified sample of the larger families;
+//! `scripts/ci.sh` runs every family whole, in release, at one and at three
+//! lanes (the runs take the process pool, sized by `BONSAI_THREADS`).
 
 use bonsai_ic::plummer_sphere;
-use bonsai_net::{FaultKind, FaultPlan, Injection, MsgKind};
-use bonsai_sim::{Cluster, ClusterConfig, RecoveryConfig, StepFacts};
+use bonsai_net::{FaultKind, FaultLog, FaultPlan, FlowRecord, Injection, MsgKind, RecoveryAction};
+use bonsai_sim::cluster::MAX_RETRIES;
+use bonsai_sim::{Cluster, ClusterConfig, RecoveryConfig};
 
 mod common;
-use common::state_bits;
-
-fn particles_conserved(prev: &StepFacts, now: &StepFacts) {
-    assert_eq!(now.particles, prev.particles, "particles lost or made at epoch {}", now.epoch);
-}
-
-/// Sealed = delivered + fallback + dead, nothing pending.
-fn flows_conserved(now: &StepFacts) {
-    let flows = now.flows.expect("a snapshot carries the flow totals");
-    assert!(flows.holds(), "flow ledger out of balance at epoch {}: {flows:?}", now.epoch);
-    assert!(flows.sealed > 0, "nothing crossed the fabric");
-}
-
-/// Every step and every view change consumes at least one gravity epoch,
-/// and a rollback never rewinds the counter.
-fn epoch_strictly_increases(prev: &StepFacts, now: &StepFacts) {
-    assert!(now.epoch > prev.epoch, "epoch {} after {}", now.epoch, prev.epoch);
-}
-
-/// The world size is a function of the view: it moves only with the view
-/// number, which never goes back.
-fn world_matches_view(prev: &StepFacts, now: &StepFacts) {
-    assert!(now.view >= prev.view, "view {} after {}", now.view, prev.view);
-    if now.view == prev.view {
-        assert_eq!(now.world, prev.world, "world changed inside view {}", now.view);
-    }
-}
-
-/// The clock follows the step counter, forwards and — across a rollback to
-/// an older checkpoint — backwards.
-fn time_advances_by_dt(prev: &StepFacts, now: &StepFacts, dt: f64) {
-    let steps = now.step as f64 - prev.step as f64;
-    let advanced = now.time - prev.time;
-    assert!((advanced - steps * dt).abs() < 1e-12, "{steps} steps moved the clock by {advanced}");
-}
-
-/// The LET property: a walk forces a `Cut` node only where a dedicated LET
-/// was lost and its receiver walked the sender's boundary instead, so a
-/// fault-free step forces none.
-fn no_forced_cut_without_a_lost_let(c: &Cluster, epoch: u64) {
-    let m = &c.last_measurements;
-    if m.degraded_lets == 0 {
-        let forced = m.forced_cuts;
-        assert_eq!(forced, 0, "{forced} forced cuts with every LET delivered, epoch {epoch}");
-    }
-}
-
-/// Let `act` loose on the cluster, then check every invariant between the
-/// snapshot before it and the one after.
-fn checked(c: &mut Cluster, prev: &mut StepFacts, act: impl FnOnce(&mut Cluster)) {
-    act(c);
-    let now = c.step_facts();
-    particles_conserved(prev, &now);
-    flows_conserved(&now);
-    epoch_strictly_increases(prev, &now);
-    world_matches_view(prev, &now);
-    time_advances_by_dt(prev, &now, c.cfg.dt);
-    no_forced_cut_without_a_lost_let(c, now.epoch);
-    *prev = now;
-}
-
-fn step(c: &mut Cluster) {
-    c.step();
-}
+use common::{checked, step, Reference};
 
 fn cluster(name: &str, p: usize, plan: FaultPlan, every: u64) -> Cluster {
     let dir = std::env::temp_dir().join(format!("bonsai_invariants_{name}"));
@@ -117,10 +61,15 @@ fn invariants_hold_across_admit_and_retire() {
     assert_eq!((prev.step, prev.world, prev.view), (4, 4, 2));
 }
 
+/// The R = 4 run the single-fault, LET and stall families share.
+fn four_ranks(steps: usize) -> Reference {
+    Reference::new(plummer_sphere(1200, 21), 4, steps)
+}
+
 /// Every single message fault over a three-step run at R = 4: each fault
 /// kind on each physics message kind, from each sender, in each of the four
 /// epochs (the constructor's and three steps'). 6 × 4 × 4 × 4 = 384.
-fn single_faults() -> Vec<Injection> {
+fn each_single_message_fault_recovers(stride: usize) {
     let kinds = [MsgKind::Boundary, MsgKind::Particles, MsgKind::Let, MsgKind::Control];
     let mut all = Vec::new();
     for fault in FaultKind::MESSAGE_KINDS {
@@ -128,38 +77,13 @@ fn single_faults() -> Vec<Injection> {
             for epoch in 1..=4 {
                 for from in 0..4 {
                     let (kind, from) = (Some(kind), Some(from));
-                    all.push(Injection { epoch, from, to: None, kind, fault, attempts: 0..1 });
+                    let inj = Injection { epoch, from, to: None, kind, fault, attempts: 0..1 };
+                    all.push(FaultPlan::new(0).with_injection(inj));
                 }
             }
         }
     }
-    all
-}
-
-/// Run each of `faults` alone and require the fault to fire, the six
-/// invariants to hold after every step, and the run to end on the
-/// fault-free run's bits.
-fn each_single_fault_recovers_to_the_fault_free_bits(faults: &[Injection]) {
-    let cfg = ClusterConfig {
-        threads: Some(1),
-        ..ClusterConfig::default()
-    };
-    let ic = plummer_sphere(1200, 21);
-    let mut clean = Cluster::new(ic.clone(), 4, cfg.clone());
-    for _ in 0..3 {
-        clean.step();
-    }
-    let want = state_bits(&clean);
-    for inj in faults {
-        let plan = FaultPlan::new(0).with_injection(inj.clone());
-        let mut c = Cluster::with_faults(ic.clone(), 4, cfg.clone(), plan, None);
-        let mut prev = c.step_facts();
-        for _ in 0..3 {
-            checked(&mut c, &mut prev, step);
-        }
-        assert!(!c.fault_log().injected.is_empty(), "{inj:?} never fired");
-        assert!(state_bits(&c) == want, "{inj:?} recovered to other bits than the fault-free run");
-    }
+    four_ranks(3).replay_each("single", all, stride, false, |log| !log.injected.is_empty());
 }
 
 #[test]
@@ -167,12 +91,85 @@ fn a_stratified_sample_of_single_message_faults_recovers_to_the_fault_free_bits(
     // Every 7th schedule: 7 is prime to the 16 (epoch, sender) pairs of a
     // (fault, message kind) stratum, so 55 runs cover every stratum at
     // least twice and every epoch and sender in turn.
-    let sample: Vec<Injection> = single_faults().into_iter().step_by(7).collect();
-    each_single_fault_recovers_to_the_fault_free_bits(&sample);
+    each_single_message_fault_recovers(7);
 }
 
 #[test]
-#[ignore = "all 384 schedules, ≈ 37 s at the dev profile; scripts/ci.sh runs it in release"]
+#[ignore = "all 384 schedules; scripts/ci.sh runs it in release"]
 fn every_single_message_fault_recovers_to_the_fault_free_bits() {
-    each_single_fault_recovers_to_the_fault_free_bits(&single_faults());
+    each_single_message_fault_recovers(1);
+}
+
+/// Every dedicated LET of a three-step run at R = 4 dropped on every
+/// attempt of the retry budget: its sender is silent, the cluster rolls
+/// back to the last checkpoint and replays the epoch.
+fn each_let_lost_through_the_budget_replays(stride: usize) {
+    let reference = four_ranks(3);
+    let is_let = |f: &FlowRecord| f.kind == MsgKind::Let;
+    let lets = reference.per_flow(1..=4, is_let, FaultKind::Drop, 0..MAX_RETRIES + 1);
+    assert!(lets.len() >= 16, "only {} dedicated LETs in the reference run", lets.len());
+    let plans = lets.into_iter().map(|inj| FaultPlan::new(0).with_injection(inj)).collect();
+    let one_rollback = |log: &FaultLog| log.recoveries_of(RecoveryAction::RestoreCheckpoint) == 1;
+    reference.replay_each("let_budget", plans, stride, true, one_rollback);
+}
+
+#[test]
+fn a_stratified_sample_of_lets_lost_through_the_budget_replays_to_the_fault_free_bits() {
+    // Every 5th LET in ledger order: every epoch, and most senders.
+    each_let_lost_through_the_budget_replays(5);
+}
+
+#[test]
+#[ignore = "every dedicated LET of the run; scripts/ci.sh runs it in release"]
+fn every_let_lost_through_the_budget_replays_to_the_fault_free_bits() {
+    each_let_lost_through_the_budget_replays(1);
+}
+
+#[test]
+fn a_stall_of_every_rank_in_every_epoch_replays_to_the_fault_free_bits() {
+    // A stalled rank's dedicated LETs hang for the epoch, so it is silent
+    // to their receivers and the cluster rolls back; a rank that owes no
+    // LET in that epoch stalls nothing. Four steps at R = 4, ranks 0–3 ×
+    // epochs 1–4, a fixed world.
+    let grid = (0..4).flat_map(|r| (1..=4).map(move |e| FaultPlan::new(0).with_stall(r, e)));
+    let stalled = std::cell::Cell::new(0);
+    let rolled_back_if_stalled = |log: &FaultLog| {
+        let fired = log.injected_of(FaultKind::Stall) > 0;
+        stalled.set(stalled.get() + usize::from(fired));
+        log.recoveries_of(RecoveryAction::RestoreCheckpoint) == usize::from(fired)
+    };
+    four_ranks(4).replay_each("stall_grid", grid.collect(), 1, true, rolled_back_if_stalled);
+    assert!(stalled.get() >= 12, "only {} of 16 stalls held a LET back", stalled.get());
+}
+
+/// Every pair of message faults on two distinct flows of one epoch at
+/// R = 3 — the first step's, of a two-step run — each fault of any message
+/// kind on the flow's first attempt, so retransmission heals both.
+fn each_fault_pair_recovers(stride: usize) {
+    let reference = Reference::new(plummer_sphere(600, 27), 3, 2);
+    let single: Vec<Injection> = (FaultKind::MESSAGE_KINDS.into_iter())
+        .flat_map(|fault| reference.per_flow(2..=2, |_| true, fault, 0..1))
+        .collect();
+    let mut pairs = Vec::new();
+    for (i, a) in single.iter().enumerate() {
+        let other_flow = |b: &&Injection| (b.from, b.to, b.kind) != (a.from, a.to, a.kind);
+        for b in single[i + 1..].iter().filter(other_flow) {
+            pairs.push(FaultPlan::new(0).with_injection(a.clone()).with_injection(b.clone()));
+        }
+    }
+    assert!(pairs.len() > 5_000, "only {} pairs", pairs.len());
+    reference.replay_each("pairs", pairs, stride, false, |log| log.injected.len() == 2);
+}
+
+#[test]
+fn a_stratified_sample_of_fault_pairs_recovers_to_the_fault_free_bits() {
+    // Every 101st pair, a prime step: the sample walks every pair of fault
+    // kinds and every flow in turn.
+    each_fault_pair_recovers(101);
+}
+
+#[test]
+#[ignore = "every pair of one epoch; scripts/ci.sh runs it in release"]
+fn every_fault_pair_recovers_to_the_fault_free_bits() {
+    each_fault_pair_recovers(1);
 }

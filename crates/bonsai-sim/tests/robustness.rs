@@ -5,17 +5,15 @@
 
 use bonsai_domain::LetTree;
 use bonsai_ic::plummer_sphere;
-use bonsai_net::{FaultKind, FaultPlan, Injection, MsgKind, RecoveryAction};
-use bonsai_sim::cluster::MAX_RETRIES_LET;
+use bonsai_net::{FaultKind, FaultLog, FaultPlan, FlowRecord, Injection, MsgKind, RecoveryAction};
+use bonsai_sim::cluster::MAX_RETRIES;
 use bonsai_sim::{Cluster, ClusterConfig, RecoveryConfig};
-use bonsai_tree::direct::direct_forces;
 use bonsai_tree::Particles;
 use bonsai_util::Vec3;
 use bonsai_verify::{acceleration_diff, equivalence_band, serial_reference};
-use std::collections::{HashMap, HashSet};
 
 mod common;
-use common::state_bits;
+use common::Reference;
 
 #[test]
 fn more_ranks_than_justified_by_particles() {
@@ -193,14 +191,13 @@ fn chaos_soak_every_fault_kind_recovered() {
     assert!(
         k.holds(),
         "flow ledger does not conserve under chaos: {} sealed vs {} delivered \
-         + {} fallback + {} dead (+{} pending)",
+         + {} dead (+{} pending)",
         k.sealed,
         k.delivered,
-        k.fallback,
         k.dead,
         k.pending
     );
-    assert!(k.fallback + k.dead >= 1, "chaos plan terminated no flow abnormally");
+    assert!(k.dead >= 1, "chaos plan terminated no flow abnormally");
     assert!(retx >= 1, "chaos soak recorded no retransmission in the ledger");
 }
 
@@ -249,23 +246,12 @@ fn chaos_identical_seed_identical_log() {
 #[test]
 fn chaos_crash_without_recovery_config_panics_loudly() {
     let plan = FaultPlan::new(5).with_crash(1, 3);
-    let result = std::panic::catch_unwind(|| {
-        let mut c = Cluster::with_faults(
-            plummer_sphere(600, 29),
-            3,
-            ClusterConfig::default(),
-            plan,
-            None,
-        );
+    let msg = panic_message(|| {
+        let mut c = Cluster::with_faults(plummer_sphere(600, 29), 3, ClusterConfig::default(), plan, None);
         for _ in 0..5 {
             c.step();
         }
     });
-    let err = result.expect_err("crash with no checkpoint must not pass silently");
-    let msg = err
-        .downcast_ref::<String>()
-        .cloned()
-        .unwrap_or_default();
     assert!(msg.contains("no recovery checkpoint"), "panic message: {msg}");
 }
 
@@ -441,115 +427,74 @@ fn a_fixed_world_crash_replays_to_the_fault_free_bits() {
     // load weights and forces, so the replay is the fault-free run to the
     // bit: epoch 1 rolls back to the pre-force initial checkpoint, later
     // epochs to a checkpoint whose weights are no longer the unit ones.
-    let cfg = ClusterConfig {
-        threads: Some(1),
-        ..ClusterConfig::default()
+    let grid = (0..4).flat_map(|r| (1..=4).map(move |e| FaultPlan::new(0).with_crash(r, e)));
+    let rolled_back = |log: &FaultLog| {
+        log.injected_of(FaultKind::Crash) == 1 && log.recoveries_of(RecoveryAction::RestoreCheckpoint) == 1
     };
-    let ic = plummer_sphere(1200, 21);
-    let mut clean = Cluster::new(ic.clone(), 4, cfg.clone());
-    for _ in 0..4 {
-        clean.step();
-    }
-    let want = state_bits(&clean);
-    for (rank, epoch) in (0..4).flat_map(|r| (1..=4).map(move |e| (r, e))) {
-        let dir = chaos_dir(&format!("grid_r{rank}_e{epoch}"));
-        let plan = FaultPlan::new(0).with_crash(rank, epoch);
-        let recovery = Some(RecoveryConfig { dir: dir.clone(), every: 1 });
-        let mut c = Cluster::with_faults(ic.clone(), 4, cfg.clone(), plan, recovery);
-        for _ in 0..4 {
-            c.step();
-        }
-        let _ = std::fs::remove_dir_all(dir);
-        let log = c.fault_log();
-        let what = format!("crash of rank {rank} in epoch {epoch}");
-        assert_eq!(log.injected_of(FaultKind::Crash), 1, "{what} never fired");
-        assert_eq!(log.recoveries_of(RecoveryAction::RestoreCheckpoint), 1, "{what}");
-        assert_eq!((c.rank_count(), c.step_count()), (4, 4), "{what}");
-        assert!(state_bits(&c) == want, "{what} replayed to other bits than the fault-free run");
-    }
+    Reference::new(plummer_sphere(1200, 21), 4, 4).replay_each("crash_grid", grid.collect(), 1, true, rolled_back);
 }
 
-/// A fault-free cluster and the coordinates of a dedicated LET it sent in
-/// its first gravity epoch.
-fn first_dedicated_let(ic: &Particles, cfg: &ClusterConfig) -> (Cluster, Injection) {
-    let clean = Cluster::new(ic.clone(), 4, cfg.clone());
-    let flow = (clean.flow_ledger().records().iter())
-        .find(|f| f.kind == MsgKind::Let)
-        .expect("the fault-free run sent no dedicated LET")
-        .clone();
-    let drop = Injection {
-        epoch: flow.epoch,
-        from: Some(flow.from),
-        to: Some(flow.to),
-        kind: Some(MsgKind::Let),
-        fault: FaultKind::Drop,
-        attempts: 0..1,
-    };
-    (clean, drop)
+/// A two-step fault-free run at R = 4, and a plan that drops the first
+/// dedicated LET it sent on `attempts`.
+fn first_dedicated_let(attempts: std::ops::Range<u32>) -> (Reference, FaultPlan) {
+    let reference = Reference::new(plummer_sphere(1200, 21), 4, 2);
+    let is_let = |f: &FlowRecord| f.kind == MsgKind::Let;
+    let first = reference.per_flow(1..=1, is_let, FaultKind::Drop, attempts).remove(0);
+    (reference, FaultPlan::new(0).with_injection(first))
 }
 
 #[test]
-fn a_let_dropped_through_the_retry_budget_degrades_to_the_boundary() {
-    // Every attempt the LET budget allows is dropped: the receiver walks the
-    // sender's boundary tree instead, with forced cuts, and every other
-    // rank's forces keep the fault-free run's bits. The receiver's forces
-    // are coarse: against direct summation they stay finite and bounded,
-    // but not inside the distributed band (at this R = 4 Plummer sphere
-    // about four in five of its particles are off by more than 1 %).
-    let cfg = ClusterConfig {
-        threads: Some(1),
-        ..ClusterConfig::default()
-    };
-    let ic = plummer_sphere(1200, 21);
-    let (clean, drop) = first_dedicated_let(&ic, &cfg);
-    let receiver = drop.to.unwrap();
-    let drop = Injection {
-        attempts: 0..MAX_RETRIES_LET + 1,
-        ..drop
-    };
-    let c = Cluster::with_faults(ic, 4, cfg.clone(), FaultPlan::new(0).with_injection(drop), None);
-    let log = c.fault_log();
-    assert_eq!(log.injected_of(FaultKind::Drop), MAX_RETRIES_LET as usize + 1);
-    assert_eq!(c.last_measurements.degraded_lets, 1);
-    assert_eq!(log.recoveries_of(RecoveryAction::BoundaryFallback), 1);
-    assert!(c.last_measurements.forced_cuts > 0, "the boundary walk forced no cut");
-
-    let (acc, want) = (c.accelerations_by_id(), clean.accelerations_by_id());
-    let received: HashSet<u64> = c.rank_particles(receiver).id.iter().copied().collect();
-    let bits = |a: &Vec3| [a.x, a.y, a.z].map(f64::to_bits);
-    for (id, a) in &acc {
-        assert!(a.is_finite(), "particle {id}: non-finite fallback force");
-        if !received.contains(id) {
-            assert_eq!(bits(a), bits(&want[id]), "particle {id} is not on the receiver");
-        }
-    }
-    let g = c.gather();
-    let (direct, _) = direct_forces(&g.pos, &g.pos, &g.mass, cfg.eps, cfg.g, true);
-    let direct: HashMap<u64, Vec3> = g.id.iter().copied().zip(direct.acc).collect();
-    let diff = acceleration_diff(&acc, &direct);
-    let band = equivalence_band(cfg.theta, 4);
-    assert!(diff.median <= band.median, "fallback forces {diff:?} against direct, band {band:?}");
+fn a_let_dropped_through_the_retry_budget_replays_to_the_fault_free_bits() {
+    // Every attempt the retry budget allows is dropped: the sender is
+    // silent to its receiver, the same event as a rank silent on the
+    // heartbeat. The cluster declares it dead, rolls back to the initial
+    // checkpoint and replays the epoch: the fault-free run to the bit.
+    let (reference, plan) = first_dedicated_let(0..MAX_RETRIES + 1);
+    reference.replay_each("let_through_the_budget", vec![plan], 1, true, |log| {
+        log.injected_of(FaultKind::Drop) == MAX_RETRIES as usize + 1
+            && log.recoveries_of(RecoveryAction::DeclareDead) == 1
+            && log.recoveries_of(RecoveryAction::RestoreCheckpoint) == 1
+    });
 }
 
 #[test]
 fn a_let_dropped_one_attempt_short_of_the_budget_is_the_fault_free_run() {
-    let cfg = ClusterConfig {
-        threads: Some(1),
-        ..ClusterConfig::default()
-    };
-    let ic = plummer_sphere(1200, 21);
-    let (mut clean, drop) = first_dedicated_let(&ic, &cfg);
-    let drop = Injection {
-        attempts: 0..MAX_RETRIES_LET,
-        ..drop
-    };
-    let mut c = Cluster::with_faults(ic, 4, cfg, FaultPlan::new(0).with_injection(drop), None);
-    for _ in 0..2 {
-        clean.step();
-        c.step();
+    let (reference, plan) = first_dedicated_let(0..MAX_RETRIES);
+    reference.replay_each("let_short_of_the_budget", vec![plan], 1, false, |log| {
+        log.injected_of(FaultKind::Drop) == MAX_RETRIES as usize
+            && log.recoveries_of(RecoveryAction::DeclareDead) == 0
+    });
+}
+
+/// The panic message of `f`, which must panic.
+fn panic_message(f: impl FnOnce() + std::panic::UnwindSafe) -> String {
+    let err = std::panic::catch_unwind(f).expect_err("a run that had to stop went on");
+    err.downcast_ref::<String>().cloned().unwrap_or_default()
+}
+
+#[test]
+fn a_rank_silent_through_every_replay_ends_the_run_by_name() {
+    // A fabric that loses everything: each rollback replays into the same
+    // silence, and after MAX_RETRIES consecutive rollbacks the one recovery
+    // loop names the rank and the epoch — in construction, whose checkpoint
+    // holds no forces, and in the second step, whose checkpoint holds them.
+    let all_lost = FaultPlan::new(5).with_rate(FaultKind::Drop, 1.0);
+    let from_epoch_3 = (3..=3 + u64::from(MAX_RETRIES)).fold(FaultPlan::new(5), |plan, epoch| {
+        let (from, to, kind, fault) = (None, None, None, FaultKind::Drop);
+        plan.with_injection(Injection { epoch, from, to, kind, fault, attempts: 0..MAX_RETRIES + 1 })
+    });
+    for (plan, steps, epoch) in [(all_lost, 0, 1 + MAX_RETRIES), (from_epoch_3, 2, 3 + MAX_RETRIES)] {
+        let dir = chaos_dir(&format!("silent_after_{steps}_steps"));
+        let recovery = Some(RecoveryConfig { dir: dir.clone(), every: 1 });
+        let msg = panic_message(|| {
+            let mut c = Cluster::with_faults(plummer_sphere(400, 3), 4, ClusterConfig::default(), plan, recovery);
+            for _ in 0..steps {
+                c.step();
+            }
+        });
+        let _ = std::fs::remove_dir_all(dir);
+        let budget = format!("after {MAX_RETRIES} consecutive rollbacks");
+        let want = format!("rank 1 silent through the retry budget at epoch {epoch}, {budget}");
+        assert!(msg.contains(&want), "{msg}");
     }
-    let log = c.fault_log();
-    assert_eq!(log.injected_of(FaultKind::Drop), MAX_RETRIES_LET as usize);
-    assert_eq!(log.recoveries_of(RecoveryAction::BoundaryFallback), 0);
-    assert!(state_bits(&c) == state_bits(&clean), "a retransmitted LET moved the bits");
 }

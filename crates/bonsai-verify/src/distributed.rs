@@ -6,8 +6,8 @@
 //! same θ. This module runs a [`Cluster`] at R ranks against the serial
 //! [`Simulation`] on identical initial conditions and summarizes the
 //! per-particle-id acceleration differences, optionally with a fault plan
-//! injected so LET retransmission, boundary fallback and crash recovery
-//! are proven physics-preserving rather than merely crash-free.
+//! injected so retransmission and checkpoint rollback are proven
+//! physics-preserving rather than merely crash-free.
 
 use crate::oracle::ErrorPercentiles;
 use bonsai_core::{Simulation, SimulationConfig};
@@ -24,10 +24,6 @@ pub struct EquivalenceReport {
     pub ranks: usize,
     /// Percentiles of the per-id relative acceleration difference.
     pub diff: ErrorPercentiles,
-    /// `Cut` LET nodes that failed the receiver's MAC (≈ 0 expected).
-    pub forced_cuts: u64,
-    /// Dedicated LETs that never arrived and fell back to boundary walks.
-    pub degraded_lets: usize,
     /// Faults injected during the accepted gravity epoch.
     pub faults_injected: usize,
 }
@@ -90,12 +86,9 @@ pub fn equivalence(
         None => Cluster::new(ic.clone(), ranks, cfg.clone()),
     };
     let diff = acceleration_diff(&cluster.accelerations_by_id(), reference);
-    let m = &cluster.last_measurements;
     EquivalenceReport {
         ranks,
         diff,
-        forced_cuts: m.forced_cuts,
-        degraded_lets: m.degraded_lets,
         faults_injected: cluster.fault_log().injected.len(),
     }
 }

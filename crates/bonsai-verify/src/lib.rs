@@ -15,7 +15,7 @@
 //!   `bonsai-sim` [`Cluster`](bonsai_sim::Cluster) at R ∈ {1, 2, 4, 8}
 //!   ranks must match the serial [`Simulation`](bonsai_core::Simulation)
 //!   per particle id, with and without injected faults, proving LET
-//!   construction, boundary fallback and recovery physics-preserving.
+//!   construction and recovery physics-preserving.
 //! * [`report`] — the **accuracy baseline**: byte-deterministic
 //!   `bonsai-accuracy-v1` JSON plus the `check_accuracy` oracle that the
 //!   bench gate runner (`gates`, row `accuracy`) holds in CI.

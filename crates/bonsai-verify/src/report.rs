@@ -186,7 +186,6 @@ pub fn accuracy_json(r: &AccuracyReport) -> String {
             );
             obj!("ranks": rep.ranks, "faulty": row.faulty,
                 "median": rep.diff.median, "p95": rep.diff.p95, "max": rep.diff.max,
-                "forced_cuts": rep.forced_cuts, "degraded_lets": rep.degraded_lets,
                 "faults_injected": rep.faults_injected,
                 "band_median": band.median, "band_p95": band.p95, "band_max": band.max)
         })
@@ -303,16 +302,6 @@ fn check_bands_and_ordering(cur: &Value, out: &mut Vec<String>) {
                     ));
                 }
             }
-            // The LET property: a `Cut` node is forced only where a lost
-            // LET left its receiver walking the sender's boundary.
-            let (Some(forced), Some(degraded)) =
-                (num(row, "forced_cuts", &path, out), num(row, "degraded_lets", &path, out))
-            else {
-                continue;
-            };
-            if forced > 0.0 && degraded == 0.0 {
-                out.push(format!("{path}: {forced} forced cuts with every LET delivered"));
-            }
         }
     } else {
         out.push("$.distributed: missing".into());
@@ -320,15 +309,13 @@ fn check_bands_and_ordering(cur: &Value, out: &mut Vec<String>) {
 }
 
 /// Per-key drift tolerance against the baseline. Configuration, counts and
-/// bands must match exactly, except that forced cuts may only fall; error
-/// percentiles drift only if the physics changed, but small refactors
+/// bands must match exactly; error percentiles drift only if the physics changed, but small refactors
 /// (summation order, rayon chunking) can move round-off, so they get a
 /// relative band with a floor far below any real error scale.
 fn drift_ok(key: &str, base: f64, cur: f64) -> bool {
     match key {
-        "forced_cuts" => cur <= base,
         "n" | "seed" | "dist_n" | "dist_ranks" | "dist_theta" | "thetas" | "theta" | "ranks"
-        | "theta_inflation" | "degraded_lets" | "faults_injected" => base == cur,
+        | "theta_inflation" | "faults_injected" => base == cur,
         k if k.starts_with("band_") => base == cur,
         // median / p95 / max
         _ => (base - cur).abs() <= 0.25 * base.abs().max(1e-12),
@@ -481,29 +468,6 @@ mod tests {
         let f64_roundoff = doc(1e-15, 2e-4, 2e-3, 2e-5);
         let bad = check_accuracy(&f64_roundoff, &doc(4e-7, 2e-4, 2e-3, 2e-5)).unwrap();
         assert!(bad.iter().any(|v| v.contains("out of tolerance")), "{bad:?}");
-    }
-
-    /// [`doc`] with one distributed rung.
-    fn rung(forced_cuts: u64, degraded_lets: u64) -> String {
-        doc(2e-5, 2e-4, 2e-3, 2e-5).replace(
-            r#""distributed": []"#,
-            &format!(
-                r#""distributed": [{{"ranks": 4, "faulty": false, "median": 1e-6, "p95": 1e-5, "max": 1e-4, "forced_cuts": {forced_cuts}, "degraded_lets": {degraded_lets}, "faults_injected": 0, "band_median": 5e-5, "band_p95": 5e-4, "band_max": 1e-2}}]"#
-            ),
-        )
-    }
-
-    #[test]
-    fn forced_cuts_need_a_lost_let_and_may_only_fall() {
-        let (clean, fallback) = (rung(0, 0), rung(3, 1));
-        assert_eq!(check_accuracy(&clean, &clean).unwrap(), Vec::<String>::new());
-        assert_eq!(check_accuracy(&fallback, &fallback).unwrap(), Vec::<String>::new());
-        let bad = check_accuracy(&rung(3, 0), &rung(3, 0)).unwrap();
-        assert!(bad.iter().any(|v| v.contains("every LET delivered")), "{bad:?}");
-        let fell = check_accuracy(&rung(5, 1), &fallback).unwrap();
-        assert_eq!(fell, Vec::<String>::new(), "fewer forced cuts is no regression");
-        let rose = check_accuracy(&fallback, &rung(5, 1)).unwrap();
-        assert!(rose.iter().any(|v| v.contains("forced_cuts")), "{rose:?}");
     }
 
     #[test]

@@ -78,12 +78,16 @@ cargo test -q --release -p bonsai-sim --test exchange_digests
 # triples, both directions (tier-1 runs 10^5 and every cell of the lattices
 # up to 64^3); about 3 s here.
 cargo test -q --release -p bonsai-sfc --lib -- --ignored the_table_equals_skilling
-# Every single message fault at R = 4 (6 kinds x 4 message kinds x 4 epochs
-# x 4 senders = 384 schedules, each recovered to the fault-free run's bits
-# with the named invariants held after every step). Tier-1 runs a stratified
-# 55 of them; the whole set takes about 7 s here and about 37 s at the dev
-# profile.
-cargo test -q --release -p bonsai-sim --test invariants -- --ignored
+# The fault enumerations, each schedule run alone with the named invariants
+# held after every step and the run ending on the fault-free run's bits:
+# every single message fault at R = 4 (6 kinds x 4 message kinds x 4 epochs
+# x 4 senders = 384), every dedicated LET of a run at R = 4 dropped through
+# the retry budget (a rollback and a replay each), and every pair of message
+# faults on two distinct flows of one epoch at R = 3. Tier-1 runs a
+# stratified sample of each and the whole stall grid. The runs take the
+# process pool, so the whole sets run at one lane and at three.
+BONSAI_THREADS=1 cargo test -q --release -p bonsai-sim --test invariants -- --ignored
+BONSAI_THREADS=3 cargo test -q --release -p bonsai-sim --test invariants -- --ignored
 
 echo "== benchmark package: build + unit tests + 2-step smoke test =="
 # benchmark/ is its own workspace on path dependencies and may not be edited
