@@ -128,9 +128,9 @@ fn every_let_lost_through_the_budget_replays_to_the_fault_free_bits() {
 #[test]
 fn a_stall_of_every_rank_in_every_epoch_replays_to_the_fault_free_bits() {
     // A stalled rank's dedicated LETs hang for the epoch, so it is silent
-    // to their receivers and the cluster rolls back; a rank that owes no
-    // LET in that epoch stalls nothing. Four steps at R = 4, ranks 0–3 ×
-    // epochs 1–4, a fixed world.
+    // to their receivers and the cluster rolls back. Four steps at R = 4,
+    // ranks 0–3 × epochs 1–4, a fixed world; every rank owes a LET in
+    // every epoch there, so every stall fires.
     let grid = (0..4).flat_map(|r| (1..=4).map(move |e| FaultPlan::new(0).with_stall(r, e)));
     let stalled = std::cell::Cell::new(0);
     let rolled_back_if_stalled = |log: &FaultLog| {
@@ -139,7 +139,7 @@ fn a_stall_of_every_rank_in_every_epoch_replays_to_the_fault_free_bits() {
         log.recoveries_of(RecoveryAction::RestoreCheckpoint) == usize::from(fired)
     };
     four_ranks(4).replay_each("stall_grid", grid.collect(), 1, true, rolled_back_if_stalled);
-    assert!(stalled.get() >= 12, "only {} of 16 stalls held a LET back", stalled.get());
+    assert_eq!(stalled.get(), 16, "stalls that held a LET back");
 }
 
 /// Every pair of message faults on two distinct flows of one epoch at

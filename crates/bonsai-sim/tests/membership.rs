@@ -266,8 +266,8 @@ fn frames_held_back_in_the_epoch_before_a_view_change_surface_stale_in_its_gossi
     // *before* a view change is released by the change's own
     // `begin_epoch`, onto the old fabric, and discarded by the gossip's
     // drain in the gossip's words — one discard per held frame, none lost.
-    // (A stall held back in a completed epoch no longer exists: a stalled
-    // rank is silent, and its epoch rolls back.)
+    // (No stall here: a stalled rank is silent, and its epoch rolls back
+    // instead of completing.)
     let plan = delay_1_to_0(FaultPlan::new(3), 2, MsgKind::Control);
     let cfg = ClusterConfig::default();
     let mut c = Cluster::with_faults(plummer_sphere(900, 33), 3, cfg, plan, None);
