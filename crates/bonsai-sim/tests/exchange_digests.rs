@@ -1,11 +1,13 @@
 //! Pinned digests of everything the exchange path decides: the fault log's
 //! rendered text (the only check on its detail strings — no `BENCH_*.json`
-//! carries them), the flow-ledger records and the force bits, for three
+//! carries them), the flow-ledger records, the force bits and the trace's
+//! fault instants (where each fault and recovery lands on the COMM lanes,
+//! with its flow id — no artifact carries those either), for three
 //! seeded chaos runs, each at one, two and four lanes, and for one fault-free
 //! thin run whose ranks each walk dozens of remote sources, at one to four
 //! lanes. A refactor of the collective, the gravity phases, the force walk,
 //! recovery, the view-change migration or the thread pool must leave all
-//! twelve values alone at every lane count; a change that means to move them
+//! sixteen values alone at every lane count; a change that means to move them
 //! re-pins them and says so in CHANGES.md.
 
 use bonsai_ic::plummer_sphere;
@@ -41,8 +43,9 @@ fn two_percent_plan(seed: u64) -> FaultPlan {
         .fold(FaultPlan::new(seed), |plan, kind| plan.with_rate(kind, 0.02))
 }
 
-/// `(fault-log text, flow-ledger records, force bits in id order)`.
-fn digests(c: &Cluster) -> (u64, u64, u64) {
+/// `(fault-log text, flow-ledger records, force bits in id order, trace
+/// instants)`.
+fn digests(c: &Cluster) -> (u64, u64, u64, u64) {
     let log = bonsai_util::hash::crc64(c.fault_log().render().as_bytes());
     let mut flows = Crc64::new();
     for record in c.flow_ledger().records() {
@@ -57,10 +60,20 @@ fn digests(c: &Cluster) -> (u64, u64, u64) {
             forces.update(&x.to_bits().to_le_bytes());
         }
     }
-    (log, flows.finish(), forces.finish())
+    let instants = bonsai_util::hash::crc64(format!("{:?}", c.trace().instants()).as_bytes());
+    (log, flows.finish(), forces.finish(), instants)
 }
 
-fn crash_and_rollback(name: &str, elastic: bool, threads: usize) -> (u64, u64, u64) {
+/// Whether the trace holds an instant named `prefix…` that carries a flow
+/// id: the instants digest pins fault events anchored at their flows.
+fn flow_bound_instant(c: &Cluster, prefix: &str) -> bool {
+    let instants = c.trace().instants().iter();
+    instants
+        .filter(|i| i.name.starts_with(prefix))
+        .any(|i| i.args.iter().any(|(key, _)| *key == "flow"))
+}
+
+fn crash_and_rollback(name: &str, elastic: bool, threads: usize) -> (u64, u64, u64, u64) {
     let plan = two_percent_plan(2014).with_stall(1, 3).with_crash(2, 5);
     let dir = digest_dir(name, threads);
     let recovery = RecoveryConfig {
@@ -87,6 +100,7 @@ fn crash_and_rollback(name: &str, elastic: bool, threads: usize) -> (u64, u64, u
     // the crash: an elastic world retires both.
     assert_eq!(c.rank_count(), if elastic { 4 } else { 6 });
     assert!(c.flow_conservation().holds());
+    assert!(flow_bound_instant(&c, "inject:") && flow_bound_instant(&c, "recover:"));
     let _ = std::fs::remove_dir_all(dir);
     digests(&c)
 }
@@ -96,8 +110,8 @@ fn fixed_world_crash_and_rollback_digests_are_pinned() {
     for t in THREADS {
         assert_eq!(
             crash_and_rollback("fixed", false, t),
-            (0x2bda3d07fb008ab5, 0xb54f2a78c18a3622, 0x399c3f1acad7c647),
-            "fault log / flow ledger / force bits moved at {t} threads"
+            (0x2bda3d07fb008ab5, 0xb54f2a78c18a3622, 0x399c3f1acad7c647, 0x401403dbb0b5c3b1),
+            "fault log / flow ledger / force bits / instants moved at {t} threads"
         );
     }
 }
@@ -107,8 +121,8 @@ fn elastic_crash_recovery_digests_are_pinned() {
     for t in THREADS {
         assert_eq!(
             crash_and_rollback("elastic", true, t),
-            (0x8dc17d6693306921, 0xde9af87d8894977c, 0x070c5d4236090a43),
-            "fault log / flow ledger / force bits moved at {t} threads"
+            (0x8dc17d6693306921, 0xde9af87d8894977c, 0x070c5d4236090a43, 0x66716b58703c678d),
+            "fault log / flow ledger / force bits / instants moved at {t} threads"
         );
     }
 }
@@ -118,8 +132,8 @@ fn grow_and_shrink_churn_digests_are_pinned() {
     for t in THREADS {
         assert_eq!(
             churn(t),
-            (0x84f624a65495b178, 0x2569bafdada9153d, 0x4b21ea620278a500),
-            "fault log / flow ledger / force bits moved at {t} threads"
+            (0x84f624a65495b178, 0x2569bafdada9153d, 0x4b21ea620278a500, 0x4359e2e73f4f15f1),
+            "fault log / flow ledger / force bits / instants moved at {t} threads"
         );
     }
 }
@@ -127,7 +141,7 @@ fn grow_and_shrink_churn_digests_are_pinned() {
 /// Thin ranks, no faults: 64 particles a rank, so every rank walks its own
 /// tree and up to 31 remote sources (dedicated LETs or boundary trees) a
 /// step — the many-source fold the small chaos runs above never reach.
-fn thin(threads: usize) -> (u64, u64, u64) {
+fn thin(threads: usize) -> (u64, u64, u64, u64) {
     let mut c = Cluster::new(plummer_sphere(2048, 36), 32, config(threads));
     for _ in 0..3 {
         c.step();
@@ -142,13 +156,13 @@ fn thin_many_source_digests_are_pinned() {
     for t in [1, 2, 3, 4] {
         assert_eq!(
             thin(t),
-            (0, 0x6c0104eeefaca20c, 0x7c7c2db6fd59bb4a),
-            "fault log / flow ledger / force bits moved at {t} threads"
+            (0, 0x6c0104eeefaca20c, 0x7c7c2db6fd59bb4a, 0x282eeca289eeb653),
+            "fault log / flow ledger / force bits / instants moved at {t} threads"
         );
     }
 }
 
-fn churn(threads: usize) -> (u64, u64, u64) {
+fn churn(threads: usize) -> (u64, u64, u64, u64) {
     let dir = digest_dir("churn", threads);
     let recovery = RecoveryConfig {
         dir: dir.clone(),
@@ -172,6 +186,7 @@ fn churn(threads: usize) -> (u64, u64, u64) {
     assert_eq!(c.rank_count(), 4);
     assert_eq!(c.membership_log().changes().len(), 2);
     assert!(c.flow_conservation().holds());
+    assert!(flow_bound_instant(&c, "inject:") && flow_bound_instant(&c, "recover:"));
     let _ = std::fs::remove_dir_all(dir);
     digests(&c)
 }
