@@ -148,7 +148,6 @@ pub fn run(cfg: FlowsBenchConfig) -> FlowsResult {
             // baseline.
             for f in &mut step_flows {
                 f.attempts = 1;
-                f.clear_injected();
             }
         }
         times.extend(flow_times(cluster.trace(), step));

@@ -7,7 +7,7 @@
 //! same protocol, written here once: every member sends what it owes, every
 //! member drains its endpoint and validates each frame (envelope, epoch,
 //! kind, sender, duplicate, semantic `parse`), and whatever is still missing
-//! is re-requested a bounded number of times. What a caller does about a
+//! is re-requested up to [`MAX_RETRIES`] times. What a caller does about a
 //! peer that stays silent (the cluster declares it dead and rolls back) is
 //! its own business; [`exchange`] only reports the pairs.
 //!
@@ -28,6 +28,12 @@
 //! 2. endpoints are drained receiver-ascending, each to exhaustion;
 //! 3. retransmissions leave in `(to, from)` order — the order of
 //!    [`Exchanged::missing`] — followed by a flush of every member.
+//!
+//! The round's first transmissions are its seal table: flow ids are dense
+//! and `(from, to)`-ascending within it, so a retransmission, and every
+//! discard a receiver logs against a peer, names the flow that peer sealed
+//! for that receiver in this round, found by binary search — or
+//! [`NO_FLOW`](crate::envelope::NO_FLOW) when the peer owes it nothing.
 //!
 //! # Rank tasks and driver effects
 //!
@@ -52,10 +58,14 @@
 //! depends on no thread pool, and `bonsai-sim` passes a pool-backed
 //! [`Lanes`].
 
-use crate::envelope::{self, seal_flow};
+use crate::envelope::{self, seal_flow, NO_FLOW};
 use crate::fabric::{Message, MsgKind};
 use crate::fault::{FaultLog, RecoveryAction, RecoveryEvent, Wire};
 use bytes::Bytes;
+
+/// The one retry budget: every exchange sends a missing payload again this
+/// many times before reporting the pair missing.
+pub const MAX_RETRIES: u32 = 4;
 
 /// How a collective runs its rank tasks: `map` is
 /// `items.into_iter().map(f).collect()`, free to evaluate the items
@@ -153,8 +163,6 @@ pub struct Round<'a> {
     pub kind: MsgKind,
     /// Epoch the collective runs in; frames from any other are stale.
     pub epoch: u64,
-    /// Retransmission rounds before giving up on a missing payload.
-    pub max_retries: u32,
     /// Subject of "`{stale_frame}` from epoch N".
     pub stale_frame: &'a str,
     /// Tail of "late K frame during `{during}`".
@@ -252,7 +260,7 @@ fn check<T>(
 /// for. A frame that fails envelope validation, carries another epoch or
 /// kind, comes from an unexpected sender, arrives twice, or is refused by
 /// `parse` is discarded and logged; missing payloads are re-requested up to
-/// `round.max_retries` times. Non-members' endpoints and held-back queues
+/// [`MAX_RETRIES`] times. Non-members' endpoints and held-back queues
 /// are never touched. See the module docs for the order contract and for
 /// which parts run as rank tasks.
 pub fn exchange<T: Send>(
@@ -266,17 +274,26 @@ pub fn exchange<T: Send>(
 ) -> Exchanged<T> {
     let Round { kind, epoch, .. } = *round;
     debug_assert!(members.windows(2).all(|w| w[0] < w[1]), "members ascending");
-    let mut next_flow = wire.flows.next_id();
+    let first = wire.flows.next_id();
+    let mut next_flow = first;
     let bursts: Vec<_> = (members.iter())
         .map(|&from| {
             let sends = outbox[from].first_sends(members, from);
-            let first = next_flow;
+            let burst_first = next_flow;
             next_flow += sends.len() as u64;
-            (from, first, sends)
+            (from, burst_first, sends)
         })
         .collect();
-    let sealed = lanes.map(bursts, |(from, first, sends)| {
-        (sends.into_iter().zip(first..))
+    // The round's seal table: flow `first + i` goes `sent[i].0 → sent[i].1`.
+    let sent: Vec<(usize, usize)> = (bursts.iter())
+        .flat_map(|(from, _, sends)| sends.iter().map(|&(to, _)| (*from, to)))
+        .collect();
+    debug_assert!(sent.windows(2).all(|w| w[0] < w[1]), "first sends (from, to)-ascending");
+    let flow_of = |from: usize, to: usize| {
+        sent.binary_search(&(from, to)).map_or(NO_FLOW, |i| first + i as u64)
+    };
+    let sealed = lanes.map(bursts, |(from, burst_first, sends)| {
+        (sends.into_iter().zip(burst_first..))
             .map(|((to, payload), flow)| (to, flow, seal_flow(kind, from, epoch, flow, 0, payload)))
             .collect::<Vec<_>>()
     });
@@ -299,6 +316,7 @@ pub fn exchange<T: Send>(
             kind: Some(kind),
             action,
             detail,
+            flow: flow_of(peer, rank),
         });
     };
     let mut attempt = 0u32;
@@ -346,7 +364,7 @@ pub fn exchange<T: Send>(
                 }
             });
         }
-        if out.missing.is_empty() || attempt >= round.max_retries {
+        if out.missing.is_empty() || attempt >= MAX_RETRIES {
             return out;
         }
         attempt += 1;
@@ -355,7 +373,7 @@ pub fn exchange<T: Send>(
                 let detail = format!("attempt {attempt}");
                 record(&mut wire.log, to, from, RecoveryAction::Retransmit, detail);
                 out.retransmit_bytes += payload.len();
-                wire.send_framed(from, to, kind, epoch, attempt, payload);
+                wire.retransmit(flow_of(from, to), attempt, payload);
             }
         }
         for &m in members {
@@ -377,7 +395,6 @@ mod tests {
     const PHASE: Round<'static> = Round {
         kind: MsgKind::Control,
         epoch: EPOCH,
-        max_retries: 2,
         stale_frame: "frame",
         during: "Control phase",
         stranger: "unexpected sender",
@@ -386,7 +403,6 @@ mod tests {
     const GOSSIP: Round<'static> = Round {
         kind: MsgKind::View,
         epoch: EPOCH,
-        max_retries: 2,
         stale_frame: "view frame",
         during: "view gossip",
         stranger: "view frame from non-member",
@@ -461,8 +477,8 @@ mod tests {
             ),
         ] {
             let mut wire = Wire::new(2, FaultPlan::new(0));
-            wire.send_framed(1, 0, round.kind, EPOCH - 1, 0, b"held back an epoch");
-            wire.send_framed(1, 0, MsgKind::Let, EPOCH, 0, b"from a later phase");
+            wire.send_framed(1, 0, round.kind, EPOCH - 1, b"held back an epoch");
+            wire.send_framed(1, 0, MsgKind::Let, EPOCH, b"from a later phase");
             let got = exchange(
                 &mut wire,
                 &Inline,
@@ -517,8 +533,8 @@ mod tests {
         // before dying is a non-member's, and its own endpoint — inbox and
         // outbox — is never touched.
         let mut wire = Wire::new(3, FaultPlan::new(0));
-        wire.send_framed(2, 0, MsgKind::View, EPOCH, 0, b"from beyond");
-        wire.send_framed(0, 2, MsgKind::View, EPOCH, 0, b"unread");
+        wire.send_framed(2, 0, MsgKind::View, EPOCH, b"from beyond");
+        wire.send_framed(0, 2, MsgKind::View, EPOCH, b"unread");
         let got = exchange(
             &mut wire,
             &Inline,
@@ -538,6 +554,8 @@ mod tests {
                 "view frame from non-member".to_string()
             )]
         );
+        // A non-member sealed nothing this round: its frame names no flow.
+        assert_eq!(wire.log.recoveries[0].flow, NO_FLOW);
         assert_eq!(
             &wire.try_recv(2).expect("still queued").payload[44..],
             b"unread"
@@ -564,8 +582,8 @@ mod tests {
             .with_injection(held(MsgKind::View, FaultKind::Reorder))
             .with_injection(held(MsgKind::Let, FaultKind::Delay));
         let mut wire = Wire::new(3, plan);
-        wire.send_framed(2, 0, MsgKind::View, EPOCH, 0, b"reordered");
-        wire.send_framed(2, 0, MsgKind::Let, EPOCH, 0, b"delayed");
+        wire.send_framed(2, 0, MsgKind::View, EPOCH, b"reordered");
+        wire.send_framed(2, 0, MsgKind::Let, EPOCH, b"delayed");
         let got = exchange(&mut wire, &Inline, &[0, 1], &GOSSIP, &hello(3), Expect::AllPeers, bytes);
         assert!(got.missing.is_empty() && recoveries(&wire).is_empty());
         assert!(wire.try_recv(0).is_none() && wire.try_recv(2).is_none());
@@ -632,6 +650,11 @@ mod tests {
             events[1],
             (RecoveryAction::Retransmit, 0, 2, "attempt 1".to_string())
         );
+        // Flows 1..=6 leave sender-ascending: 2 -> 0 is flow 5, and the
+        // fault, the discard and the retransmission all name it.
+        let flows = wire.log.injected.iter().map(|e| e.flow);
+        assert!(flows.chain(wire.log.recoveries.iter().map(|e| e.flow)).all(|f| f == 5));
+        assert_eq!(wire.flows.get(5).map(|r| (r.from, r.to, r.attempts)), Some((2, 0, 2)));
         assert!(wire.flows.conservation().holds());
     }
 
@@ -643,23 +666,21 @@ mod tests {
             2 => Err(Reject::Corrupt("does not decode".to_string())),
             _ => Ok(b[0]),
         };
-        let round = Round {
-            max_retries: 1,
-            ..GOSSIP
-        };
         let got = exchange(
             &mut wire,
             &Inline,
             &[0, 1, 2],
-            &round,
+            &GOSSIP,
             &hello(3),
             Expect::AllPeers,
             parse,
         );
-        // Nobody accepts rank 1's or rank 2's payload, first time or again.
+        // Nobody accepts rank 1's or rank 2's payload, first time or on
+        // any of the retries: four pairs, each sent 1 + MAX_RETRIES times.
+        let sends = 1 + MAX_RETRIES as usize;
         assert_eq!(got.missing, [(0, 1), (0, 2), (1, 2), (2, 1)]);
         assert_eq!(got.received[1], vec![(0, 0)]);
-        assert_eq!(got.retransmit_bytes, 4);
+        assert_eq!(got.retransmit_bytes, 4 * MAX_RETRIES as usize);
         let stale = (
             RecoveryAction::DiscardStale,
             0,
@@ -674,74 +695,46 @@ mod tests {
         );
         let events = recoveries(&wire);
         assert_eq!(events[..2], [stale.clone(), corrupt.clone()]);
-        assert_eq!(events.iter().filter(|e| e.0 == stale.0).count(), 4);
-        assert_eq!(events.iter().filter(|e| e.0 == corrupt.0).count(), 4);
-        assert_eq!(
-            events
-                .iter()
-                .filter(|e| e.0 == RecoveryAction::Retransmit)
-                .count(),
-            4
-        );
+        let count = |action| events.iter().filter(|e| e.0 == action).count();
+        assert_eq!(count(stale.0), 2 * sends);
+        assert_eq!(count(corrupt.0), 2 * sends);
+        assert_eq!(count(RecoveryAction::Retransmit), 4 * MAX_RETRIES as usize);
         assert_eq!(got.complete().unwrap_err(), 1);
     }
 
     #[test]
     fn retry_exhaustion_reports_the_missing_pairs_in_order() {
-        // Everything rank 1 sends is lost the first time; rank 3 owes nothing.
-        let plan = (0..4).fold(FaultPlan::new(3), |plan, to| {
-            plan.with_injection(Injection {
-                epoch: EPOCH,
-                from: Some(1),
-                to: Some(to),
-                kind: None,
-                fault: FaultKind::Drop,
-                attempts: 0..1,
-            })
-        });
-        let mut wire = Wire::new(4, plan);
-        let mut outbox = hello(4);
-        outbox[1] = Outbox::To(vec![
-            (0, Bytes::from(vec![9; 10])),
-            (2, Bytes::from(vec![9; 30])),
-        ]);
-        outbox[3] = Outbox::Silent;
-        let round = Round {
-            max_retries: 0,
-            ..PHASE
+        // Everything rank 1 sends is dropped on `attempts`; rank 3 owes
+        // nothing.
+        let run = |attempts: std::ops::Range<u32>| {
+            let plan = (0..4).fold(FaultPlan::new(3), |plan, to| {
+                let (epoch, from, to, kind, fault) = (EPOCH, Some(1), Some(to), None, FaultKind::Drop);
+                plan.with_injection(Injection { epoch, from, to, kind, fault, attempts: attempts.clone() })
+            });
+            let mut wire = Wire::new(4, plan);
+            let mut outbox = hello(4);
+            outbox[1] = Outbox::To(vec![
+                (0, Bytes::from(vec![9; 10])),
+                (2, Bytes::from(vec![9; 30])),
+            ]);
+            outbox[3] = Outbox::Silent;
+            let got = exchange(&mut wire, &Inline, &[0, 1, 2, 3], &PHASE, &outbox, Expect::AllPeers, bytes);
+            (got, wire)
         };
-        let got = exchange(
-            &mut wire,
-            &Inline,
-            &[0, 1, 2, 3],
-            &round,
-            &outbox,
-            Expect::AllPeers,
-            bytes,
-        );
+        // Lost through the budget: rank 1 is as silent as rank 3, but its
+        // payloads were sent again on every retry.
+        let (got, wire) = run(0..MAX_RETRIES + 1);
         assert_eq!(
             got.missing,
             [(0, 1), (0, 3), (1, 3), (2, 1), (2, 3), (3, 1)]
         );
-        assert_eq!(got.retransmit_bytes, 0);
-        assert!(recoveries(&wire).is_empty());
+        assert_eq!(got.retransmit_bytes, (10 + 30) * MAX_RETRIES as usize);
+        assert_eq!(recoveries(&wire).len(), 2 * MAX_RETRIES as usize);
 
-        // With retries, the forced drops (first attempts only) heal, and
-        // only what was owed is sent again: nothing for the silent rank,
-        // nothing from 1 to 3.
-        let round = Round {
-            max_retries: 2,
-            ..PHASE
-        };
-        let got = exchange(
-            &mut wire,
-            &Inline,
-            &[0, 1, 2, 3],
-            &round,
-            &outbox,
-            Expect::AllPeers,
-            bytes,
-        );
+        // Lost on the first attempt only, the drops heal, and only what was
+        // owed is sent again: nothing for the silent rank, nothing from 1
+        // to 3.
+        let (got, mut wire) = run(0..1);
         assert_eq!(got.missing, [(0, 3), (1, 3), (2, 3), (3, 1)]);
         assert_eq!(got.retransmit_bytes, 10 + 30);
         assert_eq!(received_from(&got.received[2], 1), Some(&vec![9; 30]));

@@ -10,9 +10,9 @@
 //!
 //! [`Wire`] is the one value the driver holds for all of it: the raw
 //! [`Endpoint`]s, the plan (applied on the send side by
-//! [`Wire::send_framed`]), the frames the plan is holding back, the
-//! [`FaultLog`] and the [`FlowLedger`]. With an empty plan a send is a
-//! transparent pass-through (modulo sealing the payload in an
+//! [`Wire::send_framed`] and [`Wire::retransmit`]), the frames the plan is
+//! holding back, the [`FaultLog`] and the [`FlowLedger`]. With an empty plan
+//! a send is a transparent pass-through (modulo sealing the payload in an
 //! [`envelope`](crate::envelope) frame), so `Cluster` runs unmodified when no
 //! faults are scheduled. Nothing here is shared or locked: a collective may
 //! seal and open frames on other threads, but everything it does to the
@@ -25,7 +25,11 @@
 //! that budget (crashed, stalled, or with every copy of one frame lost) is
 //! declared dead and the cluster rolls back to its last checkpoint. Both
 //! halves append to the wire's [`FaultLog`] so a run can be audited: every
-//! injected fault is either recovered or explicitly surfaced.
+//! injected fault is either recovered or explicitly surfaced. A fault, a
+//! retransmission and a discard each name the flow id of the frame they
+//! concern (see [`FlowLedger`]); crashes, declared deaths, restores and view
+//! changes concern no frame and carry
+//! [`NO_FLOW`](crate::envelope::NO_FLOW).
 
 use crate::envelope::{kind_code, seal_flow, ENVELOPE_HEADER_LEN};
 use crate::fabric::{Endpoint, Fabric, Message, MsgKind};
@@ -297,6 +301,9 @@ pub struct FaultEvent {
     pub fault: FaultKind,
     /// Send attempt the fault applied to (0 = original transmission).
     pub attempt: u32,
+    /// Flow id of the faulted frame; [`NO_FLOW`](crate::envelope::NO_FLOW)
+    /// for a crash.
+    pub flow: u64,
 }
 
 /// What the recovery machinery did about a detected problem.
@@ -351,6 +358,10 @@ pub struct RecoveryEvent {
     pub action: RecoveryAction,
     /// Human-readable context (e.g. the envelope error).
     pub detail: String,
+    /// Flow id of the frame the receiver is waiting on from `peer` in this
+    /// round; [`NO_FLOW`](crate::envelope::NO_FLOW) when the peer owes it
+    /// nothing, and for crash handling, restores and view changes.
+    pub flow: u64,
 }
 
 /// Audit log of injected faults and the recovery actions taken.
@@ -502,38 +513,38 @@ impl Wire {
         &self.plan
     }
 
-    /// Seal `payload` in an envelope and send it `from` → `to`, applying
-    /// the fault plan. `attempt` is 0 for the original transmission and
-    /// increments on each retransmission. Returns the ledger flow id the
-    /// frame carries: attempt 0 seals a fresh flow, retransmissions re-use
-    /// the open flow on the same `(epoch, from, to, kind)` coordinate.
+    /// Seal `payload` in an envelope as a fresh flow and send it `from` →
+    /// `to`, applying the fault plan. Returns the flow id the frame carries.
     pub fn send_framed(
         &mut self,
         from: usize,
         to: usize,
         kind: MsgKind,
         epoch: u64,
-        attempt: u32,
         payload: &[u8],
     ) -> u64 {
-        if attempt == 0 {
-            let flow = self.flows.next_id();
-            let frame = seal_flow(kind, from, epoch, flow, 0, payload);
-            self.send_sealed(from, to, kind, epoch, flow, frame);
-            return flow;
-        }
-        let flow = self.flows.retransmit_latest(epoch, from, to, kind, payload.len());
-        let frame = seal_flow(kind, from, epoch, flow, attempt, payload);
-        if let Some(fault) = self.transmit(from, to, kind, epoch, attempt, frame) {
-            self.flows.inject(flow, attempt, fault);
-        }
+        let flow = self.flows.next_id();
+        let frame = seal_flow(kind, from, epoch, flow, 0, payload);
+        self.send_sealed(from, to, kind, epoch, flow, frame);
         flow
+    }
+
+    /// Send `payload` again as transmission `attempt` (1 for the first
+    /// retransmission) of `flow`, to the receiver and under the epoch the
+    /// flow was sealed with, applying the fault plan.
+    ///
+    /// # Panics
+    /// If the ledger does not hold `flow`.
+    pub fn retransmit(&mut self, flow: u64, attempt: u32, payload: &[u8]) {
+        let r = self.flows.retransmit(flow);
+        let frame = seal_flow(r.kind, r.from, r.epoch, flow, attempt, payload);
+        self.transmit(flow, attempt, frame);
     }
 
     /// The effects of a first transmission whose frame was sealed elsewhere
     /// (possibly on another thread) under `flow`: record the flow in the
     /// ledger, then apply the plan and send, exactly as
-    /// [`send_framed`](Self::send_framed) does for attempt 0.
+    /// [`send_framed`](Self::send_framed) does.
     ///
     /// # Panics
     /// If `flow` is not the id the ledger hands out next: ids follow send
@@ -550,22 +561,15 @@ impl Wire {
         let payload = frame.len() - ENVELOPE_HEADER_LEN;
         let id = self.flows.seal(epoch, from, to, kind, payload);
         assert_eq!(id, flow, "frame sealed under flow {flow}, sent as flow {id}");
-        if let Some(fault) = self.transmit(from, to, kind, epoch, 0, frame) {
-            self.flows.inject(flow, 0, fault);
-        }
+        self.transmit(flow, 0, frame);
     }
 
-    /// Apply the plan to a sealed frame: put it on the wire, hold it back,
-    /// mangle or drop it. Returns the fault injected, already in the log.
-    fn transmit(
-        &mut self,
-        from: usize,
-        to: usize,
-        kind: MsgKind,
-        epoch: u64,
-        attempt: u32,
-        frame: Bytes,
-    ) -> Option<FaultKind> {
+    /// Apply the plan to transmission `attempt` of `flow`, sealed in
+    /// `frame`: put it on the wire, hold it back, mangle or drop it, and log
+    /// the fault under the flow's id.
+    fn transmit(&mut self, flow: u64, attempt: u32, frame: Bytes) {
+        let r = self.flows.get(flow).expect("a frame is sent under a flow the ledger holds");
+        let (epoch, from, to, kind) = (r.epoch, r.from, r.to, r.kind);
         let fault = if self.plan.is_empty() {
             None
         } else if kind == MsgKind::Let && self.plan.stalled(from, epoch) {
@@ -576,9 +580,9 @@ impl Wire {
         };
         let Some(fault) = fault else {
             self.endpoints[from].send(to, kind, frame);
-            return None;
+            return;
         };
-        self.log.record_fault(FaultEvent { epoch, from, to, kind, fault, attempt });
+        self.log.record_fault(FaultEvent { epoch, from, to, kind, fault, attempt, flow });
         let ep = &self.endpoints[from];
         match fault {
             FaultKind::Drop => {}
@@ -600,7 +604,6 @@ impl Wire {
             }
             FaultKind::Crash => unreachable!("crash cannot be a message fault"),
         }
-        Some(fault)
     }
 
     /// Deliver the frames of `from` held back by `Reorder`. Call at the end
@@ -632,7 +635,7 @@ impl Wire {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::envelope::open;
+    use crate::envelope::{open, NO_FLOW};
 
     /// Ranks 0 and 1 under `plan`; every test sends 0 → 1.
     fn pair(plan: FaultPlan) -> Wire {
@@ -647,7 +650,7 @@ mod tests {
     #[test]
     fn empty_plan_is_transparent() {
         let mut w = pair(FaultPlan::new(1));
-        w.send_framed(0, 1, MsgKind::Control, 5, 0, b"payload");
+        w.send_framed(0, 1, MsgKind::Control, 5, b"payload");
         let m = recv(&w);
         let env = open(&m).unwrap();
         assert_eq!(env.payload, b"payload");
@@ -664,6 +667,7 @@ mod tests {
             kind: None,
             action: RecoveryAction::DiscardStale,
             detail: String::new(),
+            flow: NO_FLOW,
         }
     }
 
@@ -679,6 +683,7 @@ mod tests {
                 kind: MsgKind::Let,
                 fault: FaultKind::Drop,
                 attempt: 0,
+                flow: 1,
             });
         }
         for epoch in 0..=10 {
@@ -709,12 +714,15 @@ mod tests {
             attempts: 0..1,
         });
         let mut w = pair(plan);
-        w.send_framed(0, 1, MsgKind::Let, 1, 0, b"x");
+        let flow = w.send_framed(0, 1, MsgKind::Let, 1, b"x");
         assert!(w.try_recv(1).is_none());
         // Retransmission (attempt 1) bypasses the first-attempt injection.
-        w.send_framed(0, 1, MsgKind::Let, 1, 1, b"x");
-        assert!(w.try_recv(1).is_some());
+        w.retransmit(flow, 1, b"x");
+        let m = recv(&w);
+        let env = open(&m).unwrap();
+        assert_eq!((env.flow, env.seq), (flow, 1));
         assert_eq!(w.log.injected_of(FaultKind::Drop), 1);
+        assert_eq!((w.log.injected[0].flow, w.flows.records()[0].attempts), (flow, 2));
     }
 
     #[test]
@@ -729,7 +737,7 @@ mod tests {
                 attempts: 0..1,
             });
             let mut w = pair(plan);
-            w.send_framed(0, 1, MsgKind::Boundary, 0, 0, &[7u8; 256]);
+            w.send_framed(0, 1, MsgKind::Boundary, 0, &[7u8; 256]);
             assert!(open(&recv(&w)).is_err(), "{fault} not detected");
         }
     }
@@ -745,7 +753,7 @@ mod tests {
             attempts: 0..1,
         });
         let mut w = pair(plan);
-        w.send_framed(0, 1, MsgKind::Particles, 0, 0, b"p");
+        w.send_framed(0, 1, MsgKind::Particles, 0, b"p");
         assert!(w.try_recv(1).is_some());
         assert!(w.try_recv(1).is_some());
         assert!(w.try_recv(1).is_none());
@@ -762,7 +770,7 @@ mod tests {
             attempts: 0..1,
         });
         let mut w = pair(plan);
-        w.send_framed(0, 1, MsgKind::Control, 3, 0, b"late");
+        w.send_framed(0, 1, MsgKind::Control, 3, b"late");
         assert!(w.try_recv(1).is_none());
         w.flush_delayed();
         let m = recv(&w);
@@ -781,8 +789,8 @@ mod tests {
             attempts: 0..1,
         });
         let mut w = pair(plan);
-        w.send_framed(0, 1, MsgKind::Let, 0, 0, b"first");
-        w.send_framed(0, 1, MsgKind::Control, 0, 0, b"second");
+        w.send_framed(0, 1, MsgKind::Let, 0, b"first");
+        w.send_framed(0, 1, MsgKind::Control, 0, b"second");
         w.flush_reordered(0);
         let a = open(&recv(&w)).unwrap().payload.to_vec();
         let b = open(&recv(&w)).unwrap().payload.to_vec();
@@ -794,8 +802,8 @@ mod tests {
     fn stall_holds_let_but_not_control() {
         let plan = FaultPlan::new(7).with_stall(0, 2);
         let mut w = pair(plan);
-        w.send_framed(0, 1, MsgKind::Control, 2, 0, b"heartbeat");
-        w.send_framed(0, 1, MsgKind::Let, 2, 0, b"let");
+        w.send_framed(0, 1, MsgKind::Control, 2, b"heartbeat");
+        w.send_framed(0, 1, MsgKind::Let, 2, b"let");
         assert_eq!(open(&recv(&w)).unwrap().payload, b"heartbeat");
         assert!(w.try_recv(1).is_none(), "LET send must hang while stalled");
         assert_eq!(w.log.injected_of(FaultKind::Stall), 1);
@@ -816,10 +824,10 @@ mod tests {
             .with_injection(forced(MsgKind::Particles, FaultKind::Reorder))
             .with_stall(0, 4);
         let mut w = pair(plan);
-        w.send_framed(0, 1, MsgKind::View, 4, 0, b"delayed");
-        w.send_framed(0, 1, MsgKind::Particles, 4, 0, b"reordered");
-        w.send_framed(0, 1, MsgKind::Let, 4, 0, b"stalled");
-        w.send_framed(0, 1, MsgKind::Control, 4, 0, b"queued");
+        w.send_framed(0, 1, MsgKind::View, 4, b"delayed");
+        w.send_framed(0, 1, MsgKind::Particles, 4, b"reordered");
+        w.send_framed(0, 1, MsgKind::Let, 4, b"stalled");
+        w.send_framed(0, 1, MsgKind::Control, 4, b"queued");
         let (log, flows) = (w.log.clone(), w.flows.clone());
         assert_eq!((log.injected.len(), flows.len()), (3, 4));
 
@@ -831,7 +839,7 @@ mod tests {
         assert_eq!((&w.log, &w.flows), (&log, &flows), "resize touched the books");
         // The plan carried over, and flow ids carry on where they were.
         assert!(w.plan().stalled(0, 4));
-        assert_eq!(w.send_framed(2, 0, MsgKind::Control, 5, 0, b"next"), 5);
+        assert_eq!(w.send_framed(2, 0, MsgKind::Control, 5, b"next"), 5);
         assert_eq!(open(&w.try_recv(0).unwrap().payload).unwrap().from, 2);
     }
 

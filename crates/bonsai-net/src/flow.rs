@@ -1,11 +1,14 @@
 //! Deterministic per-message flow ledger.
 //!
 //! Every logical message sealed on the fabric — original transmission plus
-//! all its retransmissions — is one **flow**. The ledger records the full
-//! lifecycle: seal → inject(drop/dup/corrupt/…) → retransmit → deliver |
-//! dead, keyed by a dense flow id that also rides inside the
-//! [envelope](crate::envelope) so the receive side can close the loop
-//! exactly. The ledger is a plain value owned by the
+//! all its retransmissions — is one **flow**. The ledger records the
+//! lifecycle: seal → retransmit → deliver | dead, keyed by a dense flow id
+//! that also rides inside the [envelope](crate::envelope) so the receive
+//! side can close the loop exactly. The id is the one key for everything
+//! that happens to the frame: each fault the plan injects and each
+//! retransmission or discard is a [`FaultLog`](crate::fault::FaultLog)
+//! event that names its flow, not a second copy kept here. The ledger is a
+//! plain value owned by the
 //! [`Wire`](crate::fault::Wire): all mutations happen on the simulation
 //! driver thread, through `&mut`, in the order the driver sends and drains,
 //! so ids, record order and outcomes are byte-deterministic per seed — the
@@ -16,9 +19,8 @@
 //! [`FlowLedger::seal`] asserts that epochs arrive in non-decreasing order.
 //! One epoch's records are therefore a contiguous run that
 //! [`FlowLedger::for_epoch`] finds by binary search, and everything a step
-//! does with the ledger — retransmission matching, the dead sweep, the
-//! observability pass — touches that run only, never the
-//! history before it.
+//! does with the ledger — the dead sweep, the observability pass — touches
+//! that run only, never the history before it.
 //!
 //! The ledger is also **bounded**: [`FlowLedger::retain_epochs`] drops whole
 //! epochs from the front (the cluster evicts it with its trace) and folds
@@ -30,7 +32,6 @@
 //! epoch abandoned by a rollback), with no flow left `Pending`.
 
 use crate::fabric::MsgKind;
-use crate::fault::FaultKind;
 use bonsai_util::sorted::equal_run;
 
 /// Terminal (or not-yet-terminal) state of one flow.
@@ -60,12 +61,7 @@ impl FlowOutcome {
 }
 
 /// One logical message and its recorded lifecycle.
-///
-/// The ledger keeps one record per sealed message for the whole history
-/// window, so a record is fixed-size (64 B): the injection list, empty on
-/// almost every flow, sits behind one pointer that is `None` until a fault
-/// is injected.
-#[derive(Clone, PartialEq)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct FlowRecord {
     /// Ledger-assigned id, dense and 1-based (0 is the reserved
     /// [`NO_FLOW`](crate::envelope::NO_FLOW)).
@@ -82,18 +78,12 @@ pub struct FlowRecord {
     pub bytes: usize,
     /// Transmissions attempted so far (1 = original only).
     pub attempts: u32,
-    /// Faults injected on this flow; `None` when there are none, never an
-    /// empty list. Read through [`FlowRecord::injected`].
-    // The box is the point: one thin pointer, where a bare `Vec` is three
-    // words on every record and a boxed slice two.
-    #[allow(clippy::box_collection)]
-    injected: Option<Box<Vec<(u32, FaultKind)>>>,
     /// Lifecycle state.
     pub outcome: FlowOutcome,
 }
 
 impl FlowRecord {
-    /// A freshly sealed flow: one attempt, nothing injected, pending.
+    /// A freshly sealed flow: one attempt, pending.
     pub fn new(id: u64, epoch: u64, from: usize, to: usize, kind: MsgKind, bytes: usize) -> Self {
         Self {
             id,
@@ -103,38 +93,8 @@ impl FlowRecord {
             kind,
             bytes,
             attempts: 1,
-            injected: None,
             outcome: FlowOutcome::Pending,
         }
-    }
-
-    /// Faults injected on this flow, as `(attempt, fault)` pairs in
-    /// injection order.
-    pub fn injected(&self) -> &[(u32, FaultKind)] {
-        self.injected.as_deref().map_or(&[], Vec::as_slice)
-    }
-
-    /// Forget every injection.
-    pub fn clear_injected(&mut self) {
-        self.injected = None;
-    }
-}
-
-/// Renders as `#[derive(Debug)]` would with `injected` a plain list: the
-/// exchange digests hash this text.
-impl std::fmt::Debug for FlowRecord {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FlowRecord")
-            .field("id", &self.id)
-            .field("epoch", &self.epoch)
-            .field("from", &self.from)
-            .field("to", &self.to)
-            .field("kind", &self.kind)
-            .field("bytes", &self.bytes)
-            .field("attempts", &self.attempts)
-            .field("injected", &self.injected())
-            .field("outcome", &self.outcome)
-            .finish()
     }
 }
 
@@ -249,43 +209,27 @@ impl FlowLedger {
 
     /// The held record of `id`; `None` for an evicted id and for
     /// [`NO_FLOW`](crate::envelope::NO_FLOW).
+    pub fn get(&self, id: u64) -> Option<&FlowRecord> {
+        let index = id.checked_sub(self.evicted.sealed + 1)?;
+        self.records.get(index as usize)
+    }
+
     fn get_mut(&mut self, id: u64) -> Option<&mut FlowRecord> {
-        let first = self.evicted.sealed + 1;
-        let index = id.checked_sub(first)?;
+        let index = id.checked_sub(self.evicted.sealed + 1)?;
         self.records.get_mut(index as usize)
     }
 
-    /// A retransmission re-uses the most recent still-pending flow on the
-    /// same `(epoch, from, to, kind)` coordinate, bumping its attempt
-    /// count; if none is open (shouldn't happen in a well-formed exchange)
-    /// a fresh flow is sealed so nothing goes unrecorded.
-    pub fn retransmit_latest(
-        &mut self,
-        epoch: u64,
-        from: usize,
-        to: usize,
-        kind: MsgKind,
-        bytes: usize,
-    ) -> u64 {
-        let range = self.epoch_range(epoch);
-        let found = self.records[range]
-            .iter_mut()
-            .rev()
-            .find(|r| {
-                r.from == from && r.to == to && r.kind == kind && r.outcome == FlowOutcome::Pending
-            })
-            .map(|r| {
-                r.attempts += 1;
-                r.id
-            });
-        found.unwrap_or_else(|| self.seal(epoch, from, to, kind, bytes))
-    }
-
-    /// Record a fault injected on `flow` at transmission `attempt`.
-    pub fn inject(&mut self, flow: u64, attempt: u32, fault: FaultKind) {
-        if let Some(r) = self.get_mut(flow) {
-            r.injected.get_or_insert_default().push((attempt, fault));
-        }
+    /// Count one more transmission of `flow`; returns its record.
+    ///
+    /// # Panics
+    /// If the ledger does not hold `flow`: a frame is only sent again
+    /// within the exchange that sealed it.
+    pub fn retransmit(&mut self, flow: u64) -> &FlowRecord {
+        let r = self
+            .get_mut(flow)
+            .unwrap_or_else(|| panic!("retransmission of flow {flow}, which the ledger does not hold"));
+        r.attempts += 1;
+        r
     }
 
     /// Mark `flow` delivered by the frame with sequence `attempt`. Late
@@ -337,47 +281,42 @@ mod tests {
     }
 
     #[test]
-    fn retransmit_reuses_latest_pending() {
+    fn retransmit_counts_an_attempt_on_its_flow() {
         let mut l = FlowLedger::new();
         let a = l.seal(3, 0, 1, MsgKind::Let, 100);
-        l.inject(a, 0, FaultKind::Drop);
-        let b = l.retransmit_latest(3, 0, 1, MsgKind::Let, 100);
-        assert_eq!(a, b);
-        assert_eq!(l.records()[0].attempts, 2);
+        assert_eq!(l.retransmit(a).attempts, 2);
         l.deliver(a, 1);
         assert_eq!(l.records()[0].outcome, FlowOutcome::Delivered { attempt: 1 });
         assert!(l.conservation().holds());
     }
 
     #[test]
-    fn retransmit_without_open_flow_seals_fresh() {
+    #[should_panic(expected = "which the ledger does not hold")]
+    fn retransmitting_an_unheld_flow_panics() {
         let mut l = FlowLedger::new();
-        let a = l.seal(3, 0, 1, MsgKind::Let, 100);
-        l.deliver(a, 0);
-        let b = l.retransmit_latest(3, 0, 1, MsgKind::Let, 100);
-        assert_ne!(a, b);
-        assert_eq!(l.len(), 2);
+        l.seal(3, 0, 1, MsgKind::Let, 100);
+        l.retransmit(NO_FLOW);
     }
 
     #[test]
     fn same_coordinate_flows_resolve_independently() {
         // Membership gossip seals several View frames per (epoch, from, to)
-        // across rounds; the latest-pending rule must not cross wires.
+        // across rounds; a retransmission names its own.
         let mut l = FlowLedger::new();
         let round1 = l.seal(5, 2, 0, MsgKind::View, 40);
-        l.deliver(round1, 0);
         let round2 = l.seal(5, 2, 0, MsgKind::View, 44);
-        let re = l.retransmit_latest(5, 2, 0, MsgKind::View, 44);
-        assert_eq!(re, round2);
-        l.deliver(round2, 1);
-        assert!(l.conservation().holds());
+        assert_eq!(l.retransmit(round1).id, round1);
+        l.deliver(round2, 0);
+        l.deliver(round1, 1);
+        let attempts: Vec<_> = l.records().iter().map(|r| (r.attempts, r.outcome)).collect();
+        let delivered = |attempt| FlowOutcome::Delivered { attempt };
+        assert_eq!(attempts, [(2, delivered(1)), (1, delivered(0))]);
     }
 
     #[test]
     fn an_abandoned_epoch_closes_the_books_dead() {
         let mut l = FlowLedger::new();
-        let stalled = l.seal(7, 1, 2, MsgKind::Let, 500);
-        l.inject(stalled, 0, FaultKind::Stall);
+        l.seal(7, 1, 2, MsgKind::Let, 500);
         let delivered = l.seal(7, 3, 2, MsgKind::Control, 8);
         l.deliver(delivered, 0);
         l.seal(7, 3, 1, MsgKind::Control, 8);
@@ -410,17 +349,11 @@ mod tests {
     #[test]
     fn sweeps_leave_other_epochs_alone() {
         let mut l = FlowLedger::new();
-        let old = l.seal(3, 0, 1, MsgKind::Let, 100);
-        let cur = l.seal(5, 0, 1, MsgKind::Let, 100);
-        l.deliver(cur, 0);
-        assert_eq!(l.records()[0].outcome, FlowOutcome::Pending);
-        // A retransmission at epoch 5 finds nothing open there and seals
-        // afresh rather than re-opening epoch 3's flow.
-        let re = l.retransmit_latest(5, 0, 1, MsgKind::Let, 100);
-        assert!(re != old && re != cur);
+        l.seal(3, 0, 1, MsgKind::Let, 100);
+        l.seal(5, 0, 1, MsgKind::Let, 100);
         l.close_epoch_dead(3);
         assert_eq!(l.records()[0].outcome, FlowOutcome::Dead);
-        assert_eq!(l.records()[2].outcome, FlowOutcome::Pending);
+        assert_eq!(l.records()[1].outcome, FlowOutcome::Pending);
     }
 
     #[test]
@@ -444,8 +377,7 @@ mod tests {
     fn no_flow_id_is_inert() {
         let mut l = FlowLedger::new();
         l.deliver(NO_FLOW, 0);
-        l.inject(NO_FLOW, 0, FaultKind::Drop);
-        assert!(l.is_empty());
+        assert!(l.get(NO_FLOW).is_none() && l.is_empty());
     }
 
     /// Epochs 2, 3, 4, 4, 7: one delivered and one dead flow evicted with
@@ -487,10 +419,8 @@ mod tests {
         let mut l = evicted_at_epoch_4();
         // Epoch 4: deliver one after a retransmission, leave the other
         // pending.
-        let re = l.retransmit_latest(4, 0, 1, MsgKind::Let, 100);
-        assert_eq!(re, 3);
-        l.inject(re, 0, FaultKind::Drop);
-        l.deliver(re, 1);
+        l.retransmit(3);
+        l.deliver(3, 1);
         l.close_epoch_dead(7);
         let held: Vec<_> = l.records().iter().map(|r| (r.id, r.attempts, r.outcome)).collect();
         assert_eq!(
@@ -501,12 +431,11 @@ mod tests {
                 (5, 1, FlowOutcome::Dead),
             ]
         );
-        assert_eq!(l.records()[0].injected(), [(0, FaultKind::Drop)]);
         // An evicted id is inert: a late duplicate of flow 1 changes nothing.
         let before = l.clone();
         l.deliver(1, 3);
-        l.inject(2, 0, FaultKind::Corrupt);
         assert_eq!(l, before);
+        assert!(l.get(2).is_none() && l.get(3).is_some_and(|r| r.id == 3));
     }
 
     #[test]
@@ -528,42 +457,7 @@ mod tests {
 
     #[test]
     fn a_record_is_fixed_size() {
-        assert!(std::mem::size_of::<FlowRecord>() <= 64);
-    }
-
-    #[test]
-    fn debug_renders_as_the_derived_impl_did() {
-        let mut l = FlowLedger::new();
-        let clean = l.seal(3, 0, 1, MsgKind::Let, 100);
-        let hit = l.seal(3, 2, 1, MsgKind::Control, 16);
-        l.inject(hit, 0, FaultKind::Drop);
-        l.retransmit_latest(3, 2, 1, MsgKind::Control, 16);
-        l.inject(hit, 1, FaultKind::Stall);
-        l.deliver(clean, 0);
-        l.close_epoch_dead(3);
-        assert_eq!(
-            format!("{:?}", l.records()[0]),
-            "FlowRecord { id: 1, epoch: 3, from: 0, to: 1, kind: Let, bytes: 100, attempts: 1, \
-             injected: [], outcome: Delivered { attempt: 0 } }"
-        );
-        assert_eq!(
-            format!("{:?}", l.records()[1]),
-            "FlowRecord { id: 2, epoch: 3, from: 2, to: 1, kind: Control, bytes: 16, attempts: 2, \
-             injected: [(0, Drop), (1, Stall)], outcome: Dead }"
-        );
-    }
-
-    #[test]
-    fn cleared_injections_compare_equal_to_none() {
-        let mut l = FlowLedger::new();
-        let id = l.seal(1, 0, 1, MsgKind::Let, 8);
-        let clean = l.records()[0].clone();
-        l.inject(id, 0, FaultKind::Corrupt);
-        let mut r = l.records()[0].clone();
-        assert_ne!(r, clean);
-        r.clear_injected();
-        assert!(r.injected().is_empty());
-        assert_eq!(r, clean);
+        assert!(std::mem::size_of::<FlowRecord>() <= 56);
     }
 
     #[test]

@@ -27,15 +27,17 @@
 //!   [`Wire`]: endpoints, plan, held-back frames, log and ledger as one
 //!   plain value with one owner — no lock, no shared handle;
 //! * [`flow`] — the per-message flow ledger ([`FlowLedger`], owned by the
-//!   wire): every sealed envelope is one flow whose lifecycle (seal → inject
-//!   → retransmit → deliver | dead) is recorded deterministically,
-//!   with a conservation invariant the chaos suites assert;
+//!   wire): every sealed envelope is one flow whose lifecycle (seal →
+//!   retransmit → deliver | dead) is recorded deterministically, with a
+//!   conservation invariant the chaos suites assert; its id is the key the
+//!   fault log's events name;
 //! * [`membership`] — coordinator-free epoch-based rank membership: views
 //!   as sorted stable node-id sets, join/leave/death proposals gossiped
 //!   over the faulty fabric until every live rank holds the same next
 //!   view, giving the cluster a dynamic world size;
 //! * [`obs`] — bridges into the unified `bonsai-obs` layer: fault-log
-//!   entries become COMM-track trace events, link traffic lands in the
+//!   entries become COMM-track trace events anchored at the flows they
+//!   name, link traffic lands in the
 //!   metrics registry priced by the cost model;
 //! * [`placement`] — §VII's SFC-aware rank placement on the torus.
 //!

@@ -124,6 +124,7 @@ mod tests {
 
     #[test]
     fn piz_daint_cpu_is_faster_for_lets() {
-        assert!(PIZ_DAINT.cpu_let_rate > TITAN.cpu_let_rate);
+        // Both specs are constants: the ordering is checked at compile time.
+        const { assert!(PIZ_DAINT.cpu_let_rate > TITAN.cpu_let_rate) }
     }
 }

@@ -288,7 +288,6 @@ pub fn converge(
     epoch: u64,
     current: &View,
     events_at: &[Vec<MembershipEvent>],
-    max_retries: u32,
 ) -> Result<Convergence, usize> {
     let p = wire.world();
     assert_eq!(live.len(), p);
@@ -305,7 +304,6 @@ pub fn converge(
     let round = Round {
         kind: MsgKind::View,
         epoch,
-        max_retries,
         stale_frame: "view frame",
         during: "view gossip",
         stranger: "view frame from non-member",
@@ -447,6 +445,7 @@ impl MembershipLog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::collective::MAX_RETRIES;
     use crate::fault::{FaultKind, FaultPlan, Injection};
 
     #[test]
@@ -501,7 +500,7 @@ mod tests {
         events[0].push(MembershipEvent::Join(4));
         events[2].push(MembershipEvent::Death(3));
         let live = vec![true, true, true, false];
-        let out = converge(&mut wire, &live, 5, &v, &events, 2).unwrap();
+        let out = converge(&mut wire, &live, 5, &v, &events).unwrap();
         assert_eq!(out.view.members, vec![0, 1, 2, 4]);
         assert_eq!(out.view.number, 1);
         assert_eq!(
@@ -530,7 +529,7 @@ mod tests {
         let mut events = vec![Vec::new(); 5];
         events[1].push(MembershipEvent::Leave(4));
         let live = vec![true; 5];
-        let out = converge(&mut wire, &live, 3, &v, &events, 4).unwrap();
+        let out = converge(&mut wire, &live, 3, &v, &events).unwrap();
         assert_eq!(out.view.members, vec![0, 1, 2, 3]);
         assert!(!wire.log.injected.is_empty(), "plan must have fired");
     }
@@ -546,7 +545,7 @@ mod tests {
             let mut events = vec![Vec::new(); 4];
             events[3].push(MembershipEvent::Join(4));
             let live = vec![true; 4];
-            let out = converge(&mut wire, &live, 2, &v, &events, 4).unwrap();
+            let out = converge(&mut wire, &live, 2, &v, &events).unwrap();
             (out.view, wire.log.render())
         };
         let (va, la) = run();
@@ -557,26 +556,21 @@ mod tests {
 
     #[test]
     fn silent_rank_is_reported() {
-        // Rank 2 is marked live but its endpoint never sends (we seal its
-        // sends off by dropping every frame it originates).
-        let plan = FaultPlan::new(5)
-            .with_injection(Injection {
-                epoch: 1,
-                from: Some(2),
-                to: None,
-                kind: Some(MsgKind::View),
-                fault: FaultKind::Drop,
-                attempts: 0..1,
-            })
-            // Retransmissions drop too: attempt > 0 faults need rates, so
-            // drive them via a saturating drop rate scoped by the hash —
-            // instead just use max_retries = 0 for a deterministic miss.
-            ;
+        // Rank 2 is marked live, but every frame it sends is dropped on
+        // every attempt the retry budget allows.
+        let plan = FaultPlan::new(5).with_injection(Injection {
+            epoch: 1,
+            from: Some(2),
+            to: None,
+            kind: Some(MsgKind::View),
+            fault: FaultKind::Drop,
+            attempts: 0..MAX_RETRIES + 1,
+        });
         let mut wire = Wire::new(3, plan);
         let v = View::initial(3);
         let events = vec![Vec::new(); 3];
         let live = vec![true; 3];
-        let err = converge(&mut wire, &live, 1, &v, &events, 0).unwrap_err();
+        let err = converge(&mut wire, &live, 1, &v, &events).unwrap_err();
         assert_eq!(err, 2);
     }
 

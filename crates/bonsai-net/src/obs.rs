@@ -1,8 +1,9 @@
 //! Bridges from the network layer into the unified observability model
 //! (`bonsai-obs`): fault-log entries become trace events on the COMM track
-//! anchored at their flow's modeled wire times, measured link traffic
-//! lands in the metrics registry priced by the interconnect cost model, and
-//! the flow analysis joins ledger records with the trace.
+//! anchored at the modeled wire times of the flows they name (found by id),
+//! measured link traffic lands in the metrics registry priced by the
+//! interconnect cost model, and the flow analysis joins ledger records with
+//! the trace.
 //!
 //! **Wait attribution.** The ledger knows *what happened to every sealed
 //! envelope* — delivered on attempt k, or dead with an epoch a rollback
@@ -15,7 +16,6 @@
 //! reliability and delivery-latency statistics.
 
 use crate::cost::NetworkModel;
-use crate::fabric::MsgKind;
 use crate::fault::{FaultEvent, RecoveryAction, RecoveryEvent};
 use crate::flow::{FlowOutcome, FlowRecord};
 use bonsai_obs::{
@@ -61,53 +61,22 @@ impl<'a> FlowClock<'a> {
             _ => None,
         }
     }
-
-}
-
-/// One epoch's ledger records grouped by coordinate `(epoch, from, to,
-/// kind)`: the indices of each coordinate's records, in ledger order, found
-/// by binary search.
-struct Coordinates<'a> {
-    flows: &'a [FlowRecord],
-    order: Vec<usize>,
-}
-
-impl<'a> Coordinates<'a> {
-    fn key(r: &FlowRecord) -> (u64, usize, usize, u8) {
-        (r.epoch, r.from, r.to, crate::envelope::kind_code(r.kind))
-    }
-
-    fn new(flows: &'a [FlowRecord]) -> Self {
-        let mut order: Vec<usize> = (0..flows.len()).collect();
-        // Stable: a coordinate's records stay in ledger order.
-        order.sort_by_key(|&i| Self::key(&flows[i]));
-        Self { flows, order }
-    }
-
-    /// Indices into `flows` of the records on one coordinate, in ledger order.
-    fn of(&self, epoch: u64, from: usize, to: usize, kind: MsgKind) -> &[usize] {
-        let key = (epoch, from, to, crate::envelope::kind_code(kind));
-        let key_at = |&i: &usize| Self::key(&self.flows[i]);
-        let start = self.order.partition_point(|i| key_at(i) < key);
-        let len = self.order[start..].partition_point(|i| key_at(i) == key);
-        &self.order[start..start + len]
-    }
 }
 
 /// Record every fault-log event, `injected` then `recoveries`, as instants
 /// on the COMM lanes of the involved ranks, anchored at the modeled wire
-/// time of the flow each event belongs to (injection: the faulted attempt's
-/// send instant; recovery: the flow's resolution instant) and carrying the
-/// flow id as an arg, so Perfetto log order is causal. `at_for_rank(rank)`
-/// gives each rank's communication-window start on the global trace clock;
-/// events without a flow (crash handling, restores, view changes) anchor there.
+/// time of the flow the event names (injection: the faulted attempt's send
+/// instant; a retransmission: the send of the flow's next attempt; any other
+/// recovery: the flow's resolution instant) and carrying the flow id as an
+/// arg, so Perfetto log order is causal. `at_for_rank(rank)` gives each
+/// rank's communication-window start on the global trace clock; events
+/// that name no flow in `flows` (crash handling, restores, view changes)
+/// anchor there.
 ///
-/// `flows` must hold, in ledger order, every flow of the events' epochs: the
-/// per-step caller passes `FaultLog::for_epoch` and
-/// [`FlowLedger::for_epoch`](crate::flow::FlowLedger::for_epoch) of one
-/// epoch, which writes what the whole log and ledger would. The records are
-/// indexed by coordinate once, so the cost is the events plus the records,
-/// not their product.
+/// `flows` is one epoch's run of the ledger,
+/// [`FlowLedger::for_epoch`](crate::flow::FlowLedger::for_epoch), beside
+/// that epoch's `FaultLog::for_epoch`: ids are dense within it, so each
+/// event finds its flow by subtraction.
 pub fn record_fault_log(
     injected: &[FaultEvent],
     recoveries: &[RecoveryEvent],
@@ -121,24 +90,14 @@ pub fn record_fault_log(
         return;
     }
     let clock = FlowClock::new(net);
-    let coordinates = Coordinates::new(flows);
-    // Injections and ledger `injected` entries were appended in the same
-    // driver order, so the k-th fault event on a coordinate matches the
-    // k-th ledger injection there: walk each flow's injection list with a
-    // per-flow cursor.
-    let mut cursor = vec![0usize; flows.len()];
+    let index = |id: u64| {
+        let i = id.checked_sub(flows.first()?.id)? as usize;
+        (i < flows.len()).then_some(i)
+    };
     for e in injected {
-        let hit = coordinates
-            .of(e.epoch, e.from, e.to, e.kind)
-            .iter()
-            .find(|&&i| flows[i].injected().get(cursor[i]) == Some(&(e.attempt, e.fault)));
-        let (at, flow_id) = match hit {
-            Some(&i) => {
-                cursor[i] += 1;
-                let r = &flows[i];
-                (clock.send_at(r, e.attempt, at_for_rank(e.from)), r.id)
-            }
-            None => (at_for_rank(e.to), 0),
+        let (at, flow) = match index(e.flow) {
+            Some(i) => (clock.send_at(&flows[i], e.attempt, at_for_rank(e.from)), Some(e.flow)),
+            None => (at_for_rank(e.to), None),
         };
         let ev = store.instant(
             e.to as u32,
@@ -151,18 +110,14 @@ pub fn record_fault_log(
         ev.args.push(("to", ArgValue::U64(e.to as u64)));
         ev.args.push(("kind", ArgValue::Str(e.kind.name().into())));
         ev.args.push(("attempt", ArgValue::U64(e.attempt as u64)));
-        if flow_id != 0 {
-            ev.args.push(("flow", ArgValue::U64(flow_id)));
+        if let Some(id) = flow {
+            ev.args.push(("flow", ArgValue::U64(id)));
         }
     }
-    // A flow-bound recovery belongs to the latest record on its coordinate.
-    // The k-th Retransmit recovery there is the send of attempt k; other
-    // recoveries anchor at the flow's delivery.
+    // The k-th retransmission of a flow is the send of its attempt k.
     let mut retries = vec![0u32; flows.len()];
     for e in recoveries {
-        let flow = e.peer.zip(e.kind).and_then(|(peer, kind)| {
-            coordinates.of(e.epoch, peer, e.rank, kind).last().copied()
-        });
+        let flow = index(e.flow);
         let at = match flow {
             Some(i) => {
                 let r = &flows[i];
@@ -191,8 +146,8 @@ pub fn record_fault_log(
         if let Some(k) = e.kind {
             ev.args.push(("kind", ArgValue::Str(k.name().into())));
         }
-        if let Some(i) = flow {
-            ev.args.push(("flow", ArgValue::U64(flows[i].id)));
+        if flow.is_some() {
+            ev.args.push(("flow", ArgValue::U64(e.flow)));
         }
         ev.args.push(("detail", ArgValue::Str(e.detail.clone())));
     }
@@ -470,6 +425,8 @@ pub fn exposed_comm(store: &TraceStore, step: u64, flows: &[FlowRecord]) -> Vec<
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::envelope::NO_FLOW;
+    use crate::fabric::MsgKind;
     use crate::flow::FlowLedger;
     use crate::fault::{FaultKind, FaultLog};
     use crate::machine::PIZ_DAINT;
@@ -551,7 +508,7 @@ mod tests {
         let mut t = TraceStore::new();
         for f in &flows {
             let delivered = matches!(f.outcome, FlowOutcome::Delivered { .. });
-            draw(&mut t, f, 0.1, delivered.then(|| 0.1 + 0.05 * f.attempts as f64));
+            draw(&mut t, f, 0.1, delivered.then_some(0.1 + 0.05 * f.attempts as f64));
         }
         let links = link_ledger(&flows, &flow_times(&t, 1));
         assert_eq!(links.len(), 2);
@@ -645,6 +602,7 @@ mod tests {
                 kind: MsgKind::Let,
                 fault: FaultKind::Corrupt,
                 attempt: 0,
+                flow: 1,
             }],
             recoveries: vec![RecoveryEvent {
                 epoch: 3,
@@ -653,6 +611,7 @@ mod tests {
                 kind: Some(MsgKind::Let),
                 action: RecoveryAction::DiscardCorrupt,
                 detail: "checksum mismatch".to_string(),
+                flow: 1,
             }],
         }
     }
@@ -660,8 +619,7 @@ mod tests {
     fn sample_ledger() -> FlowLedger {
         let mut l = FlowLedger::new();
         let id = l.seal(3, 0, 1, MsgKind::Let, 2048);
-        l.inject(id, 0, FaultKind::Corrupt);
-        l.retransmit_latest(3, 0, 1, MsgKind::Let, 2048);
+        l.retransmit(id);
         l.deliver(id, 1);
         l
     }
@@ -710,24 +668,23 @@ mod tests {
     #[test]
     fn two_faults_on_one_coordinate_find_their_own_flows() {
         // Two flows on one coordinate, each dropped once, then the first
-        // retransmitted and dropped again: each event finds the flow whose
-        // next unmatched injection it is, in ledger order.
+        // retransmitted and dropped again: each event lands on the flow it
+        // names, not on the coordinate's first or latest.
         let net = NetworkModel::new(PIZ_DAINT);
         let mut ledger = FlowLedger::new();
         let a = ledger.seal(2, 1, 0, MsgKind::Let, 64);
         let b = ledger.seal(2, 1, 0, MsgKind::Let, 4096);
-        let fault = |attempt| FaultEvent {
+        ledger.retransmit(a);
+        let fault = |flow, attempt| FaultEvent {
             epoch: 2,
             from: 1,
             to: 0,
             kind: MsgKind::Let,
             fault: FaultKind::Drop,
             attempt,
+            flow,
         };
-        ledger.inject(a, 0, FaultKind::Drop);
-        ledger.inject(b, 0, FaultKind::Drop);
-        ledger.inject(a, 1, FaultKind::Drop);
-        let injected = [fault(0), fault(0), fault(1)];
+        let injected = [fault(a, 0), fault(b, 0), fault(a, 1)];
         let mut store = TraceStore::new();
         record_fault_log(&injected, &[], ledger.records(), &net, &mut store, 2, &|_r| 0.0);
         let flow_of = |i: usize| {
@@ -746,8 +703,7 @@ mod tests {
         let net = NetworkModel::new(PIZ_DAINT);
         let mut ledger = FlowLedger::new();
         let id = ledger.seal(4, 2, 0, MsgKind::Control, 64);
-        ledger.inject(id, 0, FaultKind::Drop);
-        ledger.retransmit_latest(4, 2, 0, MsgKind::Control, 64);
+        ledger.retransmit(id);
         ledger.deliver(id, 1);
         let log = FaultLog {
             injected: vec![FaultEvent {
@@ -757,6 +713,7 @@ mod tests {
                 kind: MsgKind::Control,
                 fault: FaultKind::Drop,
                 attempt: 0,
+                flow: id,
             }],
             recoveries: vec![RecoveryEvent {
                 epoch: 4,
@@ -765,6 +722,7 @@ mod tests {
                 kind: Some(MsgKind::Control),
                 action: RecoveryAction::Retransmit,
                 detail: "attempt 1".to_string(),
+                flow: id,
             }],
         };
         let mut store = TraceStore::new();
@@ -789,6 +747,7 @@ mod tests {
                 kind: None,
                 action: RecoveryAction::RestoreCheckpoint,
                 detail: "rank 3 crashed".to_string(),
+                flow: NO_FLOW,
             }],
         };
         let mut store = TraceStore::new();

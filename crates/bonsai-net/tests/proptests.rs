@@ -6,18 +6,16 @@
 //! and nothing is lost by reading the view instead of the history — and for
 //! the validated collective: under any fault plan it hands back only what
 //! the fault-free exchange would, accounts for every flow, and logs the same
-//! text twice — and for the fault log's trace instants, which equal what a
-//! scan of every record per event draws.
+//! text twice.
 
-use bonsai_net::collective::{exchange, received_from, Expect, Inline, Outbox, Round};
-use bonsai_net::envelope::{open, seal_flow, EnvelopeError};
-use bonsai_net::envelope::kind_code;
-use bonsai_net::obs::{record_fault_log, FlowClock};
+use bonsai_net::collective::{exchange, received_from, Expect, Inline, Outbox, Round, MAX_RETRIES};
+use bonsai_net::envelope::{open, seal_flow, EnvelopeError, NO_FLOW};
+use bonsai_net::obs::record_fault_log;
 use bonsai_net::{
-    FaultEvent, FaultKind, FaultLog, FaultPlan, FlowLedger, FlowRecord, MsgKind, NetworkModel,
+    FaultEvent, FaultKind, FaultLog, FaultPlan, FlowLedger, Injection, MsgKind, NetworkModel,
     RecoveryAction, RecoveryEvent, Wire, PIZ_DAINT,
 };
-use bonsai_obs::{ArgValue, Lane, TraceStore};
+use bonsai_obs::TraceStore;
 use bytes::Bytes;
 use proptest::prelude::*;
 
@@ -27,8 +25,10 @@ struct Shape {
     outbox: Vec<Outbox>,
     /// `None`: every receiver waits for all its peers.
     expected: Option<Vec<Vec<usize>>>,
-    retries: u32,
 }
+
+/// The epoch every collective of these properties runs in.
+const EPOCH: u64 = 3;
 
 /// Everything a run of [`Shape`] under one plan leaves behind.
 #[derive(Debug, PartialEq)]
@@ -41,12 +41,10 @@ struct Outcome {
 }
 
 fn run_collective(p: usize, shape: &Shape, plan: FaultPlan) -> Outcome {
-    const EPOCH: u64 = 3;
     let mut wire = Wire::new(p, plan);
     let round = Round {
         kind: MsgKind::Particles,
         epoch: EPOCH,
-        max_retries: shape.retries,
         stale_frame: "frame",
         during: "Particles phase",
         stranger: "unexpected sender",
@@ -65,79 +63,6 @@ fn run_collective(p: usize, shape: &Shape, plan: FaultPlan) -> Outcome {
         log: wire.log.render(),
         conserved: wire.flows.conservation().holds(),
     }
-}
-
-/// The fault log's instants as a scan of every record per event draws them:
-/// the reference [`record_fault_log`] must reproduce, instant for instant.
-fn scanned_fault_log(
-    injected: &[FaultEvent],
-    recoveries: &[RecoveryEvent],
-    flows: &[FlowRecord],
-    net: &NetworkModel,
-    step: u64,
-    at_for_rank: &dyn Fn(usize) -> f64,
-) -> TraceStore {
-    let mut store = TraceStore::new();
-    let clock = FlowClock::new(net);
-    let mut cursor = vec![0usize; flows.len()];
-    for e in injected {
-        let hit = flows.iter().zip(&mut cursor).find(|(r, next)| {
-            r.epoch == e.epoch
-                && r.from == e.from
-                && r.to == e.to
-                && r.kind == e.kind
-                && r.injected().get(**next) == Some(&(e.attempt, e.fault))
-        });
-        let (at, flow_id) = match hit {
-            Some((r, next)) => {
-                *next += 1;
-                (clock.send_at(r, e.attempt, at_for_rank(e.from)), r.id)
-            }
-            None => (at_for_rank(e.to), 0),
-        };
-        let ev = store.instant(e.to as u32, step, Lane::Comm, format!("inject:{}", e.fault), at);
-        ev.args.push(("from", ArgValue::U64(e.from as u64)));
-        ev.args.push(("to", ArgValue::U64(e.to as u64)));
-        ev.args.push(("kind", ArgValue::Str(format!("{:?}", e.kind))));
-        ev.args.push(("attempt", ArgValue::U64(e.attempt as u64)));
-        if flow_id != 0 {
-            ev.args.push(("flow", ArgValue::U64(flow_id)));
-        }
-    }
-    let mut retries = std::collections::BTreeMap::new();
-    for e in recoveries {
-        let flow = e.peer.and_then(|peer| {
-            e.kind.and_then(|kind| {
-                flows
-                    .iter()
-                    .rev()
-                    .find(|r| r.epoch == e.epoch && r.from == peer && r.to == e.rank && r.kind == kind)
-            })
-        });
-        let at = match flow {
-            Some(r) => match e.action {
-                RecoveryAction::Retransmit => {
-                    let k = retries.entry((e.epoch, r.from, r.to, kind_code(r.kind))).or_insert(0);
-                    *k += 1;
-                    clock.send_at(r, *k, at_for_rank(r.from))
-                }
-                _ => clock.deliver_at(r, at_for_rank(r.from)).unwrap_or_else(|| at_for_rank(e.rank)),
-            },
-            None => at_for_rank(e.rank),
-        };
-        let ev = store.instant(e.rank as u32, step, Lane::Comm, format!("recover:{}", e.action), at);
-        if let Some(p) = e.peer {
-            ev.args.push(("peer", ArgValue::U64(p as u64)));
-        }
-        if let Some(k) = e.kind {
-            ev.args.push(("kind", ArgValue::Str(format!("{k:?}"))));
-        }
-        if let Some(r) = flow {
-            ev.args.push(("flow", ArgValue::U64(r.id)));
-        }
-        ev.args.push(("detail", ArgValue::Str(e.detail.clone())));
-    }
-    store
 }
 
 /// Every `(to, from)` pair an outcome accounts for, received or missing.
@@ -160,7 +85,7 @@ proptest! {
         p in 2usize..6,
         rates in [0u32..12, 0u32..12, 0u32..12, 0u32..12, 0u32..12, 0u32..12],
         bits in proptest::collection::vec(any::<u64>(), 16..17),
-        retries in 0u32..4,
+        lost in 0usize..8,
     ) {
         let bit = |word: usize, i: usize| bits[word] >> (i % 64) & 1 == 1;
         let mut members: Vec<usize> = (0..p).filter(|&r| bit(0, r)).collect();
@@ -183,11 +108,15 @@ proptest! {
                 .map(|to| members.iter().copied().filter(|&f| f != to && bit(8 + to, f)).collect())
                 .collect()
         });
-        let shape = Shape { members, outbox, expected, retries };
+        let shape = Shape { members, outbox, expected };
         let plan = || {
-            FaultKind::MESSAGE_KINDS.into_iter().zip(rates).fold(FaultPlan::new(seed), |plan, (kind, pct)| {
+            let rated = FaultKind::MESSAGE_KINDS.into_iter().zip(rates).fold(FaultPlan::new(seed), |plan, (kind, pct)| {
                 plan.with_rate(kind, pct as f64 / 100.0)
-            })
+            });
+            // Sender `lost`, if it is a rank, is silent through the budget.
+            let (epoch, from, fault) = (EPOCH, Some(lost), FaultKind::Drop);
+            let attempts = 0..MAX_RETRIES + 1;
+            rated.with_injection(Injection { epoch, from, to: None, kind: None, fault, attempts })
         };
 
         let clean = run_collective(p, &shape, FaultPlan::new(seed));
@@ -271,8 +200,9 @@ proptest! {
         ),
     ) {
         // Drive the ledger and log the way the cluster does: any mix of
-        // seal / retransmit / inject / deliver / discard / close, the
-        // epoch only ever moving forward (sometimes skipping a number).
+        // seal / retransmit / fault / deliver / discard / close, the epoch
+        // only ever moving forward (sometimes skipping a number), every
+        // event naming one of its epoch's flows or none.
         let mut flows = FlowLedger::new();
         let mut log = FaultLog::default();
         let mut epoch = 1u64;
@@ -281,45 +211,39 @@ proptest! {
                 epoch += 1 + pick % 2;
             }
             let kind = MsgKind::ALL[kind_ix];
-            let recovery = |action| RecoveryEvent {
+            let held = flows.for_epoch(epoch);
+            let picked = (!held.is_empty()).then(|| held[pick as usize % held.len()].clone());
+            let recovery = |action, flow| RecoveryEvent {
                 epoch,
                 rank: to,
                 peer: Some(from),
                 kind: Some(kind),
                 action,
                 detail: format!("pick {pick}"),
+                flow,
             };
-            match op {
-                0..=2 => {
+            match (op, picked) {
+                (0..=2, _) => {
                     flows.seal(epoch, from, to, kind, 64 + (pick % 4096) as usize);
                 }
-                3 => {
-                    flows.retransmit_latest(epoch, from, to, kind, 64);
-                    log.record_recovery(recovery(RecoveryAction::Retransmit));
+                (3, Some(r)) => {
+                    flows.retransmit(r.id);
+                    log.record_recovery(recovery(RecoveryAction::Retransmit, r.id));
                 }
-                4 => {
-                    // A fault on one of this epoch's flows, logged at the
-                    // flow's coordinate as `Wire::send_framed` does.
-                    let open_now = flows.for_epoch(epoch);
-                    if !open_now.is_empty() {
-                        let r = open_now[pick as usize % open_now.len()].clone();
-                        let fault = FaultKind::MESSAGE_KINDS[(pick >> 8) as usize % 6];
-                        let attempt = r.attempts - 1;
-                        flows.inject(r.id, attempt, fault);
-                        log.record_fault(FaultEvent {
-                            epoch,
-                            from: r.from,
-                            to: r.to,
-                            kind: r.kind,
-                            fault,
-                            attempt,
-                        });
-                    }
+                // A fault on one of this epoch's flows, as `Wire` logs it.
+                (4, Some(r)) => {
+                    let fault = FaultKind::MESSAGE_KINDS[(pick >> 8) as usize % 6];
+                    let (from, to, kind, attempt, flow) = (r.from, r.to, r.kind, r.attempts - 1, r.id);
+                    log.record_fault(FaultEvent { epoch, from, to, kind, fault, attempt, flow });
                 }
-                5 => flows.deliver(1 + pick % (flows.len() as u64 + 1), (pick >> 8) as u32 % 3),
-                // A discarded frame, anchored at its flow's delivery.
-                6 => log.record_recovery(recovery(RecoveryAction::DiscardCorrupt)),
-                _ => flows.close_epoch_dead(epoch - pick % 2),
+                (5, _) => flows.deliver(1 + pick % (flows.len() as u64 + 1), (pick >> 8) as u32 % 3),
+                // A discarded frame, from a peer that owes a flow or not.
+                (6, r) => {
+                    let flow = r.filter(|_| pick & 1 == 0).map_or(NO_FLOW, |r| r.id);
+                    log.record_recovery(recovery(RecoveryAction::DiscardCorrupt, flow));
+                }
+                (7, _) => flows.close_epoch_dead(epoch - pick % 2),
+                _ => {}
             }
         }
 
@@ -345,92 +269,5 @@ proptest! {
             };
             prop_assert_eq!(write(view), write(flows.records()));
         }
-    }
-
-    #[test]
-    fn fault_instants_equal_the_scanning_reference(
-        ops in proptest::collection::vec(
-            (0u8..7, 0u8..6, 0usize..2, 0usize..2, 0usize..2, any::<u64>()),
-            0..80,
-        ),
-    ) {
-        // Few coordinates (two epochs, two senders, two receivers, two
-        // kinds), so faults, retransmissions and reseals pile up on the
-        // same one. Every case starts with two faults on one coordinate:
-        // one on each of two flows sealed there.
-        let mut flows = FlowLedger::new();
-        let mut log = FaultLog::default();
-        let fault_on = |flows: &mut FlowLedger, log: &mut FaultLog, r: FlowRecord, fault| {
-            let attempt = r.attempts - 1;
-            flows.inject(r.id, attempt, fault);
-            log.record_fault(FaultEvent { epoch: r.epoch, from: r.from, to: r.to, kind: r.kind, fault, attempt });
-        };
-        let first = flows.seal(1, 0, 1, MsgKind::Let, 512);
-        let second = flows.seal(1, 0, 1, MsgKind::Let, 256);
-        let r = flows.records()[(first - 1) as usize].clone();
-        fault_on(&mut flows, &mut log, r, FaultKind::Drop);
-        let r = flows.records()[(second - 1) as usize].clone();
-        fault_on(&mut flows, &mut log, r, FaultKind::Corrupt);
-        let mut epoch = 1u64;
-        for (op, gap, from, to, kind_ix, pick) in ops {
-            if gap == 0 && epoch == 1 {
-                epoch = 2;
-            }
-            let kind = [MsgKind::Let, MsgKind::Control][kind_ix];
-            let recovery = |action| RecoveryEvent {
-                epoch,
-                rank: to,
-                peer: Some(from),
-                kind: Some(kind),
-                action,
-                detail: format!("pick {pick}"),
-            };
-            match op {
-                0 | 1 => {
-                    flows.seal(epoch, from, to, kind, 64 + (pick % 4096) as usize);
-                }
-                2 => {
-                    flows.retransmit_latest(epoch, from, to, kind, 64);
-                    log.record_recovery(recovery(RecoveryAction::Retransmit));
-                }
-                3 => {
-                    let open_now = flows.for_epoch(epoch);
-                    if !open_now.is_empty() {
-                        let r = open_now[pick as usize % open_now.len()].clone();
-                        let fault = FaultKind::MESSAGE_KINDS[(pick >> 8) as usize % 6];
-                        fault_on(&mut flows, &mut log, r, fault);
-                    }
-                }
-                // A fault the ledger never saw: it anchors at the receiver.
-                4 => log.record_fault(FaultEvent { epoch, from, to, kind, fault: FaultKind::Delay, attempt: 0 }),
-                5 => flows.deliver(1 + pick % (flows.len() as u64 + 1), (pick >> 8) as u32 % 3),
-                _ => log.record_recovery(recovery(RecoveryAction::DiscardDuplicate)),
-            }
-        }
-
-        let net = NetworkModel::new(PIZ_DAINT);
-        let at = |rank: usize| 0.5 + rank as f64;
-        for e in 1..=2 {
-            let (injected, recoveries) = log.for_epoch(e);
-            let view = flows.for_epoch(e);
-            let mut store = TraceStore::new();
-            record_fault_log(injected, recoveries, view, &net, &mut store, e, &at);
-            let want = scanned_fault_log(injected, recoveries, view, &net, e, &at);
-            prop_assert_eq!(
-                format!("{:?}", store.instants()),
-                format!("{:?}", want.instants()),
-                "epoch {}", e
-            );
-        }
-        // The opening pair both found their flow: the first fault the
-        // first flow, the second whichever flow's next injection it is.
-        let (injected, recoveries) = log.for_epoch(1);
-        let mut store = TraceStore::new();
-        record_fault_log(injected, recoveries, flows.for_epoch(1), &net, &mut store, 1, &at);
-        let flow_arg = |i: usize| {
-            store.instants()[i].args.iter().find(|(k, _)| *k == "flow").map(|(_, v)| v.clone())
-        };
-        prop_assert_eq!(flow_arg(0), Some(ArgValue::U64(first)));
-        prop_assert!(flow_arg(1).is_some());
     }
 }

@@ -23,7 +23,7 @@
 //! missing dedicated LET included), and the driver hands that to recovery
 //! in one place.
 
-use super::{Cluster, StepMeasurements, MAX_RETRIES};
+use super::{Cluster, StepMeasurements};
 use crate::breakdown::StepBreakdown;
 use bonsai_domain::exchange::{particles_from_bytes, particles_to_bytes, ExchangePlan};
 use bonsai_domain::letbuild::{boundary_sufficient_for, build_let};
@@ -106,7 +106,6 @@ impl Cluster {
         let round = Round {
             kind,
             epoch: self.epoch,
-            max_retries: MAX_RETRIES,
             stale_frame: "frame",
             during: &during,
             stranger: "unexpected sender",

@@ -72,7 +72,7 @@ use std::sync::Arc;
 /// cluster rolls back to its last checkpoint. A step, a construction or a
 /// view change that would need more consecutive rollbacks than this
 /// panics instead of looping.
-pub const MAX_RETRIES: u32 = 4;
+pub use bonsai_net::collective::MAX_RETRIES;
 
 /// Configuration of a cluster run.
 #[derive(Clone, Debug)]

@@ -9,6 +9,7 @@ use super::{Cluster, ClusterConfig, MAX_RETRIES};
 use crate::breakdown::StepBreakdown;
 use bonsai_core::leapfrog;
 use crate::checkpoint::{self, Checkpoint};
+use bonsai_net::envelope::NO_FLOW;
 use bonsai_net::fault::{FaultEvent, FaultKind, RecoveryAction, RecoveryEvent};
 use bonsai_net::membership::{self, MembershipEvent, View, ViewChange};
 use bonsai_net::MsgKind;
@@ -50,6 +51,7 @@ impl Cluster {
                 kind,
                 fault: FaultKind::Crash,
                 attempt: 0,
+                flow: NO_FLOW,
             });
             self.dead[r] = true;
             self.ranks[r] = Particles::new();
@@ -140,6 +142,7 @@ impl Cluster {
             kind: None,
             action: RecoveryAction::RestoreCheckpoint,
             detail,
+            flow: NO_FLOW,
         });
         if let Some((old_view, conv)) = change {
             self.commit_view_change(dead, &old_view, conv.events, conv.rounds, None);
@@ -179,6 +182,7 @@ impl Cluster {
             kind,
             action: RecoveryAction::DeclareDead,
             detail,
+            flow: NO_FLOW,
         });
         self.dead[rank] = true;
     }
@@ -193,14 +197,7 @@ impl Cluster {
         let mut events_at = vec![Vec::new(); self.dead.len()];
         events_at[sponsor] = events;
         let live: Vec<bool> = self.dead.iter().map(|&d| !d).collect();
-        membership::converge(
-            &mut self.wire,
-            &live,
-            self.epoch,
-            &self.view,
-            &events_at,
-            MAX_RETRIES,
-        )
+        membership::converge(&mut self.wire, &live, self.epoch, &self.view, &events_at)
     }
 
     /// The survivors gossip the death(s) to agreement, in a view without
@@ -252,6 +249,7 @@ impl Cluster {
                 "view {} -> {} ({from_world} -> {to_world} ranks{migrants})",
                 old.number, self.view.number
             ),
+            flow: NO_FLOW,
         });
         let (migrated_particles, migrated_bytes) = migrated.unwrap_or((0, 0));
         let change = ViewChange {

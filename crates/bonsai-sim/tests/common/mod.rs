@@ -1,8 +1,9 @@
-//! What the integration tests that compare runs bit for bit share: the six
+//! What the integration tests that compare runs bit for bit share: the seven
 //! named invariants over consecutive [`StepFacts`] snapshots, and the
 //! harness that runs fault schedules one by one against a fault-free
 //! reference.
 
+use bonsai_net::envelope::NO_FLOW;
 use bonsai_net::{FaultKind, FaultLog, FaultPlan, FlowRecord, Injection};
 use bonsai_sim::{Cluster, ClusterConfig, RecoveryConfig, StepFacts};
 use bonsai_tree::Particles;
@@ -64,6 +65,28 @@ fn every_particle_has_a_finite_force(c: &Cluster, now: &StepFacts) {
     assert!(acc.values().all(|a| a.is_finite()), "a non-finite force at epoch {}", now.epoch);
 }
 
+/// Every fault event names its flow: a fault or a recovery whose flow the
+/// ledger still holds is about that frame — same epoch, kind and endpoints
+/// (`from → to`, or `peer → rank`) — and a faulted attempt is one the flow
+/// made. A crash concerns no frame.
+fn every_fault_event_names_its_flow(c: &Cluster) {
+    let (log, ledger) = (c.fault_log(), c.flow_ledger());
+    for e in &log.injected {
+        if e.fault == FaultKind::Crash {
+            assert_eq!(e.flow, NO_FLOW, "a crash names a flow: {e:?}");
+        } else if let Some(r) = ledger.get(e.flow) {
+            assert_eq!((r.epoch, r.kind, r.from, r.to), (e.epoch, e.kind, e.from, e.to), "{e:?} names {r:?}");
+            assert!(r.attempts > e.attempt, "{e:?} names {r:?}");
+        }
+    }
+    for e in &log.recoveries {
+        if let Some(r) = ledger.get(e.flow) {
+            let named = (r.epoch, Some(r.kind), Some(r.from), r.to);
+            assert_eq!(named, (e.epoch, e.kind, e.peer, e.rank), "{e:?} names {r:?}");
+        }
+    }
+}
+
 /// Let `act` loose on the cluster, then check every invariant between the
 /// snapshot before it and the one after.
 pub fn checked(c: &mut Cluster, prev: &mut StepFacts, act: impl FnOnce(&mut Cluster)) {
@@ -75,6 +98,7 @@ pub fn checked(c: &mut Cluster, prev: &mut StepFacts, act: impl FnOnce(&mut Clus
     world_matches_view(prev, &now);
     time_advances_by_dt(prev, &now, c.cfg.dt);
     every_particle_has_a_finite_force(c, &now);
+    every_fault_event_names_its_flow(c);
     *prev = now;
 }
 
@@ -123,7 +147,7 @@ impl Reference {
     }
 
     /// Run every `stride`-th of `plans` alone, checkpointing every step
-    /// when `recover`, with the six invariants after every step; require
+    /// when `recover`, with the seven invariants after every step; require
     /// `fired` of its fault log, and the fault-free run's world, step count
     /// and bits at the end.
     pub fn replay_each(
