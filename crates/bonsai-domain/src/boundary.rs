@@ -154,8 +154,8 @@ mod tests {
         let cuts: Vec<u64> = (1..ranks).map(|i| sorted[i * n / ranks]).collect();
         let domains = bonsai_sfc::range::ranges_from_cuts(&cuts);
         let mut per_rank: Vec<Particles> = (0..ranks).map(|_| Particles::new()).collect();
-        for i in 0..n {
-            let r = find_owner(&domains, keys[i]);
+        for (i, &key) in keys.iter().enumerate() {
+            let r = find_owner(&domains, key);
             per_rank[r].push(all.pos[i], all.vel[i], all.mass[i], all.id[i]);
         }
         keys.clear();

@@ -192,7 +192,7 @@ mod tests {
         assert!((sum - 1.0).abs() < 1e-12, "shares sum {sum}");
         // Cuts follow the weight profile, so the residual stays near 1.
         let res = share_imbalance(&shares);
-        assert!(res >= 1.0 && res < 1.05, "residual {res}");
+        assert!((1.0..1.05).contains(&res), "residual {res}");
     }
 
     #[test]

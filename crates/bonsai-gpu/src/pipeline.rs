@@ -248,7 +248,7 @@ mod tests {
     fn gravity_span_annotation_carries_model_view() {
         use bonsai_obs::{ArgValue, Lane, TraceStore};
         let m = GpuModel::k20x_tuned();
-        let counts = InteractionCounts { pp: 1716_000, pc: 6765_000 };
+        let counts = InteractionCounts { pp: 1_716_000, pc: 6_765_000 };
         let mut t = TraceStore::new();
         let id = t.span(0, 1, Lane::Gpu, "local", 0.0, m.gravity_time(counts));
         m.annotate_gravity_span(&mut t, id, counts);

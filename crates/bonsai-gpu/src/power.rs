@@ -79,9 +79,12 @@ mod tests {
 
     #[test]
     fn section_ii_ordering() {
-        // GPUs beat the CPU-only K computer by 2.5-3x per watt.
-        assert!(TITAN_EFF.peak_gflops_per_watt / K_COMPUTER.peak_gflops_per_watt > 2.0);
-        assert!(PIZ_DAINT_EFF.peak_gflops_per_watt > TITAN_EFF.peak_gflops_per_watt);
+        // GPUs beat the CPU-only K computer by 2.5-3x per watt. The specs
+        // are constants: the ordering is checked at compile time.
+        const {
+            assert!(TITAN_EFF.peak_gflops_per_watt / K_COMPUTER.peak_gflops_per_watt > 2.0);
+            assert!(PIZ_DAINT_EFF.peak_gflops_per_watt > TITAN_EFF.peak_gflops_per_watt);
+        }
     }
 
     #[test]

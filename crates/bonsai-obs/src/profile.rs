@@ -279,17 +279,15 @@ pub fn telescoping_error(store: &TraceStore) -> f64 {
 mod tests {
     use super::*;
 
+    /// A GPU span over `start..end` with the roofline args `[flops, bytes,
+    /// ceil_gflops, bw_gbs]`.
     fn annotated_span(
         t: &mut TraceStore,
         rank: u32,
         step: u64,
         name: &str,
-        start: f64,
-        end: f64,
-        flops: f64,
-        bytes: f64,
-        ceil: f64,
-        bw: f64,
+        (start, end): (f64, f64),
+        [flops, bytes, ceil, bw]: [f64; 4],
     ) {
         let id = t.span(rank, step, Lane::Gpu, name, start, end);
         t.arg_f64(id, "flops", flops);
@@ -304,10 +302,10 @@ mod tests {
         let mut t = TraceStore::new();
         // Compute-bound kernel: high intensity (1e10 flops / 1e7 bytes
         // = 1000 flops/B, bandwidth roof 250_000 Gflops >> ceiling 3000).
-        annotated_span(&mut t, 0, 1, "local", 0.0, 5.0, 1.0e10, 1.0e7, 3000.0, 250.0);
-        annotated_span(&mut t, 0, 2, "local", 5.0, 10.0, 1.0e10, 1.0e7, 3000.0, 250.0);
+        annotated_span(&mut t, 0, 1, "local", (0.0, 5.0), [1.0e10, 1.0e7, 3000.0, 250.0]);
+        annotated_span(&mut t, 0, 2, "local", (5.0, 10.0), [1.0e10, 1.0e7, 3000.0, 250.0]);
         // Bandwidth-bound kernel: 0.0133 flops/B, roof = 3.33 Gflops.
-        annotated_span(&mut t, 0, 1, "sort", 0.0, 1.0, 2.0e9, 1.5e11, 3935.0, 250.0);
+        annotated_span(&mut t, 0, 1, "sort", (0.0, 1.0), [2.0e9, 1.5e11, 3935.0, 250.0]);
         // A span without roofline args is ignored.
         t.span(0, 1, Lane::Gpu, "bare", 0.0, 1.0);
         // A COMM span is ignored even with args.
@@ -336,7 +334,7 @@ mod tests {
     #[test]
     fn zero_byte_points_bind_on_compute() {
         let mut t = TraceStore::new();
-        annotated_span(&mut t, 3, 1, "k", 0.0, 1.0, 1.0e9, 0.0, 100.0, 250.0);
+        annotated_span(&mut t, 3, 1, "k", (0.0, 1.0), [1.0e9, 0.0, 100.0, 250.0]);
         let pts = roofline(&t);
         assert_eq!(pts.len(), 1);
         assert_eq!(pts[0].binding_ceiling(), "compute");

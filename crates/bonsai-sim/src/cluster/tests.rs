@@ -151,9 +151,7 @@ fn energy_conserved_by_distributed_leapfrog() {
     let n = 2000;
     let ic = plummer_sphere(n, 6);
     let e0 = bonsai_tree::direct::total_energy(&ic, 0.01, 1.0);
-    let mut cfg = ClusterConfig::default();
-    cfg.eps = 0.01;
-    cfg.dt = 0.005;
+    let cfg = ClusterConfig { eps: 0.01, dt: 0.005, ..ClusterConfig::default() };
     let mut c = Cluster::new(ic, 4, cfg);
     // The distributed on-the-fly energy monitor must agree with the
     // direct-summation energy at start…

@@ -208,7 +208,6 @@ mod tests {
         c.enable_streaming(StreamConfig {
             subscribers: vec![SubscriberConfig::new("watch", capacity)],
             block_on_full,
-            ..StreamConfig::default()
         });
         c
     }

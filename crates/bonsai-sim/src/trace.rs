@@ -247,8 +247,7 @@ mod tests {
         // slower Opteron (cpu_let_rate 0.55) stretches it by 1/0.55.
         let ic = plummer_sphere(3000, 11);
         let daint = Cluster::new(ic.clone(), 2, ClusterConfig::default());
-        let mut cfg = ClusterConfig::default();
-        cfg.machine = bonsai_net::TITAN;
+        let cfg = ClusterConfig { machine: bonsai_net::TITAN, ..ClusterConfig::default() };
         let titan = Cluster::new(ic, 2, cfg);
         let dur = |c: &Cluster, name: &str| {
             step_timelines(c.trace())[0]

@@ -34,8 +34,7 @@ fn dialup_machine() -> MachineSpec {
 }
 
 fn comm_heavy_cluster() -> Cluster {
-    let mut cfg = ClusterConfig::default();
-    cfg.machine = dialup_machine();
+    let cfg = ClusterConfig { machine: dialup_machine(), ..ClusterConfig::default() };
     // Small N per rank: little gravity to hide behind.
     Cluster::new(plummer_sphere(1600, 21), 4, cfg)
 }

@@ -362,9 +362,7 @@ fn zero_velocity_cold_collapse_survives_many_steps() {
     for v in &mut ic.vel {
         *v = Vec3::zero();
     }
-    let mut cfg = ClusterConfig::default();
-    cfg.dt = 0.005;
-    cfg.eps = 0.05;
+    let cfg = ClusterConfig { dt: 0.005, eps: 0.05, ..ClusterConfig::default() };
     let mut c = Cluster::new(ic, 5, cfg);
     for _ in 0..30 {
         c.step();

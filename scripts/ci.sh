@@ -22,7 +22,8 @@ echo "== docs: a broken intra-doc link fails the build =="
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline -q
 
 echo "== lint: the whole workspace stays clippy-clean =="
-cargo clippy --workspace --offline -q -- -D warnings
+# Every target: libraries, binaries, examples, unit and integration tests.
+cargo clippy --workspace --all-targets --offline -q -- -D warnings
 
 echo "== shipped code generation: walk tests on the release profile =="
 # The dev profile is opt-level 1 and does not vectorise; the lane kernels

@@ -93,8 +93,7 @@ fn cluster_survives_many_steps_with_migration() {
         let p = ic.pos[i];
         ic.vel[i] += Vec3::new(-p.y, p.x, 0.0) * 0.3;
     }
-    let mut cfg = ClusterConfig::default();
-    cfg.dt = 0.02;
+    let cfg = ClusterConfig { dt: 0.02, ..ClusterConfig::default() };
     let mut cluster = Cluster::new(ic, 6, cfg);
     let mut migrated_total = 0usize;
     for _ in 0..10 {
