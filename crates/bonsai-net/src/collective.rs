@@ -33,7 +33,7 @@
 //! and `(from, to)`-ascending within it, so a retransmission, and every
 //! discard a receiver logs against a peer, names the flow that peer sealed
 //! for that receiver in this round, found by binary search — or
-//! [`NO_FLOW`](crate::envelope::NO_FLOW) when the peer owes it nothing.
+//! [`NO_FLOW`] when the peer owes it nothing.
 //!
 //! # Rank tasks and driver effects
 //!
