@@ -12,10 +12,10 @@
 //! byte and explains any drift through [`crate::diff`].
 
 use bonsai_ic::plummer_sphere;
+use bonsai_net::obs::mean_hidden_comm_fraction;
 use bonsai_obs::analysis::{critical_path, flop_balance, phase_stats, step_wall_time};
 use bonsai_obs::json::{self, Value};
 use bonsai_obs::obj;
-use bonsai_sim::trace::mean_hidden_comm_fraction;
 use bonsai_sim::{Cluster, ClusterConfig};
 use std::collections::BTreeMap;
 
@@ -121,7 +121,7 @@ fn measure_point(p: usize, n_per_rank: usize, seed: u64) -> SweepPoint {
     // The straggler is whoever owns the terminal work of the critical path.
     let worst_rank = cp.nodes.iter().rev().find(|n| !n.wait).map_or(0, |n| n.rank);
     let fb = flop_balance(store, step);
-    let hidden = mean_hidden_comm_fraction(cluster.trace());
+    let hidden = mean_hidden_comm_fraction(store, step);
 
     SweepPoint {
         p,

@@ -15,10 +15,10 @@
 //! run over run, so the artefacts can be diffed across commits.
 
 use bonsai_ic::plummer_sphere;
+use bonsai_net::obs::mean_hidden_comm_fraction;
 use bonsai_obs::json::{self, Value};
 use bonsai_obs::{chrome, folded, obj, prom};
 use bonsai_sim::breakdown::Phase;
-use bonsai_sim::trace::mean_hidden_comm_fraction;
 use bonsai_sim::{Cluster, ClusterConfig};
 
 /// Everything one traced step exports.
@@ -42,7 +42,8 @@ pub fn run(n: usize, ranks: usize, seed: u64) -> StepExports {
     let b = cluster.step();
     let registry_matches = cluster.breakdown_from_metrics() == b;
 
-    let hidden = mean_hidden_comm_fraction(cluster.trace());
+    let step = cluster.trace().last_step().expect("step recorded spans");
+    let hidden = mean_hidden_comm_fraction(cluster.trace(), step);
     let m = &cluster.last_measurements;
     let boundary: usize = m.boundary_bytes.iter().sum();
     let lets: usize = m.let_bytes_sent.iter().sum();

@@ -1,9 +1,17 @@
 //! Bridges from the network layer into the unified observability model
-//! (`bonsai-obs`): fault-log entries become trace events on the COMM track
-//! anchored at the modeled wire times of the flows they name (found by id),
-//! measured link traffic lands in the metrics registry priced by the
-//! interconnect cost model, and the flow analysis joins ledger records with
-//! the trace.
+//! (`bonsai-obs`), and the one reader and writer of the trace's COMM lanes.
+//!
+//! **Placement.** [`record_flows`] draws a gravity epoch's flows: each flow
+//! gets one anchor on the modelled clock, and its arrow points and every
+//! fault and recovery instant that names it are placed from that anchor,
+//! so an instant sits exactly on the arrow point it is about. Measured link
+//! traffic lands in the metrics registry priced by the interconnect cost
+//! model ([`NetworkModel::observe_link`]).
+//!
+//! **Exposure.** [`hidden_comm_fractions`] and [`exposed_comm`] read a
+//! step's COMM and GPU spans through one per-rank view of the step's
+//! records: the first says how much of each rank's COMM time the GPU work
+//! hides (§III-B2's overlap claim), the second finds the rest.
 //!
 //! **Wait attribution.** The ledger knows *what happened to every sealed
 //! envelope* — delivered on attempt k, or dead with an epoch a rollback
@@ -11,15 +19,16 @@
 //! modeled send and resolve instants (its `Start` / `Finish` flow points).
 //! [`classify`] reduces a causal flow set to a [`WaitCause`] by severity
 //! (retransmission > late-sender); [`exposed_comm`]
-//! finds COMM time no GPU span hides and attributes it to the flows whose
-//! modeled lifetime overlaps it; [`link_ledger`] reduces flows to per-link
-//! reliability and delivery-latency statistics.
+//! attributes unhidden COMM time to the flows whose modeled lifetime
+//! overlaps it; [`link_ledger`] reduces flows to per-link reliability and
+//! delivery-latency statistics.
 
 use crate::cost::NetworkModel;
-use crate::fault::{FaultEvent, RecoveryAction, RecoveryEvent};
+use crate::fault::{RecoveryAction, Wire};
 use crate::flow::{FlowOutcome, FlowRecord};
 use bonsai_obs::{
-    interval_union, ArgValue, FlowPhase, Lane, MetricsRegistry, TraceStore, WaitCause,
+    interval_union, overlap_with_union, ArgValue, FlowPhase, Lane, MetricsRegistry, Span,
+    TraceStore, WaitCause,
 };
 use std::collections::BTreeMap;
 
@@ -27,91 +36,135 @@ use std::collections::BTreeMap;
 ///
 /// The fabric itself is instantaneous (in-process channels); what the trace
 /// shows is the *priced* wire time: attempt `k` of a flow leaves its sender
-/// `k` retransmit-timeouts after the sender's communication window opens,
-/// and arrives one modeled point-to-point latency later. The retransmit
-/// timeout is two point-to-point times — a request/ack round trip — so
-/// every retransmission chain is strictly ordered on the timeline.
-pub struct FlowClock<'a> {
+/// `k` retransmit-timeouts after the flow's anchor, and arrives one modeled
+/// point-to-point latency later. The retransmit timeout is two
+/// point-to-point times — a request/ack round trip — so every
+/// retransmission chain is strictly ordered on the timeline.
+struct FlowClock<'a> {
     net: &'a NetworkModel,
 }
 
 impl<'a> FlowClock<'a> {
-    /// A clock pricing frames with `net`.
-    pub fn new(net: &'a NetworkModel) -> Self {
+    fn new(net: &'a NetworkModel) -> Self {
         Self { net }
     }
 
     /// Modeled retransmit timeout for a payload of `bytes`.
-    pub fn rto(&self, bytes: usize) -> f64 {
+    fn rto(&self, bytes: usize) -> f64 {
         2.0 * self.net.p2p_time(bytes as u64)
     }
 
-    /// When attempt `k` of `r` leaves the sender, given the sender's
-    /// communication-window start `base_from`.
-    pub fn send_at(&self, r: &FlowRecord, attempt: u32, base_from: f64) -> f64 {
-        base_from + attempt as f64 * self.rto(r.bytes)
+    /// When attempt `k` of `r` leaves the sender, given the flow's anchor.
+    fn send_at(&self, r: &FlowRecord, attempt: u32, anchor: f64) -> f64 {
+        anchor + attempt as f64 * self.rto(r.bytes)
     }
 
     /// When the delivering frame of `r` lands, if it was delivered.
-    pub fn deliver_at(&self, r: &FlowRecord, base_from: f64) -> Option<f64> {
+    fn deliver_at(&self, r: &FlowRecord, anchor: f64) -> Option<f64> {
         match r.outcome {
             FlowOutcome::Delivered { attempt } => {
-                Some(self.send_at(r, attempt, base_from) + self.net.p2p_time(r.bytes as u64))
+                Some(self.send_at(r, attempt, anchor) + self.net.p2p_time(r.bytes as u64))
             }
             _ => None,
         }
     }
 }
 
-/// Record every fault-log event, `injected` then `recoveries`, as instants
-/// on the COMM lanes of the involved ranks, anchored at the modeled wire
-/// time of the flow the event names (injection: the faulted attempt's send
-/// instant; a retransmission: the send of the flow's next attempt; any other
-/// recovery: the flow's resolution instant) and carrying the flow id as an
-/// arg, so Perfetto log order is causal. `at_for_rank(rank)` gives each
-/// rank's communication-window start on the global trace clock; events
-/// that name no flow in `flows` (crash handling, restores, view changes)
-/// anchor there.
+/// Draw gravity epoch `step` of `wire` — its flows and its fault log — on
+/// the COMM lanes of `store`, and count its flows into `registry`.
 ///
-/// `flows` is one epoch's run of the ledger,
-/// [`FlowLedger::for_epoch`](crate::flow::FlowLedger::for_epoch), beside
-/// that epoch's `FaultLog::for_epoch`: ids are dense within it, so each
-/// event finds its flow by subtraction.
-pub fn record_fault_log(
-    injected: &[FaultEvent],
-    recoveries: &[RecoveryEvent],
-    flows: &[FlowRecord],
+/// `windows[r]` is rank `r`'s LET-exchange window on the trace clock,
+/// `(start, length)`; a rank without one uses `base`. Each flow is anchored
+/// once, at its sender's window start plus its seal-order slot in that
+/// window (`length · i / n` for the sender's `i`-th of `n` flows), so the
+/// arrows land where the transfers would be in flight rather than stacked
+/// at the window's opening. Placed from that anchor are the flow's arrow
+/// points — `Start` on the sender at attempt 0, a `Step` per retransmitted
+/// attempt, `Finish` on the receiver at delivery — and every instant that
+/// names the flow: an injection at attempt `k` and the `k`-th
+/// retransmission sit on attempt `k`'s point, any other recovery on the
+/// `Finish`. Instants are recorded in log order, injections first, and
+/// carry the flow id, so Perfetto log order is causal. An event that names
+/// no flow of the epoch (a crash, a restore, a view change) sits at its
+/// rank's window start.
+///
+/// Metrics: each delivery's latency into `bonsai_flow_delivery_seconds`
+/// (created only when a flow delivered) and, per retransmitted flow — the
+/// cost the overlap window could not hide — its retransmissions into
+/// `bonsai_flow_retransmits_total{link}` and one into
+/// `bonsai_flow_exposed_total{kind}`.
+pub fn record_flows(
+    wire: &Wire,
     net: &NetworkModel,
-    store: &mut TraceStore,
     step: u64,
-    at_for_rank: &dyn Fn(usize) -> f64,
+    windows: &[(f64, f64)],
+    base: f64,
+    store: &mut TraceStore,
+    registry: &mut MetricsRegistry,
 ) {
-    if injected.is_empty() && recoveries.is_empty() {
-        return;
-    }
+    let flows = wire.flows.for_epoch(step);
     let clock = FlowClock::new(net);
+    let mut sent = vec![0usize; windows.len()];
+    for r in flows.iter().filter(|r| r.from < windows.len()) {
+        sent[r.from] += 1;
+    }
+    let mut slot = vec![0usize; windows.len()];
+    let anchors: Vec<f64> = (flows.iter())
+        .map(|r| match windows.get(r.from) {
+            Some(&(start, length)) => {
+                let i = slot[r.from];
+                slot[r.from] += 1;
+                start + length * i as f64 / sent[r.from] as f64
+            }
+            None => base,
+        })
+        .collect();
+
+    // Looked up once per epoch, and only when a flow delivered: an epoch
+    // that delivers nothing does not create the histogram.
+    let mut delivery = (flows.iter())
+        .any(|r| matches!(r.outcome, FlowOutcome::Delivered { .. }))
+        .then(|| registry.histogram_entry("bonsai_flow_delivery_seconds", &[]));
+    for (r, &anchor) in flows.iter().zip(&anchors) {
+        let mut point = |rank: usize, at: f64, phase: FlowPhase| {
+            store.flow_point(r.id, rank as u32, step, Lane::Comm, r.kind.flow_name(), at, phase)
+        };
+        point(r.from, anchor, FlowPhase::Start);
+        for a in 1..r.attempts {
+            point(r.from, clock.send_at(r, a, anchor), FlowPhase::Step);
+        }
+        if let Some(at) = clock.deliver_at(r, anchor) {
+            point(r.to, at, FlowPhase::Finish);
+            if let Some(h) = delivery.as_deref_mut() {
+                h.observe(at - anchor);
+            }
+        }
+    }
+    for r in flows.iter().filter(|r| r.attempts > 1) {
+        let link = format!("{}->{}", r.from, r.to);
+        let retransmits = (r.attempts - 1) as u64;
+        registry.counter_add("bonsai_flow_retransmits_total", &[("link", &link)], retransmits);
+        registry.counter_add("bonsai_flow_exposed_total", &[("kind", r.kind.name())], 1);
+    }
+
+    let (injected, recoveries) = wire.log.for_epoch(step);
+    let window_start = |rank: usize| windows.get(rank).map_or(base, |w| w.0);
+    // Ids are dense within the epoch's slice: an event finds its flow by
+    // subtraction.
     let index = |id: u64| {
         let i = id.checked_sub(flows.first()?.id)? as usize;
         (i < flows.len()).then_some(i)
     };
     for e in injected {
-        let (at, flow) = match index(e.flow) {
-            Some(i) => (clock.send_at(&flows[i], e.attempt, at_for_rank(e.from)), Some(e.flow)),
-            None => (at_for_rank(e.to), None),
-        };
-        let ev = store.instant(
-            e.to as u32,
-            step,
-            Lane::Comm,
-            format!("inject:{}", e.fault),
-            at,
-        );
+        let flow = index(e.flow);
+        let at = flow.map_or(window_start(e.to), |i| clock.send_at(&flows[i], e.attempt, anchors[i]));
+        let ev = store.instant(e.to as u32, step, Lane::Comm, format!("inject:{}", e.fault), at);
         ev.args.push(("from", ArgValue::U64(e.from as u64)));
         ev.args.push(("to", ArgValue::U64(e.to as u64)));
         ev.args.push(("kind", ArgValue::Str(e.kind.name().into())));
         ev.args.push(("attempt", ArgValue::U64(e.attempt as u64)));
-        if let Some(id) = flow {
-            ev.args.push(("flow", ArgValue::U64(id)));
+        if flow.is_some() {
+            ev.args.push(("flow", ArgValue::U64(e.flow)));
         }
     }
     // The k-th retransmission of a flow is the send of its attempt k.
@@ -119,27 +172,14 @@ pub fn record_fault_log(
     for e in recoveries {
         let flow = index(e.flow);
         let at = match flow {
-            Some(i) => {
-                let r = &flows[i];
-                match e.action {
-                    RecoveryAction::Retransmit => {
-                        retries[i] += 1;
-                        clock.send_at(r, retries[i], at_for_rank(r.from))
-                    }
-                    _ => clock
-                        .deliver_at(r, at_for_rank(r.from))
-                        .unwrap_or_else(|| at_for_rank(e.rank)),
-                }
+            Some(i) if e.action == RecoveryAction::Retransmit => {
+                retries[i] += 1;
+                clock.send_at(&flows[i], retries[i], anchors[i])
             }
-            None => at_for_rank(e.rank),
+            Some(i) => clock.deliver_at(&flows[i], anchors[i]).unwrap_or_else(|| window_start(e.rank)),
+            None => window_start(e.rank),
         };
-        let ev = store.instant(
-            e.rank as u32,
-            step,
-            Lane::Comm,
-            format!("recover:{}", e.action),
-            at,
-        );
+        let ev = store.instant(e.rank as u32, step, Lane::Comm, format!("recover:{}", e.action), at);
         if let Some(p) = e.peer {
             ev.args.push(("peer", ArgValue::U64(p as u64)));
         }
@@ -364,6 +404,63 @@ fn subtract(start: f64, end: f64, cover: &[(f64, f64)]) -> Vec<(f64, f64)> {
     out
 }
 
+/// One rank's COMM-lane and GPU-lane `(start, end)` intervals in a step,
+/// in record order.
+#[derive(Default)]
+struct RankLanes {
+    comm: Vec<(f64, f64)>,
+    gpu: Vec<(f64, f64)>,
+}
+
+/// Every rank with a span in `step`, ascending, with its COMM and GPU
+/// intervals measured from `origin` (`0.0` keeps the trace clock).
+fn rank_lanes(spans: &[Span], origin: f64) -> BTreeMap<u32, RankLanes> {
+    let mut by_rank: BTreeMap<u32, RankLanes> = BTreeMap::new();
+    for s in spans {
+        let lanes = by_rank.entry(s.rank).or_default();
+        let interval = (s.start - origin, s.end - origin);
+        match s.lane {
+            Lane::Comm => lanes.comm.push(interval),
+            Lane::Gpu => lanes.gpu.push(interval),
+            Lane::Cpu => {}
+        }
+    }
+    by_rank
+}
+
+/// Each rank's fraction of COMM time hidden under its own GPU work in
+/// `step`, ranks ascending (every rank with a span in the step; one without
+/// COMM time reads 1.0). Hiding is measured against the union of the GPU
+/// intervals, so COMM time that straddles a gap between GPU phases counts
+/// as exposed. Intervals are measured from the step's earliest span start.
+pub fn hidden_comm_fractions(store: &TraceStore, step: u64) -> Vec<(u32, f64)> {
+    let spans = store.step_records(step).spans;
+    let origin = spans.iter().map(|s| s.start).fold(f64::INFINITY, f64::min);
+    (rank_lanes(spans, origin).into_iter())
+        .map(|(rank, mut lanes)| {
+            lanes.comm.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
+            let total: f64 = lanes.comm.iter().map(|(s, e)| e - s).sum();
+            if total <= 0.0 {
+                return (rank, 1.0);
+            }
+            let union = interval_union(lanes.gpu);
+            let hidden: f64 = lanes.comm.iter().map(|&(s, e)| overlap_with_union(s, e, &union)).sum();
+            (rank, (hidden / total).clamp(0.0, 1.0))
+        })
+        .collect()
+}
+
+/// Mean over ranks of [`hidden_comm_fractions`] in `step`. A step with no
+/// span has no communication to expose and reads 1.0, as a rank without
+/// COMM time does.
+pub fn mean_hidden_comm_fraction(store: &TraceStore, step: u64) -> f64 {
+    let fractions = hidden_comm_fractions(store, step);
+    if fractions.is_empty() {
+        return 1.0;
+    }
+    fractions.iter().map(|&(_, f)| f).sum::<f64>() / fractions.len() as f64
+}
+
 /// Find each rank's exposed-communication intervals in `step` and attribute
 /// them to the causal flows among `flows` (the step's ledger records).
 ///
@@ -373,29 +470,12 @@ fn subtract(start: f64, end: f64, cover: &[(f64, f64)]) -> Vec<(f64, f64)> {
 /// read from the step's flow points — overlaps it, and classified with
 /// [`classify`]. Results are sorted by `(rank, start)`.
 pub fn exposed_comm(store: &TraceStore, step: u64, flows: &[FlowRecord]) -> Vec<ExposedComm> {
-    let spans = store.step_records(step).spans;
     let times = flow_times(store, step);
-    let mut ranks: Vec<u32> = spans
-        .iter()
-        .filter(|s| s.lane == Lane::Comm)
-        .map(|s| s.rank)
-        .collect();
-    ranks.sort_unstable();
-    ranks.dedup();
-
     let mut out = Vec::new();
-    for rank in ranks {
-        let lane = |lane: Lane| -> Vec<(f64, f64)> {
-            spans
-                .iter()
-                .filter(|s| s.rank == rank && s.lane == lane)
-                .map(|s| (s.start, s.end))
-                .collect()
-        };
-        let cover = interval_union(lane(Lane::Gpu));
-        let mut comm = lane(Lane::Comm);
-        comm.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        for (cs, ce) in comm {
+    for (rank, mut lanes) in rank_lanes(store.step_records(step).spans, 0.0) {
+        let cover = interval_union(lanes.gpu);
+        lanes.comm.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        for (cs, ce) in lanes.comm {
             for (xs, xe) in subtract(cs, ce, &cover) {
                 if xe - xs <= 0.0 {
                     continue;
@@ -427,8 +507,8 @@ mod tests {
     use super::*;
     use crate::envelope::NO_FLOW;
     use crate::fabric::MsgKind;
+    use crate::fault::{FaultEvent, FaultKind, FaultLog, FaultPlan, RecoveryEvent};
     use crate::flow::FlowLedger;
-    use crate::fault::{FaultKind, FaultLog};
     use crate::machine::PIZ_DAINT;
 
     /// A step-1 flow `from → to` with `attempts` sends and `outcome`.
@@ -439,7 +519,7 @@ mod tests {
         r
     }
 
-    /// Draw `f` into `t` as the cluster does: a `Start` point at `send_at`,
+    /// Draw `f` into `t` as [`record_flows`] does: a `Start` point at `send_at`,
     /// a `Finish` point at `resolve_at` when it resolved.
     fn draw(t: &mut TraceStore, f: &FlowRecord, send_at: f64, resolve_at: Option<f64>) {
         t.flow_point(f.id, f.from as u32, f.epoch, Lane::Comm, "flow:Let", send_at, FlowPhase::Start);
@@ -593,167 +673,143 @@ mod tests {
         assert_eq!(subtract(0.0, 1.0, &[(-1.0, 0.5)]), vec![(0.5, 1.0)]);
     }
 
-    fn sample_log() -> FaultLog {
-        FaultLog {
-            injected: vec![FaultEvent {
-                epoch: 3,
-                from: 0,
-                to: 1,
-                kind: MsgKind::Let,
-                fault: FaultKind::Corrupt,
-                attempt: 0,
-                flow: 1,
-            }],
-            recoveries: vec![RecoveryEvent {
-                epoch: 3,
-                rank: 1,
-                peer: Some(0),
-                kind: Some(MsgKind::Let),
-                action: RecoveryAction::DiscardCorrupt,
-                detail: "checksum mismatch".to_string(),
-                flow: 1,
-            }],
-        }
+    /// A wire holding `flows` and `log`, as the cluster's holds an epoch.
+    fn wire(flows: FlowLedger, log: FaultLog) -> Wire {
+        let mut w = Wire::new(1, FaultPlan::new(0));
+        (w.flows, w.log) = (flows, log);
+        w
     }
 
-    fn sample_ledger() -> FlowLedger {
-        let mut l = FlowLedger::new();
-        let id = l.seal(3, 0, 1, MsgKind::Let, 2048);
-        l.retransmit(id);
-        l.deliver(id, 1);
-        l
+    /// `wire`'s epoch `step` drawn over `windows` (fallback 0.0), and what
+    /// it counted.
+    fn record(wire: &Wire, step: u64, windows: &[(f64, f64)]) -> (TraceStore, MetricsRegistry) {
+        let (mut store, mut reg) = (TraceStore::new(), MetricsRegistry::new());
+        let net = NetworkModel::new(PIZ_DAINT);
+        record_flows(wire, &net, step, windows, 0.0, &mut store, &mut reg);
+        (store, reg)
+    }
+
+    /// Flow `id`'s points, in record order.
+    fn points(store: &TraceStore, id: u64) -> Vec<(FlowPhase, f64)> {
+        store.flow_points().iter().filter(|p| p.id == id).map(|p| (p.phase, p.at)).collect()
+    }
+
+    fn flow_arg(i: &bonsai_obs::Instant) -> Option<u64> {
+        i.args.iter().find_map(|(k, v)| match (k, v) {
+            (&"flow", ArgValue::U64(id)) => Some(*id),
+            _ => None,
+        })
+    }
+
+    fn fault(epoch: u64, flow: &FlowRecord, fault: FaultKind, attempt: u32) -> FaultEvent {
+        let (from, to, kind, flow) = (flow.from, flow.to, flow.kind, flow.id);
+        FaultEvent { epoch, from, to, kind, fault, attempt, flow }
+    }
+
+    fn recovery(r: &FlowRecord, action: RecoveryAction, detail: &str) -> RecoveryEvent {
+        RecoveryEvent {
+            epoch: r.epoch,
+            rank: r.to,
+            peer: Some(r.from),
+            kind: Some(r.kind),
+            action,
+            detail: detail.to_string(),
+            flow: r.id,
+        }
     }
 
     #[test]
     fn fault_log_lands_on_comm_track_with_flow_ids() {
-        let net = NetworkModel::new(PIZ_DAINT);
-        let mut store = TraceStore::new();
-        let log = sample_log();
-        record_fault_log(
-            &log.injected,
-            &log.recoveries,
-            sample_ledger().records(),
-            &net,
-            &mut store,
-            3,
-            &|_r| 1.5,
-        );
+        let mut ledger = FlowLedger::new();
+        let id = ledger.seal(3, 0, 1, MsgKind::Let, 2048);
+        ledger.retransmit(id);
+        ledger.deliver(id, 1);
+        let r = ledger.get(id).unwrap().clone();
+        let log = FaultLog {
+            injected: vec![fault(3, &r, FaultKind::Corrupt, 0)],
+            recoveries: vec![recovery(&r, RecoveryAction::DiscardCorrupt, "checksum mismatch")],
+        };
+        let (store, _) = record(&wire(ledger, log), 3, &[(1.5, 0.0), (1.5, 0.0)]);
         assert_eq!(store.instants().len(), 2);
         let inj = &store.instants()[0];
-        assert_eq!(inj.rank, 1);
-        assert_eq!(inj.lane, Lane::Comm);
-        assert_eq!(inj.name, "inject:corrupt");
+        assert_eq!((inj.rank, inj.lane, inj.name.as_str()), (1, Lane::Comm, "inject:corrupt"));
         // Attempt 0 leaves right at the sender's window start.
         assert_eq!(inj.at, 1.5);
-        assert!(
-            inj.args
-                .iter()
-                .any(|(k, v)| *k == "flow" && *v == ArgValue::U64(1)),
-            "injection carries its flow id"
-        );
         let rec = &store.instants()[1];
         assert_eq!(rec.name, "recover:discard-corrupt");
-        assert!(
-            rec.at > inj.at,
-            "the discard anchors at the delivery, after the faulted send: {} vs {}",
-            rec.at,
-            inj.at
-        );
-        assert!(rec
-            .args
-            .iter()
-            .any(|(k, v)| *k == "flow" && *v == ArgValue::U64(1)));
+        assert_eq!([flow_arg(inj), flow_arg(rec)], [Some(id), Some(id)]);
+        // The injection sits on the faulted attempt's point, the discard on
+        // the delivery: the flow's own arrow.
+        let pts = points(&store, id);
+        assert_eq!(pts.iter().map(|p| p.0).collect::<Vec<_>>(), [FlowPhase::Start, FlowPhase::Step, FlowPhase::Finish]);
+        assert_eq!((inj.at, rec.at), (pts[0].1, pts[2].1));
     }
 
     #[test]
     fn two_faults_on_one_coordinate_find_their_own_flows() {
         // Two flows on one coordinate, each dropped once, then the first
         // retransmitted and dropped again: each event lands on the flow it
-        // names, not on the coordinate's first or latest.
-        let net = NetworkModel::new(PIZ_DAINT);
+        // names, in that flow's slot of the sender's window.
         let mut ledger = FlowLedger::new();
         let a = ledger.seal(2, 1, 0, MsgKind::Let, 64);
         let b = ledger.seal(2, 1, 0, MsgKind::Let, 4096);
         ledger.retransmit(a);
-        let fault = |flow, attempt| FaultEvent {
-            epoch: 2,
-            from: 1,
-            to: 0,
-            kind: MsgKind::Let,
-            fault: FaultKind::Drop,
-            attempt,
-            flow,
-        };
-        let injected = [fault(a, 0), fault(b, 0), fault(a, 1)];
-        let mut store = TraceStore::new();
-        record_fault_log(&injected, &[], ledger.records(), &net, &mut store, 2, &|_r| 0.0);
-        let flow_of = |i: usize| {
-            store.instants()[i].args.iter().find_map(|(k, v)| match (k, v) {
-                (&"flow", ArgValue::U64(id)) => Some(*id),
-                _ => None,
-            })
-        };
-        assert_eq!([flow_of(0), flow_of(1), flow_of(2)], [Some(a), Some(b), Some(a)]);
-        let clock = FlowClock::new(&net);
-        assert_eq!(store.instants()[2].at, clock.rto(64));
+        let (ra, rb) = (ledger.get(a).unwrap().clone(), ledger.get(b).unwrap().clone());
+        let drop = |r, attempt| fault(2, r, FaultKind::Drop, attempt);
+        let log = FaultLog { injected: vec![drop(&ra, 0), drop(&rb, 0), drop(&ra, 1)], recoveries: vec![] };
+        let (store, _) = record(&wire(ledger, log), 2, &[(0.0, 0.0), (0.0, 1e-3)]);
+        let inst = store.instants();
+        assert_eq!([flow_arg(&inst[0]), flow_arg(&inst[1]), flow_arg(&inst[2])], [Some(a), Some(b), Some(a)]);
+        let rto = FlowClock::new(&NetworkModel::new(PIZ_DAINT)).rto(64);
+        assert_eq!([inst[0].at, inst[1].at, inst[2].at], [0.0, 0.5e-3, rto], "slots 0 and 1 of 2, then a's retry");
+        assert_eq!(points(&store, b)[0], (FlowPhase::Start, inst[1].at));
+        assert_eq!(points(&store, a)[1], (FlowPhase::Step, inst[2].at));
     }
 
     #[test]
     fn retransmit_chain_is_causally_ordered() {
-        let net = NetworkModel::new(PIZ_DAINT);
         let mut ledger = FlowLedger::new();
         let id = ledger.seal(4, 2, 0, MsgKind::Control, 64);
         ledger.retransmit(id);
         ledger.deliver(id, 1);
+        let r = ledger.get(id).unwrap().clone();
         let log = FaultLog {
-            injected: vec![FaultEvent {
-                epoch: 4,
-                from: 2,
-                to: 0,
-                kind: MsgKind::Control,
-                fault: FaultKind::Drop,
-                attempt: 0,
-                flow: id,
-            }],
-            recoveries: vec![RecoveryEvent {
-                epoch: 4,
-                rank: 0,
-                peer: Some(2),
-                kind: Some(MsgKind::Control),
-                action: RecoveryAction::Retransmit,
-                detail: "attempt 1".to_string(),
-                flow: id,
-            }],
+            injected: vec![fault(4, &r, FaultKind::Drop, 0)],
+            recoveries: vec![recovery(&r, RecoveryAction::Retransmit, "attempt 1")],
         };
-        let mut store = TraceStore::new();
-        let records = ledger.records();
-        record_fault_log(&log.injected, &log.recoveries, records, &net, &mut store, 4, &|_r| 0.25);
-        let inj = &store.instants()[0];
-        let rec = &store.instants()[1];
-        // The retransmit send sits exactly one RTO after the dropped send.
-        let clock = FlowClock::new(&net);
-        assert!((rec.at - inj.at - clock.rto(64)).abs() < 1e-15);
+        let (store, reg) = record(&wire(ledger, log), 4, &[(0.25, 0.0); 3]);
+        let (inj, rec) = (&store.instants()[0], &store.instants()[1]);
+        // The retransmit send sits exactly one RTO after the dropped send,
+        // on the arrow's step point, before the delivery.
+        let rto = FlowClock::new(&NetworkModel::new(PIZ_DAINT)).rto(64);
+        assert!((rec.at - inj.at - rto).abs() < 1e-15);
+        let pts = points(&store, id);
+        assert_eq!((pts[0].1, pts[1].1), (inj.at, rec.at));
+        assert!(pts[2].1 > rec.at);
+        // The retransmitted flow is counted as exposed and per link.
+        assert_eq!(reg.counter("bonsai_flow_retransmits_total", &[("link", "2->0")]), 1);
+        assert_eq!(reg.counter("bonsai_flow_exposed_total", &[("kind", "Control")]), 1);
+        assert_eq!(reg.histogram("bonsai_flow_delivery_seconds", &[]).unwrap().count(), 1);
     }
 
     #[test]
     fn events_without_a_flow_anchor_at_the_rank_window() {
-        let net = NetworkModel::new(PIZ_DAINT);
-        let log = FaultLog {
-            injected: vec![],
-            recoveries: vec![RecoveryEvent {
-                epoch: 9,
-                rank: 2,
-                peer: None,
-                kind: None,
-                action: RecoveryAction::RestoreCheckpoint,
-                detail: "rank 3 crashed".to_string(),
-                flow: NO_FLOW,
-            }],
+        let restore = |rank| RecoveryEvent {
+            epoch: 9,
+            rank,
+            peer: None,
+            kind: None,
+            action: RecoveryAction::RestoreCheckpoint,
+            detail: "rank 3 crashed".to_string(),
+            flow: NO_FLOW,
         };
-        let mut store = TraceStore::new();
-        record_fault_log(&log.injected, &log.recoveries, &[], &net, &mut store, 9, &|r| r as f64);
-        assert_eq!(store.instants()[0].at, 2.0);
-        assert!(!store.instants()[0].args.iter().any(|(k, _)| *k == "flow"));
+        let log = FaultLog { injected: vec![], recoveries: vec![restore(2), restore(7)] };
+        let windows = [(0.0, 1.0), (1.0, 1.0), (2.0, 1.0)];
+        let (store, reg) = record(&wire(FlowLedger::new(), log), 9, &windows);
+        // At the rank's window start; past the windows, at the base.
+        assert_eq!([store.instants()[0].at, store.instants()[1].at], [2.0, 0.0]);
+        assert!(store.instants().iter().all(|i| flow_arg(i).is_none()));
+        assert!(reg.histogram("bonsai_flow_delivery_seconds", &[]).is_none(), "nothing delivered");
     }
 
     #[test]

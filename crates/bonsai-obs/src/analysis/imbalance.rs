@@ -8,7 +8,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::span::{ArgValue, TraceStore};
+use crate::span::{ArgValue, Span, TraceStore};
 
 /// Per-phase cross-rank statistics for one step.
 #[derive(Clone, Debug)]
@@ -45,12 +45,21 @@ pub struct FlopBalance {
     pub worst_rank: u32,
 }
 
+/// The ranks with a span among `spans`, ascending, each with its index.
+fn ranks_of(spans: &[Span]) -> (Vec<u32>, BTreeMap<u32, usize>) {
+    let mut ranks: Vec<u32> = spans.iter().map(|s| s.rank).collect();
+    ranks.sort_unstable();
+    ranks.dedup();
+    let idx = ranks.iter().enumerate().map(|(i, &r)| (r, i)).collect();
+    (ranks, idx)
+}
+
 /// Measured wall time of `step`: max span end − min span start (`None`
 /// when the store holds no spans for it).
 pub fn step_wall_time(store: &TraceStore, step: u64) -> Option<f64> {
     let mut lo = f64::INFINITY;
     let mut hi = f64::NEG_INFINITY;
-    for s in store.spans().iter().filter(|s| s.step == step) {
+    for s in store.step_records(step).spans {
         lo = lo.min(s.start);
         hi = hi.max(s.end);
     }
@@ -59,15 +68,13 @@ pub fn step_wall_time(store: &TraceStore, step: u64) -> Option<f64> {
 
 /// Per-phase cross-rank statistics for `step`, one entry per phase name in
 /// deterministic (lexicographic) order. A rank's time in a phase is the sum
-/// of its spans with that name; ranks missing the phase contribute 0.
+/// of its spans with that name; a rank of the step missing the phase
+/// contributes 0 (a rank with no span in the step is not counted).
 pub fn phase_stats(store: &TraceStore, step: u64) -> Vec<PhaseStats> {
-    let ranks = store.ranks();
-    if ranks.is_empty() {
-        return Vec::new();
-    }
-    let idx: BTreeMap<u32, usize> = ranks.iter().enumerate().map(|(i, &r)| (r, i)).collect();
+    let spans = store.step_records(step).spans;
+    let (ranks, idx) = ranks_of(spans);
     let mut per_phase: BTreeMap<String, Vec<f64>> = BTreeMap::new();
-    for s in store.spans().iter().filter(|s| s.step == step) {
+    for s in spans {
         per_phase
             .entry(s.name.clone())
             .or_insert_with(|| vec![0.0; ranks.len()])[idx[&s.rank]] += s.end - s.start;
@@ -93,13 +100,14 @@ pub fn phase_stats(store: &TraceStore, step: u64) -> Vec<PhaseStats> {
 
 /// Recompute the flop balance of `step` from the `flops` annotations the
 /// device model attaches to gravity spans. Returns `None` when no span of
-/// the step carries a `flops` argument.
+/// the step carries a `flops` argument. Only the ranks with a span in the
+/// step are counted.
 pub fn flop_balance(store: &TraceStore, step: u64) -> Option<FlopBalance> {
-    let ranks = store.ranks();
-    let idx: BTreeMap<u32, usize> = ranks.iter().enumerate().map(|(i, &r)| (r, i)).collect();
+    let spans = store.step_records(step).spans;
+    let (ranks, idx) = ranks_of(spans);
     let mut per_rank = vec![0u64; ranks.len()];
     let mut any = false;
-    for s in store.spans().iter().filter(|s| s.step == step) {
+    for s in spans {
         for (k, v) in &s.args {
             if *k == "flops" {
                 if let ArgValue::U64(f) = v {
@@ -182,6 +190,24 @@ mod tests {
         let t = skewed_store();
         assert!((step_wall_time(&t, 1).unwrap() - 2.5).abs() < 1e-12);
         assert!(step_wall_time(&t, 9).is_none());
+    }
+
+    #[test]
+    fn a_rank_that_left_the_world_is_not_a_zero() {
+        // Step 1 holds ranks 0–2; step 2, after a shrink, ranks 0–1 with
+        // 100 flops each: step 2 is balanced.
+        let mut t = TraceStore::new();
+        for (step, ranks) in [(1, 3), (2, 2)] {
+            for r in 0..ranks {
+                let id = t.span(r, step, Lane::Gpu, "local", 0.0, 1.0);
+                t.arg_u64(id, "flops", 100);
+            }
+        }
+        let fb = flop_balance(&t, 2).unwrap();
+        assert_eq!((fb.per_rank, fb.residual), (vec![100, 100], 1.0));
+        let stats = phase_stats(&t, 2);
+        assert_eq!((stats[0].mean, stats[0].max_over_mean()), (1.0, 1.0));
+        assert_eq!(flop_balance(&t, 1).unwrap().per_rank, vec![100, 100, 100]);
     }
 
     #[test]

@@ -1,17 +1,19 @@
 //! Observability of a completed gravity epoch: the measured quantities
-//! charged to the machine models ([`StepBreakdown`], Table II), the spans,
-//! flow arrows and metrics recorded from them, and the read-only views over
-//! trace, registry and flow ledger.
+//! charged to the machine models ([`StepBreakdown`], Table II), the spans
+//! and metrics recorded from them, and the read-only views over trace,
+//! registry and flow ledger. The epoch's flow arrows and fault instants are
+//! drawn by [`bonsai_net::obs::record_flows`], handed each rank's
+//! LET-exchange window from here.
 
 use super::{Cluster, StepMeasurements};
 use crate::autoscale::ScaleDecision;
 use crate::breakdown::{Phase, StepBreakdown, INTEGRATE_RATE, STEP_LAUNCHES};
 use bonsai_gpu::{BUILD_COST, DOMAIN_COST, INTEGRATE_COST, PROPS_COST, SORT_COST};
-use bonsai_net::flow::{FlowConservation, FlowLedger, FlowOutcome};
+use bonsai_net::flow::{FlowConservation, FlowLedger};
 use bonsai_net::membership::ViewChange;
-use bonsai_net::obs::{classify, FlowClock};
+use bonsai_net::obs::classify;
 use bonsai_obs::stream::{FrameKind, FrameValue};
-use bonsai_obs::{ArgValue, FlowPhase, Lane, MetricsRegistry, TraceStore, TRACE_WINDOW};
+use bonsai_obs::{ArgValue, Lane, MetricsRegistry, TraceStore, TRACE_WINDOW};
 use bonsai_sfc::KeyMap;
 use bonsai_tree::stats::record_walk_counts;
 use bonsai_tree::InteractionCounts;
@@ -164,9 +166,11 @@ impl Cluster {
     /// layer: per-rank spans for every Table II phase on the GPU lane
     /// (including the attributed integration sub-phase), load-balance and
     /// orchestration bookkeeping on the CPU lane, the LET exchange window
-    /// and retransmission recovery on the COMM lane, explicit cross-rank
-    /// `wait` spans for the barrier at the end of the epoch, fault
-    /// instants, walk/link metrics, and the per-step gauge family
+    /// and retransmission recovery on the COMM lane, the epoch's flow
+    /// arrows and fault instants ([`bonsai_net::obs::record_flows`], handed
+    /// each rank's exchange window), explicit cross-rank `wait` spans for
+    /// the barrier at the end of the epoch, walk/link metrics, and the
+    /// per-step gauge family
     /// [`Cluster::breakdown_from_metrics`] reduces over. The clock base
     /// then advances by the epoch's makespan so consecutive epochs render
     /// side by side in Perfetto.
@@ -193,7 +197,8 @@ impl Cluster {
         let base = self.trace_clock;
         let gpu = self.gpu;
         let classify_rate = self.classify_rate();
-        let mut local_starts = vec![0.0; p];
+        // Per-rank LET-exchange window: it opens at local-gravity start.
+        let mut windows = Vec::with_capacity(p);
         // Per-rank busy end (all lanes): where each rank hits the epoch's
         // closing barrier and starts waiting for the straggler.
         let mut rank_end = vec![base; p];
@@ -212,7 +217,7 @@ impl Cluster {
                 t += dur;
             }
             let local_start = t;
-            local_starts[r] = local_start;
+            windows.push((local_start, c.let_comm));
             for (name, dur, counts) in [
                 ("local", c.local, meas.counts_local[r]),
                 ("lets", c.lets, meas.counts_lets[r]),
@@ -251,77 +256,10 @@ impl Cluster {
                 self.net.observe_link(&mut self.registry, kind, r, bytes as u64);
             }
         }
-        // Flow lifecycles of this epoch: anchor every sealed envelope's
-        // modeled send/resolve instants inside the step window, emit the
-        // Perfetto arrow points (`s` on the sender's COMM lane, `t` per
-        // retransmission, `f` at the receiver), and record the flow-level
-        // metrics family.
+        // The epoch's flows and the fault log's instants on them.
+        let (trace, registry) = (&mut self.trace, &mut self.registry);
+        bonsai_net::obs::record_flows(&self.wire, &self.net, step, &windows, base, trace, registry);
         let flows = self.wire.flows.for_epoch(step);
-        let clock = FlowClock::new(&self.net);
-        // Spread each sender's flows across its LET-exchange window (seal
-        // order = slot order) so the arrows land where the transfer would be
-        // in flight, not stacked at the window's opening instant. Delivery
-        // latency is anchor-invariant: send and resolve shift together.
-        let mut flow_count = vec![0usize; p];
-        for r in flows {
-            if r.from < p {
-                flow_count[r.from] += 1;
-            }
-        }
-        let mut flow_seq = vec![0usize; p];
-        // Looked up once per epoch, and only when a flow delivered: an
-        // epoch that delivers nothing does not create the histogram.
-        let mut delivery = flows
-            .iter()
-            .any(|r| matches!(r.outcome, FlowOutcome::Delivered { .. }))
-            .then(|| self.registry.histogram_entry("bonsai_flow_delivery_seconds", &[]));
-        for r in flows {
-            let slot = if r.from < p && flow_count[r.from] > 0 {
-                let i = flow_seq[r.from];
-                flow_seq[r.from] += 1;
-                costs[r.from].let_comm * i as f64 / flow_count[r.from] as f64
-            } else {
-                0.0
-            };
-            // `local_starts` is absolute (accumulated from `base`): the
-            // exchange window of each rank opens at its local-gravity start.
-            let base_from = local_starts.get(r.from).copied().unwrap_or(base) + slot;
-            let send_at = clock.send_at(r, 0, base_from);
-            let deliver_at = clock.deliver_at(r, base_from);
-            let name = r.kind.flow_name();
-            self.trace
-                .flow_point(r.id, r.from as u32, step, Lane::Comm, name, send_at, FlowPhase::Start);
-            for a in 1..r.attempts {
-                self.trace.flow_point(
-                    r.id,
-                    r.from as u32,
-                    step,
-                    Lane::Comm,
-                    name,
-                    clock.send_at(r, a, base_from),
-                    FlowPhase::Step,
-                );
-            }
-            if let Some(at) = deliver_at {
-                self.trace
-                    .flow_point(r.id, r.to as u32, step, Lane::Comm, name, at, FlowPhase::Finish);
-            }
-            if let (Some(h), Some(d)) = (delivery.as_deref_mut(), deliver_at) {
-                h.observe(d - send_at);
-            }
-        }
-        // Exposed flows: the ones whose cost the overlap window could not
-        // hide (a retransmission). Only they are labelled, so only they pay
-        // for a metric key.
-        for r in flows.iter().filter(|r| r.attempts > 1) {
-            self.registry.counter_add(
-                "bonsai_flow_retransmits_total",
-                &[("link", &format!("{}->{}", r.from, r.to))],
-                (r.attempts - 1) as u64,
-            );
-            self.registry
-                .counter_add("bonsai_flow_exposed_total", &[("kind", r.kind.name())], 1);
-        }
 
         // The epoch's closing barrier: every rank that finishes before the
         // straggler records an explicit cross-rank wait span, so the
@@ -366,10 +304,6 @@ impl Cluster {
                 .observe_link(&mut self.registry, "retransmit", 0, meas.retransmit_bytes as u64);
             makespan += recovery;
         }
-        let (injected, recoveries) = self.wire.log.for_epoch(step);
-        let at = |rank: usize| local_starts.get(rank).copied().unwrap_or(base);
-        bonsai_net::obs::record_fault_log(injected, recoveries, flows, &self.net, &mut self.trace, step, &at);
-
         for phase in Phase::ALL {
             let labels = [("phase", phase.name())];
             self.registry

@@ -22,12 +22,12 @@ use crate::autoscale::{AutoscaleConfig, AutoscalePolicy, ScaleDecision};
 use crate::breakdown::StepBreakdown;
 use crate::cluster::{StepFacts, StepMeasurements};
 use crate::stream::{StreamConfig, StreamTap};
-use crate::trace::mean_hidden_comm_fraction;
 use bonsai_analysis::EnergyReport;
+use bonsai_net::obs::mean_hidden_comm_fraction;
 use bonsai_obs::health::{default_rules, AlertEvent, AlertKind, HealthMonitor, Rule};
 use bonsai_obs::overhead::{overhead_rule, OVERHEAD_GAUGE};
 use bonsai_obs::timeseries::{SeriesConfig, SeriesStore};
-use bonsai_obs::{Incident, Lane, MetricsRegistry, TraceStore};
+use bonsai_obs::{flop_balance, Incident, Lane, MetricsRegistry, TraceStore};
 
 /// Incidents frozen at most (each owns a copy of the window).
 const MAX_INCIDENTS: usize = 4;
@@ -158,22 +158,8 @@ impl RunMonitor {
         // gauges so they reset with everything else.
         let energy = facts.energy.expect("long-run facts carry the energy report");
         let drift = energy.drift_from(&self.baseline);
-        let flops: Vec<f64> = meas
-            .counts_local
-            .iter()
-            .zip(&meas.counts_lets)
-            .map(|(l, t)| (l.flops() + t.flops()) as f64)
-            .collect();
-        let residual = {
-            let mean = flops.iter().sum::<f64>() / flops.len().max(1) as f64;
-            let max = flops.iter().copied().fold(0.0, f64::max);
-            if mean > 0.0 {
-                max / mean
-            } else {
-                1.0
-            }
-        };
-        let hidden = mean_hidden_comm_fraction(trace);
+        let residual = flop_balance(trace, epoch).map_or(1.0, |f| f.residual);
+        let hidden = mean_hidden_comm_fraction(trace, epoch);
         let derived = [
             drift,
             residual,

@@ -1,10 +1,10 @@
-//! Per-rank step timelines and the ASCII Gantt chart of the overlap story.
+//! The ASCII Gantt chart of the overlap story.
 //!
 //! §III-B2's central engineering claim is *concurrency*: while the GPU
 //! grinds the local tree, the CPU threads build LETs and the network moves
-//! them, so only a small residue of communication is ever exposed. This
-//! module reconstructs that schedule from a step's measured quantities and
-//! renders it, making the claim visible:
+//! them, so only a small residue of communication is ever exposed.
+//! [`render_gantt`] draws that schedule straight from the last recorded
+//! step's spans, making the claim visible:
 //!
 //! ```text
 //! rank 0 GPU  SSDDBBPLLLLLLLLLLRRRRRRRR......
@@ -12,104 +12,26 @@
 //! ```
 //!
 //! (`S` sort, `D` domain update, `B` build, `P` properties, `L` local
-//! gravity, `R` remote/LET gravity, `m` LET communication, `.` idle.)
+//! gravity, `R` remote/LET gravity, `m` LET communication, `.` idle.) How
+//! much of each rank's COMM time the GPU work hides is
+//! [`bonsai_net::obs::hidden_comm_fractions`], read from the same spans.
 
-use std::collections::BTreeMap;
+use bonsai_obs::{Lane, TraceStore};
 
-use bonsai_obs::{interval_union, overlap_with_union, Lane, TraceStore};
-
-/// One rank's reconstructed schedule (seconds from step start).
-#[derive(Clone, Debug, Default)]
-pub struct RankTimeline {
-    /// `(label, start, end)` for every busy interval on the GPU lane.
-    pub gpu: Vec<(String, f64, f64)>,
-    /// `(label, start, end)` for the communication lane.
-    pub comm: Vec<(String, f64, f64)>,
-    /// `(label, start, end)` for host-CPU bookkeeping (load balance,
-    /// orchestration) and cross-rank barrier waits.
-    pub cpu: Vec<(String, f64, f64)>,
-}
-
-impl RankTimeline {
-    /// Wall-clock span of the timeline.
-    pub fn makespan(&self) -> f64 {
-        self.gpu
-            .iter()
-            .chain(self.comm.iter())
-            .chain(self.cpu.iter())
-            .map(|(_, _, e)| *e)
-            .fold(0.0, f64::max)
-    }
-
-    /// Fraction of LET communication hidden under GPU work. Exposure is
-    /// measured against the union of GPU busy intervals, so comm that
-    /// straddles a gap between GPU phases is correctly counted as exposed.
-    pub fn hidden_comm_fraction(&self) -> f64 {
-        let comm_total: f64 = self.comm.iter().map(|(_, s, e)| e - s).sum();
-        if comm_total <= 0.0 {
-            return 1.0;
-        }
-        let union = interval_union(self.gpu.iter().map(|(_, s, e)| (*s, *e)).collect());
-        let hidden: f64 = self
-            .comm
-            .iter()
-            .map(|(_, s, e)| overlap_with_union(*s, *e, &union))
-            .sum();
-        (hidden / comm_total).clamp(0.0, 1.0)
-    }
-}
-
-/// Per-rank timelines of the most recent recorded epoch: a view over a
-/// [cluster](crate::cluster)'s span store, re-based to step-relative
-/// seconds. The spans were recorded with the cluster's *configured* device
-/// and machine-rate models, so a Titan cluster's timeline shows Titan's
-/// slower host phases.
-pub fn step_timelines(store: &TraceStore) -> Vec<RankTimeline> {
-    let Some(step) = store.last_step() else {
-        return Vec::new();
-    };
-    let in_step = store.step_records(step).spans;
-    let base = in_step.iter().map(|s| s.start).fold(f64::INFINITY, f64::min);
-    // One pass, bucketed by rank in record order; ranks come out ascending.
-    let mut by_rank: BTreeMap<u32, RankTimeline> = BTreeMap::new();
-    for s in in_step {
-        let t = by_rank.entry(s.rank).or_default();
-        let item = (s.name.clone(), s.start - base, s.end - base);
-        match s.lane {
-            Lane::Gpu => t.gpu.push(item),
-            Lane::Comm => t.comm.push(item),
-            Lane::Cpu => t.cpu.push(item),
-        }
-    }
-    by_rank
-        .into_values()
-        .map(|mut t| {
-            for lane in [&mut t.gpu, &mut t.comm, &mut t.cpu] {
-                lane.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap());
-            }
-            t
-        })
-        .collect()
-}
-
-/// Mean over ranks of [`RankTimeline::hidden_comm_fraction`] in the most
-/// recent recorded epoch of `store`. A store with no recorded step has no
-/// communication to expose and reads 1.0, as a rank without comm does.
-pub fn mean_hidden_comm_fraction(store: &TraceStore) -> f64 {
-    let timelines = step_timelines(store);
-    if timelines.is_empty() {
-        return 1.0;
-    }
-    timelines.iter().map(RankTimeline::hidden_comm_fraction).sum::<f64>() / timelines.len() as f64
-}
-
-/// Render timelines as an ASCII Gantt chart, `width` characters across.
-pub fn render_gantt(timelines: &[RankTimeline], width: usize) -> String {
-    let makespan = timelines
-        .iter()
-        .map(RankTimeline::makespan)
-        .fold(0.0, f64::max)
-        .max(1e-12);
+/// Render the last recorded step of `store` as an ASCII Gantt chart,
+/// `width` characters across: a GPU, a COMM and a CPU row for every rank
+/// with a span in the step, ranks ascending, time measured from the step's
+/// earliest span start. A row draws its spans in start order (ties in
+/// record order), each over the ones before it. The spans were recorded
+/// with the cluster's *configured* device and machine-rate models, so a
+/// Titan cluster's chart shows Titan's slower host phases.
+pub fn render_gantt(store: &TraceStore, width: usize) -> String {
+    let spans = store.last_step().map_or(&[][..], |step| store.step_records(step).spans);
+    let origin = spans.iter().map(|s| s.start).fold(f64::INFINITY, f64::min);
+    let makespan = spans.iter().map(|s| s.end - origin).fold(0.0, f64::max).max(1e-12);
+    let mut ranks: Vec<u32> = spans.iter().map(|s| s.rank).collect();
+    ranks.sort_unstable();
+    ranks.dedup();
     let glyph = |label: &str| -> char {
         match label {
             "sort" => 'S',
@@ -128,17 +50,22 @@ pub fn render_gantt(timelines: &[RankTimeline], width: usize) -> String {
         }
     };
     let mut out = String::new();
-    for (r, tl) in timelines.iter().enumerate() {
-        for (lane_name, lane) in [("GPU ", &tl.gpu), ("COMM", &tl.comm), ("CPU ", &tl.cpu)] {
+    for rank in ranks {
+        for (lane_name, lane) in [("GPU ", Lane::Gpu), ("COMM", Lane::Comm), ("CPU ", Lane::Cpu)] {
+            let mut drawn: Vec<(f64, f64, &str)> = (spans.iter())
+                .filter(|s| s.rank == rank && s.lane == lane)
+                .map(|s| (s.start - origin, s.end - origin, s.name.as_str()))
+                .collect();
+            drawn.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
             let mut row = vec!['.'; width];
-            for (label, s, e) in lane {
+            for (s, e, label) in drawn {
                 let c0 = ((s / makespan) * width as f64) as usize;
                 let c1 = (((e / makespan) * width as f64).ceil() as usize).min(width);
                 for cell in row.iter_mut().take(c1).skip(c0.min(width)) {
                     *cell = glyph(label);
                 }
             }
-            out.push_str(&format!("rank {r:>2} {lane_name} "));
+            out.push_str(&format!("rank {rank:>2} {lane_name} "));
             out.extend(row);
             out.push('\n');
         }
@@ -155,71 +82,88 @@ mod tests {
     use super::*;
     use crate::cluster::{Cluster, ClusterConfig};
     use bonsai_ic::plummer_sphere;
+    use bonsai_net::obs::{hidden_comm_fractions, mean_hidden_comm_fraction};
+    use bonsai_obs::Span;
 
     fn sample_cluster() -> Cluster {
         Cluster::new(plummer_sphere(6000, 9), 4, ClusterConfig::default())
     }
 
+    /// The last recorded step's spans of `c`.
+    fn last_spans(c: &Cluster) -> &[Span] {
+        let t = c.trace();
+        t.step_records(t.last_step().expect("a step recorded")).spans
+    }
+
     #[test]
     fn timelines_cover_every_rank_and_phase() {
         let c = sample_cluster();
-        let tls = step_timelines(c.trace());
-        assert_eq!(tls.len(), 4);
-        for tl in &tls {
-            assert_eq!(tl.gpu.len(), 7);
+        let spans = last_spans(&c);
+        for rank in 0..4 {
+            let on = |lane| spans.iter().filter(move |s| s.rank == rank && s.lane == lane);
+            let gpu: Vec<&Span> = on(Lane::Gpu).collect();
+            assert_eq!(gpu.len(), 7);
             // phases are contiguous and ordered
-            for w in tl.gpu.windows(2) {
-                assert!((w[0].2 - w[1].1).abs() < 1e-12, "gap between phases");
+            for w in gpu.windows(2) {
+                assert!((w[0].end - w[1].start).abs() < 1e-12, "gap between phases");
             }
             // CPU bookkeeping tail follows the device phases.
-            assert!(tl.cpu.iter().any(|(l, _, _)| l == "balance"));
-            assert!(tl.cpu.iter().any(|(l, _, _)| l == "orchestrate"));
-            assert!(tl.makespan() > 0.0);
+            assert!(on(Lane::Cpu).any(|s| s.name == "balance"));
+            assert!(on(Lane::Cpu).any(|s| s.name == "orchestrate"));
         }
+        assert!(c.trace().makespan() > 0.0);
     }
 
     #[test]
     fn timelines_bucket_interleaved_ranks_in_record_order() {
         // Ranks recorded out of order and interleaved, ties on start time:
-        // ranks come out ascending, ties keep their record order, and
-        // earlier steps are ignored.
+        // rows come out by ascending rank, a tie draws the later record over
+        // the earlier, earlier steps are ignored, and time is measured from
+        // the step's first start (1.0 s; the step ends at 5.0 s, so a cell
+        // is 0.5 s).
         let mut t = TraceStore::new();
         t.span(0, 1, Lane::Gpu, "old", 0.0, 9.0);
         for (rank, lane, name, start) in [
             (2, Lane::Gpu, "local", 2.0),
-            (0, Lane::Comm, "a", 3.0),
+            (0, Lane::Comm, "let-comm", 3.0),
             (2, Lane::Gpu, "build", 1.0),
-            (0, Lane::Comm, "b", 3.0),
+            (0, Lane::Comm, "recovery", 3.0),
             (1, Lane::Cpu, "balance", 2.5),
             (2, Lane::Gpu, "sort", 1.0),
+            (0, Lane::Cpu, "wait", 4.5),
         ] {
             t.span(rank, 2, lane, name, start, start + 0.5);
         }
-        let tls = step_timelines(&t);
-        assert_eq!(tls.len(), 3);
-        let labels = |v: &[(String, f64, f64)]| -> Vec<String> {
-            v.iter().map(|(l, _, _)| l.clone()).collect()
-        };
-        assert_eq!(labels(&tls[0].comm), ["a", "b"]);
-        assert_eq!(labels(&tls[1].cpu), ["balance"]);
-        assert_eq!(labels(&tls[2].gpu), ["build", "sort", "local"]);
-        assert_eq!(tls[2].gpu[0].1, 0.0, "re-based to the step's first start");
+        let art = render_gantt(&t, 8);
+        let rows: Vec<&str> = art.lines().take(9).collect();
+        assert_eq!(
+            rows,
+            [
+                "rank  0 GPU  ........",
+                "rank  0 COMM ....r...",
+                "rank  0 CPU  .......w",
+                "rank  1 GPU  ........",
+                "rank  1 COMM ........",
+                "rank  1 CPU  ...b....",
+                "rank  2 GPU  S.L.....",
+                "rank  2 COMM ........",
+                "rank  2 CPU  ........",
+            ]
+        );
     }
 
     #[test]
     fn comm_is_mostly_hidden() {
         let c = sample_cluster();
-        let tls = step_timelines(c.trace());
-        for tl in &tls {
-            let f = tl.hidden_comm_fraction();
-            assert!(
-                f > 0.5,
-                "LET comm should be mostly hidden behind gravity, got {f}"
-            );
+        let step = c.trace().last_step().unwrap();
+        let fractions = hidden_comm_fractions(c.trace(), step);
+        assert_eq!(fractions.iter().map(|&(r, _)| r).collect::<Vec<_>>(), [0, 1, 2, 3]);
+        for &(r, f) in &fractions {
+            assert!(f > 0.5, "rank {r}: LET comm should be mostly hidden behind gravity, got {f}");
         }
-        let mean = tls.iter().map(RankTimeline::hidden_comm_fraction).sum::<f64>() / tls.len() as f64;
-        assert_eq!(mean_hidden_comm_fraction(c.trace()), mean);
-        assert_eq!(mean_hidden_comm_fraction(&TraceStore::new()), 1.0, "no step recorded");
+        let mean = fractions.iter().map(|&(_, f)| f).sum::<f64>() / fractions.len() as f64;
+        assert_eq!(mean_hidden_comm_fraction(c.trace(), step), mean);
+        assert_eq!(mean_hidden_comm_fraction(&TraceStore::new(), 0), 1.0, "no step recorded");
     }
 
     #[test]
@@ -227,15 +171,11 @@ mod tests {
         // Regression: comm straddling a gap between GPU busy intervals must
         // count the gap as exposed. The old computation measured exposure
         // only past the *end* of GPU work and reported 1.0 here.
-        let tl = RankTimeline {
-            gpu: vec![
-                ("local".to_string(), 0.0, 1.0),
-                ("lets".to_string(), 2.0, 3.0),
-            ],
-            comm: vec![("let-comm".to_string(), 0.5, 2.5)],
-            cpu: Vec::new(),
-        };
-        let f = tl.hidden_comm_fraction();
+        let mut t = TraceStore::new();
+        t.span(0, 1, Lane::Gpu, "local", 0.0, 1.0);
+        t.span(0, 1, Lane::Comm, "let-comm", 0.5, 2.5);
+        t.span(0, 1, Lane::Gpu, "lets", 2.0, 3.0);
+        let f = hidden_comm_fractions(&t, 1)[0].1;
         // 2.0 s of comm, hidden only under [0.5,1.0] and [2.0,2.5] = 1.0 s.
         assert!((f - 0.5).abs() < 1e-12, "union-based hidden fraction, got {f}");
     }
@@ -250,12 +190,8 @@ mod tests {
         let cfg = ClusterConfig { machine: bonsai_net::TITAN, ..ClusterConfig::default() };
         let titan = Cluster::new(ic, 2, cfg);
         let dur = |c: &Cluster, name: &str| {
-            step_timelines(c.trace())[0]
-                .gpu
-                .iter()
-                .find(|(l, _, _)| l == name)
-                .map(|(_, s, e)| e - s)
-                .expect("phase present")
+            let mut on_rank_0 = last_spans(c).iter().filter(|s| s.rank == 0 && s.lane == Lane::Gpu);
+            on_rank_0.find(|s| s.name == name).map(|s| s.end - s.start).expect("phase present")
         };
         let ratio = dur(&titan, "domain") / dur(&daint, "domain");
         assert!(
@@ -269,7 +205,7 @@ mod tests {
     #[test]
     fn gantt_renders_all_rows() {
         let c = sample_cluster();
-        let art = render_gantt(&step_timelines(c.trace()), 60);
+        let art = render_gantt(c.trace(), 60);
         let lines: Vec<&str> = art.lines().collect();
         assert_eq!(lines.len(), 4 * 3 + 1); // three lanes per rank + legend
         assert!(art.contains('L') && art.contains('R'));

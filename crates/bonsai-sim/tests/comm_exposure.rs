@@ -1,18 +1,20 @@
 //! Regression tests for communication exposure under comm-heavy configs.
 //!
 //! At the default config (fast interconnect, ample per-rank work) the LET
-//! exchange hides completely behind gravity and `hidden_comm_fraction`
-//! legitimately reads 1.0 with `non_hidden_comm == 0`. Those readings are
+//! exchange hides completely behind gravity and `hidden_comm_fractions`
+//! legitimately read 1.0 with `non_hidden_comm == 0`. Those readings are
 //! degenerate as *test signals*: they would stay pinned even if the overlap
 //! accounting broke. These tests starve the overlap window instead — a
 //! crawling interconnect and little per-rank work — so the fraction must
-//! land strictly inside (0, 1) and the breakdown must charge a nonzero
-//! exposed-communication term.
+//! land strictly inside (0, 1), the breakdown must charge a nonzero
+//! exposed-communication term, and the exposed intervals must be exactly
+//! the unhidden share of each rank's COMM time.
 
 use bonsai_ic::plummer_sphere;
+use bonsai_net::obs::{exposed_comm, hidden_comm_fractions};
 use bonsai_net::{MachineSpec, Topology};
+use bonsai_obs::Lane;
 use bonsai_sim::breakdown::Phase;
-use bonsai_sim::trace::step_timelines;
 use bonsai_sim::{Cluster, ClusterConfig};
 
 /// A deliberately terrible interconnect: Piz Daint's shape with ~1000×
@@ -43,10 +45,9 @@ fn comm_heavy_cluster() -> Cluster {
 fn hidden_fraction_is_strictly_interior_when_comm_heavy() {
     let mut c = comm_heavy_cluster();
     c.step();
-    let tls = step_timelines(c.trace());
-    assert_eq!(tls.len(), 4);
-    for (r, tl) in tls.iter().enumerate() {
-        let f = tl.hidden_comm_fraction();
+    let fractions = hidden_comm_fractions(c.trace(), c.trace().last_step().unwrap());
+    assert_eq!(fractions.len(), 4);
+    for (r, f) in fractions {
         assert!(
             f > 0.0 && f < 1.0,
             "rank {r}: comm-heavy fraction must be strictly in (0,1), got {f}"
@@ -75,7 +76,29 @@ fn default_config_still_hides_comm_completely() {
     let mut c = Cluster::new(plummer_sphere(8000, 21), 4, ClusterConfig::default());
     let b = c.step();
     assert_eq!(b[Phase::NonHiddenComm], 0.0);
-    for tl in step_timelines(c.trace()) {
-        assert!(tl.hidden_comm_fraction() > 0.9);
+    for (_, f) in hidden_comm_fractions(c.trace(), c.trace().last_step().unwrap()) {
+        assert!(f > 0.9);
+    }
+}
+
+#[test]
+fn exposed_comm_is_the_unhidden_share_of_comm() {
+    // The two readers of the COMM lane agree: per rank, the exposed
+    // intervals add up to (1 − hidden fraction) × COMM seconds.
+    let mut c = comm_heavy_cluster();
+    c.step();
+    let (trace, step) = (c.trace(), c.trace().last_step().unwrap());
+    let exposed = exposed_comm(trace, step, c.flow_ledger().for_epoch(step));
+    for (rank, hidden) in hidden_comm_fractions(trace, step) {
+        let spans = trace.step_records(step).spans.iter();
+        let comm: f64 = (spans.filter(|s| s.rank == rank && s.lane == Lane::Comm))
+            .map(|s| s.end - s.start)
+            .sum();
+        let exposed: f64 = (exposed.iter().filter(|x| x.rank == rank as usize)).map(|x| x.seconds()).sum();
+        assert!(comm > 0.0 && exposed > 0.0, "rank {rank}: comm {comm}, exposed {exposed}");
+        assert!(
+            (exposed - (1.0 - hidden) * comm).abs() <= 1e-12 * comm,
+            "rank {rank}: exposed {exposed} s, hidden fraction {hidden} of {comm} s"
+        );
     }
 }

@@ -1,12 +1,14 @@
-//! What the integration tests that compare runs bit for bit share: the seven
+//! What the integration tests that compare runs bit for bit share: the eight
 //! named invariants over consecutive [`StepFacts`] snapshots, and the
 //! harness that runs fault schedules one by one against a fault-free
 //! reference.
 
 use bonsai_net::envelope::NO_FLOW;
 use bonsai_net::{FaultKind, FaultLog, FaultPlan, FlowRecord, Injection};
+use bonsai_obs::{ArgValue, FlowPhase};
 use bonsai_sim::{Cluster, ClusterConfig, RecoveryConfig, StepFacts};
 use bonsai_tree::Particles;
+use std::collections::HashMap;
 
 /// Positions and accelerations in id order, as bits.
 pub fn state_bits(c: &Cluster) -> Vec<(u64, [u64; 6])> {
@@ -87,6 +89,41 @@ fn every_fault_event_names_its_flow(c: &Cluster) {
     }
 }
 
+/// Every fault instant sits on its flow: an `inject:` or `recover:`
+/// instant that carries a flow id has, bit for bit, the `at` of one point
+/// of that flow in its step. An injection at attempt k and the flow's k-th
+/// retransmission sit on the point of attempt k (`Start` for k = 0, the
+/// k-th `Step` after it); any other recovery sits on the flow's `Finish`,
+/// which every flow of a completed epoch has.
+fn every_fault_instant_sits_on_its_flow(c: &Cluster) {
+    let trace = c.trace();
+    let arg = |args: &[(&str, ArgValue)], key: &str| {
+        args.iter().find_map(|(k, v)| match v {
+            ArgValue::U64(x) if *k == key => Some(*x),
+            _ => None,
+        })
+    };
+    let mut retries: HashMap<u64, u64> = HashMap::new();
+    for i in trace.instants() {
+        let Some(flow) = arg(&i.args, "flow") else { continue };
+        let points = trace.step_records(i.step).flow_points.iter().filter(|p| p.id == flow);
+        let mut attempts = points.clone().filter(|p| p.phase != FlowPhase::Finish);
+        let point = if i.name.starts_with("inject:") {
+            attempts.nth(arg(&i.args, "attempt").expect("an injection names its attempt") as usize)
+        } else if i.name == "recover:retransmit" {
+            let k = retries.entry(flow).or_default();
+            *k += 1;
+            attempts.nth(*k as usize)
+        } else if i.name.starts_with("recover:") {
+            points.clone().find(|p| p.phase == FlowPhase::Finish)
+        } else {
+            continue;
+        };
+        let point = point.unwrap_or_else(|| panic!("{i:?} names no point of its flow: {:?}", points.collect::<Vec<_>>()));
+        assert_eq!(i.at.to_bits(), point.at.to_bits(), "{i:?} is not on its flow's {point:?}");
+    }
+}
+
 /// Let `act` loose on the cluster, then check every invariant between the
 /// snapshot before it and the one after.
 pub fn checked(c: &mut Cluster, prev: &mut StepFacts, act: impl FnOnce(&mut Cluster)) {
@@ -99,6 +136,7 @@ pub fn checked(c: &mut Cluster, prev: &mut StepFacts, act: impl FnOnce(&mut Clus
     time_advances_by_dt(prev, &now, c.cfg.dt);
     every_particle_has_a_finite_force(c, &now);
     every_fault_event_names_its_flow(c);
+    every_fault_instant_sits_on_its_flow(c);
     *prev = now;
 }
 
@@ -147,7 +185,7 @@ impl Reference {
     }
 
     /// Run every `stride`-th of `plans` alone, checkpointing every step
-    /// when `recover`, with the seven invariants after every step; require
+    /// when `recover`, with the eight invariants after every step; require
     /// `fired` of its fault log, and the fault-free run's world, step count
     /// and bits at the end.
     pub fn replay_each(

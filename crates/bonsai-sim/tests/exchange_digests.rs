@@ -110,7 +110,7 @@ fn fixed_world_crash_and_rollback_digests_are_pinned() {
     for t in THREADS {
         assert_eq!(
             crash_and_rollback("fixed", false, t),
-            (0x2bda3d07fb008ab5, 0x6520ca289e045820, 0x399c3f1acad7c647, 0x401403dbb0b5c3b1),
+            (0x2bda3d07fb008ab5, 0x6520ca289e045820, 0x399c3f1acad7c647, 0xc8023b9014398513),
             "fault log / flow ledger / force bits / instants moved at {t} threads"
         );
     }
@@ -121,7 +121,7 @@ fn elastic_crash_recovery_digests_are_pinned() {
     for t in THREADS {
         assert_eq!(
             crash_and_rollback("elastic", true, t),
-            (0x8dc17d6693306921, 0x723714b39970900a, 0x070c5d4236090a43, 0x66716b58703c678d),
+            (0x8dc17d6693306921, 0x723714b39970900a, 0x070c5d4236090a43, 0xd6f9751b8166f11e),
             "fault log / flow ledger / force bits / instants moved at {t} threads"
         );
     }
@@ -132,7 +132,7 @@ fn grow_and_shrink_churn_digests_are_pinned() {
     for t in THREADS {
         assert_eq!(
             churn(t),
-            (0x84f624a65495b178, 0x4d9b1fd31ff0a870, 0x4b21ea620278a500, 0x4359e2e73f4f15f1),
+            (0x84f624a65495b178, 0x4d9b1fd31ff0a870, 0x4b21ea620278a500, 0xe6d3634e0e81dcbf),
             "fault log / flow ledger / force bits / instants moved at {t} threads"
         );
     }

@@ -1,7 +1,7 @@
 //! Named invariants over consecutive [`StepFacts`] snapshots: whatever the
 //! cluster went through between two looks — message faults, a rank silent
 //! through the retry budget and rolled back, ranks admitted or retired —
-//! the same seven statements must hold of the pair.
+//! the same eight statements must hold of the pair.
 //!
 //! Then the enumerations: each fault schedule of a family, run alone, with
 //! the invariants checked after every step, must end on the fault-free

@@ -43,11 +43,11 @@ fn main() {
     println!("  load imbalance (max/mean): {:.3} (paper cap: 1.3)", m.imbalance);
 
     println!("\nper-rank schedule (the §III-B2 overlap, reconstructed):");
-    let timelines = bonsai::sim::trace::step_timelines(cluster.trace());
-    print!("{}", bonsai::sim::trace::render_gantt(&timelines, 72));
-    let hidden = timelines
-        .iter()
-        .map(|t| t.hidden_comm_fraction())
+    print!("{}", bonsai::sim::trace::render_gantt(cluster.trace(), 72));
+    let step = cluster.trace().last_step().expect("a step recorded");
+    let hidden = bonsai::net::obs::hidden_comm_fractions(cluster.trace(), step)
+        .into_iter()
+        .map(|(_, f)| f)
         .fold(f64::INFINITY, f64::min);
     println!("worst-case hidden-communication fraction: {:.0}%", hidden * 100.0);
 }
