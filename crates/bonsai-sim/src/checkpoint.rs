@@ -292,29 +292,6 @@ pub fn restore_cluster(dir: &Path, ranks: usize, cfg: ClusterConfig) -> io::Resu
     Ok(Cluster::from_checkpoint(read_checkpoint_full(dir)?, ranks, cfg))
 }
 
-/// Resume a cluster *exactly* from a checkpoint: same rank count, same
-/// per-rank particle assignment, and the checkpointed domains, load
-/// weights, accelerations and potentials adopted verbatim. No fresh
-/// decomposition or force phase runs, so every subsequent [`Cluster::step`]
-/// is bit-for-bit identical to the run that wrote the checkpoint — the
-/// property the force-accuracy conformance suite gates on (DESIGN.md §6f).
-///
-/// A checkpoint written before the first force evaluation has no forces to
-/// adopt and is rejected with a descriptive error; [`restore_cluster`]
-/// restarts from it, evaluating them.
-pub fn resume_cluster_exact(dir: &Path, cfg: ClusterConfig) -> io::Result<Cluster> {
-    let ck = read_checkpoint_full(dir)?;
-    if ck.forces.is_none() {
-        return Err(bad(
-            "checkpoint lacks forces lines (written before the first force evaluation); \
-             use restore_cluster, which evaluates them"
-                .to_string(),
-        ));
-    }
-    let ranks = ck.shards.len();
-    Ok(Cluster::from_checkpoint(ck, ranks, cfg))
-}
-
 /// I/O-overhead model: the paper reports a "few percent" of step time for
 /// snapshot writes. Given a snapshot cadence and per-rank data volume,
 /// estimate the fractional overhead on a parallel filesystem with
@@ -434,7 +411,7 @@ mod tests {
         c.step();
         let dir = tmp("exact");
         write_checkpoint(&c, &dir).unwrap();
-        let r = resume_cluster_exact(&dir, cfg).unwrap();
+        let r = restore_cluster(&dir, 4, cfg).unwrap();
         assert_eq!(r.rank_count(), 4);
         assert_eq!(r.step_count(), 2);
         assert_eq!(r.time().to_bits(), c.time().to_bits());
@@ -454,13 +431,14 @@ mod tests {
     }
 
     #[test]
-    fn exact_resume_rejects_pre_force_checkpoints() {
+    fn restoring_a_pre_force_checkpoint_equals_a_fresh_cluster() {
         // The constructor writes an initial checkpoint before the first
-        // force evaluation; it has no forces shards and must be refused
-        // with a pointer at restore_cluster.
+        // force evaluation. Restored at its rank count, its shards, domains
+        // and weights are adopted and the one missing force epoch runs: the
+        // constructor's own state, bit for bit.
         let ic = plummer_sphere(300, 12);
         let dir = tmp("preforce");
-        let _c = Cluster::with_faults(
+        let c = Cluster::with_faults(
             ic,
             2,
             ClusterConfig::default(),
@@ -470,11 +448,19 @@ mod tests {
                 every: 0,
             }),
         );
-        let err = match resume_cluster_exact(&dir, ClusterConfig::default()) {
-            Ok(_) => panic!("pre-force checkpoint must not resume exactly"),
-            Err(e) => e,
-        };
-        assert!(err.to_string().contains("restore_cluster"), "{err}");
+        let r = restore_cluster(&dir, 2, ClusterConfig::default()).unwrap();
+        assert_eq!((r.step_count(), r.time().to_bits()), (0, c.time().to_bits()));
+        assert_eq!(r.domains(), c.domains());
+        for rank in 0..2 {
+            let (a, b) = (c.rank_particles(rank), r.rank_particles(rank));
+            assert_eq!((&a.id, &a.pos, &a.vel), (&b.id, &b.pos, &b.vel), "rank {rank}");
+            let (fa, fb) = (c.rank_forces(rank), r.rank_forces(rank));
+            let bits = |f: &Forces| -> Vec<u64> {
+                let acc = f.acc.iter().flat_map(|a| [a.x, a.y, a.z]);
+                acc.chain(f.pot.iter().copied()).map(f64::to_bits).collect()
+            };
+            assert_eq!(bits(fa), bits(fb), "forces of rank {rank}");
+        }
     }
 
     #[test]
@@ -489,7 +475,7 @@ mod tests {
         let mut bytes = std::fs::read(&path).unwrap();
         bytes[7] ^= 0x20;
         std::fs::write(&path, bytes).unwrap();
-        let err = match resume_cluster_exact(&dir, cfg) {
+        let err = match restore_cluster(&dir, 3, cfg) {
             Ok(_) => panic!("corrupt forces shard must not resume"),
             Err(e) => e,
         };
@@ -499,15 +485,16 @@ mod tests {
         );
     }
 
-    /// Both readers must refuse `dir` with a message containing `want`.
+    /// The reader and [`restore_cluster`] at the writing rank count must
+    /// refuse `dir` with one message containing `want`.
     fn both_readers_reject(dir: &Path, want: &str) {
         let base = read_checkpoint_full(dir).map(|_| ()).unwrap_err().to_string();
         assert!(base.contains(want), "base reader: {base}");
-        let exact = match resume_cluster_exact(dir, ClusterConfig::default()) {
-            Ok(_) => panic!("exact resume accepted a manifest the base reader rejects ({base})"),
+        let exact = match restore_cluster(dir, 3, ClusterConfig::default()) {
+            Ok(_) => panic!("restore accepted a manifest the base reader rejects ({base})"),
             Err(e) => e.to_string(),
         };
-        assert_eq!(exact, base, "exact resume must reject with the base reader's message");
+        assert_eq!(exact, base, "restore must reject with the base reader's message");
     }
 
     /// A one-step checkpoint of 3 ranks in `tmp(name)`, and its manifest

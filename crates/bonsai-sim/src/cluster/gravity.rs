@@ -59,12 +59,13 @@ struct RankForces {
 }
 
 impl Cluster {
-    /// The distributed force computation, with every inter-rank payload
-    /// crossing the (possibly faulty) fabric in validated envelopes.
-    /// Populates `self.forces` and returns the breakdown, or `Err(rank)` when a
-    /// rank stayed silent through every retry and must be treated as
-    /// crashed.
+    /// One gravity epoch: the forces of the current state, with every
+    /// inter-rank payload crossing the (possibly faulty) fabric in
+    /// validated envelopes. Populates `self.forces` and returns the
+    /// breakdown, or `Err(rank)` when a rank stayed silent through every
+    /// retry and must be treated as crashed.
     pub(super) fn try_gravity_phase(&mut self) -> Result<StepBreakdown, usize> {
+        self.begin_epoch(MsgKind::Control);
         let p = self.ranks.len();
         let mut meas = StepMeasurements {
             let_bytes_sent: vec![0; p],

@@ -51,25 +51,26 @@ impl Cluster {
     }
 
     /// Agree `events` through membership gossip and apply the resulting
-    /// view change. A rank that dies before or during the gossip is
-    /// recovered first (checkpoint rollback, elastic or fixed, and forces
-    /// for the adopted state) and the change retried against the recovered
-    /// cluster, or dropped when the recovery made it moot. A rank silent
-    /// through the migration is recovered the same way, and the change is
-    /// not retried.
+    /// view change, under one rollback budget. A rank that dies before or
+    /// during the gossip is recovered first (a rollback that returns the
+    /// cluster at the step it left, with forces) and the change retried
+    /// against the recovered cluster, or dropped when the recovery made it
+    /// moot. A rank silent through the migration or the new forces epoch is
+    /// recovered the same way, and the change is not retried. The state the
+    /// change leaves is checkpointed, so a later crash does not roll back
+    /// across the membership boundary.
     fn change_view(&mut self, events: Vec<MembershipEvent>) {
         let mut rollbacks = 0;
         loop {
-            self.begin_epoch();
             // Crashes the plan schedules for this epoch fire during the
             // gossip round, exactly as they would during a physics phase.
-            self.fire_scheduled_crashes(MsgKind::View);
+            self.begin_epoch(MsgKind::View);
             let p = self.ranks.len();
             if let Some(first) = (0..p).find(|&r| self.dead[r]) {
                 // A member is down: its particles are gone, so recover
                 // before changing the view — the change must not launder a
                 // particle loss.
-                self.recover(first, &mut rollbacks);
+                self.restore_from_checkpoint(first, &mut rollbacks);
                 continue;
             }
             // Events the (possibly recovered) current view makes moot are
@@ -90,20 +91,14 @@ impl Cluster {
             match self.gossip(0, evs) {
                 Ok(conv) => {
                     if let Err(silent) = self.apply_view_change(conv) {
-                        self.recover(silent, &mut rollbacks);
+                        self.restore_from_checkpoint(silent, &mut rollbacks);
                     }
+                    self.write_recovery_checkpoint();
                     return;
                 }
                 // Gossip silence is a missed heartbeat: recover, retry.
-                Err(silent) => self.recover(silent, &mut rollbacks),
+                Err(silent) => self.restore_from_checkpoint(silent, &mut rollbacks),
             }
-        }
-    }
-
-    /// Roll back for `silent` and give the adopted state its forces.
-    fn recover(&mut self, silent: usize, rollbacks: &mut u32) {
-        if !self.restore_from_checkpoint(silent, rollbacks) {
-            self.gravity_with_recovery(false);
         }
     }
 
@@ -111,7 +106,7 @@ impl Cluster {
     /// world ([`bonsai_domain::replan`]), migrate particles between the
     /// old and new rank sets over the fabric, compact or extend per-rank
     /// state, and re-evaluate forces on the new decomposition. `Err(rank)`
-    /// for a rank silent through the migration.
+    /// for a rank silent through the migration or the forces epoch.
     fn apply_view_change(&mut self, conv: membership::Convergence) -> Result<(), usize> {
         let new_view = conv.view;
         let old_view = self.view.clone();
@@ -214,11 +209,7 @@ impl Cluster {
         self.view = new_view;
         self.commit_view_change(0, &old_view, conv.events, conv.rounds, Some(migrated));
         // Fresh forces on the new decomposition; positions are unchanged,
-        // so this is an observation change, not a physics change. Also
-        // checkpoints the post-change state so a later crash does not roll
-        // back across the membership boundary.
-        self.gravity_with_recovery(false);
-        self.write_recovery_checkpoint();
-        Ok(())
+        // so this is an observation change, not a physics change.
+        self.try_gravity_phase().map(drop)
     }
 }

@@ -36,9 +36,9 @@
 //!   `store`, one function per Table II row (§III-B1 domain update, §III-A
 //!   tree build and walk, §III-B2 boundary trees and LETs), every exchange
 //!   one call of [`bonsai_net::collective::exchange`];
-//! * `recovery` — epochs retried until one completes, scheduled crashes,
-//!   checkpoint rollback at a fixed world size or over the survivors
-//!   (§VI-C);
+//! * `recovery` — where every epoch begins, and the checkpoint rollback
+//!   that returns the cluster at the step it left, at a fixed world size or
+//!   over the survivors (§VI-C);
 //! * `membership` — online grow / shrink: gossip to an agreed view, re-split
 //!   the key space, migrate over the fabric;
 //! * `observe` — the completed epoch charged to the machine models and
@@ -284,7 +284,11 @@ impl Cluster {
         // extreme fault rates) in the very first gravity epoch, and
         // recovery needs something to roll back to.
         cluster.write_recovery_checkpoint();
-        cluster.on_pool(|c| c.gravity_with_recovery(false));
+        cluster.on_pool(|c| {
+            if let Err(silent) = c.try_gravity_phase() {
+                c.restore_from_checkpoint(silent, &mut 0);
+            }
+        });
         cluster
     }
 
@@ -324,18 +328,19 @@ impl Cluster {
     }
 
     /// A cluster of `p` ranks restored from `ck` (no fault plan, no
-    /// recovery checkpoints), the clock carrying on from the snapshot: the
-    /// body of [`restore_cluster`](crate::checkpoint::restore_cluster) and
-    /// [`resume_cluster_exact`](crate::checkpoint::resume_cluster_exact).
+    /// recovery checkpoints), the clock carrying on from the snapshot, with
+    /// forces: the checkpoint's own when `p` ranks wrote it, else one
+    /// gravity epoch's. The body of
+    /// [`restore_cluster`](crate::checkpoint::restore_cluster).
     pub(crate) fn from_checkpoint(
         ck: crate::checkpoint::Checkpoint,
         p: usize,
         cfg: ClusterConfig,
     ) -> Self {
         let mut c = Self::at_rest(p, cfg, FaultPlan::new(0), None);
-        if !c.adopt(ck, p) {
-            c.on_pool(|c| c.gravity_with_recovery(false));
-        }
+        let held = c.adopt(ck, p);
+        let left = c.steps;
+        c.on_pool(|c| c.catch_up(held, left)).expect("a cluster without faults has no silent rank");
         c
     }
 
@@ -524,10 +529,12 @@ impl Cluster {
     /// Table II style breakdown with simulated times for the configured
     /// machine.
     ///
-    /// If a rank stays silent mid-step the cluster rolls back to its last
-    /// checkpoint, forces included, and the whole step is re-executed from
-    /// the restored state, so a returned breakdown always describes a
-    /// completed step.
+    /// Each call advances [`Cluster::step_count`] by exactly one. If a rank
+    /// stays silent mid-step the cluster rolls back to its last checkpoint
+    /// and replays to the step it left, forces included, and the step is
+    /// re-executed from there, so a returned breakdown always describes a
+    /// completed step. More than [`MAX_RETRIES`] rollbacks in one call
+    /// panic.
     pub fn step(&mut self) -> StepBreakdown {
         self.on_pool(Self::step_inner)
     }
@@ -542,8 +549,27 @@ impl Cluster {
     }
 
     fn step_inner(&mut self) -> StepBreakdown {
-        let breakdown = self.gravity_with_recovery(true);
+        let mut rollbacks = 0;
+        let breakdown = loop {
+            match self.try_step() {
+                Ok(breakdown) => break breakdown,
+                Err(silent) => self.restore_from_checkpoint(silent, &mut rollbacks),
+            }
+        };
+        self.monitor_step(&breakdown);
+        breakdown
+    }
+
+    /// One step from the current state and its forces: kick–drift, the
+    /// gravity epoch, kick, and the scheduled checkpoint. `Err(rank)` for a
+    /// rank silent in the epoch, with the state half-stepped: only a
+    /// rollback recovers it.
+    fn try_step(&mut self) -> Result<StepBreakdown, usize> {
         let dt = self.cfg.dt;
+        for (rank, forces) in self.ranks.iter_mut().zip(&self.forces) {
+            leapfrog::kick_drift(rank, forces, dt);
+        }
+        let breakdown = self.try_gravity_phase()?;
         for (rank, forces) in self.ranks.iter_mut().zip(&self.forces) {
             leapfrog::kick(rank, forces, dt);
         }
@@ -554,8 +580,7 @@ impl Cluster {
                 self.write_recovery_checkpoint();
             }
         }
-        self.monitor_step(&breakdown);
-        breakdown
+        Ok(breakdown)
     }
 }
 

@@ -13,7 +13,7 @@ use bonsai_net::flow::{FlowConservation, FlowLedger};
 use bonsai_net::membership::ViewChange;
 use bonsai_net::obs::classify;
 use bonsai_obs::stream::{FrameKind, FrameValue};
-use bonsai_obs::{ArgValue, Lane, MetricsRegistry, TraceStore, TRACE_WINDOW};
+use bonsai_obs::{ArgValue, Lane, MetricsRegistry, TraceStore};
 use bonsai_sfc::KeyMap;
 use bonsai_tree::stats::record_walk_counts;
 use bonsai_tree::InteractionCounts;
@@ -50,8 +50,9 @@ impl Cluster {
     /// LET communication and recovery windows on the COMM lanes, and fault
     /// instants. Failed epochs (rolled back by crash recovery) are not
     /// recorded — a trace describes completed work only. History is
-    /// bounded: the store always holds every record of the last
-    /// [`TRACE_WINDOW`] epochs, and never more than twice that many.
+    /// bounded, evicted as each epoch begins: the store always holds every
+    /// record of the last [`TRACE_WINDOW`](bonsai_obs::TRACE_WINDOW)
+    /// epochs, and never more than twice that many.
     pub fn trace(&self) -> &TraceStore {
         &self.trace
     }
@@ -181,14 +182,6 @@ impl Cluster {
         breakdown: &StepBreakdown,
     ) {
         let step = self.epoch;
-        // Bounded history: once the oldest epoch held is two windows back,
-        // trace and flow ledger keep only the last TRACE_WINDOW − 1, so they
-        // hold between one and two windows and pay one drain per window.
-        let oldest = self.trace.spans().first().map_or(step, |s| s.step);
-        if oldest + 2 * TRACE_WINDOW <= step {
-            self.trace.retain_steps(step + 1 - TRACE_WINDOW);
-            self.wire.flows.retain_epochs(step + 1 - TRACE_WINDOW);
-        }
         // Drop the previous epoch's step-scoped gauges first: a label set
         // that existed only last epoch (a phase that didn't run, a derived
         // long-run signal) must not leak into this epoch's sample.

@@ -1,18 +1,16 @@
-//! Recovery: epochs that retry until one completes, scheduled crashes, and
-//! the rollback to the last checkpoint — at a fixed world size or,
-//! elastically, over the survivors (§VI-C: restart from the most recent
-//! snapshot). Every fault the retry budget does not absorb ends here: a
+//! Recovery: where every epoch begins, and the rollback to the last
+//! checkpoint — at a fixed world size or, elastically, over the survivors
+//! (§VI-C). Every fault the retry budget does not absorb ends here: a
 //! crash, a stall, and a frame lost on every attempt are all one silent
-//! rank.
+//! rank. A rollback returns the cluster at the step it left, with forces.
 
 use super::{Cluster, ClusterConfig, MAX_RETRIES};
-use crate::breakdown::StepBreakdown;
-use bonsai_core::leapfrog;
 use crate::checkpoint::{self, Checkpoint};
 use bonsai_net::envelope::NO_FLOW;
 use bonsai_net::fault::{FaultEvent, FaultKind, RecoveryAction, RecoveryEvent};
 use bonsai_net::membership::{self, MembershipEvent, View, ViewChange};
 use bonsai_net::MsgKind;
+use bonsai_obs::TRACE_WINDOW;
 use bonsai_sfc::{KeyMap, KeyRange};
 use bonsai_tree::{Forces, Particles};
 
@@ -23,29 +21,36 @@ impl Cluster {
         }
     }
 
-    /// Open the next epoch. Frames held back by Delay/Stall surface now,
-    /// carrying their old epoch — receive-side validation discards them as
-    /// stale.
-    pub(super) fn begin_epoch(&mut self) {
+    /// Open the next epoch — gravity, membership gossip or death gossip,
+    /// completed or not; `kind` is what it is about to exchange. Once the
+    /// oldest epoch held (by the trace, or by the ledger when a run of
+    /// aborted epochs has emptied the trace) is two windows back, trace and
+    /// flow ledger keep only the last [`TRACE_WINDOW`] − 1: between one and
+    /// two windows, one drain per window. Frames held back by Delay/Stall
+    /// surface, carrying their old epoch, to be discarded as stale. Every
+    /// rank the plan schedules to die this epoch dies, in one detection
+    /// pass: a hard crash, its in-memory state gone, silent from here on.
+    pub(super) fn begin_epoch(&mut self, kind: MsgKind) {
         self.epoch += 1;
+        let epoch = self.epoch;
+        let oldest = (self.trace.spans().first().map(|s| s.step))
+            .or_else(|| self.wire.flows.records().first().map(|r| r.epoch))
+            .unwrap_or(epoch);
+        if oldest + 2 * TRACE_WINDOW <= epoch {
+            self.trace.retain_steps(epoch + 1 - TRACE_WINDOW);
+            self.wire.flows.retain_epochs(epoch + 1 - TRACE_WINDOW);
+        }
         self.wire.flush_delayed();
-    }
-
-    /// Every rank the plan schedules to die this epoch dies — simultaneous
-    /// crashes are one detection pass, not a chain of separate recoveries.
-    /// A hard crash: the rank's in-memory state is gone and it sends
-    /// nothing from here on. `kind` is what the epoch was about to exchange.
-    pub(super) fn fire_scheduled_crashes(&mut self, kind: MsgKind) {
         let p = self.ranks.len();
         if p == 1 {
             return;
         }
-        for r in self.wire.plan().crashed_ranks(self.epoch) {
+        for r in self.wire.plan().crashed_ranks(epoch) {
             if r >= p || self.dead[r] {
                 continue;
             }
             self.wire.log.record_fault(FaultEvent {
-                epoch: self.epoch,
+                epoch,
                 from: r,
                 to: r,
                 kind,
@@ -59,40 +64,13 @@ impl Cluster {
         }
     }
 
-    /// The one recovery loop: gravity epochs until one completes a step
-    /// (`step`: a kick–drift from the current forces, then the epoch) or,
-    /// without `step`, the current state's forces. A rank silent through
-    /// the retry budget rolls the cluster back, and the loop goes on from
-    /// the adopted state: at the kick–drift if it holds forces, else at an
-    /// epoch that gives it forces first. Panics as
-    /// [`Cluster::restore_from_checkpoint`] does.
-    pub(super) fn gravity_with_recovery(&mut self, step: bool) -> StepBreakdown {
-        let mut drift = step;
-        let mut rollbacks = 0;
-        loop {
-            if drift {
-                let dt = self.cfg.dt;
-                for (rank, forces) in self.ranks.iter_mut().zip(&self.forces) {
-                    leapfrog::kick_drift(rank, forces, dt);
-                }
-            }
-            self.begin_epoch();
-            self.fire_scheduled_crashes(MsgKind::Control);
-            match self.try_gravity_phase() {
-                Ok(breakdown) if drift == step => return breakdown,
-                // The adopted state has its forces now; the step starts over.
-                Ok(_) => drift = true,
-                Err(silent) => drift = self.restore_from_checkpoint(silent, &mut rollbacks) && step,
-            }
-        }
-    }
-
     /// Declare `dead` dead and roll the whole cluster back to the last
-    /// checkpoint (the paper-scale recovery path: restart from the most
-    /// recent snapshot, §VI-C): the one rollback, for every rank silent
-    /// through the retry budget. The epoch keeps advancing. True when the
-    /// adopted state holds forces. `rollbacks` counts the caller's
-    /// consecutive rollbacks.
+    /// checkpoint (§VI-C: restart from the most recent snapshot): the one
+    /// rollback, for every rank silent through the retry budget. It returns
+    /// the cluster at the step it left, with forces ([`Cluster::catch_up`]);
+    /// a rank silent on the way rolls it back again. The epoch keeps
+    /// advancing. `rollbacks` is the one budget of the caller — a step, a
+    /// construction or a view change.
     ///
     /// At a fixed world size the checkpoint's particles, domains, load
     /// weights and forces are adopted verbatim, so the replay repeats the
@@ -100,54 +78,58 @@ impl Cluster {
     /// [`Cluster::enable_elastic_recovery`] the dead node is instead agreed
     /// *out of the view* by the survivors, and the checkpoint is re-split
     /// over the shrunken world, as it is when a crash lands mid-migration,
-    /// where the world no longer has the checkpoint's rank count. Either
-    /// way the cluster returns at a step boundary, with the checkpoint's
-    /// forces or, from the initial checkpoint or a re-split, none.
+    /// where the world no longer has the checkpoint's rank count.
     ///
     /// # Panics
     /// Without a recovery checkpoint, and, naming the rank and the epoch,
-    /// when `rollbacks` already holds [`MAX_RETRIES`].
-    pub(super) fn restore_from_checkpoint(&mut self, dead: usize, rollbacks: &mut u32) -> bool {
-        assert!(
-            *rollbacks < MAX_RETRIES,
-            "rank {dead} silent through the retry budget at epoch {}, after {MAX_RETRIES} \
-             consecutive rollbacks",
-            self.epoch
-        );
-        *rollbacks += 1;
-        self.declare_dead(dead, None, format!("rank {dead} missed every retry window"));
-        let rec = self.recovery.clone().unwrap_or_else(|| {
-            panic!(
-                "rank {dead} declared dead at epoch {} but no recovery checkpoint is \
-                 configured; construct with Cluster::with_faults(.., Some(RecoveryConfig)) \
-                 to survive crashes",
+    /// when `rollbacks` reaches [`MAX_RETRIES`].
+    pub(super) fn restore_from_checkpoint(&mut self, mut dead: usize, rollbacks: &mut u32) {
+        let left = self.steps;
+        loop {
+            assert!(
+                *rollbacks < MAX_RETRIES,
+                "rank {dead} silent through the retry budget at epoch {}, after {MAX_RETRIES} \
+                 consecutive rollbacks",
                 self.epoch
-            )
-        });
-        let ck = checkpoint::read_checkpoint_full(&rec.dir)
-            .expect("checkpoint unreadable during crash recovery");
-        let mut detail = format!("rolled back to step {} (t = {})", ck.steps, ck.time);
-        let mut change = None;
-        if self.elastic && self.dead.iter().any(|&d| !d) && self.dead.len() > 1 {
-            let conv = self.agree_on_deaths();
-            change = Some((std::mem::replace(&mut self.view, conv.view.clone()), conv));
-            self.wire.resize(self.view.world());
-            detail += &format!(" over {} survivors", self.view.world());
+            );
+            *rollbacks += 1;
+            self.declare_dead(dead, None, format!("rank {dead} missed every retry window"));
+            let rec = self.recovery.clone().unwrap_or_else(|| {
+                panic!(
+                    "rank {dead} declared dead at epoch {} but no recovery checkpoint is \
+                     configured; construct with Cluster::with_faults(.., Some(RecoveryConfig)) \
+                     to survive crashes",
+                    self.epoch
+                )
+            });
+            let ck = checkpoint::read_checkpoint_full(&rec.dir)
+                .expect("checkpoint unreadable during crash recovery");
+            let mut detail = format!("rolled back to step {} (t = {})", ck.steps, ck.time);
+            let mut change = None;
+            if self.elastic && self.dead.iter().any(|&d| !d) && self.dead.len() > 1 {
+                let conv = self.agree_on_deaths();
+                change = Some((std::mem::replace(&mut self.view, conv.view.clone()), conv));
+                self.wire.resize(self.view.world());
+                detail += &format!(" over {} survivors", self.view.world());
+            }
+            let held = self.adopt(ck, self.view.world());
+            self.wire.log.record_recovery(RecoveryEvent {
+                epoch: self.epoch,
+                rank: dead,
+                peer: None,
+                kind: None,
+                action: RecoveryAction::RestoreCheckpoint,
+                detail,
+                flow: NO_FLOW,
+            });
+            if let Some((old_view, conv)) = change {
+                self.commit_view_change(dead, &old_view, conv.events, conv.rounds, None);
+            }
+            match self.catch_up(held, left) {
+                Ok(()) => return,
+                Err(silent) => dead = silent,
+            }
         }
-        let held = self.adopt(ck, self.view.world());
-        self.wire.log.record_recovery(RecoveryEvent {
-            epoch: self.epoch,
-            rank: dead,
-            peer: None,
-            kind: None,
-            action: RecoveryAction::RestoreCheckpoint,
-            detail,
-            flow: NO_FLOW,
-        });
-        if let Some((old_view, conv)) = change {
-            self.commit_view_change(dead, &old_view, conv.events, conv.rounds, None);
-        }
-        held
     }
 
     /// Take checkpoint `ck` as the state of `p` live ranks, the simulation
@@ -168,6 +150,19 @@ impl Cluster {
         let held = forces.is_some();
         self.forces = forces.unwrap_or_else(|| vec![Forces::default(); p]);
         held
+    }
+
+    /// Bring an adopted state to step `left` with forces: one gravity
+    /// epoch unless it `held` them, then the steps from its own to `left`.
+    /// `Err(rank)` for a rank silent in one of those epochs.
+    pub(super) fn catch_up(&mut self, held: bool, left: u64) -> Result<(), usize> {
+        if !held {
+            self.try_gravity_phase()?;
+        }
+        while self.steps < left {
+            self.try_step()?;
+        }
+        Ok(())
     }
 
     /// The aborted epoch's unresolved flows die with the rank: they are
@@ -207,7 +202,7 @@ impl Cluster {
     /// its tree build leaves the shards with the dropped trees.
     fn agree_on_deaths(&mut self) -> membership::Convergence {
         loop {
-            self.begin_epoch();
+            self.begin_epoch(MsgKind::View);
             let p = self.dead.len();
             let deaths: Vec<MembershipEvent> = (0..p)
                 .filter(|&r| self.dead[r])

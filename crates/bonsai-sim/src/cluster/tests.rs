@@ -336,6 +336,22 @@ fn flow_history_is_a_bounded_window() {
 }
 
 #[test]
+fn epochs_that_never_complete_still_evict() {
+    // Aborted epochs seal flows and record no spans; they evict as they
+    // begin, also once they have emptied the trace.
+    use bonsai_obs::TRACE_WINDOW;
+    let mut c = small_cluster(256, 3, 42);
+    c.step();
+    for _ in 0..5 * TRACE_WINDOW {
+        c.begin_epoch(bonsai_net::MsgKind::Control);
+        let (e, floor) = (c.current_epoch(), (c.current_epoch() + 1).saturating_sub(2 * TRACE_WINDOW));
+        c.wire.flows.seal(e, 0, 1, bonsai_net::MsgKind::Let, 8);
+        assert!(c.trace().spans().iter().all(|s| s.step >= floor), "a span before epoch {floor}");
+        assert!(c.flow_ledger().records().iter().all(|r| r.epoch >= floor), "a record before epoch {floor}");
+    }
+}
+
+#[test]
 fn single_rank_cluster_equals_single_process() {
     let n = 1500;
     let ic = plummer_sphere(n, 8);

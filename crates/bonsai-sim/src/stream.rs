@@ -287,6 +287,32 @@ mod tests {
     }
 
     #[test]
+    fn a_rollback_streams_each_step_once() {
+        // A crash in step 4's epoch rolls the cluster back to step 2's
+        // checkpoint, and the failed step replays step 3 before it runs
+        // again: the replay is not streamed twice, and no step goes missing.
+        let dir = std::env::temp_dir().join(format!("bonsai_stream_rollback_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let plan = bonsai_net::FaultPlan::new(0).with_crash(2, 5);
+        let recovery = crate::cluster::RecoveryConfig { dir: dir.clone(), every: 2 };
+        let cfg = ClusterConfig::default();
+        let mut c = Cluster::with_faults(plummer_sphere(256, 42), 4, cfg, plan, Some(recovery));
+        c.enable_longrun(crate::longrun::LongRunConfig::default());
+        c.enable_streaming(StreamConfig {
+            subscribers: vec![SubscriberConfig::new("watch", 256)],
+            block_on_full: false,
+        });
+        for _ in 0..6 {
+            c.step();
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(c.fault_log().injected_of(bonsai_net::FaultKind::Crash), 1, "the crash never fired");
+        let frames = c.stream_mut().unwrap().bus_mut().poll(0, usize::MAX);
+        let headers = frames.iter().filter(|f| f.kind == FrameKind::StepHeader);
+        assert_eq!(headers.map(|f| f.step).collect::<Vec<u64>>(), [1, 2, 3, 4, 5, 6]);
+    }
+
+    #[test]
     fn honest_overhead_stays_inside_budget() {
         let mut c = streaming_cluster(false, 256);
         for _ in 0..5 {

@@ -50,8 +50,8 @@ fn world_matches_view(prev: &StepFacts, now: &StepFacts) {
     }
 }
 
-/// The clock follows the step counter, forwards and — across a rollback to
-/// an older checkpoint — backwards.
+/// The clock follows the step counter. A rollback returns the cluster at
+/// the step it left, so neither runs backwards across an act.
 fn time_advances_by_dt(prev: &StepFacts, now: &StepFacts, dt: f64) {
     let steps = now.step as f64 - prev.step as f64;
     let advanced = now.time - prev.time;
@@ -140,8 +140,12 @@ pub fn checked(c: &mut Cluster, prev: &mut StepFacts, act: impl FnOnce(&mut Clus
     *prev = now;
 }
 
+/// One step is one step: whatever it rolled back and replayed, each
+/// [`Cluster::step`] advances the step counter by exactly one.
 pub fn step(c: &mut Cluster) {
+    let before = c.step_count();
     c.step();
+    assert_eq!(c.step_count(), before + 1, "a step from step {before} ended at step {}", c.step_count());
 }
 
 /// A fault-free run: the flows a family is enumerated from, and the state
@@ -184,8 +188,9 @@ impl Reference {
             .collect()
     }
 
-    /// Run every `stride`-th of `plans` alone, checkpointing every step
-    /// when `recover`, with the eight invariants after every step; require
+    /// Run every `stride`-th of `plans` alone, checkpointing every 2 steps
+    /// when `recover` (so a rollback lands on an older step and replays),
+    /// with the eight invariants after every step; require
     /// `fired` of its fault log, and the fault-free run's world, step count
     /// and bits at the end.
     pub fn replay_each(
@@ -202,7 +207,7 @@ impl Reference {
             let recovery = recover.then(|| {
                 let _ = std::fs::remove_dir_all(&dir);
                 std::fs::create_dir_all(&dir).unwrap();
-                RecoveryConfig { dir: dir.clone(), every: 1 }
+                RecoveryConfig { dir: dir.clone(), every: 2 }
             });
             let cfg = ClusterConfig::default();
             let mut c = Cluster::with_faults(self.ic.clone(), self.ranks, cfg, plan, recovery);

@@ -93,6 +93,7 @@ fn crash_and_rollback(name: &str, elastic: bool, threads: usize) -> (u64, u64, u
     for _ in 0..8 {
         c.step();
     }
+    assert_eq!(c.step_count(), 8, "a rollback cost a step");
     let log = c.fault_log();
     assert!(log.injected_of(FaultKind::Crash) == 1, "the crash never fired");
     assert!(log.injected_of(FaultKind::Stall) >= 1, "the stall held nothing back");
@@ -105,36 +106,51 @@ fn crash_and_rollback(name: &str, elastic: bool, threads: usize) -> (u64, u64, u
     digests(&c)
 }
 
+/// Require `got` to equal the pinned `want`; a mismatch prints both in the
+/// pinned hex form.
+fn assert_pinned(got: (u64, u64, u64, u64), want: (u64, u64, u64, u64), threads: usize) {
+    let hex = |(a, b, c, d): (u64, u64, u64, u64)| format!("({a:#x}, {b:#x}, {c:#x}, {d:#x})");
+    assert!(
+        got == want,
+        "fault log / flow ledger / force bits / instants moved at {threads} threads:\n  got  {}\n  want {}",
+        hex(got),
+        hex(want)
+    );
+}
+
+/// The force digest of the chaos runs' particles after 8 fault-free steps
+/// at R = 6.
+fn fault_free_forces(threads: usize) -> u64 {
+    let mut c = Cluster::new(plummer_sphere(1200, 21), 6, config(threads));
+    for _ in 0..8 {
+        c.step();
+    }
+    digests(&c).2
+}
+
 #[test]
 fn fixed_world_crash_and_rollback_digests_are_pinned() {
     for t in THREADS {
-        assert_eq!(
-            crash_and_rollback("fixed", false, t),
-            (0x2bda3d07fb008ab5, 0x6520ca289e045820, 0x399c3f1acad7c647, 0xc8023b9014398513),
-            "fault log / flow ledger / force bits / instants moved at {t} threads"
-        );
+        let got = crash_and_rollback("fixed", false, t);
+        assert_pinned(got, (0xa6f3aa4bb23b2241, 0xf3a8d22af3df161b, 0xc89f0d4c80c34e38, 0xa1f84dac70f0eeed), t);
+        // A fixed world rolls back and replays to the step it left: 8
+        // steps end on the fault-free run's forces.
+        assert_eq!(got.2, fault_free_forces(t), "the replay missed the fault-free bits at {t} threads");
     }
 }
 
 #[test]
 fn elastic_crash_recovery_digests_are_pinned() {
     for t in THREADS {
-        assert_eq!(
-            crash_and_rollback("elastic", true, t),
-            (0x8dc17d6693306921, 0x723714b39970900a, 0x070c5d4236090a43, 0xd6f9751b8166f11e),
-            "fault log / flow ledger / force bits / instants moved at {t} threads"
-        );
+        let got = crash_and_rollback("elastic", true, t);
+        assert_pinned(got, (0x9b9a80e96e873f1c, 0x4fe7eb3ff767a366, 0xaad369e472f699fe, 0xe8749ec054e014b4), t);
     }
 }
 
 #[test]
 fn grow_and_shrink_churn_digests_are_pinned() {
     for t in THREADS {
-        assert_eq!(
-            churn(t),
-            (0x84f624a65495b178, 0x4d9b1fd31ff0a870, 0x4b21ea620278a500, 0xe6d3634e0e81dcbf),
-            "fault log / flow ledger / force bits / instants moved at {t} threads"
-        );
+        assert_pinned(churn(t), (0x84f624a65495b178, 0x4d9b1fd31ff0a870, 0x4b21ea620278a500, 0xe6d3634e0e81dcbf), t);
     }
 }
 
@@ -154,11 +170,7 @@ fn thin(threads: usize) -> (u64, u64, u64, u64) {
 #[test]
 fn thin_many_source_digests_are_pinned() {
     for t in [1, 2, 3, 4] {
-        assert_eq!(
-            thin(t),
-            (0, 0x6a8cc14f1f7df412, 0x7c7c2db6fd59bb4a, 0x282eeca289eeb653),
-            "fault log / flow ledger / force bits / instants moved at {t} threads"
-        );
+        assert_pinned(thin(t), (0, 0x6a8cc14f1f7df412, 0x7c7c2db6fd59bb4a, 0x282eeca289eeb653), t);
     }
 }
 

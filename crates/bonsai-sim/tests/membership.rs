@@ -384,6 +384,60 @@ fn an_elastic_rollback_inside_a_view_change_leaves_forces() {
 }
 
 #[test]
+fn a_rollback_inside_a_view_change_returns_to_the_step_it_left() {
+    // Rank 1 dies in the gossip epoch of a join, one step after the last
+    // checkpoint: the rollback replays that step, then the join goes
+    // through. Fixed, rank 1 is restored and the joiner makes 4 ranks;
+    // elastic, the survivors agree rank 1 out first and the joiner makes 3.
+    for elastic in [false, true] {
+        let dir = elastic_dir(&format!("rollback_in_view_change_{elastic}"));
+        let plan = FaultPlan::new(7).with_crash(1, 5);
+        let recovery = Some(RecoveryConfig { dir, every: 2 });
+        let mut c = Cluster::with_faults(plummer_sphere(900, 52), 3, ClusterConfig::default(), plan, recovery);
+        if elastic {
+            c.enable_elastic_recovery();
+        }
+        for _ in 0..3 {
+            c.step();
+        }
+        let (t, s) = (c.time(), c.step_count());
+        c.admit_ranks(1);
+
+        let what = if elastic { "elastic" } else { "fixed" };
+        assert_eq!(c.fault_log().injected_of(FaultKind::Crash), 1, "{what}: the crash never fired");
+        assert_eq!(c.fault_log().recoveries_of(RecoveryAction::RestoreCheckpoint), 1, "{what}");
+        assert_eq!((c.step_count(), c.time()), (s, t), "{what}: the view change moved the step");
+        assert_eq!(s, 3);
+        assert_eq!(c.rank_count(), if elastic { 3 } else { 4 }, "{what}");
+        assert!(c.view().contains(3), "{what}: the joiner is not in the view");
+        assert_eq!(sorted_ids(&c), (0..900).collect::<Vec<u64>>(), "{what}");
+        assert_eq!(c.accelerations_by_id().len(), 900, "{what}: particles without forces");
+    }
+}
+
+#[test]
+fn a_crash_scheduled_on_a_death_gossip_epoch_fires() {
+    // Rank 2 dies in step 2's epoch; rank 3 is scheduled to die in the next
+    // epoch, which is the survivors' death gossip. It dies there too, and
+    // the survivors agree both out in one view change.
+    let dir = elastic_dir("crash_in_death_gossip");
+    let plan = FaultPlan::new(7).with_crash(2, 3).with_crash(3, 4);
+    let recovery = Some(RecoveryConfig { dir, every: 1 });
+    let mut c = Cluster::with_faults(plummer_sphere(1500, 51), 5, ClusterConfig::default(), plan, recovery);
+    c.enable_elastic_recovery();
+    for _ in 0..3 {
+        c.step();
+    }
+    assert_eq!(c.fault_log().injected_of(FaultKind::Crash), 2, "{}", c.fault_log().render());
+    assert_eq!(c.rank_count(), 3);
+    let changes = c.membership_log().changes();
+    assert_eq!(changes.len(), 1, "one view change");
+    assert_eq!((changes[0].from_world, changes[0].to_world), (5, 3));
+    assert_eq!(c.step_count(), 3);
+    assert_eq!(sorted_ids(&c), (0..1500).collect::<Vec<u64>>());
+}
+
+#[test]
 fn autoscale_shrinks_an_idle_cluster_to_the_floor() {
     // 8 ranks over 640 particles is far below the idle threshold: the
     // policy retires ranks every cooldown window until the floor.

@@ -375,11 +375,11 @@ fn zero_velocity_cold_collapse_survives_many_steps() {
 
 #[test]
 fn exact_resume_trajectory_is_bit_identical() {
-    // The conformance-suite contract (DESIGN.md §6f): restoring from an
-    // exact-resume v2 checkpoint mid-run and stepping on must reproduce the
-    // uninterrupted run's accelerations and positions to the bit — not
-    // within a tolerance. (Contrast with restore_cluster over another rank
-    // count, which re-splits and evaluates forces afresh.)
+    // The conformance-suite contract (DESIGN.md §6f): restoring a v2
+    // checkpoint mid-run at the rank count that wrote it, and stepping on,
+    // must reproduce the uninterrupted run's accelerations and positions to
+    // the bit — not within a tolerance. (Contrast with restore_cluster over
+    // another rank count, which re-splits and evaluates forces afresh.)
     let ic = plummer_sphere(800, 11);
     let cfg = ClusterConfig::default();
     let mut a = Cluster::new(ic.clone(), 4, cfg.clone());
@@ -389,7 +389,7 @@ fn exact_resume_trajectory_is_bit_identical() {
     let dir = std::env::temp_dir().join("bonsai_robust").join("exact_resume");
     let _ = std::fs::remove_dir_all(&dir);
     bonsai_sim::checkpoint::write_checkpoint(&a, &dir).unwrap();
-    let mut b = bonsai_sim::checkpoint::resume_cluster_exact(&dir, cfg).unwrap();
+    let mut b = bonsai_sim::checkpoint::restore_cluster(&dir, 4, cfg).unwrap();
 
     for step in 0..3 {
         a.step();
@@ -421,10 +421,11 @@ fn exact_resume_trajectory_is_bit_identical() {
 #[test]
 fn a_fixed_world_crash_replays_to_the_fault_free_bits() {
     // A crash of every rank in every epoch of a four-step run that
-    // checkpoints every step. The rollback adopts the checkpoint's domains,
-    // load weights and forces, so the replay is the fault-free run to the
-    // bit: epoch 1 rolls back to the pre-force initial checkpoint, later
-    // epochs to a checkpoint whose weights are no longer the unit ones.
+    // checkpoints every other step. The rollback adopts the checkpoint's
+    // domains, load weights and forces and replays to the step the crash
+    // left, so the run is the fault-free one to the bit: epochs 1 to 3 roll
+    // back to the pre-force initial checkpoint (epoch 3 replays step 1),
+    // epoch 4 to step 2's, whose weights are no longer the unit ones.
     let grid = (0..4).flat_map(|r| (1..=4).map(move |e| FaultPlan::new(0).with_crash(r, e)));
     let rolled_back = |log: &FaultLog| {
         log.injected_of(FaultKind::Crash) == 1 && log.recoveries_of(RecoveryAction::RestoreCheckpoint) == 1

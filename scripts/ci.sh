@@ -80,15 +80,21 @@ cargo test -q --release -p bonsai-sim --test exchange_digests
 # up to 64^3); about 3 s here.
 cargo test -q --release -p bonsai-sfc --lib -- --ignored the_table_equals_skilling
 # The fault enumerations, each schedule run alone with the named invariants
-# held after every step and the run ending on the fault-free run's bits:
-# every single message fault at R = 4 (6 kinds x 4 message kinds x 4 epochs
-# x 4 senders = 384), every dedicated LET of a run at R = 4 dropped through
-# the retry budget (a rollback and a replay each), and every pair of message
-# faults on two distinct flows of one epoch at R = 3. Tier-1 runs a
-# stratified sample of each and the whole stall grid. The runs take the
-# process pool, so the whole sets run at one lane and at three.
+# held after every step, every step advancing the step count by one, and the
+# run ending on the fault-free run's bits and step count: every single
+# message fault at R = 4 (6 kinds x 4 message kinds x 4 epochs x 4 senders =
+# 384), every dedicated LET of a run at R = 4 dropped through the retry
+# budget, and every pair of message faults on two distinct flows of one
+# epoch at R = 3. The recovering families checkpoint every other step, so a
+# rollback lands on an older checkpoint and replays to the step it left.
+# Tier-1 runs a stratified sample of each and the whole stall grid. The runs
+# take the process pool, so the whole sets run at one lane and at three.
 BONSAI_THREADS=1 cargo test -q --release -p bonsai-sim --test invariants -- --ignored
 BONSAI_THREADS=3 cargo test -q --release -p bonsai-sim --test invariants -- --ignored
+# The replay families of the robustness suite (a crash of every rank in
+# every epoch, a LET lost through the budget, a rank silent through every
+# replay) at three lanes too: tier-1 runs them on the default pool only.
+BONSAI_THREADS=3 cargo test -q --release -p bonsai-sim --test robustness
 
 echo "== benchmark package: build + unit tests + 2-step smoke test =="
 # benchmark/ is its own workspace on path dependencies and may not be edited
