@@ -803,7 +803,7 @@ mod tests {
             }
             wire.flows.close_epoch_dead(epoch);
         }
-        (delivered, wire.log, wire.flows.records().to_vec())
+        (delivered, wire.log, wire.flows.records().iter().cloned().collect())
     }
 
     #[test]

@@ -722,7 +722,7 @@ mod tests {
         let env = open(&m).unwrap();
         assert_eq!((env.flow, env.seq), (flow, 1));
         assert_eq!(w.log.injected_of(FaultKind::Drop), 1);
-        assert_eq!((w.log.injected[0].flow, w.flows.records()[0].attempts), (flow, 2));
+        assert_eq!((w.log.injected[0].flow, w.flows.get(flow).unwrap().attempts), (flow, 2));
     }
 
     #[test]

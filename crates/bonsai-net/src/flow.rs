@@ -17,14 +17,16 @@
 //! The ledger is **epoch-ordered**: the driver's epoch counter never goes
 //! back (a rollback restores particles, not the epoch), so
 //! [`FlowLedger::seal`] asserts that epochs arrive in non-decreasing order.
-//! One epoch's records are therefore a contiguous run that
-//! [`FlowLedger::for_epoch`] finds by binary search, and everything a step
-//! does with the ledger — the dead sweep, the observability pass — touches
-//! that run only, never the history before it.
+//! The records are held one buffer per epoch ([`EpochRuns`]): one epoch's
+//! records are the run that [`FlowLedger::for_epoch`] finds by binary search
+//! over the held epochs, and everything a step does with the ledger — the
+//! dead sweep, the observability pass — touches that run only, never the
+//! history before it.
 //!
 //! The ledger is also **bounded**: [`FlowLedger::retain_epochs`] drops whole
-//! epochs from the front (the cluster evicts it with its trace) and folds
-//! their outcomes into run totals, so ids stay dense and global and
+//! epochs from the front without moving the ones it keeps (the cluster
+//! evicts it with its trace, one epoch as each begins) and folds their
+//! outcomes into run totals, so ids stay dense and global and
 //! [`FlowLedger::conservation`] still answers for the whole run.
 //!
 //! The conservation invariant the chaos suites assert: at any epoch
@@ -32,7 +34,7 @@
 //! epoch abandoned by a rollback), with no flow left `Pending`.
 
 use crate::fabric::MsgKind;
-use bonsai_util::sorted::equal_run;
+use bonsai_util::sorted::EpochRuns;
 
 /// Terminal (or not-yet-terminal) state of one flow.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -118,9 +120,9 @@ impl FlowConservation {
     }
 
     /// Count `records` in.
-    fn add(&mut self, records: &[FlowRecord]) {
-        self.sealed += records.len() as u64;
+    fn add<'a>(&mut self, records: impl IntoIterator<Item = &'a FlowRecord>) {
         for r in records {
+            self.sealed += 1;
             match r.outcome {
                 FlowOutcome::Pending => self.pending += 1,
                 FlowOutcome::Delivered { .. } => self.delivered += 1,
@@ -134,10 +136,10 @@ impl FlowConservation {
 /// lifecycle.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct FlowLedger {
-    /// The held epochs' records, in seal order.
-    records: Vec<FlowRecord>,
-    /// Outcome totals of the evicted records; `evicted.sealed` ids precede
-    /// `records[0]`.
+    /// The held epochs' records, in seal order: flow `id` is ordinal
+    /// `id - 1`.
+    records: EpochRuns<FlowRecord>,
+    /// Outcome totals of the evicted records.
     evicted: FlowConservation,
 }
 
@@ -148,7 +150,7 @@ impl FlowLedger {
     }
 
     /// The held records (every epoch not yet evicted), in seal order.
-    pub fn records(&self) -> &[FlowRecord] {
+    pub fn records(&self) -> &EpochRuns<FlowRecord> {
         &self.records
     }
 
@@ -164,29 +166,23 @@ impl FlowLedger {
 
     /// Drop every record sealed before `min_epoch`, counting its outcome
     /// into the run totals [`conservation`](Self::conservation) reports.
-    /// Ids stay global: the next seal continues the sequence.
+    /// The epochs kept stay where they are; ids stay global: the next seal
+    /// continues the sequence.
     pub fn retain_epochs(&mut self, min_epoch: u64) {
-        let cut = self.records.partition_point(|r| r.epoch < min_epoch);
-        self.evicted.add(&self.records[..cut]);
-        self.records.drain(..cut);
-    }
-
-    /// Index range of the records sealed at `epoch` (contiguous, because
-    /// [`seal`](Self::seal) keeps the records epoch-ordered).
-    fn epoch_range(&self, epoch: u64) -> std::ops::Range<usize> {
-        equal_run(&self.records, epoch, |r| r.epoch)
+        let evicted = &mut self.evicted;
+        self.records.evict_before(min_epoch, |records| evicted.add(records));
     }
 
     /// The records sealed at `epoch`, in seal order, with their ledger ids:
     /// `for_epoch(e)[i].id == for_epoch(e)[0].id + i`.
     pub fn for_epoch(&self, epoch: u64) -> &[FlowRecord] {
-        &self.records[self.epoch_range(epoch)]
+        self.records.epoch(epoch)
     }
 
     /// The id the next [`seal`](Self::seal) returns: ids are dense, so a
     /// sender that seals frames off the ledger can be handed a range.
     pub fn next_id(&self) -> u64 {
-        self.evicted.sealed + self.records.len() as u64 + 1
+        self.records.next_ordinal() + 1
     }
 
     /// Record a fresh flow; returns its id.
@@ -203,20 +199,18 @@ impl FlowLedger {
             );
         }
         let id = self.next_id();
-        self.records.push(FlowRecord::new(id, epoch, from, to, kind, bytes));
+        self.records.push(epoch, FlowRecord::new(id, epoch, from, to, kind, bytes));
         id
     }
 
     /// The held record of `id`; `None` for an evicted id and for
     /// [`NO_FLOW`](crate::envelope::NO_FLOW).
     pub fn get(&self, id: u64) -> Option<&FlowRecord> {
-        let index = id.checked_sub(self.evicted.sealed + 1)?;
-        self.records.get(index as usize)
+        self.records.get(id.checked_sub(1)?)
     }
 
     fn get_mut(&mut self, id: u64) -> Option<&mut FlowRecord> {
-        let index = id.checked_sub(self.evicted.sealed + 1)?;
-        self.records.get_mut(index as usize)
+        self.records.get_mut(id.checked_sub(1)?)
     }
 
     /// Count one more transmission of `flow`; returns its record.
@@ -246,8 +240,7 @@ impl FlowLedger {
     /// pending becomes dead-by-crash. Call before a rollback and after a
     /// completed epoch (where it sweeps flows to/from ranks that died).
     pub fn close_epoch_dead(&mut self, epoch: u64) {
-        let range = self.epoch_range(epoch);
-        for r in &mut self.records[range] {
+        for r in self.records.epoch_mut(epoch) {
             if r.outcome == FlowOutcome::Pending {
                 r.outcome = FlowOutcome::Dead;
             }
@@ -258,7 +251,7 @@ impl FlowLedger {
     /// plus the held ones'.
     pub fn conservation(&self) -> FlowConservation {
         let mut c = self.evicted;
-        c.add(&self.records);
+        c.add(self.records.iter());
         c
     }
 }
@@ -274,7 +267,7 @@ mod tests {
         let id = l.seal(3, 0, 1, MsgKind::Control, 16);
         assert_eq!(id, 1);
         l.deliver(id, 0);
-        let r = &l.records()[0];
+        let r = l.get(id).unwrap();
         assert_eq!(r.outcome, FlowOutcome::Delivered { attempt: 0 });
         assert_eq!(r.attempts, 1);
         assert!(l.conservation().holds());
@@ -286,7 +279,7 @@ mod tests {
         let a = l.seal(3, 0, 1, MsgKind::Let, 100);
         assert_eq!(l.retransmit(a).attempts, 2);
         l.deliver(a, 1);
-        assert_eq!(l.records()[0].outcome, FlowOutcome::Delivered { attempt: 1 });
+        assert_eq!(l.get(a).unwrap().outcome, FlowOutcome::Delivered { attempt: 1 });
         assert!(l.conservation().holds());
     }
 
@@ -352,8 +345,8 @@ mod tests {
         l.seal(3, 0, 1, MsgKind::Let, 100);
         l.seal(5, 0, 1, MsgKind::Let, 100);
         l.close_epoch_dead(3);
-        assert_eq!(l.records()[0].outcome, FlowOutcome::Dead);
-        assert_eq!(l.records()[1].outcome, FlowOutcome::Pending);
+        assert_eq!(l.get(1).unwrap().outcome, FlowOutcome::Dead);
+        assert_eq!(l.get(2).unwrap().outcome, FlowOutcome::Pending);
     }
 
     #[test]
@@ -370,7 +363,7 @@ mod tests {
         let id = l.seal(2, 0, 1, MsgKind::Boundary, 64);
         l.deliver(id, 0);
         l.deliver(id, 1); // duplicate copy arrives later
-        assert_eq!(l.records()[0].outcome, FlowOutcome::Delivered { attempt: 0 });
+        assert_eq!(l.get(id).unwrap().outcome, FlowOutcome::Delivered { attempt: 0 });
     }
 
     #[test]
@@ -411,7 +404,7 @@ mod tests {
         assert_eq!(ids(&l, 4), [3, 4]);
         l.retain_epochs(5);
         assert_eq!(ids(&l, 7), [5, 6]);
-        assert_eq!(l.records()[0].id, 5);
+        assert_eq!(l.records().first().map(|r| r.id), Some(5));
     }
 
     #[test]

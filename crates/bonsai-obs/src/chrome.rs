@@ -125,7 +125,7 @@ pub fn chrome_trace_json(store: &TraceStore) -> String {
         events.push((e.rank, e.lane.tid(), e.at, 3, ev));
     }
 
-    for f in store.flow_points() {
+    for f in store.flow_points().iter() {
         let ph = match f.phase {
             FlowPhase::Start => "s",
             FlowPhase::Step => "t",

@@ -4,8 +4,8 @@
 //! A multi-thousand-step run cannot keep its whole trace, and the
 //! interesting steps are precisely the ones *around* an alert — the storm
 //! of retransmissions before a recovery alert, the balancer wobble before a
-//! flop-residual alert. The live [`TraceStore`] always holds at least the
-//! last [`TRACE_WINDOW`] epochs, so [`Incident::freeze`] copies that window
+//! flop-residual alert. The live [`TraceStore`] holds the last
+//! [`TRACE_WINDOW`] epochs, so [`Incident::freeze`] copies that window
 //! out of it: a self-contained [`TraceStore`] (Perfetto-loadable via the
 //! chrome exporter) plus a deterministic structured report.
 
@@ -48,7 +48,10 @@ impl Incident {
         let from = (epoch + 1).saturating_sub(TRACE_WINDOW);
         let spans = from_step(trace.spans(), from, |s| s.step);
         let instants = from_step(trace.instants(), from, |i| i.step);
-        let flows = from_step(trace.flow_points(), from, |f| f.step);
+        let flows: Vec<_> = (trace.flow_points().iter())
+            .skip_while(|f| f.step < from)
+            .cloned()
+            .collect();
         let cut = trace.spans().len() - spans.len();
         let first = [
             spans.first().map(|s| s.step),
@@ -71,7 +74,7 @@ impl Incident {
             value: trigger.value,
             step: trigger.step,
             window,
-            trace: TraceStore::from_parts(spans, instants.to_vec(), flows.to_vec()),
+            trace: TraceStore::from_parts(spans, instants.to_vec(), flows),
         }
     }
 

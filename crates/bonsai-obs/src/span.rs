@@ -7,13 +7,16 @@
 //! steps render side by side in Perfetto.
 //!
 //! History is bounded: a run keeps the last [`TRACE_WINDOW`] epochs (the
-//! cluster evicts older ones with [`TraceStore::retain_steps`]), and an
+//! cluster evicts the one that leaves the window with
+//! [`TraceStore::retain_steps`] as each epoch begins), and an
 //! [`Incident`](crate::flight::Incident) freezes exactly that window.
 
-use bonsai_util::sorted::equal_run;
+use bonsai_util::sorted::{equal_run, EpochRuns};
 
-/// Epochs of full-fidelity trace a run keeps. The cluster evicts in halves,
-/// so its store holds between one and two windows; an incident is one.
+/// Epochs of full-fidelity trace a run keeps. As each epoch begins the
+/// cluster evicts the one that leaves the window, so its store holds
+/// exactly the last window, the epoch just begun included; an incident
+/// freezes the same window.
 pub const TRACE_WINDOW: u64 = 8;
 
 /// Execution lane inside one rank's track.
@@ -119,7 +122,9 @@ pub enum FlowPhase {
 ///
 /// A run draws one or more points per sealed message and keeps them for the
 /// whole history window, so a point is fixed-size (48 B) and owns nothing
-/// on the heap: its name is a static string.
+/// on the heap: its name is a static string. The store holds them one
+/// buffer per step ([`EpochRuns`]), so evicting a step moves no point of
+/// the steps it keeps.
 #[derive(Clone, Debug)]
 pub struct FlowPoint {
     /// Flow id shared by all points of one arrow (the ledger flow id).
@@ -143,7 +148,7 @@ pub struct FlowPoint {
 pub struct TraceStore {
     spans: Vec<Span>,
     instants: Vec<Instant>,
-    flows: Vec<FlowPoint>,
+    flows: EpochRuns<FlowPoint>,
     /// Latest span end recorded so far: [`TraceStore::makespan`] is asked
     /// several times a step and must not fold over the run's history.
     makespan: f64,
@@ -182,22 +187,31 @@ impl TraceStore {
     /// Rebuild a store from pre-assembled spans, instants and flow points
     /// (an incident materialises its window with this). Any `parent` ids
     /// must index into `spans`.
+    ///
+    /// # Panics
+    /// If `flows` is not in non-decreasing step order.
     pub fn from_parts(spans: Vec<Span>, instants: Vec<Instant>, flows: Vec<FlowPoint>) -> Self {
         debug_assert!(spans
             .iter()
             .all(|s| s.parent.is_none_or(|p| p.0 < spans.len())));
+        let mut runs = EpochRuns::new();
+        for f in flows {
+            runs.push(f.step, f);
+        }
         Self {
             makespan: latest_end(&spans),
             spans,
             instants,
-            flows,
+            flows: runs,
         }
     }
 
     /// Drop every span, instant and flow point with `step < min_step`: one
-    /// prefix of each step-ordered array (see [`TraceStore::step_records`]).
-    /// Parent ids shift down by the dropped count; a parent that was dropped
-    /// becomes `None`. The cluster bounds its history with this.
+    /// prefix of the step-ordered span and instant arrays (see
+    /// [`TraceStore::step_records`]), and the oldest steps' flow buffers,
+    /// leaving the flow points kept where they are. Parent ids shift down by
+    /// the dropped count; a parent that was dropped becomes `None`. The
+    /// cluster bounds its history with this.
     pub fn retain_steps(&mut self, min_step: u64) {
         let cut = self.spans.partition_point(|s| s.step < min_step);
         self.spans.drain(..cut);
@@ -207,8 +221,7 @@ impl TraceStore {
         self.makespan = latest_end(&self.spans);
         self.instants
             .drain(..self.instants.partition_point(|i| i.step < min_step));
-        self.flows
-            .drain(..self.flows.partition_point(|f| f.step < min_step));
+        self.flows.evict_before(min_step, |_| {});
     }
 
     /// Record a root span; returns its id for annotation or parenting.
@@ -287,6 +300,9 @@ impl TraceStore {
     }
 
     /// Record one end of a flow arrow.
+    ///
+    /// # Panics
+    /// If `step` is older than the latest flow point's.
     #[allow(clippy::too_many_arguments)]
     pub fn flow_point(
         &mut self,
@@ -298,7 +314,7 @@ impl TraceStore {
         at: f64,
         phase: FlowPhase,
     ) {
-        self.flows.push(FlowPoint {
+        self.flows.push(step, FlowPoint {
             id,
             rank,
             step,
@@ -320,7 +336,7 @@ impl TraceStore {
     }
 
     /// All flow-arrow points, in record order.
-    pub fn flow_points(&self) -> &[FlowPoint] {
+    pub fn flow_points(&self) -> &EpochRuns<FlowPoint> {
         &self.flows
     }
 
@@ -335,7 +351,7 @@ impl TraceStore {
             first_span: spans.start,
             spans: &self.spans[spans],
             instants: &self.instants[equal_run(&self.instants, step, |i| i.step)],
-            flow_points: &self.flows[equal_run(&self.flows, step, |f| f.step)],
+            flow_points: self.flows.epoch(step),
         }
     }
 
@@ -463,7 +479,7 @@ mod tests {
         let rebuilt = TraceStore::from_parts(
             t.spans().to_vec(),
             t.instants().to_vec(),
-            t.flow_points().to_vec(),
+            t.flow_points().iter().cloned().collect(),
         );
         assert_eq!(rebuilt.len(), t.len());
         assert_eq!(rebuilt.last_step(), Some(2));

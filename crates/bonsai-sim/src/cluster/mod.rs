@@ -221,7 +221,7 @@ pub struct Cluster {
     /// Measurements of the most recent gravity phase.
     pub last_measurements: StepMeasurements,
     /// Span/event trace of the recent completed gravity epochs (the last
-    /// [`bonsai_obs::TRACE_WINDOW`] to twice that).
+    /// [`bonsai_obs::TRACE_WINDOW`] epochs).
     trace: TraceStore,
     /// Metrics registry: monotonic counters over the whole run plus the
     /// most recent epoch's gauges.

@@ -50,9 +50,9 @@ impl Cluster {
     /// LET communication and recovery windows on the COMM lanes, and fault
     /// instants. Failed epochs (rolled back by crash recovery) are not
     /// recorded — a trace describes completed work only. History is
-    /// bounded, evicted as each epoch begins: the store always holds every
-    /// record of the last [`TRACE_WINDOW`](bonsai_obs::TRACE_WINDOW)
-    /// epochs, and never more than twice that many.
+    /// bounded, evicted as each epoch begins: the store holds every record
+    /// of the last [`TRACE_WINDOW`](bonsai_obs::TRACE_WINDOW) epochs and
+    /// nothing older.
     pub fn trace(&self) -> &TraceStore {
         &self.trace
     }

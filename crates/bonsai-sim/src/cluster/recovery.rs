@@ -22,24 +22,20 @@ impl Cluster {
     }
 
     /// Open the next epoch — gravity, membership gossip or death gossip,
-    /// completed or not; `kind` is what it is about to exchange. Once the
-    /// oldest epoch held (by the trace, or by the ledger when a run of
-    /// aborted epochs has emptied the trace) is two windows back, trace and
-    /// flow ledger keep only the last [`TRACE_WINDOW`] − 1: between one and
-    /// two windows, one drain per window. Frames held back by Delay/Stall
-    /// surface, carrying their old epoch, to be discarded as stale. Every
-    /// rank the plan schedules to die this epoch dies, in one detection
-    /// pass: a hard crash, its in-memory state gone, silent from here on.
+    /// completed or not; `kind` is what it is about to exchange. Trace and
+    /// flow ledger drop the one epoch that leaves the window, so they hold
+    /// exactly the last [`TRACE_WINDOW`] epochs, this one included; the
+    /// flow points and records kept do not move. Frames held back by
+    /// Delay/Stall surface, carrying their old epoch, to be discarded as
+    /// stale. Every rank the plan schedules to die this epoch dies, in one
+    /// detection pass: a hard crash, its in-memory state gone, silent from
+    /// here on.
     pub(super) fn begin_epoch(&mut self, kind: MsgKind) {
         self.epoch += 1;
         let epoch = self.epoch;
-        let oldest = (self.trace.spans().first().map(|s| s.step))
-            .or_else(|| self.wire.flows.records().first().map(|r| r.epoch))
-            .unwrap_or(epoch);
-        if oldest + 2 * TRACE_WINDOW <= epoch {
-            self.trace.retain_steps(epoch + 1 - TRACE_WINDOW);
-            self.wire.flows.retain_epochs(epoch + 1 - TRACE_WINDOW);
-        }
+        let first_kept = (epoch + 1).saturating_sub(TRACE_WINDOW);
+        self.trace.retain_steps(first_kept);
+        self.wire.flows.retain_epochs(first_kept);
         self.wire.flush_delayed();
         let p = self.ranks.len();
         if p == 1 {

@@ -267,25 +267,38 @@ fn trace_records_every_phase_and_lays_steps_out_sequentially() {
     assert!(e2_start >= e1_end - 1e-12, "epochs overlap on the clock");
 }
 
+/// The first epoch of the window a cluster holds once `epoch` has begun.
+fn window_start(epoch: u64) -> u64 {
+    (epoch + 1).saturating_sub(bonsai_obs::TRACE_WINDOW).max(1)
+}
+
 #[test]
 fn trace_history_is_a_bounded_window() {
-    // No monitor: the cluster alone bounds its trace. After 40 steps (41
-    // epochs) it holds at most two windows, and every record of the last.
-    use bonsai_obs::TRACE_WINDOW;
+    // No monitor: the cluster alone bounds its trace. After every one of 40
+    // steps (41 epochs) it holds exactly the last window: every span, instant
+    // and flow point of those epochs, and nothing older.
     let mut c = small_cluster(256, 2, 42);
-    let mut recorded = vec![c.trace().step_records(1).spans.len()];
+    let counts = |c: &Cluster, e: u64| {
+        let recs = c.trace().step_records(e);
+        (recs.spans.len(), recs.instants.len(), recs.flow_points.len())
+    };
+    let mut recorded = vec![(0, 0, 0), counts(&c, 1)];
     for _ in 0..40 {
         c.step();
-        recorded.push(c.trace().step_records(c.current_epoch()).spans.len());
+        let now = c.current_epoch();
+        recorded.push(counts(&c, now));
+        let first = window_start(now);
+        let t = c.trace();
+        assert!(t.spans().iter().all(|s| s.step >= first), "a span before epoch {first}");
+        assert!(t.instants().iter().all(|i| i.step >= first), "an instant before epoch {first}");
+        assert!(t.flow_points().iter().all(|f| f.step >= first), "a point before epoch {first}");
+        let held: Vec<_> = (first..=now).map(|e| counts(&c, e)).collect();
+        assert_eq!(held, recorded[first as usize..], "epoch {now}");
+        let sum = held.iter().map(|&(s, i, f)| s + i + f).sum::<usize>();
+        assert_eq!(t.len(), sum, "epoch {now}");
     }
-    let last = c.current_epoch();
-    assert_eq!(last, 41);
-    let first = c.trace().spans()[0].step;
-    assert!(last - first < 2 * TRACE_WINDOW, "holds {first}..={last}");
-    for e in last + 1 - TRACE_WINDOW..=last {
-        let held = c.trace().step_records(e).spans.len();
-        assert_eq!(held, recorded[(e - 1) as usize], "epoch {e}");
-    }
+    assert_eq!(c.current_epoch(), 41);
+    assert_eq!(c.trace().spans()[0].step, 41 + 1 - bonsai_obs::TRACE_WINDOW);
     let fold = c.trace().spans().iter().map(|s| s.end).fold(0.0, f64::max);
     assert_eq!(c.trace().makespan(), fold);
 }
@@ -293,12 +306,11 @@ fn trace_history_is_a_bounded_window() {
 #[test]
 fn flow_history_is_a_bounded_window() {
     // No monitor: the cluster evicts its flow ledger with its trace. Under
-    // light drops (so outcomes and attempts vary) 40 steps hold at most two
-    // windows of epochs, every record of the last, and run totals equal to
-    // the per-epoch counts taken as each epoch completed.
+    // light drops (so outcomes and attempts vary), after every one of 40
+    // steps the ledger holds exactly the records of the last window, and run
+    // totals equal the per-epoch counts taken as each epoch completed.
     use bonsai_net::flow::{FlowConservation, FlowOutcome, FlowRecord};
     use bonsai_net::FaultKind;
-    use bonsai_obs::TRACE_WINDOW;
     let plan = FaultPlan::new(5).with_rate(FaultKind::Drop, 0.05);
     let mut c = Cluster::with_faults(plummer_sphere(256, 42), 3, ClusterConfig::default(), plan, None);
     let mut totals = FlowConservation::default();
@@ -316,8 +328,9 @@ fn flow_history_is_a_bounded_window() {
             }
             recorded.push(records.to_vec());
         }
-        let (now, held) = (c.current_epoch(), c.flow_ledger().records());
-        assert!(now - held[0].epoch < 2 * TRACE_WINDOW, "epoch {now} holds from {}", held[0].epoch);
+        let now = c.current_epoch();
+        let held: Vec<FlowRecord> = c.flow_ledger().records().iter().cloned().collect();
+        assert_eq!(held, recorded[window_start(now) as usize..].concat(), "epoch {now}");
         assert_eq!(c.flow_conservation(), totals, "epoch {now}");
     };
     count_epochs_up_to(&c, &mut recorded);
@@ -325,30 +338,57 @@ fn flow_history_is_a_bounded_window() {
         c.step();
         count_epochs_up_to(&c, &mut recorded);
     }
-    let last = c.current_epoch();
-    assert_eq!(last, 41);
+    assert_eq!(c.current_epoch(), 41);
     assert!(totals.holds() && totals.sealed > c.flow_ledger().len() as u64);
-    for e in last + 1 - TRACE_WINDOW..=last {
-        assert_eq!(c.flow_ledger().for_epoch(e), recorded[e as usize], "epoch {e}");
-    }
     let held = c.flow_ledger().records();
     assert!(held.iter().any(|r| r.attempts > 1), "no retransmission held");
 }
 
 #[test]
 fn epochs_that_never_complete_still_evict() {
-    // Aborted epochs seal flows and record no spans; they evict as they
-    // begin, also once they have emptied the trace.
+    // Aborted epochs seal flows and record no spans; each evicts the epoch
+    // that leaves the window as it begins, also once the trace is empty.
     use bonsai_obs::TRACE_WINDOW;
     let mut c = small_cluster(256, 3, 42);
     c.step();
+    let completed = c.current_epoch();
+    let mut sealed: Vec<usize> = (0..=completed).map(|e| c.flow_ledger().for_epoch(e).len()).collect();
+    assert!(sealed[completed as usize] > 0 && !c.trace().is_empty());
     for _ in 0..5 * TRACE_WINDOW {
         c.begin_epoch(bonsai_net::MsgKind::Control);
-        let (e, floor) = (c.current_epoch(), (c.current_epoch() + 1).saturating_sub(2 * TRACE_WINDOW));
+        let (e, floor) = (c.current_epoch(), window_start(c.current_epoch()));
         c.wire.flows.seal(e, 0, 1, bonsai_net::MsgKind::Let, 8);
+        sealed.push(1);
+        let held: Vec<u64> = c.flow_ledger().records().iter().map(|r| r.epoch).collect();
+        let want: Vec<u64> = (floor..=e)
+            .flat_map(|k| std::iter::repeat_n(k, sealed[k as usize]))
+            .collect();
+        assert_eq!(held, want, "epoch {e}");
         assert!(c.trace().spans().iter().all(|s| s.step >= floor), "a span before epoch {floor}");
-        assert!(c.flow_ledger().records().iter().all(|r| r.epoch >= floor), "a record before epoch {floor}");
+        assert_eq!(c.trace().is_empty(), floor > completed, "epoch {e}");
     }
+}
+
+#[test]
+fn eviction_leaves_kept_epochs_in_place() {
+    // Evicting the epoch that leaves the window moves no flow point and no
+    // ledger record of the epochs it keeps.
+    use bonsai_obs::TRACE_WINDOW;
+    let mut c = small_cluster(256, 3, 42);
+    for _ in 0..TRACE_WINDOW + 2 {
+        c.step();
+    }
+    let kept = c.current_epoch() + 2 - TRACE_WINDOW;
+    let at = |c: &Cluster| {
+        let points = c.trace().step_records(kept).flow_points;
+        let records = c.flow_ledger().for_epoch(kept);
+        assert!(!points.is_empty() && !records.is_empty(), "epoch {kept} drew no flows");
+        (points.as_ptr(), points.len(), records.as_ptr(), records.len())
+    };
+    let before = at(&c);
+    c.step();
+    assert_eq!(window_start(c.current_epoch()), kept, "the step evicted one epoch");
+    assert_eq!(at(&c), before);
 }
 
 #[test]

@@ -337,9 +337,9 @@ mod tests {
             .names()
             .iter()
             .any(|n| n.starts_with("bonsai_step_phase_seconds{")));
-        // The monitored run's trace is pruned like any other: epoch 17 cut
-        // it to 10..=17, and 21 epochs (initial eval = epoch 1) leave 10..=21.
-        assert_eq!(c.trace().spans()[0].step, 10);
+        // The monitored run's trace is pruned like any other: 21 epochs
+        // (initial eval = epoch 1) leave the last window, 14..=21.
+        assert_eq!(c.trace().spans()[0].step, 14);
         assert_eq!(c.trace().last_step(), Some(21));
         // A clean Plummer run opens nothing.
         assert!(c.monitor().unwrap().health().events().is_empty());

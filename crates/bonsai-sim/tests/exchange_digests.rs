@@ -48,7 +48,7 @@ fn two_percent_plan(seed: u64) -> FaultPlan {
 fn digests(c: &Cluster) -> (u64, u64, u64, u64) {
     let log = bonsai_util::hash::crc64(c.fault_log().render().as_bytes());
     let mut flows = Crc64::new();
-    for record in c.flow_ledger().records() {
+    for record in c.flow_ledger().records().iter() {
         flows.update(format!("{record:?}\n").as_bytes());
     }
     let mut acc: Vec<_> = c.accelerations_by_id().into_iter().collect();

@@ -156,7 +156,7 @@ fn chaos_soak_every_fault_kind_recovered() {
         counted = c.current_epoch();
     }
     assert!(
-        c.flow_ledger().records()[0].epoch > 1,
+        c.flow_ledger().records().first().is_some_and(|r| r.epoch > 1),
         "the soak no longer crosses an eviction"
     );
 

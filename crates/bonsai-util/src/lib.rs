@@ -16,7 +16,8 @@
 //!   schedule.
 //! * [`kahan`] — compensated summation for energy diagnostics.
 //! * [`sorted`] — the run of one step or epoch in an append-only,
-//!   key-ordered list, by binary search; the merge of sorted runs.
+//!   key-ordered list, by binary search; such a list held one buffer per
+//!   epoch ([`sorted::EpochRuns`]); the merge of sorted runs.
 //! * [`stats`] — the 2D histogram of the velocity-structure analysis and
 //!   the interpolated percentile of the accuracy oracle and the benchmark.
 //! * [`units`] — the galactic unit system (kpc, km/s, M☉) used to express the
