@@ -227,7 +227,7 @@ fn check<T>(
     expect: Expect<'_>,
     to: usize,
     msg: &Message,
-    parse: &impl Fn(&[u8]) -> Result<T, Reject>,
+    parse: &impl Fn(usize, &[u8]) -> Result<T, Reject>,
 ) -> Checked<T> {
     let env = match envelope::open(&msg.payload) {
         Ok(env) => env,
@@ -245,7 +245,7 @@ fn check<T>(
             from: env.from,
             flow: env.flow,
             seq: env.seq,
-            parsed: parse(env.payload).map_err(|reject| match reject {
+            parsed: parse(env.from, env.payload).map_err(|reject| match reject {
                 Reject::Stale(why) => (RecoveryAction::DiscardStale, why),
                 Reject::Corrupt(why) => (RecoveryAction::DiscardCorrupt, why),
             }),
@@ -257,9 +257,12 @@ fn check<T>(
 /// possibly faulty fabric, its rank tasks on `lanes`.
 ///
 /// `outbox[from]` is what `from` owes; `expect` is whom each receiver waits
-/// for. A frame that fails envelope validation, carries another epoch or
-/// kind, comes from an unexpected sender, arrives twice, or is refused by
-/// `parse` is discarded and logged; missing payloads are re-requested up to
+/// for. `parse(from, payload)` decodes a payload its envelope says `from`
+/// sent; it must be a pure function of the payload's bytes (the sender lets
+/// a caller reuse one verdict for every copy of a broadcast). A frame that
+/// fails envelope validation, carries another epoch or kind, comes from an
+/// unexpected sender, arrives twice, or is refused by `parse` is discarded
+/// and logged; missing payloads are re-requested up to
 /// [`MAX_RETRIES`] times. Non-members' endpoints and held-back queues
 /// are never touched. See the module docs for the order contract and for
 /// which parts run as rank tasks.
@@ -270,7 +273,7 @@ pub fn exchange<T: Send>(
     round: &Round<'_>,
     outbox: &[Outbox],
     expect: Expect<'_>,
-    parse: impl Fn(&[u8]) -> Result<T, Reject> + Sync,
+    parse: impl Fn(usize, &[u8]) -> Result<T, Reject> + Sync,
 ) -> Exchanged<T> {
     let Round { kind, epoch, .. } = *round;
     debug_assert!(members.windows(2).all(|w| w[0] < w[1]), "members ascending");
@@ -427,7 +430,7 @@ mod tests {
             .collect()
     }
 
-    fn bytes(b: &[u8]) -> Result<Vec<u8>, Reject> {
+    fn bytes(_from: usize, b: &[u8]) -> Result<Vec<u8>, Reject> {
         Ok(b.to_vec())
     }
 
@@ -437,6 +440,16 @@ mod tests {
         events
             .map(|e| (e.action, e.rank, e.peer.unwrap(), e.detail.clone()))
             .collect()
+    }
+
+    #[test]
+    fn parse_is_told_each_frame_s_sender() {
+        let mut wire = Wire::new(3, FaultPlan::new(0));
+        let parse = |from: usize, b: &[u8]| Ok((from, b[0] as usize));
+        let got = exchange(&mut wire, &Inline, &[0, 1, 2], &PHASE, &hello(3), Expect::AllPeers, parse);
+        for (to, list) in got.received.iter().enumerate() {
+            assert!(list.iter().all(|&(from, (told, payload))| from == told && told == payload), "{to}");
+        }
     }
 
     #[test]
@@ -661,7 +674,7 @@ mod tests {
     #[test]
     fn parse_rejects_as_stale_or_as_corrupt() {
         let mut wire = Wire::new(3, FaultPlan::new(0));
-        let parse = |b: &[u8]| match b[0] {
+        let parse = |_from: usize, b: &[u8]| match b[0] {
             1 => Err(Reject::Stale("amends an older view".to_string())),
             2 => Err(Reject::Corrupt("does not decode".to_string())),
             _ => Ok(b[0]),

@@ -49,7 +49,7 @@ fn run_collective(p: usize, shape: &Shape, plan: FaultPlan) -> Outcome {
         duplicate: "extra copy discarded",
     };
     let expect = shape.expected.as_deref().map_or(Expect::AllPeers, Expect::From);
-    let got = exchange(&mut wire, &Inline, &shape.members, &round, &shape.outbox, expect, |b| {
+    let got = exchange(&mut wire, &Inline, &shape.members, &round, &shape.outbox, expect, |_, b| {
         Ok(b.to_vec())
     });
     // What never arrived (and what nobody was waiting for) dies with the epoch.

@@ -94,13 +94,13 @@ impl Cluster {
 
     /// One collective among all ranks in the current epoch, logged in the
     /// physics phases' words, its sealing and opening as rank tasks on the
-    /// pool. A payload that fails `parse` is corrupt.
+    /// pool. A payload that fails `parse(sender, payload)` is corrupt.
     pub(super) fn exchange<T: Send>(
         &mut self,
         kind: MsgKind,
         outbox: &[Outbox],
         expect: Expect<'_>,
-        parse: impl Fn(&[u8]) -> Result<T, String> + Sync,
+        parse: impl Fn(usize, &[u8]) -> Result<T, String> + Sync,
     ) -> Exchanged<T> {
         let everyone: Vec<usize> = (0..self.wire.world()).collect();
         let during = format!("{kind:?} phase");
@@ -112,8 +112,8 @@ impl Cluster {
             stranger: "unexpected sender",
             duplicate: "extra copy discarded",
         };
-        collective::exchange(&mut self.wire, &PoolLanes, &everyone, &round, outbox, expect, |b| {
-            parse(b).map_err(Reject::Corrupt)
+        collective::exchange(&mut self.wire, &PoolLanes, &everyone, &round, outbox, expect, |from, b| {
+            parse(from, b).map_err(Reject::Corrupt)
         })
     }
 
@@ -132,7 +132,7 @@ impl Cluster {
                 }
             })
             .collect();
-        let got = self.exchange(MsgKind::Control, &outbox, Expect::AllPeers, aabb_from_bytes);
+        let got = self.exchange(MsgKind::Control, &outbox, Expect::AllPeers, |_, b| aabb_from_bytes(b));
         meas.retransmit_bytes += got.retransmit_bytes;
         let received = got.complete()?;
         // Every rank derives the same global box; use rank 0's view.
@@ -210,7 +210,9 @@ impl Cluster {
             })
             .collect();
         meas.exchange_bytes = exchange_bytes;
-        let got = self.exchange(MsgKind::Particles, &outbox, Expect::AllPeers, particles_from_bytes);
+        let got = self.exchange(MsgKind::Particles, &outbox, Expect::AllPeers, |_, b| {
+            particles_from_bytes(b)
+        });
         meas.retransmit_bytes += got.retransmit_bytes;
         let received = got.complete()?;
         // In the order `absorb_migrants` appends the particles.
@@ -246,23 +248,30 @@ impl Cluster {
     /// Boundary allgather through the fabric: every rank's own boundary
     /// tree. Receivers validate each frame and drop their copy: a validated
     /// frame carries every field a receiver reads with the sender's bits,
-    /// so later phases read the sender's tree.
+    /// so later phases read the sender's tree. Each sender's encoding is
+    /// validated once; a frame whose payload is that encoding byte for byte
+    /// takes its verdict (validation is a pure function of the bytes), any
+    /// other payload is validated in full.
     fn boundaries(
         &mut self,
         trees: &[Tree],
         meas: &mut StepMeasurements,
     ) -> Result<Vec<LetTree>, usize> {
-        let (encoded, boundaries): (Vec<Bytes>, Vec<LetTree>) = (trees.par_iter())
+        let validate = |b: &[u8]| parse_let_tree(b, "boundary").map(drop);
+        let (sent, boundaries): (Vec<(Bytes, _)>, Vec<LetTree>) = (trees.par_iter())
             .zip(self.domains.par_iter())
             .map(|(t, d)| {
                 let b = boundary_tree(t, d);
-                (b.to_bytes(), b)
+                let bytes = b.to_bytes();
+                let verdict = validate(&bytes);
+                ((bytes, verdict), b)
             })
             .collect();
-        meas.boundary_bytes = encoded.iter().map(Bytes::len).collect();
-        let outbox: Vec<Outbox> = encoded.into_iter().map(Outbox::Broadcast).collect();
-        let got = self.exchange(MsgKind::Boundary, &outbox, Expect::AllPeers, |b| {
-            parse_let_tree(b, "boundary").map(drop)
+        meas.boundary_bytes = sent.iter().map(|(bytes, _)| bytes.len()).collect();
+        let outbox: Vec<Outbox> = sent.iter().map(|(bytes, _)| Outbox::Broadcast(bytes.clone())).collect();
+        let got = self.exchange(MsgKind::Boundary, &outbox, Expect::AllPeers, |from, b| match sent.get(from) {
+            Some((bytes, verdict)) if bytes[..] == *b => verdict.clone(),
+            _ => validate(b),
         });
         meas.retransmit_bytes += got.retransmit_bytes;
         got.complete()?;
@@ -309,7 +318,7 @@ impl Cluster {
             }
         }
         let outbox: Vec<Outbox> = encoded.into_iter().map(Outbox::To).collect();
-        let got = self.exchange(MsgKind::Let, &outbox, Expect::From(&expected), |b| {
+        let got = self.exchange(MsgKind::Let, &outbox, Expect::From(&expected), |_, b| {
             parse_let_tree(b, "LET")
         });
         meas.retransmit_bytes += got.retransmit_bytes;

@@ -192,7 +192,9 @@ impl Cluster {
             .collect();
         // `migrated_bytes` is the planned volume; bytes sent again are in
         // the fault log's `Retransmit` events, not in the `ViewChange`.
-        let got = self.exchange(MsgKind::Particles, &outbox, Expect::AllPeers, particles_from_bytes);
+        let got = self.exchange(MsgKind::Particles, &outbox, Expect::AllPeers, |_, b| {
+            particles_from_bytes(b)
+        });
         self.absorb_migrants(got.complete()?);
         // Compact state to the new view's members, in new-view order.
         let kept = |n: &u64| wide.rank_of(*n).expect("new member is in the wide world");
