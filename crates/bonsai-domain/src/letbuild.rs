@@ -21,6 +21,15 @@ use bonsai_tree::build::Tree;
 use bonsai_tree::node::{Node, NodeKind};
 use bonsai_util::Aabb;
 
+/// Squared distance within which a point opens `node` under
+/// `1 / θ = inv_theta` (finite): the group-MAC's critical radius, squared.
+#[inline]
+fn opening_radius2(node: &Node, inv_theta: f64) -> f64 {
+    let s = (node.com - node.geo_center).norm();
+    let crit = node.geo_side() * inv_theta + s;
+    crit * crit
+}
+
 /// `true` if any point of `geom` would open `node` under opening angle θ
 /// (the group-MAC of the walk, taken over a whole domain's geometry).
 #[inline]
@@ -28,9 +37,7 @@ pub fn geometry_opens(node: &Node, geom: &[Aabb], inv_theta: f64) -> bool {
     if !inv_theta.is_finite() {
         return true;
     }
-    let s = (node.com - node.geo_center).norm();
-    let crit = node.geo_side() * inv_theta + s;
-    let crit2 = crit * crit;
+    let crit2 = opening_radius2(node, inv_theta);
     geom.iter().any(|b| b.min_dist2_point(node.com) <= crit2)
 }
 
@@ -55,14 +62,15 @@ where
         return LetTree::default();
     }
     let mut out = LetTree::default();
-    // Queue of (local node index, slot in out.nodes to patch).
-    let mut queue: std::collections::VecDeque<(usize, usize)> = std::collections::VecDeque::new();
+    // `out.nodes` is its own BFS queue: slot `slot` is visited after every
+    // slot before it, and `source[slot]` is its local node index.
+    let mut source: Vec<u32> = vec![0];
     out.nodes.push(tree.nodes[0]);
-    queue.push_back((0, 0));
-    while let Some((local_idx, slot)) = queue.pop_front() {
+    let mut slot = 0;
+    while slot < out.nodes.len() {
+        let local_idx = source[slot] as usize;
         let node = tree.nodes[local_idx];
-        let action = decide(local_idx, &node);
-        match (action, node.kind) {
+        match (decide(local_idx, &node), node.kind) {
             (Action::Cut, _) => {
                 let n = &mut out.nodes[slot];
                 n.kind = NodeKind::Cut;
@@ -80,18 +88,15 @@ where
                 // count already equals the particle count
             }
             (Action::Open, NodeKind::Internal) => {
-                let first_child = out.nodes.len() as u32;
-                for c in node.first..node.first + node.count {
-                    let child_slot = out.nodes.len();
-                    out.nodes.push(tree.nodes[c as usize]);
-                    queue.push_back((c as usize, child_slot));
-                }
-                let n = &mut out.nodes[slot];
-                n.first = first_child;
+                let children = node.first..node.first + node.count;
+                out.nodes[slot].first = out.nodes.len() as u32;
                 // count already equals the child count
+                out.nodes.extend_from_slice(&tree.nodes[children.start as usize..children.end as usize]);
+                source.extend(children);
             }
             (Action::Open, NodeKind::Cut) => unreachable!("local trees have no Cut nodes"),
         }
+        slot += 1;
     }
     out
 }
@@ -99,10 +104,26 @@ where
 /// Build the Local Essential Tree of `tree` for a receiver whose particle
 /// geometry is (conservatively) covered by `remote_geom`, at opening angle
 /// `theta`.
+///
+/// Decides each node as [`geometry_opens`] does, but first against the hull
+/// of `remote_geom`: a node whose opening sphere misses the hull is `Cut`
+/// without the per-box scan. That is exact, not an approximation: the
+/// hull's corners are exact minima and maxima of the boxes' corners, and
+/// rounding is monotone, so the hull's `min_dist2_point` is never larger
+/// than any box's.
 pub fn build_let(tree: &Tree, remote_geom: &[Aabb], theta: f64) -> LetTree {
     let inv_theta = if theta > 0.0 { 1.0 / theta } else { f64::INFINITY };
+    let mut hull = Aabb::empty();
+    for b in remote_geom {
+        hull.merge(b);
+    }
     extract_pruned(tree, |_, node| {
-        if geometry_opens(node, remote_geom, inv_theta) {
+        let opens = !inv_theta.is_finite() || {
+            let crit2 = opening_radius2(node, inv_theta);
+            hull.min_dist2_point(node.com) <= crit2
+                && remote_geom.iter().any(|b| b.min_dist2_point(node.com) <= crit2)
+        };
+        if opens {
             Action::Open
         } else {
             Action::Cut

@@ -180,31 +180,31 @@ impl LetTree {
     }
 
     /// Serialize to bytes: the header, one fixed-stride record per node, then
-    /// the particles (module docs). The buffer is sized once and adopted by
-    /// the returned [`Bytes`].
+    /// the particles (module docs). One buffer of [`wire_size`](Self::wire_size)
+    /// bytes is written in place, record by record, and adopted by the
+    /// returned [`Bytes`].
     ///
     /// # Panics
     /// If a node's level does not fit its one-byte field.
     pub fn to_bytes(&self) -> Bytes {
+        debug_assert_eq!(self.pos.len(), self.mass.len());
         let stride = self.role.record_size();
-        let mut buf = Vec::with_capacity(self.wire_size());
-        buf.extend_from_slice(&(self.nodes.len() as u64).to_le_bytes());
-        buf.extend_from_slice(&(self.pos.len() as u64).to_le_bytes());
-        buf.push(match self.role {
+        let mut buf = vec![0u8; self.wire_size()];
+        let (header, body) = buf.split_at_mut(HEADER_SIZE);
+        header[0..8].copy_from_slice(&(self.nodes.len() as u64).to_le_bytes());
+        header[8..16].copy_from_slice(&(self.pos.len() as u64).to_le_bytes());
+        header[16] = match self.role {
             Role::Let => 0,
             Role::Boundary => 1,
-        });
-        let mut rec = [0u8; BOUNDARY_RECORD_SIZE];
-        for n in &self.nodes {
-            encode_node(n, &mut rec);
-            buf.extend_from_slice(&rec[..stride]);
+        };
+        let (node_part, particle_part) = body.split_at_mut(self.nodes.len() * stride);
+        for (n, rec) in self.nodes.iter().zip(node_part.chunks_exact_mut(stride)) {
+            encode_node(n, rec);
         }
-        for (&p, &m) in self.pos.iter().zip(&self.mass) {
-            for f in [p.x, p.y, p.z, m] {
-                buf.extend_from_slice(&f.to_le_bytes());
-            }
+        let particles = self.pos.iter().zip(&self.mass);
+        for ((p, &m), rec) in particles.zip(particle_part.chunks_exact_mut(PARTICLE_RECORD_SIZE)) {
+            put_f64s(rec, 0, &[p.x, p.y, p.z, m]);
         }
-        debug_assert_eq!(buf.len(), self.wire_size());
         Bytes::from(buf)
     }
 
@@ -274,9 +274,9 @@ fn put_f64s(rec: &mut [u8], at: usize, vals: &[f64]) {
     }
 }
 
-/// Write `n` as a boundary record; a LET record is its first
-/// [`LET_RECORD_SIZE`] bytes.
-fn encode_node(n: &Node, rec: &mut [u8; BOUNDARY_RECORD_SIZE]) {
+/// Write `n` as a record of `rec.len()` bytes: a LET record, or a boundary
+/// record, which is a LET record followed by the tight box.
+fn encode_node(n: &Node, rec: &mut [u8]) {
     put_f64s(rec, 0, &[n.com.x, n.com.y, n.com.z, n.mass]);
     put_f64s(rec, 32, &n.quad.m);
     put_f64s(rec, 80, &[n.geo_center.x, n.geo_center.y, n.geo_center.z, n.geo_half]);
@@ -288,8 +288,10 @@ fn encode_node(n: &Node, rec: &mut [u8; BOUNDARY_RECORD_SIZE]) {
         NodeKind::Cut => 2,
     };
     rec[121] = u8::try_from(n.level).expect("node level exceeds its u8 wire field");
-    let (lo, hi) = (n.bbox.min, n.bbox.max);
-    put_f64s(rec, LET_RECORD_SIZE, &[lo.x, lo.y, lo.z, hi.x, hi.y, hi.z]);
+    if rec.len() == BOUNDARY_RECORD_SIZE {
+        let (lo, hi) = (n.bbox.min, n.bbox.max);
+        put_f64s(rec, LET_RECORD_SIZE, &[lo.x, lo.y, lo.z, hi.x, hi.y, hi.z]);
+    }
 }
 
 /// Read one record of `role`'s stride; `None` on an unknown node kind.

@@ -3,14 +3,14 @@
 //! structures honour their contracts for arbitrary particle sets.
 
 use bonsai_domain::exchange::ExchangePlan;
-use bonsai_domain::letbuild::{boundary_sufficient_for, build_let};
+use bonsai_domain::letbuild::{boundary_sufficient_for, build_let, extract_pruned, geometry_opens, Action};
 use bonsai_domain::load::{enforce_particle_cap, populations, weighted_cuts};
-use bonsai_domain::lettree::LetTree;
+use bonsai_domain::lettree::{LetTree, Role};
 use bonsai_domain::{boundary_tree, replan, sampling};
 use bonsai_sfc::range::{find_owner, ranges_from_cuts};
 use bonsai_sfc::{KeyMap, KeyRange, KEY_END};
 use bonsai_tree::build::{Tree, TreeParams};
-use bonsai_tree::node::NodeKind;
+use bonsai_tree::node::{Node, NodeKind};
 use bonsai_tree::walk::{walk_tree, WalkParams};
 use bonsai_tree::{Forces, Particles};
 use bonsai_util::rng::Xoshiro256;
@@ -116,6 +116,45 @@ proptest! {
         prop_assert!(back.check_invariants().is_ok());
         prop_assert!((back.total_mass() - tree.particles.total_mass()).abs() < 1e-9);
         prop_assert_eq!(back.to_bytes(), bytes);
+    }
+
+    #[test]
+    fn build_let_equals_the_per_box_oracle(
+        n in 1usize..300, seed in any::<u64>(), boxes in 0usize..3, theta_at in 0usize..3
+    ) {
+        // The hull test in front of the per-box scan changes no decision:
+        // node for node and bit for bit the LET the plain `geometry_opens`
+        // decision builds, for no box, one box and overlapping boxes.
+        let tree = Tree::build(blob(n, seed), TreeParams::default());
+        let geom = receiver_geometry(boxes, seed);
+        let theta = [0.0, 0.4, 0.75][theta_at];
+        let inv_theta = if theta > 0.0 { 1.0 / theta } else { f64::INFINITY };
+        let oracle = extract_pruned(&tree, |_, node| {
+            if geometry_opens(node, &geom, inv_theta) { Action::Open } else { Action::Cut }
+        });
+        let got = build_let(&tree, &geom, theta);
+        prop_assert_eq!(got.role, oracle.role);
+        prop_assert_eq!(got.nodes.iter().map(node_bits).collect::<Vec<_>>(),
+                        oracle.nodes.iter().map(node_bits).collect::<Vec<_>>());
+        let payload = |t: &LetTree| -> Vec<u64> {
+            let pos = t.pos.iter().flat_map(|p| [p.x, p.y, p.z]);
+            pos.chain(t.mass.iter().copied()).map(f64::to_bits).collect()
+        };
+        prop_assert_eq!(payload(&got), payload(&oracle));
+    }
+
+    #[test]
+    fn to_bytes_equals_a_field_by_field_encoder(
+        n in 2usize..300, seed in any::<u64>(), theta in 0.2f64..1.0, boundary in any::<bool>()
+    ) {
+        let (sender, domain, receiver) = two_ranks(n, seed);
+        let lt = if boundary {
+            boundary_tree(&sender, &domain)
+        } else {
+            build_let(&sender, &[receiver.particles.bounds()], theta)
+        };
+        prop_assert_eq!(lt.role, if boundary { Role::Boundary } else { Role::Let });
+        prop_assert_eq!(&lt.to_bytes()[..], &encode_by_fields(&lt)[..]);
     }
 
     #[test]
@@ -336,6 +375,73 @@ proptest! {
         }
         prop_assert!(prev_ok, "far geometry must always be satisfied by the boundary");
     }
+}
+
+/// A receiver's frontier boxes: none, one, or 2 to 5 boxes that overlap
+/// one another, near or around `blob`'s sphere.
+fn receiver_geometry(boxes: usize, seed: u64) -> Vec<Aabb> {
+    let mut rng = Xoshiro256::seed_from(seed ^ 0x9e37_79b9_7f4a_7c15);
+    let centre = rng.unit_sphere() * rng.uniform_in(0.0, 4.0);
+    let count = [0, 1, 2 + (rng.next_u64() % 4) as usize][boxes];
+    (0..count)
+        .map(|_| {
+            let half = rng.uniform_in(0.2, 1.0);
+            Aabb::cube(centre + rng.unit_sphere() * rng.uniform_in(0.0, 0.5 * half), half)
+        })
+        .collect()
+}
+
+/// Every field of `n`, floats by their bits.
+fn node_bits(n: &Node) -> Vec<u64> {
+    let floats = [n.com.x, n.com.y, n.com.z, n.mass]
+        .into_iter()
+        .chain(n.quad.m)
+        .chain([n.bbox.min.x, n.bbox.min.y, n.bbox.min.z, n.bbox.max.x, n.bbox.max.y, n.bbox.max.z])
+        .chain([n.geo_center.x, n.geo_center.y, n.geo_center.z, n.geo_half]);
+    let kind = match n.kind {
+        NodeKind::Internal => 0,
+        NodeKind::Leaf => 1,
+        NodeKind::Cut => 2,
+    };
+    floats
+        .map(f64::to_bits)
+        .chain([n.first as u64, n.count as u64, kind, n.level as u64])
+        .collect()
+}
+
+/// The wire encoding of the `lettree` module docs, written out field by
+/// field with no shared code: the oracle for `LetTree::to_bytes`.
+fn encode_by_fields(lt: &LetTree) -> Vec<u8> {
+    let mut out = Vec::new();
+    let f64s = |out: &mut Vec<u8>, vals: &[f64]| {
+        for v in vals {
+            out.extend_from_slice(&v.to_le_bytes());
+        }
+    };
+    out.extend_from_slice(&(lt.nodes.len() as u64).to_le_bytes());
+    out.extend_from_slice(&(lt.pos.len() as u64).to_le_bytes());
+    out.push(if lt.role == Role::Boundary { 1 } else { 0 });
+    for n in &lt.nodes {
+        f64s(&mut out, &[n.com.x, n.com.y, n.com.z, n.mass]);
+        f64s(&mut out, &n.quad.m);
+        f64s(&mut out, &[n.geo_center.x, n.geo_center.y, n.geo_center.z, n.geo_half]);
+        out.extend_from_slice(&n.first.to_le_bytes());
+        out.extend_from_slice(&n.count.to_le_bytes());
+        out.push(match n.kind {
+            NodeKind::Internal => 0,
+            NodeKind::Leaf => 1,
+            NodeKind::Cut => 2,
+        });
+        out.push(n.level as u8);
+        if lt.role == Role::Boundary {
+            let (lo, hi) = (n.bbox.min, n.bbox.max);
+            f64s(&mut out, &[lo.x, lo.y, lo.z, hi.x, hi.y, hi.z]);
+        }
+    }
+    for (p, &m) in lt.pos.iter().zip(&lt.mass) {
+        f64s(&mut out, &[p.x, p.y, p.z, m]);
+    }
+    out
 }
 
 /// Two ranks over one key map: `blob(n, seed)` split at its median key.
