@@ -25,9 +25,10 @@
 //!
 //! The ledger is also **bounded**: [`FlowLedger::retain_epochs`] drops whole
 //! epochs from the front without moving the ones it keeps (the cluster
-//! evicts it with its trace, one epoch as each begins) and folds their
-//! outcomes into run totals, so ids stay dense and global and
-//! [`FlowLedger::conservation`] still answers for the whole run.
+//! evicts it with its trace, one epoch as each begins). Ids stay dense and
+//! global, and [`FlowLedger::conservation`] still answers for the whole
+//! run: it reads run totals kept as flows are sealed and resolved, so
+//! evicting an epoch reads none of its records.
 //!
 //! The conservation invariant the chaos suites assert: at any epoch
 //! boundary, every sealed flow is **exactly one** of delivered or dead (its
@@ -119,17 +120,6 @@ impl FlowConservation {
         self.pending == 0 && self.sealed == self.delivered + self.dead
     }
 
-    /// Count `records` in.
-    fn add<'a>(&mut self, records: impl IntoIterator<Item = &'a FlowRecord>) {
-        for r in records {
-            self.sealed += 1;
-            match r.outcome {
-                FlowOutcome::Pending => self.pending += 1,
-                FlowOutcome::Delivered { .. } => self.delivered += 1,
-                FlowOutcome::Dead => self.dead += 1,
-            }
-        }
-    }
 }
 
 /// The epoch-ordered, bounded flow ledger. See the module docs for the
@@ -139,8 +129,9 @@ pub struct FlowLedger {
     /// The held epochs' records, in seal order: flow `id` is ordinal
     /// `id - 1`.
     records: EpochRuns<FlowRecord>,
-    /// Outcome totals of the evicted records.
-    evicted: FlowConservation,
+    /// Flows sealed, delivered and dead over the whole run (`pending` is
+    /// what the other three leave).
+    totals: FlowConservation,
 }
 
 impl FlowLedger {
@@ -164,13 +155,12 @@ impl FlowLedger {
         self.records.is_empty()
     }
 
-    /// Drop every record sealed before `min_epoch`, counting its outcome
-    /// into the run totals [`conservation`](Self::conservation) reports.
+    /// Drop every record sealed before `min_epoch`; the run totals
+    /// [`conservation`](Self::conservation) reports keep counting them.
     /// The epochs kept stay where they are; ids stay global: the next seal
     /// continues the sequence.
     pub fn retain_epochs(&mut self, min_epoch: u64) {
-        let evicted = &mut self.evicted;
-        self.records.evict_before(min_epoch, |records| evicted.add(records));
+        self.records.evict_before(min_epoch, |_| {});
     }
 
     /// The records sealed at `epoch`, in seal order, with their ledger ids:
@@ -200,6 +190,7 @@ impl FlowLedger {
         }
         let id = self.next_id();
         self.records.push(epoch, FlowRecord::new(id, epoch, from, to, kind, bytes));
+        self.totals.sealed += 1;
         id
     }
 
@@ -232,6 +223,7 @@ impl FlowLedger {
         if let Some(r) = self.get_mut(flow) {
             if r.outcome == FlowOutcome::Pending {
                 r.outcome = FlowOutcome::Delivered { attempt };
+                self.totals.delivered += 1;
             }
         }
     }
@@ -243,16 +235,18 @@ impl FlowLedger {
         for r in self.records.epoch_mut(epoch) {
             if r.outcome == FlowOutcome::Pending {
                 r.outcome = FlowOutcome::Dead;
+                self.totals.dead += 1;
             }
         }
     }
 
-    /// Conservation totals over the whole run: the evicted records' counts
-    /// plus the held ones'.
+    /// Conservation totals over the whole run, evicted epochs included.
     pub fn conservation(&self) -> FlowConservation {
-        let mut c = self.evicted;
-        c.add(self.records.iter());
-        c
+        let t = self.totals;
+        FlowConservation {
+            pending: t.sealed - t.delivered - t.dead,
+            ..t
+        }
     }
 }
 

@@ -10,6 +10,7 @@
 
 use bonsai_net::collective::{exchange, received_from, Expect, Inline, Outbox, Round, MAX_RETRIES};
 use bonsai_net::envelope::{open, seal_flow, EnvelopeError, NO_FLOW};
+use bonsai_net::flow::{FlowConservation, FlowOutcome, FlowRecord};
 use bonsai_net::{
     FaultEvent, FaultKind, FaultLog, FaultPlan, FlowLedger, Injection, MsgKind, RecoveryAction,
     RecoveryEvent, Wire,
@@ -193,15 +194,16 @@ proptest! {
     #[test]
     fn epoch_views_equal_the_filtered_history(
         ops in proptest::collection::vec(
-            (0u8..8, 0u8..5, 0usize..3, 0usize..3, 0usize..5, any::<u64>()),
+            (0u8..9, 0u8..5, 0usize..3, 0usize..3, 0usize..5, any::<u64>()),
             1..120,
         ),
     ) {
         // Drive the ledger and log the way the cluster does: any mix of
-        // seal / retransmit / fault / deliver / discard / close, the epoch
-        // only ever moving forward (sometimes skipping a number), every
+        // seal / retransmit / fault / deliver / discard / close / evict, the
+        // epoch only ever moving forward (sometimes skipping a number), every
         // event naming one of its epoch's flows or none.
         let mut flows = FlowLedger::new();
+        let mut evicted: Vec<FlowRecord> = Vec::new();
         let mut log = FaultLog::default();
         let mut epoch = 1u64;
         for (op, gap, from, to, kind_ix, pick) in ops {
@@ -241,9 +243,27 @@ proptest! {
                     log.record_recovery(recovery(RecoveryAction::DiscardCorrupt, flow));
                 }
                 (7, _) => flows.close_epoch_dead(epoch - pick % 2),
+                (8, _) => {
+                    let min = epoch.saturating_sub(pick % 3);
+                    evicted.extend(flows.records().iter().filter(|r| r.epoch < min).cloned());
+                    flows.retain_epochs(min);
+                }
                 _ => {}
             }
         }
+
+        // The run totals count every flow ever sealed, evicted ones too.
+        let mut want = FlowConservation::default();
+        for r in evicted.iter().chain(flows.records().iter()) {
+            want.sealed += 1;
+            match r.outcome {
+                FlowOutcome::Pending => want.pending += 1,
+                FlowOutcome::Delivered { .. } => want.delivered += 1,
+                FlowOutcome::Dead => want.dead += 1,
+            }
+        }
+        prop_assert_eq!(flows.conservation(), want);
+        prop_assert_eq!(flows.next_id(), want.sealed + 1);
 
         for e in 0..=epoch + 1 {
             let want: Vec<_> = flows.records().iter().filter(|r| r.epoch == e).cloned().collect();

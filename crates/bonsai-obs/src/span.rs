@@ -149,6 +149,11 @@ pub struct TraceStore {
     spans: Vec<Span>,
     instants: Vec<Instant>,
     flows: EpochRuns<FlowPoint>,
+    /// Spans evicted by [`TraceStore::retain_steps`], not part of the
+    /// store: the next spans recorded reuse their name and argument
+    /// buffers, so a store evicted once per epoch records without
+    /// allocating.
+    recycled: Vec<Span>,
     /// Latest span end recorded so far: [`TraceStore::makespan`] is asked
     /// several times a step and must not fold over the run's history.
     makespan: f64,
@@ -203,6 +208,7 @@ impl TraceStore {
             spans,
             instants,
             flows: runs,
+            recycled: Vec::new(),
         }
     }
 
@@ -211,10 +217,11 @@ impl TraceStore {
     /// [`TraceStore::step_records`]), and the oldest steps' flow buffers,
     /// leaving the flow points kept where they are. Parent ids shift down by
     /// the dropped count; a parent that was dropped becomes `None`. The
+    /// dropped spans' buffers are kept for the spans recorded next. The
     /// cluster bounds its history with this.
     pub fn retain_steps(&mut self, min_step: u64) {
         let cut = self.spans.partition_point(|s| s.step < min_step);
-        self.spans.drain(..cut);
+        self.recycled.extend(self.spans.drain(..cut));
         for s in &mut self.spans {
             s.parent = shift_parent(s.parent, cut);
         }
@@ -230,21 +237,27 @@ impl TraceStore {
         rank: u32,
         step: u64,
         lane: Lane,
-        name: impl Into<String>,
+        name: impl AsRef<str>,
         start: f64,
         end: f64,
     ) -> SpanId {
         debug_assert!(end >= start, "span must not end before it starts");
         self.makespan = self.makespan.max(end);
+        let (mut buf, mut args) = (self.recycled.pop())
+            .map(|s| (s.name, s.args))
+            .unwrap_or_default();
+        buf.clear();
+        buf.push_str(name.as_ref());
+        args.clear();
         self.spans.push(Span {
             rank,
             step,
             lane,
-            name: name.into(),
+            name: buf,
             start,
             end,
             parent: None,
-            args: Vec::new(),
+            args,
         });
         SpanId(self.spans.len() - 1)
     }
@@ -253,7 +266,7 @@ impl TraceStore {
     pub fn child_span(
         &mut self,
         parent: SpanId,
-        name: impl Into<String>,
+        name: impl AsRef<str>,
         start: f64,
         end: f64,
     ) -> SpanId {

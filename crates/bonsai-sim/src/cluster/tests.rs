@@ -371,24 +371,29 @@ fn epochs_that_never_complete_still_evict() {
 
 #[test]
 fn eviction_leaves_kept_epochs_in_place() {
-    // Evicting the epoch that leaves the window moves no flow point and no
-    // ledger record of the epochs it keeps.
+    // Each step evicts the epoch that leaves the window and moves no flow
+    // point and no ledger record of the epochs it keeps.
     use bonsai_obs::TRACE_WINDOW;
     let mut c = small_cluster(256, 3, 42);
-    for _ in 0..TRACE_WINDOW + 2 {
+    for _ in 0..TRACE_WINDOW {
         c.step();
     }
-    let kept = c.current_epoch() + 2 - TRACE_WINDOW;
-    let at = |c: &Cluster| {
-        let points = c.trace().step_records(kept).flow_points;
-        let records = c.flow_ledger().for_epoch(kept);
-        assert!(!points.is_empty() && !records.is_empty(), "epoch {kept} drew no flows");
+    let at = |c: &Cluster, e: u64| {
+        let points = c.trace().step_records(e).flow_points;
+        let records = c.flow_ledger().for_epoch(e);
         (points.as_ptr(), points.len(), records.as_ptr(), records.len())
     };
-    let before = at(&c);
-    c.step();
-    assert_eq!(window_start(c.current_epoch()), kept, "the step evicted one epoch");
-    assert_eq!(at(&c), before);
+    for _ in 0..TRACE_WINDOW + 2 {
+        let leaving = window_start(c.current_epoch());
+        let kept: Vec<u64> = (leaving + 1..=c.current_epoch()).collect();
+        let before: Vec<_> = kept.iter().map(|&e| at(&c, e)).collect();
+        assert!(before.iter().all(|&(_, points, _, records)| points > 0 && records > 0));
+        c.step();
+        let gone = at(&c, leaving);
+        assert_eq!((gone.1, gone.3), (0, 0), "epoch {leaving} was not evicted");
+        let after: Vec<_> = kept.iter().map(|&e| at(&c, e)).collect();
+        assert_eq!(after, before, "a kept epoch moved as epoch {leaving} left");
+    }
 }
 
 #[test]
