@@ -119,7 +119,6 @@ impl FlowConservation {
     pub fn holds(&self) -> bool {
         self.pending == 0 && self.sealed == self.delivered + self.dead
     }
-
 }
 
 /// The epoch-ordered, bounded flow ledger. See the module docs for the
@@ -160,7 +159,7 @@ impl FlowLedger {
     /// The epochs kept stay where they are; ids stay global: the next seal
     /// continues the sequence.
     pub fn retain_epochs(&mut self, min_epoch: u64) {
-        self.records.evict_before(min_epoch, |_| {});
+        self.records.evict_before(min_epoch);
     }
 
     /// The records sealed at `epoch`, in seal order, with their ledger ids:

@@ -221,14 +221,17 @@ impl TraceStore {
     /// cluster bounds its history with this.
     pub fn retain_steps(&mut self, min_step: u64) {
         let cut = self.spans.partition_point(|s| s.step < min_step);
-        self.recycled.extend(self.spans.drain(..cut));
+        // Reversed, so `pop` hands them out in record order: every epoch
+        // records its spans in the same order, so each buffer goes back to
+        // a span of its own kind, whose arguments fit it.
+        self.recycled.extend(self.spans.drain(..cut).rev());
         for s in &mut self.spans {
             s.parent = shift_parent(s.parent, cut);
         }
         self.makespan = latest_end(&self.spans);
         self.instants
             .drain(..self.instants.partition_point(|i| i.step < min_step));
-        self.flows.evict_before(min_step, |_| {});
+        self.flows.evict_before(min_step);
     }
 
     /// Record a root span; returns its id for annotation or parenting.

@@ -90,12 +90,10 @@ impl<T> EpochRuns<T> {
         self.len += 1;
     }
 
-    /// Drop every epoch older than `min_epoch`, handing each one's entries
-    /// to `evicted` first, oldest epoch first.
-    pub fn evict_before(&mut self, min_epoch: u64, mut evicted: impl FnMut(&[T])) {
-        while self.runs.front().is_some_and(|run| run.epoch < min_epoch) {
-            let Some(Run { mut items, .. }) = self.runs.pop_front() else { break };
-            evicted(&items);
+    /// Drop every epoch older than `min_epoch`.
+    pub fn evict_before(&mut self, min_epoch: u64) {
+        let gone = self.runs.partition_point(|run| run.epoch < min_epoch);
+        for Run { mut items, .. } in self.runs.drain(..gone) {
             self.len -= items.len();
             items.clear();
             if self.spare.as_ref().is_none_or(|s| s.capacity() < items.capacity()) {
@@ -313,22 +311,20 @@ mod tests {
     fn eviction_keeps_ordinals_and_leaves_kept_epochs_in_place() {
         let mut l = six_entries();
         let kept = l.epoch(5).as_ptr();
-        let mut evicted = Vec::new();
-        l.evict_before(4, |items| evicted.push(items.to_vec()));
-        assert_eq!(evicted, [vec![0, 1], vec![2]]);
+        l.evict_before(4);
         assert_eq!(l.epoch(5).as_ptr(), kept, "a kept epoch moved");
         assert_eq!((l.len(), l.next_ordinal()), (3, 6));
         assert!(l.get(2).is_none() && l.epoch(2).is_empty());
         assert_eq!(l.get(3), Some(&3));
         // Evicting below what is held changes nothing.
         let before = l.clone();
-        l.evict_before(5, |_| panic!("nothing is older than epoch 5"));
+        l.evict_before(5);
         assert_eq!(l, before);
         // The next epoch opens in an evicted buffer, and ordinals go on.
         l.push(8, 6);
         assert_eq!(l.epoch(8), [6]);
         assert_eq!(l.get(6), Some(&6));
-        l.evict_before(9, |_| {});
+        l.evict_before(9);
         assert!(l.is_empty() && l.first().is_none() && l.get(6).is_none());
         l.push(9, 7);
         assert_eq!((l.get(7), l.next_ordinal()), (Some(&7), 8));
