@@ -119,31 +119,6 @@ proptest! {
     }
 
     #[test]
-    fn build_let_equals_the_per_box_oracle(
-        n in 1usize..300, seed in any::<u64>(), boxes in 0usize..3, theta_at in 0usize..3
-    ) {
-        // The hull test in front of the per-box scan changes no decision:
-        // node for node and bit for bit the LET the plain `geometry_opens`
-        // decision builds, for no box, one box and overlapping boxes.
-        let tree = Tree::build(blob(n, seed), TreeParams::default());
-        let geom = receiver_geometry(boxes, seed);
-        let theta = [0.0, 0.4, 0.75][theta_at];
-        let inv_theta = if theta > 0.0 { 1.0 / theta } else { f64::INFINITY };
-        let oracle = extract_pruned(&tree, |_, node| {
-            if geometry_opens(node, &geom, inv_theta) { Action::Open } else { Action::Cut }
-        });
-        let got = build_let(&tree, &geom, theta);
-        prop_assert_eq!(got.role, oracle.role);
-        prop_assert_eq!(got.nodes.iter().map(node_bits).collect::<Vec<_>>(),
-                        oracle.nodes.iter().map(node_bits).collect::<Vec<_>>());
-        let payload = |t: &LetTree| -> Vec<u64> {
-            let pos = t.pos.iter().flat_map(|p| [p.x, p.y, p.z]);
-            pos.chain(t.mass.iter().copied()).map(f64::to_bits).collect()
-        };
-        prop_assert_eq!(payload(&got), payload(&oracle));
-    }
-
-    #[test]
     fn to_bytes_equals_a_field_by_field_encoder(
         n in 2usize..300, seed in any::<u64>(), theta in 0.2f64..1.0, boundary in any::<bool>()
     ) {
@@ -377,17 +352,50 @@ proptest! {
     }
 }
 
-/// A receiver's frontier boxes: none, one, or 2 to 5 boxes that overlap
-/// one another, near or around `blob`'s sphere.
-fn receiver_geometry(boxes: usize, seed: u64) -> Vec<Aabb> {
+proptest! {
+    // Its own case count: a LET the hull test alone would get wrong needs
+    // several boxes, θ > 0 and a tree deep enough to reach a hull corner.
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn build_let_equals_the_per_box_oracle(
+        n in 1usize..1500, seed in any::<u64>(), boxes in 0usize..6, theta_at in 0usize..3
+    ) {
+        // The hull test in front of the per-box scan changes no decision:
+        // node for node and bit for bit the LET the plain `geometry_opens`
+        // decision builds, for no box, one box and 2 to 5 overlapping boxes.
+        let tree = Tree::build(blob(n, seed), TreeParams::default());
+        let geom = receiver_geometry(boxes, seed);
+        let theta = [0.0, 0.4, 0.75][theta_at];
+        let inv_theta = if theta > 0.0 { 1.0 / theta } else { f64::INFINITY };
+        let oracle = extract_pruned(&tree, |_, node| {
+            if geometry_opens(node, &geom, inv_theta) { Action::Open } else { Action::Cut }
+        });
+        let got = build_let(&tree, &geom, theta);
+        prop_assert_eq!(got.role, oracle.role);
+        prop_assert_eq!(got.nodes.iter().map(node_bits).collect::<Vec<_>>(),
+                        oracle.nodes.iter().map(node_bits).collect::<Vec<_>>());
+        let payload = |t: &LetTree| -> Vec<u64> {
+            let pos = t.pos.iter().flat_map(|p| [p.x, p.y, p.z]);
+            pos.chain(t.mass.iter().copied()).map(f64::to_bits).collect()
+        };
+        prop_assert_eq!(payload(&got), payload(&oracle));
+    }
+}
+
+/// A receiver's frontier boxes: `count` boxes of random extents around one
+/// shared point near `blob`'s sphere. They overlap, but their hull has wide
+/// corners that no box covers, where the hull test alone would open nodes
+/// the boxes do not.
+fn receiver_geometry(count: usize, seed: u64) -> Vec<Aabb> {
     let mut rng = Xoshiro256::seed_from(seed ^ 0x9e37_79b9_7f4a_7c15);
-    let centre = rng.unit_sphere() * rng.uniform_in(0.0, 4.0);
-    let count = [0, 1, 2 + (rng.next_u64() % 4) as usize][boxes];
+    let centre = rng.unit_sphere() * rng.uniform_in(0.0, 2.0);
+    let mut extent = move || {
+        let mut axis = || rng.uniform_in(0.02, 0.8);
+        Vec3::new(axis(), axis(), axis())
+    };
     (0..count)
-        .map(|_| {
-            let half = rng.uniform_in(0.2, 1.0);
-            Aabb::cube(centre + rng.unit_sphere() * rng.uniform_in(0.0, 0.5 * half), half)
-        })
+        .map(|_| Aabb::new(centre - extent(), centre + extent()))
         .collect()
 }
 
