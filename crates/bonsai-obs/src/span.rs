@@ -502,6 +502,27 @@ mod tests {
     }
 
     #[test]
+    fn spans_recorded_after_an_eviction_reuse_its_buffers_in_record_order() {
+        let mut t = TraceStore::new();
+        let gpu = t.span(0, 1, Lane::Gpu, "local", 0.0, 1.0);
+        t.arg_str(gpu, "device", "K20X");
+        t.arg_u64(gpu, "pp", 7);
+        t.span(0, 1, Lane::Cpu, "balance", 0.0, 1.0);
+        let buffers: Vec<*const u8> = t.spans().iter().map(|s| s.name.as_ptr()).collect();
+        t.retain_steps(2);
+        assert!(t.is_empty() && t.spans().is_empty());
+        let lets = t.span(1, 2, Lane::Gpu, "lets", 1.0, 2.0);
+        t.child_span(lets, "walk", 1.0, 1.5);
+        let got: Vec<_> = (t.spans().iter())
+            .map(|s| (s.name.as_str(), s.rank, s.step, s.args.len(), s.parent))
+            .collect();
+        assert_eq!(got, [("lets", 1, 2, 0, None), ("walk", 1, 2, 0, Some(lets))]);
+        let reused: Vec<*const u8> = t.spans().iter().map(|s| s.name.as_ptr()).collect();
+        assert_eq!(reused, buffers, "buffers handed out out of record order");
+        assert_eq!(t.len(), 2);
+    }
+
+    #[test]
     fn step_records_equal_the_filtered_store() {
         let mut t = TraceStore::new();
         for step in [1u64, 2, 2, 5] {

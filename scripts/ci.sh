@@ -95,6 +95,13 @@ BONSAI_THREADS=3 cargo test -q --release -p bonsai-sim --test invariants -- --ig
 # every epoch, a LET lost through the budget, a rank silent through every
 # replay) at three lanes too: tier-1 runs them on the default pool only.
 BONSAI_THREADS=3 cargo test -q --release -p bonsai-sim --test robustness
+# The exact-window tests at three lanes too: the trace and the flow ledger
+# evict one epoch inside every pool-driven epoch, and must hold exactly the
+# last window after every step and every aborted epoch.
+BONSAI_THREADS=3 cargo test -q --release -p bonsai-sim --lib -- \
+  cluster::tests::trace_history_is_a_bounded_window \
+  cluster::tests::flow_history_is_a_bounded_window \
+  cluster::tests::epochs_that_never_complete_still_evict
 
 echo "== benchmark package: build + unit tests + 2-step smoke test =="
 # benchmark/ is its own workspace on path dependencies and may not be edited
