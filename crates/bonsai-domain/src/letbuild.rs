@@ -88,11 +88,11 @@ where
                 // count already equals the particle count
             }
             (Action::Open, NodeKind::Internal) => {
-                let children = node.first..node.first + node.count;
+                let (b, e) = (node.first as usize, (node.first + node.count) as usize);
                 out.nodes[slot].first = out.nodes.len() as u32;
                 // count already equals the child count
-                out.nodes.extend_from_slice(&tree.nodes[children.start as usize..children.end as usize]);
-                source.extend(children);
+                out.nodes.extend_from_slice(&tree.nodes[b..e]);
+                source.extend(node.first..node.first + node.count);
             }
             (Action::Open, NodeKind::Cut) => unreachable!("local trees have no Cut nodes"),
         }

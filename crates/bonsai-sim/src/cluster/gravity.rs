@@ -269,9 +269,11 @@ impl Cluster {
             .collect();
         meas.boundary_bytes = sent.iter().map(|(bytes, _)| bytes.len()).collect();
         let outbox: Vec<Outbox> = sent.iter().map(|(bytes, _)| Outbox::Broadcast(bytes.clone())).collect();
-        let got = self.exchange(MsgKind::Boundary, &outbox, Expect::AllPeers, |from, b| match sent.get(from) {
-            Some((bytes, verdict)) if bytes[..] == *b => verdict.clone(),
-            _ => validate(b),
+        let got = self.exchange(MsgKind::Boundary, &outbox, Expect::AllPeers, |from, b| {
+            match sent.get(from) {
+                Some((bytes, verdict)) if bytes[..] == *b => verdict.clone(),
+                _ => validate(b),
+            }
         });
         meas.retransmit_bytes += got.retransmit_bytes;
         got.complete()?;
