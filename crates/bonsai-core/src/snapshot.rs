@@ -1,28 +1,25 @@
 //! Binary snapshot I/O.
 //!
 //! The production runs write intermediate snapshots "for the dual purpose of
-//! restarting and detailed analysis" (§VI-C). The format here is a minimal
-//! little-endian binary layout: magic, time, count, per-particle
-//! `pos(3×f64) vel(3×f64) mass(f64) id(u64)` records, and a trailing
-//! CRC-64 over everything before it. Readers validate the length against
-//! the declared count and the checksum against the content, so truncated or
-//! bit-flipped files are rejected with a descriptive [`io::Error`] instead
-//! of silently yielding garbage particles. Writes go through a temp file +
-//! atomic rename, so a torn write never leaves a half-written snapshot
-//! under the final name.
+//! restarting and detailed analysis" (§VI-C). A snapshot is little endian:
+//! magic, time, the particle payload of [`Particles::encode`] (the codec the
+//! migrant exchange and the checkpoint shards use), and a trailing CRC-64
+//! over everything before it. The reader rejects wrong magic, a payload
+//! whose length disagrees with its declared count (truncation or trailing
+//! junk), non-finite or negative-mass records and checksum mismatches, each
+//! with a descriptive [`io::Error`], instead of silently yielding garbage
+//! particles. Writes go through a temp file + atomic rename, so a torn write
+//! never leaves a half-written snapshot under the final name.
 
+use bonsai_tree::particles::RECORD_LEN;
 use bonsai_tree::Particles;
-use bonsai_util::{crc64, Vec3};
+use bonsai_util::crc64;
 use std::io;
 use std::path::Path;
 
 const MAGIC: &[u8; 8] = b"BONSAI02";
-/// magic(8) + time(8) + count(8).
-const HEADER_LEN: usize = 24;
-/// Bytes of one particle record: pos + vel + mass + id.
-pub const RECORD_LEN: usize = 64;
-/// Trailing CRC-64.
-const TRAILER_LEN: usize = 8;
+/// magic(8) + time(8).
+const HEADER_LEN: usize = 16;
 
 fn bad(msg: String) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg)
@@ -30,77 +27,34 @@ fn bad(msg: String) -> io::Error {
 
 /// Serialize `particles` at simulation `time` into the snapshot format.
 pub fn snapshot_to_bytes(particles: &Particles, time: f64) -> Vec<u8> {
-    let mut v = Vec::with_capacity(HEADER_LEN + particles.len() * RECORD_LEN + TRAILER_LEN);
+    let mut v = Vec::with_capacity(HEADER_LEN + 8 + particles.len() * RECORD_LEN + 8);
     v.extend_from_slice(MAGIC);
     v.extend_from_slice(&time.to_le_bytes());
-    v.extend_from_slice(&(particles.len() as u64).to_le_bytes());
-    for i in 0..particles.len() {
-        for q in [particles.pos[i], particles.vel[i]] {
-            v.extend_from_slice(&q.x.to_le_bytes());
-            v.extend_from_slice(&q.y.to_le_bytes());
-            v.extend_from_slice(&q.z.to_le_bytes());
-        }
-        v.extend_from_slice(&particles.mass[i].to_le_bytes());
-        v.extend_from_slice(&particles.id[i].to_le_bytes());
-    }
+    let mut v = particles.encode(v);
     let crc = crc64(&v);
     v.extend_from_slice(&crc.to_le_bytes());
     v
 }
 
 /// Parse and strictly validate a snapshot; returns `(particles, time)`.
-///
-/// Rejects wrong magic, lengths inconsistent with the declared particle
-/// count (truncation or trailing junk), and checksum mismatches, each with
-/// an error message naming the problem.
 pub fn snapshot_from_bytes(data: &[u8]) -> io::Result<(Particles, f64)> {
-    if data.len() < HEADER_LEN + TRAILER_LEN {
-        return Err(bad(format!(
-            "snapshot truncated: {} bytes, need at least {}",
-            data.len(),
-            HEADER_LEN + TRAILER_LEN
-        )));
-    }
-    if &data[..8] != MAGIC {
+    let Some((body, stored)) = data.split_last_chunk().filter(|(b, _)| b.len() >= HEADER_LEN)
+    else {
+        return Err(bad(format!("snapshot truncated: {} bytes", data.len())));
+    };
+    if &body[..8] != MAGIC {
         return Err(bad("bad snapshot magic (expected BONSAI02)".to_string()));
     }
-    let time = f64::from_le_bytes(data[8..16].try_into().unwrap());
-    let n = u64::from_le_bytes(data[16..24].try_into().unwrap()) as usize;
-    let need = n
-        .checked_mul(RECORD_LEN)
-        .and_then(|x| x.checked_add(HEADER_LEN + TRAILER_LEN))
-        .ok_or_else(|| bad(format!("snapshot particle count {n} overflows")))?;
-    if data.len() != need {
-        return Err(bad(format!(
-            "snapshot truncated or oversized: {} bytes, expected {need} for {n} particles",
-            data.len()
-        )));
-    }
-    let body = &data[..data.len() - TRAILER_LEN];
-    let stored = u64::from_le_bytes(data[data.len() - TRAILER_LEN..].try_into().unwrap());
-    let computed = crc64(body);
+    let particles =
+        Particles::decode(&body[HEADER_LEN..]).map_err(|e| bad(format!("snapshot {e}")))?;
+    let (stored, computed) = (u64::from_le_bytes(*stored), crc64(body));
     if stored != computed {
         return Err(bad(format!(
             "snapshot checksum mismatch: stored {stored:#018x}, computed {computed:#018x} — \
              the file is corrupted"
         )));
     }
-    let mut p = Particles::with_capacity(n);
-    let mut off = HEADER_LEN;
-    let f64_at = |off: &mut usize| {
-        let v = f64::from_le_bytes(data[*off..*off + 8].try_into().unwrap());
-        *off += 8;
-        v
-    };
-    for _ in 0..n {
-        let pos = Vec3::new(f64_at(&mut off), f64_at(&mut off), f64_at(&mut off));
-        let vel = Vec3::new(f64_at(&mut off), f64_at(&mut off), f64_at(&mut off));
-        let mass = f64_at(&mut off);
-        let id = u64::from_le_bytes(data[off..off + 8].try_into().unwrap());
-        off += 8;
-        p.push(pos, vel, mass, id);
-    }
-    Ok((p, time))
+    Ok((particles, f64::from_le_bytes(body[8..16].try_into().unwrap())))
 }
 
 /// Write a snapshot of `particles` at simulation `time`, atomically (see
@@ -223,6 +177,39 @@ mod tests {
         assert_eq!(pa.id, pb.id);
         for i in 0..pa.len() {
             assert!((pa.pos[i] - pb.pos[i]).norm() < 1e-12);
+        }
+    }
+
+    /// A fixed set of three particles whose encodings are pinned.
+    fn three() -> Particles {
+        use bonsai_util::Vec3;
+        let mut p = Particles::new();
+        p.push(Vec3::new(1.5, -2.25, 3.0e-3), Vec3::new(-0.5, 0.125, 7.0), 2.5, 7);
+        p.push(Vec3::new(-1.0e5, 0.0, -0.0), Vec3::new(1.0e-9, -3.5, 2.0), 0.0, 1 << 40);
+        p.push(Vec3::new(8.0, 8.5, -8.25), Vec3::zero(), 1.0e10, u64::MAX);
+        p
+    }
+
+    #[test]
+    fn snapshot_bytes_are_pinned() {
+        let bytes = snapshot_to_bytes(&three(), 0.75);
+        assert_eq!(bytes.len(), 16 + 8 + 3 * 64 + 8);
+        assert_eq!(crc64(&bytes), 0xb66a_7365_4282_cac0, "snapshot layout moved");
+    }
+
+    #[test]
+    fn a_non_finite_or_negative_mass_record_is_rejected() {
+        // Valid checksums over bad particle data: position x of particle 1
+        // set to NaN, then particle 2's mass to -1; each CRC recomputed.
+        let good = snapshot_to_bytes(&three(), 0.75);
+        for (at, value) in [(24 + 64, f64::NAN), (24 + 2 * 64 + 48, -1.0)] {
+            let mut bad = good.clone();
+            bad[at..at + 8].copy_from_slice(&value.to_le_bytes());
+            let n = bad.len() - 8;
+            let crc = crc64(&bad[..n]);
+            bad[n..].copy_from_slice(&crc.to_le_bytes());
+            let err = snapshot_from_bytes(&bad).map(|_| ()).unwrap_err();
+            assert!(err.to_string().contains("non-finite or negative"), "{err}");
         }
     }
 }

@@ -8,75 +8,20 @@
 
 use bonsai_sfc::range::{find_owner, KeyRange};
 use bonsai_tree::Particles;
-use bonsai_util::Vec3;
 use bytes::Bytes;
 
-/// Bytes a particle occupies on the wire (pos + vel + mass + id).
-pub const PARTICLE_WIRE_SIZE: usize = 3 * 8 + 3 * 8 + 8 + 8;
+/// Bytes a particle occupies on the wire: the one particle record.
+pub use bonsai_tree::particles::RECORD_LEN as PARTICLE_WIRE_SIZE;
 
-/// Serialize a particle set for the wire: `count u64` then fixed-width
-/// little-endian records of [`PARTICLE_WIRE_SIZE`] bytes each.
+/// Serialize a particle set for the wire: [`Particles::encode`]'s payload.
 pub fn particles_to_bytes(p: &Particles) -> Bytes {
-    let mut v = Vec::with_capacity(8 + p.len() * PARTICLE_WIRE_SIZE);
-    v.extend_from_slice(&(p.len() as u64).to_le_bytes());
-    for i in 0..p.len() {
-        for f in [
-            p.pos[i].x, p.pos[i].y, p.pos[i].z, p.vel[i].x, p.vel[i].y, p.vel[i].z, p.mass[i],
-        ] {
-            v.extend_from_slice(&f.to_le_bytes());
-        }
-        v.extend_from_slice(&p.id[i].to_le_bytes());
-    }
-    Bytes::from(v)
+    Bytes::from(p.encode(Vec::new()))
 }
 
-/// Deserialize and strictly validate a particle payload: the length must
-/// match the declared count exactly, and every position/velocity/mass must
-/// be finite (masses non-negative). Errors name what is wrong.
+/// Deserialize and strictly validate a particle payload
+/// ([`Particles::decode`]).
 pub fn particles_from_bytes(b: &[u8]) -> Result<Particles, String> {
-    if b.len() < 8 {
-        return Err(format!(
-            "particle payload is {} bytes; need at least the 8-byte count",
-            b.len()
-        ));
-    }
-    let n = u64::from_le_bytes(b[0..8].try_into().unwrap()) as usize;
-    let need = n
-        .checked_mul(PARTICLE_WIRE_SIZE)
-        .and_then(|x| x.checked_add(8))
-        .ok_or_else(|| format!("particle count {n} overflows"))?;
-    if b.len() != need {
-        return Err(format!(
-            "particle payload length {} != expected {need} for {n} particles",
-            b.len()
-        ));
-    }
-    let mut p = Particles::with_capacity(n);
-    let mut off = 8;
-    let f64_at = |off: &mut usize| {
-        let v = f64::from_le_bytes(b[*off..*off + 8].try_into().unwrap());
-        *off += 8;
-        v
-    };
-    for i in 0..n {
-        let pos = Vec3::new(f64_at(&mut off), f64_at(&mut off), f64_at(&mut off));
-        let vel = Vec3::new(f64_at(&mut off), f64_at(&mut off), f64_at(&mut off));
-        let mass = f64_at(&mut off);
-        let id = u64::from_le_bytes(b[off..off + 8].try_into().unwrap());
-        off += 8;
-        let finite = pos.x.is_finite()
-            && pos.y.is_finite()
-            && pos.z.is_finite()
-            && vel.x.is_finite()
-            && vel.y.is_finite()
-            && vel.z.is_finite()
-            && mass.is_finite();
-        if !finite || mass < 0.0 {
-            return Err(format!("particle {i}: non-finite or negative data"));
-        }
-        p.push(pos, vel, mass, id);
-    }
-    Ok(p)
+    Particles::decode(b)
 }
 
 /// Which local particles must move to which rank.
@@ -223,5 +168,18 @@ mod tests {
         let shipped = plan.apply(&mut p);
         assert_eq!(p.len(), 3);
         assert!(shipped.iter().all(|s| s.is_empty()));
+    }
+
+    #[test]
+    fn the_migrant_payload_is_pinned() {
+        let mut p = Particles::new();
+        p.push(Vec3::new(1.5, -2.25, 3.0e-3), Vec3::new(-0.5, 0.125, 7.0), 2.5, 7);
+        p.push(Vec3::new(-1.0e5, 0.0, -0.0), Vec3::new(1.0e-9, -3.5, 2.0), 0.0, 1 << 40);
+        p.push(Vec3::new(8.0, 8.5, -8.25), Vec3::zero(), 1.0e10, u64::MAX);
+        let bytes = particles_to_bytes(&p);
+        assert_eq!(bytes.len(), 8 + 3 * PARTICLE_WIRE_SIZE);
+        let crc = bonsai_util::crc64(&bytes);
+        assert_eq!(crc, 0xabf3_b695_69e6_6ebd, "migrant payload layout moved");
+        assert_eq!(particles_from_bytes(&bytes).unwrap().id, p.id);
     }
 }

@@ -3,29 +3,42 @@
 //! "…there was a few percent I/O-related overhead related to storing
 //! intermediate simulation snapshots (for the dual purpose of restarting
 //! and detailed analysis)." Each rank writes its own shard (as the real
-//! code does: 18600 files, no serial gather), plus a small manifest that
-//! also records every rank's domain, load weight and, once forces have been
-//! evaluated, its forces. A restart over the rank count that wrote the
+//! code does: 18600 files, no serial gather), and one small manifest is
+//! written after them: R + 1 files. A shard is the rank's particle payload
+//! ([`Particles::encode`], the snapshot's and the migrant exchange's codec),
+//! followed, once forces have been evaluated, by its force payload
+//! ([`Forces::encode`]). The manifest is a fixed-layout little-endian record
+//! closed by its own CRC-64: magic, rank count, time, steps, a has-forces
+//! flag, then per rank its domain, load weight, particle count, and its
+//! shard's length and CRC-64. A restart over the rank count that wrote the
 //! checkpoint adopts that state verbatim and continues bit for bit; over
 //! another count the particles are re-split along the curve and forces
 //! evaluated afresh.
 //!
-//! The format is built to survive faults: every file is written to a temp
-//! name and atomically renamed (a torn write never corrupts an existing
-//! checkpoint), the manifest is written *last* so it only ever names shards
-//! that are fully on disk, and it records each shard's particle count and
-//! CRC-64 so any torn, truncated or bit-flipped shard is detected at read
-//! time with an error naming the exact file and field.
+//! One CRC-64 covers each file's bytes once, so a torn, truncated or
+//! bit-flipped shard or manifest is detected at read time with an error
+//! naming the file. Every file is written to a temp name and atomically
+//! renamed, but the shards land under fixed names over the previous
+//! checkpoint's before the new manifest does, and nothing is `fsync`ed: a
+//! writer interrupted between files leaves no readable checkpoint. ROADMAP
+//! item 6 (checkpoint generations) is the mend.
 
 use crate::cluster::{Cluster, ClusterConfig};
-use bonsai_core::snapshot::{snapshot_from_bytes, snapshot_to_bytes, write_atomic, RECORD_LEN};
-use bonsai_sfc::KeyRange;
+use bonsai_core::snapshot::write_atomic;
+use bonsai_sfc::{KeyRange, KEY_END};
+use bonsai_tree::particles::RECORD_LEN;
 use bonsai_tree::{Forces, Particles};
 use bonsai_util::crc64;
 use std::io;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
-const MANIFEST_HEADER: &str = "bonsai-checkpoint v2";
+const MANIFEST: &str = "manifest.bin";
+const MANIFEST_MAGIC: &[u8; 8] = b"BONSAIC3";
+/// Magic, rank count, time, steps, has-forces flag: five 8-byte words.
+const MANIFEST_HEAD: usize = 40;
+/// Words per rank: domain start and end, weight, particle count, shard
+/// length, shard CRC-64.
+const ENTRY_WORDS: usize = 6;
 
 /// Everything a checkpoint restores, per rank as it was written.
 #[derive(Clone, Debug)]
@@ -55,231 +68,106 @@ fn shard_name(rank: usize) -> String {
     format!("shard_{rank}.bin")
 }
 
-fn shard_path(dir: &Path, rank: usize) -> PathBuf {
-    dir.join(shard_name(rank))
-}
-
-fn forces_name(rank: usize) -> String {
-    format!("forces_{rank}.bin")
-}
-
-/// Serialize one rank's forces as 32 bytes per particle (little endian:
-/// acc.x, acc.y, acc.z, pot).
-fn forces_to_bytes(forces: &Forces) -> Vec<u8> {
-    let mut out = Vec::with_capacity(forces.len() * 32);
-    for (a, &phi) in forces.acc.iter().zip(&forces.pot) {
-        for v in [a.x, a.y, a.z, phi] {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-    }
-    out
-}
-
-fn forces_from_bytes(bytes: &[u8], count: usize) -> io::Result<Forces> {
-    if bytes.len() != count * 32 {
-        return Err(bad(format!(
-            "forces shard: {} bytes, expected {} for {count} particles",
-            bytes.len(),
-            count * 32
-        )));
-    }
-    let f = |i: usize| f64::from_le_bytes(bytes[i * 8..i * 8 + 8].try_into().unwrap());
-    let mut forces = Forces { acc: Vec::with_capacity(count), pot: Vec::with_capacity(count) };
-    for i in 0..count {
-        forces.acc.push(bonsai_util::Vec3::new(f(4 * i), f(4 * i + 1), f(4 * i + 2)));
-        forces.pot.push(f(4 * i + 3));
-    }
-    Ok(forces)
-}
-
-/// Write a per-rank sharded checkpoint under `dir`.
-///
-/// Layout: `dir/manifest.txt` + `dir/shard_<rank>.bin`. Shards land first,
-/// the manifest last; each manifest shard line carries the particle count
-/// and CRC-64 of the shard's bytes.
-///
-/// After the shard lines the manifest carries every rank's `domain` and
-/// `weight`, and `forces` lines naming CRC-checked `forces_<rank>.bin`
-/// shards. Force shards are written only when the cluster holds
-/// accelerations for every rank: a pre-force initial checkpoint omits them,
-/// and a restore from it evaluates forces once before it returns.
+/// Write a per-rank sharded checkpoint under `dir`: `shard_<rank>.bin` for
+/// every rank, then `manifest.bin`. Force payloads are written only when
+/// the cluster holds accelerations for every rank: a pre-force initial
+/// checkpoint has none, and a restore from it evaluates forces once before
+/// it returns.
 pub fn write_checkpoint(cluster: &Cluster, dir: &Path) -> io::Result<()> {
     std::fs::create_dir_all(dir)?;
     let p = cluster.rank_count();
-    let mut manifest = format!(
-        "{MANIFEST_HEADER}\nranks {p}\ntime {}\nsteps {}\n",
-        cluster.time(),
-        cluster.step_count()
-    );
-    for r in 0..p {
+    let forces = (0..p).all(|r| cluster.rank_forces(r).len() == cluster.rank_particles(r).len());
+    let head = [p as u64, cluster.time().to_bits(), cluster.step_count(), u64::from(forces)];
+    let mut words = head.to_vec();
+    for (r, (d, w)) in cluster.domains().iter().zip(cluster.weights()).enumerate() {
         let particles = cluster.rank_particles(r);
-        let bytes = snapshot_to_bytes(particles, cluster.time());
-        let crc = crc64(&bytes);
-        write_atomic(&shard_path(dir, r), &bytes)?;
-        manifest.push_str(&format!(
-            "{} {} {crc:016x}\n",
-            shard_name(r),
-            particles.len()
-        ));
-    }
-    for (r, d) in cluster.domains().iter().enumerate() {
-        manifest.push_str(&format!("domain {r} {} {}\n", d.start, d.end));
-    }
-    for (r, w) in cluster.weights().iter().enumerate() {
-        manifest.push_str(&format!("weight {r} {w:?}\n"));
-    }
-    let forces_ready =
-        (0..p).all(|r| cluster.rank_forces(r).len() == cluster.rank_particles(r).len());
-    if forces_ready {
-        for r in 0..p {
-            let bytes = forces_to_bytes(cluster.rank_forces(r));
-            let crc = crc64(&bytes);
-            write_atomic(&dir.join(forces_name(r)), &bytes)?;
-            manifest.push_str(&format!("forces {r} {} {crc:016x}\n", forces_name(r)));
+        let mut shard = particles.encode(Vec::new());
+        if forces {
+            shard = cluster.rank_forces(r).encode(shard);
         }
+        write_atomic(&dir.join(shard_name(r)), &shard)?;
+        let len = particles.len() as u64;
+        words.extend([d.start, d.end, w.to_bits(), len, shard.len() as u64, crc64(&shard)]);
     }
-    write_atomic(&dir.join("manifest.txt"), manifest.as_bytes())
-}
-
-/// Parse one `key value` manifest line, reporting which field is missing or
-/// malformed.
-fn parse_field<T: std::str::FromStr>(line: Option<&str>, key: &str) -> io::Result<T> {
-    let l = line.ok_or_else(|| bad(format!("manifest truncated: missing '{key}' line")))?;
-    let v = l
-        .strip_prefix(key)
-        .and_then(|rest| rest.strip_prefix(' '))
-        .ok_or_else(|| bad(format!("manifest field '{key}': malformed line '{l}'")))?;
-    v.trim()
-        .parse()
-        .map_err(|_| bad(format!("manifest field '{key}': invalid value '{v}'")))
+    let mut manifest = MANIFEST_MAGIC.to_vec();
+    manifest.extend(words.iter().flat_map(|w| w.to_le_bytes()));
+    let crc = crc64(&manifest);
+    manifest.extend_from_slice(&crc.to_le_bytes());
+    write_atomic(&dir.join(MANIFEST), &manifest)
 }
 
 /// Read and validate a sharded checkpoint: the one reader of a checkpoint,
-/// for every restore. Every shard's file name and bytes (CRC-64) are checked
-/// against the manifest before the snapshot itself is parsed (which
-/// re-validates length and its own checksum), and its particle count after,
-/// so torn or corrupted shards surface as descriptive errors rather than
-/// bad particle data; the `domain`, `weight` and `forces` lines that follow
-/// are range- and CRC-checked the same way.
+/// for every restore. The manifest's length and CRC-64 are checked before
+/// any field is trusted, each shard's length and CRC-64 against the
+/// manifest before it is decoded, and its particle and force counts after,
+/// so torn or corrupted files surface as descriptive errors rather than bad
+/// particle data.
 pub fn read_checkpoint_full(dir: &Path) -> io::Result<Checkpoint> {
-    let manifest = std::fs::read_to_string(dir.join("manifest.txt"))?;
-    let mut lines = manifest.lines();
-    let header = lines.next().unwrap_or("");
-    if header != MANIFEST_HEADER {
-        return Err(bad(format!(
-            "bad manifest header '{header}' (expected '{MANIFEST_HEADER}')"
-        )));
-    }
-    let ranks: usize = parse_field(lines.next(), "ranks")?;
-    let time: f64 = parse_field(lines.next(), "time")?;
-    let steps: u64 = parse_field(lines.next(), "steps")?;
-    // Grown shard by shard: `ranks` is not trusted until every shard line
-    // it promises has been read.
-    let mut shards = Vec::new();
-    let mut particles = Particles::new();
-    for r in 0..ranks {
-        let line = lines
-            .next()
-            .ok_or_else(|| bad(format!("manifest truncated: missing shard line {r}")))?;
-        let mut parts = line.split_whitespace();
-        let (name, count, crc_hex) = match (parts.next(), parts.next(), parts.next(), parts.next())
-        {
-            (Some(n), Some(c), Some(x), None) => (n, c, x),
-            _ => return Err(bad(format!("manifest shard line {r} malformed: '{line}'"))),
-        };
-        if name != shard_name(r) {
-            return Err(bad(format!(
-                "manifest shard line {r}: unexpected file '{name}' (expected '{}')",
-                shard_name(r)
-            )));
-        }
-        let count: usize = count
-            .parse()
-            .map_err(|_| bad(format!("shard {name}: invalid particle count '{count}'")))?;
-        let stated = u64::from_str_radix(crc_hex, 16)
-            .map_err(|_| bad(format!("shard {name}: invalid checksum '{crc_hex}'")))?;
-        let bytes = std::fs::read(shard_path(dir, r))?;
-        let actual = crc64(&bytes);
-        if actual != stated {
-            return Err(bad(format!(
-                "shard {name}: checksum mismatch (manifest {stated:016x}, file {actual:016x}) — \
-                 torn or corrupted write"
-            )));
-        }
-        let (shard, _t) = snapshot_from_bytes(&bytes)
-            .map_err(|e| bad(format!("shard {name}: {e}")))?;
-        if shard.len() != count {
-            return Err(bad(format!(
-                "shard {name}: {} particles, manifest declares {count}",
-                shard.len()
-            )));
-        }
-        particles.extend_from(&shard);
-        shards.push(shard);
-    }
-
-    let mut domains = vec![None; ranks];
-    let mut weights = vec![None; ranks];
-    let mut forces: Vec<Option<Forces>> = vec![None; ranks];
-    for line in lines {
-        let mut f = line.split_whitespace();
-        match f.next() {
-            Some("domain") => {
-                let r = in_range(parse_tok(f.next(), line, "domain")?, ranks, line)?;
-                let start = parse_tok(f.next(), line, "domain")?;
-                domains[r] = Some(KeyRange::new(start, parse_tok(f.next(), line, "domain")?));
-            }
-            Some("weight") => {
-                let r = in_range(parse_tok(f.next(), line, "weight rank")?, ranks, line)?;
-                weights[r] = Some(parse_tok::<f64>(f.next(), line, "weight value")?);
-            }
-            Some("forces") => {
-                let r = in_range(parse_tok(f.next(), line, "forces rank")?, ranks, line)?;
-                let name: String = parse_tok(f.next(), line, "forces file")?;
-                let crc_hex: String = parse_tok(f.next(), line, "forces checksum")?;
-                let stated = u64::from_str_radix(&crc_hex, 16)
-                    .map_err(|_| bad(format!("forces {name}: invalid checksum '{crc_hex}'")))?;
-                let bytes = std::fs::read(dir.join(&name))?;
-                if crc64(&bytes) != stated {
-                    return Err(bad(format!(
-                        "forces {name}: checksum mismatch — torn or corrupted write"
-                    )));
-                }
-                forces[r] = Some(forces_from_bytes(&bytes, shards[r].len())?);
-            }
-            _ => {} // Unknown trailing lines: future extensions.
-        }
-    }
-    // A checkpoint taken before the first force evaluation has no forces
-    // lines at all; one that has some must have them for every rank.
-    let forces = if forces.iter().all(Option::is_none) {
-        None
-    } else {
-        Some(every_rank(forces, "forces")?)
+    let m = std::fs::read(dir.join(MANIFEST))?;
+    let Some((body, crc)) = m.split_last_chunk().filter(|(b, _)| b.len() >= MANIFEST_HEAD) else {
+        return Err(bad(format!("manifest truncated: {} bytes", m.len())));
     };
-    let (domains, weights) = (every_rank(domains, "domain")?, every_rank(weights, "weight")?);
-    Ok(Checkpoint { particles, time, steps, shards, domains, weights, forces })
-}
-
-/// One field per rank, or the error naming the lines missing.
-fn every_rank<T>(per_rank: Vec<Option<T>>, what: &str) -> io::Result<Vec<T>> {
-    per_rank
-        .into_iter()
-        .collect::<Option<_>>()
-        .ok_or_else(|| bad(format!("checkpoint lacks {what} lines for some ranks")))
-}
-
-fn parse_tok<T: std::str::FromStr>(tok: Option<&str>, line: &str, what: &str) -> io::Result<T> {
-    tok.and_then(|t| t.parse().ok())
-        .ok_or_else(|| bad(format!("manifest line '{line}': bad {what}")))
-}
-
-fn in_range(r: usize, ranks: usize, line: &str) -> io::Result<usize> {
-    if r < ranks {
-        Ok(r)
-    } else {
-        Err(bad(format!("manifest line '{line}': rank {r} out of range")))
+    if &body[..8] != MANIFEST_MAGIC {
+        return Err(bad("bad manifest header (expected BONSAIC3)".to_string()));
     }
+    if crc64(body) != u64::from_le_bytes(*crc) {
+        return Err(bad("manifest checksum mismatch — torn or corrupted write".to_string()));
+    }
+    let word = |b: &[u8]| u64::from_le_bytes(b.try_into().unwrap());
+    let w: Vec<u64> = body[8..].chunks_exact(8).map(word).collect();
+    let ranks = w[0] as usize;
+    let need = ranks.checked_mul(8 * ENTRY_WORDS).and_then(|k| k.checked_add(MANIFEST_HEAD));
+    if need != Some(body.len()) {
+        return Err(bad(format!("manifest of {} bytes cannot hold {ranks} ranks", m.len())));
+    }
+    let mut ck = Checkpoint {
+        particles: Particles::new(),
+        time: f64::from_bits(w[1]),
+        steps: w[2],
+        shards: Vec::with_capacity(ranks),
+        domains: Vec::with_capacity(ranks),
+        weights: Vec::with_capacity(ranks),
+        forces: (w[3] != 0).then(|| Vec::with_capacity(ranks)),
+    };
+    for (r, entry) in w[4..].chunks_exact(ENTRY_WORDS).enumerate() {
+        let [start, end, weight, count, len, crc]: [u64; ENTRY_WORDS] = entry.try_into().unwrap();
+        let name = shard_name(r);
+        if start > end || end > KEY_END {
+            return Err(bad(format!("manifest: shard {name} has domain {start}..{end}")));
+        }
+        let bytes = std::fs::read(dir.join(&name))?;
+        let actual = crc64(&bytes);
+        if (bytes.len() as u64, actual) != (len, crc) {
+            return Err(bad(format!(
+                "shard {name}: checksum mismatch (manifest {len} B {crc:016x}, file {} B \
+                 {actual:016x}) — torn or corrupted write",
+                bytes.len()
+            )));
+        }
+        let invalid = |e: String| bad(format!("shard {name}: {e}"));
+        let (shard, rest) = Particles::decode_prefix(&bytes).map_err(invalid)?;
+        if shard.len() as u64 != count {
+            return Err(invalid(format!("{} particles, manifest declares {count}", shard.len())));
+        }
+        match &mut ck.forces {
+            Some(forces) => {
+                let f = Forces::decode(rest).map_err(invalid)?;
+                if f.len() != shard.len() {
+                    return Err(invalid(format!("{} forces for {count} particles", f.len())));
+                }
+                forces.push(f);
+            }
+            None if !rest.is_empty() => {
+                return Err(invalid(format!("{} bytes past its particles", rest.len())))
+            }
+            None => {}
+        }
+        ck.particles.extend_from(&shard);
+        ck.shards.push(shard);
+        ck.domains.push(KeyRange::new(start, end));
+        ck.weights.push(f64::from_bits(weight));
+    }
+    Ok(ck)
 }
 
 /// Restore a cluster over `ranks` ranks from a checkpoint, the simulation
@@ -311,6 +199,7 @@ pub fn io_overhead_fraction(
 mod tests {
     use super::*;
     use bonsai_ic::plummer_sphere;
+    use std::path::PathBuf;
 
     fn tmp(name: &str) -> PathBuf {
         let d = std::env::temp_dir().join("bonsai_ckpt").join(name);
@@ -471,16 +360,18 @@ mod tests {
         c.step();
         let dir = tmp("forces_flip");
         write_checkpoint(&c, &dir).unwrap();
-        let path = dir.join("forces_2.bin");
+        // One byte inside the first force record, past the particle payload.
+        let path = dir.join("shard_2.bin");
         let mut bytes = std::fs::read(&path).unwrap();
-        bytes[7] ^= 0x20;
+        let n = u64::from_le_bytes(bytes[..8].try_into().unwrap()) as usize;
+        bytes[8 + n * RECORD_LEN + 8 + 7] ^= 0x20;
         std::fs::write(&path, bytes).unwrap();
         let err = match restore_cluster(&dir, 3, cfg) {
             Ok(_) => panic!("corrupt forces shard must not resume"),
             Err(e) => e,
         };
         assert!(
-            err.to_string().contains("forces_2.bin") && err.to_string().contains("checksum"),
+            err.to_string().contains("shard_2.bin") && err.to_string().contains("checksum"),
             "{err}"
         );
     }
@@ -497,90 +388,93 @@ mod tests {
         assert_eq!(exact, base, "restore must reject with the base reader's message");
     }
 
-    /// A one-step checkpoint of 3 ranks in `tmp(name)`, and its manifest
-    /// with shard line 0 rewritten by `edit(name, count, crc)`.
-    fn checkpoint_with_shard_line_0(
-        name: &str,
-        edit: impl Fn(&str, usize, &str) -> String,
-    ) -> PathBuf {
+    /// A one-step checkpoint of 3 ranks in `tmp(name)`.
+    fn one_step_checkpoint(name: &str) -> PathBuf {
         let mut c = Cluster::new(plummer_sphere(400, 14), 3, ClusterConfig::default());
         c.step();
         let dir = tmp(name);
         write_checkpoint(&c, &dir).unwrap();
-        let manifest = std::fs::read_to_string(dir.join("manifest.txt")).unwrap();
-        let mut lines: Vec<String> = manifest.lines().map(String::from).collect();
-        let f: Vec<&str> = lines[4].split_whitespace().collect();
-        assert_eq!(f[0], "shard_0.bin");
-        lines[4] = edit(f[0], f[1].parse().unwrap(), f[2]);
-        std::fs::write(dir.join("manifest.txt"), lines.join("\n") + "\n").unwrap();
         dir
+    }
+
+    /// [`one_step_checkpoint`], its manifest's words (after the magic)
+    /// rewritten by `edit` and closed by a fresh CRC-64, so only the
+    /// reader's checks past the checksum can refuse it.
+    fn checkpoint_with_manifest_words(name: &str, edit: impl Fn(&mut Vec<u64>)) -> PathBuf {
+        let dir = one_step_checkpoint(name);
+        let m = std::fs::read(dir.join(MANIFEST)).unwrap();
+        let body = &m[8..m.len() - 8];
+        let mut words: Vec<u64> =
+            body.chunks_exact(8).map(|b| u64::from_le_bytes(b.try_into().unwrap())).collect();
+        edit(&mut words);
+        let mut m = MANIFEST_MAGIC.to_vec();
+        m.extend(words.iter().flat_map(|w| w.to_le_bytes()));
+        let crc = crc64(&m);
+        m.extend_from_slice(&crc.to_le_bytes());
+        std::fs::write(dir.join(MANIFEST), m).unwrap();
+        dir
+    }
+
+    /// Index of word `field` of rank `r`'s manifest entry.
+    fn entry(r: usize, field: usize) -> usize {
+        4 + r * ENTRY_WORDS + field
     }
 
     #[test]
     fn exact_resume_rejects_a_wrong_declared_particle_count() {
-        let dir = checkpoint_with_shard_line_0("exact_count", |name, count, crc| {
-            format!("{name} {} {crc}", count + 1)
-        });
+        let dir = checkpoint_with_manifest_words("exact_count", |w| w[entry(0, 3)] += 1);
         both_readers_reject(&dir, "manifest declares");
     }
 
     #[test]
-    fn exact_resume_rejects_a_shard_line_naming_another_file() {
-        let dir = checkpoint_with_shard_line_0("exact_name", |_, count, crc| {
-            format!("shard_1.bin {count} {crc}")
+    fn exact_resume_rejects_a_manifest_entry_describing_another_shard() {
+        // Rank 0's entry carries shard 1's length and checksum.
+        let dir = checkpoint_with_manifest_words("exact_other", |w| {
+            (w[entry(0, 4)], w[entry(0, 5)]) = (w[entry(1, 4)], w[entry(1, 5)]);
         });
-        both_readers_reject(&dir, "unexpected file 'shard_1.bin' (expected 'shard_0.bin')");
+        both_readers_reject(&dir, "shard shard_0.bin: checksum mismatch");
     }
 
     #[test]
-    fn exact_resume_rejects_trailing_fields_on_a_shard_line() {
-        let dir = checkpoint_with_shard_line_0("exact_trailing", |name, count, crc| {
-            format!("{name} {count} {crc} extra")
-        });
-        both_readers_reject(&dir, "manifest shard line 0 malformed");
+    fn exact_resume_rejects_a_manifest_with_trailing_bytes() {
+        let dir = checkpoint_with_manifest_words("exact_trailing", |w| w.push(0));
+        both_readers_reject(&dir, "cannot hold 3 ranks");
     }
 
     #[test]
     fn a_huge_declared_rank_count_is_an_error() {
-        // Three shard lines follow, then the exact-resume extension lines:
-        // the reader must run out of shard lines, not size anything from
-        // the count first.
-        let mut c = Cluster::new(plummer_sphere(400, 14), 3, ClusterConfig::default());
-        c.step();
-        let dir = tmp("huge_ranks");
-        write_checkpoint(&c, &dir).unwrap();
-        let manifest = std::fs::read_to_string(dir.join("manifest.txt")).unwrap();
-        let manifest = manifest.replacen("ranks 3\n", &format!("ranks {}\n", usize::MAX), 1);
-        std::fs::write(dir.join("manifest.txt"), manifest).unwrap();
-        both_readers_reject(&dir, "manifest shard line 3 malformed");
+        // The reader must refuse the count on the manifest's length, not
+        // size anything from it first.
+        let dir = checkpoint_with_manifest_words("huge_ranks", |w| w[0] = usize::MAX as u64);
+        both_readers_reject(&dir, &format!("cannot hold {} ranks", usize::MAX));
     }
 
     #[test]
     fn corrupted_manifest_rejected() {
         let dir = tmp("bad");
         std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(dir.join("manifest.txt"), "not a checkpoint").unwrap();
+        std::fs::write(dir.join(MANIFEST), "not a checkpoint".repeat(4)).unwrap();
         let err = read_checkpoint_full(&dir).unwrap_err();
         assert!(err.to_string().contains("manifest header"), "{err}");
     }
 
     #[test]
-    fn manifest_field_errors_name_the_field() {
-        let dir = tmp("fields");
-        std::fs::create_dir_all(&dir).unwrap();
-        let cases = [
-            ("bonsai-checkpoint v2\n", "ranks"),
-            ("bonsai-checkpoint v2\nranks two\n", "ranks"),
-            ("bonsai-checkpoint v2\nranks 1\ntime soon\n", "time"),
-            ("bonsai-checkpoint v2\nranks 1\ntime 0.5\nsteps -3\n", "steps"),
-        ];
-        for (content, field) in cases {
-            std::fs::write(dir.join("manifest.txt"), content).unwrap();
-            let err = read_checkpoint_full(&dir).unwrap_err();
-            assert!(
-                err.to_string().contains(field),
-                "manifest {content:?}: error '{err}' does not name '{field}'"
-            );
+    fn every_manifest_cut_and_bit_flip_is_rejected() {
+        // A changed bit in any value past the magic (a weight, a domain
+        // bound, a count) is refused by the manifest's own checksum.
+        let dir = one_step_checkpoint("manifest_cuts");
+        let path = dir.join(MANIFEST);
+        let full = std::fs::read(&path).unwrap();
+        for cut in 0..full.len() {
+            std::fs::write(&path, &full[..cut]).unwrap();
+            assert!(read_checkpoint_full(&dir).is_err(), "cut at {cut} accepted");
+        }
+        for byte in 0..full.len() {
+            let mut m = full.clone();
+            m[byte] ^= 1 << (byte % 8);
+            std::fs::write(&path, m).unwrap();
+            let want = if byte < 8 { "manifest header" } else { "manifest checksum mismatch" };
+            both_readers_reject(&dir, want);
         }
     }
 

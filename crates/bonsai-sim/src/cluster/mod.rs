@@ -184,9 +184,8 @@ pub struct StepFacts {
     /// Energy/momentum diagnostics; on the step path filled only for the
     /// run monitor, which measures drift with it.
     pub energy: Option<bonsai_analysis::EnergyReport>,
-    /// Flow-conservation totals over the whole run; on the step path
-    /// filled only for the streaming tap's digest frame.
-    pub flows: Option<bonsai_net::flow::FlowConservation>,
+    /// Flow-conservation totals over the whole run.
+    pub flows: bonsai_net::flow::FlowConservation,
 }
 
 /// A cluster of logical ranks executing Bonsai's distributed step.
@@ -387,9 +386,8 @@ impl Cluster {
     }
 
     /// The last completed step as a value. The energy report (an O(N)
-    /// reduction) and the flow totals (a scan of the ledger's window) are
-    /// computed only for a caller that reads them.
-    fn facts(&self, energy: bool, flows: bool) -> StepFacts {
+    /// reduction) is computed only for a caller that reads it.
+    fn facts(&self, energy: bool) -> StepFacts {
         StepFacts {
             step: self.steps,
             epoch: self.epoch,
@@ -398,14 +396,14 @@ impl Cluster {
             particles: self.total_particles(),
             view: self.view.number,
             energy: energy.then(|| self.energy_report()),
-            flows: flows.then(|| self.wire.flows.conservation()),
+            flows: self.wire.flows.conservation(),
         }
     }
 
     /// Snapshot of the cluster as of the last completed step, every field
     /// filled: the one value a test's named invariants are checked over.
     pub fn step_facts(&self) -> StepFacts {
-        self.facts(true, true)
+        self.facts(true)
     }
 
     /// Full audit log of injected faults and recovery actions since

@@ -131,7 +131,7 @@ impl Cluster {
         if self.monitor.is_none() {
             return;
         }
-        let facts = self.facts(true, false);
+        let facts = self.facts(true);
         let Some(monitor) = self.monitor.as_mut() else {
             return;
         };
@@ -157,7 +157,7 @@ impl Cluster {
         if self.stream().is_none() {
             return;
         }
-        let facts = self.facts(false, true);
+        let facts = self.facts(false);
         if let Some(monitor) = self.monitor.as_mut() {
             monitor.publish(&self.trace, &mut self.registry, breakdown, &facts, &fired);
         }

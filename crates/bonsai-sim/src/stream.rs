@@ -106,9 +106,9 @@ impl StreamTap {
     /// One step's streaming over the cluster's `trace` and `registry`:
     /// price the step's observability work (`rules` health rules evaluated
     /// against every gauge), publish the step's frames, and close the
-    /// overhead sample. `facts.flows` must be filled; `fired` is the alert
-    /// transitions the monitor raised this step (published as must-deliver
-    /// frames). Returns the step's overhead fraction for the budget rule.
+    /// overhead sample. `fired` is the alert transitions the monitor raised
+    /// this step (published as must-deliver frames). Returns the step's
+    /// overhead fraction for the budget rule.
     pub(crate) fn observe(
         &mut self,
         trace: &TraceStore,
@@ -153,7 +153,7 @@ impl StreamTap {
             .filter_map(|name| Some((name, F64(registry.gauge(name, &[])?))))
             .collect();
         self.publish(step, FrameKind::Gauges, at, gauges);
-        let cons = facts.flows.expect("stream facts carry the flow totals");
+        let cons = facts.flows;
         let digest = [
             ("sealed", U64(cons.sealed)),
             ("delivered", U64(cons.delivered)),
@@ -230,12 +230,12 @@ mod tests {
             world: 4,
             particles: 100,
             view: 1,
-            flows: Some(bonsai_net::flow::FlowConservation {
+            flows: bonsai_net::flow::FlowConservation {
                 sealed: 7,
                 delivered: 6,
                 dead: 1,
                 ..Default::default()
-            }),
+            },
             ..StepFacts::default()
         };
         let mut b = StepBreakdown::default();

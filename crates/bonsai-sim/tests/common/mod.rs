@@ -30,7 +30,7 @@ fn particles_conserved(prev: &StepFacts, now: &StepFacts) {
 
 /// Sealed = delivered + dead, nothing pending.
 fn flows_conserved(now: &StepFacts) {
-    let flows = now.flows.expect("a snapshot carries the flow totals");
+    let flows = now.flows;
     assert!(flows.holds(), "flow ledger out of balance at epoch {}: {flows:?}", now.epoch);
     assert!(flows.sealed > 0, "nothing crossed the fabric");
 }

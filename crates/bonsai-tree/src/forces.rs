@@ -6,9 +6,13 @@
 //! physical result, and the device model in `bonsai-gpu` turns those counts
 //! into simulated seconds.
 
+use crate::particles::{take_records, whole};
 use crate::{PC_FLOPS, PP_FLOPS};
 use bonsai_util::Vec3;
 use std::ops::{Add, AddAssign};
+
+/// Bytes of one force record: `acc(3×f64) pot(f64)`, little endian.
+const FORCE_RECORD_LEN: usize = 32;
 
 /// Accelerations and potentials for a set of target particles.
 #[derive(Clone, Debug, Default)]
@@ -55,6 +59,33 @@ impl Forces {
         for p in &mut self.pot {
             *p *= s;
         }
+    }
+
+    /// Append the force payload to `out` and return it: the count as a
+    /// `u64`, then one 32-byte `acc(3×f64) pot(f64)` record per target,
+    /// little endian.
+    pub fn encode(&self, mut out: Vec<u8>) -> Vec<u8> {
+        out.reserve(8 + self.len() * FORCE_RECORD_LEN);
+        out.extend_from_slice(&(self.len() as u64).to_le_bytes());
+        for (a, &phi) in self.acc.iter().zip(&self.pot) {
+            for v in [a.x, a.y, a.z, phi] {
+                out.extend_from_slice(&v.to_le_bytes());
+            }
+        }
+        out
+    }
+
+    /// Decode a force payload that is the whole of `b`; errors name what
+    /// is wrong with its length.
+    pub fn decode(b: &[u8]) -> Result<Forces, String> {
+        let (n, records, rest) = take_records(b, FORCE_RECORD_LEN, "force")?;
+        let mut f = Forces { acc: Vec::with_capacity(n), pot: Vec::with_capacity(n) };
+        for r in records.chunks_exact(FORCE_RECORD_LEN) {
+            let v = |k: usize| f64::from_le_bytes(r[8 * k..8 * k + 8].try_into().unwrap());
+            f.acc.push(Vec3::new(v(0), v(1), v(2)));
+            f.pot.push(v(3));
+        }
+        whole((f, rest), "force")
     }
 
     /// Largest relative acceleration difference against a reference

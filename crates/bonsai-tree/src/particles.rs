@@ -5,8 +5,44 @@
 //! of the coalesced-access layout the paper's GPU kernels rely on. Every
 //! particle carries a stable 64-bit id so tests can track identity across the
 //! SFC reorderings and inter-rank exchanges.
+//!
+//! The one particle codec lives here too: [`Particles::encode`] writes the
+//! payload the migrant exchange ships, the snapshot wraps and a checkpoint
+//! shard begins with, and [`Particles::decode`] is its one strict reader.
 
 use bonsai_util::{Aabb, Vec3};
+
+/// Bytes of one particle record: `pos(3×f64) vel(3×f64) mass(f64) id(u64)`,
+/// little endian.
+pub const RECORD_LEN: usize = 64;
+
+/// Split a payload of a `u64` count then that many `len`-byte records off
+/// the front of `b`: `(count, records, rest)`. Errors name `what`.
+pub(crate) fn take_records<'a>(
+    b: &'a [u8],
+    len: usize,
+    what: &str,
+) -> Result<(usize, &'a [u8], &'a [u8]), String> {
+    let Some((n, body)) = b.split_first_chunk() else {
+        return Err(format!("{what} payload truncated: {} bytes, need the 8-byte count", b.len()));
+    };
+    let n = u64::from_le_bytes(*n) as usize;
+    match n.checked_mul(len).filter(|&k| k <= body.len()) {
+        Some(k) => Ok((n, &body[..k], &body[k..])),
+        None => Err(format!(
+            "{what} payload truncated: {} bytes after the count, {n} records declared",
+            body.len()
+        )),
+    }
+}
+
+/// `decoded` when nothing follows its payload, else the error naming `what`.
+pub(crate) fn whole<T>((decoded, rest): (T, &[u8]), what: &str) -> Result<T, String> {
+    match rest.len() {
+        0 => Ok(decoded),
+        n => Err(format!("{what} payload oversized: {n} bytes past its records")),
+    }
+}
 
 /// A set of particles in structure-of-arrays layout.
 #[derive(Clone, Debug, Default)]
@@ -122,6 +158,44 @@ impl Particles {
         self.vel = perm.iter().map(|&j| self.vel[j as usize]).collect();
         self.mass = perm.iter().map(|&j| self.mass[j as usize]).collect();
         self.id = perm.iter().map(|&j| self.id[j as usize]).collect();
+    }
+
+    /// Append the particle payload to `out` and return it: the count as a
+    /// `u64`, then one [`RECORD_LEN`]-byte record per particle.
+    pub fn encode(&self, mut out: Vec<u8>) -> Vec<u8> {
+        out.reserve(8 + self.len() * RECORD_LEN);
+        out.extend_from_slice(&(self.len() as u64).to_le_bytes());
+        for i in 0..self.len() {
+            let (p, v) = (self.pos[i], self.vel[i]);
+            for f in [p.x, p.y, p.z, v.x, v.y, v.z, self.mass[i]] {
+                out.extend_from_slice(&f.to_le_bytes());
+            }
+            out.extend_from_slice(&self.id[i].to_le_bytes());
+        }
+        out
+    }
+
+    /// Decode a particle payload that is the whole of `b`.
+    pub fn decode(b: &[u8]) -> Result<Particles, String> {
+        whole(Self::decode_prefix(b)?, "particle")
+    }
+
+    /// Decode the particle payload at the front of `b`; returns it with the
+    /// bytes after it. Strict: `b` must hold every record the count
+    /// declares, and every position, velocity and mass must be finite,
+    /// every mass non-negative. Errors name what is wrong.
+    pub fn decode_prefix(b: &[u8]) -> Result<(Particles, &[u8]), String> {
+        let (n, records, rest) = take_records(b, RECORD_LEN, "particle")?;
+        let mut p = Particles::with_capacity(n);
+        for (i, r) in records.chunks_exact(RECORD_LEN).enumerate() {
+            let f = |k: usize| f64::from_le_bytes(r[8 * k..8 * k + 8].try_into().unwrap());
+            let (pos, vel, mass) = (Vec3::new(f(0), f(1), f(2)), Vec3::new(f(3), f(4), f(5)), f(6));
+            if !(pos.is_finite() && vel.is_finite() && mass.is_finite()) || mass < 0.0 {
+                return Err(format!("particle {i}: non-finite or negative data"));
+            }
+            p.push(pos, vel, mass, u64::from_le_bytes(r[56..].try_into().unwrap()));
+        }
+        Ok((p, rest))
     }
 
     /// Structural validity: equal array lengths, finite values, positive mass.

@@ -179,6 +179,12 @@ status=0
 cargo run -q --release --bin bonsai -- run plummer --n 6o000 || status=$?
 test "$status" -eq 2
 
+echo "== the CLI's snapshot path: write a snapshot, then resume from it =="
+# `bonsai resume` reads a user-supplied file through the strict particle
+# codec the exchange and the checkpoint shards share; both must exit 0.
+cargo run -q --release --bin bonsai -- run plummer --n 2000 --steps 2 --snapshot "$scratch/p.bin"
+cargo run -q --release --bin bonsai -- resume "$scratch/p.bin" --steps 2
+
 echo "== the other examples, at small sizes =="
 # An item whose only caller is an example is kept for that example, so every
 # example must still run. galaxy_merger is the one caller of density_center.
