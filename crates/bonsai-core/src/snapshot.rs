@@ -26,7 +26,7 @@ fn bad(msg: String) -> io::Error {
 }
 
 /// Serialize `particles` at simulation `time` into the snapshot format.
-pub fn snapshot_to_bytes(particles: &Particles, time: f64) -> Vec<u8> {
+fn snapshot_to_bytes(particles: &Particles, time: f64) -> Vec<u8> {
     let mut v = Vec::with_capacity(HEADER_LEN + 8 + particles.len() * RECORD_LEN + 8);
     v.extend_from_slice(MAGIC);
     v.extend_from_slice(&time.to_le_bytes());
@@ -37,7 +37,7 @@ pub fn snapshot_to_bytes(particles: &Particles, time: f64) -> Vec<u8> {
 }
 
 /// Parse and strictly validate a snapshot; returns `(particles, time)`.
-pub fn snapshot_from_bytes(data: &[u8]) -> io::Result<(Particles, f64)> {
+fn snapshot_from_bytes(data: &[u8]) -> io::Result<(Particles, f64)> {
     let Some((body, stored)) = data.split_last_chunk().filter(|(b, _)| b.len() >= HEADER_LEN)
     else {
         return Err(bad(format!("snapshot truncated: {} bytes", data.len())));
