@@ -50,6 +50,15 @@ impl Simulation {
         Self::new_with(particles, config, |_, _| ()).0
     }
 
+    /// [`Simulation::new`] for a state taken at `time` (a snapshot's): the
+    /// clock carries on from there, so after `s` steps it reads `time`
+    /// advanced by `dt` `s` times, and a snapshot written then records that.
+    pub fn resume(particles: Particles, config: SimulationConfig, time: f64) -> Self {
+        let mut sim = Self::new(particles, config);
+        sim.time = time;
+        sim
+    }
+
     /// [`Simulation::new`] with `correct` applied to the initial forces, as
     /// [`Simulation::step_with`] applies it to each step's.
     pub(crate) fn new_with<R>(

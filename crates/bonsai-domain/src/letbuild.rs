@@ -16,7 +16,7 @@
 //! every rank holds bit-identically after the allgather, so sender and
 //! receiver reach the same decision without a message about it.
 
-use crate::lettree::LetTree;
+use crate::lettree::{LetTree, Role};
 use bonsai_tree::build::Tree;
 use bonsai_tree::node::{Node, NodeKind};
 use bonsai_util::Aabb;
@@ -54,14 +54,27 @@ pub enum Action {
 /// `decide` to every visited node — once per node of the result, in the
 /// result's order. Children of kept internal nodes stay contiguous, so the
 /// result is directly walkable.
-pub fn extract_pruned<F>(tree: &Tree, mut decide: F) -> LetTree
+pub fn extract_pruned<F>(tree: &Tree, decide: F) -> LetTree
 where
     F: FnMut(usize, &Node) -> Action,
 {
-    if tree.is_empty() {
-        return LetTree::default();
-    }
     let mut out = LetTree::default();
+    extract_pruned_into(tree, decide, &mut out);
+    out
+}
+
+/// [`extract_pruned`] into `out`, as [`build_let_into`] builds.
+fn extract_pruned_into<F>(tree: &Tree, mut decide: F, out: &mut LetTree)
+where
+    F: FnMut(usize, &Node) -> Action,
+{
+    out.nodes.clear();
+    out.pos.clear();
+    out.mass.clear();
+    out.role = Role::Let;
+    if tree.is_empty() {
+        return;
+    }
     // `out.nodes` is its own BFS queue: slot `slot` is visited after every
     // slot before it, and `source[slot]` is its local node index.
     let mut source: Vec<u32> = vec![0];
@@ -98,7 +111,6 @@ where
         }
         slot += 1;
     }
-    out
 }
 
 /// Build the Local Essential Tree of `tree` for a receiver whose particle
@@ -112,12 +124,22 @@ where
 /// rounding is monotone, so the hull's `min_dist2_point` is never larger
 /// than any box's.
 pub fn build_let(tree: &Tree, remote_geom: &[Aabb], theta: f64) -> LetTree {
+    let mut out = LetTree::default();
+    build_let_into(tree, remote_geom, theta, &mut out);
+    out
+}
+
+/// [`build_let`] into `out`, a [`Role::Let`] tree afterwards whatever it
+/// held: its buffers are cleared and kept, so a sender that builds one LET
+/// after another into the same tree allocates only when one outgrows every
+/// LET before it.
+pub fn build_let_into(tree: &Tree, remote_geom: &[Aabb], theta: f64, out: &mut LetTree) {
     let inv_theta = if theta > 0.0 { 1.0 / theta } else { f64::INFINITY };
     let mut hull = Aabb::empty();
     for b in remote_geom {
         hull.merge(b);
     }
-    extract_pruned(tree, |_, node| {
+    let decide = |_, node: &Node| {
         let opens = !inv_theta.is_finite() || {
             let crit2 = opening_radius2(node, inv_theta);
             hull.min_dist2_point(node.com) <= crit2
@@ -128,7 +150,8 @@ pub fn build_let(tree: &Tree, remote_geom: &[Aabb], theta: f64) -> LetTree {
         } else {
             Action::Cut
         }
-    })
+    };
+    extract_pruned_into(tree, decide, out);
 }
 
 /// Sender-side check: can the receiver with geometry `remote_geom` compute

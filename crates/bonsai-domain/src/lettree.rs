@@ -181,16 +181,30 @@ impl LetTree {
 
     /// Serialize to bytes: the header, one fixed-stride record per node, then
     /// the particles (module docs). One buffer of [`wire_size`](Self::wire_size)
-    /// bytes is written in place, record by record, and adopted by the
-    /// returned [`Bytes`].
+    /// bytes is written in place by [`write_to`](Self::write_to) and adopted
+    /// by the returned [`Bytes`].
     ///
     /// # Panics
     /// If a node's level does not fit its one-byte field.
     pub fn to_bytes(&self) -> Bytes {
-        debug_assert_eq!(self.pos.len(), self.mass.len());
-        let stride = self.role.record_size();
         let mut buf = vec![0u8; self.wire_size()];
-        let (header, body) = buf.split_at_mut(HEADER_SIZE);
+        self.write_to(&mut buf);
+        Bytes::from(buf)
+    }
+
+    /// Serialize into `out`, which must be exactly
+    /// [`wire_size`](Self::wire_size) bytes: every byte is written, so `out`
+    /// may hold anything before (a frame buffer kept from an earlier epoch).
+    /// The bytes are those of [`to_bytes`](Self::to_bytes).
+    ///
+    /// # Panics
+    /// If `out` has another length, or a node's level does not fit its
+    /// one-byte field.
+    pub fn write_to(&self, out: &mut [u8]) {
+        debug_assert_eq!(self.pos.len(), self.mass.len());
+        assert_eq!(out.len(), self.wire_size(), "a LET is written into a buffer of its wire size");
+        let stride = self.role.record_size();
+        let (header, body) = out.split_at_mut(HEADER_SIZE);
         header[0..8].copy_from_slice(&(self.nodes.len() as u64).to_le_bytes());
         header[8..16].copy_from_slice(&(self.pos.len() as u64).to_le_bytes());
         header[16] = match self.role {
@@ -205,7 +219,6 @@ impl LetTree {
         for ((p, &m), rec) in particles.zip(particle_part.chunks_exact_mut(PARTICLE_RECORD_SIZE)) {
             put_f64s(rec, 0, &[p.x, p.y, p.z, m]);
         }
-        Bytes::from(buf)
     }
 
     /// Deserialize; returns `None` on malformed input: an unknown role or
@@ -421,6 +434,24 @@ mod tests {
             assert_eq!(u.nodes[1].quad.xx(), t.nodes[1].quad.xx());
             u.check_invariants().unwrap();
         }
+    }
+
+    #[test]
+    fn write_to_overwrites_every_byte_of_a_dirty_buffer() {
+        for t in [sample_tree(), sample_boundary(), LetTree::default()] {
+            for fill in [0x00, 0xFF, 0xA5] {
+                let mut buf = vec![fill; t.wire_size()];
+                t.write_to(&mut buf);
+                assert_eq!(buf, t.to_bytes().to_vec(), "{:?} over 0x{fill:02x}", t.role);
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "buffer of its wire size")]
+    fn write_to_refuses_a_buffer_of_another_size() {
+        let t = sample_tree();
+        t.write_to(&mut vec![0; t.wire_size() + 1]);
     }
 
     #[test]

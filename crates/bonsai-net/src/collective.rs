@@ -12,9 +12,26 @@
 //! its own business; [`exchange`] only reports the pairs.
 //!
 //! Both sides are sparse. The sender side is an [`Outbox`] per rank: one
-//! payload for everybody, or a short list of `(to, payload)`. The receiver
-//! side comes back as one `(from, value)` list per rank, ascending by
-//! sender. Nothing is dense in the world size.
+//! payload for everybody, a short list of `(to, payload)`, or a short list
+//! of `(to, frame)` the sender sealed itself. The receiver side comes back
+//! as one `(from, value)` list per rank, ascending by sender. Nothing is
+//! dense in the world size.
+//!
+//! # One buffer per message
+//!
+//! Nothing here copies a payload on the way out. A `Broadcast` or `To`
+//! payload is sealed as one header per receiver
+//! ([`envelope::seal_header`]) that travels beside the payload's one
+//! buffer, shared by every receiver of a broadcast. A `Sealed` frame was
+//! encoded by its sender into a buffer that reserved the header and sealed
+//! there ([`envelope::seal_in_place`]) under the flow id [`first_flows`]
+//! handed it before it encoded: the same prefix sum this exchange hands
+//! out, which it checks each such frame carries. A retransmission seals the
+//! payload the sender kept into a new frame. The outbox keeps every buffer
+//! to the end of the round, and a fault copies a frame before it mangles it
+//! (the [`Wire`]), so when [`exchange`] returns the caller holds the only
+//! handle to each buffer it sent — a buffer no frame held back by the plan
+//! still holds — and may take it back for its next round.
 //!
 //! # Order contract
 //!
@@ -58,7 +75,7 @@
 //! depends on no thread pool, and `bonsai-sim` passes a pool-backed
 //! [`Lanes`].
 
-use crate::envelope::{self, seal_flow, NO_FLOW};
+use crate::envelope::{self, seal_header, ENVELOPE_HEADER_LEN, NO_FLOW};
 use crate::fabric::{Message, MsgKind};
 use crate::fault::{FaultLog, RecoveryAction, RecoveryEvent, Wire};
 use bytes::Bytes;
@@ -91,22 +108,30 @@ pub enum Outbox {
     /// Nothing: the rank is dead or has no part in the sending side.
     Silent,
     /// The same payload to every other member (an allreduce or allgather
-    /// leg).
+    /// leg). Every receiver's frame is its own sealed header beside this
+    /// one buffer.
     Broadcast(Bytes),
-    /// Distinct payloads to some peers, ascending by receiver.
+    /// Distinct payloads to some peers, ascending by receiver; each frame
+    /// is a sealed header beside its payload's buffer.
     To(Vec<(usize, Bytes)>),
+    /// Whole frames to some peers, ascending by receiver, each sealed in
+    /// the buffer its payload was encoded in, under the flow id
+    /// [`first_flows`] handed the sender.
+    Sealed(Vec<(usize, Bytes)>),
 }
 
 impl Outbox {
-    fn owed_to(&self, to: usize) -> Option<&Bytes> {
+    /// The payload owed to `to`, if any: what a retransmission seals again.
+    fn owed_to(&self, to: usize) -> Option<&[u8]> {
         match self {
             Outbox::Silent => None,
             Outbox::Broadcast(payload) => Some(payload),
-            Outbox::To(list) => received_from(list, to),
+            Outbox::To(list) => received_from(list, to).map(|payload| &payload[..]),
+            Outbox::Sealed(list) => received_from(list, to).map(|frame| &frame[ENVELOPE_HEADER_LEN..]),
         }
     }
 
-    /// `(to, payload)` of every first transmission `from` makes among
+    /// `(to, buffer)` of every first transmission `from` makes among
     /// `members`, in send order.
     fn first_sends(&self, members: &[usize], from: usize) -> Vec<(usize, &Bytes)> {
         match self {
@@ -114,9 +139,28 @@ impl Outbox {
             Outbox::Broadcast(payload) => {
                 members.iter().filter(|&&to| to != from).map(|&to| (to, payload)).collect()
             }
-            Outbox::To(list) => list.iter().map(|(to, payload)| (*to, payload)).collect(),
+            Outbox::To(list) | Outbox::Sealed(list) => list.iter().map(|(to, b)| (*to, b)).collect(),
         }
     }
+}
+
+/// The flow id of each member's first first transmission in the next
+/// [`exchange`] on `wire`: the ledger's next id plus the prefix sum of the
+/// members' first-transmission counts, `sends` in member order (silent 0,
+/// broadcast `members − 1`, a list its length). The exchange hands out
+/// exactly these ids, so a sender that seals its own frames
+/// ([`Outbox::Sealed`]) takes its entry before it encodes them and seals
+/// its `i`-th frame as flow `first + i`. Nothing may send on `wire` in
+/// between.
+pub fn first_flows(wire: &Wire, sends: impl IntoIterator<Item = usize>) -> Vec<u64> {
+    let mut next = wire.flows.next_id();
+    (sends.into_iter())
+        .map(|n| {
+            let first = next;
+            next += n as u64;
+            first
+        })
+        .collect()
 }
 
 /// Whom each receiver waits for.
@@ -229,7 +273,8 @@ fn check<T>(
     msg: &Message,
     parse: &impl Fn(usize, &[u8]) -> Result<T, Reject>,
 ) -> Checked<T> {
-    let env = match envelope::open(&msg.payload) {
+    let (header, payload) = msg.parts();
+    let env = match envelope::open_parts(header, payload) {
         Ok(env) => env,
         Err(e) => return Checked::Refused(msg.from, RecoveryAction::DiscardCorrupt, e.to_string()),
     };
@@ -278,26 +323,30 @@ pub fn exchange<T: Send>(
     let Round { kind, epoch, .. } = *round;
     debug_assert!(members.windows(2).all(|w| w[0] < w[1]), "members ascending");
     let first = wire.flows.next_id();
-    let mut next_flow = first;
-    let bursts: Vec<_> = (members.iter())
-        .map(|&from| {
-            let sends = outbox[from].first_sends(members, from);
-            let burst_first = next_flow;
-            next_flow += sends.len() as u64;
-            (from, burst_first, sends)
-        })
-        .collect();
+    let sends: Vec<_> = members.iter().map(|&from| outbox[from].first_sends(members, from)).collect();
+    let firsts = first_flows(wire, sends.iter().map(Vec::len));
+    let bursts: Vec<_> = members.iter().copied().zip(firsts).zip(sends).collect();
     // The round's seal table: flow `first + i` goes `sent[i].0 → sent[i].1`.
     let sent: Vec<(usize, usize)> = (bursts.iter())
-        .flat_map(|(from, _, sends)| sends.iter().map(|&(to, _)| (*from, to)))
+        .flat_map(|((from, _), sends)| sends.iter().map(|&(to, _)| (*from, to)))
         .collect();
     debug_assert!(sent.windows(2).all(|w| w[0] < w[1]), "first sends (from, to)-ascending");
     let flow_of = |from: usize, to: usize| {
         sent.binary_search(&(from, to)).map_or(NO_FLOW, |i| first + i as u64)
     };
-    let sealed = lanes.map(bursts, |(from, burst_first, sends)| {
+    let sealed = lanes.map(bursts, |((from, burst_first), sends)| {
+        let whole = matches!(outbox[from], Outbox::Sealed(_));
         (sends.into_iter().zip(burst_first..))
-            .map(|((to, payload), flow)| (to, flow, seal_flow(kind, from, epoch, flow, 0, payload)))
+            .map(|((to, body), flow)| {
+                let header = if whole {
+                    let at = envelope::flow_of(body);
+                    assert_eq!(at, flow, "{from} -> {to} sealed as flow {at}, sent as flow {flow}");
+                    None
+                } else {
+                    Some(seal_header(kind, from, epoch, flow, 0, body))
+                };
+                (to, flow, (header, body.clone()))
+            })
             .collect::<Vec<_>>()
     });
     for (&from, burst) in members.iter().zip(sealed) {
@@ -669,6 +718,58 @@ mod tests {
         assert!(flows.chain(wire.log.recoveries.iter().map(|e| e.flow)).all(|f| f == 5));
         assert_eq!(wire.flows.get(5).map(|r| (r.from, r.to, r.attempts)), Some((2, 0, 2)));
         assert!(wire.flows.conservation().holds());
+    }
+
+    /// A kibibyte and a half of distinct bytes: long enough that the CRC
+    /// takes its fold, and a corrupted bit lands in the payload.
+    fn long_payload() -> Vec<u8> {
+        (0..1500u64).map(|i| (bonsai_util::mix64(i) >> 16) as u8).collect()
+    }
+
+    #[test]
+    fn a_fault_on_one_copy_of_a_broadcast_leaves_the_others_intact() {
+        // Rank 0 broadcasts one buffer; a fault hits its copy to rank 1.
+        for fault in [FaultKind::Corrupt, FaultKind::Truncate, FaultKind::Duplicate] {
+            let payload = long_payload();
+            let mut wire = Wire::new(4, forced(fault, 0, 1));
+            let silent = || Outbox::Silent;
+            let outbox = [Outbox::Broadcast(Bytes::from(payload.clone())), silent(), silent(), silent()];
+            let from_0 = [vec![], vec![0], vec![0], vec![0]];
+            let got = exchange(&mut wire, &Inline, &[0, 1, 2, 3], &PHASE, &outbox, Expect::From(&from_0), bytes);
+            assert!(got.missing.is_empty(), "{fault}");
+            for to in 1..4 {
+                assert_eq!(received_from(&got.received[to], 0), Some(&payload), "{fault}: rank {to}");
+            }
+            let Outbox::Broadcast(shared) = &outbox[0] else { unreachable!() };
+            assert_eq!(shared[..], payload[..], "{fault} wrote the shared buffer");
+            let resent = if fault == FaultKind::Duplicate { 0 } else { payload.len() };
+            assert_eq!(got.retransmit_bytes, resent, "{fault}");
+        }
+    }
+
+    #[test]
+    fn a_let_corrupted_on_the_wire_is_sent_again_as_sealed() {
+        // Rank 0 seals its LET frame to rank 1 in its own buffer, under the
+        // flow id the round hands it; the first transmission is corrupted
+        // in the payload, and the retransmission carries the original bytes.
+        let payload = long_payload();
+        let mut wire = Wire::new(2, forced(FaultKind::Corrupt, 0, 1));
+        let len = ENVELOPE_HEADER_LEN + payload.len();
+        let (byte, _) = wire.plan().corrupt_position(0, 1, MsgKind::Let, EPOCH, len);
+        assert!(byte >= ENVELOPE_HEADER_LEN, "the fault must land in the payload");
+        let flow = first_flows(&wire, [1, 0])[0];
+        let mut frame = vec![0u8; ENVELOPE_HEADER_LEN];
+        frame.extend_from_slice(&payload);
+        envelope::seal_in_place(MsgKind::Let, 0, EPOCH, flow, 0, &mut frame);
+        let outbox = [Outbox::Sealed(vec![(1, Bytes::from(frame.clone()))]), Outbox::Silent];
+        let round = Round { kind: MsgKind::Let, ..PHASE };
+        let got = exchange(&mut wire, &Inline, &[0, 1], &round, &outbox, Expect::From(&[vec![], vec![0]]), bytes);
+        assert!(got.missing.is_empty());
+        assert_eq!(received_from(&got.received[1], 0), Some(&payload));
+        assert_eq!(got.retransmit_bytes, payload.len());
+        let Outbox::Sealed(sent) = &outbox[0] else { unreachable!() };
+        assert_eq!(sent[0].1[..], frame[..], "the fault wrote the sender's frame");
+        assert_eq!(wire.flows.get(flow).map(|r| r.attempts), Some(2));
     }
 
     #[test]

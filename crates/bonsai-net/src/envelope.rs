@@ -31,6 +31,17 @@
 //!     36     8  CRC-64/XZ over bytes [0, 36) ++ payload
 //!     44     …  payload
 //! ```
+//!
+//! A frame is one message written once. The header is computed by
+//! [`seal_header`] from its fields and the payload, without copying the
+//! payload, and travels in one of two shapes: in front of the payload in
+//! the buffer the payload was encoded into ([`seal_in_place`] writes it
+//! over [`ENVELOPE_HEADER_LEN`] bytes the encoder reserved), or apart from
+//! a payload buffer several receivers share, one header per receiver
+//! ([`Message::header`](crate::fabric::Message::header)). [`seal_flow`]
+//! builds a frame of its own, copying the payload: retransmissions and
+//! single sends. [`open`] reads a frame in one buffer, [`open_parts`] one
+//! in two, and both give the same bytes the same verdict and error.
 
 use crate::fabric::MsgKind;
 use bonsai_util::hash::Crc64;
@@ -44,6 +55,10 @@ pub const ENVELOPE_VERSION: u16 = 2;
 pub const ENVELOPE_HEADER_LEN: usize = 44;
 /// Offset of the stored CRC-64: it covers the header bytes before it.
 const CRC_AT: usize = 36;
+/// Offset of the flow id.
+const FLOW_AT: usize = 20;
+/// A sealed envelope header.
+pub type Header = [u8; ENVELOPE_HEADER_LEN];
 /// Flow id carried by frames sealed without a ledger: "no recorded flow".
 pub const NO_FLOW: u64 = 0;
 
@@ -147,12 +162,59 @@ pub struct Envelope<'a> {
     pub payload: &'a [u8],
 }
 
-/// Seal `payload` into a checksummed frame carrying a flow id and an
-/// attempt sequence number.
+/// The sealed header of a frame carrying `payload`: the fields and the
+/// CRC-64 over them and the payload. A frame is this header followed by the
+/// payload, in one buffer or apart (module docs).
 ///
 /// # Panics
 /// If `from` or the payload length does not fit the header's 32-bit field:
 /// a truncated value would seal a frame whose CRC still verifies.
+pub fn seal_header(
+    kind: MsgKind,
+    from: usize,
+    epoch: u64,
+    flow: u64,
+    seq: u32,
+    payload: &[u8],
+) -> Header {
+    let from = u32::try_from(from).expect("envelope `from` rank exceeds its u32 header field");
+    let len = u32::try_from(payload.len())
+        .expect("envelope payload length exceeds its u32 header field (4 GiB)");
+    let mut header = [0u8; ENVELOPE_HEADER_LEN];
+    header[0..4].copy_from_slice(&ENVELOPE_MAGIC.to_le_bytes());
+    header[4..6].copy_from_slice(&ENVELOPE_VERSION.to_le_bytes());
+    header[6] = kind_code(kind);
+    // header[7] is reserved and stays 0.
+    header[8..12].copy_from_slice(&from.to_le_bytes());
+    header[12..20].copy_from_slice(&epoch.to_le_bytes());
+    header[FLOW_AT..FLOW_AT + 8].copy_from_slice(&flow.to_le_bytes());
+    header[28..32].copy_from_slice(&seq.to_le_bytes());
+    header[32..36].copy_from_slice(&len.to_le_bytes());
+    let mut crc = Crc64::new();
+    crc.update(&header[..CRC_AT]);
+    crc.update(payload);
+    header[CRC_AT..].copy_from_slice(&crc.finish().to_le_bytes());
+    header
+}
+
+/// Seal a frame in the buffer it was encoded in: `frame` is
+/// [`ENVELOPE_HEADER_LEN`] reserved bytes followed by the payload, and the
+/// header is written over the reserved bytes. The result equals
+/// [`seal_flow`] of the payload byte for byte, without copying the payload.
+///
+/// # Panics
+/// If `frame` is shorter than the header, and as [`seal_header`].
+pub fn seal_in_place(kind: MsgKind, from: usize, epoch: u64, flow: u64, seq: u32, frame: &mut [u8]) {
+    let (header, payload) = frame.split_at_mut(ENVELOPE_HEADER_LEN);
+    header.copy_from_slice(&seal_header(kind, from, epoch, flow, seq, payload));
+}
+
+/// Seal `payload` into a checksummed frame carrying a flow id and an
+/// attempt sequence number: a new buffer holding the header and a copy of
+/// the payload.
+///
+/// # Panics
+/// As [`seal_header`].
 pub fn seal_flow(
     kind: MsgKind,
     from: usize,
@@ -162,22 +224,7 @@ pub fn seal_flow(
     payload: &[u8],
 ) -> Bytes {
     let mut frame = Vec::with_capacity(ENVELOPE_HEADER_LEN + payload.len());
-    frame.extend_from_slice(&ENVELOPE_MAGIC.to_le_bytes());
-    frame.extend_from_slice(&ENVELOPE_VERSION.to_le_bytes());
-    frame.push(kind_code(kind));
-    frame.push(0); // reserved
-    let from = u32::try_from(from).expect("envelope `from` rank exceeds its u32 header field");
-    let len = u32::try_from(payload.len())
-        .expect("envelope payload length exceeds its u32 header field (4 GiB)");
-    frame.extend_from_slice(&from.to_le_bytes());
-    frame.extend_from_slice(&epoch.to_le_bytes());
-    frame.extend_from_slice(&flow.to_le_bytes());
-    frame.extend_from_slice(&seq.to_le_bytes());
-    frame.extend_from_slice(&len.to_le_bytes());
-    let mut crc = Crc64::new();
-    crc.update(&frame[..CRC_AT]);
-    crc.update(payload);
-    frame.extend_from_slice(&crc.finish().to_le_bytes());
+    frame.extend_from_slice(&seal_header(kind, from, epoch, flow, seq, payload));
     frame.extend_from_slice(payload);
     Bytes::from(frame)
 }
@@ -188,35 +235,46 @@ pub fn seal(kind: MsgKind, from: usize, epoch: u64, payload: &[u8]) -> Bytes {
     seal_flow(kind, from, epoch, NO_FLOW, 0, payload)
 }
 
-/// Open and strictly validate a frame.
+/// Open and strictly validate a frame held in one buffer.
 pub fn open(frame: &[u8]) -> Result<Envelope<'_>, EnvelopeError> {
-    if frame.len() < ENVELOPE_HEADER_LEN {
+    let (header, payload) = frame.split_at(frame.len().min(ENVELOPE_HEADER_LEN));
+    open_parts(header, payload)
+}
+
+/// Open and strictly validate a frame whose header travels apart from its
+/// payload. `header` is the frame's first [`ENVELOPE_HEADER_LEN`] bytes, or
+/// all of a frame shorter than that (then `payload` is empty). Every frame
+/// gets the verdict, and every rejection the error, that [`open`] gives the
+/// same bytes in one buffer.
+pub fn open_parts<'a>(header: &'a [u8], payload: &'a [u8]) -> Result<Envelope<'a>, EnvelopeError> {
+    debug_assert!(header.len() <= ENVELOPE_HEADER_LEN, "a header part of {} bytes", header.len());
+    if header.len() < ENVELOPE_HEADER_LEN {
         return Err(EnvelopeError::Truncated {
             need: ENVELOPE_HEADER_LEN,
-            have: frame.len(),
+            have: header.len() + payload.len(),
         });
     }
-    let magic = u32::from_le_bytes(frame[0..4].try_into().unwrap());
+    let magic = u32::from_le_bytes(header[0..4].try_into().unwrap());
     if magic != ENVELOPE_MAGIC {
         return Err(EnvelopeError::BadMagic(magic));
     }
-    let version = u16::from_le_bytes(frame[4..6].try_into().unwrap());
+    let version = u16::from_le_bytes(header[4..6].try_into().unwrap());
     if version != ENVELOPE_VERSION {
         return Err(EnvelopeError::BadVersion(version));
     }
-    let kind = kind_from_code(frame[6]).ok_or(EnvelopeError::BadKind(frame[6]))?;
-    let from = u32::from_le_bytes(frame[8..12].try_into().unwrap()) as usize;
-    let epoch = u64::from_le_bytes(frame[12..20].try_into().unwrap());
-    let flow = u64::from_le_bytes(frame[20..28].try_into().unwrap());
-    let seq = u32::from_le_bytes(frame[28..32].try_into().unwrap());
-    let declared = u32::from_le_bytes(frame[32..36].try_into().unwrap()) as usize;
-    let available = frame.len() - ENVELOPE_HEADER_LEN;
+    let kind = kind_from_code(header[6]).ok_or(EnvelopeError::BadKind(header[6]))?;
+    let from = u32::from_le_bytes(header[8..12].try_into().unwrap()) as usize;
+    let epoch = u64::from_le_bytes(header[12..20].try_into().unwrap());
+    let flow = flow_of(header);
+    let seq = u32::from_le_bytes(header[28..32].try_into().unwrap());
+    let declared = u32::from_le_bytes(header[32..36].try_into().unwrap()) as usize;
+    let available = payload.len();
     if declared != available {
         // Distinguish a short (torn) frame from a trailing-garbage frame.
         if declared > available {
             return Err(EnvelopeError::Truncated {
                 need: ENVELOPE_HEADER_LEN + declared,
-                have: frame.len(),
+                have: ENVELOPE_HEADER_LEN + available,
             });
         }
         return Err(EnvelopeError::LengthMismatch {
@@ -224,10 +282,9 @@ pub fn open(frame: &[u8]) -> Result<Envelope<'_>, EnvelopeError> {
             available,
         });
     }
-    let payload = &frame[ENVELOPE_HEADER_LEN..];
-    let stored = u64::from_le_bytes(frame[CRC_AT..ENVELOPE_HEADER_LEN].try_into().unwrap());
+    let stored = u64::from_le_bytes(header[CRC_AT..].try_into().unwrap());
     let mut crc = Crc64::new();
-    crc.update(&frame[..CRC_AT]);
+    crc.update(&header[..CRC_AT]);
     crc.update(payload);
     let computed = crc.finish();
     if stored != computed {
@@ -241,6 +298,14 @@ pub fn open(frame: &[u8]) -> Result<Envelope<'_>, EnvelopeError> {
         seq,
         payload,
     })
+}
+
+/// The flow id field of a header, unvalidated.
+///
+/// # Panics
+/// If `header` is shorter than the field's end.
+pub(crate) fn flow_of(header: &[u8]) -> u64 {
+    u64::from_le_bytes(header[FLOW_AT..FLOW_AT + 8].try_into().unwrap())
 }
 
 #[cfg(test)]
@@ -298,12 +363,36 @@ mod tests {
         frame
     }
 
+    /// `frame` with its header and payload in two buffers of their own, as
+    /// a receiver of a broadcast holds it.
+    fn apart(frame: &[u8]) -> (Header, Vec<u8>) {
+        let (header, payload) = frame.split_at(ENVELOPE_HEADER_LEN);
+        (header.try_into().unwrap(), payload.to_vec())
+    }
+
+    #[test]
+    fn a_header_sealed_apart_is_the_head_of_the_whole_frame() {
+        let payload: Vec<u8> = (0..1100u32).map(|i| (i * 7) as u8).collect();
+        let whole = seal_flow(MsgKind::Boundary, 5, 9, 321, 0, &payload);
+        let header = seal_header(MsgKind::Boundary, 5, 9, 321, 0, &payload);
+        assert_eq!(&whole[..ENVELOPE_HEADER_LEN], &header[..]);
+        let env = open_parts(&header, &payload).unwrap();
+        assert_eq!((env.from, env.flow, env.payload), (5, 321, &payload[..]));
+
+        // Sealed in the buffer it was encoded in, over stale reserved bytes.
+        let mut frame = vec![0xEEu8; ENVELOPE_HEADER_LEN];
+        frame.extend_from_slice(&payload);
+        seal_in_place(MsgKind::Boundary, 5, 9, 321, 0, &mut frame);
+        assert_eq!(frame, whole.to_vec());
+    }
+
     #[test]
     fn truncation_detected_at_every_cut() {
         for frame in [
             seal(MsgKind::Boundary, 3, 9, &[0xAA; 100]),
             kibibyte_frame(),
         ] {
+            let (header, payload) = apart(&frame);
             for cut in 0..frame.len() {
                 let err = open(&frame[..cut]).unwrap_err();
                 assert!(
@@ -311,6 +400,10 @@ mod tests {
                     "cut {cut} of {}: got {err}",
                     frame.len()
                 );
+                // The same cut of the frame whose header travels apart.
+                let head = &header[..cut.min(ENVELOPE_HEADER_LEN)];
+                let apart_err = open_parts(head, &payload[..cut.saturating_sub(ENVELOPE_HEADER_LEN)]).unwrap_err();
+                assert_eq!(apart_err.to_string(), err.to_string(), "cut {cut} of {}", frame.len());
             }
         }
     }
@@ -323,9 +416,17 @@ mod tests {
                 for bit in 0..8 {
                     let mut bad = frame.to_vec();
                     bad[i] ^= 1 << bit;
-                    assert!(
-                        open(&bad).is_err(),
-                        "flip at byte {i} bit {bit} of {} went undetected",
+                    let err = open(&bad).err().unwrap_or_else(|| {
+                        panic!("flip at byte {i} bit {bit} of {} went undetected", frame.len())
+                    });
+                    // The same flip in the frame whose header travels apart.
+                    let (header, payload) = apart(&bad);
+                    let apart_err = open_parts(&header, &payload)
+                        .expect_err("a flipped bit went undetected apart");
+                    assert_eq!(
+                        apart_err.to_string(),
+                        err.to_string(),
+                        "flip at byte {i} bit {bit} of {}",
                         frame.len()
                     );
                 }

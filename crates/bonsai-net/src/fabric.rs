@@ -6,7 +6,15 @@
 //! expects, retransmission, stale and duplicate frames, the boundary
 //! allgather of §III-B2 — is [`collective::exchange`](crate::collective::exchange)'s
 //! business, driven in lock step by the cluster.
+//!
+//! A [`Message`] carries [`Bytes`], a shared immutable buffer, so a send
+//! moves a handle, not the bytes: a frame is either one buffer, or a header
+//! sealed for its receiver beside a payload buffer every receiver of a
+//! broadcast shares ([`Message::parts`]). No one writes a buffer once it is
+//! sent; a fault that mangles a frame copies it first
+//! ([`Wire`](crate::fault::Wire)).
 
+use crate::envelope::{Header, ENVELOPE_HEADER_LEN};
 use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 
@@ -67,8 +75,26 @@ pub struct Message {
     pub from: usize,
     /// Payload semantics.
     pub kind: MsgKind,
+    /// The envelope header, when it was sealed apart from `payload`: each
+    /// receiver of a broadcast gets its own header beside the one payload
+    /// buffer every receiver shares. `None` when `payload` is the whole
+    /// frame, header included.
+    pub header: Option<Header>,
     /// Serialized payload.
     pub payload: Bytes,
+}
+
+impl Message {
+    /// The frame as `(header, payload)`: the header sent apart, or the
+    /// first [`ENVELOPE_HEADER_LEN`] bytes of a whole frame (all of it, if
+    /// shorter) — what [`envelope::open_parts`](crate::envelope::open_parts)
+    /// reads.
+    pub fn parts(&self) -> (&[u8], &[u8]) {
+        match &self.header {
+            Some(header) => (header, &self.payload),
+            None => self.payload.split_at(self.payload.len().min(ENVELOPE_HEADER_LEN)),
+        }
+    }
 }
 
 /// One rank's handle into the fabric.
@@ -112,9 +138,16 @@ impl Fabric {
 impl Endpoint {
     /// Send `payload` to rank `to`.
     pub fn send(&self, to: usize, kind: MsgKind, payload: Bytes) {
+        self.send_frame(to, kind, None, payload);
+    }
+
+    /// Send a frame to rank `to`: `payload` alone when it is the whole
+    /// frame, or after `header` sealed apart from it.
+    pub fn send_frame(&self, to: usize, kind: MsgKind, header: Option<Header>, payload: Bytes) {
         let msg = Message {
             from: self.rank,
             kind,
+            header,
             payload,
         };
         self.senders[to].send(msg).expect("receiver dropped");

@@ -31,7 +31,7 @@
 //! changes concern no frame and carry
 //! [`NO_FLOW`](crate::envelope::NO_FLOW).
 
-use crate::envelope::{kind_code, seal_flow, ENVELOPE_HEADER_LEN};
+use crate::envelope::{kind_code, seal_flow, Header, ENVELOPE_HEADER_LEN};
 use crate::fabric::{Endpoint, Fabric, Message, MsgKind};
 use crate::flow::FlowLedger;
 use bonsai_util::hash::mix_many;
@@ -460,6 +460,21 @@ impl FaultLog {
     }
 }
 
+/// A frame the plan holds back: receiver, kind, the header when it travels
+/// apart, and the payload (or the whole frame).
+type Held = (usize, MsgKind, Option<Header>, Bytes);
+
+/// The first `len` bytes of `header` (when apart) followed by `body`, in a
+/// private buffer: what a fault may mangle without touching a buffer
+/// another receiver, or the sender's retransmission, still reads.
+fn private_copy(header: Option<&Header>, body: &[u8], len: usize) -> Vec<u8> {
+    let head = header.map_or(&[][..], |h| &h[..len.min(h.len())]);
+    let mut whole = Vec::with_capacity(len);
+    whole.extend_from_slice(head);
+    whole.extend_from_slice(&body[..len - head.len()]);
+    whole
+}
+
 /// The wire: the fabric's endpoints, the [`FaultPlan`] applied on the way
 /// out, the frames the plan is holding back, and the two audit records of
 /// what crossed — one value with one owner (the driver), so the log and the
@@ -469,10 +484,10 @@ pub struct Wire {
     plan: FaultPlan,
     /// Per sender: frames held back by `Reorder`, delivered at the end of
     /// the send burst (i.e. after the sender's subsequent messages).
-    reordered: Vec<Vec<(usize, MsgKind, Bytes)>>,
+    reordered: Vec<Vec<Held>>,
     /// Per sender: frames held back by `Delay`/`Stall`, delivered at the
     /// start of the next epoch (where they arrive stale and are discarded).
-    delayed: Vec<Vec<(usize, MsgKind, Bytes)>>,
+    delayed: Vec<Vec<Held>>,
     /// Every injected fault and recovery action, in the order taken.
     pub log: FaultLog,
     /// The lifecycle of every envelope sealed here; ids follow send order.
@@ -525,26 +540,28 @@ impl Wire {
     ) -> u64 {
         let flow = self.flows.next_id();
         let frame = seal_flow(kind, from, epoch, flow, 0, payload);
-        self.send_sealed(from, to, kind, epoch, flow, frame);
+        self.send_sealed(from, to, kind, epoch, flow, (None, frame));
         flow
     }
 
     /// Send `payload` again as transmission `attempt` (1 for the first
     /// retransmission) of `flow`, to the receiver and under the epoch the
-    /// flow was sealed with, applying the fault plan.
+    /// flow was sealed with, applying the fault plan. The payload is sealed
+    /// afresh into a frame of its own.
     ///
     /// # Panics
     /// If the ledger does not hold `flow`.
     pub fn retransmit(&mut self, flow: u64, attempt: u32, payload: &[u8]) {
         let r = self.flows.retransmit(flow);
         let frame = seal_flow(r.kind, r.from, r.epoch, flow, attempt, payload);
-        self.transmit(flow, attempt, frame);
+        self.transmit(flow, attempt, None, frame);
     }
 
     /// The effects of a first transmission whose frame was sealed elsewhere
     /// (possibly on another thread) under `flow`: record the flow in the
     /// ledger, then apply the plan and send, exactly as
-    /// [`send_framed`](Self::send_framed) does.
+    /// [`send_framed`](Self::send_framed) does. `frame` is `(None, whole
+    /// frame)`, or `(Some(header), payload)` when the header travels apart.
     ///
     /// # Panics
     /// If `flow` is not the id the ledger hands out next: ids follow send
@@ -556,18 +573,21 @@ impl Wire {
         kind: MsgKind,
         epoch: u64,
         flow: u64,
-        frame: Bytes,
+        (header, body): (Option<Header>, Bytes),
     ) {
-        let payload = frame.len() - ENVELOPE_HEADER_LEN;
+        let payload = if header.is_some() { body.len() } else { body.len() - ENVELOPE_HEADER_LEN };
         let id = self.flows.seal(epoch, from, to, kind, payload);
         assert_eq!(id, flow, "frame sealed under flow {flow}, sent as flow {id}");
-        self.transmit(flow, 0, frame);
+        self.transmit(flow, 0, header, body);
     }
 
     /// Apply the plan to transmission `attempt` of `flow`, sealed in
-    /// `frame`: put it on the wire, hold it back, mangle or drop it, and log
-    /// the fault under the flow's id.
-    fn transmit(&mut self, flow: u64, attempt: u32, frame: Bytes) {
+    /// `header` and `body`: put it on the wire, hold it back, mangle or drop
+    /// it, and log the fault under the flow's id. A frame is only ever
+    /// shared, never written: truncation and corruption mangle a private
+    /// copy of the same bytes, so the other receivers of a shared payload
+    /// and the sender's retransmission read the bytes that were sealed.
+    fn transmit(&mut self, flow: u64, attempt: u32, header: Option<Header>, body: Bytes) {
         let r = self.flows.get(flow).expect("a frame is sent under a flow the ledger holds");
         let (epoch, from, to, kind) = (r.epoch, r.from, r.to, r.kind);
         let fault = if self.plan.is_empty() {
@@ -579,26 +599,27 @@ impl Wire {
             self.plan.message_fault(from, to, kind, epoch, attempt)
         };
         let Some(fault) = fault else {
-            self.endpoints[from].send(to, kind, frame);
+            self.endpoints[from].send_frame(to, kind, header, body);
             return;
         };
         self.log.record_fault(FaultEvent { epoch, from, to, kind, fault, attempt, flow });
         let ep = &self.endpoints[from];
+        let len = header.map_or(0, |h| h.len()) + body.len();
         match fault {
             FaultKind::Drop => {}
             FaultKind::Duplicate => {
-                ep.send(to, kind, frame.clone());
-                ep.send(to, kind, frame);
+                ep.send_frame(to, kind, header, body.clone());
+                ep.send_frame(to, kind, header, body);
             }
-            FaultKind::Reorder => self.reordered[from].push((to, kind, frame)),
-            FaultKind::Delay | FaultKind::Stall => self.delayed[from].push((to, kind, frame)),
+            FaultKind::Reorder => self.reordered[from].push((to, kind, header, body)),
+            FaultKind::Delay | FaultKind::Stall => self.delayed[from].push((to, kind, header, body)),
             FaultKind::Truncate => {
-                let cut = self.plan.truncate_len(from, to, kind, epoch, frame.len());
-                ep.send(to, kind, Bytes::copy_from_slice(&frame[..cut]));
+                let cut = self.plan.truncate_len(from, to, kind, epoch, len);
+                ep.send(to, kind, Bytes::from(private_copy(header.as_ref(), &body, cut)));
             }
             FaultKind::Corrupt => {
-                let (byte, mask) = self.plan.corrupt_position(from, to, kind, epoch, frame.len());
-                let mut bad = frame.to_vec();
+                let (byte, mask) = self.plan.corrupt_position(from, to, kind, epoch, len);
+                let mut bad = private_copy(header.as_ref(), &body, len);
                 bad[byte] ^= mask;
                 ep.send(to, kind, Bytes::from(bad));
             }
@@ -609,8 +630,8 @@ impl Wire {
     /// Deliver the frames of `from` held back by `Reorder`. Call at the end
     /// of a send burst so they arrive after the sender's later messages.
     pub fn flush_reordered(&mut self, from: usize) {
-        for (to, kind, frame) in self.reordered[from].drain(..) {
-            self.endpoints[from].send(to, kind, frame);
+        for (to, kind, header, body) in self.reordered[from].drain(..) {
+            self.endpoints[from].send_frame(to, kind, header, body);
         }
     }
 
@@ -620,8 +641,8 @@ impl Wire {
     /// validation.
     pub fn flush_delayed(&mut self) {
         for (ep, held) in self.endpoints.iter().zip(&mut self.delayed) {
-            for (to, kind, frame) in held.drain(..) {
-                ep.send(to, kind, frame);
+            for (to, kind, header, body) in held.drain(..) {
+                ep.send_frame(to, kind, header, body);
             }
         }
     }

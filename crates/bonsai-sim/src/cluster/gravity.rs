@@ -7,8 +7,8 @@
 //! | [`update_domains`](Cluster::update_domains) | Domain update | §III-B1: every particle's PH key, once; two-level sample sort, flop-weighted rates, 30 % cap | — (driver-side) |
 //! | [`migrate`](Cluster::migrate) | Domain update | §III-B1: particle exchange; the stayers keep their keys, received migrants are keyed | `Particles`, every pair, possibly empty |
 //! | [`build`](Cluster::build) | Sorting, Tree-construction, Tree-properties | §III-A: sorts the carried keys | — |
-//! | [`boundaries`](Cluster::boundaries) | Domain update | §III-B2: boundary trees, allgatherv | `Boundary` broadcast; every receiver validates its copy and drops it |
-//! | [`lets`](Cluster::lets) | (Non-hidden) LET comm | §III-B2: sufficiency check — a pure function of two boundary trees every rank holds bit-identically, decided once per ordered pair — and dedicated LETs for near neighbours | `Let`, sparse |
+//! | [`boundaries`](Cluster::boundaries) | Domain update | §III-B2: boundary trees, allgatherv | `Boundary` broadcast, one shared payload with a header per receiver; every receiver validates its frame and drops it |
+//! | [`lets`](Cluster::lets) | (Non-hidden) LET comm | §III-B2: sufficiency check — a pure function of two boundary trees every rank holds bit-identically, decided once per ordered pair — and dedicated LETs for near neighbours | `Let`, sparse, each sealed in the buffer it is encoded in |
 //! | [`walk`](Cluster::walk) | Gravity local, Gravity LETs | §III-A, §III-B2: one walk per rank over the local tree and, per peer, its dedicated LET, else (the boundary sufficed) the sender's own boundary tree | — |
 //! | [`store`](Cluster::store) | Unbalance + other | §III-B1: flop weights for the next step's sampling | — |
 //!
@@ -26,11 +26,12 @@
 use super::{Cluster, StepMeasurements};
 use crate::breakdown::StepBreakdown;
 use bonsai_domain::exchange::{particles_from_bytes, particles_to_bytes, ExchangePlan};
-use bonsai_domain::letbuild::{boundary_sufficient_for, build_let};
+use bonsai_domain::letbuild::{boundary_sufficient_for, build_let_into};
 use bonsai_domain::load::enforce_particle_cap;
 use bonsai_domain::sampling::parallel_cuts;
 use bonsai_domain::{boundary_tree, LetTree};
 use bonsai_net::collective::{self, received_from, Exchanged, Expect, Lanes, Outbox, Reject, Round};
+use bonsai_net::envelope::{self, ENVELOPE_HEADER_LEN};
 use bonsai_net::MsgKind;
 use bonsai_sfc::KeyMap;
 use bonsai_tree::build::Tree;
@@ -49,6 +50,57 @@ impl Lanes for PoolLanes {
     fn map<T: Send, R: Send>(&self, items: Vec<T>, f: impl Fn(T) -> R + Sync) -> Vec<R> {
         items.into_par_iter().map(f).collect()
     }
+}
+
+/// The smallest LET frame buffer a sender keeps for its next epoch. A frame
+/// buffer of this size or more is one the allocator maps on its own or
+/// that sits at the heap top it trims, so freeing it each epoch and writing
+/// the next frame into a new one faults its pages in again (`mw_r8`'s
+/// frames). Smaller frames come back from the allocator's free lists at no
+/// page cost, and keeping them only pins memory between epochs (`mw_r64_thin`'s
+/// few-KiB frames: +7 MB of peak resident memory when all were kept).
+const KEEP_FRAME_BYTES: usize = 64 * 1024;
+
+/// Per sender: the LET frame buffers it kept from the last epoch to encode
+/// the next frames to the same receivers into, `(receiver, buffer)`
+/// ascending by receiver. A buffer only ever holds one (sender, receiver)
+/// pair's frames, so it keeps to that pair's size ([`fit`]).
+pub(super) type KeptFrames = Vec<Vec<(usize, Vec<u8>)>>;
+
+/// Size a kept buffer to `len` bytes, its contents left to be overwritten.
+/// A buffer too small for the frame, or more than a quarter too large, is
+/// replaced by a zeroed one of exactly `len` bytes (what `to_bytes` would
+/// allocate), so a kept buffer stays within 1.25× its pair's last frame
+/// and its old bytes are never copied.
+fn fit(buf: &mut Vec<u8>, len: usize) {
+    if buf.capacity() < len || buf.capacity() > len + len / 4 {
+        *buf = vec![0; len];
+    } else {
+        buf.resize(len, 0);
+    }
+}
+
+/// Sender `from`'s dedicated LET for a receiver whose frontier is `geom`,
+/// built into `scratch` (the sender's tree for every LET it builds) and
+/// encoded straight into its frame: `buf` (whatever it held, a frame buffer
+/// kept from an earlier epoch) is sized to the envelope header plus the
+/// LET's wire size, the LET is written after the header, and the header is
+/// sealed in place as the first transmission of `flow` while the bytes are
+/// still in cache. The frame equals `seal_flow(MsgKind::Let, from, epoch,
+/// flow, 0, &build_let(tree, geom, theta).to_bytes())` byte for byte.
+pub(super) fn let_frame(
+    tree: &Tree,
+    geom: &[Aabb],
+    theta: f64,
+    scratch: &mut LetTree,
+    (from, epoch, flow): (usize, u64, u64),
+    mut buf: Vec<u8>,
+) -> Bytes {
+    build_let_into(tree, geom, theta, scratch);
+    fit(&mut buf, ENVELOPE_HEADER_LEN + scratch.wire_size());
+    scratch.write_to(&mut buf[ENVELOPE_HEADER_LEN..]);
+    envelope::seal_in_place(MsgKind::Let, from, epoch, flow, 0, &mut buf);
+    Bytes::from(buf)
 }
 
 /// One rank's walk results.
@@ -258,20 +310,25 @@ impl Cluster {
         meas: &mut StepMeasurements,
     ) -> Result<Vec<LetTree>, usize> {
         let validate = |b: &[u8]| parse_let_tree(b, "boundary").map(drop);
-        let (sent, boundaries): (Vec<(Bytes, _)>, Vec<LetTree>) = (trees.par_iter())
-            .zip(self.domains.par_iter())
-            .map(|(t, d)| {
-                let b = boundary_tree(t, d);
-                let bytes = b.to_bytes();
-                let verdict = validate(&bytes);
-                ((bytes, verdict), b)
-            })
-            .collect();
-        meas.boundary_bytes = sent.iter().map(|(bytes, _)| bytes.len()).collect();
-        let outbox: Vec<Outbox> = sent.iter().map(|(bytes, _)| Outbox::Broadcast(bytes.clone())).collect();
+        let ((payloads, verdicts), boundaries): ((Vec<Bytes>, Vec<_>), Vec<LetTree>) =
+            (trees.par_iter().zip(self.domains.par_iter()))
+                .map(|(t, d)| {
+                    let b = boundary_tree(t, d);
+                    let bytes = b.to_bytes();
+                    let verdict = validate(&bytes);
+                    ((bytes, verdict), b)
+                })
+                .collect();
+        meas.boundary_bytes = payloads.iter().map(Bytes::len).collect();
+        let outbox: Vec<Outbox> = payloads.iter().cloned().map(Outbox::Broadcast).collect();
         let got = self.exchange(MsgKind::Boundary, &outbox, Expect::AllPeers, |from, b| {
-            match sent.get(from) {
-                Some((bytes, verdict)) if bytes[..] == *b => verdict.clone(),
+            match (payloads.get(from), verdicts.get(from)) {
+                // The shared payload itself, or a copy of its bytes.
+                (Some(bytes), Some(verdict))
+                    if (bytes.as_ptr(), bytes.len()) == (b.as_ptr(), b.len()) || bytes[..] == *b =>
+                {
+                    verdict.clone()
+                }
                 _ => validate(b),
             }
         });
@@ -293,36 +350,68 @@ impl Cluster {
         boundaries: &[LetTree],
         meas: &mut StepMeasurements,
     ) -> Result<Vec<Vec<(usize, LetTree)>>, usize> {
-        let theta = self.cfg.theta;
+        let (theta, epoch) = (self.cfg.theta, self.epoch);
         // Each rank's frontier geometry, once: what its senders build for.
         let geoms: Vec<Vec<Aabb>> = boundaries.par_iter().map(LetTree::frontier_boxes).collect();
-        let encoded: Vec<Vec<(usize, Bytes)>> = (trees.par_iter().zip(boundaries.par_iter()))
+        let owed: Vec<Vec<usize>> = (boundaries.par_iter())
             .enumerate()
-            .map(|(i, (tree, bi))| {
+            .map(|(i, bi)| {
                 if bi.is_empty() {
                     return Vec::new();
                 }
                 (geoms.iter().enumerate())
                     .filter(|&(j, geom_j)| j != i && !geom_j.is_empty())
                     .filter(|(_, geom_j)| !boundary_sufficient_for(bi, geom_j, theta))
-                    .map(|(j, geom_j)| (j, build_let(tree, geom_j, theta).to_bytes()))
+                    .map(|(j, _)| j)
+                    .collect()
+            })
+            .collect();
+        // Each sender's flow ids are known before it encodes, so it seals
+        // every frame in the buffer the LET is written into.
+        let firsts = collective::first_flows(&self.wire, owed.iter().map(Vec::len));
+        let mut kept = std::mem::take(&mut self.kept_frames);
+        kept.resize_with(trees.len(), Vec::new);
+        let sealed: Vec<Vec<(usize, Bytes)>> = (trees.par_iter().zip(owed.par_iter()))
+            .zip(firsts.into_par_iter().zip(kept.into_par_iter()))
+            .enumerate()
+            .map(|(i, ((tree, owed), (first, kept)))| {
+                let mut kept = kept.into_iter().peekable();
+                let mut scratch = LetTree::default();
+                (owed.iter().zip(first..))
+                    .map(|(&j, flow)| {
+                        while kept.next_if(|&(to, _)| to < j).is_some() {}
+                        let buf = kept.next_if(|&(to, _)| to == j).map(|(_, buf)| buf);
+                        let frame = let_frame(tree, &geoms[j], theta, &mut scratch, (i, epoch, flow), buf.unwrap_or_default());
+                        (j, frame)
+                    })
                     .collect()
             })
             .collect();
         // The receivers' lists are the same pairs transposed, ascending by
         // sender because the senders are read in order.
         let mut expected: Vec<Vec<usize>> = vec![Vec::new(); trees.len()];
-        for (i, lets) in encoded.iter().enumerate() {
-            meas.let_bytes_sent[i] = lets.iter().map(|(_, bytes)| bytes.len()).sum();
-            meas.let_neighbors[i] = lets.len();
-            for &(j, _) in lets {
+        for (i, frames) in sealed.iter().enumerate() {
+            meas.let_bytes_sent[i] = frames.iter().map(|(_, f)| f.len() - ENVELOPE_HEADER_LEN).sum();
+            meas.let_neighbors[i] = frames.len();
+            for &(j, _) in frames {
                 expected[j].push(i);
             }
         }
-        let outbox: Vec<Outbox> = encoded.into_iter().map(Outbox::To).collect();
+        let outbox: Vec<Outbox> = sealed.into_iter().map(Outbox::Sealed).collect();
         let got = self.exchange(MsgKind::Let, &outbox, Expect::From(&expected), |_, b| {
             parse_let_tree(b, "LET")
         });
+        // Every handle but the outbox's is gone unless a fault holds the
+        // frame into the next epoch; such a buffer is dropped.
+        self.kept_frames = (outbox.into_iter())
+            .map(|sent| match sent {
+                Outbox::Sealed(frames) => (frames.into_iter())
+                    .filter_map(|(to, frame)| Some((to, frame.try_into_vec().ok()?)))
+                    .filter(|(_, buf)| buf.capacity() >= KEEP_FRAME_BYTES)
+                    .collect(),
+                _ => Vec::new(),
+            })
+            .collect();
         meas.retransmit_bytes += got.retransmit_bytes;
         got.complete()
     }

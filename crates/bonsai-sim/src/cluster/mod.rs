@@ -249,6 +249,9 @@ pub struct Cluster {
     /// the process-global pool. Shared via `Arc` so `step` can install it
     /// while mutably borrowing the rest of the cluster.
     pool: Option<Arc<rayon::ThreadPool>>,
+    /// The large LET frame buffers each sender keeps from one epoch to
+    /// encode the next into.
+    kept_frames: gravity::KeptFrames,
 }
 
 impl Cluster {
@@ -323,6 +326,7 @@ impl Cluster {
             membership: MembershipLog::new(),
             elastic: false,
             drop_migrants: false,
+            kept_frames: Vec::new(),
         }
     }
 

@@ -446,3 +446,54 @@ fn delivery_histogram_exists_only_once_a_flow_delivered() {
     let h = c.metrics().histogram(DELIVERY, &[]).expect("a flow delivered");
     assert_eq!(h.count(), delivered as u64);
 }
+
+mod let_frames {
+    use super::gravity::let_frame;
+    use bonsai_ic::plummer_sphere;
+    use bonsai_domain::build_let;
+    use bonsai_domain::lettree::Role;
+    use bonsai_net::envelope::seal_flow;
+    use bonsai_net::MsgKind;
+    use bonsai_tree::build::{Tree, TreeParams};
+    use bonsai_tree::Particles;
+    use bonsai_util::rng::Xoshiro256;
+    use bonsai_util::{Aabb, Vec3};
+    use proptest::prelude::*;
+
+    /// `count` receiver frontier boxes of random centres and extents.
+    fn geometry(count: usize, seed: u64) -> Vec<Aabb> {
+        let mut rng = Xoshiro256::seed_from(seed);
+        (0..count)
+            .map(|_| {
+                let centre = rng.unit_sphere() * rng.uniform_in(0.0, 4.0);
+                let half = Vec3::new(rng.uniform_in(0.01, 1.0), rng.uniform_in(0.01, 1.0), rng.uniform_in(0.01, 1.0));
+                Aabb::new(centre - half, centre + half)
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn a_let_sealed_in_place_is_the_frame_sealed_from_its_bytes(
+            n in 0usize..400, seed in any::<u64>(), boxes in 1usize..5, theta in 0.2f64..1.0,
+            from in 0usize..100_000, epoch in any::<u64>(), flow in any::<u64>(),
+            stale in proptest::collection::vec(any::<u8>(), 0..2048),
+        ) {
+            // The sender's tree, empty at n = 0 (an empty LET), and a frame
+            // buffer that held another frame before, longer or shorter.
+            let particles = if n == 0 { Particles::new() } else { plummer_sphere(n, seed) };
+            let tree = Tree::build(particles, TreeParams::default());
+            let geom = geometry(boxes, seed ^ 0x5eed);
+            let lt = build_let(&tree, &geom, theta);
+            prop_assert_eq!(lt.is_empty(), n == 0);
+            let oracle = seal_flow(MsgKind::Let, from, epoch, flow, 0, &lt.to_bytes());
+            // A scratch tree that held another sender's LET, of either role.
+            let mut scratch = build_let(&Tree::build(plummer_sphere(64, !seed), TreeParams::default()), &geom, 0.5);
+            scratch.role = if seed.is_multiple_of(2) { Role::Boundary } else { Role::Let };
+            let frame = let_frame(&tree, &geom, theta, &mut scratch, (from, epoch, flow), stale);
+            prop_assert_eq!(&frame[..], &oracle[..]);
+        }
+    }
+}

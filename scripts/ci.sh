@@ -69,9 +69,11 @@ fi
 # The sliced CRC-64 loop is unrolled only at the release profile. Both CRC
 # instantiations (sliced, and the carry-less-multiply fold where the CPU has
 # PCLMULQDQ and SSE4.1) are compared there, and the envelope's bit-flip and
-# truncation sweeps run over a frame long enough to take the fold.
+# truncation sweeps run over a frame long enough to take the fold, whole and
+# with its header apart. The rest of bonsai-net (the collective, the fault
+# wire's copy-before-mangle, the proptests) runs on that code generation too.
 cargo test -q --release -p bonsai-util --lib hash
-cargo test -q --release -p bonsai-net --lib envelope
+cargo test -q --release -p bonsai-net
 # The pinned fault-log, flow-ledger and force digests, on the code
 # generation the benchmark and the gates run.
 cargo test -q --release -p bonsai-sim --test exchange_digests
@@ -182,8 +184,15 @@ test "$status" -eq 2
 echo "== the CLI's snapshot path: write a snapshot, then resume from it =="
 # `bonsai resume` reads a user-supplied file through the strict particle
 # codec the exchange and the checkpoint shards share; both must exit 0.
+# A resumed run carries on from the snapshot's time: two steps of dt = 0.01
+# wrote t = 0.02, and a snapshot written two steps after the resume, t = 0.04.
 cargo run -q --release --bin bonsai -- run plummer --n 2000 --steps 2 --snapshot "$scratch/p.bin"
-cargo run -q --release --bin bonsai -- resume "$scratch/p.bin" --steps 2
+resumed=$(cargo run -q --release --bin bonsai -- resume "$scratch/p.bin" --steps 2 --snapshot "$scratch/p2.bin")
+echo "$resumed"
+grep -q "start  t =   0.0200" <<<"$resumed"
+resumed=$(cargo run -q --release --bin bonsai -- resume "$scratch/p2.bin" --steps 1)
+echo "$resumed"
+grep -q "start  t =   0.0400" <<<"$resumed"
 
 echo "== the other examples, at small sizes =="
 # An item whose only caller is an example is kept for that example, so every

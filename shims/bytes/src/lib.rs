@@ -33,6 +33,13 @@ impl Bytes {
     pub fn is_empty(&self) -> bool {
         self.data.is_empty()
     }
+
+    /// The heap buffer back, when this is its only handle; `self` otherwise.
+    /// A sender that kept a frame through its exchange reuses the buffer
+    /// for its next frame this way.
+    pub fn try_into_vec(self) -> Result<Vec<u8>, Bytes> {
+        Arc::try_unwrap(self.data).map_err(|data| Self { data })
+    }
 }
 
 impl Deref for Bytes {
@@ -91,6 +98,17 @@ mod tests {
         let b = Bytes::from(v);
         assert_eq!(b.as_ptr(), ptr, "Bytes::from(Vec) must not copy");
         assert_eq!(b.clone().as_ptr(), ptr, "clones share the buffer");
+    }
+
+    #[test]
+    fn the_only_handle_gives_its_buffer_back() {
+        let b = Bytes::from(vec![5u8; 64]);
+        let ptr = b.as_ptr();
+        let c = b.clone();
+        let b = b.try_into_vec().expect_err("a clone still holds the buffer");
+        drop(c);
+        let v = b.try_into_vec().expect("the last handle owns the buffer");
+        assert_eq!((v.as_ptr(), v.len()), (ptr, 64));
     }
 
     #[test]

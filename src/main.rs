@@ -76,8 +76,11 @@ USAGE:
   bonsai run plummer   [--n N] [--steps S] [--theta T] [--eps E] [--dt DT] [--snapshot FILE]
   bonsai run milkyway  [--n N] [--steps S] [--snapshot FILE]
   bonsai run cluster   [--n N] [--ranks P] [--steps S]
-  bonsai resume FILE   [--steps S] [--theta T] [--eps E] [--dt DT]
+  bonsai resume FILE   [--steps S] [--theta T] [--eps E] [--dt DT] [--snapshot FILE]
   bonsai info
+
+`resume` carries on from the snapshot's time in N-body units (G = 1): a
+snapshot records the particles and the time, not the units, theta, eps or dt.
 
 Paper rows:     `cargo run --release -p bonsai-bench --bin paper [ROW..]`
 Artifact gates: `cargo run --release -p bonsai-bench --bin gates [KIND..]`"
@@ -223,7 +226,7 @@ fn resume(args: &Args) -> ExitCode {
         args.get("eps", 0.02),
         args.get("dt", 0.01),
     );
-    let sim = Simulation::new(particles, cfg);
+    let sim = Simulation::resume(particles, cfg, time);
     run_loop(sim, args.get("steps", 100usize), args.get_str("snapshot"))
 }
 

@@ -107,3 +107,29 @@ fn snapshot_io_through_facade() {
     assert_eq!(t, 0.5);
     assert_eq!(back.len(), 500);
 }
+
+#[test]
+fn a_resumed_run_carries_on_from_the_snapshot_time() {
+    use bonsai::core::snapshot::{read_snapshot, write_snapshot};
+    let dir = std::env::temp_dir().join(format!("bonsai_facade_resume_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let dt = 0.01;
+    let cfg = SimulationConfig::nbody_units(0.4, 0.02, dt);
+    let mut sim = Simulation::new(plummer_sphere(400, 5), cfg);
+    sim.run(3);
+    let (first, second) = (dir.join("first.bin"), dir.join("second.bin"));
+    write_snapshot(&first, sim.particles(), sim.time()).unwrap();
+
+    let (particles, t0) = read_snapshot(&first).unwrap();
+    assert_eq!(t0, sim.time());
+    let mut resumed = Simulation::resume(particles, cfg, t0);
+    assert_eq!(resumed.time(), t0, "the clock starts at the snapshot's time, not at 0");
+    resumed.run(2);
+    write_snapshot(&second, resumed.particles(), resumed.time()).unwrap();
+    let (_, t1) = read_snapshot(&second).unwrap();
+    // t0 advanced by dt twice, as the uninterrupted run's clock would read.
+    assert_eq!(t1, t0 + dt + dt);
+    sim.run(2);
+    assert_eq!(t1, sim.time());
+    std::fs::remove_dir_all(&dir).unwrap();
+}
