@@ -8,31 +8,36 @@
 //! the receiver walks a LET *directly* — no merging into the local tree —
 //! which is what lets the paper hide LET exchange behind GPU work.
 //!
-//! The byte encoding is deliberately explicit (fixed-width little-endian
-//! fields, one fixed-stride record per node): the cluster simulator charges
-//! the network model with `to_bytes().len()`, so the sizes driving the
-//! Table II communication rows are real serialized sizes, not estimates.
-//! A node record ships what a receiver reads and nothing else. The walk
-//! reads `com`, `mass`, `quad`, `geo_center`, `geo_half`, `first`, `count`
-//! and `kind`; `level` ships as one byte. The tight `bbox` ships only on
-//! [`Role::Boundary`] records, because receivers build their LETs against a
-//! boundary's [`LetTree::frontier_boxes`] and nobody reads a LET's boxes. The
-//! round trip is exact in every shipped field (signed zeros and subnormals
-//! included), so walking a decoded frame gives the sender's forces bit for
-//! bit, and a receiver that decoded and checked a boundary frame may drop
-//! its copy and walk the sender's tree.
+//! The byte encoding is deliberately explicit: a header, then fixed-width
+//! little-endian records, one per node and one per particle
+//! ([`bonsai_tree::records`] owns the record layout). A node record ships
+//! what a receiver reads and nothing else. The walk reads `com`, `mass`,
+//! `quad`, `geo_center`, `geo_half`, `first`, `count` and `kind`; `level`
+//! ships as one byte. The tight `bbox` ships only on [`Role::Boundary`]
+//! records, because receivers build their LETs against a boundary's
+//! [`LetTree::frontier_boxes`] and nobody reads a LET's boxes.
+//!
+//! A receiver decodes nothing. [`validate`] checks an encoding where it lies
+//! — lengths, kinds, finiteness, ranges, mass sums, levels, boxes, in one
+//! pass — and a [`LetFrame`] keeps a validated LET in the frame it arrived
+//! in, for the walk to read its records there. The round trip is exact in
+//! every shipped field (signed zeros and subnormals included), so walking a
+//! received frame gives the sender's forces bit for bit, and a receiver that
+//! validated a boundary frame may drop its copy and walk the sender's tree.
 //!
 //! ```text
 //! header   17 B  node count u64 · particle count u64 · role u8 (0 LET, 1 boundary)
-//! node    122 B  com 3×f64 · mass f64 · quad 6×f64 · geo_center 3×f64 · geo_half f64
-//!                · first u32 · count u32 · kind u8 · level u8
-//!          +48 B  bbox min 3×f64 · max 3×f64            (boundary records only)
+//! node    122 B  (LET) or 170 B (boundary, + tight bbox) — bonsai_tree::records
 //! particle 32 B  pos 3×f64 · mass f64
 //! ```
 
 use bonsai_sfc::MAX_LEVEL;
 use bonsai_tree::node::{Node, NodeKind, TreeView};
-use bonsai_util::{Aabb, Sym3, Vec3};
+use bonsai_tree::records::{
+    decode_node, encode_node, encode_particle, NodeRecord, RecordView, BOUNDARY_RECORD_SIZE,
+    LET_RECORD_SIZE, PARTICLE_RECORD_SIZE,
+};
+use bonsai_util::{Aabb, Vec3};
 use bytes::Bytes;
 
 /// What a tree is for, which picks its node record on the wire.
@@ -57,12 +62,6 @@ impl Role {
 
 /// Bytes of the frame header: node count, particle count, role.
 pub const HEADER_SIZE: usize = 8 + 8 + 1;
-/// Bytes per node record of a LET.
-pub const LET_RECORD_SIZE: usize = 8 * (3 + 1 + 6 + 3 + 1) + 4 + 4 + 1 + 1;
-/// Bytes per node record of a boundary tree: a LET record plus the tight box.
-pub const BOUNDARY_RECORD_SIZE: usize = LET_RECORD_SIZE + 8 * 6;
-/// Bytes per shipped particle: position and mass.
-pub const PARTICLE_RECORD_SIZE: usize = 8 * 4;
 
 /// A self-contained pruned tree: nodes in BFS order plus the particle payload
 /// referenced by its leaf nodes.
@@ -116,13 +115,12 @@ impl LetTree {
         self.pos.len()
     }
 
-    /// Structural invariants: child ranges valid, leaf ranges inside payload,
-    /// internal mass equals the sum of child masses, every multipole, cell
-    /// and particle value finite, cells of positive size no deeper than
-    /// [`MAX_LEVEL`], and a boundary tree's boxes finite and not inverted.
-    /// Receivers run this on every tree that crosses the wire, so a frame
-    /// that passes the envelope checksum but carries semantically broken data
-    /// — anything the walk or the LET builder reads — is still rejected.
+    /// Structural invariants of a tree in memory: child ranges valid, leaf
+    /// ranges inside payload, internal mass equals the sum of child masses,
+    /// every multipole, cell and particle value finite, cells of positive
+    /// size no deeper than [`MAX_LEVEL`], and a boundary tree's boxes finite
+    /// and not inverted. [`validate`] checks the same of an encoding, in
+    /// place, with the same verdict and text.
     pub fn check_invariants(&self) -> Result<(), String> {
         for (i, n) in self.nodes.iter().enumerate() {
             let finite = n.mass.is_finite() && finite3(n.com) && n.quad.m.iter().all(|q| q.is_finite());
@@ -216,44 +214,24 @@ impl LetTree {
             encode_node(n, rec);
         }
         let particles = self.pos.iter().zip(&self.mass);
-        for ((p, &m), rec) in particles.zip(particle_part.chunks_exact_mut(PARTICLE_RECORD_SIZE)) {
-            put_f64s(rec, 0, &[p.x, p.y, p.z, m]);
+        for ((&p, &m), rec) in particles.zip(particle_part.chunks_exact_mut(PARTICLE_RECORD_SIZE)) {
+            encode_particle(p, m, rec);
         }
     }
 
-    /// Deserialize; returns `None` on malformed input: an unknown role or
-    /// node kind, or a payload longer or shorter than its header declares
-    /// for that role.
+    /// Validate, then copy: the tree `b` encodes, or `None` for any
+    /// encoding [`validate`] refuses — malformed, or breaking an invariant.
     pub fn from_bytes(b: &[u8]) -> Option<Self> {
-        let (header, body) = b.split_first_chunk::<HEADER_SIZE>()?;
-        let n_nodes = u64_at(header, 0) as usize;
-        let n_part = u64_at(header, 8) as usize;
-        let role = match header[16] {
-            0 => Role::Let,
-            1 => Role::Boundary,
-            _ => return None,
-        };
-        let stride = role.record_size();
-        // Checked arithmetic: adversarial headers must not overflow (found
-        // by the garbage-input fuzz test — debug builds panic on mul
-        // overflow otherwise).
-        let node_bytes = n_nodes.checked_mul(stride)?;
-        let need = n_part
-            .checked_mul(PARTICLE_RECORD_SIZE)
-            .and_then(|p| p.checked_add(node_bytes))?;
-        if body.len() != need {
-            return None;
+        let (role, view) = validate(b).ok()?;
+        let mut nodes = Vec::with_capacity(view.len());
+        for i in 0..view.len() {
+            nodes.push(decode_node(view.record(i)).expect("a validated record has a known kind"));
         }
-        let (node_part, particle_part) = body.split_at(node_bytes);
-        let mut nodes = Vec::with_capacity(n_nodes);
-        for rec in node_part.chunks_exact(stride) {
-            nodes.push(decode_node(rec, role)?);
-        }
-        let mut pos = Vec::with_capacity(n_part);
-        let mut mass = Vec::with_capacity(n_part);
-        for rec in particle_part.chunks_exact(PARTICLE_RECORD_SIZE) {
-            pos.push(vec3_at(rec, 0));
-            mass.push(f64_at(rec, 24));
+        let mut pos = Vec::with_capacity(view.particle_count());
+        let mut mass = Vec::with_capacity(view.particle_count());
+        for (p, m) in view.particles(0, view.particle_count()) {
+            pos.push(p);
+            mass.push(m);
         }
         Some(Self { nodes, pos, mass, role })
     }
@@ -265,87 +243,151 @@ impl LetTree {
     }
 }
 
+/// Why [`validate`] refused an encoding.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum Invalid {
+    /// Not an encoding: a short header, an unknown role or node kind, or a
+    /// body longer or shorter than the header declares for that role.
+    Encoding,
+    /// An encoding that breaks a structural invariant, in the words of
+    /// [`LetTree::check_invariants`].
+    Invariant(String),
+}
+
+/// The header's role and the records of an encoding whose body has exactly
+/// the length the header declares for that role.
+fn layout(b: &[u8]) -> Result<(Role, RecordView<'_>), Invalid> {
+    let (header, body) = b.split_first_chunk::<HEADER_SIZE>().ok_or(Invalid::Encoding)?;
+    let count = |at: usize| u64::from_le_bytes(header[at..at + 8].try_into().unwrap()) as usize;
+    let (n_nodes, n_part) = (count(0), count(8));
+    let role = match header[16] {
+        0 => Role::Let,
+        1 => Role::Boundary,
+        _ => return Err(Invalid::Encoding),
+    };
+    let stride = role.record_size();
+    // Checked arithmetic: adversarial headers must not overflow (found by
+    // the garbage-input fuzz test — debug builds panic on mul overflow
+    // otherwise).
+    let node_bytes = n_nodes.checked_mul(stride).ok_or(Invalid::Encoding)?;
+    let need = (n_part.checked_mul(PARTICLE_RECORD_SIZE))
+        .and_then(|p| p.checked_add(node_bytes))
+        .ok_or(Invalid::Encoding)?;
+    if body.len() != need {
+        return Err(Invalid::Encoding);
+    }
+    let (nodes, particles) = body.split_at(node_bytes);
+    Ok((role, RecordView::new(nodes, stride, particles)))
+}
+
+/// Check an encoding where it lies, in one pass over its records: the
+/// header and lengths, every node's kind, then the invariants of
+/// [`LetTree::check_invariants`]. The verdict and its text are those of
+/// decoding the bytes and checking the decoded tree: a record of unknown
+/// kind anywhere makes it [`Invalid::Encoding`], whatever else is broken.
+/// Returns the role and the records to read in place.
+pub fn validate(b: &[u8]) -> Result<(Role, RecordView<'_>), Invalid> {
+    let (role, view) = layout(b)?;
+    let mut broken = None;
+    for i in 0..view.len() {
+        let n = view.node(i);
+        let Some(kind) = n.kind() else {
+            return Err(Invalid::Encoding);
+        };
+        if broken.is_none() {
+            broken = node_invariants(&view, i, n, kind).err();
+        }
+    }
+    if let Some(why) = broken {
+        return Err(Invalid::Invariant(why));
+    }
+    for (i, (p, m)) in view.particles(0, view.particle_count()).enumerate() {
+        if !(finite3(p) && m.is_finite()) {
+            return Err(Invalid::Invariant(format!("particle {i}: non-finite payload data")));
+        }
+    }
+    Ok((role, view))
+}
+
+/// [`LetTree::check_invariants`]' checks of node `i`, `n`, read from its
+/// record.
+#[inline]
+fn node_invariants(view: &RecordView<'_>, i: usize, n: NodeRecord<'_>, kind: NodeKind) -> Result<(), String> {
+    let (mass, quad) = (n.mass(), n.quad());
+    if !(mass.is_finite() && finite3(n.com()) && quad.m.iter().all(|q| q.is_finite())) {
+        return Err(format!("node {i}: non-finite multipole data"));
+    }
+    if !finite3(n.geo_center()) {
+        return Err(format!("node {i}: non-finite cell centre"));
+    }
+    let half = n.geo_half();
+    if !(half.is_finite() && half > 0.0) {
+        return Err(format!("node {i}: cell half-size {half} is not finite and positive"));
+    }
+    if n.level() > MAX_LEVEL {
+        return Err(format!("node {i}: level {} deeper than MAX_LEVEL {MAX_LEVEL}", n.level()));
+    }
+    if let Some(b) = view.bbox(i) {
+        if !(finite3(b.min) && finite3(b.max)) {
+            return Err(format!("node {i}: non-finite bounding box"));
+        }
+        if b.is_empty() {
+            return Err(format!("node {i}: inverted bounding box"));
+        }
+    }
+    // Widened: `first + count` must not wrap in `u32`.
+    let (b, e) = (n.first() as usize, n.first() as usize + n.count() as usize);
+    match kind {
+        NodeKind::Internal => {
+            if e > view.len() || b <= i {
+                return Err(format!("node {i}: bad child range {b}..{e}"));
+            }
+            let child_mass: f64 = (b..e).map(|c| view.node(c).mass()).sum();
+            if (child_mass - mass).abs() > 1e-9 * mass.abs().max(1.0) {
+                return Err(format!("node {i}: mass {mass} != child sum {child_mass}"));
+            }
+        }
+        NodeKind::Leaf => {
+            if e > view.particle_count() {
+                return Err(format!("node {i}: leaf range beyond payload"));
+            }
+        }
+        NodeKind::Cut => {}
+    }
+    Ok(())
+}
+
+/// A received LET, validated in the frame it arrived in: the frame's
+/// shared buffer and the offset its encoding starts at. Nothing is copied;
+/// the walk reads [`records`](Self::records) where they lie, and the buffer
+/// goes back to its sender once every handle is dropped.
+#[derive(Debug)]
+pub struct LetFrame {
+    frame: Bytes,
+    at: usize,
+}
+
+impl LetFrame {
+    /// Keep `frame` if the encoding from byte `at` on passes [`validate`].
+    pub fn new(frame: Bytes, at: usize) -> Result<Self, Invalid> {
+        validate(&frame[at..])?;
+        Ok(Self { frame, at })
+    }
+
+    /// The LET's records, in place.
+    pub fn records(&self) -> RecordView<'_> {
+        layout(&self.frame[self.at..]).expect("a validated encoding").1
+    }
+}
+
 fn finite3(v: Vec3) -> bool {
     v.x.is_finite() && v.y.is_finite() && v.z.is_finite()
-}
-
-fn u64_at(b: &[u8], at: usize) -> u64 {
-    u64::from_le_bytes(b[at..at + 8].try_into().unwrap())
-}
-
-fn f64_at(b: &[u8], at: usize) -> f64 {
-    f64::from_bits(u64_at(b, at))
-}
-
-fn vec3_at(b: &[u8], at: usize) -> Vec3 {
-    Vec3::new(f64_at(b, at), f64_at(b, at + 8), f64_at(b, at + 16))
-}
-
-fn put_f64s(rec: &mut [u8], at: usize, vals: &[f64]) {
-    for (k, v) in vals.iter().enumerate() {
-        rec[at + 8 * k..at + 8 * k + 8].copy_from_slice(&v.to_le_bytes());
-    }
-}
-
-/// Write `n` as a record of `rec.len()` bytes: a LET record, or a boundary
-/// record, which is a LET record followed by the tight box.
-fn encode_node(n: &Node, rec: &mut [u8]) {
-    put_f64s(rec, 0, &[n.com.x, n.com.y, n.com.z, n.mass]);
-    put_f64s(rec, 32, &n.quad.m);
-    put_f64s(rec, 80, &[n.geo_center.x, n.geo_center.y, n.geo_center.z, n.geo_half]);
-    rec[112..116].copy_from_slice(&n.first.to_le_bytes());
-    rec[116..120].copy_from_slice(&n.count.to_le_bytes());
-    rec[120] = match n.kind {
-        NodeKind::Internal => 0,
-        NodeKind::Leaf => 1,
-        NodeKind::Cut => 2,
-    };
-    rec[121] = u8::try_from(n.level).expect("node level exceeds its u8 wire field");
-    if rec.len() == BOUNDARY_RECORD_SIZE {
-        let (lo, hi) = (n.bbox.min, n.bbox.max);
-        put_f64s(rec, LET_RECORD_SIZE, &[lo.x, lo.y, lo.z, hi.x, hi.y, hi.z]);
-    }
-}
-
-/// Read one record of `role`'s stride; `None` on an unknown node kind.
-fn decode_node(rec: &[u8], role: Role) -> Option<Node> {
-    let r: &[u8; LET_RECORD_SIZE] = rec[..LET_RECORD_SIZE].try_into().unwrap();
-    let mut quad = Sym3::zero();
-    for (k, q) in quad.m.iter_mut().enumerate() {
-        *q = f64_at(r, 32 + 8 * k);
-    }
-    let geo_center = vec3_at(r, 80);
-    let geo_half = f64_at(r, 104);
-    let kind = match r[120] {
-        0 => NodeKind::Internal,
-        1 => NodeKind::Leaf,
-        2 => NodeKind::Cut,
-        _ => return None,
-    };
-    let bbox = match role {
-        Role::Let => Aabb::cube(geo_center, geo_half),
-        Role::Boundary => Aabb {
-            min: vec3_at(rec, LET_RECORD_SIZE),
-            max: vec3_at(rec, LET_RECORD_SIZE + 24),
-        },
-    };
-    Some(Node {
-        com: vec3_at(r, 0),
-        mass: f64_at(r, 24),
-        quad,
-        bbox,
-        geo_center,
-        geo_half,
-        first: u32::from_le_bytes(r[112..116].try_into().unwrap()),
-        count: u32::from_le_bytes(r[116..120].try_into().unwrap()),
-        kind,
-        level: u32::from(r[121]),
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bonsai_util::Sym3;
 
     fn sample_tree() -> LetTree {
         let leaf = Node {
@@ -558,6 +600,72 @@ mod tests {
             b[HEADER_SIZE - 1] = 2;
             assert!(LetTree::from_bytes(&b).is_none(), "unknown role accepted");
         }
+    }
+
+    /// The in-memory check's verdict on `t`, and the validator's on its
+    /// encoding: they must agree, text and all.
+    fn both_verdicts(t: &LetTree) -> (Result<(), String>, Result<(), String>) {
+        let bytes = t.to_bytes();
+        let in_place = validate(&bytes).map(drop).map_err(|e| match e {
+            Invalid::Invariant(why) => why,
+            Invalid::Encoding => "not an encoding".to_string(),
+        });
+        (t.check_invariants(), in_place)
+    }
+
+    #[test]
+    fn validating_in_place_gives_the_in_memory_verdict() {
+        let breaks: [fn(&mut LetTree); 11] = [
+            |_| {},
+            |t| t.nodes[0].mass = 10.0,
+            |t| t.nodes[1].count = 99,
+            |t| t.nodes[0].first = 0,
+            |t| t.nodes[2].geo_center.y = f64::NAN,
+            |t| t.nodes[1].geo_half = f64::NAN,
+            |t| t.nodes[0].geo_half = -0.25,
+            |t| t.nodes[1].level = MAX_LEVEL + 1,
+            |t| t.nodes[1].quad.m[4] = f64::INFINITY,
+            |t| t.pos[1].z = f64::NAN,
+            |t| t.nodes[2].bbox.min.x = t.nodes[2].bbox.max.x + 1.0,
+        ];
+        for (k, breaks) in breaks.iter().enumerate() {
+            for mut t in [sample_tree(), sample_boundary()] {
+                breaks(&mut t);
+                let (want, got) = both_verdicts(&t);
+                assert_eq!(got, want, "mutation {k}, {:?}", t.role);
+                assert_eq!(LetTree::from_bytes(&t.to_bytes()).is_some(), want.is_ok(), "mutation {k}");
+            }
+        }
+    }
+
+    #[test]
+    fn an_unknown_kind_anywhere_is_not_an_encoding() {
+        // Node 0's mass is broken too, but decoding fails first.
+        let mut t = sample_tree();
+        t.nodes[0].mass = 10.0;
+        let mut b = t.to_bytes().to_vec();
+        b[HEADER_SIZE + 2 * LET_RECORD_SIZE + 120] = 3;
+        assert_eq!(validate(&b).map(drop), Err(Invalid::Encoding));
+    }
+
+    #[test]
+    fn a_frame_keeps_its_buffer_and_walks_its_records_in_place() {
+        let t = sample_tree();
+        let mut frame = vec![0xEE; 44];
+        frame.extend_from_slice(&t.to_bytes());
+        let frame = Bytes::from(frame);
+        let kept = LetFrame::new(frame.clone(), 44).expect("valid");
+        let records = kept.records();
+        assert_eq!((records.len(), records.particle_count()), (3, 2));
+        assert_eq!(records.node(0).mass(), 5.0);
+        // The frame is shared, not copied: the sender's handle is not the last.
+        drop(kept);
+        assert!(frame.try_into_vec().is_ok(), "dropping the frame gives the buffer back");
+        let mut broken = t.clone();
+        broken.nodes[0].mass = 10.0;
+        let mut bad = vec![0; 44];
+        bad.extend_from_slice(&broken.to_bytes());
+        assert!(matches!(LetFrame::new(Bytes::from(bad), 44), Err(Invalid::Invariant(_))));
     }
 
     #[test]

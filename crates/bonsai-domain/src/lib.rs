@@ -52,5 +52,5 @@ pub mod sampling;
 pub use boundary::boundary_tree;
 pub use exchange::ExchangePlan;
 pub use letbuild::{boundary_sufficient_for, build_let};
-pub use lettree::{LetTree, Role};
+pub use lettree::{LetFrame, LetTree, Role};
 pub use remap::replan;

@@ -5,12 +5,13 @@
 use bonsai_domain::exchange::ExchangePlan;
 use bonsai_domain::letbuild::{boundary_sufficient_for, build_let, extract_pruned, geometry_opens, Action};
 use bonsai_domain::load::{enforce_particle_cap, populations, weighted_cuts};
-use bonsai_domain::lettree::{LetTree, Role};
+use bonsai_domain::lettree::{validate, Invalid, LetTree, Role, HEADER_SIZE};
 use bonsai_domain::{boundary_tree, replan, sampling};
 use bonsai_sfc::range::{find_owner, ranges_from_cuts};
-use bonsai_sfc::{KeyMap, KeyRange, KEY_END};
+use bonsai_sfc::{KeyMap, KeyRange, KEY_END, MAX_LEVEL};
 use bonsai_tree::build::{Tree, TreeParams};
 use bonsai_tree::node::{Node, NodeKind};
+use bonsai_tree::records::{decode_node, PARTICLE_RECORD_SIZE};
 use bonsai_tree::walk::{walk_tree, WalkParams};
 use bonsai_tree::{Forces, Particles};
 use bonsai_util::rng::Xoshiro256;
@@ -196,10 +197,30 @@ proptest! {
     }
 
     #[test]
+    fn validating_in_place_gives_the_decode_then_check_verdict(
+        n in 2usize..200, seed in any::<u64>(), shape in 0usize..3, edit in 0usize..8, pick in any::<u64>(),
+    ) {
+        // A boundary, or a LET of either reach, of a random Plummer sphere.
+        let (tree, domain, receiver) = split_in_two(bonsai_ic::plummer_sphere(n, seed));
+        let lt = match shape {
+            0 => boundary_tree(&tree, &domain),
+            1 => build_let(&tree, &[receiver.particles.bounds()], 0.4),
+            _ => build_let(&tree, &[Aabb::cube(Vec3::splat(50.0), 1.0)], 0.4),
+        };
+        prop_assert!(!lt.is_empty());
+        prop_assert_eq!(validate(&lt.to_bytes()).map(drop), Ok(()));
+        let bytes = damaged(&lt, edit, pick);
+        let want = decode_then_check(&bytes);
+        prop_assert_eq!(validate(&bytes).map(drop), want.clone());
+        prop_assert_eq!(LetTree::from_bytes(&bytes).is_some(), want.is_ok());
+    }
+
+    #[test]
     fn from_bytes_never_panics_on_garbage(bytes in proptest::collection::vec(any::<u8>(), 0..4096)) {
         // Wire-format decoding must reject or parse — never panic — for any
         // byte soup a buggy or malicious peer could deliver.
         let _ = LetTree::from_bytes(&bytes);
+        prop_assert_eq!(validate(&bytes).map(drop), decode_then_check(&bytes));
     }
 
     #[test]
@@ -455,7 +476,12 @@ fn encode_by_fields(lt: &LetTree) -> Vec<u8> {
 /// Two ranks over one key map: `blob(n, seed)` split at its median key.
 /// Returns the first rank's tree and key range, and the second rank's tree.
 fn two_ranks(n: usize, seed: u64) -> (Tree, KeyRange, Tree) {
-    let all = blob(n, seed);
+    split_in_two(blob(n, seed))
+}
+
+/// [`two_ranks`] of any particle set of at least two particles.
+fn split_in_two(all: Particles) -> (Tree, KeyRange, Tree) {
+    let n = all.len();
     let keymap = KeyMap::new(&all.bounds(), bonsai_sfc::Curve::Hilbert);
     let keys: Vec<u64> = all.pos.iter().map(|&q| keymap.key_of(q)).collect();
     let mut sorted = keys.clone();
@@ -471,12 +497,130 @@ fn two_ranks(n: usize, seed: u64) -> (Tree, KeyRange, Tree) {
 
 /// `lt` round-tripped through the wire with its first `kind` node's range
 /// patched to `first = u32::MAX, count = 2` — a sum that wraps in `u32`.
+/// Its encoding must be refused in place with the in-memory check's text.
 fn with_wrapping_range(lt: LetTree, kind: NodeKind) -> LetTree {
     let mut lt = LetTree::from_bytes(&lt.to_bytes()).unwrap();
     lt.check_invariants().expect("round-tripped tree is valid");
     let victim = lt.nodes.iter_mut().find(|n| n.kind == kind).expect("sample tree has the node kind");
     (victim.first, victim.count) = (u32::MAX, 2);
-    LetTree::from_bytes(&lt.to_bytes()).expect("the patch keeps the frame well-formed")
+    let bytes = lt.to_bytes();
+    assert_eq!(validate(&bytes).map(drop), lt.check_invariants().map_err(Invalid::Invariant));
+    assert!(LetTree::from_bytes(&bytes).is_none(), "a wrapped range decodes");
+    lt
+}
+
+/// The receive path's verdict before received frames were walked in place,
+/// kept as the oracle of [`validate`]: decode every record of the encoding
+/// (a malformed header or length, or an unknown kind, fails), then check the
+/// decoded tree with [`LetTree::check_invariants`].
+fn decode_then_check(b: &[u8]) -> Result<(), Invalid> {
+    let decoded = decode_unchecked(b).ok_or(Invalid::Encoding)?;
+    decoded.check_invariants().map_err(Invalid::Invariant)
+}
+
+/// The decoder before it validated: header, lengths and node kinds only.
+fn decode_unchecked(b: &[u8]) -> Option<LetTree> {
+    let (header, body) = b.split_first_chunk::<HEADER_SIZE>()?;
+    let count = |at: usize| u64::from_le_bytes(header[at..at + 8].try_into().unwrap()) as usize;
+    let (n_nodes, n_part) = (count(0), count(8));
+    let role = match header[16] {
+        0 => Role::Let,
+        1 => Role::Boundary,
+        _ => return None,
+    };
+    let stride = role.record_size();
+    let node_bytes = n_nodes.checked_mul(stride)?;
+    let need = n_part.checked_mul(PARTICLE_RECORD_SIZE).and_then(|p| p.checked_add(node_bytes))?;
+    if body.len() != need {
+        return None;
+    }
+    let (node_part, particle_part) = body.split_at(node_bytes);
+    let mut lt = LetTree { role, ..LetTree::default() };
+    for rec in node_part.chunks_exact(stride) {
+        lt.nodes.push(decode_node(rec)?);
+    }
+    for rec in particle_part.chunks_exact(PARTICLE_RECORD_SIZE) {
+        let f = |k: usize| f64::from_le_bytes(rec[8 * k..8 * k + 8].try_into().unwrap());
+        lt.pos.push(Vec3::new(f(0), f(1), f(2)));
+        lt.mass.push(f(3));
+    }
+    Some(lt)
+}
+
+/// Byte offset of a node record's kind byte, and of its level byte.
+const KIND_AT: usize = 120;
+const LEVEL_AT: usize = 121;
+
+/// The encoding of `lt` with one edit, picked by `edit` and placed by
+/// `pick`: a single byte flip anywhere, or one targeted break — a NaN
+/// field, an unknown kind, a child or leaf range past its end, a mass-sum
+/// mismatch, a level past [`MAX_LEVEL`], an inverted boundary box. An edit
+/// with nothing to act on (no leaf, say) leaves the encoding valid.
+fn damaged(lt: &LetTree, edit: usize, pick: u64) -> Vec<u8> {
+    let mut rng = Xoshiro256::seed_from(pick);
+    let mut t = lt.clone();
+    let any_node = |rng: &mut Xoshiro256, t: &LetTree| rng.uniform_usize(t.nodes.len());
+    let of_kind = |rng: &mut Xoshiro256, t: &LetTree, kind: NodeKind| {
+        let them: Vec<usize> = (0..t.nodes.len()).filter(|&i| t.nodes[i].kind == kind).collect();
+        (!them.is_empty()).then(|| them[rng.uniform_usize(them.len())])
+    };
+    let stride = t.role.record_size();
+    let record_at = |i: usize| HEADER_SIZE + i * stride;
+    let mut byte_edit = None;
+    match edit {
+        0 => {
+            let mut bytes = t.to_bytes().to_vec();
+            let at = rng.uniform_usize(bytes.len());
+            bytes[at] ^= 1 + rng.uniform_usize(255) as u8;
+            return bytes;
+        }
+        1 => {
+            // A NaN in a multipole, cell, particle or box field.
+            let i = any_node(&mut rng, &t);
+            let n = &mut t.nodes[i];
+            match rng.uniform_usize(7) {
+                0 => n.com.y = f64::NAN,
+                1 => n.mass = f64::NAN,
+                2 => n.quad.m[rng.uniform_usize(6)] = f64::NAN,
+                3 => n.geo_center.z = f64::NAN,
+                4 => n.geo_half = f64::NAN,
+                5 => n.bbox.max.x = f64::NAN,
+                _ if !t.pos.is_empty() => {
+                    let k = rng.uniform_usize(t.pos.len());
+                    t.mass[k] = f64::NAN;
+                }
+                _ => n.com.x = f64::NAN,
+            }
+        }
+        2 => byte_edit = Some((record_at(any_node(&mut rng, &t)) + KIND_AT, 3 + rng.uniform_usize(253) as u8)),
+        3 => {
+            if let Some(i) = of_kind(&mut rng, &t, NodeKind::Internal) {
+                t.nodes[i].count = (t.nodes.len() as u32 + 1).saturating_sub(t.nodes[i].first);
+            }
+        }
+        4 => {
+            if let Some(i) = of_kind(&mut rng, &t, NodeKind::Leaf) {
+                t.nodes[i].count = (t.pos.len() as u32 + 1).saturating_sub(t.nodes[i].first);
+            }
+        }
+        5 => {
+            // A child's mass, so its parent's sum breaks (the root's, if
+            // it is alone).
+            let i = if t.nodes.len() > 1 { 1 + rng.uniform_usize(t.nodes.len() - 1) } else { 0 };
+            t.nodes[i].mass = t.nodes[i].mass * 1.5 + 1.0;
+        }
+        6 => byte_edit = Some((record_at(any_node(&mut rng, &t)) + LEVEL_AT, MAX_LEVEL as u8 + 1 + rng.uniform_usize(200) as u8)),
+        _ => {
+            let i = any_node(&mut rng, &t);
+            let b = &mut t.nodes[i].bbox;
+            (b.min.y, b.max.y) = (b.max.y + 1.0, b.min.y);
+        }
+    }
+    let mut bytes = t.to_bytes().to_vec();
+    if let Some((at, value)) = byte_edit {
+        bytes[at] = value;
+    }
+    bytes
 }
 
 /// A LET for a nearby receiver: internal nodes, cut nodes and leaves.

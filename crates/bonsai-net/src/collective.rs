@@ -29,9 +29,11 @@
 //! out, which it checks each such frame carries. A retransmission seals the
 //! payload the sender kept into a new frame. The outbox keeps every buffer
 //! to the end of the round, and a fault copies a frame before it mangles it
-//! (the [`Wire`]), so when [`exchange`] returns the caller holds the only
-//! handle to each buffer it sent — a buffer no frame held back by the plan
-//! still holds — and may take it back for its next round.
+//! (the [`Wire`]). Nothing on the receive side copies either: `parse` gets
+//! the buffer a payload arrived in ([`Payload`]) and may keep a handle to it
+//! instead of decoding a copy. Once the caller drops what `parse` kept, it
+//! holds the only handle to each buffer it sent — a buffer no frame held
+//! back by the plan still holds — and may take it back for its next round.
 //!
 //! # Order contract
 //!
@@ -188,6 +190,37 @@ impl Expect<'_> {
     }
 }
 
+/// A payload as `parse` receives it: the message's shared buffer and the
+/// offset its payload starts at (past the header of a whole frame, 0 beside
+/// a header sealed apart). It derefs to the payload's bytes. A caller that
+/// keeps a payload past the exchange clones [`buffer`](Self::buffer), a
+/// handle to the same bytes: nothing is copied.
+#[derive(Clone, Copy, Debug)]
+pub struct Payload<'a> {
+    buffer: &'a Bytes,
+    at: usize,
+}
+
+impl<'a> Payload<'a> {
+    /// The buffer the payload arrived in.
+    pub fn buffer(&self) -> &'a Bytes {
+        self.buffer
+    }
+
+    /// Where in [`buffer`](Self::buffer) the payload starts.
+    pub fn offset(&self) -> usize {
+        self.at
+    }
+}
+
+impl std::ops::Deref for Payload<'_> {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        &self.buffer[self.at..]
+    }
+}
+
 /// Why `parse` refused a payload that passed envelope validation.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Reject {
@@ -271,9 +304,10 @@ fn check<T>(
     expect: Expect<'_>,
     to: usize,
     msg: &Message,
-    parse: &impl Fn(usize, &[u8]) -> Result<T, Reject>,
+    parse: &impl Fn(usize, Payload<'_>) -> Result<T, Reject>,
 ) -> Checked<T> {
     let (header, payload) = msg.parts();
+    let at = msg.payload.len() - payload.len();
     let env = match envelope::open_parts(header, payload) {
         Ok(env) => env,
         Err(e) => return Checked::Refused(msg.from, RecoveryAction::DiscardCorrupt, e.to_string()),
@@ -290,7 +324,7 @@ fn check<T>(
             from: env.from,
             flow: env.flow,
             seq: env.seq,
-            parsed: parse(env.from, env.payload).map_err(|reject| match reject {
+            parsed: parse(env.from, Payload { buffer: &msg.payload, at }).map_err(|reject| match reject {
                 Reject::Stale(why) => (RecoveryAction::DiscardStale, why),
                 Reject::Corrupt(why) => (RecoveryAction::DiscardCorrupt, why),
             }),
@@ -304,7 +338,8 @@ fn check<T>(
 /// `outbox[from]` is what `from` owes; `expect` is whom each receiver waits
 /// for. `parse(from, payload)` decodes a payload its envelope says `from`
 /// sent; it must be a pure function of the payload's bytes (the sender lets
-/// a caller reuse one verdict for every copy of a broadcast). A frame that
+/// a caller reuse one verdict for every copy of a broadcast), and may keep
+/// the payload's buffer instead of copying it ([`Payload`]). A frame that
 /// fails envelope validation, carries another epoch or kind, comes from an
 /// unexpected sender, arrives twice, or is refused by `parse` is discarded
 /// and logged; missing payloads are re-requested up to
@@ -318,7 +353,7 @@ pub fn exchange<T: Send>(
     round: &Round<'_>,
     outbox: &[Outbox],
     expect: Expect<'_>,
-    parse: impl Fn(usize, &[u8]) -> Result<T, Reject> + Sync,
+    parse: impl Fn(usize, Payload<'_>) -> Result<T, Reject> + Sync,
 ) -> Exchanged<T> {
     let Round { kind, epoch, .. } = *round;
     debug_assert!(members.windows(2).all(|w| w[0] < w[1]), "members ascending");
@@ -479,7 +514,7 @@ mod tests {
             .collect()
     }
 
-    fn bytes(_from: usize, b: &[u8]) -> Result<Vec<u8>, Reject> {
+    fn bytes(_from: usize, b: Payload<'_>) -> Result<Vec<u8>, Reject> {
         Ok(b.to_vec())
     }
 
@@ -494,7 +529,7 @@ mod tests {
     #[test]
     fn parse_is_told_each_frame_s_sender() {
         let mut wire = Wire::new(3, FaultPlan::new(0));
-        let parse = |from: usize, b: &[u8]| Ok((from, b[0] as usize));
+        let parse = |from: usize, b: Payload<'_>| Ok((from, b[0] as usize));
         let got = exchange(&mut wire, &Inline, &[0, 1, 2], &PHASE, &hello(3), Expect::AllPeers, parse);
         for (to, list) in got.received.iter().enumerate() {
             assert!(list.iter().all(|&(from, (told, payload))| from == told && told == payload), "{to}");
@@ -773,9 +808,37 @@ mod tests {
     }
 
     #[test]
+    fn a_kept_payload_is_the_senders_buffer() {
+        // Rank 0 seals a whole frame for rank 1; rank 1 broadcasts. Each
+        // receiver keeps the buffer its payload arrived in: the sender's
+        // own, at the payload's offset, and handed back once the receivers
+        // drop their handles.
+        let payload = long_payload();
+        let mut wire = Wire::new(2, FaultPlan::new(0));
+        let flow = first_flows(&wire, [1, 1])[0];
+        let mut frame = vec![0u8; ENVELOPE_HEADER_LEN];
+        frame.extend_from_slice(&payload);
+        envelope::seal_in_place(MsgKind::Control, 0, EPOCH, flow, 0, &mut frame);
+        let outbox = [Outbox::Sealed(vec![(1, Bytes::from(frame))]), Outbox::Broadcast(Bytes::from(payload.clone()))];
+        let keep = |_, b: Payload<'_>| Ok((b.buffer().clone(), b.offset(), b.to_vec()));
+        let got = exchange(&mut wire, &Inline, &[0, 1], &PHASE, &outbox, Expect::AllPeers, keep);
+        assert!(got.missing.is_empty());
+        let [Outbox::Sealed(sealed), Outbox::Broadcast(shared)] = &outbox else { unreachable!() };
+        for (to, sent, at) in [(1, &sealed[0].1, ENVELOPE_HEADER_LEN), (0, shared, 0)] {
+            let (buffer, offset, bytes) = received_from(&got.received[to], 1 - to).expect("delivered");
+            assert_eq!((buffer.as_ptr(), *offset), (sent.as_ptr(), at), "rank {to} holds a copy");
+            assert_eq!((&buffer[*offset..], &bytes[..]), (&payload[..], &payload[..]));
+        }
+        drop(got);
+        let [Outbox::Sealed(mut sealed), Outbox::Broadcast(shared)] = outbox else { unreachable!() };
+        assert!(sealed.remove(0).1.try_into_vec().is_ok(), "a receiver still holds the sealed frame");
+        assert!(shared.try_into_vec().is_ok(), "a receiver still holds the broadcast payload");
+    }
+
+    #[test]
     fn parse_rejects_as_stale_or_as_corrupt() {
         let mut wire = Wire::new(3, FaultPlan::new(0));
-        let parse = |_from: usize, b: &[u8]| match b[0] {
+        let parse = |_from: usize, b: Payload<'_>| match b[0] {
             1 => Err(Reject::Stale("amends an older view".to_string())),
             2 => Err(Reject::Corrupt("does not decode".to_string())),
             _ => Ok(b[0]),

@@ -326,7 +326,7 @@ pub fn converge(
                     }
                 })
                 .collect();
-            let parse = |_from: usize, b: &[u8]| match Proposal::from_bytes(b) {
+            let parse = |_from: usize, b: collective::Payload<'_>| match Proposal::from_bytes(&b) {
                 Ok(prop) if prop.base == base => Ok(prop),
                 Ok(prop) => Err(Reject::Stale(format!(
                     "proposal amends view {} (current {base})",

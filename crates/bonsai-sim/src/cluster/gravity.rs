@@ -7,9 +7,9 @@
 //! | [`update_domains`](Cluster::update_domains) | Domain update | §III-B1: every particle's PH key, once; two-level sample sort, flop-weighted rates, 30 % cap | — (driver-side) |
 //! | [`migrate`](Cluster::migrate) | Domain update | §III-B1: particle exchange; the stayers keep their keys, received migrants are keyed | `Particles`, every pair, possibly empty |
 //! | [`build`](Cluster::build) | Sorting, Tree-construction, Tree-properties | §III-A: sorts the carried keys | — |
-//! | [`boundaries`](Cluster::boundaries) | Domain update | §III-B2: boundary trees, allgatherv | `Boundary` broadcast, one shared payload with a header per receiver; every receiver validates its frame and drops it |
-//! | [`lets`](Cluster::lets) | (Non-hidden) LET comm | §III-B2: sufficiency check — a pure function of two boundary trees every rank holds bit-identically, decided once per ordered pair — and dedicated LETs for near neighbours | `Let`, sparse, each sealed in the buffer it is encoded in |
-//! | [`walk`](Cluster::walk) | Gravity local, Gravity LETs | §III-A, §III-B2: one walk per rank over the local tree and, per peer, its dedicated LET, else (the boundary sufficed) the sender's own boundary tree | — |
+//! | [`boundaries`](Cluster::boundaries) | Domain update | §III-B2: boundary trees, allgatherv | `Boundary` broadcast, one shared payload with a header per receiver; every receiver validates its frame in place and drops it |
+//! | [`lets`](Cluster::lets) | (Non-hidden) LET comm | §III-B2: sufficiency check — a pure function of two boundary trees every rank holds bit-identically, decided once per ordered pair — and dedicated LETs for near neighbours | `Let`, sparse, each sealed in the buffer it is encoded in; the receiver validates it in place and keeps the frame, decoding nothing |
+//! | [`walk`](Cluster::walk) | Gravity local, Gravity LETs | §III-A, §III-B2: one walk per rank over the local tree and, per peer, its dedicated LET, read in the frame it arrived in, else (the boundary sufficed) the sender's own boundary tree; then the senders take their frame buffers back | — |
 //! | [`store`](Cluster::store) | Unbalance + other | §III-B1: flop weights for the next step's sampling | — |
 //!
 //! A particle's key is computed once an epoch, where the domains are
@@ -29,14 +29,15 @@ use bonsai_domain::exchange::{particles_from_bytes, particles_to_bytes, Exchange
 use bonsai_domain::letbuild::{boundary_sufficient_for, build_let_into};
 use bonsai_domain::load::enforce_particle_cap;
 use bonsai_domain::sampling::parallel_cuts;
-use bonsai_domain::{boundary_tree, LetTree};
-use bonsai_net::collective::{self, received_from, Exchanged, Expect, Lanes, Outbox, Reject, Round};
+use bonsai_domain::lettree::{self, Invalid};
+use bonsai_domain::{boundary_tree, LetFrame, LetTree};
+use bonsai_net::collective::{self, received_from, Exchanged, Expect, Lanes, Outbox, Payload, Reject, Round};
 use bonsai_net::envelope::{self, ENVELOPE_HEADER_LEN};
 use bonsai_net::MsgKind;
 use bonsai_sfc::KeyMap;
 use bonsai_tree::build::Tree;
-use bonsai_tree::walk::{self, WalkParams};
-use bonsai_tree::{Forces, InteractionCounts, Particles, TreeView};
+use bonsai_tree::walk::{self, Source, WalkParams};
+use bonsai_tree::{Forces, InteractionCounts, Particles};
 use bonsai_util::sorted::merge_sorted_runs;
 use bonsai_util::{Aabb, Vec3};
 use bytes::Bytes;
@@ -59,7 +60,7 @@ impl Lanes for PoolLanes {
 /// frames). Smaller frames come back from the allocator's free lists at no
 /// page cost, and keeping them only pins memory between epochs (`mw_r64_thin`'s
 /// few-KiB frames: +7 MB of peak resident memory when all were kept).
-const KEEP_FRAME_BYTES: usize = 64 * 1024;
+pub(super) const KEEP_FRAME_BYTES: usize = 64 * 1024;
 
 /// Per sender: the LET frame buffers it kept from the last epoch to encode
 /// the next frames to the same receivers into, `(receiver, buffer)`
@@ -139,9 +140,14 @@ impl Cluster {
         };
         let trees = self.build(&keymap, keys);
         let boundaries = self.boundaries(&trees, &mut meas)?;
-        let lets = self.lets(&trees, &boundaries, &mut meas)?;
-        let forces = self.walk(&trees, &boundaries, &lets);
-        Ok(self.store(trees, forces, meas))
+        let mut sent = Vec::new();
+        // The received frames share the senders' buffers: the walk reads
+        // them, and only once it has dropped them are the buffers the
+        // senders' alone to keep for the next epoch.
+        let forces = (self.lets(&trees, &boundaries, &mut sent, &mut meas))
+            .map(|lets| self.walk(&trees, &boundaries, &lets));
+        self.kept_frames = keep_frames(sent);
+        Ok(self.store(trees, forces?, meas))
     }
 
     /// One collective among all ranks in the current epoch, logged in the
@@ -152,7 +158,7 @@ impl Cluster {
         kind: MsgKind,
         outbox: &[Outbox],
         expect: Expect<'_>,
-        parse: impl Fn(usize, &[u8]) -> Result<T, String> + Sync,
+        parse: impl Fn(usize, Payload<'_>) -> Result<T, String> + Sync,
     ) -> Exchanged<T> {
         let everyone: Vec<usize> = (0..self.wire.world()).collect();
         let during = format!("{kind:?} phase");
@@ -184,7 +190,7 @@ impl Cluster {
                 }
             })
             .collect();
-        let got = self.exchange(MsgKind::Control, &outbox, Expect::AllPeers, |_, b| aabb_from_bytes(b));
+        let got = self.exchange(MsgKind::Control, &outbox, Expect::AllPeers, |_, b| aabb_from_bytes(&b));
         meas.retransmit_bytes += got.retransmit_bytes;
         let received = got.complete()?;
         // Every rank derives the same global box; use rank 0's view.
@@ -263,7 +269,7 @@ impl Cluster {
             .collect();
         meas.exchange_bytes = exchange_bytes;
         let got = self.exchange(MsgKind::Particles, &outbox, Expect::AllPeers, |_, b| {
-            particles_from_bytes(b)
+            particles_from_bytes(&b)
         });
         meas.retransmit_bytes += got.retransmit_bytes;
         let received = got.complete()?;
@@ -298,7 +304,7 @@ impl Cluster {
     }
 
     /// Boundary allgather through the fabric: every rank's own boundary
-    /// tree. Receivers validate each frame and drop their copy: a validated
+    /// tree. Receivers validate each frame in place and drop it: a validated
     /// frame carries every field a receiver reads with the sender's bits,
     /// so later phases read the sender's tree. Each sender's encoding is
     /// validated once; a frame whose payload is that encoding byte for byte
@@ -309,7 +315,7 @@ impl Cluster {
         trees: &[Tree],
         meas: &mut StepMeasurements,
     ) -> Result<Vec<LetTree>, usize> {
-        let validate = |b: &[u8]| parse_let_tree(b, "boundary").map(drop);
+        let validate = |b: &[u8]| lettree::validate(b).map(drop).map_err(|e| refusal("boundary", e));
         let ((payloads, verdicts), boundaries): ((Vec<Bytes>, Vec<_>), Vec<LetTree>) =
             (trees.par_iter().zip(self.domains.par_iter()))
                 .map(|(t, d)| {
@@ -329,7 +335,7 @@ impl Cluster {
                 {
                     verdict.clone()
                 }
-                _ => validate(b),
+                _ => validate(&b),
             }
         });
         meas.retransmit_bytes += got.retransmit_bytes;
@@ -342,14 +348,17 @@ impl Cluster {
     /// bit-identically, decided once per ordered pair: the outboxes and the
     /// expect lists are the same pairs, so no message says which LETs are
     /// in flight. Returns the LETs each rank received, ascending by sender,
-    /// or `Err(sender)` for a sender whose LET stayed missing through the
-    /// retry budget: the same event as a peer silent on the heartbeat.
+    /// each validated in the frame it arrived in, or `Err(sender)` for a
+    /// sender whose LET stayed missing through the retry budget: the same
+    /// event as a peer silent on the heartbeat. `sent` is left holding the
+    /// senders' outboxes, whose buffers the received frames share.
     fn lets(
         &mut self,
         trees: &[Tree],
         boundaries: &[LetTree],
+        sent: &mut Vec<Outbox>,
         meas: &mut StepMeasurements,
-    ) -> Result<Vec<Vec<(usize, LetTree)>>, usize> {
+    ) -> Result<Vec<Vec<(usize, LetFrame)>>, usize> {
         let (theta, epoch) = (self.cfg.theta, self.epoch);
         // Each rank's frontier geometry, once: what its senders build for.
         let geoms: Vec<Vec<Aabb>> = boundaries.par_iter().map(LetTree::frontier_boxes).collect();
@@ -397,36 +406,26 @@ impl Cluster {
                 expected[j].push(i);
             }
         }
-        let outbox: Vec<Outbox> = sealed.into_iter().map(Outbox::Sealed).collect();
-        let got = self.exchange(MsgKind::Let, &outbox, Expect::From(&expected), |_, b| {
-            parse_let_tree(b, "LET")
+        *sent = sealed.into_iter().map(Outbox::Sealed).collect();
+        let got = self.exchange(MsgKind::Let, sent, Expect::From(&expected), |_, b| {
+            LetFrame::new(b.buffer().clone(), b.offset()).map_err(|e| refusal("LET", e))
         });
-        // Every handle but the outbox's is gone unless a fault holds the
-        // frame into the next epoch; such a buffer is dropped.
-        self.kept_frames = (outbox.into_iter())
-            .map(|sent| match sent {
-                Outbox::Sealed(frames) => (frames.into_iter())
-                    .filter_map(|(to, frame)| Some((to, frame.try_into_vec().ok()?)))
-                    .filter(|(_, buf)| buf.capacity() >= KEEP_FRAME_BYTES)
-                    .collect(),
-                _ => Vec::new(),
-            })
-            .collect();
         meas.retransmit_bytes += got.retransmit_bytes;
         got.complete()
     }
 
     /// Force walks, one [`walk::walk_sources`] call per rank over its
     /// sources in order: the local tree, then each peer with a non-empty
-    /// boundary in sender order — its dedicated LET if it owed one, else
-    /// its boundary, which sufficed. No walk opens a `Cut` node: a boundary
-    /// is walked only where it sufficed, and a dedicated LET was built for
-    /// the receiver's frontier (checked in debug builds).
+    /// boundary in sender order — its dedicated LET, read in the frame it
+    /// arrived in, if it owed one, else its boundary, which sufficed. No
+    /// walk opens a `Cut` node: a boundary is walked only where it
+    /// sufficed, and a dedicated LET was built for the receiver's frontier
+    /// (checked in debug builds).
     fn walk(
         &self,
         trees: &[Tree],
         boundaries: &[LetTree],
-        received: &[Vec<(usize, LetTree)>],
+        received: &[Vec<(usize, LetFrame)>],
     ) -> Vec<RankForces> {
         let params = WalkParams {
             theta: self.cfg.theta,
@@ -438,9 +437,13 @@ impl Cluster {
             .enumerate()
             .map(|(me, (tree, dedicated))| {
                 let peers = boundaries.iter().enumerate();
-                let remote = (peers.filter(|&(i, bi)| i != me && !bi.is_empty()))
-                    .map(|(i, bi)| received_from(dedicated, i).unwrap_or(bi).view());
-                let sources: Vec<TreeView> = std::iter::once(tree.view()).chain(remote).collect();
+                let remote = (peers.filter(|&(i, bi)| i != me && !bi.is_empty())).map(|(i, bi)| {
+                    match received_from(dedicated, i) {
+                        Some(frame) => Source::Records(frame.records()),
+                        None => Source::Tree(bi.view()),
+                    }
+                });
+                let sources: Vec<Source> = std::iter::once(Source::Tree(tree.view())).chain(remote).collect();
                 let (forces, stats) =
                     walk::walk_sources(&sources, &tree.particles.pos, &tree.groups, &params);
                 debug_assert!(stats.iter().all(|st| st.forced_cuts == 0), "rank {me} forced a cut");
@@ -507,11 +510,28 @@ fn aabb_from_bytes(d: &[u8]) -> Result<Aabb, String> {
     })
 }
 
-fn parse_let_tree(b: &[u8], what: &str) -> Result<LetTree, String> {
-    let lt = LetTree::from_bytes(b).ok_or_else(|| format!("{what} wire decode failed"))?;
-    lt.check_invariants()
-        .map_err(|e| format!("{what} invariants: {e}"))?;
-    Ok(lt)
+/// The fault log's words for a `what` payload [`lettree::validate`] refused.
+fn refusal(what: &str, invalid: Invalid) -> String {
+    match invalid {
+        Invalid::Encoding => format!("{what} wire decode failed"),
+        Invalid::Invariant(why) => format!("{what} invariants: {why}"),
+    }
+}
+
+/// Each sender's LET frame buffers worth keeping for its next epoch
+/// ([`KeptFrames`]): a buffer of at least [`KEEP_FRAME_BYTES`] that nothing
+/// else holds. Every receiver's handle is gone once the walk has run, unless
+/// a fault holds the frame into the next epoch; such a buffer is dropped.
+fn keep_frames(sent: Vec<Outbox>) -> KeptFrames {
+    (sent.into_iter())
+        .map(|sent| match sent {
+            Outbox::Sealed(frames) => (frames.into_iter())
+                .filter_map(|(to, frame)| Some((to, frame.try_into_vec().ok()?)))
+                .filter(|(_, buf)| buf.capacity() >= KEEP_FRAME_BYTES)
+                .collect(),
+            _ => Vec::new(),
+        })
+        .collect()
 }
 
 /// Factor `p = px·py` with `px ≈ √p` (the paper's DD-process grid).

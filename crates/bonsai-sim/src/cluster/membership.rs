@@ -193,7 +193,7 @@ impl Cluster {
         // `migrated_bytes` is the planned volume; bytes sent again are in
         // the fault log's `Retransmit` events, not in the `ViewChange`.
         let got = self.exchange(MsgKind::Particles, &outbox, Expect::AllPeers, |_, b| {
-            particles_from_bytes(b)
+            particles_from_bytes(&b)
         });
         self.absorb_migrants(got.complete()?);
         // Compact state to the new view's members, in new-view order.

@@ -497,3 +497,25 @@ mod let_frames {
         }
     }
 }
+
+#[test]
+fn large_let_frame_buffers_go_back_to_their_senders() {
+    // Every LET of this shape is 110–130 KB. Receivers walk the frames that
+    // share the senders' buffers, so a buffer is its sender's alone again
+    // only once the walk has dropped them: each must be back by then.
+    let mut c = small_cluster(6000, 3, 3);
+    for step in 1..=2 {
+        c.step();
+        let lets = c.flow_ledger().records().iter().filter(|r| r.kind == bonsai_net::MsgKind::Let);
+        let last = lets.clone().map(|r| r.epoch).max().expect("LETs were sent");
+        let large: Vec<(usize, usize)> = (lets.filter(|r| r.epoch == last))
+            .filter(|r| r.bytes + bonsai_net::envelope::ENVELOPE_HEADER_LEN >= gravity::KEEP_FRAME_BYTES)
+            .map(|r| (r.from, r.to))
+            .collect();
+        assert_eq!(large.len(), 6, "step {step}: every ordered pair ships a frame worth keeping");
+        let kept: Vec<(usize, usize)> = (c.kept_frames.iter().enumerate())
+            .flat_map(|(from, bufs)| bufs.iter().map(move |&(to, _)| (from, to)))
+            .collect();
+        assert_eq!(kept, large, "step {step}");
+    }
+}

@@ -505,7 +505,8 @@ fn block32_mut(lanes: &mut [f32], b: usize) -> &mut Block32 {
 }
 
 /// The walk's particle–particle kernel: add the forces of the sources
-/// `(src_pos, src_mass)` (one leaf) to every target lane, in `f32`.
+/// `src`, `(position, mass)` pairs (one leaf), to every target lane, in
+/// `f32`.
 ///
 /// Same lane layout as [`p_p_lanes`], with `f32` accumulators. Per lane and
 /// per source, the separation is taken in `f64` and rounded once
@@ -518,22 +519,20 @@ pub(crate) fn p_p_lanes32(
     tx: &[f64],
     ty: &[f64],
     tz: &[f64],
-    src_pos: &[Vec3],
-    src_mass: &[f64],
+    src: impl Iterator<Item = (Vec3, f64)> + Clone,
     eps2: f32,
     phi: &mut [f32],
     ax: &mut [f32],
     ay: &mut [f32],
     az: &mut [f32],
 ) {
-    debug_assert_eq!(src_pos.len(), src_mass.len());
     debug_assert_eq!(tx.len() % LANES, 0);
     for b in 0..tx.len() / LANES {
         // One block at a time, so the partial sums of all its lanes stay in
         // registers across the whole leaf.
         let (tx, ty, tz) = (block(tx, b), block(ty, b), block(tz, b));
         let [mut dphi, mut dax, mut day, mut daz] = [[0.0f32; LANES]; 4];
-        for (&s, &m) in src_pos.iter().zip(src_mass) {
+        for (s, m) in src.clone() {
             let m = m as f32;
             let [dx, dy, dz] = separation(s, tx, ty, tz);
             for l in 0..LANES {

@@ -46,6 +46,7 @@ pub mod kernels;
 pub mod mac;
 pub mod node;
 pub mod particles;
+pub mod records;
 pub mod stats;
 pub mod walk;
 

@@ -19,7 +19,7 @@
 //! production value is θ = 0.4, and the cost grows like θ⁻³ (§IV).
 
 use crate::node::Node;
-use bonsai_util::Aabb;
+use bonsai_util::{Aabb, Vec3};
 
 /// Precomputed opening criterion for a walk at fixed θ.
 #[derive(Clone, Copy, Debug)]
@@ -40,12 +40,20 @@ impl OpeningCriterion {
     /// inside `target_box`.
     #[inline(always)]
     pub fn must_open(&self, target_box: &Aabb, node: &Node) -> bool {
+        self.must_open_cell(target_box, node.com, node.geo_center, node.geo_half)
+    }
+
+    /// [`must_open`](Self::must_open) for a cell given by its centre of
+    /// mass and its octree cell (centre, half side), wherever they are read
+    /// from.
+    #[inline(always)]
+    pub(crate) fn must_open_cell(&self, target_box: &Aabb, com: Vec3, geo_center: Vec3, geo_half: f64) -> bool {
         if !self.inv_theta.is_finite() {
             return true;
         }
-        let s = (node.com - node.geo_center).norm();
-        let crit = node.geo_side() * self.inv_theta + s;
-        let d2 = target_box.min_dist2_point(node.com);
+        let s = (com - geo_center).norm();
+        let crit = 2.0 * geo_half * self.inv_theta + s;
+        let d2 = target_box.min_dist2_point(com);
         d2 <= crit * crit
     }
 

@@ -61,9 +61,12 @@
 //! — the role the GPU's warps play in the paper — with each group owning a
 //! disjoint window of the lane buffer.
 //!
-//! The walk takes *any* [`TreeView`] as a source — a rank's own local tree,
-//! a received Local Essential Tree, or a boundary tree — down this one path,
-//! and [`walk_sources`] takes a list of them: a rank's local tree and every
+//! The walk takes *any* [`Source`] — a [`TreeView`] of a tree in memory (a
+//! rank's own local tree, a boundary tree) or a [`RecordView`] of a Local
+//! Essential Tree still in the frame it arrived in — down this one path: the
+//! group-walk body is instantiated once per source kind (and per
+//! instruction set), reading a node's fields from a [`Node`] or from its wire
+//! record. [`walk_sources`] takes a list of them: a rank's local tree and every
 //! remote source, walked in one call against targets transposed once. Each
 //! source is still walked on its own, as the paper processes each LET
 //! separately (§III-B2): per group, its `f32` sum starts from zero, and
@@ -76,8 +79,9 @@
 use crate::forces::{Forces, InteractionCounts};
 use crate::kernels::{p_c_lanes32, p_p_lanes32, Isa, LANES};
 use crate::mac::OpeningCriterion;
-use crate::node::{Group, NodeKind, TreeView};
-use bonsai_util::Vec3;
+use crate::node::{Group, Node, NodeKind, TreeView};
+use crate::records::{NodeRecord, RecordView};
+use bonsai_util::{Aabb, Sym3, Vec3};
 use rayon::prelude::*;
 use std::cell::RefCell;
 
@@ -125,6 +129,140 @@ impl Default for WalkParams {
     }
 }
 
+/// One source of a walk: a tree in memory, or a pruned tree in its wire
+/// records (a received LET, walked in the frame it arrived in).
+#[derive(Clone, Copy, Debug)]
+pub enum Source<'a> {
+    /// Nodes and particles in memory.
+    Tree(TreeView<'a>),
+    /// Node and particle records, validated where they lie.
+    Records(RecordView<'a>),
+}
+
+impl Source<'_> {
+    /// `true` if there is nothing to walk.
+    fn is_empty(&self) -> bool {
+        match self {
+            Source::Tree(view) => view.is_empty(),
+            Source::Records(view) => view.is_empty(),
+        }
+    }
+}
+
+/// What the group walk reads of a source: node `i`, and the particles of an
+/// opened leaf. One [`walk_group`] instantiation per implementor.
+trait WalkSource {
+    /// A node as the walk reads it.
+    type Node: WalkNode;
+    /// Node `i`.
+    fn node(&self, i: u32) -> Self::Node;
+    /// Position and mass of particles `b..e`, in order.
+    fn particles(&self, b: usize, e: usize) -> impl Iterator<Item = (Vec3, f64)> + Clone;
+}
+
+/// The fields of one node the walk reads.
+trait WalkNode: Copy {
+    fn mass(self) -> f64;
+    fn com(self) -> Vec3;
+    fn quad(self) -> Sym3;
+    fn first(self) -> u32;
+    fn count(self) -> u32;
+    fn kind(self) -> NodeKind;
+    /// `mac`'s verdict for a group whose box is `target_box`.
+    fn must_open(self, mac: &OpeningCriterion, target_box: &Aabb) -> bool;
+}
+
+impl<'a> WalkSource for TreeView<'a> {
+    type Node = &'a Node;
+
+    #[inline(always)]
+    fn node(&self, i: u32) -> &'a Node {
+        &self.nodes[i as usize]
+    }
+
+    #[inline(always)]
+    fn particles(&self, b: usize, e: usize) -> impl Iterator<Item = (Vec3, f64)> + Clone {
+        self.pos[b..e].iter().copied().zip(self.mass[b..e].iter().copied())
+    }
+}
+
+impl WalkNode for &Node {
+    #[inline(always)]
+    fn mass(self) -> f64 {
+        self.mass
+    }
+    #[inline(always)]
+    fn com(self) -> Vec3 {
+        self.com
+    }
+    #[inline(always)]
+    fn quad(self) -> Sym3 {
+        self.quad
+    }
+    #[inline(always)]
+    fn first(self) -> u32 {
+        self.first
+    }
+    #[inline(always)]
+    fn count(self) -> u32 {
+        self.count
+    }
+    #[inline(always)]
+    fn kind(self) -> NodeKind {
+        self.kind
+    }
+    #[inline(always)]
+    fn must_open(self, mac: &OpeningCriterion, target_box: &Aabb) -> bool {
+        mac.must_open(target_box, self)
+    }
+}
+
+impl<'a> WalkSource for RecordView<'a> {
+    type Node = NodeRecord<'a>;
+
+    #[inline(always)]
+    fn node(&self, i: u32) -> NodeRecord<'a> {
+        RecordView::node(self, i as usize)
+    }
+
+    #[inline(always)]
+    fn particles(&self, b: usize, e: usize) -> impl Iterator<Item = (Vec3, f64)> + Clone {
+        RecordView::particles(self, b, e)
+    }
+}
+
+impl WalkNode for NodeRecord<'_> {
+    #[inline(always)]
+    fn mass(self) -> f64 {
+        NodeRecord::mass(self)
+    }
+    #[inline(always)]
+    fn com(self) -> Vec3 {
+        NodeRecord::com(self)
+    }
+    #[inline(always)]
+    fn quad(self) -> Sym3 {
+        NodeRecord::quad(self)
+    }
+    #[inline(always)]
+    fn first(self) -> u32 {
+        NodeRecord::first(self)
+    }
+    #[inline(always)]
+    fn count(self) -> u32 {
+        NodeRecord::count(self)
+    }
+    /// A validated record holds a known kind; anything else walks as `Cut`.
+    #[inline(always)]
+    fn kind(self) -> NodeKind {
+        NodeRecord::kind(self).unwrap_or(NodeKind::Cut)
+    }
+    #[inline(always)]
+    fn must_open(self, mac: &OpeningCriterion, target_box: &Aabb) -> bool {
+        mac.must_open_cell(target_box, self.com(), self.geo_center(), self.geo_half())
+    }
+}
+
 /// Per-walk diagnostics beyond the raw interaction counts.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct WalkStats {
@@ -158,7 +296,7 @@ pub fn walk_tree(
     groups: &[Group],
     params: &WalkParams,
 ) -> (Forces, WalkStats) {
-    let (forces, stats) = walk_sources(std::slice::from_ref(src), tgt_pos, groups, params);
+    let (forces, stats) = walk_sources(&[Source::Tree(*src)], tgt_pos, groups, params);
     (forces, stats[0])
 }
 
@@ -175,7 +313,7 @@ pub fn walk_tree(
 ///
 /// `groups` must tile `0..tgt_pos.len()` contiguously and in order.
 pub fn walk_sources(
-    srcs: &[TreeView<'_>],
+    srcs: &[Source<'_>],
     tgt_pos: &[Vec3],
     groups: &[Group],
     params: &WalkParams,
@@ -187,7 +325,7 @@ pub fn walk_sources(
 /// not per group).
 fn walk_sources_on(
     isa: Isa,
-    srcs: &[TreeView<'_>],
+    srcs: &[Source<'_>],
     tgt_pos: &[Vec3],
     groups: &[Group],
     params: &WalkParams,
@@ -201,7 +339,7 @@ fn walk_sources_on(
     assert_eq!(cursor as usize, n, "groups must cover every target");
     let mut forces = Forces::zeros(n);
     let mut stats = vec![WalkStats::default(); srcs.len()];
-    if n == 0 || srcs.iter().all(TreeView::is_empty) {
+    if n == 0 || srcs.iter().all(Source::is_empty) {
         return (forces, stats);
     }
     let mac = OpeningCriterion::new(params.theta);
@@ -278,12 +416,31 @@ fn padded(len: usize) -> usize {
     len.div_ceil(LANES) * LANES
 }
 
-/// [`walk_group`] on instantiation `isa`; `targets` holds the group's three
-/// target rows and `sums` its four `f32` sum rows.
+/// [`walk_group`] on instantiation `isa`, for `src`'s kind; `targets`
+/// holds the group's three target rows and `sums` its four `f32` sum rows.
 #[allow(clippy::too_many_arguments)]
 fn walk_group_on(
     isa: Isa,
-    src: &TreeView<'_>,
+    src: &Source<'_>,
+    group: &Group,
+    mac: &OpeningCriterion,
+    eps2: f32,
+    quad: bool,
+    targets: &[f64],
+    sums: &mut [f32],
+) -> WalkStats {
+    match src {
+        Source::Tree(view) => walk_group_isa(isa, view, group, mac, eps2, quad, targets, sums),
+        Source::Records(view) => walk_group_isa(isa, view, group, mac, eps2, quad, targets, sums),
+    }
+}
+
+/// [`walk_group`] over `S` on instantiation `isa`.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn walk_group_isa<S: WalkSource>(
+    isa: Isa,
+    src: &S,
     group: &Group,
     mac: &OpeningCriterion,
     eps2: f32,
@@ -316,8 +473,8 @@ thread_local! {
 /// instructions. Same source, same IEEE operations per lane, same bits.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
-fn walk_group_avx2_fma(
-    src: &TreeView<'_>,
+fn walk_group_avx2_fma<S: WalkSource>(
+    src: &S,
     group: &Group,
     mac: &OpeningCriterion,
     eps2: f32,
@@ -333,8 +490,8 @@ fn walk_group_avx2_fma(
 /// source, same bits.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,avx512vl,avx2,fma")]
-fn walk_group_avx512(
-    src: &TreeView<'_>,
+fn walk_group_avx512<S: WalkSource>(
+    src: &S,
     group: &Group,
     mac: &OpeningCriterion,
     eps2: f32,
@@ -349,8 +506,8 @@ fn walk_group_avx512(
 /// bounding box, every accepted cell and opened leaf evaluated at once on
 /// all of the group's target lanes, summed into `sums` in `f32`.
 #[inline(always)]
-fn walk_group(
-    src: &TreeView<'_>,
+fn walk_group<S: WalkSource>(
+    src: &S,
     group: &Group,
     mac: &OpeningCriterion,
     eps2: f32,
@@ -358,7 +515,7 @@ fn walk_group(
     targets: &[f64],
     sums: &mut [f32],
 ) -> WalkStats {
-    const ZERO_QUAD: bonsai_util::Sym3 = bonsai_util::Sym3 { m: [0.0; 6] };
+    const ZERO_QUAD: Sym3 = Sym3 { m: [0.0; 6] };
     let mut stats = WalkStats::default();
     let count = group.len() as u64;
     // Separate slices per row: the lane kernels need to know that targets
@@ -374,29 +531,29 @@ fn walk_group(
     stack.clear();
     stack.push(0);
     while let Some(ni) = stack.pop() {
-        let node = &src.nodes[ni as usize];
+        let node = src.node(ni);
         stats.nodes_visited += 1;
-        if node.mass == 0.0 {
+        if node.mass() == 0.0 {
             continue;
         }
-        let open = mac.must_open(&group.bbox, node);
-        match node.kind {
+        let open = node.must_open(mac, &group.bbox);
+        match node.kind() {
             NodeKind::Internal if open => {
-                for c in node.first..node.first + node.count {
+                for c in node.first()..node.first() + node.count() {
                     stack.push(c);
                 }
             }
             NodeKind::Leaf if open => {
-                let (b, e) = (node.first as usize, (node.first + node.count) as usize);
-                p_p_lanes32(tx, ty, tz, &src.pos[b..e], &src.mass[b..e], eps2, phi, ax, ay, az);
+                let (b, e) = (node.first() as usize, (node.first() + node.count()) as usize);
+                p_p_lanes32(tx, ty, tz, src.particles(b, e), eps2, phi, ax, ay, az);
                 stats.counts.pp += count * (e - b) as u64;
             }
             kind => {
                 // Accepted — or a `Cut` node the LET promised would never be
                 // opened: honour the promise with a p-c but record the
                 // violation. One particle-cell interaction per target.
-                let quad = if use_quadrupole { &node.quad } else { &ZERO_QUAD };
-                p_c_lanes32(tx, ty, tz, node.com, node.mass, quad, eps2, phi, ax, ay, az);
+                let quad = if use_quadrupole { node.quad() } else { ZERO_QUAD };
+                p_c_lanes32(tx, ty, tz, node.com(), node.mass(), &quad, eps2, phi, ax, ay, az);
                 stats.counts.pc += count;
                 stats.forced_cuts += u64::from(open && kind == NodeKind::Cut);
             }
@@ -417,10 +574,9 @@ mod tests {
     use crate::build::{Tree, TreeParams};
     use crate::direct::direct_self_forces;
     use crate::kernels::{p_c_add32, p_p, p_p_add32, Cell32};
-    use crate::node::Node;
     use crate::particles::Particles;
+    use crate::records::{encode_node, encode_particle, BOUNDARY_RECORD_SIZE, LET_RECORD_SIZE, PARTICLE_RECORD_SIZE};
     use bonsai_util::rng::Xoshiro256;
-    use bonsai_util::Aabb;
 
     /// The scalar reference: the group walk one target at a time, with the
     /// lane kernels' per-lane `f32` operations — the separation taken in
@@ -437,7 +593,7 @@ mod tests {
         use_quadrupole: bool,
         sums: &mut [[f32; 4]],
     ) -> WalkStats {
-        const ZERO_QUAD: bonsai_util::Sym3 = bonsai_util::Sym3 { m: [0.0; 6] };
+        const ZERO_QUAD: Sym3 = Sym3 { m: [0.0; 6] };
         let d = |s: Vec3, t: Vec3| [(s.x - t.x) as f32, (s.y - t.y) as f32, (s.z - t.z) as f32];
         let mut stats = WalkStats::default();
         let targets = &tgt_pos[group.begin as usize..group.end as usize];
@@ -565,6 +721,34 @@ mod tests {
                 mass: &self.mass,
             }
         }
+
+        /// The tree as it crosses the wire: node records of `stride` bytes
+        /// and particle records.
+        fn encode(&self, stride: usize) -> Encoded {
+            let mut nodes = vec![0u8; self.nodes.len() * stride];
+            for (n, rec) in self.nodes.iter().zip(nodes.chunks_exact_mut(stride)) {
+                encode_node(n, rec);
+            }
+            let mut particles = vec![0u8; self.pos.len() * PARTICLE_RECORD_SIZE];
+            let records = particles.chunks_exact_mut(PARTICLE_RECORD_SIZE);
+            for ((&p, &m), rec) in self.pos.iter().zip(&self.mass).zip(records) {
+                encode_particle(p, m, rec);
+            }
+            Encoded { nodes, stride, particles }
+        }
+    }
+
+    /// A [`Pruned`] tree's wire records.
+    struct Encoded {
+        nodes: Vec<u8>,
+        stride: usize,
+        particles: Vec<u8>,
+    }
+
+    impl Encoded {
+        fn view(&self) -> RecordView<'_> {
+            RecordView::new(&self.nodes, self.stride, &self.particles)
+        }
     }
 
     /// Tile `pos` with groups of `len` targets (the last may be shorter).
@@ -620,17 +804,23 @@ mod tests {
             let targets = &tree.particles.pos;
             let let_tree = Pruned::of(&tree, 3, true);
             let boundary = Pruned::of(&tree, 2, false);
-            let sources = [
-                ("local", tree.view()),
-                ("let", let_tree.view()),
-                ("boundary", boundary.view()),
+            let (let_records, boundary_records) = (let_tree.encode(LET_RECORD_SIZE), boundary.encode(BOUNDARY_RECORD_SIZE));
+            // Each source beside the tree in memory the reference walks: a
+            // record view must walk as its decoded tree does.
+            let sources: [(&str, Source, TreeView); 5] = [
+                ("local", Source::Tree(tree.view()), tree.view()),
+                ("let", Source::Tree(let_tree.view()), let_tree.view()),
+                ("let records", Source::Records(let_records.view()), let_tree.view()),
+                ("boundary", Source::Tree(boundary.view()), boundary.view()),
+                ("boundary records", Source::Records(boundary_records.view()), boundary.view()),
             ];
-            for (source, view) in sources {
+            for (source, walked, view) in sources {
                 // Every target is also a source particle of the local tree
                 // and of the LET payload: at eps = 0 the coincident pair
                 // must be masked, not divided by zero. (A boundary tree has
                 // one-particle `Cut` cells, and p-c has no such mask.)
-                let softenings: &[f64] = if source == "boundary" { &[0.01] } else { &[0.0, 0.01] };
+                let boundary = source.starts_with("boundary");
+                let softenings: &[f64] = if boundary { &[0.01] } else { &[0.0, 0.01] };
                 for &eps in softenings {
                     for quad in [true, false] {
                         let params = WalkParams {
@@ -645,11 +835,11 @@ mod tests {
                             if source != "local" {
                                 assert!(want.1.forced_cuts > 0, "{ic}/{source}: no Cut node forced");
                             }
-                            if source != "boundary" {
+                            if !boundary {
                                 assert!(want.1.counts.pp > 0, "{ic}/{source}: no leaf opened");
                             }
                             for &isa in &isas {
-                                let (f, st) = walk_sources_on(isa, &[view], targets, &groups, &params);
+                                let (f, st) = walk_sources_on(isa, &[walked], targets, &groups, &params);
                                 let what = format!("{ic}/{source} eps={eps} quad={quad} len={len} {isa:?}");
                                 assert_same_bits(&what, &f, &want.0);
                                 assert_same_stats(&what, &st[0], &want.1);
@@ -669,12 +859,22 @@ mod tests {
         let targets = &tree.particles.pos;
         let let_tree = Pruned::of(&tree, 3, true);
         let boundary = Pruned::of(&tree, 2, false);
+        let (let_records, boundary_records) = (let_tree.encode(LET_RECORD_SIZE), boundary.encode(BOUNDARY_RECORD_SIZE));
         let empty = TreeView {
             nodes: &[],
             pos: &[],
             mass: &[],
         };
-        let forward = [tree.view(), let_tree.view(), boundary.view(), empty];
+        // Trees in memory and in their records, mixed; each record view is
+        // referenced by the walk of its tree in memory.
+        let forward: [(Source, TreeView); 6] = [
+            (Source::Tree(tree.view()), tree.view()),
+            (Source::Records(let_records.view()), let_tree.view()),
+            (Source::Tree(boundary.view()), boundary.view()),
+            (Source::Tree(let_tree.view()), let_tree.view()),
+            (Source::Records(boundary_records.view()), boundary.view()),
+            (Source::Tree(empty), empty),
+        ];
         let mut backward = forward;
         backward.reverse();
         // A boundary tree has one-particle `Cut` cells, and p-c has no mask
@@ -687,13 +887,14 @@ mod tests {
                     // Today's cluster path: one walk per source, each result
                     // added to the first in source order.
                     let per_source: Vec<(Forces, WalkStats)> =
-                        (srcs.iter()).map(|s| reference_walk_tree(s, targets, &groups, &params)).collect();
+                        (srcs.iter()).map(|(_, s)| reference_walk_tree(s, targets, &groups, &params)).collect();
                     let mut want = per_source[0].0.clone();
                     for (f, _) in &per_source[1..] {
                         want.accumulate(f);
                     }
+                    let walked: Vec<Source> = srcs.iter().map(|&(s, _)| s).collect();
                     for &isa in &isas {
-                        let (got, stats) = walk_sources_on(isa, srcs, targets, &groups, &params);
+                        let (got, stats) = walk_sources_on(isa, &walked, targets, &groups, &params);
                         let what = format!("g={} len={len} {isa:?}", params.g);
                         assert_same_bits(&what, &got, &want);
                         assert_eq!(stats.len(), srcs.len(), "{what}");

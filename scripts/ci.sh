@@ -99,11 +99,15 @@ BONSAI_THREADS=3 cargo test -q --release -p bonsai-sim --test invariants -- --ig
 BONSAI_THREADS=3 cargo test -q --release -p bonsai-sim --test robustness
 # The exact-window tests at three lanes too: the trace and the flow ledger
 # evict one epoch inside every pool-driven epoch, and must hold exactly the
-# last window after every step and every aborted epoch.
+# last window after every step and every aborted epoch. The LET frame tests
+# too: receivers walk frames that share their senders' buffers, and the
+# order in which those handles are dropped differs with the lane count.
 BONSAI_THREADS=3 cargo test -q --release -p bonsai-sim --lib -- \
   cluster::tests::trace_history_is_a_bounded_window \
   cluster::tests::flow_history_is_a_bounded_window \
-  cluster::tests::epochs_that_never_complete_still_evict
+  cluster::tests::epochs_that_never_complete_still_evict \
+  cluster::tests::large_let_frame_buffers_go_back_to_their_senders \
+  cluster::tests::let_frames
 
 echo "== benchmark package: build + unit tests + 2-step smoke test =="
 # benchmark/ is its own workspace on path dependencies and may not be edited
