@@ -12,26 +12,21 @@
 //! its own business; [`exchange`] only reports the pairs.
 //!
 //! Both sides are sparse. The sender side is an [`Outbox`] per rank: one
-//! payload for everybody, a short list of `(to, payload)`, or a short list
-//! of `(to, frame)` the sender sealed itself. The receiver side comes back
-//! as one `(from, value)` list per rank, ascending by sender. Nothing is
-//! dense in the world size.
+//! payload for everybody, or a short list of `(to, payload)`. The receiver
+//! side comes back as one `(from, value)` list per rank, ascending by
+//! sender. Nothing is dense in the world size.
 //!
 //! # One buffer per message
 //!
-//! Nothing here copies a payload on the way out. A `Broadcast` or `To`
-//! payload is sealed as one header per receiver
-//! ([`envelope::seal_header`]) that travels beside the payload's one
-//! buffer, shared by every receiver of a broadcast. A `Sealed` frame was
-//! encoded by its sender into a buffer that reserved the header and sealed
-//! there ([`envelope::seal_in_place`]) under the flow id [`first_flows`]
-//! handed it before it encoded: the same prefix sum this exchange hands
-//! out, which it checks each such frame carries. A retransmission seals the
-//! payload the sender kept into a new frame. The outbox keeps every buffer
-//! to the end of the round, and a fault copies a frame before it mangles it
-//! (the [`Wire`]). Nothing on the receive side copies either: `parse` gets
-//! the buffer a payload arrived in ([`Payload`]) and may keep a handle to it
-//! instead of decoding a copy. Once the caller drops what `parse` kept, it
+//! Nothing here copies a payload on the way out, and nothing but this
+//! exchange writes a header. Every payload is sealed as one header per
+//! receiver ([`envelope::seal_header`]) that travels beside the payload's
+//! one buffer, shared by every receiver of a broadcast; a retransmission
+//! seals a new header, its attempt number in it, beside the same buffer.
+//! The outbox keeps every buffer to the end of the round, and only a fault
+//! that mangles a frame copies it first (the [`Wire`]). Nothing on the
+//! receive side copies either: `parse` gets the buffer a payload arrived in
+//! ([`Payload`]) and may keep a handle to it instead of decoding a copy. Once the caller drops what `parse` kept, it
 //! holds the only handle to each buffer it sent — a buffer no frame held
 //! back by the plan still holds — and may take it back for its next round.
 //!
@@ -67,7 +62,7 @@
 //! |---|---|
 //! | seal a sender's first transmissions, under flow ids handed out by a prefix sum of the senders' first-transmission counts (silent 0, broadcast `members − 1`, a `To` list its length) | the ledger's `seal`, asserting the pre-assigned id; the fault decision and its log record; channel sends; `flush_reordered` |
 //! | once every member's inbox is drained: `envelope::open`, the epoch / kind / sender checks and a speculative `parse` of each frame | the duplicate check against what the receiver already holds; `flows.deliver`; every log record |
-//! | — | retransmissions, sealed and sent on the driver |
+//! | — | retransmissions: a new header beside the kept buffer, sealed and sent on the driver |
 //!
 //! A task's result is a function of its inputs and the driver consumes the
 //! results in rank order, so the log, the ledger and the received lists are
@@ -77,7 +72,7 @@
 //! depends on no thread pool, and `bonsai-sim` passes a pool-backed
 //! [`Lanes`].
 
-use crate::envelope::{self, seal_header, ENVELOPE_HEADER_LEN, NO_FLOW};
+use crate::envelope::{self, seal_header, NO_FLOW};
 use crate::fabric::{Message, MsgKind};
 use crate::fault::{FaultLog, RecoveryAction, RecoveryEvent, Wire};
 use bytes::Bytes;
@@ -116,20 +111,16 @@ pub enum Outbox {
     /// Distinct payloads to some peers, ascending by receiver; each frame
     /// is a sealed header beside its payload's buffer.
     To(Vec<(usize, Bytes)>),
-    /// Whole frames to some peers, ascending by receiver, each sealed in
-    /// the buffer its payload was encoded in, under the flow id
-    /// [`first_flows`] handed the sender.
-    Sealed(Vec<(usize, Bytes)>),
 }
 
 impl Outbox {
-    /// The payload owed to `to`, if any: what a retransmission seals again.
-    fn owed_to(&self, to: usize) -> Option<&[u8]> {
+    /// The payload owed to `to`, if any: the buffer a retransmission's new
+    /// header travels beside.
+    fn owed_to(&self, to: usize) -> Option<&Bytes> {
         match self {
             Outbox::Silent => None,
             Outbox::Broadcast(payload) => Some(payload),
-            Outbox::To(list) => received_from(list, to).map(|payload| &payload[..]),
-            Outbox::Sealed(list) => received_from(list, to).map(|frame| &frame[ENVELOPE_HEADER_LEN..]),
+            Outbox::To(list) => received_from(list, to),
         }
     }
 
@@ -141,28 +132,9 @@ impl Outbox {
             Outbox::Broadcast(payload) => {
                 members.iter().filter(|&&to| to != from).map(|&to| (to, payload)).collect()
             }
-            Outbox::To(list) | Outbox::Sealed(list) => list.iter().map(|(to, b)| (*to, b)).collect(),
+            Outbox::To(list) => list.iter().map(|(to, b)| (*to, b)).collect(),
         }
     }
-}
-
-/// The flow id of each member's first first transmission in the next
-/// [`exchange`] on `wire`: the ledger's next id plus the prefix sum of the
-/// members' first-transmission counts, `sends` in member order (silent 0,
-/// broadcast `members − 1`, a list its length). The exchange hands out
-/// exactly these ids, so a sender that seals its own frames
-/// ([`Outbox::Sealed`]) takes its entry before it encodes them and seals
-/// its `i`-th frame as flow `first + i`. Nothing may send on `wire` in
-/// between.
-pub fn first_flows(wire: &Wire, sends: impl IntoIterator<Item = usize>) -> Vec<u64> {
-    let mut next = wire.flows.next_id();
-    (sends.into_iter())
-        .map(|n| {
-            let first = next;
-            next += n as u64;
-            first
-        })
-        .collect()
 }
 
 /// Whom each receiver waits for.
@@ -359,7 +331,10 @@ pub fn exchange<T: Send>(
     debug_assert!(members.windows(2).all(|w| w[0] < w[1]), "members ascending");
     let first = wire.flows.next_id();
     let sends: Vec<_> = members.iter().map(|&from| outbox[from].first_sends(members, from)).collect();
-    let firsts = first_flows(wire, sends.iter().map(Vec::len));
+    // Each sender's first flow id: the prefix sum of the bursts before it.
+    let firsts: Vec<u64> = (sends.iter())
+        .scan(first, |next, burst| Some(std::mem::replace(next, *next + burst.len() as u64)))
+        .collect();
     let bursts: Vec<_> = members.iter().copied().zip(firsts).zip(sends).collect();
     // The round's seal table: flow `first + i` goes `sent[i].0 → sent[i].1`.
     let sent: Vec<(usize, usize)> = (bursts.iter())
@@ -370,18 +345,8 @@ pub fn exchange<T: Send>(
         sent.binary_search(&(from, to)).map_or(NO_FLOW, |i| first + i as u64)
     };
     let sealed = lanes.map(bursts, |((from, burst_first), sends)| {
-        let whole = matches!(outbox[from], Outbox::Sealed(_));
         (sends.into_iter().zip(burst_first..))
-            .map(|((to, body), flow)| {
-                let header = if whole {
-                    let at = envelope::flow_of(body);
-                    assert_eq!(at, flow, "{from} -> {to} sealed as flow {at}, sent as flow {flow}");
-                    None
-                } else {
-                    Some(seal_header(kind, from, epoch, flow, 0, body))
-                };
-                (to, flow, (header, body.clone()))
-            })
+            .map(|((to, body), flow)| (to, flow, (seal_header(kind, from, epoch, flow, 0, body), body.clone())))
             .collect::<Vec<_>>()
     });
     for (&from, burst) in members.iter().zip(sealed) {
@@ -460,7 +425,7 @@ pub fn exchange<T: Send>(
                 let detail = format!("attempt {attempt}");
                 record(&mut wire.log, to, from, RecoveryAction::Retransmit, detail);
                 out.retransmit_bytes += payload.len();
-                wire.retransmit(flow_of(from, to), attempt, payload);
+                wire.retransmit(flow_of(from, to), attempt, payload.clone());
             }
         }
         for &m in members {
@@ -472,6 +437,7 @@ pub fn exchange<T: Send>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::envelope::ENVELOPE_HEADER_LEN;
     use crate::fault::{FaultKind, FaultPlan, Injection};
     use crate::flow::FlowRecord;
 
@@ -654,7 +620,7 @@ mod tests {
         // A non-member sealed nothing this round: its frame names no flow.
         assert_eq!(wire.log.recoveries[0].flow, NO_FLOW);
         assert_eq!(
-            &wire.try_recv(2).expect("still queued").payload[44..],
+            &wire.try_recv(2).expect("still queued").payload[..],
             b"unread"
         );
         assert!(
@@ -685,9 +651,9 @@ mod tests {
         assert!(got.missing.is_empty() && recoveries(&wire).is_empty());
         assert!(wire.try_recv(0).is_none() && wire.try_recv(2).is_none());
         wire.flush_reordered(2);
-        assert_eq!(&wire.try_recv(0).expect("still held").payload[44..], b"reordered");
+        assert_eq!(&wire.try_recv(0).expect("still held").payload[..], b"reordered");
         wire.flush_delayed();
-        assert_eq!(&wire.try_recv(0).expect("still held").payload[44..], b"delayed");
+        assert_eq!(&wire.try_recv(0).expect("still held").payload[..], b"delayed");
     }
 
     #[test]
@@ -783,55 +749,79 @@ mod tests {
     }
 
     #[test]
-    fn a_let_corrupted_on_the_wire_is_sent_again_as_sealed() {
-        // Rank 0 seals its LET frame to rank 1 in its own buffer, under the
-        // flow id the round hands it; the first transmission is corrupted
-        // in the payload, and the retransmission carries the original bytes.
+    fn a_let_corrupted_on_the_wire_is_sent_again_intact() {
+        // Rank 0 sends its LET to rank 1; the first transmission is
+        // corrupted in the payload, and the retransmission carries the
+        // original bytes.
         let payload = long_payload();
         let mut wire = Wire::new(2, forced(FaultKind::Corrupt, 0, 1));
         let len = ENVELOPE_HEADER_LEN + payload.len();
         let (byte, _) = wire.plan().corrupt_position(0, 1, MsgKind::Let, EPOCH, len);
         assert!(byte >= ENVELOPE_HEADER_LEN, "the fault must land in the payload");
-        let flow = first_flows(&wire, [1, 0])[0];
-        let mut frame = vec![0u8; ENVELOPE_HEADER_LEN];
-        frame.extend_from_slice(&payload);
-        envelope::seal_in_place(MsgKind::Let, 0, EPOCH, flow, 0, &mut frame);
-        let outbox = [Outbox::Sealed(vec![(1, Bytes::from(frame.clone()))]), Outbox::Silent];
+        let flow = wire.flows.next_id();
+        let outbox = [Outbox::To(vec![(1, Bytes::from(payload.clone()))]), Outbox::Silent];
         let round = Round { kind: MsgKind::Let, ..PHASE };
         let got = exchange(&mut wire, &Inline, &[0, 1], &round, &outbox, Expect::From(&[vec![], vec![0]]), bytes);
         assert!(got.missing.is_empty());
         assert_eq!(received_from(&got.received[1], 0), Some(&payload));
         assert_eq!(got.retransmit_bytes, payload.len());
-        let Outbox::Sealed(sent) = &outbox[0] else { unreachable!() };
-        assert_eq!(sent[0].1[..], frame[..], "the fault wrote the sender's frame");
+        let Outbox::To(sent) = &outbox[0] else { unreachable!() };
+        assert_eq!(sent[0].1[..], payload[..], "the fault wrote the sender's buffer");
         assert_eq!(wire.flows.get(flow).map(|r| r.attempts), Some(2));
     }
 
     #[test]
+    fn a_retransmission_is_the_senders_buffer() {
+        // Rank 0's first transmission to rank 1 is dropped, then (second
+        // run) its first retransmission corrupted too: the frame that
+        // delivers is a new header beside the buffer the sender kept, and
+        // the corruption mangled a copy of it.
+        let payload = long_payload();
+        let len = ENVELOPE_HEADER_LEN + payload.len();
+        for faults in [&[FaultKind::Drop][..], &[FaultKind::Drop, FaultKind::Corrupt]] {
+            let plan = (faults.iter().zip(0..)).fold(FaultPlan::new(1), |plan, (&fault, attempt)| {
+                let (epoch, from, to, kind, attempts) = (EPOCH, Some(0), Some(1), None, attempt..attempt + 1);
+                plan.with_injection(Injection { epoch, from, to, kind, fault, attempts })
+            });
+            let mut wire = Wire::new(2, plan);
+            let (byte, _) = wire.plan().corrupt_position(0, 1, PHASE.kind, EPOCH, len);
+            assert!(byte >= ENVELOPE_HEADER_LEN, "a corruption must land in the payload");
+            let flow = wire.flows.next_id();
+            let outbox = [Outbox::To(vec![(1, Bytes::from(payload.clone()))]), Outbox::Silent];
+            let keep = |_, b: Payload<'_>| Ok((b.buffer().clone(), b.offset()));
+            let got = exchange(&mut wire, &Inline, &[0, 1], &PHASE, &outbox, Expect::From(&[vec![], vec![0]]), keep);
+            let Outbox::To(sent) = &outbox[0] else { unreachable!() };
+            let (buffer, offset) = received_from(&got.received[1], 0).expect("delivered");
+            assert_eq!((buffer.as_ptr(), *offset), (sent[0].1.as_ptr(), 0), "{faults:?}: the payload was copied");
+            assert_eq!(sent[0].1[..], payload[..], "{faults:?} wrote the sender's buffer");
+            assert_eq!(got.retransmit_bytes, faults.len() * payload.len());
+            assert_eq!(wire.flows.get(flow).map(|r| r.attempts), Some(1 + faults.len() as u32));
+            assert_eq!(wire.log.injected.len(), faults.len());
+        }
+    }
+
+    #[test]
     fn a_kept_payload_is_the_senders_buffer() {
-        // Rank 0 seals a whole frame for rank 1; rank 1 broadcasts. Each
+        // Rank 0 sends rank 1 a payload of its own; rank 1 broadcasts. Each
         // receiver keeps the buffer its payload arrived in: the sender's
-        // own, at the payload's offset, and handed back once the receivers
-        // drop their handles.
+        // own, from its start, and handed back once the receivers drop
+        // their handles.
         let payload = long_payload();
         let mut wire = Wire::new(2, FaultPlan::new(0));
-        let flow = first_flows(&wire, [1, 1])[0];
-        let mut frame = vec![0u8; ENVELOPE_HEADER_LEN];
-        frame.extend_from_slice(&payload);
-        envelope::seal_in_place(MsgKind::Control, 0, EPOCH, flow, 0, &mut frame);
-        let outbox = [Outbox::Sealed(vec![(1, Bytes::from(frame))]), Outbox::Broadcast(Bytes::from(payload.clone()))];
+        let to_1 = Outbox::To(vec![(1, Bytes::from(payload.clone()))]);
+        let outbox = [to_1, Outbox::Broadcast(Bytes::from(payload.clone()))];
         let keep = |_, b: Payload<'_>| Ok((b.buffer().clone(), b.offset(), b.to_vec()));
         let got = exchange(&mut wire, &Inline, &[0, 1], &PHASE, &outbox, Expect::AllPeers, keep);
         assert!(got.missing.is_empty());
-        let [Outbox::Sealed(sealed), Outbox::Broadcast(shared)] = &outbox else { unreachable!() };
-        for (to, sent, at) in [(1, &sealed[0].1, ENVELOPE_HEADER_LEN), (0, shared, 0)] {
+        let [Outbox::To(list), Outbox::Broadcast(shared)] = &outbox else { unreachable!() };
+        for (to, sent) in [(1, &list[0].1), (0, shared)] {
             let (buffer, offset, bytes) = received_from(&got.received[to], 1 - to).expect("delivered");
-            assert_eq!((buffer.as_ptr(), *offset), (sent.as_ptr(), at), "rank {to} holds a copy");
-            assert_eq!((&buffer[*offset..], &bytes[..]), (&payload[..], &payload[..]));
+            assert_eq!((buffer.as_ptr(), *offset), (sent.as_ptr(), 0), "rank {to} holds a copy");
+            assert_eq!((&buffer[..], &bytes[..]), (&payload[..], &payload[..]));
         }
         drop(got);
-        let [Outbox::Sealed(mut sealed), Outbox::Broadcast(shared)] = outbox else { unreachable!() };
-        assert!(sealed.remove(0).1.try_into_vec().is_ok(), "a receiver still holds the sealed frame");
+        let [Outbox::To(mut list), Outbox::Broadcast(shared)] = outbox else { unreachable!() };
+        assert!(list.remove(0).1.try_into_vec().is_ok(), "a receiver still holds the payload sent to it");
         assert!(shared.try_into_vec().is_ok(), "a receiver still holds the broadcast payload");
     }
 

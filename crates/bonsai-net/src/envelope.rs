@@ -34,14 +34,14 @@
 //!
 //! A frame is one message written once. The header is computed by
 //! [`seal_header`] from its fields and the payload, without copying the
-//! payload, and travels in one of two shapes: in front of the payload in
-//! the buffer the payload was encoded into ([`seal_in_place`] writes it
-//! over [`ENVELOPE_HEADER_LEN`] bytes the encoder reserved), or apart from
-//! a payload buffer several receivers share, one header per receiver
+//! payload, and travels apart from it: one header per receiver and per
+//! attempt beside the one buffer the sender encoded the payload into,
+//! shared by every receiver of a broadcast and by every retransmission
 //! ([`Message::header`](crate::fabric::Message::header)). [`seal_flow`]
-//! builds a frame of its own, copying the payload: retransmissions and
-//! single sends. [`open`] reads a frame in one buffer, [`open_parts`] one
-//! in two, and both give the same bytes the same verdict and error.
+//! builds a whole frame of its own, copying the payload, for programs that
+//! send on an [`Endpoint`](crate::fabric::Endpoint) directly. [`open`]
+//! reads a frame in one buffer, [`open_parts`] one in two, and both give
+//! the same bytes the same verdict and error.
 
 use crate::fabric::MsgKind;
 use bonsai_util::hash::Crc64;
@@ -55,8 +55,6 @@ pub const ENVELOPE_VERSION: u16 = 2;
 pub const ENVELOPE_HEADER_LEN: usize = 44;
 /// Offset of the stored CRC-64: it covers the header bytes before it.
 const CRC_AT: usize = 36;
-/// Offset of the flow id.
-const FLOW_AT: usize = 20;
 /// A sealed envelope header.
 pub type Header = [u8; ENVELOPE_HEADER_LEN];
 /// Flow id carried by frames sealed without a ledger: "no recorded flow".
@@ -187,7 +185,7 @@ pub fn seal_header(
     // header[7] is reserved and stays 0.
     header[8..12].copy_from_slice(&from.to_le_bytes());
     header[12..20].copy_from_slice(&epoch.to_le_bytes());
-    header[FLOW_AT..FLOW_AT + 8].copy_from_slice(&flow.to_le_bytes());
+    header[20..28].copy_from_slice(&flow.to_le_bytes());
     header[28..32].copy_from_slice(&seq.to_le_bytes());
     header[32..36].copy_from_slice(&len.to_le_bytes());
     let mut crc = Crc64::new();
@@ -195,18 +193,6 @@ pub fn seal_header(
     crc.update(payload);
     header[CRC_AT..].copy_from_slice(&crc.finish().to_le_bytes());
     header
-}
-
-/// Seal a frame in the buffer it was encoded in: `frame` is
-/// [`ENVELOPE_HEADER_LEN`] reserved bytes followed by the payload, and the
-/// header is written over the reserved bytes. The result equals
-/// [`seal_flow`] of the payload byte for byte, without copying the payload.
-///
-/// # Panics
-/// If `frame` is shorter than the header, and as [`seal_header`].
-pub fn seal_in_place(kind: MsgKind, from: usize, epoch: u64, flow: u64, seq: u32, frame: &mut [u8]) {
-    let (header, payload) = frame.split_at_mut(ENVELOPE_HEADER_LEN);
-    header.copy_from_slice(&seal_header(kind, from, epoch, flow, seq, payload));
 }
 
 /// Seal `payload` into a checksummed frame carrying a flow id and an
@@ -265,7 +251,7 @@ pub fn open_parts<'a>(header: &'a [u8], payload: &'a [u8]) -> Result<Envelope<'a
     let kind = kind_from_code(header[6]).ok_or(EnvelopeError::BadKind(header[6]))?;
     let from = u32::from_le_bytes(header[8..12].try_into().unwrap()) as usize;
     let epoch = u64::from_le_bytes(header[12..20].try_into().unwrap());
-    let flow = flow_of(header);
+    let flow = u64::from_le_bytes(header[20..28].try_into().unwrap());
     let seq = u32::from_le_bytes(header[28..32].try_into().unwrap());
     let declared = u32::from_le_bytes(header[32..36].try_into().unwrap()) as usize;
     let available = payload.len();
@@ -298,14 +284,6 @@ pub fn open_parts<'a>(header: &'a [u8], payload: &'a [u8]) -> Result<Envelope<'a
         seq,
         payload,
     })
-}
-
-/// The flow id field of a header, unvalidated.
-///
-/// # Panics
-/// If `header` is shorter than the field's end.
-pub(crate) fn flow_of(header: &[u8]) -> u64 {
-    u64::from_le_bytes(header[FLOW_AT..FLOW_AT + 8].try_into().unwrap())
 }
 
 #[cfg(test)]
@@ -378,12 +356,6 @@ mod tests {
         assert_eq!(&whole[..ENVELOPE_HEADER_LEN], &header[..]);
         let env = open_parts(&header, &payload).unwrap();
         assert_eq!((env.from, env.flow, env.payload), (5, 321, &payload[..]));
-
-        // Sealed in the buffer it was encoded in, over stale reserved bytes.
-        let mut frame = vec![0xEEu8; ENVELOPE_HEADER_LEN];
-        frame.extend_from_slice(&payload);
-        seal_in_place(MsgKind::Boundary, 5, 9, 321, 0, &mut frame);
-        assert_eq!(frame, whole.to_vec());
     }
 
     #[test]

@@ -8,11 +8,13 @@
 //! business, driven in lock step by the cluster.
 //!
 //! A [`Message`] carries [`Bytes`], a shared immutable buffer, so a send
-//! moves a handle, not the bytes: a frame is either one buffer, or a header
-//! sealed for its receiver beside a payload buffer every receiver of a
-//! broadcast shares ([`Message::parts`]). No one writes a buffer once it is
-//! sent; a fault that mangles a frame copies it first
-//! ([`Wire`](crate::fault::Wire)).
+//! moves a handle, not the bytes. A frame the [`Wire`](crate::fault::Wire)
+//! sends is a header sealed for its receiver and attempt beside the
+//! sender's payload buffer, which every receiver of a broadcast and every
+//! retransmission shares ([`Message::parts`]). A frame is one whole buffer
+//! only where a fault mangled a private copy of it, or where a program
+//! sends on an [`Endpoint`] directly ([`Endpoint::send`]). No one writes a
+//! buffer once it is sent.
 
 use crate::envelope::{Header, ENVELOPE_HEADER_LEN};
 use bytes::Bytes;
@@ -76,9 +78,9 @@ pub struct Message {
     /// Payload semantics.
     pub kind: MsgKind,
     /// The envelope header, when it was sealed apart from `payload`: each
-    /// receiver of a broadcast gets its own header beside the one payload
-    /// buffer every receiver shares. `None` when `payload` is the whole
-    /// frame, header included.
+    /// receiver, and each attempt, gets its own header beside the one
+    /// payload buffer. `None` when `payload` is the whole frame, header
+    /// included (module docs).
     pub header: Option<Header>,
     /// Serialized payload.
     pub payload: Bytes,

@@ -9,11 +9,12 @@
 //! every run, which is what makes chaos tests reproducible.
 //!
 //! [`Wire`] is the one value the driver holds for all of it: the raw
-//! [`Endpoint`]s, the plan (applied on the send side by
-//! [`Wire::send_framed`] and [`Wire::retransmit`]), the frames the plan is
-//! holding back, the [`FaultLog`] and the [`FlowLedger`]. With an empty plan
-//! a send is a transparent pass-through (modulo sealing the payload in an
-//! [`envelope`](crate::envelope) frame), so `Cluster` runs unmodified when no
+//! [`Endpoint`]s, the plan (applied on the send side to every first
+//! transmission of a [`collective::exchange`](crate::collective::exchange)
+//! and to every [`Wire::retransmit`]), the frames the plan is holding back,
+//! the [`FaultLog`] and the [`FlowLedger`]. With an empty plan a send is a
+//! transparent pass-through (modulo the [`envelope`](crate::envelope)
+//! header sealed beside the payload), so `Cluster` runs unmodified when no
 //! faults are scheduled. Nothing here is shared or locked: a collective may
 //! seal and open frames on other threads, but everything it does to the
 //! `&mut Wire` happens on the caller's thread.
@@ -31,7 +32,7 @@
 //! changes concern no frame and carry
 //! [`NO_FLOW`](crate::envelope::NO_FLOW).
 
-use crate::envelope::{kind_code, seal_flow, Header, ENVELOPE_HEADER_LEN};
+use crate::envelope::{kind_code, seal_header, Header};
 use crate::fabric::{Endpoint, Fabric, Message, MsgKind};
 use crate::flow::FlowLedger;
 use bonsai_util::hash::mix_many;
@@ -460,18 +461,17 @@ impl FaultLog {
     }
 }
 
-/// A frame the plan holds back: receiver, kind, the header when it travels
-/// apart, and the payload (or the whole frame).
-type Held = (usize, MsgKind, Option<Header>, Bytes);
+/// A frame the plan holds back: receiver, kind, its header and the payload
+/// buffer the header travels beside.
+type Held = (usize, MsgKind, Header, Bytes);
 
-/// The first `len` bytes of `header` (when apart) followed by `body`, in a
-/// private buffer: what a fault may mangle without touching a buffer
-/// another receiver, or the sender's retransmission, still reads.
-fn private_copy(header: Option<&Header>, body: &[u8], len: usize) -> Vec<u8> {
-    let head = header.map_or(&[][..], |h| &h[..len.min(h.len())]);
+/// The first `len` bytes of `header` followed by `body`, in a private
+/// buffer: what a fault may mangle without touching a buffer another
+/// receiver, or the sender's retransmission, still reads.
+fn private_copy(header: &Header, body: &[u8], len: usize) -> Vec<u8> {
     let mut whole = Vec::with_capacity(len);
-    whole.extend_from_slice(head);
-    whole.extend_from_slice(&body[..len - head.len()]);
+    whole.extend_from_slice(&header[..len.min(header.len())]);
+    whole.extend_from_slice(&body[..len.saturating_sub(header.len())]);
     whole
 }
 
@@ -528,40 +528,33 @@ impl Wire {
         &self.plan
     }
 
-    /// Seal `payload` in an envelope as a fresh flow and send it `from` →
-    /// `to`, applying the fault plan. Returns the flow id the frame carries.
-    pub fn send_framed(
-        &mut self,
-        from: usize,
-        to: usize,
-        kind: MsgKind,
-        epoch: u64,
-        payload: &[u8],
-    ) -> u64 {
+    /// Seal `payload` as a fresh flow and send it `from` → `to`, applying
+    /// the fault plan: a stray frame beside an exchange. Returns the flow id
+    /// the frame carries.
+    #[cfg(test)]
+    pub(crate) fn send_framed(&mut self, from: usize, to: usize, kind: MsgKind, epoch: u64, payload: &[u8]) -> u64 {
         let flow = self.flows.next_id();
-        let frame = seal_flow(kind, from, epoch, flow, 0, payload);
-        self.send_sealed(from, to, kind, epoch, flow, (None, frame));
+        let header = seal_header(kind, from, epoch, flow, 0, payload);
+        self.send_sealed(from, to, kind, epoch, flow, (header, Bytes::copy_from_slice(payload)));
         flow
     }
 
     /// Send `payload` again as transmission `attempt` (1 for the first
     /// retransmission) of `flow`, to the receiver and under the epoch the
-    /// flow was sealed with, applying the fault plan. The payload is sealed
-    /// afresh into a frame of its own.
+    /// flow was sealed with, applying the fault plan. A new header is sealed
+    /// beside the same buffer; the payload is not copied.
     ///
     /// # Panics
     /// If the ledger does not hold `flow`.
-    pub fn retransmit(&mut self, flow: u64, attempt: u32, payload: &[u8]) {
+    pub fn retransmit(&mut self, flow: u64, attempt: u32, payload: Bytes) {
         let r = self.flows.retransmit(flow);
-        let frame = seal_flow(r.kind, r.from, r.epoch, flow, attempt, payload);
-        self.transmit(flow, attempt, None, frame);
+        let header = seal_header(r.kind, r.from, r.epoch, flow, attempt, &payload);
+        self.transmit(flow, attempt, header, payload);
     }
 
-    /// The effects of a first transmission whose frame was sealed elsewhere
-    /// (possibly on another thread) under `flow`: record the flow in the
-    /// ledger, then apply the plan and send, exactly as
-    /// [`send_framed`](Self::send_framed) does. `frame` is `(None, whole
-    /// frame)`, or `(Some(header), payload)` when the header travels apart.
+    /// The effects of a first transmission whose header was sealed
+    /// elsewhere (possibly on another thread) under `flow`: record the flow
+    /// in the ledger, then apply the plan and send `header` beside `body`.
     ///
     /// # Panics
     /// If `flow` is not the id the ledger hands out next: ids follow send
@@ -573,21 +566,20 @@ impl Wire {
         kind: MsgKind,
         epoch: u64,
         flow: u64,
-        (header, body): (Option<Header>, Bytes),
+        (header, body): (Header, Bytes),
     ) {
-        let payload = if header.is_some() { body.len() } else { body.len() - ENVELOPE_HEADER_LEN };
-        let id = self.flows.seal(epoch, from, to, kind, payload);
+        let id = self.flows.seal(epoch, from, to, kind, body.len());
         assert_eq!(id, flow, "frame sealed under flow {flow}, sent as flow {id}");
         self.transmit(flow, 0, header, body);
     }
 
-    /// Apply the plan to transmission `attempt` of `flow`, sealed in
-    /// `header` and `body`: put it on the wire, hold it back, mangle or drop
-    /// it, and log the fault under the flow's id. A frame is only ever
-    /// shared, never written: truncation and corruption mangle a private
+    /// Apply the plan to transmission `attempt` of `flow`, `header` sealed
+    /// beside `body`: put it on the wire, hold it back, mangle or drop it,
+    /// and log the fault under the flow's id. A buffer is only ever shared,
+    /// never written: truncation and corruption mangle a private contiguous
     /// copy of the same bytes, so the other receivers of a shared payload
     /// and the sender's retransmission read the bytes that were sealed.
-    fn transmit(&mut self, flow: u64, attempt: u32, header: Option<Header>, body: Bytes) {
+    fn transmit(&mut self, flow: u64, attempt: u32, header: Header, body: Bytes) {
         let r = self.flows.get(flow).expect("a frame is sent under a flow the ledger holds");
         let (epoch, from, to, kind) = (r.epoch, r.from, r.to, r.kind);
         let fault = if self.plan.is_empty() {
@@ -599,27 +591,27 @@ impl Wire {
             self.plan.message_fault(from, to, kind, epoch, attempt)
         };
         let Some(fault) = fault else {
-            self.endpoints[from].send_frame(to, kind, header, body);
+            self.endpoints[from].send_frame(to, kind, Some(header), body);
             return;
         };
         self.log.record_fault(FaultEvent { epoch, from, to, kind, fault, attempt, flow });
         let ep = &self.endpoints[from];
-        let len = header.map_or(0, |h| h.len()) + body.len();
+        let len = header.len() + body.len();
         match fault {
             FaultKind::Drop => {}
             FaultKind::Duplicate => {
-                ep.send_frame(to, kind, header, body.clone());
-                ep.send_frame(to, kind, header, body);
+                ep.send_frame(to, kind, Some(header), body.clone());
+                ep.send_frame(to, kind, Some(header), body);
             }
             FaultKind::Reorder => self.reordered[from].push((to, kind, header, body)),
             FaultKind::Delay | FaultKind::Stall => self.delayed[from].push((to, kind, header, body)),
             FaultKind::Truncate => {
                 let cut = self.plan.truncate_len(from, to, kind, epoch, len);
-                ep.send(to, kind, Bytes::from(private_copy(header.as_ref(), &body, cut)));
+                ep.send(to, kind, Bytes::from(private_copy(&header, &body, cut)));
             }
             FaultKind::Corrupt => {
                 let (byte, mask) = self.plan.corrupt_position(from, to, kind, epoch, len);
-                let mut bad = private_copy(header.as_ref(), &body, len);
+                let mut bad = private_copy(&header, &body, len);
                 bad[byte] ^= mask;
                 ep.send(to, kind, Bytes::from(bad));
             }
@@ -631,7 +623,7 @@ impl Wire {
     /// of a send burst so they arrive after the sender's later messages.
     pub fn flush_reordered(&mut self, from: usize) {
         for (to, kind, header, body) in self.reordered[from].drain(..) {
-            self.endpoints[from].send_frame(to, kind, header, body);
+            self.endpoints[from].send_frame(to, kind, Some(header), body);
         }
     }
 
@@ -642,7 +634,7 @@ impl Wire {
     pub fn flush_delayed(&mut self) {
         for (ep, held) in self.endpoints.iter().zip(&mut self.delayed) {
             for (to, kind, header, body) in held.drain(..) {
-                ep.send_frame(to, kind, header, body);
+                ep.send_frame(to, kind, Some(header), body);
             }
         }
     }
@@ -663,9 +655,16 @@ mod tests {
         Wire::new(2, plan)
     }
 
+    /// The next frame queued for `rank`, header and payload in one buffer.
+    fn frame_for(w: &Wire, rank: usize) -> Vec<u8> {
+        let m = w.try_recv(rank).expect("a frame is queued");
+        let (header, payload) = m.parts();
+        [header, payload].concat()
+    }
+
     /// The next frame queued for rank 1.
-    fn recv(w: &Wire) -> Bytes {
-        w.try_recv(1).expect("a frame is queued").payload
+    fn recv(w: &Wire) -> Vec<u8> {
+        frame_for(w, 1)
     }
 
     #[test]
@@ -738,7 +737,7 @@ mod tests {
         let flow = w.send_framed(0, 1, MsgKind::Let, 1, b"x");
         assert!(w.try_recv(1).is_none());
         // Retransmission (attempt 1) bypasses the first-attempt injection.
-        w.retransmit(flow, 1, b"x");
+        w.retransmit(flow, 1, Bytes::from_static(b"x"));
         let m = recv(&w);
         let env = open(&m).unwrap();
         assert_eq!((env.flow, env.seq), (flow, 1));
@@ -861,7 +860,7 @@ mod tests {
         // The plan carried over, and flow ids carry on where they were.
         assert!(w.plan().stalled(0, 4));
         assert_eq!(w.send_framed(2, 0, MsgKind::Control, 5, b"next"), 5);
-        assert_eq!(open(&w.try_recv(0).unwrap().payload).unwrap().from, 2);
+        assert_eq!(open(&frame_for(&w, 0)).unwrap().from, 2);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! | [`migrate`](Cluster::migrate) | Domain update | §III-B1: particle exchange; the stayers keep their keys, received migrants are keyed | `Particles`, every pair, possibly empty |
 //! | [`build`](Cluster::build) | Sorting, Tree-construction, Tree-properties | §III-A: sorts the carried keys | — |
 //! | [`boundaries`](Cluster::boundaries) | Domain update | §III-B2: boundary trees, allgatherv | `Boundary` broadcast, one shared payload with a header per receiver; every receiver validates its frame in place and drops it |
-//! | [`lets`](Cluster::lets) | (Non-hidden) LET comm | §III-B2: sufficiency check — a pure function of two boundary trees every rank holds bit-identically, decided once per ordered pair — and dedicated LETs for near neighbours | `Let`, sparse, each sealed in the buffer it is encoded in; the receiver validates it in place and keeps the frame, decoding nothing |
+//! | [`lets`](Cluster::lets) | (Non-hidden) LET comm | §III-B2: sufficiency check — a pure function of two boundary trees every rank holds bit-identically, decided once per ordered pair — and dedicated LETs for near neighbours | `Let`, sparse, each encoded once into the buffer its header travels beside; the receiver validates it in place and keeps the frame, decoding nothing |
 //! | [`walk`](Cluster::walk) | Gravity local, Gravity LETs | §III-A, §III-B2: one walk per rank over the local tree and, per peer, its dedicated LET, read in the frame it arrived in, else (the boundary sufficed) the sender's own boundary tree; then the senders take their frame buffers back | — |
 //! | [`store`](Cluster::store) | Unbalance + other | §III-B1: flop weights for the next step's sampling | — |
 //!
@@ -32,7 +32,6 @@ use bonsai_domain::sampling::parallel_cuts;
 use bonsai_domain::lettree::{self, Invalid};
 use bonsai_domain::{boundary_tree, LetFrame, LetTree};
 use bonsai_net::collective::{self, received_from, Exchanged, Expect, Lanes, Outbox, Payload, Reject, Round};
-use bonsai_net::envelope::{self, ENVELOPE_HEADER_LEN};
 use bonsai_net::MsgKind;
 use bonsai_sfc::KeyMap;
 use bonsai_tree::build::Tree;
@@ -81,26 +80,16 @@ fn fit(buf: &mut Vec<u8>, len: usize) {
     }
 }
 
-/// Sender `from`'s dedicated LET for a receiver whose frontier is `geom`,
-/// built into `scratch` (the sender's tree for every LET it builds) and
-/// encoded straight into its frame: `buf` (whatever it held, a frame buffer
-/// kept from an earlier epoch) is sized to the envelope header plus the
-/// LET's wire size, the LET is written after the header, and the header is
-/// sealed in place as the first transmission of `flow` while the bytes are
-/// still in cache. The frame equals `seal_flow(MsgKind::Let, from, epoch,
-/// flow, 0, &build_let(tree, geom, theta).to_bytes())` byte for byte.
-pub(super) fn let_frame(
-    tree: &Tree,
-    geom: &[Aabb],
-    theta: f64,
-    scratch: &mut LetTree,
-    (from, epoch, flow): (usize, u64, u64),
-    mut buf: Vec<u8>,
-) -> Bytes {
+/// A sender's dedicated LET for a receiver whose frontier is `geom`, built
+/// into `scratch` (the sender's tree for every LET it builds) and encoded
+/// straight into `buf` (whatever it held, a frame buffer kept from an
+/// earlier epoch), sized to the LET's wire size: the payload the exchange
+/// seals a header beside. It equals `build_let(tree, geom, theta).to_bytes()`
+/// byte for byte.
+pub(super) fn let_frame(tree: &Tree, geom: &[Aabb], theta: f64, scratch: &mut LetTree, mut buf: Vec<u8>) -> Bytes {
     build_let_into(tree, geom, theta, scratch);
-    fit(&mut buf, ENVELOPE_HEADER_LEN + scratch.wire_size());
-    scratch.write_to(&mut buf[ENVELOPE_HEADER_LEN..]);
-    envelope::seal_in_place(MsgKind::Let, from, epoch, flow, 0, &mut buf);
+    fit(&mut buf, scratch.wire_size());
+    scratch.write_to(&mut buf);
     Bytes::from(buf)
 }
 
@@ -307,9 +296,9 @@ impl Cluster {
     /// tree. Receivers validate each frame in place and drop it: a validated
     /// frame carries every field a receiver reads with the sender's bits,
     /// so later phases read the sender's tree. Each sender's encoding is
-    /// validated once; a frame whose payload is that encoding byte for byte
-    /// takes its verdict (validation is a pure function of the bytes), any
-    /// other payload is validated in full.
+    /// validated once; a frame beside that encoding's own buffer takes its
+    /// verdict (validation is a pure function of the bytes), any other
+    /// payload is validated in full.
     fn boundaries(
         &mut self,
         trees: &[Tree],
@@ -329,10 +318,9 @@ impl Cluster {
         let outbox: Vec<Outbox> = payloads.iter().cloned().map(Outbox::Broadcast).collect();
         let got = self.exchange(MsgKind::Boundary, &outbox, Expect::AllPeers, |from, b| {
             match (payloads.get(from), verdicts.get(from)) {
-                // The shared payload itself, or a copy of its bytes.
-                (Some(bytes), Some(verdict))
-                    if (bytes.as_ptr(), bytes.len()) == (b.as_ptr(), b.len()) || bytes[..] == *b =>
-                {
+                // The shared payload itself: every frame of it that arrives
+                // intact, retransmissions included, carries this buffer.
+                (Some(bytes), Some(verdict)) if (bytes.as_ptr(), bytes.len()) == (b.as_ptr(), b.len()) => {
                     verdict.clone()
                 }
                 _ => validate(&b),
@@ -359,7 +347,7 @@ impl Cluster {
         sent: &mut Vec<Outbox>,
         meas: &mut StepMeasurements,
     ) -> Result<Vec<Vec<(usize, LetFrame)>>, usize> {
-        let (theta, epoch) = (self.cfg.theta, self.epoch);
+        let theta = self.cfg.theta;
         // Each rank's frontier geometry, once: what its senders build for.
         let geoms: Vec<Vec<Aabb>> = boundaries.par_iter().map(LetTree::frontier_boxes).collect();
         let owed: Vec<Vec<usize>> = (boundaries.par_iter())
@@ -375,23 +363,18 @@ impl Cluster {
                     .collect()
             })
             .collect();
-        // Each sender's flow ids are known before it encodes, so it seals
-        // every frame in the buffer the LET is written into.
-        let firsts = collective::first_flows(&self.wire, owed.iter().map(Vec::len));
         let mut kept = std::mem::take(&mut self.kept_frames);
         kept.resize_with(trees.len(), Vec::new);
-        let sealed: Vec<Vec<(usize, Bytes)>> = (trees.par_iter().zip(owed.par_iter()))
-            .zip(firsts.into_par_iter().zip(kept.into_par_iter()))
-            .enumerate()
-            .map(|(i, ((tree, owed), (first, kept)))| {
+        let encoded: Vec<Vec<(usize, Bytes)>> = (trees.par_iter().zip(owed.par_iter()))
+            .zip(kept.into_par_iter())
+            .map(|((tree, owed), kept)| {
                 let mut kept = kept.into_iter().peekable();
                 let mut scratch = LetTree::default();
-                (owed.iter().zip(first..))
-                    .map(|(&j, flow)| {
+                (owed.iter())
+                    .map(|&j| {
                         while kept.next_if(|&(to, _)| to < j).is_some() {}
                         let buf = kept.next_if(|&(to, _)| to == j).map(|(_, buf)| buf);
-                        let frame = let_frame(tree, &geoms[j], theta, &mut scratch, (i, epoch, flow), buf.unwrap_or_default());
-                        (j, frame)
+                        (j, let_frame(tree, &geoms[j], theta, &mut scratch, buf.unwrap_or_default()))
                     })
                     .collect()
             })
@@ -399,14 +382,14 @@ impl Cluster {
         // The receivers' lists are the same pairs transposed, ascending by
         // sender because the senders are read in order.
         let mut expected: Vec<Vec<usize>> = vec![Vec::new(); trees.len()];
-        for (i, frames) in sealed.iter().enumerate() {
-            meas.let_bytes_sent[i] = frames.iter().map(|(_, f)| f.len() - ENVELOPE_HEADER_LEN).sum();
+        for (i, frames) in encoded.iter().enumerate() {
+            meas.let_bytes_sent[i] = frames.iter().map(|(_, f)| f.len()).sum();
             meas.let_neighbors[i] = frames.len();
             for &(j, _) in frames {
                 expected[j].push(i);
             }
         }
-        *sent = sealed.into_iter().map(Outbox::Sealed).collect();
+        *sent = encoded.into_iter().map(Outbox::To).collect();
         let got = self.exchange(MsgKind::Let, sent, Expect::From(&expected), |_, b| {
             LetFrame::new(b.buffer().clone(), b.offset()).map_err(|e| refusal("LET", e))
         });
@@ -525,7 +508,7 @@ fn refusal(what: &str, invalid: Invalid) -> String {
 fn keep_frames(sent: Vec<Outbox>) -> KeptFrames {
     (sent.into_iter())
         .map(|sent| match sent {
-            Outbox::Sealed(frames) => (frames.into_iter())
+            Outbox::To(frames) => (frames.into_iter())
                 .filter_map(|(to, frame)| Some((to, frame.try_into_vec().ok()?)))
                 .filter(|(_, buf)| buf.capacity() >= KEEP_FRAME_BYTES)
                 .collect(),

@@ -452,8 +452,6 @@ mod let_frames {
     use bonsai_ic::plummer_sphere;
     use bonsai_domain::build_let;
     use bonsai_domain::lettree::Role;
-    use bonsai_net::envelope::seal_flow;
-    use bonsai_net::MsgKind;
     use bonsai_tree::build::{Tree, TreeParams};
     use bonsai_tree::Particles;
     use bonsai_util::rng::Xoshiro256;
@@ -476,9 +474,8 @@ mod let_frames {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
         #[test]
-        fn a_let_sealed_in_place_is_the_frame_sealed_from_its_bytes(
+        fn a_let_written_in_place_is_its_encoding(
             n in 0usize..400, seed in any::<u64>(), boxes in 1usize..5, theta in 0.2f64..1.0,
-            from in 0usize..100_000, epoch in any::<u64>(), flow in any::<u64>(),
             stale in proptest::collection::vec(any::<u8>(), 0..2048),
         ) {
             // The sender's tree, empty at n = 0 (an empty LET), and a frame
@@ -488,11 +485,11 @@ mod let_frames {
             let geom = geometry(boxes, seed ^ 0x5eed);
             let lt = build_let(&tree, &geom, theta);
             prop_assert_eq!(lt.is_empty(), n == 0);
-            let oracle = seal_flow(MsgKind::Let, from, epoch, flow, 0, &lt.to_bytes());
+            let oracle = lt.to_bytes();
             // A scratch tree that held another sender's LET, of either role.
             let mut scratch = build_let(&Tree::build(plummer_sphere(64, !seed), TreeParams::default()), &geom, 0.5);
             scratch.role = if seed.is_multiple_of(2) { Role::Boundary } else { Role::Let };
-            let frame = let_frame(&tree, &geom, theta, &mut scratch, (from, epoch, flow), stale);
+            let frame = let_frame(&tree, &geom, theta, &mut scratch, stale);
             prop_assert_eq!(&frame[..], &oracle[..]);
         }
     }
@@ -509,7 +506,7 @@ fn large_let_frame_buffers_go_back_to_their_senders() {
         let lets = c.flow_ledger().records().iter().filter(|r| r.kind == bonsai_net::MsgKind::Let);
         let last = lets.clone().map(|r| r.epoch).max().expect("LETs were sent");
         let large: Vec<(usize, usize)> = (lets.filter(|r| r.epoch == last))
-            .filter(|r| r.bytes + bonsai_net::envelope::ENVELOPE_HEADER_LEN >= gravity::KEEP_FRAME_BYTES)
+            .filter(|r| r.bytes >= gravity::KEEP_FRAME_BYTES)
             .map(|r| (r.from, r.to))
             .collect();
         assert_eq!(large.len(), 6, "step {step}: every ordered pair ships a frame worth keeping");

@@ -70,8 +70,10 @@ fi
 # instantiations (sliced, and the carry-less-multiply fold where the CPU has
 # PCLMULQDQ and SSE4.1) are compared there, and the envelope's bit-flip and
 # truncation sweeps run over a frame long enough to take the fold, whole and
-# with its header apart. The rest of bonsai-net (the collective, the fault
-# wire's copy-before-mangle, the proptests) runs on that code generation too.
+# with its header apart. The rest of bonsai-net runs on that code generation
+# too: the collective (every transmission, retransmissions included, a header
+# beside the sender's own buffer), the fault wire's copy-before-mangle, the
+# proptests.
 cargo test -q --release -p bonsai-util --lib hash
 cargo test -q --release -p bonsai-net
 # The pinned fault-log, flow-ledger and force digests, on the code
