@@ -18,27 +18,16 @@
 
 use crate::lettree::{LetTree, Role};
 use bonsai_tree::build::Tree;
+use bonsai_tree::mac::OpeningCriterion;
 use bonsai_tree::node::{Node, NodeKind};
 use bonsai_util::Aabb;
 
-/// Squared distance within which a point opens `node` under
-/// `1 / θ = inv_theta` (finite): the group-MAC's critical radius, squared.
+/// `true` if any point of `geom` would open `node` under `mac` (the
+/// group-MAC of the walk, taken over a whole domain's geometry).
 #[inline]
-fn opening_radius2(node: &Node, inv_theta: f64) -> f64 {
-    let s = (node.com - node.geo_center).norm();
-    let crit = node.geo_side() * inv_theta + s;
-    crit * crit
-}
-
-/// `true` if any point of `geom` would open `node` under opening angle θ
-/// (the group-MAC of the walk, taken over a whole domain's geometry).
-#[inline]
-pub fn geometry_opens(node: &Node, geom: &[Aabb], inv_theta: f64) -> bool {
-    if !inv_theta.is_finite() {
-        return true;
-    }
-    let crit2 = opening_radius2(node, inv_theta);
-    geom.iter().any(|b| b.min_dist2_point(node.com) <= crit2)
+pub fn geometry_opens(node: &Node, geom: &[Aabb], mac: &OpeningCriterion) -> bool {
+    (mac.opening_radius2(node.com, node.geo_center, node.geo_half))
+        .is_none_or(|r2| geom.iter().any(|b| b.min_dist2_point(node.com) <= r2))
 }
 
 /// What the pruning traversal does with a node.
@@ -134,17 +123,15 @@ pub fn build_let(tree: &Tree, remote_geom: &[Aabb], theta: f64) -> LetTree {
 /// after another into the same tree allocates only when one outgrows every
 /// LET before it.
 pub fn build_let_into(tree: &Tree, remote_geom: &[Aabb], theta: f64, out: &mut LetTree) {
-    let inv_theta = if theta > 0.0 { 1.0 / theta } else { f64::INFINITY };
+    let mac = OpeningCriterion::new(theta);
     let mut hull = Aabb::empty();
     for b in remote_geom {
         hull.merge(b);
     }
     let decide = |_, node: &Node| {
-        let opens = !inv_theta.is_finite() || {
-            let crit2 = opening_radius2(node, inv_theta);
-            hull.min_dist2_point(node.com) <= crit2
-                && remote_geom.iter().any(|b| b.min_dist2_point(node.com) <= crit2)
-        };
+        let opens = (mac.opening_radius2(node.com, node.geo_center, node.geo_half)).is_none_or(|r2| {
+            hull.min_dist2_point(node.com) <= r2 && remote_geom.iter().any(|b| b.min_dist2_point(node.com) <= r2)
+        });
         if opens {
             Action::Open
         } else {
@@ -161,12 +148,12 @@ pub fn build_let_into(tree: &Tree, remote_geom: &[Aabb], theta: f64, out: &mut L
 /// nodes never occur in boundary trees; internal nodes being opened is fine —
 /// their children are present.)
 pub fn boundary_sufficient_for(boundary: &LetTree, remote_geom: &[Aabb], theta: f64) -> bool {
-    let inv_theta = if theta > 0.0 { 1.0 / theta } else { f64::INFINITY };
+    let mac = OpeningCriterion::new(theta);
     boundary
         .nodes
         .iter()
         .filter(|n| n.kind == NodeKind::Cut)
-        .all(|n| !geometry_opens(n, remote_geom, inv_theta))
+        .all(|n| !geometry_opens(n, remote_geom, &mac))
 }
 
 #[cfg(test)]

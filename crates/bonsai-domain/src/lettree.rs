@@ -357,26 +357,23 @@ fn node_invariants(view: &RecordView<'_>, i: usize, n: NodeRecord<'_>, kind: Nod
     Ok(())
 }
 
-/// A received LET, validated in the frame it arrived in: the frame's
-/// shared buffer and the offset its encoding starts at. Nothing is copied;
-/// the walk reads [`records`](Self::records) where they lie, and the buffer
-/// goes back to its sender once every handle is dropped.
+/// A received LET, validated in the buffer it arrived in: the sender's
+/// own. Nothing is copied; the walk reads [`records`](Self::records) where
+/// they lie, and the buffer goes back to its sender once every handle is
+/// dropped.
 #[derive(Debug)]
-pub struct LetFrame {
-    frame: Bytes,
-    at: usize,
-}
+pub struct LetFrame(Bytes);
 
 impl LetFrame {
-    /// Keep `frame` if the encoding from byte `at` on passes [`validate`].
-    pub fn new(frame: Bytes, at: usize) -> Result<Self, Invalid> {
-        validate(&frame[at..])?;
-        Ok(Self { frame, at })
+    /// Keep `frame` if it passes [`validate`].
+    pub fn new(frame: Bytes) -> Result<Self, Invalid> {
+        validate(&frame)?;
+        Ok(Self(frame))
     }
 
     /// The LET's records, in place.
     pub fn records(&self) -> RecordView<'_> {
-        layout(&self.frame[self.at..]).expect("a validated encoding").1
+        layout(&self.0).expect("a validated encoding").1
     }
 }
 
@@ -651,10 +648,8 @@ mod tests {
     #[test]
     fn a_frame_keeps_its_buffer_and_walks_its_records_in_place() {
         let t = sample_tree();
-        let mut frame = vec![0xEE; 44];
-        frame.extend_from_slice(&t.to_bytes());
-        let frame = Bytes::from(frame);
-        let kept = LetFrame::new(frame.clone(), 44).expect("valid");
+        let frame = t.to_bytes();
+        let kept = LetFrame::new(frame.clone()).expect("valid");
         let records = kept.records();
         assert_eq!((records.len(), records.particle_count()), (3, 2));
         assert_eq!(records.node(0).mass(), 5.0);
@@ -663,9 +658,7 @@ mod tests {
         assert!(frame.try_into_vec().is_ok(), "dropping the frame gives the buffer back");
         let mut broken = t.clone();
         broken.nodes[0].mass = 10.0;
-        let mut bad = vec![0; 44];
-        bad.extend_from_slice(&broken.to_bytes());
-        assert!(matches!(LetFrame::new(Bytes::from(bad), 44), Err(Invalid::Invariant(_))));
+        assert!(matches!(LetFrame::new(broken.to_bytes()), Err(Invalid::Invariant(_))));
     }
 
     #[test]

@@ -10,6 +10,7 @@ use bonsai_domain::{boundary_tree, replan, sampling};
 use bonsai_sfc::range::{find_owner, ranges_from_cuts};
 use bonsai_sfc::{KeyMap, KeyRange, KEY_END, MAX_LEVEL};
 use bonsai_tree::build::{Tree, TreeParams};
+use bonsai_tree::mac::OpeningCriterion;
 use bonsai_tree::node::{Node, NodeKind};
 use bonsai_tree::records::{decode_node, PARTICLE_RECORD_SIZE};
 use bonsai_tree::walk::{walk_tree, WalkParams};
@@ -374,9 +375,44 @@ proptest! {
 }
 
 proptest! {
-    // Its own case count: a LET the hull test alone would get wrong needs
-    // several boxes, θ > 0 and a tree deep enough to reach a hull corner.
+    // Its own case count: a LET the hull test alone would get wrong, or a
+    // walk that reaches a `Cut` node, needs several boxes, θ > 0 and a tree
+    // deep enough to reach a hull corner.
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn a_walk_inside_the_receivers_geometry_opens_no_cut_node(
+        n in 1usize..1500, seed in any::<u64>(), boxes in 1usize..6, theta_at in 0usize..3, at in any::<u64>()
+    ) {
+        // A release build of the cluster walks a dedicated LET unchecked:
+        // every group of the receiver lies inside one of its frontier
+        // boxes, and the LET was cut against those boxes. So every node the walk opens for such
+        // a group, the geometry opens, and no `Cut` node of the LET is one.
+        let tree = Tree::build(blob(n, seed), TreeParams::default());
+        let geom = receiver_geometry(boxes, seed);
+        let theta = [0.0, 0.4, 0.75][theta_at];
+        let mac = OpeningCriterion::new(theta);
+        let outer = geom[at as usize % boxes];
+        let mut rng = Xoshiro256::seed_from(at);
+        let mut inside = || {
+            let (lo, hi) = (rng.uniform(), rng.uniform());
+            let axis = |lo: f64, hi: f64, t: f64| (lo + t * (hi - lo)).min(hi);
+            let (a, b) = (outer.min, outer.max);
+            let lerp = |t: f64| Vec3::new(axis(a.x, b.x, t), axis(a.y, b.y, t), axis(a.z, b.z, t));
+            Aabb::new(lerp(lo.min(hi)), lerp(lo.max(hi)))
+        };
+        // The whole box, and a random group inside it.
+        let groups = [outer, inside()];
+        let let_tree = build_let(&tree, &geom, theta);
+        for group in &groups {
+            for node in &tree.nodes {
+                prop_assert!(!mac.must_open(group, node) || geometry_opens(node, &geom, &mac));
+            }
+            for node in let_tree.nodes.iter().filter(|n| n.kind == NodeKind::Cut) {
+                prop_assert!(!mac.must_open(group, node), "the walk of {:?} opens a Cut node", group);
+            }
+        }
+    }
 
     #[test]
     fn build_let_equals_the_per_box_oracle(
@@ -388,9 +424,9 @@ proptest! {
         let tree = Tree::build(blob(n, seed), TreeParams::default());
         let geom = receiver_geometry(boxes, seed);
         let theta = [0.0, 0.4, 0.75][theta_at];
-        let inv_theta = if theta > 0.0 { 1.0 / theta } else { f64::INFINITY };
+        let mac = OpeningCriterion::new(theta);
         let oracle = extract_pruned(&tree, |_, node| {
-            if geometry_opens(node, &geom, inv_theta) { Action::Open } else { Action::Cut }
+            if geometry_opens(node, &geom, &mac) { Action::Open } else { Action::Cut }
         });
         let got = build_let(&tree, &geom, theta);
         prop_assert_eq!(got.role, oracle.role);

@@ -11,10 +11,13 @@
 //! peer that stays silent (the cluster declares it dead and rolls back) is
 //! its own business; [`exchange`] only reports the pairs.
 //!
-//! Both sides are sparse. The sender side is an [`Outbox`] per rank: one
-//! payload for everybody, or a short list of `(to, payload)`. The receiver
-//! side comes back as one `(from, value)` list per rank, ascending by
-//! sender. Nothing is dense in the world size.
+//! The outboxes are the whole contract. The sender side is an [`Outbox`]
+//! per rank: one payload for every peer, a short list of `(to, payload)`,
+//! or — for a dead rank — nothing at all. A receiver waits for exactly the
+//! members whose outbox owes it: every peer of a broadcast or of a silent
+//! rank, and the receivers a `To` list names. The receiver side comes back
+//! as one `(from, value)` list per rank, ascending by sender. Nothing is
+//! dense in the world size.
 //!
 //! # One buffer per message
 //!
@@ -24,11 +27,12 @@
 //! one buffer, shared by every receiver of a broadcast; a retransmission
 //! seals a new header, its attempt number in it, beside the same buffer.
 //! The outbox keeps every buffer to the end of the round, and only a fault
-//! that mangles a frame copies it first (the [`Wire`]). Nothing on the
-//! receive side copies either: `parse` gets the buffer a payload arrived in
-//! ([`Payload`]) and may keep a handle to it instead of decoding a copy. Once the caller drops what `parse` kept, it
-//! holds the only handle to each buffer it sent — a buffer no frame held
-//! back by the plan still holds — and may take it back for its next round.
+//! that mangles a frame copies it first (the [`Wire`]); such a copy never
+//! opens. Nothing on the receive side copies either: `parse` gets the
+//! sender's buffer itself and may keep a handle to it instead of decoding
+//! a copy. Once the caller drops what `parse` kept, it holds the only
+//! handle to each buffer it sent — a buffer no frame held back by the plan
+//! still holds — and may take it back for its next round.
 //!
 //! # Order contract
 //!
@@ -61,7 +65,7 @@
 //! | rank task (pure; any thread, any order) | driver effect (serial, in contract order) |
 //! |---|---|
 //! | seal a sender's first transmissions, under flow ids handed out by a prefix sum of the senders' first-transmission counts (silent 0, broadcast `members − 1`, a `To` list its length) | the ledger's `seal`, asserting the pre-assigned id; the fault decision and its log record; channel sends; `flush_reordered` |
-//! | once every member's inbox is drained: `envelope::open`, the epoch / kind / sender checks and a speculative `parse` of each frame | the duplicate check against what the receiver already holds; `flows.deliver`; every log record |
+//! | once every member's inbox is drained: `envelope::open`, the epoch / kind checks, the sender check against what the outboxes owe, and a speculative `parse` of each frame | the duplicate check against what the receiver already holds; `flows.deliver`; every log record |
 //! | — | retransmissions: a new header beside the kept buffer, sealed and sent on the driver |
 //!
 //! A task's result is a function of its inputs and the driver consumes the
@@ -102,7 +106,9 @@ impl Lanes for Inline {
 /// What one rank owes its peers in a collective.
 #[derive(Clone, Debug)]
 pub enum Outbox {
-    /// Nothing: the rank is dead or has no part in the sending side.
+    /// A dead rank: it owes every peer a payload and sends none, so each
+    /// receiver reports it missing (a live rank that owes nothing is an
+    /// empty `To` list).
     Silent,
     /// The same payload to every other member (an allreduce or allgather
     /// leg). Every receiver's frame is its own sealed header beside this
@@ -134,62 +140,6 @@ impl Outbox {
             }
             Outbox::To(list) => list.iter().map(|(to, b)| (*to, b)).collect(),
         }
-    }
-}
-
-/// Whom each receiver waits for.
-#[derive(Clone, Copy, Debug)]
-pub enum Expect<'a> {
-    /// Every other member.
-    AllPeers,
-    /// `lists[to]`: the senders rank `to` waits for, ascending.
-    From(&'a [Vec<usize>]),
-}
-
-impl Expect<'_> {
-    fn includes(&self, members: &[usize], to: usize, from: usize) -> bool {
-        match self {
-            Expect::AllPeers => from != to && members.binary_search(&from).is_ok(),
-            Expect::From(lists) => lists[to].binary_search(&from).is_ok(),
-        }
-    }
-
-    fn for_each_sender(&self, members: &[usize], to: usize, f: impl FnMut(usize)) {
-        match self {
-            Expect::AllPeers => members.iter().copied().filter(|&m| m != to).for_each(f),
-            Expect::From(lists) => lists[to].iter().copied().for_each(f),
-        }
-    }
-}
-
-/// A payload as `parse` receives it: the message's shared buffer and the
-/// offset its payload starts at (past the header of a whole frame, 0 beside
-/// a header sealed apart). It derefs to the payload's bytes. A caller that
-/// keeps a payload past the exchange clones [`buffer`](Self::buffer), a
-/// handle to the same bytes: nothing is copied.
-#[derive(Clone, Copy, Debug)]
-pub struct Payload<'a> {
-    buffer: &'a Bytes,
-    at: usize,
-}
-
-impl<'a> Payload<'a> {
-    /// The buffer the payload arrived in.
-    pub fn buffer(&self) -> &'a Bytes {
-        self.buffer
-    }
-
-    /// Where in [`buffer`](Self::buffer) the payload starts.
-    pub fn offset(&self) -> usize {
-        self.at
-    }
-}
-
-impl std::ops::Deref for Payload<'_> {
-    type Target = [u8];
-
-    fn deref(&self) -> &[u8] {
-        &self.buffer[self.at..]
     }
 }
 
@@ -231,8 +181,6 @@ pub struct Exchanged<T> {
     /// `(to, from)` pairs still missing after the last attempt, in
     /// ascending order.
     pub missing: Vec<(usize, usize)>,
-    /// Payload bytes sent again to recover lost or invalid frames.
-    pub retransmit_bytes: usize,
 }
 
 impl<T> Exchanged<T> {
@@ -258,7 +206,7 @@ pub fn received_from<T>(list: &[(usize, T)], peer: usize) -> Option<&T> {
 enum Checked<T> {
     /// Refused: logged against the peer as the action, with the detail.
     Refused(usize, RecoveryAction, String),
-    /// A frame of this round from a sender the receiver expects, with
+    /// A frame of this round from a sender that owes the receiver, with
     /// `parse`'s verdict — taken before it is known whether the receiver
     /// already holds that sender's payload.
     Expected {
@@ -269,17 +217,16 @@ enum Checked<T> {
     },
 }
 
-/// The rank-task half of receiving one frame addressed to `to`.
+/// The rank-task half of receiving one frame addressed to `to`; `owed`
+/// holds the round's `(to, from)` pairs, ascending.
 fn check<T>(
     round: &Round<'_>,
-    members: &[usize],
-    expect: Expect<'_>,
+    owed: &[(usize, usize)],
     to: usize,
     msg: &Message,
-    parse: &impl Fn(usize, Payload<'_>) -> Result<T, Reject>,
+    parse: &impl Fn(usize, &Bytes) -> Result<T, Reject>,
 ) -> Checked<T> {
     let (header, payload) = msg.parts();
-    let at = msg.payload.len() - payload.len();
     let env = match envelope::open_parts(header, payload) {
         Ok(env) => env,
         Err(e) => return Checked::Refused(msg.from, RecoveryAction::DiscardCorrupt, e.to_string()),
@@ -289,14 +236,24 @@ fn check<T>(
         stale(format!("{} from epoch {}", round.stale_frame, env.epoch))
     } else if env.kind != round.kind {
         stale(format!("late {:?} frame during {}", env.kind, round.during))
-    } else if !expect.includes(members, to, env.from) {
+    } else if owed.binary_search(&(to, env.from)).is_err() {
         stale(round.stranger.to_string())
     } else {
+        // A frame sealed whole (a direct send; no exchange makes one that
+        // opens) has no buffer of its payload's own: `parse` gets a copy.
+        let whole;
+        let payload = match msg.header {
+            Some(_) => &msg.payload,
+            None => {
+                whole = Bytes::copy_from_slice(payload);
+                &whole
+            }
+        };
         Checked::Expected {
             from: env.from,
             flow: env.flow,
             seq: env.seq,
-            parsed: parse(env.from, Payload { buffer: &msg.payload, at }).map_err(|reject| match reject {
+            parsed: parse(env.from, payload).map_err(|reject| match reject {
                 Reject::Stale(why) => (RecoveryAction::DiscardStale, why),
                 Reject::Corrupt(why) => (RecoveryAction::DiscardCorrupt, why),
             }),
@@ -307,14 +264,15 @@ fn check<T>(
 /// Run one collective among `members` (ascending ranks of `wire`) over the
 /// possibly faulty fabric, its rank tasks on `lanes`.
 ///
-/// `outbox[from]` is what `from` owes; `expect` is whom each receiver waits
-/// for. `parse(from, payload)` decodes a payload its envelope says `from`
-/// sent; it must be a pure function of the payload's bytes (the sender lets
-/// a caller reuse one verdict for every copy of a broadcast), and may keep
-/// the payload's buffer instead of copying it ([`Payload`]). A frame that
-/// fails envelope validation, carries another epoch or kind, comes from an
-/// unexpected sender, arrives twice, or is refused by `parse` is discarded
-/// and logged; missing payloads are re-requested up to
+/// `outbox[from]` is what `from` owes, and each receiver waits for exactly
+/// the members that owe it (module docs). `parse(from, payload)` decodes a
+/// payload its envelope says `from` sent; it must be a pure function of the
+/// payload's bytes (the sender lets a caller reuse one verdict for every
+/// copy of a broadcast), and gets the sender's buffer, so it may keep a
+/// handle to it instead of copying. A frame that fails envelope
+/// validation, carries another epoch or kind, comes from a sender that owes
+/// the receiver nothing, arrives twice, or is refused by `parse` is
+/// discarded and logged; missing payloads are re-requested up to
 /// [`MAX_RETRIES`] times. Non-members' endpoints and held-back queues
 /// are never touched. See the module docs for the order contract and for
 /// which parts run as rank tasks.
@@ -324,8 +282,7 @@ pub fn exchange<T: Send>(
     members: &[usize],
     round: &Round<'_>,
     outbox: &[Outbox],
-    expect: Expect<'_>,
-    parse: impl Fn(usize, Payload<'_>) -> Result<T, Reject> + Sync,
+    parse: impl Fn(usize, &Bytes) -> Result<T, Reject> + Sync,
 ) -> Exchanged<T> {
     let Round { kind, epoch, .. } = *round;
     debug_assert!(members.windows(2).all(|w| w[0] < w[1]), "members ascending");
@@ -341,9 +298,17 @@ pub fn exchange<T: Send>(
         .flat_map(|((from, _), sends)| sends.iter().map(|&(to, _)| (*from, to)))
         .collect();
     debug_assert!(sent.windows(2).all(|w| w[0] < w[1]), "first sends (from, to)-ascending");
+    debug_assert!(sent.iter().all(|(_, to)| members.binary_search(to).is_ok()), "a receiver is no member");
     let flow_of = |from: usize, to: usize| {
         sent.binary_search(&(from, to)).map_or(NO_FLOW, |i| first + i as u64)
     };
+    // Whom each receiver waits for, `(to, from)`-ascending: every first
+    // send, and every peer of a silent rank.
+    let silent = members.iter().filter(|&&from| matches!(outbox[from], Outbox::Silent));
+    let mut owed: Vec<(usize, usize)> = (sent.iter().map(|&(from, to)| (to, from)))
+        .chain(silent.flat_map(|&from| members.iter().filter(move |&&to| to != from).map(move |&to| (to, from))))
+        .collect();
+    owed.sort_unstable();
     let sealed = lanes.map(bursts, |((from, burst_first), sends)| {
         (sends.into_iter().zip(burst_first..))
             .map(|((to, body), flow)| (to, flow, (seal_header(kind, from, epoch, flow, 0, body), body.clone())))
@@ -358,7 +323,6 @@ pub fn exchange<T: Send>(
     let mut out = Exchanged {
         received: (0..wire.world()).map(|_| Vec::new()).collect(),
         missing: Vec::new(),
-        retransmit_bytes: 0,
     };
     let record = |log: &mut FaultLog, rank, peer, action, detail| {
         log.record_recovery(RecoveryEvent {
@@ -378,7 +342,7 @@ pub fn exchange<T: Send>(
             .collect();
         let checked = lanes.map(inboxes, |(to, frames)| {
             (frames.iter())
-                .map(|msg| check(round, members, expect, to, msg, &parse))
+                .map(|msg| check(round, &owed, to, msg, &parse))
                 .collect::<Vec<_>>()
         });
         for (&to, frames) in members.iter().zip(checked) {
@@ -407,15 +371,9 @@ pub fn exchange<T: Send>(
                 }
             }
         }
-        out.missing.clear();
-        for &to in members {
-            let mut have = out.received[to].iter().map(|e| e.0).peekable();
-            expect.for_each_sender(members, to, |from| {
-                if have.next_if_eq(&from).is_none() {
-                    out.missing.push((to, from));
-                }
-            });
-        }
+        out.missing = (owed.iter().copied())
+            .filter(|&(to, from)| received_from(&out.received[to], from).is_none())
+            .collect();
         if out.missing.is_empty() || attempt >= MAX_RETRIES {
             return out;
         }
@@ -424,7 +382,6 @@ pub fn exchange<T: Send>(
             if let Some(payload) = outbox[from].owed_to(to) {
                 let detail = format!("attempt {attempt}");
                 record(&mut wire.log, to, from, RecoveryAction::Retransmit, detail);
-                out.retransmit_bytes += payload.len();
                 wire.retransmit(flow_of(from, to), attempt, payload.clone());
             }
         }
@@ -480,7 +437,7 @@ mod tests {
             .collect()
     }
 
-    fn bytes(_from: usize, b: Payload<'_>) -> Result<Vec<u8>, Reject> {
+    fn bytes(_from: usize, b: &Bytes) -> Result<Vec<u8>, Reject> {
         Ok(b.to_vec())
     }
 
@@ -495,8 +452,8 @@ mod tests {
     #[test]
     fn parse_is_told_each_frame_s_sender() {
         let mut wire = Wire::new(3, FaultPlan::new(0));
-        let parse = |from: usize, b: Payload<'_>| Ok((from, b[0] as usize));
-        let got = exchange(&mut wire, &Inline, &[0, 1, 2], &PHASE, &hello(3), Expect::AllPeers, parse);
+        let parse = |from: usize, b: &Bytes| Ok((from, b[0] as usize));
+        let got = exchange(&mut wire, &Inline, &[0, 1, 2], &PHASE, &hello(3), parse);
         for (to, list) in got.received.iter().enumerate() {
             assert!(list.iter().all(|&(from, (told, payload))| from == told && told == payload), "{to}");
         }
@@ -511,10 +468,9 @@ mod tests {
             &[0, 1, 2, 3],
             &PHASE,
             &hello(4),
-            Expect::AllPeers,
             bytes,
         );
-        assert!(got.missing.is_empty() && got.retransmit_bytes == 0);
+        assert!(got.missing.is_empty() && wire.flows.retransmit_bytes(EPOCH) == 0);
         assert_eq!(
             got.received[2],
             vec![(0, vec![0]), (1, vec![1]), (3, vec![3])]
@@ -548,7 +504,6 @@ mod tests {
                 &[0, 1],
                 &round,
                 &hello(2),
-                Expect::AllPeers,
                 bytes,
             );
             assert!(got.missing.is_empty());
@@ -564,33 +519,18 @@ mod tests {
 
     #[test]
     fn unexpected_and_non_member_senders_are_strangers() {
-        // Rank 0 waits for rank 1 only; rank 2 sends to it anyway.
+        // Rank 1 owes rank 0 a payload and rank 2 owes nobody, so rank 0
+        // waits for rank 1 only; a stray frame from rank 2 reaches it anyway.
         let mut wire = Wire::new(3, FaultPlan::new(0));
-        let lists = vec![vec![1], vec![], vec![]];
-        let got = exchange(
-            &mut wire,
-            &Inline,
-            &[0, 1, 2],
-            &PHASE,
-            &hello(3),
-            Expect::From(&lists),
-            bytes,
-        );
+        wire.send_framed(2, 0, PHASE.kind, EPOCH, b"owed to nobody");
+        let outbox = [Outbox::To(vec![]), Outbox::To(vec![(0, Bytes::from(vec![1]))]), Outbox::To(vec![])];
+        let got = exchange(&mut wire, &Inline, &[0, 1, 2], &PHASE, &outbox, bytes);
+        assert!(got.missing.is_empty());
         assert_eq!(got.received[0], vec![(1, vec![1])]);
-        let strangers: Vec<_> = recoveries(&wire)
-            .into_iter()
-            .filter(|e| e.3 == PHASE.stranger)
-            .collect();
-        assert_eq!(strangers.len(), 5, "every frame but 1 -> 0 is unexpected");
-        assert_eq!(
-            strangers[0],
-            (
-                RecoveryAction::DiscardStale,
-                0,
-                2,
-                "unexpected sender".to_string()
-            )
-        );
+        let stranger = (RecoveryAction::DiscardStale, 0, 2, "unexpected sender".to_string());
+        assert_eq!(recoveries(&wire), [stranger]);
+        // Rank 2 sealed nothing for rank 0 this round: the discard names no flow.
+        assert_eq!(wire.log.recoveries[0].flow, NO_FLOW);
 
         // Gossip among {0, 1}: rank 2 is dead to them. A frame it sent
         // before dying is a non-member's, and its own endpoint — inbox and
@@ -604,7 +544,6 @@ mod tests {
             &[0, 1],
             &GOSSIP,
             &hello(3),
-            Expect::AllPeers,
             bytes,
         );
         assert!(got.missing.is_empty() && got.received[2].is_empty());
@@ -647,7 +586,7 @@ mod tests {
         let mut wire = Wire::new(3, plan);
         wire.send_framed(2, 0, MsgKind::View, EPOCH, b"reordered");
         wire.send_framed(2, 0, MsgKind::Let, EPOCH, b"delayed");
-        let got = exchange(&mut wire, &Inline, &[0, 1], &GOSSIP, &hello(3), Expect::AllPeers, bytes);
+        let got = exchange(&mut wire, &Inline, &[0, 1], &GOSSIP, &hello(3), bytes);
         assert!(got.missing.is_empty() && recoveries(&wire).is_empty());
         assert!(wire.try_recv(0).is_none() && wire.try_recv(2).is_none());
         wire.flush_reordered(2);
@@ -669,10 +608,9 @@ mod tests {
                 &[0, 1],
                 &round,
                 &hello(2),
-                Expect::AllPeers,
                 bytes,
             );
-            assert!(got.missing.is_empty() && got.retransmit_bytes == 0);
+            assert!(got.missing.is_empty() && wire.flows.retransmit_bytes(EPOCH) == 0);
             assert_eq!(
                 recoveries(&wire),
                 [(RecoveryAction::DiscardDuplicate, 0, 1, words.to_string())]
@@ -693,11 +631,10 @@ mod tests {
             &[0, 1, 2],
             &PHASE,
             &outbox,
-            Expect::AllPeers,
             bytes,
         );
         assert!(got.missing.is_empty());
-        assert_eq!(got.retransmit_bytes, 100);
+        assert_eq!(wire.flows.retransmit_bytes(EPOCH), 100);
         assert_eq!(received_from(&got.received[0], 2), Some(&vec![2u8; 100]));
         let events = recoveries(&wire);
         assert_eq!(events.len(), 2);
@@ -733,10 +670,9 @@ mod tests {
         for fault in [FaultKind::Corrupt, FaultKind::Truncate, FaultKind::Duplicate] {
             let payload = long_payload();
             let mut wire = Wire::new(4, forced(fault, 0, 1));
-            let silent = || Outbox::Silent;
-            let outbox = [Outbox::Broadcast(Bytes::from(payload.clone())), silent(), silent(), silent()];
-            let from_0 = [vec![], vec![0], vec![0], vec![0]];
-            let got = exchange(&mut wire, &Inline, &[0, 1, 2, 3], &PHASE, &outbox, Expect::From(&from_0), bytes);
+            let none = || Outbox::To(vec![]);
+            let outbox = [Outbox::Broadcast(Bytes::from(payload.clone())), none(), none(), none()];
+            let got = exchange(&mut wire, &Inline, &[0, 1, 2, 3], &PHASE, &outbox, bytes);
             assert!(got.missing.is_empty(), "{fault}");
             for to in 1..4 {
                 assert_eq!(received_from(&got.received[to], 0), Some(&payload), "{fault}: rank {to}");
@@ -744,7 +680,7 @@ mod tests {
             let Outbox::Broadcast(shared) = &outbox[0] else { unreachable!() };
             assert_eq!(shared[..], payload[..], "{fault} wrote the shared buffer");
             let resent = if fault == FaultKind::Duplicate { 0 } else { payload.len() };
-            assert_eq!(got.retransmit_bytes, resent, "{fault}");
+            assert_eq!(wire.flows.retransmit_bytes(EPOCH), resent, "{fault}");
         }
     }
 
@@ -759,12 +695,12 @@ mod tests {
         let (byte, _) = wire.plan().corrupt_position(0, 1, MsgKind::Let, EPOCH, len);
         assert!(byte >= ENVELOPE_HEADER_LEN, "the fault must land in the payload");
         let flow = wire.flows.next_id();
-        let outbox = [Outbox::To(vec![(1, Bytes::from(payload.clone()))]), Outbox::Silent];
+        let outbox = [Outbox::To(vec![(1, Bytes::from(payload.clone()))]), Outbox::To(vec![])];
         let round = Round { kind: MsgKind::Let, ..PHASE };
-        let got = exchange(&mut wire, &Inline, &[0, 1], &round, &outbox, Expect::From(&[vec![], vec![0]]), bytes);
+        let got = exchange(&mut wire, &Inline, &[0, 1], &round, &outbox, bytes);
         assert!(got.missing.is_empty());
         assert_eq!(received_from(&got.received[1], 0), Some(&payload));
-        assert_eq!(got.retransmit_bytes, payload.len());
+        assert_eq!(wire.flows.retransmit_bytes(EPOCH), payload.len());
         let Outbox::To(sent) = &outbox[0] else { unreachable!() };
         assert_eq!(sent[0].1[..], payload[..], "the fault wrote the sender's buffer");
         assert_eq!(wire.flows.get(flow).map(|r| r.attempts), Some(2));
@@ -787,14 +723,14 @@ mod tests {
             let (byte, _) = wire.plan().corrupt_position(0, 1, PHASE.kind, EPOCH, len);
             assert!(byte >= ENVELOPE_HEADER_LEN, "a corruption must land in the payload");
             let flow = wire.flows.next_id();
-            let outbox = [Outbox::To(vec![(1, Bytes::from(payload.clone()))]), Outbox::Silent];
-            let keep = |_, b: Payload<'_>| Ok((b.buffer().clone(), b.offset()));
-            let got = exchange(&mut wire, &Inline, &[0, 1], &PHASE, &outbox, Expect::From(&[vec![], vec![0]]), keep);
+            let outbox = [Outbox::To(vec![(1, Bytes::from(payload.clone()))]), Outbox::To(vec![])];
+            let keep = |_, b: &Bytes| Ok(b.clone());
+            let got = exchange(&mut wire, &Inline, &[0, 1], &PHASE, &outbox, keep);
             let Outbox::To(sent) = &outbox[0] else { unreachable!() };
-            let (buffer, offset) = received_from(&got.received[1], 0).expect("delivered");
-            assert_eq!((buffer.as_ptr(), *offset), (sent[0].1.as_ptr(), 0), "{faults:?}: the payload was copied");
+            let buffer = received_from(&got.received[1], 0).expect("delivered");
+            assert_eq!(buffer.as_ptr(), sent[0].1.as_ptr(), "{faults:?}: the payload was copied");
             assert_eq!(sent[0].1[..], payload[..], "{faults:?} wrote the sender's buffer");
-            assert_eq!(got.retransmit_bytes, faults.len() * payload.len());
+            assert_eq!(wire.flows.retransmit_bytes(EPOCH), faults.len() * payload.len());
             assert_eq!(wire.flows.get(flow).map(|r| r.attempts), Some(1 + faults.len() as u32));
             assert_eq!(wire.log.injected.len(), faults.len());
         }
@@ -804,19 +740,18 @@ mod tests {
     fn a_kept_payload_is_the_senders_buffer() {
         // Rank 0 sends rank 1 a payload of its own; rank 1 broadcasts. Each
         // receiver keeps the buffer its payload arrived in: the sender's
-        // own, from its start, and handed back once the receivers drop
-        // their handles.
+        // own, handed back once the receivers drop their handles.
         let payload = long_payload();
         let mut wire = Wire::new(2, FaultPlan::new(0));
         let to_1 = Outbox::To(vec![(1, Bytes::from(payload.clone()))]);
         let outbox = [to_1, Outbox::Broadcast(Bytes::from(payload.clone()))];
-        let keep = |_, b: Payload<'_>| Ok((b.buffer().clone(), b.offset(), b.to_vec()));
-        let got = exchange(&mut wire, &Inline, &[0, 1], &PHASE, &outbox, Expect::AllPeers, keep);
+        let keep = |_, b: &Bytes| Ok((b.clone(), b.to_vec()));
+        let got = exchange(&mut wire, &Inline, &[0, 1], &PHASE, &outbox, keep);
         assert!(got.missing.is_empty());
         let [Outbox::To(list), Outbox::Broadcast(shared)] = &outbox else { unreachable!() };
         for (to, sent) in [(1, &list[0].1), (0, shared)] {
-            let (buffer, offset, bytes) = received_from(&got.received[to], 1 - to).expect("delivered");
-            assert_eq!((buffer.as_ptr(), *offset), (sent.as_ptr(), 0), "rank {to} holds a copy");
+            let (buffer, bytes) = received_from(&got.received[to], 1 - to).expect("delivered");
+            assert_eq!(buffer.as_ptr(), sent.as_ptr(), "rank {to} holds a copy");
             assert_eq!((&buffer[..], &bytes[..]), (&payload[..], &payload[..]));
         }
         drop(got);
@@ -828,7 +763,7 @@ mod tests {
     #[test]
     fn parse_rejects_as_stale_or_as_corrupt() {
         let mut wire = Wire::new(3, FaultPlan::new(0));
-        let parse = |_from: usize, b: Payload<'_>| match b[0] {
+        let parse = |_from: usize, b: &Bytes| match b[0] {
             1 => Err(Reject::Stale("amends an older view".to_string())),
             2 => Err(Reject::Corrupt("does not decode".to_string())),
             _ => Ok(b[0]),
@@ -839,7 +774,6 @@ mod tests {
             &[0, 1, 2],
             &GOSSIP,
             &hello(3),
-            Expect::AllPeers,
             parse,
         );
         // Nobody accepts rank 1's or rank 2's payload, first time or on
@@ -847,7 +781,7 @@ mod tests {
         let sends = 1 + MAX_RETRIES as usize;
         assert_eq!(got.missing, [(0, 1), (0, 2), (1, 2), (2, 1)]);
         assert_eq!(got.received[1], vec![(0, 0)]);
-        assert_eq!(got.retransmit_bytes, 4 * MAX_RETRIES as usize);
+        assert_eq!(wire.flows.retransmit_bytes(EPOCH), 4 * MAX_RETRIES as usize);
         let stale = (
             RecoveryAction::DiscardStale,
             0,
@@ -871,8 +805,8 @@ mod tests {
 
     #[test]
     fn retry_exhaustion_reports_the_missing_pairs_in_order() {
-        // Everything rank 1 sends is dropped on `attempts`; rank 3 owes
-        // nothing.
+        // Everything rank 1 sends is dropped on `attempts`; rank 3 is dead:
+        // it owes every peer and sends nothing.
         let run = |attempts: std::ops::Range<u32>| {
             let plan = (0..4).fold(FaultPlan::new(3), |plan, to| {
                 let (epoch, from, to, kind, fault) = (EPOCH, Some(1), Some(to), None, FaultKind::Drop);
@@ -885,25 +819,22 @@ mod tests {
                 (2, Bytes::from(vec![9; 30])),
             ]);
             outbox[3] = Outbox::Silent;
-            let got = exchange(&mut wire, &Inline, &[0, 1, 2, 3], &PHASE, &outbox, Expect::AllPeers, bytes);
+            let got = exchange(&mut wire, &Inline, &[0, 1, 2, 3], &PHASE, &outbox, bytes);
             (got, wire)
         };
-        // Lost through the budget: rank 1 is as silent as rank 3, but its
-        // payloads were sent again on every retry.
+        // Lost through the budget: rank 1 is as silent as rank 3 towards
+        // the ranks it owes, but its payloads were sent again on every retry.
         let (got, wire) = run(0..MAX_RETRIES + 1);
-        assert_eq!(
-            got.missing,
-            [(0, 1), (0, 3), (1, 3), (2, 1), (2, 3), (3, 1)]
-        );
-        assert_eq!(got.retransmit_bytes, (10 + 30) * MAX_RETRIES as usize);
+        assert_eq!(got.missing, [(0, 1), (0, 3), (1, 3), (2, 1), (2, 3)]);
+        assert_eq!(wire.flows.retransmit_bytes(EPOCH), (10 + 30) * MAX_RETRIES as usize);
         assert_eq!(recoveries(&wire).len(), 2 * MAX_RETRIES as usize);
 
         // Lost on the first attempt only, the drops heal, and only what was
         // owed is sent again: nothing for the silent rank, nothing from 1
         // to 3.
         let (got, mut wire) = run(0..1);
-        assert_eq!(got.missing, [(0, 3), (1, 3), (2, 3), (3, 1)]);
-        assert_eq!(got.retransmit_bytes, 10 + 30);
+        assert_eq!(got.missing, [(0, 3), (1, 3), (2, 3)]);
+        assert_eq!(wire.flows.retransmit_bytes(EPOCH), 10 + 30);
         assert_eq!(received_from(&got.received[2], 1), Some(&vec![9; 30]));
         let again = [0, 2].map(|to| (RecoveryAction::Retransmit, to, 1, "attempt 1".to_string()));
         assert_eq!(recoveries(&wire), again);
@@ -939,9 +870,6 @@ mod tests {
             Bytes::from(vec![(from * 8 + to) as u8; len])
         };
         let near = |from: usize, to: usize| from != to && (from + to) % 2 == 1;
-        let near_senders: Vec<Vec<usize>> = (members.iter())
-            .map(|&to| members.iter().copied().filter(|&from| near(from, to)).collect())
-            .collect();
         let mut delivered = Vec::new();
         for epoch in 1..=12 {
             wire.flush_delayed();
@@ -960,13 +888,9 @@ mod tests {
                         ),
                     })
                     .collect();
-                let expect = match kind {
-                    MsgKind::Let => Expect::From(&near_senders),
-                    _ => Expect::AllPeers,
-                };
                 let round = Round { kind, epoch, ..PHASE };
-                let got = exchange(&mut wire, lanes, &members, &round, &outbox, expect, bytes);
-                delivered.push((got.received, got.missing, got.retransmit_bytes));
+                let got = exchange(&mut wire, lanes, &members, &round, &outbox, bytes);
+                delivered.push((got.received, got.missing, wire.flows.retransmit_bytes(epoch)));
             }
             wire.flows.close_epoch_dead(epoch);
         }

@@ -168,6 +168,12 @@ impl FlowLedger {
         self.records.epoch(epoch)
     }
 
+    /// Payload bytes sent again at `epoch`: each attempt after a flow's
+    /// first carried its payload once more.
+    pub fn retransmit_bytes(&self, epoch: u64) -> usize {
+        (self.for_epoch(epoch).iter()).map(|r| r.bytes * (r.attempts - 1) as usize).sum()
+    }
+
     /// The id the next [`seal`](Self::seal) returns: ids are dense, so a
     /// sender that seals frames off the ledger can be handed a range.
     pub fn next_id(&self) -> u64 {
@@ -274,6 +280,12 @@ mod tests {
         l.deliver(a, 1);
         assert_eq!(l.get(a).unwrap().outcome, FlowOutcome::Delivered { attempt: 1 });
         assert!(l.conservation().holds());
+        // Every attempt after the first carries the payload again, and is
+        // counted in its flow's epoch only.
+        let b = l.seal(4, 1, 0, MsgKind::Let, 30);
+        l.retransmit(b);
+        l.retransmit(b);
+        assert_eq!((l.retransmit_bytes(3), l.retransmit_bytes(4), l.retransmit_bytes(5)), (100, 60, 0));
     }
 
     #[test]

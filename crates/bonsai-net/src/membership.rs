@@ -26,7 +26,7 @@
 //! frames from other epochs, so a stale gossip round can never resurrect a
 //! departed rank.
 
-use crate::collective::{self, Expect, Inline, Outbox, Reject, Round};
+use crate::collective::{self, Inline, Outbox, Reject, Round};
 use crate::fabric::MsgKind;
 use crate::fault::Wire;
 use bytes::Bytes;
@@ -326,7 +326,7 @@ pub fn converge(
                     }
                 })
                 .collect();
-            let parse = |_from: usize, b: collective::Payload<'_>| match Proposal::from_bytes(&b) {
+            let parse = |_from: usize, b: &Bytes| match Proposal::from_bytes(b) {
                 Ok(prop) if prop.base == base => Ok(prop),
                 Ok(prop) => Err(Reject::Stale(format!(
                     "proposal amends view {} (current {base})",
@@ -334,9 +334,7 @@ pub fn converge(
                 ))),
                 Err(why) => Err(Reject::Corrupt(why)),
             };
-            let all = Expect::AllPeers;
-            let got = collective::exchange(wire, &Inline, &alive, &round, &outbox, all, parse)
-                .complete()?;
+            let got = collective::exchange(wire, &Inline, &alive, &round, &outbox, parse).complete()?;
             let mut changed = false;
             for &to in &alive {
                 let mut merged = props[to].clone();

@@ -8,7 +8,7 @@
 //! the fault-free exchange would, accounts for every flow, and logs the same
 //! text twice.
 
-use bonsai_net::collective::{exchange, received_from, Expect, Inline, Outbox, Round, MAX_RETRIES};
+use bonsai_net::collective::{exchange, received_from, Inline, Outbox, Round, MAX_RETRIES};
 use bonsai_net::envelope::{open, seal_flow, EnvelopeError, NO_FLOW};
 use bonsai_net::flow::{FlowConservation, FlowOutcome, FlowRecord};
 use bonsai_net::{
@@ -22,8 +22,6 @@ use proptest::prelude::*;
 struct Shape {
     members: Vec<usize>,
     outbox: Vec<Outbox>,
-    /// `None`: every receiver waits for all its peers.
-    expected: Option<Vec<Vec<usize>>>,
 }
 
 /// The epoch every collective of these properties runs in.
@@ -49,16 +47,13 @@ fn run_collective(p: usize, shape: &Shape, plan: FaultPlan) -> Outcome {
         stranger: "unexpected sender",
         duplicate: "extra copy discarded",
     };
-    let expect = shape.expected.as_deref().map_or(Expect::AllPeers, Expect::From);
-    let got = exchange(&mut wire, &Inline, &shape.members, &round, &shape.outbox, expect, |_, b| {
-        Ok(b.to_vec())
-    });
-    // What never arrived (and what nobody was waiting for) dies with the epoch.
+    let got = exchange(&mut wire, &Inline, &shape.members, &round, &shape.outbox, |_, b| Ok(b.to_vec()));
+    // What never arrived dies with the epoch.
     wire.flows.close_epoch_dead(EPOCH);
     Outcome {
         received: got.received,
         missing: got.missing,
-        retransmit_bytes: got.retransmit_bytes,
+        retransmit_bytes: wire.flows.retransmit_bytes(EPOCH),
         log: wire.log.render(),
         conserved: wire.flows.conservation().holds(),
     }
@@ -91,7 +86,7 @@ proptest! {
         if members.len() < 2 {
             members = (0..p).collect();
         }
-        let outbox = (0..p)
+        let outbox: Vec<Outbox> = (0..p)
             .map(|from| match bits[1] >> (2 * from) & 3 {
                 0 => Outbox::Silent,
                 1 => Outbox::Broadcast(Bytes::from(vec![from as u8; 1 + from * 7])),
@@ -102,12 +97,17 @@ proptest! {
                 ),
             })
             .collect();
-        let expected = bit(0, 63).then(|| {
-            (0..p)
-                .map(|to| members.iter().copied().filter(|&f| f != to && bit(8 + to, f)).collect())
-                .collect()
-        });
-        let shape = Shape { members, outbox, expected };
+        // What the outboxes owe among the members, `(to, from)`: a silent
+        // rank owes every other member.
+        let mut owed: Vec<(usize, usize)> = members.iter()
+            .flat_map(|&from| members.iter().map(move |&to| (to, from)))
+            .filter(|&(to, from)| to != from && match &outbox[from] {
+                Outbox::To(list) => received_from(list, to).is_some(),
+                _ => true,
+            })
+            .collect();
+        owed.sort_unstable();
+        let shape = Shape { members, outbox };
         let plan = || {
             let rated = FaultKind::MESSAGE_KINDS.into_iter().zip(rates).fold(FaultPlan::new(seed), |plan, (kind, pct)| {
                 plan.with_rate(kind, pct as f64 / 100.0)
@@ -121,6 +121,7 @@ proptest! {
         let clean = run_collective(p, &shape, FaultPlan::new(seed));
         let faulty = run_collective(p, &shape, plan());
         prop_assert!(!clean.log.contains("inject"), "the reference run saw faults");
+        prop_assert_eq!(pairs(&clean), owed, "a receiver waited for what no outbox owes it");
         for (to, list) in faulty.received.iter().enumerate() {
             for (from, value) in list {
                 prop_assert_eq!(received_from(&clean.received[to], *from), Some(value));

@@ -3,12 +3,12 @@
 //!
 //! | phase | Table II row | paper | what crosses the fabric |
 //! |---|---|---|---|
-//! | [`bounds`](Cluster::bounds) | Domain update | §III-B1: global bounding box | `Control` allreduce, doubling as the heartbeat |
+//! | [`bounds`](Cluster::bounds) | Domain update | §III-B1: global bounding box | `Control` allreduce, doubling as the heartbeat: a dead rank's outbox is `Silent`, owed to every peer and never sent |
 //! | [`update_domains`](Cluster::update_domains) | Domain update | §III-B1: every particle's PH key, once; two-level sample sort, flop-weighted rates, 30 % cap | — (driver-side) |
 //! | [`migrate`](Cluster::migrate) | Domain update | §III-B1: particle exchange; the stayers keep their keys, received migrants are keyed | `Particles`, every pair, possibly empty |
 //! | [`build`](Cluster::build) | Sorting, Tree-construction, Tree-properties | §III-A: sorts the carried keys | — |
 //! | [`boundaries`](Cluster::boundaries) | Domain update | §III-B2: boundary trees, allgatherv | `Boundary` broadcast, one shared payload with a header per receiver; every receiver validates its frame in place and drops it |
-//! | [`lets`](Cluster::lets) | (Non-hidden) LET comm | §III-B2: sufficiency check — a pure function of two boundary trees every rank holds bit-identically, decided once per ordered pair — and dedicated LETs for near neighbours | `Let`, sparse, each encoded once into the buffer its header travels beside; the receiver validates it in place and keeps the frame, decoding nothing |
+//! | [`lets`](Cluster::lets) | (Non-hidden) LET comm | §III-B2: sufficiency check — a pure function of two boundary trees every rank holds bit-identically, decided once per ordered pair — and dedicated LETs for near neighbours | `Let`, sparse: a receiver waits for exactly the senders whose outbox names it; each LET is encoded once into the buffer its header travels beside, and the receiver validates that buffer in place and keeps it, decoding nothing |
 //! | [`walk`](Cluster::walk) | Gravity local, Gravity LETs | §III-A, §III-B2: one walk per rank over the local tree and, per peer, its dedicated LET, read in the frame it arrived in, else (the boundary sufficed) the sender's own boundary tree; then the senders take their frame buffers back | — |
 //! | [`store`](Cluster::store) | Unbalance + other | §III-B1: flop weights for the next step's sampling | — |
 //!
@@ -21,7 +21,8 @@
 //! [`Cluster::exchange`], under the one retry budget, and must complete: a
 //! phase returns `Err(rank)` for a peer silent through every retry (a
 //! missing dedicated LET included), and the driver hands that to recovery
-//! in one place.
+//! in one place. What was sent again is read from the flow ledger once the
+//! epoch is done ([`store`](Cluster::store)).
 
 use super::{Cluster, StepMeasurements};
 use crate::breakdown::StepBreakdown;
@@ -31,7 +32,7 @@ use bonsai_domain::load::enforce_particle_cap;
 use bonsai_domain::sampling::parallel_cuts;
 use bonsai_domain::lettree::{self, Invalid};
 use bonsai_domain::{boundary_tree, LetFrame, LetTree};
-use bonsai_net::collective::{self, received_from, Exchanged, Expect, Lanes, Outbox, Payload, Reject, Round};
+use bonsai_net::collective::{self, received_from, Exchanged, Lanes, Outbox, Reject, Round};
 use bonsai_net::MsgKind;
 use bonsai_sfc::KeyMap;
 use bonsai_tree::build::Tree;
@@ -118,7 +119,7 @@ impl Cluster {
             sampled_keys: vec![0; p],
             ..StepMeasurements::default()
         };
-        let bounds = self.bounds(&mut meas)?;
+        let bounds = self.bounds()?;
         let keymap = KeyMap::new(&bounds, self.cfg.tree.curve);
         // A lone rank owns the whole key space: nothing to cut or ship.
         let keys = if p > 1 {
@@ -146,8 +147,7 @@ impl Cluster {
         &mut self,
         kind: MsgKind,
         outbox: &[Outbox],
-        expect: Expect<'_>,
-        parse: impl Fn(usize, Payload<'_>) -> Result<T, String> + Sync,
+        parse: impl Fn(usize, &Bytes) -> Result<T, String> + Sync,
     ) -> Exchanged<T> {
         let everyone: Vec<usize> = (0..self.wire.world()).collect();
         let during = format!("{kind:?} phase");
@@ -159,7 +159,7 @@ impl Cluster {
             stranger: "unexpected sender",
             duplicate: "extra copy discarded",
         };
-        collective::exchange(&mut self.wire, &PoolLanes, &everyone, &round, outbox, expect, |from, b| {
+        collective::exchange(&mut self.wire, &PoolLanes, &everyone, &round, outbox, |from, b| {
             parse(from, b).map_err(Reject::Corrupt)
         })
     }
@@ -168,7 +168,7 @@ impl Cluster {
     /// broadcasts its local bounds as a Control frame; this doubles as the
     /// liveness probe: a rank missing from every retry round is reported
     /// dead.
-    fn bounds(&mut self, meas: &mut StepMeasurements) -> Result<Aabb, usize> {
+    fn bounds(&mut self) -> Result<Aabb, usize> {
         let local = |r: &Particles| if r.is_empty() { Aabb::empty() } else { r.bounds() };
         let outbox: Vec<Outbox> = (self.ranks.iter().zip(&self.dead))
             .map(|(r, &dead)| {
@@ -179,9 +179,7 @@ impl Cluster {
                 }
             })
             .collect();
-        let got = self.exchange(MsgKind::Control, &outbox, Expect::AllPeers, |_, b| aabb_from_bytes(&b));
-        meas.retransmit_bytes += got.retransmit_bytes;
-        let received = got.complete()?;
+        let received = self.exchange(MsgKind::Control, &outbox, |_, b| aabb_from_bytes(b)).complete()?;
         // Every rank derives the same global box; use rank 0's view.
         let mut bounds = local(&self.ranks[0]);
         for (_, b) in &received[0] {
@@ -257,11 +255,7 @@ impl Cluster {
             })
             .collect();
         meas.exchange_bytes = exchange_bytes;
-        let got = self.exchange(MsgKind::Particles, &outbox, Expect::AllPeers, |_, b| {
-            particles_from_bytes(&b)
-        });
-        meas.retransmit_bytes += got.retransmit_bytes;
-        let received = got.complete()?;
+        let received = self.exchange(MsgKind::Particles, &outbox, |_, b| particles_from_bytes(b)).complete()?;
         // In the order `absorb_migrants` appends the particles.
         (keys.par_iter_mut().zip(received.par_iter())).for_each(|(keys, packets)| {
             for (_, pk) in packets {
@@ -316,26 +310,25 @@ impl Cluster {
                 .collect();
         meas.boundary_bytes = payloads.iter().map(Bytes::len).collect();
         let outbox: Vec<Outbox> = payloads.iter().cloned().map(Outbox::Broadcast).collect();
-        let got = self.exchange(MsgKind::Boundary, &outbox, Expect::AllPeers, |from, b| {
+        let got = self.exchange(MsgKind::Boundary, &outbox, |from, b| {
             match (payloads.get(from), verdicts.get(from)) {
                 // The shared payload itself: every frame of it that arrives
                 // intact, retransmissions included, carries this buffer.
                 (Some(bytes), Some(verdict)) if (bytes.as_ptr(), bytes.len()) == (b.as_ptr(), b.len()) => {
                     verdict.clone()
                 }
-                _ => validate(&b),
+                _ => validate(b),
             }
         });
-        meas.retransmit_bytes += got.retransmit_bytes;
         got.complete()?;
         Ok(boundaries)
     }
 
     /// Sufficiency checks + dedicated LETs. Whether sender i owes receiver
     /// j a LET is a pure function of two trees every rank holds
-    /// bit-identically, decided once per ordered pair: the outboxes and the
-    /// expect lists are the same pairs, so no message says which LETs are
-    /// in flight. Returns the LETs each rank received, ascending by sender,
+    /// bit-identically, decided once per ordered pair: the senders'
+    /// outboxes are all a receiver waits for, so no message says which LETs
+    /// are in flight. Returns the LETs each rank received, ascending by sender,
     /// each validated in the frame it arrived in, or `Err(sender)` for a
     /// sender whose LET stayed missing through the retry budget: the same
     /// event as a peer silent on the heartbeat. `sent` is left holding the
@@ -379,22 +372,12 @@ impl Cluster {
                     .collect()
             })
             .collect();
-        // The receivers' lists are the same pairs transposed, ascending by
-        // sender because the senders are read in order.
-        let mut expected: Vec<Vec<usize>> = vec![Vec::new(); trees.len()];
         for (i, frames) in encoded.iter().enumerate() {
             meas.let_bytes_sent[i] = frames.iter().map(|(_, f)| f.len()).sum();
             meas.let_neighbors[i] = frames.len();
-            for &(j, _) in frames {
-                expected[j].push(i);
-            }
         }
         *sent = encoded.into_iter().map(Outbox::To).collect();
-        let got = self.exchange(MsgKind::Let, sent, Expect::From(&expected), |_, b| {
-            LetFrame::new(b.buffer().clone(), b.offset()).map_err(|e| refusal("LET", e))
-        });
-        meas.retransmit_bytes += got.retransmit_bytes;
-        got.complete()
+        self.exchange(MsgKind::Let, sent, |_, b| LetFrame::new(b.clone()).map_err(|e| refusal("LET", e))).complete()
     }
 
     /// Force walks, one [`walk::walk_sources`] call per rank over its
@@ -461,6 +444,7 @@ impl Cluster {
         self.forces = results.into_iter().map(|r| r.forces).collect();
 
         meas.recovery_actions = self.wire.log.for_epoch(self.epoch).1.len();
+        meas.retransmit_bytes = self.wire.flows.retransmit_bytes(self.epoch);
         let costs = self.price_ranks(&meas);
         let breakdown = self.assemble_breakdown(&meas, &costs);
         self.record_observability(&meas, &costs, &breakdown);

@@ -5,7 +5,7 @@
 use super::observe::sorted_key_weights;
 use super::Cluster;
 use bonsai_domain::exchange::{particles_from_bytes, particles_to_bytes, ExchangePlan};
-use bonsai_net::collective::{Expect, Outbox};
+use bonsai_net::collective::Outbox;
 use bonsai_net::membership::{self, MembershipEvent};
 use bonsai_net::MsgKind;
 use bonsai_tree::{Forces, Particles};
@@ -192,9 +192,7 @@ impl Cluster {
             .collect();
         // `migrated_bytes` is the planned volume; bytes sent again are in
         // the fault log's `Retransmit` events, not in the `ViewChange`.
-        let got = self.exchange(MsgKind::Particles, &outbox, Expect::AllPeers, |_, b| {
-            particles_from_bytes(&b)
-        });
+        let got = self.exchange(MsgKind::Particles, &outbox, |_, b| particles_from_bytes(b));
         self.absorb_migrants(got.complete()?);
         // Compact state to the new view's members, in new-view order.
         let kept = |n: &u64| wide.rank_of(*n).expect("new member is in the wide world");

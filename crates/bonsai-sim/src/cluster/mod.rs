@@ -151,7 +151,8 @@ pub struct StepMeasurements {
     /// Keys each rank contributed to the two-level sample sort (the
     /// load-balance bookkeeping volume; 0 on single-rank runs).
     pub sampled_keys: Vec<usize>,
-    /// Bytes retransmitted to recover lost or invalid frames.
+    /// Payload bytes sent again to recover lost or invalid frames, as the
+    /// flow ledger counts them for the epoch.
     pub retransmit_bytes: usize,
     /// Always 0: a dedicated LET lost through the retry budget rolls the
     /// cluster back, so a completed epoch has received every one. Kept only

@@ -36,6 +36,21 @@ impl OpeningCriterion {
         }
     }
 
+    /// The squared radius around a cell's centre of mass within which a
+    /// target opens the cell, given its centre of mass and its octree cell
+    /// (centre, half side), wherever they are read from: `(l/θ + s)²`.
+    /// `None` at θ ≤ 0, where every cell opens. The walk and the LET
+    /// builder both decide through this one function, so a LET is cut
+    /// exactly where its receiver's walk stops.
+    #[inline(always)]
+    pub fn opening_radius2(&self, com: Vec3, geo_center: Vec3, geo_half: f64) -> Option<f64> {
+        if !self.inv_theta.is_finite() {
+            return None;
+        }
+        let crit = 2.0 * geo_half * self.inv_theta + (com - geo_center).norm();
+        Some(crit * crit)
+    }
+
     /// `true` if the cell must be **opened** (descended into) for any target
     /// inside `target_box`.
     #[inline(always)]
@@ -43,29 +58,18 @@ impl OpeningCriterion {
         self.must_open_cell(target_box, node.com, node.geo_center, node.geo_half)
     }
 
-    /// [`must_open`](Self::must_open) for a cell given by its centre of
-    /// mass and its octree cell (centre, half side), wherever they are read
-    /// from.
+    /// [`must_open`](Self::must_open) for a cell given by its fields, as
+    /// [`opening_radius2`](Self::opening_radius2) takes them.
     #[inline(always)]
     pub(crate) fn must_open_cell(&self, target_box: &Aabb, com: Vec3, geo_center: Vec3, geo_half: f64) -> bool {
-        if !self.inv_theta.is_finite() {
-            return true;
-        }
-        let s = (com - geo_center).norm();
-        let crit = 2.0 * geo_half * self.inv_theta + s;
-        let d2 = target_box.min_dist2_point(com);
-        d2 <= crit * crit
+        (self.opening_radius2(com, geo_center, geo_half)).is_none_or(|r2| target_box.min_dist2_point(com) <= r2)
     }
 
     /// Point-target variant (used by accuracy sweeps on single particles).
     #[inline(always)]
-    pub fn must_open_point(&self, target: bonsai_util::Vec3, node: &Node) -> bool {
-        if !self.inv_theta.is_finite() {
-            return true;
-        }
-        let s = (node.com - node.geo_center).norm();
-        let crit = node.geo_side() * self.inv_theta + s;
-        node.com.distance2(target) <= crit * crit
+    pub fn must_open_point(&self, target: Vec3, node: &Node) -> bool {
+        (self.opening_radius2(node.com, node.geo_center, node.geo_half))
+            .is_none_or(|r2| node.com.distance2(target) <= r2)
     }
 }
 

@@ -50,13 +50,6 @@ pub struct Node {
     pub level: u32,
 }
 
-impl Node {
-    /// Full side length of the geometric cell.
-    #[inline(always)]
-    pub fn geo_side(&self) -> f64 {
-        2.0 * self.geo_half
-    }
-}
 
 /// A borrowed, walkable tree in memory: nodes plus the particle fields the
 /// kernels read.

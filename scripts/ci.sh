@@ -31,6 +31,11 @@ echo "== shipped code generation: walk tests on the release profile =="
 # profile, so the lane-conformance and thread-sweep suites run there as well.
 cargo test -q --release -p bonsai-tree --lib
 cargo test -q --release -p bonsai-tree --test parallel_determinism
+# The LET builder decides through `bonsai-tree`'s MAC, inlined into its own
+# code generation; the cluster's "no walk forces a `Cut` node" check is a
+# `debug_assert!`, compiled out here, so the containment proptest is what
+# holds that decision on the shipped code (lib tests and proptests).
+cargo test -q --release -p bonsai-domain
 # Once more with AVX2+FMA switched on for the whole build: there the baseline
 # instantiation inlines `vfmadd…pd` / `vfmadd…ps` instead of calling libm's
 # `fma` / `fmaf` — the direct sum's `f64` and the walk's `f32` `mul_add`s —

@@ -5,6 +5,7 @@ use bonsai::domain::letbuild::{build_let, geometry_opens};
 use bonsai::domain::{boundary_tree, LetTree};
 use bonsai::sfc::{hilbert, morton, KeyRange};
 use bonsai::tree::build::{Tree, TreeParams};
+use bonsai::tree::mac::OpeningCriterion;
 use bonsai::tree::node::NodeKind;
 use bonsai::tree::walk::{walk_tree, WalkParams};
 use bonsai::tree::Particles;
@@ -144,8 +145,8 @@ proptest! {
             rng.uniform_in(0.1, 0.5),
         )];
         for node in &tree.nodes {
-            let open_loose = geometry_opens(node, &geom, 1.0 / 0.8);
-            let open_tight = geometry_opens(node, &geom, 1.0 / 0.3);
+            let open_loose = geometry_opens(node, &geom, &OpeningCriterion::new(0.8));
+            let open_tight = geometry_opens(node, &geom, &OpeningCriterion::new(0.3));
             if open_loose {
                 prop_assert!(open_tight, "monotonicity violated");
             }
