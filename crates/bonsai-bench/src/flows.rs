@@ -16,7 +16,7 @@
 
 use bonsai_net::fault::{FaultKind, FaultPlan};
 use bonsai_net::flow::{FlowConservation, FlowRecord};
-use bonsai_net::obs::{exposed_comm, flow_times, link_ledger, LinkStats};
+use bonsai_net::obs::{exposed_comm, link_ledger, LinkStats};
 use bonsai_obs::json::{self, Value};
 use bonsai_obs::{critical_path, obj, ArgValue, WaitCause};
 use bonsai_sim::Cluster;
@@ -138,7 +138,8 @@ pub fn run(cfg: FlowsBenchConfig) -> FlowsResult {
     for _ in 0..cfg.steps {
         cluster.step();
         // The step's recorded epoch: its flows are the ledger's records of
-        // that epoch and the trace's flow points of that step.
+        // that epoch, and their times are drawn from those records and the
+        // epoch's exchange windows.
         let step = cluster.current_epoch();
         let mut step_flows = cluster.flow_ledger().for_epoch(step).to_vec();
         if cfg.mask_retransmits {
@@ -150,8 +151,9 @@ pub fn run(cfg: FlowsBenchConfig) -> FlowsResult {
                 f.attempts = 1;
             }
         }
-        times.extend(flow_times(cluster.trace(), step));
-        let exposed = exposed_comm(cluster.trace(), step, &step_flows);
+        let step_times = cluster.flow_arrows().times(step);
+        let exposed = exposed_comm(cluster.trace(), step, &step_flows, &step_times);
+        times.extend(step_times);
         for x in &exposed {
             *exposed_by_cause.entry(x.cause.name().to_string()).or_insert(0.0) += x.seconds();
         }

@@ -5,7 +5,8 @@
 //! * `trace_json` — Chrome trace-event JSON, loadable in
 //!   [Perfetto](https://ui.perfetto.dev) or `chrome://tracing`: one process
 //!   per rank with GPU and COMM lanes, spans for every Table II phase,
-//!   fault/recovery instants on the COMM track;
+//!   fault/recovery instants and the flow arrows (drawn from the ledger)
+//!   on the COMM track;
 //! * `folded` — folded stacks for flamegraph tooling;
 //! * `prom` — Prometheus text exposition of the registry;
 //! * `bench_json` — `BENCH_step.json`, schema `bonsai-step-v1`: per-phase
@@ -66,7 +67,7 @@ pub fn run(n: usize, ranks: usize, seed: u64) -> StepExports {
 
     StepExports {
         bench_json,
-        trace_json: chrome::chrome_trace_json(cluster.trace()),
+        trace_json: chrome::chrome_trace_json(&cluster.flow_arrows().drawn_trace(cluster.trace())),
         folded: folded::folded_stacks(cluster.trace()),
         prom: prom::prometheus_text(cluster.metrics()),
         registry_matches,

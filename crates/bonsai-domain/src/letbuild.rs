@@ -30,6 +30,30 @@ pub fn geometry_opens(node: &Node, geom: &[Aabb], mac: &OpeningCriterion) -> boo
         .is_none_or(|r2| geom.iter().any(|b| b.min_dist2_point(node.com) <= r2))
 }
 
+/// The smallest box holding every box of `geom` (empty for none): what
+/// [`build_let`] and the sufficiency check test a node against before
+/// they scan the boxes.
+pub fn hull_of(geom: &[Aabb]) -> Aabb {
+    let mut hull = Aabb::empty();
+    for b in geom {
+        hull.merge(b);
+    }
+    hull
+}
+
+/// [`geometry_opens`], decided first against `hull`, the [`hull_of`]
+/// `geom`: a node whose opening sphere misses the hull is not opened
+/// without the per-box scan. That is exact, not an approximation: the
+/// hull's corners are exact minima and maxima of the boxes' corners, and
+/// rounding is monotone, so the hull's `min_dist2_point` is never larger
+/// than any box's.
+#[inline]
+fn hull_geometry_opens(node: &Node, geom: &[Aabb], hull: &Aabb, mac: &OpeningCriterion) -> bool {
+    (mac.opening_radius2(node.com, node.geo_center, node.geo_half)).is_none_or(|r2| {
+        hull.min_dist2_point(node.com) <= r2 && geom.iter().any(|b| b.min_dist2_point(node.com) <= r2)
+    })
+}
+
 /// What the pruning traversal does with a node.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Action {
@@ -108,10 +132,7 @@ where
 ///
 /// Decides each node as [`geometry_opens`] does, but first against the hull
 /// of `remote_geom`: a node whose opening sphere misses the hull is `Cut`
-/// without the per-box scan. That is exact, not an approximation: the
-/// hull's corners are exact minima and maxima of the boxes' corners, and
-/// rounding is monotone, so the hull's `min_dist2_point` is never larger
-/// than any box's.
+/// without the per-box scan, exactly (see [`hull_of`]).
 pub fn build_let(tree: &Tree, remote_geom: &[Aabb], theta: f64) -> LetTree {
     let mut out = LetTree::default();
     build_let_into(tree, remote_geom, theta, &mut out);
@@ -123,16 +144,9 @@ pub fn build_let(tree: &Tree, remote_geom: &[Aabb], theta: f64) -> LetTree {
 /// after another into the same tree allocates only when one outgrows every
 /// LET before it.
 pub fn build_let_into(tree: &Tree, remote_geom: &[Aabb], theta: f64, out: &mut LetTree) {
-    let mac = OpeningCriterion::new(theta);
-    let mut hull = Aabb::empty();
-    for b in remote_geom {
-        hull.merge(b);
-    }
+    let (mac, hull) = (OpeningCriterion::new(theta), hull_of(remote_geom));
     let decide = |_, node: &Node| {
-        let opens = (mac.opening_radius2(node.com, node.geo_center, node.geo_half)).is_none_or(|r2| {
-            hull.min_dist2_point(node.com) <= r2 && remote_geom.iter().any(|b| b.min_dist2_point(node.com) <= r2)
-        });
-        if opens {
+        if hull_geometry_opens(node, remote_geom, &hull, &mac) {
             Action::Open
         } else {
             Action::Cut
@@ -148,12 +162,18 @@ pub fn build_let_into(tree: &Tree, remote_geom: &[Aabb], theta: f64, out: &mut L
 /// nodes never occur in boundary trees; internal nodes being opened is fine —
 /// their children are present.)
 pub fn boundary_sufficient_for(boundary: &LetTree, remote_geom: &[Aabb], theta: f64) -> bool {
+    boundary_sufficient_within(boundary, remote_geom, &hull_of(remote_geom), theta)
+}
+
+/// [`boundary_sufficient_for`] with the receiver's hull, [`hull_of`]
+/// `remote_geom`, taken once by a caller that checks many boundaries
+/// against one geometry: each `Cut` node is tested against the hull before
+/// the per-box scan, which decides exactly as the scan alone.
+pub fn boundary_sufficient_within(boundary: &LetTree, remote_geom: &[Aabb], hull: &Aabb, theta: f64) -> bool {
     let mac = OpeningCriterion::new(theta);
-    boundary
-        .nodes
-        .iter()
+    (boundary.nodes.iter())
         .filter(|n| n.kind == NodeKind::Cut)
-        .all(|n| !geometry_opens(n, remote_geom, &mac))
+        .all(|n| !hull_geometry_opens(n, remote_geom, hull, &mac))
 }
 
 #[cfg(test)]

@@ -3,7 +3,9 @@
 //! structures honour their contracts for arbitrary particle sets.
 
 use bonsai_domain::exchange::ExchangePlan;
-use bonsai_domain::letbuild::{boundary_sufficient_for, build_let, extract_pruned, geometry_opens, Action};
+use bonsai_domain::letbuild::{
+    boundary_sufficient_for, boundary_sufficient_within, build_let, extract_pruned, geometry_opens, hull_of, Action,
+};
 use bonsai_domain::load::{enforce_particle_cap, populations, weighted_cuts};
 use bonsai_domain::lettree::{validate, Invalid, LetTree, Role, HEADER_SIZE};
 use bonsai_domain::{boundary_tree, replan, sampling};
@@ -437,6 +439,45 @@ proptest! {
             pos.chain(t.mass.iter().copied()).map(f64::to_bits).collect()
         };
         prop_assert_eq!(payload(&got), payload(&oracle));
+    }
+}
+
+proptest! {
+    // Random boundaries against geometries at every distance from near
+    // (most `Cut` nodes opened) to far (none), so both verdicts occur.
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn sufficiency_equals_the_all_scan_oracle(
+        n in 2usize..1500, seed in any::<u64>(), boxes in 1usize..6, theta_at in 0usize..3
+    ) {
+        // The hull test in front of the per-box scan changes no decision:
+        // for the whole boundary and for each of its `Cut` nodes alone, the
+        // verdict is the one the plain `geometry_opens` scan reaches, with
+        // the geometry moved away in steps of 1/8 until nothing opens.
+        let (sender, domain, _) = two_ranks(n, seed);
+        let b = boundary_tree(&sender, &domain);
+        let theta = [0.0, 0.4, 0.75][theta_at];
+        let mac = OpeningCriterion::new(theta);
+        let near = receiver_geometry(boxes, seed);
+        let away = Xoshiro256::seed_from(seed).unit_sphere();
+        let cuts: Vec<LetTree> = (b.nodes.iter().filter(|c| c.kind == NodeKind::Cut))
+            .map(|&c| LetTree { nodes: vec![c], ..b.clone() })
+            .collect();
+        let mut verdicts = [false, false];
+        for dist in (0..64).map(|k| k as f64 / 8.0).chain([16.0, 64.0]) {
+            let geom: Vec<Aabb> = near.iter().map(|g| Aabb::new(g.min + away * dist, g.max + away * dist)).collect();
+            let hull = hull_of(&geom);
+            for cut in &cuts {
+                let oracle = !geometry_opens(&cut.nodes[0], &geom, &mac);
+                prop_assert_eq!(boundary_sufficient_within(cut, &geom, &hull, theta), oracle, "at distance {}", dist);
+            }
+            let oracle = cuts.iter().all(|cut| !geometry_opens(&cut.nodes[0], &geom, &mac));
+            prop_assert_eq!(boundary_sufficient_for(&b, &geom, theta), oracle, "at distance {}", dist);
+            verdicts[oracle as usize] = true;
+        }
+        // At θ = 0 every `Cut` node opens, so no distance suffices.
+        prop_assert_eq!(verdicts[1], theta > 0.0 || cuts.is_empty());
     }
 }
 

@@ -1,12 +1,15 @@
 //! Bridges from the network layer into the unified observability model
 //! (`bonsai-obs`), and the one reader and writer of the trace's COMM lanes.
 //!
-//! **Placement.** [`record_flows`] draws a gravity epoch's flows: each flow
-//! gets one anchor on the modelled clock, and its arrow points and every
-//! fault and recovery instant that names it are placed from that anchor,
-//! so an instant sits exactly on the arrow point it is about. Measured link
-//! traffic lands in the metrics registry priced by the interconnect cost
-//! model ([`NetworkModel::observe_link`]).
+//! **Placement.** Each flow of a gravity epoch gets one anchor on the
+//! modelled clock, and its arrow points and every fault and recovery
+//! instant that names it are placed from that anchor, so an instant sits
+//! exactly on the arrow point it is about. [`record_flows`] records the
+//! epoch's instants and flow metrics as the epoch completes; the arrows
+//! themselves are not stored: [`draw_flows`] draws them from the ledger's
+//! records and the epoch's [`ExchangeWindows`] when they are read, through
+//! [`FlowArrows`]. Measured link traffic lands in the metrics registry
+//! priced by the interconnect cost model ([`NetworkModel::observe_link`]).
 //!
 //! **Exposure.** [`hidden_comm_fractions`] and [`exposed_comm`] read a
 //! step's COMM and GPU spans through one per-rank view of the step's
@@ -15,22 +18,23 @@
 //!
 //! **Wait attribution.** The ledger knows *what happened to every sealed
 //! envelope* — delivered on attempt k, or dead with an epoch a rollback
-//! abandoned — and the trace knows *where the time went*, including each flow's
-//! modeled send and resolve instants (its `Start` / `Finish` flow points).
-//! [`classify`] reduces a causal flow set to a [`WaitCause`] by severity
-//! (retransmission > late-sender); [`exposed_comm`]
-//! attributes unhidden COMM time to the flows whose modeled lifetime
-//! overlaps it; [`link_ledger`] reduces flows to per-link reliability and
-//! delivery-latency statistics.
+//! abandoned — and the trace knows *where the time went*; each flow's
+//! modeled send and resolve instants ([`flow_times`], its arrow's `Start`
+//! and `Finish`) join the two. [`classify`] reduces a causal flow set to a
+//! [`WaitCause`] by severity (retransmission > late-sender);
+//! [`exposed_comm`] attributes unhidden COMM time to the flows whose
+//! modeled lifetime overlaps it; [`link_ledger`] reduces flows to per-link
+//! reliability and delivery-latency statistics.
 
 use crate::cost::NetworkModel;
 use crate::fault::{RecoveryAction, Wire};
-use crate::flow::{FlowOutcome, FlowRecord};
+use crate::flow::{FlowLedger, FlowOutcome, FlowRecord};
 use bonsai_obs::{
-    interval_union, overlap_with_union, ArgValue, FlowPhase, Lane, MetricsRegistry, Span,
-    TraceStore, WaitCause,
+    interval_union, overlap_with_union, ArgValue, FlowPhase, FlowPoint, Lane, MetricsRegistry,
+    Span, TraceStore, WaitCause,
 };
-use std::collections::BTreeMap;
+use bonsai_util::sorted::EpochRuns;
+use std::collections::{BTreeMap, VecDeque};
 
 /// Models where a flow's frames sit on the trace clock.
 ///
@@ -70,18 +74,87 @@ impl<'a> FlowClock<'a> {
     }
 }
 
-/// Draw gravity epoch `step` of `wire` — its flows and its fault log — on
-/// the COMM lanes of `store`, and count its flows into `registry`.
+/// Each flow's anchor on the trace clock: its sender's window start plus
+/// its seal-order slot in that window (`length · i / n` for the sender's
+/// `i`-th of `n` flows), so the arrows land where the transfers would be in
+/// flight rather than stacked at the window's opening; `base` for a sender
+/// without a window.
+fn anchors(flows: &[FlowRecord], windows: &[(f64, f64)], base: f64) -> Vec<f64> {
+    let mut sent = vec![0usize; windows.len()];
+    for r in flows.iter().filter(|r| r.from < windows.len()) {
+        sent[r.from] += 1;
+    }
+    let mut slot = vec![0usize; windows.len()];
+    (flows.iter())
+        .map(|r| match windows.get(r.from) {
+            Some(&(start, length)) => {
+                let i = slot[r.from];
+                slot[r.from] += 1;
+                start + length * i as f64 / sent[r.from] as f64
+            }
+            None => base,
+        })
+        .collect()
+}
+
+/// Draw one epoch's flow arrows from its ledger records `flows` (one
+/// epoch's, in seal order), the clock `base` and `windows[r]`, rank `r`'s
+/// LET-exchange window `(start, length)` on the trace clock.
+///
+/// A pure function of its arguments: the same records and windows draw
+/// the same points, bit for bit, however long after the epoch they are
+/// drawn. Each flow is anchored once (see [`record_flows`], which places
+/// the epoch's fault instants from the same anchors), and its points are,
+/// in this order: `Start` on the sender at attempt 0, a `Step` per
+/// retransmitted attempt, `Finish` on the receiver at delivery. So an
+/// epoch draws [`drawn_point_count`] points.
+pub fn draw_flows(
+    flows: &[FlowRecord],
+    base: f64,
+    windows: &[(f64, f64)],
+    net: &NetworkModel,
+) -> Vec<FlowPoint> {
+    let clock = FlowClock::new(net);
+    let mut points = Vec::with_capacity(drawn_point_count(flows));
+    for (r, anchor) in flows.iter().zip(anchors(flows, windows, base)) {
+        let mut point = |rank: usize, at: f64, phase: FlowPhase| {
+            points.push(FlowPoint {
+                id: r.id,
+                rank: rank as u32,
+                step: r.epoch,
+                lane: Lane::Comm,
+                name: r.kind.flow_name(),
+                at,
+                phase,
+            })
+        };
+        point(r.from, anchor, FlowPhase::Start);
+        for a in 1..r.attempts {
+            point(r.from, clock.send_at(r, a, anchor), FlowPhase::Step);
+        }
+        if let Some(at) = clock.deliver_at(r, anchor) {
+            point(r.to, at, FlowPhase::Finish);
+        }
+    }
+    points
+}
+
+/// How many points [`draw_flows`] draws for `flows`, without drawing them:
+/// one per attempt, and one more per delivery.
+pub fn drawn_point_count(flows: &[FlowRecord]) -> usize {
+    let delivered = |r: &FlowRecord| matches!(r.outcome, FlowOutcome::Delivered { .. }) as usize;
+    flows.iter().map(|r| r.attempts as usize + delivered(r)).sum()
+}
+
+/// Record gravity epoch `step` of `wire` — the fault log's instants on the
+/// COMM lanes of `store`, and its flows' counts into `registry`. The
+/// epoch's arrows are not recorded: [`draw_flows`] draws them from the
+/// same records and windows when they are read ([`FlowArrows`]).
 ///
 /// `windows[r]` is rank `r`'s LET-exchange window on the trace clock,
-/// `(start, length)`; a rank without one uses `base`. Each flow is anchored
-/// once, at its sender's window start plus its seal-order slot in that
-/// window (`length · i / n` for the sender's `i`-th of `n` flows), so the
-/// arrows land where the transfers would be in flight rather than stacked
-/// at the window's opening. Placed from that anchor are the flow's arrow
-/// points — `Start` on the sender at attempt 0, a `Step` per retransmitted
-/// attempt, `Finish` on the receiver at delivery — and every instant that
-/// names the flow: an injection at attempt `k` and the `k`-th
+/// `(start, length)`; a rank without one uses `base`. Every instant that
+/// names a flow of the epoch is placed from that flow's anchor, as its
+/// arrow's points are: an injection at attempt `k` and the `k`-th
 /// retransmission sit on attempt `k`'s point, any other recovery on the
 /// `Finish`. Instants are recorded in log order, injections first, and
 /// carry the flow id, so Perfetto log order is causal. An event that names
@@ -104,39 +177,15 @@ pub fn record_flows(
 ) {
     let flows = wire.flows.for_epoch(step);
     let clock = FlowClock::new(net);
-    let mut sent = vec![0usize; windows.len()];
-    for r in flows.iter().filter(|r| r.from < windows.len()) {
-        sent[r.from] += 1;
-    }
-    let mut slot = vec![0usize; windows.len()];
-    let anchors: Vec<f64> = (flows.iter())
-        .map(|r| match windows.get(r.from) {
-            Some(&(start, length)) => {
-                let i = slot[r.from];
-                slot[r.from] += 1;
-                start + length * i as f64 / sent[r.from] as f64
-            }
-            None => base,
-        })
-        .collect();
+    let anchors = anchors(flows, windows, base);
 
     // Looked up once per epoch, and only when a flow delivered: an epoch
     // that delivers nothing does not create the histogram.
-    let mut delivery = (flows.iter())
-        .any(|r| matches!(r.outcome, FlowOutcome::Delivered { .. }))
-        .then(|| registry.histogram_entry("bonsai_flow_delivery_seconds", &[]));
-    for (r, &anchor) in flows.iter().zip(&anchors) {
-        let mut point = |rank: usize, at: f64, phase: FlowPhase| {
-            store.flow_point(r.id, rank as u32, step, Lane::Comm, r.kind.flow_name(), at, phase)
-        };
-        point(r.from, anchor, FlowPhase::Start);
-        for a in 1..r.attempts {
-            point(r.from, clock.send_at(r, a, anchor), FlowPhase::Step);
-        }
-        if let Some(at) = clock.deliver_at(r, anchor) {
-            point(r.to, at, FlowPhase::Finish);
-            if let Some(h) = delivery.as_deref_mut() {
-                h.observe(at - anchor);
+    if flows.iter().any(|r| matches!(r.outcome, FlowOutcome::Delivered { .. })) {
+        let delivery = registry.histogram_entry("bonsai_flow_delivery_seconds", &[]);
+        for (r, &anchor) in flows.iter().zip(&anchors) {
+            if let Some(at) = clock.deliver_at(r, anchor) {
+                delivery.observe(at - anchor);
             }
         }
     }
@@ -234,7 +283,7 @@ pub fn classify<'a>(flows: impl IntoIterator<Item = &'a FlowRecord>) -> WaitCaus
     flows.into_iter().map(cause).min().unwrap_or(WaitCause::Unattributed)
 }
 
-/// A flow's modeled instants as the trace drew them.
+/// A flow's modeled instants: where its arrow starts and finishes.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct FlowTimes {
     /// When the first attempt left the sender (its `Start` point).
@@ -244,23 +293,124 @@ pub struct FlowTimes {
     pub resolve_at: Option<f64>,
 }
 
-/// The instants of every flow the trace drew in `step`, by flow id.
-pub fn flow_times(store: &TraceStore, step: u64) -> BTreeMap<u64, FlowTimes> {
-    let mut times = BTreeMap::new();
-    for p in store.step_records(step).flow_points {
-        match p.phase {
-            FlowPhase::Start => {
-                times.insert(p.id, FlowTimes { send_at: p.at, resolve_at: None });
-            }
-            FlowPhase::Finish => {
-                if let Some(t) = times.get_mut(&p.id) {
-                    t.resolve_at = Some(p.at);
-                }
-            }
-            FlowPhase::Step => {}
+/// The instants of every flow of one epoch's records `flows`, by flow id,
+/// from the same anchors as [`draw_flows`]'s points: `send_at` is the
+/// flow's `Start`, `resolve_at` its `Finish`, bit for bit.
+pub fn flow_times(
+    flows: &[FlowRecord],
+    base: f64,
+    windows: &[(f64, f64)],
+    net: &NetworkModel,
+) -> BTreeMap<u64, FlowTimes> {
+    let clock = FlowClock::new(net);
+    (flows.iter().zip(anchors(flows, windows, base)))
+        .map(|(r, anchor)| (r.id, FlowTimes { send_at: anchor, resolve_at: clock.deliver_at(r, anchor) }))
+        .collect()
+}
+
+/// Each drawn epoch's clock base and per-rank LET-exchange windows
+/// `(start, length)`: what drawing the epoch's arrows needs beside its
+/// ledger records, 16 B a rank. A run keeps it beside its trace and its
+/// flow ledger and evicts it with them, so it holds exactly the drawn
+/// epochs of their window.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct ExchangeWindows {
+    /// `(epoch, base)` of every epoch held, ascending.
+    bases: VecDeque<(u64, f64)>,
+    /// Every held epoch's windows, rank by rank.
+    windows: EpochRuns<(f64, f64)>,
+}
+
+impl ExchangeWindows {
+    /// No epoch held.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Hold `epoch`'s clock `base` and `windows`, rank by rank.
+    ///
+    /// # Panics
+    /// If `epoch` is not newer than every epoch held.
+    pub fn record(&mut self, epoch: u64, base: f64, windows: &[(f64, f64)]) {
+        if let Some(&(latest, _)) = self.bases.back() {
+            assert!(latest < epoch, "windows of epoch {epoch} after epoch {latest}: epochs are recorded once, in order");
+        }
+        self.bases.push_back((epoch, base));
+        for &w in windows {
+            self.windows.push(epoch, w);
         }
     }
-    times
+
+    /// Drop every epoch older than `min_epoch`.
+    pub fn retain_epochs(&mut self, min_epoch: u64) {
+        let gone = self.bases.partition_point(|&(e, _)| e < min_epoch);
+        self.bases.drain(..gone);
+        self.windows.evict_before(min_epoch);
+    }
+
+    /// `epoch`'s clock base and windows, if it is held.
+    pub fn get(&self, epoch: u64) -> Option<(f64, &[(f64, f64)])> {
+        let i = self.bases.binary_search_by_key(&epoch, |&(e, _)| e).ok()?;
+        Some((self.bases[i].1, self.windows.epoch(epoch)))
+    }
+
+    /// The epochs held, ascending.
+    pub fn epochs(&self) -> impl Iterator<Item = u64> + '_ {
+        self.bases.iter().map(|&(e, _)| e)
+    }
+}
+
+/// The flow arrows of the epochs a run holds, drawn when they are read
+/// from the flow ledger's records and the [`ExchangeWindows`]: no store
+/// keeps a second copy of a flow. An epoch the windows do not hold (one
+/// that never completed, or was evicted) has no arrows.
+#[derive(Clone, Copy)]
+pub struct FlowArrows<'a> {
+    ledger: &'a FlowLedger,
+    windows: &'a ExchangeWindows,
+    net: &'a NetworkModel,
+}
+
+impl<'a> FlowArrows<'a> {
+    /// The arrows `ledger` and `windows` draw, priced by `net`.
+    pub fn new(ledger: &'a FlowLedger, windows: &'a ExchangeWindows, net: &'a NetworkModel) -> Self {
+        Self { ledger, windows, net }
+    }
+
+    /// `read` of `epoch`'s records, base and windows, if it was drawn and is
+    /// held.
+    fn read<T>(&self, epoch: u64, read: impl FnOnce(&[FlowRecord], f64, &[(f64, f64)]) -> T) -> Option<T> {
+        let (base, windows) = self.windows.get(epoch)?;
+        Some(read(self.ledger.for_epoch(epoch), base, windows))
+    }
+
+    /// `epoch`'s arrow points ([`draw_flows`]).
+    pub fn points(&self, epoch: u64) -> Vec<FlowPoint> {
+        self.read(epoch, |flows, base, windows| draw_flows(flows, base, windows, self.net)).unwrap_or_default()
+    }
+
+    /// How many points [`points`](Self::points) draws for `epoch`, counted
+    /// from the ledger ([`drawn_point_count`]).
+    pub fn count(&self, epoch: u64) -> usize {
+        self.read(epoch, |flows, _, _| drawn_point_count(flows)).unwrap_or(0)
+    }
+
+    /// `epoch`'s flow instants ([`flow_times`]).
+    pub fn times(&self, epoch: u64) -> BTreeMap<u64, FlowTimes> {
+        self.read(epoch, |flows, base, windows| flow_times(flows, base, windows, self.net)).unwrap_or_default()
+    }
+
+    /// Every held epoch's points, oldest epoch first, drawn one epoch at a
+    /// time as the iterator reaches it.
+    pub fn held_points(&self) -> impl Iterator<Item = FlowPoint> + '_ {
+        self.windows.epochs().flat_map(|e| self.points(e))
+    }
+
+    /// A copy of `live` (a store that holds no arrows) with every held
+    /// epoch's arrows drawn in: what exports read.
+    pub fn drawn_trace(&self, live: &TraceStore) -> TraceStore {
+        TraceStore::from_parts(live.spans().to_vec(), live.instants().to_vec(), self.held_points().collect())
+    }
 }
 
 /// Per-link ledger: traffic, reliability, and delivery-latency percentiles.
@@ -466,11 +616,16 @@ pub fn mean_hidden_comm_fraction(store: &TraceStore, step: u64) -> f64 {
 ///
 /// A COMM-lane span interval is *exposed* where no GPU-lane span of the same
 /// rank and step covers it. Each exposed interval is matched against the
-/// flows touching the rank whose modeled `[send_at, resolve_at]` window —
-/// read from the step's flow points — overlaps it, and classified with
-/// [`classify`]. Results are sorted by `(rank, start)`.
-pub fn exposed_comm(store: &TraceStore, step: u64, flows: &[FlowRecord]) -> Vec<ExposedComm> {
-    let times = flow_times(store, step);
+/// flows touching the rank whose modeled `[send_at, resolve_at]` window in
+/// `times` (the step's [`flow_times`]) overlaps it, and classified with
+/// [`classify`]; a flow without times is never causal. Results are sorted
+/// by `(rank, start)`.
+pub fn exposed_comm(
+    store: &TraceStore,
+    step: u64,
+    flows: &[FlowRecord],
+    times: &BTreeMap<u64, FlowTimes>,
+) -> Vec<ExposedComm> {
     let mut out = Vec::new();
     for (rank, mut lanes) in rank_lanes(store.step_records(step).spans, 0.0) {
         let cover = interval_union(lanes.gpu);
@@ -508,7 +663,6 @@ mod tests {
     use crate::envelope::NO_FLOW;
     use crate::fabric::MsgKind;
     use crate::fault::{FaultEvent, FaultKind, FaultLog, FaultPlan, RecoveryEvent};
-    use crate::flow::FlowLedger;
     use crate::machine::PIZ_DAINT;
 
     /// A step-1 flow `from → to` with `attempts` sends and `outcome`.
@@ -519,13 +673,9 @@ mod tests {
         r
     }
 
-    /// Draw `f` into `t` as [`record_flows`] does: a `Start` point at `send_at`,
-    /// a `Finish` point at `resolve_at` when it resolved.
-    fn draw(t: &mut TraceStore, f: &FlowRecord, send_at: f64, resolve_at: Option<f64>) {
-        t.flow_point(f.id, f.from as u32, f.epoch, Lane::Comm, "flow:Let", send_at, FlowPhase::Start);
-        if let Some(at) = resolve_at {
-            t.flow_point(f.id, f.to as u32, f.epoch, Lane::Comm, "flow:Let", at, FlowPhase::Finish);
-        }
+    /// Give `f` the instants `send_at` and `resolve_at` in `times`.
+    fn time(times: &mut BTreeMap<u64, FlowTimes>, f: &FlowRecord, send_at: f64, resolve_at: Option<f64>) {
+        times.insert(f.id, FlowTimes { send_at, resolve_at });
     }
 
     const DELIVERED: FlowOutcome = FlowOutcome::Delivered { attempt: 0 };
@@ -567,14 +717,72 @@ mod tests {
 
     #[test]
     fn flow_times_read_start_and_finish_points() {
-        let mut t = TraceStore::new();
-        draw(&mut t, &flow(1, 0, 1, 1, DELIVERED), 0.1, Some(0.3));
-        draw(&mut t, &flow(2, 1, 0, 1, FlowOutcome::Dead), 0.2, None);
-        t.flow_point(1, 0, 1, Lane::Comm, "flow:Let", 0.2, FlowPhase::Step);
-        let times = flow_times(&t, 1);
-        assert_eq!(times[&1], FlowTimes { send_at: 0.1, resolve_at: Some(0.3) });
-        assert_eq!(times[&2], FlowTimes { send_at: 0.2, resolve_at: None });
-        assert!(flow_times(&t, 2).is_empty());
+        // A flow delivered on its second attempt, one dead after two, and a
+        // clean one on another sender: each flow's times are, bit for bit,
+        // its drawn `Start` and `Finish`; `Step` points are not times.
+        let flows = [
+            flow(1, 0, 1, 2, FlowOutcome::Delivered { attempt: 1 }),
+            flow(2, 0, 1, 2, FlowOutcome::Dead),
+            flow(3, 1, 0, 1, DELIVERED),
+        ];
+        let (net, windows) = (NetworkModel::new(PIZ_DAINT), [(0.1, 1e-3), (0.2, 2e-3)]);
+        let times = flow_times(&flows, 0.0, &windows, &net);
+        let points = draw_flows(&flows, 0.0, &windows, &net);
+        assert_eq!(points.len(), drawn_point_count(&flows));
+        assert_eq!(times.len(), flows.len());
+        let at = |id, phase| points.iter().find(|p| p.id == id && p.phase == phase).map(|p| p.at.to_bits());
+        for (&id, t) in &times {
+            assert_eq!(Some(t.send_at.to_bits()), at(id, FlowPhase::Start), "flow {id}");
+            assert_eq!(t.resolve_at.map(f64::to_bits), at(id, FlowPhase::Finish), "flow {id}");
+        }
+        assert_eq!(times[&2].resolve_at, None, "a dead flow never resolves");
+        assert_eq!(points.iter().filter(|p| p.phase == FlowPhase::Step).count(), 2);
+        assert_eq!(times[&3].send_at, 0.2, "attempt 0 leaves at the sender's window start");
+    }
+
+    #[test]
+    fn arrows_are_drawn_for_held_epochs_only() {
+        let mut ledger = FlowLedger::new();
+        for epoch in [3, 4, 4, 6] {
+            let id = ledger.seal(epoch, 0, 1, MsgKind::Let, 512);
+            ledger.deliver(id, 0);
+        }
+        let net = NetworkModel::new(PIZ_DAINT);
+        let mut windows = ExchangeWindows::new();
+        // Epoch 5 never completed: it sealed nothing here and drew nothing.
+        for epoch in [3, 4, 6] {
+            windows.record(epoch, epoch as f64, &[(epoch as f64 + 0.5, 0.25), (epoch as f64, 0.0)]);
+        }
+        let arrows = FlowArrows::new(&ledger, &windows, &net);
+        for epoch in [3, 4, 6] {
+            let (flows, (base, w)) = (ledger.for_epoch(epoch), windows.get(epoch).unwrap());
+            assert_eq!(base, epoch as f64);
+            let drawn = arrows.points(epoch);
+            assert_eq!(drawn.len(), arrows.count(epoch));
+            assert_eq!(format!("{drawn:?}"), format!("{:?}", draw_flows(flows, base, w, &net)));
+            assert_eq!(arrows.times(epoch), flow_times(flows, base, w, &net));
+        }
+        assert_eq!((arrows.count(4), arrows.count(5)), (4, 0));
+        assert!(arrows.points(5).is_empty() && arrows.times(5).is_empty());
+        assert_eq!(windows.epochs().collect::<Vec<_>>(), [3, 4, 6]);
+        let steps = |arrows: &FlowArrows| arrows.held_points().map(|p| p.step).collect::<Vec<_>>();
+        assert_eq!(steps(&arrows), [3, 3, 4, 4, 4, 4, 6, 6]);
+        let mut live = TraceStore::new();
+        live.span(0, 6, Lane::Comm, "let-comm", 6.5, 6.75);
+        let drawn = arrows.drawn_trace(&live);
+        assert_eq!((drawn.spans().len(), drawn.flow_points().len()), (1, 8));
+        windows.retain_epochs(4);
+        let arrows = FlowArrows::new(&ledger, &windows, &net);
+        assert!(arrows.points(3).is_empty() && arrows.count(3) == 0, "an evicted epoch has no arrows");
+        assert_eq!(steps(&arrows), [4, 4, 4, 4, 6, 6]);
+    }
+
+    #[test]
+    #[should_panic(expected = "epochs are recorded once, in order")]
+    fn an_epoch_is_windowed_once() {
+        let mut windows = ExchangeWindows::new();
+        windows.record(2, 0.0, &[(0.0, 1.0)]);
+        windows.record(2, 1.0, &[(1.0, 1.0)]);
     }
 
     #[test]
@@ -585,12 +793,12 @@ mod tests {
             flow(3, 1, 0, 1, FlowOutcome::Dead),
             flow(4, 0, 1, 2, FlowOutcome::Dead),
         ];
-        let mut t = TraceStore::new();
+        let mut times = BTreeMap::new();
         for f in &flows {
             let delivered = matches!(f.outcome, FlowOutcome::Delivered { .. });
-            draw(&mut t, f, 0.1, delivered.then_some(0.1 + 0.05 * f.attempts as f64));
+            time(&mut times, f, 0.1, delivered.then_some(0.1 + 0.05 * f.attempts as f64));
         }
-        let links = link_ledger(&flows, &flow_times(&t, 1));
+        let links = link_ledger(&flows, &times);
         assert_eq!(links.len(), 2);
         let l01 = &links[0];
         assert_eq!((l01.from, l01.to), (0, 1));
@@ -618,11 +826,11 @@ mod tests {
         // 100 delivered flows with distinct latencies on one link: the
         // percentile ladder must be ordered and p99 must sit in the tail.
         let flows: Vec<FlowRecord> = (1..=100).map(|i| flow(i, 0, 1, 1, DELIVERED)).collect();
-        let mut t = TraceStore::new();
+        let mut times = BTreeMap::new();
         for f in &flows {
-            draw(&mut t, f, 0.0, Some(f.id as f64 * 1e-3));
+            time(&mut times, f, 0.0, Some(f.id as f64 * 1e-3));
         }
-        let links = link_ledger(&flows, &flow_times(&t, 1));
+        let links = link_ledger(&flows, &times);
         assert_eq!(links.len(), 1);
         let l = &links[0];
         assert!(l.latency_p50 <= l.latency_p90);
@@ -641,9 +849,10 @@ mod tests {
         // Rank 1: no GPU overlap at all → whole comm span exposed.
         t.span(1, 1, Lane::Comm, "let-comm", 0.0, 0.5);
         let flows = vec![flow(7, 1, 0, 3, DELIVERED)];
-        draw(&mut t, &flows[0], 0.5, Some(0.9));
+        let mut times = BTreeMap::new();
+        time(&mut times, &flows[0], 0.5, Some(0.9));
 
-        let exposed = exposed_comm(&t, 1, &flows);
+        let exposed = exposed_comm(&t, 1, &flows, &times);
         assert_eq!(exposed.len(), 2);
         let r0 = &exposed[0];
         assert_eq!(r0.rank, 0);
@@ -657,9 +866,9 @@ mod tests {
         assert_eq!(r1.rank, 1);
         assert_eq!(r1.cause, WaitCause::Unattributed);
         assert!(r1.flows.is_empty());
-        // A flow the trace never drew is never causal.
-        let undrawn = vec![flow(8, 1, 0, 3, FlowOutcome::Dead)];
-        assert!(exposed_comm(&t, 1, &undrawn).iter().all(|x| x.flows.is_empty()));
+        // A flow without times is never causal.
+        let untimed = vec![flow(8, 1, 0, 3, FlowOutcome::Dead)];
+        assert!(exposed_comm(&t, 1, &untimed, &times).iter().all(|x| x.flows.is_empty()));
     }
 
     #[test]
@@ -680,18 +889,20 @@ mod tests {
         w
     }
 
-    /// `wire`'s epoch `step` drawn over `windows` (fallback 0.0), and what
-    /// it counted.
-    fn record(wire: &Wire, step: u64, windows: &[(f64, f64)]) -> (TraceStore, MetricsRegistry) {
+    /// `wire`'s epoch `step` recorded over `windows` (fallback 0.0), what
+    /// it counted, and its arrows drawn. The store records no arrow.
+    fn record(wire: &Wire, step: u64, windows: &[(f64, f64)]) -> (TraceStore, MetricsRegistry, Vec<FlowPoint>) {
         let (mut store, mut reg) = (TraceStore::new(), MetricsRegistry::new());
         let net = NetworkModel::new(PIZ_DAINT);
         record_flows(wire, &net, step, windows, 0.0, &mut store, &mut reg);
-        (store, reg)
+        assert!(store.flow_points().is_empty(), "an arrow was recorded");
+        let drawn = draw_flows(wire.flows.for_epoch(step), 0.0, windows, &net);
+        (store, reg, drawn)
     }
 
-    /// Flow `id`'s points, in record order.
-    fn points(store: &TraceStore, id: u64) -> Vec<(FlowPhase, f64)> {
-        store.flow_points().iter().filter(|p| p.id == id).map(|p| (p.phase, p.at)).collect()
+    /// Flow `id`'s points, in draw order.
+    fn points(drawn: &[FlowPoint], id: u64) -> Vec<(FlowPhase, f64)> {
+        drawn.iter().filter(|p| p.id == id).map(|p| (p.phase, p.at)).collect()
     }
 
     fn flow_arg(i: &bonsai_obs::Instant) -> Option<u64> {
@@ -729,7 +940,7 @@ mod tests {
             injected: vec![fault(3, &r, FaultKind::Corrupt, 0)],
             recoveries: vec![recovery(&r, RecoveryAction::DiscardCorrupt, "checksum mismatch")],
         };
-        let (store, _) = record(&wire(ledger, log), 3, &[(1.5, 0.0), (1.5, 0.0)]);
+        let (store, _, drawn) = record(&wire(ledger, log), 3, &[(1.5, 0.0), (1.5, 0.0)]);
         assert_eq!(store.instants().len(), 2);
         let inj = &store.instants()[0];
         assert_eq!((inj.rank, inj.lane, inj.name.as_str()), (1, Lane::Comm, "inject:corrupt"));
@@ -740,7 +951,7 @@ mod tests {
         assert_eq!([flow_arg(inj), flow_arg(rec)], [Some(id), Some(id)]);
         // The injection sits on the faulted attempt's point, the discard on
         // the delivery: the flow's own arrow.
-        let pts = points(&store, id);
+        let pts = points(&drawn, id);
         assert_eq!(pts.iter().map(|p| p.0).collect::<Vec<_>>(), [FlowPhase::Start, FlowPhase::Step, FlowPhase::Finish]);
         assert_eq!((inj.at, rec.at), (pts[0].1, pts[2].1));
     }
@@ -757,13 +968,13 @@ mod tests {
         let (ra, rb) = (ledger.get(a).unwrap().clone(), ledger.get(b).unwrap().clone());
         let drop = |r, attempt| fault(2, r, FaultKind::Drop, attempt);
         let log = FaultLog { injected: vec![drop(&ra, 0), drop(&rb, 0), drop(&ra, 1)], recoveries: vec![] };
-        let (store, _) = record(&wire(ledger, log), 2, &[(0.0, 0.0), (0.0, 1e-3)]);
+        let (store, _, drawn) = record(&wire(ledger, log), 2, &[(0.0, 0.0), (0.0, 1e-3)]);
         let inst = store.instants();
         assert_eq!([flow_arg(&inst[0]), flow_arg(&inst[1]), flow_arg(&inst[2])], [Some(a), Some(b), Some(a)]);
         let rto = FlowClock::new(&NetworkModel::new(PIZ_DAINT)).rto(64);
         assert_eq!([inst[0].at, inst[1].at, inst[2].at], [0.0, 0.5e-3, rto], "slots 0 and 1 of 2, then a's retry");
-        assert_eq!(points(&store, b)[0], (FlowPhase::Start, inst[1].at));
-        assert_eq!(points(&store, a)[1], (FlowPhase::Step, inst[2].at));
+        assert_eq!(points(&drawn, b)[0], (FlowPhase::Start, inst[1].at));
+        assert_eq!(points(&drawn, a)[1], (FlowPhase::Step, inst[2].at));
     }
 
     #[test]
@@ -777,13 +988,13 @@ mod tests {
             injected: vec![fault(4, &r, FaultKind::Drop, 0)],
             recoveries: vec![recovery(&r, RecoveryAction::Retransmit, "attempt 1")],
         };
-        let (store, reg) = record(&wire(ledger, log), 4, &[(0.25, 0.0); 3]);
+        let (store, reg, drawn) = record(&wire(ledger, log), 4, &[(0.25, 0.0); 3]);
         let (inj, rec) = (&store.instants()[0], &store.instants()[1]);
         // The retransmit send sits exactly one RTO after the dropped send,
         // on the arrow's step point, before the delivery.
         let rto = FlowClock::new(&NetworkModel::new(PIZ_DAINT)).rto(64);
         assert!((rec.at - inj.at - rto).abs() < 1e-15);
-        let pts = points(&store, id);
+        let pts = points(&drawn, id);
         assert_eq!((pts[0].1, pts[1].1), (inj.at, rec.at));
         assert!(pts[2].1 > rec.at);
         // The retransmitted flow is counted as exposed and per link.
@@ -805,7 +1016,8 @@ mod tests {
         };
         let log = FaultLog { injected: vec![], recoveries: vec![restore(2), restore(7)] };
         let windows = [(0.0, 1.0), (1.0, 1.0), (2.0, 1.0)];
-        let (store, reg) = record(&wire(FlowLedger::new(), log), 9, &windows);
+        let (store, reg, drawn) = record(&wire(FlowLedger::new(), log), 9, &windows);
+        assert!(drawn.is_empty());
         // At the rank's window start; past the windows, at the base.
         assert_eq!([store.instants()[0].at, store.instants()[1].at], [2.0, 0.0]);
         assert!(store.instants().iter().all(|i| flow_arg(i).is_none()));

@@ -6,13 +6,14 @@
 //! of retransmissions before a recovery alert, the balancer wobble before a
 //! flop-residual alert. The live [`TraceStore`] holds the last
 //! [`TRACE_WINDOW`] epochs, so [`Incident::freeze`] copies that window
-//! out of it: a self-contained [`TraceStore`] (Perfetto-loadable via the
-//! chrome exporter) plus a deterministic structured report.
+//! out of it, with the window's flow arrows drawn for it: a self-contained
+//! [`TraceStore`] (Perfetto-loadable via the chrome exporter) plus a
+//! deterministic structured report.
 
 use crate::chrome::chrome_trace_json;
 use crate::health::AlertEvent;
 use crate::json::fmt_f64;
-use crate::span::{shift_parent, Span, TraceStore, TRACE_WINDOW};
+use crate::span::{shift_parent, FlowPoint, Span, TraceStore, TRACE_WINDOW};
 
 /// A frozen incident: the alert that fired plus the trace window around it.
 #[derive(Clone, Debug)]
@@ -31,7 +32,7 @@ pub struct Incident {
     pub step: u64,
     /// `(first, last)` epoch covered by the frozen window.
     pub window: (u64, u64),
-    /// Full-fidelity spans and instants of the window.
+    /// Full-fidelity spans, instants and flow arrows of the window.
     pub trace: TraceStore,
 }
 
@@ -42,16 +43,21 @@ fn from_step<T>(items: &[T], from: u64, step: impl Fn(&T) -> u64) -> &[T] {
 
 impl Incident {
     /// Freeze the records of the last [`TRACE_WINDOW`] epochs of `trace`,
-    /// up to `epoch`, for the alert `trigger`. The copy is independent of
-    /// the live store; parents recorded before the window become `None`.
-    pub fn freeze(id: usize, trace: &TraceStore, epoch: u64, trigger: &AlertEvent) -> Self {
+    /// up to `epoch`, with those of `arrows` (flow points in step order,
+    /// drawn for the freeze: a live store holds none), for the alert
+    /// `trigger`. The copy is independent of the live store; parents
+    /// recorded before the window become `None`.
+    pub fn freeze(
+        id: usize,
+        trace: &TraceStore,
+        arrows: impl IntoIterator<Item = FlowPoint>,
+        epoch: u64,
+        trigger: &AlertEvent,
+    ) -> Self {
         let from = (epoch + 1).saturating_sub(TRACE_WINDOW);
         let spans = from_step(trace.spans(), from, |s| s.step);
         let instants = from_step(trace.instants(), from, |i| i.step);
-        let flows: Vec<_> = (trace.flow_points().iter())
-            .skip_while(|f| f.step < from)
-            .cloned()
-            .collect();
+        let flows: Vec<_> = (arrows.into_iter()).skip_while(|f| f.step < from).collect();
         let cut = trace.spans().len() - spans.len();
         let first = [
             spans.first().map(|s| s.step),
@@ -139,8 +145,9 @@ mod tests {
         }
     }
 
-    fn store_with_steps(n: u64) -> TraceStore {
-        let mut t = TraceStore::new();
+    /// `n` steps of a live store, and their flow arrows beside it.
+    fn store_with_steps(n: u64) -> (TraceStore, Vec<FlowPoint>) {
+        let (mut t, mut arrows) = (TraceStore::new(), TraceStore::new());
         for step in 1..=n {
             let base = step as f64;
             let root = t.span(0, step, Lane::Gpu, "gravity", base, base + 0.5);
@@ -149,17 +156,17 @@ mod tests {
             t.instant(1, step, Lane::Comm, "fault:drop", base + 0.1);
             // One complete flow arrow per step: sent on rank 1, stepped and
             // finished on rank 0 — the causal links an incident must keep.
-            t.flow_point(step, 1, step, Lane::Comm, "flow:Let", base, FlowPhase::Start);
-            t.flow_point(step, 0, step, Lane::Comm, "flow:Let", base + 0.1, FlowPhase::Step);
-            t.flow_point(step, 0, step, Lane::Comm, "flow:Let", base + 0.2, FlowPhase::Finish);
+            arrows.flow_point(step, 1, step, Lane::Comm, "flow:Let", base, FlowPhase::Start);
+            arrows.flow_point(step, 0, step, Lane::Comm, "flow:Let", base + 0.1, FlowPhase::Step);
+            arrows.flow_point(step, 0, step, Lane::Comm, "flow:Let", base + 0.2, FlowPhase::Finish);
         }
-        t
+        (t, arrows.flow_points().iter().cloned().collect())
     }
 
     #[test]
     fn parents_survive_the_cut() {
-        let t = store_with_steps(12);
-        let inc = Incident::freeze(0, &t, 12, &alert(11));
+        let (t, arrows) = store_with_steps(12);
+        let inc = Incident::freeze(0, &t, arrows, 12, &alert(11));
         assert_eq!(inc.window, (5, 12));
         let w = &inc.trace;
         assert_eq!(w.spans().len(), 24); // 8 epochs × 3 spans
@@ -179,8 +186,8 @@ mod tests {
 
     #[test]
     fn freeze_exports_a_loadable_window() {
-        let t = store_with_steps(6);
-        let inc = Incident::freeze(0, &t, 6, &alert(5));
+        let (t, arrows) = store_with_steps(6);
+        let inc = Incident::freeze(0, &t, arrows.clone(), 6, &alert(5));
         assert_eq!(inc.window, (1, 6), "a short run freezes all it has");
         assert_eq!(inc.rule, "recovery-storm");
         let json = inc.trace_json();
@@ -193,7 +200,7 @@ mod tests {
         assert!(report.contains("rule:     recovery-storm"));
         assert!(report.contains("steps 1..=6"));
         // Deterministic: freezing twice renders identically.
-        let again = Incident::freeze(0, &t, 6, &alert(5));
+        let again = Incident::freeze(0, &t, arrows, 6, &alert(5));
         assert_eq!(inc.trace_json(), again.trace_json());
         assert_eq!(inc.report(), again.report());
     }
@@ -203,8 +210,8 @@ mod tests {
         // The regression this guards: an incident trace that drops its flow
         // points still loads in Perfetto but loses the causal arrows — the
         // exact thing one opens an incident to follow.
-        let t = store_with_steps(10);
-        let inc = Incident::freeze(0, &t, 10, &alert(9));
+        let (t, arrows) = store_with_steps(10);
+        let inc = Incident::freeze(0, &t, arrows, 10, &alert(9));
         let json = inc.trace_json();
         for ph in ["\"ph\":\"s\"", "\"ph\":\"t\"", "\"ph\":\"f\""] {
             assert!(json.contains(ph), "frozen trace lost {ph} events");
@@ -222,14 +229,14 @@ mod tests {
         let mut t = TraceStore::new();
         t.span(0, 5, Lane::Gpu, "local", 0.0, 1.0);
         t.span(1, 5, Lane::Gpu, "lets", 1.4, 2.0);
-        let inc = Incident::freeze(0, &t, 5, &alert(3));
+        let inc = Incident::freeze(0, &t, [], 5, &alert(3));
         assert_eq!((inc.step, inc.window), (3, (5, 5)));
         assert!(inc.report().contains("waits:"), "{}", inc.report());
     }
 
     #[test]
     fn freeze_on_an_empty_store_is_safe() {
-        let inc = Incident::freeze(1, &TraceStore::new(), 5, &alert(4));
+        let inc = Incident::freeze(1, &TraceStore::new(), [], 5, &alert(4));
         assert_eq!(inc.window, (5, 5));
         assert!(inc.trace.is_empty());
         assert!(inc.report().contains("0 spans"));

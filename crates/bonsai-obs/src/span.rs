@@ -120,11 +120,14 @@ pub enum FlowPhase {
 /// `Start` point to the `Finish` point, binding to whatever span encloses
 /// each point on its track.
 ///
-/// A run draws one or more points per sealed message and keeps them for the
-/// whole history window, so a point is fixed-size (48 B) and owns nothing
-/// on the heap: its name is a static string. The store holds them one
-/// buffer per step ([`EpochRuns`]), so evicting a step moves no point of
-/// the steps it keeps.
+/// A run draws one or more points per sealed message when its arrows are
+/// read (a live cluster keeps no points: they are a function of its flow
+/// ledger and its exchange windows), and a store that does hold them — an
+/// incident, a drawn export, a test — may hold a whole history window, so
+/// a point is fixed-size (48 B) and owns nothing on the heap: its name is
+/// a static string. The store holds them one buffer per step
+/// ([`EpochRuns`]), so evicting a step moves no point of the steps it
+/// keeps.
 #[derive(Clone, Debug)]
 pub struct FlowPoint {
     /// Flow id shared by all points of one arrow (the ledger flow id).
@@ -143,7 +146,9 @@ pub struct FlowPoint {
     pub phase: FlowPhase,
 }
 
-/// Append-only store of spans, instant events and flow-arrow points.
+/// Append-only store of spans, instant events and flow-arrow points. A live
+/// run records spans and instants only; flow points are for stores that
+/// hold arrows drawn from elsewhere (incidents, drawn exports, tests).
 #[derive(Clone, Debug, Default)]
 pub struct TraceStore {
     spans: Vec<Span>,

@@ -5,9 +5,10 @@
 //! Every other exporter in this crate is post-hoc — artifacts are reduced
 //! and written after the run ends. The paper's runs were watched *live* on
 //! 18600 GPUs without perturbing the compute–communication overlap
-//! (§V–VI), and ROADMAP item 2 (a multi-tenant service streaming progress
-//! to clients) needs the same property: a producer that never blocks on a
-//! slow consumer and an honest ledger of what each consumer missed.
+//! (§V–VI), and a multi-tenant service streaming progress to clients (a
+//! parked ROADMAP aim) would need the same property: a producer that never
+//! blocks on a slow consumer and an honest ledger of what each consumer
+//! missed.
 //!
 //! The backpressure contract, per frame kind:
 //!

@@ -127,8 +127,8 @@ fn alert_firing_freezes_a_flight_window() {
         for ev in h.observe(step, "bonsai_recovery_actions", actions) {
             if ev.kind == AlertKind::Open {
                 // Freeze twice at the trigger to check determinism.
-                incidents.push(Incident::freeze(incidents.len() / 2, &trace, step, &ev));
-                incidents.push(Incident::freeze(incidents.len() / 2, &trace, step, &ev));
+                incidents.push(Incident::freeze(incidents.len() / 2, &trace, [], step, &ev));
+                incidents.push(Incident::freeze(incidents.len() / 2, &trace, [], step, &ev));
             }
         }
     }

@@ -27,7 +27,7 @@
 use super::{Cluster, StepMeasurements};
 use crate::breakdown::StepBreakdown;
 use bonsai_domain::exchange::{particles_from_bytes, particles_to_bytes, ExchangePlan};
-use bonsai_domain::letbuild::{boundary_sufficient_for, build_let_into};
+use bonsai_domain::letbuild::{boundary_sufficient_within, build_let_into, hull_of};
 use bonsai_domain::load::enforce_particle_cap;
 use bonsai_domain::sampling::parallel_cuts;
 use bonsai_domain::lettree::{self, Invalid};
@@ -341,17 +341,19 @@ impl Cluster {
         meas: &mut StepMeasurements,
     ) -> Result<Vec<Vec<(usize, LetFrame)>>, usize> {
         let theta = self.cfg.theta;
-        // Each rank's frontier geometry, once: what its senders build for.
+        // Each rank's frontier geometry and its hull, once: what its
+        // senders build for and check their boundaries against.
         let geoms: Vec<Vec<Aabb>> = boundaries.par_iter().map(LetTree::frontier_boxes).collect();
+        let hulls: Vec<Aabb> = geoms.iter().map(|geom| hull_of(geom)).collect();
         let owed: Vec<Vec<usize>> = (boundaries.par_iter())
             .enumerate()
             .map(|(i, bi)| {
                 if bi.is_empty() {
                     return Vec::new();
                 }
-                (geoms.iter().enumerate())
-                    .filter(|&(j, geom_j)| j != i && !geom_j.is_empty())
-                    .filter(|(_, geom_j)| !boundary_sufficient_for(bi, geom_j, theta))
+                (geoms.iter().zip(&hulls).enumerate())
+                    .filter(|&(j, (geom_j, _))| j != i && !geom_j.is_empty())
+                    .filter(|(_, (geom_j, hull_j))| !boundary_sufficient_within(bi, geom_j, hull_j, theta))
                     .map(|(j, _)| j)
                     .collect()
             })

@@ -42,7 +42,8 @@
 //! * `membership` — online grow / shrink: gossip to an agreed view, re-split
 //!   the key space, migrate over the fabric;
 //! * `observe` — the completed epoch charged to the machine models and
-//!   recorded as spans, flow arrows and metrics.
+//!   recorded as spans, fault instants and metrics, and the flow arrows
+//!   drawn from the ledger when they are read.
 
 mod gravity;
 mod membership;
@@ -57,6 +58,7 @@ use bonsai_core::leapfrog;
 use bonsai_gpu::{GpuModel, KernelVariant, K20X};
 use bonsai_net::fault::{FaultLog, FaultPlan, Wire};
 use bonsai_net::membership::{MembershipLog, View};
+use bonsai_net::obs::ExchangeWindows;
 use bonsai_net::{MachineSpec, NetworkModel, PIZ_DAINT};
 use bonsai_obs::{MetricsRegistry, TraceStore};
 use bonsai_sfc::KeyRange;
@@ -221,8 +223,13 @@ pub struct Cluster {
     /// Measurements of the most recent gravity phase.
     pub last_measurements: StepMeasurements,
     /// Span/event trace of the recent completed gravity epochs (the last
-    /// [`bonsai_obs::TRACE_WINDOW`] epochs).
+    /// [`bonsai_obs::TRACE_WINDOW`] epochs). It holds no flow arrow: they
+    /// are drawn from the flow ledger and `exchange_windows` when read.
     trace: TraceStore,
+    /// Each recorded epoch's clock base and per-rank LET-exchange windows:
+    /// what drawing its arrows needs beside the ledger, evicted with the
+    /// trace and the ledger.
+    exchange_windows: ExchangeWindows,
     /// Metrics registry: monotonic counters over the whole run plus the
     /// most recent epoch's gauges.
     registry: MetricsRegistry,
@@ -320,6 +327,7 @@ impl Cluster {
             recovery,
             last_measurements: StepMeasurements::default(),
             trace: TraceStore::new(),
+            exchange_windows: ExchangeWindows::new(),
             registry: MetricsRegistry::new(),
             trace_clock: 0.0,
             monitor: None,

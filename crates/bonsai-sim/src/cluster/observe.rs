@@ -1,9 +1,10 @@
 //! Observability of a completed gravity epoch: the measured quantities
 //! charged to the machine models ([`StepBreakdown`], Table II), the spans
 //! and metrics recorded from them, and the read-only views over trace,
-//! registry and flow ledger. The epoch's flow arrows and fault instants are
-//! drawn by [`bonsai_net::obs::record_flows`], handed each rank's
-//! LET-exchange window from here.
+//! registry and flow ledger. The epoch's fault instants are placed by
+//! [`bonsai_net::obs::record_flows`], handed each rank's LET-exchange
+//! window from here; the windows are kept, and the epoch's flow arrows are
+//! drawn from them and the ledger when read ([`Cluster::flow_arrows`]).
 
 use super::{Cluster, StepMeasurements};
 use crate::autoscale::ScaleDecision;
@@ -11,7 +12,7 @@ use crate::breakdown::{Phase, StepBreakdown, INTEGRATE_RATE, STEP_LAUNCHES};
 use bonsai_gpu::{BUILD_COST, DOMAIN_COST, INTEGRATE_COST, PROPS_COST, SORT_COST};
 use bonsai_net::flow::{FlowConservation, FlowLedger};
 use bonsai_net::membership::ViewChange;
-use bonsai_net::obs::classify;
+use bonsai_net::obs::{classify, FlowArrows};
 use bonsai_obs::stream::{FrameKind, FrameValue};
 use bonsai_obs::{ArgValue, Lane, MetricsRegistry, TraceStore};
 use bonsai_sfc::KeyMap;
@@ -53,8 +54,22 @@ impl Cluster {
     /// bounded, evicted as each epoch begins: the store holds every record
     /// of the last [`TRACE_WINDOW`](bonsai_obs::TRACE_WINDOW) epochs and
     /// nothing older.
+    ///
+    /// The live store holds no flow arrows (its `flow_points()` is empty):
+    /// they are a function of the flow ledger and each epoch's exchange
+    /// windows, drawn when read by [`Cluster::flow_arrows`] — whose
+    /// [`drawn_trace`](FlowArrows::drawn_trace) is this store with them.
     pub fn trace(&self) -> &TraceStore {
         &self.trace
+    }
+
+    /// The flow arrows of the epochs the trace holds, drawn when read from
+    /// the flow ledger and each recorded epoch's LET-exchange windows: per
+    /// epoch its points, their count and its flow times, or every held
+    /// epoch's points drawn into a copy of the trace. An epoch that never
+    /// completed has none.
+    pub fn flow_arrows(&self) -> FlowArrows<'_> {
+        FlowArrows::new(&self.wire.flows, &self.exchange_windows, &self.net)
     }
 
     /// The unified metrics registry: walk-interaction and link-byte
@@ -136,7 +151,8 @@ impl Cluster {
             return;
         };
         let (trace, registry, meas) = (&mut self.trace, &mut self.registry, &self.last_measurements);
-        let (fired, decision) = monitor.observe(trace, registry, meas, breakdown, &facts);
+        let arrows = FlowArrows::new(&self.wire.flows, &self.exchange_windows, &self.net);
+        let (fired, decision) = monitor.observe(trace, registry, &arrows, meas, breakdown, &facts);
         let order = match decision {
             ScaleDecision::Grow(k) => Some(("grow", k)),
             ScaleDecision::Shrink(k) => Some(("shrink", k)),
@@ -159,7 +175,8 @@ impl Cluster {
         }
         let facts = self.facts(false);
         if let Some(monitor) = self.monitor.as_mut() {
-            monitor.publish(&self.trace, &mut self.registry, breakdown, &facts, &fired);
+            let arrows = FlowArrows::new(&self.wire.flows, &self.exchange_windows, &self.net);
+            monitor.publish(&self.trace, &mut self.registry, &arrows, breakdown, &facts, &fired);
         }
     }
 
@@ -167,9 +184,10 @@ impl Cluster {
     /// layer: per-rank spans for every Table II phase on the GPU lane
     /// (including the attributed integration sub-phase), load-balance and
     /// orchestration bookkeeping on the CPU lane, the LET exchange window
-    /// and retransmission recovery on the COMM lane, the epoch's flow
-    /// arrows and fault instants ([`bonsai_net::obs::record_flows`], handed
-    /// each rank's exchange window), explicit cross-rank `wait` spans for
+    /// and retransmission recovery on the COMM lane, the epoch's fault
+    /// instants ([`bonsai_net::obs::record_flows`], handed each rank's
+    /// exchange window, which is kept to draw the epoch's flow arrows
+    /// from), explicit cross-rank `wait` spans for
     /// the barrier at the end of the epoch, walk/link metrics, and the
     /// per-step gauge family
     /// [`Cluster::breakdown_from_metrics`] reduces over. The clock base
@@ -249,9 +267,11 @@ impl Cluster {
                 self.net.observe_link(&mut self.registry, kind, r, bytes as u64);
             }
         }
-        // The epoch's flows and the fault log's instants on them.
+        // The fault log's instants on the epoch's flows; the windows stay
+        // to draw the flows' arrows from.
         let (trace, registry) = (&mut self.trace, &mut self.registry);
         bonsai_net::obs::record_flows(&self.wire, &self.net, step, &windows, base, trace, registry);
+        self.exchange_windows.record(step, base, &windows);
         let flows = self.wire.flows.for_epoch(step);
 
         // The epoch's closing barrier: every rank that finishes before the
@@ -447,7 +467,8 @@ impl Cluster {
 
     /// The flow ledger: every envelope sealed on the fabric in the epochs
     /// the trace holds (its records of epoch `e` are `for_epoch(e)`, drawn
-    /// as the trace's flow points of step `e`), plus run totals.
+    /// as the arrows of step `e` by [`Cluster::flow_arrows`]), plus run
+    /// totals.
     pub fn flow_ledger(&self) -> &FlowLedger {
         &self.wire.flows
     }

@@ -22,10 +22,10 @@ impl Cluster {
     }
 
     /// Open the next epoch — gravity, membership gossip or death gossip,
-    /// completed or not; `kind` is what it is about to exchange. Trace and
-    /// flow ledger drop the one epoch that leaves the window, so they hold
-    /// exactly the last [`TRACE_WINDOW`] epochs, this one included; the
-    /// flow points and records kept do not move. Frames held back by
+    /// completed or not; `kind` is what it is about to exchange. Trace,
+    /// flow ledger and exchange windows drop the one epoch that leaves the
+    /// window, so they hold exactly the last [`TRACE_WINDOW`] epochs, this
+    /// one included; the records and windows kept do not move. Frames held back by
     /// Delay/Stall surface, carrying their old epoch, to be discarded as
     /// stale. Every rank the plan schedules to die this epoch dies, in one
     /// detection pass: a hard crash, its in-memory state gone, silent from
@@ -36,6 +36,7 @@ impl Cluster {
         let first_kept = (epoch + 1).saturating_sub(TRACE_WINDOW);
         self.trace.retain_steps(first_kept);
         self.wire.flows.retain_epochs(first_kept);
+        self.exchange_windows.retain_epochs(first_kept);
         self.wire.flush_delayed();
         let p = self.ranks.len();
         if p == 1 {

@@ -275,12 +275,13 @@ fn window_start(epoch: u64) -> u64 {
 #[test]
 fn trace_history_is_a_bounded_window() {
     // No monitor: the cluster alone bounds its trace. After every one of 40
-    // steps (41 epochs) it holds exactly the last window: every span, instant
-    // and flow point of those epochs, and nothing older.
+    // steps (41 epochs) it holds exactly the last window: every span and
+    // instant of those epochs, and nothing older; and it draws exactly
+    // those epochs' arrows, holding none itself.
     let mut c = small_cluster(256, 2, 42);
     let counts = |c: &Cluster, e: u64| {
         let recs = c.trace().step_records(e);
-        (recs.spans.len(), recs.instants.len(), recs.flow_points.len())
+        (recs.spans.len(), recs.instants.len(), c.flow_arrows().points(e).len())
     };
     let mut recorded = vec![(0, 0, 0), counts(&c, 1)];
     for _ in 0..40 {
@@ -291,11 +292,14 @@ fn trace_history_is_a_bounded_window() {
         let t = c.trace();
         assert!(t.spans().iter().all(|s| s.step >= first), "a span before epoch {first}");
         assert!(t.instants().iter().all(|i| i.step >= first), "an instant before epoch {first}");
-        assert!(t.flow_points().iter().all(|f| f.step >= first), "a point before epoch {first}");
+        assert!(t.flow_points().is_empty(), "the live trace holds arrows");
+        let drawn: Vec<_> = c.flow_arrows().held_points().collect();
+        assert!(drawn.iter().all(|f| f.step >= first), "a point before epoch {first}");
         let held: Vec<_> = (first..=now).map(|e| counts(&c, e)).collect();
         assert_eq!(held, recorded[first as usize..], "epoch {now}");
-        let sum = held.iter().map(|&(s, i, f)| s + i + f).sum::<usize>();
-        assert_eq!(t.len(), sum, "epoch {now}");
+        let sum = |column: fn(&(usize, usize, usize)) -> usize| held.iter().map(column).sum::<usize>();
+        assert_eq!(t.len(), sum(|&(s, i, _)| s + i), "epoch {now}");
+        assert_eq!(drawn.len(), sum(|&(.., f)| f), "epoch {now}");
     }
     assert_eq!(c.current_epoch(), 41);
     assert_eq!(c.trace().spans()[0].step, 41 + 1 - bonsai_obs::TRACE_WINDOW);
@@ -366,28 +370,88 @@ fn epochs_that_never_complete_still_evict() {
         assert_eq!(held, want, "epoch {e}");
         assert!(c.trace().spans().iter().all(|s| s.step >= floor), "a span before epoch {floor}");
         assert_eq!(c.trace().is_empty(), floor > completed, "epoch {e}");
+        let windowed: Vec<u64> = c.exchange_windows.epochs().collect();
+        assert_eq!(windowed, (floor..=completed).collect::<Vec<_>>(), "epoch {e}");
+    }
+}
+
+#[test]
+fn arrows_drawn_at_the_end_of_their_window_are_those_drawn_first() {
+    // Drawing is pure: under retransmissions, a crash rolled back in a fixed
+    // world and one that shrinks an elastic world, each epoch's arrows drawn
+    // after every later step, to the end of its window, equal bit for bit
+    // those drawn as the epoch completed, and the stream tap charged each
+    // step's epoch for exactly the points it draws.
+    use crate::longrun::LongRunConfig;
+    use crate::stream::StreamConfig;
+    use bonsai_net::{FaultKind, RecoveryAction};
+    use bonsai_obs::overhead::{FLOW_POINT_S, INSTANT_RECORD_S, SPAN_RECORD_S};
+    use bonsai_obs::{FlowPoint, TRACE_WINDOW};
+    use std::collections::BTreeMap;
+    let bits = |points: Vec<FlowPoint>| -> Vec<_> {
+        (points.into_iter()).map(|p| (p.id, p.rank, p.step, p.lane, p.name, p.at.to_bits(), p.phase)).collect()
+    };
+    for elastic in [false, true] {
+        let dir = std::env::temp_dir().join(format!("bonsai_pure_arrows_{elastic}_{}", std::process::id()));
+        let plan = FaultPlan::new(11).with_rate(FaultKind::Drop, 0.05).with_crash(2, 6);
+        let recovery = Some(RecoveryConfig { dir: dir.clone(), every: 2 });
+        let mut c = Cluster::with_faults(plummer_sphere(600, 23), 4, ClusterConfig::default(), plan, recovery);
+        if elastic {
+            c.enable_elastic_recovery();
+        }
+        c.enable_longrun(LongRunConfig::default());
+        c.enable_streaming(StreamConfig::default());
+        let mut first = BTreeMap::new();
+        for _ in 0..2 * TRACE_WINDOW {
+            c.step();
+            let (arrows, now) = (c.flow_arrows(), c.current_epoch());
+            for e in window_start(now)..=now {
+                let drawn = bits(arrows.points(e));
+                let first = first.entry(e).or_insert_with(|| drawn.clone());
+                assert!(*first == drawn, "epoch {e} drawn again at epoch {now} (elastic: {elastic})");
+            }
+            let recs = c.trace().step_records(now);
+            let mut charged = 0.0;
+            for (ops, rate) in [
+                (recs.spans.len(), SPAN_RECORD_S),
+                (recs.instants.len(), INSTANT_RECORD_S),
+                (arrows.points(now).len(), FLOW_POINT_S),
+            ] {
+                if ops > 0 {
+                    charged += ops as f64 * rate;
+                }
+            }
+            let gauge = c.metrics().gauge("bonsai_obs_overhead_seconds", &[("category", "trace")]);
+            assert_eq!(gauge.map(f64::to_bits), Some(charged.to_bits()), "epoch {now} (elastic: {elastic})");
+        }
+        // The schedule did what it is here for.
+        let log = c.fault_log();
+        assert!(log.recoveries_of(RecoveryAction::Retransmit) > 0 && log.recoveries_of(RecoveryAction::RestoreCheckpoint) > 0);
+        assert_eq!(c.rank_count(), if elastic { 3 } else { 4 });
+        assert!(first.values().filter(|drawn| !drawn.is_empty()).count() > 2 * TRACE_WINDOW as usize);
+        std::fs::remove_dir_all(dir).ok();
     }
 }
 
 #[test]
 fn eviction_leaves_kept_epochs_in_place() {
-    // Each step evicts the epoch that leaves the window and moves no flow
-    // point and no ledger record of the epochs it keeps.
+    // Each step evicts the epoch that leaves the window and moves no
+    // exchange window and no ledger record of the epochs it keeps.
     use bonsai_obs::TRACE_WINDOW;
     let mut c = small_cluster(256, 3, 42);
     for _ in 0..TRACE_WINDOW {
         c.step();
     }
     let at = |c: &Cluster, e: u64| {
-        let points = c.trace().step_records(e).flow_points;
+        let windows = c.exchange_windows.get(e).map_or(&[][..], |(_, w)| w);
         let records = c.flow_ledger().for_epoch(e);
-        (points.as_ptr(), points.len(), records.as_ptr(), records.len())
+        (windows.as_ptr(), windows.len(), records.as_ptr(), records.len())
     };
     for _ in 0..TRACE_WINDOW + 2 {
         let leaving = window_start(c.current_epoch());
         let kept: Vec<u64> = (leaving + 1..=c.current_epoch()).collect();
         let before: Vec<_> = kept.iter().map(|&e| at(&c, e)).collect();
-        assert!(before.iter().all(|&(_, points, _, records)| points > 0 && records > 0));
+        assert!(before.iter().all(|&(_, windows, _, records)| windows > 0 && records > 0));
         c.step();
         let gone = at(&c, leaving);
         assert_eq!((gone.1, gone.3), (0, 0), "epoch {leaving} was not evicted");

@@ -15,15 +15,17 @@
 //! publishes; the tap's observability budget ([`overhead_rule`]) is one
 //! more rule of the same engine, fed once the step's frames are priced. It
 //! works on the cluster's trace and metrics stores and on the finished
-//! step as plain data ([`StepFacts`]), never on the cluster. The trace's
-//! history is bounded by the cluster itself, with or without a monitor.
+//! step as plain data ([`StepFacts`]), never on the cluster; the flow
+//! arrows an incident keeps are drawn for it through the cluster's
+//! [`FlowArrows`]. The trace's history is bounded by the cluster itself,
+//! with or without a monitor.
 
 use crate::autoscale::{AutoscaleConfig, AutoscalePolicy, ScaleDecision};
 use crate::breakdown::StepBreakdown;
 use crate::cluster::{StepFacts, StepMeasurements};
 use crate::stream::{StreamConfig, StreamTap};
 use bonsai_analysis::EnergyReport;
-use bonsai_net::obs::mean_hidden_comm_fraction;
+use bonsai_net::obs::{mean_hidden_comm_fraction, FlowArrows};
 use bonsai_obs::health::{default_rules, AlertEvent, AlertKind, HealthMonitor, Rule};
 use bonsai_obs::overhead::{overhead_rule, OVERHEAD_GAUGE};
 use bonsai_obs::timeseries::{SeriesConfig, SeriesStore};
@@ -143,12 +145,14 @@ impl RunMonitor {
 
     /// One step's longitudinal bookkeeping over the cluster's `trace` and
     /// `registry`, after the step completes (`facts.energy` must be
-    /// filled). Returns the alert transitions the step fired and what the
+    /// filled); an incident freezes the trace with the window's flow
+    /// arrows, drawn from `arrows`. Returns the alert transitions the step fired and what the
     /// autoscaling policy, if any, decided from them.
     pub(crate) fn observe(
         &mut self,
         trace: &mut TraceStore,
         registry: &mut MetricsRegistry,
+        arrows: &FlowArrows,
         meas: &StepMeasurements,
         b: &StepBreakdown,
         facts: &StepFacts,
@@ -199,7 +203,7 @@ impl RunMonitor {
         for ev in &fired {
             if ev.kind == AlertKind::Open && self.incidents.len() < MAX_INCIDENTS {
                 self.incidents
-                    .push(Incident::freeze(self.incidents.len(), trace, epoch, ev));
+                    .push(Incident::freeze(self.incidents.len(), trace, arrows.held_points(), epoch, ev));
             }
         }
         let mean = facts.particles as f64 / facts.world as f64;
@@ -218,6 +222,7 @@ impl RunMonitor {
         &mut self,
         trace: &TraceStore,
         registry: &mut MetricsRegistry,
+        arrows: &FlowArrows,
         b: &StepBreakdown,
         facts: &StepFacts,
         fired: &[AlertEvent],
@@ -225,6 +230,7 @@ impl RunMonitor {
         let Some(tap) = self.stream.as_mut() else {
             return;
         };
+        tap.charge_trace(trace, arrows, facts.epoch);
         let fraction = tap.observe(trace, registry, b, facts, self.rules, fired);
         let budget = self.health.observe(facts.step, OVERHEAD_GAUGE, fraction);
         tap.publish_alerts(facts.step, trace.makespan(), &budget);
@@ -237,6 +243,9 @@ mod tests {
     use crate::cluster::{Cluster, ClusterConfig};
     use bonsai_ic::plummer_sphere;
     use bonsai_obs::health::{Condition, Severity};
+    use bonsai_net::flow::FlowLedger;
+    use bonsai_net::obs::ExchangeWindows;
+    use bonsai_net::{NetworkModel, PIZ_DAINT};
     use bonsai_obs::TRACE_WINDOW;
 
     fn small_cluster() -> Cluster {
@@ -285,9 +294,12 @@ mod tests {
             energy: Some(energy),
             ..StepFacts::default()
         };
+        let (ledger, windows) = (FlowLedger::new(), ExchangeWindows::new());
+        let net = NetworkModel::new(PIZ_DAINT);
         let (fired, decision) = lr.observe(
             &mut trace,
             &mut registry,
+            &FlowArrows::new(&ledger, &windows, &net),
             &StepMeasurements::default(),
             &StepBreakdown::default(),
             &facts,
@@ -374,8 +386,9 @@ mod tests {
             let recs = c.trace().step_records(e);
             spans += recs.spans.len();
             instants += recs.instants.len();
-            flows += recs.flow_points.len();
+            flows += c.flow_arrows().count(e);
         }
+        assert!(flows > 0 && c.trace().flow_points().is_empty());
         assert_eq!(inc.trace.spans().len(), spans);
         assert_eq!(inc.trace.instants().len(), instants);
         assert_eq!(inc.trace.flow_points().len(), flows);

@@ -23,6 +23,7 @@
 use crate::breakdown::{Phase, StepBreakdown};
 use crate::cluster::StepFacts;
 use crate::longrun::RUN_SIGNALS;
+use bonsai_net::obs::FlowArrows;
 use bonsai_obs::health::AlertEvent;
 use bonsai_obs::overhead::{self, OverheadMeter, OVERHEAD_GAUGE};
 use bonsai_obs::stream::FrameValue::{self, Str, F64, U64};
@@ -103,10 +104,24 @@ impl StreamTap {
         }
     }
 
+    /// Price the trace work of the step's `epoch`: the spans and instants
+    /// `trace` recorded, and the flow points its `arrows` draw, counted
+    /// from the ledger. Called just before [`observe`](Self::observe)
+    /// closes the step's sample.
+    pub(crate) fn charge_trace(&mut self, trace: &TraceStore, arrows: &FlowArrows, epoch: u64) {
+        let recs = trace.step_records(epoch);
+        let spans = recs.spans.len() as u64;
+        let instants = recs.instants.len() as u64;
+        let flow_points = arrows.count(epoch) as u64;
+        self.meter.charge_ops("trace", spans, overhead::SPAN_RECORD_S);
+        self.meter.charge_ops("trace", instants, overhead::INSTANT_RECORD_S);
+        self.meter.charge_ops("trace", flow_points, overhead::FLOW_POINT_S);
+    }
+
     /// One step's streaming over the cluster's `trace` and `registry`:
-    /// price the step's observability work (`rules` health rules evaluated
-    /// against every gauge), publish the step's frames, and close the
-    /// overhead sample. `fired` is the alert transitions the monitor raised
+    /// price the rest of the step's observability work (`rules` health
+    /// rules evaluated against every gauge), publish the step's frames,
+    /// and close the overhead sample. `fired` is the alert transitions the monitor raised
     /// this step (published as must-deliver frames). Returns the step's
     /// overhead fraction for the budget rule.
     pub(crate) fn observe(
@@ -121,17 +136,10 @@ impl StreamTap {
         let (step, epoch) = (facts.step, facts.epoch);
         let at = trace.makespan();
 
-        // Price what the observability stack did this step, from the
-        // observable op counts: the trace events the step recorded, the
-        // gauges the registry carries, and the rule evaluations the
-        // monitor performed.
-        let recs = trace.step_records(epoch);
-        let spans = recs.spans.len() as u64;
-        let instants = recs.instants.len() as u64;
-        let flow_points = recs.flow_points.len() as u64;
-        self.meter.charge_ops("trace", spans, overhead::SPAN_RECORD_S);
-        self.meter.charge_ops("trace", instants, overhead::INSTANT_RECORD_S);
-        self.meter.charge_ops("trace", flow_points, overhead::FLOW_POINT_S);
+        // Price the rest of what the observability stack did this step,
+        // from the observable op counts (the trace's share is charged by
+        // `charge_trace`): the gauges the registry carries, and the rule
+        // evaluations the monitor performed.
         let gauges = registry.gauges().count() as u64;
         self.meter.charge_ops("metrics", gauges, overhead::GAUGE_SAMPLE_S);
         self.meter.charge_ops("health", rules as u64 * gauges, overhead::RULE_EVAL_S);

@@ -88,7 +88,8 @@ fn exposed_comm_is_the_unhidden_share_of_comm() {
     let mut c = comm_heavy_cluster();
     c.step();
     let (trace, step) = (c.trace(), c.trace().last_step().unwrap());
-    let exposed = exposed_comm(trace, step, c.flow_ledger().for_epoch(step));
+    let times = c.flow_arrows().times(step);
+    let exposed = exposed_comm(trace, step, c.flow_ledger().for_epoch(step), &times);
     for (rank, hidden) in hidden_comm_fractions(trace, step) {
         let spans = trace.step_records(step).spans.iter();
         let comm: f64 = (spans.filter(|s| s.rank == rank && s.lane == Lane::Comm))

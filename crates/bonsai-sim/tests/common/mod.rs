@@ -91,12 +91,15 @@ fn every_fault_event_names_its_flow(c: &Cluster) {
 
 /// Every fault instant sits on its flow: an `inject:` or `recover:`
 /// instant that carries a flow id has, bit for bit, the `at` of one point
-/// of that flow in its step. An injection at attempt k and the flow's k-th
-/// retransmission sit on the point of attempt k (`Start` for k = 0, the
-/// k-th `Step` after it); any other recovery sits on the flow's `Finish`,
-/// which every flow of a completed epoch has.
+/// of that flow as its step's arrows draw. An injection at attempt k and
+/// the flow's k-th retransmission sit on the point of attempt k (`Start`
+/// for k = 0, the k-th `Step` after it); any other recovery sits on the
+/// flow's `Finish`, which every flow of a completed epoch has. The live
+/// trace itself holds no arrow.
 fn every_fault_instant_sits_on_its_flow(c: &Cluster) {
-    let trace = c.trace();
+    let (trace, arrows) = (c.trace(), c.flow_arrows());
+    assert!(trace.flow_points().is_empty(), "the live trace holds arrows");
+    let mut drawn = HashMap::new();
     let arg = |args: &[(&str, ArgValue)], key: &str| {
         args.iter().find_map(|(k, v)| match v {
             ArgValue::U64(x) if *k == key => Some(*x),
@@ -106,7 +109,8 @@ fn every_fault_instant_sits_on_its_flow(c: &Cluster) {
     let mut retries: HashMap<u64, u64> = HashMap::new();
     for i in trace.instants() {
         let Some(flow) = arg(&i.args, "flow") else { continue };
-        let points = trace.step_records(i.step).flow_points.iter().filter(|p| p.id == flow);
+        let step = drawn.entry(i.step).or_insert_with(|| arrows.points(i.step));
+        let points = step.iter().filter(|p| p.id == flow);
         let mut attempts = points.clone().filter(|p| p.phase != FlowPhase::Finish);
         let point = if i.name.starts_with("inject:") {
             attempts.nth(arg(&i.args, "attempt").expect("an injection names its attempt") as usize)

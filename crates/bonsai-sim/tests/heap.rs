@@ -1,0 +1,108 @@
+//! The live heap a long run holds once its history window is full, counted
+//! by this binary's own global allocator.
+//!
+//! A run keeps the last [`TRACE_WINDOW`] epochs of trace, flow ledger and
+//! exchange windows, so once the window fills its live heap should stop
+//! growing — and what the window holds per epoch is what a thin run (many
+//! ranks, few particles each, tens of thousands of flows an epoch at
+//! R = 64) pays for its history. The bound below is what the cluster holds
+//! with one record per flow (the ledger's) and no stored arrow points; a
+//! second per-flow copy in the window breaks it.
+//!
+//! The counter is process-wide, so the tests of this binary take turns
+//! (`one_at_a_time`).
+
+use bonsai_ic::plummer_sphere;
+use bonsai_obs::TRACE_WINDOW;
+use bonsai_sim::{Cluster, ClusterConfig};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+use std::sync::{Mutex, MutexGuard};
+
+/// The system allocator, counting the bytes it has handed out and not had
+/// back.
+struct Counting;
+
+/// Bytes allocated and not yet freed: a statistic that publishes no other
+/// data, so `Relaxed` suffices.
+static LIVE: AtomicUsize = AtomicUsize::new(0);
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds `GlobalAlloc`'s contract under the same caller guarantees; the
+// counting touches no memory it hands out.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        // SAFETY: the caller's `layout` has a non-zero size, as `alloc` requires.
+        let p = unsafe { System.alloc(layout) };
+        if !p.is_null() {
+            LIVE.fetch_add(layout.size(), Relaxed);
+        }
+        p
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        // SAFETY: as in `alloc`.
+        let p = unsafe { System.alloc_zeroed(layout) };
+        if !p.is_null() {
+            LIVE.fetch_add(layout.size(), Relaxed);
+        }
+        p
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: the caller passes a block this allocator (so `System`)
+        // handed out, with the layout it was allocated with.
+        unsafe { System.dealloc(ptr, layout) };
+        LIVE.fetch_sub(layout.size(), Relaxed);
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        // SAFETY: as in `dealloc`, and `new_size` is what the caller vouches
+        // for under `realloc`'s contract.
+        let p = unsafe { System.realloc(ptr, layout, new_size) };
+        if !p.is_null() {
+            LIVE.fetch_add(new_size, Relaxed);
+            LIVE.fetch_sub(layout.size(), Relaxed);
+        }
+        p
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// Bytes allocated and not yet freed, process-wide (every allocation of the
+/// process goes through the counter, so it never goes below zero).
+fn live() -> usize {
+    LIVE.load(Relaxed)
+}
+
+/// Serialises the tests of this binary: each reads a process-wide counter.
+fn one_at_a_time() -> MutexGuard<'static, ()> {
+    static TURN: Mutex<()> = Mutex::new(());
+    TURN.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
+#[test]
+fn a_thin_run_holds_its_window_in_a_bounded_heap() {
+    let _turn = one_at_a_time();
+    // Thin: 32 ranks of 64 particles each, about 4 000 flows an epoch.
+    let (n, ranks) = (2048, 32);
+    let before = live();
+    let mut c = Cluster::new(plummer_sphere(n, 7), ranks, ClusterConfig::default());
+    for _ in 0..TRACE_WINDOW + 4 {
+        c.step();
+    }
+    let full = live() - before;
+    // The window is full: two more steps evict as much as they record.
+    c.step();
+    c.step();
+    let later = live() - before;
+    let flows = c.flow_ledger().len();
+    eprintln!("live heap {full} B with the window full, {later} B two steps later; {flows} flows held");
+    assert!(flows > 8 * 2_000, "not a thin run: {flows} flows in the window");
+    // About 3.6 MB, half of it the ledger's 56 B records; storing the
+    // arrows' 48 B points beside them takes it to 6.7 MB.
+    const BOUND: usize = 4_500_000;
+    assert!(full <= BOUND && later <= BOUND, "live heap {full} B / {later} B over {BOUND} B");
+}

@@ -104,17 +104,26 @@ BONSAI_THREADS=3 cargo test -q --release -p bonsai-sim --test invariants -- --ig
 # every epoch, a LET lost through the budget, a rank silent through every
 # replay) at three lanes too: tier-1 runs them on the default pool only.
 BONSAI_THREADS=3 cargo test -q --release -p bonsai-sim --test robustness
-# The exact-window tests at three lanes too: the trace and the flow ledger
-# evict one epoch inside every pool-driven epoch, and must hold exactly the
-# last window after every step and every aborted epoch. The LET frame tests
+# The exact-window tests at three lanes too: the trace, the flow ledger and
+# the exchange windows evict one epoch inside every pool-driven epoch, and
+# must hold exactly the last window after every step and every aborted
+# epoch, each epoch's arrows drawn the same to its window's end. The LET frame tests
 # too: receivers walk frames that share their senders' buffers, and the
 # order in which those handles are dropped differs with the lane count.
 BONSAI_THREADS=3 cargo test -q --release -p bonsai-sim --lib -- \
   cluster::tests::trace_history_is_a_bounded_window \
   cluster::tests::flow_history_is_a_bounded_window \
   cluster::tests::epochs_that_never_complete_still_evict \
+  cluster::tests::arrows_drawn_at_the_end_of_their_window_are_those_drawn_first \
   cluster::tests::large_let_frame_buffers_go_back_to_their_senders \
   cluster::tests::let_frames
+
+# The live heap of a thin run once its history window is full, counted by
+# the test binary's own allocator: a second per-flow copy in the window (the
+# arrows' points stored beside the ledger) breaks its bound. On the shipped
+# code generation, and at three lanes, whose pool allocates too.
+cargo test -q --release -p bonsai-sim --test heap
+BONSAI_THREADS=3 cargo test -q --release -p bonsai-sim --test heap
 
 echo "== benchmark package: build + unit tests + 2-step smoke test =="
 # benchmark/ is its own workspace on path dependencies and may not be edited
