@@ -64,13 +64,15 @@
 //!
 //! | rank task (pure; any thread, any order) | driver effect (serial, in contract order) |
 //! |---|---|
-//! | seal a sender's first transmissions, under flow ids handed out by a prefix sum of the senders' first-transmission counts (silent 0, broadcast `members − 1`, a `To` list its length) | the ledger's `seal`, asserting the pre-assigned id; the fault decision and its log record; channel sends; `flush_reordered` |
-//! | once every member's inbox is drained: `envelope::open`, the epoch / kind checks, the sender check against what the outboxes owe, and a speculative `parse` of each frame | the duplicate check against what the receiver already holds; `flows.deliver`; every log record |
+//! | seal the first transmissions of a sender that makes any (a task per such sender), under flow ids handed out by a prefix sum of the senders' first-transmission counts (silent 0, broadcast `members − 1`, a `To` list its length) | the ledger's `seal`, asserting the pre-assigned id; the fault decision and its log record; channel sends; `flush_reordered` |
+//! | once every member's inbox is drained, a task per frame: `envelope::open`, the epoch / kind checks, the sender check against what the outboxes owe, and a speculative `parse` | the duplicate check against what the receiver already holds; `flows.deliver`; every log record |
 //! | — | retransmissions: a new header beside the kept buffer, sealed and sent on the driver |
 //!
 //! A task's result is a function of its inputs and the driver consumes the
-//! results in rank order, so the log, the ledger and the received lists are
-//! the same whichever order and however many lanes the tasks ran on. The
+//! results in contract order (senders ascending; frames receiver-ascending,
+//! in arrival order per receiver), so the log, the ledger and the received
+//! lists are the same whichever order and however many lanes the tasks ran
+//! on. The
 //! only price of speculation is parsing a duplicate that is then discarded.
 //! [`Inline`] runs the tasks in order on the caller's thread; this crate
 //! depends on no thread pool, and `bonsai-sim` passes a pool-backed
@@ -309,13 +311,17 @@ pub fn exchange<T: Send>(
         .chain(silent.flat_map(|&from| members.iter().filter(move |&&to| to != from).map(move |&to| (to, from))))
         .collect();
     owed.sort_unstable();
+    // One task per sender that has a frame: a sparse round seals nothing
+    // for the members that owe nobody.
+    let bursts: Vec<_> = bursts.into_iter().filter(|(_, sends)| !sends.is_empty()).collect();
     let sealed = lanes.map(bursts, |((from, burst_first), sends)| {
-        (sends.into_iter().zip(burst_first..))
-            .map(|((to, body), flow)| (to, flow, (seal_header(kind, from, epoch, flow, 0, body), body.clone())))
-            .collect::<Vec<_>>()
+        let frames = (sends.into_iter().zip(burst_first..))
+            .map(|((to, body), flow)| (to, flow, (seal_header(kind, from, epoch, flow, 0, body), body.clone())));
+        (from, frames.collect::<Vec<_>>())
     });
-    for (&from, burst) in members.iter().zip(sealed) {
-        for (to, flow, frame) in burst {
+    let mut sealed = sealed.into_iter().peekable();
+    for &from in members {
+        for (to, flow, frame) in sealed.next_if(|(sender, _)| *sender == from).into_iter().flat_map(|b| b.1) {
             wire.send_sealed(from, to, kind, epoch, flow, frame);
         }
         wire.flush_reordered(from);
@@ -337,38 +343,36 @@ pub fn exchange<T: Send>(
     };
     let mut attempt = 0u32;
     loop {
-        let inboxes: Vec<(usize, Vec<Message>)> = (members.iter())
-            .map(|&to| (to, std::iter::from_fn(|| wire.try_recv(to)).collect()))
+        // Every drained frame, receiver-ascending and in arrival order per
+        // receiver; one task each, so a round whose frames all go to one
+        // receiver still spreads them over the lanes.
+        let drained: &Wire = wire;
+        let inbox: Vec<(usize, Message)> = (members.iter())
+            .flat_map(|&to| std::iter::from_fn(move || drained.try_recv(to)).map(move |msg| (to, msg)))
             .collect();
-        let checked = lanes.map(inboxes, |(to, frames)| {
-            (frames.iter())
-                .map(|msg| check(round, &owed, to, msg, &parse))
-                .collect::<Vec<_>>()
-        });
-        for (&to, frames) in members.iter().zip(checked) {
-            let got = &mut out.received[to];
-            for frame in frames {
-                let (from, flow, seq, parsed) = match frame {
-                    Checked::Refused(peer, action, why) => {
-                        record(&mut wire.log, to, peer, action, why);
-                        continue;
-                    }
-                    Checked::Expected { from, flow, seq, parsed } => (from, flow, seq, parsed),
-                };
-                match (got.binary_search_by_key(&from, |e| e.0), parsed) {
-                    (Ok(_), _) => {
-                        let extra = round.duplicate.to_string();
-                        record(&mut wire.log, to, from, RecoveryAction::DiscardDuplicate, extra);
-                    }
-                    (Err(at), Ok(value)) => {
-                        // Validated arrival closes the flow's lifecycle; the
-                        // id rode inside the envelope, so reordered and
-                        // delayed frames settle their own flow.
-                        wire.flows.deliver(flow, seq);
-                        got.insert(at, (from, value));
-                    }
-                    (Err(_), Err((action, why))) => record(&mut wire.log, to, from, action, why),
+        let checked = lanes.map(inbox, |(to, msg)| (to, check(round, &owed, to, &msg, &parse)));
+        for (to, frame) in checked {
+            let (from, flow, seq, parsed) = match frame {
+                Checked::Refused(peer, action, why) => {
+                    record(&mut wire.log, to, peer, action, why);
+                    continue;
                 }
+                Checked::Expected { from, flow, seq, parsed } => (from, flow, seq, parsed),
+            };
+            let got = &mut out.received[to];
+            match (got.binary_search_by_key(&from, |e| e.0), parsed) {
+                (Ok(_), _) => {
+                    let extra = round.duplicate.to_string();
+                    record(&mut wire.log, to, from, RecoveryAction::DiscardDuplicate, extra);
+                }
+                (Err(at), Ok(value)) => {
+                    // Validated arrival closes the flow's lifecycle; the id
+                    // rode inside the envelope, so reordered and delayed
+                    // frames settle their own flow.
+                    wire.flows.deliver(flow, seq);
+                    got.insert(at, (from, value));
+                }
+                (Err(_), Err((action, why))) => record(&mut wire.log, to, from, action, why),
             }
         }
         out.missing = (owed.iter().copied())
@@ -852,6 +856,60 @@ mod tests {
             out.reverse();
             out
         }
+    }
+
+    /// Runs the rank tasks as [`Reversed`] does and records how many tasks
+    /// each fan-out had.
+    #[derive(Default)]
+    struct Counted(std::sync::Mutex<Vec<usize>>);
+
+    impl Lanes for Counted {
+        fn map<T: Send, R: Send>(&self, items: Vec<T>, f: impl Fn(T) -> R + Sync) -> Vec<R> {
+            self.0.lock().unwrap().push(items.len());
+            Reversed.map(items, f)
+        }
+    }
+
+    #[test]
+    fn a_round_to_one_receiver_is_checked_a_task_per_frame() {
+        // Ranks 0, 1, 3, 4 and 5 each owe rank 2 one payload; rank 2 owes
+        // nobody. Rank 0's frame is duplicated, rank 3's corrupted and
+        // rank 4's truncated on the first attempt.
+        let plan = [(FaultKind::Duplicate, 0), (FaultKind::Corrupt, 3), (FaultKind::Truncate, 4)]
+            .into_iter()
+            .fold(FaultPlan::new(1), |plan, (fault, from)| {
+                let (epoch, from, to, kind, attempts) = (EPOCH, Some(from), Some(2), None, 0..1);
+                plan.with_injection(Injection { epoch, from, to, kind, fault, attempts })
+            });
+        let outbox: Vec<Outbox> = (0..6)
+            .map(|from| match from {
+                2 => Outbox::To(vec![]),
+                _ => Outbox::To(vec![(2, Bytes::from(vec![from as u8; 64]))]),
+            })
+            .collect();
+        let members = [0, 1, 2, 3, 4, 5];
+        let run = |lanes: &dyn Fn(&mut Wire) -> Exchanged<Vec<u8>>| {
+            let mut wire = Wire::new(6, plan.clone());
+            let got = lanes(&mut wire);
+            (got.received, got.missing, wire.log.render(), recoveries(&wire))
+        };
+        let counted = Counted::default();
+        let spread = run(&|wire| exchange(wire, &counted, &members, &PHASE, &outbox, bytes));
+        let inline = run(&|wire| exchange(wire, &Inline, &members, &PHASE, &outbox, bytes));
+        assert_eq!(spread, inline, "verdicts or log order moved with the fan-out");
+        // Five bursts sealed, none for the receiver; six frames checked one
+        // task each (rank 0's twice); then the two frames sent again.
+        assert_eq!(*counted.0.lock().unwrap(), [5, 6, 2]);
+        let (received, missing, _, events) = spread;
+        let from: Vec<usize> = received[2].iter().map(|e| e.0).collect();
+        assert_eq!((from, missing), (vec![0, 1, 3, 4, 5], vec![]));
+        // The discards in arrival order, then the retransmissions in
+        // `(to, from)` order.
+        let events: Vec<_> = events.into_iter().map(|(action, rank, peer, _)| (action, rank, peer)).collect();
+        let (duplicate, corrupt, again) =
+            (RecoveryAction::DiscardDuplicate, RecoveryAction::DiscardCorrupt, RecoveryAction::Retransmit);
+        let expected = [(duplicate, 0), (corrupt, 3), (corrupt, 4), (again, 3), (again, 4)];
+        assert_eq!(events, expected.map(|(action, peer)| (action, 2, peer)));
     }
 
     type Delivered = (Vec<Vec<(usize, Vec<u8>)>>, Vec<(usize, usize)>, usize);

@@ -8,8 +8,7 @@
 //! | [`migrate`](Cluster::migrate) | Domain update | §III-B1: particle exchange; the stayers keep their keys, received migrants are keyed | `Particles`, every pair, possibly empty |
 //! | [`build`](Cluster::build) | Sorting, Tree-construction, Tree-properties | §III-A: sorts the carried keys | — |
 //! | [`boundaries`](Cluster::boundaries) | Domain update | §III-B2: boundary trees, allgatherv | `Boundary` broadcast, one shared payload with a header per receiver; every receiver validates its frame in place and drops it |
-//! | [`lets`](Cluster::lets) | (Non-hidden) LET comm | §III-B2: sufficiency check — a pure function of two boundary trees every rank holds bit-identically, decided once per ordered pair — and dedicated LETs for near neighbours | `Let`, sparse: a receiver waits for exactly the senders whose outbox names it; each LET is encoded once into the buffer its header travels beside, and the receiver validates that buffer in place and keeps it, decoding nothing |
-//! | [`walk`](Cluster::walk) | Gravity local, Gravity LETs | §III-A, §III-B2: one walk per rank over the local tree and, per peer, its dedicated LET, read in the frame it arrived in, else (the boundary sufficed) the sender's own boundary tree; then the senders take their frame buffers back | — |
+//! | [`let_rounds`](Cluster::let_rounds) | (Non-hidden) LET comm, Gravity local, Gravity LETs | §III-B2: sufficiency check — a pure function of two boundary trees every rank holds bit-identically, decided once per ordered pair; then one round per receiver: its near neighbours' dedicated LETs, and its walk (§III-A) over the local tree and, per peer, that LET, read in the frame it arrived in, else (the boundary sufficed) the sender's own boundary tree, beside the next receiver's round; then the senders take their frame buffers back | `Let`, one round per receiver: it waits for exactly the senders whose outbox names it; each LET is encoded once into the buffer its header travels beside, and the receiver validates that buffer in place and keeps it through its walk, decoding nothing |
 //! | [`store`](Cluster::store) | Unbalance + other | §III-B1: flop weights for the next step's sampling | — |
 //!
 //! A particle's key is computed once an epoch, where the domains are
@@ -53,45 +52,51 @@ impl Lanes for PoolLanes {
     }
 }
 
-/// The smallest LET frame buffer a sender keeps for its next epoch. A frame
-/// buffer of this size or more is one the allocator maps on its own or
-/// that sits at the heap top it trims, so freeing it each epoch and writing
-/// the next frame into a new one faults its pages in again (`mw_r8`'s
-/// frames). Smaller frames come back from the allocator's free lists at no
-/// page cost, and keeping them only pins memory between epochs (`mw_r64_thin`'s
-/// few-KiB frames: +7 MB of peak resident memory when all were kept).
-pub(super) const KEEP_FRAME_BYTES: usize = 64 * 1024;
-
-/// Per sender: the LET frame buffers it kept from the last epoch to encode
-/// the next frames to the same receivers into, `(receiver, buffer)`
-/// ascending by receiver. A buffer only ever holds one (sender, receiver)
-/// pair's frames, so it keeps to that pair's size ([`fit`]).
-pub(super) type KeptFrames = Vec<Vec<(usize, Vec<u8>)>>;
-
-/// Size a kept buffer to `len` bytes, its contents left to be overwritten.
-/// A buffer too small for the frame, or more than a quarter too large, is
-/// replaced by a zeroed one of exactly `len` bytes (what `to_bytes` would
-/// allocate), so a kept buffer stays within 1.25× its pair's last frame
-/// and its old bytes are never copied.
-fn fit(buf: &mut Vec<u8>, len: usize) {
-    if buf.capacity() < len || buf.capacity() > len + len / 4 {
-        *buf = vec![0; len];
+/// A sender's dedicated LET for a receiver whose frontier is `geom`, built
+/// into `scratch` (whatever LET it held) and encoded straight into `buf`, a
+/// frame buffer of the sender's: the payload the exchange seals a header
+/// beside, equal to `build_let(tree, geom, theta).to_bytes()`. A too small
+/// buffer is replaced by a zeroed one of the LET's size, a larger one keeps
+/// its capacity (frames to near and far receivers differ in size), and old
+/// bytes are never copied.
+pub(super) fn let_frame(tree: &Tree, geom: &[Aabb], theta: f64, scratch: &mut LetTree, mut buf: Vec<u8>) -> Bytes {
+    build_let_into(tree, geom, theta, scratch);
+    let len = scratch.wire_size();
+    if buf.capacity() < len {
+        buf = vec![0; len];
     } else {
         buf.resize(len, 0);
     }
-}
-
-/// A sender's dedicated LET for a receiver whose frontier is `geom`, built
-/// into `scratch` (the sender's tree for every LET it builds) and encoded
-/// straight into `buf` (whatever it held, a frame buffer kept from an
-/// earlier epoch), sized to the LET's wire size: the payload the exchange
-/// seals a header beside. It equals `build_let(tree, geom, theta).to_bytes()`
-/// byte for byte.
-pub(super) fn let_frame(tree: &Tree, geom: &[Aabb], theta: f64, scratch: &mut LetTree, mut buf: Vec<u8>) -> Bytes {
-    build_let_into(tree, geom, theta, scratch);
-    fit(&mut buf, scratch.wire_size());
     scratch.write_to(&mut buf);
     Bytes::from(buf)
+}
+
+/// Receiver `to`'s LET frames, ascending by sender: each of `senders`
+/// writes its LET for `to` into its frame buffer of `to`'s parity, on the
+/// pool. A round's k-th sender builds into the k-th `scratch` tree.
+fn let_frames(
+    trees: &[Tree],
+    geom: &[Aabb],
+    theta: f64,
+    (to, senders): (usize, &[usize]),
+    bufs: &mut [[Vec<u8>; 2]],
+    scratch: &mut Vec<LetTree>,
+) -> Vec<(usize, Bytes)> {
+    scratch.resize_with(scratch.len().max(senders.len()), LetTree::default);
+    let jobs: Vec<_> = (senders.iter().zip(scratch.iter_mut()))
+        .map(|(&i, scratch)| (i, scratch, std::mem::take(&mut bufs[i][to % 2])))
+        .collect();
+    (jobs.into_par_iter())
+        .map(|(i, scratch, buf)| (i, let_frame(&trees[i], geom, theta, scratch, buf)))
+        .collect()
+}
+
+/// A receiver's round: its LETs, validated in the frames they arrived in,
+/// and the outboxes whose buffers those share.
+struct Delivered {
+    to: usize,
+    received: Vec<(usize, LetFrame)>,
+    sent: Vec<Outbox>,
 }
 
 /// One rank's walk results.
@@ -130,14 +135,8 @@ impl Cluster {
         };
         let trees = self.build(&keymap, keys);
         let boundaries = self.boundaries(&trees, &mut meas)?;
-        let mut sent = Vec::new();
-        // The received frames share the senders' buffers: the walk reads
-        // them, and only once it has dropped them are the buffers the
-        // senders' alone to keep for the next epoch.
-        let forces = (self.lets(&trees, &boundaries, &mut sent, &mut meas))
-            .map(|lets| self.walk(&trees, &boundaries, &lets));
-        self.kept_frames = keep_frames(sent);
-        Ok(self.store(trees, forces?, meas))
+        let forces = self.let_rounds(&trees, &boundaries, &mut meas)?;
+        Ok(self.store(trees, forces, meas))
     }
 
     /// One collective among all ranks in the current epoch, logged in the
@@ -324,104 +323,92 @@ impl Cluster {
         Ok(boundaries)
     }
 
-    /// Sufficiency checks + dedicated LETs. Whether sender i owes receiver
-    /// j a LET is a pure function of two trees every rank holds
-    /// bit-identically, decided once per ordered pair: the senders'
-    /// outboxes are all a receiver waits for, so no message says which LETs
-    /// are in flight. Returns the LETs each rank received, ascending by sender,
-    /// each validated in the frame it arrived in, or `Err(sender)` for a
-    /// sender whose LET stayed missing through the retry budget: the same
-    /// event as a peer silent on the heartbeat. `sent` is left holding the
-    /// senders' outboxes, whose buffers the received frames share.
-    fn lets(
+    /// Sufficiency checks, then the dedicated LETs one receiver at a time.
+    /// Whether sender i owes receiver j a LET is a pure function of two
+    /// trees every rank holds bit-identically, decided once per ordered
+    /// pair: the senders' outboxes are all a receiver waits for. Then for
+    /// each receiver j: its senders write their LETs ([`let_frames`]), one
+    /// `Let` round carries exactly those, validated in place; j walks them
+    /// ([`walk_rank`]) beside round j + 1 ([`rayon::join`]: the lanes the
+    /// walk leaves idle work on the round); j's frames are dropped and their
+    /// buffers go back to their senders, which keep one for even receivers
+    /// and one for odd. At most two receivers' frames exist at once.
+    /// `Err(sender)` for a LET missing through the retry budget, as for a
+    /// peer silent on the heartbeat; no later round runs.
+    fn let_rounds(
         &mut self,
         trees: &[Tree],
         boundaries: &[LetTree],
-        sent: &mut Vec<Outbox>,
         meas: &mut StepMeasurements,
-    ) -> Result<Vec<Vec<(usize, LetFrame)>>, usize> {
-        let theta = self.cfg.theta;
-        // Each rank's frontier geometry and its hull, once: what its
-        // senders build for and check their boundaries against.
+    ) -> Result<Vec<RankForces>, usize> {
+        let (p, theta) = (trees.len(), self.cfg.theta);
+        let params = WalkParams { theta, eps: self.cfg.eps, g: self.cfg.g, use_quadrupole: true };
+        // Each rank's frontier geometry, once: what its senders build for.
         let geoms: Vec<Vec<Aabb>> = boundaries.par_iter().map(LetTree::frontier_boxes).collect();
-        let hulls: Vec<Aabb> = geoms.iter().map(|geom| hull_of(geom)).collect();
-        let owed: Vec<Vec<usize>> = (boundaries.par_iter())
-            .enumerate()
-            .map(|(i, bi)| {
-                if bi.is_empty() {
+        // Per receiver, ascending, the senders whose boundary does not
+        // suffice for it, each checked against the receiver's hull first.
+        let owing: Vec<Vec<usize>> = (geoms.par_iter().enumerate())
+            .map(|(j, geom)| {
+                if geom.is_empty() {
                     return Vec::new();
                 }
-                (geoms.iter().zip(&hulls).enumerate())
-                    .filter(|&(j, (geom_j, _))| j != i && !geom_j.is_empty())
-                    .filter(|(_, (geom_j, hull_j))| !boundary_sufficient_within(bi, geom_j, hull_j, theta))
-                    .map(|(j, _)| j)
+                let hull = hull_of(geom);
+                (boundaries.iter().enumerate())
+                    .filter(|&(i, bi)| i != j && !bi.is_empty())
+                    .filter(|(_, bi)| !boundary_sufficient_within(bi, geom, &hull, theta))
+                    .map(|(i, _)| i)
                     .collect()
             })
             .collect();
-        let mut kept = std::mem::take(&mut self.kept_frames);
-        kept.resize_with(trees.len(), Vec::new);
-        let encoded: Vec<Vec<(usize, Bytes)>> = (trees.par_iter().zip(owed.par_iter()))
-            .zip(kept.into_par_iter())
-            .map(|((tree, owed), kept)| {
-                let mut kept = kept.into_iter().peekable();
-                let mut scratch = LetTree::default();
-                (owed.iter())
-                    .map(|&j| {
-                        while kept.next_if(|&(to, _)| to < j).is_some() {}
-                        let buf = kept.next_if(|&(to, _)| to == j).map(|(_, buf)| buf);
-                        (j, let_frame(tree, &geoms[j], theta, &mut scratch, buf.unwrap_or_default()))
-                    })
-                    .collect()
-            })
-            .collect();
-        for (i, frames) in encoded.iter().enumerate() {
-            meas.let_bytes_sent[i] = frames.iter().map(|(_, f)| f.len()).sum();
-            meas.let_neighbors[i] = frames.len();
-        }
-        *sent = encoded.into_iter().map(Outbox::To).collect();
-        self.exchange(MsgKind::Let, sent, |_, b| LetFrame::new(b.clone()).map_err(|e| refusal("LET", e))).complete()
-    }
-
-    /// Force walks, one [`walk::walk_sources`] call per rank over its
-    /// sources in order: the local tree, then each peer with a non-empty
-    /// boundary in sender order — its dedicated LET, read in the frame it
-    /// arrived in, if it owed one, else its boundary, which sufficed. No
-    /// walk opens a `Cut` node: a boundary is walked only where it
-    /// sufficed, and a dedicated LET was built for the receiver's frontier
-    /// (checked in debug builds).
-    fn walk(
-        &self,
-        trees: &[Tree],
-        boundaries: &[LetTree],
-        received: &[Vec<(usize, LetFrame)>],
-    ) -> Vec<RankForces> {
-        let params = WalkParams {
-            theta: self.cfg.theta,
-            eps: self.cfg.eps,
-            g: self.cfg.g,
-            use_quadrupole: true,
-        };
-        (trees.par_iter().zip(received.par_iter()))
-            .enumerate()
-            .map(|(me, (tree, dedicated))| {
-                let peers = boundaries.iter().enumerate();
-                let remote = (peers.filter(|&(i, bi)| i != me && !bi.is_empty())).map(|(i, bi)| {
-                    match received_from(dedicated, i) {
-                        Some(frame) => Source::Records(frame.records()),
-                        None => Source::Tree(bi.view()),
+        let mut bufs = std::mem::take(&mut self.let_buffers);
+        bufs.resize_with(p, Default::default);
+        let (mut largest, mut scratch) = (vec![0; p], Vec::new());
+        let mut forces = Vec::with_capacity(p);
+        let mut walking: Option<Delivered> = None;
+        // One turn more than receivers: the last walks the last round.
+        for round in (geoms.iter().zip(&owing).enumerate()).map(Some).chain([None]) {
+            let last = walking.take();
+            let (next, walked) = rayon::join(
+                || -> Result<Option<Delivered>, usize> {
+                    let Some((j, (geom, senders))) = round else { return Ok(None) };
+                    let frames = let_frames(trees, geom, theta, (j, senders), &mut bufs, &mut scratch);
+                    for (i, frame) in &frames {
+                        meas.let_bytes_sent[*i] += frame.len();
+                        meas.let_neighbors[*i] += 1;
+                        largest[*i] = largest[*i].max(frame.len());
                     }
-                });
-                let sources: Vec<Source> = std::iter::once(Source::Tree(tree.view())).chain(remote).collect();
-                let (forces, stats) =
-                    walk::walk_sources(&sources, &tree.particles.pos, &tree.groups, &params);
-                debug_assert!(stats.iter().all(|st| st.forced_cuts == 0), "rank {me} forced a cut");
-                RankForces {
-                    forces,
-                    local: stats[0].counts,
-                    lets: stats[1..].iter().map(|st| st.counts).sum(),
+                    let mut frames = frames.into_iter().peekable();
+                    let sent: Vec<Outbox> = (0..p)
+                        .map(|i| Outbox::To(frames.next_if(|f| f.0 == i).map(|(_, f)| (j, f)).into_iter().collect()))
+                        .collect();
+                    let parse = |_, b: &Bytes| LetFrame::new(b.clone()).map_err(|e| refusal("LET", e));
+                    let received = self.exchange(MsgKind::Let, &sent, parse).complete()?.swap_remove(j);
+                    Ok(Some(Delivered { to: j, received, sent }))
+                },
+                || last.map(|d| (walk_rank(&params, d.to, &trees[d.to], boundaries, &d.received), d.to, d.sent)),
+            );
+            if let Some((rank_forces, to, sent)) = walked {
+                forces.push(rank_forces);
+                // Every receiver's handle is gone; a frame a fault still
+                // holds keeps its buffer, and the sender writes its next
+                // frame of that parity into a new one.
+                for (buf, sent) in bufs.iter_mut().zip(sent) {
+                    if let Outbox::To(sent) = sent {
+                        if let Some(Ok(back)) = sent.into_iter().next().map(|(_, f)| f.try_into_vec()) {
+                            buf[to % 2] = back;
+                        }
+                    }
                 }
-            })
-            .collect()
+            }
+            walking = next?;
+        }
+        // A buffer more than a quarter larger than its sender's largest
+        // frame of the epoch is let go: a kept one stays within 1.25× of it.
+        for (pair, &len) in bufs.iter_mut().zip(&largest) {
+            pair.iter_mut().filter(|buf| buf.capacity() > len + len / 4).for_each(|buf| *buf = Vec::new());
+        }
+        self.let_buffers = bufs;
+        Ok(forces)
     }
 
     /// Store state back, update the flop weights, charge the measurements
@@ -455,6 +442,34 @@ impl Cluster {
     }
 }
 
+/// Rank `me`'s forces: one [`walk::walk_sources`] call over its sources in
+/// order — the local tree, then each peer with a non-empty boundary in
+/// sender order: its dedicated LET, read in the frame it arrived in, if it
+/// owed one, else its boundary, which sufficed. No walk opens a `Cut` node:
+/// a boundary is walked only where it sufficed, and a dedicated LET was
+/// built for the receiver's frontier (checked in debug builds).
+fn walk_rank(
+    params: &WalkParams,
+    me: usize,
+    tree: &Tree,
+    boundaries: &[LetTree],
+    dedicated: &[(usize, LetFrame)],
+) -> RankForces {
+    let peers = boundaries.iter().enumerate();
+    let remote = (peers.filter(|&(i, bi)| i != me && !bi.is_empty())).map(|(i, bi)| match received_from(dedicated, i) {
+        Some(frame) => Source::Records(frame.records()),
+        None => Source::Tree(bi.view()),
+    });
+    let sources: Vec<Source> = std::iter::once(Source::Tree(tree.view())).chain(remote).collect();
+    let (forces, stats) = walk::walk_sources(&sources, &tree.particles.pos, &tree.groups, params);
+    debug_assert!(stats.iter().all(|st| st.forced_cuts == 0), "rank {me} forced a cut");
+    RankForces {
+        forces,
+        local: stats[0].counts,
+        lets: stats[1..].iter().map(|st| st.counts).sum(),
+    }
+}
+
 fn aabb_to_bytes(b: &Aabb) -> Vec<u8> {
     let mut v = Vec::with_capacity(48);
     for f in [b.min.x, b.min.y, b.min.z, b.max.x, b.max.y, b.max.z] {
@@ -485,22 +500,6 @@ fn refusal(what: &str, invalid: Invalid) -> String {
         Invalid::Encoding => format!("{what} wire decode failed"),
         Invalid::Invariant(why) => format!("{what} invariants: {why}"),
     }
-}
-
-/// Each sender's LET frame buffers worth keeping for its next epoch
-/// ([`KeptFrames`]): a buffer of at least [`KEEP_FRAME_BYTES`] that nothing
-/// else holds. Every receiver's handle is gone once the walk has run, unless
-/// a fault holds the frame into the next epoch; such a buffer is dropped.
-fn keep_frames(sent: Vec<Outbox>) -> KeptFrames {
-    (sent.into_iter())
-        .map(|sent| match sent {
-            Outbox::To(frames) => (frames.into_iter())
-                .filter_map(|(to, frame)| Some((to, frame.try_into_vec().ok()?)))
-                .filter(|(_, buf)| buf.capacity() >= KEEP_FRAME_BYTES)
-                .collect(),
-            _ => Vec::new(),
-        })
-        .collect()
 }
 
 /// Factor `p = px·py` with `px ≈ √p` (the paper's DD-process grid).

@@ -32,10 +32,11 @@
 //! * this file — configuration, the [`Cluster`] state, constructors,
 //!   accessors, and the leapfrog [`Cluster::step`] around the gravity epoch;
 //! * `gravity` — the gravity epoch as the paper's step: `bounds` →
-//!   `update_domains` → `migrate` → `build` → `boundaries` → `lets` → `walk` →
-//!   `store`, one function per Table II row (§III-B1 domain update, §III-A
-//!   tree build and walk, §III-B2 boundary trees and LETs), every exchange
-//!   one call of [`bonsai_net::collective::exchange`];
+//!   `update_domains` → `migrate` → `build` → `boundaries` → `let_rounds` →
+//!   `store`, one function per Table II row but the LET exchange and the
+//!   walk, which go one receiver at a time in one (§III-B1 domain update,
+//!   §III-A tree build and walk, §III-B2 boundary trees and LETs), every
+//!   exchange one call of [`bonsai_net::collective::exchange`];
 //! * `recovery` — where every epoch begins, and the checkpoint rollback
 //!   that returns the cluster at the step it left, at a fixed world size or
 //!   over the survivors (§VI-C);
@@ -257,9 +258,9 @@ pub struct Cluster {
     /// the process-global pool. Shared via `Arc` so `step` can install it
     /// while mutably borrowing the rest of the cluster.
     pool: Option<Arc<rayon::ThreadPool>>,
-    /// The large LET frame buffers each sender keeps from one epoch to
-    /// encode the next into.
-    kept_frames: gravity::KeptFrames,
+    /// Each sender's two LET frame buffers (rounds of even and of odd
+    /// receivers), kept across rounds and epochs.
+    let_buffers: Vec<[Vec<u8>; 2]>,
 }
 
 impl Cluster {
@@ -335,7 +336,7 @@ impl Cluster {
             membership: MembershipLog::new(),
             elastic: false,
             drop_migrants: false,
-            kept_frames: Vec::new(),
+            let_buffers: Vec::new(),
         }
     }
 

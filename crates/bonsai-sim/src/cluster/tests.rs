@@ -560,23 +560,43 @@ mod let_frames {
 }
 
 #[test]
-fn large_let_frame_buffers_go_back_to_their_senders() {
-    // Every LET of this shape is 110–130 KB. Receivers walk the frames that
-    // share the senders' buffers, so a buffer is its sender's alone again
-    // only once the walk has dropped them: each must be back by then.
-    let mut c = small_cluster(6000, 3, 3);
-    for step in 1..=2 {
+fn frame_buffers_come_back_unless_a_fault_holds_them() {
+    use bonsai_domain::lettree::validate;
+    use bonsai_net::{FaultKind, FaultPlan, Injection, MsgKind};
+    // Every ordered pair of this shape ships a LET of 110–130 KB. The third
+    // step (epoch 4) delays each of rank 0's LETs on its first attempt, so
+    // the held frames keep their buffers into the next epoch.
+    let fault = FaultKind::Delay;
+    let (epoch, from, to, kind, attempts) = (4, Some(0), None, Some(MsgKind::Let), 0..1);
+    let plan = FaultPlan::new(1).with_injection(Injection { epoch, from, to, kind, fault, attempts });
+    let mut c = Cluster::with_faults(plummer_sphere(6000, 3), 3, ClusterConfig::default(), plan, None);
+    for step in 1..=3 {
         c.step();
-        let lets = c.flow_ledger().records().iter().filter(|r| r.kind == bonsai_net::MsgKind::Let);
-        let last = lets.clone().map(|r| r.epoch).max().expect("LETs were sent");
-        let large: Vec<(usize, usize)> = (lets.filter(|r| r.epoch == last))
-            .filter(|r| r.bytes >= gravity::KEEP_FRAME_BYTES)
-            .map(|r| (r.from, r.to))
-            .collect();
-        assert_eq!(large.len(), 6, "step {step}: every ordered pair ships a frame worth keeping");
-        let kept: Vec<(usize, usize)> = (c.kept_frames.iter().enumerate())
-            .flat_map(|(from, bufs)| bufs.iter().map(move |&(to, _)| (from, to)))
-            .collect();
-        assert_eq!(kept, large, "step {step}");
+        let last = c.current_epoch();
+        let lets = c.flow_ledger().records().iter().filter(|r| r.kind == MsgKind::Let && r.epoch == last);
+        for (sender, bufs) in c.let_buffers.iter().enumerate() {
+            let sent: Vec<(usize, usize)> = lets.clone().filter(|r| r.from == sender).map(|r| (r.to, r.bytes)).collect();
+            assert_eq!(sent.len(), 2, "step {step}: rank {sender} ships a LET to each peer");
+            let largest = sent.iter().map(|s| s.1).max().unwrap();
+            for (parity, buf) in bufs.iter().enumerate() {
+                assert!(buf.capacity() <= largest + largest / 4, "step {step}: rank {sender}, parity {parity}");
+                // Receiver-major: the last flow to a receiver of this parity
+                // is the last frame written into this buffer.
+                let Some(&(_, bytes)) = sent.iter().rfind(|s| s.0 % 2 == parity) else { continue };
+                if step == 3 && sender == 0 {
+                    assert_eq!(buf.capacity(), 0, "a held frame's buffer was reused or replaced");
+                } else {
+                    // Back from the receivers, its last frame still in it.
+                    assert_eq!(buf.len(), bytes, "step {step}: rank {sender} holds no frame of its own");
+                    assert!(validate(buf).is_ok(), "step {step}: rank {sender}, parity {parity}");
+                }
+            }
+        }
     }
+    // Rank 0's held frames are intact.
+    c.wire.flush_delayed();
+    let wire = &c.wire;
+    let held: Vec<_> = (1..3).flat_map(|to| std::iter::from_fn(move || wire.try_recv(to))).collect();
+    assert_eq!(held.iter().map(|m| (m.from, m.kind)).collect::<Vec<_>>(), [(0, MsgKind::Let); 2]);
+    assert!(held.iter().all(|m| validate(&m.payload).is_ok()), "a held frame was written over");
 }

@@ -1,5 +1,6 @@
-//! The live heap a long run holds once its history window is full, counted
-//! by this binary's own global allocator.
+//! The live heap a long run holds once its history window is full, and the
+//! most one step holds at once, counted by this binary's own global
+//! allocator.
 //!
 //! A run keeps the last [`TRACE_WINDOW`] epochs of trace, flow ledger and
 //! exchange windows, so once the window fills its live heap should stop
@@ -9,11 +10,18 @@
 //! with one record per flow (the ledger's) and no stored arrow points; a
 //! second per-flow copy in the window breaks it.
 //!
-//! The counter is process-wide, so the tests of this binary take turns
+//! Within a step, the largest transient is the epoch's dedicated LETs: a
+//! receiver's frames are built, exchanged, walked and released before the
+//! next receiver's are built, so the step's high water stays far below the
+//! epoch's LET bytes; building every LET of the epoch before the first walk
+//! breaks the second test's bound.
+//!
+//! The counters are process-wide, so the tests of this binary take turns
 //! (`one_at_a_time`).
 
 use bonsai_ic::plummer_sphere;
 use bonsai_obs::TRACE_WINDOW;
+use bonsai_net::MsgKind;
 use bonsai_sim::{Cluster, ClusterConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
@@ -27,6 +35,15 @@ struct Counting;
 /// data, so `Relaxed` suffices.
 static LIVE: AtomicUsize = AtomicUsize::new(0);
 
+/// The most `LIVE` has been since it was last reset ([`reset_high_water`]).
+static HIGH: AtomicUsize = AtomicUsize::new(0);
+
+/// Count `size` more bytes live and raise the high water to the new total.
+fn grow(size: usize) {
+    let now = LIVE.fetch_add(size, Relaxed) + size;
+    HIGH.fetch_max(now, Relaxed);
+}
+
 // SAFETY: every method forwards its arguments unchanged to `System`, which
 // upholds `GlobalAlloc`'s contract under the same caller guarantees; the
 // counting touches no memory it hands out.
@@ -35,7 +52,7 @@ unsafe impl GlobalAlloc for Counting {
         // SAFETY: the caller's `layout` has a non-zero size, as `alloc` requires.
         let p = unsafe { System.alloc(layout) };
         if !p.is_null() {
-            LIVE.fetch_add(layout.size(), Relaxed);
+            grow(layout.size());
         }
         p
     }
@@ -44,7 +61,7 @@ unsafe impl GlobalAlloc for Counting {
         // SAFETY: as in `alloc`.
         let p = unsafe { System.alloc_zeroed(layout) };
         if !p.is_null() {
-            LIVE.fetch_add(layout.size(), Relaxed);
+            grow(layout.size());
         }
         p
     }
@@ -61,7 +78,7 @@ unsafe impl GlobalAlloc for Counting {
         // for under `realloc`'s contract.
         let p = unsafe { System.realloc(ptr, layout, new_size) };
         if !p.is_null() {
-            LIVE.fetch_add(new_size, Relaxed);
+            grow(new_size);
             LIVE.fetch_sub(layout.size(), Relaxed);
         }
         p
@@ -75,6 +92,13 @@ static ALLOCATOR: Counting = Counting;
 /// process goes through the counter, so it never goes below zero).
 fn live() -> usize {
     LIVE.load(Relaxed)
+}
+
+/// Start a new high-water mark at the current live heap; returns it.
+fn reset_high_water() -> usize {
+    let now = live();
+    HIGH.store(now, Relaxed);
+    now
 }
 
 /// Serialises the tests of this binary: each reads a process-wide counter.
@@ -105,4 +129,24 @@ fn a_thin_run_holds_its_window_in_a_bounded_heap() {
     // arrows' 48 B points beside them takes it to 6.7 MB.
     const BOUND: usize = 4_500_000;
     assert!(full <= BOUND && later <= BOUND, "live heap {full} B / {later} B over {BOUND} B");
+}
+
+#[test]
+fn one_receivers_lets_are_resident_at_a_time() {
+    let _turn = one_at_a_time();
+    // Thin: 32 ranks of 64 particles each; the window fills first, so the
+    // measured step evicts as much history as it records.
+    let (n, ranks) = (2048, 32);
+    let mut c = Cluster::new(plummer_sphere(n, 7), ranks, ClusterConfig::default());
+    for _ in 0..TRACE_WINDOW {
+        c.step();
+    }
+    let before = reset_high_water();
+    c.step();
+    let rise = HIGH.load(Relaxed) - before;
+    let epoch = c.current_epoch();
+    let lets = c.flow_ledger().records().iter().filter(|r| r.epoch == epoch && r.kind == MsgKind::Let);
+    let let_bytes: usize = lets.map(|r| r.bytes).sum();
+    eprintln!("one step rose {rise} B above its {before} B start; the epoch's LETs are {let_bytes} B");
+    assert!(rise < let_bytes / 2, "the step's heap rose {rise} B for {let_bytes} B of LETs");
 }

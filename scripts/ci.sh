@@ -115,13 +115,15 @@ BONSAI_THREADS=3 cargo test -q --release -p bonsai-sim --lib -- \
   cluster::tests::flow_history_is_a_bounded_window \
   cluster::tests::epochs_that_never_complete_still_evict \
   cluster::tests::arrows_drawn_at_the_end_of_their_window_are_those_drawn_first \
-  cluster::tests::large_let_frame_buffers_go_back_to_their_senders \
+  cluster::tests::frame_buffers_come_back_unless_a_fault_holds_them \
   cluster::tests::let_frames
 
 # The live heap of a thin run once its history window is full, counted by
 # the test binary's own allocator: a second per-flow copy in the window (the
-# arrows' points stored beside the ledger) breaks its bound. On the shipped
-# code generation, and at three lanes, whose pool allocates too.
+# arrows' points stored beside the ledger) breaks its bound. And the high
+# water of one step: every LET of the epoch resident at once breaks that
+# one. On the shipped code generation, and at three lanes, whose pool
+# allocates too.
 cargo test -q --release -p bonsai-sim --test heap
 BONSAI_THREADS=3 cargo test -q --release -p bonsai-sim --test heap
 

@@ -4,11 +4,10 @@
 //! The build container has no access to crates.io, so this facade maps the
 //! rayon API subset the workspace uses onto `bonsai-par`: `par_iter` /
 //! `par_iter_mut` / `into_par_iter` with `map`, `zip`, `enumerate`,
-//! `filter`, `for_each`, `collect`, `reduce`, `sum`, and `ThreadPool` — all
-//! executing on worker threads of the current pool (sized by
+//! `filter`, `for_each`, `collect`, `reduce`, `sum`, `join` and `ThreadPool`
+//! — all executing on worker threads of the current pool (sized by
 //! `BONSAI_THREADS`, overridable with [`bonsai_par::ThreadPool::install`]).
-//! There is no `par_chunks` and no `join`: nothing in the workspace calls
-//! them.
+//! There is no `par_chunks`: nothing in the workspace calls it.
 //!
 //! Unlike upstream rayon, reductions here are **deterministic**: chunk
 //! boundaries derive from input length only and partials combine along a
@@ -18,7 +17,7 @@
 pub use bonsai_par::iter::{
     IntoParallelIterator, IntoParallelRefIterator, IntoParallelRefMutIterator, Par, ParMap,
 };
-pub use bonsai_par::pool::{threads_from_env, ThreadPool};
+pub use bonsai_par::pool::{join, threads_from_env, ThreadPool};
 pub use bonsai_par::MAX_CHUNKS;
 
 /// The rayon prelude: traits that add the `par_*` methods.
