@@ -72,8 +72,8 @@
 //! results in contract order (senders ascending; frames receiver-ascending,
 //! in arrival order per receiver), so the log, the ledger and the received
 //! lists are the same whichever order and however many lanes the tasks ran
-//! on. The
-//! only price of speculation is parsing a duplicate that is then discarded.
+//! on. The only price of speculation is parsing a duplicate that is then
+//! discarded.
 //! [`Inline`] runs the tasks in order on the caller's thread; this crate
 //! depends on no thread pool, and `bonsai-sim` passes a pool-backed
 //! [`Lanes`].

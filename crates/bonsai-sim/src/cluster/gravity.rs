@@ -78,7 +78,8 @@ fn let_frames(
     trees: &[Tree],
     geom: &[Aabb],
     theta: f64,
-    (to, senders): (usize, &[usize]),
+    to: usize,
+    senders: &[usize],
     bufs: &mut [[Vec<u8>; 2]],
     scratch: &mut Vec<LetTree>,
 ) -> Vec<(usize, Bytes)> {
@@ -371,7 +372,7 @@ impl Cluster {
             let (next, walked) = rayon::join(
                 || -> Result<Option<Delivered>, usize> {
                     let Some((j, (geom, senders))) = round else { return Ok(None) };
-                    let frames = let_frames(trees, geom, theta, (j, senders), &mut bufs, &mut scratch);
+                    let frames = let_frames(trees, geom, theta, j, senders, &mut bufs, &mut scratch);
                     for (i, frame) in &frames {
                         meas.let_bytes_sent[*i] += frame.len();
                         meas.let_neighbors[*i] += 1;
@@ -393,10 +394,9 @@ impl Cluster {
                 // holds keeps its buffer, and the sender writes its next
                 // frame of that parity into a new one.
                 for (buf, sent) in bufs.iter_mut().zip(sent) {
-                    if let Outbox::To(sent) = sent {
-                        if let Some(Ok(back)) = sent.into_iter().next().map(|(_, f)| f.try_into_vec()) {
-                            buf[to % 2] = back;
-                        }
+                    let Outbox::To(sent) = sent else { continue };
+                    if let Some(Ok(back)) = sent.into_iter().next().map(|(_, f)| f.try_into_vec()) {
+                        buf[to % 2] = back;
                     }
                 }
             }

@@ -10,18 +10,18 @@
 //! with one record per flow (the ledger's) and no stored arrow points; a
 //! second per-flow copy in the window breaks it.
 //!
-//! Within a step, the largest transient is the epoch's dedicated LETs: a
-//! receiver's frames are built, exchanged, walked and released before the
-//! next receiver's are built, so the step's high water stays far below the
-//! epoch's LET bytes; building every LET of the epoch before the first walk
-//! breaks the second test's bound.
+//! Within a step, the largest transient would be the epoch's dedicated
+//! LETs, but a receiver's frames are released once it has walked them,
+//! while the next receiver's round runs, so the step's high water stays far
+//! below the epoch's LET bytes; building every LET of the epoch before the
+//! first walk breaks the second test's bound.
 //!
 //! The counters are process-wide, so the tests of this binary take turns
 //! (`one_at_a_time`).
 
 use bonsai_ic::plummer_sphere;
-use bonsai_obs::TRACE_WINDOW;
 use bonsai_net::MsgKind;
+use bonsai_obs::TRACE_WINDOW;
 use bonsai_sim::{Cluster, ClusterConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
@@ -132,7 +132,7 @@ fn a_thin_run_holds_its_window_in_a_bounded_heap() {
 }
 
 #[test]
-fn one_receivers_lets_are_resident_at_a_time() {
+fn lets_are_released_receiver_by_receiver() {
     let _turn = one_at_a_time();
     // Thin: 32 ranks of 64 particles each; the window fills first, so the
     // measured step evicts as much history as it records.
