@@ -42,8 +42,7 @@
 //! 1-thread rung of the conformance sweep a true sequential baseline. All
 //! queued chunks share one queue under one lock: workers take the oldest,
 //! a thread waiting for its own scope takes that scope's newest (else any
-//! newest), so an uneven walk group costs only the thread that drew it;
-//! [`join`] runs one closure on the calling thread beside one task. Idle threads sleep on one of
+//! newest), so an uneven walk group costs only the thread that drew it. Idle threads sleep on one of
 //! two condition variables with no timeout; the [`pool`] module docs say
 //! why no wake-up can be lost. Panics inside tasks are caught, forwarded,
 //! and re-thrown on the calling thread after the scope drains — a poisoned
@@ -69,7 +68,7 @@
 pub mod iter;
 pub mod pool;
 
-pub use pool::{join, ThreadPool};
+pub use pool::ThreadPool;
 
 /// Upper bound on the number of chunks any single parallel call fans out
 /// into. Part of the deterministic-reduction contract: chunk boundaries

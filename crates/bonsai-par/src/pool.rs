@@ -174,21 +174,10 @@ fn current_inner() -> Arc<Inner> {
         .unwrap_or_else(|| Arc::clone(&global().inner))
 }
 
-/// Lanes of the current thread's pool (the iterator layer's inline test).
-pub(crate) fn current_lanes() -> usize {
+/// Lanes of the current thread's pool: the global pool's, or the one
+/// [`ThreadPool::install`] made current.
+pub fn current_lanes() -> usize {
     current_inner().lanes
-}
-
-/// Run `a` on this thread beside `b`, a task on the current pool, and
-/// return both results once both have finished. On one lane `a` runs first,
-/// then `b`; a panic in either is re-thrown here (`a`'s first) once both
-/// have ended.
-pub fn join<A, B: Send>(a: impl FnOnce() -> A, b: impl FnOnce() -> B + Send) -> (A, B) {
-    let (mut ra, mut rb) = (None, None);
-    let slot = &mut rb;
-    let task: ScopedTask<'_> = Box::new(move || *slot = Some(b()));
-    scope_current(vec![task], || ra = Some(a()));
-    (ra.expect("`a` ran"), rb.expect("`b` ran"))
 }
 
 /// Run `tasks` on the current pool beside `inline` on this thread; returns
@@ -356,21 +345,6 @@ mod tests {
             pool.install(|| scope_current(vec![task], || hits += 1));
         }
         assert_eq!(hits, 1);
-    }
-
-    #[test]
-    fn join_runs_its_task_beside_the_calling_thread() {
-        // One lane: `a` first, then `b`, both on the calling thread.
-        let order = Mutex::new(Vec::new());
-        let log = |side| order.lock().unwrap().push(side);
-        let got = ThreadPool::new(1).install(|| join(|| (log("a"), 1).1, || (log("b"), 2).1));
-        assert_eq!((got, order.into_inner().unwrap()), ((1, 2), vec!["a", "b"]));
-        // Two lanes: `a` waits until `b` has started on the worker.
-        let started = AtomicUsize::new(0);
-        let got = ThreadPool::new(2).install(|| {
-            join(until_started(&started, 1), || started.fetch_add(1, Ordering::SeqCst))
-        });
-        assert_eq!(got, ((), 0));
     }
 
     #[test]

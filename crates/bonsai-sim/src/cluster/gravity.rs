@@ -8,7 +8,7 @@
 //! | [`migrate`](Cluster::migrate) | Domain update | §III-B1: particle exchange; the stayers keep their keys, received migrants are keyed | `Particles`, every pair, possibly empty |
 //! | [`build`](Cluster::build) | Sorting, Tree-construction, Tree-properties | §III-A: sorts the carried keys | — |
 //! | [`boundaries`](Cluster::boundaries) | Domain update | §III-B2: boundary trees, allgatherv | `Boundary` broadcast, one shared payload with a header per receiver; every receiver validates its frame in place and drops it |
-//! | [`let_rounds`](Cluster::let_rounds) | (Non-hidden) LET comm, Gravity local, Gravity LETs | §III-B2: sufficiency check — a pure function of two boundary trees every rank holds bit-identically, decided once per ordered pair; then one round per receiver: its near neighbours' dedicated LETs, and its walk (§III-A) over the local tree and, per peer, that LET, read in the frame it arrived in, else (the boundary sufficed) the sender's own boundary tree, beside the next receiver's round; then the senders take their frame buffers back | `Let`, one round per receiver: it waits for exactly the senders whose outbox names it; each LET is encoded once into the buffer its header travels beside, and the receiver validates that buffer in place and keeps it through its walk, decoding nothing |
+//! | [`let_rounds`](Cluster::let_rounds) | (Non-hidden) LET comm, Gravity local, Gravity LETs | §III-B2: sufficiency check — a pure function of two boundary trees every rank holds bit-identically, decided once per ordered pair; then one round per receiver, as many receivers at a time as the pool has lanes: their near neighbours' dedicated LETs, then one walk (§III-A) per receiver of the batch over its local tree and, per peer, that LET, read in the frame it arrived in, else (the boundary sufficed) the sender's own boundary tree; then the senders take their frame buffers back | `Let`, one round per receiver: it waits for exactly the senders whose outbox names it; each LET is encoded once into the buffer its header travels beside, and the receiver validates that buffer in place and keeps it through its walk, decoding nothing |
 //! | [`store`](Cluster::store) | Unbalance + other | §III-B1: flop weights for the next step's sampling | — |
 //!
 //! A particle's key is computed once an epoch, where the domains are
@@ -71,33 +71,25 @@ pub(super) fn let_frame(tree: &Tree, geom: &[Aabb], theta: f64, scratch: &mut Le
     Bytes::from(buf)
 }
 
-/// Receiver `to`'s LET frames, ascending by sender: each of `senders`
-/// writes its LET for `to` into its frame buffer of `to`'s parity, on the
-/// pool. A round's k-th sender builds into the k-th `scratch` tree.
+/// One receiver's LET frames, ascending by sender: each of `senders` writes
+/// its LET for the receiver's frontier `geom` into its frame buffer `slot`,
+/// on the pool. A round's k-th sender builds into the k-th `scratch` tree.
 fn let_frames(
     trees: &[Tree],
     geom: &[Aabb],
     theta: f64,
-    to: usize,
     senders: &[usize],
-    bufs: &mut [[Vec<u8>; 2]],
+    bufs: &mut [Vec<Vec<u8>>],
+    slot: usize,
     scratch: &mut Vec<LetTree>,
 ) -> Vec<(usize, Bytes)> {
     scratch.resize_with(scratch.len().max(senders.len()), LetTree::default);
     let jobs: Vec<_> = (senders.iter().zip(scratch.iter_mut()))
-        .map(|(&i, scratch)| (i, scratch, std::mem::take(&mut bufs[i][to % 2])))
+        .map(|(&i, scratch)| (i, scratch, std::mem::take(&mut bufs[i][slot])))
         .collect();
     (jobs.into_par_iter())
         .map(|(i, scratch, buf)| (i, let_frame(&trees[i], geom, theta, scratch, buf)))
         .collect()
-}
-
-/// A receiver's round: its LETs, validated in the frames they arrived in,
-/// and the outboxes whose buffers those share.
-struct Delivered {
-    to: usize,
-    received: Vec<(usize, LetFrame)>,
-    sent: Vec<Outbox>,
 }
 
 /// One rank's walk results.
@@ -324,16 +316,16 @@ impl Cluster {
         Ok(boundaries)
     }
 
-    /// Sufficiency checks, then the dedicated LETs one receiver at a time.
+    /// Sufficiency checks, then the dedicated LETs a few receivers at a time.
     /// Whether sender i owes receiver j a LET is a pure function of two
     /// trees every rank holds bit-identically, decided once per ordered
-    /// pair: the senders' outboxes are all a receiver waits for. Then for
-    /// each receiver j: its senders write their LETs ([`let_frames`]), one
-    /// `Let` round carries exactly those, validated in place; j walks them
-    /// ([`walk_rank`]) beside round j + 1 ([`rayon::join`]: the lanes the
-    /// walk leaves idle work on the round); j's frames are dropped and their
-    /// buffers go back to their senders, which keep one for even receivers
-    /// and one for odd. At most two receivers' frames exist at once.
+    /// pair: the senders' outboxes are all a receiver waits for. Then, as
+    /// many receivers at a time as the pool has lanes, each receiver j in
+    /// turn: its senders write their LETs ([`let_frames`]) and one `Let`
+    /// round carries exactly those, validated in place; then each lane walks
+    /// one of the receivers ([`walk_rank`]), and their frames are dropped,
+    /// the buffers going back to their senders (a sender keeps one buffer
+    /// per lane). At one lane, one receiver's frames exist at a time.
     /// `Err(sender)` for a LET missing through the retry budget, as for a
     /// peer silent on the heartbeat; no later round runs.
     fn let_rounds(
@@ -342,7 +334,7 @@ impl Cluster {
         boundaries: &[LetTree],
         meas: &mut StepMeasurements,
     ) -> Result<Vec<RankForces>, usize> {
-        let (p, theta) = (trees.len(), self.cfg.theta);
+        let (p, theta, lanes) = (trees.len(), self.cfg.theta, rayon::current_num_threads());
         let params = WalkParams { theta, eps: self.cfg.eps, g: self.cfg.g, use_quadrupole: true };
         // Each rank's frontier geometry, once: what its senders build for.
         let geoms: Vec<Vec<Aabb>> = boundaries.par_iter().map(LetTree::frontier_boxes).collect();
@@ -362,50 +354,48 @@ impl Cluster {
             })
             .collect();
         let mut bufs = std::mem::take(&mut self.let_buffers);
-        bufs.resize_with(p, Default::default);
+        bufs.resize_with(p, Vec::new);
+        bufs.iter_mut().for_each(|b| b.resize_with(lanes, Vec::new));
         let (mut largest, mut scratch) = (vec![0; p], Vec::new());
         let mut forces = Vec::with_capacity(p);
-        let mut walking: Option<Delivered> = None;
-        // One turn more than receivers: the last walks the last round.
-        for round in (geoms.iter().zip(&owing).enumerate()).map(Some).chain([None]) {
-            let last = walking.take();
-            let (next, walked) = rayon::join(
-                || -> Result<Option<Delivered>, usize> {
-                    let Some((j, (geom, senders))) = round else { return Ok(None) };
-                    let frames = let_frames(trees, geom, theta, j, senders, &mut bufs, &mut scratch);
-                    for (i, frame) in &frames {
-                        meas.let_bytes_sent[*i] += frame.len();
-                        meas.let_neighbors[*i] += 1;
-                        largest[*i] = largest[*i].max(frame.len());
-                    }
-                    let mut frames = frames.into_iter().peekable();
-                    let sent: Vec<Outbox> = (0..p)
-                        .map(|i| Outbox::To(frames.next_if(|f| f.0 == i).map(|(_, f)| (j, f)).into_iter().collect()))
-                        .collect();
-                    let parse = |_, b: &Bytes| LetFrame::new(b.clone()).map_err(|e| refusal("LET", e));
-                    let received = self.exchange(MsgKind::Let, &sent, parse).complete()?.swap_remove(j);
-                    Ok(Some(Delivered { to: j, received, sent }))
-                },
-                || last.map(|d| (walk_rank(&params, d.to, &trees[d.to], boundaries, &d.received), d.to, d.sent)),
-            );
-            if let Some((rank_forces, to, sent)) = walked {
+        let receivers: Vec<_> = (geoms.iter().zip(&owing)).enumerate().collect();
+        for batch in receivers.chunks(lanes) {
+            let mut delivered = Vec::with_capacity(batch.len());
+            for &(j, (geom, senders)) in batch {
+                let frames = let_frames(trees, geom, theta, senders, &mut bufs, j % lanes, &mut scratch);
+                for (i, frame) in &frames {
+                    meas.let_bytes_sent[*i] += frame.len();
+                    meas.let_neighbors[*i] += 1;
+                    largest[*i] = largest[*i].max(frame.len());
+                }
+                let mut frames = frames.into_iter().peekable();
+                let sent: Vec<Outbox> = (0..p)
+                    .map(|i| Outbox::To(frames.next_if(|f| f.0 == i).map(|(_, f)| (j, f)).into_iter().collect()))
+                    .collect();
+                let parse = |_, b: &Bytes| LetFrame::new(b.clone()).map_err(|e| refusal("LET", e));
+                let received = self.exchange(MsgKind::Let, &sent, parse).complete()?.swap_remove(j);
+                delivered.push((j, received, sent));
+            }
+            let walked: Vec<(usize, RankForces, Vec<Outbox>)> = (delivered.into_par_iter())
+                .map(|(j, received, sent)| (j, walk_rank(&params, j, &trees[j], boundaries, &received), sent))
+                .collect();
+            for (j, rank_forces, sent) in walked {
                 forces.push(rank_forces);
                 // Every receiver's handle is gone; a frame a fault still
                 // holds keeps its buffer, and the sender writes its next
-                // frame of that parity into a new one.
+                // frame in that slot into a new one.
                 for (buf, sent) in bufs.iter_mut().zip(sent) {
                     let Outbox::To(sent) = sent else { continue };
                     if let Some(Ok(back)) = sent.into_iter().next().map(|(_, f)| f.try_into_vec()) {
-                        buf[to % 2] = back;
+                        buf[j % lanes] = back;
                     }
                 }
             }
-            walking = next?;
         }
         // A buffer more than a quarter larger than its sender's largest
         // frame of the epoch is let go: a kept one stays within 1.25× of it.
-        for (pair, &len) in bufs.iter_mut().zip(&largest) {
-            pair.iter_mut().filter(|buf| buf.capacity() > len + len / 4).for_each(|buf| *buf = Vec::new());
+        for (slots, &len) in bufs.iter_mut().zip(&largest) {
+            slots.iter_mut().filter(|buf| buf.capacity() > len + len / 4).for_each(|buf| *buf = Vec::new());
         }
         self.let_buffers = bufs;
         Ok(forces)

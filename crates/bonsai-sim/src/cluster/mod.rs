@@ -34,7 +34,7 @@
 //! * `gravity` — the gravity epoch as the paper's step: `bounds` →
 //!   `update_domains` → `migrate` → `build` → `boundaries` → `let_rounds` →
 //!   `store`, one function per Table II row but the LET exchange and the
-//!   walk, which go one receiver at a time in one (§III-B1 domain update,
+//!   walk, which go a batch of receivers at a time in one (§III-B1 domain update,
 //!   §III-A tree build and walk, §III-B2 boundary trees and LETs), every
 //!   exchange one call of [`bonsai_net::collective::exchange`];
 //! * `recovery` — where every epoch begins, and the checkpoint rollback
@@ -258,9 +258,9 @@ pub struct Cluster {
     /// the process-global pool. Shared via `Arc` so `step` can install it
     /// while mutably borrowing the rest of the cluster.
     pool: Option<Arc<rayon::ThreadPool>>,
-    /// Each sender's two LET frame buffers (rounds of even and of odd
-    /// receivers), kept across rounds and epochs.
-    let_buffers: Vec<[Vec<u8>; 2]>,
+    /// Each sender's LET frame buffers, one per pool lane, kept across
+    /// rounds and epochs.
+    let_buffers: Vec<Vec<Vec<u8>>>,
 }
 
 impl Cluster {

@@ -578,17 +578,18 @@ fn frame_buffers_come_back_unless_a_fault_holds_them() {
             let sent: Vec<(usize, usize)> = lets.clone().filter(|r| r.from == sender).map(|r| (r.to, r.bytes)).collect();
             assert_eq!(sent.len(), 2, "step {step}: rank {sender} ships a LET to each peer");
             let largest = sent.iter().map(|s| s.1).max().unwrap();
-            for (parity, buf) in bufs.iter().enumerate() {
-                assert!(buf.capacity() <= largest + largest / 4, "step {step}: rank {sender}, parity {parity}");
-                // Receiver-major: the last flow to a receiver of this parity
-                // is the last frame written into this buffer.
-                let Some(&(_, bytes)) = sent.iter().rfind(|s| s.0 % 2 == parity) else { continue };
+            // One buffer per lane: receiver j's frames go in buffer j mod lanes.
+            for (slot, buf) in bufs.iter().enumerate() {
+                assert!(buf.capacity() <= largest + largest / 4, "step {step}: rank {sender}, slot {slot}");
+                // Receiver-major: the last flow to a receiver of this slot is
+                // the last frame written into this buffer.
+                let Some(&(_, bytes)) = sent.iter().rfind(|s| s.0 % bufs.len() == slot) else { continue };
                 if step == 3 && sender == 0 {
                     assert_eq!(buf.capacity(), 0, "a held frame's buffer was reused or replaced");
                 } else {
                     // Back from the receivers, its last frame still in it.
                     assert_eq!(buf.len(), bytes, "step {step}: rank {sender} holds no frame of its own");
-                    assert!(validate(buf).is_ok(), "step {step}: rank {sender}, parity {parity}");
+                    assert!(validate(buf).is_ok(), "step {step}: rank {sender}, slot {slot}");
                 }
             }
         }

@@ -11,10 +11,10 @@
 //! second per-flow copy in the window breaks it.
 //!
 //! Within a step, the largest transient would be the epoch's dedicated
-//! LETs, but a receiver's frames are released once it has walked them,
-//! while the next receiver's round runs, so the step's high water stays far
-//! below the epoch's LET bytes; building every LET of the epoch before the
-//! first walk breaks the second test's bound.
+//! LETs, but the receivers get their LETs a batch at a time (one receiver
+//! per pool lane) and release them once walked, so the step's high water
+//! stays far below the epoch's LET bytes; building every LET of the epoch
+//! before the first walk breaks the second test's bound.
 //!
 //! The counters are process-wide, so the tests of this binary take turns
 //! (`one_at_a_time`).
@@ -135,9 +135,11 @@ fn a_thin_run_holds_its_window_in_a_bounded_heap() {
 fn lets_are_released_receiver_by_receiver() {
     let _turn = one_at_a_time();
     // Thin: 32 ranks of 64 particles each; the window fills first, so the
-    // measured step evicts as much history as it records.
+    // measured step evicts as much history as it records. Two lanes, so two
+    // receivers' LETs at a time on any host (a receiver per lane).
     let (n, ranks) = (2048, 32);
-    let mut c = Cluster::new(plummer_sphere(n, 7), ranks, ClusterConfig::default());
+    let cfg = ClusterConfig { threads: Some(2), ..ClusterConfig::default() };
+    let mut c = Cluster::new(plummer_sphere(n, 7), ranks, cfg);
     for _ in 0..TRACE_WINDOW {
         c.step();
     }

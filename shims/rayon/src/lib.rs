@@ -4,10 +4,11 @@
 //! The build container has no access to crates.io, so this facade maps the
 //! rayon API subset the workspace uses onto `bonsai-par`: `par_iter` /
 //! `par_iter_mut` / `into_par_iter` with `map`, `zip`, `enumerate`,
-//! `filter`, `for_each`, `collect`, `reduce`, `sum`, `join` and `ThreadPool`
-//! — all executing on worker threads of the current pool (sized by
-//! `BONSAI_THREADS`, overridable with [`bonsai_par::ThreadPool::install`]).
-//! There is no `par_chunks`: nothing in the workspace calls it.
+//! `filter`, `for_each`, `collect`, `reduce`, `sum`, `ThreadPool` and
+//! `current_num_threads` (the current pool's lanes) — all executing on
+//! worker threads of the current pool (sized by `BONSAI_THREADS`,
+//! overridable with [`bonsai_par::ThreadPool::install`]). There is no
+//! `par_chunks` and no `join`: nothing in the workspace calls them.
 //!
 //! Unlike upstream rayon, reductions here are **deterministic**: chunk
 //! boundaries derive from input length only and partials combine along a
@@ -17,7 +18,7 @@
 pub use bonsai_par::iter::{
     IntoParallelIterator, IntoParallelRefIterator, IntoParallelRefMutIterator, Par, ParMap,
 };
-pub use bonsai_par::pool::{join, threads_from_env, ThreadPool};
+pub use bonsai_par::pool::{current_lanes as current_num_threads, threads_from_env, ThreadPool};
 pub use bonsai_par::MAX_CHUNKS;
 
 /// The rayon prelude: traits that add the `par_*` methods.
