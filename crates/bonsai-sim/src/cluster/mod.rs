@@ -34,9 +34,9 @@
 //! * `gravity` — the gravity epoch as the paper's step: `bounds` →
 //!   `update_domains` → `migrate` → `build` → `boundaries` → `let_rounds` →
 //!   `store`, one function per Table II row but the LET exchange and the
-//!   walk, which go a batch of receivers at a time in one (§III-B1 domain update,
-//!   §III-A tree build and walk, §III-B2 boundary trees and LETs), every
-//!   exchange one call of [`bonsai_net::collective::exchange`];
+//!   walk, which go a batch of receivers at a time in one (§III-B1 domain
+//!   update, §III-A tree build and walk, §III-B2 boundary trees and LETs),
+//!   every exchange one call of [`bonsai_net::collective::exchange`];
 //! * `recovery` — where every epoch begins, and the checkpoint rollback
 //!   that returns the cluster at the step it left, at a fixed world size or
 //!   over the survivors (§VI-C);
