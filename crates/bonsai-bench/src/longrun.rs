@@ -153,8 +153,7 @@ pub fn longrun_json(r: &LongRunResult) -> String {
         .map(|i| {
             obj!("id": i.id, "rule": i.rule.as_str(), "severity": i.severity.name(),
                 "step": i.step, "window": vec![i.window.0, i.window.1],
-                "spans": i.trace.spans().len(), "instants": i.trace.instants().len(),
-                "flows": i.trace.flow_points().len())
+                "spans": i.spans(), "instants": i.instants(), "flows": i.flow_points())
         })
         .collect();
     json::write(&obj!(
@@ -387,9 +386,9 @@ pub fn render_html(r: &LongRunResult) -> String {
                 i.step,
                 i.window.0,
                 i.window.1,
-                i.trace.spans().len(),
-                i.trace.instants().len(),
-                i.trace.flow_points().len()
+                i.spans(),
+                i.instants(),
+                i.flow_points()
             ));
         }
         s.push_str("</table>\n");

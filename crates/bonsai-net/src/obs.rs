@@ -360,6 +360,10 @@ impl ExchangeWindows {
     }
 }
 
+/// One drawn epoch's ledger records, clock base and per-rank LET-exchange
+/// windows: everything [`draw_flows`] reads.
+pub type DrawnEpoch<'a> = (&'a [FlowRecord], f64, &'a [(f64, f64)]);
+
 /// The flow arrows of the epochs a run holds, drawn when they are read
 /// from the flow ledger's records and the [`ExchangeWindows`]: no store
 /// keeps a second copy of a flow. An epoch the windows do not hold (one
@@ -377,27 +381,27 @@ impl<'a> FlowArrows<'a> {
         Self { ledger, windows, net }
     }
 
-    /// `read` of `epoch`'s records, base and windows, if it was drawn and is
-    /// held.
-    fn read<T>(&self, epoch: u64, read: impl FnOnce(&[FlowRecord], f64, &[(f64, f64)]) -> T) -> Option<T> {
+    /// `epoch`'s ledger records, clock base and windows, what drawing its
+    /// arrows reads, if it was drawn and is held.
+    pub fn epoch(&self, epoch: u64) -> Option<DrawnEpoch<'a>> {
         let (base, windows) = self.windows.get(epoch)?;
-        Some(read(self.ledger.for_epoch(epoch), base, windows))
+        Some((self.ledger.for_epoch(epoch), base, windows))
     }
 
     /// `epoch`'s arrow points ([`draw_flows`]).
     pub fn points(&self, epoch: u64) -> Vec<FlowPoint> {
-        self.read(epoch, |flows, base, windows| draw_flows(flows, base, windows, self.net)).unwrap_or_default()
+        self.epoch(epoch).map(|(flows, base, windows)| draw_flows(flows, base, windows, self.net)).unwrap_or_default()
     }
 
     /// How many points [`points`](Self::points) draws for `epoch`, counted
     /// from the ledger ([`drawn_point_count`]).
     pub fn count(&self, epoch: u64) -> usize {
-        self.read(epoch, |flows, _, _| drawn_point_count(flows)).unwrap_or(0)
+        self.epoch(epoch).map_or(0, |(flows, ..)| drawn_point_count(flows))
     }
 
     /// `epoch`'s flow instants ([`flow_times`]).
     pub fn times(&self, epoch: u64) -> BTreeMap<u64, FlowTimes> {
-        self.read(epoch, |flows, base, windows| flow_times(flows, base, windows, self.net)).unwrap_or_default()
+        self.epoch(epoch).map(|(flows, base, windows)| flow_times(flows, base, windows, self.net)).unwrap_or_default()
     }
 
     /// Every held epoch's points, oldest epoch first, drawn one epoch at a

@@ -239,6 +239,38 @@ impl TraceStore {
         self.flows.evict_before(min_step);
     }
 
+    /// Bring this store's steps `≥ from` level with `src`'s: append copies
+    /// of the spans and instants `src` holds of them beyond those this store
+    /// already holds. What this store holds of those steps must be the
+    /// first records `src` holds of them, in order — true of a store that
+    /// only ever syncs from one `src` with a non-decreasing `from`, since a
+    /// recorder only appends, and only to its latest step. Parents inside
+    /// the copied steps are kept, at this store's indices; one before them
+    /// becomes `None`. Flow points are not copied. The arrays grow to fit
+    /// exactly, so a store that syncs rarely holds no spare capacity.
+    pub fn sync_from(&mut self, src: &TraceStore, from: u64) {
+        let (mine, theirs) = (
+            self.spans.partition_point(|s| s.step < from),
+            src.spans.partition_point(|s| s.step < from),
+        );
+        let held = self.spans.len() - mine;
+        debug_assert!(
+            (self.spans[mine..].iter().zip(&src.spans[theirs..])).all(|(a, b)| (a.step, &a.name) == (b.step, &b.name)),
+            "the spans held from step {from} on are not the first of the source's"
+        );
+        let new = &src.spans[theirs + held..];
+        self.spans.reserve_exact(new.len());
+        for s in new {
+            let parent = shift_parent(s.parent, theirs).map(|p| SpanId(mine + p.0));
+            self.makespan = self.makespan.max(s.end);
+            self.spans.push(Span { parent, ..s.clone() });
+        }
+        let held = self.instants.len() - self.instants.partition_point(|i| i.step < from);
+        let new = &src.instants[src.instants.partition_point(|i| i.step < from) + held..];
+        self.instants.reserve_exact(new.len());
+        self.instants.extend_from_slice(new);
+    }
+
     /// Record a root span; returns its id for annotation or parenting.
     pub fn span(
         &mut self,

@@ -4,8 +4,10 @@
 //! Also exercises the incident freeze path end-to-end against the rule
 //! engine (the integration the cluster performs each step).
 
+use bonsai_obs::chrome::chrome_trace_json;
 use bonsai_obs::{
     default_rules, AlertKind, Condition, HealthMonitor, Incident, Lane, Rule, Severity, TraceStore,
+    TRACE_WINDOW,
 };
 
 /// The synthetic Gflops stream: healthy, a dip below the floor, recovery,
@@ -114,7 +116,7 @@ fn alert_firing_freezes_a_flight_window() {
     // Drive the default rule set with a recovery storm while a synthetic
     // trace records every step — the coupling the cluster runs.
     let mut h = HealthMonitor::new(default_rules());
-    let mut trace = TraceStore::new();
+    let (mut trace, mut history) = (TraceStore::new(), TraceStore::new());
     let mut incidents = Vec::new();
     for step in 1..=20u64 {
         let base = step as f64;
@@ -126,9 +128,12 @@ fn alert_firing_freezes_a_flight_window() {
         let actions = if storm { 24.0 } else { 0.0 };
         for ev in h.observe(step, "bonsai_recovery_actions", actions) {
             if ev.kind == AlertKind::Open {
-                // Freeze twice at the trigger to check determinism.
-                incidents.push(Incident::freeze(incidents.len() / 2, &trace, [], step, &ev));
-                incidents.push(Incident::freeze(incidents.len() / 2, &trace, [], step, &ev));
+                // Freeze twice at the trigger to check determinism: the
+                // second sync finds the window already held.
+                for _ in 0..2 {
+                    history.sync_from(&trace, (step + 1).saturating_sub(TRACE_WINDOW));
+                    incidents.push(Incident::freeze(incidents.len() / 2, &history, None, step, &ev));
+                }
             }
         }
     }
@@ -145,14 +150,16 @@ fn alert_firing_freezes_a_flight_window() {
         (6, 13),
         "the trace window ending at the trigger step"
     );
-    assert_eq!(inc.trace.spans().len(), 8);
-    assert_eq!(inc.trace.instants().len(), 2, "the storm so far");
+    assert_eq!(history.spans().len(), 8, "the window, held once");
+    let window = inc.cut(&history, Vec::new());
+    assert_eq!(window.spans().len(), 8);
+    assert_eq!(window.instants().len(), 2, "the storm so far");
     // The frozen window is Perfetto-loadable and contains the storm.
-    let json = inc.trace_json();
+    let json = chrome_trace_json(&window);
     let v = bonsai_obs::json::parse(&json).expect("valid JSON");
     assert!(v.get("traceEvents").and_then(|e| e.as_arr()).is_some());
     assert!(json.contains("recovery:retransmit"));
     // The two freezes taken at the trigger are byte-identical.
-    assert_eq!(inc.report(), incidents[1].report());
-    assert_eq!(inc.trace_json(), incidents[1].trace_json());
+    assert_eq!(inc.report(&history, 0), incidents[1].report(&history, 0));
+    assert_eq!(json, chrome_trace_json(&incidents[1].cut(&history, Vec::new())));
 }

@@ -457,7 +457,7 @@ impl Cluster {
     /// [`Cluster::step`]. The current energy report becomes the drift
     /// baseline. Re-enabling replaces the monitor, its add-ons included.
     pub fn enable_longrun(&mut self, cfg: crate::longrun::LongRunConfig) {
-        self.monitor = Some(RunMonitor::new(cfg, self.energy_report()));
+        self.monitor = Some(RunMonitor::new(cfg, self.energy_report(), self.net));
     }
 
     /// Enable in-run telemetry streaming on the run monitor: each

@@ -57,7 +57,7 @@ pub use autoscale::{AutoscaleConfig, AutoscalePolicy, ScaleDecision};
 pub use breakdown::StepBreakdown;
 pub use checkpoint::Checkpoint;
 pub use cluster::{Cluster, ClusterConfig, RecoveryConfig, StepFacts};
-pub use longrun::{LongRunConfig, RunMonitor};
+pub use longrun::{IncidentView, LongRunConfig, RunMonitor};
 pub use model::ScalingModel;
 pub use profile::cost_model_attribution;
 pub use stream::{StreamConfig, StreamTap};

@@ -16,13 +16,18 @@
 //! stays far below the epoch's LET bytes; building every LET of the epoch
 //! before the first walk breaks the second test's bound.
 //!
+//! A monitored run keeps one more history: the epochs its incidents froze.
+//! Incident windows overlap, and the monitor holds each epoch they cover
+//! once, with no drawn arrow; one copy of the window per incident, its
+//! arrows drawn, breaks the third test's bound.
+//!
 //! The counters are process-wide, so the tests of this binary take turns
 //! (`one_at_a_time`).
 
 use bonsai_ic::plummer_sphere;
-use bonsai_net::MsgKind;
-use bonsai_obs::TRACE_WINDOW;
-use bonsai_sim::{Cluster, ClusterConfig};
+use bonsai_net::{FaultKind, FaultPlan, MsgKind};
+use bonsai_obs::{Condition, Rule, Severity, TRACE_WINDOW};
+use bonsai_sim::{Cluster, ClusterConfig, LongRunConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use std::sync::{Mutex, MutexGuard};
@@ -151,4 +156,37 @@ fn lets_are_released_receiver_by_receiver() {
     let let_bytes: usize = lets.map(|r| r.bytes).sum();
     eprintln!("one step rose {rise} B above its {before} B start; the epoch's LETs are {let_bytes} B");
     assert!(rise < let_bytes / 2, "the step's heap rose {rise} B for {let_bytes} B of LETs");
+}
+
+#[test]
+fn a_faulty_monitored_run_holds_each_incident_epoch_once() {
+    let _turn = one_at_a_time();
+    // Thin with faults: 16 ranks of 128 particles each, 1 % of messages
+    // dropped. Four rules on a signal that is always positive open at
+    // steps 3, 5, 7 and 9, so the four incident windows overlap.
+    let plan = FaultPlan::new(3).with_rate(FaultKind::Drop, 0.01);
+    let mut c = Cluster::with_faults(plummer_sphere(2048, 7), 16, ClusterConfig::default(), plan, None);
+    let rule = |after: u32| {
+        let name = format!("after-{after}");
+        Rule::new(&name, "bonsai_step_seconds", Condition::Above(0.0), Severity::Info, after, 1)
+    };
+    let rules = [3, 5, 7, 9].map(rule).to_vec();
+    c.enable_longrun(LongRunConfig { rules, ..LongRunConfig::default() });
+    for _ in 0..10 {
+        c.step();
+    }
+    let flows = c.flow_ledger().len();
+    let monitor = c.take_monitor().expect("monitor enabled");
+    let windows: Vec<(u64, u64)> = monitor.incidents().iter().map(|i| i.window).collect();
+    let before = live();
+    drop(monitor);
+    let held = before - live();
+    eprintln!("the monitor held {held} B for incident windows {windows:?}; the live window holds {flows} flows");
+    assert_eq!(windows.len(), 4);
+    assert!(windows.windows(2).all(|w| w[1].0 <= w[0].1), "windows {windows:?} do not overlap");
+    // About 1.2 MB: epochs 1..=10 held once, as spans, instants, ledger
+    // records and exchange windows, beside the series and the alert log. A
+    // copy of each window per incident, its arrows drawn, is 4.2 MB.
+    const BOUND: usize = 2_000_000;
+    assert!(held <= BOUND, "the monitor held {held} B over {BOUND} B");
 }

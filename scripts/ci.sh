@@ -122,8 +122,10 @@ BONSAI_THREADS=3 cargo test -q --release -p bonsai-sim --lib -- \
 # the test binary's own allocator: a second per-flow copy in the window (the
 # arrows' points stored beside the ledger) breaks its bound. And the high
 # water of one step: every LET of the epoch resident at once breaks that
-# one. On the shipped code generation, and at three lanes, whose pool
-# allocates too.
+# one. And the monitor's heap over a faulty run whose four incident windows
+# overlap: a copy of each window per incident, arrows drawn, breaks that
+# bound, where the one history holds each epoch once, undrawn. On the
+# shipped code generation, and at three lanes, whose pool allocates too.
 cargo test -q --release -p bonsai-sim --test heap
 BONSAI_THREADS=3 cargo test -q --release -p bonsai-sim --test heap
 
