@@ -13,23 +13,26 @@
 //! nodes, their ancestors stay `Internal`, and nothing below the frontier —
 //! in particular no particle data — is shipped. Every rank broadcasts its
 //! boundary tree with one `MPI_Allgatherv`-style collective; distant ranks
-//! then use it directly as their LET.
+//! then use it directly as their LET. It is written straight into its frame
+//! by the pruning writer that writes LETs ([`write_boundary`]).
 //!
 //! A frontier node's `bbox` is not its own tight box but the union of the
 //! tight boxes of the rank's walk groups (`Tree::groups`) that share a
 //! particle with it. Peers build their LETs for this rank against these
-//! boxes ([`LetTree::frontier_boxes`]), while the rank walks with its groups,
-//! and a group may straddle two frontier cells: its box can sit nearer a
-//! cell's centre of mass than either cell's own box. With the grown boxes
+//! boxes ([`LetFrame::frontier_boxes`](crate::LetFrame::frontier_boxes)),
+//! while the rank walks with its groups, and a group may straddle two
+//! frontier cells: its box can sit nearer a cell's centre of mass than
+//! either cell's own box. With the grown boxes
 //! every group box lies inside a frontier box, and the box distance is
 //! monotone under containment, so any cell a group's MAC opens was opened
-//! by the sender too: no `Cut` node is ever forced.
+//! by the sender too: no `Cut` node is ever forced. The box is patched into
+//! the frontier node's record as the record is written.
 
-use crate::letbuild::{extract_pruned, Action};
-use crate::lettree::{LetTree, Role};
+use crate::letbuild::write_pruned;
+use crate::lettree::LetTree;
 use bonsai_sfc::{KeyRange, DIM_BITS};
 use bonsai_tree::build::Tree;
-use bonsai_tree::node::NodeKind;
+use bonsai_tree::node::{Node, NodeKind};
 use bonsai_util::Aabb;
 use std::collections::HashSet;
 
@@ -44,37 +47,26 @@ fn prefix_at(key: u64, level: u32) -> u64 {
     }
 }
 
-/// Index of the leftmost (lowest-key) particle under node `idx`.
-fn leftmost_particle(tree: &Tree, mut idx: usize) -> usize {
-    loop {
+/// The particles under node `idx`, `lo..hi`. Children are pushed in
+/// ascending digit order: the first child holds the lowest keys, the last
+/// the highest.
+fn particle_span(tree: &Tree, idx: usize) -> (usize, usize) {
+    let leaf = |mut idx: usize, last: bool| loop {
         let n = &tree.nodes[idx];
         match n.kind {
-            NodeKind::Leaf => return n.first as usize,
-            // Children are pushed in ascending digit order, so the first
-            // child holds the lowest keys.
-            NodeKind::Internal => idx = n.first as usize,
+            NodeKind::Leaf => return n,
+            NodeKind::Internal => idx = (n.first + if last { n.count - 1 } else { 0 }) as usize,
             NodeKind::Cut => unreachable!("local trees have no Cut nodes"),
         }
-    }
-}
-
-/// One past the index of the rightmost (highest-key) particle under node
-/// `idx`: the last child holds the highest keys.
-fn particle_end(tree: &Tree, mut idx: usize) -> usize {
-    loop {
-        let n = &tree.nodes[idx];
-        match n.kind {
-            NodeKind::Leaf => return (n.first + n.count) as usize,
-            NodeKind::Internal => idx = (n.first + n.count - 1) as usize,
-            NodeKind::Cut => unreachable!("local trees have no Cut nodes"),
-        }
-    }
+    };
+    let last = leaf(idx, true);
+    (leaf(idx, false).first as usize, (last.first + last.count) as usize)
 }
 
 /// Union of the tight boxes of the walk groups sharing a particle with
 /// node `idx`.
 fn group_cover(tree: &Tree, idx: usize) -> Aabb {
-    let (lo, hi) = (leftmost_particle(tree, idx), particle_end(tree, idx));
+    let (lo, hi) = particle_span(tree, idx);
     let groups = &tree.groups;
     let first = groups.partition_point(|g| g.end as usize <= lo);
     let end = groups.partition_point(|g| (g.begin as usize) < hi);
@@ -85,40 +77,29 @@ fn group_cover(tree: &Tree, idx: usize) -> Aabb {
     cover
 }
 
-/// Extract the boundary tree of `tree`, whose particles occupy the key range
-/// `domain`.
+/// Write the boundary tree of `tree`, whose particles occupy the key range
+/// `domain`, into a new frame.
 ///
 /// Frontier nodes are the covering cells of `domain` — or local *leaves*
 /// sitting above a covering cell, in which case the frontier is slightly
 /// coarser there (still correct: frontier nodes carry exact multipoles of
 /// exactly the local particles below them). Their boxes cover the walk
 /// groups they touch (module docs).
-pub fn boundary_tree(tree: &Tree, domain: &KeyRange) -> LetTree {
-    let role = Role::Boundary;
-    if tree.is_empty() {
-        return LetTree { role, ..LetTree::default() };
-    }
+pub fn write_boundary(tree: &Tree, domain: &KeyRange) -> Vec<u8> {
     let covering: HashSet<(u64, u32)> = domain.covering_cells().into_iter().collect();
-    // The local index of every node kept as a frontier node, in output order.
-    let mut frontier: Vec<Option<usize>> = Vec::new();
-    let mut pruned = extract_pruned(tree, |idx, node| {
-        let left_key = tree.keys[leftmost_particle(tree, idx)];
+    let opens = |idx, node: &Node| {
+        let left_key = tree.keys[particle_span(tree, idx).0];
         let cell = (prefix_at(left_key, node.level), node.level);
-        // A covering cell, or a leaf coarser than the covering cells below it.
-        let cut = covering.contains(&cell) || node.kind == NodeKind::Leaf;
-        frontier.push(cut.then_some(idx));
-        if cut {
-            Action::Cut
-        } else {
-            Action::Open
-        }
-    });
-    for (n, local) in pruned.nodes.iter_mut().zip(frontier) {
-        if let Some(idx) = local {
-            n.bbox = group_cover(tree, idx);
-        }
-    }
-    LetTree { role, ..pruned }
+        // Cut at a covering cell, or a leaf coarser than the covering cells
+        // below it.
+        !(covering.contains(&cell) || node.kind == NodeKind::Leaf)
+    };
+    write_pruned(tree, opens, Some(&|idx| group_cover(tree, idx)), Vec::new())
+}
+
+/// The boundary tree [`write_boundary`] writes, decoded.
+pub fn boundary_tree(tree: &Tree, domain: &KeyRange) -> LetTree {
+    LetTree::from_bytes(&write_boundary(tree, domain)).expect("a written boundary is valid")
 }
 
 #[cfg(test)]

@@ -5,9 +5,14 @@
 //! it might reach — its *Local Essential Tree*. Whether the receiver opens a
 //! cell is decided by the multipole acceptance criterion against the
 //! receiver's particle geometry, which we know conservatively from its
-//! boundary tree ([`crate::lettree::LetTree::frontier_boxes`]): if no point
+//! boundary tree ([`crate::lettree::LetFrame::frontier_boxes`]): if no point
 //! of the remote geometry can open a cell, the cell travels as a pruned
 //! `Cut` node.
+//!
+//! A LET is born as records: the pruning traversal decides each node of the
+//! local tree once, breadth first, then writes every node and particle
+//! record straight into the sender's frame buffer ([`write_let`]). A
+//! boundary tree is written the same way ([`crate::boundary`]).
 //!
 //! The *sufficiency check* mirrors the paper's first step: if the
 //! already-broadcast boundary tree would never be opened past its frontier by
@@ -16,14 +21,18 @@
 //! every rank holds bit-identically after the allgather, so sender and
 //! receiver reach the same decision without a message about it.
 
-use crate::lettree::{LetTree, Role};
+use crate::lettree::{write_frame, LetTree, Role};
+use bonsai_tree::records::{encode_node, encode_particle};
 use bonsai_tree::build::Tree;
 use bonsai_tree::mac::OpeningCriterion;
 use bonsai_tree::node::{Node, NodeKind};
-use bonsai_util::Aabb;
+use bonsai_tree::records::RecordView;
+use bonsai_util::{Aabb, Vec3};
 
 /// `true` if any point of `geom` would open `node` under `mac` (the
-/// group-MAC of the walk, taken over a whole domain's geometry).
+/// group-MAC of the walk, taken over a whole domain's geometry), box by
+/// box: what [`write_let`] and the sufficiency check decide with the hull
+/// of `geom` in front.
 #[inline]
 pub fn geometry_opens(node: &Node, geom: &[Aabb], mac: &OpeningCriterion) -> bool {
     (mac.opening_radius2(node.com, node.geo_center, node.geo_half))
@@ -31,7 +40,7 @@ pub fn geometry_opens(node: &Node, geom: &[Aabb], mac: &OpeningCriterion) -> boo
 }
 
 /// The smallest box holding every box of `geom` (empty for none): what
-/// [`build_let`] and the sufficiency check test a node against before
+/// [`write_let`] and the sufficiency check test a node against before
 /// they scan the boxes.
 pub fn hull_of(geom: &[Aabb]) -> Aabb {
     let mut hull = Aabb::empty();
@@ -41,118 +50,103 @@ pub fn hull_of(geom: &[Aabb]) -> Aabb {
     hull
 }
 
-/// [`geometry_opens`], decided first against `hull`, the [`hull_of`]
-/// `geom`: a node whose opening sphere misses the hull is not opened
-/// without the per-box scan. That is exact, not an approximation: the
-/// hull's corners are exact minima and maxima of the boxes' corners, and
-/// rounding is monotone, so the hull's `min_dist2_point` is never larger
-/// than any box's.
+/// [`geometry_opens`] for the cell of centre of mass `com` and octree cell
+/// `(geo_center, geo_half)`, wherever they are read from (a [`Node`] or a
+/// record), decided first against `hull`, the [`hull_of`] `geom`: a cell
+/// whose opening sphere misses the hull is not opened without the per-box
+/// scan. That is exact, not an approximation: the hull's corners are exact
+/// minima and maxima of the boxes' corners, and rounding is monotone, so
+/// the hull's `min_dist2_point` is never larger than any box's.
 #[inline]
-fn hull_geometry_opens(node: &Node, geom: &[Aabb], hull: &Aabb, mac: &OpeningCriterion) -> bool {
-    (mac.opening_radius2(node.com, node.geo_center, node.geo_half)).is_none_or(|r2| {
-        hull.min_dist2_point(node.com) <= r2 && geom.iter().any(|b| b.min_dist2_point(node.com) <= r2)
+fn cell_opens(com: Vec3, geo_center: Vec3, geo_half: f64, geom: &[Aabb], hull: &Aabb, mac: &OpeningCriterion) -> bool {
+    (mac.opening_radius2(com, geo_center, geo_half)).is_none_or(|r2| {
+        hull.min_dist2_point(com) <= r2 && geom.iter().any(|b| b.min_dist2_point(com) <= r2)
     })
 }
 
-/// What the pruning traversal does with a node.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Action {
-    /// Keep as multipole-only `Cut` node; do not descend.
-    Cut,
-    /// Descend (internal) or ship particles (leaf).
-    Open,
-}
-
-/// Generic pruned-copy extraction: BFS over the local tree, applying
-/// `decide` to every visited node — once per node of the result, in the
-/// result's order. Children of kept internal nodes stay contiguous, so the
-/// result is directly walkable.
-pub fn extract_pruned<F>(tree: &Tree, decide: F) -> LetTree
-where
-    F: FnMut(usize, &Node) -> Action,
-{
-    let mut out = LetTree::default();
-    extract_pruned_into(tree, decide, &mut out);
-    out
-}
-
-/// [`extract_pruned`] into `out`, as [`build_let_into`] builds.
-fn extract_pruned_into<F>(tree: &Tree, mut decide: F, out: &mut LetTree)
-where
-    F: FnMut(usize, &Node) -> Action,
-{
-    out.nodes.clear();
-    out.pos.clear();
-    out.mass.clear();
-    out.role = Role::Let;
-    if tree.is_empty() {
-        return;
-    }
-    // `out.nodes` is its own BFS queue: slot `slot` is visited after every
-    // slot before it, and `source[slot]` is its local node index.
-    let mut source: Vec<u32> = vec![0];
-    out.nodes.push(tree.nodes[0]);
-    let mut slot = 0;
-    while slot < out.nodes.len() {
-        let local_idx = source[slot] as usize;
-        let node = tree.nodes[local_idx];
-        match (decide(local_idx, &node), node.kind) {
-            (Action::Cut, _) => {
-                let n = &mut out.nodes[slot];
-                n.kind = NodeKind::Cut;
-                n.first = 0;
-                n.count = 0;
-            }
-            (Action::Open, NodeKind::Leaf) => {
-                let first = out.pos.len() as u32;
-                let (b, e) = (node.first as usize, (node.first + node.count) as usize);
-                out.pos.extend_from_slice(&tree.particles.pos[b..e]);
-                out.mass.extend_from_slice(&tree.particles.mass[b..e]);
-                let n = &mut out.nodes[slot];
-                n.kind = NodeKind::Leaf;
-                n.first = first;
-                // count already equals the particle count
-            }
-            (Action::Open, NodeKind::Internal) => {
-                let (b, e) = (node.first as usize, (node.first + node.count) as usize);
-                out.nodes[slot].first = out.nodes.len() as u32;
-                // count already equals the child count
-                out.nodes.extend_from_slice(&tree.nodes[b..e]);
-                source.extend(node.first..node.first + node.count);
-            }
-            (Action::Open, NodeKind::Cut) => unreachable!("local trees have no Cut nodes"),
+/// The one pruning writer: a breadth-first traversal of `tree` decides each
+/// visited node once (`opens`, in the frame's node order: `true` descends
+/// into an internal node or ships a leaf's particles, `false` keeps the node
+/// as a multipole-only `Cut` node), then the frame is written into `buf` in
+/// one pass, every node and particle record at its offset (see
+/// [`write_frame`] for the buffer). Children of kept internal nodes stay
+/// contiguous, so the frame is directly walkable. With a `frontier_box`,
+/// the frame is a boundary whose `Cut` nodes carry `frontier_box(local
+/// index)` as their box; without, a LET.
+pub(crate) fn write_pruned(
+    tree: &Tree,
+    mut opens: impl FnMut(usize, &Node) -> bool,
+    frontier_box: Option<&dyn Fn(usize) -> Aabb>,
+    buf: Vec<u8>,
+) -> Vec<u8> {
+    // Slot `s` of the frame: the local node it copies, and whether it
+    // opened. The list is its own BFS queue: children are appended as their
+    // parent opens.
+    let mut kept: Vec<(u32, bool)> = Vec::with_capacity(tree.nodes.len());
+    kept.extend((!tree.is_empty()).then_some((0, true)));
+    let (mut slot, mut particles) = (0, 0);
+    while slot < kept.len() {
+        let local = kept[slot].0;
+        let node = &tree.nodes[local as usize];
+        let open = opens(local as usize, node);
+        kept[slot].1 = open;
+        match (open, node.kind) {
+            (false, _) => {}
+            (true, NodeKind::Internal) => kept.extend((node.first..node.first + node.count).map(|c| (c, true))),
+            (true, NodeKind::Leaf) => particles += node.count as usize,
+            (true, NodeKind::Cut) => unreachable!("local trees have no Cut nodes"),
         }
         slot += 1;
     }
+    let role = if frontier_box.is_some() { Role::Boundary } else { Role::Let };
+    let (mut next_child, mut next_particle) = (1, 0);
+    // A leaf's particles are written as its node record is: fed to the
+    // frame writer as separate node and particle streams, the same records
+    // took 1.5× as long to write.
+    write_frame(role, (kept.len(), particles), buf, |node_recs, mut particle_recs| {
+        for (&(local, open), rec) in kept.iter().zip(node_recs) {
+            let mut n = tree.nodes[local as usize];
+            match (open, n.kind) {
+                (false, _) => {
+                    (n.kind, n.first, n.count) = (NodeKind::Cut, 0, 0);
+                    if let Some(frontier_box) = frontier_box {
+                        n.bbox = frontier_box(local as usize);
+                    }
+                }
+                (true, NodeKind::Leaf) => {
+                    let range = n.first as usize..(n.first + n.count) as usize;
+                    let (pos, mass) = (&tree.particles.pos[range.clone()], &tree.particles.mass[range]);
+                    for ((&p, &m), prec) in pos.iter().zip(mass).zip(&mut particle_recs) {
+                        encode_particle(p, m, prec);
+                    }
+                    (n.first, next_particle) = (next_particle, next_particle + n.count);
+                }
+                (true, _) => (n.first, next_child) = (next_child, next_child + n.count),
+            }
+            encode_node(&n, rec);
+        }
+    })
 }
 
-/// Build the Local Essential Tree of `tree` for a receiver whose particle
+/// Write the Local Essential Tree of `tree` for a receiver whose particle
 /// geometry is (conservatively) covered by `remote_geom`, at opening angle
-/// `theta`.
+/// `theta`, into the frame buffer `buf`, and return the frame. `buf` may
+/// hold anything: one too small is replaced by a zeroed one of the frame's
+/// size, a larger one keeps its capacity, and old bytes are never copied.
 ///
 /// Decides each node as [`geometry_opens`] does, but first against the hull
 /// of `remote_geom`: a node whose opening sphere misses the hull is `Cut`
-/// without the per-box scan, exactly (see [`hull_of`]).
-pub fn build_let(tree: &Tree, remote_geom: &[Aabb], theta: f64) -> LetTree {
-    let mut out = LetTree::default();
-    build_let_into(tree, remote_geom, theta, &mut out);
-    out
+/// without the per-box scan, exactly (the hull's corners are exact minima
+/// and maxima of the boxes' corners).
+pub fn write_let(tree: &Tree, remote_geom: &[Aabb], theta: f64, buf: Vec<u8>) -> Vec<u8> {
+    let (mac, hull) = (OpeningCriterion::new(theta), hull_of(remote_geom));
+    let opens = |_, n: &Node| cell_opens(n.com, n.geo_center, n.geo_half, remote_geom, &hull, &mac);
+    write_pruned(tree, opens, None, buf)
 }
 
-/// [`build_let`] into `out`, a [`Role::Let`] tree afterwards whatever it
-/// held: its buffers are cleared and kept, so a sender that builds one LET
-/// after another into the same tree allocates only when one outgrows every
-/// LET before it.
-pub fn build_let_into(tree: &Tree, remote_geom: &[Aabb], theta: f64, out: &mut LetTree) {
-    let (mac, hull) = (OpeningCriterion::new(theta), hull_of(remote_geom));
-    let decide = |_, node: &Node| {
-        if hull_geometry_opens(node, remote_geom, &hull, &mac) {
-            Action::Open
-        } else {
-            Action::Cut
-        }
-    };
-    extract_pruned_into(tree, decide, out);
+/// The LET [`write_let`] writes, decoded.
+pub fn build_let(tree: &Tree, remote_geom: &[Aabb], theta: f64) -> LetTree {
+    LetTree::from_bytes(&write_let(tree, remote_geom, theta, Vec::new())).expect("a written LET is valid")
 }
 
 /// Sender-side check: can the receiver with geometry `remote_geom` compute
@@ -162,18 +156,19 @@ pub fn build_let_into(tree: &Tree, remote_geom: &[Aabb], theta: f64, out: &mut L
 /// nodes never occur in boundary trees; internal nodes being opened is fine —
 /// their children are present.)
 pub fn boundary_sufficient_for(boundary: &LetTree, remote_geom: &[Aabb], theta: f64) -> bool {
-    boundary_sufficient_within(boundary, remote_geom, &hull_of(remote_geom), theta)
+    let (mac, hull) = (OpeningCriterion::new(theta), hull_of(remote_geom));
+    (boundary.nodes.iter().filter(|n| n.kind == NodeKind::Cut))
+        .all(|n| !cell_opens(n.com, n.geo_center, n.geo_half, remote_geom, &hull, &mac))
 }
 
-/// [`boundary_sufficient_for`] with the receiver's hull, [`hull_of`]
-/// `remote_geom`, taken once by a caller that checks many boundaries
-/// against one geometry: each `Cut` node is tested against the hull before
-/// the per-box scan, which decides exactly as the scan alone.
-pub fn boundary_sufficient_within(boundary: &LetTree, remote_geom: &[Aabb], hull: &Aabb, theta: f64) -> bool {
+/// [`boundary_sufficient_for`] of a boundary read in its records, with the
+/// receiver's hull, [`hull_of`] `remote_geom`, taken once by a caller that
+/// checks many boundaries against one geometry.
+pub fn boundary_sufficient_within(boundary: &RecordView<'_>, remote_geom: &[Aabb], hull: &Aabb, theta: f64) -> bool {
     let mac = OpeningCriterion::new(theta);
-    (boundary.nodes.iter())
-        .filter(|n| n.kind == NodeKind::Cut)
-        .all(|n| !hull_geometry_opens(n, remote_geom, hull, &mac))
+    ((0..boundary.len()).map(|i| boundary.node(i)))
+        .filter(|n| n.kind() == Some(NodeKind::Cut))
+        .all(|n| !cell_opens(n.com(), n.geo_center(), n.geo_half(), remote_geom, hull, &mac))
 }
 
 #[cfg(test)]

@@ -1,11 +1,11 @@
 //! Local Essential Trees as standalone, serializable structures.
 //!
-//! A [`LetTree`] is a pruned copy of a sender's local tree: internal nodes
-//! that the receiver may open, leaves whose particles are shipped, and `Cut`
-//! nodes carrying only multipole data because the multipole acceptance
-//! criterion guarantees the receiver will never open them. Because every
-//! local tree is a branch of the same hypothetical global octree (§III-B1),
-//! the receiver walks a LET *directly* — no merging into the local tree —
+//! A LET is a pruned copy of a sender's local tree: internal nodes that the
+//! receiver may open, leaves whose particles are shipped, and `Cut` nodes
+//! carrying only multipole data because the multipole acceptance criterion
+//! guarantees the receiver will never open them. Because every local tree
+//! is a branch of the same hypothetical global octree (§III-B1), the
+//! receiver walks a LET *directly* — no merging into the local tree —
 //! which is what lets the paper hide LET exchange behind GPU work.
 //!
 //! The byte encoding is deliberately explicit: a header, then fixed-width
@@ -15,15 +15,22 @@
 //! `quad`, `geo_center`, `geo_half`, `first`, `count` and `kind`; `level`
 //! ships as one byte. The tight `bbox` ships only on [`Role::Boundary`]
 //! records, because receivers build their LETs against a boundary's
-//! [`LetTree::frontier_boxes`] and nobody reads a LET's boxes.
+//! [`LetFrame::frontier_boxes`] and nobody reads a LET's boxes.
+//!
+//! One writer sizes every frame and writes its header. Its records are
+//! filled in frame order by the pruning traversal, straight from the
+//! sender's tree into its frame buffer ([`crate::letbuild::write_let`],
+//! [`crate::boundary::write_boundary`]), or by [`LetTree::to_bytes`] from a
+//! tree in memory.
 //!
 //! A receiver decodes nothing. [`validate`] checks an encoding where it lies
 //! — lengths, kinds, finiteness, ranges, mass sums, levels, boxes, in one
-//! pass — and a [`LetFrame`] keeps a validated LET in the frame it arrived
-//! in, for the walk to read its records there. The round trip is exact in
-//! every shipped field (signed zeros and subnormals included), so walking a
-//! received frame gives the sender's forces bit for bit, and a receiver that
-//! validated a boundary frame may drop its copy and walk the sender's tree.
+//! pass — and a [`LetFrame`] keeps a validated LET or boundary in the frame
+//! it arrived in, for the walk, the frontier boxes and the sufficiency check
+//! to read its records there. The round trip is exact in every shipped
+//! field (signed zeros and subnormals included), so walking a received
+//! frame gives the sender's forces bit for bit. A [`LetTree`] is what
+//! [`LetTree::from_bytes`] decodes, for programs that want a tree in memory.
 //!
 //! ```text
 //! header   17 B  node count u64 · particle count u64 · role u8 (0 LET, 1 boundary)
@@ -39,15 +46,17 @@ use bonsai_tree::records::{
 };
 use bonsai_util::{Aabb, Vec3};
 use bytes::Bytes;
+use std::slice::ChunksExactMut;
 
 /// What a tree is for, which picks its node record on the wire.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+#[repr(u8)]
 pub enum Role {
     /// A dedicated LET: its receiver only walks it.
     #[default]
-    Let,
+    Let = 0,
     /// A boundary tree: receivers also read its frontier's tight boxes.
-    Boundary,
+    Boundary = 1,
 }
 
 impl Role {
@@ -63,8 +72,9 @@ impl Role {
 /// Bytes of the frame header: node count, particle count, role.
 pub const HEADER_SIZE: usize = 8 + 8 + 1;
 
-/// A self-contained pruned tree: nodes in BFS order plus the particle payload
-/// referenced by its leaf nodes.
+/// A decoded pruned tree: nodes in BFS order plus the particle payload
+/// referenced by its leaf nodes, as [`from_bytes`](Self::from_bytes) returns
+/// it.
 #[derive(Clone, Debug, Default)]
 pub struct LetTree {
     /// Nodes in BFS order, `nodes[0]` the root (empty if the sender owned
@@ -99,9 +109,8 @@ impl LetTree {
         self.nodes.first().map_or(0.0, |n| n.mass)
     }
 
-    /// Bounding boxes of the `Cut` and `Leaf` frontier — on a boundary tree,
-    /// the domain geometry a receiver uses when it builds LETs *for* this
-    /// sender.
+    /// Bounding boxes of the `Cut` and `Leaf` frontier, as
+    /// [`LetFrame::frontier_boxes`] reads them from a boundary's records.
     pub fn frontier_boxes(&self) -> Vec<Aabb> {
         self.nodes
             .iter()
@@ -178,45 +187,21 @@ impl LetTree {
     }
 
     /// Serialize to bytes: the header, one fixed-stride record per node, then
-    /// the particles (module docs). One buffer of [`wire_size`](Self::wire_size)
-    /// bytes is written in place by [`write_to`](Self::write_to) and adopted
-    /// by the returned [`Bytes`].
+    /// the particles (module docs), written by the one frame writer.
     ///
     /// # Panics
     /// If a node's level does not fit its one-byte field.
     pub fn to_bytes(&self) -> Bytes {
-        let mut buf = vec![0u8; self.wire_size()];
-        self.write_to(&mut buf);
-        Bytes::from(buf)
-    }
-
-    /// Serialize into `out`, which must be exactly
-    /// [`wire_size`](Self::wire_size) bytes: every byte is written, so `out`
-    /// may hold anything before (a frame buffer kept from an earlier epoch).
-    /// The bytes are those of [`to_bytes`](Self::to_bytes).
-    ///
-    /// # Panics
-    /// If `out` has another length, or a node's level does not fit its
-    /// one-byte field.
-    pub fn write_to(&self, out: &mut [u8]) {
         debug_assert_eq!(self.pos.len(), self.mass.len());
-        assert_eq!(out.len(), self.wire_size(), "a LET is written into a buffer of its wire size");
-        let stride = self.role.record_size();
-        let (header, body) = out.split_at_mut(HEADER_SIZE);
-        header[0..8].copy_from_slice(&(self.nodes.len() as u64).to_le_bytes());
-        header[8..16].copy_from_slice(&(self.pos.len() as u64).to_le_bytes());
-        header[16] = match self.role {
-            Role::Let => 0,
-            Role::Boundary => 1,
-        };
-        let (node_part, particle_part) = body.split_at_mut(self.nodes.len() * stride);
-        for (n, rec) in self.nodes.iter().zip(node_part.chunks_exact_mut(stride)) {
-            encode_node(n, rec);
-        }
-        let particles = self.pos.iter().zip(&self.mass);
-        for ((&p, &m), rec) in particles.zip(particle_part.chunks_exact_mut(PARTICLE_RECORD_SIZE)) {
-            encode_particle(p, m, rec);
-        }
+        let counts = (self.nodes.len(), self.pos.len());
+        Bytes::from(write_frame(self.role, counts, Vec::new(), |node_recs, particle_recs| {
+            for (n, rec) in self.nodes.iter().zip(node_recs) {
+                encode_node(n, rec);
+            }
+            for ((&p, &m), rec) in self.pos.iter().zip(&self.mass).zip(particle_recs) {
+                encode_particle(p, m, rec);
+            }
+        }))
     }
 
     /// Validate, then copy: the tree `b` encodes, or `None` for any
@@ -241,6 +226,34 @@ impl LetTree {
         let nodes = self.nodes.len() * self.role.record_size();
         HEADER_SIZE + nodes + self.pos.len() * PARTICLE_RECORD_SIZE
     }
+}
+
+/// Write a frame of `role` into `buf`: the header for `counts` (nodes,
+/// particles), then `records` fills the node and particle record slots, in
+/// frame order, and must write every one of them. The frame's size is known
+/// before anything is written: a `buf` too small for it is replaced by a
+/// zeroed one of its size, a larger one keeps its capacity (frames to near
+/// and far receivers differ in size), and old bytes are never copied.
+pub(crate) fn write_frame(
+    role: Role,
+    counts: (usize, usize),
+    mut buf: Vec<u8>,
+    records: impl FnOnce(ChunksExactMut<'_, u8>, ChunksExactMut<'_, u8>),
+) -> Vec<u8> {
+    let stride = role.record_size();
+    let len = HEADER_SIZE + counts.0 * stride + counts.1 * PARTICLE_RECORD_SIZE;
+    if buf.capacity() < len {
+        buf = vec![0; len];
+    } else {
+        buf.resize(len, 0);
+    }
+    let (header, body) = buf.split_at_mut(HEADER_SIZE);
+    header[0..8].copy_from_slice(&(counts.0 as u64).to_le_bytes());
+    header[8..16].copy_from_slice(&(counts.1 as u64).to_le_bytes());
+    header[16] = role as u8;
+    let (node_part, particle_part) = body.split_at_mut(counts.0 * stride);
+    records(node_part.chunks_exact_mut(stride), particle_part.chunks_exact_mut(PARTICLE_RECORD_SIZE));
+    buf
 }
 
 /// Why [`validate`] refused an encoding.
@@ -357,10 +370,10 @@ fn node_invariants(view: &RecordView<'_>, i: usize, n: NodeRecord<'_>, kind: Nod
     Ok(())
 }
 
-/// A received LET, validated in the buffer it arrived in: the sender's
-/// own. Nothing is copied; the walk reads [`records`](Self::records) where
-/// they lie, and the buffer goes back to its sender once every handle is
-/// dropped.
+/// A received LET or boundary, validated in the buffer it arrived in: the
+/// sender's own. Nothing is copied; the walk reads
+/// [`records`](Self::records) where they lie, and the buffer goes back to
+/// its sender once every handle is dropped.
 #[derive(Debug)]
 pub struct LetFrame(Bytes);
 
@@ -374,6 +387,17 @@ impl LetFrame {
     /// The LET's records, in place.
     pub fn records(&self) -> RecordView<'_> {
         layout(&self.0).expect("a validated encoding").1
+    }
+
+    /// Bounding boxes of the `Cut` and `Leaf` frontier of a boundary: the
+    /// domain geometry a receiver uses when it builds LETs *for* this
+    /// sender. A LET's records carry no boxes, so it has none.
+    pub fn frontier_boxes(&self) -> Vec<Aabb> {
+        let view = self.records();
+        (0..view.len())
+            .filter(|&i| matches!(view.node(i).kind(), Some(NodeKind::Cut | NodeKind::Leaf)))
+            .filter_map(|i| view.bbox(i))
+            .collect()
     }
 }
 
@@ -476,30 +500,40 @@ mod tests {
     }
 
     #[test]
-    fn write_to_overwrites_every_byte_of_a_dirty_buffer() {
+    fn a_frame_written_over_a_dirty_buffer_is_its_encoding() {
         for t in [sample_tree(), sample_boundary(), LetTree::default()] {
-            for fill in [0x00, 0xFF, 0xA5] {
-                let mut buf = vec![fill; t.wire_size()];
-                t.write_to(&mut buf);
-                assert_eq!(buf, t.to_bytes().to_vec(), "{:?} over 0x{fill:02x}", t.role);
+            let want = t.to_bytes().to_vec();
+            // Stale buffers shorter than, as long as and longer than the frame.
+            for (fill, len) in [(0x00, 0), (0xFF, want.len() / 2), (0xA5, want.len()), (0x5A, 2 * want.len() + 9)] {
+                let got = encode(&t, vec![fill; len]);
+                assert_eq!(got, want, "{:?} over {len} bytes of 0x{fill:02x}", t.role);
             }
+            assert_eq!(want.len(), t.wire_size());
         }
     }
 
-    #[test]
-    #[should_panic(expected = "buffer of its wire size")]
-    fn write_to_refuses_a_buffer_of_another_size() {
-        let t = sample_tree();
-        t.write_to(&mut vec![0; t.wire_size() + 1]);
+    /// `t`'s records through the frame writer, into `buf`.
+    fn encode(t: &LetTree, buf: Vec<u8>) -> Vec<u8> {
+        write_frame(t.role, (t.nodes.len(), t.pos.len()), buf, |node_recs, particle_recs| {
+            for (n, rec) in t.nodes.iter().zip(node_recs) {
+                encode_node(n, rec);
+            }
+            for ((&p, &m), rec) in t.pos.iter().zip(&t.mass).zip(particle_recs) {
+                encode_particle(p, m, rec);
+            }
+        })
     }
 
     #[test]
     fn only_boundary_records_carry_the_tight_box() {
         let b = LetTree::from_bytes(&sample_boundary().to_bytes()).unwrap();
         assert_eq!(b.frontier_boxes(), sample_boundary().frontier_boxes());
+        let frame = LetFrame::new(sample_boundary().to_bytes()).unwrap();
+        assert_eq!(frame.frontier_boxes(), sample_boundary().frontier_boxes());
         // A LET record carries no box: decode gives the octree cell.
         let t = LetTree::from_bytes(&sample_tree().to_bytes()).unwrap();
         assert_eq!(t.nodes[2].bbox, Aabb::cube(Vec3::new(1.5, 0.5, 0.5), 0.25));
+        assert!(LetFrame::new(sample_tree().to_bytes()).unwrap().frontier_boxes().is_empty());
     }
 
     #[test]

@@ -14,13 +14,15 @@
 //!   re-split the key space for a new world size and migrate particles
 //!   between the old and new rank sets;
 //! * [`lettree`] — the wire format of boundary trees and Local Essential
-//!   Trees: pruned trees with `Cut` nodes, plus byte-level serialization so
-//!   the network model sees real message sizes;
+//!   Trees: pruned trees with `Cut` nodes as byte-level records, one writer
+//!   and an in-place validator, so the network model sees real message
+//!   sizes and receivers walk what arrived;
 //! * [`boundary`] — boundary-tree extraction: the covering cells of a rank's
 //!   key range ("gray squares" of Fig. 2) plus their ancestors;
-//! * [`letbuild`] — LET construction against a remote domain's geometry and
-//!   the sender-side sufficiency check that lets distant ranks reuse the
-//!   already-broadcast boundary tree as their LET.
+//! * [`letbuild`] — LET construction against a remote domain's geometry,
+//!   written straight into a frame, and the sender-side sufficiency check
+//!   that lets distant ranks reuse the already-broadcast boundary tree as
+//!   their LET.
 //!
 //! ```
 //! use bonsai_domain::build_let;
@@ -49,8 +51,8 @@ pub mod load;
 pub mod remap;
 pub mod sampling;
 
-pub use boundary::boundary_tree;
+pub use boundary::{boundary_tree, write_boundary};
 pub use exchange::ExchangePlan;
-pub use letbuild::{boundary_sufficient_for, build_let};
+pub use letbuild::{boundary_sufficient_for, build_let, write_let};
 pub use lettree::{LetFrame, LetTree, Role};
 pub use remap::replan;

@@ -4,22 +4,23 @@
 
 use bonsai_domain::exchange::ExchangePlan;
 use bonsai_domain::letbuild::{
-    boundary_sufficient_for, boundary_sufficient_within, build_let, extract_pruned, geometry_opens, hull_of, Action,
+    boundary_sufficient_for, boundary_sufficient_within, build_let, geometry_opens, hull_of, write_let,
 };
 use bonsai_domain::load::{enforce_particle_cap, populations, weighted_cuts};
 use bonsai_domain::lettree::{validate, Invalid, LetTree, Role, HEADER_SIZE};
-use bonsai_domain::{boundary_tree, replan, sampling};
+use bonsai_domain::{boundary_tree, replan, sampling, write_boundary};
 use bonsai_sfc::range::{find_owner, ranges_from_cuts};
-use bonsai_sfc::{KeyMap, KeyRange, KEY_END, MAX_LEVEL};
+use bonsai_sfc::{KeyMap, KeyRange, DIM_BITS, KEY_END, MAX_LEVEL};
 use bonsai_tree::build::{Tree, TreeParams};
 use bonsai_tree::mac::OpeningCriterion;
 use bonsai_tree::node::{Node, NodeKind};
-use bonsai_tree::records::{decode_node, PARTICLE_RECORD_SIZE};
-use bonsai_tree::walk::{walk_tree, WalkParams};
+use bonsai_tree::records::{decode_node, RecordView, BOUNDARY_RECORD_SIZE, PARTICLE_RECORD_SIZE};
+use bonsai_tree::walk::{walk_sources, Source, WalkParams};
 use bonsai_tree::{Forces, Particles};
 use bonsai_util::rng::Xoshiro256;
 use bonsai_util::{Aabb, Vec3};
 use proptest::prelude::*;
+use std::collections::HashSet;
 
 fn blob(n: usize, seed: u64) -> Particles {
     let mut rng = Xoshiro256::seed_from(seed);
@@ -140,28 +141,35 @@ proptest! {
     fn walking_a_decoded_frame_gives_the_senders_forces(
         n in 2usize..300, seed in any::<u64>(), theta in 0.2f64..1.0, boundary in any::<bool>()
     ) {
-        // What a receiver reads survives the wire bit for bit: it may
-        // validate its copy of a boundary and walk the sender's tree.
+        // What a receiver reads survives the wire bit for bit: walking the
+        // frame's records where they lie, or its decoded copy, gives the
+        // forces of the sender's pruned tree in memory (the oracle's).
         let (sender, domain, receiver) = two_ranks(n, seed);
-        let lt = if boundary {
-            boundary_tree(&sender, &domain)
+        let geom = [receiver.particles.bounds()];
+        let (frame, oracle) = if boundary {
+            (write_boundary(&sender, &domain), oracle_boundary(&sender, &domain))
         } else {
-            build_let(&sender, &[receiver.particles.bounds()], theta)
+            (write_let(&sender, &geom, theta, Vec::new()), oracle_let(&sender, &geom, theta))
         };
-        let back = LetTree::from_bytes(&lt.to_bytes()).unwrap();
+        let back = LetTree::from_bytes(&frame).unwrap();
         prop_assert!(back.check_invariants().is_ok());
+        let (_, records) = validate(&frame).unwrap();
         let params = WalkParams::new(theta, 0.01);
-        let targets = &receiver.particles.pos;
-        let walk = |t: &LetTree| walk_tree(&t.view(), targets, &receiver.groups, &params);
-        let ((fa, sa), (fb, sb)) = (walk(&lt), walk(&back));
+        let walk = |src: Source| {
+            let (forces, stats) = walk_sources(&[src], &receiver.particles.pos, &receiver.groups, &params);
+            (forces, stats[0])
+        };
         let bits = |f: &Forces| -> Vec<u64> {
             let acc = f.acc.iter().flat_map(|a| [a.x, a.y, a.z]);
             acc.chain(f.pot.iter().copied()).map(f64::to_bits).collect()
         };
-        prop_assert_eq!(bits(&fa), bits(&fb));
-        prop_assert_eq!(sa.counts, sb.counts);
-        prop_assert_eq!(sa.nodes_visited, sb.nodes_visited);
-        prop_assert_eq!(sa.forced_cuts, sb.forced_cuts);
+        let (fa, sa) = walk(Source::Tree(oracle.view()));
+        for (what, (fb, sb)) in [("decoded", walk(Source::Tree(back.view()))), ("records", walk(Source::Records(records)))] {
+            prop_assert_eq!(bits(&fa), bits(&fb), "{}", what);
+            prop_assert_eq!(sa.counts, sb.counts, "{}", what);
+            prop_assert_eq!(sa.nodes_visited, sb.nodes_visited, "{}", what);
+            prop_assert_eq!(sa.forced_cuts, sb.forced_cuts, "{}", what);
+        }
     }
 
     #[test]
@@ -406,12 +414,19 @@ proptest! {
         // The whole box, and a random group inside it.
         let groups = [outer, inside()];
         let let_tree = build_let(&tree, &geom, theta);
+        let frame = write_let(&tree, &geom, theta, Vec::new());
+        let (_, records) = validate(&frame).unwrap();
+        let cut_records = (0..records.len()).map(|i| records.node(i)).filter(|c| c.kind() == Some(NodeKind::Cut));
         for group in &groups {
             for node in &tree.nodes {
                 prop_assert!(!mac.must_open(group, node) || geometry_opens(node, &geom, &mac));
             }
             for node in let_tree.nodes.iter().filter(|n| n.kind == NodeKind::Cut) {
                 prop_assert!(!mac.must_open(group, node), "the walk of {:?} opens a Cut node", group);
+            }
+            for c in cut_records.clone() {
+                let opens = mac.must_open_cell(group, c.com(), c.geo_center(), c.geo_half());
+                prop_assert!(!opens, "the walk of {:?} opens a Cut record", group);
             }
         }
     }
@@ -426,10 +441,8 @@ proptest! {
         let tree = Tree::build(blob(n, seed), TreeParams::default());
         let geom = receiver_geometry(boxes, seed);
         let theta = [0.0, 0.4, 0.75][theta_at];
-        let mac = OpeningCriterion::new(theta);
-        let oracle = extract_pruned(&tree, |_, node| {
-            if geometry_opens(node, &geom, &mac) { Action::Open } else { Action::Cut }
-        });
+        // The oracle as its receiver decodes it: a LET ships no tight box.
+        let oracle = LetTree::from_bytes(&encode_by_fields(&oracle_let(&tree, &geom, theta))).unwrap();
         let got = build_let(&tree, &geom, theta);
         prop_assert_eq!(got.role, oracle.role);
         prop_assert_eq!(got.nodes.iter().map(node_bits).collect::<Vec<_>>(),
@@ -464,20 +477,61 @@ proptest! {
         let cuts: Vec<LetTree> = (b.nodes.iter().filter(|c| c.kind == NodeKind::Cut))
             .map(|&c| LetTree { nodes: vec![c], ..b.clone() })
             .collect();
+        // The same boundary in its records, and each `Cut` record alone.
+        let frame = write_boundary(&sender, &domain);
+        let (_, records) = validate(&frame).unwrap();
+        let cut_records: Vec<RecordView> = (0..records.len())
+            .filter(|&i| records.node(i).kind() == Some(NodeKind::Cut))
+            .map(|i| RecordView::new(records.record(i), BOUNDARY_RECORD_SIZE, &[]))
+            .collect();
+        prop_assert_eq!(cut_records.len(), cuts.len());
         let mut verdicts = [false, false];
         for dist in (0..64).map(|k| k as f64 / 8.0).chain([16.0, 64.0]) {
             let geom: Vec<Aabb> = near.iter().map(|g| Aabb::new(g.min + away * dist, g.max + away * dist)).collect();
             let hull = hull_of(&geom);
-            for cut in &cuts {
+            for (cut, record) in cuts.iter().zip(&cut_records) {
                 let oracle = !geometry_opens(&cut.nodes[0], &geom, &mac);
-                prop_assert_eq!(boundary_sufficient_within(cut, &geom, &hull, theta), oracle, "at distance {}", dist);
+                prop_assert_eq!(boundary_sufficient_for(cut, &geom, theta), oracle, "at distance {}", dist);
+                prop_assert_eq!(boundary_sufficient_within(record, &geom, &hull, theta), oracle, "record at distance {}", dist);
             }
             let oracle = cuts.iter().all(|cut| !geometry_opens(&cut.nodes[0], &geom, &mac));
             prop_assert_eq!(boundary_sufficient_for(&b, &geom, theta), oracle, "at distance {}", dist);
+            prop_assert_eq!(boundary_sufficient_within(&records, &geom, &hull, theta), oracle, "records at distance {}", dist);
             verdicts[oracle as usize] = true;
         }
         // At θ = 0 every `Cut` node opens, so no distance suffices.
         prop_assert_eq!(verdicts[1], theta > 0.0 || cuts.is_empty());
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn every_frame_is_the_old_paths_bytes(
+        n in 0usize..400, seed in any::<u64>(), boxes in 0usize..6, zero_theta in any::<bool>(),
+        theta in 0.2f64..1.0, boundary in any::<bool>(), stale in proptest::collection::vec(any::<u8>(), 0..2048),
+    ) {
+        // The one writer against the in-memory pruned copy it replaced,
+        // encoded field by field: a LET, at θ = 0 or a random θ, written
+        // into a frame buffer that held another frame before (longer or
+        // shorter), or a boundary; the sender's tree is empty at n = 0.
+        let theta = if zero_theta { 0.0 } else { theta };
+        let particles = if n == 0 { Particles::new() } else { bonsai_ic::plummer_sphere(n, seed) };
+        let (tree, domain) = if n < 2 {
+            (Tree::build(particles, TreeParams::default()), KeyRange::everything())
+        } else {
+            let (tree, domain, _) = split_in_two(particles);
+            (tree, domain)
+        };
+        let (frame, oracle) = if boundary {
+            (write_boundary(&tree, &domain), oracle_boundary(&tree, &domain))
+        } else {
+            let geom = receiver_geometry(boxes, seed);
+            (write_let(&tree, &geom, theta, stale), oracle_let(&tree, &geom, theta))
+        };
+        prop_assert_eq!(oracle.is_empty(), n == 0);
+        prop_assert_eq!(&frame[..], &encode_by_fields(&oracle)[..]);
     }
 }
 
@@ -515,8 +569,104 @@ fn node_bits(n: &Node) -> Vec<u64> {
         .collect()
 }
 
+/// What the oracle's pruning traversal does with a node.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Action {
+    /// Keep as multipole-only `Cut` node; do not descend.
+    Cut,
+    /// Descend (internal) or ship particles (leaf).
+    Open,
+}
+
+/// The pruned copy in memory that the one writer replaced, kept as its
+/// oracle: BFS over the local tree, applying `decide` to every visited node
+/// — once per node of the result, in the result's order. Children of kept
+/// internal nodes stay contiguous.
+fn extract_pruned(tree: &Tree, mut decide: impl FnMut(usize, &Node) -> Action) -> LetTree {
+    let mut out = LetTree::default();
+    if tree.is_empty() {
+        return out;
+    }
+    // `out.nodes` is its own BFS queue: slot `slot` is visited after every
+    // slot before it, and `source[slot]` is its local node index.
+    let mut source: Vec<u32> = vec![0];
+    out.nodes.push(tree.nodes[0]);
+    let mut slot = 0;
+    while slot < out.nodes.len() {
+        let local_idx = source[slot] as usize;
+        let node = tree.nodes[local_idx];
+        match (decide(local_idx, &node), node.kind) {
+            (Action::Cut, _) => {
+                let n = &mut out.nodes[slot];
+                n.kind = NodeKind::Cut;
+                n.first = 0;
+                n.count = 0;
+            }
+            (Action::Open, NodeKind::Leaf) => {
+                let first = out.pos.len() as u32;
+                let (b, e) = (node.first as usize, (node.first + node.count) as usize);
+                out.pos.extend_from_slice(&tree.particles.pos[b..e]);
+                out.mass.extend_from_slice(&tree.particles.mass[b..e]);
+                out.nodes[slot].first = first;
+            }
+            (Action::Open, NodeKind::Internal) => {
+                let (b, e) = (node.first as usize, (node.first + node.count) as usize);
+                out.nodes[slot].first = out.nodes.len() as u32;
+                out.nodes.extend_from_slice(&tree.nodes[b..e]);
+                source.extend(node.first..node.first + node.count);
+            }
+            (Action::Open, NodeKind::Cut) => unreachable!("local trees have no Cut nodes"),
+        }
+        slot += 1;
+    }
+    out
+}
+
+/// The oracle's LET: every node the plain per-box scan opens, opened.
+fn oracle_let(tree: &Tree, geom: &[Aabb], theta: f64) -> LetTree {
+    let mac = OpeningCriterion::new(theta);
+    extract_pruned(tree, |_, node| if geometry_opens(node, geom, &mac) { Action::Open } else { Action::Cut })
+}
+
+/// The oracle's boundary: cut at the covering cells of `domain` (or at a
+/// coarser leaf), each frontier node's box the union of the walk groups
+/// sharing a particle with it.
+fn oracle_boundary(tree: &Tree, domain: &KeyRange) -> LetTree {
+    let covering: HashSet<(u64, u32)> = domain.covering_cells().into_iter().collect();
+    // Descend along first (or last) children to a leaf.
+    let leaf_below = |mut idx: usize, last: bool| loop {
+        let n = &tree.nodes[idx];
+        if n.kind == NodeKind::Leaf {
+            return n;
+        }
+        idx = (n.first + if last { n.count - 1 } else { 0 }) as usize;
+    };
+    let mut frontier: Vec<Option<usize>> = Vec::new();
+    let mut pruned = extract_pruned(tree, |idx, node| {
+        let key = tree.keys[leaf_below(idx, false).first as usize];
+        let shift = 3 * (DIM_BITS - node.level);
+        let prefix = if shift >= 64 { 0 } else { key >> shift << shift };
+        let cut = covering.contains(&(prefix, node.level)) || node.kind == NodeKind::Leaf;
+        frontier.push(cut.then_some(idx));
+        if cut { Action::Cut } else { Action::Open }
+    });
+    for (n, local) in pruned.nodes.iter_mut().zip(frontier) {
+        if let Some(idx) = local {
+            let lo = leaf_below(idx, false).first as usize;
+            let last = leaf_below(idx, true);
+            let hi = (last.first + last.count) as usize;
+            let mut cover = Aabb::empty();
+            for g in tree.groups.iter().filter(|g| (g.begin as usize) < hi && g.end as usize > lo) {
+                cover.merge(&g.bbox);
+            }
+            n.bbox = cover;
+        }
+    }
+    LetTree { role: Role::Boundary, ..pruned }
+}
+
 /// The wire encoding of the `lettree` module docs, written out field by
-/// field with no shared code: the oracle for `LetTree::to_bytes`.
+/// field with no shared code: the oracle for the one frame writer.
 fn encode_by_fields(lt: &LetTree) -> Vec<u8> {
     let mut out = Vec::new();
     let f64s = |out: &mut Vec<u8>, vals: &[f64]| {

@@ -7,8 +7,8 @@
 //! | [`update_domains`](Cluster::update_domains) | Domain update | §III-B1: every particle's PH key, once; two-level sample sort, flop-weighted rates, 30 % cap | — (driver-side) |
 //! | [`migrate`](Cluster::migrate) | Domain update | §III-B1: particle exchange; the stayers keep their keys, received migrants are keyed | `Particles`, every pair, possibly empty |
 //! | [`build`](Cluster::build) | Sorting, Tree-construction, Tree-properties | §III-A: sorts the carried keys | — |
-//! | [`boundaries`](Cluster::boundaries) | Domain update | §III-B2: boundary trees, allgatherv | `Boundary` broadcast, one shared payload with a header per receiver; every receiver validates its frame in place and drops it |
-//! | [`let_rounds`](Cluster::let_rounds) | (Non-hidden) LET comm, Gravity local, Gravity LETs | §III-B2: sufficiency check — a pure function of two boundary trees every rank holds bit-identically, decided once per ordered pair; then one round per receiver, as many receivers at a time as the pool has lanes: their near neighbours' dedicated LETs, then one walk (§III-A) per receiver of the batch over its local tree and, per peer, that LET, read in the frame it arrived in, else (the boundary sufficed) the sender's own boundary tree; then the senders take their frame buffers back | `Let`, one round per receiver: it waits for exactly the senders whose outbox names it; each LET is encoded once into the buffer its header travels beside, and the receiver validates that buffer in place and keeps it through its walk, decoding nothing |
+//! | [`boundaries`](Cluster::boundaries) | Domain update | §III-B2: boundary trees, written straight into their frames, allgatherv | `Boundary` broadcast, one shared payload with a header per receiver; every receiver validates its frame in place; the sender's payload, validated once, is kept as every rank's copy |
+//! | [`let_rounds`](Cluster::let_rounds) | (Non-hidden) LET comm, Gravity local, Gravity LETs | §III-B2: sufficiency check — a pure function of two boundary trees every rank holds bit-identically, decided once per ordered pair from their records; then one round per receiver, as many receivers at a time as the pool has lanes: their near neighbours' dedicated LETs, then one walk (§III-A) per receiver of the batch over its local tree and, per peer, the records of that LET, read in the frame it arrived in, else (the boundary sufficed) of the sender's boundary payload; then the senders take their frame buffers back | `Let`, one round per receiver: it waits for exactly the senders whose outbox names it; each LET is written once, straight from the sender's tree, into the buffer its header travels beside, and the receiver validates that buffer in place and keeps it through its walk, decoding nothing |
 //! | [`store`](Cluster::store) | Unbalance + other | §III-B1: flop weights for the next step's sampling | — |
 //!
 //! A particle's key is computed once an epoch, where the domains are
@@ -26,11 +26,11 @@
 use super::{Cluster, StepMeasurements};
 use crate::breakdown::StepBreakdown;
 use bonsai_domain::exchange::{particles_from_bytes, particles_to_bytes, ExchangePlan};
-use bonsai_domain::letbuild::{boundary_sufficient_within, build_let_into, hull_of};
+use bonsai_domain::letbuild::{boundary_sufficient_within, hull_of};
 use bonsai_domain::load::enforce_particle_cap;
 use bonsai_domain::sampling::parallel_cuts;
 use bonsai_domain::lettree::{self, Invalid};
-use bonsai_domain::{boundary_tree, LetFrame, LetTree};
+use bonsai_domain::{write_boundary, write_let, LetFrame};
 use bonsai_net::collective::{self, received_from, Exchanged, Lanes, Outbox, Reject, Round};
 use bonsai_net::MsgKind;
 use bonsai_sfc::KeyMap;
@@ -52,28 +52,17 @@ impl Lanes for PoolLanes {
     }
 }
 
-/// A sender's dedicated LET for a receiver whose frontier is `geom`, built
-/// into `scratch` (whatever LET it held) and encoded straight into `buf`, a
-/// frame buffer of the sender's: the payload the exchange seals a header
-/// beside, equal to `build_let(tree, geom, theta).to_bytes()`. A too small
-/// buffer is replaced by a zeroed one of the LET's size, a larger one keeps
-/// its capacity (frames to near and far receivers differ in size), and old
-/// bytes are never copied.
-pub(super) fn let_frame(tree: &Tree, geom: &[Aabb], theta: f64, scratch: &mut LetTree, mut buf: Vec<u8>) -> Bytes {
-    build_let_into(tree, geom, theta, scratch);
-    let len = scratch.wire_size();
-    if buf.capacity() < len {
-        buf = vec![0; len];
-    } else {
-        buf.resize(len, 0);
-    }
-    scratch.write_to(&mut buf);
-    Bytes::from(buf)
+/// A sender's dedicated LET for a receiver whose frontier is `geom`,
+/// written straight into `buf`, a frame buffer of the sender's (whatever it
+/// held; see [`write_let`]): the payload the exchange seals a header beside,
+/// equal to `build_let(tree, geom, theta).to_bytes()`.
+pub(super) fn let_frame(tree: &Tree, geom: &[Aabb], theta: f64, buf: Vec<u8>) -> Bytes {
+    Bytes::from(write_let(tree, geom, theta, buf))
 }
 
 /// One receiver's LET frames, ascending by sender: each of `senders` writes
 /// its LET for the receiver's frontier `geom` into its frame buffer `slot`,
-/// on the pool. A round's k-th sender builds into the k-th `scratch` tree.
+/// on the pool.
 fn let_frames(
     trees: &[Tree],
     geom: &[Aabb],
@@ -81,14 +70,10 @@ fn let_frames(
     senders: &[usize],
     bufs: &mut [Vec<Vec<u8>>],
     slot: usize,
-    scratch: &mut Vec<LetTree>,
 ) -> Vec<(usize, Bytes)> {
-    scratch.resize_with(scratch.len().max(senders.len()), LetTree::default);
-    let jobs: Vec<_> = (senders.iter().zip(scratch.iter_mut()))
-        .map(|(&i, scratch)| (i, scratch, std::mem::take(&mut bufs[i][slot])))
-        .collect();
+    let jobs: Vec<_> = senders.iter().map(|&i| (i, std::mem::take(&mut bufs[i][slot]))).collect();
     (jobs.into_par_iter())
-        .map(|(i, scratch, buf)| (i, let_frame(&trees[i], geom, theta, scratch, buf)))
+        .map(|(i, buf)| (i, let_frame(&trees[i], geom, theta, buf)))
         .collect()
 }
 
@@ -278,42 +263,44 @@ impl Cluster {
             .collect()
     }
 
-    /// Boundary allgather through the fabric: every rank's own boundary
-    /// tree. Receivers validate each frame in place and drop it: a validated
-    /// frame carries every field a receiver reads with the sender's bits,
-    /// so later phases read the sender's tree. Each sender's encoding is
-    /// validated once; a frame beside that encoding's own buffer takes its
-    /// verdict (validation is a pure function of the bytes), any other
-    /// payload is validated in full.
+    /// Boundary allgather through the fabric: every rank's own boundary,
+    /// written straight into its payload. Receivers validate each frame in
+    /// place: a validated frame carries every field a receiver reads with
+    /// the sender's bits, so later phases read the sender's payload, kept as
+    /// a [`LetFrame`]. Each sender's payload is validated once, which gives
+    /// both its verdict and that handle; a frame beside the payload's own
+    /// buffer takes its verdict (validation is a pure function of the
+    /// bytes), any other payload is validated in full.
     fn boundaries(
         &mut self,
         trees: &[Tree],
         meas: &mut StepMeasurements,
-    ) -> Result<Vec<LetTree>, usize> {
-        let validate = |b: &[u8]| lettree::validate(b).map(drop).map_err(|e| refusal("boundary", e));
-        let ((payloads, verdicts), boundaries): ((Vec<Bytes>, Vec<_>), Vec<LetTree>) =
+    ) -> Result<Vec<LetFrame>, usize> {
+        let refuse = |e| refusal("boundary", e);
+        let (payloads, frames): (Vec<Bytes>, Vec<Result<LetFrame, String>>) =
             (trees.par_iter().zip(self.domains.par_iter()))
                 .map(|(t, d)| {
-                    let b = boundary_tree(t, d);
-                    let bytes = b.to_bytes();
-                    let verdict = validate(&bytes);
-                    ((bytes, verdict), b)
+                    let bytes = Bytes::from(write_boundary(t, d));
+                    let frame = LetFrame::new(bytes.clone()).map_err(refuse);
+                    (bytes, frame)
                 })
                 .collect();
         meas.boundary_bytes = payloads.iter().map(Bytes::len).collect();
         let outbox: Vec<Outbox> = payloads.iter().cloned().map(Outbox::Broadcast).collect();
         let got = self.exchange(MsgKind::Boundary, &outbox, |from, b| {
-            match (payloads.get(from), verdicts.get(from)) {
+            match (payloads.get(from), frames.get(from)) {
                 // The shared payload itself: every frame of it that arrives
                 // intact, retransmissions included, carries this buffer.
-                (Some(bytes), Some(verdict)) if (bytes.as_ptr(), bytes.len()) == (b.as_ptr(), b.len()) => {
-                    verdict.clone()
+                (Some(bytes), Some(frame)) if (bytes.as_ptr(), bytes.len()) == (b.as_ptr(), b.len()) => {
+                    frame.as_ref().map(drop).map_err(Clone::clone)
                 }
-                _ => validate(b),
+                _ => lettree::validate(b).map(drop).map_err(refuse),
             }
         });
         got.complete()?;
-        Ok(boundaries)
+        // Every payload a peer received passed; one its own check refused
+        // (only at one rank, with no peer to refuse it) fails its sender.
+        (frames.into_iter().enumerate()).map(|(i, frame)| frame.map_err(|_| i)).collect()
     }
 
     /// Sufficiency checks, then the dedicated LETs a few receivers at a time.
@@ -331,13 +318,13 @@ impl Cluster {
     fn let_rounds(
         &mut self,
         trees: &[Tree],
-        boundaries: &[LetTree],
+        boundaries: &[LetFrame],
         meas: &mut StepMeasurements,
     ) -> Result<Vec<RankForces>, usize> {
         let (p, theta, lanes) = (trees.len(), self.cfg.theta, rayon::current_num_threads());
         let params = WalkParams { theta, eps: self.cfg.eps, g: self.cfg.g, use_quadrupole: true };
         // Each rank's frontier geometry, once: what its senders build for.
-        let geoms: Vec<Vec<Aabb>> = boundaries.par_iter().map(LetTree::frontier_boxes).collect();
+        let geoms: Vec<Vec<Aabb>> = boundaries.par_iter().map(LetFrame::frontier_boxes).collect();
         // Per receiver, ascending, the senders whose boundary does not
         // suffice for it, each checked against the receiver's hull first.
         let owing: Vec<Vec<usize>> = (geoms.par_iter().enumerate())
@@ -346,8 +333,8 @@ impl Cluster {
                     return Vec::new();
                 }
                 let hull = hull_of(geom);
-                (boundaries.iter().enumerate())
-                    .filter(|&(i, bi)| i != j && !bi.is_empty())
+                (boundaries.iter().map(LetFrame::records).enumerate())
+                    .filter(|(i, bi)| *i != j && !bi.is_empty())
                     .filter(|(_, bi)| !boundary_sufficient_within(bi, geom, &hull, theta))
                     .map(|(i, _)| i)
                     .collect()
@@ -356,13 +343,13 @@ impl Cluster {
         let mut bufs = std::mem::take(&mut self.let_buffers);
         bufs.resize_with(p, Vec::new);
         bufs.iter_mut().for_each(|b| b.resize_with(lanes, Vec::new));
-        let (mut largest, mut scratch) = (vec![0; p], Vec::new());
+        let mut largest = vec![0; p];
         let mut forces = Vec::with_capacity(p);
         let receivers: Vec<_> = (geoms.iter().zip(&owing)).enumerate().collect();
         for batch in receivers.chunks(lanes) {
             let mut delivered = Vec::with_capacity(batch.len());
             for &(j, (geom, senders)) in batch {
-                let frames = let_frames(trees, geom, theta, senders, &mut bufs, j % lanes, &mut scratch);
+                let frames = let_frames(trees, geom, theta, senders, &mut bufs, j % lanes);
                 for (i, frame) in &frames {
                     meas.let_bytes_sent[*i] += frame.len();
                     meas.let_neighbors[*i] += 1;
@@ -433,23 +420,21 @@ impl Cluster {
 }
 
 /// Rank `me`'s forces: one [`walk::walk_sources`] call over its sources in
-/// order — the local tree, then each peer with a non-empty boundary in
-/// sender order: its dedicated LET, read in the frame it arrived in, if it
-/// owed one, else its boundary, which sufficed. No walk opens a `Cut` node:
-/// a boundary is walked only where it sufficed, and a dedicated LET was
-/// built for the receiver's frontier (checked in debug builds).
+/// order — the local tree, then the records of each peer with a non-empty
+/// boundary in sender order: its dedicated LET, read in the frame it arrived
+/// in, if it owed one, else its boundary payload, which sufficed. No walk
+/// opens a `Cut` node: a boundary is walked only where it sufficed, and a
+/// dedicated LET was built for the receiver's frontier (checked in debug
+/// builds).
 fn walk_rank(
     params: &WalkParams,
     me: usize,
     tree: &Tree,
-    boundaries: &[LetTree],
+    boundaries: &[LetFrame],
     dedicated: &[(usize, LetFrame)],
 ) -> RankForces {
-    let peers = boundaries.iter().enumerate();
-    let remote = (peers.filter(|&(i, bi)| i != me && !bi.is_empty())).map(|(i, bi)| match received_from(dedicated, i) {
-        Some(frame) => Source::Records(frame.records()),
-        None => Source::Tree(bi.view()),
-    });
+    let peers = boundaries.iter().enumerate().filter(|&(i, bi)| i != me && !bi.records().is_empty());
+    let remote = peers.map(|(i, bi)| Source::Records(received_from(dedicated, i).unwrap_or(bi).records()));
     let sources: Vec<Source> = std::iter::once(Source::Tree(tree.view())).chain(remote).collect();
     let (forces, stats) = walk::walk_sources(&sources, &tree.particles.pos, &tree.groups, params);
     debug_assert!(stats.iter().all(|st| st.forced_cuts == 0), "rank {me} forced a cut");

@@ -515,7 +515,6 @@ mod let_frames {
     use super::gravity::let_frame;
     use bonsai_ic::plummer_sphere;
     use bonsai_domain::build_let;
-    use bonsai_domain::lettree::Role;
     use bonsai_tree::build::{Tree, TreeParams};
     use bonsai_tree::Particles;
     use bonsai_util::rng::Xoshiro256;
@@ -550,10 +549,7 @@ mod let_frames {
             let lt = build_let(&tree, &geom, theta);
             prop_assert_eq!(lt.is_empty(), n == 0);
             let oracle = lt.to_bytes();
-            // A scratch tree that held another sender's LET, of either role.
-            let mut scratch = build_let(&Tree::build(plummer_sphere(64, !seed), TreeParams::default()), &geom, 0.5);
-            scratch.role = if seed.is_multiple_of(2) { Role::Boundary } else { Role::Let };
-            let frame = let_frame(&tree, &geom, theta, &mut scratch, stale);
+            let frame = let_frame(&tree, &geom, theta, stale);
             prop_assert_eq!(&frame[..], &oracle[..]);
         }
     }

@@ -61,7 +61,7 @@ impl OpeningCriterion {
     /// [`must_open`](Self::must_open) for a cell given by its fields, as
     /// [`opening_radius2`](Self::opening_radius2) takes them.
     #[inline(always)]
-    pub(crate) fn must_open_cell(&self, target_box: &Aabb, com: Vec3, geo_center: Vec3, geo_half: f64) -> bool {
+    pub fn must_open_cell(&self, target_box: &Aabb, com: Vec3, geo_center: Vec3, geo_half: f64) -> bool {
         (self.opening_radius2(com, geo_center, geo_half)).is_none_or(|r2| target_box.min_dist2_point(com) <= r2)
     }
 

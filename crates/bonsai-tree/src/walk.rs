@@ -62,8 +62,8 @@
 //! disjoint window of the lane buffer.
 //!
 //! The walk takes *any* [`Source`] — a [`TreeView`] of a tree in memory (a
-//! rank's own local tree, a boundary tree) or a [`RecordView`] of a Local
-//! Essential Tree still in the frame it arrived in — down this one path: the
+//! rank's own local tree) or a [`RecordView`] of a Local Essential Tree or
+//! a boundary tree still in the frame it arrived in — down this one path: the
 //! group-walk body is instantiated once per source kind (and per
 //! instruction set), reading a node's fields from a [`Node`] or from its wire
 //! record. [`walk_sources`] takes a list of them: a rank's local tree and every
@@ -130,7 +130,7 @@ impl Default for WalkParams {
 }
 
 /// One source of a walk: a tree in memory, or a pruned tree in its wire
-/// records (a received LET, walked in the frame it arrived in).
+/// records (a received LET or boundary, walked in the frame it arrived in).
 #[derive(Clone, Copy, Debug)]
 pub enum Source<'a> {
     /// Nodes and particles in memory.

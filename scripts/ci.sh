@@ -107,16 +107,19 @@ BONSAI_THREADS=3 cargo test -q --release -p bonsai-sim --test robustness
 # The exact-window tests at three lanes too: the trace, the flow ledger and
 # the exchange windows evict one epoch inside every pool-driven epoch, and
 # must hold exactly the last window after every step and every aborted
-# epoch, each epoch's arrows drawn the same to its window's end. The LET frame tests
-# too: receivers walk frames that share their senders' buffers, and the
-# order in which those handles are dropped differs with the lane count.
+# epoch, each epoch's arrows drawn the same to its window's end. The frame
+# tests too: receivers walk frames that share their senders' buffers (each
+# dedicated LET, and each boundary payload where it sufficed), and the order
+# in which those handles are dropped differs with the lane count; a sender
+# writes its LET straight from its tree into a buffer that held an earlier
+# frame.
 BONSAI_THREADS=3 cargo test -q --release -p bonsai-sim --lib -- \
   cluster::tests::trace_history_is_a_bounded_window \
   cluster::tests::flow_history_is_a_bounded_window \
   cluster::tests::epochs_that_never_complete_still_evict \
   cluster::tests::arrows_drawn_at_the_end_of_their_window_are_those_drawn_first \
   cluster::tests::frame_buffers_come_back_unless_a_fault_holds_them \
-  cluster::tests::let_frames
+  cluster::tests::let_frames::a_let_written_in_place_is_its_encoding
 
 # The live heap of a thin run once its history window is full, counted by
 # the test binary's own allocator: a second per-flow copy in the window (the
