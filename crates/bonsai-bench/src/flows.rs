@@ -141,18 +141,18 @@ pub fn run(cfg: FlowsBenchConfig) -> FlowsResult {
         // that epoch, and their times are drawn from those records and the
         // epoch's exchange windows.
         let step = cluster.current_epoch();
-        let mut step_flows = cluster.flow_ledger().for_epoch(step).to_vec();
-        if cfg.mask_retransmits {
-            // The sabotage hook: pretend every flow was a clean
-            // first-attempt delivery. The link ledger and the step rows
-            // collapse, which the diff gate must flag against the honest
-            // baseline.
-            for f in &mut step_flows {
+        // The sabotage hook: pretend every flow was a clean first-attempt
+        // delivery. The link ledger and the step rows collapse, which the
+        // diff gate must flag against the honest baseline.
+        let masked = |mut f: FlowRecord| {
+            if cfg.mask_retransmits {
                 f.attempts = 1;
             }
-        }
+            f
+        };
+        let step_flows = cluster.flow_ledger().for_epoch(step).iter().map(masked);
         let step_times = cluster.flow_arrows().times(step);
-        let exposed = exposed_comm(cluster.trace(), step, &step_flows, &step_times);
+        let exposed = exposed_comm(cluster.trace(), step, step_flows.clone(), &step_times);
         times.extend(step_times);
         for x in &exposed {
             *exposed_by_cause.entry(x.cause.name().to_string()).or_insert(0.0) += x.seconds();
@@ -188,11 +188,8 @@ pub fn run(cfg: FlowsBenchConfig) -> FlowsResult {
         }
         steps.push(StepFlows {
             step,
-            flows: step_flows.len(),
-            retransmits: step_flows
-                .iter()
-                .map(|f| f.attempts.saturating_sub(1) as u64)
-                .sum(),
+            flows: cluster.flow_ledger().for_epoch(step).len(),
+            retransmits: step_flows.clone().map(|f| f.attempts.saturating_sub(1) as u64).sum(),
             exposed_intervals: exposed.len(),
             exposed_s: exposed.iter().map(|x| x.seconds()).sum(),
             wait_s,
@@ -201,7 +198,7 @@ pub fn run(cfg: FlowsBenchConfig) -> FlowsResult {
     }
 
     FlowsResult {
-        links: link_ledger(&flows, &times),
+        links: link_ledger(flows, &times),
         conservation: cluster.flow_conservation(),
         wait_by_cause: wait_by_cause.into_iter().collect(),
         exposed_by_cause: exposed_by_cause.into_iter().collect(),

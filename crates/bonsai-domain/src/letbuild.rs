@@ -161,14 +161,27 @@ pub fn boundary_sufficient_for(boundary: &LetTree, remote_geom: &[Aabb], theta: 
         .all(|n| !cell_opens(n.com, n.geo_center, n.geo_half, remote_geom, &hull, &mac))
 }
 
-/// [`boundary_sufficient_for`] of a boundary read in its records, with the
-/// receiver's hull, [`hull_of`] `remote_geom`, taken once by a caller that
-/// checks many boundaries against one geometry.
-pub fn boundary_sufficient_within(boundary: &RecordView<'_>, remote_geom: &[Aabb], hull: &Aabb, theta: f64) -> bool {
-    let mac = OpeningCriterion::new(theta);
-    ((0..boundary.len()).map(|i| boundary.node(i)))
-        .filter(|n| n.kind() == Some(NodeKind::Cut))
-        .all(|n| !cell_opens(n.com(), n.geo_center(), n.geo_half(), remote_geom, hull, &mac))
+/// The `Cut` cells of a boundary, decoded from its records once: each
+/// one's centre of mass and octree cell, all the sufficiency check reads of
+/// a `Cut` node, so that checking one boundary against every receiver
+/// decodes it once, not once per receiver.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct CutCells(Vec<(Vec3, Vec3, f64)>);
+
+impl CutCells {
+    /// The `Cut` cells of `boundary`, in record order.
+    pub fn of(boundary: &RecordView<'_>) -> Self {
+        let cuts = ((0..boundary.len()).map(|i| boundary.node(i))).filter(|n| n.kind() == Some(NodeKind::Cut));
+        Self(cuts.map(|n| (n.com(), n.geo_center(), n.geo_half())).collect())
+    }
+
+    /// [`boundary_sufficient_for`] of the boundary the cells were decoded
+    /// from, with the receiver's hull, [`hull_of`] `remote_geom`, taken once
+    /// by a caller that checks many boundaries against one geometry.
+    pub fn sufficient_within(&self, remote_geom: &[Aabb], hull: &Aabb, theta: f64) -> bool {
+        let mac = OpeningCriterion::new(theta);
+        (self.0.iter()).all(|&(com, geo_center, geo_half)| !cell_opens(com, geo_center, geo_half, remote_geom, hull, &mac))
+    }
 }
 
 #[cfg(test)]

@@ -128,62 +128,18 @@ impl LetTree {
     /// ranges inside payload, internal mass equals the sum of child masses,
     /// every multipole, cell and particle value finite, cells of positive
     /// size no deeper than [`MAX_LEVEL`], and a boundary tree's boxes finite
-    /// and not inverted. [`validate`] checks the same of an encoding, in
-    /// place, with the same verdict and text.
+    /// and not inverted. It is [`validate`] of the tree's encoding, verdict
+    /// and text, but that a node deeper than [`MAX_LEVEL`] is refused first,
+    /// before encoding: its level may not fit the record's byte.
     pub fn check_invariants(&self) -> Result<(), String> {
         for (i, n) in self.nodes.iter().enumerate() {
-            let finite = n.mass.is_finite() && finite3(n.com) && n.quad.m.iter().all(|q| q.is_finite());
-            if !finite {
-                return Err(format!("node {i}: non-finite multipole data"));
-            }
-            if !finite3(n.geo_center) {
-                return Err(format!("node {i}: non-finite cell centre"));
-            }
-            if !(n.geo_half.is_finite() && n.geo_half > 0.0) {
-                let half = n.geo_half;
-                return Err(format!("node {i}: cell half-size {half} is not finite and positive"));
-            }
-            if n.level > MAX_LEVEL {
-                return Err(format!("node {i}: level {} deeper than MAX_LEVEL {MAX_LEVEL}", n.level));
-            }
-            if self.role == Role::Boundary {
-                let b = &n.bbox;
-                if !(finite3(b.min) && finite3(b.max)) {
-                    return Err(format!("node {i}: non-finite bounding box"));
-                }
-                if b.is_empty() {
-                    return Err(format!("node {i}: inverted bounding box"));
-                }
-            }
-            // Widened: `first + count` must not wrap in `u32`.
-            let (b, e) = (n.first as usize, n.first as usize + n.count as usize);
-            match n.kind {
-                NodeKind::Internal => {
-                    if e > self.nodes.len() || b <= i {
-                        return Err(format!("node {i}: bad child range {b}..{e}"));
-                    }
-                    let child_mass: f64 = self.nodes[b..e].iter().map(|c| c.mass).sum();
-                    if (child_mass - n.mass).abs() > 1e-9 * n.mass.abs().max(1.0) {
-                        return Err(format!(
-                            "node {i}: mass {} != child sum {child_mass}",
-                            n.mass
-                        ));
-                    }
-                }
-                NodeKind::Leaf => {
-                    if e > self.pos.len() {
-                        return Err(format!("node {i}: leaf range beyond payload"));
-                    }
-                }
-                NodeKind::Cut => {}
-            }
+            within_max_level(i, n.level)?;
         }
-        for (i, (p, &m)) in self.pos.iter().zip(&self.mass).enumerate() {
-            if !(finite3(*p) && m.is_finite()) {
-                return Err(format!("particle {i}: non-finite payload data"));
-            }
+        match validate(&self.to_bytes()) {
+            Ok(_) => Ok(()),
+            Err(Invalid::Invariant(why)) => Err(why),
+            Err(Invalid::Encoding) => unreachable!("the frame writer writes encodings"),
         }
-        Ok(())
     }
 
     /// Serialize to bytes: the header, one fixed-stride record per node, then
@@ -263,7 +219,7 @@ pub enum Invalid {
     /// body longer or shorter than the header declares for that role.
     Encoding,
     /// An encoding that breaks a structural invariant, in the words of
-    /// [`LetTree::check_invariants`].
+    /// [`validate`]'s checks (listed at [`LetTree::check_invariants`]).
     Invariant(String),
 }
 
@@ -294,10 +250,10 @@ fn layout(b: &[u8]) -> Result<(Role, RecordView<'_>), Invalid> {
 }
 
 /// Check an encoding where it lies, in one pass over its records: the
-/// header and lengths, every node's kind, then the invariants of
-/// [`LetTree::check_invariants`]. The verdict and its text are those of
-/// decoding the bytes and checking the decoded tree: a record of unknown
-/// kind anywhere makes it [`Invalid::Encoding`], whatever else is broken.
+/// header and lengths, every node's kind, then the structural invariants
+/// (listed at [`LetTree::check_invariants`]) node by node, then the
+/// particles; the first broken one is the verdict. A record of unknown kind
+/// anywhere makes it [`Invalid::Encoding`], whatever else is broken.
 /// Returns the role and the records to read in place.
 pub fn validate(b: &[u8]) -> Result<(Role, RecordView<'_>), Invalid> {
     let (role, view) = layout(b)?;
@@ -322,8 +278,7 @@ pub fn validate(b: &[u8]) -> Result<(Role, RecordView<'_>), Invalid> {
     Ok((role, view))
 }
 
-/// [`LetTree::check_invariants`]' checks of node `i`, `n`, read from its
-/// record.
+/// The structural invariants of node `i`, `n`, read from its record.
 #[inline]
 fn node_invariants(view: &RecordView<'_>, i: usize, n: NodeRecord<'_>, kind: NodeKind) -> Result<(), String> {
     let (mass, quad) = (n.mass(), n.quad());
@@ -337,9 +292,7 @@ fn node_invariants(view: &RecordView<'_>, i: usize, n: NodeRecord<'_>, kind: Nod
     if !(half.is_finite() && half > 0.0) {
         return Err(format!("node {i}: cell half-size {half} is not finite and positive"));
     }
-    if n.level() > MAX_LEVEL {
-        return Err(format!("node {i}: level {} deeper than MAX_LEVEL {MAX_LEVEL}", n.level()));
-    }
+    within_max_level(i, n.level())?;
     if let Some(b) = view.bbox(i) {
         if !(finite3(b.min) && finite3(b.max)) {
             return Err(format!("node {i}: non-finite bounding box"));
@@ -398,6 +351,14 @@ impl LetFrame {
             .filter(|&i| matches!(view.node(i).kind(), Some(NodeKind::Cut | NodeKind::Leaf)))
             .filter_map(|i| view.bbox(i))
             .collect()
+    }
+}
+
+/// Node `i`'s `level` is no deeper than [`MAX_LEVEL`].
+fn within_max_level(i: usize, level: u32) -> Result<(), String> {
+    match level > MAX_LEVEL {
+        true => Err(format!("node {i}: level {level} deeper than MAX_LEVEL {MAX_LEVEL}")),
+        false => Ok(()),
     }
 }
 
@@ -583,6 +544,13 @@ mod tests {
     }
 
     #[test]
+    fn a_level_past_its_byte_is_refused_before_encoding() {
+        let mut t = sample_tree();
+        (t.nodes[0].mass, t.nodes[2].level) = (10.0, 256);
+        assert_eq!(t.check_invariants(), Err(format!("node 2: level 256 deeper than MAX_LEVEL {MAX_LEVEL}")));
+    }
+
+    #[test]
     fn invariants_catch_a_non_finite_boundary_box() {
         let mut b = sample_boundary();
         b.nodes[2].bbox.max.z = f64::INFINITY;
@@ -634,7 +602,7 @@ mod tests {
     }
 
     /// The in-memory check's verdict on `t`, and the validator's on its
-    /// encoding: they must agree, text and all.
+    /// encoding.
     fn both_verdicts(t: &LetTree) -> (Result<(), String>, Result<(), String>) {
         let bytes = t.to_bytes();
         let in_place = validate(&bytes).map(drop).map_err(|e| match e {
@@ -644,26 +612,33 @@ mod tests {
         (t.check_invariants(), in_place)
     }
 
+    /// A break of a sample tree, and the text its check refuses it with.
+    type Break = (fn(&mut LetTree), &'static str);
+
     #[test]
     fn validating_in_place_gives_the_in_memory_verdict() {
-        let breaks: [fn(&mut LetTree); 11] = [
-            |_| {},
-            |t| t.nodes[0].mass = 10.0,
-            |t| t.nodes[1].count = 99,
-            |t| t.nodes[0].first = 0,
-            |t| t.nodes[2].geo_center.y = f64::NAN,
-            |t| t.nodes[1].geo_half = f64::NAN,
-            |t| t.nodes[0].geo_half = -0.25,
-            |t| t.nodes[1].level = MAX_LEVEL + 1,
-            |t| t.nodes[1].quad.m[4] = f64::INFINITY,
-            |t| t.pos[1].z = f64::NAN,
-            |t| t.nodes[2].bbox.min.x = t.nodes[2].bbox.max.x + 1.0,
+        // Each break, and the text both checks refuse it with (a LET ships
+        // no box, so its last break breaks nothing).
+        let breaks: [Break; 11] = [
+            (|_| {}, ""),
+            (|t| t.nodes[0].mass = 10.0, "node 0: mass 10 != child sum 5"),
+            (|t| t.nodes[1].count = 99, "node 1: leaf range beyond payload"),
+            (|t| t.nodes[0].first = 0, "node 0: bad child range 0..2"),
+            (|t| t.nodes[2].geo_center.y = f64::NAN, "node 2: non-finite cell centre"),
+            (|t| t.nodes[1].geo_half = f64::NAN, "node 1: cell half-size NaN is not finite and positive"),
+            (|t| t.nodes[0].geo_half = -0.25, "node 0: cell half-size -0.25 is not finite and positive"),
+            (|t| t.nodes[1].level = MAX_LEVEL + 1, "node 1: level 22 deeper than MAX_LEVEL 21"),
+            (|t| t.nodes[1].quad.m[4] = f64::INFINITY, "node 1: non-finite multipole data"),
+            (|t| t.pos[1].z = f64::NAN, "particle 1: non-finite payload data"),
+            (|t| t.nodes[2].bbox.min.x = t.nodes[2].bbox.max.x + 1.0, "node 2: inverted bounding box"),
         ];
-        for (k, breaks) in breaks.iter().enumerate() {
+        for (k, &(breaks, text)) in breaks.iter().enumerate() {
             for mut t in [sample_tree(), sample_boundary()] {
                 breaks(&mut t);
                 let (want, got) = both_verdicts(&t);
                 assert_eq!(got, want, "mutation {k}, {:?}", t.role);
+                let text = if k == 10 && t.role == Role::Let { "" } else { text };
+                assert_eq!(want.clone().err().unwrap_or_default(), text, "mutation {k}, {:?}", t.role);
                 assert_eq!(LetTree::from_bytes(&t.to_bytes()).is_some(), want.is_ok(), "mutation {k}");
             }
         }

@@ -4,7 +4,7 @@
 
 use bonsai_domain::exchange::ExchangePlan;
 use bonsai_domain::letbuild::{
-    boundary_sufficient_for, boundary_sufficient_within, build_let, geometry_opens, hull_of, write_let,
+    boundary_sufficient_for, build_let, geometry_opens, hull_of, write_let, CutCells,
 };
 use bonsai_domain::load::{enforce_particle_cap, populations, weighted_cuts};
 use bonsai_domain::lettree::{validate, Invalid, LetTree, Role, HEADER_SIZE};
@@ -477,26 +477,28 @@ proptest! {
         let cuts: Vec<LetTree> = (b.nodes.iter().filter(|c| c.kind == NodeKind::Cut))
             .map(|&c| LetTree { nodes: vec![c], ..b.clone() })
             .collect();
-        // The same boundary in its records, and each `Cut` record alone.
+        // The same boundary's `Cut` cells decoded from its records, and
+        // each `Cut` record's alone.
         let frame = write_boundary(&sender, &domain);
         let (_, records) = validate(&frame).unwrap();
-        let cut_records: Vec<RecordView> = (0..records.len())
+        let cells = CutCells::of(&records);
+        let cut_cells: Vec<CutCells> = (0..records.len())
             .filter(|&i| records.node(i).kind() == Some(NodeKind::Cut))
-            .map(|i| RecordView::new(records.record(i), BOUNDARY_RECORD_SIZE, &[]))
+            .map(|i| CutCells::of(&RecordView::new(records.record(i), BOUNDARY_RECORD_SIZE, &[])))
             .collect();
-        prop_assert_eq!(cut_records.len(), cuts.len());
+        prop_assert_eq!(cut_cells.len(), cuts.len());
         let mut verdicts = [false, false];
         for dist in (0..64).map(|k| k as f64 / 8.0).chain([16.0, 64.0]) {
             let geom: Vec<Aabb> = near.iter().map(|g| Aabb::new(g.min + away * dist, g.max + away * dist)).collect();
             let hull = hull_of(&geom);
-            for (cut, record) in cuts.iter().zip(&cut_records) {
+            for (cut, cell) in cuts.iter().zip(&cut_cells) {
                 let oracle = !geometry_opens(&cut.nodes[0], &geom, &mac);
                 prop_assert_eq!(boundary_sufficient_for(cut, &geom, theta), oracle, "at distance {}", dist);
-                prop_assert_eq!(boundary_sufficient_within(record, &geom, &hull, theta), oracle, "record at distance {}", dist);
+                prop_assert_eq!(cell.sufficient_within(&geom, &hull, theta), oracle, "cell at distance {}", dist);
             }
             let oracle = cuts.iter().all(|cut| !geometry_opens(&cut.nodes[0], &geom, &mac));
             prop_assert_eq!(boundary_sufficient_for(&b, &geom, theta), oracle, "at distance {}", dist);
-            prop_assert_eq!(boundary_sufficient_within(&records, &geom, &hull, theta), oracle, "records at distance {}", dist);
+            prop_assert_eq!(cells.sufficient_within(&geom, &hull, theta), oracle, "cells at distance {}", dist);
             verdicts[oracle as usize] = true;
         }
         // At θ = 0 every `Cut` node opens, so no distance suffices.
@@ -724,14 +726,15 @@ fn split_in_two(all: Particles) -> (Tree, KeyRange, Tree) {
 
 /// `lt` round-tripped through the wire with its first `kind` node's range
 /// patched to `first = u32::MAX, count = 2` — a sum that wraps in `u32`.
-/// Its encoding must be refused in place with the in-memory check's text.
+/// Its encoding must be refused in place with the node-by-node check's
+/// text.
 fn with_wrapping_range(lt: LetTree, kind: NodeKind) -> LetTree {
     let mut lt = LetTree::from_bytes(&lt.to_bytes()).unwrap();
     lt.check_invariants().expect("round-tripped tree is valid");
     let victim = lt.nodes.iter_mut().find(|n| n.kind == kind).expect("sample tree has the node kind");
     (victim.first, victim.count) = (u32::MAX, 2);
     let bytes = lt.to_bytes();
-    assert_eq!(validate(&bytes).map(drop), lt.check_invariants().map_err(Invalid::Invariant));
+    assert_eq!(validate(&bytes).map(drop), check_decoded(&lt).map_err(Invalid::Invariant));
     assert!(LetTree::from_bytes(&bytes).is_none(), "a wrapped range decodes");
     lt
 }
@@ -739,10 +742,68 @@ fn with_wrapping_range(lt: LetTree, kind: NodeKind) -> LetTree {
 /// The receive path's verdict before received frames were walked in place,
 /// kept as the oracle of [`validate`]: decode every record of the encoding
 /// (a malformed header or length, or an unknown kind, fails), then check the
-/// decoded tree with [`LetTree::check_invariants`].
+/// decoded tree node by node ([`check_decoded`]).
 fn decode_then_check(b: &[u8]) -> Result<(), Invalid> {
     let decoded = decode_unchecked(b).ok_or(Invalid::Encoding)?;
-    decoded.check_invariants().map_err(Invalid::Invariant)
+    check_decoded(&decoded).map_err(Invalid::Invariant)
+}
+
+/// The structural invariants of a tree in memory, checked node by node on
+/// its fields, as `LetTree::check_invariants` checked them before it was
+/// [`validate`] of the tree's encoding: the independent half of
+/// [`decode_then_check`].
+fn check_decoded(t: &LetTree) -> Result<(), String> {
+    let finite3 = |v: Vec3| v.x.is_finite() && v.y.is_finite() && v.z.is_finite();
+    for (i, n) in t.nodes.iter().enumerate() {
+        let finite = n.mass.is_finite() && finite3(n.com) && n.quad.m.iter().all(|q| q.is_finite());
+        if !finite {
+            return Err(format!("node {i}: non-finite multipole data"));
+        }
+        if !finite3(n.geo_center) {
+            return Err(format!("node {i}: non-finite cell centre"));
+        }
+        if !(n.geo_half.is_finite() && n.geo_half > 0.0) {
+            let half = n.geo_half;
+            return Err(format!("node {i}: cell half-size {half} is not finite and positive"));
+        }
+        if n.level > MAX_LEVEL {
+            return Err(format!("node {i}: level {} deeper than MAX_LEVEL {MAX_LEVEL}", n.level));
+        }
+        if t.role == Role::Boundary {
+            let b = &n.bbox;
+            if !(finite3(b.min) && finite3(b.max)) {
+                return Err(format!("node {i}: non-finite bounding box"));
+            }
+            if b.is_empty() {
+                return Err(format!("node {i}: inverted bounding box"));
+            }
+        }
+        // Widened: `first + count` must not wrap in `u32`.
+        let (b, e) = (n.first as usize, n.first as usize + n.count as usize);
+        match n.kind {
+            NodeKind::Internal => {
+                if e > t.nodes.len() || b <= i {
+                    return Err(format!("node {i}: bad child range {b}..{e}"));
+                }
+                let child_mass: f64 = t.nodes[b..e].iter().map(|c| c.mass).sum();
+                if (child_mass - n.mass).abs() > 1e-9 * n.mass.abs().max(1.0) {
+                    return Err(format!("node {i}: mass {} != child sum {child_mass}", n.mass));
+                }
+            }
+            NodeKind::Leaf => {
+                if e > t.pos.len() {
+                    return Err(format!("node {i}: leaf range beyond payload"));
+                }
+            }
+            NodeKind::Cut => {}
+        }
+    }
+    for (i, (p, &m)) in t.pos.iter().zip(&t.mass).enumerate() {
+        if !(finite3(*p) && m.is_finite()) {
+            return Err(format!("particle {i}: non-finite payload data"));
+        }
+    }
+    Ok(())
 }
 
 /// The decoder before it validated: header, lengths and node kinds only.

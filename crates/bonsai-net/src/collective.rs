@@ -952,7 +952,7 @@ mod tests {
             }
             wire.flows.close_epoch_dead(epoch);
         }
-        (delivered, wire.log, wire.flows.records().iter().cloned().collect())
+        (delivered, wire.log, wire.flows.records().iter().collect())
     }
 
     #[test]

@@ -23,6 +23,16 @@
 //! dead sweep, the observability pass — touches that run only, never the
 //! history before it.
 //!
+//! The ledger is **compact**: it stores a flow in 16 B, only what the
+//! flow's id and epoch do not say. The id is the flow's ordinal + 1 and the
+//! epoch is the run the flow sits in, so neither is stored; the endpoints
+//! and the payload length are `u32`, as on the wire, and the kind, the
+//! attempt count and the outcome a byte each. A value that does not fit
+//! panics at the call that brings it, never truncated. Readers get
+//! [`FlowRecord`] values, assembled on read through a [`Flows`] view, and a
+//! copy of an epoch kept apart from the ledger ([`EpochFlows`]) is as
+//! compact as the ledger.
+//!
 //! The ledger is also **bounded**: [`FlowLedger::retain_epochs`] drops whole
 //! epochs from the front without moving the ones it keeps (the cluster
 //! evicts it with its trace, one epoch as each begins). Ids stay dense and
@@ -36,6 +46,7 @@
 
 use crate::fabric::MsgKind;
 use bonsai_util::sorted::EpochRuns;
+use std::fmt;
 
 /// Terminal (or not-yet-terminal) state of one flow.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -63,8 +74,8 @@ impl FlowOutcome {
     }
 }
 
-/// One logical message and its recorded lifecycle.
-#[derive(Clone, Debug, PartialEq)]
+/// One logical message and its recorded lifecycle, as a reader sees it.
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct FlowRecord {
     /// Ledger-assigned id, dense and 1-based (0 is the reserved
     /// [`NO_FLOW`](crate::envelope::NO_FLOW)).
@@ -85,19 +96,179 @@ pub struct FlowRecord {
     pub outcome: FlowOutcome,
 }
 
-impl FlowRecord {
+/// `value` in a ledger field of type `T`.
+///
+/// # Panics
+/// If it does not fit: the ledger never truncates.
+fn narrow<T: TryFrom<U>, U: Copy + fmt::Display>(value: U, what: &str) -> T {
+    T::try_from(value).unwrap_or_else(|_| {
+        panic!("flow {what} {value} exceeds its {}-bit ledger field", 8 * std::mem::size_of::<T>())
+    })
+}
+
+/// [`Packed::outcome`] of a pending flow.
+const PENDING: u8 = 0;
+/// [`Packed::outcome`] of a dead flow.
+const DEAD: u8 = 1;
+/// [`Packed::outcome`] of a flow delivered on attempt `k`: `DELIVERED + k`.
+const DELIVERED: u8 = 2;
+
+/// A flow as the ledger stores it: 16 B, without the id and the epoch its
+/// place in the ledger says.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Packed {
+    from: u32,
+    to: u32,
+    bytes: u32,
+    kind: MsgKind,
+    attempts: u8,
+    /// [`PENDING`], [`DEAD`], or [`DELIVERED`] + the delivered attempt.
+    outcome: u8,
+}
+
+impl Packed {
     /// A freshly sealed flow: one attempt, pending.
-    pub fn new(id: u64, epoch: u64, from: usize, to: usize, kind: MsgKind, bytes: usize) -> Self {
+    fn sealed(from: usize, to: usize, kind: MsgKind, bytes: usize) -> Self {
         Self {
+            from: narrow(from, "`from` rank"),
+            to: narrow(to, "`to` rank"),
+            bytes: narrow(bytes, "payload length"),
+            kind,
+            attempts: 1,
+            outcome: PENDING,
+        }
+    }
+
+    fn outcome(self) -> FlowOutcome {
+        match self.outcome {
+            PENDING => FlowOutcome::Pending,
+            DEAD => FlowOutcome::Dead,
+            code => FlowOutcome::Delivered { attempt: u32::from(code - DELIVERED) },
+        }
+    }
+
+    /// The record of the flow with `id`, sealed at `epoch`.
+    fn record(self, id: u64, epoch: u64) -> FlowRecord {
+        FlowRecord {
             id,
             epoch,
-            from,
-            to,
-            kind,
-            bytes,
-            attempts: 1,
-            outcome: FlowOutcome::Pending,
+            from: self.from as usize,
+            to: self.to as usize,
+            kind: self.kind,
+            bytes: self.bytes as usize,
+            attempts: u32::from(self.attempts),
+            outcome: self.outcome(),
         }
+    }
+}
+
+/// Flow records read from a ledger, or from an epoch kept apart from one
+/// ([`EpochFlows`]), assembled on read: one epoch's
+/// ([`FlowLedger::for_epoch`]) or every held epoch's
+/// ([`FlowLedger::records`]), in seal order.
+#[derive(Clone, Copy)]
+pub struct Flows<'a>(Viewed<'a>);
+
+#[derive(Clone, Copy)]
+enum Viewed<'a> {
+    /// One epoch's flows: the epoch, its first flow's id and the flows.
+    Epoch(u64, u64, &'a [Packed]),
+    /// Every epoch a ledger holds (flow `id` is ordinal `id - 1`).
+    Held(&'a EpochRuns<Packed>),
+}
+
+impl<'a> Flows<'a> {
+    /// Every viewed epoch, oldest first: `(epoch, first id, flows)`.
+    fn runs(self) -> impl DoubleEndedIterator<Item = (u64, u64, &'a [Packed])> + Clone {
+        let (epoch, held) = match self.0 {
+            Viewed::Epoch(epoch, first, flows) => (Some((epoch, first, flows)), None),
+            Viewed::Held(runs) => (None, Some(runs)),
+        };
+        let held = held.into_iter().flat_map(|runs| runs.runs().map(|(e, first, flows)| (e, first + 1, flows)));
+        epoch.into_iter().chain(held)
+    }
+
+    /// Number of records viewed.
+    pub fn len(&self) -> usize {
+        match self.0 {
+            Viewed::Epoch(_, _, flows) => flows.len(),
+            Viewed::Held(runs) => runs.len(),
+        }
+    }
+
+    /// True when no record is viewed.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The `i`-th record viewed.
+    pub fn get(&self, i: usize) -> Option<FlowRecord> {
+        match self.0 {
+            Viewed::Epoch(epoch, first, flows) => flows.get(i).map(|p| p.record(first + i as u64, epoch)),
+            Viewed::Held(runs) => {
+                let ordinal = runs.runs().next()?.1 + i as u64;
+                runs.get(ordinal).map(|(epoch, p)| p.record(ordinal + 1, epoch))
+            }
+        }
+    }
+
+    /// The first record viewed.
+    pub fn first(&self) -> Option<FlowRecord> {
+        self.get(0)
+    }
+
+    /// Every record viewed, in seal order.
+    pub fn iter(&self) -> impl DoubleEndedIterator<Item = FlowRecord> + Clone + 'a {
+        (self.runs()).flat_map(|(epoch, first, flows)| {
+            (flows.iter().enumerate()).map(move |(i, p)| p.record(first + i as u64, epoch))
+        })
+    }
+
+    /// A copy of each viewed epoch, as compact as the ledger holds it.
+    pub fn copy_epochs(&self) -> impl Iterator<Item = EpochFlows> + 'a {
+        self.runs().map(|(epoch, first, flows)| EpochFlows { epoch, first, flows: flows.into() })
+    }
+}
+
+/// No records.
+impl Default for Flows<'_> {
+    fn default() -> Self {
+        Flows(Viewed::Epoch(0, 1, &[]))
+    }
+}
+
+/// Two views are equal when they view the same records.
+impl PartialEq for Flows<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.iter().eq(other.iter())
+    }
+}
+
+/// The viewed records, as a list.
+impl fmt::Debug for Flows<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+/// One epoch's flows copied out of a ledger ([`Flows::copy_epochs`]), 16 B a
+/// flow as the ledger holds them, with the epoch and the first flow's id.
+#[derive(Clone, Debug, PartialEq)]
+pub struct EpochFlows {
+    epoch: u64,
+    first: u64,
+    flows: Box<[Packed]>,
+}
+
+impl EpochFlows {
+    /// The epoch the flows were sealed at.
+    pub fn epoch(&self) -> u64 {
+        self.epoch
+    }
+
+    /// The flows' records.
+    pub fn view(&self) -> Flows<'_> {
+        Flows(Viewed::Epoch(self.epoch, self.first, &self.flows))
     }
 }
 
@@ -125,9 +296,9 @@ impl FlowConservation {
 /// lifecycle.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct FlowLedger {
-    /// The held epochs' records, in seal order: flow `id` is ordinal
+    /// The held epochs' flows, in seal order: flow `id` is ordinal
     /// `id - 1`.
-    records: EpochRuns<FlowRecord>,
+    flows: EpochRuns<Packed>,
     /// Flows sealed, delivered and dead over the whole run (`pending` is
     /// what the other three leave).
     totals: FlowConservation,
@@ -140,18 +311,18 @@ impl FlowLedger {
     }
 
     /// The held records (every epoch not yet evicted), in seal order.
-    pub fn records(&self) -> &EpochRuns<FlowRecord> {
-        &self.records
+    pub fn records(&self) -> Flows<'_> {
+        Flows(Viewed::Held(&self.flows))
     }
 
     /// Number of records held.
     pub fn len(&self) -> usize {
-        self.records.len()
+        self.flows.len()
     }
 
     /// True when no record is held.
     pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
+        self.flows.is_empty()
     }
 
     /// Drop every record sealed before `min_epoch`; the run totals
@@ -159,75 +330,81 @@ impl FlowLedger {
     /// The epochs kept stay where they are; ids stay global: the next seal
     /// continues the sequence.
     pub fn retain_epochs(&mut self, min_epoch: u64) {
-        self.records.evict_before(min_epoch);
+        self.flows.evict_before(min_epoch);
     }
 
     /// The records sealed at `epoch`, in seal order, with their ledger ids:
-    /// `for_epoch(e)[i].id == for_epoch(e)[0].id + i`.
-    pub fn for_epoch(&self, epoch: u64) -> &[FlowRecord] {
-        self.records.epoch(epoch)
+    /// `for_epoch(e).get(i)` has the id of `for_epoch(e).first()` + `i`.
+    pub fn for_epoch(&self, epoch: u64) -> Flows<'_> {
+        let (first, flows) = self.flows.run(epoch).unwrap_or((0, &[]));
+        Flows(Viewed::Epoch(epoch, first + 1, flows))
     }
 
     /// Payload bytes sent again at `epoch`: each attempt after a flow's
     /// first carried its payload once more.
     pub fn retransmit_bytes(&self, epoch: u64) -> usize {
-        (self.for_epoch(epoch).iter()).map(|r| r.bytes * (r.attempts - 1) as usize).sum()
+        (self.flows.epoch(epoch).iter()).map(|p| p.bytes as usize * usize::from(p.attempts - 1)).sum()
     }
 
     /// The id the next [`seal`](Self::seal) returns: ids are dense, so a
     /// sender that seals frames off the ledger can be handed a range.
     pub fn next_id(&self) -> u64 {
-        self.records.next_ordinal() + 1
+        self.flows.next_ordinal() + 1
     }
 
     /// Record a fresh flow; returns its id.
     ///
     /// # Panics
     /// If `epoch` is older than the latest sealed flow's: the per-epoch
-    /// accessors rely on the records being epoch-ordered.
+    /// accessors rely on the records being epoch-ordered. If `from`, `to`
+    /// or `bytes` exceeds `u32`.
     pub fn seal(&mut self, epoch: u64, from: usize, to: usize, kind: MsgKind, bytes: usize) -> u64 {
-        if let Some(last) = self.records.last() {
-            assert!(
-                last.epoch <= epoch,
-                "flow sealed at epoch {epoch} after epoch {}: the ledger is epoch-ordered",
-                last.epoch
-            );
+        if let Some((last, ..)) = self.flows.runs().next_back() {
+            assert!(last <= epoch, "flow sealed at epoch {epoch} after epoch {last}: the ledger is epoch-ordered");
         }
         let id = self.next_id();
-        self.records.push(epoch, FlowRecord::new(id, epoch, from, to, kind, bytes));
+        self.flows.push(epoch, Packed::sealed(from, to, kind, bytes));
         self.totals.sealed += 1;
         id
     }
 
     /// The held record of `id`; `None` for an evicted id and for
     /// [`NO_FLOW`](crate::envelope::NO_FLOW).
-    pub fn get(&self, id: u64) -> Option<&FlowRecord> {
-        self.records.get(id.checked_sub(1)?)
+    pub fn get(&self, id: u64) -> Option<FlowRecord> {
+        let (epoch, p) = self.flows.get(id.checked_sub(1)?)?;
+        Some(p.record(id, epoch))
     }
 
-    fn get_mut(&mut self, id: u64) -> Option<&mut FlowRecord> {
-        self.records.get_mut(id.checked_sub(1)?)
+    fn get_mut(&mut self, id: u64) -> Option<&mut Packed> {
+        self.flows.get_mut(id.checked_sub(1)?)
     }
 
     /// Count one more transmission of `flow`; returns its record.
     ///
     /// # Panics
     /// If the ledger does not hold `flow`: a frame is only sent again
-    /// within the exchange that sealed it.
-    pub fn retransmit(&mut self, flow: u64) -> &FlowRecord {
-        let r = self
+    /// within the exchange that sealed it. If the flow was already sent 255
+    /// times.
+    pub fn retransmit(&mut self, flow: u64) -> FlowRecord {
+        let p = self
             .get_mut(flow)
             .unwrap_or_else(|| panic!("retransmission of flow {flow}, which the ledger does not hold"));
-        r.attempts += 1;
-        r
+        p.attempts = narrow(u32::from(p.attempts) + 1, "attempt count");
+        self.get(flow).expect("the flow is held")
     }
 
     /// Mark `flow` delivered by the frame with sequence `attempt`. Late
     /// duplicates of an already-resolved flow are ignored.
+    ///
+    /// # Panics
+    /// If `attempt` is past 253, what the stored outcome's byte holds.
     pub fn deliver(&mut self, flow: u64, attempt: u32) {
-        if let Some(r) = self.get_mut(flow) {
-            if r.outcome == FlowOutcome::Pending {
-                r.outcome = FlowOutcome::Delivered { attempt };
+        if let Some(p) = self.get_mut(flow) {
+            if p.outcome == PENDING {
+                let code = u8::try_from(attempt).ok().and_then(|a| a.checked_add(DELIVERED));
+                p.outcome = code.unwrap_or_else(|| {
+                    panic!("flow {flow} delivered on attempt {attempt}: the ledger's outcome byte holds attempts up to 253")
+                });
                 self.totals.delivered += 1;
             }
         }
@@ -237,9 +414,9 @@ impl FlowLedger {
     /// pending becomes dead-by-crash. Call before a rollback and after a
     /// completed epoch (where it sweeps flows to/from ranks that died).
     pub fn close_epoch_dead(&mut self, epoch: u64) {
-        for r in self.records.epoch_mut(epoch) {
-            if r.outcome == FlowOutcome::Pending {
-                r.outcome = FlowOutcome::Dead;
+        for p in self.flows.epoch_mut(epoch) {
+            if p.outcome == PENDING {
+                p.outcome = DEAD;
                 self.totals.dead += 1;
             }
         }
@@ -454,8 +631,77 @@ mod tests {
     }
 
     #[test]
-    fn a_record_is_fixed_size() {
-        assert!(std::mem::size_of::<FlowRecord>() <= 56);
+    fn a_stored_flow_is_16_bytes() {
+        assert!(std::mem::size_of::<Packed>() <= 16);
+    }
+
+    #[test]
+    fn views_assemble_ids_and_epochs() {
+        let l = evicted_at_epoch_4();
+        let held = l.records();
+        assert_eq!((held.len(), held.first().map(|r| (r.id, r.epoch))), (3, Some((3, 4))));
+        let got: Vec<_> = (0..4).map(|i| held.get(i).map(|r| (r.id, r.epoch))).collect();
+        assert_eq!(got, [Some((3, 4)), Some((4, 4)), Some((5, 7)), None]);
+        assert_eq!(held.iter().rev().map(|r| r.id).collect::<Vec<_>>(), [5, 4, 3]);
+        for r in held.iter() {
+            assert_eq!(l.get(r.id), Some(r));
+            assert_eq!(l.for_epoch(r.epoch).iter().find(|x| x.id == r.id), Some(r));
+        }
+        let four = l.for_epoch(4);
+        assert_eq!((four.len(), four.get(1).map(|r| r.bytes), four.get(2)), (2, Some(200), None));
+        assert!(l.for_epoch(5).is_empty() && l.for_epoch(5).first().is_none());
+        // A copy out of the ledger views the same records.
+        let copies: Vec<EpochFlows> = held.copy_epochs().collect();
+        assert_eq!(copies.iter().map(EpochFlows::epoch).collect::<Vec<_>>(), [4, 7]);
+        assert_eq!((copies[0].view(), copies[1].view()), (four, l.for_epoch(7)));
+        assert_eq!(format!("{:?}", copies[1].view()), format!("{:?}", [l.get(5).unwrap()]));
+    }
+
+    #[test]
+    #[should_panic(expected = "flow `from` rank 4294967296 exceeds its 32-bit ledger field")]
+    fn a_from_rank_past_u32_panics_at_seal() {
+        FlowLedger::new().seal(1, 1 << 32, 0, MsgKind::Let, 8);
+    }
+
+    #[test]
+    #[should_panic(expected = "flow `to` rank 4294967296 exceeds its 32-bit ledger field")]
+    fn a_to_rank_past_u32_panics_at_seal() {
+        FlowLedger::new().seal(1, 0, 1 << 32, MsgKind::Let, 8);
+    }
+
+    #[test]
+    #[should_panic(expected = "flow payload length 4294967296 exceeds its 32-bit ledger field")]
+    fn a_payload_past_u32_panics_at_seal() {
+        FlowLedger::new().seal(1, 0, 1, MsgKind::Let, 1 << 32);
+    }
+
+    #[test]
+    fn the_widest_fields_round_trip() {
+        let mut l = FlowLedger::new();
+        let max = u32::MAX as usize;
+        let id = l.seal(1, max, max, MsgKind::View, max);
+        l.deliver(id, 253);
+        let r = l.get(id).unwrap();
+        assert_eq!((r.from, r.to, r.bytes, r.kind), (max, max, max, MsgKind::View));
+        assert_eq!(r.outcome, FlowOutcome::Delivered { attempt: 253 });
+    }
+
+    #[test]
+    #[should_panic(expected = "delivered on attempt 254")]
+    fn an_attempt_past_the_outcome_byte_panics() {
+        let mut l = FlowLedger::new();
+        let id = l.seal(1, 0, 1, MsgKind::Let, 8);
+        l.deliver(id, 254);
+    }
+
+    #[test]
+    #[should_panic(expected = "flow attempt count 256 exceeds its 8-bit ledger field")]
+    fn a_256th_attempt_panics() {
+        let mut l = FlowLedger::new();
+        let id = l.seal(1, 0, 1, MsgKind::Let, 8);
+        for _ in 0..255 {
+            l.retransmit(id);
+        }
     }
 
     #[test]

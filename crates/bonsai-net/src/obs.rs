@@ -28,7 +28,7 @@
 
 use crate::cost::NetworkModel;
 use crate::fault::{RecoveryAction, Wire};
-use crate::flow::{FlowLedger, FlowOutcome, FlowRecord};
+use crate::flow::{FlowLedger, FlowOutcome, FlowRecord, Flows};
 use bonsai_obs::{
     interval_union, overlap_with_union, ArgValue, FlowPhase, FlowPoint, Lane, MetricsRegistry,
     Span, TraceStore, WaitCause,
@@ -79,7 +79,7 @@ impl<'a> FlowClock<'a> {
 /// `i`-th of `n` flows), so the arrows land where the transfers would be in
 /// flight rather than stacked at the window's opening; `base` for a sender
 /// without a window.
-fn anchors(flows: &[FlowRecord], windows: &[(f64, f64)], base: f64) -> Vec<f64> {
+fn anchors(flows: Flows, windows: &[(f64, f64)], base: f64) -> Vec<f64> {
     let mut sent = vec![0usize; windows.len()];
     for r in flows.iter().filter(|r| r.from < windows.len()) {
         sent[r.from] += 1;
@@ -109,7 +109,7 @@ fn anchors(flows: &[FlowRecord], windows: &[(f64, f64)], base: f64) -> Vec<f64> 
 /// retransmitted attempt, `Finish` on the receiver at delivery. So an
 /// epoch draws [`drawn_point_count`] points.
 pub fn draw_flows(
-    flows: &[FlowRecord],
+    flows: Flows,
     base: f64,
     windows: &[(f64, f64)],
     net: &NetworkModel,
@@ -130,9 +130,9 @@ pub fn draw_flows(
         };
         point(r.from, anchor, FlowPhase::Start);
         for a in 1..r.attempts {
-            point(r.from, clock.send_at(r, a, anchor), FlowPhase::Step);
+            point(r.from, clock.send_at(&r, a, anchor), FlowPhase::Step);
         }
-        if let Some(at) = clock.deliver_at(r, anchor) {
+        if let Some(at) = clock.deliver_at(&r, anchor) {
             point(r.to, at, FlowPhase::Finish);
         }
     }
@@ -141,9 +141,9 @@ pub fn draw_flows(
 
 /// How many points [`draw_flows`] draws for `flows`, without drawing them:
 /// one per attempt, and one more per delivery.
-pub fn drawn_point_count(flows: &[FlowRecord]) -> usize {
+pub fn drawn_point_count(flows: Flows) -> usize {
     let delivered = |r: &FlowRecord| matches!(r.outcome, FlowOutcome::Delivered { .. }) as usize;
-    flows.iter().map(|r| r.attempts as usize + delivered(r)).sum()
+    flows.iter().map(|r| r.attempts as usize + delivered(&r)).sum()
 }
 
 /// Record gravity epoch `step` of `wire` — the fault log's instants on the
@@ -184,7 +184,7 @@ pub fn record_flows(
     if flows.iter().any(|r| matches!(r.outcome, FlowOutcome::Delivered { .. })) {
         let delivery = registry.histogram_entry("bonsai_flow_delivery_seconds", &[]);
         for (r, &anchor) in flows.iter().zip(&anchors) {
-            if let Some(at) = clock.deliver_at(r, anchor) {
+            if let Some(at) = clock.deliver_at(&r, anchor) {
                 delivery.observe(at - anchor);
             }
         }
@@ -202,11 +202,11 @@ pub fn record_flows(
     // subtraction.
     let index = |id: u64| {
         let i = id.checked_sub(flows.first()?.id)? as usize;
-        (i < flows.len()).then_some(i)
+        Some((i, flows.get(i)?))
     };
     for e in injected {
         let flow = index(e.flow);
-        let at = flow.map_or(window_start(e.to), |i| clock.send_at(&flows[i], e.attempt, anchors[i]));
+        let at = flow.map_or(window_start(e.to), |(i, r)| clock.send_at(&r, e.attempt, anchors[i]));
         let ev = store.instant(e.to as u32, step, Lane::Comm, format!("inject:{}", e.fault), at);
         ev.args.push(("from", ArgValue::U64(e.from as u64)));
         ev.args.push(("to", ArgValue::U64(e.to as u64)));
@@ -221,11 +221,11 @@ pub fn record_flows(
     for e in recoveries {
         let flow = index(e.flow);
         let at = match flow {
-            Some(i) if e.action == RecoveryAction::Retransmit => {
+            Some((i, r)) if e.action == RecoveryAction::Retransmit => {
                 retries[i] += 1;
-                clock.send_at(&flows[i], retries[i], anchors[i])
+                clock.send_at(&r, retries[i], anchors[i])
             }
-            Some(i) => clock.deliver_at(&flows[i], anchors[i]).unwrap_or_else(|| window_start(e.rank)),
+            Some((i, r)) => clock.deliver_at(&r, anchors[i]).unwrap_or_else(|| window_start(e.rank)),
             None => window_start(e.rank),
         };
         let ev = store.instant(e.rank as u32, step, Lane::Comm, format!("recover:{}", e.action), at);
@@ -276,9 +276,8 @@ impl NetworkModel {
 ///
 /// Priority: retransmission > late-sender. An empty set means the interval
 /// had no identifiable flow — [`WaitCause::Unattributed`].
-pub fn classify<'a>(flows: impl IntoIterator<Item = &'a FlowRecord>) -> WaitCause {
-    let retried = |f: &FlowRecord| f.attempts > 1;
-    let cause = |f| if retried(f) { WaitCause::Retransmission } else { WaitCause::LateSender };
+pub fn classify(flows: impl IntoIterator<Item = FlowRecord>) -> WaitCause {
+    let cause = |f: FlowRecord| if f.attempts > 1 { WaitCause::Retransmission } else { WaitCause::LateSender };
     // WaitCause derives Ord in severity order (Retransmission first).
     flows.into_iter().map(cause).min().unwrap_or(WaitCause::Unattributed)
 }
@@ -297,14 +296,14 @@ pub struct FlowTimes {
 /// from the same anchors as [`draw_flows`]'s points: `send_at` is the
 /// flow's `Start`, `resolve_at` its `Finish`, bit for bit.
 pub fn flow_times(
-    flows: &[FlowRecord],
+    flows: Flows,
     base: f64,
     windows: &[(f64, f64)],
     net: &NetworkModel,
 ) -> BTreeMap<u64, FlowTimes> {
     let clock = FlowClock::new(net);
     (flows.iter().zip(anchors(flows, windows, base)))
-        .map(|(r, anchor)| (r.id, FlowTimes { send_at: anchor, resolve_at: clock.deliver_at(r, anchor) }))
+        .map(|(r, anchor)| (r.id, FlowTimes { send_at: anchor, resolve_at: clock.deliver_at(&r, anchor) }))
         .collect()
 }
 
@@ -362,7 +361,7 @@ impl ExchangeWindows {
 
 /// One drawn epoch's ledger records, clock base and per-rank LET-exchange
 /// windows: everything [`draw_flows`] reads.
-pub type DrawnEpoch<'a> = (&'a [FlowRecord], f64, &'a [(f64, f64)]);
+pub type DrawnEpoch<'a> = (Flows<'a>, f64, &'a [(f64, f64)]);
 
 /// The flow arrows of the epochs a run holds, drawn when they are read
 /// from the flow ledger's records and the [`ExchangeWindows`]: no store
@@ -475,8 +474,8 @@ fn percentile(sorted: &[f64], q: f64) -> f64 {
 /// Aggregate flows into a per-link ledger, sorted by `(from, to)`. A
 /// delivered flow's latency is its resolve minus its send instant in
 /// `times` (see [`flow_times`]).
-pub fn link_ledger(flows: &[FlowRecord], times: &BTreeMap<u64, FlowTimes>) -> Vec<LinkStats> {
-    let mut by_link: BTreeMap<(usize, usize), Vec<&FlowRecord>> = BTreeMap::new();
+pub fn link_ledger(flows: impl IntoIterator<Item = FlowRecord>, times: &BTreeMap<u64, FlowTimes>) -> Vec<LinkStats> {
+    let mut by_link: BTreeMap<(usize, usize), Vec<FlowRecord>> = BTreeMap::new();
     for f in flows {
         by_link.entry((f.from, f.to)).or_default().push(f);
     }
@@ -487,7 +486,7 @@ pub fn link_ledger(flows: &[FlowRecord], times: &BTreeMap<u64, FlowTimes>) -> Ve
     by_link
         .into_iter()
         .map(|((from, to), fs)| {
-            let mut lat: Vec<f64> = fs.iter().filter_map(|f| latency(f)).collect();
+            let mut lat: Vec<f64> = fs.iter().filter_map(latency).collect();
             lat.sort_by(|a, b| a.partial_cmp(b).unwrap());
             let count = |o: fn(&FlowOutcome) -> bool| fs.iter().filter(|f| o(&f.outcome)).count();
             LinkStats {
@@ -616,7 +615,8 @@ pub fn mean_hidden_comm_fraction(store: &TraceStore, step: u64) -> f64 {
 }
 
 /// Find each rank's exposed-communication intervals in `step` and attribute
-/// them to the causal flows among `flows` (the step's ledger records).
+/// them to the causal flows among `flows` (the step's ledger records, read
+/// once per interval).
 ///
 /// A COMM-lane span interval is *exposed* where no GPU-lane span of the same
 /// rank and step covers it. Each exposed interval is matched against the
@@ -627,7 +627,7 @@ pub fn mean_hidden_comm_fraction(store: &TraceStore, step: u64) -> f64 {
 pub fn exposed_comm(
     store: &TraceStore,
     step: u64,
-    flows: &[FlowRecord],
+    flows: impl Iterator<Item = FlowRecord> + Clone,
     times: &BTreeMap<u64, FlowTimes>,
 ) -> Vec<ExposedComm> {
     let mut out = Vec::new();
@@ -639,8 +639,8 @@ pub fn exposed_comm(
                 if xe - xs <= 0.0 {
                     continue;
                 }
-                let causal: Vec<&FlowRecord> = flows
-                    .iter()
+                let causal: Vec<FlowRecord> = flows
+                    .clone()
                     .filter(|f| f.from == rank as usize || f.to == rank as usize)
                     .filter(|f| {
                         times.get(&f.id).is_some_and(|t| {
@@ -671,10 +671,25 @@ mod tests {
 
     /// A step-1 flow `from → to` with `attempts` sends and `outcome`.
     fn flow(id: u64, from: usize, to: usize, attempts: u32, outcome: FlowOutcome) -> FlowRecord {
-        let mut r = FlowRecord::new(id, 1, from, to, MsgKind::Let, 1024);
-        r.attempts = attempts;
-        r.outcome = outcome;
-        r
+        FlowRecord { id, epoch: 1, from, to, kind: MsgKind::Let, bytes: 1024, attempts, outcome }
+    }
+
+    /// A ledger that holds `flows`, step-1 flows with ids 1, 2, … in order,
+    /// none of them pending.
+    fn ledger_of(flows: &[FlowRecord]) -> FlowLedger {
+        let mut ledger = FlowLedger::new();
+        for r in flows {
+            assert_eq!(ledger.seal(r.epoch, r.from, r.to, r.kind, r.bytes), r.id);
+            for _ in 1..r.attempts {
+                ledger.retransmit(r.id);
+            }
+            if let FlowOutcome::Delivered { attempt } = r.outcome {
+                ledger.deliver(r.id, attempt);
+            }
+        }
+        ledger.close_epoch_dead(1);
+        assert!(ledger.records().iter().eq(flows.iter().copied()));
+        ledger
     }
 
     /// Give `f` the instants `send_at` and `resolve_at` in `times`.
@@ -690,9 +705,9 @@ mod tests {
         let retx = flow(2, 0, 1, 3, DELIVERED);
 
         assert_eq!(classify([]), WaitCause::Unattributed);
-        assert_eq!(classify([&clean]), WaitCause::LateSender);
-        assert_eq!(classify([&clean, &retx]), WaitCause::Retransmission);
-        assert_eq!(classify([&retx, &clean]), WaitCause::Retransmission);
+        assert_eq!(classify([clean]), WaitCause::LateSender);
+        assert_eq!(classify([clean, retx]), WaitCause::Retransmission);
+        assert_eq!(classify([retx, clean]), WaitCause::Retransmission);
     }
 
     #[test]
@@ -724,15 +739,16 @@ mod tests {
         // A flow delivered on its second attempt, one dead after two, and a
         // clean one on another sender: each flow's times are, bit for bit,
         // its drawn `Start` and `Finish`; `Step` points are not times.
-        let flows = [
+        let ledger = ledger_of(&[
             flow(1, 0, 1, 2, FlowOutcome::Delivered { attempt: 1 }),
             flow(2, 0, 1, 2, FlowOutcome::Dead),
             flow(3, 1, 0, 1, DELIVERED),
-        ];
+        ]);
+        let flows = ledger.for_epoch(1);
         let (net, windows) = (NetworkModel::new(PIZ_DAINT), [(0.1, 1e-3), (0.2, 2e-3)]);
-        let times = flow_times(&flows, 0.0, &windows, &net);
-        let points = draw_flows(&flows, 0.0, &windows, &net);
-        assert_eq!(points.len(), drawn_point_count(&flows));
+        let times = flow_times(flows, 0.0, &windows, &net);
+        let points = draw_flows(flows, 0.0, &windows, &net);
+        assert_eq!(points.len(), drawn_point_count(flows));
         assert_eq!(times.len(), flows.len());
         let at = |id, phase| points.iter().find(|p| p.id == id && p.phase == phase).map(|p| p.at.to_bits());
         for (&id, t) in &times {
@@ -802,7 +818,7 @@ mod tests {
             let delivered = matches!(f.outcome, FlowOutcome::Delivered { .. });
             time(&mut times, f, 0.1, delivered.then_some(0.1 + 0.05 * f.attempts as f64));
         }
-        let links = link_ledger(&flows, &times);
+        let links = link_ledger(flows.iter().copied(), &times);
         assert_eq!(links.len(), 2);
         let l01 = &links[0];
         assert_eq!((l01.from, l01.to), (0, 1));
@@ -834,7 +850,7 @@ mod tests {
         for f in &flows {
             time(&mut times, f, 0.0, Some(f.id as f64 * 1e-3));
         }
-        let links = link_ledger(&flows, &times);
+        let links = link_ledger(flows.iter().copied(), &times);
         assert_eq!(links.len(), 1);
         let l = &links[0];
         assert!(l.latency_p50 <= l.latency_p90);
@@ -852,11 +868,11 @@ mod tests {
         t.span(0, 1, Lane::Comm, "let-comm", 0.2, 1.0);
         // Rank 1: no GPU overlap at all → whole comm span exposed.
         t.span(1, 1, Lane::Comm, "let-comm", 0.0, 0.5);
-        let flows = vec![flow(7, 1, 0, 3, DELIVERED)];
+        let flows = [flow(7, 1, 0, 3, DELIVERED)];
         let mut times = BTreeMap::new();
         time(&mut times, &flows[0], 0.5, Some(0.9));
 
-        let exposed = exposed_comm(&t, 1, &flows, &times);
+        let exposed = exposed_comm(&t, 1, flows.iter().copied(), &times);
         assert_eq!(exposed.len(), 2);
         let r0 = &exposed[0];
         assert_eq!(r0.rank, 0);
@@ -871,8 +887,8 @@ mod tests {
         assert_eq!(r1.cause, WaitCause::Unattributed);
         assert!(r1.flows.is_empty());
         // A flow without times is never causal.
-        let untimed = vec![flow(8, 1, 0, 3, FlowOutcome::Dead)];
-        assert!(exposed_comm(&t, 1, &untimed, &times).iter().all(|x| x.flows.is_empty()));
+        let untimed = [flow(8, 1, 0, 3, FlowOutcome::Dead)];
+        assert!(exposed_comm(&t, 1, untimed.iter().copied(), &times).iter().all(|x| x.flows.is_empty()));
     }
 
     #[test]
@@ -939,7 +955,7 @@ mod tests {
         let id = ledger.seal(3, 0, 1, MsgKind::Let, 2048);
         ledger.retransmit(id);
         ledger.deliver(id, 1);
-        let r = ledger.get(id).unwrap().clone();
+        let r = ledger.get(id).unwrap();
         let log = FaultLog {
             injected: vec![fault(3, &r, FaultKind::Corrupt, 0)],
             recoveries: vec![recovery(&r, RecoveryAction::DiscardCorrupt, "checksum mismatch")],
@@ -969,7 +985,7 @@ mod tests {
         let a = ledger.seal(2, 1, 0, MsgKind::Let, 64);
         let b = ledger.seal(2, 1, 0, MsgKind::Let, 4096);
         ledger.retransmit(a);
-        let (ra, rb) = (ledger.get(a).unwrap().clone(), ledger.get(b).unwrap().clone());
+        let (ra, rb) = (ledger.get(a).unwrap(), ledger.get(b).unwrap());
         let drop = |r, attempt| fault(2, r, FaultKind::Drop, attempt);
         let log = FaultLog { injected: vec![drop(&ra, 0), drop(&rb, 0), drop(&ra, 1)], recoveries: vec![] };
         let (store, _, drawn) = record(&wire(ledger, log), 2, &[(0.0, 0.0), (0.0, 1e-3)]);
@@ -987,7 +1003,7 @@ mod tests {
         let id = ledger.seal(4, 2, 0, MsgKind::Control, 64);
         ledger.retransmit(id);
         ledger.deliver(id, 1);
-        let r = ledger.get(id).unwrap().clone();
+        let r = ledger.get(id).unwrap();
         let log = FaultLog {
             injected: vec![fault(4, &r, FaultKind::Drop, 0)],
             recoveries: vec![recovery(&r, RecoveryAction::Retransmit, "attempt 1")],

@@ -6,11 +6,13 @@
 //! and nothing is lost by reading the view instead of the history — and for
 //! the validated collective: under any fault plan it hands back only what
 //! the fault-free exchange would, accounts for every flow, and logs the same
-//! text twice.
+//! text twice — and for the compact ledger, which answers every read as a
+//! ledger of whole records would.
 
 use bonsai_net::collective::{exchange, received_from, Inline, Outbox, Round, MAX_RETRIES};
 use bonsai_net::envelope::{open, seal_flow, EnvelopeError, NO_FLOW};
 use bonsai_net::flow::{FlowConservation, FlowOutcome, FlowRecord};
+use bonsai_util::sorted::EpochRuns;
 use bonsai_net::{
     FaultEvent, FaultKind, FaultLog, FaultPlan, FlowLedger, Injection, MsgKind, RecoveryAction,
     RecoveryEvent, Wire,
@@ -213,7 +215,7 @@ proptest! {
             }
             let kind = MsgKind::ALL[kind_ix];
             let held = flows.for_epoch(epoch);
-            let picked = (!held.is_empty()).then(|| held[pick as usize % held.len()].clone());
+            let picked = (!held.is_empty()).then(|| held.get(pick as usize % held.len()).unwrap());
             let recovery = |action, flow| RecoveryEvent {
                 epoch,
                 rank: to,
@@ -246,7 +248,7 @@ proptest! {
                 (7, _) => flows.close_epoch_dead(epoch - pick % 2),
                 (8, _) => {
                     let min = epoch.saturating_sub(pick % 3);
-                    evicted.extend(flows.records().iter().filter(|r| r.epoch < min).cloned());
+                    evicted.extend(flows.records().iter().filter(|r| r.epoch < min));
                     flows.retain_epochs(min);
                 }
                 _ => {}
@@ -255,7 +257,7 @@ proptest! {
 
         // The run totals count every flow ever sealed, evicted ones too.
         let mut want = FlowConservation::default();
-        for r in evicted.iter().chain(flows.records().iter()) {
+        for r in evicted.iter().copied().chain(flows.records().iter()) {
             want.sealed += 1;
             match r.outcome {
                 FlowOutcome::Pending => want.pending += 1,
@@ -267,15 +269,162 @@ proptest! {
         prop_assert_eq!(flows.next_id(), want.sealed + 1);
 
         for e in 0..=epoch + 1 {
-            let want: Vec<_> = flows.records().iter().filter(|r| r.epoch == e).cloned().collect();
-            let view = flows.for_epoch(e);
-            prop_assert_eq!(view, &want[..], "flow view of epoch {}", e);
+            let want: Vec<_> = flows.records().iter().filter(|r| r.epoch == e).collect();
+            let view: Vec<_> = flows.for_epoch(e).iter().collect();
+            prop_assert_eq!(view, want, "flow view of epoch {}", e);
             let (injected, recoveries) = log.for_epoch(e);
             let want_injected: Vec<_> = log.injected.iter().filter(|f| f.epoch == e).cloned().collect();
             let want_recoveries: Vec<_> =
                 log.recoveries.iter().filter(|r| r.epoch == e).cloned().collect();
             prop_assert_eq!(injected, &want_injected[..], "injected view of epoch {}", e);
             prop_assert_eq!(recoveries, &want_recoveries[..], "recovery view of epoch {}", e);
+        }
+    }
+}
+
+/// The flow ledger as whole records, ids and epochs stored in each, under
+/// the ledger's update rules: the oracle the compact ledger is held to.
+#[derive(Default)]
+struct RecordLedger {
+    records: EpochRuns<FlowRecord>,
+    totals: FlowConservation,
+}
+
+impl RecordLedger {
+    fn seal(&mut self, epoch: u64, from: usize, to: usize, kind: MsgKind, bytes: usize) -> u64 {
+        let id = self.records.next_ordinal() + 1;
+        let outcome = FlowOutcome::Pending;
+        self.records.push(epoch, FlowRecord { id, epoch, from, to, kind, bytes, attempts: 1, outcome });
+        self.totals.sealed += 1;
+        id
+    }
+
+    fn get(&self, id: u64) -> Option<FlowRecord> {
+        self.records.get(id.checked_sub(1)?).map(|(_, r)| *r)
+    }
+
+    fn get_mut(&mut self, id: u64) -> Option<&mut FlowRecord> {
+        self.records.get_mut(id.checked_sub(1)?)
+    }
+
+    fn retransmit(&mut self, id: u64) -> FlowRecord {
+        let r = self.get_mut(id).expect("a held flow");
+        r.attempts += 1;
+        *r
+    }
+
+    fn deliver(&mut self, id: u64, attempt: u32) {
+        if let Some(r) = self.get_mut(id) {
+            if r.outcome == FlowOutcome::Pending {
+                r.outcome = FlowOutcome::Delivered { attempt };
+                self.totals.delivered += 1;
+            }
+        }
+    }
+
+    fn close_epoch_dead(&mut self, epoch: u64) {
+        for r in self.records.epoch_mut(epoch) {
+            if r.outcome == FlowOutcome::Pending {
+                r.outcome = FlowOutcome::Dead;
+                self.totals.dead += 1;
+            }
+        }
+    }
+
+    fn retransmit_bytes(&self, epoch: u64) -> usize {
+        (self.records.epoch(epoch).iter()).map(|r| r.bytes * (r.attempts - 1) as usize).sum()
+    }
+
+    fn conservation(&self) -> FlowConservation {
+        let t = self.totals;
+        FlowConservation { pending: t.sealed - t.delivered - t.dead, ..t }
+    }
+}
+
+/// Every read of `ledger` equals the oracle's: the held records' `Debug`
+/// text, `get` of every id up to two past the last (evicted, held, not yet
+/// sealed, and `NO_FLOW`), every epoch's view up to `last_epoch + 1`, and
+/// the id, byte and conservation counts.
+fn same_reads(ledger: &FlowLedger, oracle: &RecordLedger, last_epoch: u64) {
+    let held = ledger.records();
+    prop_assert_eq!(format!("{held:?}"), format!("{:?}", oracle.records));
+    prop_assert_eq!((held.len(), ledger.len(), ledger.is_empty()), (oracle.records.len(), oracle.records.len(), oracle.records.is_empty()));
+    prop_assert_eq!(held.first(), oracle.records.iter().next().copied());
+    for (i, want) in oracle.records.iter().enumerate() {
+        prop_assert_eq!(held.get(i), Some(*want), "held record {}", i);
+    }
+    prop_assert_eq!(held.get(oracle.records.len()), None);
+    prop_assert_eq!(ledger.next_id(), oracle.records.next_ordinal() + 1);
+    for id in NO_FLOW..=ledger.next_id() + 1 {
+        prop_assert_eq!(ledger.get(id), oracle.get(id), "get({})", id);
+    }
+    for e in 0..=last_epoch + 1 {
+        let (view, want) = (ledger.for_epoch(e), oracle.records.epoch(e));
+        prop_assert_eq!(format!("{view:?}"), format!("{want:?}"), "epoch {}", e);
+        prop_assert_eq!((view.len(), view.is_empty(), view.first()), (want.len(), want.is_empty(), want.first().copied()));
+        for i in 0..=want.len() {
+            prop_assert_eq!(view.get(i), want.get(i).copied(), "epoch {} record {}", e, i);
+        }
+        prop_assert_eq!(ledger.retransmit_bytes(e), oracle.retransmit_bytes(e), "epoch {}", e);
+    }
+    prop_assert_eq!(ledger.conservation(), oracle.conservation());
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn the_compact_ledger_reads_as_whole_records(
+        ops in proptest::collection::vec((0u8..7, 0u8..4, any::<u64>(), any::<u64>()), 1..150),
+    ) {
+        // Seal at non-decreasing epochs (sometimes skipping one), send held
+        // flows again up to the retry budget, deliver any id (held,
+        // evicted, unsealed, `NO_FLOW`; late duplicates too), close epochs
+        // dead and evict, on the ledger and the oracle alike; after every
+        // operation the two read the same.
+        let (mut ledger, mut oracle) = (FlowLedger::new(), RecordLedger::default());
+        let mut epoch = 1u64;
+        let wide = |bits: u64| [0, 1, 63, 4096, u32::MAX as usize][bits as usize % 5];
+        for (op, gap, a, b) in ops {
+            if gap == 0 {
+                epoch += 1 + a % 2;
+            }
+            match op {
+                0..=2 => {
+                    let from = if a & 4 == 0 { (a >> 8) as usize % 64 } else { wide(a >> 8) };
+                    let to = if a & 8 == 0 { (b >> 8) as usize % 64 } else { wide(b >> 8) };
+                    let bytes = if a & 16 == 0 { (b >> 16) as usize % 10_000 } else { wide(b >> 16) };
+                    let kind = MsgKind::ALL[(b % 5) as usize];
+                    prop_assert_eq!(ledger.seal(epoch, from, to, kind, bytes), oracle.seal(epoch, from, to, kind, bytes));
+                }
+                3 => {
+                    let held: Vec<u64> = (oracle.records.iter())
+                        .filter(|r| r.attempts <= MAX_RETRIES)
+                        .map(|r| r.id)
+                        .collect();
+                    if !held.is_empty() {
+                        let id = held[a as usize % held.len()];
+                        prop_assert_eq!(ledger.retransmit(id), oracle.retransmit(id));
+                    }
+                }
+                4 => {
+                    let id = a % (ledger.next_id() + 2);
+                    let attempt = (b % (u64::from(MAX_RETRIES) + 1)) as u32;
+                    ledger.deliver(id, attempt);
+                    oracle.deliver(id, attempt);
+                }
+                5 => {
+                    let e = epoch.saturating_sub(a % 3);
+                    ledger.close_epoch_dead(e);
+                    oracle.close_epoch_dead(e);
+                }
+                _ => {
+                    let min = epoch.saturating_sub(a % 4);
+                    ledger.retain_epochs(min);
+                    oracle.records.evict_before(min);
+                }
+            }
+            same_reads(&ledger, &oracle, epoch);
         }
     }
 }

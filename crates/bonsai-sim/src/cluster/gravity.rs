@@ -26,7 +26,7 @@
 use super::{Cluster, StepMeasurements};
 use crate::breakdown::StepBreakdown;
 use bonsai_domain::exchange::{particles_from_bytes, particles_to_bytes, ExchangePlan};
-use bonsai_domain::letbuild::{boundary_sufficient_within, hull_of};
+use bonsai_domain::letbuild::{hull_of, CutCells};
 use bonsai_domain::load::enforce_particle_cap;
 use bonsai_domain::sampling::parallel_cuts;
 use bonsai_domain::lettree::{self, Invalid};
@@ -323,19 +323,23 @@ impl Cluster {
     ) -> Result<Vec<RankForces>, usize> {
         let (p, theta, lanes) = (trees.len(), self.cfg.theta, rayon::current_num_threads());
         let params = WalkParams { theta, eps: self.cfg.eps, g: self.cfg.g, use_quadrupole: true };
-        // Each rank's frontier geometry, once: what its senders build for.
-        let geoms: Vec<Vec<Aabb>> = boundaries.par_iter().map(LetFrame::frontier_boxes).collect();
+        // Each rank's frontier geometry, what its senders build for, and
+        // its `Cut` cells, what every receiver's sufficiency check reads of
+        // its boundary: each read from its records once.
+        let read = |b: &LetFrame| (b.frontier_boxes(), CutCells::of(&b.records()));
+        let read: Vec<(Vec<Aabb>, CutCells)> = boundaries.par_iter().map(read).collect();
+        let (geoms, cuts): (Vec<_>, Vec<_>) = read.into_iter().unzip();
         // Per receiver, ascending, the senders whose boundary does not
-        // suffice for it, each checked against the receiver's hull first.
+        // suffice for it (an empty one has no `Cut` cell and suffices),
+        // each checked against the receiver's hull first.
         let owing: Vec<Vec<usize>> = (geoms.par_iter().enumerate())
             .map(|(j, geom)| {
                 if geom.is_empty() {
                     return Vec::new();
                 }
                 let hull = hull_of(geom);
-                (boundaries.iter().map(LetFrame::records).enumerate())
-                    .filter(|(i, bi)| *i != j && !bi.is_empty())
-                    .filter(|(_, bi)| !boundary_sufficient_within(bi, geom, &hull, theta))
+                (cuts.iter().enumerate())
+                    .filter(|(i, cells)| *i != j && !cells.sufficient_within(geom, &hull, theta))
                     .map(|(i, _)| i)
                     .collect()
             })

@@ -32,7 +32,7 @@ use crate::breakdown::StepBreakdown;
 use crate::cluster::{StepFacts, StepMeasurements};
 use crate::stream::{StreamConfig, StreamTap};
 use bonsai_analysis::EnergyReport;
-use bonsai_net::flow::FlowRecord;
+use bonsai_net::flow::{EpochFlows, Flows};
 use bonsai_net::obs::{
     draw_flows, drawn_point_count, mean_hidden_comm_fraction, DrawnEpoch, ExchangeWindows, FlowArrows,
 };
@@ -50,15 +50,17 @@ const MAX_INCIDENTS: usize = 4;
 
 /// The epochs incidents froze, each held once: the live trace's spans and
 /// instants of them (no flow points), and each drawn epoch's ledger
-/// records and exchange windows, from which its arrows are drawn again when
-/// an incident is read. Append-only: a later incident's window never opens
-/// before an earlier one's, so a freeze adds the epochs the history lacks,
-/// and what the last epoch it holds has recorded since.
+/// records, 16 B a flow as the ledger holds them, and exchange windows,
+/// from which its arrows are drawn again when an incident is read.
+/// Append-only: a later incident's window never opens before an earlier
+/// one's, so a freeze adds the epochs the history lacks, and what the last
+/// epoch it holds has recorded since.
 #[derive(Clone, Debug)]
 struct History {
     trace: TraceStore,
-    /// Each held drawn epoch's ledger records, ascending by epoch.
-    flows: Vec<(u64, Box<[FlowRecord]>)>,
+    /// The ledger records of each held drawn epoch that sealed any,
+    /// ascending by epoch.
+    flows: Vec<EpochFlows>,
     /// The same epochs' clock bases and exchange windows.
     windows: ExchangeWindows,
     /// What the arrows are priced by.
@@ -83,24 +85,25 @@ impl History {
     fn freeze(&mut self, id: usize, trace: &TraceStore, arrows: &FlowArrows, epoch: u64, trigger: &AlertEvent) -> Incident {
         let from = (epoch + 1).saturating_sub(TRACE_WINDOW);
         self.trace.sync_from(trace, from);
-        let next = self.flows.last().map_or(from, |&(held, _)| from.max(held + 1));
+        let next = self.windows.epochs().last().map_or(from, |held| from.max(held + 1));
         for e in next..=epoch {
             if let Some((flows, base, windows)) = arrows.epoch(e) {
-                self.flows.push((e, flows.into()));
+                self.flows.extend(flows.copy_epochs());
                 self.windows.record(e, base, windows);
             }
         }
-        let first_arrow = self.drawn((from, epoch)).find(|(_, (flows, ..))| drawn_point_count(flows) > 0);
+        let first_arrow = self.drawn((from, epoch)).find(|(_, (flows, ..))| drawn_point_count(*flows) > 0);
         Incident::freeze(id, &self.trace, first_arrow.map(|(e, ..)| e), epoch, trigger)
     }
 
     /// The held drawn epochs of `window`, each with its records, clock base
     /// and exchange windows.
     fn drawn(&self, window: (u64, u64)) -> impl Iterator<Item = (u64, DrawnEpoch<'_>)> + '_ {
-        let first = self.flows.partition_point(|&(e, _)| e < window.0);
-        (self.flows[first..].iter()).take_while(move |&&(e, _)| e <= window.1).map(|(e, flows)| {
-            let (base, windows) = self.windows.get(*e).expect("an epoch's records are held with its windows");
-            (*e, (&flows[..], base, windows))
+        let epochs = self.windows.epochs().skip_while(move |&e| e < window.0).take_while(move |&e| e <= window.1);
+        epochs.map(|e| {
+            let (base, windows) = self.windows.get(e).expect("a held epoch has its windows");
+            let flows = self.flows.binary_search_by_key(&e, EpochFlows::epoch);
+            (e, (flows.map_or(Flows::default(), |i| self.flows[i].view()), base, windows))
         })
     }
 }

@@ -89,7 +89,7 @@ fn exposed_comm_is_the_unhidden_share_of_comm() {
     c.step();
     let (trace, step) = (c.trace(), c.trace().last_step().unwrap());
     let times = c.flow_arrows().times(step);
-    let exposed = exposed_comm(trace, step, c.flow_ledger().for_epoch(step), &times);
+    let exposed = exposed_comm(trace, step, c.flow_ledger().for_epoch(step).iter(), &times);
     for (rank, hidden) in hidden_comm_fractions(trace, step) {
         let spans = trace.step_records(step).spans.iter();
         let comm: f64 = (spans.filter(|s| s.rank == rank && s.lane == Lane::Comm))

@@ -182,11 +182,11 @@ impl Reference {
         fault: FaultKind,
         attempts: std::ops::Range<u32>,
     ) -> Vec<Injection> {
-        let flows = epochs.flat_map(|e| self.clean.flow_ledger().for_epoch(e)).filter(|f| keep(f));
+        let flows = epochs.flat_map(|e| self.clean.flow_ledger().for_epoch(e).iter()).filter(|f| keep(f));
         let at = |f: &FlowRecord| (Some(f.from), Some(f.to), Some(f.kind));
         flows
             .map(|f| {
-                let (from, to, kind) = at(f);
+                let (from, to, kind) = at(&f);
                 Injection { epoch: f.epoch, from, to, kind, fault, attempts: attempts.clone() }
             })
             .collect()

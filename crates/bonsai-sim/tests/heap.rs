@@ -7,8 +7,8 @@
 //! growing — and what the window holds per epoch is what a thin run (many
 //! ranks, few particles each, tens of thousands of flows an epoch at
 //! R = 64) pays for its history. The bound below is what the cluster holds
-//! with one record per flow (the ledger's) and no stored arrow points; a
-//! second per-flow copy in the window breaks it.
+//! with one 16 B record per flow (the ledger's) and no stored arrow points;
+//! whole 56 B records, or a second per-flow copy in the window, break it.
 //!
 //! Within a step, the largest transient would be the epoch's dedicated
 //! LETs, but the receivers get their LETs a batch at a time (one receiver
@@ -20,6 +20,9 @@
 //! Incident windows overlap, and the monitor holds each epoch they cover
 //! once, with no drawn arrow; one copy of the window per incident, its
 //! arrows drawn, breaks the third test's bound.
+//!
+//! What the ledger pays per flow is pinned on its own: a copy of a thin
+//! run's ledger allocates 16 B a held flow and a few kibibytes more.
 //!
 //! The counters are process-wide, so the tests of this binary take turns
 //! (`one_at_a_time`).
@@ -130,10 +133,33 @@ fn a_thin_run_holds_its_window_in_a_bounded_heap() {
     let flows = c.flow_ledger().len();
     eprintln!("live heap {full} B with the window full, {later} B two steps later; {flows} flows held");
     assert!(flows > 8 * 2_000, "not a thin run: {flows} flows in the window");
-    // About 3.6 MB, half of it the ledger's 56 B records; storing the
-    // arrows' 48 B points beside them takes it to 6.7 MB.
-    const BOUND: usize = 4_500_000;
+    // About 2.55 MB (2.70 MB at three lanes), a fifth of it the ledger's
+    // 16 B records, under a bound with 0.55 MB to spare. With whole 56 B
+    // records it read 3.86 MB; storing the arrows' 48 B points beside those
+    // took it to 6.7 MB.
+    const BOUND: usize = 3_100_000;
     assert!(full <= BOUND && later <= BOUND, "live heap {full} B / {later} B over {BOUND} B");
+}
+
+#[test]
+fn a_held_flow_costs_16_bytes() {
+    let _turn = one_at_a_time();
+    // Thin: 32 ranks of 64 particles each, the window full. A copy of the
+    // ledger allocates its held flows, one buffer per epoch, and the list
+    // of those epochs.
+    let mut c = Cluster::new(plummer_sphere(2048, 7), 32, ClusterConfig::default());
+    for _ in 0..TRACE_WINDOW + 1 {
+        c.step();
+    }
+    let flows = c.flow_ledger().len();
+    let before = live();
+    let copy = c.flow_ledger().clone();
+    let cost = live() - before;
+    drop(copy);
+    eprintln!("a copy of the ledger allocated {cost} B for {flows} flows");
+    assert!(flows > 8 * 2_000, "not a thin run: {flows} flows in the window");
+    let bound = 16 * flows + 4096;
+    assert!(cost <= bound, "{flows} flows cost {cost} B, over {bound} B");
 }
 
 #[test]
@@ -184,9 +210,10 @@ fn a_faulty_monitored_run_holds_each_incident_epoch_once() {
     eprintln!("the monitor held {held} B for incident windows {windows:?}; the live window holds {flows} flows");
     assert_eq!(windows.len(), 4);
     assert!(windows.windows(2).all(|w| w[1].0 <= w[0].1), "windows {windows:?} do not overlap");
-    // About 1.2 MB: epochs 1..=10 held once, as spans, instants, ledger
-    // records and exchange windows, beside the series and the alert log. A
-    // copy of each window per incident, its arrows drawn, is 4.2 MB.
+    // About 0.83 MB: epochs 1..=10 held once, as spans, instants, 16 B
+    // ledger records and exchange windows, beside the series and the alert
+    // log (1.2 MB with whole 56 B records). A copy of each window per
+    // incident, its arrows drawn, is 4.2 MB.
     const BOUND: usize = 2_000_000;
     assert!(held <= BOUND, "the monitor held {held} B over {BOUND} B");
 }

@@ -108,7 +108,19 @@ impl<T> EpochRuns<T> {
 
     /// The entries of `epoch`, in push order (empty when none is held).
     pub fn epoch(&self, epoch: u64) -> &[T] {
-        self.run_index(epoch).map_or(&[], |i| &self.runs[i].items)
+        self.run(epoch).map_or(&[], |(_, items)| items)
+    }
+
+    /// The ordinal of `epoch`'s first entry, and its entries in push order;
+    /// `None` when no entry of `epoch` is held.
+    pub fn run(&self, epoch: u64) -> Option<(u64, &[T])> {
+        self.run_index(epoch).map(|i| (self.runs[i].first, &self.runs[i].items[..]))
+    }
+
+    /// Every held epoch, oldest first, with the ordinal of its first entry
+    /// and its entries: `(epoch, first, entries)`.
+    pub fn runs(&self) -> impl DoubleEndedIterator<Item = (u64, u64, &[T])> + Clone {
+        self.runs.iter().map(|run| (run.epoch, run.first, &run.items[..]))
     }
 
     /// The entries of `epoch`, mutably.
@@ -126,10 +138,10 @@ impl<T> EpochRuns<T> {
         (at < self.runs[i].items.len()).then_some((i, at))
     }
 
-    /// The held entry with `ordinal`; `None` once it is evicted, and for an
-    /// ordinal not pushed yet.
-    pub fn get(&self, ordinal: u64) -> Option<&T> {
-        self.locate(ordinal).map(|(i, at)| &self.runs[i].items[at])
+    /// The held entry with `ordinal`, and its epoch; `None` once it is
+    /// evicted, and for an ordinal not pushed yet.
+    pub fn get(&self, ordinal: u64) -> Option<(u64, &T)> {
+        self.locate(ordinal).map(|(i, at)| (self.runs[i].epoch, &self.runs[i].items[at]))
     }
 
     /// The held entry with `ordinal`, mutably.
@@ -151,16 +163,6 @@ impl<T> EpochRuns<T> {
     /// True when no entry is held.
     pub fn is_empty(&self) -> bool {
         self.len == 0
-    }
-
-    /// The oldest entry held.
-    pub fn first(&self) -> Option<&T> {
-        self.runs.front().and_then(|run| run.items.first())
-    }
-
-    /// The newest entry held.
-    pub fn last(&self) -> Option<&T> {
-        self.runs.back().and_then(|run| run.items.last())
     }
 
     /// Every held entry, oldest first.
@@ -294,13 +296,18 @@ mod tests {
         assert_eq!(l.epoch(3), [2]);
         assert!(l.epoch(1).is_empty() && l.epoch(4).is_empty() && l.epoch(6).is_empty());
         assert_eq!(l.epoch(5), [3, 4, 5]);
-        for ordinal in 0..6 {
-            assert_eq!(l.get(ordinal), Some(&ordinal));
+        for (ordinal, epoch) in [2, 2, 3, 5, 5, 5].into_iter().enumerate() {
+            let ordinal = ordinal as u64;
+            assert_eq!(l.get(ordinal), Some((epoch, &ordinal)));
         }
         assert_eq!(l.get(6), None);
+        assert_eq!(l.run(5), Some((3, &[3, 4, 5][..])));
+        assert_eq!(l.run(4), None);
+        let runs: Vec<_> = l.runs().map(|(epoch, first, items)| (epoch, first, items.len())).collect();
+        assert_eq!(runs, [(2, 0, 2), (3, 2, 1), (5, 3, 3)]);
         assert_eq!(l.iter().copied().collect::<Vec<_>>(), [0, 1, 2, 3, 4, 5]);
         assert_eq!(l.iter().rev().take_while(|&&x| x >= 3).count(), 3);
-        assert_eq!((l.first(), l.last()), (Some(&0), Some(&5)));
+        assert_eq!((l.iter().next(), l.iter().next_back()), (Some(&0), Some(&5)));
         l.epoch_mut(3)[0] = 20;
         *l.get_mut(4).unwrap() = 40;
         assert_eq!(l.iter().copied().collect::<Vec<_>>(), [0, 1, 20, 3, 40, 5]);
@@ -315,7 +322,7 @@ mod tests {
         assert_eq!(l.epoch(5).as_ptr(), kept, "a kept epoch moved");
         assert_eq!((l.len(), l.next_ordinal()), (3, 6));
         assert!(l.get(2).is_none() && l.epoch(2).is_empty());
-        assert_eq!(l.get(3), Some(&3));
+        assert_eq!(l.get(3), Some((5, &3)));
         // Evicting below what is held changes nothing.
         let before = l.clone();
         l.evict_before(5);
@@ -323,11 +330,11 @@ mod tests {
         // The next epoch opens in an evicted buffer, and ordinals go on.
         l.push(8, 6);
         assert_eq!(l.epoch(8), [6]);
-        assert_eq!(l.get(6), Some(&6));
+        assert_eq!(l.get(6), Some((8, &6)));
         l.evict_before(9);
-        assert!(l.is_empty() && l.first().is_none() && l.get(6).is_none());
+        assert!(l.is_empty() && l.iter().next().is_none() && l.get(6).is_none());
         l.push(9, 7);
-        assert_eq!((l.get(7), l.next_ordinal()), (Some(&7), 8));
+        assert_eq!((l.get(7), l.next_ordinal()), (Some((9, &7)), 8));
     }
 
     #[test]

@@ -123,7 +123,9 @@ BONSAI_THREADS=3 cargo test -q --release -p bonsai-sim --lib -- \
 
 # The live heap of a thin run once its history window is full, counted by
 # the test binary's own allocator: a second per-flow copy in the window (the
-# arrows' points stored beside the ledger) breaks its bound. And the high
+# arrows' points stored beside the ledger) breaks its bound. And what the
+# ledger pays per flow: a copy of a thin run's ledger may allocate at most
+# 16 B a held flow + 4 KiB (whole 56 B records break it). And the high
 # water of one step: every LET of the epoch resident at once breaks that
 # one. And the monitor's heap over a faulty run whose four incident windows
 # overlap: a copy of each window per incident, arrows drawn, breaks that
